@@ -5,8 +5,9 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
-	"hash/fnv"
+	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -26,7 +27,8 @@ type Config struct {
 	Shards []ShardClient
 	// PageSize is the listing page size, which must match the shards'
 	// storeserver.Config.PageSize for assembled pages to be byte-compatible
-	// with a single node's.
+	// with a single node's. (Shards with a smaller page size still merge
+	// correctly, at the cost of a top-up fetch whenever they clamp.)
 	PageSize int
 	// Vnodes is the consistent-hash ring's virtual-node count per shard
 	// (<= 0 uses DefaultVnodes). Must match the value the shards'
@@ -59,6 +61,7 @@ type Gateway struct {
 	epochRetries *metrics.Counter
 	epochSkews   *metrics.Counter
 	shardErrors  *metrics.Counter
+	topUps       *metrics.Counter
 	mergeSeconds *metrics.Histogram
 }
 
@@ -85,6 +88,7 @@ func NewGateway(cfg Config) *Gateway {
 	g.epochRetries = g.reg.Counter("gateway_epoch_retries_total")
 	g.epochSkews = g.reg.Counter("gateway_epoch_skew_total")
 	g.shardErrors = g.reg.Counter("gateway_shard_errors_total")
+	g.topUps = g.reg.Counter("gateway_topup_fetches_total")
 	g.mergeSeconds = g.reg.Histogram("gateway_merge_seconds")
 	return g
 }
@@ -100,6 +104,9 @@ type Stats struct {
 	EpochRetries int64 `json:"epoch_retries"`
 	EpochSkews   int64 `json:"epoch_skews"`
 	ShardErrors  int64 `json:"shard_errors"`
+	// TopUps counts second-round shard fetches: listing slices a merge
+	// had to extend because a shard delivered less than the page needed.
+	TopUps int64 `json:"topup_fetches"`
 }
 
 // Stats snapshots the gateway counters.
@@ -110,6 +117,7 @@ func (g *Gateway) Stats() Stats {
 		EpochRetries: g.epochRetries.Value(),
 		EpochSkews:   g.epochSkews.Value(),
 		ShardErrors:  g.shardErrors.Value(),
+		TopUps:       g.topUps.Value(),
 	}
 }
 
@@ -352,7 +360,11 @@ func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request, v1 bool) {
 					"shard " + g.cfg.Shards[i].Name + " answered " + strconv.Itoa(resp.StatusCode)}
 			}
 			var s storeserver.StatsJSON
-			if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
+			body, err := readCapped(resp, maxStatsBody)
+			if err == nil {
+				err = json.Unmarshal(body, &s)
+			}
+			if err != nil {
 				return &gwError{http.StatusBadGateway, "shard_bad_response",
 					"shard " + g.cfg.Shards[i].Name + ": " + err.Error()}
 			}
@@ -455,60 +467,27 @@ func unpackCursor(cur string, shards int) ([]int32, bool) {
 	return anchors, true
 }
 
-// appRow is one listing row as fetched from a shard: the app's global ID
-// (the merge key) plus the shard's exact encoded bytes, spliced verbatim
-// into the assembled page so a row through the gateway is byte-identical
-// to the same row from a single node.
-type appRow struct {
-	id  int32
-	raw json.RawMessage
-}
-
-func (a *appRow) UnmarshalJSON(b []byte) error {
-	var key struct {
-		ID int32 `json:"id"`
-	}
-	if err := json.Unmarshal(b, &key); err != nil {
-		return err
-	}
-	a.id = key.ID
-	a.raw = append(json.RawMessage(nil), b...)
-	return nil
-}
-
-// shardPage is one shard's parsed cursor-page response.
+// shardPage is one shard's cursor-page response, kept as the bytes it
+// arrived in: rows are spans into body, spliced verbatim into the
+// assembled page so a row through the gateway is byte-identical to the
+// same row from a single node.
 type shardPage struct {
-	Apps       []appRow `json:"apps"`
-	NextCursor string   `json:"next_cursor"`
-	Total      int      `json:"total"`
-
-	next int32 // decoded NextCursor anchor; -1 = shard reported no more
-	day  string
-	etag string
-	cc   string
-	age  string
-}
-
-// gwCursorPage mirrors storeserver.CursorPageJSON with pre-encoded rows.
-type gwCursorPage struct {
-	Apps       []json.RawMessage `json:"apps"`
-	NextCursor string            `json:"next_cursor,omitempty"`
-	Total      int               `json:"total"`
-}
-
-// gwPage mirrors storeserver.PageJSON with pre-encoded rows.
-type gwPage struct {
-	Apps  []json.RawMessage `json:"apps"`
-	Page  int               `json:"page"`
-	Pages int               `json:"pages"`
-	Total int               `json:"total"`
+	body   []byte
+	rows   []rowSpan
+	total  int
+	anchor int32 // the global ID this slice was asked from
+	next   int32 // decoded next_cursor anchor; -1 = shard reported no more
+	day    string
+	etag   string
+	cc     string
+	age    string
 }
 
 // assembled is one merged gateway listing page.
 type assembled struct {
-	rows    []json.RawMessage
-	anchors []int32 // next per-shard anchors after this page
-	done    bool    // every shard drained: no next page
+	rows    [][]byte // row bytes, each aliasing a shard response body
+	anchors []int32  // next per-shard anchors after this page
+	done    bool     // every shard drained: no next page
 	total   int
 	day     string
 	etag    string
@@ -516,7 +495,40 @@ type assembled struct {
 	age     string
 }
 
-// fetchShardPage pulls one shard's listing slice anchored at a global ID.
+// Caps on what one shard response may make the gateway buffer. A listing
+// slice of PageSize rows is tens of KiB and a stats document tens of
+// bytes; anything past these is a broken or hostile shard.
+const (
+	maxListBody  = 8 << 20
+	maxStatsBody = 4 << 10
+)
+
+var errBodyTooLarge = errors.New("response body exceeds the gateway's cap")
+
+// readCapped reads a shard response body of at most max bytes into one
+// buffer, sized up front from Content-Length when the shard sent one.
+func readCapped(resp *http.Response, max int64) ([]byte, error) {
+	if resp.ContentLength > max {
+		return nil, errBodyTooLarge
+	}
+	var buf bytes.Buffer
+	if resp.ContentLength > 0 {
+		buf.Grow(int(resp.ContentLength) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, max+1)); err != nil {
+		return nil, err
+	}
+	if int64(buf.Len()) > max {
+		return nil, errBodyTooLarge
+	}
+	return buf.Bytes(), nil
+}
+
+// fetchShardPage pulls one shard's listing slice anchored at a global ID
+// and locates its rows in place. Beyond being well-formed JSON the slice
+// must be a slice of this listing — ids ascending from the anchor, a
+// next_cursor past the last row and only after at least one row — which
+// is what lets the merge trust it to make progress.
 func (g *Gateway) fetchShardPage(ctx context.Context, i int, anchor int32, limit int) (*shardPage, *gwError) {
 	c := &g.cfg.Shards[i]
 	path := "/api/v1/apps?cursor=" + storeserver.EncodeCursor(int(anchor)) +
@@ -531,25 +543,99 @@ func (g *Gateway) fetchShardPage(ctx context.Context, i int, anchor int32, limit
 		return nil, &gwError{http.StatusServiceUnavailable, "shard_unavailable",
 			"shard " + c.Name + " answered " + strconv.Itoa(resp.StatusCode)}
 	}
-	var page shardPage
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		return nil, &gwError{http.StatusBadGateway, "shard_bad_response",
-			"shard " + c.Name + ": " + err.Error()}
+	bad := func(why string) (*shardPage, *gwError) {
+		return nil, &gwError{http.StatusBadGateway, "shard_bad_response", "shard " + c.Name + ": " + why}
 	}
-	page.next = -1
-	if page.NextCursor != "" {
-		v, ok := storeserver.DecodeCursor(page.NextCursor)
-		if !ok {
-			return nil, &gwError{http.StatusBadGateway, "shard_bad_response",
-				"shard " + c.Name + ": undecodable next_cursor"}
+	body, err := readCapped(resp, maxListBody)
+	if err != nil {
+		return bad(err.Error())
+	}
+	scanned, err := scanPage(body, make([]rowSpan, 0, limit))
+	if err != nil {
+		return bad(err.Error())
+	}
+	page := &shardPage{
+		body:   body,
+		rows:   scanned.rows,
+		total:  scanned.total,
+		anchor: anchor,
+		next:   -1,
+		day:    resp.Header.Get("X-Store-Day"),
+		etag:   resp.Header.Get("Etag"),
+		cc:     resp.Header.Get("Cache-Control"),
+		age:    resp.Header.Get("Age"),
+	}
+	floor := anchor
+	for _, row := range page.rows {
+		if row.id < floor || body[row.off] != '{' {
+			return bad("rows are not listing rows ascending from the cursor")
+		}
+		floor = row.id + 1
+	}
+	if len(scanned.next) > 0 {
+		v, ok := storeserver.DecodeCursor(string(scanned.next))
+		if !ok || len(page.rows) == 0 || int32(v) < floor {
+			return bad("unusable next_cursor")
 		}
 		page.next = int32(v)
 	}
-	page.day = resp.Header.Get("X-Store-Day")
-	page.etag = resp.Header.Get("Etag")
-	page.cc = resp.Header.Get("Cache-Control")
-	page.age = resp.Header.Get("Age")
-	return &page, nil
+	return page, nil
+}
+
+// quotas sizes the scatter from the ring: it walks ids upward from the
+// lowest anchor, counting for each id still ahead of its owner's anchor
+// one row against that owner, until limit rows are accounted for — on a
+// dense catalog exactly the rows the merged page will hold, so the
+// shards together ship limit rows, not limit each. A shard owed nothing
+// is still asked for one row: every page consults every shard for its
+// epoch, total and validator. The walk is bounded; anchors too far apart
+// to finish within the bound (a forged cursor, a shard that never owned
+// a row) fall back to limit everywhere. Quotas only economise: a shard
+// that turns out to be owed more is topped up by the merge.
+func (g *Gateway) quotas(anchors []int32, limit int) []int {
+	q := make([]int, len(anchors))
+	lo := anchors[0]
+	for _, a := range anchors[1:] {
+		lo = min(lo, a)
+	}
+	end := min(int64(lo)+4*int64(limit), math.MaxInt32+1)
+	for id, found := int64(lo), 0; found < limit; id++ {
+		if id == end {
+			for i := range q {
+				q[i] = limit
+			}
+			return q
+		}
+		if o := g.ring.Owner(int32(id)); int32(id) >= anchors[o] {
+			q[o]++
+			found++
+		}
+	}
+	for i := range q {
+		q[i] = max(q[i], 1)
+	}
+	return q
+}
+
+// FNV-1a, inlined: the validator digest is a few dozen bytes per page and
+// hash/fnv's interface would cost an allocation per write.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+func fnvUint32(h uint64, v uint32) uint64 {
+	for i := 0; i < 4; i++ {
+		h = (h ^ uint64(byte(v>>(8*i)))) * fnvPrime64
+	}
+	return h
 }
 
 // assemble builds one merged listing page of up to limit rows starting at
@@ -558,83 +644,109 @@ func (g *Gateway) fetchShardPage(ctx context.Context, i int, anchor int32, limit
 // partition (append-only catalog) and because the page's epoch check and
 // total must cover the whole fleet. Rows merge in ascending global app ID
 // order, which is exactly a single node's listing order, so the union
-// walk is the single-node walk. Returns (nil, nil) on epoch skew — the
-// caller's retry loop re-fetches; anchors are global IDs, valid in any
-// epoch, so the retry needs no repositioning.
+// walk is the single-node walk. A shard whose slice ran out while it has
+// more is topped up before any row at or past its next anchor is
+// emitted, so the merge is right whatever the shards chose to deliver —
+// a quota that undercounted, a shard clamping to a smaller page size.
+// Returns (nil, nil) on epoch skew — the caller's retry loop re-fetches;
+// anchors are global IDs, valid in any epoch, so the retry needs no
+// repositioning.
 func (g *Gateway) assemble(ctx context.Context, anchors []int32, limit int) (*assembled, *gwError) {
 	k := len(g.cfg.Shards)
+	quota := g.quotas(anchors, limit)
 	pages := make([]*shardPage, k)
 	gerr := g.scatter(ctx, func(ctx context.Context, i int) *gwError {
-		p, e := g.fetchShardPage(ctx, i, anchors[i], limit)
+		p, e := g.fetchShardPage(ctx, i, anchors[i], quota[i])
 		pages[i] = p
 		return e
 	})
 	if gerr != nil {
 		return nil, gerr
 	}
-	day := pages[0].day
-	for _, p := range pages {
-		if p.day != day {
-			return nil, nil // epoch skew
-		}
-	}
-
 	out := &assembled{
+		rows:    make([][]byte, 0, limit),
 		anchors: make([]int32, k),
-		day:     day,
+		day:     pages[0].day,
 		cc:      pages[0].cc,
 		age:     pages[0].age,
 	}
-	heads := make([]int, k)
-	for _, p := range pages {
-		out.total += p.Total
+	// The gateway's validator digests the request's position and size and
+	// the content-derived ETag of every shard slice the page was built
+	// from, so it revalidates (304) exactly when every spanned slice is
+	// unchanged — including across day-rolls that left the span untouched.
+	sum := uint64(fnvOffset64)
+	if limit != g.cfg.PageSize {
+		sum = fnvUint32(fnvString(sum, "k"), uint32(limit))
 	}
+	digest := func(p *shardPage) {
+		sum = fnvString(fnvString(fnvUint32(sum, uint32(p.anchor)), p.etag), ";")
+	}
+	for _, p := range pages {
+		if p.day != out.day {
+			return nil, nil // epoch skew
+		}
+		out.total += p.total
+		digest(p)
+	}
+
+	heads := make([]int, k)
 	for len(out.rows) < limit {
-		best := -1
+		// best: the shard whose buffered head row has the lowest id.
+		// starved: of the shards with an empty buffer and more to give,
+		// the one resuming lowest.
+		best, starved := -1, -1
 		for i, p := range pages {
-			if heads[i] < len(p.Apps) &&
-				(best < 0 || p.Apps[heads[i]].id < pages[best].Apps[heads[best]].id) {
-				best = i
+			switch {
+			case heads[i] < len(p.rows):
+				if best < 0 || p.rows[heads[i]].id < pages[best].rows[heads[best]].id {
+					best = i
+				}
+			case p.next >= 0 && (starved < 0 || p.next < pages[starved].next):
+				starved = i
 			}
+		}
+		if starved >= 0 && (best < 0 || pages[starved].next <= pages[best].rows[heads[best]].id) {
+			// The next row in ID order may be one the starved shard has
+			// not sent yet: fetch the rest of the page from it first.
+			p, e := g.fetchShardPage(ctx, starved, pages[starved].next, limit-len(out.rows))
+			if e != nil {
+				return nil, e
+			}
+			if p.day != out.day {
+				return nil, nil // epoch skew
+			}
+			g.topUps.Inc()
+			digest(p)
+			pages[starved], heads[starved] = p, 0
+			continue
 		}
 		if best < 0 {
 			break
 		}
-		out.rows = append(out.rows, pages[best].Apps[heads[best]].raw)
+		row := pages[best].rows[heads[best]]
+		out.rows = append(out.rows, pages[best].body[row.off:row.end])
 		heads[best]++
 	}
 	out.done = true
 	for i, p := range pages {
 		switch {
-		case heads[i] < len(p.Apps):
+		case heads[i] < len(p.rows):
 			// Unconsumed buffered rows: resume at the first of them.
-			out.anchors[i] = p.Apps[heads[i]].id
+			out.anchors[i] = p.rows[heads[i]].id
 			out.done = false
 		case p.next >= 0:
 			// Buffer drained but the shard has more.
 			out.anchors[i] = p.next
 			out.done = false
-		case len(p.Apps) > 0:
+		case len(p.rows) > 0:
 			// Shard exhausted: park just past its last row, where rows
 			// appended by a future day-roll will appear.
-			out.anchors[i] = p.Apps[len(p.Apps)-1].id + 1
+			out.anchors[i] = p.rows[len(p.rows)-1].id + 1
 		default:
-			out.anchors[i] = anchors[i]
+			out.anchors[i] = p.anchor
 		}
 	}
-
-	// The gateway's validator digests the constituents' content-derived
-	// ETags plus the request's position, so it revalidates (304) exactly
-	// when every spanned shard slice is unchanged — including across
-	// day-rolls that left the span untouched.
-	h := fnv.New64a()
-	for i, p := range pages {
-		h.Write([]byte(strconv.FormatInt(int64(anchors[i]), 10))) //nolint:errcheck
-		h.Write([]byte{':'})                                      //nolint:errcheck
-		h.Write([]byte(p.etag))                                   //nolint:errcheck
-		h.Write([]byte{';'})                                      //nolint:errcheck
-	}
-	out.etag = `"g` + strconv.FormatUint(h.Sum64(), 16) + `"`
+	out.etag = `"g` + strconv.FormatUint(sum, 16) + `"`
 	return out, nil
 }
 
@@ -716,7 +828,19 @@ func (g *Gateway) serveList(w http.ResponseWriter, r *http.Request, v1 bool) {
 			}
 			anchors = a
 		}
-		g.serveCursorPage(w, r, anchors)
+		// limit follows the store's rules: a positive integer, clamped
+		// to the page size; absent or empty means the page size.
+		limit := g.cfg.PageSize
+		if lim := q.Get("limit"); lim != "" {
+			v, ok := parseID(lim)
+			if !ok || v == 0 {
+				g.writeError(w, true, &gwError{http.StatusBadRequest, "bad_limit",
+					"limit must be a positive integer"})
+				return
+			}
+			limit = min(limit, int(v))
+		}
+		g.serveMerged(w, r, true, anchors, limit, false)
 		return
 	}
 	pageNo := 0
@@ -742,69 +866,22 @@ func (g *Gateway) serveList(w http.ResponseWriter, r *http.Request, v1 bool) {
 		}
 		return
 	}
-	g.servePageZero(w, r, v1)
+	g.serveMerged(w, r, v1, make([]int32, len(g.cfg.Shards)), g.cfg.PageSize, true)
 }
 
-// serveCursorPage assembles and serves one merged cursor page.
-func (g *Gateway) serveCursorPage(w http.ResponseWriter, r *http.Request, anchors []int32) {
+// serveMerged assembles one merged page of limit rows from anchors under
+// the epoch-retry loop and serves it: as a v1 cursor page, or — pageZero
+// — as listing page 0 in the legacy PageJSON envelope, byte-identical to
+// a single node's page 0 apart from the validator. The body is the
+// shards' row bytes spliced between hand-written envelope bytes, exactly
+// what encoding the page as JSON would produce (compact, next_cursor
+// absent on the last page, trailing newline).
+func (g *Gateway) serveMerged(w http.ResponseWriter, r *http.Request, v1 bool, anchors []int32, limit int, pageZero bool) {
 	var asm *assembled
 	err := g.retryEpoch(func() (string, *gwError) {
-		a, e := g.assemble(r.Context(), anchors, g.cfg.PageSize)
-		if e != nil {
-			return "", e
-		}
+		a, e := g.assemble(r.Context(), anchors, limit)
 		if a == nil {
-			return "", nil
-		}
-		asm = a
-		return a.day, nil
-	})
-	if err != nil {
-		g.writeError(w, true, err)
-		return
-	}
-	g.mergedPages.Inc()
-	h := w.Header()
-	h.Set("X-API-Version", "1")
-	if asm.cc != "" {
-		h.Set("Cache-Control", asm.cc)
-	}
-	if asm.age != "" {
-		h.Set("Age", asm.age)
-	}
-	h.Set("Etag", asm.etag)
-	h.Set("X-Store-Day", asm.day)
-	if inmMatch(r.Header.Get("If-None-Match"), asm.etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	out := gwCursorPage{Apps: asm.rows, Total: asm.total}
-	if out.Apps == nil {
-		out.Apps = []json.RawMessage{}
-	}
-	if !asm.done {
-		out.NextCursor = packCursor(asm.anchors)
-	}
-	var buf bytes.Buffer
-	json.NewEncoder(&buf).Encode(out) //nolint:errcheck
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.Write(buf.Bytes()) //nolint:errcheck // client gone; nothing useful to do
-}
-
-// servePageZero synthesizes listing page 0 — the first PageSize rows of
-// the merged listing, in the legacy PageJSON envelope, byte-identical to
-// a single node's page 0 apart from the validator.
-func (g *Gateway) servePageZero(w http.ResponseWriter, r *http.Request, v1 bool) {
-	anchors := make([]int32, len(g.cfg.Shards))
-	var asm *assembled
-	err := g.retryEpoch(func() (string, *gwError) {
-		a, e := g.assemble(r.Context(), anchors, g.cfg.PageSize)
-		if e != nil {
 			return "", e
-		}
-		if a == nil {
-			return "", nil
 		}
 		asm = a
 		return a.day, nil
@@ -814,9 +891,9 @@ func (g *Gateway) servePageZero(w http.ResponseWriter, r *http.Request, v1 bool)
 		return
 	}
 	g.mergedPages.Inc()
-	pages := (asm.total + g.cfg.PageSize - 1) / g.cfg.PageSize
-	if pages == 0 {
-		pages = 1
+	etag := asm.etag
+	if pageZero {
+		etag = etag[:len(etag)-1] + `-p0"`
 	}
 	h := w.Header()
 	if v1 {
@@ -827,24 +904,44 @@ func (g *Gateway) servePageZero(w http.ResponseWriter, r *http.Request, v1 bool)
 		if asm.age != "" {
 			h.Set("Age", asm.age)
 		}
-		h.Set("Vary", "Accept-Encoding")
+		if pageZero {
+			h.Set("Vary", "Accept-Encoding")
+		}
 	}
-	etag := asm.etag[:len(asm.etag)-1] + `-p0"`
 	h.Set("Etag", etag)
 	h.Set("X-Store-Day", asm.day)
 	if inmMatch(r.Header.Get("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	out := gwPage{Apps: asm.rows, Page: 0, Pages: pages, Total: asm.total}
-	if out.Apps == nil {
-		out.Apps = []json.RawMessage{}
+	cursor := ""
+	if !pageZero && !asm.done {
+		cursor = packCursor(asm.anchors)
 	}
-	var buf bytes.Buffer
-	json.NewEncoder(&buf).Encode(out) //nolint:errcheck
+	size := 96 + len(cursor) + len(asm.rows) // envelope keys and numbers; one comma per row
+	for _, row := range asm.rows {
+		size += len(row)
+	}
+	buf := append(make([]byte, 0, size), `{"apps":[`...)
+	for i, row := range asm.rows {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, row...)
+	}
+	buf = append(buf, ']')
+	if pageZero {
+		buf = append(buf, `,"page":0,"pages":`...)
+		buf = strconv.AppendInt(buf, int64(max((asm.total+limit-1)/limit, 1)), 10)
+	} else if cursor != "" {
+		buf = append(append(append(buf, `,"next_cursor":"`...), cursor...), '"')
+	}
+	buf = append(buf, `,"total":`...)
+	buf = strconv.AppendInt(buf, int64(asm.total), 10)
+	buf = append(buf, "}\n"...)
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.Write(buf.Bytes()) //nolint:errcheck // client gone; nothing useful to do
+	h.Set("Content-Length", strconv.Itoa(len(buf)))
+	w.Write(buf) //nolint:errcheck // client gone; nothing useful to do
 }
 
 // inmMatch is If-None-Match per RFC 9110 (weak comparison, lists, *).
