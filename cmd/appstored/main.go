@@ -199,6 +199,6 @@ func main() {
 	log.Printf("appstored: served %d requests (%d rate-limited, %d client buckets) over %d simulated days",
 		srv.RequestsServed(), srv.RateLimited(), srv.LimiterBuckets(), srv.Day()+1)
 	ar := srv.Arena()
-	log.Printf("appstored: arena pool: %d arenas / %d slabs live, %d pooled, %d made, %d reused, %d compactions (%d docs moved)",
-		ar.ArenasLive, ar.SlabsLive, ar.SlabsPooled, ar.SlabsMade, ar.SlabsReused, ar.Compactions, ar.MovedDocs)
+	log.Printf("appstored: arena pool: %d arenas / %d slabs live (%d of %d pinned bytes live), %d pooled, %d made, %d reused, %d compactions (%d docs moved)",
+		ar.ArenasLive, ar.SlabsLive, ar.LiveBytes, ar.PinnedBytes, ar.SlabsPooled, ar.SlabsMade, ar.SlabsReused, ar.Compactions, ar.MovedDocs)
 }

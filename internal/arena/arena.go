@@ -40,6 +40,7 @@ type PoolStats struct {
 	SlabsPooled int64 // standard slabs parked for reuse
 	SlabsMade   int64 // cumulative slabs allocated fresh from the heap
 	SlabsReused int64 // cumulative slab grabs satisfied by the pool
+	LiveBytes   int64 // sum of LiveBytes over live arenas
 }
 
 // Pool recycles full-size slabs between arenas so steady-state day-rolls
@@ -55,6 +56,7 @@ type Pool struct {
 	slabsLive   atomic.Int64
 	slabsMade   atomic.Int64
 	slabsReused atomic.Int64
+	liveBytes   atomic.Int64
 }
 
 // NewPool returns a pool retaining at most maxRetained standard slabs
@@ -77,6 +79,7 @@ func (p *Pool) Stats() PoolStats {
 		SlabsPooled: pooled,
 		SlabsMade:   p.slabsMade.Load(),
 		SlabsReused: p.slabsReused.Load(),
+		LiveBytes:   p.liveBytes.Load(),
 	}
 }
 
@@ -137,8 +140,7 @@ type Arena struct {
 	tailIdx int
 	tailOff int
 
-	allocated atomic.Int64
-	live      atomic.Int64
+	live atomic.Int64
 }
 
 // New returns an empty arena with one reference, drawing slabs from p.
@@ -176,8 +178,7 @@ func (a *Arena) Alloc(n int) (uint32, []byte) {
 	defer a.mu.Unlock()
 	if n > SlabSize {
 		idx := a.appendSlab(make([]byte, n))
-		a.allocated.Add(int64(n))
-		a.live.Add(int64(n))
+		a.grow(int64(n))
 		return uint32(idx << SlabShift), (*a.slabs.Load())[idx]
 	}
 	if a.tailIdx < 0 || a.tailOff+n > SlabSize {
@@ -187,9 +188,14 @@ func (a *Arena) Alloc(n int) (uint32, []byte) {
 	off := uint32(a.tailIdx<<SlabShift | a.tailOff)
 	b := (*a.slabs.Load())[a.tailIdx][a.tailOff : a.tailOff+n : a.tailOff+n]
 	a.tailOff += n
-	a.allocated.Add(int64(n))
-	a.live.Add(int64(n))
+	a.grow(int64(n))
 	return off, b
+}
+
+// grow accounts n freshly allocated bytes.
+func (a *Arena) grow(n int64) {
+	a.live.Add(n)
+	a.pool.liveBytes.Add(n)
 }
 
 // Bytes returns the n bytes at packed offset off. The slice aliases the
@@ -238,21 +244,26 @@ func (a *Arena) Release() {
 	a.tailIdx = -1
 	a.mu.Unlock()
 	a.pool.putSlabs(slabs)
+	a.pool.liveBytes.Add(-a.live.Swap(0))
 	a.pool.arenas.Add(-1)
 }
 
-// AllocatedBytes is the total ever bump-allocated from this arena.
-func (a *Arena) AllocatedBytes() int64 { return a.allocated.Load() }
-
-// LiveBytes is AllocatedBytes minus everything reported dropped: an
-// estimate of how much of the arena still backs reachable documents,
-// used to decide when compaction pays.
+// LiveBytes is everything allocated from the arena minus everything
+// reported dropped: an estimate of how much of it still backs reachable
+// documents. Set against PinnedBytes it decides when compaction pays.
 func (a *Arena) LiveBytes() int64 { return a.live.Load() }
+
+// PinnedBytes is what the arena keeps off the pool while it lives: its
+// slab count at the standard slab size.
+func (a *Arena) PinnedBytes() int64 { return int64(a.Slabs()) * SlabSize }
 
 // DropBytes records that n previously allocated bytes are no longer
 // referenced by any snapshot (their document changed or was discarded
 // during a day-roll carry).
-func (a *Arena) DropBytes(n int64) { a.live.Add(-n) }
+func (a *Arena) DropBytes(n int64) {
+	a.live.Add(-n)
+	a.pool.liveBytes.Add(-n)
+}
 
 // Slabs returns how many slabs the arena currently holds.
 func (a *Arena) Slabs() int { return len(*a.slabs.Load()) }

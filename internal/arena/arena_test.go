@@ -16,6 +16,7 @@ func TestAllocRoundTrip(t *testing.T) {
 		val []byte
 	}
 	var recs []rec
+	var total int64
 	for i := 0; i < 1000; i++ {
 		val := []byte(fmt.Sprintf("doc-%d-%s", i, bytes.Repeat([]byte{byte(i)}, i%300)))
 		off, dst := a.Alloc(len(val))
@@ -23,6 +24,7 @@ func TestAllocRoundTrip(t *testing.T) {
 			t.Fatalf("Alloc(%d) returned %d bytes", len(val), len(dst))
 		}
 		copy(dst, val)
+		total += int64(len(val))
 		recs = append(recs, rec{off, uint32(len(val)), val})
 	}
 	for _, r := range recs {
@@ -33,8 +35,8 @@ func TestAllocRoundTrip(t *testing.T) {
 			t.Fatalf("String(%d,%d) mismatch", r.off, r.n)
 		}
 	}
-	if a.AllocatedBytes() != a.LiveBytes() {
-		t.Fatalf("allocated %d != live %d before any drop", a.AllocatedBytes(), a.LiveBytes())
+	if a.LiveBytes() != total {
+		t.Fatalf("allocated %d != live %d before any drop", total, a.LiveBytes())
 	}
 }
 
@@ -98,8 +100,12 @@ func TestRefcountRecycling(t *testing.T) {
 		_, b := a.Alloc(SlabSize / 2)
 		copy(b, "x")
 	}
-	if st := p.Stats(); st.SlabsLive != 2 || st.ArenasLive != 1 {
+	if st := p.Stats(); st.SlabsLive != 2 || st.ArenasLive != 1 || st.LiveBytes != 3*SlabSize/2 {
 		t.Fatalf("live stats: %+v", st)
+	}
+	a.DropBytes(SlabSize / 2)
+	if st := p.Stats(); st.LiveBytes != SlabSize || a.LiveBytes() != SlabSize || a.PinnedBytes() != 2*SlabSize {
+		t.Fatalf("after drop: pool %+v, arena live %d pinned %d", st, a.LiveBytes(), a.PinnedBytes())
 	}
 	a.Retain() // a second snapshot carries docs from this arena
 	a.Release()
@@ -108,7 +114,7 @@ func TestRefcountRecycling(t *testing.T) {
 	}
 	a.Release() // last reference
 	st := p.Stats()
-	if st.SlabsLive != 0 || st.SlabsPooled != 2 || st.ArenasLive != 0 {
+	if st.SlabsLive != 0 || st.SlabsPooled != 2 || st.ArenasLive != 0 || st.LiveBytes != 0 {
 		t.Fatalf("after final release: %+v", st)
 	}
 
@@ -141,8 +147,8 @@ func TestDropBytesAccounting(t *testing.T) {
 	a.Alloc(1000)
 	a.Alloc(500)
 	a.DropBytes(1000)
-	if a.LiveBytes() != 500 || a.AllocatedBytes() != 1500 {
-		t.Fatalf("live=%d allocated=%d", a.LiveBytes(), a.AllocatedBytes())
+	if a.LiveBytes() != 500 {
+		t.Fatalf("live=%d after dropping 1000 of 1500", a.LiveBytes())
 	}
 }
 

@@ -84,9 +84,9 @@ func NewInproc(opts InprocOptions) (*Inproc, error) {
 		srv := storeserver.New(m, scfg)
 		if opts.CommentUsers > 0 {
 			// Every shard generates the full comment population (it is a
-			// pure function of the shared catalog and seed) and serves the
-			// apps it owns out of it — the same documents a single node
-			// would serve.
+			// pure function of the shared catalog and seed); SetComments
+			// keeps the streams of the apps the shard owns, and it serves
+			// the same documents for them a single node would.
 			cs, err := planetapps.GenerateComments(m.Catalog(), opts.CommentUsers, opts.Seed+1)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: shard %d comments: %w", k, err)

@@ -263,14 +263,25 @@ func chunkSpan(c, n int) (lo, hi int) {
 	return lo, hi
 }
 
+// appChunkSpan is chunkSpan at the row family's finer grain.
+func appChunkSpan(c, n int) (lo, hi int) {
+	lo = c << appChunkShift
+	hi = lo + appExportChunk
+	if hi > n {
+		hi = n
+	}
+	return lo, hi
+}
+
 // Export snapshots the serving-relevant state. Consecutive exports share
 // chunks that did not change since the previous call (per the dirty
 // stamps maintained by the simulation), so the copy cost is proportional
-// to the day's churn, not the catalog; all fresh chunks of a family are
-// carved from one backing allocation. With Config.FullExport set, every
-// chunk is copied fresh. Export must not run concurrently with Step or
-// with another Export; the returned value is then safe to share across
-// goroutines.
+// to the day's churn, not the catalog. Every fresh chunk is its own
+// allocation: a chunk shared forward for months must not pin the rest of
+// the export that first copied it (see DESIGN.md §3e). With
+// Config.FullExport set, every chunk is copied fresh. Export must not run
+// concurrently with Step or with another Export; the returned value is
+// then safe to share across goroutines.
 func (m *Market) Export() *Export {
 	n := m.cat.NumApps()
 	nc := numChunks(n)
@@ -292,24 +303,19 @@ func (m *Market) Export() *Export {
 		prev = nil
 	}
 	led := int32(m.lastExportDay)
-	// Pass 1: adopt clean chunks from the previous export and size the
-	// fresh backing arrays. A chunk is shareable when its family saw no
-	// writes since the previous export and its length is unchanged
-	// (arrivals extend the tail chunk; they stamp rowChunkDay but extend
-	// the download vector silently, hence the explicit length checks).
-	var nApps, nDLs, nVers int
+	// A chunk is adopted from the previous export when its family saw no
+	// writes since then and its length is unchanged (arrivals extend the
+	// tail chunk; they stamp rowChunkDay but extend the download vector
+	// silently, hence the explicit length checks); otherwise it is copied
+	// out of the live state.
 	for c := 0; c < nca; c++ {
-		lo := c << appChunkShift
-		hi := lo + appExportChunk
-		if hi > n {
-			hi = n
-		}
+		lo, hi := appChunkSpan(c, n)
 		if prev != nil && c < len(prev.apps) &&
 			m.rowChunkDay[c] <= led && len(prev.apps[c]) == hi-lo {
 			e.apps[c] = prev.apps[c]
 			continue
 		}
-		nApps += hi - lo
+		e.apps[c] = append(make([]catalog.App, 0, hi-lo), m.cat.Apps[lo:hi]...)
 	}
 	for c := 0; c < nc; c++ {
 		lo, hi := chunkSpan(c, n)
@@ -323,40 +329,10 @@ func (m *Market) Export() *Export {
 			}
 		}
 		if e.dls[c] == nil {
-			nDLs += clen
+			e.dls[c] = append(make([]int64, 0, clen), m.downloads[lo:hi]...)
 		}
 		if e.vers[c] == nil {
-			nVers += clen
-		}
-	}
-	// Pass 2: copy the dirty chunks out of the live state.
-	freshApps := make([]catalog.App, 0, nApps)
-	for c := 0; c < nca; c++ {
-		if e.apps[c] != nil {
-			continue
-		}
-		lo := c << appChunkShift
-		hi := lo + appExportChunk
-		if hi > n {
-			hi = n
-		}
-		off := len(freshApps)
-		freshApps = append(freshApps, m.cat.Apps[lo:hi]...)
-		e.apps[c] = freshApps[off:len(freshApps):len(freshApps)]
-	}
-	freshDLs := make([]int64, 0, nDLs)
-	freshVers := make([]uint32, 0, nVers)
-	for c := 0; c < nc; c++ {
-		lo, hi := chunkSpan(c, n)
-		if e.dls[c] == nil {
-			off := len(freshDLs)
-			freshDLs = append(freshDLs, m.downloads[lo:hi]...)
-			e.dls[c] = freshDLs[off:len(freshDLs):len(freshDLs)]
-		}
-		if e.vers[c] == nil {
-			off := len(freshVers)
-			freshVers = append(freshVers, m.rowVer[lo:hi]...)
-			e.vers[c] = freshVers[off:len(freshVers):len(freshVers)]
+			e.vers[c] = append(make([]uint32, 0, clen), m.rowVer[lo:hi]...)
 		}
 	}
 	if !m.cfg.FullExport {

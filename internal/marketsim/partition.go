@@ -44,6 +44,10 @@ func NewPartitioner(owns func(id int32) bool) *Partitioner {
 	return &Partitioner{owns: owns}
 }
 
+// Owns reports whether the partition owns app id, whether or not the app
+// has arrived in the catalog yet.
+func (p *Partitioner) Owns(id int32) bool { return p.owns(id) }
+
 // NumOwned returns how many apps the partitioner currently owns.
 func (p *Partitioner) NumOwned() int { return len(p.ids) }
 
@@ -77,12 +81,17 @@ func (p *Partitioner) Partition(full *Export) *Export {
 	}
 	prev := p.prev
 
-	// Pass 1: decide sharing per chunk and size the fresh backing arrays.
-	// A chunk is shareable iff the previous partition has it at the same
+	// A chunk is shared iff the previous partition has it at the same
 	// length (the tail chunk grows with arrivals) and every row's RowVer is
 	// unchanged — RowVer covers both the catalog row and the download
 	// count, so one test clears the row and download vectors together.
-	var nApps, nDLs int
+	// Otherwise it is copied out of the full export into allocations of its
+	// own (the retention argument of Market.Export applies here too). The
+	// fresh chunk version is the sum of (RowVer+1) over the chunk's rows:
+	// every term is per-row monotone and the row set only grows at the
+	// tail, so the sum is monotone across the partitioner's exports and
+	// equal sums imply row-by-row equality — the same contract dense
+	// ChunkVer gives.
 	for c := 0; c < nc; c++ {
 		lo, hi := chunkSpan(c, n)
 		if prev != nil && c < len(prev.vers) && len(prev.vers[c]) == hi-lo {
@@ -101,14 +110,20 @@ func (p *Partitioner) Partition(full *Export) *Export {
 				continue
 			}
 		}
-		nDLs += hi - lo
+		dls := make([]int64, hi-lo)
+		vers := make([]uint32, hi-lo)
+		var cv uint64
+		for j := lo; j < hi; j++ {
+			g := int(e.ids[j])
+			rv := full.RowVer(g)
+			dls[j-lo] = full.Downloads(g)
+			vers[j-lo] = rv
+			cv += uint64(rv) + 1
+		}
+		e.dls[c], e.vers[c], e.chunkVer[c] = dls, vers, cv
 	}
 	for c := 0; c < nca; c++ {
-		lo := c << appChunkShift
-		hi := lo + appExportChunk
-		if hi > n {
-			hi = n
-		}
+		lo, hi := appChunkSpan(c, n)
 		if prev != nil && c < len(prev.apps) && len(prev.apps[c]) == hi-lo {
 			same := true
 			for j := lo; j < hi; j++ {
@@ -122,50 +137,11 @@ func (p *Partitioner) Partition(full *Export) *Export {
 				continue
 			}
 		}
-		nApps += hi - lo
-	}
-
-	// Pass 2: copy the dirty chunks out of the full export, carving all
-	// fresh chunks of a family from one backing allocation. The fresh
-	// chunk version is the sum of (RowVer+1) over the chunk's rows: every
-	// term is per-row monotone and the row set only grows at the tail, so
-	// the sum is monotone across the partitioner's exports and equal sums
-	// imply row-by-row equality — the same contract dense ChunkVer gives.
-	freshDLs := make([]int64, 0, nDLs)
-	freshVers := make([]uint32, 0, nDLs)
-	for c := 0; c < nc; c++ {
-		if e.vers[c] != nil {
-			continue
-		}
-		lo, hi := chunkSpan(c, n)
-		offD, offV := len(freshDLs), len(freshVers)
-		var cv uint64
+		apps := make([]catalog.App, hi-lo)
 		for j := lo; j < hi; j++ {
-			g := int(e.ids[j])
-			rv := full.RowVer(g)
-			freshDLs = append(freshDLs, full.Downloads(g))
-			freshVers = append(freshVers, rv)
-			cv += uint64(rv) + 1
+			apps[j-lo] = full.App(int(e.ids[j]))
 		}
-		e.dls[c] = freshDLs[offD:len(freshDLs):len(freshDLs)]
-		e.vers[c] = freshVers[offV:len(freshVers):len(freshVers)]
-		e.chunkVer[c] = cv
-	}
-	freshApps := make([]catalog.App, 0, nApps)
-	for c := 0; c < nca; c++ {
-		if e.apps[c] != nil {
-			continue
-		}
-		lo := c << appChunkShift
-		hi := lo + appExportChunk
-		if hi > n {
-			hi = n
-		}
-		off := len(freshApps)
-		for j := lo; j < hi; j++ {
-			freshApps = append(freshApps, full.App(int(e.ids[j])))
-		}
-		e.apps[c] = freshApps[off:len(freshApps):len(freshApps)]
+		e.apps[c] = apps
 	}
 
 	// The shard's download total: summed over owned rows only, so the

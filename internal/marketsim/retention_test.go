@@ -1,0 +1,112 @@
+package marketsim
+
+import (
+	"runtime"
+	"testing"
+
+	"planetapps/internal/catalog"
+)
+
+// retentionConfig is cmd/bench's market at a fifth of its size: a pinned
+// population on a 4096-day period, so a day changes about 2 % of download
+// counts and 0.3 % of rows and adds 0.05 % new apps.
+func retentionConfig(apps int) Config {
+	cfg := DefaultConfig(catalog.Profile{
+		Name: "retention", Apps: apps, Categories: 30, PaidFraction: 0.1,
+		AdFraction: 0.67, NewAppsPerDay: float64(apps) / 2000,
+		Users: apps, DownloadsPerUser: 82,
+		ZipfGlobal: 1.4, ZipfCluster: 1.4, ClusterP: 0.9, CategorySkew: 0.35,
+		PriceLogMu: 1.0, PriceLogSigma: 0.8, MeanUpdateRate: 0.003,
+	})
+	cfg.Days = 4096
+	cfg.WarmupDays = 0
+	cfg.DisableSeries = true
+	return cfg
+}
+
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestExportRetentionPerRound bounds what a long-running store keeps per
+// day-roll on account of its exports. Only the latest export and the latest
+// partition are held, as a server holds them; everything older is garbage
+// except the chunks still shared forward. The market's own growth (its
+// users' download histories) is measured on a twin that steps without
+// exporting, and subtracted. When the fresh chunks of a round were carved
+// from one backing array per family, one surviving 1 KiB row chunk kept
+// that round's whole array alive, and the exports added about 170 KiB a
+// round at this size for as long as the store ran.
+func TestExportRetentionPerRound(t *testing.T) {
+	const (
+		apps   = 20_000
+		warmup = 5 // rounds that replace whatever New's own export shares
+		rounds = 40
+	)
+	// growth runs warmup+rounds rounds and returns the heap growth over the
+	// last `rounds` of them.
+	growth := func(round func()) int64 {
+		for i := 0; i < warmup; i++ {
+			round()
+		}
+		before := heapAfterGC()
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+		return int64(heapAfterGC()) - int64(before)
+	}
+
+	m, err := New(retentionConfig(apps), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPartitioner(ownsMod(1, 4))
+	var full, part *Export
+	withExports := growth(func() {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+		full = m.Export()
+		part = p.Partition(full)
+	})
+	// A server holds its market and partitioner for as long as it runs.
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(p)
+
+	refCfg := retentionConfig(apps)
+	refCfg.FullExport = true // and so holds no export of its own
+	ref, err := New(refCfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepOnly := growth(func() {
+		if err := ref.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// The exports the rounds left behind are still right.
+	exportEqual(t, full, ref.Export())
+	for i := 0; i < part.NumApps(); i++ {
+		g := int(part.ID(i))
+		if part.App(i) != full.App(g) || part.Downloads(i) != full.Downloads(g) || part.RowVer(i) != full.RowVer(g) {
+			t.Fatalf("partition row %d (app %d) differs from the dense export", i, g)
+		}
+	}
+
+	if raceEnabled {
+		return // the race allocator's shadow memory swamps a byte bound
+	}
+	// Ten arrivals a day cost the two exports well under 2 KiB; 8 KiB leaves
+	// room for that and for size-class rounding.
+	perRound := (withExports - stepOnly) / rounds
+	t.Logf("heap growth over %d rounds: %d bytes with exports, %d stepping only: %d bytes/round for the exports",
+		rounds, withExports, stepOnly, perRound)
+	if perRound > 8<<10 {
+		t.Fatalf("exports retain %d more bytes per Step+Export+Partition round, want <= %d", perRound, 8<<10)
+	}
+}

@@ -1,6 +1,7 @@
 package storeserver
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,7 +15,12 @@ import (
 
 func etagTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	mcfg := marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(0.2))
+	return etagTestServerScale(t, cfg, 0.2)
+}
+
+func etagTestServerScale(t *testing.T, cfg Config, scale float64) *Server {
+	t.Helper()
+	mcfg := marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(scale))
 	mcfg.Days = 8
 	m, err := marketsim.New(mcfg, 5)
 	if err != nil {
@@ -99,59 +105,88 @@ func beforeETag(t *testing.T, sn *snapshot, i int) string {
 }
 
 // TestCarriedDocsShareEncoding verifies the cross-snapshot reuse itself:
-// a document the predecessor already encoded is carried pointer-for-
-// pointer, so the new snapshot serves the predecessor's bytes without
-// re-encoding.
+// a document the predecessor already encoded is carried — the new snapshot
+// serves the predecessor's bytes without re-encoding. A small catalog's
+// day-0 arena holds far less than a quarter of its slab, so the roll
+// evacuates it and a carried document is a verbatim copy; on a catalog
+// that fills its slabs no evacuation is due and a carried document is the
+// predecessor's own region, pointer for pointer.
 func TestCarriedDocsShareEncoding(t *testing.T) {
-	s := etagTestServer(t, Config{PageSize: 50})
-	before := s.snap.Load()
-
-	// Force-encode every detail document on day 0.
-	for i := 0; i < before.n; i++ {
-		before.detailDoc(i)
-	}
-	if err := s.AdvanceDay(); err != nil {
-		t.Fatal(err)
-	}
-	after := s.snap.Load()
-
-	carried, fresh := 0, 0
-	for i := 0; i < before.n && i < after.n; i++ {
-		if before.ex.RowVer(i) != after.ex.RowVer(i) {
-			fresh++
-			if after.detail.docAt(i) == before.detail.docAt(i) {
-				t.Fatalf("changed app %d: stale document carried across the roll", i)
+	for _, tc := range []struct {
+		name      string
+		scale     float64
+		evacuated bool
+	}{
+		{"evacuated", 0.2, true},
+		{"in place", 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := etagTestServerScale(t, Config{PageSize: 50}, tc.scale)
+			before := s.snap.Load()
+			// Force-encode every detail document on day 0.
+			for i := 0; i < before.n; i++ {
+				before.detailDoc(i)
 			}
-			continue
-		}
-		carried++
-		if after.detail.docAt(i) != before.detail.docAt(i) {
-			t.Fatalf("unchanged app %d: document re-allocated instead of carried", i)
-		}
-		// Carried means the day-0 encoding (and its fill) is reused: the
-		// doc serves without re-running encode — including the gzip
-		// variant built inside the same fill.
-		d0, d1 := before.detailDoc(i), after.detailDoc(i)
-		if d0.etag != d1.etag || &d0.body[0] != &d1.body[0] {
-			t.Fatalf("unchanged app %d: carried doc differs (etag %s vs %s)", i, d0.etag, d1.etag)
-		}
-		if d0.gzBody != nil && &d0.gzBody[0] != &d1.gzBody[0] {
-			t.Fatalf("unchanged app %d: gzip variant re-compressed across the roll", i)
-		}
-	}
-	if carried == 0 {
-		t.Fatal("no documents carried — delta snapshot not engaging")
-	}
-	if after.carried == 0 || after.reencoded == 0 {
-		t.Fatalf("build accounting empty: carried=%d reencoded=%d", after.carried, after.reencoded)
-	}
-	t.Logf("day roll carried %d detail docs, re-encoded %d", carried, fresh)
+			if err := s.AdvanceDay(); err != nil {
+				t.Fatal(err)
+			}
+			after := s.snap.Load()
+			if got := after.compacted > 0; got != tc.evacuated {
+				t.Fatalf("evacuated = %v (moved %d docs), want %v", got, after.moved, tc.evacuated)
+			}
 
-	// Comments (no comment set: generation unchanged) carry wholesale.
-	for i := 0; i < before.n && i < after.n; i++ {
-		if after.comDocs.docAt(i) != before.comDocs.docAt(i) {
-			t.Fatalf("comments doc %d re-allocated despite unchanged generation", i)
-		}
+			carried, fresh := 0, 0
+			for i := 0; i < before.n && i < after.n; i++ {
+				h0, h1 := before.detail.docAt(i), after.detail.docAt(i)
+				if before.ex.RowVer(i) != after.ex.RowVer(i) {
+					fresh++
+					if h1.state == docFilled {
+						t.Fatalf("changed app %d: stale document carried across the roll", i)
+					}
+					continue
+				}
+				carried++
+				// Nothing has asked the new snapshot for this document yet, so
+				// a filled handle can only be the day-0 fill carried over.
+				if h1.state != docFilled || h1.regionLen() != h0.regionLen() {
+					t.Fatalf("unchanged app %d: document not carried (%+v vs %+v)", i, h1, h0)
+				}
+				if !tc.evacuated && h1 != h0 {
+					t.Fatalf("unchanged app %d: document re-allocated instead of carried", i)
+				}
+				// The doc serves the day-0 encoding — including the gzip
+				// variant built inside the same fill.
+				d0, d1 := before.detailDoc(i), after.detailDoc(i)
+				if d0.etag != d1.etag || d0.gzEtag != d1.gzEtag ||
+					!bytes.Equal(d0.body, d1.body) || !bytes.Equal(d0.gzBody, d1.gzBody) {
+					t.Fatalf("unchanged app %d: carried doc differs (etag %s vs %s)", i, d0.etag, d1.etag)
+				}
+				if !tc.evacuated && (&d0.body[0] != &d1.body[0] || d0.gzBody != nil && &d0.gzBody[0] != &d1.gzBody[0]) {
+					t.Fatalf("unchanged app %d: carried doc copied with no evacuation due", i)
+				}
+			}
+			if carried == 0 {
+				t.Fatal("no documents carried — delta snapshot not engaging")
+			}
+			// Evacuation copies; it never re-encodes. What the build booked
+			// as re-encoded is the changed and arrived apps' details, the
+			// arrived apps' comment documents, the stats document, and at
+			// most every listing page.
+			arrived := int64(after.n - before.n)
+			min := int64(fresh) + 2*arrived + 1
+			if after.carried == 0 || after.reencoded < min || after.reencoded > min+int64(after.pages) {
+				t.Fatalf("build accounting: carried=%d reencoded=%d, want reencoded in [%d, %d]",
+					after.carried, after.reencoded, min, min+int64(after.pages))
+			}
+			t.Logf("day roll carried %d detail docs, re-encoded %d, moved %d", carried, fresh, after.moved)
+
+			// Comments (no comment set: generation unchanged) carry wholesale.
+			for i := 0; i < before.n && i < after.n; i++ {
+				if after.comDocs.docAt(i).state != before.comDocs.docAt(i).state {
+					t.Fatalf("comments doc %d not carried despite unchanged generation", i)
+				}
+			}
+		})
 	}
 }
 

@@ -47,6 +47,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"store_respcache_reencoded_total ",
 		"store_snapshot_build_seconds_count 1",
 		"store_prewarm_docs_total 0",
+		"store_arena_live_bytes ",
+		"store_arena_pinned_bytes 1048576", // one slab holds the document
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, out)

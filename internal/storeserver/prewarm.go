@@ -42,7 +42,7 @@ func (s *Server) prewarm(sn *snapshot) {
 		lc := s.routes["list"].total.Value()
 		dc := s.routes["detail"].total.Value()
 		cc := s.routes["comments"].total.Value()
-		if sn.comments == nil {
+		if sn.comments == nil && sn.comTab == nil {
 			cc = 0
 		}
 		sum := lc + dc + cc

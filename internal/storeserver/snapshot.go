@@ -60,22 +60,21 @@ type snapshot struct {
 	pageSize int
 	pages    int
 
-	// comments maps app -> its comment stream. The map is built fresh by
-	// SetComments and never mutated afterwards; commentsGen distinguishes
+	// comments maps app -> its attached comment stream. The map is built
+	// fresh by SetComments and never mutated afterwards (client writes merge
+	// into comTab, not here); commentsGen distinguishes
 	// successive comment sets in ETags (comments do not change day to day,
 	// so their ETags deliberately omit the day and stay valid across
 	// snapshots until the next SetComments).
 	comments    map[catalog.AppID][]CommentJSON
 	commentsGen int64
 
-	// comVer maps app -> the number of write-merges its comment stream has
-	// absorbed (absent = never written); it joins the comment ETag so a
-	// written app revalidates while the untouched population keeps its
-	// tags. comWriteGen counts merges overall: equal generations between
-	// successive snapshots mean no comment stream changed and the whole
-	// document population carries forward.
-	comVer      map[catalog.AppID]uint32
-	comWriteGen int64
+	// comTab holds the streams client writes have been merged into, with a
+	// per-row write version that joins the comment ETag so a written app
+	// revalidates while the untouched population keeps its tags (see
+	// comtable.go). Chunk pointers equal between successive snapshots mean
+	// no stream in that chunk changed and its documents carry forward.
+	comTab comTable
 
 	arenas   []*arena.Arena
 	fresh    *arena.Arena
@@ -101,17 +100,12 @@ type snapshot struct {
 // arena, so the table cannot wedge.
 const maxArenas = 64
 
-// compactMinBytes exempts small arenas from compaction: evacuating a
-// few-hundred-KB arena saves nothing worth the copy. A var so tests can
-// lower the floor and exercise compaction at unit-test catalog sizes.
-var compactMinBytes int64 = 4 << 20
-
 // newSnapshot freezes an export plus the current comment set into a
 // servable snapshot, carrying unchanged documents forward from prev (nil
 // for the first snapshot). Fresh documents are not encoded here — that
 // would put O(catalog) JSON work on the AdvanceDay path; each is built on
 // first request (see respCache), optionally front-run by Server.prewarm.
-func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID][]CommentJSON, gen int64, comVer map[catalog.AppID]uint32, wgen int64, pageSize int, pool *arena.Pool) *snapshot {
+func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID][]CommentJSON, gen int64, tab comTable, pageSize int, pool *arena.Pool) *snapshot {
 	n := e.NumApps()
 	pages := (n + pageSize - 1) / pageSize
 	if pages == 0 {
@@ -130,8 +124,7 @@ func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID
 		pages:       pages,
 		comments:    comments,
 		commentsGen: gen,
-		comVer:      comVer,
-		comWriteGen: wgen,
+		comTab:      tab,
 	}
 	// The stats document embeds the day and the running download total, so
 	// it changes every day-roll and is always fresh.
@@ -192,36 +185,21 @@ func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID
 	sn.reencoded += int64(n - carried)
 
 	// Comment documents depend on the attached comment set plus any
-	// write-merged streams. Same generation on both counts: the whole
-	// population carries over (every full block is shared outright; only
-	// the tail block, where arrivals land, is carried entry by entry).
-	// Write merges alone: rows whose per-app write version is unchanged —
-	// the overwhelming majority, writes being Zipf-concentrated — carry
-	// individually; only written apps re-encode.
-	switch {
-	case prev.commentsGen == gen && prev.comWriteGen == wgen:
-		sn.comDocs, carried = cc.cache(n, &prev.comDocs,
-			func(int) bool { return true }, func(int) uint64 { return keepAll })
-		sn.carried += int64(carried)
-		sn.reencoded += int64(n - carried)
-	case prev.commentsGen == gen:
-		sn.comDocs, carried = cc.cache(n, &prev.comDocs, nil, func(c int) uint64 {
-			var mask uint64
-			for j := 0; j < docChunk; j++ {
-				i := c*docChunk + j
-				if i >= n {
-					break
-				}
-				id := catalog.AppID(e.ID(i))
-				if comVer[id] == prev.comVer[id] {
-					mask |= 1 << uint(j)
-				}
-			}
-			return mask
+	// write-merged streams. Within one attached set, a block whose comTab
+	// chunk is the predecessor's own carries wholesale (the tail block,
+	// where arrivals land, entry by entry); a chunk absorbWrites touched
+	// carries the rows whose write version did not move — writes being
+	// Zipf-concentrated, nearly all of them — and only written apps
+	// re-encode.
+	if prev.commentsGen == gen {
+		sn.comDocs, carried = cc.cache(n, &prev.comDocs, func(c int) bool {
+			return tab.chunk(c) == prev.comTab.chunk(c)
+		}, func(c int) uint64 {
+			return tab.unchangedRows(prev.comTab, c)
 		})
 		sn.carried += int64(carried)
 		sn.reencoded += int64(n - carried)
-	default:
+	} else {
 		sn.comDocs = newRespCache(n)
 		sn.reencoded += int64(n)
 		cc.dropAll(&prev.comDocs)
@@ -261,15 +239,15 @@ func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID
 func (sn *snapshot) planArenas(prev *snapshot, pool *arena.Pool) *carryCtx {
 	tab := append([]*arena.Arena(nil), prev.arenas...)
 
-	// Compaction targets: arenas whose surviving bytes are a small
-	// fraction of what they hold. A few immortal documents must not pin a
-	// whole day's slabs forever.
+	// Compaction targets: arenas whose surviving bytes are under a quarter
+	// of the slab memory they pin. The measure is the footprint, not the
+	// bytes ever allocated: a day's arena on a small shard never fills its
+	// one slab, and a few long-lived documents in it must not keep that
+	// slab off the pool for months. A victim gives the fresh arena less
+	// than a quarter of its own slabs to copy.
 	var compact uint64
 	for idx, a := range tab {
-		if a == nil {
-			continue
-		}
-		if alloc := a.AllocatedBytes(); alloc >= compactMinBytes && a.LiveBytes()*4 < alloc {
+		if a != nil && a.LiveBytes()*4 < a.PinnedBytes() {
 			compact |= 1 << uint(idx)
 		}
 	}
@@ -440,14 +418,17 @@ func (sn *snapshot) detailDoc(i int) docView {
 func (sn *snapshot) commentsDoc(i int) docView {
 	return sn.comDocs.get(sn, i, func(buf *bytes.Buffer) string {
 		id := sn.ex.ID(i)
-		cs := sn.comments[catalog.AppID(id)]
+		cs, ver := sn.comTab.row(i)
+		if ver == 0 {
+			cs = sn.comments[catalog.AppID(id)]
+		}
 		if cs == nil {
 			cs = []CommentJSON{}
 		}
 		encodeJSON(buf, cs)
 		etag := `"c` + strconv.FormatInt(sn.commentsGen, 10) + `-` + strconv.FormatInt(int64(id), 10)
-		if v := sn.comVer[catalog.AppID(id)]; v > 0 {
-			etag += `-w` + strconv.FormatUint(uint64(v), 10)
+		if ver > 0 {
+			etag += `-w` + strconv.FormatUint(uint64(ver), 10)
 		}
 		return etag + `"`
 	})

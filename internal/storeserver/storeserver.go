@@ -149,14 +149,12 @@ type Server struct {
 	commentsGen int64
 
 	// wlog buffers client mutations between day-rolls; absorbWrites folds
-	// its rotated delta into the market and comment state under mu. comVer
-	// counts write-merges per app (copy-on-write, shared with snapshots)
-	// so comment ETags advance only for apps that actually received
-	// writes; comWriteGen counts merges overall, the cheap "anything
-	// changed?" check the snapshot carry uses.
-	wlog        *wal.Log
-	comVer      map[catalog.AppID]uint32
-	comWriteGen int64
+	// its rotated delta into the market and, for comments, into comTab
+	// (copy-on-write, shared with snapshots): the merged streams and the
+	// per-row write versions that advance comment ETags only for apps that
+	// actually received writes.
+	wlog   *wal.Log
+	comTab comTable
 
 	// snap is the serving snapshot, swapped wholesale by publish. A
 	// handler loads it exactly once and serves the whole request from that
@@ -271,7 +269,7 @@ func (s *Server) publish() {
 func (s *Server) build() *snapshot {
 	start := time.Now()
 	prev := s.snap.Load()
-	sn := newSnapshot(s.export(), prev, s.comments, s.commentsGen, s.comVer, s.comWriteGen, s.cfg.PageSize, s.pool)
+	sn := newSnapshot(s.export(), prev, s.comments, s.commentsGen, s.comTab, s.cfg.PageSize, s.pool)
 	s.buildSeconds.ObserveSince(start)
 	return sn
 }
@@ -330,8 +328,13 @@ func (s *Server) CommitDay() int {
 // at /api/apps/{id}/comments. It publishes a fresh snapshot so in-flight
 // requests keep the old comment set and new requests see the new one.
 func (s *Server) SetComments(cs []comments.Comment) {
+	// A shard keeps only the streams it can ever serve.
+	part := s.cfg.Partition
 	grouped := map[catalog.AppID][]CommentJSON{}
 	for _, c := range cs {
+		if part != nil && !part.Owns(int32(c.App)) {
+			continue
+		}
 		grouped[c.App] = append(grouped[c.App], CommentJSON{
 			User: int32(c.User), Rating: c.Rating, UnixTime: c.Time.Unix(),
 		})
@@ -342,7 +345,7 @@ func (s *Server) SetComments(cs []comments.Comment) {
 	s.commentsGen++
 	// The attached stream replaces everything, including any write-merged
 	// streams; per-app write versions restart with it.
-	s.comVer = nil
+	s.comTab = nil
 	// A snapshot prepared before this call would serve the old comment
 	// set; discard it rather than commit stale state.
 	s.pending = nil
@@ -381,42 +384,60 @@ func (s *Server) absorbWrites() {
 	}
 	apps := d.Apps()
 	s.market.ApplyDownloadDelta(apps, func(id int32) int64 { return d.Downloads[id] })
-	if len(d.Comments) == 0 {
-		return
+	if len(d.Comments) > 0 {
+		s.mergeComments(apps, d.Comments)
 	}
-	// Copy-on-write: the current comment map and its slices are shared
-	// with published snapshots still serving readers, so the map and every
-	// touched slice are cloned before appending.
-	cm := make(map[catalog.AppID][]CommentJSON, len(s.comments)+len(d.Comments))
-	for k, v := range s.comments {
-		cm[k] = v
-	}
-	cv := make(map[catalog.AppID]uint32, len(s.comVer)+len(d.Comments))
-	for k, v := range s.comVer {
-		cv[k] = v
-	}
+}
+
+// mergeComments appends the day's comment records to their apps' streams
+// in comTab. Copy-on-write at chunk grain: the table and its chunks are
+// shared with published snapshots still serving readers, so the spine, the
+// chunks holding a written row, and every written stream are cloned before
+// the append — O(written apps + catalog/docChunk), never the catalog, and
+// the SetComments base map is only read. apps lists the delta's apps in
+// ascending order, which is ascending row order on any export.
+func (s *Server) mergeComments(apps []int32, recs map[int32][]wal.Rec) {
+	// Rows are resolved against the serving export: handleWrite admitted
+	// each app against a serving snapshot, and rows never move.
+	ex := s.snap.Load().ex
+	tab := make(comTable, numDocChunks(ex.NumApps()))
+	copy(tab, s.comTab)
 	// Every comment merged into day D is stamped at the day boundary: the
 	// merged bytes are a pure function of the accepted record set, which
 	// is what makes the next snapshot byte-identical across worker counts.
 	t := int64(s.market.Day()) * 86400
+	cloned := -1 // the chunk this merge already owns
 	for _, id := range apps {
-		recs := d.Comments[id]
-		if len(recs) == 0 {
+		rs := recs[id]
+		if len(rs) == 0 {
 			continue
 		}
-		aid := catalog.AppID(id)
-		old := cm[aid]
-		merged := make([]CommentJSON, len(old), len(old)+len(recs))
+		i, ok := ex.IndexOf(id)
+		if !ok {
+			continue
+		}
+		c, j := i/docChunk, i%docChunk
+		if c != cloned {
+			ch := new(comChunk)
+			if tab[c] != nil {
+				*ch = *tab[c]
+			}
+			tab[c], cloned = ch, c
+		}
+		ch := tab[c]
+		old := ch.streams[j]
+		if ch.ver[j] == 0 {
+			old = s.comments[catalog.AppID(id)]
+		}
+		merged := make([]CommentJSON, len(old), len(old)+len(rs))
 		copy(merged, old)
-		for _, rec := range recs {
+		for _, rec := range rs {
 			merged = append(merged, CommentJSON{User: rec.User, Rating: rec.Rating, UnixTime: t})
 		}
-		cm[aid] = merged
-		cv[aid]++
+		ch.streams[j] = merged
+		ch.ver[j]++
 	}
-	s.comments = cm
-	s.comVer = cv
-	s.comWriteGen++
+	s.comTab = tab
 }
 
 // WALStats snapshots the write-ahead log's counters. After a quiescent
