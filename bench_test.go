@@ -340,7 +340,7 @@ func BenchmarkStoreListPage(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodGet, "/api/apps?page=0", nil)
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/apps?page=0", nil)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
@@ -357,7 +357,7 @@ func BenchmarkStoreAppDetail(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodGet, "/api/apps/7", nil)
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/apps/7", nil)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
@@ -377,7 +377,7 @@ func BenchmarkStoreStats(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodGet, "/api/stats", nil)
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/stats", nil)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
@@ -544,7 +544,7 @@ func BenchmarkDayRollWarmArena(b *testing.B) {
 	w := &discardWriter{h: http.Header{}}
 	warm := func() {
 		for i := 0; i < n; i += 7 {
-			req := httptest.NewRequest(http.MethodGet, "/api/apps/"+strconv.Itoa(i), nil)
+			req := httptest.NewRequest(http.MethodGet, "/api/v1/apps/"+strconv.Itoa(i), nil)
 			w.status = 0
 			h.ServeHTTP(w, req)
 			if w.status != 0 && w.status != http.StatusOK {

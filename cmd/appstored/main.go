@@ -14,21 +14,18 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"planetapps"
+	"planetapps/internal/daemon"
 	"planetapps/internal/faultinject"
 	"planetapps/internal/fleet"
 	"planetapps/internal/marketsim"
@@ -122,7 +119,7 @@ func main() {
 		log.Printf("appstored: chaos scenario %q armed (seed %d, scale %g)", *chaos, *chaosSeed, *chaosScale)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := daemon.SignalContext()
 	defer stop()
 
 	// Profiling sits on its own listener so production traffic and the
@@ -169,31 +166,13 @@ func main() {
 		// gateway's coordinated day-roll drives.
 		handler = fleet.NewShardNode(srv)
 	}
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go func() {
-		<-ctx.Done()
-		log.Printf("appstored: shutting down, draining in-flight requests (max %v)", *drain)
-		sctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			log.Printf("appstored: drain incomplete: %v", err)
-		}
-	}()
-
 	if *shardCount > 0 {
 		log.Printf("appstored: serving %s shard %d/%d (of a %d-app catalog) on %s",
 			prof.Name, *shardIndex, *shardCount, m.Catalog().NumApps(), *addr)
 	} else {
 		log.Printf("appstored: serving %s (%d apps) on %s", prof.Name, m.Catalog().NumApps(), *addr)
 	}
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := daemon.Serve(ctx, "appstored", *addr, handler, *drain); err != nil {
 		log.Fatalf("appstored: %v", err)
 	}
 	log.Printf("appstored: served %d requests (%d rate-limited, %d client buckets) over %d simulated days",

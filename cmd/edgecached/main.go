@@ -15,18 +15,15 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"planetapps/internal/daemon"
 	"planetapps/internal/edgecache"
 	"planetapps/internal/faultinject"
 )
@@ -91,29 +88,11 @@ func main() {
 	}
 	defer s.Close()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := daemon.SignalContext()
 	defer stop()
 
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go func() {
-		<-ctx.Done()
-		log.Printf("edgecached: shutting down, draining in-flight requests (max %v)", *drain)
-		sctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			log.Printf("edgecached: drain incomplete: %v", err)
-		}
-	}()
-
 	log.Printf("edgecached: %s cache, %d MiB, fronting %s on %s", *policy, *capacityMB, *origin, *addr)
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := daemon.Serve(ctx, "edgecached", *addr, s.Handler(), *drain); err != nil {
 		log.Fatalf("edgecached: %v", err)
 	}
 	st := s.Stats()

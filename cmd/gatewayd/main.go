@@ -19,17 +19,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"log"
 	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"planetapps/internal/daemon"
 	"planetapps/internal/fleet"
 )
 
@@ -67,7 +63,7 @@ func main() {
 		Vnodes:   *vnodes,
 	})
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := daemon.SignalContext()
 	defer stop()
 
 	// Sanity-check the fleet at startup: all shards reachable and agreeing
@@ -102,26 +98,8 @@ func main() {
 		}()
 	}
 
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           gw,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go func() {
-		<-ctx.Done()
-		log.Printf("gatewayd: shutting down, draining in-flight requests (max %v)", *drain)
-		sctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			log.Printf("gatewayd: drain incomplete: %v", err)
-		}
-	}()
-
 	log.Printf("gatewayd: fronting %d shards on %s", len(clients), *addr)
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := daemon.Serve(ctx, "gatewayd", *addr, gw, *drain); err != nil {
 		log.Fatalf("gatewayd: %v", err)
 	}
 	st := gw.Stats()

@@ -81,7 +81,7 @@ func main() {
 		vnodes    = flag.Int("vnodes", 0, "fleet consistent-hash virtual nodes per shard (0 = default; more vnodes = better partition balance)")
 		listEvery = flag.Int("list-every", 0, "issue a catalog listing request for every Nth event (0 = off)")
 
-		writeMix = flag.Float64("write-mix", 0, "fraction of events that also drive the v1 write funnel (POST download/rate/comments; requires -api v1)")
+		writeMix = flag.Float64("write-mix", 0, "fraction of events that also drive the write funnel (POST download/rate/comments)")
 
 		dayRoll = flag.Duration("day-roll", 0, "day-roll scenario: advance the in-process store one day this long into the measured window and report pre/post-swap latency separately (0 = off)")
 		prewarm = flag.Int("prewarm", 0, "in-process store: pre-encode this many hot documents after each day roll (0 = off)")
@@ -92,7 +92,6 @@ func main() {
 		edgePrefetch = flag.Int("edge-prefetch", 0, "edge prefetch-warming budget per detail request (0 = off)")
 		originFresh  = flag.Duration("origin-fresh", 0, "in-process store: declare /api/v1 responses fresh for this long (0 = always revalidate)")
 
-		apiVer     = flag.String("api", "legacy", "API surface to drive: legacy (/api) or v1 (/api/v1)")
 		chaos      = flag.String("chaos", "", "arm a fault-injection scenario on the in-process store: "+strings.Join(faultinject.Names(), ", "))
 		chaosSeed  = flag.Uint64("chaos-seed", 1, "fault-injection seed")
 		chaosScale = flag.Float64("chaos-scale", 1, "scale injected delays and Retry-After hints")
@@ -101,15 +100,6 @@ func main() {
 		maxHedges  = flag.Int("max-hedges", 1, "resilient client: extra copies a stuck request may launch, one per hedge-after interval")
 	)
 	flag.Parse()
-
-	apiPrefix := "/api"
-	switch *apiVer {
-	case "legacy":
-	case "v1":
-		apiPrefix = "/api/v1"
-	default:
-		log.Fatalf("loadtest: unknown -api %q (want legacy or v1)", *apiVer)
-	}
 
 	if *chaos != "" && *target != "" {
 		log.Fatal("loadtest: -chaos needs the in-process store (drop -target)")
@@ -265,7 +255,6 @@ func main() {
 
 	base := loadgen.Config{
 		BaseURL:     baseURL,
-		APIPrefix:   apiPrefix,
 		Stages:      stageList,
 		Users:       *vus,
 		Think:       *think,

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"planetapps/internal/apiwire"
 	"planetapps/internal/db"
 	"planetapps/internal/metrics"
 	"planetapps/internal/proxy"
@@ -376,7 +377,7 @@ func (c *Crawler) getBytes(ctx context.Context, url string) (int64, error) {
 // byte-identical to one crawled without faults.
 func (c *Crawler) CrawlDay(ctx context.Context) (Stats, error) {
 	var stats storeserver.StatsJSON
-	if err := c.getJSON(ctx, c.cfg.BaseURL+"/api/v1/stats", &stats); err != nil {
+	if err := c.getJSON(ctx, c.cfg.BaseURL+apiwire.StatsPath, &stats); err != nil {
 		return Stats{}, err
 	}
 	day := stats.Day
@@ -412,7 +413,7 @@ func (c *Crawler) CrawlDay(ctx context.Context) (Stats, error) {
 walk:
 	for {
 		var page storeserver.CursorPageJSON
-		url := c.cfg.BaseURL + "/api/v1/apps?cursor=" + cursor
+		url := c.cfg.BaseURL + apiwire.CursorPath(cursor, 0)
 		if err := c.getJSON(ctx, url, &page); err != nil {
 			fail(err)
 			break
@@ -481,7 +482,7 @@ walk:
 func (c *Crawler) crawlApp(ctx context.Context, day int, a storeserver.AppJSON, commentCount, apkCount, apkBytes *int64, countMu *sync.Mutex) error {
 	if c.cfg.FetchComments {
 		var cs []storeserver.CommentJSON
-		url := fmt.Sprintf("%s/api/v1/apps/%d/comments", c.cfg.BaseURL, a.ID)
+		url := c.cfg.BaseURL + apiwire.AppPath(apiwire.Comments, a.ID)
 		if err := c.getJSON(ctx, url, &cs); err != nil {
 			return err
 		}
@@ -496,7 +497,7 @@ func (c *Crawler) crawlApp(ctx context.Context, day int, a storeserver.AppJSON, 
 		}
 	}
 	if c.cfg.FetchAPKs && !c.db.HasAPK(a.ID, a.Version) {
-		url := fmt.Sprintf("%s/api/v1/apps/%d/apk", c.cfg.BaseURL, a.ID)
+		url := c.cfg.BaseURL + apiwire.AppPath(apiwire.APK, a.ID)
 		n, err := c.getBytes(ctx, url)
 		if err != nil {
 			return err

@@ -286,7 +286,7 @@ func (s *Server) proxy(w http.ResponseWriter, r *http.Request) {
 				s.mu.Unlock()
 				s.st.hits.Inc()
 				s.serveEntry(w, r, &snap, now, "hit")
-				s.noteClient(r, base, snap.appID)
+				s.noteClient(r, snap.appID)
 				return
 			}
 		}
@@ -297,7 +297,7 @@ func (s *Server) proxy(w http.ResponseWriter, r *http.Request) {
 	switch out.kind {
 	case kindMiss, kindReval, kindStale:
 		s.serveEntry(w, r, out.entry, time.Now(), out.kind.label())
-		s.noteClient(r, base, out.entry.appID)
+		s.noteClient(r, out.entry.appID)
 	case kindPass:
 		s.servePass(w, r, out)
 	default: // kindError

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"planetapps/internal/apiwire"
 	"planetapps/internal/model"
 	"planetapps/internal/prefetch"
 )
@@ -36,24 +36,25 @@ const (
 )
 
 // classify derives docInfo from a request key and the origin body. Detail
-// pages ("<prefix>/apps/<id>") contribute their real category and
-// download count — the signals the prefetch warmer learns from.
+// pages contribute their real category and download count — the signals
+// the prefetch warmer learns from; every other document is binned by
+// route.
 func classify(key string, body []byte) docInfo {
 	path := key
 	if i := strings.IndexByte(path, '?'); i >= 0 {
 		path = path[:i]
 	}
-	if i := strings.Index(path, "/apps/"); i >= 0 {
-		rest := path[i+len("/apps/"):]
-		if j := strings.IndexByte(rest, '/'); j >= 0 {
-			if rest[j:] == "/comments" {
-				return docInfo{appID: -1, cat: catComments}
-			}
-			return docInfo{appID: -1, cat: catOther}
-		}
-		v, err := strconv.ParseInt(rest, 10, 32)
-		if err != nil {
-			return docInfo{appID: -1, cat: catOther}
+	kind, id, idOK := apiwire.ParsePath(path)
+	switch kind {
+	case apiwire.List:
+		return docInfo{appID: -1, cat: catList}
+	case apiwire.Stats:
+		return docInfo{appID: -1, cat: catStats}
+	case apiwire.Comments:
+		return docInfo{appID: -1, cat: catComments}
+	case apiwire.Detail:
+		if !idOK {
+			break
 		}
 		var doc struct {
 			ID        int32  `json:"id"`
@@ -61,15 +62,9 @@ func classify(key string, body []byte) docInfo {
 			Downloads int64  `json:"downloads"`
 		}
 		if json.Unmarshal(body, &doc) == nil && doc.Category != "" {
-			return docInfo{appID: int32(v), cat: doc.Category, downloads: doc.Downloads}
+			return docInfo{appID: id, cat: doc.Category, downloads: doc.Downloads}
 		}
-		return docInfo{appID: int32(v), cat: catDetail}
-	}
-	if strings.HasSuffix(path, "/apps") {
-		return docInfo{appID: -1, cat: catList}
-	}
-	if strings.HasSuffix(path, "/stats") {
-		return docInfo{appID: -1, cat: catStats}
+		return docInfo{appID: id, cat: catDetail}
 	}
 	return docInfo{appID: -1, cat: catOther}
 }
@@ -193,25 +188,20 @@ func (w *warmer) rebuild() {
 }
 
 // noteClient feeds the warmer after a detail page was served to a client.
-func (s *Server) noteClient(r *http.Request, key string, appID int32) {
+func (s *Server) noteClient(r *http.Request, appID int32) {
 	if s.warm == nil || appID < 0 {
 		return
 	}
-	i := strings.Index(key, "/apps/")
-	if i < 0 {
-		return
-	}
-	prefix := key[:i+len("/apps/")]
 	client := clientXFF(r)
 	if j := strings.IndexByte(client, ','); j >= 0 {
 		client = client[:j]
 	}
-	s.warm.note(client, appID, prefix)
+	s.warm.note(client, appID)
 }
 
 // note appends to the client's history, selects the likely-next detail
 // pages, and enqueues the ones the cache lacks.
-func (w *warmer) note(client string, appID int32, prefix string) {
+func (w *warmer) note(client string, appID int32) {
 	w.mu.Lock()
 	if len(w.hist) >= maxClients {
 		w.hist = map[string][]int32{} // crude but bounded
@@ -240,7 +230,7 @@ func (w *warmer) note(client string, appID int32, prefix string) {
 	targets := prefetch.NewCategoryTop(cm).Select(known, w.budget)
 	keys := make([]string, 0, len(targets))
 	for _, app := range targets {
-		k := prefix + strconv.Itoa(int(app))
+		k := apiwire.AppPath(apiwire.Detail, app)
 		if w.inflight[k] {
 			continue
 		}

@@ -34,7 +34,7 @@ func TestDecisionDeterminism(t *testing.T) {
 		in := New(sc, seed, nil)
 		out := make([]bool, 200)
 		for i := range out {
-			ri, _ := in.decide("/api/apps")
+			ri, _ := in.decide("/api/v1/apps")
 			out[i] = ri >= 0
 		}
 		return out

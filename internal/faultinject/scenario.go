@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"planetapps/internal/apiwire"
 )
 
 // Built-in scenarios, each modeling one hostility the paper's crawlers
@@ -20,52 +22,52 @@ var builtins = []Scenario{
 		Name: "latency",
 		Desc: "tail-latency spikes on the metadata routes: ~25% of requests stall 60-140ms",
 		Rules: []Rule{
-			{Route: "/api", Kind: KindLatency, Prob: 0.25, Delay: 60 * time.Millisecond, Jitter: 80 * time.Millisecond, Node: -1},
+			{Route: apiwire.Prefix, Kind: KindLatency, Prob: 0.25, Delay: 60 * time.Millisecond, Jitter: 80 * time.Millisecond, Node: -1},
 		},
 	},
 	{
 		Name: "error-burst",
 		Desc: "recurring 5xx storms: inside every 160-request window, the first 48 fail with 503/500 at p=0.9",
 		Rules: []Rule{
-			{Route: "/api", Kind: KindError, Prob: 0.9, Every: 160, Span: 48, Status: 503, RetryAfter: 40 * time.Millisecond, Node: -1},
-			{Route: "/api", Kind: KindError, Prob: 0.08, Status: 500, Node: -1},
+			{Route: apiwire.Prefix, Kind: KindError, Prob: 0.9, Every: 160, Span: 48, Status: 503, RetryAfter: 40 * time.Millisecond, Node: -1},
+			{Route: apiwire.Prefix, Kind: KindError, Prob: 0.08, Status: 500, Node: -1},
 		},
 	},
 	{
 		Name: "resets",
 		Desc: "abrupt connection resets on ~12% of requests, the blacklisting store's RST",
 		Rules: []Rule{
-			{Route: "/api", Kind: KindReset, Prob: 0.12, Node: -1},
+			{Route: apiwire.Prefix, Kind: KindReset, Prob: 0.12, Node: -1},
 		},
 	},
 	{
 		Name: "corruption",
 		Desc: "damaged payloads: ~10% of bodies get a zeroed span, ~6% are truncated mid-body",
 		Rules: []Rule{
-			{Route: "/api", Kind: KindCorrupt, Prob: 0.10, Node: -1},
-			{Route: "/api", Kind: KindTruncate, Prob: 0.06, TruncateAt: 16, Node: -1},
+			{Route: apiwire.Prefix, Kind: KindCorrupt, Prob: 0.10, Node: -1},
+			{Route: apiwire.Prefix, Kind: KindTruncate, Prob: 0.06, TruncateAt: 16, Node: -1},
 		},
 	},
 	{
 		Name: "rate-limit-storm",
 		Desc: "429 storms: inside every 120-request window the first 40 are rejected with Retry-After",
 		Rules: []Rule{
-			{Route: "/api", Kind: KindRateLimit, Prob: 1, Every: 120, Span: 40, RetryAfter: 25 * time.Millisecond, Node: -1},
+			{Route: apiwire.Prefix, Kind: KindRateLimit, Prob: 1, Every: 120, Span: 40, RetryAfter: 25 * time.Millisecond, Node: -1},
 		},
 	},
 	{
 		Name: "slow-loris",
 		Desc: "~8% of responses dribble out in 64-byte flushed chunks, 2ms apart",
 		Rules: []Rule{
-			{Route: "/api", Kind: KindSlowLoris, Prob: 0.08, Delay: 2 * time.Millisecond, Node: -1},
+			{Route: apiwire.Prefix, Kind: KindSlowLoris, Prob: 0.08, Delay: 2 * time.Millisecond, Node: -1},
 		},
 	},
 	{
 		Name: "shard-kill",
 		Desc: "store-fleet shard outage: shard 0 is dead (every request reset) for the first 24 requests of each 160-request window, and every shard resets ~4% of requests besides",
 		Rules: []Rule{
-			{Route: "/api", Kind: KindReset, Prob: 1, Every: 160, Span: 24, Node: 0},
-			{Route: "/api", Kind: KindReset, Prob: 0.04, Node: -1},
+			{Route: apiwire.Prefix, Kind: KindReset, Prob: 1, Every: 160, Span: 24, Node: 0},
+			{Route: apiwire.Prefix, Kind: KindReset, Prob: 0.04, Node: -1},
 		},
 	},
 	{

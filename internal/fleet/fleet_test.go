@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"planetapps"
+	"planetapps/internal/apiwire"
 	"planetapps/internal/marketsim"
 	"planetapps/internal/storeserver"
 )
@@ -229,11 +230,6 @@ func TestGatewayStatsMatchesSingleNode(t *testing.T) {
 		if resp304.StatusCode != http.StatusNotModified {
 			t.Fatalf("day %d: expected 304 from gateway stats, got %d", day, resp304.StatusCode)
 		}
-		// Legacy dialect through the gateway serves the same bytes.
-		_, bodyL := get(t, ip.Handler(), "/api/stats", nil)
-		if string(bodyL) != string(bodyS) {
-			t.Fatalf("day %d: legacy stats body differs", day)
-		}
 		if err := ip.AdvanceDay(); err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +341,7 @@ func TestCursorTopologyChange(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("cross-topology cursor: want 400, got %d: %s", resp.StatusCode, body)
 	}
-	var envelope storeserver.ErrorJSON
+	var envelope apiwire.ErrorJSON
 	if err := json.Unmarshal(body, &envelope); err != nil {
 		t.Fatalf("cross-topology cursor: not a v1 envelope: %v (%s)", err, body)
 	}

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"planetapps/internal/apiwire"
 	"planetapps/internal/metrics"
 	"planetapps/internal/storeserver"
 )
@@ -140,97 +141,39 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		g.serveDay(w, r)
 		return
 	}
-	kind, v1, rest := parseGatewayPath(r.URL.Path)
-	if kind == gwNone {
+	// Classification, method check and ID validation are the store's own
+	// (apiwire), in the store's order, so a malformed request gets the
+	// same answer here as from a single node.
+	kind, id, idOK := apiwire.ParsePath(r.URL.Path)
+	if kind == apiwire.None {
 		g.reqs["other"].Inc()
 		http.NotFound(w, r)
 		return
 	}
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		// The owner shard is authoritative for the single-app v1 routes —
-		// including the POST write endpoints — so those proxy through with
-		// method and body intact and the shard renders any 405 with the
-		// route's true Allow set. Every other combination keeps the
-		// gateway-local 405: the historical plain bytes on legacy, the
-		// error envelope on v1.
-		if !(v1 && kind == gwApp) {
-			w.Header().Set("Allow", "GET, HEAD")
-			if v1 {
-				g.writeError(w, true, &gwError{http.StatusMethodNotAllowed, "method_not_allowed",
-					"method " + r.Method + " is not supported by this resource; allowed: GET, HEAD"})
-			} else {
-				http.Error(w, "Method Not Allowed", http.StatusMethodNotAllowed)
-			}
-			return
-		}
-	}
-	switch kind {
-	case gwStats:
-		g.reqs["stats"].Inc()
-		g.serveStats(w, r, v1)
-	case gwList:
-		g.reqs["list"].Inc()
-		g.serveList(w, r, v1)
-	default: // gwApp: detail, comments, apk
-		g.reqs["proxy"].Inc()
-		g.serveApp(w, r, v1, rest)
-	}
-}
-
-// --- routing ---------------------------------------------------------------
-
-const (
-	gwNone = iota
-	gwStats
-	gwList
-	gwApp
-)
-
-// parseGatewayPath classifies an /api path the way the store's router
-// does, without resolving the app ID (the owner shard parses and
-// validates it). rest is the "{id}[/comments|/apk]" tail for gwApp.
-func parseGatewayPath(p string) (kind int, v1 bool, rest string) {
-	if !strings.HasPrefix(p, "/api/") {
-		return gwNone, false, ""
-	}
-	tail := p[len("/api"):]
-	if strings.HasPrefix(tail, "/v1/") {
-		v1 = true
-		tail = tail[len("/v1"):]
-	}
-	switch tail {
-	case "/stats":
-		return gwStats, v1, ""
-	case "/apps":
-		return gwList, v1, ""
-	}
-	if strings.HasPrefix(tail, "/apps/") {
-		return gwApp, v1, tail[len("/apps/"):]
-	}
-	return gwNone, v1, ""
-}
-
-// gwError is a fleet-level failure to be rendered in the dialect of the
-// surface it hit.
-type gwError struct {
-	status int
-	code   string
-	msg    string
-}
-
-func (g *Gateway) writeError(w http.ResponseWriter, v1 bool, e *gwError) {
-	if v1 {
-		h := w.Header()
-		h.Set("Content-Type", "application/json")
-		h.Set("X-API-Version", "1")
-		h.Set("Cache-Control", "no-store")
-		w.WriteHeader(e.status)
-		json.NewEncoder(w).Encode(storeserver.ErrorJSON{ //nolint:errcheck
-			Error: storeserver.ErrorBody{Code: e.code, Message: e.msg},
-		})
+	if _, ok := apiwire.CheckMethod(kind, r.Method); !ok {
+		apiwire.WriteMethodNotAllowed(w, kind, r.Method)
 		return
 	}
-	http.Error(w, e.msg, e.status)
+	switch kind {
+	case apiwire.Stats:
+		g.reqs["stats"].Inc()
+		g.serveStats(w, r)
+	case apiwire.List:
+		g.reqs["list"].Inc()
+		g.serveList(w, r)
+	default: // the single-app routes, reads and writes alike
+		g.reqs["proxy"].Inc()
+		if !idOK {
+			apiwire.BadAppID.Write(w)
+			return
+		}
+		g.serveApp(w, r, id)
+	}
+}
+
+func shardUnreachable(c *ShardClient) *apiwire.Error {
+	return &apiwire.Error{Status: http.StatusBadGateway, Code: "shard_unreachable",
+		Message: "shard " + c.Name + " unreachable"}
 }
 
 // --- single-app proxy ------------------------------------------------------
@@ -246,21 +189,7 @@ var proxyHopHeaders = []string{"If-None-Match", "Accept-Encoding", "User-Agent",
 // The response — status, headers, body, byte for byte — is the shard's:
 // detail, comments, and APK documents through the gateway are exactly
 // what a single node serves, gzip negotiation and 304s included.
-func (g *Gateway) serveApp(w http.ResponseWriter, r *http.Request, v1 bool, rest string) {
-	seg := rest
-	if i := strings.IndexByte(seg, '/'); i >= 0 {
-		seg = seg[:i]
-	}
-	id, ok := parseID(seg)
-	if !ok {
-		if v1 {
-			g.writeError(w, true, &gwError{http.StatusBadRequest, "bad_app_id",
-				"app id must be a non-negative integer"})
-		} else {
-			http.Error(w, "bad app id", http.StatusBadRequest)
-		}
-		return
-	}
+func (g *Gateway) serveApp(w http.ResponseWriter, r *http.Request, id int32) {
 	shard := &g.cfg.Shards[g.ring.Owner(id)]
 	hdr := make(http.Header, 4)
 	for _, k := range proxyHopHeaders {
@@ -280,8 +209,7 @@ func (g *Gateway) serveApp(w http.ResponseWriter, r *http.Request, v1 bool, rest
 	resp, err := shard.do(r.Context(), r.Method, pathAndQuery, hdr, body)
 	if err != nil {
 		g.shardErrors.Inc()
-		g.writeError(w, v1, &gwError{http.StatusBadGateway, "shard_unreachable",
-			"shard " + shard.Name + " unreachable"})
+		shardUnreachable(shard).Write(w)
 		return
 	}
 	defer resp.Body.Close()
@@ -309,25 +237,6 @@ func forwardedFor(r *http.Request) string {
 	return host
 }
 
-// parseID parses a decimal non-negative int32.
-func parseID(s string) (int32, bool) {
-	if s == "" || len(s) > 10 {
-		return 0, false
-	}
-	var v int64
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		v = v*10 + int64(c-'0')
-	}
-	if v > 1<<31-1 {
-		return 0, false
-	}
-	return int32(v), true
-}
-
 // --- stats aggregation -----------------------------------------------------
 
 // shardStats is one shard's parsed /api/v1/stats response.
@@ -343,21 +252,20 @@ type shardStats struct {
 // byte-identical to what a single node holding the whole catalog would
 // serve: apps and downloads sum across disjoint partitions, and the ETag
 // is the same "s<day>-t<total>" content hash.
-func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request, v1 bool) {
+func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request) {
 	var agg storeserver.StatsJSON
 	var day, cc, age string
-	err := g.retryEpoch(func() (string, *gwError) {
+	err := g.retryEpoch(func() (string, *apiwire.Error) {
 		results := make([]shardStats, len(g.cfg.Shards))
-		gerr := g.scatter(r.Context(), func(ctx context.Context, i int) *gwError {
-			resp, err := g.cfg.Shards[i].get(ctx, "/api/v1/stats", nil)
+		gerr := g.scatter(r.Context(), func(ctx context.Context, i int) *apiwire.Error {
+			resp, err := g.cfg.Shards[i].get(ctx, apiwire.StatsPath, nil)
 			if err != nil {
-				return &gwError{http.StatusBadGateway, "shard_unreachable",
-					"shard " + g.cfg.Shards[i].Name + " unreachable"}
+				return shardUnreachable(&g.cfg.Shards[i])
 			}
 			defer resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
-				return &gwError{http.StatusServiceUnavailable, "shard_unavailable",
-					"shard " + g.cfg.Shards[i].Name + " answered " + strconv.Itoa(resp.StatusCode)}
+				return &apiwire.Error{Status: http.StatusServiceUnavailable, Code: "shard_unavailable",
+					Message: "shard " + g.cfg.Shards[i].Name + " answered " + strconv.Itoa(resp.StatusCode)}
 			}
 			var s storeserver.StatsJSON
 			body, err := readCapped(resp, maxStatsBody)
@@ -365,8 +273,8 @@ func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request, v1 bool) {
 				err = json.Unmarshal(body, &s)
 			}
 			if err != nil {
-				return &gwError{http.StatusBadGateway, "shard_bad_response",
-					"shard " + g.cfg.Shards[i].Name + ": " + err.Error()}
+				return &apiwire.Error{Status: http.StatusBadGateway, Code: "shard_bad_response",
+					Message: "shard " + g.cfg.Shards[i].Name + ": " + err.Error()}
 			}
 			results[i] = shardStats{
 				stats: s,
@@ -391,24 +299,16 @@ func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request, v1 bool) {
 		return day, nil
 	})
 	if err != nil {
-		g.writeError(w, v1, err)
+		err.Write(w)
 		return
 	}
 	etag := `"s` + day + `-t` + strconv.FormatInt(agg.TotalDownloads, 10) + `"`
 	h := w.Header()
-	if v1 {
-		h.Set("X-API-Version", "1")
-		if cc != "" {
-			h.Set("Cache-Control", cc)
-		}
-		if age != "" {
-			h.Set("Age", age)
-		}
-		h.Set("Vary", "Accept-Encoding")
-	}
+	stamp(h, cc, age)
+	h.Set("Vary", "Accept-Encoding")
 	h.Set("Etag", etag)
 	h.Set("X-Store-Day", day)
-	if inm := r.Header.Get("If-None-Match"); inmMatch(inm, etag) {
+	if apiwire.ETagMatch(r.Header.Get("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -529,22 +429,20 @@ func readCapped(resp *http.Response, max int64) ([]byte, error) {
 // must be a slice of this listing — ids ascending from the anchor, a
 // next_cursor past the last row and only after at least one row — which
 // is what lets the merge trust it to make progress.
-func (g *Gateway) fetchShardPage(ctx context.Context, i int, anchor int32, limit int) (*shardPage, *gwError) {
+func (g *Gateway) fetchShardPage(ctx context.Context, i int, anchor int32, limit int) (*shardPage, *apiwire.Error) {
 	c := &g.cfg.Shards[i]
-	path := "/api/v1/apps?cursor=" + storeserver.EncodeCursor(int(anchor)) +
-		"&limit=" + strconv.Itoa(limit)
-	resp, err := c.get(ctx, path, nil)
+	resp, err := c.get(ctx, apiwire.CursorPath(apiwire.EncodeCursor(int(anchor)), limit), nil)
 	if err != nil {
-		return nil, &gwError{http.StatusBadGateway, "shard_unreachable",
-			"shard " + c.Name + " unreachable"}
+		return nil, shardUnreachable(c)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, &gwError{http.StatusServiceUnavailable, "shard_unavailable",
-			"shard " + c.Name + " answered " + strconv.Itoa(resp.StatusCode)}
+		return nil, &apiwire.Error{Status: http.StatusServiceUnavailable, Code: "shard_unavailable",
+			Message: "shard " + c.Name + " answered " + strconv.Itoa(resp.StatusCode)}
 	}
-	bad := func(why string) (*shardPage, *gwError) {
-		return nil, &gwError{http.StatusBadGateway, "shard_bad_response", "shard " + c.Name + ": " + why}
+	bad := func(why string) (*shardPage, *apiwire.Error) {
+		return nil, &apiwire.Error{Status: http.StatusBadGateway, Code: "shard_bad_response",
+			Message: "shard " + c.Name + ": " + why}
 	}
 	body, err := readCapped(resp, maxListBody)
 	if err != nil {
@@ -573,7 +471,7 @@ func (g *Gateway) fetchShardPage(ctx context.Context, i int, anchor int32, limit
 		floor = row.id + 1
 	}
 	if len(scanned.next) > 0 {
-		v, ok := storeserver.DecodeCursor(string(scanned.next))
+		v, ok := apiwire.DecodeCursor(string(scanned.next))
 		if !ok || len(page.rows) == 0 || int32(v) < floor {
 			return bad("unusable next_cursor")
 		}
@@ -651,11 +549,11 @@ func fnvUint32(h uint64, v uint32) uint64 {
 // Returns (nil, nil) on epoch skew — the caller's retry loop re-fetches;
 // anchors are global IDs, valid in any epoch, so the retry needs no
 // repositioning.
-func (g *Gateway) assemble(ctx context.Context, anchors []int32, limit int) (*assembled, *gwError) {
+func (g *Gateway) assemble(ctx context.Context, anchors []int32, limit int) (*assembled, *apiwire.Error) {
 	k := len(g.cfg.Shards)
 	quota := g.quotas(anchors, limit)
 	pages := make([]*shardPage, k)
-	gerr := g.scatter(ctx, func(ctx context.Context, i int) *gwError {
+	gerr := g.scatter(ctx, func(ctx context.Context, i int) *apiwire.Error {
 		p, e := g.fetchShardPage(ctx, i, anchors[i], quota[i])
 		pages[i] = p
 		return e
@@ -755,7 +653,7 @@ func (g *Gateway) assemble(ctx context.Context, anchors []int32, limit int) (*as
 // hard error. Exhausting retries yields 503 epoch_skew — the fleet was
 // mid-commit the whole time, which a two-phase roll makes vanishingly
 // brief, so a client retry will land in the new epoch.
-func (g *Gateway) retryEpoch(attempt func() (string, *gwError)) *gwError {
+func (g *Gateway) retryEpoch(attempt func() (string, *apiwire.Error)) *apiwire.Error {
 	for try := 0; ; try++ {
 		day, err := attempt()
 		if err != nil {
@@ -767,8 +665,8 @@ func (g *Gateway) retryEpoch(attempt func() (string, *gwError)) *gwError {
 		}
 		if try >= g.cfg.EpochRetries {
 			g.epochSkews.Inc()
-			return &gwError{http.StatusServiceUnavailable, "epoch_skew",
-				"fleet day-roll in progress; retry"}
+			return &apiwire.Error{Status: http.StatusServiceUnavailable, Code: "epoch_skew",
+				Message: "fleet day-roll in progress; retry"}
 		}
 		g.epochRetries.Inc()
 	}
@@ -776,8 +674,8 @@ func (g *Gateway) retryEpoch(attempt func() (string, *gwError)) *gwError {
 
 // scatter runs fn(i) for every shard concurrently and returns the first
 // error by shard order.
-func (g *Gateway) scatter(ctx context.Context, fn func(ctx context.Context, i int) *gwError) *gwError {
-	errs := make([]*gwError, len(g.cfg.Shards))
+func (g *Gateway) scatter(ctx context.Context, fn func(ctx context.Context, i int) *apiwire.Error) *apiwire.Error {
+	errs := make([]*apiwire.Error, len(g.cfg.Shards))
 	var wg sync.WaitGroup
 	for i := range g.cfg.Shards {
 		wg.Add(1)
@@ -795,90 +693,72 @@ func (g *Gateway) scatter(ctx context.Context, fn func(ctx context.Context, i in
 	return nil
 }
 
-// serveList handles /api/apps and /api/v1/apps. Cursor walks (v1) are the
-// fleet's native listing: per-shard anchors packed into one opaque
-// cursor, pages assembled by ID merge. Page addressing is served for page
-// 0 (the entry point crawlers and smoke checks hit); deep page numbers
-// would need a global offset index the partitions don't keep, and every
-// consumer since PR 5 paginates by cursor, so deeper pages answer with an
-// explicit error instead of silently wrong slices.
-func (g *Gateway) serveList(w http.ResponseWriter, r *http.Request, v1 bool) {
+// serveList handles /api/v1/apps. Cursor walks are the fleet's native
+// listing: per-shard anchors packed into one opaque cursor, pages
+// assembled by ID merge. Page addressing is served for page 0 (the entry
+// point crawlers and smoke checks hit); deep page numbers would need a
+// global offset index the partitions don't keep, and every consumer
+// paginates by cursor, so deeper pages answer with an explicit error
+// instead of silently wrong slices. The query grammar — first value wins,
+// present-but-empty cursor starts a walk, limit clamped — is the store's.
+func (g *Gateway) serveList(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer g.mergeSeconds.ObserveSince(start)
-	q := r.URL.Query()
-	cursor, hasCursor := q["cursor"]
-	page, hasPage := q["page"]
-	if v1 && hasCursor {
+	rq := r.URL.RawQuery
+	cursor, hasCursor := apiwire.QueryValue(rq, "cursor")
+	page, hasPage := apiwire.QueryValue(rq, "page")
+	if hasCursor {
 		if hasPage {
-			g.writeError(w, true, &gwError{http.StatusBadRequest, "bad_request",
-				"page and cursor are mutually exclusive"})
+			apiwire.PageAndCursor.Write(w)
 			return
 		}
-		cur := ""
-		if len(cursor) > 0 {
-			cur = cursor[0]
-		}
 		anchors := make([]int32, len(g.cfg.Shards))
-		if cur != "" {
-			a, ok := unpackCursor(cur, len(g.cfg.Shards))
+		if cursor != "" {
+			a, ok := unpackCursor(cursor, len(g.cfg.Shards))
 			if !ok {
-				g.writeError(w, true, &gwError{http.StatusBadRequest, "bad_cursor",
-					"cursor is invalid, from an incompatible version, or from a different fleet topology"})
+				apiwire.WriteError(w, http.StatusBadRequest, "bad_cursor",
+					"cursor is invalid, from an incompatible version, or from a different fleet topology", 0)
 				return
 			}
 			anchors = a
 		}
-		// limit follows the store's rules: a positive integer, clamped
-		// to the page size; absent or empty means the page size.
 		limit := g.cfg.PageSize
-		if lim := q.Get("limit"); lim != "" {
-			v, ok := parseID(lim)
-			if !ok || v == 0 {
-				g.writeError(w, true, &gwError{http.StatusBadRequest, "bad_limit",
-					"limit must be a positive integer"})
+		if lim, _ := apiwire.QueryValue(rq, "limit"); lim != "" {
+			v, ok := apiwire.ParseLimit(lim)
+			if !ok {
+				apiwire.BadLimit.Write(w)
 				return
 			}
-			limit = min(limit, int(v))
+			limit = min(limit, v)
 		}
-		g.serveMerged(w, r, true, anchors, limit, false)
+		g.serveMerged(w, r, anchors, limit, false)
 		return
 	}
-	pageNo := 0
-	if hasPage && len(page) > 0 && page[0] != "" {
-		v, ok := parseID(page[0])
+	if hasPage && page != "" {
+		v, ok := apiwire.ParsePage(page)
 		if !ok {
-			if v1 {
-				g.writeError(w, true, &gwError{http.StatusBadRequest, "bad_page",
-					"page must be a non-negative integer"})
-			} else {
-				http.Error(w, "bad page", http.StatusBadRequest)
-			}
+			apiwire.BadPage.Write(w)
 			return
 		}
-		pageNo = int(v)
-	}
-	if pageNo > 0 {
-		if v1 {
-			g.writeError(w, true, &gwError{http.StatusBadRequest, "page_unsupported",
-				"the fleet gateway serves page 0 only; paginate with cursors"})
-		} else {
-			http.Error(w, "the fleet gateway serves page 0 only; paginate with cursors", http.StatusBadRequest)
+		if v > 0 {
+			apiwire.WriteError(w, http.StatusBadRequest, "page_unsupported",
+				"the fleet gateway serves page 0 only; paginate with cursors", 0)
+			return
 		}
-		return
 	}
-	g.serveMerged(w, r, v1, make([]int32, len(g.cfg.Shards)), g.cfg.PageSize, true)
+	g.serveMerged(w, r, make([]int32, len(g.cfg.Shards)), g.cfg.PageSize, true)
 }
 
 // serveMerged assembles one merged page of limit rows from anchors under
-// the epoch-retry loop and serves it: as a v1 cursor page, or — pageZero
-// — as listing page 0 in the legacy PageJSON envelope, byte-identical to
-// a single node's page 0 apart from the validator. The body is the
+// the epoch-retry loop and serves it: as a cursor page, or — pageZero —
+// as listing page 0 in the PageJSON envelope, byte-identical to a single
+// node's page 0 apart from the validator. The body is the
 // shards' row bytes spliced between hand-written envelope bytes, exactly
 // what encoding the page as JSON would produce (compact, next_cursor
 // absent on the last page, trailing newline).
-func (g *Gateway) serveMerged(w http.ResponseWriter, r *http.Request, v1 bool, anchors []int32, limit int, pageZero bool) {
+func (g *Gateway) serveMerged(w http.ResponseWriter, r *http.Request, anchors []int32, limit int, pageZero bool) {
 	var asm *assembled
-	err := g.retryEpoch(func() (string, *gwError) {
+	err := g.retryEpoch(func() (string, *apiwire.Error) {
 		a, e := g.assemble(r.Context(), anchors, limit)
 		if a == nil {
 			return "", e
@@ -887,7 +767,7 @@ func (g *Gateway) serveMerged(w http.ResponseWriter, r *http.Request, v1 bool, a
 		return a.day, nil
 	})
 	if err != nil {
-		g.writeError(w, v1, err)
+		err.Write(w)
 		return
 	}
 	g.mergedPages.Inc()
@@ -896,21 +776,13 @@ func (g *Gateway) serveMerged(w http.ResponseWriter, r *http.Request, v1 bool, a
 		etag = etag[:len(etag)-1] + `-p0"`
 	}
 	h := w.Header()
-	if v1 {
-		h.Set("X-API-Version", "1")
-		if asm.cc != "" {
-			h.Set("Cache-Control", asm.cc)
-		}
-		if asm.age != "" {
-			h.Set("Age", asm.age)
-		}
-		if pageZero {
-			h.Set("Vary", "Accept-Encoding")
-		}
+	stamp(h, asm.cc, asm.age)
+	if pageZero {
+		h.Set("Vary", "Accept-Encoding")
 	}
 	h.Set("Etag", etag)
 	h.Set("X-Store-Day", asm.day)
-	if inmMatch(r.Header.Get("If-None-Match"), etag) {
+	if apiwire.ETagMatch(r.Header.Get("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -944,22 +816,16 @@ func (g *Gateway) serveMerged(w http.ResponseWriter, r *http.Request, v1 bool, a
 	w.Write(buf) //nolint:errcheck // client gone; nothing useful to do
 }
 
-// inmMatch is If-None-Match per RFC 9110 (weak comparison, lists, *).
-func inmMatch(inm, etag string) bool {
-	if inm == "" {
-		return false
+// stamp marks a gateway-assembled response the way the shards marked the
+// slices it was built from: the API version plus their freshness headers.
+func stamp(h http.Header, cc, age string) {
+	h.Set("X-API-Version", apiwire.Version)
+	if cc != "" {
+		h.Set("Cache-Control", cc)
 	}
-	if inm == etag || inm == "*" {
-		return true
+	if age != "" {
+		h.Set("Age", age)
 	}
-	for _, tag := range strings.Split(inm, ",") {
-		tag = strings.TrimSpace(tag)
-		tag = strings.TrimPrefix(tag, "W/")
-		if tag == etag {
-			return true
-		}
-	}
-	return false
 }
 
 // --- admin -----------------------------------------------------------------

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"planetapps"
+	"planetapps/internal/apiwire"
 	"planetapps/internal/marketsim"
 	"planetapps/internal/storeserver"
 )
@@ -263,7 +264,7 @@ func TestGatewayHonoursLimit(t *testing.T) {
 			t.Fatalf("limit=%q: gateway answered %d, single node %d", tc.limit, respG.StatusCode, respS.StatusCode)
 		}
 		if tc.rows == 0 {
-			var envS, envG storeserver.ErrorJSON
+			var envS, envG apiwire.ErrorJSON
 			if json.Unmarshal(bodyS, &envS) != nil || json.Unmarshal(bodyG, &envG) != nil ||
 				respG.StatusCode != http.StatusBadRequest || envG.Error.Code != "bad_limit" || envG != envS {
 				t.Fatalf("limit=%q: gateway %d %s, single node %d %s", tc.limit, respG.StatusCode, bodyG, respS.StatusCode, bodyS)
@@ -360,7 +361,7 @@ func TestShardBodyCaps(t *testing.T) {
 			})}}
 		gw := NewGateway(Config{Shards: []ShardClient{shard}})
 		resp, body := get(t, gw, tc.path, nil)
-		var env storeserver.ErrorJSON
+		var env apiwire.ErrorJSON
 		if err := json.Unmarshal(body, &env); err != nil ||
 			resp.StatusCode != http.StatusBadGateway || env.Error.Code != "shard_bad_response" {
 			t.Fatalf("%s (declared=%v): got %d %s, want 502 shard_bad_response", tc.path, tc.declared, resp.StatusCode, body)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"planetapps/internal/apiwire"
 	"planetapps/internal/storeserver"
 )
 
@@ -148,10 +149,9 @@ func TestGatewayRoutesWrites(t *testing.T) {
 	}
 }
 
-// TestGatewayWriteMethodSurface pins the fleet-level 405 satellite: the
-// gateway answers wrong methods on non-app routes itself (v1 envelope,
-// legacy plain), and lets the owning shard render verdicts for app-scoped
-// paths — including the shard's 405 for a GET on a write-only tail.
+// TestGatewayWriteMethodSurface pins the fleet-level 405 contract: the
+// gateway answers wrong methods itself, with each route's true Allow set
+// — including POST-only for a GET on a write-only tail.
 func TestGatewayWriteMethodSurface(t *testing.T) {
 	ip := newFleet(t, 2, 50)
 	gw := ip.Handler()
@@ -160,20 +160,12 @@ func TestGatewayWriteMethodSurface(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, HEAD" {
 		t.Fatalf("POST /api/v1/stats: %d Allow %q", resp.StatusCode, resp.Header.Get("Allow"))
 	}
-	var e storeserver.ErrorJSON
+	var e apiwire.ErrorJSON
 	if json.Unmarshal(body, &e) != nil || e.Error.Code != "method_not_allowed" {
 		t.Fatalf("gateway v1 405 envelope: %s", body)
 	}
 
-	resp, body = post(t, gw, "/api/stats", "{}", "")
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /api/stats: %d", resp.StatusCode)
-	}
-	if strings.TrimSpace(string(body)) != "Method Not Allowed" {
-		t.Fatalf("legacy 405 body changed: %q", body)
-	}
-
-	// App-scoped wrong method is the shard's verdict, proxied intact.
+	// App-scoped wrong method: the same verdict a shard would render.
 	client := &http.Client{Transport: HandlerTransport{Handler: gw}}
 	req, _ := http.NewRequest(http.MethodGet, "http://test/api/v1/apps/3/download", nil)
 	resp, err := client.Do(req)
@@ -187,6 +179,6 @@ func TestGatewayWriteMethodSurface(t *testing.T) {
 			resp.StatusCode, resp.Header.Get("Allow"), b)
 	}
 	if json.Unmarshal(b, &e) != nil || e.Error.Code != "method_not_allowed" {
-		t.Fatalf("proxied 405 envelope: %s", b)
+		t.Fatalf("app-route 405 envelope: %s", b)
 	}
 }

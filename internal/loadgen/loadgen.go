@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"planetapps/internal/apiwire"
 	"planetapps/internal/gcstats"
 	"planetapps/internal/metrics"
 	"planetapps/internal/model"
@@ -82,9 +83,6 @@ type Stage struct {
 type Config struct {
 	// BaseURL is the store root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// APIPrefix selects the API surface to drive: "/api" (default,
-	// legacy) or "/api/v1".
-	APIPrefix string
 	// Client is the HTTP client; nil gets a client tuned for many
 	// concurrent connections to one host.
 	Client *http.Client
@@ -123,15 +121,14 @@ type Config struct {
 	// is also the expensive class — the gateway must scatter to every
 	// shard and merge, where a single node serves a pre-rendered page.
 	ListEvery int
-	// WriteMix is the fraction of workload events that also drive the v1
+	// WriteMix is the fraction of workload events that also drive the
 	// write funnel (0..1): each selected event POSTs a download for its
 	// (user, app), and a deterministic slice of those add a rating and a
 	// comment. Selection hashes (user, app) with Seed, so the same
 	// workload and seed issue the same writes regardless of mode or
 	// concurrency, and each write carries an Idempotency-Key derived from
 	// the same tuple, so retries and re-runs dedup instead of
-	// double-counting. Requires APIPrefix "/api/v1" — the legacy surface
-	// is read-only.
+	// double-counting.
 	WriteMix float64
 	// AcceptGzip negotiates compressed transfer: every request carries an
 	// explicit Accept-Encoding — "gzip" when set, "identity" when not —
@@ -282,14 +279,8 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.DayRollAfter > 0 && cfg.DayRollFn == nil {
 		return nil, errors.New("loadgen: DayRollAfter requires DayRollFn")
 	}
-	if cfg.APIPrefix == "" {
-		cfg.APIPrefix = "/api"
-	}
 	if cfg.WriteMix < 0 || cfg.WriteMix > 1 {
 		return nil, fmt.Errorf("loadgen: WriteMix %g out of [0, 1]", cfg.WriteMix)
-	}
-	if cfg.WriteMix > 0 && cfg.APIPrefix != "/api/v1" {
-		return nil, errors.New("loadgen: WriteMix needs the v1 surface (APIPrefix /api/v1); legacy is read-only")
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 4096
@@ -354,14 +345,14 @@ func clientAddr(user int32) string {
 // issue performs one request and records it under class.
 func (g *Generator) issue(ctx context.Context, class string, ev model.Event) {
 	cs := g.classes[class]
-	url := g.cfg.BaseURL + g.cfg.APIPrefix
+	url := g.cfg.BaseURL
 	switch class {
 	case ClassList:
-		url += "/apps"
+		url += apiwire.ListPath
 	case ClassAPK:
-		url += "/apps/" + strconv.Itoa(int(ev.App)) + "/apk"
+		url += apiwire.AppPath(apiwire.APK, ev.App)
 	default:
-		url += "/apps/" + strconv.Itoa(int(ev.App))
+		url += apiwire.AppPath(apiwire.Detail, ev.App)
 	}
 	rctx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
 	defer cancel()
@@ -442,22 +433,23 @@ func writeHash(seed uint64, user, app int32) uint64 {
 	return x
 }
 
-// issueWrite POSTs one v1 mutation and classifies the store's verdict.
+// issueWrite POSTs one mutation and classifies the store's verdict.
 func (g *Generator) issueWrite(ctx context.Context, endpoint string, ev model.Event, h uint64) {
 	ws := g.writes[endpoint]
 	user := strconv.Itoa(int(ev.User))
-	var tail, body string
+	var kind apiwire.Kind
+	var body string
 	switch endpoint {
 	case WriteDownload:
-		tail, body = "/download", `{"user":`+user+`}`
+		kind, body = apiwire.Download, `{"user":`+user+`}`
 	case WriteRate:
-		tail = "/rate"
+		kind = apiwire.Rate
 		body = `{"user":` + user + `,"rating":` + strconv.Itoa(int(h>>8)%5+1) + `}`
 	case WriteComment:
-		tail = "/comments"
+		kind = apiwire.Comments
 		body = `{"user":` + user + `,"rating":` + strconv.Itoa(int(h>>16)%5+1) + `}`
 	}
-	url := g.cfg.BaseURL + g.cfg.APIPrefix + "/apps/" + strconv.Itoa(int(ev.App)) + tail
+	url := g.cfg.BaseURL + apiwire.AppPath(kind, ev.App)
 	rctx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, url, strings.NewReader(body))

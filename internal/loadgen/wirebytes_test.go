@@ -19,7 +19,6 @@ func TestWireByteAccounting(t *testing.T) {
 		t.Helper()
 		g, err := New(Config{
 			BaseURL:    ts.URL,
-			APIPrefix:  "/api/v1",
 			Mode:       ClosedLoop,
 			Users:      4,
 			AcceptGzip: acceptGzip,

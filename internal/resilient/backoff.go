@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"planetapps/internal/apiwire"
 )
 
 // fullJitter returns the attempt-th retry delay under the "full jitter"
@@ -29,17 +31,8 @@ func fullJitter(attempt int, base, max time.Duration, rng *prng) time.Duration {
 	return time.Duration(rng.float64() * float64(ceil))
 }
 
-// errEnvelope mirrors the storeserver /api/v1 error envelope; only the
-// fields the client acts on are decoded.
-type errEnvelope struct {
-	Error struct {
-		Code         string `json:"code"`
-		RetryAfterMS int64  `json:"retry_after_ms"`
-	} `json:"error"`
-}
-
 // retryAfterHint extracts the server's requested wait from a 429/503
-// response: the v1 JSON envelope's retry_after_ms when the body carries
+// response: the API error envelope's retry_after_ms when the body carries
 // one (millisecond precision), else the Retry-After header (whole seconds
 // or an HTTP date). Returns 0 when the server gave no hint.
 func retryAfterHint(status int, hdr http.Header, body []byte, now time.Time) time.Duration {
@@ -47,7 +40,7 @@ func retryAfterHint(status int, hdr http.Header, body []byte, now time.Time) tim
 		return 0
 	}
 	if len(body) > 0 && body[0] == '{' {
-		var env errEnvelope
+		var env apiwire.ErrorJSON
 		if json.Unmarshal(body, &env) == nil && env.Error.RetryAfterMS > 0 {
 			return time.Duration(env.Error.RetryAfterMS) * time.Millisecond
 		}

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"planetapps/internal/apiwire"
 	"planetapps/internal/dist"
 	"planetapps/internal/model"
 	"planetapps/internal/resilient"
@@ -265,9 +266,7 @@ func (r *Runner) runUser(ctx context.Context, client Doer, up *UserPlan, st *Sta
 		if ctx.Err() != nil {
 			return
 		}
-		app := strconv.FormatInt(int64(v.App), 10)
-		detailURL := r.BaseURL + "/api/v1/apps/" + app
-		if err := client.Get(ctx, detailURL, nil, nil); err != nil {
+		if err := client.Get(ctx, r.BaseURL+apiwire.AppPath(apiwire.Detail, v.App), nil, nil); err != nil {
 			atomic.AddInt64(&st.Errors, 1)
 			continue // no detail page, no funnel
 		}
@@ -275,13 +274,13 @@ func (r *Runner) runUser(ctx context.Context, client Doer, up *UserPlan, st *Sta
 		if !v.Install {
 			continue
 		}
-		if r.post(ctx, client, st, up.User, v.App, "download", 0) {
+		if r.post(ctx, client, st, up.User, v.App, apiwire.Download, 0) {
 			atomic.AddInt64(&st.Installs, 1)
 		}
-		if v.Rating > 0 && r.post(ctx, client, st, up.User, v.App, "rate", v.Rating) {
+		if v.Rating > 0 && r.post(ctx, client, st, up.User, v.App, apiwire.Rate, v.Rating) {
 			atomic.AddInt64(&st.Ratings, 1)
 		}
-		if v.Comment && r.post(ctx, client, st, up.User, v.App, "comments", v.CommentRating) {
+		if v.Comment && r.post(ctx, client, st, up.User, v.App, apiwire.Comments, v.CommentRating) {
 			atomic.AddInt64(&st.Comments, 1)
 		}
 	}
@@ -289,9 +288,9 @@ func (r *Runner) runUser(ctx context.Context, client Doer, up *UserPlan, st *Sta
 
 // post issues one mutation; reports whether the store acknowledged it
 // (fresh or deduped — the write is durably in the day's delta either way).
-func (r *Runner) post(ctx context.Context, client Doer, st *Stats, user, app int32, endpoint string, rating int8) bool {
+func (r *Runner) post(ctx context.Context, client Doer, st *Stats, user, app int32, endpoint apiwire.Kind, rating int8) bool {
 	var body []byte
-	if endpoint == "rate" || (endpoint == "comments" && rating > 0) {
+	if endpoint == apiwire.Rate || (endpoint == apiwire.Comments && rating > 0) {
 		body = []byte(`{"user":` + strconv.FormatInt(int64(user), 10) +
 			`,"rating":` + strconv.FormatInt(int64(rating), 10) + `}`)
 	} else {
@@ -299,9 +298,8 @@ func (r *Runner) post(ctx context.Context, client Doer, st *Stats, user, app int
 	}
 	hdr := http.Header{}
 	hdr.Set("Content-Type", "application/json")
-	hdr.Set("Idempotency-Key", IdemKey(user, app, endpoint))
-	url := r.BaseURL + "/api/v1/apps/" + strconv.FormatInt(int64(app), 10) + "/" + endpoint
-	status, respBody, err := client.Post(ctx, url, hdr, body)
+	hdr.Set("Idempotency-Key", IdemKey(user, app, endpoint.String()))
+	status, respBody, err := client.Post(ctx, r.BaseURL+apiwire.AppPath(endpoint, app), hdr, body)
 	if err != nil && status == 0 {
 		atomic.AddInt64(&st.Errors, 1)
 		return false

@@ -72,7 +72,7 @@ func hitReq(path string, hdr map[string]string) *http.Request {
 
 // TestHitPathAllocBudget sweeps the warm cache-hit paths that carry
 // essentially all production traffic and requires each to be
-// allocation-free: legacy and v1, identity and gzip, 200 and 304.
+// allocation-free: identity and gzip, 200 and 304.
 func TestHitPathAllocBudget(t *testing.T) {
 	s := allocServer(t)
 	h := s.Handler()
@@ -93,9 +93,6 @@ func TestHitPathAllocBudget(t *testing.T) {
 		req    *http.Request
 		status int
 	}{
-		{"legacy-list-hit", hitReq("/api/apps?page=0", nil), 200},
-		{"legacy-detail-hit", hitReq("/api/apps/3", nil), 200},
-		{"legacy-stats-hit", hitReq("/api/stats", nil), 200},
 		{"v1-list-identity", hitReq("/api/v1/apps?page=0", map[string]string{"Accept-Encoding": "identity"}), 200},
 		{"v1-list-gzip", hitReq("/api/v1/apps?page=0", map[string]string{"Accept-Encoding": "gzip"}), 200},
 		{"v1-detail-gzip", hitReq("/api/v1/apps/3", map[string]string{"Accept-Encoding": "gzip, deflate, br"}), 200},

@@ -2,7 +2,6 @@ package storeserver
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"planetapps/internal/apiwire"
 	"planetapps/internal/catalog"
 	"planetapps/internal/faultinject"
 	"planetapps/internal/gzipx"
@@ -39,94 +39,79 @@ func fetch(t *testing.T, url string, hdr map[string]string) (int, []byte, http.H
 	return resp.StatusCode, body, resp.Header
 }
 
-// TestV1ServesIdenticalDocuments asserts the core no-double-encoding
-// contract: /api/v1 serves the very same pre-encoded bytes and ETags as
-// the legacy routes (identity-for-identity), plus the X-API-Version
-// header — and when the client negotiates gzip, the snapshot-time
-// compressed variant of those same bytes under the representation's own
-// "-gz" ETag. The legacy surface stays identity-only on the wire.
-func TestV1ServesIdenticalDocuments(t *testing.T) {
+// TestNegotiatedRepresentations asserts the no-double-encoding contract:
+// every document is served as its pre-encoded identity bytes, and — when
+// the client negotiates gzip — as the snapshot-time compressed variant of
+// those same bytes under the representation's own "-gz" ETag.
+func TestNegotiatedRepresentations(t *testing.T) {
 	_, ts := testServer(t, Config{PageSize: 50})
 	identity := map[string]string{"Accept-Encoding": "identity"}
 	gz := map[string]string{"Accept-Encoding": "gzip"}
-	paths := [][2]string{
-		{"/api/stats", "/api/v1/stats"},
-		{"/api/apps?page=0", "/api/v1/apps?page=0"},
-		{"/api/apps?page=2", "/api/v1/apps?page=2"},
-		{"/api/apps/0", "/api/v1/apps/0"},
-		{"/api/apps/7", "/api/v1/apps/7"},
-		{"/api/apps/7/comments", "/api/v1/apps/7/comments"},
-	}
-	for _, p := range paths {
-		legacyCode, legacyBody, legacyHdr := fetch(t, ts.URL+p[0], gz)
-		v1Code, v1Body, v1Hdr := fetch(t, ts.URL+p[1], identity)
-		if legacyCode != 200 || v1Code != 200 {
-			t.Fatalf("%s: legacy %d, v1 %d", p[0], legacyCode, v1Code)
+	for _, p := range []string{
+		"/api/v1/stats",
+		"/api/v1/apps?page=0",
+		"/api/v1/apps?page=2",
+		"/api/v1/apps/0",
+		"/api/v1/apps/7",
+		"/api/v1/apps/7/comments",
+	} {
+		code, idBody, idHdr := fetch(t, ts.URL+p, identity)
+		if code != 200 {
+			t.Fatalf("%s: identity fetch status %d", p, code)
 		}
-		// Legacy is byte-frozen: even a gzip-accepting client gets the
-		// identity bytes with no negotiation headers.
-		if got := legacyHdr.Get("Content-Encoding"); got != "" {
-			t.Fatalf("%s: legacy response grew Content-Encoding %q", p[0], got)
+		if got := idHdr.Get("Content-Encoding"); got != "" {
+			t.Fatalf("%s: identity request got Content-Encoding %q", p, got)
 		}
-		if got := legacyHdr.Get("Vary"); got != "" {
-			t.Fatalf("%s: legacy response grew Vary %q", p[0], got)
+		ie := idHdr.Get("ETag")
+		if ie == "" {
+			t.Fatalf("%s: no ETag", p)
 		}
-		if string(legacyBody) != string(v1Body) {
-			t.Fatalf("%s: v1 identity body differs from legacy", p[0])
+		if got := idHdr.Get("Vary"); got != "Accept-Encoding" {
+			t.Fatalf("%s: Vary = %q, want Accept-Encoding", p, got)
 		}
-		le, ve := legacyHdr.Get("ETag"), v1Hdr.Get("ETag")
-		if le != ve || le == "" {
-			t.Fatalf("%s: ETag mismatch legacy %q v1 %q", p[0], le, ve)
-		}
-		if got := v1Hdr.Get("Vary"); got != "Accept-Encoding" {
-			t.Fatalf("%s: v1 Vary = %q, want Accept-Encoding", p[1], got)
-		}
-		if got := v1Hdr.Get("X-API-Version"); got != "1" {
-			t.Fatalf("%s: X-API-Version = %q, want 1", p[1], got)
-		}
-		if got := legacyHdr.Get("X-API-Version"); got != "" {
-			t.Fatalf("%s: legacy response grew an X-API-Version header %q", p[0], got)
+		if got := idHdr.Get("X-API-Version"); got != "1" {
+			t.Fatalf("%s: X-API-Version = %q, want 1", p, got)
 		}
 
 		// Same document negotiated as gzip: pre-compressed bytes that
 		// inflate to exactly the identity body, under the -gz ETag.
-		gzCode, gzBody, gzHdr := fetch(t, ts.URL+p[1], gz)
+		gzCode, gzBody, gzHdr := fetch(t, ts.URL+p, gz)
 		if gzCode != 200 {
-			t.Fatalf("%s: gzip fetch status %d", p[1], gzCode)
+			t.Fatalf("%s: gzip fetch status %d", p, gzCode)
 		}
 		switch gzHdr.Get("Content-Encoding") {
 		case "gzip":
-			want := strings.TrimSuffix(le, `"`) + `-gz"`
+			want := strings.TrimSuffix(ie, `"`) + `-gz"`
 			if got := gzHdr.Get("ETag"); got != want {
-				t.Fatalf("%s: gzip ETag = %q, want %q", p[1], got, want)
+				t.Fatalf("%s: gzip ETag = %q, want %q", p, got, want)
 			}
 			plain, err := gzipx.Decompress(gzBody)
 			if err != nil {
-				t.Fatalf("%s: served gzip does not inflate: %v", p[1], err)
+				t.Fatalf("%s: served gzip does not inflate: %v", p, err)
 			}
-			if string(plain) != string(legacyBody) {
-				t.Fatalf("%s: gzip variant inflates to different bytes", p[1])
+			if string(plain) != string(idBody) {
+				t.Fatalf("%s: gzip variant inflates to different bytes", p)
 			}
 			if cl := gzHdr.Get("Content-Length"); cl != strconv.Itoa(len(gzBody)) {
-				t.Fatalf("%s: gzip Content-Length %q vs %d wire bytes", p[1], cl, len(gzBody))
+				t.Fatalf("%s: gzip Content-Length %q vs %d wire bytes", p, cl, len(gzBody))
 			}
 		case "":
 			// Incompressible document (gzip would not shrink it): identity
 			// fallback with the identity ETag is the correct answer.
-			if string(gzBody) != string(legacyBody) || gzHdr.Get("ETag") != le {
-				t.Fatalf("%s: identity fallback served different bytes/ETag", p[1])
+			if string(gzBody) != string(idBody) || gzHdr.Get("ETag") != ie {
+				t.Fatalf("%s: identity fallback served different bytes/ETag", p)
 			}
 		default:
-			t.Fatalf("%s: unexpected Content-Encoding %q", p[1], gzHdr.Get("Content-Encoding"))
+			t.Fatalf("%s: unexpected Content-Encoding %q", p, gzHdr.Get("Content-Encoding"))
 		}
 	}
 }
 
 // decodeEnvelope parses a v1 error body, failing the test on any shape
 // deviation.
-func decodeEnvelope(t *testing.T, body []byte) ErrorJSON {
+func decodeEnvelope(t *testing.T, body []byte) apiwire.ErrorJSON {
 	t.Helper()
-	var e ErrorJSON
+	var e apiwire.ErrorJSON
 	dec := json.NewDecoder(strings.NewReader(string(body)))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&e); err != nil {
@@ -178,9 +163,8 @@ func TestV1ErrorPaths(t *testing.T) {
 	}
 }
 
-// TestV1RateLimit429 asserts a throttled v1 request carries the envelope
-// with a real retry_after_ms plus a Retry-After header, while the legacy
-// route keeps its historical bare-string 429 with "Retry-After: 1".
+// TestV1RateLimit429 asserts a throttled request carries the envelope
+// with a real retry_after_ms plus a Retry-After header.
 func TestV1RateLimit429(t *testing.T) {
 	_, ts := testServer(t, Config{PageSize: 50, RatePerSec: 1, Burst: 2})
 	hammer := func(path string) (int, []byte, http.Header) {
@@ -206,14 +190,6 @@ func TestV1RateLimit429(t *testing.T) {
 		t.Fatal("v1 429 without Retry-After header")
 	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
 		t.Fatalf("Retry-After = %q, want integer seconds >= 1", ra)
-	}
-
-	_, body, hdr = hammer("/api/stats")
-	if string(body) != "rate limit exceeded\n" {
-		t.Fatalf("legacy 429 body = %q, want the historical bare string", body)
-	}
-	if ra := hdr.Get("Retry-After"); ra != "1" {
-		t.Fatalf("legacy Retry-After = %q, want the historical \"1\"", ra)
 	}
 }
 
@@ -328,9 +304,8 @@ func TestV1CursorConditionalGet(t *testing.T) {
 	}
 }
 
-// TestV1ChaosEnvelope asserts injected faults speak the dialect of the
-// surface they hit: v1 requests get the JSON envelope (with retry_after_ms
-// on 503 bursts), legacy requests get plain text.
+// TestV1ChaosEnvelope asserts injected faults are rendered as the JSON
+// envelope (with retry_after_ms on 503 bursts).
 func TestV1ChaosEnvelope(t *testing.T) {
 	mcfg := marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(0.2))
 	mcfg.Days = 10
@@ -344,7 +319,7 @@ func TestV1ChaosEnvelope(t *testing.T) {
 	s.SetChaos(faultinject.New(faultinject.Scenario{
 		Name: "all-503",
 		Rules: []faultinject.Rule{{
-			Route: "/api", Kind: faultinject.KindError, Prob: 1,
+			Route: apiwire.Prefix, Kind: faultinject.KindError, Prob: 1,
 			Status: http.StatusServiceUnavailable, RetryAfter: 80 * time.Millisecond,
 		}},
 	}, 7, nil))
@@ -366,34 +341,11 @@ func TestV1ChaosEnvelope(t *testing.T) {
 		t.Fatal("v1 chaos response missing X-API-Version")
 	}
 
-	code, body, _ = fetch(t, ts.URL+"/api/stats", nil)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("legacy status = %d, want 503", code)
-	}
-	if strings.HasPrefix(string(body), "{") {
-		t.Fatalf("legacy chaos response is JSON %q, want plain text", body)
-	}
-
 	// /metrics stays fault-free.
 	for i := 0; i < 20; i++ {
 		code, _, _ := fetch(t, ts.URL+"/metrics", nil)
 		if code != 200 {
 			t.Fatalf("/metrics faulted with %d", code)
-		}
-	}
-}
-
-// TestCursorRoundTrip covers the opaque codec itself.
-func TestCursorRoundTrip(t *testing.T) {
-	for _, v := range []int{0, 1, 63, 64, 12345, 1 << 30} {
-		got, ok := decodeCursor(encodeCursor(v))
-		if !ok || got != v {
-			t.Fatalf("round-trip(%d) = %d, %v", v, got, ok)
-		}
-	}
-	for _, bad := range []string{"***", "bm9wZQ", "YS0x" /* "a-1" */, fmt.Sprintf("%c", 0)} {
-		if _, ok := decodeCursor(bad); ok {
-			t.Fatalf("decodeCursor(%q) accepted", bad)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package storeserver
 import "planetapps/internal/arena"
 
 // ArenaStats summarizes the snapshot arena pool for ops surfaces
-// (gcbench output, the appstored final stats line).
+// (cmd/bench's arena.* rows, the appstored final stats line).
 type ArenaStats struct {
 	ArenasLive  int64 `json:"arenas_live"`
 	SlabsLive   int64 `json:"slabs_live"`

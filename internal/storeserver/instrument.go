@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"planetapps/internal/apiwire"
 	"planetapps/internal/metrics"
 )
 
@@ -42,8 +43,8 @@ func (s *Server) initMetrics() {
 	s.movedDocs = s.reg.Counter("store_arena_moved_docs_total")
 	s.compactions = s.reg.Counter("store_arena_compactions_total")
 	s.routes = map[string]*routeInstruments{}
-	// Index order must match the router's route kinds (rStats..rRate).
-	for kind, route := range []string{"stats", "list", "detail", "comments", "apk", "download", "rate"} {
+	for kind := apiwire.Kind(0); kind < apiwire.None; kind++ {
+		route := kind.String()
 		ri := &routeInstruments{
 			route:   route,
 			total:   s.reg.Counter(fmt.Sprintf("store_route_requests_total{route=%q}", route)),
@@ -58,7 +59,7 @@ func (s *Server) initMetrics() {
 	}
 	// Write-outcome counters for the POST-capable kinds, pre-registered so
 	// the write path never takes the registry's write lock.
-	for kind, endpoint := range map[int]string{rDownload: "download", rRate: "rate", rComments: "comment"} {
+	for kind, endpoint := range map[apiwire.Kind]string{apiwire.Download: "download", apiwire.Rate: "rate", apiwire.Comments: "comment"} {
 		m := make(map[string]*metrics.Counter, len(writeResults))
 		for _, res := range writeResults {
 			m[res] = s.reg.Counter(fmt.Sprintf("store_writes_total{endpoint=%q,result=%q}", endpoint, res))

@@ -67,8 +67,7 @@ func (l *limiter) allow(key string, now time.Time) bool {
 }
 
 // allowWait is allow plus, on denial, how long until the bucket refills to
-// one token — the honest Retry-After value the v1 API reports instead of
-// the legacy hard-coded "1".
+// one token — the honest Retry-After value the API reports.
 func (l *limiter) allowWait(key string, now time.Time) (bool, time.Duration) {
 	sh := &l.shards[shardFor(key)]
 	sh.mu.Lock()

@@ -1,0 +1,139 @@
+package storeserver
+
+import (
+	"bytes"
+	"net/http"
+	"strconv"
+
+	"planetapps/internal/apiwire"
+)
+
+// handleList serves the listing: ?page= for the pre-encoded fixed pages,
+// ?cursor= for the day-roll-stable cursor walk. Query inspection scans
+// RawQuery in place — a url.Values map would be a mandatory allocation on
+// the hot path.
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request, sn *snapshot) {
+	rq := r.URL.RawQuery
+	cursor, hasCursor := apiwire.QueryValue(rq, "cursor")
+	p, hasPage := apiwire.QueryValue(rq, "page")
+	if hasCursor {
+		if hasPage {
+			apiwire.PageAndCursor.Write(w)
+			return
+		}
+		s.handleCursor(w, r, sn, cursor)
+		return
+	}
+	page := 0
+	if hasPage && p != "" {
+		v, ok := apiwire.ParsePage(p)
+		if !ok {
+			apiwire.BadPage.Write(w)
+			return
+		}
+		page = v
+	}
+	if page >= sn.pages {
+		apiwire.WriteError(w, http.StatusNotFound, "page_out_of_range",
+			"page "+strconv.Itoa(page)+" beyond last page "+strconv.Itoa(sn.pages-1), 0)
+		return
+	}
+	s.serveDoc(w, r, sn, sn.listDoc(page))
+}
+
+// --- cursor pagination ---------------------------------------------------
+
+// CursorPageJSON is one cursor-addressed slice of the listing. NextCursor
+// is absent on the final slice.
+type CursorPageJSON struct {
+	Apps       []AppJSON `json:"apps"`
+	NextCursor string    `json:"next_cursor,omitempty"`
+	Total      int       `json:"total"`
+}
+
+// EncodeCursor forwards to apiwire.EncodeCursor for callers that already
+// import this package.
+func EncodeCursor(id int) string { return apiwire.EncodeCursor(id) }
+
+// handleCursor serves one cursor-addressed listing slice. An empty
+// cursor value starts from the beginning. Cursor documents are encoded per
+// request — their alignment shifts with the anchor, so pre-encoding (and
+// pre-compressing) every offset is not worthwhile; they are served
+// identity-only, and since no negotiation happens they carry no Vary.
+// The ETag is computed from the spanned rows' content versions *before*
+// encoding, so an If-None-Match revalidation costs no JSON work at all.
+func (s *Server) handleCursor(w http.ResponseWriter, r *http.Request, sn *snapshot, cursor string) {
+	lo := 0
+	if cursor != "" {
+		v, ok := apiwire.DecodeCursor(cursor)
+		if !ok {
+			apiwire.WriteError(w, http.StatusBadRequest, "bad_cursor",
+				"cursor is invalid or from an incompatible version", 0)
+			return
+		}
+		// The anchor is a global app ID; resolve it to the first at-or-
+		// after row. On dense exports that is the identity (clamped), so
+		// pre-fleet cursor walks see unchanged responses; on a shard it
+		// skips rows other partitions own.
+		lo = sn.ex.IndexAtOrAfter(int32(v)) // DecodeCursor caps at MaxInt32
+	}
+	size := sn.pageSize
+	if lim, ok := apiwire.QueryValue(r.URL.RawQuery, "limit"); ok && lim != "" {
+		v, ok := apiwire.ParseLimit(lim)
+		if !ok {
+			apiwire.BadLimit.Write(w)
+			return
+		}
+		// A limit above the configured page size is clamped, not
+		// rejected: the page size is the server's protection, the limit
+		// the client's economy (the gateway's exhausted-shard probes ask
+		// for limit=1).
+		if v < size {
+			size = v
+		}
+	}
+	hi := lo + size
+	if hi > sn.n {
+		hi = sn.n
+	}
+	if lo > hi {
+		// A cursor parked past the end of the catalog (the crawl finished
+		// and the catalog has not grown yet): an empty terminal slice, not
+		// an error, so a resumable crawler can poll for growth.
+		lo = hi
+	}
+	etag := `"u` + strconv.Itoa(lo) + `-n` + strconv.Itoa(sn.n) +
+		`-v` + strconv.FormatUint(sn.ex.VersionSum(lo, hi), 10) + `"`
+	if size != sn.pageSize {
+		// Non-default limits join the slice length into the validator:
+		// VersionSum is chunk-granular, so two different-length slices
+		// inside one chunk would otherwise share an ETag. Default-size
+		// requests keep their historical (pre-limit) ETags.
+		etag = etag[:len(etag)-1] + `-k` + strconv.Itoa(size) + `"`
+	}
+	h := w.Header()
+	s.stamp(h, sn)
+	hset(h, hdrETag, etag)
+	hset(h, hdrStoreDay, sn.dayStr)
+	if apiwire.ETagMatch(r.Header.Get("If-None-Match"), etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	out := CursorPageJSON{Apps: make([]AppJSON, 0, hi-lo), Total: sn.n}
+	for i := lo; i < hi; i++ {
+		out.Apps = append(out.Apps, sn.appJSON(i))
+	}
+	if hi < sn.n {
+		// The next anchor is the global ID of the first unserved row —
+		// identical to the row index on dense exports, so single-node
+		// cursor chains are byte-for-byte what they always were.
+		out.NextCursor = apiwire.EncodeCursor(int(sn.ex.ID(hi)))
+	}
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	encodeJSON(buf, out)
+	hset(h, hdrContentType, "application/json")
+	hset(h, hdrContentLength, strconv.Itoa(buf.Len()))
+	w.Write(buf.Bytes()) //nolint:errcheck // client gone; nothing useful to do
+	putBuf(buf)
+}

@@ -13,14 +13,14 @@ import (
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := testServer(t, Config{PageSize: 50})
 	for i := 0; i < 3; i++ {
-		resp, err := http.Get(ts.URL + "/api/apps/0")
+		resp, err := http.Get(ts.URL + "/api/v1/apps/0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		resp.Body.Close()
 	}
-	resp, err := http.Get(ts.URL + "/api/apps?page=badnum")
+	resp, err := http.Get(ts.URL + "/api/v1/apps?page=badnum")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestMetricsCountRateLimited(t *testing.T) {
 	s, ts := testServer(t, Config{PageSize: 50, RatePerSec: 1, Burst: 1})
 	var got429 int64
 	for i := 0; i < 5; i++ {
-		resp, err := http.Get(ts.URL + "/api/stats")
+		resp, err := http.Get(ts.URL + "/api/v1/stats")
 		if err != nil {
 			t.Fatal(err)
 		}

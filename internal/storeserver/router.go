@@ -1,165 +1,24 @@
 package storeserver
 
 import (
-	"math"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"planetapps/internal/apiwire"
 )
 
-// This file is the zero-allocation request router. go1.22's ServeMux costs
-// two pattern matches and a wildcard-segment slice per request, then every
-// handler pays url.Values for the query and Header.Set's one-element slice
-// per header. For a route set this small and this fixed — five resources,
-// two API dialects, all GET — a hand-rolled parse does the same dispatch
-// with zero heap traffic: path matching is substring compares, the app ID
-// is parsed in place, query lookup scans RawQuery without building a map,
-// and status capture comes from a sync.Pool. Combined with the
-// pre-rendered header values elsewhere, a warm cache hit performs no
-// allocations at all (pinned by allocbudget_test.go).
-
-// Route kinds, in the order of the routeByKind instrument table. The
-// write-only kinds (rDownload, rRate) exist on the v1 surface only.
-const (
-	rStats = iota
-	rList
-	rDetail
-	rComments
-	rAPK
-	rDownload
-	rRate
-	rNone
-)
-
-// writableKind reports the kinds that accept POST on the v1 surface.
-func writableKind(kind int) bool {
-	return kind == rDownload || kind == rRate || kind == rComments
-}
-
-// allowedMethods renders the Allow header for a known route. The legacy
-// surface is read-only everywhere; v1 adds POST where a write resource
-// exists.
-func allowedMethods(kind int, v1 bool) string {
-	if !v1 {
-		return "GET, HEAD"
-	}
-	switch kind {
-	case rDownload, rRate:
-		return "POST"
-	case rComments:
-		return "GET, HEAD, POST"
-	default:
-		return "GET, HEAD"
-	}
-}
-
-// parseAPIPath matches one of the fixed API paths:
-//
-//	/api[/v1]/stats
-//	/api[/v1]/apps
-//	/api[/v1]/apps/{id}[/comments|/apk|/download|/rate]
-//
-// kind is rNone for anything else. For the {id} routes, id/idOK report the
-// parsed non-negative int32 (idOK false = the segment was present but not
-// a valid ID — the caller answers 400 in the dialect of the surface).
-func parseAPIPath(p string) (kind int, v1 bool, id int32, idOK bool) {
-	if !strings.HasPrefix(p, "/api/") {
-		return rNone, false, 0, false
-	}
-	rest := p[len("/api"):]
-	if strings.HasPrefix(rest, "/v1/") {
-		v1 = true
-		rest = rest[len("/v1"):]
-	}
-	switch rest {
-	case "/stats":
-		return rStats, v1, 0, false
-	case "/apps":
-		return rList, v1, 0, false
-	}
-	if !strings.HasPrefix(rest, "/apps/") {
-		return rNone, v1, 0, false
-	}
-	seg := rest[len("/apps/"):]
-	tail := ""
-	if i := strings.IndexByte(seg, '/'); i >= 0 {
-		seg, tail = seg[:i], seg[i:]
-	}
-	if seg == "" {
-		return rNone, v1, 0, false
-	}
-	switch tail {
-	case "":
-		kind = rDetail
-	case "/comments":
-		kind = rComments
-	case "/apk":
-		kind = rAPK
-	case "/download":
-		kind = rDownload
-	case "/rate":
-		kind = rRate
-	default:
-		return rNone, v1, 0, false
-	}
-	id, idOK = parseAppID(seg)
-	return kind, v1, id, idOK
-}
-
-// parseAppID parses a decimal non-negative int32 without strconv's
-// error-object allocation on the failure path.
-func parseAppID(s string) (int32, bool) {
-	if len(s) == 0 || len(s) > 10 {
-		return 0, false
-	}
-	var v int64
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		v = v*10 + int64(c-'0')
-	}
-	if v > math.MaxInt32 {
-		return 0, false
-	}
-	return int32(v), true
-}
-
-// queryValue finds key's first value in a raw query string without
-// building url.Values. found distinguishes "absent" from "present but
-// empty" (?cursor= means "start a cursor walk"). Percent- or
-// plus-escaped values take a slow path through url.QueryUnescape; the
-// values the API defines (digits, base64url cursors) never need it.
-func queryValue(rawQuery, key string) (value string, found bool) {
-	for i := 0; i < len(rawQuery); {
-		start := i
-		for i < len(rawQuery) && rawQuery[i] != '&' {
-			i++
-		}
-		pair := rawQuery[start:i]
-		i++
-		if !strings.HasPrefix(pair, key) {
-			continue
-		}
-		switch {
-		case len(pair) == len(key):
-			return "", true
-		case pair[len(key)] == '=':
-			v := pair[len(key)+1:]
-			if strings.IndexByte(v, '%') >= 0 || strings.IndexByte(v, '+') >= 0 {
-				if u, err := url.QueryUnescape(v); err == nil {
-					return u, true
-				}
-			}
-			return v, true
-		}
-	}
-	return "", false
-}
+// This file is the zero-allocation request dispatcher. go1.22's ServeMux
+// costs two pattern matches and a wildcard-segment slice per request, then
+// every handler pays url.Values for the query and Header.Set's one-element
+// slice per header. For a route set this small and this fixed the
+// hand-rolled grammar in internal/apiwire does the same dispatch with zero
+// heap traffic: path matching is substring compares, the app ID is parsed
+// in place, query lookup scans RawQuery without building a map, and status
+// capture comes from a sync.Pool. Combined with the pre-rendered header
+// values elsewhere, a warm cache hit performs no allocations at all
+// (pinned by allocbudget_test.go).
 
 // hset sets a single-valued header without allocating when the header map
 // already holds a slot for the key — the case for every pooled writer and
@@ -192,73 +51,22 @@ const (
 	hdrAge             = "Age"
 )
 
-// etagMatch implements If-None-Match per RFC 9110: an exact match, a
-// wildcard, or membership in a comma-separated list, using weak
-// comparison (a W/ prefix on either side is ignored). The single-tag
-// exact case — every conditional crawler in this repo — is one string
-// compare; the list walk allocates nothing either.
-func etagMatch(inm, etag string) bool {
-	if inm == "" {
-		return false
-	}
-	if inm == etag || inm == "*" {
-		return true
-	}
-	for i := 0; i < len(inm); {
-		start := i
-		for i < len(inm) && inm[i] != ',' {
-			i++
-		}
-		tag := inm[start:i]
-		i++
-		for len(tag) > 0 && (tag[0] == ' ' || tag[0] == '\t') {
-			tag = tag[1:]
-		}
-		for len(tag) > 0 && (tag[len(tag)-1] == ' ' || tag[len(tag)-1] == '\t') {
-			tag = tag[:len(tag)-1]
-		}
-		if strings.HasPrefix(tag, "W/") {
-			tag = tag[2:]
-		}
-		if tag == etag {
-			return true
-		}
-	}
-	return false
-}
-
 // swPool recycles status-capturing writers; the wrapper struct was one of
 // the per-request allocations the old instrument middleware paid.
 var swPool = sync.Pool{New: func() any { return new(statusWriter) }}
 
 // route is the API dispatcher: parse, instrument, dispatch. Unknown paths
-// 404; wrong methods 405 with an Allow header — rendered as the plain
-// historical bytes on the legacy surface and as the error envelope on v1.
-// Instruments count only matched routes, as before.
+// 404; wrong methods 405 with the route's Allow header. Instruments count
+// only matched routes.
 func (s *Server) route(w http.ResponseWriter, r *http.Request) {
-	kind, v1, id, idOK := parseAPIPath(r.URL.Path)
-	if kind == rNone {
+	kind, id, idOK := apiwire.ParsePath(r.URL.Path)
+	if kind == apiwire.None {
 		http.NotFound(w, r)
 		return
 	}
-	// The write-only resources exist on the v1 surface only; the legacy
-	// surface never had them and stays byte-frozen (404, as always).
-	if !v1 && (kind == rDownload || kind == rRate) {
-		http.NotFound(w, r)
-		return
-	}
-	isWrite := v1 && r.Method == http.MethodPost && writableKind(kind)
-	isRead := (r.Method == http.MethodGet || r.Method == http.MethodHead) &&
-		kind != rDownload && kind != rRate
-	if !isWrite && !isRead {
-		allow := allowedMethods(kind, v1)
-		w.Header().Set("Allow", allow)
-		if v1 {
-			writeV1Error(w, http.StatusMethodNotAllowed, "method_not_allowed",
-				"method "+r.Method+" is not supported by this resource; allowed: "+allow, 0)
-		} else {
-			http.Error(w, "Method Not Allowed", http.StatusMethodNotAllowed)
-		}
+	isWrite, ok := apiwire.CheckMethod(kind, r.Method)
+	if !ok {
+		apiwire.WriteMethodNotAllowed(w, kind, r.Method)
 		return
 	}
 	ri := s.routeByKind[kind]
@@ -268,7 +76,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	s.inFlight.Inc()
 	sw := swPool.Get().(*statusWriter)
 	sw.ResponseWriter, sw.code = w, http.StatusOK
-	s.dispatch(sw, r, kind, v1, id, idOK, isWrite)
+	s.dispatch(sw, r, kind, id, idOK, isWrite)
 	s.inFlight.Dec()
 	ri.latency.ObserveSince(start)
 	c, ok := ri.byCode[sw.code]
@@ -283,33 +91,20 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 // dispatch hands the matched route to its handler. The snapshot is loaded
 // exactly once here and threaded through, so one response can never mix
 // two days.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind int, v1 bool, id int32, idOK bool, isWrite bool) {
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind apiwire.Kind, id int32, idOK bool, isWrite bool) {
 	sn := s.snap.Load()
 	if isWrite {
 		s.handleWrite(w, r, sn, kind, id, idOK)
 		return
 	}
 	switch kind {
-	case rStats:
-		if v1 {
-			s.v1Doc(w, r, sn, sn.statsDoc())
-		} else {
-			serveDoc(w, r, sn, sn.statsDoc(), false)
-		}
-	case rList:
-		if v1 {
-			s.handleListV1(w, r, sn)
-		} else {
-			s.handleList(w, r, sn)
-		}
-	default: // rDetail, rComments, rAPK
+	case apiwire.Stats:
+		s.serveDoc(w, r, sn, sn.statsDoc())
+	case apiwire.List:
+		s.handleList(w, r, sn)
+	default: // Detail, Comments, APK
 		if !idOK {
-			if v1 {
-				writeV1Error(w, http.StatusBadRequest, "bad_app_id",
-					"app id must be a non-negative integer", 0)
-			} else {
-				http.Error(w, "bad app id", http.StatusBadRequest)
-			}
+			apiwire.BadAppID.Write(w)
 			return
 		}
 		// The URL carries the app's global ID; resolve it to a row index.
@@ -319,33 +114,22 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind int, v1 b
 		// sends those, but a direct probe must not crash into a wrong app.
 		idx, ok := sn.ex.IndexOf(id)
 		if !ok {
-			if v1 {
-				writeV1Error(w, http.StatusNotFound, "app_not_found",
-					"no app with id "+strconv.FormatInt(int64(id), 10), 0)
-			} else {
-				http.Error(w, "no such app", http.StatusNotFound)
-			}
+			writeAppNotFound(w, id)
 			return
 		}
 		switch kind {
-		case rDetail:
-			if v1 {
-				s.v1Doc(w, r, sn, sn.detailDoc(idx))
-			} else {
-				serveDoc(w, r, sn, sn.detailDoc(idx), false)
-			}
-		case rComments:
-			if v1 {
-				s.v1Doc(w, r, sn, sn.commentsDoc(idx))
-			} else {
-				serveDoc(w, r, sn, sn.commentsDoc(idx), false)
-			}
-		case rAPK:
-			if v1 {
-				hset(w.Header(), hdrAPIVersion, apiVersion)
-				s.freshness(w.Header(), sn)
-			}
+		case apiwire.Detail:
+			s.serveDoc(w, r, sn, sn.detailDoc(idx))
+		case apiwire.Comments:
+			s.serveDoc(w, r, sn, sn.commentsDoc(idx))
+		case apiwire.APK:
+			s.stamp(w.Header(), sn)
 			s.handleAPK(w, r, sn, idx)
 		}
 	}
+}
+
+func writeAppNotFound(w http.ResponseWriter, id int32) {
+	apiwire.WriteError(w, http.StatusNotFound, "app_not_found",
+		"no app with id "+strconv.FormatInt(int64(id), 10), 0)
 }

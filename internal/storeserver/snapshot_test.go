@@ -103,7 +103,7 @@ func TestSnapshotConsistencyUnderAdvanceDay(t *testing.T) {
 				default:
 				}
 
-				if rec, day := get("/api/stats"); day >= 0 {
+				if rec, day := get("/api/v1/stats"); day >= 0 {
 					var st StatsJSON
 					if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 						report("stats: %v", err)
@@ -115,7 +115,7 @@ func TestSnapshotConsistencyUnderAdvanceDay(t *testing.T) {
 					}
 				}
 
-				if rec, day := get("/api/apps?page=0"); day >= 0 {
+				if rec, day := get("/api/v1/apps?page=0"); day >= 0 {
 					var pg PageJSON
 					if err := json.Unmarshal(rec.Body.Bytes(), &pg); err != nil {
 						report("list: %v", err)
@@ -126,7 +126,7 @@ func TestSnapshotConsistencyUnderAdvanceDay(t *testing.T) {
 					}
 				}
 
-				if rec, day := get("/api/apps/0"); day >= 0 {
+				if rec, day := get("/api/v1/apps/0"); day >= 0 {
 					var app AppJSON
 					if err := json.Unmarshal(rec.Body.Bytes(), &app); err != nil {
 						report("detail: %v", err)
@@ -139,7 +139,7 @@ func TestSnapshotConsistencyUnderAdvanceDay(t *testing.T) {
 					}
 				}
 
-				if rec, day := get("/api/apps/0/comments"); day >= 0 {
+				if rec, day := get("/api/v1/apps/0/comments"); day >= 0 {
 					var cs []CommentJSON
 					if err := json.Unmarshal(rec.Body.Bytes(), &cs); err != nil {
 						report("comments: %v", err)

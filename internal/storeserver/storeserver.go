@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"planetapps/internal/apiwire"
 	"planetapps/internal/arena"
 	"planetapps/internal/catalog"
 	"planetapps/internal/comments"
@@ -183,14 +184,14 @@ type Server struct {
 
 	// routeByKind indexes the same instruments by the router's route kind
 	// so dispatch never hashes a route-name string on the request path.
-	routeByKind [rNone]*routeInstruments
+	routeByKind [apiwire.None]*routeInstruments
 
 	// writeRes holds the store_writes_total{endpoint,result} counters for
 	// the POST-capable route kinds, pre-registered so the write path never
 	// takes the registry lock.
-	writeRes [rNone]map[string]*metrics.Counter
+	writeRes [apiwire.None]map[string]*metrics.Counter
 
-	// ccValue is the pre-rendered Cache-Control header value for v1
+	// ccValue is the pre-rendered Cache-Control header value of document
 	// responses ("max-age=N"), fixed by config at construction.
 	ccValue string
 
@@ -325,7 +326,7 @@ func (s *Server) CommitDay() int {
 }
 
 // SetComments attaches a generated comment stream, grouped per app, served
-// at /api/apps/{id}/comments. It publishes a fresh snapshot so in-flight
+// at /api/v1/apps/{id}/comments. It publishes a fresh snapshot so in-flight
 // requests keep the old comment set and new requests see the new one.
 func (s *Server) SetComments(cs []comments.Comment) {
 	// A shard keeps only the streams it can ever serve.
@@ -450,15 +451,11 @@ func (s *Server) Day() int {
 	return s.snap.Load().day
 }
 
-// Handler returns the HTTP handler serving the store API plus the
-// telemetry endpoint. The legacy /api routes and the versioned /api/v1
-// routes share the same route instruments and the same pre-encoded
-// documents — /api/v1 differs only in error rendering (JSON envelope),
-// honest Retry-After values, cursor pagination, content negotiation, and
-// the X-API-Version header. Dispatch goes through the zero-alloc parser
-// in router.go instead of ServeMux (see the file comment there). /metrics
-// sits outside both the rate limiter and the fault injector so a scraper
-// is never 429'd (or chaos-injected) by the workload it is observing.
+// Handler returns the HTTP handler serving the /api/v1 routes plus the
+// telemetry endpoint. Dispatch goes through the zero-alloc grammar of
+// internal/apiwire instead of ServeMux (see router.go). /metrics sits
+// outside both the rate limiter and the fault injector so a scraper is
+// never 429'd (or chaos-injected) by the workload it is observing.
 func (s *Server) Handler() http.Handler {
 	var inner http.Handler = http.HandlerFunc(s.route)
 	if s.chaos != nil {
@@ -485,24 +482,32 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// limit applies per-client token-bucket rate limiting. A rejected legacy
-// request gets the historical bare-string 429 with "Retry-After: 1",
-// byte-identical to every previous release; a rejected v1 request gets the
-// error envelope carrying the limiter's actual time-to-next-token, both as
-// a Retry-After header (ceiling seconds) and as retry_after_ms.
+// SetChaos installs a fault injector in front of the API routes (the
+// /metrics endpoint stays fault-free so observation survives the storm).
+// Injected error responses are rendered as the error envelope, with
+// retry_after_ms. Must be called before Handler().
+func (s *Server) SetChaos(inj *faultinject.Injector) {
+	inj.SetErrorWriter(func(w http.ResponseWriter, r *http.Request, status int, retryAfter time.Duration) {
+		code := "unavailable"
+		if status == http.StatusTooManyRequests {
+			code = "rate_limited"
+		}
+		apiwire.WriteError(w, status, code, "injected fault", retryAfter)
+	})
+	s.chaos = inj
+}
+
+// limit applies per-client token-bucket rate limiting. A rejected request
+// gets the error envelope carrying the limiter's actual time-to-next-token,
+// both as a Retry-After header (ceiling seconds) and as retry_after_ms.
 func (s *Server) limit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.lim != nil {
 			ok, wait := s.lim.allowWait(clientKey(r), time.Now())
 			if !ok {
 				s.limited.Inc()
-				if isV1(r.URL.Path) {
-					writeV1Error(w, http.StatusTooManyRequests, "rate_limited",
-						"rate limit exceeded", wait)
-				} else {
-					w.Header().Set("Retry-After", "1")
-					http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
-				}
+				apiwire.WriteError(w, http.StatusTooManyRequests, "rate_limited",
+					"rate limit exceeded", wait)
 				return
 			}
 		}
@@ -538,32 +543,49 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
+// stamp marks a response with the API version and its freshness. With a
+// scheduled day-roll cadence (Config.DayInterval) every response claims
+// the full interval as max-age and an Age counted from the serving
+// snapshot's publish, so a downstream cache's remaining freshness
+// (max-age - Age) is exactly the time to the next expected roll. With
+// manual rolls, Config.FreshFor is advertised with Age 0; with neither,
+// max-age=0 (always revalidate). Both values are served from caches — the
+// Cache-Control string is fixed at construction, the Age string re-renders
+// at most once per second — so stamping them is allocation-free.
+func (s *Server) stamp(h http.Header, sn *snapshot) {
+	hset(h, hdrAPIVersion, apiwire.Version)
+	hset(h, hdrCacheControl, s.ccValue)
+	if s.cfg.DayInterval > 0 {
+		hset(h, hdrAge, sn.ageString())
+	} else {
+		hset(h, hdrAge, "0")
+	}
+}
+
 // serveDoc writes one pre-encoded JSON document, honouring If-None-Match
 // revalidation. X-Store-Day identifies the serving snapshot so a client
 // (or the consistency stress test) can correlate a response with exactly
-// one simulated day.
+// one simulated day. The stamp precedes the conditional check so 304s
+// carry it too: a revalidating cache resets its clock from the 304.
 //
-// With negotiate set (the /api/v1 surface), the response picks between
-// the document's two snapshot-time representations by Accept-Encoding:
-// clients admitting gzip get the pre-compressed bytes with
-// Content-Encoding: gzip and the representation's own "-gz" ETag, so
-// If-None-Match validators only ever match the encoding they were minted
-// for; Vary: Accept-Encoding marks the choice on 200s and 304s alike.
-// The legacy /api surface stays identity-only — its responses have been
-// byte-frozen since PR 5 and remain so on the wire.
-func serveDoc(w http.ResponseWriter, r *http.Request, sn *snapshot, d docView, negotiate bool) {
+// The response picks between the document's two snapshot-time
+// representations by Accept-Encoding: clients admitting gzip get the
+// pre-compressed bytes with Content-Encoding: gzip and the
+// representation's own "-gz" ETag, so If-None-Match validators only ever
+// match the encoding they were minted for; Vary: Accept-Encoding marks the
+// choice on 200s and 304s alike.
+func (s *Server) serveDoc(w http.ResponseWriter, r *http.Request, sn *snapshot, d docView) {
 	h := w.Header()
+	s.stamp(h, sn)
 	body, etag, clen := d.body, d.etag, d.clen
 	gz := false
-	if negotiate {
-		hset(h, hdrVary, "Accept-Encoding")
-		if d.gzBody != nil && gzipx.AcceptsGzip(r.Header.Get("Accept-Encoding")) {
-			body, etag, clen, gz = d.gzBody, d.gzEtag, d.gzClen, true
-		}
+	hset(h, hdrVary, "Accept-Encoding")
+	if d.gzBody != nil && gzipx.AcceptsGzip(r.Header.Get("Accept-Encoding")) {
+		body, etag, clen, gz = d.gzBody, d.gzEtag, d.gzClen, true
 	}
 	hset(h, hdrETag, etag)
 	hset(h, hdrStoreDay, sn.dayStr)
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
+	if apiwire.ETagMatch(r.Header.Get("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -573,29 +595,6 @@ func serveDoc(w http.ResponseWriter, r *http.Request, sn *snapshot, d docView, n
 	hset(h, hdrContentType, "application/json")
 	hset(h, hdrContentLength, clen)
 	w.Write(body) //nolint:errcheck // client gone; nothing useful to do
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request, sn *snapshot) {
-	page := 0
-	if p, ok := queryValue(r.URL.RawQuery, "page"); ok && p != "" {
-		v, ok := parsePage(p)
-		if !ok {
-			http.Error(w, "bad page", http.StatusBadRequest)
-			return
-		}
-		page = v
-	}
-	if page >= sn.pages {
-		http.Error(w, "page out of range", http.StatusNotFound)
-		return
-	}
-	serveDoc(w, r, sn, sn.listDoc(page), false)
-}
-
-// parsePage parses a non-negative int without strconv's error allocation.
-func parsePage(s string) (int, bool) {
-	v, ok := parseAppID(s)
-	return int(v), ok
 }
 
 // apkScale converts an app's SizeMB into served bytes. Full-size APK
@@ -616,7 +615,7 @@ func (s *Server) handleAPK(w http.ResponseWriter, r *http.Request, sn *snapshot,
 	id := int32(a.ID)
 	etag := `"v` + strconv.Itoa(a.Versions) + `"`
 	w.Header().Set("ETag", etag)
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
+	if apiwire.ETagMatch(r.Header.Get("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}

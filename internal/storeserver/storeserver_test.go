@@ -46,7 +46,7 @@ func getJSON(t *testing.T, url string, out any) int {
 func TestStats(t *testing.T) {
 	_, ts := testServer(t, Config{PageSize: 50})
 	var st StatsJSON
-	if code := getJSON(t, ts.URL+"/api/stats", &st); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/stats", &st); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if st.Store != "slideme" || st.Apps == 0 || st.TotalDownloads == 0 {
@@ -57,7 +57,7 @@ func TestStats(t *testing.T) {
 func TestListingPagination(t *testing.T) {
 	_, ts := testServer(t, Config{PageSize: 100})
 	var first PageJSON
-	if code := getJSON(t, ts.URL+"/api/apps?page=0", &first); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/apps?page=0", &first); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(first.Apps) != 100 {
@@ -67,7 +67,7 @@ func TestListingPagination(t *testing.T) {
 	total := 0
 	for p := 0; p < first.Pages; p++ {
 		var page PageJSON
-		if code := getJSON(t, fmt.Sprintf("%s/api/apps?page=%d", ts.URL, p), &page); code != 200 {
+		if code := getJSON(t, fmt.Sprintf("%s/api/v1/apps?page=%d", ts.URL, p), &page); code != 200 {
 			t.Fatalf("page %d: status %d", p, code)
 		}
 		for _, a := range page.Apps {
@@ -86,10 +86,10 @@ func TestListingPagination(t *testing.T) {
 func TestListingErrors(t *testing.T) {
 	_, ts := testServer(t, Config{PageSize: 100})
 	var out PageJSON
-	if code := getJSON(t, ts.URL+"/api/apps?page=badnum", &out); code != 400 {
+	if code := getJSON(t, ts.URL+"/api/v1/apps?page=badnum", &out); code != 400 {
 		t.Fatalf("bad page param: status %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/api/apps?page=100000", &out); code != 404 {
+	if code := getJSON(t, ts.URL+"/api/v1/apps?page=100000", &out); code != 404 {
 		t.Fatalf("out of range page: status %d", code)
 	}
 }
@@ -97,16 +97,16 @@ func TestListingErrors(t *testing.T) {
 func TestAppDetail(t *testing.T) {
 	_, ts := testServer(t, Config{PageSize: 50})
 	var app AppJSON
-	if code := getJSON(t, ts.URL+"/api/apps/0", &app); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/apps/0", &app); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if app.ID != 0 || app.Category == "" || app.Developer == "" {
 		t.Fatalf("app = %+v", app)
 	}
-	if code := getJSON(t, ts.URL+"/api/apps/99999999", &app); code != 404 {
+	if code := getJSON(t, ts.URL+"/api/v1/apps/99999999", &app); code != 404 {
 		t.Fatalf("missing app: status %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/api/apps/abc", &app); code != 400 {
+	if code := getJSON(t, ts.URL+"/api/v1/apps/abc", &app); code != 400 {
 		t.Fatalf("bad id: status %d", code)
 	}
 }
@@ -130,7 +130,7 @@ func TestCommentsEndpoint(t *testing.T) {
 	var total int
 	for id := 0; id < 50; id++ {
 		var out []CommentJSON
-		if code := getJSON(t, fmt.Sprintf("%s/api/apps/%d/comments", ts.URL, id), &out); code != 200 {
+		if code := getJSON(t, fmt.Sprintf("%s/api/v1/apps/%d/comments", ts.URL, id), &out); code != 200 {
 			t.Fatalf("status %d", code)
 		}
 		total += len(out)
@@ -144,7 +144,7 @@ func TestRateLimiting(t *testing.T) {
 	_, ts := testServer(t, Config{PageSize: 50, RatePerSec: 5, Burst: 3})
 	limited := false
 	for i := 0; i < 10; i++ {
-		resp, err := http.Get(ts.URL + "/api/stats")
+		resp, err := http.Get(ts.URL + "/api/v1/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestRateLimitPerClient(t *testing.T) {
 	// Distinct X-Forwarded-For chains count as distinct clients.
 	h := s.Handler()
 	status := func(xff string) int {
-		req := httptest.NewRequest(http.MethodGet, "/api/stats", nil)
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/stats", nil)
 		req.Header.Set("X-Forwarded-For", xff)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
@@ -186,11 +186,11 @@ func TestRateLimitPerClient(t *testing.T) {
 func TestAdvanceDay(t *testing.T) {
 	s, ts := testServer(t, Config{PageSize: 50})
 	var before, after StatsJSON
-	getJSON(t, ts.URL+"/api/stats", &before)
+	getJSON(t, ts.URL+"/api/v1/stats", &before)
 	if err := s.AdvanceDay(); err != nil {
 		t.Fatal(err)
 	}
-	getJSON(t, ts.URL+"/api/stats", &after)
+	getJSON(t, ts.URL+"/api/v1/stats", &after)
 	if after.Day != before.Day+1 {
 		t.Fatalf("day %d -> %d", before.Day, after.Day)
 	}
@@ -217,7 +217,7 @@ func TestClientKey(t *testing.T) {
 		{" , proxy-a", "10.0.0.1:4321", "10.0.0.1"},
 	}
 	for _, c := range cases {
-		r := httptest.NewRequest(http.MethodGet, "/api/stats", nil)
+		r := httptest.NewRequest(http.MethodGet, "/api/v1/stats", nil)
 		r.RemoteAddr = c.remote
 		if c.xff != "" {
 			r.Header.Set("X-Forwarded-For", c.xff)
@@ -242,44 +242,34 @@ func TestAppName(t *testing.T) {
 // changes the ETag for day-dependent documents.
 func TestJSONConditionalGET(t *testing.T) {
 	s, ts := testServer(t, Config{PageSize: 50})
-	for _, path := range []string{"/api/stats", "/api/apps?page=0", "/api/apps/3", "/api/apps/3/comments"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		etag := resp.Header.Get("ETag")
+	for _, path := range []string{"/api/v1/stats", "/api/v1/apps?page=0", "/api/v1/apps/3", "/api/v1/apps/3/comments"} {
+		// Identity on the wire, so Content-Length is the body's (the Go
+		// client's transparent gzip would strip the header).
+		_, body, hdr := fetch(t, ts.URL+path, map[string]string{"Accept-Encoding": "identity"})
+		etag := hdr.Get("ETag")
 		if etag == "" {
 			t.Fatalf("%s: no ETag", path)
 		}
-		if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(len(body)) {
+		if cl := hdr.Get("Content-Length"); cl != fmt.Sprint(len(body)) {
 			t.Fatalf("%s: Content-Length %s, body %d bytes", path, cl, len(body))
 		}
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
-		req.Header.Set("If-None-Match", etag)
-		resp2, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, _ := io.ReadAll(resp2.Body)
-		resp2.Body.Close()
-		if resp2.StatusCode != http.StatusNotModified {
-			t.Fatalf("%s: conditional GET returned %d", path, resp2.StatusCode)
+		code, b2, _ := fetch(t, ts.URL+path, map[string]string{"Accept-Encoding": "identity", "If-None-Match": etag})
+		if code != http.StatusNotModified {
+			t.Fatalf("%s: conditional GET returned %d", path, code)
 		}
 		if len(b2) != 0 {
 			t.Fatalf("%s: 304 carried %d body bytes", path, len(b2))
 		}
 	}
 	// Day-dependent documents revalidate to fresh content after AdvanceDay.
-	resp, _ := http.Get(ts.URL + "/api/stats")
+	resp, _ := http.Get(ts.URL + "/api/v1/stats")
 	oldTag := resp.Header.Get("ETag")
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
 	if err := s.AdvanceDay(); err != nil {
 		t.Fatal(err)
 	}
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/api/stats", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/api/v1/stats", nil)
 	req.Header.Set("If-None-Match", oldTag)
 	resp3, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -303,7 +293,7 @@ func TestListPageAllocBound(t *testing.T) {
 	s, _ := testServer(t, Config{PageSize: 100})
 	h := s.Handler()
 	get := func() {
-		req := httptest.NewRequest(http.MethodGet, "/api/apps?page=0", nil)
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/apps?page=0", nil)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
@@ -322,7 +312,7 @@ func TestListPageAllocBound(t *testing.T) {
 
 func TestAPKEndpoint(t *testing.T) {
 	_, ts := testServer(t, Config{PageSize: 50})
-	resp, err := http.Get(ts.URL + "/api/apps/0/apk")
+	resp, err := http.Get(ts.URL + "/api/v1/apps/0/apk")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +332,7 @@ func TestAPKEndpoint(t *testing.T) {
 		t.Fatal("no ETag")
 	}
 	// Same version: identical payload.
-	resp2, err := http.Get(ts.URL + "/api/apps/0/apk")
+	resp2, err := http.Get(ts.URL + "/api/v1/apps/0/apk")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +342,7 @@ func TestAPKEndpoint(t *testing.T) {
 		t.Fatal("APK payload not deterministic")
 	}
 	// Conditional request with the ETag short-circuits.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/api/apps/0/apk", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/api/v1/apps/0/apk", nil)
 	req.Header.Set("If-None-Match", etag)
 	resp3, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -364,7 +354,7 @@ func TestAPKEndpoint(t *testing.T) {
 		t.Fatalf("conditional GET returned %d", resp3.StatusCode)
 	}
 	// Unknown app.
-	resp4, err := http.Get(ts.URL + "/api/apps/999999/apk")
+	resp4, err := http.Get(ts.URL + "/api/v1/apps/999999/apk")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"planetapps/internal/apiwire"
 	"planetapps/internal/wal"
 )
 
@@ -15,7 +16,7 @@ import (
 // snapshot (the app must exist today), appended to the write-ahead log,
 // and acknowledged only after its group-commit batch seals — an acked
 // write is guaranteed to merge into the next day's snapshot. The handlers
-// share the v1 error envelope; the new shapes are 422 validation_failed
+// share the error envelope; the new shapes are 422 validation_failed
 // (well-formed JSON, bad field values), 409 duplicate (the natural key
 // (kind, app, user) was already accepted — the store models
 // fetch-at-most-once users), and 429 wal_backpressure with an honest
@@ -50,24 +51,22 @@ type WriteAckJSON struct {
 
 // handleWrite services one POST mutation. The snapshot was loaded once by
 // dispatch, so validation and the X-Store-Day header agree on one day.
-func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, sn *snapshot, kind int, id int32, idOK bool) {
+func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, sn *snapshot, kind apiwire.Kind, id int32, idOK bool) {
 	res := s.writeRes[kind]
 	if !idOK {
 		res["invalid"].Inc()
-		writeV1Error(w, http.StatusBadRequest, "bad_app_id",
-			"app id must be a non-negative integer", 0)
+		apiwire.BadAppID.Write(w)
 		return
 	}
 	if _, ok := sn.ex.IndexOf(id); !ok {
 		res["invalid"].Inc()
-		writeV1Error(w, http.StatusNotFound, "app_not_found",
-			"no app with id "+strconv.FormatInt(int64(id), 10), 0)
+		writeAppNotFound(w, id)
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxWriteBody+1))
 	if err != nil || len(body) > maxWriteBody {
 		res["invalid"].Inc()
-		writeV1Error(w, http.StatusBadRequest, "bad_request",
+		apiwire.WriteError(w, http.StatusBadRequest, "bad_request",
 			"request body unreadable or larger than "+strconv.Itoa(maxWriteBody)+" bytes", 0)
 		return
 	}
@@ -75,36 +74,36 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, sn *snapsho
 	if len(body) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
 			res["invalid"].Inc()
-			writeV1Error(w, http.StatusBadRequest, "bad_request",
+			apiwire.WriteError(w, http.StatusBadRequest, "bad_request",
 				"request body must be a JSON object", 0)
 			return
 		}
 	}
 	if req.User == nil || *req.User < 0 {
 		res["invalid"].Inc()
-		writeV1Error(w, http.StatusUnprocessableEntity, "validation_failed",
+		apiwire.WriteError(w, http.StatusUnprocessableEntity, "validation_failed",
 			`"user" is required and must be a non-negative integer`, 0)
 		return
 	}
 	rec := wal.Rec{App: id, User: *req.User}
 	switch kind {
-	case rDownload:
+	case apiwire.Download:
 		rec.Kind = wal.Download
-	case rRate:
+	case apiwire.Rate:
 		rec.Kind = wal.Rate
 		if req.Rating == nil || *req.Rating < 1 || *req.Rating > 5 {
 			res["invalid"].Inc()
-			writeV1Error(w, http.StatusUnprocessableEntity, "validation_failed",
+			apiwire.WriteError(w, http.StatusUnprocessableEntity, "validation_failed",
 				`"rating" is required and must be an integer in 1..5`, 0)
 			return
 		}
 		rec.Rating = *req.Rating
-	case rComments:
+	case apiwire.Comments:
 		rec.Kind = wal.Comment
 		if req.Rating != nil {
 			if *req.Rating < 0 || *req.Rating > 5 {
 				res["invalid"].Inc()
-				writeV1Error(w, http.StatusUnprocessableEntity, "validation_failed",
+				apiwire.WriteError(w, http.StatusUnprocessableEntity, "validation_failed",
 					`"rating", when present, must be an integer in 0..5`, 0)
 				return
 			}
@@ -114,13 +113,13 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, sn *snapsho
 	ack, err := s.wlog.Append(rec, r.Header.Get("Idempotency-Key"))
 	if err != nil { // ErrBackpressure is the only error Append returns
 		res["backpressure"].Inc()
-		writeV1Error(w, http.StatusTooManyRequests, "wal_backpressure",
+		apiwire.WriteError(w, http.StatusTooManyRequests, "wal_backpressure",
 			"write buffer full; retry after backoff", s.wlog.RetryAfter())
 		return
 	}
 	if ack.Duplicate {
 		res["duplicate"].Inc()
-		writeV1Error(w, http.StatusConflict, "duplicate",
+		apiwire.WriteError(w, http.StatusConflict, "duplicate",
 			rec.Kind.String()+" by user "+strconv.FormatInt(int64(rec.User), 10)+
 				" for app "+strconv.FormatInt(int64(id), 10)+" already recorded", 0)
 		return
@@ -131,7 +130,7 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, sn *snapsho
 		res["accepted"].Inc()
 	}
 	h := w.Header()
-	hset(h, hdrAPIVersion, apiVersion)
+	hset(h, hdrAPIVersion, apiwire.Version)
 	hset(h, hdrCacheControl, "no-store")
 	hset(h, hdrStoreDay, sn.dayStr)
 	buf := bufPool.Get().(*bytes.Buffer)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"planetapps/internal/apiwire"
 	"planetapps/internal/catalog"
 	"planetapps/internal/marketsim"
 	"planetapps/internal/wal"
@@ -69,7 +70,7 @@ func TestWriteEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate: status %d body %s", resp.StatusCode, body)
 	}
-	var e ErrorJSON
+	var e apiwire.ErrorJSON
 	if json.Unmarshal(body, &e) != nil || e.Error.Code != "duplicate" {
 		t.Fatalf("duplicate envelope: %s", body)
 	}
@@ -133,7 +134,7 @@ func TestWriteBackpressure(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("backpressure 429 missing Retry-After")
 	}
-	var e ErrorJSON
+	var e apiwire.ErrorJSON
 	if json.Unmarshal(body, &e) != nil || e.Error.Code != "wal_backpressure" || e.Error.RetryAfterMS <= 0 {
 		t.Fatalf("backpressure envelope: %s", body)
 	}
@@ -149,26 +150,22 @@ func TestWriteBackpressure(t *testing.T) {
 	}
 }
 
-// TestMethodNotAllowed pins the 405 satellite: known v1 routes answer
-// wrong methods with Allow + the envelope; the legacy surface keeps its
-// historical plain 405 (and 404 for the never-existing write tails).
+// TestMethodNotAllowed pins the 405 contract: known routes answer wrong
+// methods with Allow + the envelope.
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := testServer(t, Config{PageSize: 50})
 	cases := []struct {
 		method, path string
 		status       int
 		allow        string
-		v1           bool
 	}{
-		{"POST", "/api/v1/stats", 405, "GET, HEAD", true},
-		{"DELETE", "/api/v1/apps", 405, "GET, HEAD", true},
-		{"POST", "/api/v1/apps/1", 405, "GET, HEAD", true},
-		{"POST", "/api/v1/apps/1/apk", 405, "GET, HEAD", true},
-		{"GET", "/api/v1/apps/1/download", 405, "POST", true},
-		{"GET", "/api/v1/apps/1/rate", 405, "POST", true},
-		{"DELETE", "/api/v1/apps/1/comments", 405, "GET, HEAD, POST", true},
-		{"POST", "/api/stats", 405, "GET, HEAD", false},
-		{"POST", "/api/apps/1/comments", 405, "GET, HEAD", false},
+		{"POST", "/api/v1/stats", 405, "GET, HEAD"},
+		{"DELETE", "/api/v1/apps", 405, "GET, HEAD"},
+		{"POST", "/api/v1/apps/1", 405, "GET, HEAD"},
+		{"POST", "/api/v1/apps/1/apk", 405, "GET, HEAD"},
+		{"GET", "/api/v1/apps/1/download", 405, "POST"},
+		{"GET", "/api/v1/apps/1/rate", 405, "POST"},
+		{"DELETE", "/api/v1/apps/1/comments", 405, "GET, HEAD, POST"},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
@@ -187,20 +184,9 @@ func TestMethodNotAllowed(t *testing.T) {
 		if got := resp.Header.Get("Allow"); got != tc.allow {
 			t.Fatalf("%s %s: Allow %q, want %q", tc.method, tc.path, got, tc.allow)
 		}
-		if tc.v1 {
-			var e ErrorJSON
-			if json.Unmarshal(body, &e) != nil || e.Error.Code != "method_not_allowed" {
-				t.Fatalf("%s %s: envelope %s", tc.method, tc.path, body)
-			}
-		} else if strings.TrimSpace(string(body)) != "Method Not Allowed" {
-			t.Fatalf("%s %s: legacy body %q changed", tc.method, tc.path, body)
-		}
-	}
-	// The write tails never existed on the legacy surface: still 404.
-	for _, p := range []string{"/api/apps/1/download", "/api/apps/1/rate"} {
-		resp, body := postJSON(t, ts.URL+p, `{"user":1}`, "")
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("POST %s: status %d body %s, want 404", p, resp.StatusCode, body)
+		var e apiwire.ErrorJSON
+		if json.Unmarshal(body, &e) != nil || e.Error.Code != "method_not_allowed" {
+			t.Fatalf("%s %s: envelope %s", tc.method, tc.path, body)
 		}
 	}
 }
