@@ -482,35 +482,40 @@ func detailClass(rep *loadgen.Report) *loadgen.ClassReport {
 	return nil
 }
 
+// traceFile is a trace replay that owns its file; Generator.Run closes it.
+type traceFile struct {
+	loadgen.Source
+	tr *trace.Reader
+	f  *os.File
+}
+
+func (t traceFile) Close() error { return t.f.Close() }
+
 // sourceFactory returns a function producing fresh Sources over the same
 // workload: re-opening the trace file, or re-streaming the model with the
 // same seed.
 func sourceFactory(ctx context.Context, tracePath, kind string, cfg model.Config, seed uint64) (func() (loadgen.Source, error), string, error) {
 	if tracePath != "" {
-		// Validate eagerly so flag errors surface before the run.
-		f, err := os.Open(tracePath)
-		if err != nil {
-			return nil, "", err
-		}
-		tr, err := trace.NewReader(f)
-		if err != nil {
-			f.Close()
-			return nil, "", err
-		}
-		desc := fmt.Sprintf("trace %s (%d apps, %d users)", tracePath, tr.Apps(), tr.Users())
-		f.Close()
-		return func() (loadgen.Source, error) {
+		open := func() (traceFile, error) {
 			f, err := os.Open(tracePath)
 			if err != nil {
-				return nil, err
+				return traceFile{}, err
 			}
 			tr, err := trace.NewReader(f)
 			if err != nil {
 				f.Close()
-				return nil, err
+				return traceFile{}, err
 			}
-			return loadgen.NewTraceSource(tr), nil
-		}, desc, nil
+			return traceFile{loadgen.NewTraceSource(tr), tr, f}, nil
+		}
+		// Validate eagerly so flag errors surface before the run.
+		t, err := open()
+		if err != nil {
+			return nil, "", err
+		}
+		t.Close()
+		desc := fmt.Sprintf("trace %s (%d apps, %d users)", tracePath, t.tr.Apps(), t.tr.Users())
+		return func() (loadgen.Source, error) { return open() }, desc, nil
 	}
 	var mk model.Kind
 	switch kind {

@@ -4,9 +4,9 @@
 // lists, listing cursors), the JSON error envelope, and the path builders
 // clients use. The store routes with it, the gateway classifies and
 // answers with it, the edge cache categorizes documents with it, and the
-// crawler, the session runner and the load generator build their URLs
-// with it — so a new route or error code is one edit, and every tier
-// answers a malformed request with the same bytes.
+// crawler and the load generator build their URLs with it — so a new
+// route or error code is one edit, and every tier answers a malformed
+// request with the same bytes.
 //
 // It imports the standard library only. Everything on a request's hot
 // path (ParsePath, QueryValue, ETagMatch, DecodeCursor) is allocation

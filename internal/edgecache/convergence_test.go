@@ -285,3 +285,46 @@ type incoherent struct {
 func (e *incoherent) Error() string {
 	return "snapshot incoherence: X-Store-Day " + e.header + " vs body day " + strconv.Itoa(e.body)
 }
+
+// TestEdgeAnswersMalformedPathsLikeTheOrigin sends the malformed-path rows
+// of fleet's odd-request table, plus a "//" prefix and a ".." segment,
+// to a store directly and through the edge and requires the same status
+// and body: the edge forwards the path it was given, it does not clean or
+// redirect it. /metrics stays the edge's own.
+func TestEdgeAnswersMalformedPathsLikeTheOrigin(t *testing.T) {
+	_, origin := originStore(t)
+	_, edgeURL := edgeFor(t, origin.URL, Config{CapacityBytes: 1 << 20})
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}}
+	get := func(url string) (int, string) {
+		t.Helper()
+		resp, err := client.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	for _, path := range []string{
+		"/api/v1/apps//comments",
+		"/api/v1/apps/3/",
+		"//api/v1/stats",
+		"/api/v1/apps/3/../4",
+		"/api/v1/apps/",
+		"/api/v1/apps/xyz",
+	} {
+		wantCode, wantBody := get(origin.URL + path)
+		code, body := get(edgeURL + path)
+		if code != wantCode || body != wantBody {
+			t.Errorf("GET %s: edge answered %d %q, origin %d %q", path, code, body, wantCode, wantBody)
+		}
+	}
+	if code, body := get(edgeURL + "/metrics"); code != http.StatusOK || !bytes.Contains([]byte(body), []byte("edge_requests_total")) {
+		t.Errorf("GET /metrics: %d, want the edge's own registry:\n%s", code, body)
+	}
+}

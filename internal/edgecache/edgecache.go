@@ -220,18 +220,22 @@ func (s *Server) Close() {
 
 // Handler returns the edge's HTTP surface: every path proxies to the
 // origin through the cache, except /metrics, which serves the edge's own
-// registry (the origin's /metrics is its own to expose).
+// registry (the origin's /metrics is its own to expose). Dispatch is an
+// exact match rather than an http.ServeMux because the mux answers "//"
+// and ".." paths with a 301 of its own, and a malformed path must get
+// the origin's answer, as it does from a store or a gateway.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
 	inner := s.reg.Handler()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/metrics" || (r.Method != http.MethodGet && r.Method != http.MethodHead) {
+			s.proxy(w, r)
+			return
+		}
 		// The residency gauges are refreshed by Stats(); without this a
 		// scrape that never calls Stats() would report 0 entries forever.
 		s.Stats()
 		inner.ServeHTTP(w, r)
 	})
-	mux.HandleFunc("/", s.proxy)
-	return mux
 }
 
 // variantOf maps a client request to the encoding variant the edge will

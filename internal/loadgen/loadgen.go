@@ -167,36 +167,43 @@ const (
 	WriteComment  = "comment"
 )
 
-// writeEndpoints is the canonical report order.
-var writeEndpoints = []string{WriteDownload, WriteRate, WriteComment}
+// readClasses and writeEndpoints are the canonical report orders.
+var (
+	readClasses    = []string{ClassDetail, ClassList, ClassAPK}
+	writeEndpoints = []string{WriteDownload, WriteRate, WriteComment}
+)
+
+// sendStats is the part of the books the shared request path keeps for
+// reads and writes alike: requests sent in the measured window, requests
+// the warm-up excluded, transport errors, full-window latency.
+type sendStats struct {
+	sent    metrics.Counter
+	warmup  metrics.Counter
+	errors  metrics.Counter
+	latency *metrics.Histogram
+}
 
 // writeStats accumulates one write endpoint's outcomes, keyed by the
 // store's ack vocabulary: accepted (logged fresh), deduped (idempotency
 // replay), duplicate (natural key taken, 409), backpressure (WAL full,
-// 429), rejected (any other non-2xx verdict), errors (transport).
+// 429), rejected (any other non-2xx verdict).
 type writeStats struct {
-	posts        metrics.Counter
+	sendStats
 	accepted     metrics.Counter
 	deduped      metrics.Counter
 	duplicate    metrics.Counter
 	backpressure metrics.Counter
 	rejected     metrics.Counter
-	errors       metrics.Counter
-	warmup       metrics.Counter
-	latency      *metrics.Histogram
 }
 
 // classStats accumulates one request class. preRoll/postRoll split the
 // measured window at the day-roll instant (populated only when a roll is
 // configured; latency always carries the full window).
 type classStats struct {
-	requests    metrics.Counter
+	sendStats
 	ok          metrics.Counter
 	rateLimited metrics.Counter
-	errors      metrics.Counter
 	otherStatus metrics.Counter
-	warmup      metrics.Counter
-	latency     *metrics.Histogram
 	preRoll     *metrics.Histogram
 	postRoll    *metrics.Histogram
 
@@ -206,14 +213,6 @@ type classStats struct {
 	gzipBytes     metrics.Counter
 	identityBytes metrics.Counter
 	gzipResponses metrics.Counter
-}
-
-func newClassStats() *classStats {
-	return &classStats{
-		latency:  metrics.NewHistogram(),
-		preRoll:  metrics.NewHistogram(),
-		postRoll: metrics.NewHistogram(),
-	}
 }
 
 // Generator replays a Source against a store. Create with New; a
@@ -296,18 +295,20 @@ func New(cfg Config) (*Generator, error) {
 		}}
 	}
 	g := &Generator{
-		cfg:    cfg,
-		client: client,
-		classes: map[string]*classStats{
-			ClassDetail: newClassStats(),
-			ClassList:   newClassStats(),
-			ClassAPK:    newClassStats(),
-		},
-		writes: map[string]*writeStats{
-			WriteDownload: {latency: metrics.NewHistogram()},
-			WriteRate:     {latency: metrics.NewHistogram()},
-			WriteComment:  {latency: metrics.NewHistogram()},
-		},
+		cfg:     cfg,
+		client:  client,
+		classes: map[string]*classStats{},
+		writes:  map[string]*writeStats{},
+	}
+	for _, class := range readClasses {
+		g.classes[class] = &classStats{
+			sendStats: sendStats{latency: metrics.NewHistogram()},
+			preRoll:   metrics.NewHistogram(),
+			postRoll:  metrics.NewHistogram(),
+		}
+	}
+	for _, ep := range writeEndpoints {
+		g.writes[ep] = &writeStats{sendStats: sendStats{latency: metrics.NewHistogram()}}
 	}
 	g.postRollDay.Store(-1)
 	return g, nil
@@ -342,150 +343,66 @@ func clientAddr(user int32) string {
 	return fmt.Sprintf("10.%d.%d.%d", (u>>16)&255, (u>>8)&255, u&255)
 }
 
-// issue performs one request and records it under class.
-func (g *Generator) issue(ctx context.Context, class string, ev model.Event) {
-	cs := g.classes[class]
-	url := g.cfg.BaseURL
-	switch class {
-	case ClassList:
-		url += apiwire.ListPath
-	case ClassAPK:
-		url += apiwire.AppPath(apiwire.APK, ev.App)
-	default:
-		url += apiwire.AppPath(apiwire.Detail, ev.App)
-	}
-	rctx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
-	if err != nil {
-		cs.errors.Inc()
-		return
-	}
-	req.Header.Set("X-Forwarded-For", clientAddr(ev.User))
-	if g.cfg.AcceptGzip {
-		req.Header.Set("Accept-Encoding", "gzip")
-	} else {
-		req.Header.Set("Accept-Encoding", "identity")
-	}
-	start := time.Now()
-	record := !start.Before(g.measureAt)
-	if !record {
-		cs.warmup.Inc()
-	} else {
-		cs.requests.Inc()
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		if record {
-			cs.errors.Inc()
-		}
-		return
-	}
-	wire, _ := io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if !record {
-		return
-	}
-	if resp.Header.Get("Content-Encoding") == "gzip" {
-		cs.gzipResponses.Inc()
-		cs.gzipBytes.Add(wire)
-	} else {
-		cs.identityBytes.Add(wire)
-	}
-	elapsed := time.Since(start)
-	cs.latency.Observe(int64(elapsed))
-	if g.cfg.DayRollAfter > 0 {
-		// Split on the request's start instant vs the roll's completion:
-		// a request launched after the swap finished faces the new
-		// snapshot's (possibly cold) response cache.
-		if mark := g.rollMark.Load(); mark > 0 && start.UnixNano() >= mark {
-			cs.postRoll.Observe(int64(elapsed))
-			if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified {
-				if day, err := strconv.Atoi(resp.Header.Get("X-Store-Day")); err == nil {
-					if !g.postRollDay.CompareAndSwap(-1, int64(day)) && g.postRollDay.Load() != int64(day) {
-						g.mixedEpoch.Inc()
-					}
-				}
-			}
-		} else {
-			cs.preRoll.Observe(int64(elapsed))
-		}
-	}
-	switch {
-	case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified:
-		cs.ok.Inc()
-	case resp.StatusCode == http.StatusTooManyRequests:
-		cs.rateLimited.Inc()
-	default:
-		cs.otherStatus.Inc()
-	}
+// outcome is one measured response, body drained and closed, as the two
+// classifiers see it.
+type outcome struct {
+	resp *http.Response
+	// ack is the head of a POST's response body (the store's write ack).
+	ack []byte
+	// wire is the body size as transferred.
+	wire    int64
+	elapsed time.Duration
+	// postRoll: the request started after the day roll completed.
+	postRoll bool
 }
 
-// writeHash mixes (seed, user, app) into the 64 bits every write-mix
-// decision derives from — a splitmix64 finalizer, so nearby ids decohere.
-func writeHash(seed uint64, user, app int32) uint64 {
-	x := seed ^ uint64(uint32(user))<<32 ^ uint64(uint32(app))
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// issueWrite POSTs one mutation and classifies the store's verdict.
-func (g *Generator) issueWrite(ctx context.Context, endpoint string, ev model.Event, h uint64) {
-	ws := g.writes[endpoint]
-	user := strconv.Itoa(int(ev.User))
-	var kind apiwire.Kind
-	var body string
-	switch endpoint {
-	case WriteDownload:
-		kind, body = apiwire.Download, `{"user":`+user+`}`
-	case WriteRate:
-		kind = apiwire.Rate
-		body = `{"user":` + user + `,"rating":` + strconv.Itoa(int(h>>8)%5+1) + `}`
-	case WriteComment:
-		kind = apiwire.Comments
-		body = `{"user":` + user + `,"rating":` + strconv.Itoa(int(h>>16)%5+1) + `}`
-	}
-	url := g.cfg.BaseURL + apiwire.AppPath(kind, ev.App)
+// send performs one request as ev's user and keeps the books reads and
+// writes share: the warm-up gate, the send/error counters, full-window
+// latency and, once a day roll has completed, the epoch-coherence check
+// on X-Store-Day. hdr is header name/value pairs. ok is false when there
+// is nothing to classify: the request failed (counted) or started inside
+// the warm-up window.
+func (g *Generator) send(ctx context.Context, st *sendStats, ev model.Event, method, path, body string, hdr ...string) (out outcome, ok bool) {
 	rctx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, url, strings.NewReader(body))
-	if err != nil {
-		ws.errors.Inc()
-		return
-	}
-	req.Header.Set("X-Forwarded-For", clientAddr(ev.User))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Idempotency-Key", "lg-u"+user+"-a"+strconv.Itoa(int(ev.App))+"-"+endpoint)
 	start := time.Now()
 	record := !start.Before(g.measureAt)
-	if !record {
-		ws.warmup.Inc()
+	if record {
+		st.sent.Inc()
 	} else {
-		ws.posts.Inc()
+		st.warmup.Inc()
 	}
-	resp, err := g.client.Do(req)
+	req, err := http.NewRequestWithContext(rctx, method, g.cfg.BaseURL+path, strings.NewReader(body))
+	var resp *http.Response
+	if err == nil {
+		req.Header.Set("X-Forwarded-For", clientAddr(ev.User))
+		for i := 0; i+1 < len(hdr); i += 2 {
+			req.Header.Set(hdr[i], hdr[i+1])
+		}
+		resp, err = g.client.Do(req)
+	}
 	if err != nil {
 		if record {
-			ws.errors.Inc()
+			st.errors.Inc()
 		}
-		return
+		return out, false
 	}
-	ackBody, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) //nolint:errcheck
-	io.Copy(io.Discard, resp.Body)                            //nolint:errcheck
+	if method == http.MethodPost {
+		out.ack, _ = io.ReadAll(io.LimitReader(resp.Body, 4096)) //nolint:errcheck
+	}
+	rest, _ := io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
 	if !record {
-		return
+		return out, false
 	}
-	ws.latency.Observe(int64(time.Since(start)))
-	// Write acks carry the serving epoch too: once the day-roll completes,
-	// a post-roll ack disagreeing on X-Store-Day is the same coherence
-	// violation the read path counts.
-	if g.cfg.DayRollAfter > 0 && resp.StatusCode == http.StatusOK {
-		if mark := g.rollMark.Load(); mark > 0 && start.UnixNano() >= mark {
+	out.resp, out.wire, out.elapsed = resp, int64(len(out.ack))+rest, time.Since(start)
+	st.latency.Observe(int64(out.elapsed))
+	// A request launched after the swap finished faces the new snapshot;
+	// reads and write acks alike carry the serving epoch, and one that
+	// disagrees with the first post-roll answer is a coherence violation.
+	if mark := g.rollMark.Load(); mark > 0 && start.UnixNano() >= mark {
+		out.postRoll = true
+		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified {
 			if day, err := strconv.Atoi(resp.Header.Get("X-Store-Day")); err == nil {
 				if !g.postRollDay.CompareAndSwap(-1, int64(day)) && g.postRollDay.Load() != int64(day) {
 					g.mixedEpoch.Inc()
@@ -493,12 +410,69 @@ func (g *Generator) issueWrite(ctx context.Context, endpoint string, ev model.Ev
 			}
 		}
 	}
-	switch resp.StatusCode {
+	return out, true
+}
+
+// issue performs one read request and records it under class.
+func (g *Generator) issue(ctx context.Context, class string, ev model.Event) {
+	cs := g.classes[class]
+	path := apiwire.ListPath
+	switch class {
+	case ClassDetail:
+		path = apiwire.AppPath(apiwire.Detail, ev.App)
+	case ClassAPK:
+		path = apiwire.AppPath(apiwire.APK, ev.App)
+	}
+	enc := "identity"
+	if g.cfg.AcceptGzip {
+		enc = "gzip"
+	}
+	out, ok := g.send(ctx, &cs.sendStats, ev, http.MethodGet, path, "", "Accept-Encoding", enc)
+	if !ok {
+		return
+	}
+	if out.resp.Header.Get("Content-Encoding") == "gzip" {
+		cs.gzipResponses.Inc()
+		cs.gzipBytes.Add(out.wire)
+	} else {
+		cs.identityBytes.Add(out.wire)
+	}
+	if out.postRoll {
+		cs.postRoll.Observe(int64(out.elapsed))
+	} else if g.cfg.DayRollAfter > 0 {
+		cs.preRoll.Observe(int64(out.elapsed))
+	}
+	switch out.resp.StatusCode {
+	case http.StatusOK, http.StatusNotModified:
+		cs.ok.Inc()
+	case http.StatusTooManyRequests:
+		cs.rateLimited.Inc()
+	default:
+		cs.otherStatus.Inc()
+	}
+}
+
+// issueWrite POSTs one mutation (stars > 0 attaches a rating) and
+// classifies the store's verdict.
+func (g *Generator) issueWrite(ctx context.Context, endpoint string, kind apiwire.Kind, ev model.Event, stars int) {
+	ws := g.writes[endpoint]
+	user := strconv.Itoa(int(ev.User))
+	body := `{"user":` + user
+	if stars > 0 {
+		body += `,"rating":` + strconv.Itoa(stars)
+	}
+	out, ok := g.send(ctx, &ws.sendStats, ev, http.MethodPost, apiwire.AppPath(kind, ev.App), body+"}",
+		"Content-Type", "application/json",
+		"Idempotency-Key", "lg-u"+user+"-a"+strconv.Itoa(int(ev.App))+"-"+endpoint)
+	if !ok {
+		return
+	}
+	switch out.resp.StatusCode {
 	case http.StatusOK:
 		var ack struct {
 			Deduped bool `json:"deduped"`
 		}
-		if json.Unmarshal(ackBody, &ack) == nil && ack.Deduped {
+		if json.Unmarshal(out.ack, &ack) == nil && ack.Deduped {
 			ws.deduped.Inc()
 		} else {
 			ws.accepted.Inc()
@@ -512,11 +486,45 @@ func (g *Generator) issueWrite(ctx context.Context, endpoint string, ev model.Ev
 	}
 }
 
+// writeHash mixes (seed, user, app) into the 64 bits every write-funnel
+// decision derives from — a splitmix64 finalizer, so nearby ids decohere.
+func writeHash(seed uint64, user, app int32) uint64 {
+	x := seed ^ uint64(uint32(user))<<32 ^ uint64(uint32(app))
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// funnel is what one event adds to its detail GET: nothing, or a download
+// and, for a quarter and an eighth of the downloaders, a rating and a
+// comment with their star counts.
+type funnel struct {
+	download, rate, comment bool
+	rateStars, commentStars int
+}
+
+// funnelFor is the whole write-side decision, a pure function of (seed,
+// user, app): mix is the share of events selected. Which worker replays
+// the event, when, and in which mode cannot change what gets written
+// (DESIGN.md §3b); cmd/bench/ops.go carries a frozen copy.
+func funnelFor(seed uint64, mix float64, ev model.Event) funnel {
+	h := writeHash(seed, ev.User, ev.App)
+	if float64(h>>40)/float64(1<<24) >= mix {
+		return funnel{}
+	}
+	return funnel{
+		download: true,
+		rate:     h&0x3 == 0, rateStars: int(h>>8)%5 + 1,
+		comment: h&0x7 == 0, commentStars: int(h>>16)%5 + 1,
+	}
+}
+
 // issueEvent replays one workload event: a metadata detail request, plus
 // a listing page for every ListEvery-th event, an APK download for every
-// APKEvery-th event, and — when WriteMix selects the event's (user, app)
-// — the write funnel: always a download, every 4th writer also rates,
-// every 8th also comments.
+// APKEvery-th event, and whatever funnelFor adds.
 func (g *Generator) issueEvent(ctx context.Context, ev model.Event, n int64) {
 	g.issue(ctx, ClassDetail, ev)
 	if g.cfg.ListEvery > 0 && n%int64(g.cfg.ListEvery) == 0 {
@@ -525,25 +533,28 @@ func (g *Generator) issueEvent(ctx context.Context, ev model.Event, n int64) {
 	if g.cfg.APKEvery > 0 && n%int64(g.cfg.APKEvery) == 0 {
 		g.issue(ctx, ClassAPK, ev)
 	}
-	if g.cfg.WriteMix > 0 {
-		h := writeHash(g.cfg.Seed, ev.User, ev.App)
-		if float64(h>>40)/float64(1<<24) < g.cfg.WriteMix {
-			g.issueWrite(ctx, WriteDownload, ev, h)
-			if h&0x3 == 0 {
-				g.issueWrite(ctx, WriteRate, ev, h)
-			}
-			if h&0x7 == 0 {
-				g.issueWrite(ctx, WriteComment, ev, h)
-			}
-		}
+	f := funnelFor(g.cfg.Seed, g.cfg.WriteMix, ev)
+	if f.download {
+		g.issueWrite(ctx, WriteDownload, apiwire.Download, ev, 0)
+	}
+	if f.rate {
+		g.issueWrite(ctx, WriteRate, apiwire.Rate, ev, f.rateStars)
+	}
+	if f.comment {
+		g.issueWrite(ctx, WriteComment, apiwire.Comments, ev, f.commentStars)
 	}
 }
 
 // Run replays src until the workload, the schedule, or ctx ends, then
 // returns the Report. Context cancellation is a clean stop, not an error;
-// a corrupt source surfaces as an error alongside the partial report.
+// a corrupt source surfaces as an error alongside the partial report. A
+// src that is an io.Closer is closed before Run returns, however much of
+// it the run consumed.
 func (g *Generator) Run(ctx context.Context, src Source) (*Report, error) {
 	g.src = src
+	if c, ok := src.(io.Closer); ok {
+		defer c.Close() //nolint:errcheck // read-only resources: a goroutine, a trace file
+	}
 	g.startedAt = time.Now()
 	g.measureAt = g.startedAt.Add(g.cfg.Warmup)
 	g.gcStart = gcstats.Read()

@@ -152,11 +152,11 @@ func (g *Generator) report(elapsed time.Duration) *Report {
 		measured = 0
 	}
 	rep.MeasuredSec = measured.Seconds()
-	for _, class := range []string{ClassDetail, ClassList, ClassAPK} {
+	for _, class := range readClasses {
 		cs := g.classes[class]
 		cr := ClassReport{
 			Class:         class,
-			Requests:      cs.requests.Value(),
+			Requests:      cs.sent.Value(),
 			OK:            cs.ok.Value(),
 			RateLimited:   cs.rateLimited.Value(),
 			Errors:        cs.errors.Value(),
@@ -198,7 +198,7 @@ func (g *Generator) report(elapsed time.Duration) *Report {
 			ws := g.writes[ep]
 			wr := WriteReport{
 				Endpoint:        ep,
-				Posts:           ws.posts.Value(),
+				Posts:           ws.sent.Value(),
 				Accepted:        ws.accepted.Value(),
 				Deduped:         ws.deduped.Value(),
 				Duplicate:       ws.duplicate.Value(),

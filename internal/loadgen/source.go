@@ -10,7 +10,9 @@ import (
 
 // Source yields the download events a Generator replays as HTTP traffic.
 // Next returns io.EOF when the workload is exhausted. Implementations need
-// not be safe for concurrent use; the Generator serializes access.
+// not be safe for concurrent use; the Generator serializes access. A
+// Source that holds a resource (a goroutine, a file) also implements
+// io.Closer, and Generator.Run closes it on return.
 type Source interface {
 	Next() (model.Event, error)
 }
@@ -52,11 +54,13 @@ type modelSource struct {
 	cancel context.CancelFunc
 }
 
-// NewModelSource streams events from sim under ctx; canceling ctx stops
-// the generator goroutine. The source ends after the simulator's full
-// workload (bound it with Config.MaxEvents if needed).
+// NewModelSource streams events from sim under ctx; canceling ctx or
+// closing the source stops the generator goroutine. The source ends after
+// the simulator's full workload (bound it with Config.MaxEvents if needed).
 func NewModelSource(ctx context.Context, sim *model.Simulator, seed uint64) Source {
 	ctx, cancel := context.WithCancel(ctx)
+	// Deep enough that generation runs ahead of replay in batches instead
+	// of handing over event by event.
 	ch := make(chan model.Event, 1024)
 	go func() {
 		defer close(ch)
@@ -80,5 +84,11 @@ func (s *modelSource) Next() (model.Event, error) {
 	return e, nil
 }
 
-// Close stops the generating goroutine early; safe to call repeatedly.
-func (s *modelSource) Close() { s.cancel() }
+// Close stops the generating goroutine and returns once it has exited
+// (it closes ch on its way out); safe to call repeatedly.
+func (s *modelSource) Close() error {
+	s.cancel()
+	for range s.ch {
+	}
+	return nil
+}

@@ -1,9 +1,9 @@
 // Package resilient is the client-side answer to internal/faultinject:
 // an HTTP client hardened against the hostility the paper's crawlers met
 // in the wild — GETs for the crawl, idempotency-keyed POSTs for the
-// session engine's writes. One Client bundles the defenses a months-long
-// crawl needs to converge through flaky endpoints, rate limits, and dying
-// proxies:
+// load generator's write funnel. One Client bundles the defenses a
+// months-long crawl needs to converge through flaky endpoints, rate
+// limits, and dying proxies:
 //
 //   - full-jitter exponential backoff that honors the server's
 //     Retry-After, in both its header form and the /api/v1 error
