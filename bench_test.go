@@ -208,7 +208,7 @@ func BenchmarkCachePolicies(b *testing.B) {
 func BenchmarkPrefetchX3(b *testing.B) {
 	res := runExperiment(b, "X3").(*experiments.PrefetchX3Result)
 	b.ReportMetric(res.HitRate("category-top"), "categorytop-hit-pct")
-	b.ReportMetric(res.HitRate("global-top"), "globaltop-hit-pct")
+	b.ReportMetric(res.HitRate("popularity"), "globaltop-hit-pct")
 }
 
 func BenchmarkRecommendX4(b *testing.B) {

@@ -20,15 +20,12 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
-	"planetapps"
 	"planetapps/internal/daemon"
 	"planetapps/internal/faultinject"
 	"planetapps/internal/fleet"
-	"planetapps/internal/marketsim"
 	"planetapps/internal/storeserver"
 )
 
@@ -53,7 +50,6 @@ func main() {
 
 		prewarm        = flag.Int("prewarm", 0, "pre-encode this many hot documents after each day roll (0 = off)")
 		prewarmWorkers = flag.Int("prewarm-workers", 0, "pre-warm worker pool size (0 = default)")
-		noSeries       = flag.Bool("no-series", false, "skip per-app daily time-series recording (serving only needs cumulative counts)")
 
 		shardIndex = flag.Int("shard-index", 0, "this node's position on the fleet's consistent-hash ring")
 		shardCount = flag.Int("shard-count", 0, "fleet size: serve only the ring partition owned by -shard-index and expose the /admin two-phase day-roll surface for gatewayd (0 = standalone full catalog)")
@@ -61,51 +57,27 @@ func main() {
 	)
 	flag.Parse()
 
-	prof, err := planetapps.StoreProfile(*store)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	prof = prof.Scale(*scale)
-	cfg := planetapps.DefaultMarketConfig(prof)
-	cfg.Days = *days
-	cfg.DisableSeries = *noSeries
-
-	// Create the market without running the whole period: the server
-	// advances days on demand (day 0 is already populated via warmup).
-	m, err := marketsim.New(cfg, *seed)
-	if err != nil {
-		log.Fatalf("appstored: %v", err)
-	}
-	scfg := storeserver.Config{
-		PageSize:       100,
-		RatePerSec:     *rate,
-		Burst:          *burst,
-		PrewarmDocs:    *prewarm,
-		PrewarmWorkers: *prewarmWorkers,
-		DayInterval:    *dayEvery,
-		FreshFor:       *freshFor,
-	}
-	// Fleet membership: every shard runs the same deterministic simulation
-	// (same profile, seed, days) and serves only the slice of it the
-	// consistent-hash ring assigns — no shard ever needs another's data.
-	if *shardCount > 0 {
-		if *shardIndex < 0 || *shardIndex >= *shardCount {
-			log.Fatalf("appstored: -shard-index %d outside fleet of %d", *shardIndex, *shardCount)
-		}
-		ring := fleet.NewRing(*shardCount, *vnodes)
-		scfg.Node = "shard-" + strconv.Itoa(*shardIndex)
-		if *shardCount > 1 {
-			scfg.Partition = marketsim.NewPartitioner(ring.OwnsFunc(*shardIndex))
-		}
-	}
-	srv := storeserver.New(m, scfg)
-	if *comments > 0 {
-		cs, err := planetapps.GenerateComments(m.Catalog(), *comments, *seed+1)
-		if err != nil {
-			log.Fatalf("appstored: comments: %v", err)
-		}
-		srv.SetComments(cs)
+	// A standalone store is a fleet of one. In a fleet every shard runs
+	// the same deterministic simulation (same profile, seed, days) and
+	// serves only the slice of it the consistent-hash ring assigns — no
+	// shard ever needs another's data.
+	opts := fleet.Options{
+		Shards:       max(*shardCount, 1),
+		Store:        *store,
+		Scale:        *scale,
+		Seed:         *seed,
+		Days:         *days,
+		CommentUsers: *comments,
+		Vnodes:       *vnodes,
+		Server: storeserver.Config{
+			PageSize:       100,
+			RatePerSec:     *rate,
+			Burst:          *burst,
+			PrewarmDocs:    *prewarm,
+			PrewarmWorkers: *prewarmWorkers,
+			DayInterval:    *dayEvery,
+			FreshFor:       *freshFor,
+		},
 	}
 	if *chaos != "" {
 		sc, err := faultinject.Lookup(*chaos)
@@ -113,10 +85,15 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		// The injector shares the server's registry so injected-fault
-		// counters ride the same /metrics page as the serving telemetry.
-		srv.SetChaos(faultinject.New(sc.Scale(*chaosScale), *chaosSeed, srv.Registry()))
+		sc = sc.Scale(*chaosScale)
+		opts.Chaos, opts.ChaosSeed = &sc, *chaosSeed
 		log.Printf("appstored: chaos scenario %q armed (seed %d, scale %g)", *chaos, *chaosSeed, *chaosScale)
+	}
+	// The market is created without running the whole period: the server
+	// advances days on demand (day 0 is already populated via warmup).
+	srv, err := fleet.NewShard(opts, *shardIndex)
+	if err != nil {
+		log.Fatalf("appstored: %v", err)
 	}
 
 	ctx, stop := daemon.SignalContext()
@@ -166,12 +143,8 @@ func main() {
 		// gateway's coordinated day-roll drives.
 		handler = fleet.NewShardNode(srv)
 	}
-	if *shardCount > 0 {
-		log.Printf("appstored: serving %s shard %d/%d (of a %d-app catalog) on %s",
-			prof.Name, *shardIndex, *shardCount, m.Catalog().NumApps(), *addr)
-	} else {
-		log.Printf("appstored: serving %s (%d apps) on %s", prof.Name, m.Catalog().NumApps(), *addr)
-	}
+	log.Printf("appstored: serving %s shard %d/%d (%d apps) on %s",
+		*store, *shardIndex, opts.Shards, srv.NumApps(), *addr)
 	if err := daemon.Serve(ctx, "appstored", *addr, handler, *drain); err != nil {
 		log.Fatalf("appstored: %v", err)
 	}

@@ -31,7 +31,7 @@ import (
 	"strings"
 	"time"
 
-	"planetapps"
+	"planetapps/internal/catalog"
 	"planetapps/internal/crawler"
 	"planetapps/internal/db"
 	"planetapps/internal/edgecache"
@@ -72,7 +72,6 @@ func main() {
 	flag.Parse()
 
 	var chaosSc faultinject.Scenario
-	var storeInj *faultinject.Injector
 	if *chaos != "" {
 		if *url != "" {
 			log.Fatal("crawl: -chaos needs the in-process store (drop -url)")
@@ -85,69 +84,47 @@ func main() {
 	}
 
 	base := *url
-	var advance func() error
-	switch {
-	case base != "":
+	var ip *fleet.Inproc
+	if base != "" {
 		if *shards > 0 {
 			log.Fatal("crawl: -shards needs the in-process store (drop -url)")
 		}
-	case *shards > 0:
-		// Sharded origin: the same deterministic market partitioned over N
-		// store nodes behind the consistent-hash gateway; the crawl sees
-		// one full catalog and day-rolls ride the two-phase epoch swap.
-		prof, err := planetapps.StoreProfile(*storeName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		mdays := planetapps.DefaultMarketConfig(prof.Scale(*scale)).Days
-		if *days+1 > mdays {
-			mdays = *days + 1
-		}
-		opts := fleet.InprocOptions{
-			Shards:       *shards,
-			Store:        *storeName,
-			Scale:        *scale,
-			Seed:         *seed,
-			Days:         mdays,
+	} else {
+		// The in-process origin is a fleet — of one node unless -shards
+		// asks for more: the same deterministic market partitioned over N
+		// store nodes behind the consistent-hash gateway. The crawl sees
+		// one full catalog either way and day-rolls ride the two-phase
+		// epoch swap.
+		opts := fleet.Options{
+			Shards: max(*shards, 1),
+			Store:  *storeName,
+			Scale:  *scale,
+			Seed:   *seed,
+			// The period must outlast the crawl; a short crawl keeps the
+			// default period, which sets the daily download volume.
+			Days:         max(*days+1, marketsim.DefaultConfig(catalog.Profile{}).Days),
 			CommentUsers: 5000,
 			Server:       storeserver.DefaultConfig(),
 		}
-		if *chaos != "" {
-			// Fleet chaos is node-indexed: rules pinned to a shard (like
-			// shard-kill's dead node 0) fire there only, Node -1 rules
-			// fire fleet-wide.
-			opts.Chaos, opts.ChaosSeed = &chaosSc, *chaosSeed
-			log.Printf("crawl: chaos scenario %q armed on the fleet (seed %d)", *chaos, *chaosSeed)
-		}
-		ip, err := fleet.NewInproc(opts)
-		if err != nil {
-			log.Fatalf("crawl: fleet: %v", err)
-		}
-		ts := httptest.NewServer(ip.Handler())
-		defer ts.Close()
-		base = ts.URL
-		advance = ip.AdvanceDay
-		log.Printf("crawl: started in-process %d-shard %s fleet behind gateway at %s", *shards, *storeName, base)
-	default:
-		srv, err := startStore(*storeName, *scale, *seed, *days)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		// Store-wide scenarios arm the server itself (so faults render the
-		// API's native error shapes); node-scoped scenarios like
-		// proxy-partition instead wrap individual fleet nodes below.
+		// Store-wide scenarios arm the stores themselves (so faults render
+		// the API's native error shapes; in a fleet rules pinned to a
+		// shard, like shard-kill's dead node 0, fire there only).
+		// Scenarios whose every rule names a node, like proxy-partition,
+		// instead wrap the individual proxy nodes below.
 		if *chaos != "" && !nodeScoped(chaosSc) {
-			storeInj = faultinject.New(chaosSc, *chaosSeed, srv.Registry())
-			srv.SetChaos(storeInj)
+			opts.Chaos, opts.ChaosSeed = &chaosSc, *chaosSeed
 			log.Printf("crawl: chaos scenario %q armed on the store (seed %d)", *chaos, *chaosSeed)
 		}
-		ts := httptest.NewServer(srv.Handler())
+		var err error
+		ip, err = fleet.NewInproc(opts)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "crawl:", err)
+			os.Exit(2)
+		}
+		ts := httptest.NewServer(ip.Front())
 		defer ts.Close()
 		base = ts.URL
-		advance = srv.AdvanceDay
-		log.Printf("crawl: started in-process %s store at %s", *storeName, base)
+		log.Printf("crawl: started in-process %d-shard %s fleet at %s", opts.Shards, *storeName, base)
 	}
 
 	// The edge tier slots in between the crawler and whatever origin was
@@ -221,8 +198,8 @@ func main() {
 	ctx := context.Background()
 	var last crawler.Stats
 	for day := 0; day < *days; day++ {
-		if day > 0 && advance != nil {
-			if err := advance(); err != nil {
+		if day > 0 && ip != nil {
+			if err := ip.AdvanceDay(); err != nil {
 				log.Printf("crawl: store period complete: %v", err)
 				break
 			}
@@ -241,8 +218,10 @@ func main() {
 	cs := last.Client
 	log.Printf("crawl: resilience: %d attempts, %d retries, %d hedges (%d wins), %d invalid bodies, %d breaker opens, %d proxy demotions, p50 %.1fms p99 %.1fms",
 		cs.Attempts, cs.Retries, cs.Hedges, cs.HedgeWins, cs.InvalidBodies, cs.BreakerOpens, cs.ProxyDemotions, cs.LatencyP50MS, cs.LatencyP99MS)
-	if storeInj != nil {
-		log.Printf("crawl: chaos: %d faults injected by the store", storeInj.InjectedTotal())
+	if ip != nil {
+		if n := ip.FaultsInjected(); n > 0 {
+			log.Printf("crawl: chaos: %d faults injected by the store", n)
+		}
 	}
 	for i, inj := range nodeInjs {
 		if n := inj.InjectedTotal(); n > 0 {
@@ -273,28 +252,4 @@ func nodeScoped(sc faultinject.Scenario) bool {
 		}
 	}
 	return true
-}
-
-// startStore builds the in-process appstore with comments attached.
-func startStore(storeName string, scale float64, seed uint64, days int) (*storeserver.Server, error) {
-	prof, err := planetapps.StoreProfile(storeName)
-	if err != nil {
-		return nil, err
-	}
-	prof = prof.Scale(scale)
-	mcfg := planetapps.DefaultMarketConfig(prof)
-	if days+1 > mcfg.Days {
-		mcfg.Days = days + 1
-	}
-	m, err := marketsim.New(mcfg, seed)
-	if err != nil {
-		return nil, err
-	}
-	srv := storeserver.New(m, storeserver.DefaultConfig())
-	cs, err := planetapps.GenerateComments(m.Catalog(), 5000, seed+1)
-	if err != nil {
-		return nil, err
-	}
-	srv.SetComments(cs)
-	return srv, nil
 }

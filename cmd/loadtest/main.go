@@ -5,9 +5,9 @@
 // The workload comes from a recorded binary trace (-trace, see cmd/
 // and internal/trace) or is synthesized live from the paper's workload
 // models. The target is an external store (-target) or an in-process
-// storeserver spun up for the run, in which case the report also echoes
-// the server-side request counters so client and server accounting can be
-// cross-checked.
+// fleet spun up for the run (a single node is a fleet of one), in which
+// case the report also echoes the server-side request counters so client
+// and server accounting can be cross-checked.
 //
 // Usage:
 //
@@ -31,12 +31,10 @@ import (
 
 	"net/http"
 
-	"planetapps/internal/catalog"
 	"planetapps/internal/edgecache"
 	"planetapps/internal/faultinject"
 	"planetapps/internal/fleet"
 	"planetapps/internal/loadgen"
-	"planetapps/internal/marketsim"
 	"planetapps/internal/model"
 	"planetapps/internal/resilient"
 	"planetapps/internal/storeserver"
@@ -46,7 +44,7 @@ import (
 
 func main() {
 	var (
-		target    = flag.String("target", "", "store base URL; empty starts an in-process storeserver")
+		target    = flag.String("target", "", "store base URL; empty starts an in-process store")
 		tracePath = flag.String("trace", "", "binary trace file to replay; empty synthesizes from the workload model")
 		mode      = flag.String("mode", "open", "load discipline: open, closed, or both")
 		stages    = flag.String("stages", "200x5s", "open-loop schedule as RPSxDURATION, comma separated")
@@ -77,7 +75,7 @@ func main() {
 		serverLat   = flag.Duration("server-latency", 0, "in-process store: simulated per-request service time (models a fixed-speed store machine)")
 		serverCap   = flag.Int("server-capacity", 0, "in-process store: concurrent request slots per node (0 = unbounded; with -server-latency models max throughput capacity/latency per node)")
 
-		shards    = flag.Int("shards", 0, "in-process store fleet: N partitioned shards behind a consistent-hash gateway (0 = single node)")
+		shards    = flag.Int("shards", 0, "in-process store fleet: N partitioned shards behind a consistent-hash gateway (0 or 1 = a single node, driven directly)")
 		vnodes    = flag.Int("vnodes", 0, "fleet consistent-hash virtual nodes per shard (0 = default; more vnodes = better partition balance)")
 		listEvery = flag.Int("list-every", 0, "issue a catalog listing request for every Nth event (0 = off)")
 
@@ -108,85 +106,55 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Resolve the target: external URL, in-process fleet, or in-process
-	// single server.
+	// Resolve the target: an external URL, or an in-process fleet — of one
+	// node unless -shards asks for more.
 	baseURL := *target
-	var srv *storeserver.Server
 	var ip *fleet.Inproc
-	var inj *faultinject.Injector
-	serverCfg := storeserver.Config{
-		PageSize:    100,
-		RatePerSec:  *serverRate,
-		Burst:       *serverBurst,
-		PrewarmDocs: *prewarm,
-		FreshFor:    *originFresh,
-		Latency:     *serverLat,
-		Capacity:    *serverCap,
-	}
-	switch {
-	case baseURL != "":
+	if baseURL != "" {
 		if *shards > 0 {
 			log.Fatal("loadtest: -shards needs the in-process store (drop -target)")
 		}
-	case *shards > 0:
-		opts := fleet.InprocOptions{
-			Shards: *shards,
+		if *dayRoll > 0 {
+			log.Fatal("loadtest: -day-roll requires the in-process store (drop -target)")
+		}
+	} else {
+		opts := fleet.Options{
+			Shards: max(*shards, 1),
 			Store:  *store,
 			Scale:  *serverScale,
 			Seed:   *seed,
 			Vnodes: *vnodes,
-			Server: serverCfg,
+			Server: storeserver.Config{
+				PageSize:    100,
+				RatePerSec:  *serverRate,
+				Burst:       *serverBurst,
+				PrewarmDocs: *prewarm,
+				FreshFor:    *originFresh,
+				Latency:     *serverLat,
+				Capacity:    *serverCap,
+			},
 		}
-		var sc faultinject.Scenario
-		if *chaos != "" {
-			var err error
-			sc, err = faultinject.Lookup(*chaos)
-			if err != nil {
-				log.Fatalf("loadtest: %v", err)
-			}
-			opts.Chaos, opts.ChaosSeed, opts.ChaosScale = &sc, *chaosSeed, *chaosScale
-			log.Printf("loadtest: chaos scenario %q armed fleet-wide (seed %d, scale %g)", *chaos, *chaosSeed, *chaosScale)
-		}
-		var err error
-		ip, err = fleet.NewInproc(opts)
-		if err != nil {
-			log.Fatalf("loadtest: fleet: %v", err)
-		}
-		ts := httptest.NewServer(ip.Handler())
-		defer ts.Close()
-		baseURL = ts.URL
-		log.Printf("loadtest: in-process %d-shard %s fleet (%d-app catalog) behind gateway at %s",
-			*shards, *store, ip.NumApps(), baseURL)
-		if *apps == 0 {
-			*apps = ip.NumApps()
-		}
-	default:
-		prof, ok := catalog.Profiles[*store]
-		if !ok {
-			log.Fatalf("loadtest: unknown store profile %q", *store)
-		}
-		mcfg := marketsim.DefaultConfig(prof.Scale(*serverScale))
-		m, err := marketsim.New(mcfg, *seed)
-		if err != nil {
-			log.Fatalf("loadtest: market: %v", err)
-		}
-		srv = storeserver.New(m, serverCfg)
 		if *chaos != "" {
 			sc, err := faultinject.Lookup(*chaos)
 			if err != nil {
 				log.Fatalf("loadtest: %v", err)
 			}
-			inj = faultinject.New(sc.Scale(*chaosScale), *chaosSeed, srv.Registry())
-			srv.SetChaos(inj)
+			sc = sc.Scale(*chaosScale)
+			opts.Chaos, opts.ChaosSeed = &sc, *chaosSeed
 			log.Printf("loadtest: chaos scenario %q armed (seed %d, scale %g)", *chaos, *chaosSeed, *chaosScale)
 		}
-		ts := httptest.NewServer(srv.Handler())
+		var err error
+		ip, err = fleet.NewInproc(opts)
+		if err != nil {
+			log.Fatalf("loadtest: %v", err)
+		}
+		ts := httptest.NewServer(ip.Front())
 		defer ts.Close()
 		baseURL = ts.URL
-		log.Printf("loadtest: in-process %s store (%d apps) at %s",
-			prof.Name, m.Catalog().NumApps(), baseURL)
+		log.Printf("loadtest: in-process %d-shard %s fleet (%d apps) at %s",
+			opts.Shards, *store, ip.NumApps(), baseURL)
 		if *apps == 0 {
-			*apps = m.Catalog().NumApps()
+			*apps = ip.NumApps()
 		}
 	}
 	if *apps == 0 {
@@ -272,17 +240,9 @@ func main() {
 		base.Client = &http.Client{Transport: rc.Transport()}
 	}
 	if *dayRoll > 0 {
-		base.DayRollAfter = *dayRoll
-		switch {
-		case ip != nil:
-			// Fleet day-roll: the two-phase prepare/commit epoch swap across
-			// every shard, driven mid-load.
-			base.DayRollFn = ip.AdvanceDay
-		case srv != nil:
-			base.DayRollFn = srv.AdvanceDay
-		default:
-			log.Fatal("loadtest: -day-roll requires the in-process store (drop -target)")
-		}
+		// The two-phase prepare/commit epoch swap across every shard,
+		// driven mid-load.
+		base.DayRollAfter, base.DayRollFn = *dayRoll, ip.AdvanceDay
 	}
 
 	var modes []loadgen.Mode
@@ -360,85 +320,64 @@ func main() {
 			est.Requests, est.HitRate(), est.CacheServeRate(), est.OriginOffload(), est.ByteOffload(),
 			est.Evictions, est.PrefetchFills, est.PrefetchHits)
 	}
-	if srv != nil {
-		combined["server"] = map[string]any{
-			"requests_served": srv.RequestsServed(),
-			"rate_limited":    srv.RateLimited(),
-			"limiter_buckets": srv.LimiterBuckets(),
-		}
-	}
 	if ip != nil {
 		var served, limited int64
+		var buckets int
 		perShard := make([]int64, len(ip.Servers))
 		for i, s := range ip.Servers {
 			perShard[i] = s.RequestsServed()
 			served += s.RequestsServed()
 			limited += s.RateLimited()
+			buckets += s.LimiterBuckets()
 		}
 		gst := ip.Gateway.Stats()
 		combined["fleet"] = map[string]any{
-			"shards":           *shards,
+			"shards":           len(ip.Servers),
 			"day":              ip.Day(),
 			"requests_served":  served,
 			"rate_limited":     limited,
+			"limiter_buckets":  buckets,
 			"per_shard_served": perShard,
 			"gateway":          gst,
 		}
 		log.Printf("loadtest: fleet: %d shards served %d requests (gateway: %d proxied, %d merged pages, %d epoch retries, %d epoch skews, %d shard errors)",
-			*shards, served, gst.Proxied, gst.MergedPages, gst.EpochRetries, gst.EpochSkews, gst.ShardErrors)
-	}
-	if *writeMix > 0 && (srv != nil || ip != nil) {
-		// Drain the WAL with two quiescent rolls: the first merges every
-		// write still buffered when the run ended, the second proves the
-		// buffer is empty. After that, accepted == merged is the no-lost-
-		// acknowledged-writes invariant the CI smoke gate checks.
-		roll := func() error {
-			if ip != nil {
-				return ip.AdvanceDay()
-			}
-			return srv.AdvanceDay()
-		}
-		for i := 0; i < 2; i++ {
-			if err := roll(); err != nil {
-				log.Fatalf("loadtest: drain roll: %v", err)
+			len(ip.Servers), served, gst.Proxied, gst.MergedPages, gst.EpochRetries, gst.EpochSkews, gst.ShardErrors)
+		if *chaos != "" {
+			combined["chaos"] = map[string]any{
+				"scenario":       *chaos,
+				"seed":           *chaosSeed,
+				"scale":          *chaosScale,
+				"injected_total": ip.FaultsInjected(),
 			}
 		}
-		var servers []*storeserver.Server
-		if ip != nil {
-			servers = ip.Servers
-		} else {
-			servers = []*storeserver.Server{srv}
-		}
-		var agg wal.Stats
-		perShard := make([]wal.Stats, 0, len(servers))
-		for _, s := range servers {
-			st := s.WALStats()
-			perShard = append(perShard, st)
-			agg.Accepted += st.Accepted
-			agg.Merged += st.Merged
-			agg.Deduped += st.Deduped
-			agg.Duplicates += st.Duplicates
-			agg.Backpressure += st.Backpressure
-			agg.Pending += st.Pending
-		}
-		combined["wal"] = map[string]any{
-			"accepted":     agg.Accepted,
-			"merged":       agg.Merged,
-			"deduped":      agg.Deduped,
-			"duplicates":   agg.Duplicates,
-			"backpressure": agg.Backpressure,
-			"pending":      agg.Pending,
-			"per_shard":    perShard,
-		}
-		log.Printf("loadtest: wal: %d accepted, %d merged, %d deduped, %d duplicates, %d backpressure, %d still pending",
-			agg.Accepted, agg.Merged, agg.Deduped, agg.Duplicates, agg.Backpressure, agg.Pending)
-	}
-	if inj != nil {
-		combined["chaos"] = map[string]any{
-			"scenario":       *chaos,
-			"seed":           *chaosSeed,
-			"scale":          *chaosScale,
-			"injected_total": inj.InjectedTotal(),
+		if *writeMix > 0 {
+			// Drain the WAL with two quiescent rolls: the first merges every
+			// write still buffered when the run ended, the second proves the
+			// buffer is empty. After that, accepted == merged is the no-lost-
+			// acknowledged-writes invariant the CI smoke gate checks.
+			for i := 0; i < 2; i++ {
+				if err := ip.AdvanceDay(); err != nil {
+					log.Fatalf("loadtest: drain roll: %v", err)
+				}
+			}
+			var agg wal.Stats
+			perShard := make([]wal.Stats, 0, len(ip.Servers))
+			for _, s := range ip.Servers {
+				st := s.WALStats()
+				perShard = append(perShard, st)
+				agg.Accepted += st.Accepted
+				agg.Merged += st.Merged
+				agg.Deduped += st.Deduped
+				agg.Duplicates += st.Duplicates
+				agg.Backpressure += st.Backpressure
+				agg.Pending += st.Pending
+			}
+			combined["wal"] = struct {
+				wal.Stats
+				PerShard []wal.Stats `json:"per_shard"`
+			}{agg, perShard}
+			log.Printf("loadtest: wal: %d accepted, %d merged, %d deduped, %d duplicates, %d backpressure, %d still pending",
+				agg.Accepted, agg.Merged, agg.Deduped, agg.Duplicates, agg.Backpressure, agg.Pending)
 		}
 	}
 	if rc != nil {

@@ -1,12 +1,13 @@
 // Package apiwire is the single definition of the store's wire protocol:
 // the /api/v1 route table, the scanners for everything a request can
 // carry (app IDs, page numbers, limits, query values, If-None-Match
-// lists, listing cursors), the JSON error envelope, and the path builders
-// clients use. The store routes with it, the gateway classifies and
-// answers with it, the edge cache categorizes documents with it, and the
-// crawler and the load generator build their URLs with it — so a new
-// route or error code is one edit, and every tier answers a malformed
-// request with the same bytes.
+// lists, listing cursors), the JSON error envelope, the reading of the
+// X-Forwarded-For client chain, and the path builders clients use. The
+// store routes with it, the gateway classifies and answers with it, the
+// edge cache categorizes documents with it, and the crawler and the load
+// generator build their URLs with it — so a new route or error code is
+// one edit, and every tier answers a malformed request with the same
+// bytes.
 //
 // It imports the standard library only. Everything on a request's hot
 // path (ParsePath, QueryValue, ETagMatch, DecodeCursor) is allocation
@@ -17,6 +18,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"math"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -368,4 +370,47 @@ func WriteMethodNotAllowed(w http.ResponseWriter, kind Kind, method string) {
 	w.Header().Set("Allow", allow)
 	WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed",
 		"method "+method+" is not supported by this resource; allowed: "+allow, 0)
+}
+
+// --- client identity -------------------------------------------------------
+
+// ClientKey identifies the requesting client for rate limiting and
+// per-client history: the originating hop of X-Forwarded-For if present
+// (requests arriving via a proxy, the edge or the gateway), else the
+// remote IP. Only the first hop counts — "client, proxy1, proxy2" and
+// "client, proxy3" are the same client reached through different chains
+// and must share one bucket.
+func ClientKey(r *http.Request) string {
+	first, _, _ := strings.Cut(r.Header.Get("X-Forwarded-For"), ",")
+	if k := strings.TrimSpace(first); k != "" {
+		return k
+	}
+	return remoteHost(r)
+}
+
+// ForwardedFor is the X-Forwarded-For value a tier sends upstream: the
+// chain it received, extended by the hop that reached it, so that
+// ClientKey upstream is ClientKey here and a client lands in the same
+// bucket whichever tiers it came through. A chain whose first hop is
+// empty names no client and is replaced by the remote address; a request
+// with no remote address (an in-memory transport) adds no hop.
+func ForwardedFor(r *http.Request) string {
+	xff, host := r.Header.Get("X-Forwarded-For"), remoteHost(r)
+	if first, _, _ := strings.Cut(xff, ","); strings.TrimSpace(first) == "" {
+		return host
+	}
+	if host == "" {
+		return xff
+	}
+	return xff + ", " + host
+}
+
+// remoteHost is r.RemoteAddr without its port; an address that has none
+// is returned whole.
+func remoteHost(r *http.Request) string {
+	host, _, err := net.SplitHostPort(r.RemoteAddr)
+	if err != nil {
+		return r.RemoteAddr
+	}
+	return host
 }

@@ -379,3 +379,52 @@ func FuzzETagMatch(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, inm, etag string) { agreeETag(t, inm, etag) })
 }
+
+// TestClientKey pins the one reading of the client chain: the first hop of
+// X-Forwarded-For, trimmed, else the remote address without its port; and
+// that the chain ForwardedFor sends upstream keeps that key.
+func TestClientKey(t *testing.T) {
+	cases := []struct {
+		xff, remote string
+		key, fwd    string
+	}{
+		{"", "10.0.0.1:4321", "10.0.0.1", "10.0.0.1"},
+		{"", "bare-addr", "bare-addr", "bare-addr"}, // port-less RemoteAddr
+		{"", "[::1]:5000", "::1", "::1"},
+		{"", "", "", ""}, // in-memory transport
+		{"1.2.3.4", "10.0.0.1:4321", "1.2.3.4", "1.2.3.4, 10.0.0.1"},
+		{"::1", "", "::1", "::1"},
+		// Multi-hop chains: only the originating client counts, so the
+		// same client through different proxy chains shares one bucket.
+		{"1.2.3.4, proxy-a, proxy-b", "10.0.0.1:4321", "1.2.3.4", "1.2.3.4, proxy-a, proxy-b, 10.0.0.1"},
+		{"1.2.3.4,proxy-c", "10.0.0.1:4321", "1.2.3.4", "1.2.3.4,proxy-c, 10.0.0.1"},
+		{"a , b", "[::1]:5000", "a", "a , b, ::1"},
+		{"  1.2.3.4  , proxy-a", "10.0.0.1:4321", "1.2.3.4", "  1.2.3.4  , proxy-a, 10.0.0.1"},
+		// Empty first hop: fall back to the remote address.
+		{" , proxy-a", "10.0.0.1:4321", "10.0.0.1", "10.0.0.1"},
+		{",", "[::1]:5000", "::1", "::1"},
+	}
+	for _, c := range cases {
+		r := httptest.NewRequest(http.MethodGet, StatsPath, nil)
+		r.RemoteAddr = c.remote
+		if c.xff != "" {
+			r.Header.Set("X-Forwarded-For", c.xff)
+		}
+		if got := ClientKey(r); got != c.key {
+			t.Errorf("ClientKey(xff=%q, remote=%q) = %q, want %q", c.xff, c.remote, got, c.key)
+		}
+		fwd := ForwardedFor(r)
+		if fwd != c.fwd {
+			t.Errorf("ForwardedFor(xff=%q, remote=%q) = %q, want %q", c.xff, c.remote, fwd, c.fwd)
+		}
+		// One hop further upstream the key is unchanged.
+		up := httptest.NewRequest(http.MethodGet, StatsPath, nil)
+		up.RemoteAddr = "192.0.2.9:80"
+		if fwd != "" {
+			up.Header.Set("X-Forwarded-For", fwd)
+			if got := ClientKey(up); got != c.key {
+				t.Errorf("ClientKey after forwarding %q = %q, want %q", fwd, got, c.key)
+			}
+		}
+	}
+}

@@ -41,6 +41,7 @@ import (
 	"sync"
 	"time"
 
+	"planetapps/internal/apiwire"
 	"planetapps/internal/cache"
 	"planetapps/internal/gzipx"
 	"planetapps/internal/metrics"
@@ -297,7 +298,7 @@ func (s *Server) proxy(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	out := s.getOrFetch(r.Context(), base, variant, clientXFF(r))
+	out := s.getOrFetch(r.Context(), base, variant, apiwire.ForwardedFor(r))
 	switch out.kind {
 	case kindMiss, kindReval, kindStale:
 		s.serveEntry(w, r, out.entry, time.Now(), out.kind.label())
@@ -385,20 +386,6 @@ func (s *Server) servePass(w http.ResponseWriter, r *http.Request, out *fetchOut
 	}
 	w.Write(out.body) //nolint:errcheck // client gone; nothing useful to do
 	s.st.servedBytes.Add(int64(len(out.body)))
-}
-
-// clientXFF is the X-Forwarded-For value forwarded upstream: the client's
-// own chain when present (origin rate limiting keys on the first hop, so
-// per-client buckets survive the edge), else the client's remote IP.
-func clientXFF(r *http.Request) string {
-	if xff := r.Header.Get("X-Forwarded-For"); xff != "" {
-		return xff
-	}
-	host := r.RemoteAddr
-	if i := strings.LastIndexByte(host, ':'); i > 0 {
-		host = host[:i]
-	}
-	return host
 }
 
 // Registry exposes the edge metrics registry (also served at /metrics).

@@ -192,11 +192,7 @@ func (s *Server) noteClient(r *http.Request, appID int32) {
 	if s.warm == nil || appID < 0 {
 		return
 	}
-	client := clientXFF(r)
-	if j := strings.IndexByte(client, ','); j >= 0 {
-		client = client[:j]
-	}
-	s.warm.note(client, appID)
+	s.warm.note(apiwire.ClientKey(r), appID)
 }
 
 // note appends to the client's history, selects the likely-next detail

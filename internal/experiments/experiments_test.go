@@ -457,7 +457,7 @@ func TestPrefetchX3(t *testing.T) {
 		t.Fatal(err)
 	}
 	none := r.HitRate("none")
-	gt := r.HitRate("global-top")
+	gt := r.HitRate("popularity")
 	ct := r.HitRate("category-top")
 	if none != 0 {
 		t.Fatalf("no-prefetch hit rate %v", none)
@@ -490,7 +490,14 @@ func TestRecommendX4(t *testing.T) {
 	}
 }
 
+// TestAllRegisteredRunnersRender runs every registered experiment through
+// the registry. It repeats every Monte Carlo fit the per-figure tests above
+// just ran — half this package's wall time — so -short leaves it to them;
+// tier-1 and CI's plain `go test -race ./...` run it.
 func TestAllRegisteredRunnersRender(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-runs every experiment the per-figure tests cover")
+	}
 	s := suite(t)
 	for _, id := range IDs() {
 		res, err := Run(s, id)

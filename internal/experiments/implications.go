@@ -57,9 +57,9 @@ func PrefetchX3(s *Suite) (*PrefetchX3Result, error) {
 		ranked[i] = int32(i)
 	}
 	const budget = 10
-	results, err := prefetch.Compare([]prefetch.Strategy{
+	results, err := prefetch.Compare([]recommend.Selector{
 		prefetch.None{},
-		prefetch.NewGlobalTop(ranked),
+		recommend.NewPopularity(ranked),
 		prefetch.NewCategoryTop(cm),
 	}, cfg, budget, s.cfg.Seed)
 	if err != nil {
@@ -139,8 +139,8 @@ func RecommendX4(s *Suite) (*RecommendX4Result, error) {
 		}
 	}
 	const k = 10
-	recs := []recommend.Recommender{
-		recommend.NewPopularity(downloads),
+	recs := []recommend.Selector{
+		recommend.NewPopularity(recommend.RankByCount(downloads)),
 		recommend.NewCollaborative(train),
 		recommend.NewClusterAware(downloads, func(a int32) int32 {
 			return int32(cat.CategoryOf(catalog.AppID(a)))

@@ -15,9 +15,9 @@ import (
 // ShardClient is the gateway's handle on one fleet member. Base is the
 // shard's URL root ("http://host:port", no trailing slash); HTTP carries
 // the transport — a real network client for gatewayd, a HandlerTransport
-// for the in-process fleet. Reg, when non-nil (in-process only), lets the
-// gateway's merged /metrics read the shard's registry directly instead of
-// scraping it over HTTP.
+// for the in-process fleet. Reg is read by nothing: the gateway's merged
+// /metrics fetches every shard's page through HTTP. The field stays only
+// because the frozen cmd/bench sets it (ROADMAP item 6's unfreeze list).
 type ShardClient struct {
 	Name string
 	Base string

@@ -89,7 +89,7 @@ func TestCrawlThroughGatewayByteIdentical(t *testing.T) {
 	wantDay1 := canonicalDB(t, d1)
 
 	for _, shards := range []int{1, 4} {
-		ip, err := NewInproc(InprocOptions{
+		ip, err := NewInproc(Options{
 			Shards:       shards,
 			Store:        testStore,
 			Scale:        testScale,
@@ -138,7 +138,7 @@ func TestCrawlConvergesUnderShardKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ip, err := NewInproc(InprocOptions{
+	ip, err := NewInproc(Options{
 		Shards:       4,
 		Store:        testStore,
 		Scale:        testScale,

@@ -10,8 +10,9 @@ import (
 	"sync"
 	"testing"
 
-	"planetapps"
 	"planetapps/internal/apiwire"
+	"planetapps/internal/catalog"
+	"planetapps/internal/comments"
 	"planetapps/internal/marketsim"
 	"planetapps/internal/storeserver"
 )
@@ -28,7 +29,7 @@ const (
 // newFleet builds an in-process fleet for tests.
 func newFleet(t *testing.T, shards, pageSize int) *Inproc {
 	t.Helper()
-	ip, err := NewInproc(InprocOptions{
+	ip, err := NewInproc(Options{
 		Shards:       shards,
 		Store:        testStore,
 		Scale:        testScale,
@@ -43,26 +44,36 @@ func newFleet(t *testing.T, shards, pageSize int) *Inproc {
 	return ip
 }
 
-// singleNode builds the equivalent unsharded store server.
-func singleNode(t *testing.T, pageSize int) *storeserver.Server {
+// handBuilt assembles an unsharded store by hand — profile, market, server,
+// comments, series recording left on — without going through NewShard: the
+// reference every fleet in these tests is compared with.
+func handBuilt(t *testing.T, pageSize int, scale float64, commentUsers int) *storeserver.Server {
 	t.Helper()
-	prof, err := planetapps.StoreProfile(testStore)
-	if err != nil {
-		t.Fatal(err)
+	prof, ok := catalog.Profiles[testStore]
+	if !ok {
+		t.Fatalf("no store profile %q", testStore)
 	}
-	cfg := planetapps.DefaultMarketConfig(prof.Scale(testScale))
+	cfg := marketsim.DefaultConfig(prof.Scale(scale))
 	cfg.Days = testDays
 	m, err := marketsim.New(cfg, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := storeserver.New(m, storeserver.Config{PageSize: pageSize})
-	cs, err := planetapps.GenerateComments(m.Catalog(), 300, testSeed+1)
-	if err != nil {
-		t.Fatal(err)
+	if commentUsers > 0 {
+		cs, err := comments.Generate(m.Catalog(), comments.DefaultGenConfig(commentUsers), testSeed+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.SetComments(cs)
 	}
-	srv.SetComments(cs)
 	return srv
+}
+
+// singleNode builds the unsharded store equivalent to newFleet's.
+func singleNode(t *testing.T, pageSize int) *storeserver.Server {
+	t.Helper()
+	return handBuilt(t, pageSize, testScale, 300)
 }
 
 // get fetches a path from a handler through the in-memory transport.

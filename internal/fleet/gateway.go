@@ -8,7 +8,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -197,7 +196,7 @@ func (g *Gateway) serveApp(w http.ResponseWriter, r *http.Request, id int32) {
 			hdr.Set(k, v)
 		}
 	}
-	hdr.Set("X-Forwarded-For", forwardedFor(r))
+	hdr.Set("X-Forwarded-For", apiwire.ForwardedFor(r))
 	pathAndQuery := r.URL.Path
 	if r.URL.RawQuery != "" {
 		pathAndQuery += "?" + r.URL.RawQuery
@@ -220,21 +219,6 @@ func (g *Gateway) serveApp(w http.ResponseWriter, r *http.Request, id int32) {
 	w.WriteHeader(resp.StatusCode)
 	io.CopyBuffer(w, resp.Body, nil) //nolint:errcheck // client gone; nothing useful to do
 	g.proxied.Inc()
-}
-
-// forwardedFor extends the client's X-Forwarded-For chain with the hop
-// that reached the gateway, so the shards' per-client rate limiting (and
-// anything else keyed on the originating client) behaves exactly as it
-// would without the gateway in the path.
-func forwardedFor(r *http.Request) string {
-	host := r.RemoteAddr
-	if h, _, err := net.SplitHostPort(host); err == nil {
-		host = h
-	}
-	if xff := r.Header.Get("X-Forwarded-For"); xff != "" {
-		return xff + ", " + host
-	}
-	return host
 }
 
 // --- stats aggregation -----------------------------------------------------
@@ -866,32 +850,17 @@ func (g *Gateway) serveDay(w http.ResponseWriter, r *http.Request) {
 
 // serveMetrics serves the fleet-wide exposition: the gateway's own
 // routing/merge counters plus every shard's node-labelled series, one
-// page, one TYPE header per family. In-process shards are read straight
-// from their registries; remote shards are scraped and their pages merged
-// textually.
+// page, one TYPE header per family. Every shard's page is fetched through
+// its ShardClient — a function call in process, a scrape across a network
+// — so the shard's own /metrics handler runs and refreshes the gauges it
+// computes per scrape (arena, GC).
 func (g *Gateway) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
 		http.Error(w, "Method Not Allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	local := true
-	for i := range g.cfg.Shards {
-		if g.cfg.Shards[i].Reg == nil {
-			local = false
-			break
-		}
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if local {
-		regs := make([]*metrics.Registry, 0, len(g.cfg.Shards)+1)
-		regs = append(regs, g.reg)
-		for i := range g.cfg.Shards {
-			regs = append(regs, g.cfg.Shards[i].Reg)
-		}
-		metrics.WriteMergedText(w, regs...)
-		return
-	}
 	pages := make([][]byte, 1, len(g.cfg.Shards)+1)
 	var own bytes.Buffer
 	g.reg.WriteText(&own)

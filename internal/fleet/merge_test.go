@@ -12,9 +12,7 @@ import (
 	"sync"
 	"testing"
 
-	"planetapps"
 	"planetapps/internal/apiwire"
-	"planetapps/internal/marketsim"
 	"planetapps/internal/storeserver"
 )
 
@@ -28,7 +26,7 @@ const midScale = 0.25
 // the given scale.
 func fleetAt(t *testing.T, shards, vnodes, pageSize int, scale float64) *Inproc {
 	t.Helper()
-	ip, err := NewInproc(InprocOptions{
+	ip, err := NewInproc(Options{
 		Shards: shards, Vnodes: vnodes,
 		Store: testStore, Scale: scale, Seed: testSeed, Days: testDays,
 		Server: storeserver.Config{PageSize: pageSize},
@@ -39,20 +37,10 @@ func fleetAt(t *testing.T, shards, vnodes, pageSize int, scale float64) *Inproc 
 	return ip
 }
 
-// singleAt builds the equivalent unsharded store server.
+// singleAt builds the unsharded store equivalent to fleetAt's.
 func singleAt(t *testing.T, pageSize int, scale float64) *storeserver.Server {
 	t.Helper()
-	prof, err := planetapps.StoreProfile(testStore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := planetapps.DefaultMarketConfig(prof.Scale(scale))
-	cfg.Days = testDays
-	m, err := marketsim.New(cfg, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return storeserver.New(m, storeserver.Config{PageSize: pageSize})
+	return handBuilt(t, pageSize, scale, 0)
 }
 
 // walkWith is walkCursor with a query suffix on every request, starting

@@ -7,29 +7,17 @@ import (
 	"testing"
 )
 
-// TestGatewayAnswersOddRequestsLikeASingleNode sends requests from the
-// corners of the path, query and header grammar to a single node and to a
-// 4-shard gateway and requires the same status, Allow header and body
-// (next_cursor aside: it is opaque and topology-specific by design). Both
-// tiers parse with internal/apiwire, so this is the test that fails when
-// one of them grows a private opinion about the grammar.
-func TestGatewayAnswersOddRequestsLikeASingleNode(t *testing.T) {
-	const pageSize = 20
-	single := singleNode(t, pageSize).Handler()
-	gateway := newFleet(t, 4, pageSize).Handler()
+// oddRequest is one request from the corners of the path, query and header
+// grammar, with the status a store answers it with.
+type oddRequest struct {
+	method, path string
+	inm          string // If-None-Match
+	want         int
+}
 
-	statsResp, _ := get(t, single, "/api/v1/stats", nil)
-	statsTag := statsResp.Header.Get("Etag")
-	if statsTag == "" {
-		t.Fatal("stats response without an ETag")
-	}
-
-	type request struct {
-		method, path string
-		inm          string // If-None-Match
-		want         int
-	}
-	reqs := []request{
+// oddRequests is the table; statsTag is the store's current stats ETag.
+func oddRequests(statsTag string) []oddRequest {
+	reqs := []oddRequest{
 		// Malformed single-app paths: an unknown tail or an empty id
 		// segment is 404 before the id is looked at; a bad id alone is 400.
 		{"GET", "/api/v1/apps/xyz/bogus", "", 404},
@@ -66,18 +54,38 @@ func TestGatewayAnswersOddRequestsLikeASingleNode(t *testing.T) {
 		"/api/v1/apps/xyz", // 405 outranks the bad id
 	} {
 		for _, method := range []string{"DELETE", "PUT", "PATCH"} {
-			reqs = append(reqs, request{method, path, "", 405})
+			reqs = append(reqs, oddRequest{method, path, "", 405})
 		}
 	}
 	for _, path := range []string{"/api/v1/stats", "/api/v1/apps", "/api/v1/apps/3", "/api/v1/apps/3/apk"} {
-		reqs = append(reqs, request{"POST", path, "", 405})
+		reqs = append(reqs, oddRequest{"POST", path, "", 405})
 	}
 	for _, path := range []string{"/api/v1/apps/3/download", "/api/v1/apps/3/rate"} {
-		reqs = append(reqs, request{"GET", path, "", 405})
+		reqs = append(reqs, oddRequest{"GET", path, "", 405})
 	}
+	return reqs
+}
+
+// TestGatewayAnswersOddRequestsLikeASingleNode sends requests from the
+// corners of the path, query and header grammar to a single node and to a
+// 4-shard gateway and requires the same status, Allow header and body
+// (next_cursor aside: it is opaque and topology-specific by design). Both
+// tiers parse with internal/apiwire, so this is the test that fails when
+// one of them grows a private opinion about the grammar.
+func TestGatewayAnswersOddRequestsLikeASingleNode(t *testing.T) {
+	const pageSize = 20
+	single := singleNode(t, pageSize).Handler()
+	gateway := newFleet(t, 4, pageSize).Handler()
+
+	statsResp, _ := get(t, single, "/api/v1/stats", nil)
+	statsTag := statsResp.Header.Get("Etag")
+	if statsTag == "" {
+		t.Fatal("stats response without an ETag")
+	}
+	reqs := oddRequests(statsTag)
 
 	nextCursor := regexp.MustCompile(`,"next_cursor":"[^"]*"`)
-	do := func(h http.Handler, rq request) (int, string, string) {
+	do := func(h http.Handler, rq oddRequest) (int, string, string) {
 		req, err := http.NewRequest(rq.method, "http://test"+rq.path, nil)
 		if err != nil {
 			t.Fatal(err)

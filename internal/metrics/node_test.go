@@ -35,39 +35,3 @@ func TestNodeLabelExposition(t *testing.T) {
 		t.Fatalf("Node() = %q", r.Node())
 	}
 }
-
-// TestWriteMergedText checks that several node-labeled registries share
-// one page with a single # TYPE header per family and no series
-// collisions.
-func TestWriteMergedText(t *testing.T) {
-	a, bb := NewRegistry(), NewRegistry()
-	a.SetNode("shard-0")
-	bb.SetNode("shard-1")
-	a.Counter("reqs_total").Add(1)
-	bb.Counter("reqs_total").Add(2)
-	bb.Counter("other_total").Add(7)
-
-	var sb strings.Builder
-	WriteMergedText(&sb, a, bb, nil)
-	out := sb.String()
-
-	if got := strings.Count(out, "# TYPE reqs_total counter"); got != 1 {
-		t.Fatalf("want exactly one TYPE header for reqs_total, got %d:\n%s", got, out)
-	}
-	for _, want := range []string{
-		`reqs_total{node="shard-0"} 1`,
-		`reqs_total{node="shard-1"} 2`,
-		`other_total{node="shard-1"} 7`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("merged exposition missing %q:\n%s", want, out)
-		}
-	}
-	// The two shard series must sit under the same family header, shard-0
-	// before shard-1 (sorted by full series name).
-	i0 := strings.Index(out, `reqs_total{node="shard-0"}`)
-	i1 := strings.Index(out, `reqs_total{node="shard-1"}`)
-	if i0 < 0 || i1 < 0 || i0 > i1 {
-		t.Fatalf("merged series out of order:\n%s", out)
-	}
-}

@@ -24,8 +24,8 @@ type Registry struct {
 	// node, when non-empty, is a constant `node="..."` label appended to
 	// every exposed series. Registries are already per-server instances, so
 	// an in-process fleet never collides on counters — the label is what
-	// keeps the series distinguishable once several nodes' registries are
-	// merged onto one page (see WriteMergedText, the gateway's /metrics).
+	// keeps the series distinguishable once several nodes' pages are
+	// merged onto one (the gateway's /metrics).
 	node string
 }
 
@@ -164,9 +164,9 @@ var histQuantiles = []struct {
 
 // expoEntry is one renderable exposition unit — a counter/gauge line or a
 // histogram's whole summary block — with the registry's node label already
-// folded into the series names. Collecting entries (rather than writing
-// directly) is what lets WriteMergedText interleave several registries
-// under shared `# TYPE` headers.
+// folded into the series names. Entries are collected before anything is
+// written because a family's series (`x{a="1"}`, `x{b="2"}`) need not be
+// adjacent in entry-name order, and a family gets one `# TYPE` header.
 type expoEntry struct {
 	base  string
 	typ   string
@@ -174,18 +174,14 @@ type expoEntry struct {
 	lines []string
 }
 
-// collect snapshots the registry into renderable entries.
+// collect snapshots the registry into renderable entries, in no order:
+// writeEntries sorts them, and series names are unique.
 func (r *Registry) collect() []expoEntry {
 	r.mu.RLock()
 	node := r.node
-	names := make([]string, 0, len(r.entries))
-	for n := range r.entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	entries := make([]*entry, 0, len(names))
-	for _, n := range names {
-		entries = append(entries, r.entries[n])
+	entries := make([]*entry, 0, len(r.entries))
+	for _, e := range r.entries {
+		entries = append(entries, e)
 	}
 	r.mu.RUnlock()
 
@@ -241,7 +237,7 @@ func joinLabels(a, b string) string {
 // writeEntries renders entries sorted by (base, name) with one `# TYPE`
 // header per family.
 func writeEntries(w io.Writer, entries []expoEntry) {
-	sort.SliceStable(entries, func(i, j int) bool {
+	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].base != entries[j].base {
 			return entries[i].base < entries[j].base
 		}
@@ -264,20 +260,6 @@ func writeEntries(w io.Writer, entries []expoEntry) {
 // plus _sum and _count) in seconds.
 func (r *Registry) WriteText(w io.Writer) {
 	writeEntries(w, r.collect())
-}
-
-// WriteMergedText writes several registries onto one exposition page —
-// the fleet gateway's /metrics, where each shard's registry carries its
-// own node label and same-named families from different nodes interleave
-// under a single `# TYPE` header. Nil registries are skipped.
-func WriteMergedText(w io.Writer, regs ...*Registry) {
-	var all []expoEntry
-	for _, r := range regs {
-		if r != nil {
-			all = append(all, r.collect()...)
-		}
-	}
-	writeEntries(w, all)
 }
 
 // Handler returns an HTTP handler serving the text exposition.

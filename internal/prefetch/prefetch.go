@@ -5,10 +5,10 @@
 // the user can be prefetched to a local place."
 //
 // The simulator replays a workload-model download stream; after each
-// download it selects the next prefetch set per user under a fixed
-// per-user budget, and measures how often the user's next download was
-// already prefetched (hit rate) alongside how many prefetched apps were
-// never used (waste).
+// download a recommend.Selector picks the next prefetch set per user
+// under a fixed per-user budget, and the simulator measures how often the
+// user's next download was already prefetched (hit rate) alongside how
+// many prefetched apps were never used (waste).
 package prefetch
 
 import (
@@ -16,59 +16,20 @@ import (
 	"math"
 
 	"planetapps/internal/model"
+	"planetapps/internal/recommend"
 )
 
-// Strategy selects the apps to prefetch for a user after a download.
-type Strategy interface {
-	// Name identifies the strategy in reports.
-	Name() string
-	// Select returns up to budget app indices to prefetch for the user,
-	// given the user's download history (oldest first). Apps the user
-	// already downloaded are useless and should be excluded.
-	Select(history []int32, budget int) []int32
-}
-
-// None is the no-prefetch baseline: every download is a miss.
+// None is the no-prefetch baseline: every download is a miss. The
+// popularity-only baseline is recommend.Popularity — prefetching the
+// globally most popular apps the user lacks is the recommender's strawman
+// pointed at the delivery path.
 type None struct{}
 
-// Name implements Strategy.
+// Name implements recommend.Selector.
 func (None) Name() string { return "none" }
 
-// Select implements Strategy.
+// Select implements recommend.Selector.
 func (None) Select([]int32, int) []int32 { return nil }
-
-// GlobalTop prefetches the globally most popular apps the user lacks —
-// popularity-only prefetching, blind to the clustering effect.
-type GlobalTop struct {
-	ranked []int32
-}
-
-// NewGlobalTop builds the baseline from per-app popularity ranks: ranked
-// lists app indices by descending popularity.
-func NewGlobalTop(ranked []int32) *GlobalTop {
-	return &GlobalTop{ranked: ranked}
-}
-
-// Name implements Strategy.
-func (g *GlobalTop) Name() string { return "global-top" }
-
-// Select implements Strategy.
-func (g *GlobalTop) Select(history []int32, budget int) []int32 {
-	owned := make(map[int32]struct{}, len(history))
-	for _, a := range history {
-		owned[a] = struct{}{}
-	}
-	out := make([]int32, 0, budget)
-	for _, app := range g.ranked {
-		if len(out) == budget {
-			break
-		}
-		if _, ok := owned[app]; !ok {
-			out = append(out, app)
-		}
-	}
-	return out
-}
 
 // CategoryTop is the paper's proposal: prefetch the most popular unowned
 // apps of the category the user just downloaded from (falling back to the
@@ -83,18 +44,15 @@ func NewCategoryTop(cm *model.ClusterMap) *CategoryTop {
 	return &CategoryTop{cm: cm}
 }
 
-// Name implements Strategy.
+// Name implements recommend.Selector.
 func (c *CategoryTop) Name() string { return "category-top" }
 
-// Select implements Strategy.
+// Select implements recommend.Selector.
 func (c *CategoryTop) Select(history []int32, budget int) []int32 {
 	if len(history) == 0 {
 		return nil
 	}
-	owned := make(map[int32]struct{}, len(history))
-	for _, a := range history {
-		owned[a] = struct{}{}
-	}
+	owned := recommend.Owned(history)
 	out := make([]int32, 0, budget)
 	seen := map[int32]struct{}{}
 	// Walk the user's categories from most recent backwards.
@@ -157,7 +115,7 @@ func (r Result) TransfersPerHit() float64 {
 // user download the strategy refreshes that user's prefetch set (diffing
 // against the previous set to count transfers). The next download by the
 // same user scores a hit when it is in the set.
-func Simulate(s Strategy, sim *model.Simulator, budget int, seed uint64) (Result, error) {
+func Simulate(s recommend.Selector, sim *model.Simulator, budget int, seed uint64) (Result, error) {
 	if budget < 0 {
 		return Result{}, fmt.Errorf("prefetch: negative budget")
 	}
@@ -192,7 +150,7 @@ func Simulate(s Strategy, sim *model.Simulator, budget int, seed uint64) (Result
 
 // Compare runs several strategies over the same workload configuration and
 // seed, returning results in input order.
-func Compare(strategies []Strategy, cfg model.Config, budget int, seed uint64) ([]Result, error) {
+func Compare(strategies []recommend.Selector, cfg model.Config, budget int, seed uint64) ([]Result, error) {
 	out := make([]Result, 0, len(strategies))
 	for _, s := range strategies {
 		sim, err := model.NewSimulator(model.AppClustering, cfg)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"planetapps/internal/model"
+	"planetapps/internal/recommend"
 )
 
 func TestNoneNeverHits(t *testing.T) {
@@ -31,8 +32,10 @@ func TestNoneNeverHits(t *testing.T) {
 	}
 }
 
+// TestGlobalTopSelect pins the popularity-only baseline as the simulator
+// uses it: recommend.Popularity over an explicit rank list.
 func TestGlobalTopSelect(t *testing.T) {
-	g := NewGlobalTop([]int32{5, 3, 1, 0})
+	g := recommend.NewPopularity([]int32{5, 3, 1, 0})
 	got := g.Select([]int32{5}, 2)
 	if len(got) != 2 || got[0] != 3 || got[1] != 1 {
 		t.Fatalf("selection = %v", got)
@@ -104,9 +107,9 @@ func TestCategoryTopBeatsGlobalTop(t *testing.T) {
 	for i := range ranked {
 		ranked[i] = int32(i) // app index == global popularity rank
 	}
-	results, err := Compare([]Strategy{
+	results, err := Compare([]recommend.Selector{
 		None{},
-		NewGlobalTop(ranked),
+		recommend.NewPopularity(ranked),
 		NewCategoryTop(cm),
 	}, cfg, 10, 7)
 	if err != nil {
@@ -116,13 +119,13 @@ func TestCategoryTopBeatsGlobalTop(t *testing.T) {
 	for _, r := range results {
 		byName[r.Strategy] = r
 	}
-	gt := byName["global-top"].HitRate()
+	gt := byName["popularity"].HitRate()
 	ct := byName["category-top"].HitRate()
 	if ct <= gt {
-		t.Fatalf("category-top %.1f%% did not beat global-top %.1f%%", ct, gt)
+		t.Fatalf("category-top %.1f%% did not beat popularity %.1f%%", ct, gt)
 	}
 	if gt <= 0 {
-		t.Fatal("global-top never hit; simulation broken")
+		t.Fatal("popularity never hit; simulation broken")
 	}
 }
 

@@ -16,31 +16,35 @@ import (
 	"sort"
 )
 
-// Recommender suggests apps for a user given the user's download history
-// (app indices, oldest first). Implementations must not mutate history.
-type Recommender interface {
-	// Name identifies the recommender in reports.
+// Selector picks apps for a user from the user's download history (app
+// indices, oldest first): a recommender suggesting them, or a prefetcher
+// (internal/prefetch) fetching them ahead of the download. Implementations
+// must not mutate history.
+type Selector interface {
+	// Name identifies the selector in reports.
 	Name() string
-	// Recommend returns up to k app indices, best first, excluding apps
+	// Select returns up to k app indices, best first, excluding apps
 	// already in history.
-	Recommend(history []int32, k int) []int32
+	Select(history []int32, k int) []int32
 }
 
-// Popularity recommends the globally most-downloaded apps the user lacks —
-// the "bombard them with the same set of popular apps" strawman §7 calls
-// out.
+// Popularity selects the globally most popular apps the user lacks — the
+// "bombard them with the same set of popular apps" strawman §7 calls out,
+// blind to the clustering effect.
 type Popularity struct {
-	// ranked holds app indices sorted by descending download count.
+	// ranked holds app indices by descending popularity.
 	ranked []int32
 }
 
-// NewPopularity builds the baseline from per-app download counts.
-func NewPopularity(downloads []int64) *Popularity {
-	r := &Popularity{ranked: rankByCount(downloads)}
-	return r
+// NewPopularity builds the baseline from app indices ranked by descending
+// popularity (see RankByCount).
+func NewPopularity(ranked []int32) *Popularity {
+	return &Popularity{ranked: ranked}
 }
 
-func rankByCount(downloads []int64) []int32 {
+// RankByCount returns the app indices sorted by descending download count,
+// ties in index order.
+func RankByCount(downloads []int64) []int32 {
 	idx := make([]int32, len(downloads))
 	for i := range idx {
 		idx[i] = int32(i)
@@ -51,12 +55,12 @@ func rankByCount(downloads []int64) []int32 {
 	return idx
 }
 
-// Name implements Recommender.
+// Name implements Selector.
 func (p *Popularity) Name() string { return "popularity" }
 
-// Recommend implements Recommender.
-func (p *Popularity) Recommend(history []int32, k int) []int32 {
-	owned := ownedSet(history)
+// Select implements Selector.
+func (p *Popularity) Select(history []int32, k int) []int32 {
+	owned := Owned(history)
 	out := make([]int32, 0, k)
 	for _, app := range p.ranked {
 		if len(out) == k {
@@ -69,7 +73,8 @@ func (p *Popularity) Recommend(history []int32, k int) []int32 {
 	return out
 }
 
-func ownedSet(history []int32) map[int32]struct{} {
+// Owned returns the set of apps in history.
+func Owned(history []int32) map[int32]struct{} {
 	m := make(map[int32]struct{}, len(history))
 	for _, a := range history {
 		m[a] = struct{}{}
@@ -94,7 +99,7 @@ type Collaborative struct {
 func NewCollaborative(histories [][]int32) *Collaborative {
 	c := &Collaborative{invert: map[int32][]int32{}, Neighbours: 20}
 	for ui, h := range histories {
-		set := ownedSet(h)
+		set := Owned(h)
 		c.users = append(c.users, set)
 		for app := range set {
 			c.invert[app] = append(c.invert[app], int32(ui))
@@ -103,12 +108,12 @@ func NewCollaborative(histories [][]int32) *Collaborative {
 	return c
 }
 
-// Name implements Recommender.
+// Name implements Selector.
 func (c *Collaborative) Name() string { return "collaborative" }
 
-// Recommend implements Recommender.
-func (c *Collaborative) Recommend(history []int32, k int) []int32 {
-	owned := ownedSet(history)
+// Select implements Selector.
+func (c *Collaborative) Select(history []int32, k int) []int32 {
+	owned := Owned(history)
 	if len(owned) == 0 {
 		return nil
 	}
@@ -199,22 +204,22 @@ func NewClusterAware(downloads []int64, categoryOf func(int32) int32) *ClusterAw
 		rankedByCat:  map[int32][]int32{},
 		RecentWindow: 5,
 	}
-	for _, app := range rankByCount(downloads) {
+	for _, app := range RankByCount(downloads) {
 		c := categoryOf(app)
 		r.rankedByCat[c] = append(r.rankedByCat[c], app)
 	}
 	return r
 }
 
-// Name implements Recommender.
+// Name implements Selector.
 func (r *ClusterAware) Name() string { return "cluster-aware" }
 
-// Recommend implements Recommender.
-func (r *ClusterAware) Recommend(history []int32, k int) []int32 {
+// Select implements Selector.
+func (r *ClusterAware) Select(history []int32, k int) []int32 {
 	if len(history) == 0 {
 		return nil
 	}
-	owned := ownedSet(history)
+	owned := Owned(history)
 	// Active categories, most recent first, deduplicated.
 	var cats []int32
 	seen := map[int32]struct{}{}
@@ -277,7 +282,7 @@ func (e EvalResult) HitRate() float64 {
 // for each test history of length >= 2, every split point trains on the
 // prefix and checks whether the next download appears in the top-k
 // suggestions. minPrefix sets the shortest prefix evaluated (>= 1).
-func Evaluate(recs []Recommender, testHistories [][]int32, k, minPrefix int) ([]EvalResult, error) {
+func Evaluate(recs []Selector, testHistories [][]int32, k, minPrefix int) ([]EvalResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("recommend: k = %d", k)
 	}
@@ -293,7 +298,7 @@ func Evaluate(recs []Recommender, testHistories [][]int32, k, minPrefix int) ([]
 			prefix, next := h[:split], h[split]
 			for i, r := range recs {
 				out[i].Trials++
-				for _, s := range r.Recommend(prefix, k) {
+				for _, s := range r.Select(prefix, k) {
 					if s == next {
 						out[i].Hits++
 						break

@@ -9,18 +9,18 @@ import (
 
 func TestPopularityBasics(t *testing.T) {
 	// Downloads make app 2 most popular, then 0, then 1.
-	p := NewPopularity([]int64{50, 10, 100})
-	got := p.Recommend(nil, 2)
+	p := NewPopularity(RankByCount([]int64{50, 10, 100}))
+	got := p.Select(nil, 2)
 	if len(got) != 2 || got[0] != 2 || got[1] != 0 {
 		t.Fatalf("recommendations = %v", got)
 	}
 	// Owned apps are excluded.
-	got = p.Recommend([]int32{2}, 2)
+	got = p.Select([]int32{2}, 2)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("with owned: %v", got)
 	}
 	// k larger than candidates.
-	got = p.Recommend([]int32{0, 1, 2}, 5)
+	got = p.Select([]int32{0, 1, 2}, 5)
 	if len(got) != 0 {
 		t.Fatalf("fully-owned user got %v", got)
 	}
@@ -34,15 +34,15 @@ func TestCollaborativeFindsNeighbourApps(t *testing.T) {
 		{1, 2},
 		{7, 8}, // unrelated user
 	})
-	got := c.Recommend([]int32{1, 2}, 1)
+	got := c.Select([]int32{1, 2}, 1)
 	if len(got) != 1 || got[0] != 3 {
 		t.Fatalf("recommendations = %v", got)
 	}
 	// A user with no overlap gets nothing.
-	if got := c.Recommend([]int32{99}, 3); len(got) != 0 {
+	if got := c.Select([]int32{99}, 3); len(got) != 0 {
 		t.Fatalf("no-overlap user got %v", got)
 	}
-	if got := c.Recommend(nil, 3); got != nil {
+	if got := c.Select(nil, 3); got != nil {
 		t.Fatalf("empty history got %v", got)
 	}
 }
@@ -53,7 +53,7 @@ func TestCollaborativeWeighting(t *testing.T) {
 		{1, 2, 3, 10}, // similar to target {1,2,3}: jaccard 3/4
 		{1, 20},       // less similar: jaccard 1/4
 	})
-	got := c.Recommend([]int32{1, 2, 3}, 1)
+	got := c.Select([]int32{1, 2, 3}, 1)
 	if len(got) != 1 || got[0] != 10 {
 		t.Fatalf("recommendations = %v", got)
 	}
@@ -67,11 +67,11 @@ func TestClusterAwarePrefersRecentCategory(t *testing.T) {
 	r := NewClusterAware(downloads, catOf)
 	// User's last download is app 3 (category 1): category 1's head (app
 	// 1) should be suggested first.
-	got := r.Recommend([]int32{2, 3}, 2)
+	got := r.Select([]int32{2, 3}, 2)
 	if len(got) < 1 || got[0] != 1 {
 		t.Fatalf("recommendations = %v", got)
 	}
-	if r.Recommend(nil, 3) != nil {
+	if r.Select(nil, 3) != nil {
 		t.Fatal("empty history should yield nothing")
 	}
 }
@@ -80,7 +80,7 @@ func TestClusterAwareSkipsOwned(t *testing.T) {
 	downloads := []int64{100, 90, 80, 70}
 	catOf := func(a int32) int32 { return 0 } // single category
 	r := NewClusterAware(downloads, catOf)
-	got := r.Recommend([]int32{0, 1}, 2)
+	got := r.Select([]int32{0, 1}, 2)
 	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("recommendations = %v", got)
 	}
@@ -93,9 +93,9 @@ func TestEvaluateValidation(t *testing.T) {
 }
 
 func TestEvaluateCountsTrials(t *testing.T) {
-	p := NewPopularity([]int64{5, 4, 3, 2, 1})
+	p := NewPopularity(RankByCount([]int64{5, 4, 3, 2, 1}))
 	histories := [][]int32{{0, 1, 2}, {3, 4}}
-	res, err := Evaluate([]Recommender{p}, histories, 2, 1)
+	res, err := Evaluate([]Selector{p}, histories, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +148,9 @@ func TestClusterAwareBeatsPopularityOnClusteredUsers(t *testing.T) {
 	if len(train) == 0 || len(test) == 0 {
 		t.Fatal("no histories")
 	}
-	pop := NewPopularity(downloads)
+	pop := NewPopularity(RankByCount(downloads))
 	ca := NewClusterAware(downloads, func(a int32) int32 { return cm.OfApp[a] })
-	res, err := Evaluate([]Recommender{pop, ca}, test, 10, 2)
+	res, err := Evaluate([]Selector{pop, ca}, test, 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestClusterAwareBeatsPopularityOnClusteredUsers(t *testing.T) {
 func TestCollaborativeBeatsRandomBaseline(t *testing.T) {
 	train, test, _, _ := clusteringHistories(t)
 	cf := NewCollaborative(train)
-	res, err := Evaluate([]Recommender{cf}, test, 10, 2)
+	res, err := Evaluate([]Selector{cf}, test, 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +181,8 @@ func TestCollaborativeBeatsRandomBaseline(t *testing.T) {
 func TestEvaluateDeterministic(t *testing.T) {
 	_, test, downloads, cm := clusteringHistories(t)
 	ca := NewClusterAware(downloads, func(a int32) int32 { return cm.OfApp[a] })
-	a, _ := Evaluate([]Recommender{ca}, test, 5, 2)
-	b, _ := Evaluate([]Recommender{ca}, test, 5, 2)
+	a, _ := Evaluate([]Selector{ca}, test, 5, 2)
+	b, _ := Evaluate([]Selector{ca}, test, 5, 2)
 	if a[0] != b[0] {
 		t.Fatalf("evaluation not deterministic: %+v vs %+v", a[0], b[0])
 	}

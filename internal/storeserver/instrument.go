@@ -106,3 +106,12 @@ func (s *Server) LimiterBuckets() int {
 	}
 	return s.lim.size()
 }
+
+// FaultsInjected returns the number of faults the SetChaos injector has
+// fired, 0 when none is installed.
+func (s *Server) FaultsInjected() int64 {
+	if s.chaos == nil {
+		return 0
+	}
+	return s.chaos.InjectedTotal()
+}

@@ -18,10 +18,8 @@
 package storeserver
 
 import (
-	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,9 +109,9 @@ type Config struct {
 	// strictly correct stance when the next roll is unscheduled.
 	FreshFor time.Duration
 	// Node names this server instance in its metrics registry (the
-	// `node` label on every exposed series). Empty for single-node
-	// deployments; fleet members set "shard-0", "shard-1", ... so the
-	// gateway's merged /metrics page keeps their series apart.
+	// `node` label on every exposed series; none when empty). Fleet
+	// members are "shard-0", "shard-1", ... so the gateway's merged
+	// /metrics page keeps their series apart.
 	Node string
 	// Partition, when set, restricts the server to its shard of the
 	// catalog: every market export is projected through the partitioner
@@ -451,6 +449,12 @@ func (s *Server) Day() int {
 	return s.snap.Load().day
 }
 
+// NumApps returns the number of apps the server serves today — its
+// partition's, when it has one (what /api/v1/stats reports as "apps").
+func (s *Server) NumApps() int {
+	return s.snap.Load().n
+}
+
 // Handler returns the HTTP handler serving the /api/v1 routes plus the
 // telemetry endpoint. Dispatch goes through the zero-alloc grammar of
 // internal/apiwire instead of ServeMux (see router.go). /metrics sits
@@ -503,7 +507,7 @@ func (s *Server) SetChaos(inj *faultinject.Injector) {
 func (s *Server) limit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.lim != nil {
-			ok, wait := s.lim.allowWait(clientKey(r), time.Now())
+			ok, wait := s.lim.allowWait(apiwire.ClientKey(r), time.Now())
 			if !ok {
 				s.limited.Inc()
 				apiwire.WriteError(w, http.StatusTooManyRequests, "rate_limited",
@@ -520,27 +524,6 @@ func (s *Server) limit(next http.Handler) http.Handler {
 		}
 		next.ServeHTTP(w, r)
 	})
-}
-
-// clientKey identifies the requesting client for rate limiting: the
-// originating hop of X-Forwarded-For if present (requests arriving via the
-// proxy fleet), else the remote IP. Only the first hop counts — "client,
-// proxy1, proxy2" and "client, proxy3" are the same client reached through
-// different chains and must share one bucket.
-func clientKey(r *http.Request) string {
-	if xff := r.Header.Get("X-Forwarded-For"); xff != "" {
-		if i := strings.IndexByte(xff, ','); i >= 0 {
-			xff = xff[:i]
-		}
-		if k := strings.TrimSpace(xff); k != "" {
-			return k
-		}
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
 }
 
 // stamp marks a response with the API version and its freshness. With a

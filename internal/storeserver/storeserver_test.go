@@ -199,35 +199,6 @@ func TestAdvanceDay(t *testing.T) {
 	}
 }
 
-func TestClientKey(t *testing.T) {
-	cases := []struct {
-		xff    string
-		remote string
-		want   string
-	}{
-		{"", "10.0.0.1:4321", "10.0.0.1"},
-		{"", "bare-addr", "bare-addr"},
-		{"1.2.3.4", "10.0.0.1:4321", "1.2.3.4"},
-		// Multi-hop chains: only the originating client counts, so the
-		// same client through different proxy chains shares one bucket.
-		{"1.2.3.4, proxy-a, proxy-b", "10.0.0.1:4321", "1.2.3.4"},
-		{"1.2.3.4,proxy-c", "10.0.0.1:4321", "1.2.3.4"},
-		{"  1.2.3.4  , proxy-a", "10.0.0.1:4321", "1.2.3.4"},
-		// Degenerate header: fall back to the remote address.
-		{" , proxy-a", "10.0.0.1:4321", "10.0.0.1"},
-	}
-	for _, c := range cases {
-		r := httptest.NewRequest(http.MethodGet, "/api/v1/stats", nil)
-		r.RemoteAddr = c.remote
-		if c.xff != "" {
-			r.Header.Set("X-Forwarded-For", c.xff)
-		}
-		if got := clientKey(r); got != c.want {
-			t.Errorf("clientKey(xff=%q, remote=%q) = %q, want %q", c.xff, c.remote, got, c.want)
-		}
-	}
-}
-
 func TestAppName(t *testing.T) {
 	for _, id := range []int32{0, 7, 99, 12345, 1234567} {
 		want := fmt.Sprintf("%s-app-%05d", "slideme", id)
