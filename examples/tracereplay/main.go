@@ -56,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer rf.Close()
-	lru := cache.NewLRU(cfg.Apps / 20) // 5% cache
+	lru := cache.NewLRU[int32](cfg.Apps / 20) // 5% cache
 	var requests, hits int64
 	replayed, err := planetapps.ReplayTrace(rf, func(e model.Event) bool {
 		requests++

@@ -8,11 +8,17 @@
 // the paper calls for), which allocates capacity to categories by their
 // observed traffic share.
 //
-// Every policy accounts capacity in abstract cost units. The offline
-// simulators access entries at cost 1, so capacity means "number of apps"
-// and the behavior is identical to a pure entry-count cache; the live edge
-// tier (internal/edgecache) accesses entries at their encoded byte size, so
-// the same policies size a cache in bytes.
+// Residency is one thing: a single ledger owns capacity, cost accounting,
+// admission, trimming and the eviction hook, and a policy is only an
+// ordering over the ledger's entries — where a hit moves one, where a new
+// one goes, which one leaves next. Capacity is in abstract cost units. The
+// offline simulators access entries at cost 1, so capacity means "number
+// of apps"; the live edge tier (internal/edgecache) accesses entries at
+// their encoded byte size, so the same policies size a cache in bytes.
+//
+// Policies are generic over the key their caller holds: the simulators
+// instantiate them at int32 app ids, the edge at its request key, the
+// crawler at URLs — nobody interns keys to fit the cache.
 package cache
 
 import (
@@ -20,414 +26,308 @@ import (
 	"fmt"
 )
 
-// Policy is a cache replacement policy over app identifiers. Implementations
+// Policy is a cache replacement policy over keys of type K. Implementations
 // are single-goroutine simulation structures, not concurrent caches; a
 // concurrent caller (the edge tier) serializes access externally.
-type Policy interface {
+type Policy[K comparable] interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// Access records a unit-cost request for id and reports whether it
-	// hit. Equivalent to AccessCost(id, 1). On a miss the app is admitted,
+	// Access records a unit-cost request for k and reports whether it
+	// hit. Equivalent to AccessCost(k, 1). On a miss the key is admitted,
 	// evicting per policy when full.
-	Access(id int32) bool
-	// AccessCost records a request for id with the given residency cost
+	Access(k K) bool
+	// AccessCost records a request for k with the given residency cost
 	// (bytes for the edge tier, 1 for the simulators) and reports whether
-	// it hit. On a miss the app is admitted — evicting entries per policy
+	// it hit. On a miss the key is admitted — evicting entries per policy
 	// until it fits — unless cost alone exceeds the total capacity, in
 	// which case nothing is cached. A hit whose cost differs from the
-	// resident cost re-accounts the entry and trims overflow. cost < 1 is
-	// treated as 1.
-	AccessCost(id int32, cost int64) bool
-	// Len returns the number of cached apps.
+	// resident cost re-accounts the entry and trims overflow, sparing k
+	// itself until it is the only entry left. cost < 1 is treated as 1.
+	AccessCost(k K, cost int64) bool
+	// Len returns the number of cached keys.
 	Len() int
-	// Cost returns the summed residency cost of the cached apps. Equals
+	// Cost returns the summed residency cost of the cached keys. Equals
 	// Len() when every access was unit-cost.
 	Cost() int64
-	// Contains reports whether the app is currently cached.
-	Contains(id int32) bool
-	// OnEvict registers fn to be called with each id the policy removes to
-	// make room (not for ids merely rejected on admission). At most one
+	// Contains reports whether the key is currently cached.
+	Contains(k K) bool
+	// OnEvict registers fn to be called with each key the policy removes to
+	// make room (not for keys merely rejected on admission). At most one
 	// hook is active; nil clears it.
-	OnEvict(fn func(id int32))
+	OnEvict(fn func(k K))
+	// Warm preloads the cache with keys given in order of descending
+	// priority: the first min(capacity, len(keys)) are admitted at unit
+	// cost, keys[0] as the most recently used. The paper initializes caches
+	// with the most popular apps.
+	Warm(keys []K)
 }
 
-// costItem is a resident entry in the list-based policies: the id plus the
-// cost it was admitted (or last re-accounted) at.
-type costItem struct {
-	id   int32
-	cost int64
+// entry is one resident key. The ledger owns key and cost; the rest is
+// scratch space for the ordering the entry lives in.
+type entry[K comparable] struct {
+	key        K
+	cost       int64
+	prev, next *entry[K]     // neighbours in the ordering's chain
+	tag        int32         // 2Q: which queue; CategoryAware: the category
+	freq       int64         // CategoryAware: hit count
+	lastUse    int64         // CategoryAware: sequence number of the last hit
+	bucket     *list.Element // LFU: the frequency bucket holding the entry
 }
 
-// mapHint bounds the initial item-map size: at unit cost the capacity is
-// an exact entry count, but a byte budget (tens of MiB) would preallocate
-// a map for millions of entries that can never all be resident.
-func mapHint(capacity int) int {
-	const maxHint = 1 << 16
-	if capacity > maxHint {
-		return maxHint
+// chain is an intrusive doubly linked list of entries, front = newest. The
+// zero value is an empty chain.
+type chain[K comparable] struct{ front, back *entry[K] }
+
+func (c *chain[K]) pushFront(e *entry[K]) {
+	e.prev, e.next = nil, c.front
+	if c.front != nil {
+		c.front.prev = e
+	} else {
+		c.back = e
 	}
-	return capacity
+	c.front = e
 }
 
-// LRU is a least-recently-used cache.
-type LRU struct {
+func (c *chain[K]) remove(e *entry[K]) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		c.front = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		c.back = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+func (c *chain[K]) moveToFront(e *entry[K]) {
+	if c.front != e {
+		c.remove(e)
+		c.pushFront(e)
+	}
+}
+
+// backExcept returns the back-most entry other than spare, or nil.
+func (c *chain[K]) backExcept(spare *entry[K]) *entry[K] {
+	for e := c.back; e != nil; e = e.prev {
+		if e != spare {
+			return e
+		}
+	}
+	return nil
+}
+
+// order is all a replacement policy decides. The ledger calls it with
+// entries it owns; an order never changes residency itself.
+type order[K comparable] interface {
+	// request sees every access before the ledger acts on it: e is the
+	// resident entry, still at its old cost, or nil on a miss.
+	request(k K, e *entry[K], cost int64)
+	// insert places a newly admitted entry.
+	insert(e *entry[K])
+	// victim names the entry to leave next, never spare — the entry just
+	// touched or, when admitting, just inserted; nil when spare is alone.
+	victim(spare *entry[K], admitting bool) *entry[K]
+	// remove forgets an entry the ledger is evicting.
+	remove(e *entry[K])
+}
+
+// ledger is the residency bookkeeping every policy shares: capacity, cost
+// clamping, oversize rejection, re-cost and trim, and the eviction hook.
+type ledger[K comparable] struct {
+	name    string
 	cap     int64
 	used    int64
-	ll      *list.List              // front = most recent
-	items   map[int32]*list.Element // id -> element (Value = *costItem)
-	onEvict func(int32)
+	items   map[K]*entry[K]
+	ord     order[K]
+	onEvict func(K)
 }
 
-// NewLRU creates an LRU cache holding up to capacity cost units.
-func NewLRU(capacity int) *LRU {
-	if capacity < 1 {
-		panic(fmt.Sprintf("cache: LRU capacity %d", capacity))
+// setup readies the ledger for a policy that needs at least floor capacity.
+func (l *ledger[K]) setup(name string, capacity, floor int, ord order[K]) {
+	if capacity < floor {
+		panic(fmt.Sprintf("cache: %s capacity %d", name, capacity))
 	}
-	return &LRU{cap: int64(capacity), ll: list.New(), items: make(map[int32]*list.Element, mapHint(capacity))}
+	// At unit cost the capacity is an exact entry count, but a byte budget
+	// (tens of MiB) would preallocate a map for millions of entries that
+	// can never all be resident.
+	hint := min(capacity, 1<<16)
+	*l = ledger[K]{name: name, cap: int64(capacity), items: make(map[K]*entry[K], hint), ord: ord}
 }
 
 // Name implements Policy.
-func (c *LRU) Name() string { return "LRU" }
+func (l *ledger[K]) Name() string { return l.name }
 
 // Len implements Policy.
-func (c *LRU) Len() int { return c.ll.Len() }
+func (l *ledger[K]) Len() int { return len(l.items) }
 
 // Cost implements Policy.
-func (c *LRU) Cost() int64 { return c.used }
+func (l *ledger[K]) Cost() int64 { return l.used }
 
 // Contains implements Policy.
-func (c *LRU) Contains(id int32) bool { _, ok := c.items[id]; return ok }
+func (l *ledger[K]) Contains(k K) bool { _, ok := l.items[k]; return ok }
 
 // OnEvict implements Policy.
-func (c *LRU) OnEvict(fn func(int32)) { c.onEvict = fn }
+func (l *ledger[K]) OnEvict(fn func(K)) { l.onEvict = fn }
 
 // Access implements Policy.
-func (c *LRU) Access(id int32) bool { return c.AccessCost(id, 1) }
+func (l *ledger[K]) Access(k K) bool { return l.AccessCost(k, 1) }
 
 // AccessCost implements Policy.
-func (c *LRU) AccessCost(id int32, cost int64) bool {
+func (l *ledger[K]) AccessCost(k K, cost int64) bool {
 	if cost < 1 {
 		cost = 1
 	}
-	if e, ok := c.items[id]; ok {
-		c.ll.MoveToFront(e)
-		it := e.Value.(*costItem)
-		if it.cost != cost {
-			c.used += cost - it.cost
-			it.cost = cost
-			c.trim(id)
-		}
+	e, hit := l.items[k]
+	l.ord.request(k, e, cost)
+	switch {
+	case hit && e.cost == cost:
 		return true
-	}
-	if cost > c.cap {
+	case hit:
+		l.used += cost - e.cost
+		e.cost = cost
+	case cost > l.cap:
 		return false // larger than the whole cache: not admitted
+	default:
+		e = &entry[K]{key: k, cost: cost}
+		l.items[k] = e
+		l.used += cost
+		l.ord.insert(e)
 	}
-	for c.used+cost > c.cap {
-		back := c.ll.Back()
-		if back == nil {
-			break
+	// Restore the capacity invariant around e. An admitted entry fits on
+	// its own, so only a resident one that outgrew the whole cache can end
+	// up evicting itself.
+	for l.used > l.cap {
+		v := l.ord.victim(e, !hit)
+		if v == nil {
+			v = e
 		}
-		c.remove(back)
+		l.ord.remove(v)
+		delete(l.items, v.key)
+		l.used -= v.cost
+		if l.onEvict != nil {
+			l.onEvict(v.key)
+		}
 	}
-	c.items[id] = c.ll.PushFront(&costItem{id: id, cost: cost})
-	c.used += cost
-	return false
+	return hit
 }
 
-// trim evicts from the LRU tail until the cache fits again, touching keep
-// (necessarily at the front) only when it is the sole remaining entry.
-func (c *LRU) trim(keep int32) {
-	for c.used > c.cap {
-		back := c.ll.Back()
-		if back == nil {
-			return
-		}
-		evicted := back.Value.(*costItem).id
-		c.remove(back)
-		if evicted == keep {
-			return
-		}
-	}
-}
-
-func (c *LRU) remove(e *list.Element) {
-	it := e.Value.(*costItem)
-	c.ll.Remove(e)
-	delete(c.items, it.id)
-	c.used -= it.cost
-	if c.onEvict != nil {
-		c.onEvict(it.id)
+// Warm implements Policy.
+func (l *ledger[K]) Warm(keys []K) {
+	for i := min(len(keys), int(l.cap)) - 1; i >= 0; i-- {
+		l.Access(keys[i])
 	}
 }
 
-// Warm preloads the cache with the given apps in order of descending
-// priority: the first min(capacity, len(ids)) entries are admitted and
-// ids[0] ends up most recently used. The paper initializes caches with the
-// most popular apps.
-func (c *LRU) Warm(ids []int32) {
-	n := len(ids)
-	if int64(n) > c.cap {
-		n = int(c.cap)
+// recency is the one-chain ordering behind LRU and FIFO: a new entry goes
+// to the front, the back leaves first, and a hit moves its entry to the
+// front only when touch is set.
+type recency[K comparable] struct {
+	ll    chain[K]
+	touch bool
+}
+
+func (r *recency[K]) request(_ K, e *entry[K], _ int64) {
+	if e != nil && r.touch {
+		r.ll.moveToFront(e)
 	}
-	for i := n - 1; i >= 0; i-- {
-		c.Access(ids[i])
-	}
+}
+func (r *recency[K]) insert(e *entry[K])                       { r.ll.pushFront(e) }
+func (r *recency[K]) victim(spare *entry[K], _ bool) *entry[K] { return r.ll.backExcept(spare) }
+func (r *recency[K]) remove(e *entry[K])                       { r.ll.remove(e) }
+
+// LRU is a least-recently-used cache.
+type LRU[K comparable] struct{ ledger[K] }
+
+// NewLRU creates an LRU cache holding up to capacity cost units.
+func NewLRU[K comparable](capacity int) *LRU[K] {
+	c := &LRU[K]{}
+	c.setup("LRU", capacity, 1, &recency[K]{touch: true})
+	return c
 }
 
 // FIFO evicts in insertion order regardless of use.
-type FIFO struct {
-	cap     int64
-	used    int64
-	ll      *list.List
-	items   map[int32]*list.Element
-	onEvict func(int32)
-}
+type FIFO[K comparable] struct{ ledger[K] }
 
 // NewFIFO creates a FIFO cache holding up to capacity cost units.
-func NewFIFO(capacity int) *FIFO {
-	if capacity < 1 {
-		panic(fmt.Sprintf("cache: FIFO capacity %d", capacity))
-	}
-	return &FIFO{cap: int64(capacity), ll: list.New(), items: make(map[int32]*list.Element, mapHint(capacity))}
+func NewFIFO[K comparable](capacity int) *FIFO[K] {
+	c := &FIFO[K]{}
+	c.setup("FIFO", capacity, 1, &recency[K]{})
+	return c
 }
 
-// Name implements Policy.
-func (c *FIFO) Name() string { return "FIFO" }
-
-// Len implements Policy.
-func (c *FIFO) Len() int { return c.ll.Len() }
-
-// Cost implements Policy.
-func (c *FIFO) Cost() int64 { return c.used }
-
-// Contains implements Policy.
-func (c *FIFO) Contains(id int32) bool { _, ok := c.items[id]; return ok }
-
-// OnEvict implements Policy.
-func (c *FIFO) OnEvict(fn func(int32)) { c.onEvict = fn }
-
-// Access implements Policy.
-func (c *FIFO) Access(id int32) bool { return c.AccessCost(id, 1) }
-
-// AccessCost implements Policy.
-func (c *FIFO) AccessCost(id int32, cost int64) bool {
-	if cost < 1 {
-		cost = 1
-	}
-	if e, ok := c.items[id]; ok {
-		it := e.Value.(*costItem)
-		if it.cost != cost {
-			c.used += cost - it.cost
-			it.cost = cost
-			c.trim(id)
-		}
-		return true
-	}
-	if cost > c.cap {
-		return false
-	}
-	for c.used+cost > c.cap {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		c.remove(back)
-	}
-	c.items[id] = c.ll.PushFront(&costItem{id: id, cost: cost})
-	c.used += cost
-	return false
-}
-
-// trim evicts in FIFO order until the cache fits, skipping keep unless it
-// is the only entry left.
-func (c *FIFO) trim(keep int32) {
-	for c.used > c.cap {
-		v := c.ll.Back()
-		if v == nil {
-			return
-		}
-		if v.Value.(*costItem).id == keep {
-			if v = v.Prev(); v == nil {
-				c.remove(c.ll.Back())
-				return
-			}
-		}
-		c.remove(v)
-	}
-}
-
-func (c *FIFO) remove(e *list.Element) {
-	it := e.Value.(*costItem)
-	c.ll.Remove(e)
-	delete(c.items, it.id)
-	c.used -= it.cost
-	if c.onEvict != nil {
-		c.onEvict(it.id)
-	}
-}
-
-// Warm preloads the cache (first id admitted first).
-func (c *FIFO) Warm(ids []int32) {
-	for _, id := range ids {
+// Warm implements Policy. Insertion order is all FIFO has, so keys are
+// admitted first to last rather than keys[0] last.
+func (c *FIFO[K]) Warm(keys []K) {
+	for _, k := range keys {
 		if c.used >= c.cap {
 			break
 		}
-		c.Access(id)
+		c.Access(k)
 	}
 }
 
-// LFU evicts the least-frequently-used app, breaking ties by recency.
+// LFU evicts the least-frequently-used key, breaking ties by recency.
 // Implemented with the standard O(1) frequency-list structure.
-type LFU struct {
-	cap     int64
-	used    int64
-	freqs   *list.List // of *freqBucket, ascending frequency
-	items   map[int32]*lfuEntry
-	onEvict func(int32)
+type LFU[K comparable] struct {
+	ledger[K]
+	freqs *list.List // of *freqBucket[K], ascending frequency
 }
 
-type freqBucket struct {
+type freqBucket[K comparable] struct {
 	freq    int64
-	entries *list.List // of int32 ids, front = most recent
-}
-
-type lfuEntry struct {
-	bucket *list.Element // into freqs
-	elem   *list.Element // into bucket.entries
-	cost   int64
+	entries chain[K] // front = most recent
 }
 
 // NewLFU creates an LFU cache holding up to capacity cost units.
-func NewLFU(capacity int) *LFU {
-	if capacity < 1 {
-		panic(fmt.Sprintf("cache: LFU capacity %d", capacity))
-	}
-	return &LFU{cap: int64(capacity), freqs: list.New(), items: make(map[int32]*lfuEntry, mapHint(capacity))}
+func NewLFU[K comparable](capacity int) *LFU[K] {
+	c := &LFU[K]{freqs: list.New()}
+	c.setup("LFU", capacity, 1, c)
+	return c
 }
 
-// Name implements Policy.
-func (c *LFU) Name() string { return "LFU" }
-
-// Len implements Policy.
-func (c *LFU) Len() int { return len(c.items) }
-
-// Cost implements Policy.
-func (c *LFU) Cost() int64 { return c.used }
-
-// Contains implements Policy.
-func (c *LFU) Contains(id int32) bool { _, ok := c.items[id]; return ok }
-
-// OnEvict implements Policy.
-func (c *LFU) OnEvict(fn func(int32)) { c.onEvict = fn }
-
-// Access implements Policy.
-func (c *LFU) Access(id int32) bool { return c.AccessCost(id, 1) }
-
-// AccessCost implements Policy.
-func (c *LFU) AccessCost(id int32, cost int64) bool {
-	if cost < 1 {
-		cost = 1
-	}
-	if e, ok := c.items[id]; ok {
-		c.promote(id, e)
-		if e.cost != cost {
-			c.used += cost - e.cost
-			e.cost = cost
-			c.trim(id)
-		}
-		return true
-	}
-	if cost > c.cap {
-		return false
-	}
-	for c.used+cost > c.cap && len(c.items) > 0 {
-		c.evict()
-	}
-	// Insert at frequency 1.
-	front := c.freqs.Front()
-	if front == nil || front.Value.(*freqBucket).freq != 1 {
-		front = c.freqs.PushFront(&freqBucket{freq: 1, entries: list.New()})
-	}
-	b := front.Value.(*freqBucket)
-	c.items[id] = &lfuEntry{bucket: front, elem: b.entries.PushFront(id), cost: cost}
-	c.used += cost
-	return false
-}
-
-func (c *LFU) promote(id int32, e *lfuEntry) {
-	b := e.bucket.Value.(*freqBucket)
-	next := e.bucket.Next()
-	b.entries.Remove(e.elem)
-	var target *list.Element
-	if next != nil && next.Value.(*freqBucket).freq == b.freq+1 {
-		target = next
-	} else {
-		target = c.freqs.InsertAfter(&freqBucket{freq: b.freq + 1, entries: list.New()}, e.bucket)
-	}
-	if b.entries.Len() == 0 {
-		c.freqs.Remove(e.bucket)
-	}
-	tb := target.Value.(*freqBucket)
-	e.bucket = target
-	e.elem = tb.entries.PushFront(id)
-}
-
-func (c *LFU) evict() {
-	front := c.freqs.Front()
-	if front == nil {
+// request promotes a hit entry to the next frequency bucket.
+func (c *LFU[K]) request(_ K, e *entry[K], _ int64) {
+	if e == nil {
 		return
 	}
-	b := front.Value.(*freqBucket)
-	victim := b.entries.Back() // least recent within lowest frequency
-	c.removeVictim(front, b, victim)
+	from := e.bucket
+	b := from.Value.(*freqBucket[K])
+	to := from.Next()
+	if to == nil || to.Value.(*freqBucket[K]).freq != b.freq+1 {
+		to = c.freqs.InsertAfter(&freqBucket[K]{freq: b.freq + 1}, from)
+	}
+	c.remove(e)
+	e.bucket = to
+	to.Value.(*freqBucket[K]).entries.pushFront(e)
 }
 
-func (c *LFU) removeVictim(fb *list.Element, b *freqBucket, victim *list.Element) {
-	id := victim.Value.(int32)
-	b.entries.Remove(victim)
-	if b.entries.Len() == 0 {
-		c.freqs.Remove(fb)
+// insert places a new entry at frequency 1.
+func (c *LFU[K]) insert(e *entry[K]) {
+	front := c.freqs.Front()
+	if front == nil || front.Value.(*freqBucket[K]).freq != 1 {
+		front = c.freqs.PushFront(&freqBucket[K]{freq: 1})
 	}
-	c.used -= c.items[id].cost
-	delete(c.items, id)
-	if c.onEvict != nil {
-		c.onEvict(id)
-	}
+	e.bucket = front
+	front.Value.(*freqBucket[K]).entries.pushFront(e)
 }
 
-// trim evicts in LFU order until the cache fits, sparing keep until it is
-// the only entry left.
-func (c *LFU) trim(keep int32) {
-	for c.used > c.cap && len(c.items) > 1 {
-		c.evictExcept(keep)
-	}
-	if c.used > c.cap && len(c.items) == 1 {
-		c.evict() // keep alone exceeds capacity
-	}
-}
-
-// evictExcept removes the least-frequently-used entry other than keep.
-func (c *LFU) evictExcept(keep int32) {
+// victim is the least recent entry of the lowest frequency.
+func (c *LFU[K]) victim(spare *entry[K], _ bool) *entry[K] {
 	for fb := c.freqs.Front(); fb != nil; fb = fb.Next() {
-		b := fb.Value.(*freqBucket)
-		for v := b.entries.Back(); v != nil; v = v.Prev() {
-			if v.Value.(int32) == keep {
-				continue
-			}
-			c.removeVictim(fb, b, v)
-			return
+		if v := fb.Value.(*freqBucket[K]).entries.backExcept(spare); v != nil {
+			return v
 		}
 	}
+	return nil
 }
 
-// Warm preloads the first min(capacity, len(ids)) apps at frequency 1,
-// ids[0] most recent.
-func (c *LFU) Warm(ids []int32) {
-	n := len(ids)
-	if int64(n) > c.cap {
-		n = int(c.cap)
-	}
-	for i := n - 1; i >= 0; i-- {
-		c.Access(ids[i])
+func (c *LFU[K]) remove(e *entry[K]) {
+	b := e.bucket.Value.(*freqBucket[K])
+	b.entries.remove(e)
+	if b.entries.front == nil {
+		c.freqs.Remove(e.bucket)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestLRUBasics(t *testing.T) {
-	c := NewLRU(2)
+	c := NewLRU[int32](2)
 	if c.Access(1) {
 		t.Fatal("cold access hit")
 	}
@@ -29,7 +29,7 @@ func TestLRUBasics(t *testing.T) {
 }
 
 func TestLRURecencyUpdatesOnHit(t *testing.T) {
-	c := NewLRU(2)
+	c := NewLRU[int32](2)
 	c.Access(1)
 	c.Access(2)
 	c.Access(1) // 1 becomes most recent
@@ -40,7 +40,7 @@ func TestLRURecencyUpdatesOnHit(t *testing.T) {
 }
 
 func TestLRUWarm(t *testing.T) {
-	c := NewLRU(3)
+	c := NewLRU[int32](3)
 	c.Warm([]int32{10, 11, 12, 13}) // only first 3 fit; 10 most recent
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d", c.Len())
@@ -55,7 +55,7 @@ func TestLRUWarm(t *testing.T) {
 }
 
 func TestFIFOIgnoresRecency(t *testing.T) {
-	c := NewFIFO(2)
+	c := NewFIFO[int32](2)
 	c.Access(1)
 	c.Access(2)
 	c.Access(1) // hit, but FIFO does not refresh
@@ -66,7 +66,7 @@ func TestFIFOIgnoresRecency(t *testing.T) {
 }
 
 func TestLFUEvictsColdest(t *testing.T) {
-	c := NewLFU(2)
+	c := NewLFU[int32](2)
 	c.Access(1)
 	c.Access(1)
 	c.Access(1) // freq 3
@@ -81,7 +81,7 @@ func TestLFUEvictsColdest(t *testing.T) {
 }
 
 func TestLFUTieBreakByRecency(t *testing.T) {
-	c := NewLFU(2)
+	c := NewLFU[int32](2)
 	c.Access(1) // freq 1
 	c.Access(2) // freq 1, more recent
 	c.Access(3) // tie at freq 1: evict least recent = 1
@@ -91,7 +91,7 @@ func TestLFUTieBreakByRecency(t *testing.T) {
 }
 
 func TestLFUPromotionAcrossBuckets(t *testing.T) {
-	c := NewLFU(3)
+	c := NewLFU[int32](3)
 	c.Access(1)
 	c.Access(2)
 	c.Access(3)
@@ -107,9 +107,9 @@ func TestLFUPromotionAcrossBuckets(t *testing.T) {
 
 func TestConstructorsPanicOnBadCapacity(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewLRU(0) },
-		func() { NewFIFO(0) },
-		func() { NewLFU(-1) },
+		func() { NewLRU[int32](0) },
+		func() { NewFIFO[int32](0) },
+		func() { NewLFU[int32](-1) },
 	} {
 		func() {
 			defer func() {
@@ -122,9 +122,9 @@ func TestConstructorsPanicOnBadCapacity(t *testing.T) {
 	}
 }
 
-func newTestCategoryAware(capacity, apps, cats int) *CategoryAware {
+func newTestCategoryAware(capacity, apps, cats int) *CategoryAware[int32] {
 	cm := model.RoundRobin(apps, cats)
-	return NewCategoryAware(CategoryAwareConfig{
+	return NewCategoryAware(CategoryAwareConfig[int32]{
 		Capacity:   capacity,
 		CategoryOf: func(id int32) int32 { return cm.OfApp[id] },
 	})
@@ -157,7 +157,7 @@ func TestCategoryAwareIsolatesCategoryChurn(t *testing.T) {
 	// once allocation targets have been learned — the property a global
 	// LRU lacks.
 	cm := model.RoundRobin(1000, 2)
-	c := NewCategoryAware(CategoryAwareConfig{
+	c := NewCategoryAware(CategoryAwareConfig[int32]{
 		Capacity:       10,
 		CategoryOf:     func(id int32) int32 { return cm.OfApp[id] },
 		RebalanceEvery: 20,
@@ -178,7 +178,7 @@ func TestCategoryAwareConfigPanics(t *testing.T) {
 			t.Fatal("bad config did not panic")
 		}
 	}()
-	NewCategoryAware(CategoryAwareConfig{Capacity: 10})
+	NewCategoryAware(CategoryAwareConfig[int32]{Capacity: 10})
 }
 
 func cacheSimCfg() model.Config {
@@ -194,8 +194,8 @@ func TestSimulateHitRatioSane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lru := NewLRU(200)
-	res := Simulate(lru, lru, sim, 200, 1)
+	lru := NewLRU[int32](200)
+	res := Simulate(lru, sim, 200, 1)
 	if res.Requests == 0 {
 		t.Fatal("no requests simulated")
 	}
@@ -264,7 +264,7 @@ func TestComparePoliciesCategoryAwareWins(t *testing.T) {
 
 func TestPoliciesNeverExceedCapacity(t *testing.T) {
 	r := rng.New(5)
-	policies := []Policy{NewLRU(50), NewFIFO(50), NewLFU(50), newTestCategoryAware(50, 500, 10)}
+	policies := []Policy[int32]{NewLRU[int32](50), NewFIFO[int32](50), NewLFU[int32](50), newTestCategoryAware(50, 500, 10)}
 	for i := 0; i < 20000; i++ {
 		id := int32(r.Intn(500))
 		for _, p := range policies {
@@ -277,7 +277,7 @@ func TestPoliciesNeverExceedCapacity(t *testing.T) {
 }
 
 func BenchmarkLRUAccess(b *testing.B) {
-	c := NewLRU(10000)
+	c := NewLRU[int32](10000)
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -286,7 +286,7 @@ func BenchmarkLRUAccess(b *testing.B) {
 }
 
 func BenchmarkLFUAccess(b *testing.B) {
-	c := NewLFU(10000)
+	c := NewLFU[int32](10000)
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -295,7 +295,7 @@ func BenchmarkLFUAccess(b *testing.B) {
 }
 
 func TestTwoQProbationAndPromotion(t *testing.T) {
-	c := NewTwoQ(4) // inCap=1, ghostCap=4
+	c := NewTwoQ[int32](4) // inCap=1, ghostCap=4
 	if c.Access(1) {
 		t.Fatal("cold access hit")
 	}
@@ -325,7 +325,7 @@ func TestTwoQProbationAndPromotion(t *testing.T) {
 
 func TestTwoQScanResistance(t *testing.T) {
 	// A hot protected app must survive a long one-shot scan.
-	c := NewTwoQ(8)
+	c := NewTwoQ[int32](8)
 	c.Warm([]int32{1000, 1001}) // protected residents
 	for i := int32(0); i < 500; i++ {
 		c.Access(i) // one-shot scan
@@ -341,11 +341,11 @@ func TestTwoQPanicsOnTinyCapacity(t *testing.T) {
 			t.Fatal("capacity 1 did not panic")
 		}
 	}()
-	NewTwoQ(1)
+	NewTwoQ[int32](1)
 }
 
 func TestTwoQCapacityInvariant(t *testing.T) {
-	c := NewTwoQ(16)
+	c := NewTwoQ[int32](16)
 	r := rng.New(3)
 	for i := 0; i < 50000; i++ {
 		c.Access(int32(r.Intn(300)))

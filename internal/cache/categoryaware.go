@@ -1,15 +1,11 @@
 package cache
 
-import (
-	"fmt"
-)
-
 // CategoryAware is the extension policy §7 of the paper motivates ("new
 // replacement policies should be used, taking into account the
 // clustering-based user behavior"). It is a partitioned LFU: capacity is
 // divided into per-category segments whose sizes track each category's
 // observed traffic share, and within a segment the least-frequently-used
-// app is evicted (ties broken by recency).
+// key is evicted (ties broken by recency).
 //
 // Rationale: under APP-CLUSTERING the aggregate request stream a shared
 // cache sees has no temporal category locality (per-user category runs are
@@ -18,39 +14,33 @@ import (
 // therefore the dominant signal, and the per-category partition keeps one
 // category's churn from displacing another category's stable head, which
 // a single global recency list cannot guarantee.
-type CategoryAware struct {
-	cap        int64
-	used       int64
+type CategoryAware[K comparable] struct {
+	ledger[K]
 	rebalance  int
-	categoryOf func(int32) int32
+	categoryOf func(K) int32
 
-	items    map[int32]*caEntry
-	segments map[int32]map[int32]*caEntry
-	segCost  map[int32]int64 // per-category resident cost
-	seq      int64
-
-	counts  map[int32]int64 // per-category request counts
-	total   int64
+	segs    map[int32]*segment[K] // every category requested so far
+	seq     int64                 // requests seen
 	sinceRe int
-	targets map[int32]int64 // per-category capacity share, in cost units
-
-	onEvict func(int32)
 }
 
-type caEntry struct {
-	cat     int32
-	count   int64
-	lastUse int64
-	cost    int64
+// segment is one category's partition.
+type segment[K comparable] struct {
+	members  map[K]*entry[K]
+	cost     int64 // resident cost
+	requests int64
+	target   int64 // capacity share in cost units; 0 before the first rebalance
 }
 
 // CategoryAwareConfig configures the policy.
-type CategoryAwareConfig struct {
+type CategoryAwareConfig[K comparable] struct {
 	// Capacity is the total cost the cache holds (number of apps at unit
 	// cost, bytes for the edge tier).
 	Capacity int
-	// CategoryOf maps app id to category id.
-	CategoryOf func(int32) int32
+	// CategoryOf maps a key to its category id. It is consulted when a key
+	// is requested while not resident; a resident key keeps the category
+	// it was admitted under.
+	CategoryOf func(K) int32
 	// RebalanceEvery is the number of requests between allocation-target
 	// recomputations; 0 selects Capacity.
 	RebalanceEvery int
@@ -58,242 +48,123 @@ type CategoryAwareConfig struct {
 
 // NewCategoryAware builds the policy. It panics on invalid configuration,
 // mirroring the other constructors.
-func NewCategoryAware(cfg CategoryAwareConfig) *CategoryAware {
-	if cfg.Capacity < 1 {
-		panic(fmt.Sprintf("cache: CategoryAware capacity %d", cfg.Capacity))
-	}
+func NewCategoryAware[K comparable](cfg CategoryAwareConfig[K]) *CategoryAware[K] {
 	if cfg.CategoryOf == nil {
 		panic("cache: CategoryAware needs CategoryOf")
 	}
-	re := cfg.RebalanceEvery
-	if re <= 0 {
-		re = cfg.Capacity
-	}
-	return &CategoryAware{
-		cap:        int64(cfg.Capacity),
-		rebalance:  re,
+	c := &CategoryAware[K]{
+		rebalance:  cfg.RebalanceEvery,
 		categoryOf: cfg.CategoryOf,
-		items:      map[int32]*caEntry{},
-		segments:   map[int32]map[int32]*caEntry{},
-		segCost:    map[int32]int64{},
-		counts:     map[int32]int64{},
-		targets:    map[int32]int64{},
+		segs:       map[int32]*segment[K]{},
 	}
+	c.setup("CategoryAware", cfg.Capacity, 1, c)
+	if c.rebalance <= 0 {
+		c.rebalance = cfg.Capacity
+	}
+	return c
 }
 
-// Name implements Policy.
-func (c *CategoryAware) Name() string { return "CategoryAware" }
-
-// Len implements Policy.
-func (c *CategoryAware) Len() int { return len(c.items) }
-
-// Cost implements Policy.
-func (c *CategoryAware) Cost() int64 { return c.used }
-
-// Contains implements Policy.
-func (c *CategoryAware) Contains(id int32) bool {
-	_, ok := c.items[id]
-	return ok
+func (c *CategoryAware[K]) segment(cat int32) *segment[K] {
+	seg := c.segs[cat]
+	if seg == nil {
+		seg = &segment[K]{members: map[K]*entry[K]{}}
+		c.segs[cat] = seg
+	}
+	return seg
 }
 
-// OnEvict implements Policy.
-func (c *CategoryAware) OnEvict(fn func(int32)) { c.onEvict = fn }
-
-// Access implements Policy.
-func (c *CategoryAware) Access(id int32) bool { return c.AccessCost(id, 1) }
-
-// AccessCost implements Policy.
-func (c *CategoryAware) AccessCost(id int32, cost int64) bool {
-	if cost < 1 {
-		cost = 1
+// request counts the access toward its category's traffic share — misses
+// and rejected oversize keys are demand too — and scores a hit.
+func (c *CategoryAware[K]) request(k K, e *entry[K], cost int64) {
+	var seg *segment[K]
+	if e == nil {
+		seg = c.segment(c.categoryOf(k))
+	} else {
+		seg = c.segs[e.tag]
 	}
-	cat := c.categoryOf(id)
-	c.counts[cat]++
-	c.total++
+	seg.requests++
 	c.seq++
 	c.sinceRe++
 	if c.sinceRe >= c.rebalance {
 		c.recomputeTargets()
 		c.sinceRe = 0
 	}
-	if e, ok := c.items[id]; ok {
-		e.count++
+	if e != nil {
+		e.freq++
 		e.lastUse = c.seq
-		if e.cost != cost {
-			c.used += cost - e.cost
-			c.segCost[e.cat] += cost - e.cost
-			e.cost = cost
-			c.trim(id)
-		}
-		return true
+		seg.cost += cost - e.cost
 	}
-	if cost > c.cap {
-		return false
-	}
-	for c.used+cost > c.cap && len(c.items) > 0 {
-		c.evict(cat, cost)
-	}
-	e := &caEntry{cat: cat, count: 1, lastUse: c.seq, cost: cost}
-	c.items[id] = e
-	seg := c.segments[cat]
-	if seg == nil {
-		seg = map[int32]*caEntry{}
-		c.segments[cat] = seg
-	}
-	seg[id] = e
-	c.segCost[cat] += cost
-	c.used += cost
-	return false
+}
+
+func (c *CategoryAware[K]) insert(e *entry[K]) {
+	e.tag, e.freq, e.lastUse = c.categoryOf(e.key), 1, c.seq
+	seg := c.segment(e.tag)
+	seg.members[e.key] = e
+	seg.cost += e.cost
 }
 
 // recomputeTargets reallocates capacity proportionally to observed traffic,
 // guaranteeing at least one cost unit to every category seen so far and
 // giving leftover capacity to the busiest category.
-func (c *CategoryAware) recomputeTargets() {
-	if c.total == 0 {
-		return
-	}
-	for cat := range c.targets {
-		delete(c.targets, cat)
-	}
+func (c *CategoryAware[K]) recomputeTargets() {
 	var assigned int64
-	var maxCat int32
-	var maxCount int64 = -1
-	for cat, n := range c.counts {
-		t := int64(float64(c.cap) * float64(n) / float64(c.total))
-		if t < 1 {
-			t = 1
-		}
-		c.targets[cat] = t
-		assigned += t
+	var busiest *segment[K]
+	var busiestCat int32
+	for cat, seg := range c.segs {
+		seg.target = max(1, int64(float64(c.cap)*float64(seg.requests)/float64(c.seq)))
+		assigned += seg.target
 		// Tie-break on the lower category id: map iteration order must
 		// not decide who receives the leftover slots.
-		if n > maxCount || (n == maxCount && cat < maxCat) {
-			maxCount, maxCat = n, cat
+		if busiest == nil || seg.requests > busiest.requests || (seg.requests == busiest.requests && cat < busiestCat) {
+			busiest, busiestCat = seg, cat
 		}
 	}
 	if rem := c.cap - assigned; rem > 0 {
-		c.targets[maxCat] += rem
+		busiest.target += rem
 	}
 }
 
-// evict removes the least-frequently-used app (ties by least recent) from
-// the most over-target segment; the inserting category is handicapped by
-// the incoming cost so it can grow toward its own target.
-func (c *CategoryAware) evict(inserting int32, insertingCost int64) {
-	seg, found := c.pickSegment(inserting, insertingCost)
-	if !found {
-		return
-	}
-	var victim int32
-	var ve *caEntry
-	for id, e := range seg {
-		if ve == nil || e.count < ve.count || (e.count == ve.count && e.lastUse < ve.lastUse) {
-			victim, ve = id, e
+// victim is the least-frequently-used key (ties by least recent) of the
+// most over-target segment.
+func (c *CategoryAware[K]) victim(spare *entry[K], admitting bool) *entry[K] {
+	var from *segment[K]
+	var fromCat int32
+	var fromOver int64
+	for cat, seg := range c.segs {
+		candidates, over := len(seg.members), seg.cost-max(seg.target, 1)
+		if cat == spare.tag {
+			candidates--
+			if admitting {
+				// The incoming entry is already in seg.cost; take it out,
+				// and once more as a handicap so its category can grow
+				// toward its own target.
+				over -= 2 * spare.cost
+			}
 		}
-	}
-	c.remove(victim, ve)
-}
-
-// pickSegment chooses the most over-target non-empty segment.
-func (c *CategoryAware) pickSegment(inserting int32, insertingCost int64) (map[int32]*caEntry, bool) {
-	var victimSeg int32
-	var bestOver int64 = -1 << 62
-	found := false
-	for cat, seg := range c.segments {
-		if len(seg) == 0 {
+		if candidates == 0 {
 			continue
-		}
-		target := c.targets[cat]
-		if target == 0 {
-			target = 1
-		}
-		over := c.segCost[cat] - target
-		if cat == inserting {
-			over -= insertingCost
 		}
 		// Tie-break on the lower category id, for the same reason as
 		// recomputeTargets: equal-pressure segments must yield the same
 		// victim on every run.
-		if over > bestOver || (over == bestOver && found && cat < victimSeg) {
-			bestOver, victimSeg, found = over, cat, true
+		if from == nil || over > fromOver || (over == fromOver && cat < fromCat) {
+			from, fromCat, fromOver = seg, cat, over
 		}
 	}
-	if !found {
-		return nil, false
+	if from == nil {
+		return nil
 	}
-	return c.segments[victimSeg], true
+	var v *entry[K]
+	for _, e := range from.members {
+		if e != spare && (v == nil || e.freq < v.freq || (e.freq == v.freq && e.lastUse < v.lastUse)) {
+			v = e
+		}
+	}
+	return v
 }
 
-func (c *CategoryAware) remove(id int32, e *caEntry) {
-	delete(c.segments[e.cat], id)
-	delete(c.items, id)
-	c.segCost[e.cat] -= e.cost
-	c.used -= e.cost
-	if c.onEvict != nil {
-		c.onEvict(id)
-	}
-}
-
-// trim restores the capacity invariant after a resident entry's cost grew,
-// sparing keep until it is the only entry left.
-func (c *CategoryAware) trim(keep int32) {
-	for c.used > c.cap && len(c.items) > 1 {
-		if !c.evictExcept(keep) {
-			break
-		}
-	}
-	if c.used > c.cap && len(c.items) == 1 {
-		if e, ok := c.items[keep]; ok { // keep alone exceeds capacity
-			c.remove(keep, e)
-		}
-	}
-}
-
-// evictExcept evicts the best victim other than keep, scanning all
-// segments by over-target pressure.
-func (c *CategoryAware) evictExcept(keep int32) bool {
-	var victim int32
-	var ve *caEntry
-	var bestOver int64 = -1 << 62
-	for cat, seg := range c.segments {
-		target := c.targets[cat]
-		if target == 0 {
-			target = 1
-		}
-		over := c.segCost[cat] - target
-		var segVictim int32
-		var segVe *caEntry
-		for id, e := range seg {
-			if id == keep {
-				continue
-			}
-			if segVe == nil || e.count < segVe.count || (e.count == segVe.count && e.lastUse < segVe.lastUse) {
-				segVictim, segVe = id, e
-			}
-		}
-		if segVe == nil {
-			continue
-		}
-		if over > bestOver || (over == bestOver && ve != nil && cat < ve.cat) {
-			bestOver, victim, ve = over, segVictim, segVe
-		}
-	}
-	if ve == nil {
-		return false
-	}
-	c.remove(victim, ve)
-	return true
-}
-
-// Warm preloads the first min(capacity, len(ids)) apps at frequency 1,
-// ids[0] most recently used.
-func (c *CategoryAware) Warm(ids []int32) {
-	n := len(ids)
-	if int64(n) > c.cap {
-		n = int(c.cap)
-	}
-	for i := n - 1; i >= 0; i-- {
-		c.Access(ids[i])
-	}
+func (c *CategoryAware[K]) remove(e *entry[K]) {
+	seg := c.segs[e.tag]
+	delete(seg.members, e.key)
+	seg.cost -= e.cost
 }

@@ -6,13 +6,13 @@ import (
 )
 
 // policies under test, built fresh per case.
-func costPolicies(capacity int) []Policy {
-	return []Policy{
-		NewLRU(capacity),
-		NewFIFO(capacity),
-		NewLFU(capacity),
-		NewTwoQ(capacity),
-		NewCategoryAware(CategoryAwareConfig{
+func costPolicies(capacity int) []Policy[int32] {
+	return []Policy[int32]{
+		NewLRU[int32](capacity),
+		NewFIFO[int32](capacity),
+		NewLFU[int32](capacity),
+		NewTwoQ[int32](capacity),
+		NewCategoryAware(CategoryAwareConfig[int32]{
 			Capacity:   capacity,
 			CategoryOf: func(id int32) int32 { return id % 4 },
 		}),
@@ -139,7 +139,7 @@ func TestCostGrowthTrims(t *testing.T) {
 // TestLRUByteOrder pins the eviction order in byte mode: the least
 // recently used entries go first, regardless of size.
 func TestLRUByteOrder(t *testing.T) {
-	c := NewLRU(100)
+	c := NewLRU[int32](100)
 	var evicted []int32
 	c.OnEvict(func(id int32) { evicted = append(evicted, id) })
 	c.AccessCost(1, 50)

@@ -27,14 +27,12 @@ func (r SimResult) HitRatio() float64 {
 // warming the cache with the most popular apps first (the paper initializes
 // the cache "with the respective number of most popular apps"; under the
 // models' app-index-equals-rank convention those are apps 0..capacity-1).
-func Simulate(p Policy, warm interface{ Warm([]int32) }, sim *model.Simulator, capacity int, seed uint64) SimResult {
-	if warm != nil {
-		ids := make([]int32, capacity)
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		warm.Warm(ids)
+func Simulate(p Policy[int32], sim *model.Simulator, capacity int, seed uint64) SimResult {
+	ids := make([]int32, capacity)
+	for i := range ids {
+		ids[i] = int32(i)
 	}
+	p.Warm(ids)
 	res := SimResult{Policy: p.Name(), Model: sim.Kind().String(), Capacity: capacity}
 	sim.Stream(seed, func(e model.Event) bool {
 		res.Requests++
@@ -75,8 +73,7 @@ func SweepLRU(cfg model.Config, sizesPct []float64, seed uint64) ([]SweepPoint, 
 		}
 		pt := SweepPoint{SizePct: pct, Capacity: capApps, HitRatio: map[string]float64{}}
 		for _, k := range model.Kinds {
-			lru := NewLRU(capApps)
-			r := Simulate(lru, lru, sims[k], capApps, seed)
+			r := Simulate(NewLRU[int32](capApps), sims[k], capApps, seed)
 			pt.HitRatio[k.String()] = r.HitRatio()
 		}
 		out = append(out, pt)
@@ -96,19 +93,18 @@ func ComparePolicies(cfg model.Config, capacity int, seed uint64) ([]SimResult, 
 	if cm == nil {
 		cm = model.RoundRobin(cfg.Apps, cfg.Clusters)
 	}
-	lru := NewLRU(capacity)
-	fifo := NewFIFO(capacity)
-	lfu := NewLFU(capacity)
-	twoq := NewTwoQ(capacity)
-	ca := NewCategoryAware(CategoryAwareConfig{
-		Capacity:   capacity,
-		CategoryOf: func(id int32) int32 { return cm.OfApp[id] },
-	})
 	var out []SimResult
-	out = append(out, Simulate(fifo, fifo, sim, capacity, seed))
-	out = append(out, Simulate(lru, lru, sim, capacity, seed))
-	out = append(out, Simulate(twoq, twoq, sim, capacity, seed))
-	out = append(out, Simulate(lfu, lfu, sim, capacity, seed))
-	out = append(out, Simulate(ca, ca, sim, capacity, seed))
+	for _, p := range []Policy[int32]{
+		NewFIFO[int32](capacity),
+		NewLRU[int32](capacity),
+		NewTwoQ[int32](capacity),
+		NewLFU[int32](capacity),
+		NewCategoryAware(CategoryAwareConfig[int32]{
+			Capacity:   capacity,
+			CategoryOf: func(id int32) int32 { return cm.OfApp[id] },
+		}),
+	} {
+		out = append(out, Simulate(p, sim, capacity, seed))
+	}
 	return out, nil
 }

@@ -1,230 +1,105 @@
 package cache
 
-import (
-	"container/list"
-	"fmt"
-)
-
 // TwoQ implements the 2Q replacement policy (Johnson & Shasha, VLDB '94):
-// first-time accesses enter a FIFO probation queue (A1in); apps evicted
-// from probation are remembered in a ghost list (A1out, ids only); a hit
-// on a ghost promotes the app into the protected LRU (Am). Scan-resistant:
+// first-time accesses enter a FIFO probation queue (A1in); keys evicted
+// from probation are remembered in a ghost list (A1out, no payload); a hit
+// on a ghost promotes the key into the protected LRU (Am). Scan-resistant:
 // one-shot downloads churn through probation without displacing the
 // protected set — a useful contrast policy for the clustering workload,
 // where a large fraction of requests are one-time tail downloads.
-type TwoQ struct {
-	cap   int64
-	inCap int64 // classic 25% probation sizing, in cost units
-	used  int64
+//
+// Probation is not trimmed to a sub-capacity while the cache has room;
+// when it is full, the oldest probation entry leaves before any protected
+// one.
+type TwoQ[K comparable] struct {
+	ledger[K]
 
-	in    *list.List // probation FIFO, front = newest (Value = *costItem)
-	am    *list.List // protected LRU, front = most recent (Value = *costItem)
-	ghost *list.List // ghost FIFO of evicted-probation entries (Value = *costItem)
+	in chain[K] // probation FIFO, front = newest
+	am chain[K] // protected LRU, front = most recent
 
-	items  map[int32]*twoqEntry
-	ghosts map[int32]*list.Element
-
-	// ghostCost bounds the ghost list: it remembers at most one full
-	// capacity's worth of evicted cost (at unit cost: `capacity` ids,
-	// exactly the classic full-capacity ghost sizing).
+	// The ghost list remembers at most one full capacity's worth of
+	// evicted cost (at unit cost: `capacity` keys, exactly the classic
+	// full-capacity ghost sizing). A ghost is the evicted entry itself,
+	// kept at the cost it was resident at.
+	ghost     chain[K] // front = newest
+	ghosts    map[K]*entry[K]
 	ghostCost int64
 
-	onEvict func(int32)
+	// warming admits straight into the protected queue.
+	warming bool
 }
 
-type twoqEntry struct {
-	elem *list.Element
-	// where distinguishes the resident queue: probation or protected.
-	where int8 // 0 = in, 1 = am
+// Queue tags of a resident 2Q entry.
+const (
+	probation int32 = iota
+	protected
+)
+
+// NewTwoQ creates a 2Q cache holding up to capacity cost units, with
+// full-capacity ghost sizing.
+func NewTwoQ[K comparable](capacity int) *TwoQ[K] {
+	c := &TwoQ[K]{ghosts: map[K]*entry[K]{}}
+	c.setup("2Q", capacity, 2, c)
+	return c
 }
 
-// NewTwoQ creates a 2Q cache holding up to capacity cost units, with the
-// classic 25% probation / full-capacity ghost sizing.
-func NewTwoQ(capacity int) *TwoQ {
-	if capacity < 2 {
-		panic(fmt.Sprintf("cache: TwoQ capacity %d", capacity))
-	}
-	inCap := int64(capacity / 4)
-	if inCap < 1 {
-		inCap = 1
-	}
-	return &TwoQ{
-		cap:    int64(capacity),
-		inCap:  inCap,
-		in:     list.New(),
-		am:     list.New(),
-		ghost:  list.New(),
-		items:  map[int32]*twoqEntry{},
-		ghosts: map[int32]*list.Element{},
+// request refreshes a protected hit. Probation hits do not promote in
+// classic 2Q (only ghost hits prove re-reference beyond the FIFO window).
+func (c *TwoQ[K]) request(_ K, e *entry[K], _ int64) {
+	if e != nil && e.tag == protected {
+		c.am.moveToFront(e)
 	}
 }
 
-// Name implements Policy.
-func (c *TwoQ) Name() string { return "2Q" }
-
-// Len implements Policy.
-func (c *TwoQ) Len() int { return len(c.items) }
-
-// Cost implements Policy.
-func (c *TwoQ) Cost() int64 { return c.used }
-
-// Contains implements Policy.
-func (c *TwoQ) Contains(id int32) bool {
-	_, ok := c.items[id]
-	return ok
-}
-
-// OnEvict implements Policy.
-func (c *TwoQ) OnEvict(fn func(int32)) { c.onEvict = fn }
-
-// Access implements Policy.
-func (c *TwoQ) Access(id int32) bool { return c.AccessCost(id, 1) }
-
-// AccessCost implements Policy.
-func (c *TwoQ) AccessCost(id int32, cost int64) bool {
-	if cost < 1 {
-		cost = 1
+// insert sends a first sighting to probation and a key re-referenced after
+// its probation eviction to the protected queue.
+func (c *TwoQ[K]) insert(e *entry[K]) {
+	g, ghosted := c.ghosts[e.key]
+	if ghosted {
+		c.forget(g)
 	}
-	if e, ok := c.items[id]; ok {
-		if e.where == 1 {
-			c.am.MoveToFront(e.elem)
-		}
-		// Probation hits do not promote in classic 2Q (only ghost hits
-		// prove re-reference beyond the FIFO window).
-		it := e.elem.Value.(*costItem)
-		if it.cost != cost {
-			c.used += cost - it.cost
-			it.cost = cost
-			c.trim(id)
-		}
-		return true
-	}
-	if cost > c.cap {
-		return false
-	}
-	if g, ok := c.ghosts[id]; ok {
-		// Re-referenced after probation eviction: admit to protected.
-		c.ghostCost -= g.Value.(*costItem).cost
-		c.ghost.Remove(g)
-		delete(c.ghosts, id)
-		c.makeRoom(cost)
-		c.items[id] = &twoqEntry{elem: c.am.PushFront(&costItem{id: id, cost: cost}), where: 1}
-		c.used += cost
-		return false
-	}
-	// First sighting: probation.
-	c.makeRoom(cost)
-	c.items[id] = &twoqEntry{elem: c.in.PushFront(&costItem{id: id, cost: cost}), where: 0}
-	c.used += cost
-	return false
-}
-
-// makeRoom evicts resident apps until cost more units fit: prefer the
-// oldest probation entry (remembering it as a ghost), else the protected
-// LRU tail. Below capacity it is a no-op — probation is not trimmed to its
-// sub-capacity while the cache has room.
-func (c *TwoQ) makeRoom(cost int64) {
-	for c.used+cost > c.cap && len(c.items) > 0 {
-		if c.in.Len() > 0 {
-			c.evictProbation()
-			continue
-		}
-		back := c.am.Back()
-		if back == nil {
-			return
-		}
-		c.removeResident(c.am, back)
+	if ghosted || c.warming {
+		e.tag = protected
+		c.am.pushFront(e)
+	} else {
+		c.in.pushFront(e)
 	}
 }
 
-// trim restores the capacity invariant after a resident entry's cost grew,
-// sparing keep until it is the only entry left.
-func (c *TwoQ) trim(keep int32) {
-	for c.used > c.cap && len(c.items) > 1 {
-		if !c.evictExcept(keep) {
-			break
-		}
+func (c *TwoQ[K]) victim(spare *entry[K], _ bool) *entry[K] {
+	if v := c.in.backExcept(spare); v != nil {
+		return v
 	}
-	if c.used > c.cap && len(c.items) == 1 {
-		if e, ok := c.items[keep]; ok { // keep alone exceeds capacity
-			q := c.in
-			if e.where == 1 {
-				q = c.am
-			}
-			c.removeResident(q, e.elem)
-		}
-	}
+	return c.am.backExcept(spare)
 }
 
-// evictExcept evicts one resident entry other than keep, probation first.
-func (c *TwoQ) evictExcept(keep int32) bool {
-	if v := backExcept(c.in, keep); v != nil {
-		c.evictProbationElem(v)
-		return true
-	}
-	if v := backExcept(c.am, keep); v != nil {
-		c.removeResident(c.am, v)
-		return true
-	}
-	return false
-}
-
-// backExcept returns the back-most element whose id differs from keep.
-func backExcept(ll *list.List, keep int32) *list.Element {
-	for v := ll.Back(); v != nil; v = v.Prev() {
-		if v.Value.(*costItem).id != keep {
-			return v
-		}
-	}
-	return nil
-}
-
-func (c *TwoQ) removeResident(ll *list.List, e *list.Element) {
-	it := e.Value.(*costItem)
-	ll.Remove(e)
-	delete(c.items, it.id)
-	c.used -= it.cost
-	if c.onEvict != nil {
-		c.onEvict(it.id)
-	}
-}
-
-func (c *TwoQ) evictProbation() {
-	back := c.in.Back()
-	if back == nil {
+func (c *TwoQ[K]) remove(e *entry[K]) {
+	if e.tag == protected {
+		c.am.remove(e)
 		return
 	}
-	c.evictProbationElem(back)
-}
-
-func (c *TwoQ) evictProbationElem(e *list.Element) {
-	it := e.Value.(*costItem)
-	c.removeResident(c.in, e)
-	// Remember in the ghost list at the cost it was resident at.
-	c.ghosts[it.id] = c.ghost.PushFront(it)
-	c.ghostCost += it.cost
+	c.in.remove(e)
+	if e.cost > c.cap {
+		return // outgrew the whole cache: as a ghost it would flush every other
+	}
+	c.ghosts[e.key] = e
+	c.ghost.pushFront(e)
+	c.ghostCost += e.cost
 	for c.ghostCost > c.cap {
-		old := c.ghost.Back()
-		oit := old.Value.(*costItem)
-		c.ghost.Remove(old)
-		delete(c.ghosts, oit.id)
-		c.ghostCost -= oit.cost
+		c.forget(c.ghost.back)
 	}
 }
 
-// Warm preloads the first min(capacity, len(ids)) apps into the protected
-// LRU (they are known-popular), ids[0] most recent.
-func (c *TwoQ) Warm(ids []int32) {
-	n := len(ids)
-	if int64(n) > c.cap {
-		n = int(c.cap)
-	}
-	for i := n - 1; i >= 0; i-- {
-		if c.Contains(ids[i]) {
-			continue
-		}
-		c.makeRoom(1)
-		c.items[ids[i]] = &twoqEntry{elem: c.am.PushFront(&costItem{id: ids[i], cost: 1}), where: 1}
-		c.used++
-	}
+func (c *TwoQ[K]) forget(g *entry[K]) {
+	c.ghost.remove(g)
+	delete(c.ghosts, g.key)
+	c.ghostCost -= g.cost
+}
+
+// Warm implements Policy: the keys are known-popular, so they skip
+// probation.
+func (c *TwoQ[K]) Warm(keys []K) {
+	c.warming = true
+	c.ledger.Warm(keys)
+	c.warming = false
 }

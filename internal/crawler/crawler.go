@@ -16,7 +16,6 @@
 package crawler
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -25,6 +24,7 @@ import (
 	"time"
 
 	"planetapps/internal/apiwire"
+	"planetapps/internal/cache"
 	"planetapps/internal/db"
 	"planetapps/internal/metrics"
 	"planetapps/internal/proxy"
@@ -148,11 +148,11 @@ type Crawler struct {
 	// on 304 — the same skip-unchanged-payloads discipline the APK path
 	// gets from HasAPK. The cache is LRU-bounded at cfg.CondCacheSize
 	// entries (a long-lived crawler visiting many stores would otherwise
-	// grow it without bound); condLRU orders entries by last touch,
-	// front = most recent.
+	// grow it without bound): condLRU decides which URLs stay and its
+	// eviction hook drops the rest from cond.
 	condMu        sync.Mutex
-	cond          map[string]*list.Element
-	condLRU       *list.List
+	cond          map[string]condEntry
+	condLRU       *cache.LRU[string]
 	condEvictions int64
 
 	rateMu sync.Mutex
@@ -171,7 +171,6 @@ type Crawler struct {
 }
 
 type condEntry struct {
-	url  string
 	etag string
 	body []byte
 }
@@ -181,12 +180,11 @@ type condEntry struct {
 func (c *Crawler) condGet(url string) (condEntry, bool) {
 	c.condMu.Lock()
 	defer c.condMu.Unlock()
-	el, ok := c.cond[url]
-	if !ok {
-		return condEntry{}, false
+	ce, ok := c.cond[url]
+	if ok {
+		c.condLRU.Access(url)
 	}
-	c.condLRU.MoveToFront(el)
-	return el.Value.(condEntry), true
+	return ce, ok
 }
 
 // condPut stores a validated (etag, body) for url, evicting the least
@@ -194,24 +192,17 @@ func (c *Crawler) condGet(url string) (condEntry, bool) {
 func (c *Crawler) condPut(url, etag string, body []byte) {
 	c.condMu.Lock()
 	defer c.condMu.Unlock()
-	if el, ok := c.cond[url]; ok {
-		el.Value = condEntry{url: url, etag: etag, body: body}
-		c.condLRU.MoveToFront(el)
-		return
+	c.condLRU.Access(url)
+	c.cond[url] = condEntry{etag: etag, body: body}
+}
+
+// condEvicted is condLRU's eviction hook; it runs under condMu.
+func (c *Crawler) condEvicted(url string) {
+	delete(c.cond, url)
+	c.condEvictions++
+	if c.mEvictions != nil {
+		c.mEvictions.Inc()
 	}
-	for len(c.cond) >= c.cfg.CondCacheSize {
-		oldest := c.condLRU.Back()
-		if oldest == nil {
-			break
-		}
-		c.condLRU.Remove(oldest)
-		delete(c.cond, oldest.Value.(condEntry).url)
-		c.condEvictions++
-		if c.mEvictions != nil {
-			c.mEvictions.Inc()
-		}
-	}
-	c.cond[url] = c.condLRU.PushFront(condEntry{url: url, etag: etag, body: body})
 }
 
 // New creates a crawler writing into the given database.
@@ -237,11 +228,12 @@ func New(cfg Config, database *db.DB) (*Crawler, error) {
 	c := &Crawler{
 		cfg:     cfg,
 		db:      database,
-		cond:    map[string]*list.Element{},
-		condLRU: list.New(),
+		cond:    map[string]condEntry{},
+		condLRU: cache.NewLRU[string](cfg.CondCacheSize),
 		tokens:  cfg.RatePerSec,
 		last:    time.Now(),
 	}
+	c.condLRU.OnEvict(c.condEvicted)
 	transport := &http.Transport{
 		MaxIdleConnsPerHost: cfg.Workers,
 	}

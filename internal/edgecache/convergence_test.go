@@ -328,3 +328,38 @@ func TestEdgeAnswersMalformedPathsLikeTheOrigin(t *testing.T) {
 		t.Errorf("GET /metrics: %d, want the edge's own registry:\n%s", code, body)
 	}
 }
+
+// TestEdgeAnswersConditionalsLikeTheOrigin holds the edge to the origin's
+// reading of If-None-Match (apiwire.ETagMatch: exact, weak, list,
+// wildcard), on a response the edge serves from cache and on one it only
+// relays.
+func TestEdgeAnswersConditionalsLikeTheOrigin(t *testing.T) {
+	m, err := marketsim.New(marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(0.05)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := httptest.NewServer(storeserver.New(m, storeserver.Config{FreshFor: time.Minute}).Handler())
+	t.Cleanup(origin.Close)
+	_, edgeURL := edgeFor(t, origin.URL, Config{CapacityBytes: 1 << 20})
+
+	for path, verdict := range map[string]string{
+		"/api/v1/apps/3":     "hit",
+		"/api/v1/apps/3/apk": "pass",
+	} {
+		identity := map[string]string{"Accept-Encoding": "identity"}
+		_, _, hdr := edgeGet(t, edgeURL+path, identity) // fills the cacheable one
+		etag := hdr.Get("ETag")
+		if etag == "" {
+			t.Fatalf("GET %s: no ETag", path)
+		}
+		for _, inm := range []string{etag, "W/" + etag, `"x", ` + etag, "*", `"x"`} {
+			identity["If-None-Match"] = inm
+			want, _, _ := edgeGet(t, origin.URL+path, identity)
+			got, _, hdr := edgeGet(t, edgeURL+path, identity)
+			if got != want || hdr.Get("X-Edge-Cache") != verdict {
+				t.Errorf("GET %s If-None-Match: %s: edge answered %d (%s), origin %d",
+					path, inm, got, hdr.Get("X-Edge-Cache"), want)
+			}
+		}
+	}
+}

@@ -89,16 +89,23 @@ type Config struct {
 	Seed uint64
 }
 
+// reqKey names one cacheable representation: the request URI and the
+// encoding variant ("" = identity, "gzip") negotiated for it.
+type reqKey struct{ uri, variant string }
+
 // entry is one cached origin document. Fields are written only under
 // Server.mu; the body slice is immutable once stored, so a value copy
 // taken under the lock can be served after releasing it.
 type entry struct {
-	key    string
+	// key is where the entry is stored: the requested variant when the
+	// origin's response varies on Accept-Encoding, the bare URI otherwise.
+	key    reqKey
 	body   []byte // stored as received: compressed bytes stay compressed
 	etag   string
 	ctype  string
 	cenc   string // origin Content-Encoding ("" or "gzip"), forwarded as-is
 	vary   string // origin Vary, forwarded downstream
+	varyAE bool   // vary names Accept-Encoding: other variants need their own entry
 	day    string // origin X-Store-Day
 	apiVer string // origin X-API-Version
 	cc     string // origin Cache-Control, forwarded downstream
@@ -112,6 +119,8 @@ type entry struct {
 	// appID is the catalog id when this is a detail page (-1 otherwise);
 	// it feeds the prefetch learner.
 	appID int32
+	// cat is the dense category id the category-aware policy partitions on.
+	cat int32
 	// prefetched marks entries filled by the warmer and not yet used, so
 	// prefetch usefulness is measurable.
 	prefetched bool
@@ -124,21 +133,16 @@ type Server struct {
 	client *resilient.Client
 	reg    *metrics.Registry
 
-	// mu guards the id table, the entry map, the policy, and the
-	// single-flight table. The replacement policies are single-goroutine
-	// structures; every policy call happens under mu.
+	// mu guards the entry map, the policy, and the single-flight table.
+	// The replacement policies are single-goroutine structures; every
+	// policy call happens under mu. entries and pol hold exactly the same
+	// keys, and nothing else here is keyed by request: what the edge knows
+	// about a URI lives on its resident entry and is evicted with it.
 	mu      sync.Mutex
-	ids     map[string]int32 // cache key (URI + variant) -> interned id
-	entries map[int32]*entry
-	pol     cache.Policy
+	entries map[reqKey]*entry
+	pol     cache.Policy[reqKey]
 	cats    map[string]int32 // category name -> dense id
-	catOf   map[int32]int32  // interned key id -> category (policy partitioning)
-	flights map[string]*flight
-	// varyAE records the URIs whose origin responses carry
-	// Vary: Accept-Encoding. Only for those does the cache key split by
-	// negotiated encoding; a non-varying URI keeps one shared entry no
-	// matter what clients advertise.
-	varyAE map[string]bool
+	flights map[reqKey]*flight
 
 	warm *warmer // nil when prefetch is off
 
@@ -166,24 +170,22 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Metrics,
-		ids:     map[string]int32{},
-		entries: map[int32]*entry{},
+		entries: map[reqKey]*entry{},
 		cats:    map[string]int32{},
-		catOf:   map[int32]int32{},
-		flights: map[string]*flight{},
-		varyAE:  map[string]bool{},
+		flights: map[reqKey]*flight{},
 	}
 	capacity := int(cfg.CapacityBytes)
 	switch cfg.Policy {
 	case "", "lru":
-		s.pol = cache.NewLRU(capacity)
+		s.pol = cache.NewLRU[reqKey](capacity)
 	case "2q":
-		s.pol = cache.NewTwoQ(capacity)
+		s.pol = cache.NewTwoQ[reqKey](capacity)
 	case "category":
-		s.pol = cache.NewCategoryAware(cache.CategoryAwareConfig{
+		s.pol = cache.NewCategoryAware(cache.CategoryAwareConfig[reqKey]{
 			Capacity: capacity,
-			// Called from AccessCost, always under s.mu.
-			CategoryOf: func(id int32) int32 { return s.catOf[id] },
+			// Called from AccessCost, always under s.mu, for a key whose
+			// entry fetch has just put in place.
+			CategoryOf: func(k reqKey) int32 { return s.entries[k].cat },
 			// The default rebalance cadence is Capacity accesses — sane
 			// for entry-count simulators, never for a byte budget; track
 			// traffic shifts every few thousand requests instead.
@@ -193,8 +195,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("edgecache: unknown policy %q (have lru, 2q, category)", cfg.Policy)
 	}
 	s.initInstruments()
-	s.pol.OnEvict(func(id int32) {
-		delete(s.entries, id)
+	s.pol.OnEvict(func(k reqKey) {
+		delete(s.entries, k)
 		s.st.evictions.Inc()
 	})
 	s.client = resilient.New(resilient.Config{
@@ -249,14 +251,18 @@ func variantOf(r *http.Request) string {
 	return ""
 }
 
-// cacheKeyLocked is the storage key for (URI, variant): the bare URI for
-// origins that do not vary on Accept-Encoding, URI + a NUL-separated
-// variant tag for ones that do. Caller holds s.mu (varyAE access).
-func (s *Server) cacheKeyLocked(base, variant string) string {
-	if variant != "" && s.varyAE[base] {
-		return base + "\x00" + variant
+// lookupLocked resolves a request to its resident entry: the variant's own,
+// else the bare URI's when the origin does not vary on Accept-Encoding — a
+// non-varying URI keeps one shared entry no matter what clients advertise.
+// Caller holds s.mu.
+func (s *Server) lookupLocked(k reqKey) *entry {
+	if e := s.entries[k]; e != nil || k.variant == "" {
+		return e
 	}
-	return base
+	if e := s.entries[reqKey{uri: k.uri}]; e != nil && !e.varyAE {
+		return e
+	}
+	return nil
 }
 
 // proxy serves one client request through the cache.
@@ -265,40 +271,29 @@ func (s *Server) proxy(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "edge: method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	base := r.URL.RequestURI()
-	variant := variantOf(r)
+	key := reqKey{r.URL.RequestURI(), variantOf(r)}
 	s.st.requests.Inc()
 	now := time.Now()
 
 	s.mu.Lock()
-	key := s.cacheKeyLocked(base, variant)
-	var e *entry
-	if id, ok := s.ids[key]; ok {
-		if e = s.entries[id]; e != nil && now.Before(e.expires) {
-			// Fresh hit: touch the policy and serve without origin I/O.
-			s.pol.AccessCost(id, int64(len(e.body)))
-			if !s.pol.Contains(id) {
-				// The touch itself evicted the entry (cannot happen for
-				// the builtin policies, but the interface allows it);
-				// fall through to a refetch.
-				e = nil
-			} else {
-				if e.prefetched {
-					e.prefetched = false
-					s.st.prefetchHits.Inc()
-				}
-				snap := *e
-				s.mu.Unlock()
-				s.st.hits.Inc()
-				s.serveEntry(w, r, &snap, now, "hit")
-				s.noteClient(r, snap.appID)
-				return
-			}
+	if e := s.lookupLocked(key); e != nil && now.Before(e.expires) {
+		// Fresh hit: touch the policy (at the resident cost, so nothing is
+		// evicted) and serve without origin I/O.
+		s.pol.AccessCost(e.key, int64(len(e.body)))
+		if e.prefetched {
+			e.prefetched = false
+			s.st.prefetchHits.Inc()
 		}
+		snap := *e
+		s.mu.Unlock()
+		s.st.hits.Inc()
+		s.serveEntry(w, r, &snap, now, "hit")
+		s.noteClient(r, snap.appID)
+		return
 	}
 	s.mu.Unlock()
 
-	out := s.getOrFetch(r.Context(), base, variant, apiwire.ForwardedFor(r))
+	out := s.getOrFetch(r.Context(), key, apiwire.ForwardedFor(r))
 	switch out.kind {
 	case kindMiss, kindReval, kindStale:
 		s.serveEntry(w, r, out.entry, time.Now(), out.kind.label())
@@ -336,7 +331,7 @@ func (s *Server) serveEntry(w http.ResponseWriter, r *http.Request, e *entry, no
 	}
 	h.Set("Age", strconv.FormatInt(age, 10))
 	h.Set("X-Edge-Cache", verdict)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && inm == e.etag {
+	if apiwire.ETagMatch(r.Header.Get("If-None-Match"), e.etag) {
 		s.st.client304.Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return
@@ -373,7 +368,7 @@ func (s *Server) servePass(w http.ResponseWriter, r *http.Request, out *fetchOut
 	}
 	h.Set("X-Edge-Cache", "pass")
 	if out.status == http.StatusOK {
-		if inm := r.Header.Get("If-None-Match"); inm != "" && inm == out.header.Get("ETag") {
+		if etag := out.header.Get("ETag"); etag != "" && apiwire.ETagMatch(r.Header.Get("If-None-Match"), etag) {
 			s.st.client304.Inc()
 			w.WriteHeader(http.StatusNotModified)
 			return

@@ -365,3 +365,28 @@ func TestPrefetchWarming(t *testing.T) {
 		t.Fatalf("PrefetchFills = 0; stats %+v", st)
 	}
 }
+
+// TestWarmerHistoryKeepsActiveClients bounds the per-client history table
+// the way everything else here is bounded: the least recently seen clients
+// go, a client that keeps coming back keeps its history.
+func TestWarmerHistoryKeepsActiveClients(t *testing.T) {
+	s, _ := newTestEdge(t, newCountingOrigin(60), Config{PrefetchBudget: 1})
+	w := s.warm
+	for i := 0; i < historyDepth; i++ {
+		w.note("regular", int32(i))
+	}
+	for i := 0; i < maxClients+100; i++ {
+		w.note(fmt.Sprintf("passerby-%d", i), 1)
+		if i%1000 == 0 {
+			w.note("regular", 1)
+		}
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.hist) > maxClients {
+		t.Fatalf("history table holds %d clients, bound is %d", len(w.hist), maxClients)
+	}
+	if got := len(w.hist["regular"]); got != historyDepth {
+		t.Fatalf("a returning client kept %d of its %d history entries", got, historyDepth)
+	}
+}

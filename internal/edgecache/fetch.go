@@ -61,10 +61,9 @@ type flight struct {
 // keyed per variant even before the URI's Vary behavior is learned — a
 // gzip client must never be handed an identity leader's bytes, or vice
 // versa.
-func (s *Server) getOrFetch(ctx context.Context, base, variant, xff string) *fetchOut {
-	fkey := base + "\x00\x00" + variant
+func (s *Server) getOrFetch(ctx context.Context, key reqKey, xff string) *fetchOut {
 	s.mu.Lock()
-	if f, ok := s.flights[fkey]; ok {
+	if f, ok := s.flights[key]; ok {
 		s.mu.Unlock()
 		s.st.coalesced.Inc()
 		select {
@@ -75,22 +74,20 @@ func (s *Server) getOrFetch(ctx context.Context, base, variant, xff string) *fet
 		}
 	}
 	f := &flight{done: make(chan struct{})}
-	s.flights[fkey] = f
+	s.flights[key] = f
 	var staleEtag string
-	if id, ok := s.ids[s.cacheKeyLocked(base, variant)]; ok {
-		if e := s.entries[id]; e != nil {
-			staleEtag = e.etag
-		}
+	if e := s.lookupLocked(key); e != nil {
+		staleEtag = e.etag
 	}
 	s.mu.Unlock()
 
 	// The fetch deliberately runs on a fresh context: its result fills a
 	// shared cache serving every coalesced follower, so one impatient
 	// leader disconnecting must not cancel it for the rest.
-	f.out = s.fetch(context.Background(), base, variant, staleEtag, xff)
+	f.out = s.fetch(context.Background(), key, staleEtag, xff)
 
 	s.mu.Lock()
-	delete(s.flights, fkey)
+	delete(s.flights, key)
 	s.mu.Unlock()
 	close(f.done)
 	return f.out
@@ -155,10 +152,10 @@ func parseVary(v string) (ae, other bool) {
 // the Go transport's transparent decompression, so compressed bytes
 // arrive (and are stored, and later served) exactly as the origin encoded
 // them: one compression per content version, ever, at the origin.
-func (s *Server) fetch(ctx context.Context, base, variant, staleEtag, xff string) *fetchOut {
-	url := s.cfg.Origin + base
+func (s *Server) fetch(ctx context.Context, key reqKey, staleEtag, xff string) *fetchOut {
+	url := s.cfg.Origin + key.uri
 	hdr := http.Header{}
-	if variant == "gzip" {
+	if key.variant == "gzip" {
 		hdr.Set("Accept-Encoding", "gzip")
 	} else {
 		hdr.Set("Accept-Encoding", "identity")
@@ -182,16 +179,15 @@ func (s *Server) fetch(ctx context.Context, base, variant, staleEtag, xff string
 		// unreachable. Serve the stale copy when one exists — old data
 		// beats no data while the origin rides out a fault storm.
 		s.mu.Lock()
-		if id, ok := s.ids[s.cacheKeyLocked(base, variant)]; ok {
-			if e := s.entries[id]; e != nil {
-				snap := *e
-				s.mu.Unlock()
-				s.st.staleServed.Inc()
-				return &fetchOut{kind: kindStale, entry: &snap}
-			}
+		e := s.lookupLocked(key)
+		if e == nil {
+			s.mu.Unlock()
+			return &fetchOut{kind: kindError, err: err}
 		}
+		snap := *e
 		s.mu.Unlock()
-		return &fetchOut{kind: kindError, err: err}
+		s.st.staleServed.Inc()
+		return &fetchOut{kind: kindStale, entry: &snap}
 	}
 
 	switch {
@@ -199,29 +195,26 @@ func (s *Server) fetch(ctx context.Context, base, variant, staleEtag, xff string
 		// Our copy is still current: refresh its freshness clock.
 		ttl, age := s.freshnessOf(res.Header)
 		s.mu.Lock()
-		id, ok := s.ids[s.cacheKeyLocked(base, variant)]
-		if ok {
-			if e := s.entries[id]; e != nil && e.etag == staleEtag {
-				e.originAge = age
-				e.storedAt = now
-				e.expires = now.Add(ttl)
-				if day := res.Header.Get("X-Store-Day"); day != "" {
-					e.day = day
-				}
-				if cc := res.Header.Get("Cache-Control"); cc != "" {
-					e.cc = cc
-				}
-				s.pol.AccessCost(id, int64(len(e.body)))
-				snap := *e
-				s.mu.Unlock()
-				s.st.revalidated.Inc()
-				return &fetchOut{kind: kindReval, entry: &snap}
+		if e := s.lookupLocked(key); e != nil && e.etag == staleEtag {
+			e.originAge = age
+			e.storedAt = now
+			e.expires = now.Add(ttl)
+			if day := res.Header.Get("X-Store-Day"); day != "" {
+				e.day = day
 			}
+			if cc := res.Header.Get("Cache-Control"); cc != "" {
+				e.cc = cc
+			}
+			s.pol.AccessCost(e.key, int64(len(e.body)))
+			snap := *e
+			s.mu.Unlock()
+			s.st.revalidated.Inc()
+			return &fetchOut{kind: kindReval, entry: &snap}
 		}
 		s.mu.Unlock()
 		// The entry vanished between flight start and the 304 (evicted
 		// mid-flight): we hold no body. Refetch unconditionally.
-		return s.fetch(ctx, base, variant, "", xff)
+		return s.fetch(ctx, key, "", xff)
 
 	case res.Status == http.StatusOK:
 		s.st.originBytes.Add(int64(len(res.Body)))
@@ -250,15 +243,18 @@ func (s *Server) fetch(ctx context.Context, base, variant, staleEtag, xff string
 			}
 		}
 		ttl, age := s.freshnessOf(res.Header)
-		info := classify(base, plain)
+		info := classify(key.uri, plain)
 		if s.warm != nil && info.appID >= 0 && !strings.HasPrefix(info.cat, "\x00") {
 			s.warm.learn(info.appID, info.cat, info.downloads)
 		}
 		s.mu.Lock()
-		if varyAE {
-			s.varyAE[base] = true
+		// A response that does not vary on Accept-Encoding is shared under
+		// the bare URI — unless this variant already has an entry of its
+		// own (the origin stopped varying), which is then refreshed in
+		// place rather than left to shadow the shared one.
+		if !varyAE && s.entries[key] == nil {
+			key.variant = ""
 		}
-		key := s.cacheKeyLocked(base, variant)
 		e := &entry{
 			key:       key,
 			body:      res.Body,
@@ -266,6 +262,7 @@ func (s *Server) fetch(ctx context.Context, base, variant, staleEtag, xff string
 			ctype:     res.Header.Get("Content-Type"),
 			cenc:      cenc,
 			vary:      vary,
+			varyAE:    varyAE,
 			day:       res.Header.Get("X-Store-Day"),
 			apiVer:    res.Header.Get("X-API-Version"),
 			cc:        res.Header.Get("Cache-Control"),
@@ -273,16 +270,14 @@ func (s *Server) fetch(ctx context.Context, base, variant, staleEtag, xff string
 			storedAt:  now,
 			expires:   now.Add(ttl),
 			appID:     info.appID,
+			cat:       s.internCat(info.cat),
 		}
-		id := s.idOf(key)
-		s.catOf[id] = s.internCat(info.cat)
-		s.pol.AccessCost(id, int64(len(e.body)))
-		if s.pol.Contains(id) {
-			s.entries[id] = e
-		} else {
-			// The policy declined admission (or evicted it immediately);
-			// serve the body anyway, just do not keep it.
-			delete(s.entries, id)
+		s.entries[key] = e
+		s.pol.AccessCost(key, int64(len(e.body)))
+		if !s.pol.Contains(key) {
+			// Larger than the whole cache: serve the body anyway, just do
+			// not keep it.
+			delete(s.entries, key)
 		}
 		snap := *e
 		s.mu.Unlock()
@@ -293,16 +288,6 @@ func (s *Server) fetch(ctx context.Context, base, variant, staleEtag, xff string
 		// Unexpected success-class status (206, 3xx...): relay uncached.
 		return &fetchOut{kind: kindPass, status: res.Status, header: res.Header, body: res.Body}
 	}
-}
-
-// idOf interns a request key. Caller holds s.mu.
-func (s *Server) idOf(key string) int32 {
-	if id, ok := s.ids[key]; ok {
-		return id
-	}
-	id := int32(len(s.ids))
-	s.ids[key] = id
-	return id
 }
 
 // freshnessOf derives the remaining freshness lifetime and the reported

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"planetapps/internal/apiwire"
+	"planetapps/internal/cache"
 	"planetapps/internal/model"
 	"planetapps/internal/prefetch"
 )
@@ -99,7 +100,8 @@ type warmer struct {
 	built     int // learns at last ClusterMap rebuild
 	cm        *model.ClusterMap
 	hist      map[string][]int32 // client -> recent detail appIDs
-	inflight  map[string]bool    // warm keys queued or fetching
+	clients   *cache.LRU[string] // keeps hist to the maxClients most recently seen
+	inflight  map[string]bool    // warm URIs queued or fetching
 
 	ch   chan string
 	quit chan struct{}
@@ -108,7 +110,7 @@ type warmer struct {
 
 const (
 	historyDepth = 8    // recent detail pages remembered per client
-	maxClients   = 4096 // history table bound; reset wholesale beyond
+	maxClients   = 4096 // history table bound
 	rebuildEvery = 64   // learn events between ClusterMap rebuilds
 	warmQueue    = 256  // pending warm fetches; overflow is dropped
 )
@@ -121,10 +123,12 @@ func newWarmer(s *Server) *warmer {
 		catOfApp:  map[int32]int32{},
 		downloads: map[int32]int64{},
 		hist:      map[string][]int32{},
+		clients:   cache.NewLRU[string](maxClients),
 		inflight:  map[string]bool{},
 		ch:        make(chan string, warmQueue),
 		quit:      make(chan struct{}),
 	}
+	w.clients.OnEvict(func(client string) { delete(w.hist, client) })
 	for i := 0; i < s.cfg.PrefetchWorkers; i++ {
 		w.wg.Add(1)
 		go w.worker()
@@ -199,9 +203,7 @@ func (s *Server) noteClient(r *http.Request, appID int32) {
 // pages, and enqueues the ones the cache lacks.
 func (w *warmer) note(client string, appID int32) {
 	w.mu.Lock()
-	if len(w.hist) >= maxClients {
-		w.hist = map[string][]int32{} // crude but bounded
-	}
+	w.clients.Access(client)
 	h := append(w.hist[client], appID)
 	if len(h) > historyDepth {
 		h = h[len(h)-historyDepth:]
@@ -236,7 +238,7 @@ func (w *warmer) note(client string, appID int32) {
 	w.mu.Unlock()
 
 	for _, k := range keys {
-		if w.s.hasFresh(k, "gzip") {
+		if w.s.hasFresh(reqKey{k, "gzip"}) {
 			w.release(k)
 			continue
 		}
@@ -266,41 +268,35 @@ func (w *warmer) worker() {
 		select {
 		case <-w.quit:
 			return
-		case key := <-w.ch:
-			if !w.s.hasFresh(key, "gzip") {
-				out := w.s.getOrFetch(context.Background(), key, "gzip", "")
+		case uri := <-w.ch:
+			key := reqKey{uri, "gzip"}
+			if !w.s.hasFresh(key) {
+				out := w.s.getOrFetch(context.Background(), key, "")
 				if out.kind == kindMiss {
 					w.s.st.prefetchFills.Inc()
 					w.s.markPrefetched(out.entry.key, out.entry.etag)
 				}
 			}
-			w.release(key)
+			w.release(uri)
 		}
 	}
 }
 
-// hasFresh reports whether the (URI, variant) pair resolves to a resident
-// fresh entry.
-func (s *Server) hasFresh(base, variant string) bool {
+// hasFresh reports whether the request resolves to a resident fresh entry.
+func (s *Server) hasFresh(key reqKey) bool {
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id, ok := s.ids[s.cacheKeyLocked(base, variant)]; ok {
-		if e := s.entries[id]; e != nil && now.Before(e.expires) {
-			return true
-		}
-	}
-	return false
+	e := s.lookupLocked(key)
+	return e != nil && now.Before(e.expires)
 }
 
 // markPrefetched flags a warm-filled entry (still holding the same
 // content) so the first real client hit can be counted as prefetch-useful.
-func (s *Server) markPrefetched(key, etag string) {
+func (s *Server) markPrefetched(key reqKey, etag string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id, ok := s.ids[key]; ok {
-		if e := s.entries[id]; e != nil && e.etag == etag {
-			e.prefetched = true
-		}
+	if e := s.entries[key]; e != nil && e.etag == etag {
+		e.prefetched = true
 	}
 }

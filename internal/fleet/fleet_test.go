@@ -436,6 +436,18 @@ func TestPrepareCommitTwoPhase(t *testing.T) {
 	if got := srv.CommitDay(); got != prepared {
 		t.Fatalf("idempotent commit: day %d, want %d", got, prepared)
 	}
+	// A single-node roll is the same two phases: it serves the day that
+	// was prepared instead of discarding it and stepping past it.
+	next, err := srv.PrepareDay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AdvanceDay(); err != nil {
+		t.Fatal(err)
+	}
+	if srv.Day() != next {
+		t.Fatalf("AdvanceDay over a prepared day %d serves day %d", next, srv.Day())
+	}
 }
 
 // TestAdvanceFleetConvergesDivergedFleet wedges a fleet on purpose — one

@@ -351,19 +351,16 @@ func (s *Server) SetComments(cs []comments.Comment) {
 	s.publish()
 }
 
-// AdvanceDay steps the underlying market one simulated day and publishes
-// the new day's snapshot. Requests in flight keep serving the previous
-// day; there is no quiescence barrier because old snapshots are simply
-// garbage-collected once the last reader drops them.
+// AdvanceDay rolls a node on its own: both phases back to back, so a day
+// that was already prepared is the day that gets served. Requests in
+// flight keep serving the previous day; there is no quiescence barrier
+// because old snapshots are simply garbage-collected once the last reader
+// drops them.
 func (s *Server) AdvanceDay() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pending = nil // a single-node roll supersedes any prepared phase
-	if err := s.market.Step(); err != nil {
+	if _, err := s.PrepareDay(); err != nil {
 		return err
 	}
-	s.absorbWrites()
-	s.publish()
+	s.CommitDay()
 	return nil
 }
 

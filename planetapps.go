@@ -76,8 +76,9 @@ type (
 	Comment = comments.Comment
 	// PricingDataset couples a catalog with per-app downloads.
 	PricingDataset = pricing.Dataset
-	// CachePolicy is a cache replacement policy under simulation.
-	CachePolicy = cache.Policy
+	// CachePolicy is a cache replacement policy under simulation, keyed by
+	// app id.
+	CachePolicy = cache.Policy[int32]
 	// SweepPoint is one cache-size measurement of a Figure 19 sweep.
 	SweepPoint = cache.SweepPoint
 	// ExperimentResult is a runnable paper experiment's result.
