@@ -16,6 +16,7 @@ import (
 
 	"planetapps"
 	"planetapps/internal/catalog"
+	"planetapps/internal/comments"
 	"planetapps/internal/experiments"
 	"planetapps/internal/marketsim"
 	"planetapps/internal/metrics"
@@ -445,6 +446,52 @@ func BenchmarkStoreListPageHotGzip(b *testing.B) {
 // BenchmarkStoreAppDetailHot measures the warm v1 detail hit.
 func BenchmarkStoreAppDetailHot(b *testing.B) {
 	benchHotPath(b, "/api/v1/apps/7", "identity")
+}
+
+// BenchmarkColdFill measures a document's first touch — what a crawl pays
+// once per content version and therefore on most of its requests: each
+// iteration asks a store for one app's detail document and comment stream
+// for the first time (row encode, gzipx's pay rule, the arena copy), with
+// comments attached so some streams clear the size floor and are
+// compressed. A fresh store is built, off the clock, whenever the catalog
+// has been touched once through.
+func BenchmarkColdFill(b *testing.B) {
+	mcfg := marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(0.2))
+	m, err := marketsim.New(mcfg, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs, err := comments.Generate(m.Catalog(), comments.DefaultGenConfig(400), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var h http.Handler
+	apps := 0
+	w := &discardWriter{h: http.Header{}}
+	detail := httptest.NewRequest(http.MethodGet, "/api/v1/apps/0", nil)
+	detail.Header.Set("Accept-Encoding", "gzip")
+	stream := detail.Clone(detail.Context())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := i % max(apps, 1)
+		if id == 0 {
+			b.StopTimer()
+			srv := storeserver.New(m, storeserver.Config{PageSize: 100})
+			srv.SetComments(cs)
+			h, apps = srv.Handler(), srv.NumApps()
+			b.StartTimer()
+		}
+		detail.URL.Path = "/api/v1/apps/" + strconv.Itoa(id)
+		stream.URL.Path = detail.URL.Path + "/comments"
+		for _, req := range []*http.Request{detail, stream} {
+			w.status = 0
+			h.ServeHTTP(w, req)
+			if w.status != 0 && w.status != http.StatusOK {
+				b.Fatalf("GET %s: status %d", req.URL.Path, w.status)
+			}
+		}
+	}
 }
 
 // BenchmarkHistogramObserve measures the telemetry histogram's record path

@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"planetapps/internal/catalog"
+	"planetapps/internal/comments"
 	"planetapps/internal/gzipx"
+	"planetapps/internal/marketsim"
+	"planetapps/internal/storeserver"
 )
 
 // varyingOrigin negotiates gzip the way the v1 store does: distinct bytes
@@ -176,5 +182,122 @@ func TestVaryUnknownDimensionUncacheable(t *testing.T) {
 	defer mu.Unlock()
 	if hits != 2 {
 		t.Fatalf("origin hits = %d, want 2 (uncacheable)", hits)
+	}
+}
+
+// smallDocStore is a real store whose app 5 has a five-comment stream: like
+// every detail row, too small to keep a gzip representation, so the store
+// serves it as one representation and sends no Vary.
+func smallDocStore(t *testing.T, cfg storeserver.Config) (*storeserver.Server, string) {
+	t.Helper()
+	m, err := marketsim.New(marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(0.05)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := storeserver.New(m, cfg)
+	var cs []comments.Comment
+	for j := 0; j < 5; j++ {
+		cs = append(cs, comments.Comment{User: catalog.UserID(100 + j), App: 5, Rating: 4, Time: time.Unix(1356998400+int64(j)*3600, 0)})
+	}
+	srv.SetComments(cs)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return srv, ts.URL
+}
+
+// TestSingleRepresentationSharesOneEntry is the residency regression test
+// for documents the origin does not negotiate: a gzip client and an
+// identity client asking for the same small document must share one
+// resident entry filled by one origin fetch, in either arrival order. (The
+// store used to stamp Vary: Accept-Encoding on every document, so the edge
+// kept two byte-identical copies of each.)
+func TestSingleRepresentationSharesOneEntry(t *testing.T) {
+	_, origin := smallDocStore(t, storeserver.Config{FreshFor: time.Minute})
+	s, edge := edgeFor(t, origin, Config{CapacityBytes: 1 << 20})
+
+	for n, tc := range []struct{ path, first, second string }{
+		{"/api/v1/apps/3", "gzip", "identity"},
+		{"/api/v1/apps/4", "identity", "gzip"},
+		{"/api/v1/apps/5/comments", "gzip", "identity"},
+	} {
+		code, body1, hdr1 := rawGet(t, edge+tc.path, tc.first)
+		if code != 200 || hdr1.Get("X-Edge-Cache") != "miss" {
+			t.Fatalf("%s (%s): status %d, verdict %q", tc.path, tc.first, code, hdr1.Get("X-Edge-Cache"))
+		}
+		code, body2, hdr2 := rawGet(t, edge+tc.path, tc.second)
+		if code != 200 || hdr2.Get("X-Edge-Cache") != "hit" {
+			t.Fatalf("%s (%s after %s): status %d, verdict %q, want a hit on the shared entry",
+				tc.path, tc.second, tc.first, code, hdr2.Get("X-Edge-Cache"))
+		}
+		for _, h := range []http.Header{hdr1, hdr2} {
+			if h.Get("Content-Encoding") != "" || h.Get("Vary") != "" || h.Get("ETag") != hdr1.Get("ETag") {
+				t.Fatalf("%s: Content-Encoding %q, Vary %q, ETag %q: want the one identity representation (%q)",
+					tc.path, h.Get("Content-Encoding"), h.Get("Vary"), h.Get("ETag"), hdr1.Get("ETag"))
+			}
+		}
+		if !bytes.Equal(body1, body2) {
+			t.Fatalf("%s: the two clients got different bytes", tc.path)
+		}
+		if st := s.Stats(); st.Entries != n+1 || st.OriginRequests != int64(n+1) {
+			t.Fatalf("after %s: %d resident entries, %d origin fetches, want %d and %d",
+				tc.path, st.Entries, st.OriginRequests, n+1, n+1)
+		}
+	}
+}
+
+// TestCrossingTheFloorIsRelearnedAsVarying: a document that grows past the
+// size at which the store keeps a gzip representation starts varying on
+// Accept-Encoding at that day-roll, and the edge — which had it under the
+// shared bare-URI entry — must give each variant its own entry from then
+// on instead of handing one client the other's bytes.
+func TestCrossingTheFloorIsRelearnedAsVarying(t *testing.T) {
+	srv, origin := smallDocStore(t, storeserver.Config{}) // max-age=0: the edge revalidates every request
+	s, edge := edgeFor(t, origin, Config{CapacityBytes: 1 << 20})
+	const path = "/api/v1/apps/5/comments"
+
+	_, small, hdr := rawGet(t, edge+path, "gzip")
+	if hdr.Get("Vary") != "" || hdr.Get("Content-Encoding") != "" {
+		t.Fatalf("day 0: Vary %q, Content-Encoding %q: the stream was meant to start under the floor", hdr.Get("Vary"), hdr.Get("Content-Encoding"))
+	}
+	rawGet(t, edge+path, "identity")
+	if st := s.Stats(); st.Entries != 1 {
+		t.Fatalf("day 0: %d resident entries for one single-representation document", st.Entries)
+	}
+
+	for u := 0; u < 4; u++ {
+		res, err := http.Post(origin+path, "application/json", strings.NewReader(fmt.Sprintf(`{"user":%d,"rating":5}`, 900+u)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusOK {
+			t.Fatalf("comment write: status %d", res.StatusCode)
+		}
+	}
+	if err := srv.AdvanceDay(); err != nil {
+		t.Fatal(err)
+	}
+
+	for round := 0; round < 2; round++ {
+		_, gzBody, gzHdr := rawGet(t, edge+path, "gzip")
+		_, idBody, idHdr := rawGet(t, edge+path, "identity")
+		if gzHdr.Get("Content-Encoding") != "gzip" || idHdr.Get("Content-Encoding") != "" {
+			t.Fatalf("round %d: gzip client got Content-Encoding %q, identity client %q",
+				round, gzHdr.Get("Content-Encoding"), idHdr.Get("Content-Encoding"))
+		}
+		if gzHdr.Get("Vary") != "Accept-Encoding" || idHdr.Get("Vary") != "Accept-Encoding" {
+			t.Fatalf("round %d: Vary %q / %q after the document started varying", round, gzHdr.Get("Vary"), idHdr.Get("Vary"))
+		}
+		if want := strings.TrimSuffix(idHdr.Get("ETag"), `"`) + `-gz"`; gzHdr.Get("ETag") != want {
+			t.Fatalf("round %d: gzip ETag %q, want %q", round, gzHdr.Get("ETag"), want)
+		}
+		plain, err := gzipx.Decompress(gzBody)
+		if err != nil || !bytes.Equal(plain, idBody) || len(idBody) <= len(small) {
+			t.Fatalf("round %d: variants disagree or the stream did not grow (err %v, %d B identity, %d B on day 0)",
+				round, err, len(idBody), len(small))
+		}
+	}
+	if st := s.Stats(); st.Entries != 2 {
+		t.Fatalf("%d resident entries, want one per variant", st.Entries)
 	}
 }

@@ -289,7 +289,6 @@ func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request) {
 	etag := `"s` + day + `-t` + strconv.FormatInt(agg.TotalDownloads, 10) + `"`
 	h := w.Header()
 	stamp(h, cc, age)
-	h.Set("Vary", "Accept-Encoding")
 	h.Set("Etag", etag)
 	h.Set("X-Store-Day", day)
 	if apiwire.ETagMatch(r.Header.Get("If-None-Match"), etag) {
@@ -761,9 +760,6 @@ func (g *Gateway) serveMerged(w http.ResponseWriter, r *http.Request, anchors []
 	}
 	h := w.Header()
 	stamp(h, asm.cc, asm.age)
-	if pageZero {
-		h.Set("Vary", "Accept-Encoding")
-	}
 	h.Set("Etag", etag)
 	h.Set("X-Store-Day", asm.day)
 	if apiwire.ETagMatch(r.Header.Get("If-None-Match"), etag) {

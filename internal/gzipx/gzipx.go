@@ -1,10 +1,39 @@
 // Package gzipx is the one place the module touches compress/gzip: pooled
-// compressors for snapshot-time pre-compression (storeserver), pooled
+// compressors for fill-time pre-compression (storeserver), pooled
 // decompressors for fill-time validation (edgecache) and transparent
-// client-side decoding (resilient), and the Accept-Encoding negotiation
-// scan every tier shares. Nothing here allocates on a steady-state serving
-// path — compression happens once per content version, decompression once
-// per origin fill or crawl fetch, and AcceptsGzip is a pure byte scan.
+// client-side decoding (resilient), the Accept-Encoding negotiation scan
+// every tier shares, and the one rule for whether a document keeps a gzip
+// representation at all (CompressIfPays). Nothing here allocates on a
+// steady-state serving path — compression happens at most once per content
+// version, decompression once per origin fill or crawl fetch, and
+// AcceptsGzip is a pure byte scan.
+//
+// # When gzip pays
+//
+// The traffic this store exists for is the paper's: crawl every app once a
+// day. A crawler fetches a document about once per content version, so a
+// compress is amortised over about one response, not over a day of hits,
+// and its cost (compress/flate clears ~640 KiB of hash tables per stream
+// before it looks at a byte) is the serving cost. A gzip representation
+// also costs the response head 27 bytes — the "Content-Encoding: gzip\r\n"
+// line and the "-gz" ETag suffix — so it must beat the identity body by
+// more than that to shrink anything. Measured on this API's documents
+// (TestPayTable regenerates and pins the table):
+//
+//	document             identity     gzip   net of framing (min / mean / max)
+//	detail row              183 B    167 B     -16 /   -11.2 /     -5 B
+//	comments  <=128 B        63 B     70 B     -51 /   -34.4 /     -3 B
+//	comments 129-192 B      164 B    114 B     +20 /   +23.1 /    +26 B
+//	comments 193-255 B      224 B    129 B     +51 /   +67.5 /    +85 B
+//	comments 256-511 B      387 B    169 B    +109 /  +191.1 /   +273 B
+//	comments 0.5-2 KiB     1276 B    359 B    +294 /  +889.4 /  +1485 B
+//	listing page          18260 B   2665 B          +15567 B
+//
+// ("[]\n", the comment stream of every app nobody has commented on, is
+// 3 B and gzips to 27 B.) Below 256 bytes the best case saves a few dozen
+// bytes and the common case — every detail row, most comment streams —
+// loses, so nothing under minPayingSize is compressed at all; from there
+// up the representation is kept only when it shrinks the response.
 package gzipx
 
 import (
@@ -14,9 +43,9 @@ import (
 )
 
 var writerPool = sync.Pool{New: func() any {
-	// DefaultCompression: the bytes ship many times per compress (documents
-	// are compressed once per content version and served for a whole
-	// simulated day), so wire size wins over compressor speed.
+	// DefaultCompression: whatever clears the pay rule is large (listing
+	// pages, long comment streams) and wire size wins over compressor
+	// speed there.
 	zw, _ := gzip.NewWriterLevel(nil, gzip.DefaultCompression)
 	return zw
 }}
@@ -38,6 +67,29 @@ func Compress(src []byte) []byte {
 	writerPool.Put(zw)
 	bufPool.Put(buf)
 	return out
+}
+
+// framing is what a gzip representation adds to the response head next to
+// the identity one: the Content-Encoding line and the "-gz" ETag suffix.
+const framing = len("Content-Encoding: gzip\r\n") + len("-gz")
+
+// minPayingSize is the floor under which compression is not attempted: no
+// document of this API below it saves more than a few dozen bytes and most
+// lose (see the package comment; TestPayTable holds the measurement).
+const minPayingSize = 256
+
+// CompressIfPays returns src's gzip representation, or nil when keeping
+// one cannot make the response smaller: src is under the size floor, or
+// the compressed bytes plus the framing they cost are no shorter than src.
+// Identity is always a valid answer, so nil means "serve src as it is".
+func CompressIfPays(src []byte) []byte {
+	if len(src) < minPayingSize {
+		return nil
+	}
+	if z := Compress(src); len(z)+framing < len(src) {
+		return z
+	}
+	return nil
 }
 
 // Decompress inflates a whole gzip stream into a fresh slice. Any framing,

@@ -287,13 +287,22 @@ func New(cfg Config, seed uint64) (*Market, error) {
 	d := cfg.Profile.DownloadsPerUser
 	m.freeUsers = make([]userState, cfg.Profile.Users)
 	m.freeBudget = make([]int32, cfg.Profile.Users)
-	for u := 0; u < cfg.Profile.Users; u++ {
+	events := 0
+	for u := range m.freeBudget {
 		k := int(d)
 		if m.r.Bool(d - float64(k)) {
 			k++
 		}
 		m.freeBudget[u] = int32(k)
-		for j := 0; j < k; j++ {
+		events += k
+	}
+	// Budgets first, then the schedule at its exact size (filling it draws
+	// nothing, so the RNG stream is unchanged): grown by append, the slice
+	// of several million events spent half of New in growslice and kept a
+	// quarter of its length as never-used capacity for the market's life.
+	m.schedule = make([]int32, 0, events)
+	for u, k := range m.freeBudget {
+		for j := int32(0); j < k; j++ {
 			m.schedule = append(m.schedule, int32(u))
 		}
 	}

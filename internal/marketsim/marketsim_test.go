@@ -1,6 +1,8 @@
 package marketsim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -321,5 +323,40 @@ func TestCategoryBiasReshapesWithinCategory(t *testing.T) {
 	steep := headShare(2.1) // catBias 1.5: concentrated draws
 	if flat >= steep {
 		t.Fatalf("head share flat=%v not below steep=%v", flat, steep)
+	}
+}
+
+// TestScheduleSizedExactly pins the download schedule's construction: New
+// draws every per-user budget before it allocates the schedule, at exactly
+// the summed size — no append slack held for the market's life — and that
+// reordering draws the same random stream, so a same-seed market's
+// downloads after five steps are what they were when the schedule grew by
+// append (the hash below was taken from that code).
+func TestScheduleSizedExactly(t *testing.T) {
+	m, err := New(smallConfig(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget int
+	for _, k := range m.freeBudget {
+		budget += int(k)
+	}
+	if len(m.schedule) != budget || cap(m.schedule) != budget {
+		t.Fatalf("schedule len %d cap %d for %d budgeted events: want all three equal", len(m.schedule), cap(m.schedule), budget)
+	}
+	for i := 0; i < 5; i++ {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for _, d := range m.Downloads() {
+		binary.LittleEndian.PutUint64(b[:], uint64(d))
+		h.Write(b[:])
+	}
+	const want = 0xe8f65346cfff1551
+	if got := h.Sum64(); got != want {
+		t.Fatalf("downloads after 5 steps hash to %#x, want %#x: the schedule or the RNG order moved", got, uint64(want))
 	}
 }

@@ -87,6 +87,13 @@ func TestHitPathAllocBudget(t *testing.T) {
 	if gzListETag == "" || idDetailETag == "" {
 		t.Fatal("warm-up did not yield ETags")
 	}
+	// The gzip rows are about the pre-compressed representation, so they
+	// run on the listing page, which keeps one (a detail row is under
+	// gzipx's size floor: "v1-detail-gzip" is the negotiation scan falling
+	// through to identity).
+	if ce := w.h.Get("Content-Encoding"); ce != "gzip" {
+		t.Fatalf("listing page negotiated as gzip came back Content-Encoding %q: the gzip rows would measure identity", ce)
+	}
 
 	cases := []struct {
 		name   string

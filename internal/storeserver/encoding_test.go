@@ -6,7 +6,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"planetapps/internal/catalog"
+	"planetapps/internal/comments"
 	"planetapps/internal/gzipx"
 )
 
@@ -29,9 +32,10 @@ func encGet(t *testing.T, h http.Handler, path, acceptEncoding, ifNoneMatch stri
 
 // TestEncodingETagInterplay is the satellite table test: every
 // (Accept-Encoding, If-None-Match) combination must produce the right
-// status, Content-Encoding, and Vary — and keep doing so across an
-// AdvanceDay boundary for both carried and rebuilt documents. A
-// validator minted for one representation must never 304 the other.
+// status, Content-Encoding, and Vary (sent only by documents that kept a
+// gzip representation) — and keep doing so across an AdvanceDay boundary
+// for both carried and rebuilt documents. A validator minted for one
+// representation must never 304 the other.
 func TestEncodingETagInterplay(t *testing.T) {
 	s := etagTestServer(t, Config{PageSize: 50})
 	h := s.Handler()
@@ -125,8 +129,10 @@ func TestEncodingETagInterplay(t *testing.T) {
 					if ce := rec.Header().Get("Content-Encoding"); ce != tc.wantCE {
 						t.Fatalf("Content-Encoding %q, want %q", ce, tc.wantCE)
 					}
-					if v := rec.Header().Get("Vary"); v != "Accept-Encoding" {
-						t.Fatalf("Vary %q, want Accept-Encoding (status %d)", v, rec.Code)
+					// Vary marks a choice: present, on 200s and 304s alike,
+					// exactly when the document has two representations.
+					if v, want := rec.Header().Get("Vary"), varyIf(hasGz); v != want {
+						t.Fatalf("Vary %q, want %q (status %d)", v, want, rec.Code)
 					}
 					if rec.Code == 304 && rec.Body.Len() != 0 {
 						t.Fatalf("304 carried %d body bytes", rec.Body.Len())
@@ -166,6 +172,14 @@ func ceIf(hasGz bool) string {
 	return ""
 }
 
+// varyIf returns the expected Vary of a document's responses.
+func varyIf(hasGz bool) string {
+	if hasGz {
+		return "Accept-Encoding"
+	}
+	return ""
+}
+
 // status picks the expected status for cross-encoding validators: when
 // the two representations are distinct (hasGz) the mismatched validator
 // must get a 200; when gzip fell back to identity both validators name
@@ -175,4 +189,97 @@ func status(hasGz bool, distinct, collapsed int) int {
 		return distinct
 	}
 	return collapsed
+}
+
+// TestGzipRepresentationOnlyWherePays pins which documents keep a gzip
+// representation (gzipx.CompressIfPays decides; this is what the wire shows
+// for it): the three-byte empty comment stream and a detail row do not, a
+// ~300 B and a ~5 KiB comment stream do. Without one, a gzip client gets
+// the identity bytes under the identity ETag with no Vary and no "-gz"
+// validator exists; with one, each representation answers 304 only to its
+// own validator.
+func TestGzipRepresentationOnlyWherePays(t *testing.T) {
+	s := etagTestServer(t, Config{PageSize: 50})
+	var cs []comments.Comment
+	at := time.Unix(1356998400, 0)
+	for app, k := range map[catalog.AppID]int{1: 7, 2: 120} {
+		for j := 0; j < k; j++ {
+			at = at.Add(97 * time.Minute)
+			cs = append(cs, comments.Comment{User: catalog.UserID(1000 + 37*j), App: app, Rating: int8(1 + j%5), Time: at})
+		}
+	}
+	s.SetComments(cs)
+	h := s.Handler()
+
+	for _, tc := range []struct {
+		name, path   string
+		minLen, upTo int // identity body size bracket, so the case is the document it claims to be
+		hasGz        bool
+	}{
+		{"empty-comments", "/api/v1/apps/0/comments", 3, 3, false},
+		{"detail", "/api/v1/apps/0", 150, 200, false},
+		{"comments-300B", "/api/v1/apps/1/comments", 257, 400, true},
+		{"comments-5KiB", "/api/v1/apps/2/comments", 4500, 6000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			id := encGet(t, h, tc.path, "identity", "")
+			gz := encGet(t, h, tc.path, "gzip", "")
+			if id.Code != 200 || gz.Code != 200 {
+				t.Fatalf("status %d / %d", id.Code, gz.Code)
+			}
+			if n := id.Body.Len(); n < tc.minLen || n > tc.upTo {
+				t.Fatalf("identity body is %d B, want %d-%d: %s", n, tc.minLen, tc.upTo, id.Body)
+			}
+			idETag, gzETag := id.Header().Get("ETag"), gz.Header().Get("ETag")
+			if got := gz.Header().Get("Content-Encoding") == "gzip"; got != tc.hasGz {
+				t.Fatalf("gzip representation served: %v, want %v", got, tc.hasGz)
+			}
+			for _, rec := range []*httptest.ResponseRecorder{id, gz} {
+				if v := rec.Header().Get("Vary"); v != varyIf(tc.hasGz) {
+					t.Fatalf("Vary %q, want %q", v, varyIf(tc.hasGz))
+				}
+			}
+			gzValidator := strings.TrimSuffix(idETag, `"`) + `-gz"`
+			if !tc.hasGz {
+				if gzETag != idETag || gz.Body.String() != id.Body.String() {
+					t.Fatalf("gzip client got %q (%d B), want the identity representation %q (%d B)",
+						gzETag, gz.Body.Len(), idETag, id.Body.Len())
+				}
+				if cl := gz.Header().Get("Content-Length"); cl != strconv.Itoa(id.Body.Len()) {
+					t.Fatalf("Content-Length %q for %d identity bytes", cl, id.Body.Len())
+				}
+				// The identity validator revalidates whatever the client
+				// accepts; a "-gz" one names nothing.
+				for _, ae := range []string{"identity", "gzip"} {
+					if rec := encGet(t, h, tc.path, ae, idETag); rec.Code != 304 {
+						t.Fatalf("Accept-Encoding %s, identity validator: %d, want 304", ae, rec.Code)
+					}
+					if rec := encGet(t, h, tc.path, ae, gzValidator); rec.Code != 200 {
+						t.Fatalf("Accept-Encoding %s, -gz validator: %d, want 200", ae, rec.Code)
+					}
+				}
+				return
+			}
+			if gzETag != gzValidator {
+				t.Fatalf("gzip ETag %q, want %q", gzETag, gzValidator)
+			}
+			if gz.Body.Len()+27 >= id.Body.Len() {
+				t.Fatalf("kept a gzip representation of %d B for %d identity bytes: does not pay", gz.Body.Len(), id.Body.Len())
+			}
+			if plain, err := gzipx.Decompress(gz.Body.Bytes()); err != nil || string(plain) != id.Body.String() {
+				t.Fatalf("gzip body does not inflate to the identity body (err %v)", err)
+			}
+			for _, c := range []struct {
+				ae, inm string
+				want    int
+			}{
+				{"identity", idETag, 304}, {"gzip", gzETag, 304},
+				{"identity", gzETag, 200}, {"gzip", idETag, 200},
+			} {
+				if rec := encGet(t, h, tc.path, c.ae, c.inm); rec.Code != c.want {
+					t.Fatalf("Accept-Encoding %s, If-None-Match %s: %d, want %d", c.ae, c.inm, rec.Code, c.want)
+				}
+			}
+		})
+	}
 }

@@ -119,19 +119,20 @@ func (s *Server) handleCursor(w http.ResponseWriter, r *http.Request, sn *snapsh
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	out := CursorPageJSON{Apps: make([]AppJSON, 0, hi-lo), Total: sn.n}
-	for i := lo; i < hi; i++ {
-		out.Apps = append(out.Apps, sn.appJSON(i))
-	}
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	b := append(buf.AvailableBuffer(), `{"apps":`...)
+	b = sn.appendRows(b, lo, hi)
 	if hi < sn.n {
 		// The next anchor is the global ID of the first unserved row —
 		// identical to the row index on dense exports, so single-node
 		// cursor chains are byte-for-byte what they always were.
-		out.NextCursor = apiwire.EncodeCursor(int(sn.ex.ID(hi)))
+		b = append(b, `,"next_cursor":`...)
+		b = appendJSONString(b, apiwire.EncodeCursor(int(sn.ex.ID(hi))))
 	}
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	encodeJSON(buf, out)
+	b = append(b, `,"total":`...)
+	b = strconv.AppendInt(b, int64(sn.n), 10)
+	buf.Write(append(b, "}\n"...))
 	hset(h, hdrContentType, "application/json")
 	hset(h, hdrContentLength, strconv.Itoa(buf.Len()))
 	w.Write(buf.Bytes()) //nolint:errcheck // client gone; nothing useful to do

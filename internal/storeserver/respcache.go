@@ -44,8 +44,9 @@ func putBuf(buf *bytes.Buffer) {
 //	[etag][clen][gzEtag][gzClen][body][gzBody]
 //
 // — identity ETag and pre-rendered Content-Length first, then the gzip
-// pair (both empty when compression does not shrink the document), then
-// the identity bytes and the gzip bytes. One region per document means
+// pair (both empty unless gzipx.CompressIfPays kept a representation —
+// listing pages and long comment streams do, detail rows never), then the
+// identity bytes and the gzip bytes. One region per document means
 // one bump allocation per fill and lets compaction move a document with a
 // single copy.
 //
@@ -58,7 +59,7 @@ type docHandle struct {
 	arenaIdx  uint32 // snapshot.arenas slot holding the region
 	base      uint32 // packed arena offset of the region
 	bodyLen   uint32
-	gzLen     uint32 // 0 when the gzip representation does not pay
+	gzLen     uint32 // 0 when the document has no gzip representation
 	etagLen   uint16
 	clenLen   uint16
 	gzEtagLen uint16
@@ -109,11 +110,12 @@ type docView struct {
 	etag string
 	clen string // pre-rendered Content-Length
 
-	// The gzip representation. gzBody is nil when compression does not
-	// shrink the document (tiny stats/comments bodies), in which case
-	// negotiation falls back to identity. gzEtag is the identity ETag with
-	// a "-gz" suffix inside the quotes: per-encoding ETags so a cached 304
-	// validator can only match the representation it was minted for.
+	// The gzip representation. gzBody is nil when gzipx.CompressIfPays
+	// declined one (stats, detail rows, short comment streams), in which
+	// case the document has exactly one representation, identity. gzEtag
+	// is the identity ETag with a "-gz" suffix inside the quotes:
+	// per-encoding ETags so a cached 304 validator can only match the
+	// representation it was minted for.
 	gzBody []byte
 	gzEtag string
 	gzClen string
@@ -236,7 +238,8 @@ func (c *respCache) docAt(i int) docHandle {
 	return h
 }
 
-// get returns document i, encoding (and pre-compressing) it on first use.
+// get returns document i, encoding it (and compressing it, if that pays) on
+// first use.
 // Callers must bounds-check i against the snapshot before calling.
 func (c *respCache) get(sn *snapshot, i int, encode func(buf *bytes.Buffer) (etag string)) docView {
 	blk := c.block(i / docChunk)
@@ -257,8 +260,8 @@ func (c *respCache) get(sn *snapshot, i int, encode func(buf *bytes.Buffer) (eta
 func (c *respCache) fillDoc(sn *snapshot, blk *docBlock, e *docHandle, encode func(buf *bytes.Buffer) (etag string)) docView {
 	if !atomic.CompareAndSwapUint32(&e.state, docEmpty, docFilling) {
 		// Lost the single-flight race: spin-wait for the winner. Fills
-		// are short (one encode + one gzip) and happen at most once per
-		// document content-version, so waiting beats parking machinery.
+		// are short (one encode, at most one gzip) and happen at most once
+		// per document content-version, so waiting beats parking machinery.
 		for spins := 0; atomic.LoadUint32(&e.state) != docFilled; spins++ {
 			if spins < 128 {
 				runtime.Gosched()
@@ -279,7 +282,7 @@ func (c *respCache) fillDoc(sn *snapshot, blk *docBlock, e *docHandle, encode fu
 	var gzEtag string
 	var gzClen [20]byte
 	var gzClenB []byte
-	if z := gzipx.Compress(body); len(z) < len(body) {
+	if z := gzipx.CompressIfPays(body); z != nil {
 		gz = z
 		gzEtag = gzETag(etag)
 		gzClenB = strconv.AppendInt(gzClen[:0], int64(len(z)), 10)

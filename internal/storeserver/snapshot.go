@@ -300,35 +300,17 @@ func (sn *snapshot) releaseArenas() {
 	}
 }
 
-// appName renders "<store>-app-<id zero-padded to 5>" without fmt. Output
-// matches fmt.Sprintf("%s-app-%05d", store, id) for non-negative ids.
-func appName(store string, id int32) string {
+// appendAppName appends "<store>-app-<id zero-padded to 5>" without fmt:
+// what fmt.Sprintf("%s-app-%05d", store, id) renders for non-negative ids.
+func appendAppName(dst []byte, store string, id int32) []byte {
 	var digits [12]byte
 	d := strconv.AppendInt(digits[:0], int64(id), 10)
-	b := make([]byte, 0, len(store)+5+5)
-	b = append(b, store...)
-	b = append(b, "-app-"...)
+	dst = append(dst, store...)
+	dst = append(dst, "-app-"...)
 	for i := len(d); i < 5; i++ {
-		b = append(b, '0')
+		dst = append(dst, '0')
 	}
-	b = append(b, d...)
-	return string(b)
-}
-
-func (sn *snapshot) appJSON(i int) AppJSON {
-	a := sn.ex.App(i)
-	return AppJSON{
-		ID:        int32(a.ID),
-		Name:      appName(sn.store, int32(a.ID)),
-		Category:  sn.catNames[a.Category],
-		Developer: sn.devNames[a.Dev],
-		Paid:      a.Pricing == catalog.Paid,
-		Price:     a.Price,
-		HasAds:    a.HasAds,
-		SizeMB:    a.SizeMB,
-		Version:   a.Versions,
-		Downloads: sn.ex.Downloads(i),
-	}
+	return append(dst, d...)
 }
 
 // ageVal is one rendered Age header value, cached per snapshot so the
@@ -381,16 +363,15 @@ func (sn *snapshot) listDoc(p int) docView {
 		if lo > hi {
 			lo = hi // empty catalog still serves page 0
 		}
-		out := PageJSON{
-			Apps:  make([]AppJSON, 0, hi-lo),
-			Page:  p,
-			Pages: sn.pages,
-			Total: sn.n,
-		}
-		for i := lo; i < hi; i++ {
-			out.Apps = append(out.Apps, sn.appJSON(i))
-		}
-		encodeJSON(buf, out)
+		b := append(buf.AvailableBuffer(), `{"apps":`...)
+		b = sn.appendRows(b, lo, hi)
+		b = append(b, `,"page":`...)
+		b = strconv.AppendInt(b, int64(p), 10)
+		b = append(b, `,"pages":`...)
+		b = strconv.AppendInt(b, int64(sn.pages), 10)
+		b = append(b, `,"total":`...)
+		b = strconv.AppendInt(b, int64(sn.n), 10)
+		buf.Write(append(b, "}\n"...))
 		return `"p` + strconv.Itoa(p) + `-n` + strconv.Itoa(sn.n) +
 			`-v` + strconv.FormatUint(sn.ex.VersionSum(lo, hi), 10) + `"`
 	})
@@ -404,7 +385,7 @@ func (sn *snapshot) listDoc(p int) docView {
 // would: dense exports have ID(i) == i, so the wire bytes are unchanged).
 func (sn *snapshot) detailDoc(i int) docView {
 	return sn.detail.get(sn, i, func(buf *bytes.Buffer) string {
-		encodeJSON(buf, sn.appJSON(i))
+		buf.Write(append(sn.appendRow(buf.AvailableBuffer(), i), '\n'))
 		return `"a` + strconv.FormatInt(int64(sn.ex.ID(i)), 10) +
 			`-r` + strconv.FormatUint(uint64(sn.ex.RowVer(i)), 10) + `"`
 	})
@@ -422,10 +403,7 @@ func (sn *snapshot) commentsDoc(i int) docView {
 		if ver == 0 {
 			cs = sn.comments[catalog.AppID(id)]
 		}
-		if cs == nil {
-			cs = []CommentJSON{}
-		}
-		encodeJSON(buf, cs)
+		buf.Write(append(appendComments(buf.AvailableBuffer(), cs), '\n'))
 		etag := `"c` + strconv.FormatInt(sn.commentsGen, 10) + `-` + strconv.FormatInt(int64(id), 10)
 		if ver > 0 {
 			etag += `-w` + strconv.FormatUint(uint64(ver), 10)

@@ -548,20 +548,24 @@ func (s *Server) stamp(h http.Header, sn *snapshot) {
 // one simulated day. The stamp precedes the conditional check so 304s
 // carry it too: a revalidating cache resets its clock from the 304.
 //
-// The response picks between the document's two snapshot-time
-// representations by Accept-Encoding: clients admitting gzip get the
-// pre-compressed bytes with Content-Encoding: gzip and the
+// A document that kept a gzip representation at fill time (see
+// gzipx.CompressIfPays) is negotiated by Accept-Encoding: clients admitting
+// gzip get the pre-compressed bytes with Content-Encoding: gzip and the
 // representation's own "-gz" ETag, so If-None-Match validators only ever
-// match the encoding they were minted for; Vary: Accept-Encoding marks the
-// choice on 200s and 304s alike.
+// match the encoding they were minted for, and Vary: Accept-Encoding marks
+// the choice on 200s and 304s alike. A document with one representation is
+// served as it is and says nothing about Vary: claiming a choice that does
+// not exist makes a downstream cache keep the same bytes once per variant.
 func (s *Server) serveDoc(w http.ResponseWriter, r *http.Request, sn *snapshot, d docView) {
 	h := w.Header()
 	s.stamp(h, sn)
 	body, etag, clen := d.body, d.etag, d.clen
 	gz := false
-	hset(h, hdrVary, "Accept-Encoding")
-	if d.gzBody != nil && gzipx.AcceptsGzip(r.Header.Get("Accept-Encoding")) {
-		body, etag, clen, gz = d.gzBody, d.gzEtag, d.gzClen, true
+	if d.gzBody != nil {
+		hset(h, hdrVary, "Accept-Encoding")
+		if gzipx.AcceptsGzip(r.Header.Get("Accept-Encoding")) {
+			body, etag, clen, gz = d.gzBody, d.gzEtag, d.gzClen, true
+		}
 	}
 	hset(h, hdrETag, etag)
 	hset(h, hdrStoreDay, sn.dayStr)

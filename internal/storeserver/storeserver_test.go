@@ -202,8 +202,8 @@ func TestAdvanceDay(t *testing.T) {
 func TestAppName(t *testing.T) {
 	for _, id := range []int32{0, 7, 99, 12345, 1234567} {
 		want := fmt.Sprintf("%s-app-%05d", "slideme", id)
-		if got := appName("slideme", id); got != want {
-			t.Errorf("appName(%d) = %q, want %q", id, got, want)
+		if got := string(appendAppName(nil, "slideme", id)); got != want {
+			t.Errorf("appendAppName(%d) = %q, want %q", id, got, want)
 		}
 	}
 }
