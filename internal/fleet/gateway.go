@@ -252,7 +252,7 @@ func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request) {
 					Message: "shard " + g.cfg.Shards[i].Name + " answered " + strconv.Itoa(resp.StatusCode)}
 			}
 			var s storeserver.StatsJSON
-			body, err := readCapped(resp, maxStatsBody)
+			body, err := readCapped(new(bytes.Buffer), resp, maxStatsBody)
 			if err == nil {
 				err = json.Unmarshal(body, &s)
 			}
@@ -355,6 +355,7 @@ func unpackCursor(cur string, shards int) ([]int32, bool) {
 // assembled page so a row through the gateway is byte-identical to the
 // same row from a single node.
 type shardPage struct {
+	buf    *bytes.Buffer // owns body; back to listBufs once no row is in use
 	body   []byte
 	rows   []rowSpan
 	total  int
@@ -368,9 +369,10 @@ type shardPage struct {
 
 // assembled is one merged gateway listing page.
 type assembled struct {
-	rows    [][]byte // row bytes, each aliasing a shard response body
-	anchors []int32  // next per-shard anchors after this page
-	done    bool     // every shard drained: no next page
+	rows    [][]byte        // row bytes, each aliasing a shard response body
+	bufs    []*bytes.Buffer // those bodies' owners, released after the page is written
+	anchors []int32         // next per-shard anchors after this page
+	done    bool            // every shard drained: no next page
 	total   int
 	day     string
 	etag    string
@@ -388,13 +390,31 @@ const (
 
 var errBodyTooLarge = errors.New("response body exceeds the gateway's cap")
 
-// readCapped reads a shard response body of at most max bytes into one
-// buffer, sized up front from Content-Length when the shard sent one.
-func readCapped(resp *http.Response, max int64) ([]byte, error) {
+// listBufs recycles the buffers a merged page passes through: the shard
+// response bodies it is spliced from and the page itself. A buffer goes
+// back only when nothing aliases it any more — a shard body after the
+// merged page has been written (or abandoned), never when its shardPage
+// is replaced by a top-up, since rows already merged still point into it.
+var listBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getListBuf() *bytes.Buffer {
+	b := listBufs.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
+}
+
+func putListBufs(bufs []*bytes.Buffer) {
+	for _, b := range bufs {
+		listBufs.Put(b)
+	}
+}
+
+// readCapped reads a shard response body of at most max bytes into buf,
+// sized up front from Content-Length when the shard sent one.
+func readCapped(buf *bytes.Buffer, resp *http.Response, max int64) ([]byte, error) {
 	if resp.ContentLength > max {
 		return nil, errBodyTooLarge
 	}
-	var buf bytes.Buffer
 	if resp.ContentLength > 0 {
 		buf.Grow(int(resp.ContentLength) + bytes.MinRead)
 	}
@@ -423,11 +443,13 @@ func (g *Gateway) fetchShardPage(ctx context.Context, i int, anchor int32, limit
 		return nil, &apiwire.Error{Status: http.StatusServiceUnavailable, Code: "shard_unavailable",
 			Message: "shard " + c.Name + " answered " + strconv.Itoa(resp.StatusCode)}
 	}
+	buf := getListBuf()
 	bad := func(why string) (*shardPage, *apiwire.Error) {
+		listBufs.Put(buf)
 		return nil, &apiwire.Error{Status: http.StatusBadGateway, Code: "shard_bad_response",
 			Message: "shard " + c.Name + ": " + why}
 	}
-	body, err := readCapped(resp, maxListBody)
+	body, err := readCapped(buf, resp, maxListBody)
 	if err != nil {
 		return bad(err.Error())
 	}
@@ -436,6 +458,7 @@ func (g *Gateway) fetchShardPage(ctx context.Context, i int, anchor int32, limit
 		return bad(err.Error())
 	}
 	page := &shardPage{
+		buf:    buf,
 		body:   body,
 		rows:   scanned.rows,
 		total:  scanned.total,
@@ -532,7 +555,7 @@ func fnvUint32(h uint64, v uint32) uint64 {
 // Returns (nil, nil) on epoch skew — the caller's retry loop re-fetches;
 // anchors are global IDs, valid in any epoch, so the retry needs no
 // repositioning.
-func (g *Gateway) assemble(ctx context.Context, anchors []int32, limit int) (*assembled, *apiwire.Error) {
+func (g *Gateway) assemble(ctx context.Context, anchors []int32, limit int) (page *assembled, _ *apiwire.Error) {
 	k := len(g.cfg.Shards)
 	quota := g.quotas(anchors, limit)
 	pages := make([]*shardPage, k)
@@ -541,6 +564,19 @@ func (g *Gateway) assemble(ctx context.Context, anchors []int32, limit int) (*as
 		pages[i] = p
 		return e
 	})
+	// Every body fetched for this page, top-ups included, is held until
+	// the page is served; an attempt that yields no page lets go of them.
+	held := make([]*bytes.Buffer, 0, k+1)
+	for _, p := range pages {
+		if p != nil {
+			held = append(held, p.buf)
+		}
+	}
+	defer func() {
+		if page == nil {
+			putListBufs(held)
+		}
+	}()
 	if gerr != nil {
 		return nil, gerr
 	}
@@ -593,6 +629,7 @@ func (g *Gateway) assemble(ctx context.Context, anchors []int32, limit int) (*as
 			if e != nil {
 				return nil, e
 			}
+			held = append(held, p.buf)
 			if p.day != out.day {
 				return nil, nil // epoch skew
 			}
@@ -628,6 +665,7 @@ func (g *Gateway) assemble(ctx context.Context, anchors []int32, limit int) (*as
 		}
 	}
 	out.etag = `"g` + strconv.FormatUint(sum, 16) + `"`
+	out.bufs = held
 	return out, nil
 }
 
@@ -753,6 +791,7 @@ func (g *Gateway) serveMerged(w http.ResponseWriter, r *http.Request, anchors []
 		err.Write(w)
 		return
 	}
+	defer putListBufs(asm.bufs)
 	g.mergedPages.Inc()
 	etag := asm.etag
 	if pageZero {
@@ -774,7 +813,10 @@ func (g *Gateway) serveMerged(w http.ResponseWriter, r *http.Request, anchors []
 	for _, row := range asm.rows {
 		size += len(row)
 	}
-	buf := append(make([]byte, 0, size), `{"apps":[`...)
+	out := getListBuf()
+	defer listBufs.Put(out)
+	out.Grow(size)
+	buf := append(out.AvailableBuffer(), `{"apps":[`...)
 	for i, row := range asm.rows {
 		if i > 0 {
 			buf = append(buf, ',')

@@ -467,3 +467,29 @@ func TestGatewayListAllocBudget(t *testing.T) {
 		t.Fatalf("merged 100-row page over 4 shards: %.0f allocs, budget %d", allocs, budget)
 	}
 }
+
+// TestGatewayProxyAllocBudget is the same tripwire for the gateway's other
+// request class: one detail document proxied to its owning shard, from the
+// gateway's ServeHTTP down through that shard's warm handler. It takes
+// about 35 allocations, nearly all of them net/http's request and response
+// on the gateway→shard hop (the gateway's own are the outbound header, the
+// path and the copied response headers); the ceiling leaves room for
+// noise, not for a buffered body or a decoded document.
+func TestGatewayProxyAllocBudget(t *testing.T) {
+	const budget = 50
+	ip := fleetAt(t, 4, 0, 100, midScale)
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/apps/7", nil)
+	serve := func() {
+		rec := httptest.NewRecorder()
+		ip.Gateway.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("proxied detail: status %d", rec.Code)
+		}
+	}
+	serve() // the shard renders the document once; after that it is a hit
+	allocs := testing.AllocsPerRun(200, serve)
+	t.Logf("proxied detail document over 4 shards: %.0f allocs", allocs)
+	if allocs > budget {
+		t.Fatalf("proxied detail document over 4 shards: %.0f allocs, budget %d", allocs, budget)
+	}
+}

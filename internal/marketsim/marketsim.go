@@ -22,6 +22,20 @@
 // unchanged state between consecutive days (see export.go). The dirty
 // tracking never feeds back into the simulation — output for a fixed
 // seed is byte-identical with tracking observed or ignored.
+//
+// The random stream is the contract. A seed names one market: the market
+// generator (rng.New(seed).Split("market")) draws every app's appeal, then
+// every user's download budget, then one Fisher-Yates shuffle of the
+// free-stream schedule (a user id per scheduled download), and every
+// experiment table and crawl database on record was produced from that
+// order. How the result is built and held may change; which draw lands
+// where may not (TestScheduleSizedExactly's hash and rng's golden vectors
+// hold it). So New shuffles a transient []int32 with rng.ShuffleInt32 —
+// Shuffle's draws, inlined and drawn a block ahead — and keeps the result
+// bit-packed at ⌈log2 Users⌉ bits per event (packedseq.go), and it runs
+// catalog.Generate, which draws from its own rng.New(seed) stream and
+// needs nothing of the market's, on a second goroutine joined before the
+// first line that reads the catalog.
 package marketsim
 
 import (
@@ -179,9 +193,16 @@ type Market struct {
 	// schedule is the shuffled sequence of free-stream download events
 	// (one user id per event); each user appears exactly their per-user
 	// download budget times, so user behaviour matches the exact-d users
-	// of the analytic models. nextEvent tracks consumption; totalPeriods
-	// is Days+WarmupDays.
-	schedule     []int32
+	// of the analytic models. It is the largest thing a market holds — 82
+	// events per user at the bench profile, of which a 4096-day period
+	// consumes 1/4096 per Step — so it is kept at ⌈log2 Users⌉ bits per
+	// event (17 for 100k users, where an int32 per event was four fifths
+	// of a serving store's live heap) and read in place. Its order is part
+	// of the seed's contract (package comment): streaming it from a keyed
+	// permutation would be smaller still and would re-roll every recorded
+	// experiment and crawl. nextEvent tracks consumption; totalPeriods is
+	// Days+WarmupDays.
+	schedule     packedSeq
 	nextEvent    int
 	totalPeriods int
 }
@@ -248,23 +269,17 @@ func (ar *arena) carve(n int) []catalog.AppID {
 }
 
 // New builds a market over a freshly generated catalog. Deterministic in
-// (cfg, seed).
+// (cfg, seed), whatever GOMAXPROCS is: the catalog is generated from its
+// own rng.New(seed) stream on a second goroutine while this one draws the
+// appeals, budgets and schedule from the market stream, and neither reads
+// what the other writes until the join.
 func New(cfg Config, seed uint64) (*Market, error) {
-	if cfg.Days < 2 {
-		return nil, fmt.Errorf("marketsim: Days = %d, need >= 2", cfg.Days)
-	}
-	if cfg.PaidDownloadShare < 0 {
-		return nil, fmt.Errorf("marketsim: negative PaidDownloadShare")
-	}
-	cat, err := catalog.Generate(cfg.Profile, seed)
-	if err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	r := rng.New(seed).Split(0x6d61726b6574) // "market"
 	m := &Market{
 		cfg:           cfg,
-		cat:           cat,
-		r:             r,
+		r:             rng.New(seed).Split(0x6d61726b6574), // "market"
 		usersPaid:     map[int32]*userState{},
 		paidPortfolio: map[catalog.DevID]int{},
 		series:        &snapshot.Series{Store: cfg.Profile.Name},
@@ -273,13 +288,20 @@ func New(cfg Config, seed uint64) (*Market, error) {
 	if cfg.ShovelwareDamping > 0 {
 		m.devPaid = map[catalog.DevID][]int32{}
 	}
-	n := cat.NumApps()
-	m.downloads = make([]int64, n)
-	m.appeal = make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		m.appeal = append(m.appeal, m.newAppeal(cat.Apps[i].Dev))
+	// Nothing between the go statement and the receive returns, so the
+	// goroutine is always waited for.
+	var catErr error
+	generated := make(chan struct{})
+	go func() {
+		defer close(generated)
+		m.cat, catErr = catalog.Generate(cfg.Profile, seed)
+	}()
+	// One appeal per generated app: Generate makes exactly Profile.Apps of
+	// them, or refuses the profile (reported at the join).
+	m.appeal = make([]float64, 0, max(cfg.Profile.Apps, 0))
+	for i := 0; i < cfg.Profile.Apps; i++ {
+		m.appeal = append(m.appeal, m.newAppeal())
 	}
-	m.initTracking()
 	// Per-user budgets: floor(d) plus one with probability frac(d), the
 	// same convention the model package uses. The flattened, shuffled
 	// schedule interleaves users across the whole period.
@@ -297,22 +319,27 @@ func New(cfg Config, seed uint64) (*Market, error) {
 		events += k
 	}
 	// Budgets first, then the schedule at its exact size (filling it draws
-	// nothing, so the RNG stream is unchanged): grown by append, the slice
-	// of several million events spent half of New in growslice and kept a
-	// quarter of its length as never-used capacity for the market's life.
-	m.schedule = make([]int32, 0, events)
+	// nothing, so the RNG stream is unchanged). The int32 form lives only
+	// for the shuffle.
+	order := make([]int32, 0, events)
 	for u, k := range m.freeBudget {
 		for j := int32(0); j < k; j++ {
-			m.schedule = append(m.schedule, int32(u))
+			order = append(order, int32(u))
 		}
 	}
-	m.r.Shuffle(len(m.schedule), func(i, j int) {
-		m.schedule[i], m.schedule[j] = m.schedule[j], m.schedule[i]
-	})
-	_, paid := cat.FreePaidCounts()
+	m.r.ShuffleInt32(order)
+	m.schedule = packSeq(order, cfg.Profile.Users)
+
+	<-generated
+	if catErr != nil {
+		return nil, catErr
+	}
+	m.downloads = make([]int64, m.cat.NumApps())
+	m.initTracking()
+	_, paid := m.cat.FreePaidCounts()
 	m.paidVolume = paid > 0
 	if m.paidVolume {
-		m.dailyPaid = float64(len(m.schedule)) / float64(m.totalPeriods) * cfg.PaidDownloadShare
+		m.dailyPaid = float64(m.schedule.len()) / float64(m.totalPeriods) * cfg.PaidDownloadShare
 	}
 	m.catBias = 1
 	if cfg.Profile.ZipfGlobal > 0 && cfg.Profile.ZipfCluster > 0 {
@@ -328,6 +355,32 @@ func New(cfg Config, seed uint64) (*Market, error) {
 		m.record()
 	}
 	return m, nil
+}
+
+// validate refuses a configuration New cannot build a market over, naming
+// the field. The catalog's own fields are catalog.Generate's to refuse.
+func (cfg *Config) validate() error {
+	if cfg.Days < 2 {
+		return fmt.Errorf("marketsim: Days = %d, need >= 2", cfg.Days)
+	}
+	if cfg.WarmupDays < 0 {
+		return fmt.Errorf("marketsim: WarmupDays = %d, need >= 0", cfg.WarmupDays)
+	}
+	if cfg.PaidDownloadShare < 0 {
+		return fmt.Errorf("marketsim: negative PaidDownloadShare")
+	}
+	// User ids and per-user budgets are int32; the schedule is indexed by int.
+	users, d := cfg.Profile.Users, cfg.Profile.DownloadsPerUser
+	if users < 0 || users > math.MaxInt32 {
+		return fmt.Errorf("marketsim: Profile.Users = %d, need 0 .. 2^31-1", users)
+	}
+	if math.IsNaN(d) || d < 0 || d >= math.MaxInt32 {
+		return fmt.Errorf("marketsim: Profile.DownloadsPerUser = %v, need a finite value in [0, 2^31-1)", d)
+	}
+	if math.Ceil(d)*float64(users) >= math.MaxInt { // only where int is 32 bits
+		return fmt.Errorf("marketsim: Profile.Users × DownloadsPerUser = %d × %v events overflow the schedule's index", users, d)
+	}
+	return nil
 }
 
 // initTracking sizes the side arrays and dirty-tracking state for the
@@ -433,7 +486,7 @@ func (m *Market) growTracking(a *catalog.App) {
 // makes the sorted weights follow a power law with exponent
 // 1/alpha = ZipfGlobal, so the simulated rank curves carry the profile's
 // trunk slope.
-func (m *Market) newAppeal(catalog.DevID) float64 {
+func (m *Market) newAppeal() float64 {
 	alpha := 1 / m.cfg.Profile.ZipfGlobal
 	p := dist.Pareto{Xm: 1, Alpha: alpha}
 	w := p.Sample(m.r)
@@ -558,7 +611,7 @@ func (m *Market) arrivals() {
 		id := m.cat.AddApp(a)
 		// New arrivals start with damped appeal: most newcomers are
 		// unpopular; breakout hits are possible but rare.
-		m.appeal = append(m.appeal, m.newAppeal(m.cat.Apps[int(id)].Dev)*0.25)
+		m.appeal = append(m.appeal, m.newAppeal()*0.25)
 		m.downloads = append(m.downloads, 0)
 		m.growTracking(&m.cat.Apps[int(id)])
 		m.markRow(int(id))
@@ -777,12 +830,12 @@ func (m *Market) simulateDownloads() {
 	// Days consumed so far (including this one) determine the cut point so
 	// rounding never drops events: the final day drains the schedule.
 	consumedDays := m.day + m.cfg.WarmupDays + 1
-	hi := len(m.schedule) * consumedDays / m.totalPeriods
-	if hi > len(m.schedule) {
-		hi = len(m.schedule)
+	hi := m.schedule.len() * consumedDays / m.totalPeriods
+	if hi > m.schedule.len() {
+		hi = m.schedule.len()
 	}
 	for ; m.nextEvent < hi; m.nextEvent++ {
-		uid := m.schedule[m.nextEvent]
+		uid := m.schedule.at(m.nextEvent)
 		u := &m.freeUsers[uid]
 		if u.history == nil {
 			u.history = m.hist.carve(int(m.freeBudget[uid]))

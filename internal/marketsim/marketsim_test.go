@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/bits"
+	"runtime"
+	"strings"
 	"testing"
 
 	"planetapps/internal/catalog"
@@ -186,16 +189,51 @@ func TestStepBeyondPeriodFails(t *testing.T) {
 	}
 }
 
+// TestNewValidation: New refuses, by field name, every configuration it
+// cannot build a market over. The population rows used to panic in
+// makeslice; a negative warmup silently built a market over a negative
+// period.
 func TestNewValidation(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Days = 1
-	if _, err := New(cfg, 1); err == nil {
-		t.Fatal("1-day period accepted")
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Days", func(c *Config) { c.Days = 1 }},
+		{"WarmupDays", func(c *Config) { c.WarmupDays = -500 }},
+		{"PaidDownloadShare", func(c *Config) { c.PaidDownloadShare = -1 }},
+		{"Users", func(c *Config) { c.Profile.Users = -1 }},
+		{"Users", func(c *Config) { c.Profile.Users = math.MaxInt32 + 1 }},
+		{"DownloadsPerUser", func(c *Config) { c.Profile.DownloadsPerUser = -3 }},
+		{"DownloadsPerUser", func(c *Config) { c.Profile.DownloadsPerUser = math.NaN() }},
+		{"DownloadsPerUser", func(c *Config) { c.Profile.DownloadsPerUser = math.Inf(1) }},
+		{"DownloadsPerUser", func(c *Config) { c.Profile.DownloadsPerUser = 1 << 31 }},
+		// catalog.Generate's refusal, reported at the join.
+		{"no apps", func(c *Config) { c.Profile.Apps = -1 }},
+	} {
+		cfg := smallConfig()
+		tc.set(&cfg)
+		m, err := New(cfg, 1)
+		if err == nil || m != nil {
+			t.Errorf("%s: New accepted %+v", tc.field, cfg)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("error %q does not name %s", err, tc.field)
+		}
 	}
-	cfg = smallConfig()
-	cfg.PaidDownloadShare = -1
-	if _, err := New(cfg, 1); err == nil {
-		t.Fatal("negative paid share accepted")
+	// The edges of what is valid build: nobody downloads anything.
+	for _, set := range []func(*Config){
+		func(c *Config) { c.Profile.Users = 0 },
+		func(c *Config) { c.Profile.DownloadsPerUser = 0 },
+		func(c *Config) { c.WarmupDays = 0 },
+	} {
+		cfg := smallConfig()
+		set(&cfg)
+		m, err := New(cfg, 1)
+		if err != nil {
+			t.Fatalf("New refused %+v: %v", cfg, err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -327,13 +365,15 @@ func TestCategoryBiasReshapesWithinCategory(t *testing.T) {
 }
 
 // TestScheduleSizedExactly pins the download schedule's construction: New
-// draws every per-user budget before it allocates the schedule, at exactly
-// the summed size — no append slack held for the market's life — and that
-// reordering draws the same random stream, so a same-seed market's
-// downloads after five steps are what they were when the schedule grew by
-// append (the hash below was taken from that code).
+// draws every per-user budget before it builds the schedule, which holds
+// exactly the budgeted events at the population's bit width in exactly the
+// words they fill — no append slack, no padding word — and neither the
+// reordering nor the packing moves a random draw, so a same-seed market's
+// downloads after five steps are what they were when the schedule was an
+// []int32 grown by append (the hash below was taken from that code).
 func TestScheduleSizedExactly(t *testing.T) {
-	m, err := New(smallConfig(), 42)
+	cfg := smallConfig()
+	m, err := New(cfg, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,22 +381,84 @@ func TestScheduleSizedExactly(t *testing.T) {
 	for _, k := range m.freeBudget {
 		budget += int(k)
 	}
-	if len(m.schedule) != budget || cap(m.schedule) != budget {
-		t.Fatalf("schedule len %d cap %d for %d budgeted events: want all three equal", len(m.schedule), cap(m.schedule), budget)
+	if m.schedule.len() != budget {
+		t.Fatalf("schedule holds %d events for %d budgeted", m.schedule.len(), budget)
+	}
+	width := bits.Len(uint(cfg.Profile.Users - 1))
+	if words := (budget*width + 63) / 64; int(m.schedule.width) != width || len(m.schedule.words) != words || cap(m.schedule.words) != words {
+		t.Fatalf("schedule is %d words (cap %d) of %d-bit events, want %d words of %d-bit events for %d users",
+			len(m.schedule.words), cap(m.schedule.words), m.schedule.width, words, width, cfg.Profile.Users)
+	}
+	seen := make([]int32, cfg.Profile.Users)
+	for k := 0; k < m.schedule.len(); k++ {
+		seen[m.schedule.at(k)]++
+	}
+	for u, k := range m.freeBudget {
+		if seen[u] != k {
+			t.Fatalf("user %d is scheduled %d times on a budget of %d", u, seen[u], k)
+		}
 	}
 	for i := 0; i < 5; i++ {
 		if err := m.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	const want = 0xe8f65346cfff1551
+	if got := hashDownloads(m); got != want {
+		t.Fatalf("downloads after 5 steps hash to %#x, want %#x: the schedule or the RNG order moved", got, uint64(want))
+	}
+}
+
+func hashDownloads(m *Market) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	for _, d := range m.Downloads() {
 		binary.LittleEndian.PutUint64(b[:], uint64(d))
 		h.Write(b[:])
 	}
-	const want = 0xe8f65346cfff1551
-	if got := h.Sum64(); got != want {
-		t.Fatalf("downloads after 5 steps hash to %#x, want %#x: the schedule or the RNG order moved", got, uint64(want))
+	return h.Sum64()
+}
+
+// TestNewIsGOMAXPROCSInvariant: New generates the catalog on a second
+// goroutine, and the market it returns must not depend on whether that
+// goroutine ran beside the first or was interleaved with it. Run under
+// -race -count=10: the race detector checks that the two sides share
+// nothing before the join.
+func TestNewIsGOMAXPROCSInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	build := func(procs int) (*Export, uint64) {
+		runtime.GOMAXPROCS(procs)
+		cfg := smallConfig()
+		cfg.FullExport = true
+		m, err := New(cfg, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		day0 := m.Export()
+		for i := 0; i < 5; i++ {
+			if err := m.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return day0, hashDownloads(m)
+	}
+	serial, serialHash := build(1)
+	parallel, parallelHash := build(4)
+	exportEqual(t, serial, parallel)
+	if serialHash != parallelHash {
+		t.Fatalf("downloads after 5 steps hash to %#x at GOMAXPROCS 1 and %#x at 4", serialHash, parallelHash)
+	}
+}
+
+// BenchmarkMarketNew builds cmd/bench's market (retentionConfig at 100k
+// apps and users: 8.2 M scheduled events). B/op shows an int32 schedule
+// kept (+33 MB) and ns/op a closure shuffle or a serial catalog build; run
+// at -cpu 1,2, the second CPU is what the catalog goroutine uses.
+func BenchmarkMarketNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(retentionConfig(100_000), 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

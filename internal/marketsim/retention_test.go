@@ -110,3 +110,40 @@ func TestExportRetentionPerRound(t *testing.T) {
 		t.Fatalf("exports retain %d more bytes per Step+Export+Partition round, want <= %d", perRound, 8<<10)
 	}
 }
+
+// TestMarketFootprint bounds what a serving store's market holds per
+// scheduled download. On a long period almost all of the schedule waits
+// unconsumed, so it must cost its information content, ⌈log2 users⌉ bits an
+// event, plus a quarter byte for everything else that scales with events
+// (here the first history block the day-0 users carve). Measured as the
+// heap a market holds over its twin whose users download nothing — the same
+// catalog, tables and per-user state — so an event-sized structure under
+// any name is in the figure: an int32 per event reads 4.2 bytes against
+// this market's bound of 2.125.
+func TestMarketFootprint(t *testing.T) {
+	const users = 20_000
+	held := func(downloadsPerUser float64) (heap int64, events int) {
+		cfg := retentionConfig(users)
+		cfg.Profile.DownloadsPerUser = downloadsPerUser
+		before := heapAfterGC()
+		m, err := New(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap = int64(heapAfterGC()) - int64(before)
+		runtime.KeepAlive(m)
+		return heap, m.schedule.len()
+	}
+	full, events := held(82)
+	idle, _ := held(0)
+	if raceEnabled {
+		return // the race allocator's shadow memory swamps a byte bound
+	}
+	perEvent := float64(full-idle) / float64(events)
+	bound := float64(packedWidth(users))/8 + 0.25
+	t.Logf("%d users: %d bytes held with %d scheduled events, %d with none: %.3f bytes per event (bound %.3f)",
+		users, full, events, idle, perEvent, bound)
+	if perEvent > bound {
+		t.Fatalf("a market retains %.3f bytes per scheduled event, want <= %.3f", perEvent, bound)
+	}
+}

@@ -1,6 +1,8 @@
 package rng
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -228,4 +230,152 @@ func BenchmarkFloat64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Float64()
 	}
+}
+
+// uint64nRef is Uint64n as it stood while it computed the rejection
+// threshold on every call: the reference the tests below compare against.
+func uint64nRef(r *RNG, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	threshold := -n % n
+	for {
+		v := r.Uint64()
+		if v >= threshold {
+			return v % n
+		}
+	}
+}
+
+// uint64nGolden pins Uint64n's stream at the smallest bounds, both sides of
+// a power of two at several widths, the bench market's population, and
+// 2^63+1, where nearly every second draw is redrawn. Each hash is FNV-1a
+// over 1,000 draws from New(0x5eed) and the generator's next raw output (so
+// the number of redraws is pinned with the values), taken from the code
+// that divided twice per draw.
+var uint64nGolden = []struct{ n, hash uint64 }{
+	{1, 0x75594eb31c2dd204},
+	{2, 0xd5915d9309d05404},
+	{3, 0xdf7774735c881642},
+	{1<<8 - 1, 0x49059920e7ab7950},
+	{1 << 8, 0x238c319abf2f37ec},
+	{1<<8 + 1, 0x89b5b2265aeff44b},
+	{1<<17 - 1, 0xaf3a4a6b2a8f3aee},
+	{1 << 17, 0x9991a8da061aedd2},
+	{1<<17 + 1, 0xf3ea5635f561d44a},
+	{1<<40 - 1, 0x33889f8fb29e9f2e},
+	{1 << 40, 0x9bedd93ed6045862},
+	{1<<40 + 1, 0xf9eadaa840e8e0c3},
+	{100_000, 0x2ecfc09b8047aaf0},
+	{1<<63 - 1, 0xe02a95acd82b09c9},
+	{1 << 63, 0x83780cff7978999a},
+	{1<<63 + 1, 0xc9029b1de32b43cc},
+}
+
+func hashDraws(n uint64, draw func(*RNG, uint64) uint64) uint64 {
+	r := New(0x5eed)
+	h := fnv.New64a()
+	var b [8]byte
+	for i := 0; i < 1000; i++ {
+		binary.LittleEndian.PutUint64(b[:], draw(r, n))
+		h.Write(b[:])
+	}
+	binary.LittleEndian.PutUint64(b[:], r.Uint64())
+	h.Write(b[:])
+	return h.Sum64()
+}
+
+// TestUint64nGoldenStream: every recorded experiment seed and crawl
+// database depends on this stream not moving.
+func TestUint64nGoldenStream(t *testing.T) {
+	for _, g := range uint64nGolden {
+		if got := hashDraws(g.n, (*RNG).Uint64n); got != g.hash {
+			t.Errorf("Uint64n(%d): 1,000 draws and the state after hash to %#x, want %#x", g.n, got, g.hash)
+		}
+		if ref := hashDraws(g.n, uint64nRef); ref != g.hash {
+			t.Errorf("reference Uint64n(%d) hashes to %#x, want %#x", g.n, ref, g.hash)
+		}
+	}
+}
+
+// rngYielding returns a generator whose next Uint64 is v: xoshiro256**'s
+// output is rotl(s1*5, 7)*9, and 5 and 9 are invertible mod 2^64.
+func rngYielding(t *testing.T, v uint64) *RNG {
+	const inv5, inv9 = 0xcccccccccccccccd, 0x8e38e38e38e38e39
+	x := v * inv9
+	r := &RNG{s0: 1, s1: (x>>7 | x<<57) * inv5, s2: 2, s3: 3}
+	if probe := *r; probe.Uint64() != v {
+		t.Fatalf("crafted state yields %#x, want %#x", probe.Uint64(), v)
+	}
+	return r
+}
+
+// TestUint64nRejectionBoundary forces the rare branch: a first draw just
+// under the threshold 2^64 mod n must be redrawn, one at it or anywhere up
+// to n must be kept, and either way the generator is left where the
+// reference leaves it.
+func TestUint64nRejectionBoundary(t *testing.T) {
+	for _, n := range []uint64{3, 100_000, 1<<17 + 1, 1<<63 + 1} {
+		threshold := -n % n
+		for _, first := range []uint64{0, threshold - 1, threshold, threshold + 1, n - 1, n, n + 1} {
+			a, b := rngYielding(t, first), rngYielding(t, first)
+			got, want := a.Uint64n(n), uint64nRef(b, n)
+			if got != want || *a != *b {
+				t.Errorf("Uint64n(%d) with first draw %d = %d, reference %d (same state after: %v)", n, first, got, want, *a == *b)
+			}
+			once := rngYielding(t, first)
+			once.Uint64()
+			if redrawn := *a != *once; redrawn != (first < threshold) {
+				t.Errorf("Uint64n(%d) with first draw %d: redrawn = %v, threshold %d", n, first, redrawn, threshold)
+			}
+		}
+	}
+}
+
+// TestShuffleInt32MatchesShuffle holds the inlined shuffle to the closure
+// one: same permutation, same generator state after, at lengths around the
+// draw-ahead block and one far past it.
+func TestShuffleInt32MatchesShuffle(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 31, 32, 33, shuffleBlock, shuffleBlock + 1, shuffleBlock + 2, 100_000} {
+		got, want := make([]int32, n), make([]int32, n)
+		for i := range got {
+			got[i], want[i] = int32(i), int32(i)
+		}
+		a, b := New(41), New(41)
+		a.ShuffleInt32(got)
+		b.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("n = %d: element %d is %d, Shuffle put %d there", n, i, got[i], want[i])
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n = %d: generators diverge after the shuffle", n)
+		}
+	}
+}
+
+func BenchmarkUint64n(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		r.Uint64n(100_000)
+	}
+}
+
+// BenchmarkShuffle is the bench market's schedule: 8.2 M user ids, far
+// past any cache.
+func BenchmarkShuffle(b *testing.B) {
+	s := make([]int32, 8_200_000)
+	b.Run("closure", func(b *testing.B) {
+		r := New(1)
+		for i := 0; i < b.N; i++ {
+			r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+		}
+	})
+	b.Run("int32", func(b *testing.B) {
+		r := New(1)
+		for i := 0; i < b.N; i++ {
+			r.ShuffleInt32(s)
+		}
+	})
 }
