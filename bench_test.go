@@ -334,14 +334,14 @@ func storeHandler(b *testing.B) http.Handler {
 	return storeBenchH
 }
 
-// BenchmarkStoreListPage measures the listing handler hot path (100-app
-// JSON page) through the limiter and instrumentation middleware.
-func BenchmarkStoreListPage(b *testing.B) {
+// BenchmarkStoreCursorPage measures the listing handler (a 100-app slice,
+// rendered per request) through the limiter and instrumentation middleware.
+func BenchmarkStoreCursorPage(b *testing.B) {
 	h := storeHandler(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodGet, "/api/v1/apps?page=0", nil)
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/apps?cursor=", nil)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
@@ -428,19 +428,6 @@ func benchHotPath(b *testing.B, path, acceptEncoding string) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/sec")
-}
-
-// BenchmarkStoreListPageHot measures the warm v1 list hit with identity
-// transfer — the pre-encoded snapshot document straight to the wire.
-func BenchmarkStoreListPageHot(b *testing.B) {
-	benchHotPath(b, "/api/v1/apps?page=0", "identity")
-}
-
-// BenchmarkStoreListPageHotGzip is the negotiated flavor: the
-// pre-compressed variant built at snapshot time serves with zero
-// per-request compression work.
-func BenchmarkStoreListPageHotGzip(b *testing.B) {
-	benchHotPath(b, "/api/v1/apps?page=0", "gzip")
 }
 
 // BenchmarkStoreAppDetailHot measures the warm v1 detail hit.

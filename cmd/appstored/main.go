@@ -39,7 +39,7 @@ func main() {
 		dayEvery  = flag.Duration("day-every", 0, "advance one simulated day per interval (0 = only via crawler-observed day 0); also sets the /api/v1 freshness lifetime")
 		freshFor  = flag.Duration("fresh-for", 0, "declare /api/v1 responses fresh for this long (manual-roll deployments; ignored when -day-every is set)")
 		rate      = flag.Float64("rate", 200, "per-client request rate limit (req/s, 0 = off)")
-		burst     = flag.Int("burst", 50, "per-client rate limit burst")
+		burst     = flag.Int("burst", 50, "per-client rate limit burst (minimum 1)")
 		comments  = flag.Int("comments", 20000, "commenting user population (0 = no comments)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
@@ -47,9 +47,6 @@ func main() {
 		chaos      = flag.String("chaos", "", "arm a fault-injection scenario: "+strings.Join(faultinject.Names(), ", ")+" (empty = off)")
 		chaosSeed  = flag.Uint64("chaos-seed", 1, "fault-injection seed (same seed = same fault sequence)")
 		chaosScale = flag.Float64("chaos-scale", 1, "scale injected delays and Retry-After hints by this factor")
-
-		prewarm        = flag.Int("prewarm", 0, "pre-encode this many hot documents after each day roll (0 = off)")
-		prewarmWorkers = flag.Int("prewarm-workers", 0, "pre-warm worker pool size (0 = default)")
 
 		shardIndex = flag.Int("shard-index", 0, "this node's position on the fleet's consistent-hash ring")
 		shardCount = flag.Int("shard-count", 0, "fleet size: serve only the ring partition owned by -shard-index and expose the /admin two-phase day-roll surface for gatewayd (0 = standalone full catalog)")
@@ -70,13 +67,11 @@ func main() {
 		CommentUsers: *comments,
 		Vnodes:       *vnodes,
 		Server: storeserver.Config{
-			PageSize:       100,
-			RatePerSec:     *rate,
-			Burst:          *burst,
-			PrewarmDocs:    *prewarm,
-			PrewarmWorkers: *prewarmWorkers,
-			DayInterval:    *dayEvery,
-			FreshFor:       *freshFor,
+			PageSize:    100,
+			RatePerSec:  *rate,
+			Burst:       *burst,
+			DayInterval: *dayEvery,
+			FreshFor:    *freshFor,
 		},
 	}
 	if *chaos != "" {

@@ -71,7 +71,7 @@ func main() {
 		store       = flag.String("store", "slideme", "in-process store profile")
 		serverScale = flag.Float64("scale", 0.2, "in-process store population scale")
 		serverRate  = flag.Float64("server-rate", 0, "in-process per-client rate limit (req/s, 0 = off)")
-		serverBurst = flag.Int("server-burst", 50, "in-process rate limit burst")
+		serverBurst = flag.Int("server-burst", 50, "in-process rate limit burst (minimum 1)")
 		serverLat   = flag.Duration("server-latency", 0, "in-process store: simulated per-request service time (models a fixed-speed store machine)")
 		serverCap   = flag.Int("server-capacity", 0, "in-process store: concurrent request slots per node (0 = unbounded; with -server-latency models max throughput capacity/latency per node)")
 
@@ -82,7 +82,6 @@ func main() {
 		writeMix = flag.Float64("write-mix", 0, "fraction of events that also drive the write funnel (POST download/rate/comments)")
 
 		dayRoll = flag.Duration("day-roll", 0, "day-roll scenario: advance the in-process store one day this long into the measured window and report pre/post-swap latency separately (0 = off)")
-		prewarm = flag.Int("prewarm", 0, "in-process store: pre-encode this many hot documents after each day roll (0 = off)")
 
 		edge         = flag.Bool("edge", false, "front the target with an in-process edge-cache tier and drive load through it")
 		edgePolicy   = flag.String("edge-policy", "lru", "edge replacement policy: lru, 2q, category")
@@ -125,13 +124,12 @@ func main() {
 			Seed:   *seed,
 			Vnodes: *vnodes,
 			Server: storeserver.Config{
-				PageSize:    100,
-				RatePerSec:  *serverRate,
-				Burst:       *serverBurst,
-				PrewarmDocs: *prewarm,
-				FreshFor:    *originFresh,
-				Latency:     *serverLat,
-				Capacity:    *serverCap,
+				PageSize:   100,
+				RatePerSec: *serverRate,
+				Burst:      *serverBurst,
+				FreshFor:   *originFresh,
+				Latency:    *serverLat,
+				Capacity:   *serverCap,
 			},
 		}
 		if *chaos != "" {

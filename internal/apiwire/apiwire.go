@@ -179,12 +179,6 @@ func ParseAppID(s string) (int32, bool) {
 	return int32(v), true
 }
 
-// ParsePage parses a ?page= value: a non-negative integer.
-func ParsePage(s string) (int, bool) {
-	v, ok := ParseAppID(s)
-	return int(v), ok
-}
-
 // ParseLimit parses a ?limit= value: a positive integer.
 func ParseLimit(s string) (int, bool) {
 	v, ok := ParseAppID(s)
@@ -357,10 +351,11 @@ func (e *Error) Write(w http.ResponseWriter) {
 
 // The request-grammar failures every tier answers identically.
 var (
-	BadAppID      = &Error{http.StatusBadRequest, "bad_app_id", "app id must be a non-negative integer"}
-	BadPage       = &Error{http.StatusBadRequest, "bad_page", "page must be a non-negative integer"}
-	BadLimit      = &Error{http.StatusBadRequest, "bad_limit", "limit must be a positive integer"}
-	PageAndCursor = &Error{http.StatusBadRequest, "bad_request", "page and cursor are mutually exclusive"}
+	BadAppID = &Error{http.StatusBadRequest, "bad_app_id", "app id must be a non-negative integer"}
+	BadLimit = &Error{http.StatusBadRequest, "bad_limit", "limit must be a positive integer"}
+	// PageUnsupported answers ?page= in any form: the listing has one
+	// dialect, and a page-walker must fail loudly, not loop on slice 0.
+	PageUnsupported = &Error{http.StatusBadRequest, "page_unsupported", "the listing has no page numbers; paginate with cursors"}
 )
 
 // WriteMethodNotAllowed answers 405 for method on a known route, with the

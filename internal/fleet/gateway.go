@@ -714,70 +714,41 @@ func (g *Gateway) scatter(ctx context.Context, fn func(ctx context.Context, i in
 	return nil
 }
 
-// serveList handles /api/v1/apps. Cursor walks are the fleet's native
-// listing: per-shard anchors packed into one opaque cursor, pages
-// assembled by ID merge. Page addressing is served for page 0 (the entry
-// point crawlers and smoke checks hit); deep page numbers would need a
-// global offset index the partitions don't keep, and every consumer
-// paginates by cursor, so deeper pages answer with an explicit error
-// instead of silently wrong slices. The query grammar — first value wins,
-// present-but-empty cursor starts a walk, limit clamped — is the store's.
+// serveList handles /api/v1/apps: one merged listing slice of limit rows,
+// assembled by ID merge from per-shard anchors packed into one opaque
+// cursor, under the epoch-retry loop. The query grammar — ?page= refused,
+// first value wins, absent or empty cursor starts a walk, limit clamped —
+// is the store's. The body is the shards' row bytes spliced between
+// hand-written envelope bytes, exactly what encoding the page as JSON
+// would produce (compact, next_cursor absent on the last page, trailing
+// newline).
 func (g *Gateway) serveList(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer g.mergeSeconds.ObserveSince(start)
 	rq := r.URL.RawQuery
-	cursor, hasCursor := apiwire.QueryValue(rq, "cursor")
-	page, hasPage := apiwire.QueryValue(rq, "page")
-	if hasCursor {
-		if hasPage {
-			apiwire.PageAndCursor.Write(w)
-			return
-		}
-		anchors := make([]int32, len(g.cfg.Shards))
-		if cursor != "" {
-			a, ok := unpackCursor(cursor, len(g.cfg.Shards))
-			if !ok {
-				apiwire.WriteError(w, http.StatusBadRequest, "bad_cursor",
-					"cursor is invalid, from an incompatible version, or from a different fleet topology", 0)
-				return
-			}
-			anchors = a
-		}
-		limit := g.cfg.PageSize
-		if lim, _ := apiwire.QueryValue(rq, "limit"); lim != "" {
-			v, ok := apiwire.ParseLimit(lim)
-			if !ok {
-				apiwire.BadLimit.Write(w)
-				return
-			}
-			limit = min(limit, v)
-		}
-		g.serveMerged(w, r, anchors, limit, false)
+	if _, ok := apiwire.QueryValue(rq, "page"); ok {
+		apiwire.PageUnsupported.Write(w)
 		return
 	}
-	if hasPage && page != "" {
-		v, ok := apiwire.ParsePage(page)
+	anchors := make([]int32, len(g.cfg.Shards))
+	if cursor, _ := apiwire.QueryValue(rq, "cursor"); cursor != "" {
+		a, ok := unpackCursor(cursor, len(g.cfg.Shards))
 		if !ok {
-			apiwire.BadPage.Write(w)
+			apiwire.WriteError(w, http.StatusBadRequest, "bad_cursor",
+				"cursor is invalid, from an incompatible version, or from a different fleet topology", 0)
 			return
 		}
-		if v > 0 {
-			apiwire.WriteError(w, http.StatusBadRequest, "page_unsupported",
-				"the fleet gateway serves page 0 only; paginate with cursors", 0)
-			return
-		}
+		anchors = a
 	}
-	g.serveMerged(w, r, make([]int32, len(g.cfg.Shards)), g.cfg.PageSize, true)
-}
-
-// serveMerged assembles one merged page of limit rows from anchors under
-// the epoch-retry loop and serves it: as a cursor page, or — pageZero —
-// as listing page 0 in the PageJSON envelope, byte-identical to a single
-// node's page 0 apart from the validator. The body is the
-// shards' row bytes spliced between hand-written envelope bytes, exactly
-// what encoding the page as JSON would produce (compact, next_cursor
-// absent on the last page, trailing newline).
-func (g *Gateway) serveMerged(w http.ResponseWriter, r *http.Request, anchors []int32, limit int, pageZero bool) {
+	limit := g.cfg.PageSize
+	if lim, _ := apiwire.QueryValue(rq, "limit"); lim != "" {
+		v, ok := apiwire.ParseLimit(lim)
+		if !ok {
+			apiwire.BadLimit.Write(w)
+			return
+		}
+		limit = min(limit, v)
+	}
 	var asm *assembled
 	err := g.retryEpoch(func() (string, *apiwire.Error) {
 		a, e := g.assemble(r.Context(), anchors, limit)
@@ -793,20 +764,16 @@ func (g *Gateway) serveMerged(w http.ResponseWriter, r *http.Request, anchors []
 	}
 	defer putListBufs(asm.bufs)
 	g.mergedPages.Inc()
-	etag := asm.etag
-	if pageZero {
-		etag = etag[:len(etag)-1] + `-p0"`
-	}
 	h := w.Header()
 	stamp(h, asm.cc, asm.age)
-	h.Set("Etag", etag)
+	h.Set("Etag", asm.etag)
 	h.Set("X-Store-Day", asm.day)
-	if apiwire.ETagMatch(r.Header.Get("If-None-Match"), etag) {
+	if apiwire.ETagMatch(r.Header.Get("If-None-Match"), asm.etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	cursor := ""
-	if !pageZero && !asm.done {
+	if !asm.done {
 		cursor = packCursor(asm.anchors)
 	}
 	size := 96 + len(cursor) + len(asm.rows) // envelope keys and numbers; one comma per row
@@ -824,10 +791,7 @@ func (g *Gateway) serveMerged(w http.ResponseWriter, r *http.Request, anchors []
 		buf = append(buf, row...)
 	}
 	buf = append(buf, ']')
-	if pageZero {
-		buf = append(buf, `,"page":0,"pages":`...)
-		buf = strconv.AppendInt(buf, int64(max((asm.total+limit-1)/limit, 1)), 10)
-	} else if cursor != "" {
+	if cursor != "" {
 		buf = append(append(append(buf, `,"next_cursor":"`...), cursor...), '"')
 	}
 	buf = append(buf, `,"total":`...)

@@ -89,7 +89,7 @@ func TestFleetOfOneIsTheSingleNode(t *testing.T) {
 				t.Errorf("%s %s: status %d, want %d", rq.method, rq.path, r.status, rq.want)
 			}
 		}
-		// The listing: page 0, then the cursor walk to its end.
+		// The listing: the bare path, then the cursor walk to its end.
 		same("GET", "/api/v1/apps", nil, "")
 		for cursor, pages := "", 0; ; pages++ {
 			r := same("GET", "/api/v1/apps?cursor="+cursor, nil, "")

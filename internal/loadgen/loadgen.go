@@ -112,14 +112,14 @@ type Config struct {
 	// APKEvery issues a full APK download for every Nth event in addition
 	// to the metadata request (0 = metadata only).
 	APKEvery int
-	// ListEvery issues a catalog listing request (the first page) for
+	// ListEvery issues a catalog listing request (the first slice) for
 	// every Nth event in addition to the metadata request (0 = none) —
-	// the catalog-browse slice of the workload mix. The first page is the
+	// the catalog-browse slice of the workload mix. The first slice is the
 	// only anchor every topology shares: cursors are opaque and
 	// target-specific (a fleet gateway mints its own), so a generator
-	// cannot fabricate mid-walk positions portably. Against a fleet this
-	// is also the expensive class — the gateway must scatter to every
-	// shard and merge, where a single node serves a pre-rendered page.
+	// cannot fabricate mid-walk positions portably. It is the expensive
+	// class on every target — a node renders the slice per request, and a
+	// gateway scatters to every shard and merges theirs.
 	ListEvery int
 	// WriteMix is the fraction of workload events that also drive the
 	// write funnel (0..1): each selected event POSTs a download for its

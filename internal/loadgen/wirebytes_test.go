@@ -1,22 +1,41 @@
 package loadgen
 
 import (
+	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
-	"planetapps/internal/storeserver"
+	"planetapps/internal/apiwire"
+	"planetapps/internal/gzipx"
 )
 
 // TestWireByteAccounting pins the per-class wire accounting: a negotiated
-// (AcceptGzip) run against the v1 surface must record compressed responses
-// and their wire size, while an identity run over the same workload records
-// everything under identity bytes — and the compressed run must move fewer
-// body bytes for the same documents. Every eighth event also browses a
-// listing page: detail documents are too small for a gzip representation
-// to pay (gzipx.CompressIfPays), so a detail-only run negotiates and still
-// receives identity.
+// (AcceptGzip) run must record compressed responses and their wire size,
+// while an identity run over the same workload records everything under
+// identity bytes — and the compressed run must move fewer body bytes for
+// the same documents. The target is a stand-in that keeps a gzip
+// representation of its listing: of the documents the generator's read
+// classes fetch from the store itself — detail rows, listing slices —
+// none is one gzip pays for (gzipx.CompressIfPays), so a run against it
+// negotiates and still receives identity.
 func TestWireByteAccounting(t *testing.T) {
-	_, ts := testStore(t, storeserver.Config{PageSize: 50})
+	detail := []byte(`{"id":1,"name":"app"}` + "\n")
+	listing := bytes.Repeat([]byte(`{"id":1,"name":"app","category":"games","downloads":12345},`), 50)
+	listingGz := gzipx.Compress(listing)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path != apiwire.ListPath:
+			w.Write(detail) //nolint:errcheck
+		case gzipx.AcceptsGzip(r.Header.Get("Accept-Encoding")):
+			w.Header().Set("Content-Encoding", "gzip")
+			w.Write(listingGz) //nolint:errcheck
+		default:
+			w.Write(listing) //nolint:errcheck
+		}
+	}))
+	defer ts.Close()
 	const n = 200
 	run := func(acceptGzip bool) *Report {
 		t.Helper()
@@ -49,7 +68,7 @@ func TestWireByteAccounting(t *testing.T) {
 
 	gz := run(true)
 	if gz.GzipResponses == 0 || gz.GzipBytes == 0 {
-		t.Fatal("negotiated run never received a compressed response from the v1 surface")
+		t.Fatal("negotiated run never recorded a compressed response")
 	}
 	if wire := gz.GzipBytes + gz.IdentityBytes; wire >= id.IdentityBytes {
 		t.Fatalf("compression saved nothing on the wire: %d bytes negotiated vs %d identity",

@@ -221,38 +221,6 @@ func (e *Export) VersionSum(lo, hi int) uint64 {
 	return s
 }
 
-// SpanUnchanged reports whether every chunk spanning rows [lo, hi) holds
-// identical content in e and prev: a direct chunk-version comparison,
-// cheaper than computing two VersionSums and immune even in principle to
-// sum collisions. Callers deciding whether a derived document (a listing
-// page, say) can be carried across a day-roll should prefer this; the
-// sums remain for ETag rendering, where a single range-level value is
-// what goes on the wire.
-func (e *Export) SpanUnchanged(prev *Export, lo, hi int) bool {
-	if prev == nil {
-		return false
-	}
-	if hi > e.n {
-		hi = e.n
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if lo >= hi {
-		return true
-	}
-	last := (hi - 1) >> chunkShift
-	if last >= len(prev.chunkVer) || last >= len(e.chunkVer) {
-		return false
-	}
-	for c := lo >> chunkShift; c <= last; c++ {
-		if e.chunkVer[c] != prev.chunkVer[c] {
-			return false
-		}
-	}
-	return true
-}
-
 // chunkSpan returns the row range [lo, hi) of chunk c given n total rows.
 func chunkSpan(c, n int) (lo, hi int) {
 	lo = c << chunkShift

@@ -44,16 +44,19 @@ func fetch(t *testing.T, url string, hdr map[string]string) (int, []byte, http.H
 // the client negotiates gzip — as the snapshot-time compressed variant of
 // those same bytes under the representation's own "-gz" ETag.
 func TestNegotiatedRepresentations(t *testing.T) {
-	_, ts := testServer(t, Config{PageSize: 50})
+	s, ts := testServer(t, Config{PageSize: 50})
+	s.SetComments(commentRun(7, 40)) // long enough to keep a gzip representation
 	identity := map[string]string{"Accept-Encoding": "identity"}
 	gz := map[string]string{"Accept-Encoding": "gzip"}
+	sawGzip := false
 	for _, p := range []string{
 		"/api/v1/stats",
-		"/api/v1/apps?page=0",
-		"/api/v1/apps?page=2",
+		"/api/v1/apps",
+		"/api/v1/apps?cursor=" + EncodeCursor(100),
 		"/api/v1/apps/0",
 		"/api/v1/apps/7",
 		"/api/v1/apps/7/comments",
+		"/api/v1/apps/8/comments",
 	} {
 		code, idBody, idHdr := fetch(t, ts.URL+p, identity)
 		if code != 200 {
@@ -78,6 +81,7 @@ func TestNegotiatedRepresentations(t *testing.T) {
 		}
 		switch gzHdr.Get("Content-Encoding") {
 		case "gzip":
+			sawGzip = true
 			if idHdr.Get("Vary") != "Accept-Encoding" || gzHdr.Get("Vary") != "Accept-Encoding" {
 				t.Fatalf("%s: negotiated document without Vary: Accept-Encoding (%q, %q)", p, idHdr.Get("Vary"), gzHdr.Get("Vary"))
 			}
@@ -108,6 +112,9 @@ func TestNegotiatedRepresentations(t *testing.T) {
 			t.Fatalf("%s: unexpected Content-Encoding %q", p, gzHdr.Get("Content-Encoding"))
 		}
 	}
+	if !sawGzip {
+		t.Fatal("no document negotiated to gzip: the two-representation half went unexercised")
+	}
 }
 
 // decodeEnvelope parses a v1 error body, failing the test on any shape
@@ -135,12 +142,13 @@ func TestV1ErrorPaths(t *testing.T) {
 		wantCode int
 		wantErr  string
 	}{
-		{"bad-page-not-a-number", "/api/v1/apps?page=zebra", 400, "bad_page"},
-		{"bad-page-negative", "/api/v1/apps?page=-3", 400, "bad_page"},
-		{"page-out-of-range", "/api/v1/apps?page=99999", 404, "page_out_of_range"},
+		// The rows are named for the request; ?page= has one answer.
+		{"bad-page-not-a-number", "/api/v1/apps?page=zebra", 400, "page_unsupported"},
+		{"bad-page-negative", "/api/v1/apps?page=-3", 400, "page_unsupported"},
+		{"page-out-of-range", "/api/v1/apps?page=99999", 400, "page_unsupported"},
 		{"bad-cursor-garbage", "/api/v1/apps?cursor=%24%24not-base64%24%24", 400, "bad_cursor"},
 		{"bad-cursor-wrong-payload", "/api/v1/apps?cursor=bm9wZQ", 400, "bad_cursor"},
-		{"page-and-cursor-conflict", "/api/v1/apps?page=0&cursor=", 400, "bad_request"},
+		{"page-and-cursor-conflict", "/api/v1/apps?page=0&cursor=", 400, "page_unsupported"},
 		{"bad-app-id", "/api/v1/apps/zebra", 400, "bad_app_id"},
 		{"negative-app-id", "/api/v1/apps/-1", 400, "bad_app_id"},
 		{"unknown-app", "/api/v1/apps/99999999", 404, "app_not_found"},

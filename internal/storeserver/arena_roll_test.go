@@ -11,14 +11,11 @@ import (
 )
 
 // forceFill materializes every cached document in the current snapshot:
-// stats, every listing page, every detail, every comment stream. This is
-// what a fully warmed serving fleet looks like.
+// stats, every detail, every comment stream. This is what a fully warmed
+// serving fleet looks like.
 func forceFill(s *Server) {
 	sn := s.snap.Load()
 	sn.statsDoc()
-	for p := 0; p < sn.pages; p++ {
-		sn.listDoc(p)
-	}
 	for i := 0; i < sn.n; i++ {
 		sn.detailDoc(i)
 		sn.commentsDoc(i)
@@ -122,7 +119,7 @@ func TestHeapObjectsGate(t *testing.T) {
 
 	cacheObjects := int64(filled.HeapObjects) - int64(base.HeapObjects)
 	t.Logf("apps=%d cache heap objects=%d", n, cacheObjects)
-	// ~2n docs are cached (detail + comments) plus pages and stats. The
+	// ~2n docs are cached (detail + comments) plus stats. The
 	// old layout spent >= 4 objects per doc (struct, body, gzip body,
 	// header strings) — about 8n. The arena layout spends one docBlock
 	// per 64 docs plus ~1 slab per MiB; n/8 leaves an order of magnitude

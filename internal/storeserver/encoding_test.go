@@ -30,6 +30,18 @@ func encGet(t *testing.T, h http.Handler, path, acceptEncoding, ifNoneMatch stri
 	return rec
 }
 
+// commentRun fabricates k comments on app. Past about six a stream is
+// long enough to keep a gzip representation.
+func commentRun(app catalog.AppID, k int) []comments.Comment {
+	cs := make([]comments.Comment, k)
+	at := time.Unix(1356998400, 0)
+	for j := range cs {
+		at = at.Add(97 * time.Minute)
+		cs[j] = comments.Comment{User: catalog.UserID(1000 + 37*j), App: app, Rating: int8(1 + j%5), Time: at}
+	}
+	return cs
+}
+
 // TestEncodingETagInterplay is the satellite table test: every
 // (Accept-Encoding, If-None-Match) combination must produce the right
 // status, Content-Encoding, and Vary (sent only by documents that kept a
@@ -39,6 +51,9 @@ func encGet(t *testing.T, h http.Handler, path, acceptEncoding, ifNoneMatch stri
 func TestEncodingETagInterplay(t *testing.T) {
 	s := etagTestServer(t, Config{PageSize: 50})
 	h := s.Handler()
+	// The one kind of document with two representations: a comment stream
+	// long enough for gzip to pay, attached before the roll so it is carried.
+	s.SetComments(commentRun(2, 40))
 	before := s.snap.Load()
 	if err := s.AdvanceDay(); err != nil {
 		t.Fatal(err)
@@ -62,13 +77,15 @@ func TestEncodingETagInterplay(t *testing.T) {
 	}
 
 	for _, target := range []struct {
-		name string
-		path string
+		name   string
+		path   string
+		wantGz bool
 	}{
-		{"carried-detail", "/api/v1/apps/" + strconv.Itoa(same)},
-		{"rebuilt-detail", "/api/v1/apps/" + strconv.Itoa(changed)},
-		{"list-page", "/api/v1/apps?page=0"},
-		{"stats", "/api/v1/stats"},
+		{"carried-detail", "/api/v1/apps/" + strconv.Itoa(same), false},
+		{"rebuilt-detail", "/api/v1/apps/" + strconv.Itoa(changed), false},
+		{"list-page", "/api/v1/apps", false},
+		{"long-comments", "/api/v1/apps/2/comments", true},
+		{"stats", "/api/v1/stats", false},
 	} {
 		t.Run(target.name, func(t *testing.T) {
 			// Establish both representations.
@@ -86,6 +103,9 @@ func TestEncodingETagInterplay(t *testing.T) {
 			}
 			gzETag := gz.Header().Get("ETag")
 			hasGz := gz.Header().Get("Content-Encoding") == "gzip"
+			if hasGz != target.wantGz {
+				t.Fatalf("gzip representation served: %v, want %v", hasGz, target.wantGz)
+			}
 			if hasGz {
 				if want := strings.TrimSuffix(idETag, `"`) + `-gz"`; gzETag != want {
 					t.Fatalf("gzip ETag %q, want %q", gzETag, want)
@@ -153,6 +173,15 @@ func TestEncodingETagInterplay(t *testing.T) {
 			t.Fatalf("carried gzip validator: %d, want 304", rec.Code)
 		}
 	}
+	// A detail row has no gzip representation, so the "-gz" half of the
+	// carry is the comment stream's to show.
+	preStream := before.commentsDoc(2)
+	if preStream.gzBody == nil {
+		t.Fatal("the long comment stream kept no gzip representation before the roll")
+	}
+	if rec := encGet(t, h, "/api/v1/apps/2/comments", "gzip", preStream.gzEtag); rec.Code != 304 {
+		t.Fatalf("carried gzip comment-stream validator: %d, want 304", rec.Code)
+	}
 	preChanged := before.detailDoc(changed)
 	if rec := encGet(t, h, "/api/v1/apps/"+strconv.Itoa(changed), "identity", preChanged.etag); rec.Code != 200 {
 		t.Fatalf("rebuilt identity validator: %d, want 200", rec.Code)
@@ -200,15 +229,7 @@ func status(hasGz bool, distinct, collapsed int) int {
 // own validator.
 func TestGzipRepresentationOnlyWherePays(t *testing.T) {
 	s := etagTestServer(t, Config{PageSize: 50})
-	var cs []comments.Comment
-	at := time.Unix(1356998400, 0)
-	for app, k := range map[catalog.AppID]int{1: 7, 2: 120} {
-		for j := 0; j < k; j++ {
-			at = at.Add(97 * time.Minute)
-			cs = append(cs, comments.Comment{User: catalog.UserID(1000 + 37*j), App: app, Rating: int8(1 + j%5), Time: at})
-		}
-	}
-	s.SetComments(cs)
+	s.SetComments(append(commentRun(1, 7), commentRun(2, 120)...))
 	h := s.Handler()
 
 	for _, tc := range []struct {

@@ -13,7 +13,7 @@ func TestV1FreshnessHeaders(t *testing.T) {
 	_, ts := testServer(t, Config{PageSize: 50, FreshFor: 45 * time.Second})
 	for _, path := range []string{
 		"/api/v1/stats",
-		"/api/v1/apps?page=0",
+		"/api/v1/apps",
 		"/api/v1/apps?cursor=",
 		"/api/v1/apps/3",
 		"/api/v1/apps/3/comments",

@@ -39,10 +39,8 @@ func (s *Server) initMetrics() {
 	s.carried = s.reg.Counter("store_respcache_carried_total")
 	s.reencoded = s.reg.Counter("store_respcache_reencoded_total")
 	s.buildSeconds = s.reg.Histogram("store_snapshot_build_seconds")
-	s.prewarmed = s.reg.Counter("store_prewarm_docs_total")
 	s.movedDocs = s.reg.Counter("store_arena_moved_docs_total")
 	s.compactions = s.reg.Counter("store_arena_compactions_total")
-	s.routes = map[string]*routeInstruments{}
 	for kind := apiwire.Kind(0); kind < apiwire.None; kind++ {
 		route := kind.String()
 		ri := &routeInstruments{
@@ -54,7 +52,6 @@ func (s *Server) initMetrics() {
 		for _, code := range commonCodes {
 			ri.byCode[code] = s.codeCounter(route, code)
 		}
-		s.routes[route] = ri
 		s.routeByKind[kind] = ri
 	}
 	// Write-outcome counters for the POST-capable kinds, pre-registered so

@@ -41,7 +41,9 @@ func newLimiter(rate float64, burst int, ttl time.Duration) *limiter {
 	if ttl <= 0 {
 		ttl = defaultIdleTTL
 	}
-	l := &limiter{rate: rate, burst: float64(burst), ttl: ttl}
+	// A bucket that can never hold one token refuses every request: that
+	// is an outage, not a limit.
+	l := &limiter{rate: rate, burst: float64(max(burst, 1)), ttl: ttl}
 	for i := range l.shards {
 		l.shards[i].buckets = map[string]*bucket{}
 	}

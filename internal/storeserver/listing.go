@@ -8,41 +8,6 @@ import (
 	"planetapps/internal/apiwire"
 )
 
-// handleList serves the listing: ?page= for the pre-encoded fixed pages,
-// ?cursor= for the day-roll-stable cursor walk. Query inspection scans
-// RawQuery in place — a url.Values map would be a mandatory allocation on
-// the hot path.
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request, sn *snapshot) {
-	rq := r.URL.RawQuery
-	cursor, hasCursor := apiwire.QueryValue(rq, "cursor")
-	p, hasPage := apiwire.QueryValue(rq, "page")
-	if hasCursor {
-		if hasPage {
-			apiwire.PageAndCursor.Write(w)
-			return
-		}
-		s.handleCursor(w, r, sn, cursor)
-		return
-	}
-	page := 0
-	if hasPage && p != "" {
-		v, ok := apiwire.ParsePage(p)
-		if !ok {
-			apiwire.BadPage.Write(w)
-			return
-		}
-		page = v
-	}
-	if page >= sn.pages {
-		apiwire.WriteError(w, http.StatusNotFound, "page_out_of_range",
-			"page "+strconv.Itoa(page)+" beyond last page "+strconv.Itoa(sn.pages-1), 0)
-		return
-	}
-	s.serveDoc(w, r, sn, sn.listDoc(page))
-}
-
-// --- cursor pagination ---------------------------------------------------
-
 // CursorPageJSON is one cursor-addressed slice of the listing. NextCursor
 // is absent on the final slice.
 type CursorPageJSON struct {
@@ -55,16 +20,24 @@ type CursorPageJSON struct {
 // import this package.
 func EncodeCursor(id int) string { return apiwire.EncodeCursor(id) }
 
-// handleCursor serves one cursor-addressed listing slice. An empty
-// cursor value starts from the beginning. Cursor documents are encoded per
-// request — their alignment shifts with the anchor, so pre-encoding (and
-// pre-compressing) every offset is not worthwhile; they are served
-// identity-only, and since no negotiation happens they carry no Vary.
+// handleList serves one cursor-addressed listing slice. An absent or
+// empty cursor starts from the beginning; ?page= in any form is refused,
+// so a page-walker fails loudly instead of looping on the first slice.
+// Slices are encoded per request — their alignment shifts with the
+// anchor, so pre-encoding (and pre-compressing) every offset is not
+// worthwhile; they are served identity-only, and since no negotiation
+// happens they carry no Vary. Query inspection scans RawQuery in place —
+// a url.Values map would be a mandatory allocation on the hot path.
 // The ETag is computed from the spanned rows' content versions *before*
 // encoding, so an If-None-Match revalidation costs no JSON work at all.
-func (s *Server) handleCursor(w http.ResponseWriter, r *http.Request, sn *snapshot, cursor string) {
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request, sn *snapshot) {
+	rq := r.URL.RawQuery
+	if _, ok := apiwire.QueryValue(rq, "page"); ok {
+		apiwire.PageUnsupported.Write(w)
+		return
+	}
 	lo := 0
-	if cursor != "" {
+	if cursor, _ := apiwire.QueryValue(rq, "cursor"); cursor != "" {
 		v, ok := apiwire.DecodeCursor(cursor)
 		if !ok {
 			apiwire.WriteError(w, http.StatusBadRequest, "bad_cursor",
@@ -78,7 +51,7 @@ func (s *Server) handleCursor(w http.ResponseWriter, r *http.Request, sn *snapsh
 		lo = sn.ex.IndexAtOrAfter(int32(v)) // DecodeCursor caps at MaxInt32
 	}
 	size := sn.pageSize
-	if lim, ok := apiwire.QueryValue(r.URL.RawQuery, "limit"); ok && lim != "" {
+	if lim, _ := apiwire.QueryValue(rq, "limit"); lim != "" {
 		v, ok := apiwire.ParseLimit(lim)
 		if !ok {
 			apiwire.BadLimit.Write(w)

@@ -46,7 +46,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"store_respcache_carried_total ",
 		"store_respcache_reencoded_total ",
 		"store_snapshot_build_seconds_count 1",
-		"store_prewarm_docs_total 0",
 		"store_arena_live_bytes ",
 		"store_arena_pinned_bytes 1048576", // one slab holds the document
 	} {
@@ -167,5 +166,26 @@ func TestLimiterStillLimitsPerClient(t *testing.T) {
 	// Tokens refill with time.
 	if !lim.allow("same-client", now.Add(2*time.Second)) {
 		t.Fatal("bucket did not refill after 2s at 1 rps")
+	}
+}
+
+// TestLimiterBurstFloor: a bucket that can never hold one token would
+// refuse every request forever. Calls spaced 50 ms apart need 20 req/s; at
+// 100 req/s every one of them has a token waiting whatever the configured
+// depth — unset, zero or negative included.
+func TestLimiterBurstFloor(t *testing.T) {
+	for _, burst := range []int{-1, 0, 1, 50} {
+		lim := newLimiter(100, burst, time.Minute)
+		now := time.Now()
+		for i := 0; i < 1000; i++ {
+			if ok, wait := lim.allowWait("client", now.Add(time.Duration(i)*50*time.Millisecond)); !ok {
+				t.Fatalf("burst %d: call %d refused (retry in %v) at a fifth of the rate", burst, i, wait)
+			}
+		}
+		// The floor is a depth of one, not a licence: a second call in the
+		// same instant still waits for its token.
+		if burst <= 1 && lim.allow("client", now.Add(999*50*time.Millisecond)) {
+			t.Fatalf("burst %d: two calls in one instant both allowed", burst)
+		}
 	}
 }

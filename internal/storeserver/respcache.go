@@ -21,7 +21,7 @@ import (
 // fills instead of re-growing from zero each time.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPooledBufCap bounds what putBuf will park: one huge listing-page
+// maxPooledBufCap bounds what putBuf will park: one huge listing-slice
 // encode must not pin a multi-megabyte scratch buffer in the pool for the
 // life of the process. Buffers grown past the cap are dropped to the GC.
 const maxPooledBufCap = 1 << 20
@@ -45,7 +45,7 @@ func putBuf(buf *bytes.Buffer) {
 //
 // — identity ETag and pre-rendered Content-Length first, then the gzip
 // pair (both empty unless gzipx.CompressIfPays kept a representation —
-// listing pages and long comment streams do, detail rows never), then the
+// long comment streams do, detail rows never), then the
 // identity bytes and the gzip bytes. One region per document means
 // one bump allocation per fill and lets compaction move a document with a
 // single copy.
@@ -143,7 +143,7 @@ func viewDoc(tab []*arena.Arena, h *docHandle) docView {
 }
 
 // gzETag derives the gzip representation's ETag from the identity one:
-// `"p0-n100-v42"` becomes `"p0-n100-v42-gz"`. Both are pure functions of
+// `"c1-7"` becomes `"c1-7-gz"`. Both are pure functions of
 // the document content, so both survive day-roll carries unchanged.
 func gzETag(etag string) string {
 	if len(etag) < 2 || etag[len(etag)-1] != '"' {
@@ -190,7 +190,7 @@ func orMask(p *atomic.Uint64, bits uint64) {
 }
 
 // respCache is a fixed-size, index-addressed set of lazily built response
-// documents — one per listing page, per app detail, etc. Blocks are
+// documents — one per app detail, per comment stream. Blocks are
 // materialized on first touch (an atomic.Pointer CAS), so a cache over a
 // million apps that only ever serves a few hot documents allocates a few
 // blocks, not a million handles.
@@ -367,7 +367,7 @@ func (cc *carryCtx) move(h docHandle) docHandle {
 
 // cache builds the successor of prevCache with n entries. A whole
 // docChunk-entry block is shared with prev when sameChunk reports the
-// spanned rows unchanged (nil = never); within rebuilt blocks, entry
+// spanned rows unchanged; within rebuilt blocks, entry
 // c*docChunk+j (for j below prev's coverage) is carried when bit j of
 // keepMask(c) reports its content unchanged, and starts empty otherwise.
 // Returns the number of carried entries (old-accounting compatible: an
@@ -397,11 +397,9 @@ func (cc *carryCtx) cache(n int, prevCache *respCache, sameChunk func(c int) boo
 		// the caller per entry. Bits past prev's coverage or past n are
 		// cleared — those entries have no predecessor document or no
 		// successor slot.
-		whole := span == docChunk && hi <= pn && sameChunk != nil && sameChunk(ch)
-		var mask uint64
-		if whole {
-			mask = keepAll
-		} else if keepMask != nil {
+		whole := span == docChunk && hi <= pn && sameChunk(ch)
+		mask := keepAll
+		if !whole {
 			mask = keepMask(ch)
 		}
 		if kept := pn - lo; kept < span {

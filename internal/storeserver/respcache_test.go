@@ -146,7 +146,7 @@ func TestCarryKeptNonPositive(t *testing.T) {
 
 	// Grow to 200: blocks 1..3 lie wholly beyond prev (kept <= 0 there).
 	sn, out, carried := successor(pool, prev, &pc, 200,
-		nil, func(int) uint64 { return keepAll })
+		func(int) bool { return false }, func(int) uint64 { return keepAll })
 	if carried != 64 {
 		t.Fatalf("carried = %d, want 64", carried)
 	}
@@ -181,7 +181,8 @@ func TestCarryChangedEntriesDropBytes(t *testing.T) {
 	for j := 0; j < 64; j += 2 {
 		evens |= 1 << uint(j)
 	}
-	_, out, carried := successor(pool, prev, &pc, 64, nil, func(int) uint64 { return evens })
+	_, out, carried := successor(pool, prev, &pc, 64,
+		func(int) bool { return false }, func(int) uint64 { return evens })
 	if carried != 32 {
 		t.Fatalf("carried = %d, want 32", carried)
 	}

@@ -24,9 +24,17 @@ import (
 // these tests bound.
 func retentionMarket(t *testing.T, apps int) *marketsim.Market {
 	t.Helper()
+	return lowChurnMarket(t, apps, float64(apps)/2000)
+}
+
+// lowChurnMarket is retentionMarket with the arrival rate spelled out: at
+// zero the catalog never grows, so a day-roll moves only the rows that
+// were downloaded or updated.
+func lowChurnMarket(t *testing.T, apps int, newAppsPerDay float64) *marketsim.Market {
+	t.Helper()
 	cfg := marketsim.DefaultConfig(catalog.Profile{
 		Name: "retention", Apps: apps, Categories: 30, PaidFraction: 0.1,
-		AdFraction: 0.67, NewAppsPerDay: float64(apps) / 2000,
+		AdFraction: 0.67, NewAppsPerDay: newAppsPerDay,
 		Users: apps, DownloadsPerUser: 82,
 		ZipfGlobal: 1.4, ZipfCluster: 1.4, ClusterP: 0.9, CategorySkew: 0.35,
 		PriceLogMu: 1.0, PriceLogSigma: 0.8, MeanUpdateRate: 0.003,
@@ -67,14 +75,11 @@ func settledArena(s *Server) ArenaStats {
 func TestArenaFootprintAcrossRolls(t *testing.T) {
 	const rolls = 40
 	s := New(retentionMarket(t, 6000), Config{PageSize: 100})
-	// A partial fill, as a shard sees it: most details, few listing pages,
-	// no comment documents.
+	// A partial fill, as a shard sees it: most details, no comment
+	// documents.
 	warm := func() {
 		sn := s.snap.Load()
 		sn.statsDoc()
-		for p := 0; p < sn.pages; p += 4 {
-			sn.listDoc(p)
-		}
 		for i := 0; i < sn.n; i++ {
 			if i%5 != 0 {
 				sn.detailDoc(i)

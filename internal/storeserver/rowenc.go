@@ -14,7 +14,7 @@ import (
 // encoding/json would — same key order, same float and string rules — by
 // appending to a byte slice: no reflection, no slice of row structs, no
 // allocation beyond dst's growth. Rows are the unit every document path
-// renders (detail document, fixed listing page, cursor slice), so this is
+// renders (detail document, listing slice), so this is
 // the one place their bytes are decided; TestRowEncoderMatchesEncodingJSON
 // and the FuzzAppend* targets hold it to json.Marshal of the wire structs.
 

@@ -99,14 +99,9 @@ func TestRowEncoderMatchesEncodingJSON(t *testing.T) {
 			}
 			check(day+"comments "+strconv.Itoa(i), sn.commentsDoc(i).body, viaEncodingJSON(stream))
 		}
-		for p := 0; p < sn.pages; p++ {
-			lo, hi := p*sn.pageSize, min((p+1)*sn.pageSize, sn.n)
-			want := PageJSON{Apps: sn.wireRows(lo, hi), Page: p, Pages: sn.pages, Total: sn.n}
-			check(day+"page "+strconv.Itoa(p), sn.listDoc(p).body, viaEncodingJSON(want))
-		}
-		// Cursor slices: every anchor with the default size (unaligned to
-		// the fixed pages, the last one without next_cursor), short limits,
-		// and an anchor parked past the end (empty terminal slice).
+		// Cursor slices: every seventh anchor with the default size (the
+		// last one without next_cursor), short limits, and an anchor parked
+		// past the end (empty terminal slice).
 		for lo := 0; lo <= sn.n; lo += 7 {
 			for _, limit := range []int{0, 1, 11} {
 				path := "/api/v1/apps?cursor=" + apiwire.EncodeCursor(lo)

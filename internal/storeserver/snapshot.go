@@ -58,7 +58,6 @@ type snapshot struct {
 	devNames []string
 
 	pageSize int
-	pages    int
 
 	// comments maps app -> its attached comment stream. The map is built
 	// fresh by SetComments and never mutated afterwards (client writes merge
@@ -81,13 +80,14 @@ type snapshot struct {
 	freshIdx uint32
 
 	stats   respCache // single entry: the store stats document
-	list    respCache // one entry per listing page
 	detail  respCache // one entry per app
 	comDocs respCache // one entry per app's comment stream
 
 	// Build accounting, published to the metrics registry by publish():
 	// documents carried forward vs allocated fresh (fresh documents
-	// re-encode lazily on first request), documents evacuated by
+	// re-encode lazily on first request; carried + reencoded == 2n + 1 —
+	// a detail and a comment document per app plus stats; listing slices
+	// are rendered per request and never counted), documents evacuated by
 	// compaction, and arenas targeted for evacuation.
 	carried   int64
 	reencoded int64
@@ -104,13 +104,9 @@ const maxArenas = 64
 // servable snapshot, carrying unchanged documents forward from prev (nil
 // for the first snapshot). Fresh documents are not encoded here — that
 // would put O(catalog) JSON work on the AdvanceDay path; each is built on
-// first request (see respCache), optionally front-run by Server.prewarm.
+// first request (see respCache).
 func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID][]CommentJSON, gen int64, tab comTable, pageSize int, pool *arena.Pool) *snapshot {
 	n := e.NumApps()
-	pages := (n + pageSize - 1) / pageSize
-	if pages == 0 {
-		pages = 1
-	}
 	sn := &snapshot{
 		day:         e.Day(),
 		builtAt:     time.Now(),
@@ -121,7 +117,6 @@ func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID
 		catNames:    e.CategoryNames(),
 		devNames:    e.DeveloperNames(),
 		pageSize:    pageSize,
-		pages:       pages,
 		comments:    comments,
 		commentsGen: gen,
 		comTab:      tab,
@@ -134,10 +129,9 @@ func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID
 		sn.fresh = arena.New(pool)
 		sn.arenas = []*arena.Arena{sn.fresh}
 		sn.freshIdx = 0
-		sn.list = newRespCache(pages)
 		sn.detail = newRespCache(n)
 		sn.comDocs = newRespCache(n)
-		sn.reencoded = int64(pages) + 2*int64(n) + 1
+		sn.reencoded = 2*int64(n) + 1
 		runtime.SetFinalizer(sn, (*snapshot).releaseArenas)
 		return sn
 	}
@@ -145,32 +139,6 @@ func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID
 	cc := sn.planArenas(prev, pool)
 	prevEx := prev.ex
 	var carried int
-
-	// Listing pages embed Total/Pages, so any catalog growth invalidates
-	// all of them; otherwise page p is unchanged iff no chunk it spans
-	// moved.
-	if prev.n == n && prev.pageSize == pageSize {
-		sn.list, carried = cc.cache(pages, &prev.list, nil, func(c int) uint64 {
-			var mask uint64
-			for j := 0; j < docChunk; j++ {
-				p := c*docChunk + j
-				if p >= pages {
-					break
-				}
-				lo := p * pageSize
-				if e.SpanUnchanged(prevEx, lo, lo+pageSize) {
-					mask |= 1 << uint(j)
-				}
-			}
-			return mask
-		})
-		sn.carried += int64(carried)
-		sn.reencoded += int64(pages - carried)
-	} else {
-		sn.list = newRespCache(pages)
-		sn.reencoded += int64(pages)
-		cc.dropAll(&prev.list)
-	}
 
 	// An app's detail document is a pure function of its row version
 	// (row fields + download count) and the immutable name tables. Whole
@@ -347,33 +315,6 @@ func (sn *snapshot) statsDoc() docView {
 			TotalDownloads: sn.ex.TotalDownloads(),
 		})
 		return `"s` + sn.dayStr + `-t` + strconv.FormatInt(sn.ex.TotalDownloads(), 10) + `"`
-	})
-}
-
-// listDoc returns listing page p (caller bounds-checks p < sn.pages). The
-// ETag encodes the catalog size and the spanned chunk versions — the
-// page's content version — so an untouched page revalidates across days.
-func (sn *snapshot) listDoc(p int) docView {
-	return sn.list.get(sn, p, func(buf *bytes.Buffer) string {
-		lo := p * sn.pageSize
-		hi := lo + sn.pageSize
-		if hi > sn.n {
-			hi = sn.n
-		}
-		if lo > hi {
-			lo = hi // empty catalog still serves page 0
-		}
-		b := append(buf.AvailableBuffer(), `{"apps":`...)
-		b = sn.appendRows(b, lo, hi)
-		b = append(b, `,"page":`...)
-		b = strconv.AppendInt(b, int64(p), 10)
-		b = append(b, `,"pages":`...)
-		b = strconv.AppendInt(b, int64(sn.pages), 10)
-		b = append(b, `,"total":`...)
-		b = strconv.AppendInt(b, int64(sn.n), 10)
-		buf.Write(append(b, "}\n"...))
-		return `"p` + strconv.Itoa(p) + `-n` + strconv.Itoa(sn.n) +
-			`-v` + strconv.FormatUint(sn.ex.VersionSum(lo, hi), 10) + `"`
 	})
 }
 

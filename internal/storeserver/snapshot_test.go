@@ -115,8 +115,8 @@ func TestSnapshotConsistencyUnderAdvanceDay(t *testing.T) {
 					}
 				}
 
-				if rec, day := get("/api/v1/apps?page=0"); day >= 0 {
-					var pg PageJSON
+				if rec, day := get("/api/v1/apps"); day >= 0 {
+					var pg CursorPageJSON
 					if err := json.Unmarshal(rec.Body.Bytes(), &pg); err != nil {
 						report("list: %v", err)
 						continue

@@ -50,14 +50,6 @@ type AppJSON struct {
 	Downloads int64   `json:"downloads"`
 }
 
-// PageJSON is one page of the app listing.
-type PageJSON struct {
-	Apps  []AppJSON `json:"apps"`
-	Page  int       `json:"page"`
-	Pages int       `json:"pages"`
-	Total int       `json:"total"`
-}
-
 // CommentJSON is the wire representation of one comment.
 type CommentJSON struct {
 	User     int32 `json:"user"`
@@ -75,27 +67,19 @@ type StatsJSON struct {
 
 // Config controls server behaviour.
 type Config struct {
-	// PageSize is the number of apps per listing page.
+	// PageSize is the number of apps in a listing slice, and the ceiling
+	// on a request's ?limit=.
 	PageSize int
 	// RatePerSec is the per-client sustained request rate; <= 0 disables
 	// rate limiting.
 	RatePerSec float64
-	// Burst is the per-client token bucket depth.
+	// Burst is the per-client token bucket depth, minimum 1.
 	Burst int
 	// Latency is an artificial per-request service delay.
 	Latency time.Duration
 	// IdleTTL is how long an idle client's rate-limit bucket is kept
 	// before eviction; <= 0 uses a default of two minutes.
 	IdleTTL time.Duration
-	// PrewarmDocs encodes up to this many of the hottest documents in the
-	// background right after each snapshot swap, so the first post-roll
-	// requests hit warm caches instead of thundering into cold encodes
-	// (0 = off). Hotness comes from the per-route request counters; see
-	// prewarm.go.
-	PrewarmDocs int
-	// PrewarmWorkers bounds the pre-warm encoding concurrency (<= 0
-	// defaults to 2).
-	PrewarmWorkers int
 	// DayInterval is the wall-clock cadence at which the operator rolls
 	// the store (appstored -day-every). When set, every /api/v1 response
 	// carries Cache-Control: max-age=<interval> plus an Age counted from
@@ -175,7 +159,6 @@ type Server struct {
 	chaos *faultinject.Injector
 
 	reg      *metrics.Registry
-	routes   map[string]*routeInstruments
 	total    *metrics.Counter
 	limited  *metrics.Counter
 	inFlight *metrics.Gauge
@@ -194,12 +177,10 @@ type Server struct {
 	ccValue string
 
 	// Snapshot-build telemetry: documents carried forward vs allocated
-	// fresh per publish, the build duration, and documents encoded by the
-	// post-swap pre-warm.
+	// fresh per publish, and the build duration.
 	carried      *metrics.Counter
 	reencoded    *metrics.Counter
 	buildSeconds *metrics.Histogram
-	prewarmed    *metrics.Counter
 
 	// pool recycles document-cache slabs between snapshot arenas;
 	// movedDocs/compactions count documents evacuated (byte-copied, never
@@ -281,7 +262,6 @@ func (s *Server) install(sn *snapshot) {
 	s.reencoded.Add(sn.reencoded)
 	s.movedDocs.Add(sn.moved)
 	s.compactions.Add(sn.compacted)
-	s.prewarm(sn)
 }
 
 // PrepareDay is phase 1 of the fleet's two-phase day-roll: step the

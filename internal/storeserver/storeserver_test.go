@@ -54,43 +54,46 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestListingPagination walks the catalog the way a client that has never
+// seen a cursor does: the bare listing is the first slice, each
+// next_cursor leads to the next.
 func TestListingPagination(t *testing.T) {
 	_, ts := testServer(t, Config{PageSize: 100})
-	var first PageJSON
-	if code := getJSON(t, ts.URL+"/api/v1/apps?page=0", &first); code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	if len(first.Apps) != 100 {
-		t.Fatalf("page 0 has %d apps", len(first.Apps))
-	}
 	seen := map[int32]bool{}
 	total := 0
-	for p := 0; p < first.Pages; p++ {
-		var page PageJSON
-		if code := getJSON(t, fmt.Sprintf("%s/api/v1/apps?page=%d", ts.URL, p), &page); code != 200 {
-			t.Fatalf("page %d: status %d", p, code)
+	for url := ts.URL + "/api/v1/apps"; ; {
+		var page CursorPageJSON
+		if code := getJSON(t, url, &page); code != 200 {
+			t.Fatalf("%s: status %d", url, code)
+		}
+		if len(seen) == 0 && len(page.Apps) != 100 {
+			t.Fatalf("first slice has %d apps", len(page.Apps))
 		}
 		for _, a := range page.Apps {
 			if seen[a.ID] {
-				t.Fatalf("app %d repeated across pages", a.ID)
+				t.Fatalf("app %d repeated across slices", a.ID)
 			}
 			seen[a.ID] = true
-			total++
 		}
+		total = page.Total
+		if page.NextCursor == "" {
+			break
+		}
+		url = ts.URL + "/api/v1/apps?cursor=" + page.NextCursor
 	}
-	if total != first.Total {
-		t.Fatalf("walked %d apps, total says %d", total, first.Total)
+	if len(seen) != total {
+		t.Fatalf("walked %d apps, total says %d", len(seen), total)
 	}
 }
 
+// TestListingErrors: a page number, in or out of any range, is refused.
 func TestListingErrors(t *testing.T) {
 	_, ts := testServer(t, Config{PageSize: 100})
-	var out PageJSON
-	if code := getJSON(t, ts.URL+"/api/v1/apps?page=badnum", &out); code != 400 {
-		t.Fatalf("bad page param: status %d", code)
-	}
-	if code := getJSON(t, ts.URL+"/api/v1/apps?page=100000", &out); code != 404 {
-		t.Fatalf("out of range page: status %d", code)
+	var out CursorPageJSON
+	for _, q := range []string{"page=badnum", "page=100000", "page=0"} {
+		if code := getJSON(t, ts.URL+"/api/v1/apps?"+q, &out); code != 400 {
+			t.Fatalf("?%s: status %d, want 400", q, code)
+		}
 	}
 }
 
@@ -213,7 +216,7 @@ func TestAppName(t *testing.T) {
 // changes the ETag for day-dependent documents.
 func TestJSONConditionalGET(t *testing.T) {
 	s, ts := testServer(t, Config{PageSize: 50})
-	for _, path := range []string{"/api/v1/stats", "/api/v1/apps?page=0", "/api/v1/apps/3", "/api/v1/apps/3/comments"} {
+	for _, path := range []string{"/api/v1/stats", "/api/v1/apps?cursor=", "/api/v1/apps/3", "/api/v1/apps/3/comments"} {
 		// Identity on the wire, so Content-Length is the body's (the Go
 		// client's transparent gzip would strip the header).
 		_, body, hdr := fetch(t, ts.URL+path, map[string]string{"Accept-Encoding": "identity"})
@@ -255,23 +258,23 @@ func TestJSONConditionalGET(t *testing.T) {
 	}
 }
 
-// TestListPageAllocBound pins the serving-path allocation win: a warm
-// listing page is served as cached bytes, so per-request allocations stay
-// bounded by harness overhead (request parse, recorder, headers) rather
-// than growing with the 100-app page being re-encoded. The pre-snapshot
-// server spent ~236 allocs/op here.
+// TestListPageAllocBound is the listing's allocation regression gate: a
+// slice is rendered per request by the append encoder straight from the
+// export's rows, so per-request allocations stay bounded by harness
+// overhead (request parse, recorder, headers) rather than growing with the
+// 100 apps on the page. The pre-snapshot server spent ~236 allocs/op here.
 func TestListPageAllocBound(t *testing.T) {
 	s, _ := testServer(t, Config{PageSize: 100})
 	h := s.Handler()
 	get := func() {
-		req := httptest.NewRequest(http.MethodGet, "/api/v1/apps?page=0", nil)
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/apps", nil)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status %d", rec.Code)
 		}
 	}
-	get() // warm the page cache
+	get() // warm the scratch-buffer pool
 	allocs := testing.AllocsPerRun(200, get)
 	// 30 allocs/op measured (mostly httptest harness); leave headroom for
 	// race-mode and stdlib drift while still failing if per-app encoding
