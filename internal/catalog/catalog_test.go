@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -167,6 +169,40 @@ func TestCategoryRankOrder(t *testing.T) {
 			if qb > qa {
 				t.Fatalf("category %d not sorted by quality at %d: %v > %v", ci, i, qb, qa)
 			}
+		}
+	}
+}
+
+// TestCategoryOrderIsTheReflectiveSortsOrder: rebuildIndexes orders a
+// category with slices.SortFunc where it used sort.Slice. The comparator is
+// a total order, so the two must agree element for element — every market
+// on record was drawn over the sort.Slice order. Quality ties, which a
+// generated catalog has none of, are forced on one category.
+func TestCategoryOrderIsTheReflectiveSortsOrder(t *testing.T) {
+	p := testProfile()
+	p.Apps = 20_000
+	c, err := Generate(p, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range c.Categories[0].Apps[:len(c.Categories[0].Apps)/2] {
+		c.Apps[int(id)].Quality = 0.5
+	}
+	rebuildIndexes(c)
+	for ci := range c.Categories {
+		got := c.Categories[ci].Apps
+		want := append([]AppID(nil), got...)
+		// Undo the order first, or sort.Slice is handed its own answer.
+		sort.Slice(want, func(x, y int) bool { return want[x] < want[y] })
+		sort.Slice(want, func(x, y int) bool {
+			ax, ay := &c.Apps[int(want[x])], &c.Apps[int(want[y])]
+			if ax.Quality != ay.Quality {
+				return ax.Quality > ay.Quality
+			}
+			return ax.ID < ay.ID
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("category %d (%d apps): slices.SortFunc and sort.Slice order its members differently", ci, len(got))
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package catalog
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -238,7 +240,8 @@ func Generate(p Profile, seed uint64) (*Catalog, error) {
 
 // rebuildIndexes recomputes the per-category and per-developer membership
 // lists from the per-app fields, ordering category members by descending
-// quality so Category.Apps[0] is the within-category rank-1 app.
+// quality so Category.Apps[0] is the within-category rank-1 app. The order
+// is total (ties fall to the lower ID), so which sort produces it is free.
 func rebuildIndexes(c *Catalog) {
 	for i := range c.Categories {
 		c.Categories[i].Apps = c.Categories[i].Apps[:0]
@@ -252,13 +255,14 @@ func rebuildIndexes(c *Catalog) {
 		c.Developers[a.Dev].Apps = append(c.Developers[a.Dev].Apps, a.ID)
 	}
 	for i := range c.Categories {
-		apps := c.Categories[i].Apps
-		sort.Slice(apps, func(x, y int) bool {
-			ax, ay := &c.Apps[int(apps[x])], &c.Apps[int(apps[y])]
-			if ax.Quality != ay.Quality {
-				return ax.Quality > ay.Quality
+		slices.SortFunc(c.Categories[i].Apps, func(x, y AppID) int {
+			switch qx, qy := c.Apps[int(x)].Quality, c.Apps[int(y)].Quality; {
+			case qx > qy:
+				return -1
+			case qx < qy:
+				return 1
 			}
-			return ax.ID < ay.ID
+			return cmp.Compare(x, y)
 		})
 	}
 }

@@ -50,6 +50,16 @@ type Options struct {
 // over the ring partition k owns, comment streams, chaos. appstored calls
 // it once; NewInproc calls it for every k.
 func NewShard(opts Options, k int) (*storeserver.Server, error) {
+	return newShard(opts, k, new([]comments.Comment))
+}
+
+// generateComments is comments.Generate, a variable so that a test can
+// count the populations a fleet generates.
+var generateComments = comments.Generate
+
+// newShard is NewShard given where the fleet's comment population is kept:
+// the first member to need it generates it there, the rest attach it.
+func newShard(opts Options, k int, population *[]comments.Comment) (*storeserver.Server, error) {
 	if k < 0 || k >= opts.Shards {
 		return nil, fmt.Errorf("fleet: shard %d outside a fleet of %d", k, opts.Shards)
 	}
@@ -77,15 +87,18 @@ func NewShard(opts Options, k int) (*storeserver.Server, error) {
 	}
 	srv := storeserver.New(m, scfg)
 	if opts.CommentUsers > 0 {
-		// Every shard generates the full comment population (it is a
-		// pure function of the shared catalog and seed); SetComments
-		// keeps the streams of the apps the shard owns, and it serves
-		// the same documents for them a single node would.
-		cs, err := comments.Generate(m.Catalog(), comments.DefaultGenConfig(opts.CommentUsers), opts.Seed+1)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: shard %d comments: %w", k, err)
+		// The full comment population is a pure function of the day-0
+		// catalog every member shares and of the seed, so whichever member
+		// generated it, SetComments keeps the streams of the apps this shard
+		// owns and serves the documents a single node would for them.
+		if *population == nil {
+			cs, err := generateComments(m.Catalog(), comments.DefaultGenConfig(opts.CommentUsers), opts.Seed+1)
+			if err != nil {
+				return nil, fmt.Errorf("fleet: shard %d comments: %w", k, err)
+			}
+			*population = cs
 		}
-		srv.SetComments(cs)
+		srv.SetComments(*population)
 	}
 	if opts.Chaos != nil {
 		// The injector shares the server's registry so injected-fault
@@ -115,8 +128,9 @@ func NewInproc(opts Options) (*Inproc, error) {
 		return nil, fmt.Errorf("fleet: need at least 1 shard, got %d", opts.Shards)
 	}
 	ip := &Inproc{}
+	var population []comments.Comment // generated once, by shard 0
 	for k := 0; k < opts.Shards; k++ {
-		srv, err := NewShard(opts, k)
+		srv, err := newShard(opts, k, &population)
 		if err != nil {
 			return nil, err
 		}

@@ -285,6 +285,52 @@ func TestGatewayProxiesAppRoutesByteIdentical(t *testing.T) {
 	}
 }
 
+// TestInprocGeneratesOneCommentPopulation: the comment population is a pure
+// function of the catalog and seed every member shares, so an in-process
+// fleet generates it once however many shards attach it. That the streams
+// each shard then serves are a single node's, byte for byte, is
+// TestGatewayProxiesAppRoutesByteIdentical's every-app /comments walk.
+func TestInprocGeneratesOneCommentPopulation(t *testing.T) {
+	generated := 0
+	defer func(f func(*catalog.Catalog, comments.GenConfig, uint64) ([]comments.Comment, error)) {
+		generateComments = f
+	}(generateComments)
+	generateComments = func(c *catalog.Catalog, cfg comments.GenConfig, seed uint64) ([]comments.Comment, error) {
+		generated++
+		return comments.Generate(c, cfg, seed)
+	}
+	ip := newFleet(t, 4, 7)
+	if generated != 1 {
+		t.Fatalf("a 4-shard in-process fleet generated %d comment populations, want 1", generated)
+	}
+	// Every shard attached it: each serves, for the apps it owns, the streams
+	// a single node serves.
+	srv := singleNode(t, 7)
+	served := make([]int, len(ip.Servers))
+	ring := NewRing(len(ip.Servers), 0)
+	for id := 0; id < srv.NumApps(); id++ {
+		k := ring.Owner(int32(id))
+		path := "/api/v1/apps/" + itoa(id) + "/comments"
+		_, want := get(t, srv.Handler(), path, nil)
+		_, got := get(t, ip.Servers[k].Handler(), path, nil)
+		if string(got) != string(want) {
+			t.Fatalf("%s: shard %d serves %q, a single node %q", path, k, got, want)
+		}
+		var stream []json.RawMessage
+		if err := json.Unmarshal(got, &stream); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(stream) > 0 {
+			served[k]++
+		}
+	}
+	for k, n := range served {
+		if n == 0 {
+			t.Fatalf("shard %d serves no comment stream: the shared population never reached it", k)
+		}
+	}
+}
+
 // --- cursor edge cases -----------------------------------------------------
 
 // TestEmptyShardServes pins the empty-partition edge: a fleet wide enough

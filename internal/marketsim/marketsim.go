@@ -30,12 +30,17 @@
 // experiment table and crawl database on record was produced from that
 // order. How the result is built and held may change; which draw lands
 // where may not (TestScheduleSizedExactly's hash and rng's golden vectors
-// hold it). So New shuffles a transient []int32 with rng.ShuffleInt32 —
-// Shuffle's draws, inlined and drawn a block ahead — and keeps the result
-// bit-packed at ⌈log2 Users⌉ bits per event (packedseq.go), and it runs
-// catalog.Generate, which draws from its own rng.New(seed) stream and
-// needs nothing of the market's, on a second goroutine joined before the
-// first line that reads the catalog.
+// hold it). So the first market of a seed shuffles a transient []int32 with
+// rng.ShuffleInt32 — Shuffle's draws, inlined and drawn a block ahead — and
+// keeps the result bit-packed at ⌈log2 Users⌉ bits per event (packedseq.go),
+// and New runs catalog.Generate, which draws from its own rng.New(seed)
+// stream and needs nothing of the market's, on a second goroutine joined
+// before the first line that reads the catalog.
+//
+// Everything drawn before that join is the seed's genesis (genesis.go):
+// immutable once built, and read in place by every further market of the
+// same seed and population in the process — the repository runs a market as
+// N identical copies, and the schedule is the largest thing each holds.
 package marketsim
 
 import (
@@ -200,8 +205,10 @@ type Market struct {
 	// of a serving store's live heap) and read in place. Its order is part
 	// of the seed's contract (package comment): streaming it from a keyed
 	// permutation would be smaller still and would re-roll every recorded
-	// experiment and crawl. nextEvent tracks consumption; totalPeriods is
-	// Days+WarmupDays.
+	// experiment and crawl. It, freeBudget and the opening prefix of appeal
+	// belong to the seed's genesis and are shared, read-only, with every
+	// same-key market in the process. nextEvent tracks this market's
+	// consumption; totalPeriods is Days+WarmupDays.
 	schedule     packedSeq
 	nextEvent    int
 	totalPeriods int
@@ -269,17 +276,17 @@ func (ar *arena) carve(n int) []catalog.AppID {
 }
 
 // New builds a market over a freshly generated catalog. Deterministic in
-// (cfg, seed), whatever GOMAXPROCS is: the catalog is generated from its
-// own rng.New(seed) stream on a second goroutine while this one draws the
-// appeals, budgets and schedule from the market stream, and neither reads
-// what the other writes until the join.
+// (cfg, seed), whatever GOMAXPROCS is and whatever was built before it: the
+// catalog is generated from its own rng.New(seed) stream on a second
+// goroutine while this one takes the seed's genesis — drawn here, or
+// already drawn for an earlier market of the same key (genesis.go) — and
+// neither reads what the other writes until the join.
 func New(cfg Config, seed uint64) (*Market, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	m := &Market{
 		cfg:           cfg,
-		r:             rng.New(seed).Split(0x6d61726b6574), // "market"
 		usersPaid:     map[int32]*userState{},
 		paidPortfolio: map[catalog.DevID]int{},
 		series:        &snapshot.Series{Store: cfg.Profile.Name},
@@ -296,39 +303,17 @@ func New(cfg Config, seed uint64) (*Market, error) {
 		defer close(generated)
 		m.cat, catErr = catalog.Generate(cfg.Profile, seed)
 	}()
-	// One appeal per generated app: Generate makes exactly Profile.Apps of
-	// them, or refuses the profile (reported at the join).
-	m.appeal = make([]float64, 0, max(cfg.Profile.Apps, 0))
-	for i := 0; i < cfg.Profile.Apps; i++ {
-		m.appeal = append(m.appeal, m.newAppeal())
-	}
-	// Per-user budgets: floor(d) plus one with probability frac(d), the
-	// same convention the model package uses. The flattened, shuffled
-	// schedule interleaves users across the whole period.
-	m.totalPeriods = cfg.Days + cfg.WarmupDays
-	d := cfg.Profile.DownloadsPerUser
+	// The market continues the stream where genesis left it. appeal grows by
+	// append when apps arrive, so it is handed out with no spare capacity:
+	// the first arrival moves this market onto an array of its own.
+	g := genesisFor(seed, cfg.Profile)
+	r := g.r
+	m.r = &r
+	m.appeal = g.appeal[:len(g.appeal):len(g.appeal)]
+	m.freeBudget = g.freeBudget
+	m.schedule = g.schedule
 	m.freeUsers = make([]userState, cfg.Profile.Users)
-	m.freeBudget = make([]int32, cfg.Profile.Users)
-	events := 0
-	for u := range m.freeBudget {
-		k := int(d)
-		if m.r.Bool(d - float64(k)) {
-			k++
-		}
-		m.freeBudget[u] = int32(k)
-		events += k
-	}
-	// Budgets first, then the schedule at its exact size (filling it draws
-	// nothing, so the RNG stream is unchanged). The int32 form lives only
-	// for the shuffle.
-	order := make([]int32, 0, events)
-	for u, k := range m.freeBudget {
-		for j := int32(0); j < k; j++ {
-			order = append(order, int32(u))
-		}
-	}
-	m.r.ShuffleInt32(order)
-	m.schedule = packSeq(order, cfg.Profile.Users)
+	m.totalPeriods = cfg.Days + cfg.WarmupDays
 
 	<-generated
 	if catErr != nil {
@@ -482,20 +467,19 @@ func (m *Market) growTracking(a *catalog.App) {
 	}
 }
 
-// newAppeal draws an app's intrinsic appeal weight. Pareto-tailed appeal
-// makes the sorted weights follow a power law with exponent
-// 1/alpha = ZipfGlobal, so the simulated rank curves carry the profile's
-// trunk slope.
-func (m *Market) newAppeal() float64 {
-	alpha := 1 / m.cfg.Profile.ZipfGlobal
-	p := dist.Pareto{Xm: 1, Alpha: alpha}
-	w := p.Sample(m.r)
+// drawAppeal draws one appeal weight for a store that opened with apps apps.
+// Pareto-tailed appeal makes the sorted weights follow a power law with
+// exponent 1/alpha = zipfGlobal, so the simulated rank curves carry the
+// profile's trunk slope.
+func drawAppeal(r *rng.RNG, apps int, zipfGlobal float64) float64 {
+	p := dist.Pareto{Xm: 1, Alpha: 1 / zipfGlobal}
+	w := p.Sample(r)
 	// Cap the heavy tail near the expected maximum order statistic
 	// (~Apps^zr). Without the cap a single freak draw can absorb a large,
 	// realization-dependent share of the store, destabilizing the head of
 	// every popularity curve; with it, the top couple of apps sit near the
 	// cap, reproducing the near-tied top ranks real stores exhibit.
-	if cap := math.Pow(float64(m.cfg.Profile.Apps), m.cfg.Profile.ZipfGlobal) / 2; w > cap {
+	if cap := math.Pow(float64(apps), zipfGlobal) / 2; w > cap {
 		w = cap
 	}
 	return w
@@ -611,7 +595,7 @@ func (m *Market) arrivals() {
 		id := m.cat.AddApp(a)
 		// New arrivals start with damped appeal: most newcomers are
 		// unpopular; breakout hits are possible but rare.
-		m.appeal = append(m.appeal, m.newAppeal()*0.25)
+		m.appeal = append(m.appeal, drawAppeal(m.r, m.cfg.Profile.Apps, m.cfg.Profile.ZipfGlobal)*0.25)
 		m.downloads = append(m.downloads, 0)
 		m.growTracking(&m.cat.Apps[int(id)])
 		m.markRow(int(id))

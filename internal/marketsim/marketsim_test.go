@@ -449,16 +449,3 @@ func TestNewIsGOMAXPROCSInvariant(t *testing.T) {
 		t.Fatalf("downloads after 5 steps hash to %#x at GOMAXPROCS 1 and %#x at 4", serialHash, parallelHash)
 	}
 }
-
-// BenchmarkMarketNew builds cmd/bench's market (retentionConfig at 100k
-// apps and users: 8.2 M scheduled events). B/op shows an int32 schedule
-// kept (+33 MB) and ns/op a closure shuffle or a serial catalog build; run
-// at -cpu 1,2, the second CPU is what the catalog goroutine uses.
-func BenchmarkMarketNew(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := New(retentionConfig(100_000), 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -2,13 +2,18 @@ package marketsim
 
 import "planetapps/internal/catalog"
 
-// Partitioner carves a shard's slice out of successive dense Exports of
-// one market, preserving the chunked copy-on-write structure that makes
-// day-rolls incremental. A fleet of N store nodes each runs the same
-// deterministic market (same config, same seed — Exports are
-// byte-identical across processes) and partitions it with its own
-// ownership predicate; the union of the fleet's partitions is exactly the
-// full catalog, row for row.
+// Partitioner carves a shard's slice out of one market day after day,
+// preserving the chunked copy-on-write structure that makes day-rolls
+// incremental. A fleet of N store nodes each runs the same deterministic
+// market (same config, same seed — Exports are byte-identical across
+// processes) and partitions it with its own ownership predicate; the union
+// of the fleet's partitions is exactly the full catalog, row for row.
+//
+// The rows come from either of two sources, read by the one loop below: the
+// live market (PartitionMarket — what a shard does, so it never builds,
+// keeps or refreshes a dense export it would use a 1/N of) or a dense
+// Export already taken (Partition). Same market state, same partition,
+// same chunks shared.
 //
 // The partition is itself an Export, chunked in partition row space:
 // chunk c of the partition covers the shard's rows [c*ExportChunk,
@@ -51,14 +56,48 @@ func (p *Partitioner) Owns(id int32) bool { return p.owns(id) }
 // NumOwned returns how many apps the partitioner currently owns.
 func (p *Partitioner) NumOwned() int { return len(p.ids) }
 
+// rowSource is one day of one market, row g being app g: what a partition
+// is cut from. *Export (dense) and marketRows satisfy it.
+type rowSource interface {
+	Store() string
+	Day() int
+	NumApps() int
+	CategoryNames() []string
+	DeveloperNames() []string
+	App(g int) catalog.App
+	Downloads(g int) int64
+	RowVer(g int) uint32
+}
+
+// marketRows reads a market's live state as a rowSource. Valid while the
+// market does not step.
+type marketRows struct{ m *Market }
+
+func (s marketRows) Store() string            { return s.m.cat.Name }
+func (s marketRows) Day() int                 { return s.m.day }
+func (s marketRows) NumApps() int             { return s.m.cat.NumApps() }
+func (s marketRows) CategoryNames() []string  { return s.m.catNames }
+func (s marketRows) DeveloperNames() []string { return s.m.syncDevNames() }
+func (s marketRows) App(g int) catalog.App    { return s.m.cat.Apps[g] }
+func (s marketRows) Downloads(g int) int64    { return s.m.downloads[g] }
+func (s marketRows) RowVer(g int) uint32      { return s.m.rowVer[g] }
+
 // Partition projects a dense export onto the shard. full must come from
 // the same market on every call (monotone days, append-only catalog).
 // Like Market.Export, Partition must not run concurrently with itself;
 // the returned Export is immutable and safe to share.
-func (p *Partitioner) Partition(full *Export) *Export {
+func (p *Partitioner) Partition(full *Export) *Export { return p.partition(full) }
+
+// PartitionMarket is Partition(m.Export()) without the dense export: the
+// owned rows are copied straight out of the market, which neither builds
+// nor retains an export on the partition's account. Like Market.Export it
+// must not run concurrently with Step.
+func (p *Partitioner) PartitionMarket(m *Market) *Export { return p.partition(marketRows{m}) }
+
+func (p *Partitioner) partition(full rowSource) *Export {
 	// Extend the owned-ID list over any newly arrived apps.
 	for g := p.scanned; g < full.NumApps(); g++ {
-		if id := full.ID(g); p.owns(id) {
+		if id := int32(g); p.owns(id) {
 			p.ids = append(p.ids, id)
 		}
 	}
@@ -68,11 +107,11 @@ func (p *Partitioner) Partition(full *Export) *Export {
 	nc := numChunks(n)
 	nca := numAppChunks(n)
 	e := &Export{
-		store:    full.store,
-		day:      full.day,
+		store:    full.Store(),
+		day:      full.Day(),
 		n:        n,
-		catNames: full.catNames,
-		devNames: full.devNames,
+		catNames: full.CategoryNames(),
+		devNames: full.DeveloperNames(),
 		apps:     make([][]catalog.App, nca),
 		dls:      make([][]int64, nc),
 		vers:     make([][]uint32, nc),
@@ -85,7 +124,7 @@ func (p *Partitioner) Partition(full *Export) *Export {
 	// length (the tail chunk grows with arrivals) and every row's RowVer is
 	// unchanged — RowVer covers both the catalog row and the download
 	// count, so one test clears the row and download vectors together.
-	// Otherwise it is copied out of the full export into allocations of its
+	// Otherwise it is copied out of the source into allocations of its
 	// own (the retention argument of Market.Export applies here too). The
 	// fresh chunk version is the sum of (RowVer+1) over the chunk's rows:
 	// every term is per-row monotone and the row set only grows at the

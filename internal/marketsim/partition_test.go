@@ -1,6 +1,7 @@
 package marketsim
 
 import (
+	"slices"
 	"testing"
 
 	"planetapps/internal/catalog"
@@ -162,6 +163,105 @@ func TestPartitionChunkSharing(t *testing.T) {
 				t.Fatalf("chunk %d row %d: UnchangedRows bit %v want %v", c, j, got, want)
 			}
 		}
+	}
+}
+
+// TestPartitionMarketIsThePartition holds the live-market source to the
+// dense-export one: four owners over thirty days of arrivals, updates and
+// ingested downloads (on apps the owner holds and on apps it does not), one
+// market partitioned in place and its twin through Export. Each day every
+// owner's two exports agree row for row and header for header, and share
+// exactly the same chunks with their own predecessors — the copy-on-write
+// outcome, not only the content, is the same. The market partitioned in
+// place never took a dense export.
+func TestPartitionMarketIsThePartition(t *testing.T) {
+	const (
+		owners = 4
+		days   = 30
+	)
+	cfg := retentionConfig(4000) // low churn: most chunks sit out any one day
+	cfg.Profile.NewAppsPerDay = 4
+	live, err := New(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fromLive, fromDense [owners]*Partitioner
+	for k := range fromLive {
+		fromLive[k] = NewPartitioner(ownsMod(int32(k), owners))
+		fromDense[k] = NewPartitioner(ownsMod(int32(k), owners))
+	}
+	var prevLive, prevDense [owners]*Export
+	sharedChunks, freshChunks := 0, 0
+	for day := 0; day <= days; day++ {
+		if day > 0 {
+			// Every residue class mod 4 gets a write, some past the catalog's end.
+			written := []int32{int32(day), int32(day + 1), int32(3 * day), int32(live.Catalog().NumApps() - 1), 1 << 30}
+			for _, m := range []*Market{live, twin} {
+				if err := m.Step(); err != nil {
+					t.Fatal(err)
+				}
+				m.ApplyDownloadDelta(written, func(id int32) int64 { return int64(id%5) + 1 })
+			}
+		}
+		full := twin.Export()
+		for k := 0; k < owners; k++ {
+			a, b := fromLive[k].PartitionMarket(live), fromDense[k].Partition(full)
+			if a.Store() != b.Store() || a.Day() != b.Day() || a.NumApps() != b.NumApps() ||
+				a.TotalDownloads() != b.TotalDownloads() || a.NumChunks() != b.NumChunks() || !a.Sparse() {
+				t.Fatalf("day %d owner %d: headers differ: %s/%s day %d/%d apps %d/%d total %d/%d chunks %d/%d",
+					day, k, a.Store(), b.Store(), a.Day(), b.Day(), a.NumApps(), b.NumApps(),
+					a.TotalDownloads(), b.TotalDownloads(), a.NumChunks(), b.NumChunks())
+			}
+			if !slices.Equal(a.CategoryNames(), b.CategoryNames()) || !slices.Equal(a.DeveloperNames(), b.DeveloperNames()) {
+				t.Fatalf("day %d owner %d: name tables differ", day, k)
+			}
+			for i := 0; i < a.NumApps(); i++ {
+				if a.ID(i) != b.ID(i) || a.App(i) != b.App(i) || a.Downloads(i) != b.Downloads(i) || a.RowVer(i) != b.RowVer(i) {
+					t.Fatalf("day %d owner %d row %d: live (%d %+v %d v%d), dense (%d %+v %d v%d)", day, k, i,
+						a.ID(i), a.App(i), a.Downloads(i), a.RowVer(i), b.ID(i), b.App(i), b.Downloads(i), b.RowVer(i))
+				}
+			}
+			for c := 0; c < a.NumChunks(); c++ {
+				if a.ChunkVer(c) != b.ChunkVer(c) {
+					t.Fatalf("day %d owner %d chunk %d: version %d live, %d dense", day, k, c, a.ChunkVer(c), b.ChunkVer(c))
+				}
+			}
+			if pa, pb := prevLive[k], prevDense[k]; pa != nil {
+				for c := range a.vers {
+					sa := c < len(pa.vers) && &a.vers[c][0] == &pa.vers[c][0]
+					sb := c < len(pb.vers) && &b.vers[c][0] == &pb.vers[c][0]
+					da := c < len(pa.dls) && &a.dls[c][0] == &pa.dls[c][0]
+					db := c < len(pb.dls) && &b.dls[c][0] == &pb.dls[c][0]
+					if sa != sb || da != db || sa != da {
+						t.Fatalf("day %d owner %d chunk %d: shared with its predecessor live vers=%v dls=%v, dense vers=%v dls=%v",
+							day, k, c, sa, da, sb, db)
+					}
+					if sa {
+						sharedChunks++
+					} else {
+						freshChunks++
+					}
+				}
+				for c := range a.apps {
+					sa := c < len(pa.apps) && &a.apps[c][0] == &pa.apps[c][0]
+					sb := c < len(pb.apps) && &b.apps[c][0] == &pb.apps[c][0]
+					if sa != sb {
+						t.Fatalf("day %d owner %d row chunk %d: shared with its predecessor live=%v dense=%v", day, k, c, sa, sb)
+					}
+				}
+			}
+			prevLive[k], prevDense[k] = a, b
+		}
+	}
+	if sharedChunks == 0 || freshChunks == 0 {
+		t.Fatalf("%d chunks shared and %d copied over %d days: the sharing comparison saw only one outcome", sharedChunks, freshChunks, days)
+	}
+	if live.lastExport != nil {
+		t.Fatal("partitioning a market in place left it holding a dense export")
 	}
 }
 

@@ -119,23 +119,14 @@ func TestExportRetentionPerRound(t *testing.T) {
 // heap a market holds over its twin whose users download nothing — the same
 // catalog, tables and per-user state — so an event-sized structure under
 // any name is in the figure: an int32 per event reads 4.2 bytes against
-// this market's bound of 2.125.
+// this market's bound of 2.125. The genesis memo is emptied before each
+// reading: the figure is the first market of a seed, genesis included, and
+// an entry left by an earlier build would be freed inside the measured
+// interval and subtracted from it.
 func TestMarketFootprint(t *testing.T) {
 	const users = 20_000
-	held := func(downloadsPerUser float64) (heap int64, events int) {
-		cfg := retentionConfig(users)
-		cfg.Profile.DownloadsPerUser = downloadsPerUser
-		before := heapAfterGC()
-		m, err := New(cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heap = int64(heapAfterGC()) - int64(before)
-		runtime.KeepAlive(m)
-		return heap, m.schedule.len()
-	}
-	full, events := held(82)
-	idle, _ := held(0)
+	full, events := heldByNew(t, users, 82, true)
+	idle, _ := heldByNew(t, users, 0, true)
 	if raceEnabled {
 		return // the race allocator's shadow memory swamps a byte bound
 	}
@@ -146,4 +137,53 @@ func TestMarketFootprint(t *testing.T) {
 	if perEvent > bound {
 		t.Fatalf("a market retains %.3f bytes per scheduled event, want <= %.3f", perEvent, bound)
 	}
+}
+
+// TestSecondMarketFootprint is the same figure for the second market of a
+// seed: it holds the first one's genesis, so all a scheduled event may cost
+// it is the quarter byte of everything else.
+func TestSecondMarketFootprint(t *testing.T) {
+	const users = 20_000
+	first, err := New(retentionConfig(users), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, events := heldByNew(t, users, 82, false)
+	runtime.KeepAlive(first)
+	idle, _ := heldByNew(t, users, 0, true)
+	if raceEnabled {
+		return
+	}
+	perEvent := float64(second-idle) / float64(events)
+	t.Logf("%d users: a second same-key market holds %d bytes, an idle one %d: %.3f bytes per scheduled event",
+		users, second, idle, perEvent)
+	if perEvent > 0.25 {
+		t.Fatalf("a second same-key market retains %.3f bytes per scheduled event, want <= 0.25", perEvent)
+	}
+}
+
+// heldByNew returns the heap one New(retentionConfig(users), 1) at the given
+// DownloadsPerUser adds and keeps, and the events it scheduled.
+func heldByNew(t *testing.T, users int, downloadsPerUser float64, emptyMemo bool) (heap int64, events int) {
+	t.Helper()
+	cfg := retentionConfig(users)
+	cfg.Profile.DownloadsPerUser = downloadsPerUser
+	if emptyMemo {
+		forgetGenesis()
+	}
+	before := heapAfterGC()
+	m, err := New(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap = int64(heapAfterGC()) - int64(before)
+	runtime.KeepAlive(m)
+	return heap, m.schedule.len()
+}
+
+// forgetGenesis empties the genesis memo, so the next New of any key draws.
+func forgetGenesis() {
+	genesisMemo.mu.Lock()
+	genesisMemo.ent = nil
+	genesisMemo.mu.Unlock()
 }

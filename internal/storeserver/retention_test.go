@@ -283,3 +283,69 @@ func TestShardKeepsOnlyOwnedStreams(t *testing.T) {
 		t.Fatalf("shards hold %d streams in all, the single node %d", sum, len(ref.comments))
 	}
 }
+
+// heldBy returns the heap build's result keeps alive.
+func heldBy(build func() any) int64 {
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	v := build()
+	held := live() - before
+	runtime.KeepAlive(v)
+	return held
+}
+
+// TestShardsHoldOneGenesisAndNoDenseExport bounds what the three further
+// members of a four-shard in-process fleet cost over a single store. They
+// run the same market, so they read the first one's genesis (its packed
+// download schedule above all) in place, and each exports its quarter
+// straight out of its market, so none builds or keeps the dense export an
+// unsharded store serves from. Before either, four shards held four
+// schedules and four dense exports: more than four single stores.
+func TestShardsHoldOneGenesisAndNoDenseExport(t *testing.T) {
+	const (
+		apps   = 20_000
+		shards = 4
+		events = 82 * apps
+	)
+	// A market of another key takes the memo's one entry, so that each
+	// measurement below starts from a genesis it has to draw and hold itself.
+	displaceGenesis := func() { lowChurnMarket(t, 10, 0) }
+
+	displaceGenesis()
+	single := heldBy(func() any { return New(retentionMarket(t, apps), Config{PageSize: 100}) })
+	displaceGenesis()
+	fleet := heldBy(func() any {
+		var members [shards]*Server
+		for k := range members {
+			k := int32(k)
+			part := marketsim.NewPartitioner(func(id int32) bool { return id%shards == k })
+			members[k] = New(retentionMarket(t, apps), Config{PageSize: 100, Partition: part})
+		}
+		return &members
+	})
+	if raceEnabled {
+		return // the race allocator's shadow memory swamps a byte bound
+	}
+	// ⌈log2 20000⌉ = 15 bits an event, 8 B an app's appeal, 4 B a user's
+	// budget; a 64 B row, an 8 B count and a 4 B version per exported app.
+	// A further shard is allowed a single store less the genesis and the
+	// dense export, plus its own share of the rows; that it also encodes
+	// documents for a quarter of the catalog only is the headroom (7 %).
+	const (
+		genesis = events*15/8 + 8*apps + 4*apps
+		dense   = (64 + 8 + 4) * apps
+	)
+	bound := single + (shards-1)*(single-genesis-dense+dense/shards)
+	t.Logf("%d apps: a single store holds %d bytes (genesis %d, dense export %d), %d shards %d: bound %d",
+		apps, single, genesis, dense, shards, fleet, bound)
+	if fleet > bound {
+		t.Fatalf("%d shards hold %d bytes, want <= %d: one store plus %d markets without a schedule or a dense export",
+			shards, fleet, bound, shards-1)
+	}
+}

@@ -98,9 +98,9 @@ type Config struct {
 	// /metrics page keeps their series apart.
 	Node string
 	// Partition, when set, restricts the server to its shard of the
-	// catalog: every market export is projected through the partitioner
-	// before snapshotting, so the server holds (and serves) only the rows
-	// it owns, under their global app IDs. The full market still steps
+	// catalog: every snapshot is built over the partitioner's export of
+	// the market, so the server holds (and serves) only the rows it owns,
+	// under their global app IDs. The full market still steps
 	// underneath — all fleet members run the same deterministic
 	// simulation and carve disjoint slices out of it.
 	Partition *marketsim.Partitioner
@@ -225,14 +225,14 @@ func New(m *marketsim.Market, cfg Config) *Server {
 	return s
 }
 
-// export freezes the market's serving state, projected onto this node's
-// partition when one is configured.
+// export freezes the market's serving state: all of it, or on a shard the
+// rows its partition owns, copied straight out of the market — a shard
+// never holds a dense export.
 func (s *Server) export() *marketsim.Export {
-	e := s.market.Export()
 	if s.cfg.Partition != nil {
-		e = s.cfg.Partition.Partition(e)
+		return s.cfg.Partition.PartitionMarket(s.market)
 	}
-	return e
+	return s.market.Export()
 }
 
 // publish freezes the market plus the current comment set into a new
