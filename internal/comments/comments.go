@@ -11,6 +11,7 @@ package comments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -183,8 +184,16 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 			when = when.Add(time.Duration(1+r.Intn(72)) * time.Hour)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
+	sortByTime(out)
 	return out, nil
+}
+
+// sortByTime orders cs by timestamp, equal timestamps in the order they
+// were generated. A stable sort has one answer, so the generic sort returns
+// the population sort.SliceStable did, without its reflective swapper,
+// which was five sixths of Generate.
+func sortByTime(cs []Comment) {
+	slices.SortStableFunc(cs, func(a, b Comment) int { return a.Time.Compare(b.Time) })
 }
 
 // Filter applies the paper's cleaning rules to a raw comment stream:

@@ -2,11 +2,14 @@ package comments
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"planetapps/internal/affinity"
 	"planetapps/internal/catalog"
+	"planetapps/internal/rng"
 )
 
 func testCatalog(t *testing.T) *catalog.Catalog {
@@ -50,6 +53,37 @@ func TestGenerateTimeOrdered(t *testing.T) {
 		if cs[i].Time.Before(cs[i-1].Time) {
 			t.Fatalf("comments out of order at %d", i)
 		}
+	}
+}
+
+// TestTimeOrderIsTheReflectiveSortsOrder: Generate orders its population
+// with slices.SortStableFunc where it used sort.SliceStable, and every crawl
+// database and comment stream on record was produced in that order. Both
+// sorts are stable, so they must agree comment for comment — on a generated
+// population put back out of order with its timestamps cut to the day, so
+// that most of them tie (a generated one has few that do).
+func TestTimeOrderIsTheReflectiveSortsOrder(t *testing.T) {
+	cs, err := Generate(testCatalog(t), DefaultGenConfig(4000), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(3)
+	r.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
+	ties := 0
+	for i := range cs {
+		cs[i].Time = cs[i].Time.Truncate(24 * time.Hour)
+		if i > 0 && cs[i].Time.Equal(cs[i-1].Time) {
+			ties++
+		}
+	}
+	got, want := slices.Clone(cs), slices.Clone(cs)
+	sortByTime(got)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Time.Before(want[j].Time) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("slices.SortStableFunc and sort.SliceStable order %d comments differently", len(cs))
+	}
+	if slices.Equal(got, cs) || ties == 0 {
+		t.Fatalf("the input was already in order (%d adjacent ties): nothing was compared", ties)
 	}
 }
 

@@ -183,12 +183,14 @@ type Market struct {
 	devNames      []string
 
 	// Free users are dense (ids 0..Users-1), so a flat slice replaces the
-	// map; history slices are carved from a bump-pointer arena at exactly
-	// the user's download budget, so steady-state simulation performs no
-	// per-event allocation.
+	// map: 32 B a user from New on, whether they ever download or not,
+	// holding the user's first few downloads. The rest, theirs and the paid
+	// stream's users', is in hist (histories.go), committed as it fills, so
+	// a market that has run d days holds d days of history and a Step
+	// allocates a block now and then.
 	freeUsers  []userState
 	freeBudget []int32
-	hist       arena
+	hist       histories
 	usersPaid  map[int32]*userState
 	paidSlab   []userState
 
@@ -212,67 +214,6 @@ type Market struct {
 	schedule     packedSeq
 	nextEvent    int
 	totalPeriods int
-}
-
-// ownedThreshold is the history length past which a user gets a hash set
-// for ownership checks. Below it a backward scan of the (small) history
-// answers has() faster than a map ever would and costs no allocation;
-// membership answers are identical either way.
-const ownedThreshold = 64
-
-type userState struct {
-	owned   map[catalog.AppID]struct{} // nil until history outgrows ownedThreshold
-	history []catalog.AppID
-}
-
-func (u *userState) has(a catalog.AppID) bool {
-	if u.owned != nil {
-		_, ok := u.owned[a]
-		return ok
-	}
-	// Recent downloads are the likeliest collision (clustering re-draws
-	// from the same categories), so scan backwards.
-	for i := len(u.history) - 1; i >= 0; i-- {
-		if u.history[i] == a {
-			return true
-		}
-	}
-	return false
-}
-
-func (u *userState) record(a catalog.AppID) {
-	u.history = append(u.history, a)
-	if u.owned != nil {
-		u.owned[a] = struct{}{}
-	} else if len(u.history) >= ownedThreshold {
-		u.owned = make(map[catalog.AppID]struct{}, 2*len(u.history))
-		for _, x := range u.history {
-			u.owned[x] = struct{}{}
-		}
-	}
-}
-
-// arena hands out history slices from large blocks. Blocks are never
-// freed individually — the market's lifetime bounds them — so a carve is
-// a bump-pointer move, not an allocation.
-type arena struct {
-	block []catalog.AppID
-}
-
-const arenaBlock = 1 << 16
-
-// carve returns a zero-length slice with capacity n backed by the arena.
-func (ar *arena) carve(n int) []catalog.AppID {
-	if cap(ar.block)-len(ar.block) < n {
-		size := arenaBlock
-		if n > size {
-			size = n
-		}
-		ar.block = make([]catalog.AppID, 0, size)
-	}
-	off := len(ar.block)
-	ar.block = ar.block[:off+n]
-	return ar.block[off : off : off+n]
 }
 
 // New builds a market over a freshly generated catalog. Deterministic in
@@ -747,17 +688,17 @@ const maxRetries = 48
 
 // drawFree performs one clustering-model download for a free-stream user.
 func (m *Market) drawFree(u *userState) (catalog.AppID, bool) {
-	clustered := len(u.history) > 0 && m.r.Bool(m.cfg.Profile.ClusterP)
+	clustered := u.count() > 0 && m.r.Bool(m.cfg.Profile.ClusterP)
 	if clustered {
 		for try := 0; try < maxRetries; try++ {
-			prev := u.history[m.r.Intn(len(u.history))]
+			prev := m.hist.at(u, m.r.Intn(u.count()))
 			c := int(m.cat.CategoryOf(prev))
 			idx := sampleCum(m.r, m.catCum[c], &m.catCumIdx[c])
 			if idx < 0 {
 				break
 			}
 			app := m.catApps[c][idx]
-			if !u.has(app) {
+			if !m.hist.has(u, app) {
 				return app, true
 			}
 		}
@@ -770,7 +711,7 @@ func (m *Market) drawFree(u *userState) (catalog.AppID, bool) {
 			return 0, false
 		}
 		app := m.freeApps[idx]
-		if !u.has(app) {
+		if !m.hist.has(u, app) {
 			return app, true
 		}
 	}
@@ -785,7 +726,7 @@ func (m *Market) drawPaid(u *userState) (catalog.AppID, bool) {
 			return 0, false
 		}
 		app := m.paidApps[idx]
-		if !u.has(app) {
+		if !m.hist.has(u, app) {
 			return app, true
 		}
 	}
@@ -821,11 +762,8 @@ func (m *Market) simulateDownloads() {
 	for ; m.nextEvent < hi; m.nextEvent++ {
 		uid := m.schedule.at(m.nextEvent)
 		u := &m.freeUsers[uid]
-		if u.history == nil {
-			u.history = m.hist.carve(int(m.freeBudget[uid]))
-		}
 		if app, ok := m.drawFree(u); ok {
-			u.record(app)
+			m.hist.record(u, app, m.freeBudget[uid])
 			m.downloads[int(app)]++
 			m.total++
 			m.markDL(int(app))
@@ -845,7 +783,7 @@ func (m *Market) simulateDownloads() {
 		uid := int32(m.r.Intn(m.cfg.Profile.Users))
 		u := m.paidUser(uid)
 		if app, ok := m.drawPaid(u); ok {
-			u.record(app)
+			m.hist.record(u, app, 0)
 			m.downloads[int(app)]++
 			m.total++
 			m.markDL(int(app))

@@ -115,7 +115,8 @@ func TestExportRetentionPerRound(t *testing.T) {
 // scheduled download. On a long period almost all of the schedule waits
 // unconsumed, so it must cost its information content, ⌈log2 users⌉ bits an
 // event, plus a quarter byte for everything else that scales with events
-// (here the first history block the day-0 users carve). Measured as the
+// (here nothing: what a day-0 user has downloaded fits their own state,
+// where budgets carved whole took a 256 KiB block). Measured as the
 // heap a market holds over its twin whose users download nothing — the same
 // catalog, tables and per-user state — so an event-sized structure under
 // any name is in the figure: an int32 per event reads 4.2 bytes against
@@ -159,6 +160,81 @@ func TestSecondMarketFootprint(t *testing.T) {
 		users, second, idle, perEvent)
 	if perEvent > 0.25 {
 		t.Fatalf("a second same-key market retains %.3f bytes per scheduled event, want <= 0.25", perEvent)
+	}
+}
+
+// TestHistoryFootprintFollowsDownloads bounds what a running market holds
+// for its users' histories by what they have downloaded so far. Forty days
+// into cmd/bench's period half the users have downloaded something and
+// nobody more than a handful of apps: the store's own slot count must be
+// within the histories invariant (nothing up to what the user's state
+// holds, pieceGrowth times the downloads from there), and the heap the
+// forty days added — over a twin whose users download nothing, so arrivals
+// and updates cancel — within that many slots plus one block and the paid
+// stream's user records. A budget carved whole at a user's first download
+// (328 B here) added 3.5 MB, twelve times the bound. Run on to the end of
+// the period, nobody holds more than their budget and their pieces'
+// headers (slotBound).
+func TestHistoryFootprintFollowsDownloads(t *testing.T) {
+	const users, days = 20_000, 40
+	build := func(downloadsPerUser float64) *Market {
+		cfg := retentionConfig(users)
+		cfg.Profile.DownloadsPerUser = downloadsPerUser
+		m, err := New(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	stepTo := func(m *Market, day int) (grown int64) {
+		before := heapAfterGC()
+		for m.Day() < day {
+			if err := m.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return int64(heapAfterGC()) - int64(before)
+	}
+	// ledger sums what m's users have downloaded and what the invariant
+	// lets them hold for it.
+	ledger := func(m *Market) (downloads, allowed int) {
+		for uid := range m.freeUsers {
+			n := m.freeUsers[uid].count()
+			downloads += n
+			allowed += slotBound(n, int(m.freeBudget[uid]))
+		}
+		for _, u := range m.usersPaid {
+			downloads += u.count()
+			allowed += slotBound(u.count(), 0)
+		}
+		return downloads, allowed
+	}
+
+	m, idle := build(82), build(0)
+	downloads0, _ := ledger(m)
+	slots0 := m.hist.slots
+	grown := stepTo(m, days) - stepTo(idle, days)
+	runtime.KeepAlive(idle)
+	downloads, allowed := ledger(m)
+	if m.hist.slots > allowed {
+		t.Fatalf("day %d: %d slots carved for %d downloads, the invariant allows %d", days, m.hist.slots, downloads, allowed)
+	}
+	budget := int64(4*(allowed-slots0) + 4*maxBlock + 64*len(m.usersPaid))
+	t.Logf("day %d: %d downloads in %d slots (allowed %d); days 1-%d recorded %d and added %d bytes of heap, %.1f a download (bound %d bytes)",
+		days, downloads, m.hist.slots, allowed, days, downloads-downloads0, grown, float64(grown)/float64(downloads-downloads0), budget)
+	if raceEnabled {
+		return // shadow memory swamps a byte bound, and the whole period takes a minute
+	}
+	if grown > budget {
+		t.Fatalf("%d days of downloads added %d bytes of heap, want <= %d", days, grown, budget)
+	}
+
+	// At drain a user's allowance is their budget and their pieces' headers.
+	stepTo(m, m.cfg.Days-1)
+	downloads, allowed = ledger(m)
+	t.Logf("drain: %d downloads in %d slots (allowed %d)", downloads, m.hist.slots, allowed)
+	if m.hist.slots > allowed {
+		t.Fatalf("drain: %d slots carved for %d downloads, the invariant allows %d", m.hist.slots, downloads, allowed)
 	}
 }
 
