@@ -150,10 +150,15 @@ func (l *ledger[K]) setup(name string, capacity, floor int, ord order[K]) {
 	if capacity < floor {
 		panic(fmt.Sprintf("cache: %s capacity %d", name, capacity))
 	}
-	// At unit cost the capacity is an exact entry count, but a byte budget
-	// (tens of MiB) would preallocate a map for millions of entries that
-	// can never all be resident.
-	hint := min(capacity, 1<<16)
+	// At unit cost the capacity is an exact entry count, and the map is
+	// made for it. A capacity too large to be one is a byte budget (the
+	// edge's tens of MiB, holding a few thousand documents): any hint
+	// derived from it is slots that are never filled — capped at 65,536 it
+	// was 6.8 MB of an edge's heap — so that map grows with what it holds.
+	hint := 0
+	if capacity <= 1<<16 {
+		hint = capacity
+	}
 	*l = ledger[K]{name: name, cap: int64(capacity), items: make(map[K]*entry[K], hint), ord: ord}
 }
 

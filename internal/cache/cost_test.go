@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -155,5 +156,27 @@ func TestLRUByteOrder(t *testing.T) {
 	}
 	if c.Cost() != 100 || c.Len() != 2 {
 		t.Fatalf("Cost=%d Len=%d after eviction", c.Cost(), c.Len())
+	}
+}
+
+// TestByteBudgetedLedgerStartsEmpty: a capacity in bytes says nothing about
+// how many entries will be resident, so a byte-budgeted policy is built
+// holding no map slots for them (a hint capped at 65,536 entries was 6.8 MB
+// of every edge, which holds a few thousand); an entry-count capacity still
+// gets its map made once.
+func TestByteBudgetedLedgerStartsEmpty(t *testing.T) {
+	built := func(capacity int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p := NewLRU[int32](capacity)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(p)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if b := built(64 << 20); b > 4096 {
+		t.Fatalf("an LRU over a 64 MiB byte budget allocated %d bytes before its first entry", b)
+	}
+	if b := built(4096); b < 4096*4 {
+		t.Fatalf("an LRU of 4096 entries allocated %d bytes: its map was not made for them", b)
 	}
 }

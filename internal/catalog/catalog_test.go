@@ -173,11 +173,15 @@ func TestCategoryRankOrder(t *testing.T) {
 	}
 }
 
-// TestCategoryOrderIsTheReflectiveSortsOrder: rebuildIndexes orders a
-// category with slices.SortFunc where it used sort.Slice. The comparator is
-// a total order, so the two must agree element for element — every market
-// on record was drawn over the sort.Slice order. Quality ties, which a
-// generated catalog has none of, are forced on one category.
+// TestCategoryOrderIsTheReflectiveSortsOrder: rebuildIndexes ranks a
+// category by a stable radix sort on ^Float64bits(Quality) where it called
+// sort.Slice, then slices.SortFunc, with a comparator on the floats. The
+// order is total, so all three must agree element for element — every market
+// on record was drawn over the sort.Slice order. A generated catalog has no
+// quality ties, no one-member and no empty category, and no two qualities an
+// ulp apart, so each is forced: ties across half a category, neighbours that
+// differ in the key's last bit only, the ends of (0, 1], a category of one
+// and a category of none.
 func TestCategoryOrderIsTheReflectiveSortsOrder(t *testing.T) {
 	p := testProfile()
 	p.Apps = 20_000
@@ -185,10 +189,37 @@ func TestCategoryOrderIsTheReflectiveSortsOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range c.Categories[0].Apps[:len(c.Categories[0].Apps)/2] {
+	members := c.Categories[0].Apps
+	for _, id := range members[:len(members)/2] {
 		c.Apps[int(id)].Quality = 0.5
 	}
+	for k, id := range members[len(members)/2:] {
+		q := &c.Apps[int(id)].Quality
+		switch k % 4 {
+		case 0:
+			*q = math.Nextafter(0.5, 1)
+		case 1:
+			*q = math.Nextafter(0.5, 0)
+		case 2:
+			*q = 1
+		case 3:
+			*q = math.SmallestNonzeroFloat64
+		}
+	}
+	// Category 1 keeps one member, category 2 none; category 3 takes them.
+	for _, id := range c.Categories[1].Apps[1:] {
+		c.Apps[int(id)].Category = 3
+	}
+	for _, id := range c.Categories[2].Apps {
+		c.Apps[int(id)].Category = 3
+	}
 	rebuildIndexes(c)
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if one, none := len(c.Categories[1].Apps), len(c.Categories[2].Apps); one != 1 || none != 0 {
+		t.Fatalf("categories 1 and 2 hold %d and %d apps, want 1 and 0", one, none)
+	}
 	for ci := range c.Categories {
 		got := c.Categories[ci].Apps
 		want := append([]AppID(nil), got...)
@@ -202,7 +233,7 @@ func TestCategoryOrderIsTheReflectiveSortsOrder(t *testing.T) {
 			return ax.ID < ay.ID
 		})
 		if !slices.Equal(got, want) {
-			t.Fatalf("category %d (%d apps): slices.SortFunc and sort.Slice order its members differently", ci, len(got))
+			t.Fatalf("category %d (%d apps): the radix sort and sort.Slice order its members differently", ci, len(got))
 		}
 	}
 }

@@ -10,6 +10,7 @@
 package comments
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -144,7 +145,10 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 	}
 
 	dayDur := 24 * time.Hour
+	// How many comments a user posts is drawn as the user is reached, so out
+	// grows by append; sortByTime returns the population at its final size.
 	var out []Comment
+	var history []catalog.AppID // the current user's, reused from user to user
 	for u := 0; u < cfg.Users; u++ {
 		uid := catalog.UserID(u)
 		if r.Bool(cfg.SpamFraction) {
@@ -163,7 +167,7 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 			continue
 		}
 		n := 1 + dist.Geometric(r, 1/(cfg.MeanComments))
-		var history []catalog.AppID
+		history = history[:0]
 		when := c.Start.Add(time.Duration(r.Intn(cfg.Days)) * dayDur).
 			Add(time.Duration(r.Intn(86400)) * time.Second)
 		for k := 0; k < n; k++ {
@@ -184,16 +188,38 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 			when = when.Add(time.Duration(1+r.Intn(72)) * time.Hour)
 		}
 	}
-	sortByTime(out)
-	return out, nil
+	return sortByTime(out), nil
 }
 
-// sortByTime orders cs by timestamp, equal timestamps in the order they
-// were generated. A stable sort has one answer, so the generic sort returns
-// the population sort.SliceStable did, without its reflective swapper,
-// which was five sixths of Generate.
-func sortByTime(cs []Comment) {
-	slices.SortStableFunc(cs, func(a, b Comment) int { return a.Time.Compare(b.Time) })
+// sortByTime returns cs ordered by timestamp, equal timestamps in the order
+// they came in, in a new slice of exactly that length. A stable sort has one
+// answer, so what is sorted is free: not the 40-byte comments through
+// time.Time.Compare, which was half of Generate, but one integer key a
+// comment — its instant and its position, a total order with no ties left —
+// and the comments are then moved once, each to its place.
+func sortByTime(cs []Comment) []Comment {
+	type key struct {
+		sec      int64
+		nsec, at int32
+	}
+	keys := make([]key, len(cs))
+	for i := range cs {
+		keys[i] = key{cs[i].Time.Unix(), int32(cs[i].Time.Nanosecond()), int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.sec != b.sec {
+			return cmp.Compare(a.sec, b.sec)
+		}
+		if a.nsec != b.nsec {
+			return cmp.Compare(a.nsec, b.nsec)
+		}
+		return cmp.Compare(a.at, b.at)
+	})
+	out := make([]Comment, len(cs))
+	for i, k := range keys {
+		out[i] = cs[k.at]
+	}
+	return out
 }
 
 // Filter applies the paper's cleaning rules to a raw comment stream:

@@ -56,12 +56,15 @@ func TestGenerateTimeOrdered(t *testing.T) {
 	}
 }
 
-// TestTimeOrderIsTheReflectiveSortsOrder: Generate orders its population
-// with slices.SortStableFunc where it used sort.SliceStable, and every crawl
-// database and comment stream on record was produced in that order. Both
-// sorts are stable, so they must agree comment for comment — on a generated
-// population put back out of order with its timestamps cut to the day, so
-// that most of them tie (a generated one has few that do).
+// TestTimeOrderIsTheReflectiveSortsOrder: Generate orders its population by
+// sorting one (instant, position) key a comment and moving each comment once,
+// where it called sort.SliceStable, then slices.SortStableFunc, on the
+// comments themselves; every crawl database and comment stream on record was
+// produced in that order. A stable sort has one answer, so they must agree
+// comment for comment — on a generated population put back out of order with
+// its timestamps cut to the day, so that most of them tie (a generated one
+// has few that do), on instants that differ below the second, and on
+// populations of one and of none.
 func TestTimeOrderIsTheReflectiveSortsOrder(t *testing.T) {
 	cs, err := Generate(testCatalog(t), DefaultGenConfig(4000), 11)
 	if err != nil {
@@ -72,18 +75,33 @@ func TestTimeOrderIsTheReflectiveSortsOrder(t *testing.T) {
 	ties := 0
 	for i := range cs {
 		cs[i].Time = cs[i].Time.Truncate(24 * time.Hour)
+		if i%7 == 0 {
+			cs[i].Time = cs[i].Time.Add(time.Duration(i%3) * time.Nanosecond)
+		}
 		if i > 0 && cs[i].Time.Equal(cs[i-1].Time) {
 			ties++
 		}
 	}
-	got, want := slices.Clone(cs), slices.Clone(cs)
-	sortByTime(got)
-	sort.SliceStable(want, func(i, j int) bool { return want[i].Time.Before(want[j].Time) })
+	reflective := func(cs []Comment) []Comment {
+		want := slices.Clone(cs)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Time.Before(want[j].Time) })
+		return want
+	}
+	got, want := sortByTime(cs), reflective(cs)
 	if !slices.Equal(got, want) {
-		t.Fatalf("slices.SortStableFunc and sort.SliceStable order %d comments differently", len(cs))
+		t.Fatalf("the key sort and sort.SliceStable order %d comments differently", len(cs))
 	}
 	if slices.Equal(got, cs) || ties == 0 {
 		t.Fatalf("the input was already in order (%d adjacent ties): nothing was compared", ties)
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("%d comments returned in room for %d", len(got), cap(got))
+	}
+	if one := sortByTime(cs[:1]); len(one) != 1 || one[0] != cs[0] {
+		t.Fatalf("a population of one came back as %v", one)
+	}
+	if none := sortByTime(nil); len(none) != 0 {
+		t.Fatalf("a population of none came back as %v", none)
 	}
 }
 

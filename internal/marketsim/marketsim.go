@@ -262,11 +262,6 @@ func New(cfg Config, seed uint64) (*Market, error) {
 	}
 	m.downloads = make([]int64, m.cat.NumApps())
 	m.initTracking()
-	_, paid := m.cat.FreePaidCounts()
-	m.paidVolume = paid > 0
-	if m.paidVolume {
-		m.dailyPaid = float64(m.schedule.len()) / float64(m.totalPeriods) * cfg.PaidDownloadShare
-	}
 	m.catBias = 1
 	if cfg.Profile.ZipfGlobal > 0 && cfg.Profile.ZipfCluster > 0 {
 		m.catBias = cfg.Profile.ZipfCluster / cfg.Profile.ZipfGlobal
@@ -276,6 +271,10 @@ func New(cfg Config, seed uint64) (*Market, error) {
 	// the schedule up through the current day, which at this point covers
 	// all warmup days plus day 0 — so first-day curves are never all-zero.
 	m.syncTables()
+	m.paidVolume = len(m.paidApps) > 0
+	if m.paidVolume {
+		m.dailyPaid = float64(m.schedule.len()) / float64(m.totalPeriods) * cfg.PaidDownloadShare
+	}
 	m.simulateDownloads()
 	if !m.cfg.DisableSeries {
 		m.record()
@@ -600,6 +599,12 @@ func (m *Market) paidWeight(j int32) float64 {
 // producing bit-identical tables (see the field comments on Market).
 func (m *Market) syncTables() {
 	n := m.cat.NumApps()
+	if m.tableN == 0 {
+		m.sizeTables()
+	}
+	// Paid entries from here up are this call's, each enqueued for its
+	// weight as it is added.
+	added := int32(len(m.paidApps))
 	for i := m.tableN; i < n; i++ {
 		a := &m.cat.Apps[i]
 		w := m.appeal[i]
@@ -607,10 +612,16 @@ func (m *Market) syncTables() {
 			m.paidPortfolio[a.Dev]++
 			j := int32(len(m.paidApps))
 			if m.cfg.ShovelwareDamping > 0 {
-				// The portfolio grew: every existing paid app of this
-				// developer is damped harder now.
-				if m.paidPortfolio[a.Dev] > 1 {
-					m.paidDirty = append(m.paidDirty, m.devPaid[a.Dev]...)
+				// The portfolio grew: every paid app this developer already
+				// had in the table is damped harder now. This call's own
+				// entries are on the list once each already; weights are
+				// computed after the loop, from the final portfolios, and
+				// listing them again per sibling would weigh an opening
+				// catalog's paid apps five times over.
+				for _, k := range m.devPaid[a.Dev] {
+					if k < added {
+						m.paidDirty = append(m.paidDirty, k)
+					}
 				}
 				m.devPaid[a.Dev] = append(m.devPaid[a.Dev], j)
 			}
@@ -627,10 +638,6 @@ func (m *Market) syncTables() {
 		}
 		m.freeCum = append(m.freeCum, freeSum+w)
 		m.freeApps = append(m.freeApps, a.ID)
-		if m.catCum == nil {
-			m.catCum = make([][]float64, len(m.cat.Categories))
-			m.catApps = make([][]catalog.AppID, len(m.cat.Categories))
-		}
 		c := int(a.Category)
 		cw := w
 		if m.catBias != 1 {
@@ -649,9 +656,6 @@ func (m *Market) syncTables() {
 	// the sweeps entirely.
 	if !m.freeCumIdx.fresh(m.freeCum) {
 		m.freeCumIdx.rebuild(m.freeCum)
-	}
-	if m.catCumIdx == nil && m.catCum != nil {
-		m.catCumIdx = make([]cumIndex, len(m.catCum))
 	}
 	for c := range m.catCumIdx {
 		if !m.catCumIdx[c].fresh(m.catCum[c]) {
@@ -682,6 +686,44 @@ func (m *Market) syncTables() {
 		m.paidCum[j] = sum
 	}
 	m.paidDirty = m.paidDirty[:0]
+}
+
+// sizeTables gives the sampling tables, before the first syncTables fills
+// them, exactly the room the opening catalog takes: one pass counts the
+// free apps of every category and the paid apps, the free and paid tables
+// are made at those sizes and the per-category ones cut, cap == len once
+// filled, out of one array per family. Only where the entries are stored
+// changes; syncTables still accumulates them left to right in ID order.
+// An arrival then moves the table it extends onto an array of its own,
+// with append's usual room to grow.
+func (m *Market) sizeTables() {
+	perCat := make([]int, len(m.cat.Categories))
+	paid := 0
+	for i := range m.cat.Apps {
+		if a := &m.cat.Apps[i]; a.Pricing == catalog.Paid {
+			paid++
+		} else {
+			perCat[a.Category]++
+		}
+	}
+	free := len(m.cat.Apps) - paid
+	m.freeCum = make([]float64, 0, free)
+	m.freeApps = make([]catalog.AppID, 0, free)
+	m.paidApps = make([]catalog.AppID, 0, paid)
+	m.paidW = make([]float64, 0, paid)
+	m.paidCum = make([]float64, 0, paid)
+	m.paidDirty = make([]int32, 0, paid)
+	m.catCum = make([][]float64, len(perCat))
+	m.catApps = make([][]catalog.AppID, len(perCat))
+	m.catCumIdx = make([]cumIndex, len(perCat))
+	cum := make([]float64, free)
+	apps := make([]catalog.AppID, free)
+	off := 0
+	for c, k := range perCat {
+		m.catCum[c] = cum[off : off : off+k]
+		m.catApps[c] = apps[off : off : off+k]
+		off += k
+	}
 }
 
 const maxRetries = 48

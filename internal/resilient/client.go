@@ -604,7 +604,7 @@ func (c *Client) roundTrip(ctx context.Context, method, url string, hdr http.Hea
 	if pc != nil {
 		c.cfg.ProxyHealth.Report(pc.get(), true)
 	}
-	body, rerr := io.ReadAll(resp.Body)
+	body, rerr := readBody(resp)
 	resp.Body.Close()
 	if rerr != nil && ctx.Err() == nil {
 		// Mid-body failure: truncation, reset, or a loris running into
@@ -615,6 +615,38 @@ func (c *Client) roundTrip(ctx context.Context, method, url string, hdr http.Hea
 		return exchangeResult{err: ctx.Err(), hedge: hedge}
 	}
 	return exchangeResult{res: &Result{Status: resp.StatusCode, Header: resp.Header, Body: body}, hedge: hedge}
+}
+
+// maxDeclaredBody is the largest Content-Length readBody allocates up front;
+// a longer body is taken as it arrives, so a header alone cannot claim memory.
+const maxDeclaredBody = 4 << 20
+
+// readBody reads resp's body into a slice with no spare capacity. Callers
+// keep what Get returns — the edge caches it and charges its byte budget
+// len(body) — and io.ReadAll starts every body in a 512-byte buffer, which
+// held a 190-byte detail document in 2.7 times the bytes accounted for it.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxDeclaredBody {
+		body, err := io.ReadAll(resp.Body)
+		if len(body) < cap(body) {
+			body = append(make([]byte, 0, len(body)), body...)
+		}
+		return body, err
+	}
+	body := make([]byte, n)
+	got, err := io.ReadFull(resp.Body, body)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // nothing at all of a declared body
+	}
+	if err != nil {
+		return body[:got], err
+	}
+	// The document is the declared length. Reading on to the end of the
+	// body is what lets the transport see it finished and keep the
+	// connection.
+	_, err = io.Copy(io.Discard, resp.Body)
+	return body, err
 }
 
 // Transport adapts the client to http.RoundTripper for consumers that

@@ -307,17 +307,7 @@ func (s *Server) CommitDay() int {
 // at /api/v1/apps/{id}/comments. It publishes a fresh snapshot so in-flight
 // requests keep the old comment set and new requests see the new one.
 func (s *Server) SetComments(cs []comments.Comment) {
-	// A shard keeps only the streams it can ever serve.
-	part := s.cfg.Partition
-	grouped := map[catalog.AppID][]CommentJSON{}
-	for _, c := range cs {
-		if part != nil && !part.Owns(int32(c.App)) {
-			continue
-		}
-		grouped[c.App] = append(grouped[c.App], CommentJSON{
-			User: int32(c.User), Rating: c.Rating, UnixTime: c.Time.Unix(),
-		})
-	}
+	grouped := groupComments(cs, s.snap.Load().ex, s.cfg.Partition)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.comments = grouped
@@ -329,6 +319,79 @@ func (s *Server) SetComments(cs []comments.Comment) {
 	// set; discard it rather than commit stale state.
 	s.pending = nil
 	s.publish()
+}
+
+// groupComments cuts cs into per-app streams, each in cs's order. A shard
+// keeps only the streams it can ever serve: those of the apps ex, an export
+// of its partition, lists, and of the apps part owns among IDs past ex's
+// last row (not arrived yet). Count, then fill: one pass counts every kept
+// app's comments, the streams are cut at their final size (cap == len; the
+// write path copies a stream before it appends, see mergeComments) out of
+// one array, a second pass drops each comment into place. Ownership is read
+// off the export's ID list, not asked of the ring comment by comment.
+func groupComments(cs []comments.Comment, ex *marketsim.Export, part *marketsim.Partitioner) map[catalog.AppID][]CommentJSON {
+	span := 0 // commented IDs are below it
+	for i := range cs {
+		if id := int(cs[i].App); id >= span {
+			span = id + 1
+		}
+	}
+	// at[id] is -1 for an app that is not this store's; for the others a
+	// count, then the cursor its stream is filled at.
+	at := make([]int, span)
+	if part != nil {
+		for id := range at {
+			at[id] = -1
+		}
+		listed := 0 // IDs below it are owned iff ex lists them
+		for i := 0; i < ex.NumApps(); i++ {
+			id := int(ex.ID(i))
+			listed = id + 1
+			if id < span {
+				at[id] = 0
+			}
+		}
+		for id := listed; id < span; id++ {
+			if part.Owns(int32(id)) {
+				at[id] = 0
+			}
+		}
+	}
+	keeps := func(c *comments.Comment) bool { return c.App >= 0 && at[c.App] >= 0 }
+	kept, streams := 0, 0
+	for i := range cs {
+		if c := &cs[i]; keeps(c) {
+			if at[c.App] == 0 {
+				streams++
+			}
+			at[c.App]++
+			kept++
+		}
+	}
+	off := 0
+	for id, n := range at {
+		if n >= 0 {
+			at[id], off = off, off+n
+		}
+	}
+	all := make([]CommentJSON, kept)
+	for i := range cs {
+		if c := &cs[i]; keeps(c) {
+			all[at[c.App]] = CommentJSON{User: int32(c.User), Rating: c.Rating, UnixTime: c.Time.Unix()}
+			at[c.App]++
+		}
+	}
+	// Every cursor now stands at its stream's end, which is the next
+	// stream's start.
+	grouped := make(map[catalog.AppID][]CommentJSON, streams)
+	start := 0
+	for id, end := range at {
+		if end > start {
+			grouped[catalog.AppID(id)] = all[start:end:end]
+			start = end
+		}
+	}
+	return grouped
 }
 
 // AdvanceDay rolls a node on its own: both phases back to back, so a day
