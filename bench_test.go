@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"planetapps"
 	"planetapps/internal/catalog"
 	"planetapps/internal/comments"
 	"planetapps/internal/experiments"
@@ -143,7 +142,13 @@ func BenchmarkFigure9(b *testing.B) {
 
 func BenchmarkFigure10(b *testing.B) {
 	res := runExperiment(b, "F10").(*experiments.Figure10Result)
-	b.ReportMetric(res.ArgminFraction("anzhi"), "argmin-users-fraction")
+	ds, best := res.Distance["anzhi"], 0
+	for i := range ds {
+		if ds[i] < ds[best] {
+			best = i
+		}
+	}
+	b.ReportMetric(res.Fractions[best], "argmin-users-fraction")
 }
 
 func BenchmarkFigure11(b *testing.B) {
@@ -228,11 +233,11 @@ func BenchmarkSensitivityX5(b *testing.B) {
 // BenchmarkWorkloadThroughput measures raw download-event generation speed
 // of the core APP-CLUSTERING simulator.
 func BenchmarkWorkloadThroughput(b *testing.B) {
-	cfg := planetapps.WorkloadConfig{
+	cfg := model.Config{
 		Apps: 10000, Users: 20000, DownloadsPerUser: 10,
 		ZipfGlobal: 1.4, ZipfCluster: 1.4, ClusterP: 0.9, Clusters: 30,
 	}
-	w, err := planetapps.NewWorkload(planetapps.APPClustering, cfg)
+	w, err := model.NewSimulator(model.AppClustering, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,11 +258,11 @@ func BenchmarkWorkloadThroughput(b *testing.B) {
 // invariance tests prove it), so the sub-benchmarks measure pure scheduling:
 // on an N-core host throughput should rise until workers ≈ N.
 func BenchmarkRunParallel(b *testing.B) {
-	cfg := planetapps.WorkloadConfig{
+	cfg := model.Config{
 		Apps: 10000, Users: 20000, DownloadsPerUser: 10,
 		ZipfGlobal: 1.4, ZipfCluster: 1.4, ClusterP: 0.9, Clusters: 30,
 	}
-	w, err := planetapps.NewWorkload(planetapps.APPClustering, cfg)
+	w, err := model.NewSimulator(model.AppClustering, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -280,18 +285,18 @@ func BenchmarkRunParallel(b *testing.B) {
 // goroutines, each candidate's runs concurrent). The observed curve is
 // deliberately small so CI's fixed-iteration bench smoke stays fast.
 func BenchmarkFitMCParallel(b *testing.B) {
-	cfg := planetapps.WorkloadConfig{
+	cfg := model.Config{
 		Apps: 300, Users: 3000, DownloadsPerUser: 8,
 		ZipfGlobal: 1.4, ZipfCluster: 1.4, ClusterP: 0.9, Clusters: 15,
 	}
-	w, err := planetapps.NewWorkload(planetapps.APPClustering, cfg)
+	w, err := model.NewSimulator(model.AppClustering, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	observed := w.Run(17).Curve()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			spec := planetapps.DefaultFitSpec()
+			spec := model.DefaultFitSpec()
 			spec.Workers = workers
 			for i := 0; i < b.N; i++ {
 				fit, err := model.FitMC(model.AppClustering, observed, spec, 3)
@@ -604,16 +609,14 @@ func BenchmarkDayRollWarmArena(b *testing.B) {
 // BenchmarkMarketDay measures one simulated market day on the anzhi
 // profile.
 func BenchmarkMarketDay(b *testing.B) {
-	prof, err := planetapps.StoreProfile("anzhi")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := planetapps.DefaultMarketConfig(prof.Scale(0.25))
+	cfg := marketsim.DefaultConfig(catalog.Profiles["anzhi"].Scale(0.25))
 	cfg.Days = b.N + 1
 	b.ResetTimer()
-	m, _, err := planetapps.SimulateMarket(cfg, 1)
+	m, err := marketsim.New(cfg, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = m
+	if _, err := m.Run(); err != nil {
+		b.Fatal(err)
+	}
 }

@@ -67,7 +67,6 @@ func main() {
 		CommentUsers: *comments,
 		Vnodes:       *vnodes,
 		Server: storeserver.Config{
-			PageSize:    100,
 			RatePerSec:  *rate,
 			Burst:       *burst,
 			DayInterval: *dayEvery,

@@ -1,7 +1,7 @@
 // Command experiments runs the paper's tables and figures against the
 // synthetic stores and prints the regenerated rows/series. With no
 // arguments it runs everything in order; pass experiment IDs (T1, F2..F19,
-// X1, X2) to run a subset.
+// X1..X5; -list prints them) to run a subset.
 //
 // Usage:
 //
@@ -15,95 +15,117 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
-	"planetapps"
+	"planetapps/internal/experiments"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command; every flag value reaches experiments.NewSuite
+// as given, so a bad one is refused there before any experiment runs.
+func run(args []string, stdout, stderr io.Writer) error {
+	def := experiments.DefaultConfig()
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	var (
-		seed       = flag.Uint64("seed", 1, "experiment seed")
-		scale      = flag.Float64("scale", 1.0, "store population scale")
-		days       = flag.Int("days", 60, "simulated measurement period")
-		users      = flag.Int("comment-users", 30000, "behaviour-study population")
-		workers    = flag.Int("workers", 0, "experiment parallelism (0 = GOMAXPROCS); results are identical for any value")
-		markdown   = flag.Bool("markdown", false, "wrap output in markdown code fences per experiment")
-		list       = flag.Bool("list", false, "list experiment IDs and exit")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		seed       = fs.Uint64("seed", def.Seed, "experiment seed")
+		scale      = fs.Float64("scale", def.Scale, "store population scale")
+		days       = fs.Int("days", def.Days, "simulated measurement period")
+		users      = fs.Int("comment-users", def.CommentUsers, "behaviour-study population")
+		workers    = fs.Int("workers", 0, "experiment parallelism (0 = GOMAXPROCS); results are identical for any value")
+		markdown   = fs.Bool("markdown", false, "wrap output in markdown code fences per experiment")
+		list       = fs.Bool("list", false, "list experiment IDs and exit")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a malformed flag has already exited with usage
 
 	if *list {
-		for _, id := range planetapps.ExperimentIDs() {
-			fmt.Println(id)
-		}
-		return
-	}
-
-	// run carries the body so profile writers flush on every exit path
-	// (log.Fatalf would skip deferred Stop/Write calls).
-	run := func() error {
-		suite, err := planetapps.NewExperimentSuite(planetapps.ExperimentConfig{
-			Seed: *seed, Scale: *scale, Days: *days, CommentUsers: *users,
-			Workers: *workers,
-		})
-		if err != nil {
-			return err
-		}
-		ids := flag.Args()
-		if len(ids) == 0 {
-			ids = planetapps.ExperimentIDs()
-		}
-		for _, id := range ids {
-			start := time.Now()
-			if *markdown {
-				fmt.Printf("## %s\n\n```\n", id)
-			} else {
-				fmt.Printf("===== %s =====\n", id)
-			}
-			if _, err := planetapps.RunExperiment(suite, id, os.Stdout); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			if *markdown {
-				fmt.Printf("```\n\n")
-			}
-			fmt.Fprintf(os.Stderr, "experiments: %s done in %v\n", id, time.Since(start).Round(time.Millisecond))
+		for _, id := range experiments.IDs() {
+			fmt.Fprintln(stdout, id)
 		}
 		return nil
+	}
+
+	suite, err := experiments.NewSuite(experiments.Config{
+		Seed: *seed, Scale: *scale, Days: *days, CommentUsers: *users,
+		Workers: *workers,
+	})
+	if err != nil {
+		return err
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			log.Fatalf("experiments: %v", err)
+			return fmt.Errorf("experiments: %w", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("experiments: cpuprofile: %v", err)
+			return fmt.Errorf("experiments: cpuprofile: %w", err)
 		}
 	}
-	runErr := run()
+	// The profiles are written whether or not an experiment failed.
+	runErr := runAll(suite, fs.Args(), *markdown, stdout, stderr)
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
+		if err := writeHeapProfile(*memprofile); err != nil {
+			return fmt.Errorf("experiments: memprofile: %w", err)
+		}
+	}
+	return runErr
+}
+
+// runAll runs the named experiments (all of them when ids is empty) and
+// prints each one's tables to stdout, its wall time to stderr.
+func runAll(suite *experiments.Suite, ids []string, markdown bool, stdout, stderr io.Writer) error {
+	if len(ids) == 0 {
+		ids = experiments.IDs()
+	}
+	for _, id := range ids {
+		start := time.Now()
+		if markdown {
+			fmt.Fprintf(stdout, "## %s\n\n```\n", id)
+		} else {
+			fmt.Fprintf(stdout, "===== %s =====\n", id)
+		}
+		res, err := experiments.Run(suite, id)
 		if err != nil {
-			log.Fatalf("experiments: %v", err)
+			return fmt.Errorf("experiments: %s: %w", id, err)
 		}
-		runtime.GC() // materialize the final live set
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatalf("experiments: memprofile: %v", err)
+		for _, t := range res.Tables() {
+			if _, err := t.WriteTo(stdout); err != nil {
+				return fmt.Errorf("experiments: %s: %w", id, err)
+			}
+			fmt.Fprintln(stdout)
 		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("experiments: memprofile: %v", err)
+		if markdown {
+			fmt.Fprintf(stdout, "```\n\n")
 		}
+		fmt.Fprintf(stderr, "experiments: %s done in %v\n", id, time.Since(start).Round(time.Millisecond))
 	}
-	if runErr != nil {
-		log.Fatalf("experiments: %v", runErr)
+	return nil
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	runtime.GC() // materialize the final live set
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

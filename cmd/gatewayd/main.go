@@ -34,7 +34,6 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		shards   = flag.String("shards", "", "comma-separated shard base URLs, in ring order (required)")
 		vnodes   = flag.Int("vnodes", 0, "consistent-hash virtual nodes per shard (0 = default; must match the shards)")
-		pageSize = flag.Int("page-size", 100, "listing page size (must match the shards)")
 		dayEvery = flag.Duration("day-every", 0, "advance the whole fleet one simulated day per interval via the two-phase epoch swap (0 = manual via POST /admin/roll)")
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-shard request timeout")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
@@ -57,11 +56,7 @@ func main() {
 		log.Fatal("gatewayd: -shards requires at least one shard URL")
 	}
 
-	gw := fleet.NewGateway(fleet.Config{
-		Shards:   clients,
-		PageSize: *pageSize,
-		Vnodes:   *vnodes,
-	})
+	gw := fleet.NewGateway(fleet.Config{Shards: clients, Vnodes: *vnodes})
 
 	ctx, stop := daemon.SignalContext()
 	defer stop()

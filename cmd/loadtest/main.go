@@ -1,13 +1,13 @@
 // Command loadtest replays an appstore workload as live HTTP traffic and
-// reports latency/throughput telemetry — the measured baseline every
-// perf-oriented change is judged against.
+// reports latency/throughput telemetry for one run. (The measured baseline
+// perf-oriented changes are judged against is cmd/bench.)
 //
-// The workload comes from a recorded binary trace (-trace, see cmd/
-// and internal/trace) or is synthesized live from the paper's workload
-// models. The target is an external store (-target) or an in-process
-// fleet spun up for the run (a single node is a fleet of one), in which
-// case the report also echoes the server-side request counters so client
-// and server accounting can be cross-checked.
+// The workload comes from a recorded binary trace (-trace, written by
+// `simulate -trace`; format in internal/trace) or is synthesized live from
+// the paper's workload models. The target is an external store (-target)
+// or an in-process fleet spun up for the run (a single node is a fleet of
+// one), in which case the report also echoes the server-side request
+// counters so client and server accounting can be cross-checked.
 //
 // Usage:
 //
@@ -124,7 +124,6 @@ func main() {
 			Seed:   *seed,
 			Vnodes: *vnodes,
 			Server: storeserver.Config{
-				PageSize:   100,
 				RatePerSec: *serverRate,
 				Burst:      *serverBurst,
 				FreshFor:   *originFresh,

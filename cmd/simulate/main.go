@@ -18,8 +18,9 @@ import (
 	"strconv"
 	"strings"
 
-	"planetapps"
+	"planetapps/internal/model"
 	"planetapps/internal/report"
+	"planetapps/internal/trace"
 )
 
 func main() {
@@ -39,24 +40,24 @@ func main() {
 	)
 	flag.Parse()
 
-	var kind planetapps.ModelKind
+	var kind model.Kind
 	switch strings.ToLower(*modelName) {
 	case "zipf":
-		kind = planetapps.ZIPF
+		kind = model.Zipf
 	case "zipf-at-most-once", "amo":
-		kind = planetapps.ZIPFAtMostOnce
+		kind = model.ZipfAtMostOnce
 	case "app-clustering", "clustering":
-		kind = planetapps.APPClustering
+		kind = model.AppClustering
 	default:
 		fmt.Fprintf(os.Stderr, "simulate: unknown model %q\n", *modelName)
 		os.Exit(2)
 	}
 
-	cfg := planetapps.WorkloadConfig{
+	cfg := model.Config{
 		Apps: *apps, Users: *users, DownloadsPerUser: *d,
 		ZipfGlobal: *zr, ZipfCluster: *zc, ClusterP: *p, Clusters: *clusters,
 	}
-	w, err := planetapps.NewWorkload(kind, cfg)
+	w, err := model.NewSimulator(kind, cfg)
 	if err != nil {
 		log.Fatalf("simulate: %v", err)
 	}
@@ -65,7 +66,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("simulate: %v", err)
 		}
-		n, err := planetapps.RecordTrace(f, w, *seed)
+		n, err := trace.Record(f, w, *seed)
 		if err != nil {
 			log.Fatalf("simulate: recording trace: %v", err)
 		}

@@ -1,7 +1,8 @@
-// Package affinity implements the paper's temporal-affinity analysis (§4):
-// turning per-user comment streams into app strings and category strings,
-// the affinity metric at arbitrary depth (Eq. 1 and Eq. 3), and the exact
-// random-walk baselines (Eq. 2 and Eq. 4) computed from the store's actual
+// Package affinity implements the paper's temporal-affinity analysis (§4)
+// over per-user category strings (built from comment streams by
+// comments.AppStrings and comments.CategoryStrings): the affinity metric at
+// arbitrary depth (Eq. 1 and Eq. 3) and the exact random-walk baseline
+// (Eq. 4, which is Eq. 2 at depth 1) computed from the store's actual
 // category-size distribution.
 package affinity
 
@@ -11,31 +12,6 @@ import (
 
 	"planetapps/internal/stats"
 )
-
-// CompressAppString removes successive duplicates from a per-user app
-// sequence, producing the paper's "app string": a1 a2 a3 a3 a1 a4 becomes
-// a1 a2 a3 a1 a4. (The paper suppresses only successive repeats of the same
-// app, not all repeats.)
-func CompressAppString[T comparable](seq []T) []T {
-	out := make([]T, 0, len(seq))
-	for i, v := range seq {
-		if i > 0 && v == seq[i-1] {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// CategoryString maps an app string to its category string using the
-// supplied app→category lookup.
-func CategoryString[T comparable, C comparable](apps []T, categoryOf func(T) C) []C {
-	out := make([]C, len(apps))
-	for i, a := range apps {
-		out[i] = categoryOf(a)
-	}
-	return out
-}
 
 // Affinity computes the depth-d temporal affinity of a category string
 // (Eq. 3): the fraction of elements, among those with at least d
@@ -57,24 +33,6 @@ func Affinity[C comparable](cats []C, depth int) (float64, bool) {
 		}
 	}
 	return float64(matches) / float64(n-depth), true
-}
-
-// RandomWalkAffinity computes the exact probability that two independent
-// uniformly random app choices fall in the same category (Eq. 2), given
-// the per-category app counts: sum_i A(i)*(A(i)-1) / (A*(A-1)).
-func RandomWalkAffinity(categorySizes []int) float64 {
-	var a float64
-	for _, s := range categorySizes {
-		a += float64(s)
-	}
-	if a < 2 {
-		return 0
-	}
-	num := 0.0
-	for _, s := range categorySizes {
-		num += float64(s) * (float64(s) - 1)
-	}
-	return num / (a * (a - 1))
 }
 
 // RandomWalkAffinityDepth computes the random-walk baseline for depth d

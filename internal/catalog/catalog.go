@@ -121,18 +121,6 @@ func (c *Catalog) CategorySizes() []int {
 	return sizes
 }
 
-// FreePaidCounts returns the number of free and paid apps.
-func (c *Catalog) FreePaidCounts() (free, paid int) {
-	for i := range c.Apps {
-		if c.Apps[i].Pricing == Paid {
-			paid++
-		} else {
-			free++
-		}
-	}
-	return free, paid
-}
-
 // Validate checks internal consistency: dense IDs, members agreeing with
 // per-app fields, prices consistent with pricing. It returns the first
 // inconsistency found.

@@ -67,13 +67,25 @@ func TestGenerateSeedsDiffer(t *testing.T) {
 	}
 }
 
+// freePaidCounts returns the number of free and paid apps.
+func freePaidCounts(c *Catalog) (free, paid int) {
+	for i := range c.Apps {
+		if c.Apps[i].Pricing == Paid {
+			paid++
+		} else {
+			free++
+		}
+	}
+	return free, paid
+}
+
 func TestPaidFraction(t *testing.T) {
 	p := Profiles["slideme"] // 25.3% paid
 	c, err := Generate(p, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, paid := c.FreePaidCounts()
+	free, paid := freePaidCounts(c)
 	frac := float64(paid) / float64(free+paid)
 	if math.Abs(frac-p.PaidFraction) > 0.03 {
 		t.Fatalf("paid fraction = %v, want ~%v", frac, p.PaidFraction)

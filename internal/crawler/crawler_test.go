@@ -345,7 +345,10 @@ func TestCrawlFetchesAPKsOncePerVersion(t *testing.T) {
 	if stats3.APKs >= stats.Apps/2 {
 		t.Fatalf("after updates, %d of %d apps re-fetched; expected few", stats3.APKs, stats.Apps)
 	}
-	pkgs, _ := c.DB().APKTotals()
+	pkgs := 0
+	for _, rec := range c.DB().Apps() {
+		pkgs += len(rec.APKVersions)
+	}
 	if pkgs != stats.APKs+stats3.APKs {
 		t.Fatalf("db holds %d packages, want %d", pkgs, stats.APKs+stats3.APKs)
 	}

@@ -143,18 +143,6 @@ func (d *DB) RecordAPK(id int32, version int, bytes int64) bool {
 	return true
 }
 
-// APKTotals returns the number of fetched packages and the total bytes
-// transferred across all apps.
-func (d *DB) APKTotals() (packages int, bytes int64) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for _, rec := range d.apps {
-		packages += len(rec.APKVersions)
-		bytes += rec.APKBytes
-	}
-	return packages, bytes
-}
-
 // AddComment stores a comment unless an identical (app, user, time) triple
 // was already recorded. It reports whether the comment was new.
 func (d *DB) AddComment(c CommentRecord) bool {

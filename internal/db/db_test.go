@@ -198,7 +198,12 @@ func TestAPKTracking(t *testing.T) {
 	if d.RecordAPK(99, 1, 100) {
 		t.Fatal("unknown app accepted")
 	}
-	pkgs, bytes := d.APKTotals()
+	var pkgs int
+	var bytes int64
+	for _, rec := range d.Apps() {
+		pkgs += len(rec.APKVersions)
+		bytes += rec.APKBytes
+	}
 	if pkgs != 2 || bytes != 11000 {
 		t.Fatalf("totals = %d pkgs, %d bytes", pkgs, bytes)
 	}

@@ -26,12 +26,6 @@ type CutoffFit struct {
 	R2 float64
 }
 
-// Eval returns the fitted value at a 1-based rank.
-func (f CutoffFit) Eval(rank int) float64 {
-	x := float64(rank)
-	return math.Exp(f.LogC - f.Alpha*math.Log(x) - x/f.Cutoff)
-}
-
 // FitPowerLawCutoff fits the cutoff model to the curve's positive values by
 // least squares in log space: log v = logC - alpha*log(rank) - rank/cutoff.
 // For fixed cutoff this is linear regression on two predictors; the cutoff

@@ -26,10 +26,10 @@ func TestFitPowerLawCutoffRecovers(t *testing.T) {
 	if fit.R2 < 0.999 {
 		t.Fatalf("R2 = %v on exact data", fit.R2)
 	}
-	// Eval reproduces the data.
+	// eval reproduces the data.
 	for _, i := range []int{1, 10, 100, 1000} {
-		if rel := math.Abs(fit.Eval(i)-vals[i-1]) / vals[i-1]; rel > 0.05 {
-			t.Fatalf("Eval(%d) off by %v", i, rel)
+		if rel := math.Abs(fit.eval(i)-vals[i-1]) / vals[i-1]; rel > 0.05 {
+			t.Fatalf("eval(%d) off by %v", i, rel)
 		}
 	}
 }
@@ -71,4 +71,10 @@ func TestFitPowerLawCutoffIgnoresZeros(t *testing.T) {
 	if fit.Alpha < 0.8 || fit.Alpha > 1.6 {
 		t.Fatalf("alpha = %v", fit.Alpha)
 	}
+}
+
+// eval returns the fitted value at a 1-based rank.
+func (f CutoffFit) eval(rank int) float64 {
+	x := float64(rank)
+	return math.Exp(f.LogC - f.Alpha*math.Log(x) - x/f.Cutoff)
 }

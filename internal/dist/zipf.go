@@ -48,20 +48,8 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 	return z, nil
 }
 
-// MustZipf is NewZipf that panics on error; for static configurations.
-func MustZipf(n int, s float64) *Zipf {
-	z, err := NewZipf(n, s)
-	if err != nil {
-		panic(err)
-	}
-	return z
-}
-
 // N returns the number of ranks.
 func (z *Zipf) N() int { return z.n }
-
-// S returns the exponent.
-func (z *Zipf) S() float64 { return z.s }
 
 // P returns the probability of rank i (1-based).
 func (z *Zipf) P(i int) float64 {

@@ -60,18 +60,6 @@ func (r *Figure19Result) Tables() []*report.Table {
 	return []*report.Table{t}
 }
 
-// ClusteringLowest reports whether APP-CLUSTERING had the lowest hit ratio
-// at every cache size, the paper's key observation.
-func (r *Figure19Result) ClusteringLowest() bool {
-	for _, p := range r.Points {
-		c := p.HitRatio[model.AppClustering.String()]
-		if c >= p.HitRatio[model.Zipf.String()] || c >= p.HitRatio[model.ZipfAtMostOnce.String()] {
-			return false
-		}
-	}
-	return true
-}
-
 // Figure19 sweeps the LRU cache across sizes and workload models.
 func Figure19(s *Suite) (*Figure19Result, error) {
 	points, err := cache.SweepLRU(figure19Config(s), []float64{1, 2, 4, 6, 8, 10, 14, 20}, s.cfg.Seed)

@@ -232,7 +232,7 @@ func TestFigure8ClusteringWins(t *testing.T) {
 	// Strict wins on the dense stores; the sparse 1mobile profile may tie
 	// ZIPF-at-most-once within 25% (its fits are the noisiest in the
 	// paper too).
-	if !r.BestIsClustering(1.25) {
+	if !r.bestIsClustering(1.25) {
 		for _, st := range r.Stores {
 			t.Logf("%s: %v", st.Store, st.Fits)
 		}
@@ -244,7 +244,7 @@ func TestFigure8ClusteringWins(t *testing.T) {
 			strict.Stores = append(strict.Stores, st)
 		}
 	}
-	if !strict.BestIsClustering(1.0) {
+	if !strict.bestIsClustering(1.0) {
 		for _, st := range strict.Stores {
 			t.Logf("%s: %v", st.Store, st.Fits)
 		}
@@ -274,7 +274,7 @@ func TestFigure9ClusteringAlwaysBest(t *testing.T) {
 			t.Fatalf("APP-CLUSTERING not best on %s %s: %+v", row.Store, row.Edge, row.Distances)
 		}
 	}
-	if !r.ClusteringAlwaysBest(1.25) {
+	if !r.clusteringAlwaysBest(1.25) {
 		t.Fatalf("APP-CLUSTERING not within tolerance everywhere: %+v", r.Rows)
 	}
 }
@@ -285,7 +285,7 @@ func TestFigure10MinimumNearOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, store := range r.Order {
-		f := r.ArgminFraction(store)
+		f := r.argminFraction(store)
 		if f < 0.25 || f > 5 {
 			t.Fatalf("%s: distance minimized at users fraction %v (distances %v)",
 				store, f, r.Distance[store])
@@ -402,7 +402,7 @@ func TestFigure19ClusteringLowest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.ClusteringLowest() {
+	if !r.clusteringLowest() {
 		t.Fatalf("clustering not lowest everywhere: %+v", r.Points)
 	}
 	// Hit ratios grow with cache size for the clustering model.
@@ -538,4 +538,66 @@ func TestSensitivityX5(t *testing.T) {
 	if last.Advantage < 1.2 {
 		t.Fatalf("at planted p=0.9 clustering advantage only %vx", last.Advantage)
 	}
+}
+
+// bestIsClustering reports whether APP-CLUSTERING won on every store within
+// the tolerance factor slack (1 = strict win). Sparse stores (1mobile-like,
+// few downloads per app) produce near-ties between APP-CLUSTERING and
+// ZIPF-at-most-once, as in the paper's own noisier 1Mobile fits.
+func (r *Figure8Result) bestIsClustering(slack float64) bool {
+	for _, st := range r.Stores {
+		var cl, best float64 = -1, -1
+		for _, f := range st.Fits {
+			if f.Kind == model.AppClustering {
+				cl = f.Distance
+			}
+			if best < 0 || f.Distance < best {
+				best = f.Distance
+			}
+		}
+		if cl < 0 || cl > slack*best {
+			return false
+		}
+	}
+	return true
+}
+
+// clusteringAlwaysBest reports whether APP-CLUSTERING had the smallest
+// distance on every dataset, within a tolerance factor: slack = 1 demands a
+// strict win everywhere; slack = 1.25 tolerates near-ties. The paper's own
+// Figure 9 contains such near-ties (anzhi first-day: 0.14 vs ~0.15 for
+// ZIPF-at-most-once), and low-volume early snapshots of the simulated
+// stores are the noisiest datasets here as well.
+func (r *Figure9Result) clusteringAlwaysBest(slack float64) bool {
+	for _, row := range r.Rows {
+		c := row.Distances[model.AppClustering.String()]
+		if c > slack*row.Distances[model.Zipf.String()] || c > slack*row.Distances[model.ZipfAtMostOnce.String()] {
+			return false
+		}
+	}
+	return true
+}
+
+// argminFraction returns the fraction minimizing distance for a store.
+func (r *Figure10Result) argminFraction(store string) float64 {
+	ds := r.Distance[store]
+	best := 0
+	for i := range ds {
+		if ds[i] < ds[best] {
+			best = i
+		}
+	}
+	return r.Fractions[best]
+}
+
+// clusteringLowest reports whether APP-CLUSTERING had the lowest hit ratio
+// at every cache size, the paper's key observation.
+func (r *Figure19Result) clusteringLowest() bool {
+	for _, p := range r.Points {
+		c := p.HitRatio[model.AppClustering.String()]
+		if c >= p.HitRatio[model.Zipf.String()] || c >= p.HitRatio[model.ZipfAtMostOnce.String()] {
+			return false
+		}
+	}
+	return true
 }

@@ -58,28 +58,6 @@ func (r *Figure8Result) Tables() []*report.Table {
 	return []*report.Table{t}
 }
 
-// BestIsClustering reports whether APP-CLUSTERING won on every store within
-// the tolerance factor slack (1 = strict win). Sparse stores (1mobile-like,
-// few downloads per app) produce near-ties between APP-CLUSTERING and
-// ZIPF-at-most-once, as in the paper's own noisier 1Mobile fits.
-func (r *Figure8Result) BestIsClustering(slack float64) bool {
-	for _, st := range r.Stores {
-		var cl, best float64 = -1, -1
-		for _, f := range st.Fits {
-			if f.Kind == model.AppClustering {
-				cl = f.Distance
-			}
-			if best < 0 || f.Distance < best {
-				best = f.Distance
-			}
-		}
-		if cl < 0 || cl > slack*best {
-			return false
-		}
-	}
-	return true
-}
-
 // Figure8 fits all three models to each store's measured final-day curve.
 // Stores are fitted concurrently (each fit is itself parallel); results land
 // in store-indexed slots so the output order matches fitStores.
@@ -147,22 +125,6 @@ func (r *Figure9Result) Tables() []*report.Table {
 	return []*report.Table{t}
 }
 
-// ClusteringAlwaysBest reports whether APP-CLUSTERING had the smallest
-// distance on every dataset, within a tolerance factor: slack = 1 demands a
-// strict win everywhere; slack = 1.25 tolerates near-ties. The paper's own
-// Figure 9 contains such near-ties (anzhi first-day: 0.14 vs ~0.15 for
-// ZIPF-at-most-once), and low-volume early snapshots of the simulated
-// stores are the noisiest datasets here as well.
-func (r *Figure9Result) ClusteringAlwaysBest(slack float64) bool {
-	for _, row := range r.Rows {
-		c := row.Distances[model.AppClustering.String()]
-		if c > slack*row.Distances[model.Zipf.String()] || c > slack*row.Distances[model.ZipfAtMostOnce.String()] {
-			return false
-		}
-	}
-	return true
-}
-
 // Figure9 fits each model to the first- and last-day curves of the three
 // fit stores. The six (store, edge) datasets are fitted concurrently into
 // index-distinct row slots, preserving the sequential row order.
@@ -225,18 +187,6 @@ func (r *Figure10Result) Tables() []*report.Table {
 		t.AddRow(row...)
 	}
 	return []*report.Table{t}
-}
-
-// ArgminFraction returns the fraction minimizing distance for a store.
-func (r *Figure10Result) ArgminFraction(store string) float64 {
-	ds := r.Distance[store]
-	best := 0
-	for i := range ds {
-		if ds[i] < ds[best] {
-			best = i
-		}
-	}
-	return r.Fractions[best]
 }
 
 // Figure10 sweeps U as a fraction of the top app's downloads.

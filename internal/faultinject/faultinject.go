@@ -199,9 +199,6 @@ func NewForNode(sc Scenario, seed uint64, node int, reg *metrics.Registry) *Inje
 // (KindError, KindRateLimit). Must be called before the injector serves.
 func (in *Injector) SetErrorWriter(w ErrorWriter) { in.errW = w }
 
-// Injected returns how many faults of kind k have fired.
-func (in *Injector) Injected(k Kind) int64 { return in.injected[k].Value() }
-
 // InjectedTotal returns the total faults fired across kinds.
 func (in *Injector) InjectedTotal() int64 {
 	var t int64

@@ -102,8 +102,8 @@ func TestErrorAndRateLimitInjection(t *testing.T) {
 	if resp.StatusCode != 429 {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}
-	if in.Injected(KindError) != 1 || in.Injected(KindRateLimit) != 1 {
-		t.Fatalf("injection counters: err=%d rl=%d", in.Injected(KindError), in.Injected(KindRateLimit))
+	if in.injected[KindError].Value() != 1 || in.injected[KindRateLimit].Value() != 1 {
+		t.Fatalf("injection counters: err=%d rl=%d", in.injected[KindError].Value(), in.injected[KindRateLimit].Value())
 	}
 }
 

@@ -25,7 +25,8 @@ type Config struct {
 	// Shards is the fleet, in ring order: Shards[i] must be the node
 	// serving ring shard i.
 	Shards []ShardClient
-	// PageSize is the listing page size, which must match the shards'
+	// PageSize is the listing page size (<= 0 uses
+	// storeserver.DefaultPageSize), which must match the shards'
 	// storeserver.Config.PageSize for assembled pages to be byte-compatible
 	// with a single node's. (Shards with a smaller page size still merge
 	// correctly, at the cost of a top-up fetch whenever they clamp.)
@@ -68,7 +69,7 @@ type Gateway struct {
 // NewGateway builds a gateway over cfg.Shards.
 func NewGateway(cfg Config) *Gateway {
 	if cfg.PageSize <= 0 {
-		cfg.PageSize = 100
+		cfg.PageSize = storeserver.DefaultPageSize
 	}
 	if cfg.EpochRetries <= 0 {
 		cfg.EpochRetries = 3

@@ -28,7 +28,7 @@ func TestDayRollScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := g.Run(context.Background(), NewSliceSource(syntheticEvents(100000, 500, 40)))
+	rep, err := g.Run(context.Background(), newSliceSource(syntheticEvents(100000, 500, 40)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDayRollErrorReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := g.Run(context.Background(), NewSliceSource(syntheticEvents(100000, 500, 40)))
+	rep, err := g.Run(context.Background(), newSliceSource(syntheticEvents(100000, 500, 40)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestDayRollNeverFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := g.Run(context.Background(), NewSliceSource(syntheticEvents(100000, 500, 40)))
+	rep, err := g.Run(context.Background(), newSliceSource(syntheticEvents(100000, 500, 40)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,7 @@ func runFunnel(t *testing.T, baseURL string, events []model.Event, shape Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := g.Run(context.Background(), NewSliceSource(events))
+	rep, err := g.Run(context.Background(), newSliceSource(events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestRunClosesSource(t *testing.T) {
 	if ev, err := src.Next(); err != io.EOF {
 		t.Fatalf("model source after Run: event %v, err %v; want io.EOF from a stopped generator", ev, err)
 	}
-	spy := &closeSpy{Source: NewSliceSource(syntheticEvents(1000, 50, 40))}
+	spy := &closeSpy{Source: newSliceSource(syntheticEvents(1000, 50, 40))}
 	run(spy)
 	if !spy.closed {
 		t.Fatal("Run returned without closing a closable source")

@@ -38,6 +38,24 @@ func syntheticEvents(n, users, apps int) []model.Event {
 	return evs
 }
 
+// sliceSource serves a fixed event list.
+type sliceSource struct {
+	events []model.Event
+	i      int
+}
+
+// newSliceSource replays an in-memory event slice.
+func newSliceSource(events []model.Event) Source { return &sliceSource{events: events} }
+
+func (s *sliceSource) Next() (model.Event, error) {
+	if s.i >= len(s.events) {
+		return model.Event{}, io.EOF
+	}
+	e := s.events[s.i]
+	s.i++
+	return e, nil
+}
+
 func checkAccounting(t *testing.T, rep *Report) {
 	t.Helper()
 	if got := rep.OK + rep.RateLimited + rep.Errors + rep.OtherStatus; got != rep.Requests {
@@ -71,7 +89,7 @@ func TestClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := g.Run(context.Background(), NewSliceSource(syntheticEvents(n, 50, 40)))
+	rep, err := g.Run(context.Background(), newSliceSource(syntheticEvents(n, 50, 40)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +136,7 @@ func TestOpenLoopStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := g.Run(context.Background(), NewSliceSource(syntheticEvents(100000, 500, 40)))
+	rep, err := g.Run(context.Background(), newSliceSource(syntheticEvents(100000, 500, 40)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +168,7 @@ func TestClosedLoopRateLimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := g.Run(context.Background(), NewSliceSource(syntheticEvents(200, 1, 40)))
+	rep, err := g.Run(context.Background(), newSliceSource(syntheticEvents(200, 1, 40)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +195,7 @@ func TestWarmupExclusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := g.Run(context.Background(), NewSliceSource(syntheticEvents(100000, 100, 40)))
+	rep, err := g.Run(context.Background(), newSliceSource(syntheticEvents(100000, 100, 40)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +225,7 @@ func TestContextCancelStopsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	rep, err := g.Run(ctx, NewSliceSource(syntheticEvents(1_000_000, 100, 40)))
+	rep, err := g.Run(ctx, newSliceSource(syntheticEvents(1_000_000, 100, 40)))
 	if err != nil {
 		t.Fatal(err)
 	}

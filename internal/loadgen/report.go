@@ -1,8 +1,6 @@
 package loadgen
 
 import (
-	"encoding/json"
-	"io"
 	"time"
 
 	"planetapps/internal/gcstats"
@@ -96,9 +94,9 @@ type DayRollReport struct {
 
 // GCReport summarizes the generator process's garbage-collection activity
 // over the run — the load generator usually shares a process with the
-// store under test (cmd/loadtest, examples/loadtest), so this is the GC
-// cost of serving the replayed traffic. Cycles/PauseTotalMS/CPUFraction
-// are deltas over the run; HeapObjects/HeapMB are end-of-run occupancy.
+// store under test (cmd/loadtest), so this is the GC cost of serving the
+// replayed traffic. Cycles/PauseTotalMS/CPUFraction are deltas over the
+// run; HeapObjects/HeapMB are end-of-run occupancy.
 type GCReport struct {
 	Cycles       uint64  `json:"cycles"`
 	PauseTotalMS float64 `json:"pause_total_ms"`
@@ -237,11 +235,4 @@ func (g *Generator) report(elapsed time.Duration) *Report {
 		HeapMB:       float64(delta.HeapBytes) / (1 << 20),
 	}
 	return rep
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -27,24 +27,6 @@ func NewTraceSource(r *trace.Reader) Source { return &traceSource{r: r} }
 
 func (s *traceSource) Next() (model.Event, error) { return s.r.Read() }
 
-// sliceSource serves a fixed event list (tests, pre-materialized traces).
-type sliceSource struct {
-	events []model.Event
-	i      int
-}
-
-// NewSliceSource replays an in-memory event slice.
-func NewSliceSource(events []model.Event) Source { return &sliceSource{events: events} }
-
-func (s *sliceSource) Next() (model.Event, error) {
-	if s.i >= len(s.events) {
-		return model.Event{}, io.EOF
-	}
-	e := s.events[s.i]
-	s.i++
-	return e, nil
-}
-
 // modelSource synthesizes events live from a workload simulator, bridging
 // the push-style Simulator.Stream into the pull-style Source through a
 // bounded channel so generation overlaps replay without materializing the

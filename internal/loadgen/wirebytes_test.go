@@ -49,7 +49,7 @@ func TestWireByteAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := g.Run(context.Background(), NewSliceSource(syntheticEvents(n, 50, 40)))
+		rep, err := g.Run(context.Background(), newSliceSource(syntheticEvents(n, 50, 40)))
 		if err != nil {
 			t.Fatal(err)
 		}

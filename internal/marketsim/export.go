@@ -47,7 +47,7 @@ func numAppChunks(n int) int { return (n + appExportChunk - 1) >> appChunkShift 
 // Version semantics: RowVer(i) advances (at most once per simulated day)
 // whenever app i's catalog row or download count changes, so two Exports
 // of one market agree on RowVer(i) iff app i's servable content is
-// identical in both. ChunkVer(c) is the chunk-granular analogue and is
+// identical in both. chunkVer[c] is the chunk-granular analogue and is
 // monotone non-decreasing day over day — equal sums of chunk versions
 // over a range therefore imply equal versions chunk by chunk.
 type Export struct {
@@ -72,9 +72,6 @@ type Export struct {
 	// partitioner's successive exports, so row i's identity never changes.
 	ids []int32
 }
-
-// Sparse reports whether the export is a partition (row index != app ID).
-func (e *Export) Sparse() bool { return e.ids != nil }
 
 // ID returns the global app ID of row i. Dense exports have ID(i) == i.
 func (e *Export) ID(i int) int32 {
@@ -149,12 +146,6 @@ func (e *Export) Downloads(i int) int64 { return e.dls[i>>chunkShift][i&chunkMas
 
 // RowVer returns app i's content version (see type comment).
 func (e *Export) RowVer(i int) uint32 { return e.vers[i>>chunkShift][i&chunkMask] }
-
-// NumChunks returns the number of chunks covering the export.
-func (e *Export) NumChunks() int { return len(e.chunkVer) }
-
-// ChunkVer returns chunk c's content version.
-func (e *Export) ChunkVer(c int) uint64 { return e.chunkVer[c] }
 
 // ChunkUnchanged reports whether chunk c holds identical content (rows,
 // downloads, versions, and length) in e and prev, where prev is an

@@ -86,7 +86,7 @@ func TestDirtySetMatchesBruteForceDiff(t *testing.T) {
 		}
 		// Per-chunk: a chunk reported unchanged must have identical content
 		// and identical length (no arrivals landed in it).
-		for c := 0; c < prev.NumChunks() && c < cur.NumChunks(); c++ {
+		for c := 0; c < len(prev.chunkVer) && c < len(cur.chunkVer); c++ {
 			if !cur.ChunkUnchanged(prev, c) {
 				continue
 			}
@@ -170,8 +170,8 @@ func TestExportSharesChunksAcrossDays(t *testing.T) {
 		}
 		cur := m.Export()
 		shared := 0
-		n := prev.NumChunks()
-		if cn := cur.NumChunks(); cn < n {
+		n := len(prev.chunkVer)
+		if cn := len(cur.chunkVer); cn < n {
 			n = cn
 		}
 		for c := 0; c < n; c++ {
@@ -199,7 +199,7 @@ func TestExportIdempotentWithoutStep(t *testing.T) {
 	a := m.Export()
 	b := m.Export()
 	exportEqual(t, a, b)
-	for c := 0; c < a.NumChunks(); c++ {
+	for c := 0; c < len(a.chunkVer); c++ {
 		if !b.ChunkUnchanged(a, c) {
 			t.Fatalf("chunk %d not shared across back-to-back exports", c)
 		}

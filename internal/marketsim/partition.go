@@ -53,9 +53,6 @@ func NewPartitioner(owns func(id int32) bool) *Partitioner {
 // has arrived in the catalog yet.
 func (p *Partitioner) Owns(id int32) bool { return p.owns(id) }
 
-// NumOwned returns how many apps the partitioner currently owns.
-func (p *Partitioner) NumOwned() int { return len(p.ids) }
-
 // rowSource is one day of one market, row g being app g: what a partition
 // is cut from. *Export (dense) and marketRows satisfy it.
 type rowSource interface {
@@ -129,8 +126,8 @@ func (p *Partitioner) partition(full rowSource) *Export {
 	// fresh chunk version is the sum of (RowVer+1) over the chunk's rows:
 	// every term is per-row monotone and the row set only grows at the
 	// tail, so the sum is monotone across the partitioner's exports and
-	// equal sums imply row-by-row equality — the same contract dense
-	// ChunkVer gives.
+	// equal sums imply row-by-row equality — the same contract a dense
+	// export's chunkVer gives.
 	for c := 0; c < nc; c++ {
 		lo, hi := chunkSpan(c, n)
 		if prev != nil && c < len(prev.vers) && len(prev.vers[c]) == hi-lo {

@@ -43,7 +43,7 @@ func TestPartitionUnionMatchesFull(t *testing.T) {
 		var total int64
 		for k, p := range parts {
 			pe := p.Partition(full)
-			if !pe.Sparse() {
+			if pe.ids == nil {
 				t.Fatalf("day %d shard %d: partition not sparse", day, k)
 			}
 			if pe.Day() != full.Day() {
@@ -116,14 +116,14 @@ func TestPartitionChunkSharing(t *testing.T) {
 	e1 := p.Partition(m.Export())
 
 	shared, fresh := 0, 0
-	for c := 0; c < e1.NumChunks() && c < e0.NumChunks(); c++ {
+	for c := 0; c < len(e1.chunkVer) && c < len(e0.chunkVer); c++ {
 		lo, hi := chunkSpan(c, e1.NumApps())
 		if len(e0.vers[c]) != hi-lo {
 			continue
 		}
 		if &e1.vers[c][0] == &e0.vers[c][0] {
 			shared++
-			if e1.ChunkVer(c) != e0.ChunkVer(c) {
+			if e1.chunkVer[c] != e0.chunkVer[c] {
 				t.Fatalf("chunk %d shared but versions differ", c)
 			}
 		} else {
@@ -138,9 +138,9 @@ func TestPartitionChunkSharing(t *testing.T) {
 			if !changed {
 				t.Errorf("chunk %d copied fresh with no row change", c)
 			}
-			if e1.ChunkVer(c) <= e0.ChunkVer(c) {
+			if e1.chunkVer[c] <= e0.chunkVer[c] {
 				t.Fatalf("chunk %d changed but version not monotone: %d <= %d",
-					c, e1.ChunkVer(c), e0.ChunkVer(c))
+					c, e1.chunkVer[c], e0.chunkVer[c])
 			}
 		}
 	}
@@ -148,12 +148,12 @@ func TestPartitionChunkSharing(t *testing.T) {
 		t.Fatalf("no chunks shared across a one-day roll (fresh=%d)", fresh)
 	}
 	// ChunkUnchanged / UnchangedRows must agree with the sharing outcome.
-	for c := 0; c < e1.NumChunks() && c < e0.NumChunks(); c++ {
+	for c := 0; c < len(e1.chunkVer) && c < len(e0.chunkVer); c++ {
 		lo, hi := chunkSpan(c, e1.NumApps())
 		if len(e0.vers[c]) != hi-lo {
 			continue
 		}
-		if e1.ChunkUnchanged(e0, c) != (e1.ChunkVer(c) == e0.ChunkVer(c)) {
+		if e1.ChunkUnchanged(e0, c) != (e1.chunkVer[c] == e0.chunkVer[c]) {
 			t.Fatalf("chunk %d: ChunkUnchanged disagrees with versions", c)
 		}
 		mask := e1.UnchangedRows(e0, c)
@@ -211,10 +211,10 @@ func TestPartitionMarketIsThePartition(t *testing.T) {
 		for k := 0; k < owners; k++ {
 			a, b := fromLive[k].PartitionMarket(live), fromDense[k].Partition(full)
 			if a.Store() != b.Store() || a.Day() != b.Day() || a.NumApps() != b.NumApps() ||
-				a.TotalDownloads() != b.TotalDownloads() || a.NumChunks() != b.NumChunks() || !a.Sparse() {
+				a.TotalDownloads() != b.TotalDownloads() || len(a.chunkVer) != len(b.chunkVer) || a.ids == nil {
 				t.Fatalf("day %d owner %d: headers differ: %s/%s day %d/%d apps %d/%d total %d/%d chunks %d/%d",
 					day, k, a.Store(), b.Store(), a.Day(), b.Day(), a.NumApps(), b.NumApps(),
-					a.TotalDownloads(), b.TotalDownloads(), a.NumChunks(), b.NumChunks())
+					a.TotalDownloads(), b.TotalDownloads(), len(a.chunkVer), len(b.chunkVer))
 			}
 			if !slices.Equal(a.CategoryNames(), b.CategoryNames()) || !slices.Equal(a.DeveloperNames(), b.DeveloperNames()) {
 				t.Fatalf("day %d owner %d: name tables differ", day, k)
@@ -225,9 +225,9 @@ func TestPartitionMarketIsThePartition(t *testing.T) {
 						a.ID(i), a.App(i), a.Downloads(i), a.RowVer(i), b.ID(i), b.App(i), b.Downloads(i), b.RowVer(i))
 				}
 			}
-			for c := 0; c < a.NumChunks(); c++ {
-				if a.ChunkVer(c) != b.ChunkVer(c) {
-					t.Fatalf("day %d owner %d chunk %d: version %d live, %d dense", day, k, c, a.ChunkVer(c), b.ChunkVer(c))
+			for c := 0; c < len(a.chunkVer); c++ {
+				if a.chunkVer[c] != b.chunkVer[c] {
+					t.Fatalf("day %d owner %d chunk %d: version %d live, %d dense", day, k, c, a.chunkVer[c], b.chunkVer[c])
 				}
 			}
 			if pa, pb := prevLive[k], prevDense[k]; pa != nil {
@@ -269,7 +269,7 @@ func TestPartitionMarketIsThePartition(t *testing.T) {
 // serving layer's ID resolution and cursor anchoring.
 func TestSparseIndexing(t *testing.T) {
 	dense := &Export{n: 10}
-	if dense.Sparse() {
+	if dense.ids != nil {
 		t.Fatal("dense export reports sparse")
 	}
 	if got := dense.IndexAtOrAfter(7); got != 7 {

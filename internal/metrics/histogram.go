@@ -88,9 +88,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
-
 // ObserveSince records the elapsed time since start.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(int64(time.Since(start))) }
 

@@ -118,7 +118,7 @@ func TestHistogramEmptyAndEdges(t *testing.T) {
 		t.Fatalf("all-zero quantile = %d", got)
 	}
 	h2 := NewHistogram()
-	h2.ObserveDuration(3 * time.Millisecond)
+	h2.Observe(int64(3 * time.Millisecond))
 	if got := h2.Quantile(1); got != int64(3*time.Millisecond) {
 		t.Fatalf("q=1 = %d", got)
 	}

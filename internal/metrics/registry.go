@@ -56,41 +56,43 @@ func NewRegistry() *Registry {
 	return &Registry{entries: map[string]*entry{}}
 }
 
-func (r *Registry) lookup(name string) (*entry, bool) {
+// get returns the entry registered under name, creating it with mk if
+// absent. The fast path is one RLocked map read.
+func (r *Registry) get(name string, mk func() *entry) *entry {
 	r.mu.RLock()
 	e, ok := r.entries[name]
 	r.mu.RUnlock()
-	return e, ok
+	if ok {
+		return e
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e, ok = r.entries[name]; !ok {
+		e = mk()
+		r.entries[name] = e
+	}
+	return e
+}
+
+// mustBe panics when name is already registered as another metric type.
+func mustBe(sameType bool, name string) {
+	if !sameType {
+		panic(fmt.Sprintf("metrics: %q already registered as a different type", name))
+	}
 }
 
 // Counter returns the counter registered under name, creating it if absent.
 // Panics if name is registered as a different metric type.
 func (r *Registry) Counter(name string) *Counter {
-	if e, ok := r.lookup(name); ok {
-		return mustKind(e, name).c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[name]; ok {
-		return mustKind(e, name).c
-	}
-	e := &entry{name: name, c: &Counter{}}
-	r.entries[name] = e
+	e := r.get(name, func() *entry { return &entry{name: name, c: &Counter{}} })
+	mustBe(e.c != nil, name)
 	return e.c
 }
 
 // Gauge returns the gauge registered under name, creating it if absent.
 func (r *Registry) Gauge(name string) *Gauge {
-	if e, ok := r.lookup(name); ok {
-		return mustKindG(e, name).g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[name]; ok {
-		return mustKindG(e, name).g
-	}
-	e := &entry{name: name, g: &Gauge{}}
-	r.entries[name] = e
+	e := r.get(name, func() *entry { return &entry{name: name, g: &Gauge{}} })
+	mustBe(e.g != nil, name)
 	return e.g
 }
 
@@ -98,38 +100,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 // absent. By convention histogram observations are nanoseconds; exposition
 // converts to seconds (Prometheus base unit).
 func (r *Registry) Histogram(name string) *Histogram {
-	if e, ok := r.lookup(name); ok {
-		return mustKindH(e, name).h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[name]; ok {
-		return mustKindH(e, name).h
-	}
-	e := &entry{name: name, h: NewHistogram()}
-	r.entries[name] = e
+	e := r.get(name, func() *entry { return &entry{name: name, h: NewHistogram()} })
+	mustBe(e.h != nil, name)
 	return e.h
-}
-
-func mustKind(e *entry, name string) *entry {
-	if e.c == nil {
-		panic(fmt.Sprintf("metrics: %q already registered as a different type", name))
-	}
-	return e
-}
-
-func mustKindG(e *entry, name string) *entry {
-	if e.g == nil {
-		panic(fmt.Sprintf("metrics: %q already registered as a different type", name))
-	}
-	return e
-}
-
-func mustKindH(e *entry, name string) *entry {
-	if e.h == nil {
-		panic(fmt.Sprintf("metrics: %q already registered as a different type", name))
-	}
-	return e
 }
 
 // splitName separates `base{labels}` into its parts; labels is empty when
@@ -140,87 +113,6 @@ func splitName(name string) (base, labels string) {
 		return name, ""
 	}
 	return name[:i], name[i+1 : len(name)-1]
-}
-
-// withLabel renders base plus the existing label set extended by one more
-// label pair.
-func withLabel(base, labels, extra string) string {
-	if labels == "" {
-		return base + "{" + extra + "}"
-	}
-	return base + "{" + labels + "," + extra + "}"
-}
-
-var histQuantiles = []struct {
-	label string
-	q     float64
-}{
-	{"0.5", 0.50},
-	{"0.9", 0.90},
-	{"0.95", 0.95},
-	{"0.99", 0.99},
-	{"0.999", 0.999},
-}
-
-// expoEntry is one renderable exposition unit — a counter/gauge line or a
-// histogram's whole summary block — with the registry's node label already
-// folded into the series names. Entries are collected before anything is
-// written because a family's series (`x{a="1"}`, `x{b="2"}`) need not be
-// adjacent in entry-name order, and a family gets one `# TYPE` header.
-type expoEntry struct {
-	base  string
-	typ   string
-	name  string // full series name, node label applied
-	lines []string
-}
-
-// collect snapshots the registry into renderable entries, in no order:
-// writeEntries sorts them, and series names are unique.
-func (r *Registry) collect() []expoEntry {
-	r.mu.RLock()
-	node := r.node
-	entries := make([]*entry, 0, len(r.entries))
-	for _, e := range r.entries {
-		entries = append(entries, e)
-	}
-	r.mu.RUnlock()
-
-	out := make([]expoEntry, 0, len(entries))
-	for _, e := range entries {
-		base, labels := splitName(e.name)
-		if node != "" {
-			labels = joinLabels(labels, `node="`+node+`"`)
-		}
-		name := base
-		if labels != "" {
-			name = base + "{" + labels + "}"
-		}
-		switch {
-		case e.c != nil:
-			out = append(out, expoEntry{base: base, typ: "counter", name: name,
-				lines: []string{fmt.Sprintf("%s %d", name, e.c.Value())}})
-		case e.g != nil:
-			out = append(out, expoEntry{base: base, typ: "gauge", name: name,
-				lines: []string{fmt.Sprintf("%s %d", name, e.g.Value())}})
-		case e.h != nil:
-			s := e.h.Snapshot()
-			lines := make([]string, 0, len(histQuantiles)+2)
-			for _, hq := range histQuantiles {
-				lines = append(lines, fmt.Sprintf("%s %g",
-					withLabel(base, labels, `quantile="`+hq.label+`"`),
-					float64(s.Quantile(hq.q))/1e9))
-			}
-			sumName, countName := base+"_sum", base+"_count"
-			if labels != "" {
-				sumName += "{" + labels + "}"
-				countName += "{" + labels + "}"
-			}
-			lines = append(lines, fmt.Sprintf("%s %g", sumName, float64(s.Sum)/1e9))
-			lines = append(lines, fmt.Sprintf("%s %d", countName, s.Count))
-			out = append(out, expoEntry{base: base, typ: "summary", name: name, lines: lines})
-		}
-	}
-	return out
 }
 
 // joinLabels concatenates two label fragments, either possibly empty.
@@ -234,32 +126,80 @@ func joinLabels(a, b string) string {
 	return a + "," + b
 }
 
-// writeEntries renders entries sorted by (base, name) with one `# TYPE`
-// header per family.
-func writeEntries(w io.Writer, entries []expoEntry) {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].base != entries[j].base {
-			return entries[i].base < entries[j].base
-		}
-		return entries[i].name < entries[j].name
-	})
-	lastBase := ""
-	for _, e := range entries {
-		if e.base != lastBase {
-			fmt.Fprintf(w, "# TYPE %s %s\n", e.base, e.typ)
-			lastBase = e.base
-		}
-		for _, ln := range e.lines {
-			fmt.Fprintln(w, ln)
-		}
+// braced renders a label fragment as it follows a series name.
+func braced(labels string) string {
+	if labels == "" {
+		return ""
 	}
+	return "{" + labels + "}"
 }
 
-// WriteText writes the registry in the Prometheus text exposition format,
-// sorted by name, with histograms rendered as summaries (quantile series
-// plus _sum and _count) in seconds.
+var histQuantiles = []struct {
+	label string
+	q     float64
+}{
+	{"0.5", 0.50},
+	{"0.9", 0.90},
+	{"0.95", 0.95},
+	{"0.99", 0.99},
+	{"0.999", 0.999},
+}
+
+// WriteText writes the registry in the Prometheus text exposition format:
+// series sorted by (family, full name) with the node label applied, one
+// `# TYPE` header per family, histograms rendered as summaries (quantile
+// series plus _sum and _count) in seconds. The sort comes first because a
+// family's series (`x{a="1"}`, `x{b="2"}`) need not be adjacent in
+// registration-name order.
 func (r *Registry) WriteText(w io.Writer) {
-	writeEntries(w, r.collect())
+	type series struct {
+		base, labels, name string
+		e                  *entry
+	}
+	r.mu.RLock()
+	all := make([]series, 0, len(r.entries))
+	for _, e := range r.entries {
+		base, labels := splitName(e.name)
+		if r.node != "" {
+			labels = joinLabels(labels, `node="`+r.node+`"`)
+		}
+		all = append(all, series{base, labels, base + braced(labels), e})
+	}
+	r.mu.RUnlock()
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].base != all[j].base {
+			return all[i].base < all[j].base
+		}
+		return all[i].name < all[j].name
+	})
+
+	lastBase := ""
+	header := func(s series, typ string) {
+		if s.base != lastBase {
+			fmt.Fprintf(w, "# TYPE %s %s\n", s.base, typ)
+			lastBase = s.base
+		}
+	}
+	for _, s := range all {
+		switch {
+		case s.e.c != nil:
+			header(s, "counter")
+			fmt.Fprintf(w, "%s %d\n", s.name, s.e.c.Value())
+		case s.e.g != nil:
+			header(s, "gauge")
+			fmt.Fprintf(w, "%s %d\n", s.name, s.e.g.Value())
+		case s.e.h != nil:
+			header(s, "summary")
+			snap := s.e.h.Snapshot()
+			for _, hq := range histQuantiles {
+				fmt.Fprintf(w, "%s%s %g\n", s.base,
+					braced(joinLabels(s.labels, `quantile="`+hq.label+`"`)),
+					float64(snap.Quantile(hq.q))/1e9)
+			}
+			fmt.Fprintf(w, "%s_sum%s %g\n", s.base, braced(s.labels), float64(snap.Sum)/1e9)
+			fmt.Fprintf(w, "%s_count%s %d\n", s.base, braced(s.labels), snap.Count)
+		}
+	}
 }
 
 // Handler returns an HTTP handler serving the text exposition.

@@ -6,52 +6,6 @@ import (
 	"planetapps/internal/dist"
 )
 
-// PaperExpectedDownloads evaluates the paper's closed-form expectation
-// (Eq. 5) for an app with overall rank i (1-based) and within-cluster rank
-// j (1-based), under the APP-CLUSTERING model with C equal-size clusters:
-//
-//	D(i,j) = U * [ 1 - (1 - pG(i))^((1-p)d) * (1 - pc(j))^(p*d) ]
-//
-// The formula treats every cluster-based draw as if it could hit the app's
-// own cluster, which overstates within-cluster exposure by a factor of C;
-// the paper presents it as a simplified expectation ("for simplicity we
-// assume that all C clusters have the same size"). PredictCurve below uses
-// a refinement that models cluster visits explicitly and matches the Monte
-// Carlo simulators much more closely; this function is kept as the literal
-// paper formula for reference and tests.
-func PaperExpectedDownloads(cfg Config, i, j int, hg, hc float64) float64 {
-	pg := math.Pow(float64(i), -cfg.ZipfGlobal) / hg
-	pc := math.Pow(float64(j), -cfg.ZipfCluster) / hc
-	missGlobal := math.Pow(1-pg, (1-cfg.ClusterP)*cfg.DownloadsPerUser)
-	missCluster := math.Pow(1-pc, cfg.ClusterP*cfg.DownloadsPerUser)
-	return float64(cfg.Users) * (1 - missGlobal*missCluster)
-}
-
-// HarmonicsFor returns the harmonic normalizers (global, per-cluster) that
-// PaperExpectedDownloads needs, assuming C equal clusters of size Apps/C
-// (rounded up, matching RoundRobin).
-func HarmonicsFor(cfg Config) (hg, hc float64) {
-	hg = dist.Harmonic(cfg.Apps, cfg.ZipfGlobal)
-	sc := clusterSize(cfg)
-	hc = dist.Harmonic(sc, cfg.ZipfCluster)
-	return hg, hc
-}
-
-func clusterSize(cfg Config) int {
-	c := cfg.Clusters
-	if cfg.ClusterMap != nil {
-		c = cfg.ClusterMap.Clusters()
-	}
-	if c < 1 {
-		c = 1
-	}
-	sc := (cfg.Apps + c - 1) / c
-	if sc < 1 {
-		sc = 1
-	}
-	return sc
-}
-
 // exposureT solves sum_i (1 - exp(-probs[i]*t)) = n for t >= 0 by bisection.
 // The left side is the expected number of distinct items captured by
 // weighted sampling without replacement when the process is Poissonized

@@ -348,44 +348,3 @@ func UserSweepMC(kind Kind, observed dist.RankCurve, base Config, fractions []fl
 	}
 	return out, nil
 }
-
-// FitAll fits every model kind to the observed curve and returns the
-// results sorted by ascending distance (best first).
-func FitAll(observed dist.RankCurve, spec FitSpec) ([]FitResult, error) {
-	out := make([]FitResult, 0, len(Kinds))
-	for _, k := range Kinds {
-		f, err := Fit(k, observed, spec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Distance < out[j].Distance })
-	return out, nil
-}
-
-// UserSweep evaluates the best-fit distance as a function of the simulated
-// user population, reproducing Figure 10. fractions scale the observed
-// top-app download count; the returned distances correspond 1:1 with
-// fractions.
-func UserSweep(kind Kind, observed dist.RankCurve, spec FitSpec, fractions []float64) ([]float64, error) {
-	top := observed.Top()
-	if top <= 0 {
-		return nil, fmt.Errorf("model: observed curve has no top value")
-	}
-	out := make([]float64, len(fractions))
-	for i, f := range fractions {
-		u := int(f * top)
-		if u < 1 {
-			u = 1
-		}
-		s := spec
-		s.Users = []int{u}
-		res, err := Fit(kind, observed, s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res.Distance
-	}
-	return out, nil
-}

@@ -178,31 +178,6 @@ func Contiguous(apps, clusters int) *ClusterMap {
 	return m
 }
 
-// FromAssignment builds a ClusterMap from an explicit app->cluster mapping
-// and a per-cluster rank order. members[c] must list exactly the apps whose
-// ofApp entry is c.
-func FromAssignment(ofApp []int32, members [][]int32) (*ClusterMap, error) {
-	m := &ClusterMap{OfApp: ofApp, Members: members}
-	counts := make([]int, len(members))
-	for app, c := range ofApp {
-		if int(c) < 0 || int(c) >= len(members) {
-			return nil, fmt.Errorf("model: app %d assigned to cluster %d of %d", app, c, len(members))
-		}
-		counts[c]++
-	}
-	for c := range members {
-		if counts[c] != len(members[c]) {
-			return nil, fmt.Errorf("model: cluster %d has %d members listed, %d assigned", c, len(members[c]), counts[c])
-		}
-		for _, app := range members[c] {
-			if int(app) < 0 || int(app) >= len(ofApp) || ofApp[app] != int32(c) {
-				return nil, fmt.Errorf("model: cluster %d lists app %d not assigned to it", c, app)
-			}
-		}
-	}
-	return m, nil
-}
-
 // Clusters returns the number of clusters.
 func (m *ClusterMap) Clusters() int { return len(m.Members) }
 

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"planetapps/internal/dist"
@@ -75,13 +77,13 @@ func TestRoundRobin(t *testing.T) {
 func TestFromAssignmentValidation(t *testing.T) {
 	of := []int32{0, 1, 0}
 	members := [][]int32{{0, 2}, {1}}
-	if _, err := FromAssignment(of, members); err != nil {
+	if _, err := fromAssignment(of, members); err != nil {
 		t.Fatalf("valid assignment rejected: %v", err)
 	}
-	if _, err := FromAssignment([]int32{0, 5}, members); err == nil {
+	if _, err := fromAssignment([]int32{0, 5}, members); err == nil {
 		t.Fatal("out-of-range cluster accepted")
 	}
-	if _, err := FromAssignment(of, [][]int32{{0}, {1, 2}}); err == nil {
+	if _, err := fromAssignment(of, [][]int32{{0}, {1, 2}}); err == nil {
 		t.Fatal("inconsistent membership accepted")
 	}
 }
@@ -303,11 +305,11 @@ func TestStreamFetchAtMostOnce(t *testing.T) {
 
 func TestPaperExpectedDownloadsBounds(t *testing.T) {
 	cfg := smallCfg()
-	hg, hc := HarmonicsFor(cfg)
+	hg, hc := harmonicsFor(cfg)
 	prev := math.Inf(1)
 	for i := 1; i <= cfg.Apps; i += 97 {
 		j := (i-1)/cfg.Clusters + 1
-		d := PaperExpectedDownloads(cfg, i, j, hg, hc)
+		d := paperExpectedDownloads(cfg, i, j, hg, hc)
 		if d < 0 || d > float64(cfg.Users) {
 			t.Fatalf("E[D(%d,%d)] = %v outside [0, U]", i, j, d)
 		}
@@ -398,7 +400,7 @@ func TestFitRecoversParameters(t *testing.T) {
 	observed := s.Run(17).Curve()
 	spec := DefaultFitSpec()
 	spec.Users = []int{trueCfg.Users}
-	results, err := FitAll(observed, spec)
+	results, err := fitAll(observed, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +447,7 @@ func TestUserSweepMinimumNearTopDownloads(t *testing.T) {
 	observed := s.Run(29).Curve()
 	fractions := []float64{0.1, 0.25, 0.5, 1, 2, 5, 10}
 	spec := DefaultFitSpec()
-	ds, err := UserSweep(AppClustering, observed, spec, fractions)
+	ds, err := userSweep(AppClustering, observed, spec, fractions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,4 +513,116 @@ func BenchmarkStreamClustering(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Stream(uint64(i), func(Event) bool { return true })
 	}
+}
+
+// paperExpectedDownloads evaluates the paper's closed-form expectation
+// (Eq. 5) for an app with overall rank i (1-based) and within-cluster rank
+// j (1-based), under the APP-CLUSTERING model with C equal-size clusters:
+//
+//	D(i,j) = U * [ 1 - (1 - pG(i))^((1-p)d) * (1 - pc(j))^(p*d) ]
+//
+// The formula treats every cluster-based draw as if it could hit the app's
+// own cluster, which overstates within-cluster exposure by a factor of C;
+// the paper presents it as a simplified expectation ("for simplicity we
+// assume that all C clusters have the same size"). PredictCurve uses
+// a refinement that models cluster visits explicitly and matches the Monte
+// Carlo simulators much more closely; this function is kept as the literal
+// paper formula for reference and tests.
+func paperExpectedDownloads(cfg Config, i, j int, hg, hc float64) float64 {
+	pg := math.Pow(float64(i), -cfg.ZipfGlobal) / hg
+	pc := math.Pow(float64(j), -cfg.ZipfCluster) / hc
+	missGlobal := math.Pow(1-pg, (1-cfg.ClusterP)*cfg.DownloadsPerUser)
+	missCluster := math.Pow(1-pc, cfg.ClusterP*cfg.DownloadsPerUser)
+	return float64(cfg.Users) * (1 - missGlobal*missCluster)
+}
+
+// harmonicsFor returns the harmonic normalizers (global, per-cluster) that
+// paperExpectedDownloads needs, assuming C equal clusters of size Apps/C
+// (rounded up, matching RoundRobin).
+func harmonicsFor(cfg Config) (hg, hc float64) {
+	hg = dist.Harmonic(cfg.Apps, cfg.ZipfGlobal)
+	sc := clusterSize(cfg)
+	hc = dist.Harmonic(sc, cfg.ZipfCluster)
+	return hg, hc
+}
+
+func clusterSize(cfg Config) int {
+	c := cfg.Clusters
+	if cfg.ClusterMap != nil {
+		c = cfg.ClusterMap.Clusters()
+	}
+	if c < 1 {
+		c = 1
+	}
+	sc := (cfg.Apps + c - 1) / c
+	if sc < 1 {
+		sc = 1
+	}
+	return sc
+}
+
+// fitAll fits every model kind to the observed curve and returns the
+// results sorted by ascending distance (best first).
+func fitAll(observed dist.RankCurve, spec FitSpec) ([]FitResult, error) {
+	out := make([]FitResult, 0, len(Kinds))
+	for _, k := range Kinds {
+		f, err := Fit(k, observed, spec)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, f)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Distance < out[j].Distance })
+	return out, nil
+}
+
+// userSweep evaluates the best-fit distance as a function of the simulated
+// user population, reproducing Figure 10. fractions scale the observed
+// top-app download count; the returned distances correspond 1:1 with
+// fractions.
+func userSweep(kind Kind, observed dist.RankCurve, spec FitSpec, fractions []float64) ([]float64, error) {
+	top := observed.Top()
+	if top <= 0 {
+		return nil, fmt.Errorf("model: observed curve has no top value")
+	}
+	out := make([]float64, len(fractions))
+	for i, f := range fractions {
+		u := int(f * top)
+		if u < 1 {
+			u = 1
+		}
+		s := spec
+		s.Users = []int{u}
+		res, err := Fit(kind, observed, s)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res.Distance
+	}
+	return out, nil
+}
+
+// fromAssignment builds a ClusterMap from an explicit app->cluster mapping
+// and a per-cluster rank order. members[c] must list exactly the apps whose
+// ofApp entry is c.
+func fromAssignment(ofApp []int32, members [][]int32) (*ClusterMap, error) {
+	m := &ClusterMap{OfApp: ofApp, Members: members}
+	counts := make([]int, len(members))
+	for app, c := range ofApp {
+		if int(c) < 0 || int(c) >= len(members) {
+			return nil, fmt.Errorf("model: app %d assigned to cluster %d of %d", app, c, len(members))
+		}
+		counts[c]++
+	}
+	for c := range members {
+		if counts[c] != len(members[c]) {
+			return nil, fmt.Errorf("model: cluster %d has %d members listed, %d assigned", c, len(members[c]), counts[c])
+		}
+		for _, app := range members[c] {
+			if int(app) < 0 || int(app) >= len(ofApp) || ofApp[app] != int32(c) {
+				return nil, fmt.Errorf("model: cluster %d lists app %d not assigned to it", c, app)
+			}
+		}
+	}
+	return m, nil
 }

@@ -153,15 +153,6 @@ func Incomes(d Dataset) ([]DeveloperIncome, error) {
 	return out, nil
 }
 
-// IncomeCDF returns the empirical CDF of developer incomes (Figure 13).
-func IncomeCDF(incomes []DeveloperIncome) *stats.ECDF {
-	vals := make([]float64, len(incomes))
-	for i, d := range incomes {
-		vals[i] = d.Income
-	}
-	return stats.NewECDF(vals)
-}
-
 // IncomeAppsCorrelation returns the Pearson correlation between a
 // developer's paid-app count and income (Figure 14; paper: 0.008).
 func IncomeAppsCorrelation(incomes []DeveloperIncome) float64 {

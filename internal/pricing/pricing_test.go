@@ -7,6 +7,7 @@ import (
 	"planetapps/internal/catalog"
 	"planetapps/internal/marketsim"
 	"planetapps/internal/snapshot"
+	"planetapps/internal/stats"
 )
 
 // slidemeDataset runs a small SlideMe-profile market and returns its final
@@ -111,7 +112,7 @@ func TestIncomesAndCDF(t *testing.T) {
 	if len(incomes) == 0 {
 		t.Fatal("no paid developers")
 	}
-	cdf := IncomeCDF(incomes)
+	cdf := incomeCDF(incomes)
 	// Figure 13's qualitative claims: many developers earn very little,
 	// while a small elite earns orders of magnitude more.
 	med := cdf.Quantile(0.5)
@@ -294,4 +295,13 @@ func TestPriceDownloadsTauNegative(t *testing.T) {
 	if pb.PriceDownloadsTau >= 0 {
 		t.Fatalf("price-downloads tau = %v, want negative", pb.PriceDownloadsTau)
 	}
+}
+
+// incomeCDF returns the empirical CDF of developer incomes (Figure 13).
+func incomeCDF(incomes []DeveloperIncome) *stats.ECDF {
+	vals := make([]float64, len(incomes))
+	for i, d := range incomes {
+		vals[i] = d.Income
+	}
+	return stats.NewECDF(vals)
 }

@@ -36,9 +36,6 @@ func New(name, region string) *Proxy {
 	return &Proxy{Name: name, Region: region, transport: http.DefaultTransport}
 }
 
-// SetTransport overrides the upstream transport (tests inject fakes).
-func (p *Proxy) SetTransport(rt http.RoundTripper) { p.transport = rt }
-
 // Requests returns the number of requests relayed so far.
 func (p *Proxy) Requests() int64 { return p.requests.Load() }
 

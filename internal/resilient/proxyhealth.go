@@ -132,20 +132,6 @@ func (ph *ProxyHealth) Report(i int, transportOK bool) {
 	}
 }
 
-// Healthy returns how many nodes are currently in rotation.
-func (ph *ProxyHealth) Healthy() int {
-	ph.mu.Lock()
-	defer ph.mu.Unlock()
-	now := ph.clock.Now()
-	n := 0
-	for i := range ph.nodes {
-		if ph.nodes[i].demotedTill.IsZero() || !now.Before(ph.nodes[i].demotedTill) {
-			n++
-		}
-	}
-	return n
-}
-
 // proxyChoiceKey carries the per-request slot the ProxyFunc records its
 // selection into, so the client can attribute the outcome to the node.
 type proxyChoiceKey struct{}

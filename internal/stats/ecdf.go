@@ -79,20 +79,3 @@ func (e *ECDF) Points(max int) (xs, ps []float64) {
 	}
 	return xs, ps
 }
-
-// KSDistance returns the Kolmogorov-Smirnov statistic between two empirical
-// distributions: the maximum absolute difference of their CDFs.
-func KSDistance(a, b *ECDF) float64 {
-	maxD := 0.0
-	for _, x := range a.sorted {
-		if d := math.Abs(a.At(x) - b.At(x)); d > maxD {
-			maxD = d
-		}
-	}
-	for _, x := range b.sorted {
-		if d := math.Abs(a.At(x) - b.At(x)); d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
-}

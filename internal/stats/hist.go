@@ -59,15 +59,6 @@ func (h *Histogram) MeanIn(i int) float64 {
 	return h.Sums[i] / float64(h.Counts[i])
 }
 
-// Centers returns the center x-value of every bin.
-func (h *Histogram) Centers() []float64 {
-	cs := make([]float64, len(h.Counts))
-	for i := range cs {
-		cs[i] = h.Min + (float64(i)+0.5)*h.Width
-	}
-	return cs
-}
-
 // Total returns the number of in-range values added.
 func (h *Histogram) Total() int {
 	t := 0

@@ -1,11 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-
-	"planetapps/internal/rng"
-)
+import "math"
 
 // KendallTau returns Kendall's tau-b rank correlation between xs and ys —
 // a robust alternative to Pearson for the heavy-tailed quantities this
@@ -48,28 +43,4 @@ func KendallTau(xs, ys []float64) float64 {
 		return 0
 	}
 	return (concordant - discordant) / math.Sqrt(nx*ny)
-}
-
-// BootstrapCI returns a percentile bootstrap confidence interval for an
-// arbitrary statistic of a sample: resamples copies of xs with
-// replacement, applies stat to each, and returns the (alpha/2, 1-alpha/2)
-// percentiles of the resampled statistics. Deterministic in the seed.
-func BootstrapCI(xs []float64, stat func([]float64) float64, resamples int, alpha float64, seed uint64) (lo, hi float64) {
-	if len(xs) == 0 || resamples < 1 {
-		return 0, 0
-	}
-	if alpha <= 0 || alpha >= 1 {
-		alpha = 0.05
-	}
-	r := rng.New(seed)
-	vals := make([]float64, resamples)
-	buf := make([]float64, len(xs))
-	for b := 0; b < resamples; b++ {
-		for i := range buf {
-			buf[i] = xs[r.Intn(len(xs))]
-		}
-		vals[b] = stat(buf)
-	}
-	sort.Float64s(vals)
-	return percentileSorted(vals, 100*alpha/2), percentileSorted(vals, 100*(1-alpha/2))
 }

@@ -57,23 +57,3 @@ func NewShareCurve(xs []float64, rankPcts []float64) ShareCurve {
 	}
 	return c
 }
-
-// Gini returns the Gini coefficient of xs (0 = perfectly equal, →1 =
-// maximally concentrated). Used as a scalar summary of popularity skew.
-func Gini(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	var cum, weighted float64
-	for i, v := range s {
-		cum += v
-		weighted += float64(i+1) * v
-	}
-	if cum == 0 {
-		return 0
-	}
-	return (2*weighted - float64(n+1)*cum) / (float64(n) * cum)
-}

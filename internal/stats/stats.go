@@ -113,41 +113,6 @@ func Pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// Spearman returns Spearman's rank correlation coefficient: the Pearson
-// correlation of the rank-transformed data, with ties assigned the mean of
-// the ranks they span.
-func Spearman(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks returns the fractional ranks (1-based) of xs, averaging ranks over
-// ties.
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Average rank for the tie group spanning sorted positions [i, j].
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
-}
-
 // LinearFit returns the least-squares line y = slope*x + intercept for the
 // given points. It returns (0, mean(ys)) when xs is constant.
 func LinearFit(xs, ys []float64) (slope, intercept float64) {

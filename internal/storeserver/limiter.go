@@ -10,10 +10,10 @@ import (
 // do not serialize on one mutex. Must be a power of two.
 const limiterShards = 16
 
-// defaultIdleTTL is how long an idle client's bucket survives before a
-// sweep reclaims it; a bucket idle that long has refilled to full burst
-// anyway, so dropping it is behaviorally invisible.
-const defaultIdleTTL = 2 * time.Minute
+// idleTTL is how long an idle client's bucket survives before a sweep
+// reclaims it; a bucket idle that long has refilled to full burst anyway,
+// so dropping it is behaviorally invisible.
+const idleTTL = 2 * time.Minute
 
 type bucket struct {
 	tokens float64
@@ -38,9 +38,6 @@ type limiter struct {
 }
 
 func newLimiter(rate float64, burst int, ttl time.Duration) *limiter {
-	if ttl <= 0 {
-		ttl = defaultIdleTTL
-	}
 	// A bucket that can never hold one token refuses every request: that
 	// is an outage, not a limit.
 	l := &limiter{rate: rate, burst: float64(max(burst, 1)), ttl: ttl}

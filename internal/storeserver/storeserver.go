@@ -77,9 +77,6 @@ type Config struct {
 	Burst int
 	// Latency is an artificial per-request service delay.
 	Latency time.Duration
-	// IdleTTL is how long an idle client's rate-limit bucket is kept
-	// before eviction; <= 0 uses a default of two minutes.
-	IdleTTL time.Duration
 	// DayInterval is the wall-clock cadence at which the operator rolls
 	// the store (appstored -day-every). When set, every /api/v1 response
 	// carries Cache-Control: max-age=<interval> plus an Age counted from
@@ -115,9 +112,14 @@ type Config struct {
 	Writes *wal.Config
 }
 
+// DefaultPageSize is the listing slice a node serves, and a gateway
+// assembles, when Config.PageSize is left zero — as every program here
+// leaves it, so a fleet's merged pages cannot disagree with its shards'.
+const DefaultPageSize = 100
+
 // DefaultConfig returns a config suitable for in-process crawling tests.
 func DefaultConfig() Config {
-	return Config{PageSize: 100, RatePerSec: 200, Burst: 50}
+	return Config{PageSize: DefaultPageSize, RatePerSec: 200, Burst: 50}
 }
 
 // Server serves one simulated appstore.
@@ -194,7 +196,7 @@ type Server struct {
 // SetComments.
 func New(m *marketsim.Market, cfg Config) *Server {
 	if cfg.PageSize <= 0 {
-		cfg.PageSize = 100
+		cfg.PageSize = DefaultPageSize
 	}
 	s := &Server{
 		cfg:    cfg,
@@ -217,7 +219,7 @@ func New(m *marketsim.Market, cfg Config) *Server {
 	s.wlog = wal.New(wcfg, s.reg)
 	s.publish()
 	if cfg.RatePerSec > 0 {
-		s.lim = newLimiter(cfg.RatePerSec, cfg.Burst, cfg.IdleTTL)
+		s.lim = newLimiter(cfg.RatePerSec, cfg.Burst, idleTTL)
 	}
 	if cfg.Capacity > 0 {
 		s.capSem = make(chan struct{}, cfg.Capacity)

@@ -1,17 +1,24 @@
 package planetapps_test
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 
-	"planetapps"
+	"planetapps/internal/affinity"
+	"planetapps/internal/cache"
+	"planetapps/internal/catalog"
+	"planetapps/internal/comments"
 	"planetapps/internal/crawler"
 	"planetapps/internal/db"
 	"planetapps/internal/dist"
+	"planetapps/internal/experiments"
 	"planetapps/internal/marketsim"
 	"planetapps/internal/model"
+	"planetapps/internal/pricing"
 	"planetapps/internal/proxy"
 	"planetapps/internal/stats"
 	"planetapps/internal/storeserver"
@@ -27,19 +34,14 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Skip("end-to-end pipeline is slow")
 	}
 	// --- Store ----------------------------------------------------------
-	prof, err := planetapps.StoreProfile("anzhi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof = prof.Scale(0.2)
-	mcfg := planetapps.DefaultMarketConfig(prof)
+	mcfg := marketsim.DefaultConfig(catalog.Profiles["anzhi"].Scale(0.2))
 	mcfg.Days = 8
 	market, err := marketsim.New(mcfg, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := storeserver.New(market, storeserver.DefaultConfig())
-	cs, err := planetapps.GenerateComments(market.Catalog(), 4000, 78)
+	cs, err := comments.Generate(market.Catalog(), comments.DefaultGenConfig(4000), 78)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +86,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// --- Popularity claims from crawled data ------------------------------
 	_, downloads := c.DB().DownloadsOnDay(lastDay)
-	var vals []float64
-	for _, d := range downloads {
-		if d > 0 {
-			vals = append(vals, float64(d))
-		}
-	}
-	curve := dist.NewRankCurve(vals)
+	curve := positiveCurve(downloads)
 	if share := stats.TopShare(curve.Downloads, 0.10); share < 0.55 {
 		t.Fatalf("crawled Pareto share %v too weak", share)
 	}
@@ -156,5 +152,179 @@ func TestEndToEndPipeline(t *testing.T) {
 	aff := float64(match) / float64(total)
 	if aff < 0.15 {
 		t.Fatalf("crawled depth-1 affinity %v too weak (planted ~0.28)", aff)
+	}
+}
+
+// positiveCurve is the form measured curves take: the rank curve of the
+// apps with at least one download.
+func positiveCurve(downloads []int64) dist.RankCurve {
+	vals := make([]float64, 0, len(downloads))
+	for _, d := range downloads {
+		if d > 0 {
+			vals = append(vals, float64(d))
+		}
+	}
+	return dist.NewRankCurve(vals)
+}
+
+// The tests below drive each offline stage of the pipeline the way its
+// command does — across package boundaries, on data another package
+// produced. The per-package tests pin the stages; these pin the joints.
+
+func TestProfilesExposed(t *testing.T) {
+	for _, name := range []string{"slideme", "1mobile", "appchina", "anzhi"} {
+		if p, ok := catalog.Profiles[name]; !ok || p.Name != name {
+			t.Fatalf("profile %q missing or misnamed: %+v", name, p)
+		}
+	}
+	if got := len(catalog.ProfileNames()); got != 4 {
+		t.Fatalf("%d profile names", got)
+	}
+}
+
+func TestGenerateAndSimulate(t *testing.T) {
+	p := catalog.Profiles["slideme"].Scale(0.1)
+	c, err := catalog.Generate(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NumApps() != p.Apps {
+		t.Fatalf("catalog has %d apps", c.NumApps())
+	}
+	cfg := marketsim.DefaultConfig(p)
+	cfg.Days = 10
+	m, err := marketsim.New(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series.Days) != 10 {
+		t.Fatalf("series has %d days", len(series.Days))
+	}
+	if m.Catalog().NumApps() < p.Apps {
+		t.Fatal("market lost apps")
+	}
+}
+
+func TestWorkloadAndFit(t *testing.T) {
+	cfg := model.Config{
+		Apps: 600, Users: 8000, DownloadsPerUser: 8,
+		ZipfGlobal: 1.4, ZipfCluster: 1.4, ClusterP: 0.9, Clusters: 20,
+	}
+	w, err := model.NewSimulator(model.AppClustering, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curve := positiveCurve(w.Run(3).Downloads)
+	if curve.Total() == 0 {
+		t.Fatal("no downloads")
+	}
+	if pred := model.PredictCurve(model.AppClustering, cfg); len(pred.Downloads) != cfg.Apps {
+		t.Fatal("prediction length wrong")
+	}
+	spec := model.DefaultFitSpec()
+	spec.Users = []int{cfg.Users}
+	fits, err := model.FitAllMC(curve, spec, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fits) != 3 {
+		t.Fatalf("%d fits", len(fits))
+	}
+	if fits[0].Kind != model.AppClustering {
+		t.Fatalf("best fit is %s", fits[0].Kind)
+	}
+}
+
+func TestAffinityPipeline(t *testing.T) {
+	c, err := catalog.Generate(catalog.Profiles["anzhi"].Scale(0.1), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := comments.Generate(c, comments.DefaultGenConfig(2000), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	catStrings := comments.CategoryStrings(c, comments.AppStrings(comments.Filter(stream, 80)))
+	an, err := affinity.Analyze(catStrings, c.CategorySizes(), []int{1, 2, 3}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if an.OverallMean[0] < 2*an.RandomWalk[0] {
+		t.Fatalf("affinity %v vs baseline %v", an.OverallMean[0], an.RandomWalk[0])
+	}
+}
+
+func TestCacheSweepFacade(t *testing.T) {
+	cfg := model.Config{
+		Apps: 1000, Users: 4000, DownloadsPerUser: 8,
+		ZipfGlobal: 1.7, ZipfCluster: 1.4, ClusterP: 0.9, Clusters: 30,
+	}
+	pts, err := cache.SweepLRU(cfg, []float64{2, 10}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 2 {
+		t.Fatalf("%d points", len(pts))
+	}
+	if pts[0].HitRatio["APP-CLUSTERING"] >= pts[0].HitRatio["ZIPF"] {
+		t.Fatal("clustering should hurt the cache")
+	}
+}
+
+func TestAnalyzePricingFacade(t *testing.T) {
+	cfg := marketsim.DefaultConfig(catalog.Profiles["slideme"])
+	cfg.Days = 20
+	m, err := marketsim.New(cfg, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	ds := pricing.Dataset{Catalog: m.Catalog(), Downloads: m.Downloads()}
+	if err := ds.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if be, err := pricing.BreakEvenAdIncome(ds); err != nil || be <= 0 {
+		t.Fatalf("break-even income %v, %v", be, err)
+	}
+	if free, paid := ds.SplitCurves(); free.Total() <= paid.Total() {
+		t.Fatal("free volume should dominate")
+	}
+	if incomes, err := pricing.Incomes(ds); err != nil || len(incomes) == 0 {
+		t.Fatalf("%d incomes, %v", len(incomes), err)
+	}
+}
+
+func TestExperimentFacade(t *testing.T) {
+	if ids := experiments.IDs(); len(ids) != 24 {
+		t.Fatalf("%d experiments", len(ids))
+	}
+	s, err := experiments.NewSuite(experiments.Config{Seed: 3, Scale: 0.15, Days: 10, CommentUsers: 800})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := experiments.Run(s, "T1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ID() != "T1" {
+		t.Fatalf("ID = %s", res.ID())
+	}
+	var buf bytes.Buffer
+	for _, tbl := range res.Tables() {
+		if _, err := tbl.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !strings.Contains(buf.String(), "anzhi") {
+		t.Fatal("render missing content")
+	}
+	if _, err := experiments.Run(s, "F999"); err == nil {
+		t.Fatal("unknown experiment accepted")
 	}
 }
