@@ -61,7 +61,7 @@ func main() {
 		chaosScale = flag.Float64("chaos-scale", 1, "scale injected delays and Retry-After hints")
 		naive      = flag.Bool("naive", false, "disable hedging, circuit breaking, adaptive concurrency, and proxy health scoring (A/B baseline)")
 		hedgeAfter = flag.Duration("hedge-after", 150*time.Millisecond, "launch a hedged duplicate of a request stuck this long (0 = off)")
-		retries    = flag.Int("retries", 10, "per-request retry budget for unhinted failures (server-directed Retry-After waits are bounded separately, by time)")
+		retries    = flag.Int("retries", 10, "per-request retry budget for unhinted failures, >= 0 (0 = one attempt; server-directed Retry-After waits are bounded separately, by time)")
 
 		viaEdge      = flag.Bool("via-edge", false, "route the crawl through an in-process edge-cache tier")
 		edgePolicy   = flag.String("edge-policy", "lru", "edge replacement policy: lru, 2q, category")
@@ -71,6 +71,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if *retries < 0 {
+		fmt.Fprintf(os.Stderr, "crawl: -retries must be >= 0, got %d\n", *retries)
+		os.Exit(2)
+	}
 	var chaosSc faultinject.Scenario
 	if *chaos != "" {
 		if *url != "" {

@@ -38,7 +38,7 @@ func main() {
 		defaultTTL = flag.Duration("default-ttl", 0, "freshness when the origin sends no Cache-Control (0 = always revalidate)")
 		prefetch   = flag.Int("prefetch", 0, "warm up to this many likely-next detail pages per detail request (0 = off)")
 		workers    = flag.Int("prefetch-workers", 2, "prefetch warming concurrency")
-		retries    = flag.Int("origin-retries", 5, "origin retry budget before serving stale")
+		retries    = flag.Int("origin-retries", 5, "origin retry budget before serving stale (>= 1: a zero edgecache.Config.OriginRetries means its default of 5)")
 		hedge      = flag.Duration("hedge-after", 0, "hedge origin fetches still in flight after this long (0 = off)")
 		seed       = flag.Uint64("seed", 1, "retry-jitter seed")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
@@ -55,6 +55,10 @@ func main() {
 	}
 	if *prefetch < 0 {
 		fmt.Fprintf(os.Stderr, "edgecached: -prefetch must be >= 0, got %d\n", *prefetch)
+		os.Exit(2)
+	}
+	if *retries < 1 {
+		fmt.Fprintf(os.Stderr, "edgecached: -origin-retries must be >= 1, got %d\n", *retries)
 		os.Exit(2)
 	}
 

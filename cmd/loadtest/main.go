@@ -210,10 +210,11 @@ func main() {
 				MaxIdleConns:        *inflight,
 				MaxIdleConnsPerHost: *inflight,
 			},
+			MaxRetries:     4,
 			AttemptTimeout: *timeout,
 			HedgeAfter:     *hedgeAfter,
 			MaxHedges:      *maxHedges,
-			Breaker:        &resilient.BreakerConfig{},
+			Breaker:        true,
 			Seed:           *seed,
 		})
 	}

@@ -2,11 +2,15 @@ package planetapps_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -149,6 +153,183 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 			t.Errorf("%s: %s is named by no program: wire it in, move it beside its test, or delete it", e.pos, e.name)
 		}
 	}
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// TestEveryConfigFieldIsSet is the caller rule applied to settings: an
+// exported field of an exported *Config, *Options or *Spec struct under
+// internal/ that nothing writes but its own package's defaults is a
+// constant with a knob on it — make it the constant, in the package that
+// reads it. A write is a composite-literal key or an x.F = assignment,
+// resolved to the field it names by type-checking the tree (cmd/bench and
+// every test included). It counts from a program, another package or a
+// test, and from the field's own package only when the value is a
+// parameter of the enclosing function (DefaultConfig(baseURL) filling
+// BaseURL). There is no allow-list.
+func TestEveryConfigFieldIsSet(t *testing.T) {
+	fset := token.NewFileSet()
+	type pkgFiles struct{ lib, tests, xtests []*ast.File }
+	dirs, order := map[string]*pkgFiles{}, []string(nil)
+	for _, path := range goFiles(t, func(path string) bool {
+		ok, err := build.Default.MatchFile(filepath.Dir(path), filepath.Base(path))
+		return err == nil && ok
+	}) {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		pf := dirs[dir]
+		if pf == nil {
+			pf = &pkgFiles{}
+			dirs[dir], order = pf, append(order, dir)
+		}
+		switch {
+		case !isTest(path):
+			pf.lib = append(pf.lib, f)
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			pf.xtests = append(pf.xtests, f)
+		default:
+			pf.tests = append(pf.tests, f)
+		}
+	}
+
+	newInfo := func() *types.Info {
+		return &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	}
+	std := importer.Default()
+	checked, libInfo := map[string]*types.Package{}, map[string]*types.Info{}
+	var imp importerFunc
+	check := func(path string, files []*ast.File, info *types.Info) *types.Package {
+		conf := types.Config{Importer: imp}
+		p, err := conf.Check(path, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+		return p
+	}
+	imp = func(path string) (*types.Package, error) {
+		dir, ok := strings.CutPrefix(path, "planetapps/")
+		if !ok {
+			return std.Import(path)
+		}
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		info := newInfo()
+		p := check(path, dirs[dir].lib, info)
+		checked[path], libInfo[dir] = p, info
+		return p, nil
+	}
+
+	// Every write, by the position of the field it writes.
+	type write struct {
+		dir    string
+		counts bool // a test, or a value passed in by the caller
+	}
+	writes := map[token.Pos][]write{}
+	scan := func(dir string, files []*ast.File, info *types.Info, test bool) {
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				params := map[types.Object]bool{}
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					for _, p := range fd.Type.Params.List {
+						for _, name := range p.Names {
+							params[info.Defs[name]] = true
+						}
+					}
+				}
+				record := func(obj types.Object, value ast.Expr) {
+					if v, ok := obj.(*types.Var); ok && v.IsField() {
+						id, _ := value.(*ast.Ident)
+						pos := v.Origin().Pos()
+						writes[pos] = append(writes[pos], write{dir, test || id != nil && params[info.Uses[id]]})
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.KeyValueExpr:
+						if key, ok := n.Key.(*ast.Ident); ok {
+							record(info.Uses[key], n.Value)
+						}
+					case *ast.AssignStmt:
+						for i, lhs := range n.Lhs {
+							if sel, ok := lhs.(*ast.SelectorExpr); ok && info.Selections[sel] != nil {
+								var value ast.Expr
+								if len(n.Rhs) == len(n.Lhs) {
+									value = n.Rhs[i]
+								}
+								record(info.Selections[sel].Obj(), value)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	for _, dir := range order {
+		pf, path := dirs[dir], strings.TrimSuffix("planetapps/"+dir, "/.")
+		if pf.lib != nil {
+			imp(path) //nolint:errcheck // check fails the test itself
+			scan(dir, pf.lib, libInfo[dir], false)
+		}
+		if pf.tests != nil {
+			info := newInfo()
+			check(path, append(pf.lib[:len(pf.lib):len(pf.lib)], pf.tests...), info)
+			scan(dir, pf.tests, info, true)
+		}
+		if pf.xtests != nil {
+			info := newInfo()
+			check(path+"_test", pf.xtests, info)
+			scan(dir, pf.xtests, info, true)
+		}
+	}
+
+	fields := 0
+	for _, dir := range order {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, f := range dirs[dir].lib {
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					name := ts.Name.Name
+					if !ok || !ts.Name.IsExported() || !strings.HasSuffix(name, "Config") &&
+						!strings.HasSuffix(name, "Options") && !strings.HasSuffix(name, "Spec") {
+						continue
+					}
+					for _, fl := range st.Fields.List {
+						for _, fn := range fl.Names {
+							if !fn.IsExported() {
+								continue
+							}
+							fields++
+							if !slices.ContainsFunc(writes[fn.Pos()], func(w write) bool { return w.dir != dir || w.counts }) {
+								t.Errorf("%s: %s.%s.%s is set by no program, test or other package: make it a constant where it is read",
+									fset.Position(fn.Pos()), filepath.Base(dir), name, fn.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if fields == 0 {
+		t.Fatal("found no config fields under internal/: run from the repository root")
+	}
+	t.Logf("%d exported config fields under internal/", fields)
 }
 
 // TestModuleMapIsCurrent holds DESIGN.md §2 to the tree: every package

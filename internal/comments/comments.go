@@ -37,55 +37,40 @@ type Comment struct {
 type GenConfig struct {
 	// Users is the number of commenting users.
 	Users int
-	// MeanComments is the mean number of comments per ordinary user; the
-	// per-user count is geometric, giving the heavy right tail of
-	// Figure 5(a).
-	MeanComments float64
-	// ClusterP is the probability that a user's next commented app comes
-	// from the category of a previous one (the clustering effect).
-	ClusterP float64
-	// ZipfApp is the within-category Zipf exponent for app selection.
-	ZipfApp float64
-	// SpamFraction is the share of users that are spam posters.
-	SpamFraction float64
-	// SpamComments is the mean number of comments posted by a spam user.
-	SpamComments float64
 	// Days spreads timestamps across this many days from the catalog start.
 	Days int
-	// RatingOmitP is the probability a comment carries no rating (rating 0);
-	// such comments are dropped by the paper's filter.
-	RatingOmitP float64
 }
 
-// DefaultGenConfig returns parameters calibrated to the paper's Anzhi
-// observations: 92% of users under 10 comments, ~2% above 20, spam users
-// posting hundreds.
+// DefaultGenConfig returns users commenting over a 60-day period.
 func DefaultGenConfig(users int) GenConfig {
-	return GenConfig{
-		Users:        users,
-		MeanComments: 3.5,
-		ClusterP:     0.55,
-		ZipfApp:      1.1,
-		SpamFraction: 0.003,
-		SpamComments: 300,
-		Days:         60,
-		RatingOmitP:  0.1,
-	}
+	return GenConfig{Users: users, Days: 60}
 }
+
+// The generator's calibration to the paper's Anzhi observations: 92% of
+// users under 10 comments, ~2% above 20, spam users posting hundreds.
+const (
+	// meanComments is the mean number of comments per ordinary user; the
+	// per-user count is geometric, giving the heavy right tail of
+	// Figure 5(a).
+	meanComments = 3.5
+	// clusterP is the probability that a user's next commented app comes
+	// from the category of a previous one (the clustering effect).
+	clusterP = 0.55
+	// zipfApp is the within-category Zipf exponent for app selection.
+	zipfApp = 1.1
+	// spamFraction is the share of users that are spam posters.
+	spamFraction = 0.003
+	// spamComments is the mean number of comments posted by a spam user.
+	spamComments = 300
+	// ratingOmitP is the probability a comment carries no rating (rating
+	// 0); such comments are dropped by the paper's filter.
+	ratingOmitP = 0.1
+)
 
 // Validate reports the first invalid field.
 func (g GenConfig) Validate() error {
 	if g.Users < 1 {
 		return fmt.Errorf("comments: Users = %d", g.Users)
-	}
-	if g.MeanComments <= 0 {
-		return fmt.Errorf("comments: MeanComments = %v", g.MeanComments)
-	}
-	if g.ClusterP < 0 || g.ClusterP > 1 {
-		return fmt.Errorf("comments: ClusterP = %v", g.ClusterP)
-	}
-	if g.SpamFraction < 0 || g.SpamFraction > 1 {
-		return fmt.Errorf("comments: SpamFraction = %v", g.SpamFraction)
 	}
 	if g.Days < 1 {
 		return fmt.Errorf("comments: Days = %d", g.Days)
@@ -96,7 +81,7 @@ func (g GenConfig) Validate() error {
 // Generate produces a time-ordered comment stream over the catalog's apps.
 // Ordinary users follow the clustering effect: each subsequent comment is
 // on an app from the category of a previous comment with probability
-// ClusterP. Spam users post rapid-fire comments on random apps, mimicking
+// clusterP. Spam users post rapid-fire comments on random apps, mimicking
 // the automated posters the paper detected and filtered.
 func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error) {
 	if err := cfg.Validate(); err != nil {
@@ -121,7 +106,7 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 		z, ok := bySize[n]
 		if !ok {
 			var err error
-			z, err = dist.NewZipf(n, cfg.ZipfApp)
+			z, err = dist.NewZipf(n, zipfApp)
 			if err != nil {
 				return nil, err
 			}
@@ -151,10 +136,10 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 	var history []catalog.AppID // the current user's, reused from user to user
 	for u := 0; u < cfg.Users; u++ {
 		uid := catalog.UserID(u)
-		if r.Bool(cfg.SpamFraction) {
+		if r.Bool(spamFraction) {
 			// Spam user: a burst of comments within a few hours, random
 			// apps, fixed rating (scripted).
-			n := 1 + r.Poisson(cfg.SpamComments)
+			n := 1 + r.Poisson(spamComments)
 			start := c.Start.Add(time.Duration(r.Intn(cfg.Days)) * dayDur)
 			for k := 0; k < n; k++ {
 				out = append(out, Comment{
@@ -166,13 +151,13 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 			}
 			continue
 		}
-		n := 1 + dist.Geometric(r, 1/(cfg.MeanComments))
+		n := 1 + dist.Geometric(r, 1/(meanComments))
 		history = history[:0]
 		when := c.Start.Add(time.Duration(r.Intn(cfg.Days)) * dayDur).
 			Add(time.Duration(r.Intn(86400)) * time.Second)
 		for k := 0; k < n; k++ {
 			var app catalog.AppID
-			if len(history) > 0 && r.Bool(cfg.ClusterP) {
+			if len(history) > 0 && r.Bool(clusterP) {
 				prev := history[r.Intn(len(history))]
 				app = pickInCategory(c.CategoryOf(prev))
 			} else {
@@ -180,7 +165,7 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 			}
 			history = append(history, app)
 			rating := int8(1 + r.Intn(5))
-			if r.Bool(cfg.RatingOmitP) {
+			if r.Bool(ratingOmitP) {
 				rating = 0
 			}
 			out = append(out, Comment{User: uid, App: app, Rating: rating, Time: when})

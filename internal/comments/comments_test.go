@@ -180,9 +180,7 @@ func TestClusteringEffectRecoverable(t *testing.T) {
 	// the affinity pipeline, and verify measured affinity near the plant
 	// and far above the random-walk baseline.
 	c := testCatalog(t)
-	cfg := DefaultGenConfig(4000)
-	cfg.ClusterP = 0.55
-	cs, err := Generate(c, cfg, 17)
+	cs, err := Generate(c, DefaultGenConfig(4000), 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,11 +275,6 @@ func TestGenerateErrors(t *testing.T) {
 	bad := DefaultGenConfig(0)
 	if _, err := Generate(c, bad, 1); err == nil {
 		t.Fatal("zero users accepted")
-	}
-	bad = DefaultGenConfig(10)
-	bad.ClusterP = 2
-	if _, err := Generate(c, bad, 1); err == nil {
-		t.Fatal("bad ClusterP accepted")
 	}
 	bad = DefaultGenConfig(10)
 	bad.Days = 0

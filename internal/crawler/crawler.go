@@ -26,7 +26,6 @@ import (
 	"planetapps/internal/apiwire"
 	"planetapps/internal/cache"
 	"planetapps/internal/db"
-	"planetapps/internal/metrics"
 	"planetapps/internal/proxy"
 	"planetapps/internal/resilient"
 	"planetapps/internal/storeserver"
@@ -43,9 +42,10 @@ type Config struct {
 	// <= 0 disables the limiter. Retries and hedges spend the same budget.
 	RatePerSec float64
 	// MaxRetries is the per-request retry budget for 429/5xx/transport
-	// errors and damaged payloads.
+	// errors and damaged payloads: 0 is one attempt; negative is refused.
 	MaxRetries int
-	// Backoff is the base of the full-jitter retry schedule.
+	// Backoff is the base of the full-jitter retry schedule (0 = the
+	// resilient client's default).
 	Backoff time.Duration
 	// Proxies optionally routes requests through a proxy pool. Unless
 	// Naive, selection is health-scored: nodes are demoted after repeated
@@ -58,8 +58,6 @@ type Config struct {
 	// each app version only once, so we do not affect the actual number
 	// of downloads" — and the simulated store indeed does not count them).
 	FetchAPKs bool
-	// Timeout bounds each HTTP attempt.
-	Timeout time.Duration
 	// HedgeAfter launches a duplicate of an attempt still in flight after
 	// this long, first completion winning (0 disables). Hedging converts
 	// injected tail-latency spikes into near-median fetches.
@@ -79,22 +77,17 @@ type Config struct {
 	// default of 65536 — comfortably above one crawl pass of the test
 	// stores, so eviction only kicks in on long multi-store sessions.
 	CondCacheSize int
-	// Metrics optionally wires the crawler's counters (requests, 304
-	// revalidation hits, conditional-cache evictions) plus the resilient
-	// client's fault/recovery counters into a registry.
-	Metrics *metrics.Registry
 }
 
 // DefaultConfig returns a configuration suited to the in-process store:
-// hedging, breaker, and AIMD on (Naive turns them back off).
+// hedging, breaker, and AIMD on (Naive turns them back off). Backoff and
+// the attempt timeout are the resilient client's defaults.
 func DefaultConfig(baseURL string) Config {
 	return Config{
 		BaseURL:    baseURL,
 		Workers:    8,
 		RatePerSec: 150,
 		MaxRetries: 5,
-		Backoff:    20 * time.Millisecond,
-		Timeout:    10 * time.Second,
 		HedgeAfter: 150 * time.Millisecond,
 	}
 }
@@ -158,16 +151,6 @@ type Crawler struct {
 	rateMu sync.Mutex
 	tokens float64
 	last   time.Time
-
-	// Optional registry-backed counters (nil without cfg.Metrics); the
-	// resilient client registers its own counters alongside.
-	mRequests    *metrics.Counter
-	mNotModified *metrics.Counter
-	mEvictions   *metrics.Counter
-
-	// sessionRequests tracks attempts already attributed to previous
-	// CrawlDay calls, so mRequests advances by per-session deltas.
-	sessionRequests int64
 }
 
 type condEntry struct {
@@ -200,9 +183,6 @@ func (c *Crawler) condPut(url, etag string, body []byte) {
 func (c *Crawler) condEvicted(url string) {
 	delete(c.cond, url)
 	c.condEvictions++
-	if c.mEvictions != nil {
-		c.mEvictions.Inc()
-	}
 }
 
 // New creates a crawler writing into the given database.
@@ -210,17 +190,11 @@ func New(cfg Config, database *db.DB) (*Crawler, error) {
 	if cfg.BaseURL == "" {
 		return nil, fmt.Errorf("crawler: empty base URL")
 	}
+	if cfg.MaxRetries < 0 {
+		return nil, fmt.Errorf("crawler: MaxRetries = %d, need >= 0", cfg.MaxRetries)
+	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
-	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 20 * time.Millisecond
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
 	}
 	if cfg.CondCacheSize <= 0 {
 		cfg.CondCacheSize = 65536
@@ -238,35 +212,28 @@ func New(cfg Config, database *db.DB) (*Crawler, error) {
 		MaxIdleConnsPerHost: cfg.Workers,
 	}
 	rcfg := resilient.Config{
-		Transport:      transport,
-		MaxRetries:     cfg.MaxRetries,
-		BaseBackoff:    cfg.Backoff,
-		AttemptTimeout: cfg.Timeout,
-		AcceptGzip:     !cfg.DisableGzip,
-		PreAttempt:     c.waitRate,
-		UserAgent:      "planetapps-crawler/1.0",
-		Metrics:        cfg.Metrics,
+		Transport:   transport,
+		MaxRetries:  cfg.MaxRetries,
+		BaseBackoff: cfg.Backoff,
+		AcceptGzip:  !cfg.DisableGzip,
+		PreAttempt:  c.waitRate,
+		UserAgent:   "planetapps-crawler/1.0",
 	}
 	if !cfg.Naive {
 		rcfg.HedgeAfter = cfg.HedgeAfter
-		rcfg.Breaker = &resilient.BreakerConfig{}
-		rcfg.AIMD = &resilient.AIMDConfig{Max: float64(2 * cfg.Workers)}
+		rcfg.Breaker = true
+		rcfg.AIMD = 2 * cfg.Workers
 	}
 	if cfg.Proxies != nil {
 		if cfg.Naive {
 			transport.Proxy = cfg.Proxies.ProxyFunc()
 		} else {
-			c.health = resilient.NewProxyHealth(cfg.Proxies, resilient.ProxyHealthConfig{}, nil, cfg.Metrics)
+			c.health = resilient.NewProxyHealth(cfg.Proxies, nil)
 			transport.Proxy = c.health.ProxyFunc()
 			rcfg.ProxyHealth = c.health
 		}
 	}
 	c.client = resilient.New(rcfg)
-	if cfg.Metrics != nil {
-		c.mRequests = cfg.Metrics.Counter("crawler_requests_total")
-		c.mNotModified = cfg.Metrics.Counter("crawler_not_modified_total")
-		c.mEvictions = cfg.Metrics.Counter("crawler_cond_evictions_total")
-	}
 	return c, nil
 }
 
@@ -335,9 +302,6 @@ func (c *Crawler) getJSON(ctx context.Context, url string, out any) error {
 		c.mu.Lock()
 		c.notModified++
 		c.mu.Unlock()
-		if c.mNotModified != nil {
-			c.mNotModified.Inc()
-		}
 		return nil
 	}
 	if etag := res.Header.Get("ETag"); etag != "" {
@@ -444,10 +408,6 @@ walk:
 	}
 
 	cs := c.client.Stats()
-	if c.mRequests != nil {
-		c.mRequests.Add(cs.Attempts - c.sessionRequests)
-	}
-	c.sessionRequests = cs.Attempts
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Stats{

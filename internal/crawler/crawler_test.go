@@ -284,6 +284,33 @@ func TestCrawlRetriesServerErrors(t *testing.T) {
 	}
 }
 
+// TestMaxRetriesIsTheBudget holds the crawl to its retry budget against a
+// store that only fails: MaxRetries n is n+1 requests, and 0 is one attempt,
+// not a default.
+func TestMaxRetriesIsTheBudget(t *testing.T) {
+	for _, tc := range []struct{ retries, requests int }{{0, 1}, {1, 2}, {3, 4}} {
+		var hits atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			http.Error(w, "boom", http.StatusInternalServerError)
+		}))
+		cfg := DefaultConfig(srv.URL)
+		cfg.MaxRetries = tc.retries
+		c, err := New(cfg, db.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.CrawlDay(context.Background())
+		srv.Close()
+		if err == nil {
+			t.Fatalf("MaxRetries %d: an all-500 store crawled successfully", tc.retries)
+		}
+		if got := hits.Load(); got != int64(tc.requests) {
+			t.Errorf("MaxRetries %d: %d requests, want %d", tc.retries, got, tc.requests)
+		}
+	}
+}
+
 func TestCancellation(t *testing.T) {
 	_, ts := testStore(t, storeserver.Config{PageSize: 5})
 	cfg := DefaultConfig(ts.URL)
@@ -302,6 +329,11 @@ func TestCancellation(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}, db.New()); err == nil {
 		t.Fatal("empty base URL accepted")
+	}
+	cfg := DefaultConfig("http://127.0.0.1:1")
+	cfg.MaxRetries = -1
+	if _, err := New(cfg, db.New()); err == nil {
+		t.Fatal("negative retry budget accepted")
 	}
 }
 

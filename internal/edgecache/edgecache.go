@@ -82,9 +82,6 @@ type Config struct {
 	// HedgeAfter launches a hedged origin attempt after this long
 	// (0 = off).
 	HedgeAfter time.Duration
-	// Metrics receives the edge counters (default: a fresh registry,
-	// served at /metrics).
-	Metrics *metrics.Registry
 	// Seed drives the resilient client's backoff jitter.
 	Seed uint64
 }
@@ -164,12 +161,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.PrefetchWorkers <= 0 {
 		cfg.PrefetchWorkers = 2
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
 	s := &Server{
 		cfg:     cfg,
-		reg:     cfg.Metrics,
+		reg:     metrics.NewRegistry(),
 		entries: map[reqKey]*entry{},
 		cats:    map[string]int32{},
 		flights: map[reqKey]*flight{},
@@ -204,7 +198,7 @@ func New(cfg Config) (*Server, error) {
 		MaxRetries: cfg.OriginRetries,
 		HedgeAfter: cfg.HedgeAfter,
 		Seed:       cfg.Seed,
-		Metrics:    cfg.Metrics,
+		Metrics:    s.reg,
 	})
 	if cfg.PrefetchBudget > 0 {
 		s.warm = newWarmer(s)

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"planetapps/internal/metrics"
+	"planetapps/internal/rng"
 )
 
 // Kind enumerates the injectable faults.
@@ -210,12 +211,7 @@ func (in *Injector) InjectedTotal() int64 {
 
 // splitmix64 is the decision hash: a full-avalanche mix of the seed, rule
 // index, node, and arrival index.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+func splitmix64(x uint64) uint64 { return rng.Mix64(x + 0x9e3779b97f4a7c15) }
 
 // draw returns the uniform [0,1) decision variate for (rule ri, arrival n).
 func (in *Injector) draw(ri int, n int64) float64 {

@@ -1,8 +1,12 @@
 package faultinject
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -233,5 +237,30 @@ func TestLookupAndScale(t *testing.T) {
 	}
 	if sc.Rules[0].Delay == 0 {
 		t.Fatal("Scale mutated the original")
+	}
+}
+
+// TestDrawStreamDigest pins the decision and jitter variates for a spread of
+// seeds, nodes, rules and arrivals, hashed. Taken before the decision hash
+// became rng.Mix64; a change here moves every fault a chaos run injects.
+func TestDrawStreamDigest(t *testing.T) {
+	h := sha256.New()
+	var buf [8]byte
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		for _, node := range []int{-1, 0, 3} {
+			in := NewForNode(Scenario{}, seed, node, nil)
+			for ri := 0; ri < 4; ri++ {
+				for n := int64(0); n < 1000; n++ {
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(in.draw(ri, n)))
+					h.Write(buf[:]) //nolint:errcheck
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(in.jitterDraw(ri, n)))
+					h.Write(buf[:]) //nolint:errcheck
+				}
+			}
+		}
+	}
+	const want = "bb1615f038706bf9e859b588e9e38e5d232ec80004ce7fbaa230d430a8aad4d1"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("draw stream digest = %s, want %s", got, want)
 	}
 }

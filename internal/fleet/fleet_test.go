@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -196,6 +198,26 @@ func TestRingOwnsFuncMatchesOwner(t *testing.T) {
 				t.Fatalf("id %d: OwnsFunc(%d) disagrees with Owner=%d", id, s, o)
 			}
 		}
+	}
+}
+
+// TestRingOwnershipDigest pins who owns what: the owner of every id below
+// 100k on rings of 1-12 shards at the default, a small and a large vnode
+// count, hashed. Taken before the ring's finalizer became rng.Mix64; a
+// change here re-partitions every sharded store.
+func TestRingOwnershipDigest(t *testing.T) {
+	h := sha256.New()
+	for shards := 1; shards <= 12; shards++ {
+		for _, vnodes := range []int{0, 16, 200} {
+			r := NewRing(shards, vnodes)
+			for id := int32(0); id < 100000; id++ {
+				h.Write([]byte{byte(r.Owner(id))}) //nolint:errcheck
+			}
+		}
+	}
+	const want = "060a05caa6c9d092b95791ba7997e03fbd6d3e2552ff8aa8cf33e768adb48e43"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("ring ownership digest = %s, want %s", got, want)
 	}
 }
 

@@ -35,11 +35,12 @@ type Config struct {
 	// (<= 0 uses DefaultVnodes). Must match the value the shards'
 	// partitioners were built with.
 	Vnodes int
-	// EpochRetries bounds how many times a scatter request is retried when
-	// the shards' X-Store-Day headers disagree (a day-roll commit fanning
-	// out mid-request) before giving up with 503 epoch_skew. <= 0 uses 3.
-	EpochRetries int
 }
+
+// maxEpochRetries bounds how many times a scatter request is retried when
+// the shards' X-Store-Day headers disagree (a day-roll commit fanning out
+// mid-request) before giving up with 503 epoch_skew.
+const maxEpochRetries = 3
 
 // Gateway is the fleet's front door: one HTTP surface, N shards behind
 // it. Single-app routes are proxied to their ring owner untouched; the
@@ -70,9 +71,6 @@ type Gateway struct {
 func NewGateway(cfg Config) *Gateway {
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = storeserver.DefaultPageSize
-	}
-	if cfg.EpochRetries <= 0 {
-		cfg.EpochRetries = 3
 	}
 	g := &Gateway{
 		cfg:  cfg,
@@ -670,7 +668,7 @@ func (g *Gateway) assemble(ctx context.Context, anchors []int32, limit int) (pag
 	return out, nil
 }
 
-// retryEpoch runs one scatter attempt up to EpochRetries+1 times. An
+// retryEpoch runs one scatter attempt up to maxEpochRetries+1 times. An
 // attempt returns its observed day ("" = shards disagreed → retry) or a
 // hard error. Exhausting retries yields 503 epoch_skew — the fleet was
 // mid-commit the whole time, which a two-phase roll makes vanishingly
@@ -685,7 +683,7 @@ func (g *Gateway) retryEpoch(attempt func() (string, *apiwire.Error)) *apiwire.E
 		if day != "" {
 			return nil
 		}
-		if try >= g.cfg.EpochRetries {
+		if try >= maxEpochRetries {
 			g.epochSkews.Inc()
 			return &apiwire.Error{Status: http.StatusServiceUnavailable, Code: "epoch_skew",
 				Message: "fleet day-roll in progress; retry"}

@@ -14,6 +14,8 @@ package fleet
 import (
 	"hash/fnv"
 	"sort"
+
+	"planetapps/internal/rng"
 )
 
 // DefaultVnodes is the virtual-node count per shard: enough for ±a few
@@ -99,20 +101,12 @@ func putUint64(b []byte, v uint64) {
 func fnvHash(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b) //nolint:errcheck
-	return mix64(h.Sum64())
-}
-
-// mix64 is the splitmix64 finalizer. Raw FNV-64a hashes of near-identical
-// short inputs — consecutive app IDs, vnode indices — form low-rank
-// lattices (each differing byte contributes a fixed multiple of a power
-// of the FNV prime), and two such lattices interleave on the ring with
-// systematic bias: at 2 shards x 512 vnodes the raw hashes parked 80% of
-// a uniform catalog on one shard. The finalizer's shift-xor-multiply
-// cascade breaks the lattice structure so ownership tracks arc length.
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	// Raw FNV-64a hashes of near-identical short inputs — consecutive app
+	// IDs, vnode indices — form low-rank lattices (each differing byte
+	// contributes a fixed multiple of a power of the FNV prime), and two such
+	// lattices interleave on the ring with systematic bias: at 2 shards x 512
+	// vnodes the raw hashes parked 80% of a uniform catalog on one shard. The
+	// splitmix64 finalizer's shift-xor-multiply cascade breaks the lattice
+	// structure so ownership tracks arc length.
+	return rng.Mix64(h.Sum64())
 }

@@ -37,6 +37,7 @@ import (
 	"planetapps/internal/gcstats"
 	"planetapps/internal/metrics"
 	"planetapps/internal/model"
+	"planetapps/internal/rng"
 )
 
 // Mode selects the load discipline.
@@ -489,13 +490,7 @@ func (g *Generator) issueWrite(ctx context.Context, endpoint string, kind apiwir
 // writeHash mixes (seed, user, app) into the 64 bits every write-funnel
 // decision derives from — a splitmix64 finalizer, so nearby ids decohere.
 func writeHash(seed uint64, user, app int32) uint64 {
-	x := seed ^ uint64(uint32(user))<<32 ^ uint64(uint32(app))
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return rng.Mix64(seed ^ uint64(uint32(user))<<32 ^ uint64(uint32(app)))
 }
 
 // funnel is what one event adds to its detail GET: nothing, or a download

@@ -64,26 +64,6 @@ type Config struct {
 	// accumulated downloads on the first crawl day). The per-user download
 	// budget DownloadsPerUser is spread over WarmupDays+Days.
 	WarmupDays int
-	// PaidDownloadShare is the paid stream's volume as a fraction of the
-	// free stream's (Table 1: SlideMe paid sees ~2.4% of free volume).
-	// Only meaningful when the profile has paid apps.
-	PaidDownloadShare float64
-	// PriceElasticity shapes the paid-app price penalty: effective appeal
-	// is divided by (1+price)^PriceElasticity.
-	PriceElasticity float64
-	// PriceChangeP is the per-app per-day probability of a price change.
-	PriceChangeP float64
-	// PaidSelectivity raises paid-app appeal to this power before
-	// sampling. Values above 1 concentrate paid downloads on the best
-	// apps, producing the steeper pure power law of Figure 11(b) (users
-	// "are more selective when paying for apps").
-	PaidSelectivity float64
-	// ShovelwareDamping divides an app's appeal by its developer's
-	// portfolio size raised to this power. It models the paper's Figure 14
-	// finding that income does not grow with portfolio size: accounts that
-	// mass-produce apps (the 1,402-app e-book publisher) ship individually
-	// unpopular ones.
-	ShovelwareDamping float64
 	// DisableSeries skips the per-day snapshot.Series accumulation — an
 	// O(apps) copy per Step that only analysis consumers need. Serving
 	// deployments (appstored) that never read the series should set it.
@@ -97,19 +77,38 @@ type Config struct {
 	FullExport bool
 }
 
-// DefaultConfig returns a calibrated configuration for the profile.
+// DefaultConfig returns the default period for the profile.
 func DefaultConfig(p catalog.Profile) Config {
 	return Config{
-		Profile:           p,
-		Days:              60,
-		WarmupDays:        60,
-		PaidDownloadShare: 0.024,
-		PriceElasticity:   0.8,
-		PriceChangeP:      0.002,
-		PaidSelectivity:   2.0,
-		ShovelwareDamping: 1.0,
+		Profile:    p,
+		Days:       60,
+		WarmupDays: 60,
 	}
 }
+
+// The market's calibration, one value each.
+const (
+	// paidDownloadShare is the paid stream's volume as a fraction of the
+	// free stream's (Table 1: SlideMe paid sees ~2.4% of free volume).
+	// Only meaningful when the profile has paid apps.
+	paidDownloadShare = 0.024
+	// priceElasticity shapes the paid-app price penalty: effective appeal
+	// is divided by (1+price)^priceElasticity.
+	priceElasticity = 0.8
+	// priceChangeP is the per-app per-day probability of a price change.
+	priceChangeP = 0.002
+	// paidSelectivity raises paid-app appeal to this power before
+	// sampling, concentrating paid downloads on the best apps: the steeper
+	// pure power law of Figure 11(b) (users "are more selective when
+	// paying for apps").
+	paidSelectivity = 2.0
+	// shovelwareDamping divides an app's appeal by its developer's
+	// portfolio size raised to this power. It models the paper's Figure 14
+	// finding that income does not grow with portfolio size: accounts that
+	// mass-produce apps (the 1,402-app e-book publisher) ship individually
+	// unpopular ones.
+	shovelwareDamping = 1.0
+)
 
 // Market is a running simulation. Create with New, advance with Step or
 // Run.
@@ -154,7 +153,7 @@ type Market struct {
 	paidIdx       []int32   // app index -> paid table index, -1 if free
 	paidDirty     []int32   // paid table indexes needing weight recompute
 	paidPortfolio map[catalog.DevID]int
-	devPaid       map[catalog.DevID][]int32 // dev -> paid table indexes (ShovelwareDamping > 0 only)
+	devPaid       map[catalog.DevID][]int32 // dev -> paid table indexes
 	tableN        int                       // apps incorporated into the tables so far
 
 	// Draw-acceleration indexes over the append-only sampling tables
@@ -230,11 +229,9 @@ func New(cfg Config, seed uint64) (*Market, error) {
 		cfg:           cfg,
 		usersPaid:     map[int32]*userState{},
 		paidPortfolio: map[catalog.DevID]int{},
+		devPaid:       map[catalog.DevID][]int32{},
 		series:        &snapshot.Series{Store: cfg.Profile.Name},
 		lastExportDay: -1,
-	}
-	if cfg.ShovelwareDamping > 0 {
-		m.devPaid = map[catalog.DevID][]int32{}
 	}
 	// Nothing between the go statement and the receive returns, so the
 	// goroutine is always waited for.
@@ -273,7 +270,7 @@ func New(cfg Config, seed uint64) (*Market, error) {
 	m.syncTables()
 	m.paidVolume = len(m.paidApps) > 0
 	if m.paidVolume {
-		m.dailyPaid = float64(m.schedule.len()) / float64(m.totalPeriods) * cfg.PaidDownloadShare
+		m.dailyPaid = float64(m.schedule.len()) / float64(m.totalPeriods) * paidDownloadShare
 	}
 	m.simulateDownloads()
 	if !m.cfg.DisableSeries {
@@ -290,9 +287,6 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.WarmupDays < 0 {
 		return fmt.Errorf("marketsim: WarmupDays = %d, need >= 0", cfg.WarmupDays)
-	}
-	if cfg.PaidDownloadShare < 0 {
-		return fmt.Errorf("marketsim: negative PaidDownloadShare")
 	}
 	// User ids and per-user budgets are int32; the schedule is indexed by int.
 	users, d := cfg.Profile.Users, cfg.Profile.DownloadsPerUser
@@ -549,7 +543,7 @@ func (m *Market) updatesAndPrices() {
 			m.cat.Apps[i].Versions++
 			m.markRow(i)
 		}
-		if m.isPaid[i] && m.r.Bool(m.cfg.PriceChangeP) {
+		if m.isPaid[i] && m.r.Bool(priceChangeP) {
 			a := &m.cat.Apps[i]
 			factor := 0.8 + 0.4*m.r.Float64()
 			p := a.Price * factor
@@ -580,14 +574,10 @@ func (m *Market) paidWeight(j int32) float64 {
 	w := m.appeal[i]
 	// Paying users are more selective (steeper concentration) and
 	// price-sensitive.
-	if m.cfg.PaidSelectivity > 0 && m.cfg.PaidSelectivity != 1 {
-		w = math.Pow(w, m.cfg.PaidSelectivity)
-	}
-	w /= math.Pow(1+a.Price, m.cfg.PriceElasticity)
-	if m.cfg.ShovelwareDamping > 0 {
-		if n := m.paidPortfolio[a.Dev]; n > 1 {
-			w /= math.Pow(float64(n), m.cfg.ShovelwareDamping)
-		}
+	w = math.Pow(w, paidSelectivity)
+	w /= math.Pow(1+a.Price, priceElasticity)
+	if n := m.paidPortfolio[a.Dev]; n > 1 {
+		w /= math.Pow(float64(n), shovelwareDamping)
 	}
 	return w
 }
@@ -611,20 +601,18 @@ func (m *Market) syncTables() {
 		if a.Pricing == catalog.Paid {
 			m.paidPortfolio[a.Dev]++
 			j := int32(len(m.paidApps))
-			if m.cfg.ShovelwareDamping > 0 {
-				// The portfolio grew: every paid app this developer already
-				// had in the table is damped harder now. This call's own
-				// entries are on the list once each already; weights are
-				// computed after the loop, from the final portfolios, and
-				// listing them again per sibling would weigh an opening
-				// catalog's paid apps five times over.
-				for _, k := range m.devPaid[a.Dev] {
-					if k < added {
-						m.paidDirty = append(m.paidDirty, k)
-					}
+			// The portfolio grew: every paid app this developer already had
+			// in the table is damped harder now. This call's own entries are
+			// on the list once each already; weights are computed after the
+			// loop, from the final portfolios, and listing them again per
+			// sibling would weigh an opening catalog's paid apps five times
+			// over.
+			for _, k := range m.devPaid[a.Dev] {
+				if k < added {
+					m.paidDirty = append(m.paidDirty, k)
 				}
-				m.devPaid[a.Dev] = append(m.devPaid[a.Dev], j)
 			}
+			m.devPaid[a.Dev] = append(m.devPaid[a.Dev], j)
 			m.paidApps = append(m.paidApps, a.ID)
 			m.paidW = append(m.paidW, 0)
 			m.paidCum = append(m.paidCum, 0)

@@ -200,7 +200,6 @@ func TestNewValidation(t *testing.T) {
 	}{
 		{"Days", func(c *Config) { c.Days = 1 }},
 		{"WarmupDays", func(c *Config) { c.WarmupDays = -500 }},
-		{"PaidDownloadShare", func(c *Config) { c.PaidDownloadShare = -1 }},
 		{"Users", func(c *Config) { c.Profile.Users = -1 }},
 		{"Users", func(c *Config) { c.Profile.Users = math.MaxInt32 + 1 }},
 		{"DownloadsPerUser", func(c *Config) { c.Profile.DownloadsPerUser = -3 }},

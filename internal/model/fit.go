@@ -13,27 +13,15 @@ import (
 // procedure of "running simulations with all parameter combinations and
 // measuring the distance from actual data" (§5.2.1). The analytic curve
 // (Eq. 5) stands in for a Monte Carlo run at each grid point, which is what
-// makes exhaustive sweeps cheap; FitResult records the best point.
+// makes exhaustive sweeps cheap; FitResult records the best point. The
+// clustering axes of the grid are fixed (fitZipfCluster, fitClusterP,
+// fitClusters).
 type FitSpec struct {
 	// ZipfGlobal values (zr) to try.
 	ZipfGlobal []float64
-	// ZipfCluster values (zc) to try. Ignored for non-clustering kinds.
-	ZipfCluster []float64
-	// ClusterP values (p) to try. Ignored for non-clustering kinds.
-	ClusterP []float64
 	// Users values (U) to try. A zero entry is replaced by the observed
 	// top-app downloads (the paper's Figure 10 heuristic).
 	Users []int
-	// Clusters is C; zero means 30 (the paper's simulation default).
-	Clusters int
-	// MinObserved restricts the fitting distance to the ranks whose
-	// observed downloads reach this floor. Laptop-scale curves have deep
-	// tails of 1-2 downloads where the analytic expectation is a fraction
-	// below one; comparing those ranks with Eq. 6 measures Poisson
-	// discreteness rather than model quality, so the grid search uses the
-	// well-populated prefix and the final reported distance comes from a
-	// Monte Carlo run over the full curve (FitMC). Zero means 3.
-	MinObserved float64
 	// Workers bounds the number of Monte Carlo candidate evaluations FitMC
 	// runs concurrently (FitAllMC passes it through to each per-kind fit).
 	// Zero means runtime.GOMAXPROCS(0). Fit results are invariant to
@@ -45,14 +33,31 @@ type FitSpec struct {
 // (zr 0.9-1.7, zc 1.2-1.5, p 0.9-0.95) with some margin.
 func DefaultFitSpec() FitSpec {
 	return FitSpec{
-		ZipfGlobal:  []float64{0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8},
-		ZipfCluster: []float64{1.0, 1.2, 1.4, 1.5, 1.6},
-		ClusterP:    []float64{0.3, 0.5, 0.7, 0.8, 0.9, 0.95},
-		Users:       []int{0},
-		Clusters:    30,
-		MinObserved: 3,
+		ZipfGlobal: []float64{0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8},
+		Users:      []int{0},
 	}
 }
+
+// The fitter's fixed grid for the APP-CLUSTERING parameters, and its floor.
+var (
+	// fitZipfCluster are the zc values tried.
+	fitZipfCluster = []float64{1.0, 1.2, 1.4, 1.5, 1.6}
+	// fitClusterP are the p values tried.
+	fitClusterP = []float64{0.3, 0.5, 0.7, 0.8, 0.9, 0.95}
+)
+
+const (
+	// fitClusters is C, the paper's simulation default.
+	fitClusters = 30
+	// minObserved restricts the fitting distance to the ranks whose
+	// observed downloads reach this floor. Laptop-scale curves have deep
+	// tails of 1-2 downloads where the analytic expectation is a fraction
+	// below one; comparing those ranks with Eq. 6 measures Poisson
+	// discreteness rather than model quality, so the grid search uses the
+	// well-populated prefix and the final reported distance comes from a
+	// Monte Carlo run over the full curve (FitMC).
+	minObserved = 3
+)
 
 // FitResult is the best grid point found for one model kind.
 type FitResult struct {
@@ -97,10 +102,6 @@ func fitCandidates(kind Kind, observed dist.RankCurve, spec FitSpec) ([]FitResul
 	if total <= 0 {
 		return nil, fmt.Errorf("model: observed curve has no downloads")
 	}
-	clusters := spec.Clusters
-	if clusters <= 0 {
-		clusters = 30
-	}
 	users := append([]int(nil), spec.Users...)
 	if len(users) == 0 {
 		users = []int{0}
@@ -113,8 +114,7 @@ func fitCandidates(kind Kind, observed dist.RankCurve, spec FitSpec) ([]FitResul
 			}
 		}
 	}
-	zcs := spec.ZipfCluster
-	ps := spec.ClusterP
+	zcs, ps := fitZipfCluster, fitClusterP
 	if kind != AppClustering {
 		zcs = []float64{0}
 		ps = []float64{0}
@@ -122,17 +122,10 @@ func fitCandidates(kind Kind, observed dist.RankCurve, spec FitSpec) ([]FitResul
 	if len(spec.ZipfGlobal) == 0 {
 		return nil, fmt.Errorf("model: FitSpec has no ZipfGlobal values")
 	}
-	if len(zcs) == 0 || len(ps) == 0 {
-		return nil, fmt.Errorf("model: FitSpec missing cluster parameters for %s", kind)
-	}
 
-	// Fit on the well-populated prefix (see FitSpec.MinObserved).
-	minObs := spec.MinObserved
-	if minObs <= 0 {
-		minObs = 3
-	}
+	// Fit on the well-populated prefix (see minObserved).
 	prefix := len(observed.Downloads)
-	for prefix > 0 && observed.Downloads[prefix-1] < minObs {
+	for prefix > 0 && observed.Downloads[prefix-1] < minObserved {
 		prefix--
 	}
 	if prefix < 2 {
@@ -149,7 +142,7 @@ func fitCandidates(kind Kind, observed dist.RankCurve, spec FitSpec) ([]FitResul
 					cfg := Config{
 						Apps: apps, Users: u, DownloadsPerUser: d,
 						ZipfGlobal: zr, ZipfCluster: zc, ClusterP: p,
-						Clusters: clusters,
+						Clusters: fitClusters,
 					}
 					if err := cfg.Validate(kind); err != nil {
 						return nil, err

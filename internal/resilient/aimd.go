@@ -5,59 +5,36 @@ import (
 	"sync"
 )
 
-// AIMDConfig tunes the adaptive concurrency limiter: additive increase on
-// success, multiplicative decrease on pressure (429s and timeouts), the
-// classic TCP congestion discipline applied to request concurrency. The
-// crawler starts near its worker count and backs off when the store
-// signals overload, instead of hammering a struggling endpoint with its
-// full parallelism.
-type AIMDConfig struct {
-	// Min is the concurrency floor (default 1) — progress never stops.
-	Min float64
-	// Max is the concurrency ceiling (default 64).
-	Max float64
-	// Start is the initial limit (default Max/2, at least Min).
-	Start float64
-	// Decrease is the multiplicative factor applied on pressure
-	// (default 0.7).
-	Decrease float64
-}
-
-func (c AIMDConfig) withDefaults() AIMDConfig {
-	if c.Min <= 0 {
-		c.Min = 1
-	}
-	if c.Max <= 0 {
-		c.Max = 64
-	}
-	if c.Max < c.Min {
-		c.Max = c.Min
-	}
-	if c.Start <= 0 {
-		c.Start = c.Max / 2
-	}
-	if c.Start < c.Min {
-		c.Start = c.Min
-	}
-	if c.Decrease <= 0 || c.Decrease >= 1 {
-		c.Decrease = 0.7
-	}
-	return c
-}
+// The adaptive concurrency limiter is additive increase on success,
+// multiplicative decrease on pressure (429s and timeouts): the classic TCP
+// congestion discipline applied to request concurrency. The crawler starts
+// at half its ceiling and backs off when the store signals overload,
+// instead of hammering a struggling endpoint with its full parallelism.
+const (
+	// aimdMin is the concurrency floor — progress never stops.
+	aimdMin = 1
+	// aimdDecrease is the multiplicative factor applied on pressure.
+	aimdDecrease = 0.7
+)
 
 // aimd gates request admission at a moving concurrency limit.
 type aimd struct {
 	mu        sync.Mutex
-	cfg       AIMDConfig
+	ceiling   float64
 	limit     float64
 	inflight  int
 	waiters   []chan struct{}
 	decreases int64
 }
 
-func newAIMD(cfg AIMDConfig) *aimd {
-	cfg = cfg.withDefaults()
-	return &aimd{cfg: cfg, limit: cfg.Start}
+// newAIMD starts a limiter with the given ceiling (>= 1) at half of it, at
+// least aimdMin.
+func newAIMD(ceiling int) *aimd {
+	a := &aimd{ceiling: float64(ceiling), limit: float64(ceiling) / 2}
+	if a.limit < aimdMin {
+		a.limit = aimdMin
+	}
+	return a
 }
 
 // acquire blocks until an admission slot frees or ctx ends.
@@ -100,15 +77,15 @@ func (a *aimd) release(success, pressure bool) {
 	a.mu.Lock()
 	a.inflight--
 	if pressure {
-		a.limit *= a.cfg.Decrease
-		if a.limit < a.cfg.Min {
-			a.limit = a.cfg.Min
+		a.limit *= aimdDecrease
+		if a.limit < aimdMin {
+			a.limit = aimdMin
 		}
 		a.decreases++
 	} else if success {
 		a.limit += 1 / a.limit
-		if a.limit > a.cfg.Max {
-			a.limit = a.cfg.Max
+		if a.limit > a.ceiling {
+			a.limit = a.ceiling
 		}
 	}
 	free := int(a.limit) - a.inflight

@@ -11,24 +11,15 @@ import (
 )
 
 // fullJitter returns the attempt-th retry delay under the "full jitter"
-// policy: uniform [0, min(max, base<<attempt)). Decorrelating retries this
-// way spreads a fleet of crawlers that all hit the same fault burst, so
-// they do not re-arrive in lockstep and re-trigger the storm.
-func fullJitter(attempt int, base, max time.Duration, rng *prng) time.Duration {
-	if base <= 0 {
-		base = 20 * time.Millisecond
-	}
+// policy: uniform [0, min(maxBackoff, base<<attempt)). Decorrelating
+// retries this way spreads a fleet of crawlers that all hit the same fault
+// burst, so they do not re-arrive in lockstep and re-trigger the storm.
+func fullJitter(attempt int, base time.Duration, rng *prng) time.Duration {
 	ceil := base
-	for i := 0; i < attempt && ceil < max; i++ {
+	for i := 0; i < attempt && ceil < maxBackoff; i++ {
 		ceil *= 2
 	}
-	if ceil > max {
-		ceil = max
-	}
-	if ceil <= 0 {
-		return 0
-	}
-	return time.Duration(rng.float64() * float64(ceil))
+	return time.Duration(rng.float64() * float64(min(ceil, maxBackoff)))
 }
 
 // retryAfterHint extracts the server's requested wait from a 429/503

@@ -7,33 +7,17 @@ import (
 	"planetapps/internal/metrics"
 )
 
-// BreakerConfig tunes the per-host circuit breaker.
-type BreakerConfig struct {
-	// Failures is how many consecutive failures open the circuit
-	// (default 8). Consecutive — not a ratio — so a host that still
-	// answers some requests through a fault storm keeps its circuit
-	// closed and only a genuinely dead host trips it.
-	Failures int
-	// Cooldown is how long an open circuit rejects before admitting
-	// half-open probes (default 400ms).
-	Cooldown time.Duration
-	// Probes is how many concurrent half-open probes are admitted
-	// (default 1).
-	Probes int
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Failures <= 0 {
-		c.Failures = 8
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 400 * time.Millisecond
-	}
-	if c.Probes <= 0 {
-		c.Probes = 1
-	}
-	return c
-}
+// The per-host circuit breaker's fixed tuning.
+const (
+	// breakerFailures consecutive failures open the circuit. Consecutive —
+	// not a ratio — so a host that still answers some requests through a
+	// fault storm keeps its circuit closed and only a genuinely dead host
+	// trips it.
+	breakerFailures = 8
+	// breakerCooldown is how long an open circuit rejects before it admits
+	// its one half-open probe.
+	breakerCooldown = 400 * time.Millisecond
+)
 
 type breakerState uint8
 
@@ -44,36 +28,28 @@ const (
 )
 
 // Breaker is one host's circuit: closed (requests flow, consecutive
-// failures counted) -> open (requests rejected until Cooldown elapses) ->
-// half-open (a bounded number of probes fly; a probe success closes the
-// circuit, a probe failure re-opens it). Safe for concurrent use.
+// failures counted) -> open (requests rejected until breakerCooldown
+// elapses) -> half-open (one probe flies; its success closes the circuit,
+// its failure re-opens it). Safe for concurrent use.
 type Breaker struct {
-	mu     sync.Mutex
-	cfg    BreakerConfig
-	clock  Clock
-	state  breakerState
-	fails  int
-	opened time.Time
-	probes int
-	opens  int64
+	mu      sync.Mutex
+	clock   Clock
+	state   breakerState
+	fails   int
+	opened  time.Time
+	probing bool // the half-open probe is in flight
+	opens   int64
 	// onOpen, when set, mirrors open transitions into a shared metrics
 	// counter (wired by breakerSet).
 	onOpen *metrics.Counter
 }
 
 // NewBreaker creates a closed breaker. A nil clock uses the wall clock.
-func NewBreaker(cfg BreakerConfig, clock Clock) *Breaker {
+func NewBreaker(clock Clock) *Breaker {
 	if clock == nil {
 		clock = realClock{}
 	}
-	return &Breaker{cfg: cfg.withDefaults(), clock: clock}
-}
-
-// Opens returns how many times the circuit has opened.
-func (b *Breaker) Opens() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
+	return &Breaker{clock: clock}
 }
 
 // Token resolves one admitted request's outcome. Exactly one of its
@@ -95,23 +71,19 @@ func (b *Breaker) Try() (t *Token, retryIn time.Duration, ok bool) {
 	case stClosed:
 		return &Token{b: b}, 0, true
 	case stOpen:
-		if wait := b.cfg.Cooldown - now.Sub(b.opened); wait > 0 {
+		if wait := breakerCooldown - now.Sub(b.opened); wait > 0 {
 			return nil, wait, false
 		}
 		b.state = stHalfOpen
-		b.probes = 1
+		b.probing = true
 		return &Token{b: b, probe: true}, 0, true
 	default: // half-open
-		if b.probes < b.cfg.Probes {
-			b.probes++
+		if !b.probing {
+			b.probing = true
 			return &Token{b: b, probe: true}, 0, true
 		}
-		// Another probe is in flight; check back shortly.
-		wait := b.cfg.Cooldown / 8
-		if wait <= 0 {
-			wait = time.Millisecond
-		}
-		return nil, wait, false
+		// The probe is in flight; check back shortly.
+		return nil, breakerCooldown / 8, false
 	}
 }
 
@@ -144,22 +116,18 @@ func (t *Token) resolve(o outcome) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if t.probe {
-		// This token was a half-open probe (or the transition probe from
-		// open). If the state moved on since — another probe resolved
-		// first — only the slot accounting applies.
-		if b.state == stHalfOpen {
-			b.probes--
-			switch o {
-			case outcomeSuccess:
-				b.state = stClosed
-				b.fails = 0
-				b.probes = 0
-			case outcomeFailure:
-				b.state = stOpen
-				b.opened = b.clock.Now()
-				b.markOpen()
-				b.probes = 0
-			}
+		// The half-open probe: only its verdict moves the circuit out of
+		// half-open, so the circuit is still there. A cancel just frees
+		// the slot for the next probe.
+		b.probing = false
+		switch o {
+		case outcomeSuccess:
+			b.state = stClosed
+			b.fails = 0
+		case outcomeFailure:
+			b.state = stOpen
+			b.opened = b.clock.Now()
+			b.markOpen()
 		}
 		return
 	}
@@ -171,7 +139,7 @@ func (t *Token) resolve(o outcome) {
 		b.fails = 0
 	case outcomeFailure:
 		b.fails++
-		if b.fails >= b.cfg.Failures {
+		if b.fails >= breakerFailures {
 			b.state = stOpen
 			b.opened = b.clock.Now()
 			b.markOpen()
@@ -191,14 +159,13 @@ func (b *Breaker) markOpen() {
 // breakerSet lazily creates one Breaker per host.
 type breakerSet struct {
 	mu     sync.Mutex
-	cfg    BreakerConfig
 	clock  Clock
 	onOpen *metrics.Counter
 	m      map[string]*Breaker
 }
 
-func newBreakerSet(cfg BreakerConfig, clock Clock, onOpen *metrics.Counter) *breakerSet {
-	return &breakerSet{cfg: cfg, clock: clock, onOpen: onOpen, m: map[string]*Breaker{}}
+func newBreakerSet(clock Clock, onOpen *metrics.Counter) *breakerSet {
+	return &breakerSet{clock: clock, onOpen: onOpen, m: map[string]*Breaker{}}
 }
 
 func (s *breakerSet) forHost(host string) *Breaker {
@@ -206,19 +173,9 @@ func (s *breakerSet) forHost(host string) *Breaker {
 	defer s.mu.Unlock()
 	b, ok := s.m[host]
 	if !ok {
-		b = NewBreaker(s.cfg, s.clock)
+		b = NewBreaker(s.clock)
 		b.onOpen = s.onOpen
 		s.m[host] = b
 	}
 	return b
-}
-
-func (s *breakerSet) opens() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for _, b := range s.m {
-		n += b.Opens()
-	}
-	return n
 }

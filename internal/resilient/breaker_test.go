@@ -38,6 +38,13 @@ func (f *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
 	return nil
 }
 
+// Opens returns how many times the circuit has opened.
+func (b *Breaker) Opens() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.opens
+}
+
 func mustTry(t *testing.T, b *Breaker) *Token {
 	t.Helper()
 	tk, _, ok := b.Try()
@@ -47,14 +54,21 @@ func mustTry(t *testing.T, b *Breaker) *Token {
 	return tk
 }
 
+// fail resolves n admitted requests as failures.
+func fail(t *testing.T, b *Breaker, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		mustTry(t, b).Failure()
+	}
+}
+
 func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 	clk := newFakeClock()
-	b := NewBreaker(BreakerConfig{Failures: 3, Cooldown: time.Second}, clk)
+	b := NewBreaker(clk)
 
 	// Interleaved successes reset the consecutive counter: no trip.
 	for i := 0; i < 10; i++ {
-		mustTry(t, b).Failure()
-		mustTry(t, b).Failure()
+		fail(t, b, breakerFailures-1)
 		mustTry(t, b).Success()
 	}
 	if _, _, ok := b.Try(); !ok {
@@ -64,14 +78,12 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 		tk.Cancel()
 	}
 
-	// Three consecutive failures trip it.
-	mustTry(t, b).Failure()
-	mustTry(t, b).Failure()
-	mustTry(t, b).Failure()
+	// breakerFailures consecutive failures trip it.
+	fail(t, b, breakerFailures)
 	if _, retryIn, ok := b.Try(); ok {
-		t.Fatalf("circuit still admitting after %d consecutive failures", 3)
-	} else if retryIn <= 0 || retryIn > time.Second {
-		t.Fatalf("retryIn = %v, want (0, 1s]", retryIn)
+		t.Fatalf("circuit still admitting after %d consecutive failures", breakerFailures)
+	} else if retryIn <= 0 || retryIn > breakerCooldown {
+		t.Fatalf("retryIn = %v, want (0, %v]", retryIn, breakerCooldown)
 	}
 	if got := b.Opens(); got != 1 {
 		t.Fatalf("Opens() = %d, want 1", got)
@@ -80,18 +92,17 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 
 func TestBreakerHalfOpenProbeSuccessCloses(t *testing.T) {
 	clk := newFakeClock()
-	b := NewBreaker(BreakerConfig{Failures: 2, Cooldown: time.Second}, clk)
-	mustTry(t, b).Failure()
-	mustTry(t, b).Failure()
+	b := NewBreaker(clk)
+	fail(t, b, breakerFailures)
 
 	// Cooldown not yet elapsed: still rejecting.
-	clk.Advance(500 * time.Millisecond)
+	clk.Advance(breakerCooldown / 2)
 	if _, _, ok := b.Try(); ok {
 		t.Fatalf("admitted during cooldown")
 	}
 
 	// Cooldown elapsed: exactly one probe flies; concurrent tries rejected.
-	clk.Advance(600 * time.Millisecond)
+	clk.Advance(breakerCooldown/2 + time.Millisecond)
 	probe := mustTry(t, b)
 	if _, retryIn, ok := b.Try(); ok {
 		t.Fatalf("second probe admitted while first in flight")
@@ -101,7 +112,7 @@ func TestBreakerHalfOpenProbeSuccessCloses(t *testing.T) {
 
 	probe.Success()
 	// Closed again: requests flow and failure accounting restarts fresh.
-	mustTry(t, b).Failure()
+	fail(t, b, breakerFailures-1)
 	if _, _, ok := b.Try(); !ok {
 		t.Fatalf("circuit not closed after probe success")
 	} else {
@@ -115,11 +126,10 @@ func TestBreakerHalfOpenProbeSuccessCloses(t *testing.T) {
 
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	clk := newFakeClock()
-	b := NewBreaker(BreakerConfig{Failures: 2, Cooldown: time.Second}, clk)
-	mustTry(t, b).Failure()
-	mustTry(t, b).Failure()
+	b := NewBreaker(clk)
+	fail(t, b, breakerFailures)
 
-	clk.Advance(time.Second)
+	clk.Advance(breakerCooldown)
 	probe := mustTry(t, b)
 	probe.Failure()
 	if _, _, ok := b.Try(); ok {
@@ -130,7 +140,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	}
 
 	// The re-opened circuit recovers the same way.
-	clk.Advance(time.Second)
+	clk.Advance(breakerCooldown)
 	mustTry(t, b).Success()
 	if _, _, ok := b.Try(); !ok {
 		t.Fatalf("circuit not closed after second probe success")
@@ -142,10 +152,10 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 
 func TestBreakerProbeCancelReturnsSlot(t *testing.T) {
 	clk := newFakeClock()
-	b := NewBreaker(BreakerConfig{Failures: 1, Cooldown: time.Second}, clk)
-	mustTry(t, b).Failure()
+	b := NewBreaker(clk)
+	fail(t, b, breakerFailures)
 
-	clk.Advance(time.Second)
+	clk.Advance(breakerCooldown)
 	probe := mustTry(t, b)
 	probe.Cancel()
 	// The canceled probe freed its slot: another probe is admitted without
@@ -165,17 +175,16 @@ func TestBreakerProbeCancelReturnsSlot(t *testing.T) {
 
 func TestBreakerStragglerDoesNotCorruptState(t *testing.T) {
 	clk := newFakeClock()
-	b := NewBreaker(BreakerConfig{Failures: 2, Cooldown: time.Second}, clk)
+	b := NewBreaker(clk)
 
-	straggler := mustTry(t, b) // admitted while closed
-	mustTry(t, b).Failure()
-	mustTry(t, b).Failure() // circuit opens
+	straggler := mustTry(t, b)  // admitted while closed
+	fail(t, b, breakerFailures) // circuit opens
 
 	// The straggler resolves after the trip: its failure must not count
 	// against the (future) half-open or re-closed state.
 	straggler.Failure()
 
-	clk.Advance(time.Second)
+	clk.Advance(breakerCooldown)
 	probe := mustTry(t, b)
 	probe.Success()
 	if _, _, ok := b.Try(); !ok {
@@ -191,7 +200,8 @@ func TestBreakerStragglerDoesNotCorruptState(t *testing.T) {
 
 func TestBreakerTokenResolveIsIdempotent(t *testing.T) {
 	clk := newFakeClock()
-	b := NewBreaker(BreakerConfig{Failures: 2, Cooldown: time.Second}, clk)
+	b := NewBreaker(clk)
+	fail(t, b, breakerFailures-2)
 	tk := mustTry(t, b)
 	tk.Failure()
 	tk.Failure() // double resolve: ignored

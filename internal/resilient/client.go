@@ -42,10 +42,11 @@ import (
 	"planetapps/internal/metrics"
 )
 
-// Config controls a Client. The zero value of every knob has a sane
-// default; Breaker, AIMD, HedgeAfter, and ProxyHealth are opt-in (nil/0
-// disables), which is what the "naive client" baseline in the chaos
-// benchmark uses.
+// Config controls a Client. Transport, Clock, BaseBackoff and
+// AttemptTimeout default when zero; HedgeAfter, Breaker, AIMD and
+// ProxyHealth are opt-in, which is what the "naive client" baseline in the
+// chaos benchmark uses. The rest of the retry policy is fixed (maxBackoff,
+// maxRetryAfter, retryAfterBudget, the breaker's and AIMD's constants).
 type Config struct {
 	// Transport performs the physical exchanges (default: a fresh
 	// http.Transport).
@@ -55,26 +56,12 @@ type Config struct {
 	// Seed drives backoff jitter.
 	Seed uint64
 
-	// MaxRetries is the per-Get retry budget beyond the first attempt
-	// (default 4).
+	// MaxRetries is the per-Get budget of unhinted retries beyond the
+	// first attempt: 0 is one attempt, a negative budget is 0.
 	MaxRetries int
 	// BaseBackoff seeds the full-jitter exponential schedule
 	// (default 20ms).
 	BaseBackoff time.Duration
-	// MaxBackoff caps a single backoff sleep (default 2s).
-	MaxBackoff time.Duration
-	// MaxRetryAfter caps how long a server-supplied Retry-After is
-	// honored (default 5s) — a hostile or buggy server must not be able
-	// to park the crawler for minutes.
-	MaxRetryAfter time.Duration
-	// RetryAfterBudget bounds the *cumulative* time one Get spends
-	// honoring server-supplied Retry-After hints (default 20s). Hinted
-	// retries do not consume MaxRetries: a server saying "come back in
-	// 5ms" is directing traffic, not failing, and a deep arrival-gated
-	// 429/503 storm can need far more round-trips than genuine failures
-	// warrant — so the two budgets are separate currencies (count for
-	// failures, wall time for obedience).
-	RetryAfterBudget time.Duration
 	// AttemptTimeout bounds each physical attempt (default 10s).
 	AttemptTimeout time.Duration
 
@@ -86,9 +73,10 @@ type Config struct {
 	MaxHedges int
 
 	// Breaker enables the per-host circuit breaker.
-	Breaker *BreakerConfig
-	// AIMD enables adaptive concurrency admission.
-	AIMD *AIMDConfig
+	Breaker bool
+	// AIMD enables adaptive concurrency admission with this ceiling on
+	// concurrent attempts (0 = off).
+	AIMD int
 	// ProxyHealth enables per-proxy health attribution; install its
 	// ProxyFunc on the Transport.
 	ProxyHealth *ProxyHealth
@@ -109,6 +97,24 @@ type Config struct {
 	// Metrics mirrors the recovery counters into a registry (optional).
 	Metrics *metrics.Registry
 }
+
+// The retry policy's fixed bounds.
+const (
+	// maxBackoff caps a single backoff sleep.
+	maxBackoff = 2 * time.Second
+	// maxRetryAfter caps how long a server-supplied Retry-After is
+	// honored — a hostile or buggy server must not be able to park the
+	// crawler for minutes.
+	maxRetryAfter = 5 * time.Second
+	// retryAfterBudget bounds the *cumulative* time one Get spends
+	// honoring server-supplied Retry-After hints. Hinted retries do not
+	// consume MaxRetries: a server saying "come back in 5ms" is directing
+	// traffic, not failing, and a deep arrival-gated 429/503 storm can need
+	// far more round-trips than genuine failures warrant — so the two
+	// budgets are separate currencies (count for failures, wall time for
+	// obedience).
+	retryAfterBudget = 20 * time.Second
+)
 
 // Result is one validated HTTP response.
 type Result struct {
@@ -167,20 +173,9 @@ func New(cfg Config) *Client {
 	}
 	if cfg.MaxRetries < 0 {
 		cfg.MaxRetries = 0
-	} else if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 4
 	}
 	if cfg.BaseBackoff <= 0 {
 		cfg.BaseBackoff = 20 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 2 * time.Second
-	}
-	if cfg.MaxRetryAfter <= 0 {
-		cfg.MaxRetryAfter = 5 * time.Second
-	}
-	if cfg.RetryAfterBudget <= 0 {
-		cfg.RetryAfterBudget = 20 * time.Second
 	}
 	if cfg.AttemptTimeout <= 0 {
 		cfg.AttemptTimeout = 10 * time.Second
@@ -212,11 +207,11 @@ func New(cfg Config) *Client {
 	} else {
 		c.latency = metrics.NewHistogram()
 	}
-	if cfg.Breaker != nil {
-		c.breakers = newBreakerSet(*cfg.Breaker, cfg.Clock, c.breakerOpens)
+	if cfg.Breaker {
+		c.breakers = newBreakerSet(cfg.Clock, c.breakerOpens)
 	}
-	if cfg.AIMD != nil {
-		c.adm = newAIMD(*cfg.AIMD)
+	if cfg.AIMD > 0 {
+		c.adm = newAIMD(cfg.AIMD)
 	}
 	return c
 }
@@ -313,15 +308,12 @@ func (c *Client) do(ctx context.Context, method, url string, hdr http.Header, bo
 				// The server said exactly when to come back; believe it
 				// (capped) instead of guessing with exponential backoff —
 				// a deep 429/503 storm then drains at the server's pace,
-				// not at MaxBackoff per attempt.
-				d = hint
-				if d > c.cfg.MaxRetryAfter {
-					d = c.cfg.MaxRetryAfter
-				}
+				// not at maxBackoff per attempt.
+				d = min(hint, maxRetryAfter)
 				hintWaited += d
 				c.retryAfterWaits.Inc()
 			} else {
-				d = fullJitter(failures-1, c.cfg.BaseBackoff, c.cfg.MaxBackoff, c.rng)
+				d = fullJitter(failures-1, c.cfg.BaseBackoff, c.rng)
 			}
 			if err := c.clock.Sleep(ctx, d); err != nil {
 				return nil, err
@@ -346,7 +338,7 @@ func (c *Client) do(ctx context.Context, method, url string, hdr http.Header, bo
 			// directing traffic ("come back at T") and a server failing
 			// are different conditions.
 			if hint > 0 {
-				if hintWaited >= c.cfg.RetryAfterBudget {
+				if hintWaited >= retryAfterBudget {
 					return lastRes, fmt.Errorf("resilient: giving up on %s after %v of server-directed waiting (%d attempts): %w",
 						url, hintWaited, total+1, lastErr)
 				}

@@ -16,9 +16,6 @@ func newTestClient(t *testing.T, cfg Config) *Client {
 	if cfg.BaseBackoff == 0 {
 		cfg.BaseBackoff = time.Millisecond
 	}
-	if cfg.MaxBackoff == 0 {
-		cfg.MaxBackoff = 5 * time.Millisecond
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
 	}
@@ -36,7 +33,7 @@ func TestClientRetriesServerErrorsThenSucceeds(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := newTestClient(t, Config{})
+	c := newTestClient(t, Config{MaxRetries: 4})
 	res, err := c.Get(context.Background(), srv.URL, nil, nil)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
@@ -129,7 +126,7 @@ func TestClientHonorsEnvelopeRetryAfter(t *testing.T) {
 
 // TestClientRetryAfterBudgetBounds pins the dual-budget design: hinted
 // rejections never spend MaxRetries (a storm deeper than the retry count
-// still drains), but their cumulative wait is bounded by RetryAfterBudget
+// still drains), but their cumulative wait is bounded by retryAfterBudget
 // so a server that 429s forever cannot park a Get indefinitely.
 func TestClientRetryAfterBudgetBounds(t *testing.T) {
 	t.Run("storm deeper than MaxRetries drains", func(t *testing.T) {
@@ -157,13 +154,12 @@ func TestClientRetryAfterBudgetBounds(t *testing.T) {
 		var hits atomic.Int64
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			hits.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprint(w, `{"error":{"code":"rate_limited","message":"busy","retry_after_ms":20}}`)
+			w.Header().Set("Retry-After", "5")
+			http.Error(w, "busy", http.StatusTooManyRequests)
 		}))
 		defer srv.Close()
 
-		c := newTestClient(t, Config{MaxRetries: 50, RetryAfterBudget: 50 * time.Millisecond})
+		c := newTestClient(t, Config{MaxRetries: 50, Clock: newFakeClock()})
 		res, err := c.Get(context.Background(), srv.URL, nil, nil)
 		if err == nil {
 			t.Fatal("perpetual 429 succeeded")
@@ -171,11 +167,11 @@ func TestClientRetryAfterBudgetBounds(t *testing.T) {
 		if res == nil || res.Status != http.StatusTooManyRequests {
 			t.Fatalf("final response = %+v, want the last 429", res)
 		}
-		// 50ms budget at 20ms per wait: waits at 20/40ms pass the check,
-		// the next rejection (60ms accrued) gives up — 4 requests total,
+		// 20s budget at 5s per wait: waits accrued 0/5/10/15s pass the
+		// check, the next rejection (20s accrued) gives up — 5 requests,
 		// far below what MaxRetries=50 would have allowed.
-		if got := hits.Load(); got < 3 || got > 5 {
-			t.Fatalf("server hits = %d, want the ~4 the 50ms budget affords", got)
+		if got := hits.Load(); got != 5 {
+			t.Fatalf("server hits = %d, want the 5 the 20s budget affords", got)
 		}
 	})
 }
@@ -191,7 +187,7 @@ func TestClientValidationFailureTriggersRefetch(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := newTestClient(t, Config{})
+	c := newTestClient(t, Config{MaxRetries: 4})
 	var out struct{ OK bool }
 	res, err := c.Get(context.Background(), srv.URL, nil, func(r *Result) error {
 		return json.Unmarshal(r.Body, &out)
@@ -225,7 +221,7 @@ func TestClientHedgesSlowPrimary(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := newTestClient(t, Config{HedgeAfter: 20 * time.Millisecond, MaxHedges: 1})
+	c := newTestClient(t, Config{HedgeAfter: 30 * time.Millisecond, MaxHedges: 1})
 	start := time.Now()
 	res, err := c.Get(context.Background(), srv.URL, nil, nil)
 	if err != nil {
@@ -255,7 +251,7 @@ func TestClientAIMDDecreasesOn429(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := newTestClient(t, Config{AIMD: &AIMDConfig{Min: 1, Max: 8, Start: 8}})
+	c := newTestClient(t, Config{MaxRetries: 4, AIMD: 8})
 	if _, err := c.Get(context.Background(), srv.URL, nil, nil); err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -263,15 +259,15 @@ func TestClientAIMDDecreasesOn429(t *testing.T) {
 	if s.AIMDDecreases != 2 {
 		t.Fatalf("AIMDDecreases = %d, want 2", s.AIMDDecreases)
 	}
-	if s.AIMDLimit >= 8 {
-		t.Fatalf("AIMDLimit = %v, want shrunk below the start of 8", s.AIMDLimit)
+	if s.AIMDLimit >= 4 {
+		t.Fatalf("AIMDLimit = %v, want shrunk below the start of 8/2", s.AIMDLimit)
 	}
 }
 
 func TestClientBreakerWaitsOutOpenCircuit(t *testing.T) {
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) <= 2 {
+		if hits.Add(1) <= breakerFailures {
 			http.Error(w, "down", http.StatusServiceUnavailable)
 			return
 		}
@@ -279,10 +275,7 @@ func TestClientBreakerWaitsOutOpenCircuit(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := newTestClient(t, Config{
-		MaxRetries: 5,
-		Breaker:    &BreakerConfig{Failures: 2, Cooldown: 10 * time.Millisecond},
-	})
+	c := newTestClient(t, Config{MaxRetries: breakerFailures + 3, Breaker: true, Clock: newFakeClock()})
 	res, err := c.Get(context.Background(), srv.URL, nil, nil)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
@@ -318,21 +311,25 @@ func TestClientTransportAdapterSurfacesFinalStatus(t *testing.T) {
 }
 
 func TestClientContextCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) == 3 {
+			cancel()
+		}
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	}))
 	defer srv.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	c := newTestClient(t, Config{MaxRetries: 100, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 20 * time.Millisecond})
+	c := newTestClient(t, Config{MaxRetries: 100, Clock: newFakeClock()})
 	start := time.Now()
 	_, err := c.Get(ctx, srv.URL, nil, nil)
 	if err == nil {
 		t.Fatalf("Get succeeded against an all-503 server")
 	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatalf("cancellation took %v — retry loop ignored the context", time.Since(start))
+	if time.Since(start) > 2*time.Second || hits.Load() > 4 {
+		t.Fatalf("cancellation took %v and %d requests — retry loop ignored the context", time.Since(start), hits.Load())
 	}
 }
 

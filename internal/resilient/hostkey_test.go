@@ -51,17 +51,12 @@ func TestBreakerIsolatesSickShard(t *testing.T) {
 	}))
 	defer sick.Close()
 
-	c := New(Config{
-		MaxRetries:  1,
-		BaseBackoff: time.Microsecond,
-		MaxBackoff:  time.Millisecond,
-		Breaker:     &BreakerConfig{Failures: 2, Cooldown: time.Hour, Probes: 1},
-	})
+	c := New(Config{MaxRetries: 1, Breaker: true, Clock: newFakeClock()})
 	ctx := context.Background()
 
 	// Hammer the sick shard until its breaker opens (Get retries then
-	// gives up; the breaker counts each failed attempt).
-	for i := 0; i < 3; i++ {
+	// gives up; the breaker counts each failed attempt, two a Get).
+	for i := 0; i < breakerFailures/2; i++ {
 		ctxT, cancel := context.WithTimeout(ctx, 2*time.Second)
 		_, err := c.Get(ctxT, sick.URL+"/api/v1/stats", nil, nil)
 		cancel()

@@ -7,46 +7,31 @@ import (
 	"sync"
 	"time"
 
-	"planetapps/internal/metrics"
 	"planetapps/internal/proxy"
 )
 
-// ProxyHealthConfig tunes per-node health scoring.
-type ProxyHealthConfig struct {
-	// FailThreshold is how many consecutive transport failures demote a
-	// node (default 3).
-	FailThreshold int
-	// Cooldown is how long a demoted node sits out before it is probed
-	// again (default 2s).
-	Cooldown time.Duration
-}
-
-func (c ProxyHealthConfig) withDefaults() ProxyHealthConfig {
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Second
-	}
-	return c
-}
+// Per-node health scoring's fixed tuning.
+const (
+	// proxyFailThreshold consecutive transport failures demote a node.
+	proxyFailThreshold = 3
+	// proxyCooldown is how long a demoted node sits out before it is
+	// probed again.
+	proxyCooldown = 2 * time.Second
+)
 
 // ProxyHealth wraps a proxy.Pool with per-node health scoring: the
 // selector round-robins across healthy nodes, demotes a node after
-// FailThreshold consecutive transport failures, and re-probes demoted
-// nodes after Cooldown — the fail-over the paper's crawlers needed when
-// individual PlanetLab nodes died or were blacklisted mid-crawl.
+// proxyFailThreshold consecutive transport failures, and re-probes demoted
+// nodes after proxyCooldown — the fail-over the paper's crawlers needed
+// when individual PlanetLab nodes died or were blacklisted mid-crawl.
 type ProxyHealth struct {
 	pool  *proxy.Pool
-	cfg   ProxyHealthConfig
 	clock Clock
 
-	mu    sync.Mutex
-	next  int
-	nodes []nodeHealth
-
-	demotions *metrics.Counter
-	probes    *metrics.Counter
+	mu        sync.Mutex
+	next      int
+	nodes     []nodeHealth
+	demotions int64
 }
 
 type nodeHealth struct {
@@ -55,29 +40,20 @@ type nodeHealth struct {
 }
 
 // NewProxyHealth builds a health-scored selector over pool. A nil clock
-// uses the wall clock; reg (optional) receives demotion/probe counters.
-func NewProxyHealth(pool *proxy.Pool, cfg ProxyHealthConfig, clock Clock, reg *metrics.Registry) *ProxyHealth {
+// uses the wall clock.
+func NewProxyHealth(pool *proxy.Pool, clock Clock) *ProxyHealth {
 	if clock == nil {
 		clock = realClock{}
 	}
-	ph := &ProxyHealth{
-		pool:  pool,
-		cfg:   cfg.withDefaults(),
-		clock: clock,
-		nodes: make([]nodeHealth, pool.Size()),
-	}
-	if reg != nil {
-		ph.demotions = reg.Counter("resilient_proxy_demotions_total")
-		ph.probes = reg.Counter("resilient_proxy_probes_total")
-	} else {
-		ph.demotions = &metrics.Counter{}
-		ph.probes = &metrics.Counter{}
-	}
-	return ph
+	return &ProxyHealth{pool: pool, clock: clock, nodes: make([]nodeHealth, pool.Size())}
 }
 
 // Demotions returns how many times nodes have been demoted.
-func (ph *ProxyHealth) Demotions() int64 { return ph.demotions.Value() }
+func (ph *ProxyHealth) Demotions() int64 {
+	ph.mu.Lock()
+	defer ph.mu.Unlock()
+	return ph.demotions
+}
 
 // pick selects the next node: round-robin over healthy nodes, admitting a
 // demoted node again once its cooldown lapses (as a probe). When every
@@ -93,10 +69,7 @@ func (ph *ProxyHealth) pick() int {
 		i := (ph.next + off) % n
 		nh := &ph.nodes[i]
 		if nh.demotedTill.IsZero() || !now.Before(nh.demotedTill) {
-			if !nh.demotedTill.IsZero() {
-				nh.demotedTill = time.Time{} // probe re-admission
-				ph.probes.Inc()
-			}
+			nh.demotedTill = time.Time{} // a demoted node's probe re-admission
 			ph.next = (i + 1) % n
 			return i
 		}
@@ -125,10 +98,10 @@ func (ph *ProxyHealth) Report(i int, transportOK bool) {
 		return
 	}
 	nh.fails++
-	if nh.fails >= ph.cfg.FailThreshold {
+	if nh.fails >= proxyFailThreshold {
 		nh.fails = 0
-		nh.demotedTill = ph.clock.Now().Add(ph.cfg.Cooldown)
-		ph.demotions.Inc()
+		nh.demotedTill = ph.clock.Now().Add(proxyCooldown)
+		ph.demotions++
 	}
 }
 

@@ -21,7 +21,14 @@ type RNG struct {
 // used both to expand seeds into xoshiro state and to derive child seeds.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
-	z := *state
+	return Mix64(*state)
+}
+
+// Mix64 is splitmix64's finalizer: a full-avalanche bijection on 64 bits,
+// so inputs that differ in a bit or two — consecutive ids, adjacent
+// arrival indexes — come out uncorrelated. The ring, the fault injector
+// and the write funnel hash with it.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

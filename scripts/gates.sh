@@ -276,11 +276,16 @@ bench-module() {
 	(cd cmd/bench && go vet ./... && go test ./...)
 }
 
-# The figure simplicity PRs quote in CHANGES.md: non-test Go lines outside
-# the frozen cmd/bench. Informational: never fails.
+# The figures simplicity PRs quote in CHANGES.md: non-test Go lines outside
+# the frozen cmd/bench, and the settings census — the exported fields of
+# internal/'s *Config, *Options and *Spec structs, every one of which some
+# program, test or other package sets (TestEveryConfigFieldIsSet logs the
+# count). Informational: never fails.
 loc() {
 	scripts/loc.sh cmd internal/metrics internal/experiments internal/cache internal/edgecache \
-		internal/fleet internal/storeserver internal/apiwire internal/marketsim || true
+		internal/fleet internal/storeserver internal/apiwire internal/marketsim \
+		internal/resilient internal/crawler internal/comments internal/model internal/rng || true
+	go test -count=1 -run TestEveryConfigFieldIsSet -v . | grep 'config fields' || true
 }
 
 if [ $# -eq 0 ]; then
