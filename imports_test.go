@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -367,5 +368,186 @@ func TestModuleMapIsCurrent(t *testing.T) {
 		if !dirs[dir] {
 			t.Errorf("DESIGN.md section 2 names %s, which is not a package directory", dir)
 		}
+	}
+}
+
+var (
+	// backticked is a code span in a document.
+	backticked = regexp.MustCompile("`([^`\n]+)`")
+	// goName is an identifier, or identifiers joined by dots.
+	goName = regexp.MustCompile(`^[A-Za-z][A-Za-z0-9]*(\.[A-Za-z][A-Za-z0-9]*)*$`)
+	// goFileName is the name of a Go source file, with or without a path.
+	goFileName = regexp.MustCompile(`^[\w./-]+\.go$`)
+	// typeArgs and callParts are what a span drops before it is read as a
+	// name: cache.LRU[string], runtime.GC(), marketsim.(*Market).Export.
+	typeArgs  = regexp.MustCompile(`\[[^\]]*\]`)
+	callParts = strings.NewReplacer("()", "", "(*", "", ")", "")
+	// sectionNumber is how DESIGN.md numbers a heading: 5, 5.2 (and the
+	// lettered 3d that citations of an older numbering carry).
+	sectionNumber = `\d+[a-z]?(?:\.\d+)?`
+	heading       = regexp.MustCompile(`(?m)^#{2,3} (` + sectionNumber + `)[. ]`)
+	// designCitation is "DESIGN.md §N", and the "§M" or "–M" items that
+	// continue its list.
+	designCitation = regexp.MustCompile(`DESIGN\.md\s+§` + sectionNumber +
+		`(?:\s*(?:,|and)\s*§` + sectionNumber + `|\s*[–-]\s*§?` + sectionNumber + `)*`)
+	citedNumber = regexp.MustCompile(sectionNumber)
+	// bareCitation is a § inside DESIGN.md; "paper §N" is the paper's.
+	bareCitation = regexp.MustCompile(`(paper(?:'s)? )?§(` + sectionNumber + `)`)
+)
+
+// TestDocsNameWhatExists holds the prose to the tree the way
+// TestModuleMapIsCurrent holds the module map, so that a document cannot
+// go on describing code that is gone or a section that was renumbered.
+// Every backticked Go identifier in DESIGN.md, README.md and API.md is
+// declared somewhere in the tree, and every backticked Go file name is a
+// file in it. A span counts as a Go identifier when it is one name with a
+// capital after its first letter (PageSize, serveMerged), or a dotted
+// name qualified by a package or type of this tree with a capital after
+// the qualifier (fleet.NewShard, Config.PageSize, marketsim.syncTables);
+// call parentheses, (*T) receivers and type arguments are dropped first.
+// Capitals alone (GET, GOGC), single words (Vary, heap), snake_case
+// (next_cursor), metric rows (arena.compactions), flags and paths are
+// not; a standard-library name is written qualified (http.ServeMux),
+// which leaves it alone. And every citation of a DESIGN.md section —
+// "DESIGN.md §N" in those documents, EXPERIMENTS.md, ROADMAP.md, the
+// verify skill and Go comments, and any § inside DESIGN.md not written
+// "paper §N" — names a heading DESIGN.md has. There is no allow-list.
+func TestDocsNameWhatExists(t *testing.T) {
+	declared := map[string]bool{}             // every name declared in the tree
+	inPackage := map[string]map[string]bool{} // package directory name -> names declared there
+	typeNames, fileNames := map[string]bool{}, map[string]bool{}
+	var comments []string
+	fset := token.NewFileSet()
+	for _, path := range goFiles(t, func(string) bool { return true }) {
+		fileNames[filepath.Base(path)] = true
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := filepath.Base(filepath.Dir(path))
+		if inPackage[pkg] == nil {
+			inPackage[pkg] = map[string]bool{}
+		}
+		add := func(ids ...*ast.Ident) {
+			for _, id := range ids {
+				declared[id.Name], inPackage[pkg][id.Name] = true, true
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				add(n.Name)
+			case *ast.TypeSpec:
+				add(n.Name)
+				typeNames[n.Name.Name] = true
+			case *ast.ValueSpec:
+				add(n.Names...)
+			case *ast.Field:
+				add(n.Names...)
+			case *ast.AssignStmt:
+				if n.Tok == token.DEFINE {
+					for _, lhs := range n.Lhs {
+						if id, ok := lhs.(*ast.Ident); ok {
+							add(id)
+						}
+					}
+				}
+			}
+			return true
+		})
+		for _, cg := range f.Comments {
+			comments = append(comments, cg.Text())
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("found no Go declarations: run from the repository root")
+	}
+
+	read := func(path string) string {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, doc := range []string{"DESIGN.md", "README.md", "API.md"} {
+		for _, m := range backticked.FindAllStringSubmatch(read(doc), -1) {
+			span := m[1]
+			if goFileName.MatchString(span) {
+				if !fileNames[filepath.Base(span)] {
+					t.Errorf("%s names %s, which is no Go file in the tree", doc, span)
+				}
+				continue
+			}
+			name := typeArgs.ReplaceAllString(callParts.Replace(span), "")
+			if !goName.MatchString(name) {
+				continue
+			}
+			names, first := strings.Split(name, "."), declared
+			if len(names) == 1 {
+				// One name: PageSize and serveMerged, not Vary or GOGC.
+				if strings.ToLower(name) == name || strings.ToUpper(name) == name ||
+					strings.ToLower(name[1:]) == name[1:] {
+					continue
+				}
+			} else {
+				// Qualified by a package or a type of the tree, with a
+				// capital after it: fleet.NewShard, not arena.compactions.
+				switch q := names[0]; {
+				case inPackage[q] != nil:
+					first = inPackage[q]
+				case !typeNames[q]:
+					continue
+				}
+				names = names[1:]
+				if strings.ToLower(strings.Join(names, "")) == strings.Join(names, "") {
+					continue
+				}
+			}
+			for i, p := range names {
+				in := declared
+				if i == 0 {
+					in = first
+				}
+				if !in[p] {
+					t.Errorf("%s names `%s`: %s is declared nowhere in the tree", doc, span, p)
+					break
+				}
+			}
+		}
+	}
+
+	design := read("DESIGN.md")
+	headings := map[string]bool{}
+	for _, m := range heading.FindAllStringSubmatch(design, -1) {
+		headings[m[1]] = true
+	}
+	citations := 0
+	cite := func(where, number string) {
+		citations++
+		if !headings[number] {
+			t.Errorf("%s cites DESIGN.md §%s, which is no heading of DESIGN.md", where, number)
+		}
+	}
+	for _, m := range bareCitation.FindAllStringSubmatch(design, -1) {
+		if m[1] == "" {
+			cite("DESIGN.md", m[2])
+		}
+	}
+	sources := map[string]string{}
+	for _, doc := range []string{"README.md", "API.md", "EXPERIMENTS.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"} {
+		sources[doc] = read(doc)
+	}
+	sources["Go comments"] = strings.Join(comments, "\n")
+	for where, text := range sources {
+		for _, m := range designCitation.FindAllString(text, -1) {
+			for _, number := range citedNumber.FindAllString(strings.TrimPrefix(m, "DESIGN.md"), -1) {
+				cite(where, number)
+			}
+		}
+	}
+	if citations == 0 {
+		t.Fatal("found no DESIGN.md section citations: run from the repository root")
 	}
 }

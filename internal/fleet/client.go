@@ -17,7 +17,7 @@ import (
 // the transport — a real network client for gatewayd, a HandlerTransport
 // for the in-process fleet. Reg is read by nothing: the gateway's merged
 // /metrics fetches every shard's page through HTTP. The field stays only
-// because the frozen cmd/bench sets it (ROADMAP item 6's unfreeze list).
+// because the frozen cmd/bench sets it (ROADMAP item 2(d)'s unfreeze list).
 type ShardClient struct {
 	Name string
 	Base string
@@ -47,11 +47,7 @@ func (c *ShardClient) do(ctx context.Context, method, pathAndQuery string, hdr h
 
 // admin issues one control-plane call and decodes the uniform {day} body.
 func (c *ShardClient) admin(ctx context.Context, method, pathAndQuery string) (adminDay, error) {
-	req, err := http.NewRequestWithContext(ctx, method, c.Base+pathAndQuery, nil)
-	if err != nil {
-		return adminDay{}, err
-	}
-	resp, err := c.HTTP.Do(req)
+	resp, err := c.do(ctx, method, pathAndQuery, nil, nil)
 	if err != nil {
 		return adminDay{}, err
 	}
@@ -85,7 +81,7 @@ func (c *ShardClient) admin(ctx context.Context, method, pathAndQuery string) (a
 // until the whole fleet's pending day is the maximum, then that day
 // commits everywhere. A coherent fleet never enters the loop.
 func AdvanceFleet(ctx context.Context, shards []ShardClient) (int, error) {
-	days, err := fanoutAdmin(ctx, shards, "/admin/prepare")
+	days, err := fanoutAdmin(ctx, shards, http.MethodPost, "/admin/prepare")
 	if err != nil {
 		return 0, fmt.Errorf("fleet prepare: %w", err)
 	}
@@ -119,15 +115,16 @@ func AdvanceFleet(ctx context.Context, shards []ShardClient) (int, error) {
 			break
 		}
 	}
-	if _, err := fanoutAdmin(ctx, shards, "/admin/commit?day="+strconv.Itoa(target)); err != nil {
+	if _, err := fanoutAdmin(ctx, shards, http.MethodPost, "/admin/commit?day="+strconv.Itoa(target)); err != nil {
 		return 0, fmt.Errorf("fleet commit day %d: %w", target, err)
 	}
 	return target, nil
 }
 
-// fanoutAdmin POSTs one admin path to every shard concurrently and
-// collects the reported days, failing on the first shard error.
-func fanoutAdmin(ctx context.Context, shards []ShardClient, pathAndQuery string) ([]int, error) {
+// fanoutAdmin sends one admin call to every shard concurrently and
+// collects the reported days, failing on the first shard error by shard
+// order.
+func fanoutAdmin(ctx context.Context, shards []ShardClient, method, pathAndQuery string) ([]int, error) {
 	days := make([]int, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
@@ -135,7 +132,7 @@ func fanoutAdmin(ctx context.Context, shards []ShardClient, pathAndQuery string)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body, err := shards[i].admin(ctx, http.MethodPost, pathAndQuery)
+			body, err := shards[i].admin(ctx, method, pathAndQuery)
 			days[i], errs[i] = body.Day, err
 		}(i)
 	}
@@ -151,22 +148,9 @@ func fanoutAdmin(ctx context.Context, shards []ShardClient, pathAndQuery string)
 // FleetDay asks every shard for its serving day; coherent reports the
 // fleet agreeing on one epoch.
 func FleetDay(ctx context.Context, shards []ShardClient) (day int, coherent bool, err error) {
-	days := make([]int, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body, e := shards[i].admin(ctx, http.MethodGet, "/admin/day")
-			days[i], errs[i] = body.Day, e
-		}(i)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return 0, false, e
-		}
+	days, err := fanoutAdmin(ctx, shards, http.MethodGet, "/admin/day")
+	if err != nil {
+		return 0, false, err
 	}
 	day, coherent = days[0], true
 	for _, d := range days {

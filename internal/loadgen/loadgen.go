@@ -504,7 +504,7 @@ type funnel struct {
 // funnelFor is the whole write-side decision, a pure function of (seed,
 // user, app): mix is the share of events selected. Which worker replays
 // the event, when, and in which mode cannot change what gets written
-// (DESIGN.md §3b); cmd/bench/ops.go carries a frozen copy.
+// (DESIGN.md §3); cmd/bench/ops.go carries a frozen copy.
 func funnelFor(seed uint64, mix float64, ev model.Event) funnel {
 	h := writeHash(seed, ev.User, ev.App)
 	if float64(h>>40)/float64(1<<24) >= mix {

@@ -237,7 +237,7 @@ func appChunkSpan(c, n int) (lo, hi int) {
 // stamps maintained by the simulation), so the copy cost is proportional
 // to the day's churn, not the catalog. Every fresh chunk is its own
 // allocation: a chunk shared forward for months must not pin the rest of
-// the export that first copied it (see DESIGN.md §3e). With
+// the export that first copied it (see DESIGN.md §8). With
 // Config.FullExport set, every chunk is copied fresh. Export must not run
 // concurrently with Step or with another Export; the returned value is
 // then safe to share across goroutines.

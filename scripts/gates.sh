@@ -149,7 +149,9 @@ retention() {
 
 # A fixed 30 s budget per target on top of the seed corpora, which every
 # plain `go test` already replays: the shard-page walker against
-# encoding/json; the packed download schedule's round trip; the wire
+# encoding/json; the gateway's g1: multi-anchor cursor (never panics,
+# round-trips any anchor vector, re-packs what it accepts); the packed
+# download schedule's round trip; the wire
 # grammar (ParsePath against a strings.Split parser, QueryValue against
 # url.ParseQuery, the cursor codec's round trip and range, ETagMatch
 # against the strings.Split walk it replaced); and the store's append-based
@@ -158,6 +160,7 @@ fuzz() {
 	local target
 	for target in \
 		'FuzzScanPage ./internal/fleet' \
+		'^FuzzGatewayCursor$ ./internal/fleet' \
 		'^FuzzPackedSeq$ ./internal/marketsim' \
 		'^FuzzParsePath$ ./internal/apiwire' \
 		'^FuzzQueryValue$ ./internal/apiwire' \

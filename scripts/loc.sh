@@ -1,7 +1,8 @@
 #!/bin/sh
-# Prints the figure every simplicity PR quotes: non-test Go lines outside
-# the frozen benchmark harness, and the same for each package directory
-# given as an argument (e.g. scripts/loc.sh internal/cache).
+# Prints the figures every simplicity PR quotes: non-test Go lines outside
+# the frozen benchmark harness, the same for each package directory given
+# as an argument (e.g. scripts/loc.sh internal/cache), and the line counts
+# of the four documents that describe the system.
 set -eu
 cd "$(dirname "$0")/.."
 count() {
@@ -11,4 +12,10 @@ count() {
 echo "non-test Go lines outside cmd/bench: $(count .)"
 for dir in "$@"; do
 	echo "  $dir: $(count "./${dir#./}")"
+done
+docs="DESIGN.md EXPERIMENTS.md README.md API.md"
+# shellcheck disable=SC2086 # the list is split on purpose
+echo "document lines ($docs): $(cat $docs | wc -l)"
+for doc in $docs; do
+	echo "  $doc: $(wc -l <"$doc")"
 done
