@@ -2,9 +2,63 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"os"
+	"strings"
 	"testing"
 )
+
+// TestGolden holds every runner's printed tables to testdata/tiny.golden,
+// the stdout of
+//
+//	go run ./cmd/experiments -scale 0.05 -days 6 -comment-users 300 > cmd/experiments/testdata/tiny.golden
+//
+// A seed names a result: a change that moves one random draw, or one number
+// a table prints, fails here naming the runner and table it moved.
+// Regenerating the file is that same command (DESIGN.md §11).
+func TestGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/tiny.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run([]string{"-scale", "0.05", "-days", "6", "-comment-users", "300"}, &got, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if where := firstDifference(got.String(), string(want)); where != "" {
+		t.Fatalf("stdout differs from testdata/tiny.golden: %s", where)
+	}
+}
+
+// firstDifference names where got first departs from want — the runner's
+// "===== ID =====" block, the table's title (the first line after the block
+// header or a blank line) and both lines — or returns "" when they agree.
+func firstDifference(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	block, title := "(none)", ""
+	for i := 0; i < max(len(g), len(w)); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("runner %s, table %q, line %d: got %q, want %q", block, title, i+1, gl, wl)
+		}
+		switch {
+		case strings.HasPrefix(wl, "===== "):
+			block, title = strings.Trim(wl, "= "), ""
+		case wl == "":
+			title = ""
+		case title == "":
+			title = wl
+		}
+	}
+	return ""
+}
 
 // tiny is the smallest configuration NewSuite accepts that still has T1
 // print per-store rows; every case below starts from it.
