@@ -43,7 +43,7 @@ func suite(b *testing.B) *experiments.Suite {
 		// Pre-simulate every store so per-benchmark timings measure the
 		// analysis, not the shared market construction.
 		for _, store := range benchS.StoreNames() {
-			if _, benchErr = benchS.Market(store); benchErr != nil {
+			if _, benchErr = benchS.Store(store); benchErr != nil {
 				return
 			}
 		}

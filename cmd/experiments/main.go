@@ -1,12 +1,17 @@
-// Command experiments runs the paper's tables and figures against the
-// synthetic stores and prints the regenerated rows/series. With no
-// arguments it runs everything in order; pass experiment IDs (T1, F2..F19,
-// X1..X5; -list prints them) to run a subset.
+// Command experiments runs the paper's tables and figures and prints the
+// regenerated rows/series: on simulated stores, or with -db on the one
+// store a cmd/crawl database holds. With no arguments it runs everything in
+// order; pass experiment IDs (T1, F2..F19, X1..X5; -list prints them) to
+// run a subset. On a crawl, a runner that reads no store or needs a
+// simulation's ground truth (F19, X1, X2, X3, X5) prints one "skipped:"
+// line instead of its tables, and -scale, -days and -comment-users, which
+// describe simulated stores, are refused.
 //
 // Usage:
 //
 //	experiments                 # run all at default scale
 //	experiments -scale 0.5 F8 F9 F19
+//	experiments -db crawl.jsonl T1 F2 F8 # the same runners on a crawl
 //	experiments -markdown > EXPERIMENTS.out.md
 //	experiments -workers 8 F8            # bound the fit-pipeline parallelism
 //	experiments -cpuprofile cpu.pprof F9 # profile the fit pipeline
@@ -19,8 +24,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
+	"planetapps/internal/db"
 	"planetapps/internal/experiments"
 )
 
@@ -46,6 +51,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		list       = fs.Bool("list", false, "list experiment IDs and exit")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		dbPath     = fs.String("db", "", "run on this crawl database (cmd/crawl -out) instead of simulated stores")
 	)
 	_ = fs.Parse(args) // ExitOnError: a malformed flag has already exited with usage
 
@@ -56,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	suite, err := experiments.NewSuite(experiments.Config{
+	suite, err := newSuite(fs, *dbPath, experiments.Config{
 		Seed: *seed, Scale: *scale, Days: *days, CommentUsers: *users,
 		Workers: *workers,
 	})
@@ -74,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	// The profiles are written whether or not an experiment failed.
-	runErr := runAll(suite, fs.Args(), *markdown, stdout, stderr)
+	runErr := experiments.Print(stdout, suite, fs.Args(), *markdown, stderr)
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -86,35 +92,33 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return runErr
 }
 
-// runAll runs the named experiments (all of them when ids is empty) and
-// prints each one's tables to stdout, its wall time to stderr.
-func runAll(suite *experiments.Suite, ids []string, markdown bool, stdout, stderr io.Writer) error {
-	if len(ids) == 0 {
-		ids = experiments.IDs()
+// newSuite is the suite the flags describe: simulated stores, or the one
+// store of the crawl database at dbPath.
+func newSuite(fs *flag.FlagSet, dbPath string, cfg experiments.Config) (*experiments.Suite, error) {
+	if dbPath == "" {
+		return experiments.NewSuite(cfg)
 	}
-	for _, id := range ids {
-		start := time.Now()
-		if markdown {
-			fmt.Fprintf(stdout, "## %s\n\n```\n", id)
-		} else {
-			fmt.Fprintf(stdout, "===== %s =====\n", id)
-		}
-		res, err := experiments.Run(suite, id)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		for _, t := range res.Tables() {
-			if _, err := t.WriteTo(stdout); err != nil {
-				return fmt.Errorf("experiments: %s: %w", id, err)
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "scale", "days", "comment-users":
+			if err == nil {
+				err = fmt.Errorf("experiments: -%s describes simulated stores; -db reads a crawl", f.Name)
 			}
-			fmt.Fprintln(stdout)
 		}
-		if markdown {
-			fmt.Fprintf(stdout, "```\n\n")
-		}
-		fmt.Fprintf(stderr, "experiments: %s done in %v\n", id, time.Since(start).Round(time.Millisecond))
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	d, err := db.LoadFile(dbPath)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	ds, err := experiments.Load(d)
+	if err != nil {
+		return nil, err
+	}
+	return experiments.NewDatasetSuite(ds, cfg.Seed, cfg.Workers)
 }
 
 func writeHeapProfile(path string) error {

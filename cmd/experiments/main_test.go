@@ -31,6 +31,19 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// TestDBRefusesSimulationFlags: -scale, -days and -comment-users describe
+// simulated stores, so beside -db each is refused before anything runs.
+func TestDBRefusesSimulationFlags(t *testing.T) {
+	for _, flag := range []string{"-scale", "-days", "-comment-users"} {
+		var stdout bytes.Buffer
+		err := run([]string{"-db", "crawl.jsonl", flag, "300", "T1"}, &stdout, io.Discard)
+		want := "experiments: " + flag + " describes simulated stores; -db reads a crawl"
+		if err == nil || err.Error() != want || stdout.Len() != 0 {
+			t.Errorf("%s beside -db: error %v, printed %q; want %q", flag, err, stdout.String(), want)
+		}
+	}
+}
+
 // firstDifference names where got first departs from want — the runner's
 // "===== ID =====" block, the table's title (the first line after the block
 // header or a blank line) and both lines — or returns "" when they agree.

@@ -8,44 +8,6 @@ import (
 	"planetapps/internal/rng"
 )
 
-func TestCompressAppString(t *testing.T) {
-	got := compressAppString([]int{1, 2, 3, 3, 1, 4})
-	want := []int{1, 2, 3, 1, 4}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if len(compressAppString([]int{})) != 0 {
-		t.Fatal("empty input should stay empty")
-	}
-	if got := compressAppString([]int{7, 7, 7}); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("all-equal input compressed to %v", got)
-	}
-}
-
-func TestCompressOnlySuccessive(t *testing.T) {
-	// Non-adjacent repeats are retained (the paper keeps a1..a1..).
-	got := compressAppString([]int{1, 2, 1})
-	if len(got) != 3 {
-		t.Fatalf("non-adjacent repeat removed: %v", got)
-	}
-}
-
-func TestCategoryString(t *testing.T) {
-	cats := map[string]int{"a": 1, "b": 2}
-	got := categoryString([]string{"a", "b", "a"}, func(s string) int { return cats[s] })
-	want := []int{1, 2, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
 func TestAffinityPaperExamples(t *testing.T) {
 	// The paper's worked examples for depth 1:
 	// c1c1c1c1 -> 3/3, c1c1c1c2 -> 2/3, c1c1c2c3 -> 1/3.
@@ -317,31 +279,6 @@ func TestAnalysisCDF(t *testing.T) {
 	if cdf.At(1) != 1 {
 		t.Fatal("CDF at affinity 1 should be 1")
 	}
-}
-
-// compressAppString removes successive duplicates from a per-user app
-// sequence, producing the paper's "app string": a1 a2 a3 a3 a1 a4 becomes
-// a1 a2 a3 a1 a4. (The paper suppresses only successive repeats of the same
-// app, not all repeats.)
-func compressAppString[T comparable](seq []T) []T {
-	out := make([]T, 0, len(seq))
-	for i, v := range seq {
-		if i > 0 && v == seq[i-1] {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// categoryString maps an app string to its category string using the
-// supplied app→category lookup.
-func categoryString[T comparable, C comparable](apps []T, categoryOf func(T) C) []C {
-	out := make([]C, len(apps))
-	for i, a := range apps {
-		out[i] = categoryOf(a)
-	}
-	return out
 }
 
 // randomWalkAffinity computes the exact probability that two independent

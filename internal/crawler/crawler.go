@@ -337,6 +337,7 @@ func (c *Crawler) CrawlDay(ctx context.Context) (Stats, error) {
 		return Stats{}, err
 	}
 	day := stats.Day
+	c.db.SetStore(stats.Store)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

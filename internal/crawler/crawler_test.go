@@ -48,6 +48,9 @@ func TestCrawlDay(t *testing.T) {
 	if stats.Apps == 0 {
 		t.Fatal("crawl found no apps")
 	}
+	if got := c.DB().Store(); got != "slideme" {
+		t.Fatalf("db records store %q, want slideme", got)
+	}
 	if c.DB().NumApps() != stats.Apps {
 		t.Fatalf("db has %d apps, stats claim %d", c.DB().NumApps(), stats.Apps)
 	}

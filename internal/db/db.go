@@ -63,7 +63,10 @@ type CommentRecord struct {
 // DB is an in-memory crawl database. All methods are safe for concurrent
 // use.
 type DB struct {
-	mu       sync.RWMutex
+	mu sync.RWMutex
+	// store is the name the crawled store gives itself in its /stats
+	// document.
+	store    string
 	apps     map[int32]*AppRecord
 	comments []CommentRecord
 	// commentSeen deduplicates comments across daily re-crawls.
@@ -81,6 +84,21 @@ func New() *DB {
 		apps:        map[int32]*AppRecord{},
 		commentSeen: map[commentKey]struct{}{},
 	}
+}
+
+// SetStore records the name of the store the database holds.
+func (d *DB) SetStore(name string) {
+	d.mu.Lock()
+	d.store = name
+	d.mu.Unlock()
+}
+
+// Store returns the name of the store the database holds ("" when it was
+// never recorded).
+func (d *DB) Store() string {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.store
 }
 
 // UpsertApp merges an app observation: static fields are refreshed and the
@@ -207,38 +225,25 @@ func (d *DB) Comments() []CommentRecord {
 	return append([]CommentRecord(nil), d.comments...)
 }
 
-// DownloadsOnDay returns per-app cumulative downloads as of the given crawl
-// day, covering apps observed on or before that day. The slice is indexed
-// by position in the sorted-ID app list; ids carries the matching app IDs.
-func (d *DB) DownloadsOnDay(day int) (ids []int32, downloads []int64) {
-	for _, rec := range d.Apps() {
-		var best *DailyStat
-		for i := range rec.Daily {
-			if rec.Daily[i].Day <= day {
-				best = &rec.Daily[i]
-			}
-		}
-		if best == nil {
-			continue
-		}
-		ids = append(ids, rec.ID)
-		downloads = append(downloads, best.Downloads)
-	}
-	return ids, downloads
-}
-
 // jsonlLine is the persistence envelope: one typed record per line.
 type jsonlLine struct {
+	Store   string         `json:"store,omitempty"`
 	App     *AppRecord     `json:"app,omitempty"`
 	Comment *CommentRecord `json:"comment,omitempty"`
 }
 
-// WriteTo streams the database as JSONL. Apps are written sorted by ID,
-// then comments in insertion order.
+// WriteTo streams the database as JSONL: the store's name when recorded,
+// then apps sorted by ID, then comments in insertion order.
 func (d *DB) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	var n int64
+	if store := d.Store(); store != "" {
+		if err := enc.Encode(jsonlLine{Store: store}); err != nil {
+			return n, err
+		}
+		n++
+	}
 	for _, rec := range d.Apps() {
 		rec := rec
 		if err := enc.Encode(jsonlLine{App: &rec}); err != nil {
@@ -270,6 +275,9 @@ func (d *DB) ReadFrom(r io.Reader) (int64, error) {
 		var l jsonlLine
 		if err := json.Unmarshal(line, &l); err != nil {
 			return n, fmt.Errorf("db: line %d: %w", n+1, err)
+		}
+		if l.Store != "" {
+			d.SetStore(l.Store)
 		}
 		switch {
 		case l.App != nil:

@@ -69,23 +69,6 @@ func TestCommentsDedup(t *testing.T) {
 	}
 }
 
-func TestDownloadsOnDay(t *testing.T) {
-	d := New()
-	r1, _ := sampleApp(1)
-	d.UpsertApp(r1, DailyStat{Day: 0, Downloads: 10})
-	d.UpsertApp(r1, DailyStat{Day: 2, Downloads: 30})
-	r2, _ := sampleApp(2)
-	d.UpsertApp(r2, DailyStat{Day: 2, Downloads: 5})
-	ids, dl := d.DownloadsOnDay(1)
-	if len(ids) != 1 || ids[0] != 1 || dl[0] != 10 {
-		t.Fatalf("day 1: ids=%v dl=%v", ids, dl)
-	}
-	ids, dl = d.DownloadsOnDay(2)
-	if len(ids) != 2 || dl[0] != 30 || dl[1] != 5 {
-		t.Fatalf("day 2: ids=%v dl=%v", ids, dl)
-	}
-}
-
 func TestRoundTrip(t *testing.T) {
 	d := New()
 	for i := int32(0); i < 10; i++ {
@@ -94,19 +77,20 @@ func TestRoundTrip(t *testing.T) {
 		d.UpsertApp(rec, DailyStat{Day: 1, Downloads: int64(100 + i)})
 	}
 	d.AddComment(CommentRecord{App: 1, User: 7, Rating: 4, UnixTime: 99})
+	d.SetStore("slideme")
 	var buf bytes.Buffer
 	n, err := d.WriteTo(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 11 {
-		t.Fatalf("wrote %d lines, want 11", n)
+	if n != 12 {
+		t.Fatalf("wrote %d lines, want 12", n)
 	}
 	d2 := New()
 	if _, err := d2.ReadFrom(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if d2.NumApps() != 10 || d2.NumComments() != 1 {
+	if d2.NumApps() != 10 || d2.NumComments() != 1 || d2.Store() != "slideme" {
 		t.Fatalf("loaded %d apps, %d comments", d2.NumApps(), d2.NumComments())
 	}
 	got, _ := d2.App(3)

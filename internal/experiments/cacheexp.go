@@ -62,6 +62,9 @@ func (r *Figure19Result) Tables() []*report.Table {
 
 // Figure19 sweeps the LRU cache across sizes and workload models.
 func Figure19(s *Suite) (*Figure19Result, error) {
+	if err := s.simulated("F19 simulates the model alone and reads no store"); err != nil {
+		return nil, err
+	}
 	points, err := cache.SweepLRU(figure19Config(s), []float64{1, 2, 4, 6, 8, 10, 14, 20}, s.cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -101,6 +104,9 @@ func (r *CachePoliciesX2Result) HitRatio(policy string) float64 {
 
 // CachePoliciesX2 runs the policy comparison at a 5% cache size.
 func CachePoliciesX2(s *Suite) (*CachePoliciesX2Result, error) {
+	if err := s.simulated("X2 simulates the model alone and reads no store"); err != nil {
+		return nil, err
+	}
 	cfg := figure19Config(s)
 	capacity := cfg.Apps / 20
 	if capacity < 10 {

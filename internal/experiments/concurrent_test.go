@@ -63,7 +63,7 @@ func TestSuiteConcurrentUse(t *testing.T) {
 }
 
 // TestSuiteMarketSingleFlight asserts concurrent requests for one store
-// coalesce onto a single market simulation (same *MarketRun out of every
+// coalesce onto a single market simulation (same *Dataset out of every
 // call) while requests for different stores proceed independently.
 func TestSuiteMarketSingleFlight(t *testing.T) {
 	s, err := NewSuite(Config{Seed: 11, Scale: 0.25, Days: 20, CommentUsers: 1000})
@@ -72,14 +72,14 @@ func TestSuiteMarketSingleFlight(t *testing.T) {
 	}
 	const callers = 8
 	stores := s.StoreNames()
-	runs := make([]*MarketRun, callers*len(stores))
+	runs := make([]*Dataset, callers*len(stores))
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
 		for j, store := range stores {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				run, err := s.Market(store)
+				run, err := s.Store(store)
 				if err != nil {
 					t.Error(err)
 					return

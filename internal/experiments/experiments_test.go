@@ -61,18 +61,18 @@ func TestRunUnknown(t *testing.T) {
 
 func TestMarketCaching(t *testing.T) {
 	s := suite(t)
-	a, err := s.Market("anzhi")
+	a, err := s.Store("anzhi")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Market("anzhi")
+	b, err := s.Store("anzhi")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("market runs not cached")
 	}
-	if _, err := s.Market("nosuchstore"); err == nil {
+	if _, err := s.Store("nosuchstore"); err == nil {
 		t.Fatal("unknown store accepted")
 	}
 }

@@ -50,6 +50,9 @@ func (r *PrefetchX3Result) HitRate(strategy string) float64 {
 // PrefetchX3 compares no prefetching, popularity-only prefetching and the
 // paper's category-top prefetching.
 func PrefetchX3(s *Suite) (*PrefetchX3Result, error) {
+	if err := s.simulated("X3 simulates the model alone and reads no store"); err != nil {
+		return nil, err
+	}
 	cfg := figure19Config(s)
 	cm := model.RoundRobin(cfg.Apps, cfg.Clusters)
 	ranked := make([]int32, cfg.Apps)

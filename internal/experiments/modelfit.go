@@ -15,9 +15,6 @@ func init() {
 	register("X1", func(s *Suite) (Result, error) { return AblationX1(s) })
 }
 
-// fitStores are the stores the paper fits models against in Figures 8-10.
-var fitStores = []string{"appchina", "anzhi", "1mobile"}
-
 // fitSpec is the standard fitting grid with the suite's worker budget
 // threaded into the Monte Carlo refinement.
 func fitSpec(s *Suite) model.FitSpec {
@@ -62,14 +59,15 @@ func (r *Figure8Result) Tables() []*report.Table {
 // Stores are fitted concurrently (each fit is itself parallel); results land
 // in store-indexed slots so the output order matches fitStores.
 func Figure8(s *Suite) (*Figure8Result, error) {
-	out := &Figure8Result{Stores: make([]Figure8Store, len(fitStores))}
-	err := s.forEach(len(fitStores), func(i int) error {
-		store := fitStores[i]
-		run, err := s.Market(store)
+	stores := s.fitStores()
+	out := &Figure8Result{Stores: make([]Figure8Store, len(stores))}
+	err := s.forEach(len(stores), func(i int) error {
+		store := stores[i]
+		ds, err := s.Store(store)
 		if err != nil {
 			return err
 		}
-		curve := run.Series.Last().Curve()
+		curve := ds.Series.Last().Curve()
 		fits, err := model.FitAllMC(trimZeroTail(curve), fitSpec(s), s.cfg.Seed)
 		if err != nil {
 			return err
@@ -130,17 +128,18 @@ func (r *Figure9Result) Tables() []*report.Table {
 // index-distinct row slots, preserving the sequential row order.
 func Figure9(s *Suite) (*Figure9Result, error) {
 	edges := []string{"first", "last"}
-	out := &Figure9Result{Rows: make([]Figure9Row, len(fitStores)*len(edges))}
+	stores := s.fitStores()
+	out := &Figure9Result{Rows: make([]Figure9Row, len(stores)*len(edges))}
 	err := s.forEach(len(out.Rows), func(i int) error {
-		store := fitStores[i/len(edges)]
+		store := stores[i/len(edges)]
 		edge := edges[i%len(edges)]
-		run, err := s.Market(store)
+		ds, err := s.Store(store)
 		if err != nil {
 			return err
 		}
-		day := run.Series.First()
+		day := ds.Series.First()
 		if edge == "last" {
-			day = run.Series.Last()
+			day = ds.Series.Last()
 		}
 		curve := trimZeroTail(day.Curve())
 		if len(curve.Downloads) == 0 {
@@ -191,20 +190,21 @@ func (r *Figure10Result) Tables() []*report.Table {
 
 // Figure10 sweeps U as a fraction of the top app's downloads.
 func Figure10(s *Suite) (*Figure10Result, error) {
+	stores := s.fitStores()
 	out := &Figure10Result{
 		Fractions: []float64{0.1, 0.25, 0.5, 1, 2, 5, 10, 20, 50},
 		Distance:  map[string][]float64{},
-		Order:     fitStores,
+		Order:     stores,
 	}
 	// Per-store sweeps run concurrently; each writes a distinct slot of the
 	// distances slice, and the map is assembled after the barrier.
-	distances := make([][]float64, len(fitStores))
-	err := s.forEach(len(fitStores), func(i int) error {
-		run, err := s.Market(fitStores[i])
+	distances := make([][]float64, len(stores))
+	err := s.forEach(len(stores), func(i int) error {
+		ds, err := s.Store(stores[i])
 		if err != nil {
 			return err
 		}
-		curve := trimZeroTail(run.Series.Last().Curve())
+		curve := trimZeroTail(ds.Series.Last().Curve())
 		// The paper fixes the non-U parameters at their best-fit values and
 		// sweeps only the simulated user count.
 		best, err := model.Fit(model.AppClustering, curve, model.DefaultFitSpec())
@@ -217,7 +217,7 @@ func Figure10(s *Suite) (*Figure10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, store := range fitStores {
+	for i, store := range stores {
 		out.Distance[store] = distances[i]
 	}
 	return out, nil
@@ -259,6 +259,9 @@ func (r *AblationX1Result) Tables() []*report.Table {
 // clusters, showing that tail truncation strengthens with p and that p=0
 // degenerates to ZIPF-at-most-once.
 func AblationX1(s *Suite) (*AblationX1Result, error) {
+	if err := s.simulated("X1 simulates the model alone and reads no store"); err != nil {
+		return nil, err
+	}
 	base := model.Config{
 		Apps: 3000, Users: 8000, DownloadsPerUser: 12,
 		ZipfGlobal: 1.3, ZipfCluster: 1.4, ClusterP: 0.9,

@@ -43,11 +43,11 @@ func (r *Table1Result) Tables() []*report.Table {
 func Table1(s *Suite) (*Table1Result, error) {
 	out := &Table1Result{}
 	for _, store := range s.StoreNames() {
-		run, err := s.Market(store)
+		ds, err := s.Store(store)
 		if err != nil {
 			return nil, err
 		}
-		sum, err := run.Series.Summarize()
+		sum, err := ds.Series.Summarize()
 		if err != nil {
 			return nil, err
 		}
@@ -88,11 +88,11 @@ func Figure2(s *Suite) (*Figure2Result, error) {
 	pcts := []float64{1, 2, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	out := &Figure2Result{RankPcts: pcts, Share: map[string][]float64{}, Order: s.StoreNames()}
 	for _, store := range out.Order {
-		run, err := s.Market(store)
+		ds, err := s.Store(store)
 		if err != nil {
 			return nil, err
 		}
-		curve := run.Series.Last().Curve()
+		curve := ds.Series.Last().Curve()
 		sc := stats.NewShareCurve(curve.Downloads, pcts)
 		out.Share[store] = sc.SharePct
 	}
@@ -156,11 +156,11 @@ func (r *Figure3Result) Tables() []*report.Table {
 func Figure3(s *Suite) (*Figure3Result, error) {
 	out := &Figure3Result{}
 	for _, store := range s.StoreNames() {
-		run, err := s.Market(store)
+		ds, err := s.Store(store)
 		if err != nil {
 			return nil, err
 		}
-		curve := run.Series.Last().Curve()
+		curve := ds.Series.Last().Curve()
 		cut, _ := dist.FitPowerLawCutoff(curve)
 		out.Stores = append(out.Stores, Figure3Store{
 			Store:         store,
@@ -213,11 +213,11 @@ func (r *Figure4Result) Tables() []*report.Table {
 func Figure4(s *Suite) (*Figure4Result, error) {
 	out := &Figure4Result{}
 	for _, store := range s.StoreNames() {
-		run, err := s.Market(store)
+		ds, err := s.Store(store)
 		if err != nil {
 			return nil, err
 		}
-		counts := run.Series.UpdateCounts()
+		counts := ds.Series.UpdateCounts()
 		if counts == nil {
 			return nil, fmt.Errorf("experiments: store %s has no update data", store)
 		}
@@ -234,7 +234,7 @@ func Figure4(s *Suite) (*Figure4Result, error) {
 		for k := 0; k <= 6; k++ {
 			st.CDF = append(st.CDF, ecdf.At(float64(k)))
 		}
-		topCounts := run.Series.UpdateCountsTop(0.10)
+		topCounts := ds.Series.UpdateCountsTop(0.10)
 		zero := 0
 		for _, c := range topCounts {
 			if c == 0 {

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"slices"
 	"sort"
 
+	"planetapps/internal/catalog"
 	"planetapps/internal/dist"
 	"planetapps/internal/pricing"
 	"planetapps/internal/report"
+	"planetapps/internal/snapshot"
 	"planetapps/internal/stats"
 )
 
@@ -20,18 +23,19 @@ func init() {
 	register("F18", func(s *Suite) (Result, error) { return Figure18(s) })
 }
 
-// slidemeDataset builds the pricing dataset from the SlideMe-profile run —
-// the only profiled store carrying paid apps, as in the paper.
-func (s *Suite) slidemeDataset() (pricing.Dataset, *MarketRun, error) {
-	run, err := s.Market("slideme")
+// pricingDataset is the §6 input: the catalog and last-day downloads of the
+// SlideMe profile — the only profiled store carrying paid apps, as in the
+// paper — or of a given dataset that lists a paid app.
+func (s *Suite) pricingDataset() (pricing.Dataset, *snapshot.Series, error) {
+	ds, err := s.Store(s.role("slideme"))
 	if err != nil {
 		return pricing.Dataset{}, nil, err
 	}
-	ds := pricing.Dataset{
-		Catalog:   run.Market.Catalog(),
-		Downloads: run.Market.Downloads(),
+	if !slices.ContainsFunc(ds.Catalog.Apps, func(a catalog.App) bool { return a.Pricing == catalog.Paid }) {
+		return pricing.Dataset{}, nil, &Skipped{"the store lists no paid app"}
 	}
-	return ds, run, ds.Validate()
+	out := pricing.Dataset{Catalog: ds.Catalog, Downloads: ds.Series.Last().CumulativeDownloads}
+	return out, ds.Series, out.Validate()
 }
 
 // Figure11Result contrasts free and paid popularity curves (Figure 11).
@@ -57,7 +61,7 @@ func (r *Figure11Result) Tables() []*report.Table {
 
 // Figure11 splits the SlideMe curves by pricing class.
 func Figure11(s *Suite) (*Figure11Result, error) {
-	ds, _, err := s.slidemeDataset()
+	ds, _, err := s.pricingDataset()
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +101,7 @@ func (r *Figure12Result) Tables() []*report.Table {
 
 // Figure12 computes the price histograms and correlations.
 func Figure12(s *Suite) (*Figure12Result, error) {
-	ds, _, err := s.slidemeDataset()
+	ds, _, err := s.pricingDataset()
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +139,7 @@ func (r *Figure13Result) Tables() []*report.Table {
 
 // Figure13 computes the income distribution.
 func Figure13(s *Suite) (*Figure13Result, error) {
-	ds, _, err := s.slidemeDataset()
+	ds, _, err := s.pricingDataset()
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +180,7 @@ func (r *Figure14Result) Tables() []*report.Table {
 
 // Figure14 measures the quality-over-quantity effect.
 func Figure14(s *Suite) (*Figure14Result, error) {
-	ds, _, err := s.slidemeDataset()
+	ds, _, err := s.pricingDataset()
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +235,7 @@ func (r *Figure15Result) Tables() []*report.Table {
 
 // Figure15 computes the category revenue shares.
 func Figure15(s *Suite) (*Figure15Result, error) {
-	ds, _, err := s.slidemeDataset()
+	ds, _, err := s.pricingDataset()
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +294,7 @@ func (r *Figure16Result) Tables() []*report.Table {
 
 // Figure16 measures portfolio sizes and category focus.
 func Figure16(s *Suite) (*Figure16Result, error) {
-	ds, _, err := s.slidemeDataset()
+	ds, _, err := s.pricingDataset()
 	if err != nil {
 		return nil, err
 	}
@@ -346,11 +350,11 @@ func (r *Figure17Result) Tables() []*report.Table {
 
 // Figure17 evaluates Eq. 7 across the measurement period.
 func Figure17(s *Suite) (*Figure17Result, error) {
-	ds, run, err := s.slidemeDataset()
+	ds, series, err := s.pricingDataset()
 	if err != nil {
 		return nil, err
 	}
-	days, overall, byTier, err := pricing.BreakEvenOverTime(ds.Catalog, run.Series)
+	days, overall, byTier, err := pricing.BreakEvenOverTime(ds.Catalog, series)
 	if err != nil {
 		return nil, err
 	}
@@ -379,7 +383,7 @@ func (r *Figure18Result) Tables() []*report.Table {
 
 // Figure18 evaluates per-category break-even incomes.
 func Figure18(s *Suite) (*Figure18Result, error) {
-	ds, _, err := s.slidemeDataset()
+	ds, _, err := s.pricingDataset()
 	if err != nil {
 		return nil, err
 	}

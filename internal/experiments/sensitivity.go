@@ -50,6 +50,9 @@ func (r *SensitivityX5Result) Tables() []*report.Table {
 // independent (separate markets, separate seeds), so they simulate and fit
 // concurrently into index-distinct row slots.
 func SensitivityX5(s *Suite) (*SensitivityX5Result, error) {
+	if err := s.simulated("X5 plants clustering strengths in markets of its own: ground truth a crawl does not have"); err != nil {
+		return nil, err
+	}
 	planted := []float64{0.1, 0.5, 0.9}
 	out := &SensitivityX5Result{Rows: make([]SensitivityRow, len(planted))}
 	err := s.forEach(len(planted), func(i int) error {

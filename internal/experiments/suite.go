@@ -1,16 +1,23 @@
 // Package experiments contains one runner per table and figure of the
-// paper's evaluation, plus the two extension studies DESIGN.md defines
-// (X1 ablation, X2 cache policies). Each runner pulls its inputs from a
-// shared Suite, which lazily simulates and caches the per-store markets so
-// multiple experiments can reuse the same "measured" data — the way the
-// paper reuses one crawl dataset across its analysis sections.
+// paper's evaluation, plus the extension studies DESIGN.md defines. Every
+// runner reads the stores it studies through a Suite, one Dataset each:
+// the daily series, a catalog view and the comment stream — what the
+// paper's crawlers collected into their local database (Figure 1). A Suite
+// has one of two sources. NewSuite simulates each store's market once,
+// lazily, and keeps the market's own series; NewDatasetSuite holds one
+// given dataset, such as Load reads out of a crawl database. A runner that
+// needs what only a simulation has — the model alone, or markets planted
+// with known parameters — is Skipped on a given dataset.
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"planetapps/internal/catalog"
 	"planetapps/internal/comments"
@@ -44,37 +51,44 @@ func DefaultConfig() Config {
 		Workers: runtime.GOMAXPROCS(0)}
 }
 
-// Suite carries lazily computed shared state. A Suite is safe for
-// concurrent use: independent stores simulate concurrently, and each
-// store's market is computed exactly once (per-store single-flight).
-type Suite struct {
-	cfg Config
-
-	mu      sync.Mutex
-	markets map[string]*marketEntry
-
-	commentsOnce sync.Once
-	cstream      []comments.Comment
-	ccat         *catalog.Catalog
-	commentsErr  error
+// Dataset is one store as the runners read it: what a daily crawl of the
+// store collects.
+type Dataset struct {
+	// Series holds one snapshot per observed day; Series.Store names the
+	// store.
+	Series *snapshot.Series
+	// Catalog lists the store's apps as of the last day, in the series' app
+	// order. Runners read only what a listing shows of an app: its
+	// category, developer, pricing and price.
+	Catalog *catalog.Catalog
+	// Comments is the time-ordered comment stream, App indexing Catalog. A
+	// simulated suite generates one for the §4 study's store only.
+	Comments []comments.Comment
 }
 
-// marketEntry is the single-flight slot for one store's market run: the
-// first caller simulates inside the Once while concurrent callers for the
-// same store wait, and callers for other stores proceed independently.
-type marketEntry struct {
+// Suite carries lazily computed shared state. A Suite is safe for
+// concurrent use: independent stores simulate concurrently, and each
+// store's dataset is computed exactly once (per-store single-flight).
+type Suite struct {
+	cfg Config
+	// given is the one store of a NewDatasetSuite; nil when the suite
+	// simulates.
+	given *Dataset
+
+	mu     sync.Mutex
+	stores map[string]*storeEntry
+}
+
+// storeEntry is the single-flight slot for one simulated store: the first
+// caller simulates inside the Once while concurrent callers for the same
+// store wait, and callers for other stores proceed independently.
+type storeEntry struct {
 	once sync.Once
-	run  *MarketRun
+	ds   *Dataset
 	err  error
 }
 
-// MarketRun couples a completed market simulation with its snapshots.
-type MarketRun struct {
-	Market *marketsim.Market
-	Series *snapshot.Series
-}
-
-// NewSuite creates a suite.
+// NewSuite creates a suite of simulated stores.
 func NewSuite(cfg Config) (*Suite, error) {
 	if cfg.Scale <= 0 {
 		return nil, fmt.Errorf("experiments: Scale = %v", cfg.Scale)
@@ -85,44 +99,87 @@ func NewSuite(cfg Config) (*Suite, error) {
 	if cfg.CommentUsers < 100 {
 		return nil, fmt.Errorf("experiments: CommentUsers = %d, need >= 100", cfg.CommentUsers)
 	}
+	return newSuite(cfg, nil)
+}
+
+// NewDatasetSuite creates a suite whose one store is ds: it fills every
+// role the paper gives a store — summarized, fitted, commented on, priced.
+// seed and workers are Config's.
+func NewDatasetSuite(ds *Dataset, seed uint64, workers int) (*Suite, error) {
+	return newSuite(Config{Seed: seed, Workers: workers}, ds)
+}
+
+func newSuite(cfg Config, given *Dataset) (*Suite, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("experiments: Workers = %d, need >= 0", cfg.Workers)
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Suite{cfg: cfg, markets: map[string]*marketEntry{}}, nil
+	return &Suite{cfg: cfg, given: given, stores: map[string]*storeEntry{}}, nil
 }
 
 // Config returns the suite configuration.
 func (s *Suite) Config() Config { return s.cfg }
 
-// StoreNames returns the simulated store names in presentation order
-// (largest stores first, as in the paper's tables).
+// StoreNames returns the store names in presentation order: the simulated
+// profiles, largest stores first as in the paper's tables, or the given
+// dataset's one store.
 func (s *Suite) StoreNames() []string {
+	if s.given != nil {
+		return []string{s.given.Series.Store}
+	}
 	return []string{"anzhi", "appchina", "1mobile", "slideme"}
 }
 
-// Market returns (simulating on first use) the completed market run for a
-// store profile. The suite mutex guards only the entry lookup; the
-// simulation itself runs inside the entry's Once, so concurrent callers
-// asking for different stores simulate in parallel while callers for the
-// same store coalesce onto one computation.
-func (s *Suite) Market(store string) (*MarketRun, error) {
-	s.mu.Lock()
-	e, ok := s.markets[store]
-	if !ok {
-		e = &marketEntry{}
-		s.markets[store] = e
+// fitStores are the stores Figures 8–10 fit models against: the paper's
+// three, or the given dataset's store.
+func (s *Suite) fitStores() []string {
+	if s.given != nil {
+		return s.StoreNames()
 	}
-	s.mu.Unlock()
-	e.once.Do(func() { e.run, e.err = s.simulateMarket(store) })
-	return e.run, e.err
+	return []string{"appchina", "anzhi", "1mobile"}
 }
 
-// simulateMarket builds and runs one store's market; called exactly once
-// per store via the entry's Once.
-func (s *Suite) simulateMarket(store string) (*MarketRun, error) {
+// role returns the store the paper studies for one purpose — "anzhi" for
+// the §4 comment study, "slideme" for the §6 pricing study — or, on a given
+// dataset, its store.
+func (s *Suite) role(store string) string {
+	if s.given != nil {
+		return s.given.Series.Store
+	}
+	return store
+}
+
+// commentStore is the simulated store whose dataset carries comments.
+const commentStore = "anzhi"
+
+// Store returns one store's dataset, simulating it on first use. The suite
+// mutex guards only the entry lookup; the simulation runs inside the
+// entry's Once, so callers asking for different stores simulate in parallel
+// while callers for the same store coalesce onto one computation.
+func (s *Suite) Store(name string) (*Dataset, error) {
+	if s.given != nil {
+		if name != s.given.Series.Store {
+			return nil, fmt.Errorf("experiments: unknown store %q", name)
+		}
+		return s.given, nil
+	}
+	s.mu.Lock()
+	e, ok := s.stores[name]
+	if !ok {
+		e = &storeEntry{}
+		s.stores[name] = e
+	}
+	s.mu.Unlock()
+	e.once.Do(func() { e.ds, e.err = s.simulate(name) })
+	return e.ds, e.err
+}
+
+// simulate builds and runs one store's market and keeps what a crawl of it
+// collects: the series, the final catalog and, for the comment study's
+// store, a comment stream generated over that catalog.
+func (s *Suite) simulate(store string) (*Dataset, error) {
 	prof, ok := catalog.Profiles[store]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown store %q", store)
@@ -137,7 +194,15 @@ func (s *Suite) simulateMarket(store string) (*MarketRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MarketRun{Market: m, Series: series}, nil
+	ds := &Dataset{Series: series, Catalog: m.Catalog()}
+	if store == commentStore {
+		gcfg := comments.DefaultGenConfig(s.cfg.CommentUsers)
+		gcfg.Days = s.cfg.Days
+		if ds.Comments, err = comments.Generate(ds.Catalog, gcfg, s.cfg.Seed+0xc0ffee); err != nil {
+			return nil, err
+		}
+	}
+	return ds, nil
 }
 
 // storeSeed gives each store an independent but deterministic seed offset.
@@ -150,28 +215,32 @@ func storeSeed(store string) uint64 {
 	return h
 }
 
-// CommentData returns (generating on first use) the Anzhi-profile comment
-// stream and its catalog for the §4 behaviour experiments. Generation is
-// single-flight and may itself trigger (or wait on) the anzhi market
-// simulation without blocking other stores.
+// CommentData returns the §4 comment study's catalog view and comment
+// stream.
 func (s *Suite) CommentData() (*catalog.Catalog, []comments.Comment, error) {
-	s.commentsOnce.Do(func() {
-		run, err := s.Market("anzhi")
-		if err != nil {
-			s.commentsErr = err
-			return
-		}
-		gcfg := comments.DefaultGenConfig(s.cfg.CommentUsers)
-		gcfg.Days = s.cfg.Days
-		cs, err := comments.Generate(run.Market.Catalog(), gcfg, s.cfg.Seed+0xc0ffee)
-		if err != nil {
-			s.commentsErr = err
-			return
-		}
-		s.ccat = run.Market.Catalog()
-		s.cstream = cs
-	})
-	return s.ccat, s.cstream, s.commentsErr
+	ds, err := s.Store(s.role(commentStore))
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(ds.Comments) == 0 {
+		return nil, nil, &Skipped{"the store has no comments"}
+	}
+	return ds.Catalog, ds.Comments, nil
+}
+
+// Skipped is the error of a runner whose question the suite's data cannot
+// answer; Print writes it in place of the runner's tables.
+type Skipped struct{ Reason string }
+
+func (e *Skipped) Error() string { return "skipped: " + e.Reason }
+
+// simulated refuses a given dataset to a runner that reads only what a
+// simulation has.
+func (s *Suite) simulated(why string) error {
+	if s.given != nil {
+		return &Skipped{why}
+	}
+	return nil
 }
 
 // forEach runs fn(0..n-1) on up to s.cfg.Workers goroutines and returns the
@@ -283,4 +352,44 @@ func Run(s *Suite, id string) (Result, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
 	return r(s)
+}
+
+// Print runs the named experiments (every registered one when ids is empty)
+// and writes each one's tables to w under a "===== ID =====" header, or a
+// "## ID" section when markdown; a Skipped runner gets its one line instead.
+// progress, when non-nil, gets each runner's wall time.
+func Print(w io.Writer, s *Suite, ids []string, markdown bool, progress io.Writer) error {
+	if len(ids) == 0 {
+		ids = IDs()
+	}
+	for _, id := range ids {
+		start := time.Now()
+		if markdown {
+			fmt.Fprintf(w, "## %s\n\n```\n", id)
+		} else {
+			fmt.Fprintf(w, "===== %s =====\n", id)
+		}
+		res, err := Run(s, id)
+		var skip *Skipped
+		switch {
+		case errors.As(err, &skip):
+			fmt.Fprintf(w, "%v\n\n", skip)
+		case err != nil:
+			return fmt.Errorf("experiments: %s: %w", id, err)
+		default:
+			for _, t := range res.Tables() {
+				if _, err := t.WriteTo(w); err != nil {
+					return fmt.Errorf("experiments: %s: %w", id, err)
+				}
+				fmt.Fprintln(w)
+			}
+		}
+		if markdown {
+			fmt.Fprintf(w, "```\n\n")
+		}
+		if progress != nil {
+			fmt.Fprintf(progress, "experiments: %s done in %v\n", id, time.Since(start).Round(time.Millisecond))
+		}
+	}
+	return nil
 }

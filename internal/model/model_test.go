@@ -74,20 +74,6 @@ func TestRoundRobin(t *testing.T) {
 	}
 }
 
-func TestFromAssignmentValidation(t *testing.T) {
-	of := []int32{0, 1, 0}
-	members := [][]int32{{0, 2}, {1}}
-	if _, err := fromAssignment(of, members); err != nil {
-		t.Fatalf("valid assignment rejected: %v", err)
-	}
-	if _, err := fromAssignment([]int32{0, 5}, members); err == nil {
-		t.Fatal("out-of-range cluster accepted")
-	}
-	if _, err := fromAssignment(of, [][]int32{{0}, {1, 2}}); err == nil {
-		t.Fatal("inconsistent membership accepted")
-	}
-}
-
 func TestRunDeterministic(t *testing.T) {
 	s, err := NewSimulator(AppClustering, smallCfg())
 	if err != nil {
@@ -600,29 +586,4 @@ func userSweep(kind Kind, observed dist.RankCurve, spec FitSpec, fractions []flo
 		out[i] = res.Distance
 	}
 	return out, nil
-}
-
-// fromAssignment builds a ClusterMap from an explicit app->cluster mapping
-// and a per-cluster rank order. members[c] must list exactly the apps whose
-// ofApp entry is c.
-func fromAssignment(ofApp []int32, members [][]int32) (*ClusterMap, error) {
-	m := &ClusterMap{OfApp: ofApp, Members: members}
-	counts := make([]int, len(members))
-	for app, c := range ofApp {
-		if int(c) < 0 || int(c) >= len(members) {
-			return nil, fmt.Errorf("model: app %d assigned to cluster %d of %d", app, c, len(members))
-		}
-		counts[c]++
-	}
-	for c := range members {
-		if counts[c] != len(members[c]) {
-			return nil, fmt.Errorf("model: cluster %d has %d members listed, %d assigned", c, len(members[c]), counts[c])
-		}
-		for _, app := range members[c] {
-			if int(app) < 0 || int(app) >= len(ofApp) || ofApp[app] != int32(c) {
-				return nil, fmt.Errorf("model: cluster %d lists app %d not assigned to it", c, app)
-			}
-		}
-	}
-	return m, nil
 }

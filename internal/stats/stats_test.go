@@ -185,17 +185,6 @@ func TestECDFPoints(t *testing.T) {
 	}
 }
 
-func TestKSDistance(t *testing.T) {
-	a := NewECDF([]float64{1, 2, 3, 4, 5})
-	if d := ksDistance(a, a); d != 0 {
-		t.Fatalf("KS self-distance = %v", d)
-	}
-	b := NewECDF([]float64{11, 12, 13})
-	if d := ksDistance(a, b); !almostEq(d, 1, 1e-12) {
-		t.Fatalf("disjoint KS distance = %v, want 1", d)
-	}
-}
-
 func TestTopShare(t *testing.T) {
 	// One item holding 90 of total 100: top 10% of 10 items = 1 item = 90%.
 	xs := []float64{90, 2, 1, 1, 1, 1, 1, 1, 1, 1}
@@ -228,20 +217,6 @@ func TestShareCurveMonotone(t *testing.T) {
 	}
 	if !almostEq(c.SharePct[len(c.SharePct)-1], 100, 1e-9) {
 		t.Fatalf("full share should be 100%%, got %v", c.SharePct)
-	}
-}
-
-func TestGini(t *testing.T) {
-	if g := gini([]float64{5, 5, 5, 5}); !almostEq(g, 0, 1e-12) {
-		t.Fatalf("equal gini = %v, want 0", g)
-	}
-	// All mass on one of n items → gini = (n-1)/n.
-	g := gini([]float64{0, 0, 0, 100})
-	if !almostEq(g, 0.75, 1e-12) {
-		t.Fatalf("concentrated gini = %v, want 0.75", g)
-	}
-	if gini(nil) != 0 || gini([]float64{0, 0}) != 0 {
-		t.Fatal("degenerate gini conventions violated")
 	}
 }
 
@@ -309,41 +284,4 @@ func ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return ranks
-}
-
-// ksDistance returns the Kolmogorov-Smirnov statistic between two empirical
-// distributions: the maximum absolute difference of their CDFs.
-func ksDistance(a, b *ECDF) float64 {
-	maxD := 0.0
-	for _, x := range a.sorted {
-		if d := math.Abs(a.At(x) - b.At(x)); d > maxD {
-			maxD = d
-		}
-	}
-	for _, x := range b.sorted {
-		if d := math.Abs(a.At(x) - b.At(x)); d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
-}
-
-// gini returns the gini coefficient of xs (0 = perfectly equal, →1 =
-// maximally concentrated). Used as a scalar summary of popularity skew.
-func gini(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	var cum, weighted float64
-	for i, v := range s {
-		cum += v
-		weighted += float64(i+1) * v
-	}
-	if cum == 0 {
-		return 0
-	}
-	return (2*weighted - float64(n+1)*cum) / (float64(n) * cum)
 }

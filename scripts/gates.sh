@@ -155,7 +155,10 @@ retention() {
 # grammar (ParsePath against a strings.Split parser, QueryValue against
 # url.ParseQuery, the cursor codec's round trip and range, ETagMatch
 # against the strings.Split walk it replaced); and the store's append-based
-# document encoder, string and float appenders against json.Marshal.
+# document encoder, string and float appenders against json.Marshal; the
+# crawl database's JSONL reader (never panics, whatever loads round-trips)
+# and the loader behind experiments -db (never panics, and what it accepts
+# is a series Series.Append accepts).
 fuzz() {
 	local target
 	for target in \
@@ -168,7 +171,9 @@ fuzz() {
 		'^FuzzETagMatch$ ./internal/apiwire' \
 		'^FuzzAppendRow$ ./internal/storeserver' \
 		'^FuzzAppendJSONString$ ./internal/storeserver' \
-		'^FuzzAppendJSONFloat$ ./internal/storeserver'; do
+		'^FuzzAppendJSONFloat$ ./internal/storeserver' \
+		'^FuzzReadFrom$ ./internal/db' \
+		'^FuzzLoad$ ./internal/experiments'; do
 		go test -run '^$' -fuzz "${target% *}" -fuzztime 30s "${target#* }"
 	done
 }
@@ -257,8 +262,9 @@ smoke-loadtest() {
 		-resilient -hedge-after 15ms -max-hedges 3 -out "$out/chaos.json"
 }
 
-# cmd/crawl end to end. Each crawl must complete; byte-identity with a
-# direct crawl is pinned by the package tests in the race gate.
+# cmd/crawl end to end. Each crawl must complete, and be the fault-free
+# crawl testdata/crawl.golden pins: the same sorted database (its sha256)
+# and, through experiments -db, the same T1 and F2-F7 tables.
 smoke-crawl() {
 	# Two crawl days routed through the in-process edge tier with an
 	# error-burst scenario armed on the edge->origin leg.
@@ -270,6 +276,13 @@ smoke-crawl() {
 	# gateway, with shard 0 periodically killed.
 	go run ./cmd/crawl -days 2 -scale 0.05 -proxies 0 \
 		-shards 3 -chaos shard-kill -retries 60 -naive -out "$out/fleet-crawl.jsonl"
+
+	local db
+	for db in "$out/edge-crawl.jsonl" "$out/fleet-crawl.jsonl"; do
+		echo "sorted-db-sha256 $(LC_ALL=C sort "$db" | sha256sum | cut -d' ' -f1)" >"$out/got"
+		go run ./cmd/experiments -db "$db" T1 F2 F3 F4 F5 F6 F7 >>"$out/got"
+		diff -u testdata/crawl.golden "$out/got"
+	done
 }
 
 # cmd/bench is a module of its own (replace planetapps => ../..), so the
