@@ -144,6 +144,10 @@ func main() {
 	}
 	log.Printf("appstored: served %d requests (%d rate-limited, %d client buckets) over %d simulated days",
 		srv.RequestsServed(), srv.RateLimited(), srv.LimiterBuckets(), srv.Day()+1)
+	// The write buffer lives in memory: what no day-roll took is gone now.
+	w := srv.WALStats()
+	log.Printf("appstored: %d acknowledged writes lost at exit (not yet rolled into a day; %d accepted, %d merged)",
+		w.Pending, w.Accepted, w.Merged)
 	ar := srv.Arena()
 	log.Printf("appstored: arena pool: %d arenas / %d slabs live (%d of %d pinned bytes live), %d pooled, %d made, %d reused, %d compactions (%d docs moved)",
 		ar.ArenasLive, ar.SlabsLive, ar.LiveBytes, ar.PinnedBytes, ar.SlabsPooled, ar.SlabsMade, ar.SlabsReused, ar.Compactions, ar.MovedDocs)

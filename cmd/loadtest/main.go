@@ -59,7 +59,7 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "workload seed")
 		out       = flag.String("out", "", "write the JSON report here instead of stdout")
 
-		modelKind = flag.String("model", "clustering", "synthesized workload model: zipf, zipf-amo, clustering")
+		modelKind = flag.String("model", "clustering", "synthesized workload model: zipf, zipf-at-most-once (zipf-amo, amo), app-clustering (clustering)")
 		apps      = flag.Int("apps", 0, "synthesized app population (0 = match in-process catalog, else 5000)")
 		users     = flag.Int("users", 20000, "synthesized user population")
 		dpu       = flag.Float64("dpu", 8, "synthesized mean downloads per user")
@@ -454,16 +454,9 @@ func sourceFactory(ctx context.Context, tracePath, kind string, cfg model.Config
 		desc := fmt.Sprintf("trace %s (%d apps, %d users)", tracePath, t.tr.Apps(), t.tr.Users())
 		return func() (loadgen.Source, error) { return open() }, desc, nil
 	}
-	var mk model.Kind
-	switch kind {
-	case "zipf":
-		mk = model.Zipf
-	case "zipf-amo":
-		mk = model.ZipfAtMostOnce
-	case "clustering":
-		mk = model.AppClustering
-	default:
-		return nil, "", fmt.Errorf("unknown model %q (want zipf, zipf-amo, clustering)", kind)
+	mk, err := model.ParseKind(kind)
+	if err != nil {
+		return nil, "", err
 	}
 	sim, err := model.NewSimulator(mk, cfg)
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 	"log"
 	"os"
 	"strconv"
-	"strings"
 
 	"planetapps/internal/model"
 	"planetapps/internal/report"
@@ -25,7 +24,7 @@ import (
 
 func main() {
 	var (
-		modelName = flag.String("model", "app-clustering", "zipf | zipf-at-most-once | app-clustering")
+		modelName = flag.String("model", "app-clustering", "workload model: zipf, zipf-at-most-once (zipf-amo, amo), app-clustering (clustering)")
 		apps      = flag.Int("apps", 10000, "number of apps (A)")
 		users     = flag.Int("users", 100000, "number of users (U)")
 		d         = flag.Float64("d", 5, "downloads per user")
@@ -40,16 +39,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var kind model.Kind
-	switch strings.ToLower(*modelName) {
-	case "zipf":
-		kind = model.Zipf
-	case "zipf-at-most-once", "amo":
-		kind = model.ZipfAtMostOnce
-	case "app-clustering", "clustering":
-		kind = model.AppClustering
-	default:
-		fmt.Fprintf(os.Stderr, "simulate: unknown model %q\n", *modelName)
+	kind, err := model.ParseKind(*modelName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "simulate: %v\n", err)
 		os.Exit(2)
 	}
 

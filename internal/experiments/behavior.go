@@ -37,9 +37,6 @@ type Figure5Result struct {
 	CategoryDownloadPct []float64
 }
 
-// ID implements Result.
-func (*Figure5Result) ID() string { return "F5" }
-
 // Tables implements Result.
 func (r *Figure5Result) Tables() []*report.Table {
 	a := report.NewTable("Figure 5(a): comments per user", "k", "P(comments<=k)")
@@ -105,9 +102,6 @@ type Figure6Result struct {
 	Analysis *affinity.Analysis
 }
 
-// ID implements Result.
-func (*Figure6Result) ID() string { return "F6" }
-
 // Tables implements Result.
 func (r *Figure6Result) Tables() []*report.Table {
 	var tables []*report.Table
@@ -165,9 +159,6 @@ type Figure7Result struct {
 	// Medians per depth (paper: 0.5, 0.58, 0.67).
 	Medians []float64
 }
-
-// ID implements Result.
-func (*Figure7Result) ID() string { return "F7" }
 
 // Tables implements Result.
 func (r *Figure7Result) Tables() []*report.Table {

@@ -44,9 +44,6 @@ type Figure19Result struct {
 	Points []cache.SweepPoint
 }
 
-// ID implements Result.
-func (*Figure19Result) ID() string { return "F19" }
-
 // Tables implements Result.
 func (r *Figure19Result) Tables() []*report.Table {
 	t := report.NewTable("Figure 19: LRU cache hit ratio vs cache size",
@@ -78,9 +75,6 @@ type CachePoliciesX2Result struct {
 	Capacity int
 	Results  []cache.SimResult
 }
-
-// ID implements Result.
-func (*CachePoliciesX2Result) ID() string { return "X2" }
 
 // Tables implements Result.
 func (r *CachePoliciesX2Result) Tables() []*report.Table {

@@ -504,9 +504,6 @@ func TestAllRegisteredRunnersRender(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if res.ID() != id {
-			t.Fatalf("runner %s returned ID %s", id, res.ID())
-		}
 		tables := res.Tables()
 		if len(tables) == 0 {
 			t.Fatalf("%s: no tables", id)

@@ -24,9 +24,6 @@ type PrefetchX3Result struct {
 	Results []prefetch.Result
 }
 
-// ID implements Result.
-func (*PrefetchX3Result) ID() string { return "X3" }
-
 // Tables implements Result.
 func (r *PrefetchX3Result) Tables() []*report.Table {
 	t := report.NewTable("X3: prefetching under APP-CLUSTERING",
@@ -78,9 +75,6 @@ type RecommendX4Result struct {
 	K       int
 	Results []recommend.EvalResult
 }
-
-// ID implements Result.
-func (*RecommendX4Result) ID() string { return "X4" }
 
 // Tables implements Result.
 func (r *RecommendX4Result) Tables() []*report.Table {

@@ -35,9 +35,6 @@ type Figure8Store struct {
 	Fits  []model.FitResult // ordered best-first
 }
 
-// ID implements Result.
-func (*Figure8Result) ID() string { return "F8" }
-
 // Tables implements Result.
 func (r *Figure8Result) Tables() []*report.Table {
 	t := report.NewTable("Figure 8: predicted vs measured popularity (best-fit parameters)",
@@ -107,9 +104,6 @@ type Figure9Row struct {
 	Distances map[string]float64
 }
 
-// ID implements Result.
-func (*Figure9Result) ID() string { return "F9" }
-
 // Tables implements Result.
 func (r *Figure9Result) Tables() []*report.Table {
 	t := report.NewTable("Figure 9: distance from measured data (first/last day)",
@@ -170,9 +164,6 @@ type Figure10Result struct {
 	Distance map[string][]float64
 	Order    []string
 }
-
-// ID implements Result.
-func (*Figure10Result) ID() string { return "F10" }
 
 // Tables implements Result.
 func (r *Figure10Result) Tables() []*report.Table {
@@ -241,9 +232,6 @@ type AblationRow struct {
 	// DistanceToAMO is the distance from a matching ZIPF-at-most-once run.
 	DistanceToAMO float64
 }
-
-// ID implements Result.
-func (*AblationX1Result) ID() string { return "X1" }
 
 // Tables implements Result.
 func (r *AblationX1Result) Tables() []*report.Table {

@@ -21,9 +21,6 @@ type Table1Result struct {
 	Rows []snapshot.Summary
 }
 
-// ID implements Result.
-func (*Table1Result) ID() string { return "T1" }
-
 // Tables implements Result.
 func (r *Table1Result) Tables() []*report.Table {
 	t := report.NewTable(
@@ -65,9 +62,6 @@ type Figure2Result struct {
 	Share map[string][]float64
 	Order []string
 }
-
-// ID implements Result.
-func (*Figure2Result) ID() string { return "F2" }
 
 // Tables implements Result.
 func (r *Figure2Result) Tables() []*report.Table {
@@ -121,9 +115,6 @@ type Figure3Store struct {
 	// confirms the truncated tail.
 	Cutoff dist.CutoffFit
 }
-
-// ID implements Result.
-func (*Figure3Result) ID() string { return "F3" }
 
 // Tables implements Result.
 func (r *Figure3Result) Tables() []*report.Table {
@@ -192,9 +183,6 @@ type Figure4Store struct {
 	// CDF holds P(updates <= k) for k = 0..6.
 	CDF []float64
 }
-
-// ID implements Result.
-func (*Figure4Result) ID() string { return "F4" }
 
 // Tables implements Result.
 func (r *Figure4Result) Tables() []*report.Table {

@@ -47,9 +47,6 @@ type Figure11Result struct {
 	PaidTailDrop, FreeTailDrop float64
 }
 
-// ID implements Result.
-func (*Figure11Result) ID() string { return "F11" }
-
 // Tables implements Result.
 func (r *Figure11Result) Tables() []*report.Table {
 	t := report.NewTable("Figure 11: free vs paid app popularity (SlideMe profile)",
@@ -81,9 +78,6 @@ func Figure11(s *Suite) (*Figure11Result, error) {
 type Figure12Result struct {
 	Bins pricing.PriceBins
 }
-
-// ID implements Result.
-func (*Figure12Result) ID() string { return "F12" }
 
 // Tables implements Result.
 func (r *Figure12Result) Tables() []*report.Table {
@@ -118,9 +112,6 @@ type Figure13Result struct {
 	// Quantiles of income at the probed percentiles.
 	Percentiles map[int]float64
 }
-
-// ID implements Result.
-func (*Figure13Result) ID() string { return "F13" }
 
 // Tables implements Result.
 func (r *Figure13Result) Tables() []*report.Table {
@@ -166,9 +157,6 @@ type Figure14Result struct {
 	FitSlope float64
 }
 
-// ID implements Result.
-func (*Figure14Result) ID() string { return "F14" }
-
 // Tables implements Result.
 func (r *Figure14Result) Tables() []*report.Table {
 	t := report.NewTable("Figure 14: paid apps per developer vs income",
@@ -212,9 +200,6 @@ type Figure15Result struct {
 	// (paper: 95%).
 	Top4RevenuePct float64
 }
-
-// ID implements Result.
-func (*Figure15Result) ID() string { return "F15" }
 
 // Tables implements Result.
 func (r *Figure15Result) Tables() []*report.Table {
@@ -275,9 +260,6 @@ type Figure16Result struct {
 	OnlyFreePct, OnlyPaidPct, BothPct float64
 }
 
-// ID implements Result.
-func (*Figure16Result) ID() string { return "F16" }
-
 // Tables implements Result.
 func (r *Figure16Result) Tables() []*report.Table {
 	t := report.NewTable("Figure 16: developer portfolios", "metric", "free devs", "paid devs")
@@ -328,9 +310,6 @@ type Figure17Result struct {
 	ByTier  []map[pricing.PopularityTier]float64
 }
 
-// ID implements Result.
-func (*Figure17Result) ID() string { return "F17" }
-
 // Tables implements Result.
 func (r *Figure17Result) Tables() []*report.Table {
 	t := report.NewTable("Figure 17: break-even ad income per download over time",
@@ -367,9 +346,6 @@ type Figure18Result struct {
 	Names  []string
 	Values []float64
 }
-
-// ID implements Result.
-func (*Figure18Result) ID() string { return "F18" }
 
 // Tables implements Result.
 func (r *Figure18Result) Tables() []*report.Table {

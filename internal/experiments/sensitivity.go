@@ -32,9 +32,6 @@ type SensitivityRow struct {
 	Advantage float64
 }
 
-// ID implements Result.
-func (*SensitivityX5Result) ID() string { return "X5" }
-
 // Tables implements Result.
 func (r *SensitivityX5Result) Tables() []*report.Table {
 	t := report.NewTable("X5: fitted clustering strength tracks the planted strength",

@@ -285,11 +285,9 @@ func (s *Suite) forEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-// Result is the common interface of experiment outputs: a stable identifier
-// and renderable tables.
+// Result is the common interface of experiment outputs: renderable
+// tables. The registry key names the experiment.
 type Result interface {
-	// ID is the experiment identifier (e.g. "T1", "F8", "X2").
-	ID() string
 	// Tables renders the result for terminal or markdown output.
 	Tables() []*report.Table
 }

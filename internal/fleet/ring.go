@@ -1,7 +1,7 @@
 // Package fleet shards the synthetic appstore across N store nodes behind
 // a consistent-hash gateway — the serving-side mirror of the paper's own
 // measurement architecture (Figure 1: ~100 proxies fanning out over 4
-// stores), and ROADMAP item 1's production-scale step. Each shard runs
+// stores). Each shard runs
 // the same deterministic market simulation and serves only the partition
 // of the catalog it owns (marketsim.Partitioner); the gateway routes
 // single-app requests to their owner, stitches the cursor-paginated

@@ -18,6 +18,7 @@ package model
 
 import (
 	"fmt"
+	"strings"
 
 	"planetapps/internal/dist"
 	"planetapps/internal/rng"
@@ -49,6 +50,21 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// ParseKind reads a model name as the commands' -model flags take it,
+// ignoring case: zipf; zipf-at-most-once, zipf-amo or amo; app-clustering
+// or clustering. Every String form parses back to its kind.
+func ParseKind(name string) (Kind, error) {
+	switch strings.ToLower(name) {
+	case "zipf":
+		return Zipf, nil
+	case "zipf-at-most-once", "zipf-amo", "amo":
+		return ZipfAtMostOnce, nil
+	case "app-clustering", "clustering":
+		return AppClustering, nil
+	}
+	return 0, fmt.Errorf("unknown model %q (want zipf, zipf-at-most-once, zipf-amo, amo, app-clustering or clustering)", name)
 }
 
 // Config holds the parameters of Table 2 in the paper.

@@ -23,6 +23,29 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestParseKind holds every name the -model flags of cmd/simulate and
+// cmd/loadtest take, and every String form, to its kind.
+func TestParseKind(t *testing.T) {
+	for name, want := range map[string]Kind{
+		"zipf": Zipf, "zipf-at-most-once": ZipfAtMostOnce, "zipf-amo": ZipfAtMostOnce, "amo": ZipfAtMostOnce,
+		"app-clustering": AppClustering, "clustering": AppClustering, "Clustering": AppClustering,
+	} {
+		if got, err := ParseKind(name); err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, k := range Kinds {
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	for _, name := range []string{"", "zipfy", "app_clustering"} {
+		if _, err := ParseKind(name); err == nil {
+			t.Errorf("ParseKind(%q) accepted", name)
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := smallCfg()
 	for _, k := range Kinds {

@@ -106,7 +106,7 @@ type Config struct {
 	// max throughput Capacity/Latency — which is what the fleet scaling
 	// benchmark measures against on a host with fewer cores than shards.
 	Capacity int
-	// Writes sizes the write-ahead ingest buffer behind the /api/v1 POST
+	// Writes sizes the in-memory ingest buffer behind the /api/v1 POST
 	// endpoints (see internal/wal). Nil uses wal's defaults; the write
 	// path is always on — it costs nothing until the first POST arrives.
 	Writes *wal.Config
@@ -409,11 +409,11 @@ func (s *Server) AdvanceDay() error {
 	return nil
 }
 
-// absorbWrites rotates the write-ahead log and folds the sealed
+// absorbWrites rotates the ingest buffer and folds the sealed
 // day-delta into the market and comment state, so the snapshot about to
 // be built carries every acknowledged write. Runs under s.mu, after a
 // successful market step: the delta lands in the new day exactly once,
-// and a Step error (simulation period exhausted) leaves the WAL
+// and a Step error (simulation period exhausted) leaves the buffer
 // accumulating instead of dropping a rotated delta on the floor. Writes
 // arriving during a fleet commit window (after PrepareDay rotated, before
 // CommitDay swaps) simply stay buffered and join the following epoch —
@@ -481,9 +481,10 @@ func (s *Server) mergeComments(apps []int32, recs map[int32][]wal.Rec) {
 	s.comTab = tab
 }
 
-// WALStats snapshots the write-ahead log's counters. After a quiescent
+// WALStats snapshots the ingest buffer's counters. After a quiescent
 // double day-roll Accepted == Merged — the zero-lost-acknowledged-writes
-// invariant the CI smoke job gates on.
+// invariant the CI smoke job gates on — and Pending, the acknowledged
+// writes a process exit would lose, is zero.
 func (s *Server) WALStats() wal.Stats { return s.wlog.Stats() }
 
 // Day returns the serving snapshot's day.

@@ -14,7 +14,7 @@ import (
 	"planetapps/internal/marketsim"
 )
 
-func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func testServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	mcfg := marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(0.2))
 	mcfg.Days = 10

@@ -3,6 +3,7 @@ package storeserver
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -13,15 +14,17 @@ import (
 
 // This file is the /api/v1 write surface: POST /api/v1/apps/{id}/download,
 // .../rate, and .../comments. A request is validated against the serving
-// snapshot (the app must exist today), appended to the write-ahead log,
-// and acknowledged only after its group-commit batch seals — an acked
-// write is guaranteed to merge into the next day's snapshot. The handlers
-// share the error envelope; the new shapes are 422 validation_failed
-// (well-formed JSON, bad field values), 409 duplicate (the natural key
-// (kind, app, user) was already accepted — the store models
-// fetch-at-most-once users), and 429 wal_backpressure with an honest
-// Retry-After when the ingest buffer is full. Idempotency-Key makes
-// retries safe: a replayed key returns the original ack with "deduped".
+// snapshot (the app must exist today), appended to the store's in-memory
+// ingest buffer (internal/wal), and acknowledged only after its
+// group-commit batch seals — an acked write merges into the next day's
+// snapshot unless the process exits first. The handlers share the error
+// envelope; the new shapes are 422 validation_failed (well-formed JSON,
+// bad field values, or an Idempotency-Key already used for a different
+// write), 409 duplicate (the natural key (kind, app, user) was already
+// accepted — the store models fetch-at-most-once users), and 429
+// wal_backpressure with an honest Retry-After when the ingest buffer is
+// full. Idempotency-Key makes retries safe: a replayed key returns the
+// original verdict with "deduped".
 
 // maxWriteBody bounds a mutation request body; the documented shapes fit
 // in tens of bytes.
@@ -38,15 +41,13 @@ type writeReqJSON struct {
 	Rating *int8 `json:"rating"`
 }
 
-// WriteAckJSON is the success body of the POST mutation endpoints. Seq is
-// the record's per-WAL-shard sequence number; Day is the serving day the
-// write was validated against — the mutation becomes visible in the
-// snapshot of the following day-roll.
+// WriteAckJSON is the success body of the POST mutation endpoints. Day is
+// the serving day the write was validated against — the mutation becomes
+// visible in the snapshot of the following day-roll.
 type WriteAckJSON struct {
-	Accepted bool   `json:"accepted"`
-	Seq      uint64 `json:"seq"`
-	Day      int    `json:"day"`
-	Deduped  bool   `json:"deduped,omitempty"`
+	Accepted bool `json:"accepted"`
+	Day      int  `json:"day"`
+	Deduped  bool `json:"deduped,omitempty"`
 }
 
 // handleWrite services one POST mutation. The snapshot was loaded once by
@@ -111,7 +112,13 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, sn *snapsho
 		}
 	}
 	ack, err := s.wlog.Append(rec, r.Header.Get("Idempotency-Key"))
-	if err != nil { // ErrBackpressure is the only error Append returns
+	switch {
+	case errors.Is(err, wal.ErrKeyReused):
+		res["invalid"].Inc()
+		apiwire.WriteError(w, http.StatusUnprocessableEntity, "validation_failed",
+			"Idempotency-Key already used for a different write", 0)
+		return
+	case err != nil: // wal.ErrBackpressure
 		res["backpressure"].Inc()
 		apiwire.WriteError(w, http.StatusTooManyRequests, "wal_backpressure",
 			"write buffer full; retry after backoff", s.wlog.RetryAfter())
@@ -135,7 +142,7 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, sn *snapsho
 	hset(h, hdrStoreDay, sn.dayStr)
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	encodeJSON(buf, WriteAckJSON{Accepted: true, Seq: ack.Seq, Day: sn.day, Deduped: ack.Deduped})
+	encodeJSON(buf, WriteAckJSON{Accepted: true, Day: sn.day, Deduped: ack.Deduped})
 	hset(h, hdrContentType, "application/json")
 	hset(h, hdrContentLength, strconv.Itoa(buf.Len()))
 	w.Write(buf.Bytes()) //nolint:errcheck // client gone; nothing useful to do

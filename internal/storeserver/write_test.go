@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -50,19 +51,18 @@ func TestWriteEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("download: status %d body %s", resp.StatusCode, body)
 	}
-	var ack WriteAckJSON
-	if err := json.Unmarshal(body, &ack); err != nil || !ack.Accepted || ack.Seq == 0 {
-		t.Fatalf("ack = %s err %v", body, err)
+	day := resp.Header.Get("X-Store-Day")
+	if want := `{"accepted":true,"day":` + day + "}\n"; string(body) != want {
+		t.Fatalf("ack = %q, want %q", body, want)
 	}
-	if resp.Header.Get("X-Store-Day") == "" || resp.Header.Get("X-Api-Version") != "1" {
+	if day == "" || resp.Header.Get("X-Api-Version") != "1" {
 		t.Fatalf("missing write headers: %+v", resp.Header)
 	}
 
-	// Idempotency-Key replay: same ack, deduped, nothing logged twice.
+	// Idempotency-Key replay: same verdict, deduped, nothing logged twice.
 	resp, body = postJSON(t, base+"/download", `{"user":7}`, "k-dl")
-	var replay WriteAckJSON
-	if err := json.Unmarshal(body, &replay); err != nil || !replay.Deduped || replay.Seq != ack.Seq {
-		t.Fatalf("replay status %d ack %s (want seq %d deduped)", resp.StatusCode, body, ack.Seq)
+	if want := `{"accepted":true,"day":` + day + `,"deduped":true}` + "\n"; resp.StatusCode != http.StatusOK || string(body) != want {
+		t.Fatalf("replay status %d ack %q, want %q", resp.StatusCode, body, want)
 	}
 
 	// Natural-key duplicate without the key: 409 envelope.
@@ -114,6 +114,30 @@ func TestWriteEndpoints(t *testing.T) {
 	}
 	if resp, body = postJSON(t, base+"/comments", `{"user":7,"rating":4}`, ""); resp.StatusCode != 200 {
 		t.Fatalf("comment: status %d body %s", resp.StatusCode, body)
+	}
+}
+
+// TestIdempotencyKeyReusedForAnotherWrite posts one key twice with
+// different writes: whichever app the second names, it is a 422 and is
+// never acked, and the next day merges the first write alone.
+func TestIdempotencyKeyReusedForAnotherWrite(t *testing.T) {
+	s, ts := testServer(t, Config{PageSize: 50})
+	if resp, body := postJSON(t, ts.URL+"/api/v1/apps/1/download", `{"user":7}`, "K"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first write: status %d body %s", resp.StatusCode, body)
+	}
+	for _, id := range []int{5, 2} {
+		resp, body := postJSON(t, ts.URL+"/api/v1/apps/"+strconv.Itoa(id)+"/download", `{"user":7}`, "K")
+		var e apiwire.ErrorJSON
+		if resp.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(body, &e) != nil ||
+			e.Error.Code != "validation_failed" || !strings.Contains(e.Error.Message, "Idempotency-Key") {
+			t.Fatalf("key reused on app %d: status %d body %s", id, resp.StatusCode, body)
+		}
+	}
+	if err := s.AdvanceDay(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.WALStats(); st != (wal.Stats{Accepted: 1, Merged: 1}) {
+		t.Fatalf("wal stats %+v, want the first write alone accepted and merged", st)
 	}
 }
 
@@ -517,4 +541,53 @@ func TestWriteConcurrencyNoLostAcks(t *testing.T) {
 	if st.Accepted != acked || st.Merged != acked || st.Pending != 0 {
 		t.Fatalf("acked %d but wal stats %+v", acked, st)
 	}
+}
+
+// FuzzWriteBody sends arbitrary bodies to the three POST kinds. The
+// decoder must never panic, every answer must be one the write surface
+// documents, and a 200 only ever acks a body whose user is a
+// non-negative integer and whose rating is valid for the kind.
+func FuzzWriteBody(f *testing.F) {
+	for _, body := range []string{
+		``, `{}`, `{"user":7}`, `{"user":7,"rating":5}`, `{"user":7,"rating":0}`,
+		`{"user":-1}`, `{"user":7,"rating":6}`, `{"user":7,"rating":-1}`, `{"user":7.5}`,
+		`{"user":2147483648}`, `{"user":"7"}`, `{"USER":7,"Rating":3}`, `{"user":7,"user":-1}`,
+		`{"user":null}`, `{"user":1e2,"rating":1}`, `[1]`, `null`, `{"user":7}{}`, `{"user":`,
+	} {
+		f.Add([]byte(body))
+	}
+	// Batches of one seal at once, so a valid body costs no flush wait.
+	s, _ := testServer(f, Config{PageSize: 50, Writes: &wal.Config{MaxBatch: 1}})
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// What a valid body holds, read with types wide enough that
+		// range checks, not the decoder, decide.
+		var v struct{ User, Rating *float64 }
+		decoded := json.Unmarshal(body, &v) == nil
+		integer := func(x *float64, lo, hi float64) bool {
+			return x != nil && *x == math.Trunc(*x) && *x >= lo && *x <= hi
+		}
+		validUser := decoded && integer(v.User, 0, math.MaxInt32)
+		for _, kind := range []struct {
+			path        string
+			ratingValid bool
+		}{
+			{"download", true},
+			{"rate", integer(v.Rating, 1, 5)},
+			{"comments", v.Rating == nil || integer(v.Rating, 0, 5)},
+		} {
+			req := httptest.NewRequest(http.MethodPost, "/api/v1/apps/1/"+kind.path, bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			switch rec.Code {
+			case http.StatusOK:
+				if !validUser || !kind.ratingValid {
+					t.Fatalf("POST %s %q: 200 %s for an invalid body", kind.path, body, rec.Body)
+				}
+			case http.StatusBadRequest, http.StatusConflict, http.StatusUnprocessableEntity, http.StatusTooManyRequests:
+			default:
+				t.Fatalf("POST %s %q: status %d %s", kind.path, body, rec.Code, rec.Body)
+			}
+		}
+	})
 }

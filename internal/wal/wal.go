@@ -1,20 +1,17 @@
-// Package wal is the store's write-ahead ingest buffer: a sharded,
-// batched append-only log that absorbs client mutations (downloads,
-// ratings, comments) during a serving day and hands the accumulated
-// day-delta to the day-roll, where it merges into the next snapshot. The
-// design keeps the RCU read path untouched — writes never take the
-// server's snapshot lock, never mutate served state, and become visible
-// only through the same two-phase snapshot swap every other day change
-// uses.
+// Package wal is the store's in-memory ingest buffer: one batched lane
+// per store that absorbs client mutations (downloads, ratings, comments)
+// during a serving day and hands the accumulated day-delta to the
+// day-roll, where it merges into the next snapshot. The design keeps the
+// RCU read path untouched — writes never take the server's snapshot lock,
+// never mutate served state, and become visible only through the same
+// two-phase snapshot swap every other day change uses.
 //
-// Ingest is group-committed: an Append joins the owning shard's open
-// batch and blocks until the batch seals (size or time triggered); only a
-// sealed record is acknowledged, so an acked write is guaranteed to be in
-// the delta the next Rotate returns — zero acknowledged writes can be
-// lost short of process death, which is the strongest guarantee an
-// in-memory store can give. Sequence numbers are per shard and assigned
-// at seal, mirroring how a disk-backed group commit assigns LSNs at
-// fsync.
+// Ingest is group-committed: an Append joins the open batch and blocks
+// until the batch seals (size or time triggered); only a sealed record is
+// acknowledged, so an acked write is in the delta the next Rotate
+// returns. Nothing is written to disk: the acknowledged writes not yet
+// rotated (Stats.Pending) are lost when the process exits, cleanly or
+// not.
 //
 // The day-delta is deliberately an order-independent structure (per-app
 // download counts, per-app comment sets deduplicated on a natural key and
@@ -27,7 +24,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"planetapps/internal/metrics"
@@ -75,17 +71,12 @@ func (r Rec) key() uint64 {
 	return uint64(r.Kind)<<62 | uint64(uint32(r.App))<<31 | uint64(uint32(r.User))
 }
 
-// Ack is the acknowledgment for one Append.
+// Ack is the verdict on one Append.
 type Ack struct {
-	// Seq is the record's per-shard sequence number, assigned when its
-	// batch sealed. Zero for Duplicate acks (nothing was logged).
-	Seq uint64
-	// Shard is the internal shard that logged the record.
-	Shard int
 	// Duplicate reports that the record's natural key (kind, app, user)
 	// was already accepted — the caller answers 409.
 	Duplicate bool
-	// Deduped reports an Idempotency-Key replay: the stored ack of the
+	// Deduped reports an Idempotency-Key replay: the verdict of the
 	// original attempt is returned and nothing was logged again.
 	Deduped bool
 }
@@ -94,11 +85,12 @@ type Ack struct {
 // caller should answer 429 with Config.RetryAfter.
 var ErrBackpressure = errors.New("wal: ingest buffer full")
 
+// ErrKeyReused is returned when an Idempotency-Key already named a
+// different write (another kind, app or user); nothing is logged.
+var ErrKeyReused = errors.New("wal: Idempotency-Key already used for a different write")
+
 // Config sizes the log. The zero value gets sensible defaults from New.
 type Config struct {
-	// Shards is the internal shard count; records spread by app ID so one
-	// hot endpoint cannot serialize the whole ingest path. <= 0 uses 4.
-	Shards int
 	// MaxBatch seals a group-commit batch when it holds this many
 	// records. <= 0 uses 64.
 	MaxBatch int
@@ -106,9 +98,9 @@ type Config struct {
 	// under-filled, bounding ack latency at low write rates. <= 0 uses
 	// 1ms.
 	FlushInterval time.Duration
-	// MaxPending bounds records buffered across all shards awaiting the
-	// next rotation; appends past the bound fail with ErrBackpressure
-	// (the server's 429). <= 0 uses 1<<20.
+	// MaxPending bounds records buffered awaiting the next rotation;
+	// appends past the bound fail with ErrBackpressure (the server's
+	// 429). <= 0 uses 1<<20.
 	MaxPending int64
 	// RetryAfter is the backoff hint attached to backpressure rejections.
 	// <= 0 uses 500ms.
@@ -116,9 +108,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -171,7 +160,8 @@ func (d *Delta) Apps() []int32 {
 
 // Stats is a point-in-time view of the log's counters. Accepted == Merged
 // after a full drain (two consecutive rotations with no concurrent
-// writes) is the no-lost-acks invariant the CI smoke gate checks.
+// writes) is the no-lost-acks invariant the CI smoke gate checks; Pending
+// is the loss window, the acknowledged writes no rotation has taken yet.
 type Stats struct {
 	Accepted     int64 `json:"accepted"`
 	Merged       int64 `json:"merged"`
@@ -181,66 +171,74 @@ type Stats struct {
 	Pending      int64 `json:"pending"`
 }
 
-// Log is the sharded ingest buffer. Create with New.
+// remembered is what an Idempotency-Key recalls: the natural key of the
+// write it first named and whether that write was a duplicate.
+type remembered struct {
+	key uint64
+	dup bool
+}
+
+// Log is the store's ingest buffer. Create with New.
 type Log struct {
-	cfg     Config
-	shards  []*shard
-	pending metricCounter // records awaiting rotation, vs cfg.MaxPending
+	cfg Config
 
-	accepted     metricCounter
-	merged       metricCounter
-	deduped      metricCounter
-	duplicates   metricCounter
-	backpressure metricCounter
+	mu   sync.Mutex
+	open *batch
+	// seen holds the natural keys accepted since the log was created
+	// (fetch-at-most-once: a user downloads/rates/comments an app once).
+	seen map[uint64]struct{}
+	// idem maps Idempotency-Key -> remembered verdict, two generations
+	// deep: idem is the current epoch, idemPrev the one before, aged at
+	// Rotate so a retry straddling a day-roll still finds its verdict.
+	idem     map[string]remembered
+	idemPrev map[string]remembered
+	// downloads, comments and records accumulate the epoch's sealed
+	// records: the next Rotate's delta.
+	downloads map[int32]int64
+	comments  map[int32][]Rec
+	records   int
 
-	pendingGauge *metrics.Gauge
+	accepted     *metrics.Counter
+	merged       *metrics.Counter
+	deduped      *metrics.Counter
+	duplicates   *metrics.Counter
+	backpressure *metrics.Counter
+	pending      *metrics.Gauge     // records awaiting rotation, vs cfg.MaxPending
 	batchRecs    *metrics.Histogram // records per sealed batch
 	flushSeconds *metrics.Histogram // open->seal latency per batch
 }
 
-// metricCounter is a tiny always-present counter that optionally mirrors
-// into a registry counter (nil-safe), so the log works registry-less in
-// tests.
-type metricCounter struct {
-	v   atomic.Int64
-	reg *metrics.Counter
+// batch is one group-commit unit; done closes when it seals.
+type batch struct {
+	recs   []Rec
+	opened time.Time
+	done   chan struct{}
+	timer  *time.Timer
 }
 
-func (c *metricCounter) add(n int64) {
-	c.v.Add(n)
-	if c.reg != nil {
-		c.reg.Add(n)
-	}
-}
-
-func (c *metricCounter) value() int64 { return c.v.Load() }
-
-// New builds a log. reg (optional) receives the wal_* series: accepted/
-// merged/deduped/duplicate/backpressure counters, the pending gauge, and
-// the batch-size and flush-latency histograms.
+// New builds a log. reg receives the wal_* series: accepted/merged/
+// deduped/duplicate/backpressure counters, the pending gauge, and the
+// batch-size and flush-latency histograms; nil gives the log a registry
+// of its own.
 func New(cfg Config, reg *metrics.Registry) *Log {
-	cfg = cfg.withDefaults()
-	l := &Log{cfg: cfg}
-	if reg != nil {
-		l.accepted.reg = reg.Counter("wal_accepted_total")
-		l.merged.reg = reg.Counter("wal_merged_total")
-		l.deduped.reg = reg.Counter("wal_deduped_total")
-		l.duplicates.reg = reg.Counter("wal_duplicate_total")
-		l.backpressure.reg = reg.Counter("wal_backpressure_total")
-		l.pendingGauge = reg.Gauge("wal_pending_records")
-		l.batchRecs = reg.Histogram("wal_batch_records")
-		l.flushSeconds = reg.Histogram("wal_flush_seconds")
+	if reg == nil {
+		reg = metrics.NewRegistry()
 	}
-	l.shards = make([]*shard, cfg.Shards)
-	for i := range l.shards {
-		l.shards[i] = &shard{
-			log:  l,
-			id:   i,
-			seen: make(map[uint64]struct{}),
-			idem: make(map[string]Ack),
-		}
+	return &Log{
+		cfg:          cfg.withDefaults(),
+		seen:         make(map[uint64]struct{}),
+		idem:         make(map[string]remembered),
+		downloads:    make(map[int32]int64),
+		comments:     make(map[int32][]Rec),
+		accepted:     reg.Counter("wal_accepted_total"),
+		merged:       reg.Counter("wal_merged_total"),
+		deduped:      reg.Counter("wal_deduped_total"),
+		duplicates:   reg.Counter("wal_duplicate_total"),
+		backpressure: reg.Counter("wal_backpressure_total"),
+		pending:      reg.Gauge("wal_pending_records"),
+		batchRecs:    reg.Histogram("wal_batch_records"),
+		flushSeconds: reg.Histogram("wal_flush_seconds"),
 	}
-	return l
 }
 
 // RetryAfter is the backoff hint for backpressure rejections.
@@ -249,30 +247,92 @@ func (l *Log) RetryAfter() time.Duration { return l.cfg.RetryAfter }
 // Stats snapshots the log's counters.
 func (l *Log) Stats() Stats {
 	return Stats{
-		Accepted:     l.accepted.value(),
-		Merged:       l.merged.value(),
-		Deduped:      l.deduped.value(),
-		Duplicates:   l.duplicates.value(),
-		Backpressure: l.backpressure.value(),
-		Pending:      l.pending.value(),
+		Accepted:     l.accepted.Value(),
+		Merged:       l.merged.Value(),
+		Deduped:      l.deduped.Value(),
+		Duplicates:   l.duplicates.Value(),
+		Backpressure: l.backpressure.Value(),
+		Pending:      l.pending.Value(),
 	}
 }
 
 // Append logs one record and blocks until its group-commit batch seals,
 // returning the ack. idemKey (optional, from the Idempotency-Key request
-// header) makes retries safe: a replayed key returns the original ack
-// with Deduped set instead of logging twice. A record whose natural key
-// (kind, app, user) was already accepted returns Ack{Duplicate: true}
-// without logging. ErrBackpressure reports a full buffer.
+// header) makes retries safe: replaying a key with the same record
+// returns the original verdict with Deduped set instead of logging twice,
+// and replaying it with a different record is ErrKeyReused. A record
+// whose natural key (kind, app, user) was already accepted returns
+// Ack{Duplicate: true} without logging. ErrBackpressure reports a full
+// buffer.
 func (l *Log) Append(rec Rec, idemKey string) (Ack, error) {
-	sh := l.shards[int(uint32(rec.App))%len(l.shards)]
-	return sh.append(rec, idemKey)
+	k := rec.key()
+	l.mu.Lock()
+	if idemKey != "" {
+		r, ok := l.idem[idemKey]
+		if !ok {
+			r, ok = l.idemPrev[idemKey]
+		}
+		if ok {
+			l.mu.Unlock()
+			if r.key != k {
+				return Ack{}, ErrKeyReused
+			}
+			l.deduped.Inc()
+			return Ack{Duplicate: r.dup, Deduped: true}, nil
+		}
+	}
+	if _, dup := l.seen[k]; dup {
+		if idemKey != "" {
+			// Remember the rejection under the key too: a retried
+			// duplicate submission gets the same 409, not a fresh verdict.
+			l.idem[idemKey] = remembered{key: k, dup: true}
+		}
+		l.mu.Unlock()
+		l.duplicates.Inc()
+		return Ack{Duplicate: true}, nil
+	}
+	if l.pending.Value() >= l.cfg.MaxPending {
+		l.mu.Unlock()
+		l.backpressure.Inc()
+		return Ack{}, ErrBackpressure
+	}
+
+	b := l.open
+	if b == nil {
+		b = &batch{opened: time.Now(), done: make(chan struct{})}
+		l.open = b
+		// The flush timer seals an under-filled batch so a lone write is
+		// acked within FlushInterval, not parked until the next arrival.
+		b.timer = time.AfterFunc(l.cfg.FlushInterval, func() {
+			l.mu.Lock()
+			if l.open == b {
+				l.sealLocked()
+			}
+			l.mu.Unlock()
+		})
+	}
+	b.recs = append(b.recs, rec)
+	l.seen[k] = struct{}{}
+	if idemKey != "" {
+		// The record is in a batch that will seal before any Rotate
+		// hands it on, so its verdict is final here.
+		l.idem[idemKey] = remembered{key: k}
+	}
+	l.pending.Inc()
+	if len(b.recs) >= l.cfg.MaxBatch {
+		l.sealLocked()
+	}
+	l.mu.Unlock()
+
+	<-b.done
+	l.accepted.Inc()
+	return Ack{}, nil
 }
 
-// Rotate seals every open batch and returns the accumulated delta,
-// leaving the log empty for the next epoch. Appends blocked in an open
-// batch are acked into the returned delta (their writes make this roll);
-// appends that arrive after Rotate returns accumulate for the next one.
+// Rotate seals the open batch and returns the accumulated delta, leaving
+// the log empty for the next epoch. Appends blocked in the open batch are
+// acked into the returned delta (their writes make this roll); appends
+// that arrive after Rotate returns accumulate for the next one.
 // Idempotency-key memory is kept for one extra epoch so a client retry
 // that straddles the roll still dedups, then forgotten.
 //
@@ -280,13 +340,12 @@ func (l *Log) Append(rec Rec, idemKey string) (Ack, error) {
 // the delta; comment lists come out canonically sorted and apps should be
 // applied in Apps() order so the merged state is order-independent.
 func (l *Log) Rotate() *Delta {
-	d := &Delta{
-		Downloads: make(map[int32]int64),
-		Comments:  make(map[int32][]Rec),
-	}
-	for _, sh := range l.shards {
-		sh.rotateInto(d)
-	}
+	l.mu.Lock()
+	l.sealLocked()
+	d := &Delta{Downloads: l.downloads, Comments: l.comments, Records: l.records}
+	l.downloads, l.comments, l.records = make(map[int32]int64), make(map[int32][]Rec), 0
+	l.idemPrev, l.idem = l.idem, make(map[string]remembered)
+	l.mu.Unlock()
 	for _, recs := range d.Comments {
 		sort.Slice(recs, func(i, j int) bool {
 			if recs[i].User != recs[j].User {
@@ -298,170 +357,30 @@ func (l *Log) Rotate() *Delta {
 			return recs[i].Rating < recs[j].Rating
 		})
 	}
-	if d.Records > 0 {
-		l.pending.add(-int64(d.Records))
-		l.merged.add(int64(d.Records))
-		if l.pendingGauge != nil {
-			l.pendingGauge.Add(-int64(d.Records))
-		}
-	}
+	l.pending.Add(-int64(d.Records))
+	l.merged.Add(int64(d.Records))
 	return d
 }
 
-// shard is one independent ingest lane: its own lock, open batch,
-// sequence counter, dedup state, and delta accumulator.
-type shard struct {
-	log *Log
-	id  int
-
-	mu   sync.Mutex
-	open *batch
-	seq  uint64
-
-	// seen holds the natural keys accepted since the log was created
-	// (fetch-at-most-once: a user downloads/rates/comments an app once).
-	seen map[uint64]struct{}
-	// idem maps Idempotency-Key -> stored ack, two generations deep:
-	// idem is the current epoch, idemPrev the one before, rotated at
-	// Rotate so a retry straddling a day-roll still finds its ack.
-	idem     map[string]Ack
-	idemPrev map[string]Ack
-
-	// delta accumulates the epoch's sealed records.
-	downloads map[int32]int64
-	comments  map[int32][]Rec
-	records   int
-}
-
-// batch is one group-commit unit. done closes when the batch seals;
-// baseSeq is the sequence number of recs[0], assigned at seal.
-type batch struct {
-	recs    []Rec
-	opened  time.Time
-	done    chan struct{}
-	baseSeq uint64
-	timer   *time.Timer
-}
-
-func (sh *shard) append(rec Rec, idemKey string) (Ack, error) {
-	sh.mu.Lock()
-	if idemKey != "" {
-		if ack, ok := sh.idem[idemKey]; ok {
-			sh.mu.Unlock()
-			sh.log.deduped.add(1)
-			ack.Deduped = true
-			return ack, nil
-		}
-		if ack, ok := sh.idemPrev[idemKey]; ok {
-			sh.mu.Unlock()
-			sh.log.deduped.add(1)
-			ack.Deduped = true
-			return ack, nil
-		}
-	}
-	k := rec.key()
-	if _, dup := sh.seen[k]; dup {
-		ack := Ack{Shard: sh.id, Duplicate: true}
-		if idemKey != "" {
-			// Remember the rejection under the key too: a retried
-			// duplicate submission gets the same 409, not a fresh verdict.
-			sh.idem[idemKey] = ack
-		}
-		sh.mu.Unlock()
-		sh.log.duplicates.add(1)
-		return ack, nil
-	}
-	if sh.log.pending.value() >= sh.log.cfg.MaxPending {
-		sh.mu.Unlock()
-		sh.log.backpressure.add(1)
-		return Ack{}, ErrBackpressure
-	}
-
-	b := sh.open
-	if b == nil {
-		b = &batch{opened: time.Now(), done: make(chan struct{})}
-		sh.open = b
-		// The flush timer seals an under-filled batch so a lone write is
-		// acked within FlushInterval, not parked until the next arrival.
-		b.timer = time.AfterFunc(sh.log.cfg.FlushInterval, func() {
-			sh.mu.Lock()
-			if sh.open == b {
-				sh.sealLocked()
-			}
-			sh.mu.Unlock()
-		})
-	}
-	idx := len(b.recs)
-	b.recs = append(b.recs, rec)
-	sh.seen[k] = struct{}{}
-	sh.log.pending.add(1)
-	if sh.log.pendingGauge != nil {
-		sh.log.pendingGauge.Inc()
-	}
-	if len(b.recs) >= sh.log.cfg.MaxBatch {
-		sh.sealLocked()
-	}
-	sh.mu.Unlock()
-
-	<-b.done
-	ack := Ack{Seq: b.baseSeq + uint64(idx), Shard: sh.id}
-	if idemKey != "" {
-		sh.mu.Lock()
-		sh.idem[idemKey] = ack
-		sh.mu.Unlock()
-	}
-	sh.log.accepted.add(1)
-	return ack, nil
-}
-
-// sealLocked commits the open batch: assigns its sequence range, folds
-// its records into the shard's delta, and wakes the waiting appenders.
-// Callers hold sh.mu.
-func (sh *shard) sealLocked() {
-	b := sh.open
+// sealLocked commits the open batch: folds its records into the epoch's
+// delta and wakes the waiting appenders. Callers hold l.mu.
+func (l *Log) sealLocked() {
+	b := l.open
 	if b == nil {
 		return
 	}
-	sh.open = nil
-	if b.timer != nil {
-		b.timer.Stop()
-	}
-	b.baseSeq = sh.seq + 1
-	sh.seq += uint64(len(b.recs))
-	if sh.downloads == nil {
-		sh.downloads = make(map[int32]int64)
-		sh.comments = make(map[int32][]Rec)
-	}
+	l.open = nil
+	b.timer.Stop()
 	for _, rec := range b.recs {
 		switch rec.Kind {
 		case Download:
-			sh.downloads[rec.App]++
+			l.downloads[rec.App]++
 		default:
-			sh.comments[rec.App] = append(sh.comments[rec.App], rec)
+			l.comments[rec.App] = append(l.comments[rec.App], rec)
 		}
-		sh.records++
 	}
-	if sh.log.batchRecs != nil {
-		sh.log.batchRecs.Observe(int64(len(b.recs)))
-		sh.log.flushSeconds.ObserveSince(b.opened)
-	}
+	l.records += len(b.recs)
+	l.batchRecs.Observe(int64(len(b.recs)))
+	l.flushSeconds.ObserveSince(b.opened)
 	close(b.done)
-}
-
-// rotateInto seals the shard's open batch, folds its epoch delta into d,
-// resets the accumulator, and ages the idempotency generations.
-func (sh *shard) rotateInto(d *Delta) {
-	sh.mu.Lock()
-	sh.sealLocked()
-	for app, n := range sh.downloads {
-		d.Downloads[app] += n
-	}
-	for app, recs := range sh.comments {
-		d.Comments[app] = append(d.Comments[app], recs...)
-	}
-	d.Records += sh.records
-	sh.downloads, sh.comments, sh.records = nil, nil, 0
-	sh.idemPrev = sh.idem
-	sh.idem = make(map[string]Ack)
-	sh.mu.Unlock()
 }

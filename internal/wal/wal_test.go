@@ -12,7 +12,7 @@ import (
 )
 
 func TestAppendAckAndRotate(t *testing.T) {
-	l := New(Config{Shards: 1, MaxBatch: 2, FlushInterval: time.Hour}, nil)
+	l := New(Config{MaxBatch: 2, FlushInterval: time.Hour}, nil)
 	var wg sync.WaitGroup
 	acks := make([]Ack, 2)
 	for i := 0; i < 2; i++ {
@@ -27,9 +27,8 @@ func TestAppendAckAndRotate(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	seqs := map[uint64]bool{acks[0].Seq: true, acks[1].Seq: true}
-	if !seqs[1] || !seqs[2] {
-		t.Fatalf("want seqs {1,2}, got %+v", acks)
+	if acks[0] != (Ack{}) || acks[1] != (Ack{}) {
+		t.Fatalf("want two plain acks, got %+v", acks)
 	}
 	d := l.Rotate()
 	if d.Records != 2 || d.Downloads[7] != 2 {
@@ -41,14 +40,10 @@ func TestAppendAckAndRotate(t *testing.T) {
 }
 
 func TestFlushTimerSealsUnderfilledBatch(t *testing.T) {
-	l := New(Config{Shards: 1, MaxBatch: 1000, FlushInterval: 2 * time.Millisecond}, nil)
+	l := New(Config{MaxBatch: 1000, FlushInterval: 2 * time.Millisecond}, nil)
 	start := time.Now()
-	ack, err := l.Append(Rec{Kind: Download, App: 1, User: 2}, "")
-	if err != nil {
+	if _, err := l.Append(Rec{Kind: Download, App: 1, User: 2}, ""); err != nil {
 		t.Fatal(err)
-	}
-	if ack.Seq != 1 {
-		t.Fatalf("seq = %d, want 1", ack.Seq)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("single append took %v; flush timer not sealing", elapsed)
@@ -56,7 +51,7 @@ func TestFlushTimerSealsUnderfilledBatch(t *testing.T) {
 }
 
 func TestNaturalKeyDuplicate(t *testing.T) {
-	l := New(Config{Shards: 2, MaxBatch: 1}, nil)
+	l := New(Config{MaxBatch: 1}, nil)
 	if _, err := l.Append(Rec{Kind: Rate, App: 3, User: 9, Rating: 5}, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -79,17 +74,13 @@ func TestNaturalKeyDuplicate(t *testing.T) {
 }
 
 func TestIdempotencyKeyReplay(t *testing.T) {
-	l := New(Config{Shards: 1, MaxBatch: 1}, nil)
-	a1, err := l.Append(Rec{Kind: Download, App: 5, User: 6}, "k1")
-	if err != nil {
+	l := New(Config{MaxBatch: 1}, nil)
+	if _, err := l.Append(Rec{Kind: Download, App: 5, User: 6}, "k1"); err != nil {
 		t.Fatal(err)
 	}
 	a2, err := l.Append(Rec{Kind: Download, App: 5, User: 6}, "k1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a2.Deduped || a2.Seq != a1.Seq || a2.Duplicate {
-		t.Fatalf("replay ack %+v vs original %+v", a2, a1)
+	if err != nil || !a2.Deduped || a2.Duplicate {
+		t.Fatalf("replay ack %+v err %v", a2, err)
 	}
 	// The replay did not log a second record.
 	if d := l.Rotate(); d.Records != 1 {
@@ -110,7 +101,7 @@ func TestIdempotencyKeyReplay(t *testing.T) {
 }
 
 func TestDuplicateReplayKeepsVerdict(t *testing.T) {
-	l := New(Config{Shards: 1, MaxBatch: 1}, nil)
+	l := New(Config{MaxBatch: 1}, nil)
 	if _, err := l.Append(Rec{Kind: Download, App: 1, User: 1}, "ka"); err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +113,74 @@ func TestDuplicateReplayKeepsVerdict(t *testing.T) {
 	if err != nil || !a.Duplicate || !a.Deduped {
 		t.Fatalf("replayed rejection: %+v err %v", a, err)
 	}
+	// The key names the rejected write, not whatever comes next under it.
+	if _, err := l.Append(Rec{Kind: Download, App: 2, User: 1}, "kb"); !errors.Is(err, ErrKeyReused) {
+		t.Fatalf("reused rejected key: err %v, want ErrKeyReused", err)
+	}
+}
+
+// TestIdempotencyKeyReuse sends one key with a second write: a replay of
+// the first write is deduped, any other write under the key is refused
+// and never acked, and the delta holds exactly the writes that were acked,
+// whichever app the second write names.
+func TestIdempotencyKeyReuse(t *testing.T) {
+	first := Rec{Kind: Download, App: 1, User: 7}
+	for _, tc := range []struct {
+		name      string
+		second    Rec
+		rotations int // day-rolls between the two writes
+		wantErr   error
+		logged    bool // the second write is in a delta
+	}{
+		{"same write", first, 0, nil, false},
+		{"same write after a roll", first, 1, nil, false},
+		{"app 5", Rec{Kind: Download, App: 5, User: 7}, 0, ErrKeyReused, false},
+		{"app 2", Rec{Kind: Download, App: 2, User: 7}, 0, ErrKeyReused, false},
+		{"another kind", Rec{Kind: Rate, App: 1, User: 7, Rating: 4}, 0, ErrKeyReused, false},
+		{"another user", Rec{Kind: Download, App: 1, User: 8}, 0, ErrKeyReused, false},
+		{"app 5 after a roll", Rec{Kind: Download, App: 5, User: 7}, 1, ErrKeyReused, false},
+		{"app 5 after the key aged out", Rec{Kind: Download, App: 5, User: 7}, 2, nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := New(Config{MaxBatch: 1}, nil)
+			if _, err := l.Append(first, "K"); err != nil {
+				t.Fatal(err)
+			}
+			var deltas []*Delta
+			for i := 0; i < tc.rotations; i++ {
+				deltas = append(deltas, l.Rotate())
+			}
+			ack, err := l.Append(tc.second, "K")
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("second write: ack %+v err %v, want err %v", ack, err, tc.wantErr)
+			}
+			if err == nil && ack.Deduped == tc.logged {
+				t.Fatalf("second write: ack %+v, want deduped %v", ack, !tc.logged)
+			}
+			last := l.Rotate()
+			records := last.Records
+			for _, d := range deltas {
+				records += d.Records
+			}
+			want := 1
+			if tc.logged {
+				want = 2
+			}
+			if records != want {
+				t.Fatalf("deltas hold %d records, want %d", records, want)
+			}
+			if tc.logged && last.Downloads[tc.second.App] != 1 {
+				t.Fatalf("acked write to app %d missing from the delta: %+v", tc.second.App, last)
+			}
+			if st := l.Stats(); st.Accepted != int64(want) || st.Merged != int64(want) {
+				t.Fatalf("stats %+v, want %d accepted and merged", st, want)
+			}
+		})
+	}
 }
 
 func TestBackpressure(t *testing.T) {
-	l := New(Config{Shards: 1, MaxBatch: 1, MaxPending: 2, RetryAfter: 250 * time.Millisecond}, nil)
+	l := New(Config{MaxBatch: 1, MaxPending: 2, RetryAfter: 250 * time.Millisecond}, nil)
 	for i := 0; i < 2; i++ {
 		if _, err := l.Append(Rec{Kind: Download, App: 1, User: int32(i)}, ""); err != nil {
 			t.Fatal(err)
@@ -162,7 +217,7 @@ func TestRotateDeterministicUnderConcurrency(t *testing.T) {
 		)
 	}
 	run := func(workers int) *Delta {
-		l := New(Config{Shards: 4, MaxBatch: 8, FlushInterval: 100 * time.Microsecond}, nil)
+		l := New(Config{MaxBatch: 8, FlushInterval: 100 * time.Microsecond}, nil)
 		ch := make(chan Rec)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -209,7 +264,7 @@ func TestAppsSortedUnion(t *testing.T) {
 
 func TestMetricsPublished(t *testing.T) {
 	reg := metrics.NewRegistry()
-	l := New(Config{Shards: 1, MaxBatch: 1}, reg)
+	l := New(Config{MaxBatch: 1}, reg)
 	if _, err := l.Append(Rec{Kind: Download, App: 1, User: 1}, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -228,21 +283,6 @@ func TestMetricsPublished(t *testing.T) {
 	}
 }
 
-func TestShardSpread(t *testing.T) {
-	l := New(Config{Shards: 4, MaxBatch: 1}, nil)
-	hit := map[int]bool{}
-	for app := int32(0); app < 16; app++ {
-		ack, err := l.Append(Rec{Kind: Download, App: app, User: 1}, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		hit[ack.Shard] = true
-	}
-	if len(hit) != 4 {
-		t.Fatalf("apps spread over %d shards, want 4", len(hit))
-	}
-}
-
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{Download: "download", Rate: "rate", Comment: "comment", Kind(9): "unknown"} {
 		if got := k.String(); got != want {
@@ -252,7 +292,7 @@ func TestKindString(t *testing.T) {
 }
 
 func ExampleLog_Rotate() {
-	l := New(Config{Shards: 1, MaxBatch: 1}, nil)
+	l := New(Config{MaxBatch: 1}, nil)
 	l.Append(Rec{Kind: Download, App: 4, User: 10}, "") //nolint:errcheck
 	l.Append(Rec{Kind: Rate, App: 4, User: 10, Rating: 5}, "")
 	d := l.Rotate()

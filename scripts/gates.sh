@@ -156,7 +156,8 @@ retention() {
 # url.ParseQuery, the cursor codec's round trip and range, ETagMatch
 # against the strings.Split walk it replaced); and the store's append-based
 # document encoder, string and float appenders against json.Marshal; the
-# crawl database's JSONL reader (never panics, whatever loads round-trips)
+# POST body decoder (never panics, answers only documented statuses, acks
+# only a valid user and rating); the crawl database's JSONL reader (never panics, whatever loads round-trips)
 # and the loader behind experiments -db (never panics, and what it accepts
 # is a series Series.Append accepts).
 fuzz() {
@@ -172,6 +173,7 @@ fuzz() {
 		'^FuzzAppendRow$ ./internal/storeserver' \
 		'^FuzzAppendJSONString$ ./internal/storeserver' \
 		'^FuzzAppendJSONFloat$ ./internal/storeserver' \
+		'^FuzzWriteBody$ ./internal/storeserver' \
 		'^FuzzReadFrom$ ./internal/db' \
 		'^FuzzLoad$ ./internal/experiments'; do
 		go test -run '^$' -fuzz "${target% *}" -fuzztime 30s "${target#* }"
