@@ -13,7 +13,7 @@
 //	experiments -scale 0.5 F8 F9 F19
 //	experiments -db crawl.jsonl T1 F2 F8 # the same runners on a crawl
 //	experiments -markdown > EXPERIMENTS.out.md
-//	experiments -workers 8 F8            # bound the fit-pipeline parallelism
+//	experiments -workers 8 F8            # bound the per-store and per-candidate fan-outs
 //	experiments -cpuprofile cpu.pprof F9 # profile the fit pipeline
 package main
 
@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		scale      = fs.Float64("scale", def.Scale, "store population scale")
 		days       = fs.Int("days", def.Days, "simulated measurement period")
 		users      = fs.Int("comment-users", def.CommentUsers, "behaviour-study population")
-		workers    = fs.Int("workers", 0, "experiment parallelism (0 = GOMAXPROCS); results are identical for any value")
+		workers    = fs.Int("workers", 0, "stores a runner fits at once and Monte Carlo candidates a fit scores at once (0 = GOMAXPROCS); model kinds, sweep points and replicates still run together; results are identical for any value")
 		markdown   = fs.Bool("markdown", false, "wrap output in markdown code fences per experiment")
 		list       = fs.Bool("list", false, "list experiment IDs and exit")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")

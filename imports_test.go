@@ -100,37 +100,131 @@ func TestEveryInternalPackageHasAnImporter(t *testing.T) {
 	}
 }
 
-// TestEveryInternalExportHasACaller is the importer rule one level down:
-// an exported function or method under internal/ that no program mentions
-// by name is code nothing runs — wire it in, unexport it beside the test
-// that uses it, or delete it. The programs are the non-test files and the
-// example_test.go files (go test runs an Example and checks what it
-// prints). Matching is by bare name, so it errs towards silence: a field
-// or local that shares the name hides it. There is no allow-list: every
-// method the standard library calls through an interface (String, Error,
-// ServeHTTP, RoundTrip, …) is also named by a program here; one that is
-// not would need the interface named beside it.
-func TestEveryInternalExportHasACaller(t *testing.T) {
-	type export struct{ name, pos string }
-	var exports []export
-	used := map[string]bool{}
-	fset := token.NewFileSet()
-	programs := goFiles(t, func(path string) bool {
-		return !isTest(path) || filepath.Base(path) == "example_test.go"
-	})
-	for _, path := range programs {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+// pkgFiles is one package directory's Go files grouped the way go test
+// builds them, each group with the type information of its check.
+type pkgFiles struct {
+	lib, tests, xtests           []*ast.File
+	libInfo, testInfo, xtestInfo *types.Info
+}
+
+// typedTree is every Go file under the repository root that the default
+// build context matches, cmd/bench and every test included, parsed and
+// type-checked three ways per package directory: the library, the library
+// with its in-package tests, and the external tests. order lists the
+// directories in walk order.
+type typedTree struct {
+	fset  *token.FileSet
+	dirs  map[string]*pkgFiles
+	order []string
+}
+
+// checkedTree memoizes typeCheckTree: the tests of this package run one at
+// a time, and the check takes seconds.
+var checkedTree *typedTree
+
+func typeCheckTree(t *testing.T) *typedTree {
+	t.Helper()
+	if checkedTree != nil {
+		return checkedTree
+	}
+	tr := &typedTree{fset: token.NewFileSet(), dirs: map[string]*pkgFiles{}}
+	for _, path := range goFiles(t, func(path string) bool {
+		ok, err := build.Default.MatchFile(filepath.Dir(path), filepath.Base(path))
+		return err == nil && ok
+	}) {
+		f, err := parser.ParseFile(tr.fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
-		library := strings.HasPrefix(filepath.ToSlash(path), "internal/") && !isTest(path)
+		dir := filepath.ToSlash(filepath.Dir(path))
+		pf := tr.dirs[dir]
+		if pf == nil {
+			pf = &pkgFiles{}
+			tr.dirs[dir], tr.order = pf, append(tr.order, dir)
+		}
+		switch {
+		case !isTest(path):
+			pf.lib = append(pf.lib, f)
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			pf.xtests = append(pf.xtests, f)
+		default:
+			pf.tests = append(pf.tests, f)
+		}
+	}
+
+	newInfo := func() *types.Info {
+		return &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	}
+	std := importer.Default()
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	check := func(path string, files []*ast.File, info *types.Info) *types.Package {
+		conf := types.Config{Importer: imp}
+		p, err := conf.Check(path, tr.fset, files, info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+		return p
+	}
+	imp = func(path string) (*types.Package, error) {
+		dir, ok := strings.CutPrefix(path, "planetapps/")
+		if !ok {
+			return std.Import(path)
+		}
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		pf := tr.dirs[dir]
+		pf.libInfo = newInfo()
+		checked[path] = check(path, pf.lib, pf.libInfo)
+		return checked[path], nil
+	}
+	for _, dir := range tr.order {
+		pf, path := tr.dirs[dir], strings.TrimSuffix("planetapps/"+dir, "/.")
+		if pf.lib != nil {
+			imp(path) //nolint:errcheck // check fails the test itself
+		}
+		if pf.tests != nil {
+			pf.testInfo = newInfo()
+			check(path, append(pf.lib[:len(pf.lib):len(pf.lib)], pf.tests...), pf.testInfo)
+		}
+		if pf.xtests != nil {
+			pf.xtestInfo = newInfo()
+			check(path+"_test", pf.xtests, pf.xtestInfo)
+		}
+	}
+	checkedTree = tr
+	return tr
+}
+
+// TestEveryInternalExportHasACaller is the importer rule one level down:
+// an exported function or method under internal/ that no program calls is
+// code nothing runs — wire it in, unexport it beside the test that uses
+// it, or delete it. The programs are the non-test files and the
+// example_test.go files (go test runs an Example and checks what it
+// prints), each type-checked with its package. A package-level function
+// counts as called when a program names that very function. A method
+// counts when a program names anything by its bare name, because interface
+// dispatch hides a method's callers from the type checker; so the method
+// census errs towards silence: a field or local that shares the name hides
+// it. There is no allow-list: every method the standard library calls
+// through an interface (String, Error, ServeHTTP, RoundTrip, …) is also
+// named by a program here; one that is not would need the interface named
+// beside it.
+func TestEveryInternalExportHasACaller(t *testing.T) {
+	tr := typeCheckTree(t)
+	var exports []*ast.FuncDecl
+	called := map[token.Pos]bool{} // package-level functions, by declaration
+	named := map[string]bool{}     // every other identifier, by bare name
+	visit := func(f *ast.File, info *types.Info, library bool) {
 		declared := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				declared[n.Name] = true
 				if library && n.Name.IsExported() {
-					exports = append(exports, export{n.Name.Name, fset.Position(n.Pos()).String()})
+					exports = append(exports, n)
 				}
 			case *ast.InterfaceType:
 				for _, m := range n.Methods.List {
@@ -139,19 +233,37 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 					}
 				}
 			case *ast.Ident:
-				if !declared[n] {
-					used[n.Name] = true
+				if fn, ok := info.Uses[n].(*types.Func); ok && fn.Type().(*types.Signature).Recv() == nil {
+					called[fn.Origin().Pos()] = true
+				} else if !declared[n] {
+					named[n.Name] = true
 				}
 			}
 			return true
 		})
 	}
+	examples := func(files []*ast.File, info *types.Info) {
+		for _, f := range files {
+			if filepath.Base(tr.fset.Position(f.Package).Filename) == "example_test.go" {
+				visit(f, info, false)
+			}
+		}
+	}
+	for _, dir := range tr.order {
+		pf := tr.dirs[dir]
+		for _, f := range pf.lib {
+			visit(f, pf.libInfo, strings.HasPrefix(dir, "internal/"))
+		}
+		examples(pf.tests, pf.testInfo)
+		examples(pf.xtests, pf.xtestInfo)
+	}
 	if len(exports) == 0 {
 		t.Fatal("found no exports under internal/: run from the repository root")
 	}
 	for _, e := range exports {
-		if !used[e.name] {
-			t.Errorf("%s: %s is named by no program: wire it in, move it beside its test, or delete it", e.pos, e.name)
+		if e.Recv == nil && !called[e.Name.Pos()] || e.Recv != nil && !named[e.Name.Name] {
+			t.Errorf("%s: %s is named by no program: wire it in, move it beside its test, or delete it",
+				tr.fset.Position(e.Pos()), e.Name.Name)
 		}
 	}
 }
@@ -172,62 +284,7 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // parameter of the enclosing function (DefaultConfig(baseURL) filling
 // BaseURL). There is no allow-list.
 func TestEveryConfigFieldIsSet(t *testing.T) {
-	fset := token.NewFileSet()
-	type pkgFiles struct{ lib, tests, xtests []*ast.File }
-	dirs, order := map[string]*pkgFiles{}, []string(nil)
-	for _, path := range goFiles(t, func(path string) bool {
-		ok, err := build.Default.MatchFile(filepath.Dir(path), filepath.Base(path))
-		return err == nil && ok
-	}) {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		pf := dirs[dir]
-		if pf == nil {
-			pf = &pkgFiles{}
-			dirs[dir], order = pf, append(order, dir)
-		}
-		switch {
-		case !isTest(path):
-			pf.lib = append(pf.lib, f)
-		case strings.HasSuffix(f.Name.Name, "_test"):
-			pf.xtests = append(pf.xtests, f)
-		default:
-			pf.tests = append(pf.tests, f)
-		}
-	}
-
-	newInfo := func() *types.Info {
-		return &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{}}
-	}
-	std := importer.Default()
-	checked, libInfo := map[string]*types.Package{}, map[string]*types.Info{}
-	var imp importerFunc
-	check := func(path string, files []*ast.File, info *types.Info) *types.Package {
-		conf := types.Config{Importer: imp}
-		p, err := conf.Check(path, fset, files, info)
-		if err != nil {
-			t.Fatalf("type-checking %s: %v", path, err)
-		}
-		return p
-	}
-	imp = func(path string) (*types.Package, error) {
-		dir, ok := strings.CutPrefix(path, "planetapps/")
-		if !ok {
-			return std.Import(path)
-		}
-		if p := checked[path]; p != nil {
-			return p, nil
-		}
-		info := newInfo()
-		p := check(path, dirs[dir].lib, info)
-		checked[path], libInfo[dir] = p, info
-		return p, nil
-	}
-
+	tr := typeCheckTree(t)
 	// Every write, by the position of the field it writes.
 	type write struct {
 		dir    string
@@ -274,30 +331,19 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 			}
 		}
 	}
-	for _, dir := range order {
-		pf, path := dirs[dir], strings.TrimSuffix("planetapps/"+dir, "/.")
-		if pf.lib != nil {
-			imp(path) //nolint:errcheck // check fails the test itself
-			scan(dir, pf.lib, libInfo[dir], false)
-		}
-		if pf.tests != nil {
-			info := newInfo()
-			check(path, append(pf.lib[:len(pf.lib):len(pf.lib)], pf.tests...), info)
-			scan(dir, pf.tests, info, true)
-		}
-		if pf.xtests != nil {
-			info := newInfo()
-			check(path+"_test", pf.xtests, info)
-			scan(dir, pf.xtests, info, true)
-		}
+	for _, dir := range tr.order {
+		pf := tr.dirs[dir]
+		scan(dir, pf.lib, pf.libInfo, false)
+		scan(dir, pf.tests, pf.testInfo, true)
+		scan(dir, pf.xtests, pf.xtestInfo, true)
 	}
 
 	fields := 0
-	for _, dir := range order {
+	for _, dir := range tr.order {
 		if !strings.HasPrefix(dir, "internal/") {
 			continue
 		}
-		for _, f := range dirs[dir].lib {
+		for _, f := range tr.dirs[dir].lib {
 			for _, decl := range f.Decls {
 				gd, ok := decl.(*ast.GenDecl)
 				if !ok || gd.Tok != token.TYPE {
@@ -319,7 +365,7 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 							fields++
 							if !slices.ContainsFunc(writes[fn.Pos()], func(w write) bool { return w.dir != dir || w.counts }) {
 								t.Errorf("%s: %s.%s.%s is set by no program, test or other package: make it a constant where it is read",
-									fset.Position(fn.Pos()), filepath.Base(dir), name, fn.Name)
+									tr.fset.Position(fn.Pos()), filepath.Base(dir), name, fn.Name)
 							}
 						}
 					}

@@ -39,6 +39,18 @@ func (c RankCurve) Top() float64 {
 	return c.Downloads[0]
 }
 
+// TrimZeroTail drops trailing zero-download ranks: the paper's measured
+// curves only contain apps with at least one download, while simulated
+// catalogs include never-downloaded apps whose zero entries the relative
+// error metric cannot compare against. The result shares c's array.
+func (c RankCurve) TrimZeroTail() RankCurve {
+	n := len(c.Downloads)
+	for n > 0 && c.Downloads[n-1] <= 0 {
+		n--
+	}
+	return RankCurve{Downloads: c.Downloads[:n]}
+}
+
 // TrunkExponent estimates the power-law exponent of the curve's central
 // "trunk" by least-squares regression of log(value) on log(rank), skipping
 // the truncated head and tail. headFrac and tailFrac give the fraction of

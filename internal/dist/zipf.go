@@ -48,9 +48,6 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 	return z, nil
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return z.n }
-
 // P returns the probability of rank i (1-based).
 func (z *Zipf) P(i int) float64 {
 	if i < 1 || i > z.n {

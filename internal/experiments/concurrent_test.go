@@ -110,7 +110,7 @@ func TestSuiteWorkersValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Config().Workers < 1 {
-		t.Fatalf("default Workers = %d, want >= 1", s.Config().Workers)
+	if s.cfg.Workers < 1 {
+		t.Fatalf("default Workers = %d, want >= 1", s.cfg.Workers)
 	}
 }

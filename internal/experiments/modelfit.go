@@ -58,14 +58,13 @@ func (r *Figure8Result) Tables() []*report.Table {
 func Figure8(s *Suite) (*Figure8Result, error) {
 	stores := s.fitStores()
 	out := &Figure8Result{Stores: make([]Figure8Store, len(stores))}
-	err := s.forEach(len(stores), func(i int) error {
+	err := model.ForEach(s.cfg.Workers, len(stores), func(i int) error {
 		store := stores[i]
 		ds, err := s.Store(store)
 		if err != nil {
 			return err
 		}
-		curve := ds.Series.Last().Curve()
-		fits, err := model.FitAllMC(trimZeroTail(curve), fitSpec(s), s.cfg.Seed)
+		fits, err := model.FitAllMC(ds.Series.Last().Curve().TrimZeroTail(), fitSpec(s), s.cfg.Seed)
 		if err != nil {
 			return err
 		}
@@ -76,18 +75,6 @@ func Figure8(s *Suite) (*Figure8Result, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// trimZeroTail drops trailing zero-download ranks: the paper's measured
-// curves only contain apps with at least one download, while simulated
-// catalogs include never-downloaded apps whose zero entries the relative
-// error metric cannot compare against.
-func trimZeroTail(c dist.RankCurve) dist.RankCurve {
-	n := len(c.Downloads)
-	for n > 0 && c.Downloads[n-1] <= 0 {
-		n--
-	}
-	return dist.RankCurve{Downloads: c.Downloads[:n]}
 }
 
 // Figure9Result compares model distances on first vs last crawl day
@@ -124,7 +111,7 @@ func Figure9(s *Suite) (*Figure9Result, error) {
 	edges := []string{"first", "last"}
 	stores := s.fitStores()
 	out := &Figure9Result{Rows: make([]Figure9Row, len(stores)*len(edges))}
-	err := s.forEach(len(out.Rows), func(i int) error {
+	err := model.ForEach(s.cfg.Workers, len(out.Rows), func(i int) error {
 		store := stores[i/len(edges)]
 		edge := edges[i%len(edges)]
 		ds, err := s.Store(store)
@@ -135,7 +122,7 @@ func Figure9(s *Suite) (*Figure9Result, error) {
 		if edge == "last" {
 			day = ds.Series.Last()
 		}
-		curve := trimZeroTail(day.Curve())
+		curve := day.Curve().TrimZeroTail()
 		if len(curve.Downloads) == 0 {
 			return fmt.Errorf("experiments: store %s %s-day curve empty", store, edge)
 		}
@@ -190,12 +177,12 @@ func Figure10(s *Suite) (*Figure10Result, error) {
 	// Per-store sweeps run concurrently; each writes a distinct slot of the
 	// distances slice, and the map is assembled after the barrier.
 	distances := make([][]float64, len(stores))
-	err := s.forEach(len(stores), func(i int) error {
+	err := model.ForEach(s.cfg.Workers, len(stores), func(i int) error {
 		ds, err := s.Store(stores[i])
 		if err != nil {
 			return err
 		}
-		curve := trimZeroTail(ds.Series.Last().Curve())
+		curve := ds.Series.Last().Curve().TrimZeroTail()
 		// The paper fixes the non-U parameters at their best-fit values and
 		// sweeps only the simulated user count.
 		best, err := model.Fit(model.AppClustering, curve, model.DefaultFitSpec())

@@ -128,17 +128,12 @@ func (r *Figure3Result) Tables() []*report.Table {
 	}
 	tables = append(tables, summary)
 	for _, st := range r.Stores {
-		n := len(st.Curve.Downloads)
-		idxs := report.LogSpacedIndexes(n, 16)
-		xs := make([]float64, 0, len(idxs))
-		ys := make([]float64, 0, len(idxs))
-		for _, i := range idxs {
-			xs = append(xs, float64(i+1))
-			ys = append(ys, st.Curve.Downloads[i])
+		t := report.NewTable(fmt.Sprintf("Figure 3 (%s): downloads vs app rank (log-spaced sample)", st.Store),
+			"rank", "downloads")
+		for _, i := range report.LogSpacedIndexes(len(st.Curve.Downloads), 16) {
+			t.AddRow(float64(i+1), st.Curve.Downloads[i])
 		}
-		tables = append(tables, report.Series(
-			fmt.Sprintf("Figure 3 (%s): downloads vs app rank (log-spaced sample)", st.Store),
-			"rank", xs, 0, map[string][]float64{"downloads": ys}, []string{"downloads"}))
+		tables = append(tables, t)
 	}
 	return tables
 }

@@ -63,8 +63,8 @@ func Figure11(s *Suite) (*Figure11Result, error) {
 		return nil, err
 	}
 	free, paid := ds.SplitCurves()
-	free = trimZeroTail(free)
-	paid = trimZeroTail(paid)
+	free = free.TrimZeroTail()
+	paid = paid.TrimZeroTail()
 	return &Figure11Result{
 		Free: free, Paid: paid,
 		FreeTrunk:    free.TrunkExponent(0.02, 0.3),

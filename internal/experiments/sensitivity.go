@@ -52,7 +52,7 @@ func SensitivityX5(s *Suite) (*SensitivityX5Result, error) {
 	}
 	planted := []float64{0.1, 0.5, 0.9}
 	out := &SensitivityX5Result{Rows: make([]SensitivityRow, len(planted))}
-	err := s.forEach(len(planted), func(i int) error {
+	err := model.ForEach(s.cfg.Workers, len(planted), func(i int) error {
 		p := planted[i]
 		prof := catalog.Profiles["anzhi"].Scale(s.cfg.Scale)
 		prof.ClusterP = p
@@ -66,7 +66,7 @@ func SensitivityX5(s *Suite) (*SensitivityX5Result, error) {
 		if err != nil {
 			return err
 		}
-		curve := trimZeroTail(series.Last().Curve())
+		curve := series.Last().Curve().TrimZeroTail()
 		cl, err := model.FitMC(model.AppClustering, curve, fitSpec(s), s.cfg.Seed)
 		if err != nil {
 			return err

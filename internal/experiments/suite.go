@@ -38,8 +38,11 @@ type Config struct {
 	Days int
 	// CommentUsers is the commenting population for the behaviour study.
 	CommentUsers int
-	// Workers bounds the parallelism inside each experiment runner (per-
-	// store fan-out, Monte Carlo candidate evaluation). Zero means
+	// Workers bounds two fan-outs: a runner's stores or datasets fitted
+	// at once (F8–F10, X5) and each FitMC's Monte Carlo candidates
+	// (FitSpec.Workers). It bounds no more: FitAllMC's three kinds,
+	// UserSweepMC's fractions and MCDistance's runs fan out in full, so
+	// Workers = 1 still runs several simulations at once. Zero means
 	// runtime.GOMAXPROCS(0). Every experiment's result is invariant to
 	// Workers; the knob only controls scheduling.
 	Workers int
@@ -118,9 +121,6 @@ func newSuite(cfg Config, given *Dataset) (*Suite, error) {
 	}
 	return &Suite{cfg: cfg, given: given, stores: map[string]*storeEntry{}}, nil
 }
-
-// Config returns the suite configuration.
-func (s *Suite) Config() Config { return s.cfg }
 
 // StoreNames returns the store names in presentation order: the simulated
 // profiles, largest stores first as in the paper's tables, or the given
@@ -239,48 +239,6 @@ func (e *Skipped) Error() string { return "skipped: " + e.Reason }
 func (s *Suite) simulated(why string) error {
 	if s.given != nil {
 		return &Skipped{why}
-	}
-	return nil
-}
-
-// forEach runs fn(0..n-1) on up to s.cfg.Workers goroutines and returns the
-// lowest-index error. With Workers = 1 it degenerates to a plain sequential
-// loop. Callers must write results into index-distinct slots so the
-// assembled output is invariant to scheduling.
-func (s *Suite) forEach(n int, fn func(i int) error) error {
-	workers := s.cfg.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }

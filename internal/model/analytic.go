@@ -134,9 +134,3 @@ func PredictCurve(kind Kind, cfg Config) dist.RankCurve {
 	}
 	return dist.NewRankCurve(vals)
 }
-
-// Distance computes the paper's Eq. 6 metric between an observed curve and
-// this model's predicted curve.
-func Distance(kind Kind, cfg Config, observed dist.RankCurve) float64 {
-	return dist.MeanRelativeError(observed, PredictCurve(kind, cfg))
-}

@@ -22,10 +22,11 @@ type FitSpec struct {
 	// Users values (U) to try. A zero entry is replaced by the observed
 	// top-app downloads (the paper's Figure 10 heuristic).
 	Users []int
-	// Workers bounds the number of Monte Carlo candidate evaluations FitMC
-	// runs concurrently (FitAllMC passes it through to each per-kind fit).
-	// Zero means runtime.GOMAXPROCS(0). Fit results are invariant to
-	// Workers; the knob only controls scheduling.
+	// Workers bounds how many shortlisted candidates one FitMC evaluates
+	// at once. Zero means runtime.GOMAXPROCS(0). It does not bound a whole
+	// fit: FitAllMC runs its three kinds at once, each with this bound, and
+	// MCDistance runs a candidate's replicates at once. Fit results are
+	// invariant to Workers; the knob only controls scheduling.
 	Workers int
 }
 
@@ -192,20 +193,11 @@ func MCDistance(kind Kind, cfg Config, observed dist.RankCurve, seed uint64) (fl
 		return 0, err
 	}
 	var dists [mcDistanceRuns]float64
-	var wg sync.WaitGroup
-	for run := 0; run < mcDistanceRuns; run++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			curve := sim.Run(seed + uint64(run)*0x9e3779b97f4a7c15).Curve()
-			n := len(curve.Downloads)
-			for n > 0 && curve.Downloads[n-1] <= 0 {
-				n--
-			}
-			dists[run] = dist.MeanRelativeError(observed, dist.RankCurve{Downloads: curve.Downloads[:n]})
-		}()
-	}
-	wg.Wait()
+	ForEach(mcDistanceRuns, mcDistanceRuns, func(run int) error { //nolint:errcheck // fn never fails
+		curve := sim.Run(seed + uint64(run)*0x9e3779b97f4a7c15).Curve()
+		dists[run] = dist.MeanRelativeError(observed, curve.TrimZeroTail())
+		return nil
+	})
 	var sum float64
 	for _, d := range dists {
 		sum += d
@@ -213,20 +205,38 @@ func MCDistance(kind Kind, cfg Config, observed dist.RankCurve, seed uint64) (fl
 	return sum / mcDistanceRuns, nil
 }
 
-// fitWorkers resolves a FitSpec.Workers value against the available
-// parallelism and the amount of independent work.
-func fitWorkers(spec FitSpec, jobs int) int {
-	w := spec.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// ForEach calls fn(i) exactly once for every i in [0, n), on up to workers
+// goroutines (workers <= 0 means runtime.GOMAXPROCS(0)), and returns the
+// lowest-index error. It is the one fan-out of the analysis half: fn writes
+// into an index-distinct slot and the caller combines the slots in index
+// order, so what it assembles is invariant to workers and to scheduling.
+func ForEach(workers, n int, fn func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if w > jobs {
-		w = jobs
+	errs := make([]error, n)
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				errs[i] = fn(i)
+			}
+		}()
 	}
-	if w < 1 {
-		w = 1
+	for i := range n {
+		jobs <- i
 	}
-	return w
+	close(jobs)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // maxMCCandidates bounds the Monte Carlo refinement in FitMC.
@@ -237,11 +247,11 @@ const maxMCCandidates = 12
 // runs against the full observed curve, mirroring the paper's
 // simulate-and-compare procedure while keeping the sweep cheap.
 //
-// Candidates are evaluated on a pool of spec.Workers goroutines. Distances
-// land in candidate-indexed slots and the winner is selected by a scan in
-// shortlist order (strict <), so the chosen fit is byte-identical to a
-// sequential evaluation for any worker count; on error, the lowest-index
-// candidate's error is returned.
+// Candidates are evaluated on up to spec.Workers goroutines (ForEach).
+// Distances land in candidate-indexed slots and the winner is selected by a
+// scan in shortlist order (strict <), so the chosen fit is byte-identical
+// to a sequential evaluation for any worker count; on error, the
+// lowest-index candidate's error is returned.
 func FitMC(kind Kind, observed dist.RankCurve, spec FitSpec, seed uint64) (FitResult, error) {
 	cands, err := fitCandidates(kind, observed, spec)
 	if err != nil {
@@ -251,29 +261,15 @@ func FitMC(kind Kind, observed dist.RankCurve, spec FitSpec, seed uint64) (FitRe
 		cands = cands[:maxMCCandidates]
 	}
 	dists := make([]float64, len(cands))
-	errs := make([]error, len(cands))
-	workers := fitWorkers(spec, len(cands))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				dists[i], errs[i] = MCDistance(kind, cands[i].Config, observed, seed)
-			}
-		}()
+	err = ForEach(spec.Workers, len(cands), func(i int) (err error) {
+		dists[i], err = MCDistance(kind, cands[i].Config, observed, seed)
+		return err
+	})
+	if err != nil {
+		return FitResult{}, err
 	}
-	for i := range cands {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 	best := FitResult{Kind: kind, Distance: -1}
 	for i, c := range cands {
-		if errs[i] != nil {
-			return FitResult{}, errs[i]
-		}
 		if best.Distance < 0 || dists[i] < best.Distance {
 			best.Config = c.Config
 			best.Distance = dists[i]
@@ -288,20 +284,12 @@ func FitMC(kind Kind, observed dist.RankCurve, spec FitSpec, seed uint64) (FitRe
 // the first kind's (in Kinds order) error wins.
 func FitAllMC(observed dist.RankCurve, spec FitSpec, seed uint64) ([]FitResult, error) {
 	out := make([]FitResult, len(Kinds))
-	errs := make([]error, len(Kinds))
-	var wg sync.WaitGroup
-	for i, k := range Kinds {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i], errs[i] = FitMC(k, observed, spec, seed)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := ForEach(len(Kinds), len(Kinds), func(i int) (err error) {
+		out[i], err = FitMC(Kinds[i], observed, spec, seed)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Distance < out[j].Distance })
 	return out, nil
@@ -318,26 +306,15 @@ func UserSweepMC(kind Kind, observed dist.RankCurve, base Config, fractions []fl
 		return nil, fmt.Errorf("model: observed curve has no downloads")
 	}
 	out := make([]float64, len(fractions))
-	errs := make([]error, len(fractions))
-	var wg sync.WaitGroup
-	for i, f := range fractions {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg := base
-			cfg.Users = int(f * top)
-			if cfg.Users < 1 {
-				cfg.Users = 1
-			}
-			cfg.DownloadsPerUser = total / float64(cfg.Users)
-			out[i], errs[i] = MCDistance(kind, cfg, observed, seed)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := ForEach(len(fractions), len(fractions), func(i int) (err error) {
+		cfg := base
+		cfg.Users = max(int(fractions[i]*top), 1)
+		cfg.DownloadsPerUser = total / float64(cfg.Users)
+		out[i], err = MCDistance(kind, cfg, observed, seed)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,11 +1,54 @@
 package model
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"planetapps/internal/dist"
 )
+
+// TestForEachDeterministic holds the one fan-out to its contract at every
+// worker bound: each index runs exactly once, n = 0 calls nothing, and the
+// lowest-index error wins even when a higher index fails first.
+func TestForEachDeterministic(t *testing.T) {
+	const n = 8
+	for _, workers := range []int{0, 1, 2, n, n + 3} {
+		if err := ForEach(workers, 0, func(int) error { t.Error("fn called with n = 0"); return nil }); err != nil {
+			t.Fatalf("workers=%d, n=0: %v", workers, err)
+		}
+		// Index 6 fails; when a second worker exists, index 2 fails only
+		// after it.
+		concurrent := workers >= 2 || workers <= 0 && runtime.GOMAXPROCS(0) >= 2
+		lo, hi := errors.New("index 2"), errors.New("index 6")
+		hiFailed := make(chan struct{})
+		var calls [n]atomic.Int32
+		err := ForEach(workers, n, func(i int) error {
+			calls[i].Add(1)
+			switch i {
+			case 2:
+				if concurrent {
+					<-hiFailed
+				}
+				return lo
+			case 6:
+				close(hiFailed)
+				return hi
+			}
+			return nil
+		})
+		if err != lo {
+			t.Fatalf("workers=%d: err = %v, want %v", workers, err, lo)
+		}
+		for i := range calls {
+			if c := calls[i].Load(); c != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+			}
+		}
+	}
+}
 
 // TestRunParallelWorkerInvariance is the core contract of the parallel
 // engine: for a fixed seed, RunParallel must produce byte-identical results

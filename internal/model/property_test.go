@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"planetapps/internal/dist"
 	"planetapps/internal/rng"
 )
 
@@ -128,12 +129,10 @@ func TestPropertyDistanceIdentity(t *testing.T) {
 			ZipfGlobal: 1.0, ZipfCluster: 1.0, ClusterP: 0.5, Clusters: 5,
 		}
 		c := PredictCurve(ZipfAtMostOnce, cfg)
-		if Distance(ZipfAtMostOnce, cfg, c) > 1e-9 {
+		if dist.MeanRelativeError(c, c) > 1e-9 {
 			return false
 		}
-		other := PredictCurve(Zipf, cfg)
-		_ = other
-		return Distance(Zipf, cfg, c) >= 0
+		return dist.MeanRelativeError(c, PredictCurve(Zipf, cfg)) >= 0
 	}, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}

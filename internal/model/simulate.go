@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"planetapps/internal/dist"
 	"planetapps/internal/rng"
@@ -238,9 +237,7 @@ func (s *Simulator) RunParallel(seed uint64, workers int) Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > s.cfg.Users {
-		workers = s.cfg.Users
-	}
+	workers = min(workers, s.cfg.Users)
 	streams := s.userStreams(seed)
 	res := Result{Downloads: make([]int64, s.cfg.Apps)}
 	if workers <= 1 {
@@ -249,19 +246,11 @@ func (s *Simulator) RunParallel(seed uint64, workers int) Result {
 	}
 	shards := make([][]int64, workers)
 	totals := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * s.cfg.Users / workers
-		hi := (w + 1) * s.cfg.Users / workers
-		shard := make([]int64, s.cfg.Apps)
-		shards[w] = shard
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			totals[w] = s.simulateUsers(streams, lo, hi, shard)
-		}()
-	}
-	wg.Wait()
+	ForEach(workers, workers, func(w int) error { //nolint:errcheck // fn never fails
+		shards[w] = make([]int64, s.cfg.Apps)
+		totals[w] = s.simulateUsers(streams, w*s.cfg.Users/workers, (w+1)*s.cfg.Users/workers, shards[w])
+		return nil
+	})
 	for w := 0; w < workers; w++ {
 		for i, d := range shards[w] {
 			res.Downloads[i] += d

@@ -108,50 +108,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Series renders an (x, y...) numeric series as a table, decimating long
-// series to at most maxRows rows spread across the range (log-log figures
-// only need the shape, not every point).
-func Series(title string, xName string, xs []float64, maxRows int, cols map[string][]float64, colOrder []string) *Table {
-	headers := append([]string{xName}, colOrder...)
-	t := NewTable(title, headers...)
-	n := len(xs)
-	if n == 0 {
-		return t
-	}
-	step := 1
-	if maxRows > 0 && n > maxRows {
-		step = n / maxRows
-	}
-	for i := 0; i < n; i += step {
-		row := make([]any, 0, len(headers))
-		row = append(row, xs[i])
-		for _, c := range colOrder {
-			ys := cols[c]
-			if i < len(ys) {
-				row = append(row, ys[i])
-			} else {
-				row = append(row, "")
-			}
-		}
-		t.AddRow(row...)
-	}
-	// Always include the final point.
-	if (n-1)%step != 0 {
-		row := make([]any, 0, len(headers))
-		row = append(row, xs[n-1])
-		for _, c := range colOrder {
-			ys := cols[c]
-			if n-1 < len(ys) {
-				row = append(row, ys[n-1])
-			} else {
-				row = append(row, "")
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
-
 // LogSpacedIndexes returns up to k indexes into [0, n) spaced roughly
 // geometrically, always including 0 and n-1. Useful for sampling rank
 // curves plotted on log axes.

@@ -59,30 +59,6 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func TestSeriesDecimation(t *testing.T) {
-	xs := make([]float64, 100)
-	ys := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i)
-		ys[i] = float64(i * i)
-	}
-	tbl := Series("S", "x", xs, 10, map[string][]float64{"y": ys}, []string{"y"})
-	if len(tbl.Rows) > 12 {
-		t.Fatalf("series not decimated: %d rows", len(tbl.Rows))
-	}
-	last := tbl.Rows[len(tbl.Rows)-1]
-	if last[0] != "99" {
-		t.Fatalf("final point missing: %v", last)
-	}
-}
-
-func TestSeriesEmpty(t *testing.T) {
-	tbl := Series("S", "x", nil, 10, nil, nil)
-	if len(tbl.Rows) != 0 {
-		t.Fatal("empty series produced rows")
-	}
-}
-
 func TestLogSpacedIndexes(t *testing.T) {
 	idx := LogSpacedIndexes(1000, 10)
 	if idx[0] != 0 {

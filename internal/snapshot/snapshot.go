@@ -24,16 +24,6 @@ type Day struct {
 	Price []float64
 }
 
-// Clone deep-copies the snapshot.
-func (d *Day) Clone() *Day {
-	return &Day{
-		Index:               d.Index,
-		CumulativeDownloads: append([]int64(nil), d.CumulativeDownloads...),
-		Versions:            append([]int(nil), d.Versions...),
-		Price:               append([]float64(nil), d.Price...),
-	}
-}
-
 // Series is an ordered sequence of daily snapshots of one store.
 type Series struct {
 	Store string

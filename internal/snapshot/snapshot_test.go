@@ -134,13 +134,3 @@ func TestCurveAndTotals(t *testing.T) {
 		}
 	}
 }
-
-func TestClone(t *testing.T) {
-	s := makeSeries(t)
-	d := s.Last()
-	c := d.Clone()
-	c.CumulativeDownloads[0] = 999
-	if d.CumulativeDownloads[0] == 999 {
-		t.Fatal("Clone shares storage")
-	}
-}

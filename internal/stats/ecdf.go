@@ -49,33 +49,3 @@ func (e *ECDF) Quantile(q float64) float64 {
 	}
 	return e.sorted[idx]
 }
-
-// Points returns up to max (x, P(X<=x)) pairs suitable for plotting the CDF.
-// If max <= 0 or max >= n, one point per distinct sample is returned.
-func (e *ECDF) Points(max int) (xs, ps []float64) {
-	n := len(e.sorted)
-	if n == 0 {
-		return nil, nil
-	}
-	step := 1
-	if max > 0 && n > max {
-		step = n / max
-	}
-	for i := 0; i < n; i += step {
-		// Advance to the last equal value so the CDF is right-continuous.
-		j := i
-		for j+1 < n && e.sorted[j+1] == e.sorted[i] {
-			j++
-		}
-		xs = append(xs, e.sorted[j])
-		ps = append(ps, float64(j+1)/float64(n))
-		if j > i {
-			i = j - step + 1
-		}
-	}
-	if xs[len(xs)-1] != e.sorted[n-1] {
-		xs = append(xs, e.sorted[n-1])
-		ps = append(ps, 1)
-	}
-	return xs, ps
-}

@@ -58,12 +58,3 @@ func (h *Histogram) MeanIn(i int) float64 {
 	}
 	return h.Sums[i] / float64(h.Counts[i])
 }
-
-// Total returns the number of in-range values added.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}

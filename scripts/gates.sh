@@ -302,7 +302,8 @@ bench-module() {
 loc() {
 	scripts/loc.sh cmd internal/metrics internal/experiments internal/cache internal/edgecache \
 		internal/fleet internal/storeserver internal/apiwire internal/marketsim \
-		internal/resilient internal/crawler internal/comments internal/model internal/rng || true
+		internal/resilient internal/crawler internal/comments internal/model internal/rng \
+		internal/dist internal/stats internal/report internal/snapshot internal/db internal/pricing || true
 	go test -count=1 -run TestEveryConfigFieldIsSet -v . | grep 'config fields' || true
 }
 
