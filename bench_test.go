@@ -572,9 +572,9 @@ func BenchmarkAdvanceDayExport(b *testing.B) {
 // then a re-warm that refills only the churned documents. Each iteration
 // exercises the carry path (handle blocks shared wholesale, changed docs
 // re-encoded into the fresh arena), arena retention across generations,
-// and — as dead bytes accumulate — compaction and slab recycling. The
-// slabs_live metric makes an arena leak visible in the CI log: it must
-// plateau, not grow with b.N.
+// and — as dead bytes accumulate — compaction. The slabs_live metric (the
+// serving table's slabs) makes an arena leak visible in the CI log: it
+// must plateau, not grow with b.N.
 func BenchmarkDayRollWarmArena(b *testing.B) {
 	const n = 10_000
 	m := dayRollMarket(b, n)
@@ -603,7 +603,6 @@ func BenchmarkDayRollWarmArena(b *testing.B) {
 	b.StopTimer()
 	ar := s.Arena()
 	b.ReportMetric(float64(ar.SlabsLive), "slabs_live")
-	b.ReportMetric(float64(ar.SlabsReused), "slabs_reused")
 }
 
 // BenchmarkMarketDay measures one simulated market day on the anzhi

@@ -149,6 +149,6 @@ func main() {
 	log.Printf("appstored: %d acknowledged writes lost at exit (not yet rolled into a day; %d accepted, %d merged)",
 		w.Pending, w.Accepted, w.Merged)
 	ar := srv.Arena()
-	log.Printf("appstored: arena pool: %d arenas / %d slabs live (%d of %d pinned bytes live), %d pooled, %d made, %d reused, %d compactions (%d docs moved)",
-		ar.ArenasLive, ar.SlabsLive, ar.LiveBytes, ar.PinnedBytes, ar.SlabsPooled, ar.SlabsMade, ar.SlabsReused, ar.Compactions, ar.MovedDocs)
+	log.Printf("appstored: serving arenas: %d arenas / %d slabs (%d of %d pinned bytes live), %d slabs made, %d compactions (%d docs moved)",
+		ar.ArenasLive, ar.SlabsLive, ar.LiveBytes, ar.PinnedBytes, ar.SlabsMade, ar.Compactions, ar.MovedDocs)
 }

@@ -6,15 +6,14 @@
 // slices and strings: slabs contain no pointers, and Go's collector
 // never scans the interior of a noscan object.
 //
-// Arenas are reference-counted by the snapshots that hold documents in
-// them. A day-roll carries unchanged documents forward by copying their
-// integer handles — the successor snapshot retains the predecessor's
-// arena instead of re-encoding or re-compressing anything — and when
-// the last snapshot referencing an arena is dropped, its full-size
-// slabs recycle into a Pool for the next day's allocations. Safety does
-// not hinge on the counts being perfect: slabs are ordinary GC-managed
-// memory, so the cost of a lost reference is a missed reuse, never a
-// dangling pointer.
+// Slabs come from the heap and are never recycled. A day-roll carries
+// unchanged documents forward by copying their integer handles — the
+// successor snapshot keeps the predecessor's arena in its table instead
+// of re-encoding or re-compressing anything — and an arena no snapshot
+// cites is garbage like any other value. A byte view handed out by Bytes
+// or String points into its slab, so the slab lives exactly as long as
+// some response still holds the view: no later fill can ever write over
+// bytes a reader can see.
 package arena
 
 import (
@@ -33,107 +32,13 @@ const (
 	maxSlabs  = 1 << (32 - SlabShift)
 )
 
-// PoolStats is a point-in-time view of slab accounting.
-type PoolStats struct {
-	ArenasLive  int64 // arenas created and not yet fully released
-	SlabsLive   int64 // standard slabs currently owned by live arenas
-	SlabsPooled int64 // standard slabs parked for reuse
-	SlabsMade   int64 // cumulative slabs allocated fresh from the heap
-	SlabsReused int64 // cumulative slab grabs satisfied by the pool
-	LiveBytes   int64 // sum of LiveBytes over live arenas
-}
-
-// Pool recycles full-size slabs between arenas so steady-state day-rolls
-// stop asking the heap (and therefore the collector) for fresh slab
-// memory. Oversize slabs (documents larger than SlabSize) are never
-// pooled — they go back to the GC on release.
-type Pool struct {
-	mu   sync.Mutex
-	free [][]byte
-	max  int
-
-	arenas      atomic.Int64
-	slabsLive   atomic.Int64
-	slabsMade   atomic.Int64
-	slabsReused atomic.Int64
-	liveBytes   atomic.Int64
-}
-
-// NewPool returns a pool retaining at most maxRetained standard slabs
-// (<= 0 picks a default of 64 slabs, i.e. 64 MiB).
-func NewPool(maxRetained int) *Pool {
-	if maxRetained <= 0 {
-		maxRetained = 64
-	}
-	return &Pool{max: maxRetained}
-}
-
-// Stats returns current slab accounting.
-func (p *Pool) Stats() PoolStats {
-	p.mu.Lock()
-	pooled := int64(len(p.free))
-	p.mu.Unlock()
-	return PoolStats{
-		ArenasLive:  p.arenas.Load(),
-		SlabsLive:   p.slabsLive.Load(),
-		SlabsPooled: pooled,
-		SlabsMade:   p.slabsMade.Load(),
-		SlabsReused: p.slabsReused.Load(),
-		LiveBytes:   p.liveBytes.Load(),
-	}
-}
-
-func (p *Pool) getSlab() []byte {
-	p.mu.Lock()
-	var s []byte
-	if n := len(p.free); n > 0 {
-		s = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-	}
-	p.mu.Unlock()
-	if s != nil {
-		p.slabsReused.Add(1)
-	} else {
-		p.slabsMade.Add(1)
-		s = make([]byte, SlabSize)
-	}
-	p.slabsLive.Add(1)
-	return s
-}
-
-func (p *Pool) putSlabs(slabs [][]byte) {
-	var returned int64
-	p.mu.Lock()
-	for _, s := range slabs {
-		// Only standard slabs are worth parking; an oversize slab is
-		// sized for one specific document and unlikely to fit the next.
-		if len(s) != SlabSize || len(p.free) >= p.max {
-			continue
-		}
-		p.free = append(p.free, s)
-	}
-	p.mu.Unlock()
-	for _, s := range slabs {
-		if len(s) == SlabSize {
-			returned++
-		}
-	}
-	p.slabsLive.Add(-returned)
-}
-
-// Arena is one bump allocator over pooled slabs. Allocation takes the
+// Arena is one bump allocator over heap slabs. Allocation takes the
 // arena's mutex (fills are rare: once per document content-version,
 // ever); reads are lock-free — the slab table is published through an
 // atomic pointer with copy-on-append, so Bytes/String never synchronize
 // with concurrent Alloc calls.
-//
-// The reference count starts at 1, owned by the snapshot the arena was
-// created for. Successor snapshots that carry documents referencing the
-// arena call Retain; Release recycles the slabs once the count drains.
 type Arena struct {
-	pool *Pool
-	refs atomic.Int64
+	made *atomic.Int64 // the owner's count of slabs made, shared by its arenas
 
 	mu      sync.Mutex
 	slabs   atomic.Pointer[[][]byte]
@@ -143,27 +48,27 @@ type Arena struct {
 	live atomic.Int64
 }
 
-// New returns an empty arena with one reference, drawing slabs from p.
-func New(p *Pool) *Arena {
-	a := &Arena{pool: p}
-	a.refs.Store(1)
+// New returns an empty arena that adds every slab it makes to *made.
+func New(made *atomic.Int64) *Arena {
+	a := &Arena{made: made}
 	empty := make([][]byte, 0, 8)
 	a.slabs.Store(&empty)
 	a.tailIdx = -1
-	p.arenas.Add(1)
 	return a
 }
 
-// appendSlab publishes a new slab table containing s; callers hold mu.
-func (a *Arena) appendSlab(s []byte) int {
+// appendSlab makes an n-byte slab and publishes a new slab table
+// containing it; callers hold mu.
+func (a *Arena) appendSlab(n int) int {
 	cur := *a.slabs.Load()
 	if len(cur) >= maxSlabs {
 		panic("arena: address space exhausted (4 GiB)")
 	}
 	next := make([][]byte, len(cur)+1)
 	copy(next, cur)
-	next[len(cur)] = s
+	next[len(cur)] = make([]byte, n)
 	a.slabs.Store(&next)
+	a.made.Add(1)
 	return len(cur)
 }
 
@@ -177,25 +82,19 @@ func (a *Arena) Alloc(n int) (uint32, []byte) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if n > SlabSize {
-		idx := a.appendSlab(make([]byte, n))
-		a.grow(int64(n))
+		idx := a.appendSlab(n)
+		a.live.Add(int64(n))
 		return uint32(idx << SlabShift), (*a.slabs.Load())[idx]
 	}
 	if a.tailIdx < 0 || a.tailOff+n > SlabSize {
-		a.tailIdx = a.appendSlab(a.pool.getSlab())
+		a.tailIdx = a.appendSlab(SlabSize)
 		a.tailOff = 0
 	}
 	off := uint32(a.tailIdx<<SlabShift | a.tailOff)
 	b := (*a.slabs.Load())[a.tailIdx][a.tailOff : a.tailOff+n : a.tailOff+n]
 	a.tailOff += n
-	a.grow(int64(n))
+	a.live.Add(int64(n))
 	return off, b
-}
-
-// grow accounts n freshly allocated bytes.
-func (a *Arena) grow(n int64) {
-	a.live.Add(n)
-	a.pool.liveBytes.Add(n)
 }
 
 // Bytes returns the n bytes at packed offset off. The slice aliases the
@@ -223,47 +122,19 @@ func AsString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// Retain adds a reference (a successor snapshot carrying documents that
-// live in this arena).
-func (a *Arena) Retain() { a.refs.Add(1) }
-
-// Release drops one reference; the last release returns standard slabs
-// to the pool and lets the GC take any oversize ones.
-func (a *Arena) Release() {
-	n := a.refs.Add(-1)
-	if n > 0 {
-		return
-	}
-	if n < 0 {
-		panic("arena: over-released")
-	}
-	a.mu.Lock()
-	slabs := *a.slabs.Load()
-	empty := make([][]byte, 0)
-	a.slabs.Store(&empty)
-	a.tailIdx = -1
-	a.mu.Unlock()
-	a.pool.putSlabs(slabs)
-	a.pool.liveBytes.Add(-a.live.Swap(0))
-	a.pool.arenas.Add(-1)
-}
-
 // LiveBytes is everything allocated from the arena minus everything
 // reported dropped: an estimate of how much of it still backs reachable
 // documents. Set against PinnedBytes it decides when compaction pays.
 func (a *Arena) LiveBytes() int64 { return a.live.Load() }
 
-// PinnedBytes is what the arena keeps off the pool while it lives: its
+// PinnedBytes is the heap the arena holds while a snapshot cites it: its
 // slab count at the standard slab size.
 func (a *Arena) PinnedBytes() int64 { return int64(a.Slabs()) * SlabSize }
 
 // DropBytes records that n previously allocated bytes are no longer
 // referenced by any snapshot (their document changed or was discarded
 // during a day-roll carry).
-func (a *Arena) DropBytes(n int64) {
-	a.live.Add(-n)
-	a.pool.liveBytes.Add(-n)
-}
+func (a *Arena) DropBytes(n int64) { a.live.Add(-n) }
 
 // Slabs returns how many slabs the arena currently holds.
 func (a *Arena) Slabs() int { return len(*a.slabs.Load()) }

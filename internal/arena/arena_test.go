@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 func TestAllocRoundTrip(t *testing.T) {
-	p := NewPool(4)
-	a := New(p)
+	a := New(new(atomic.Int64))
 	type rec struct {
 		off uint32
 		n   uint32
@@ -41,7 +41,7 @@ func TestAllocRoundTrip(t *testing.T) {
 }
 
 func TestAllocCrossesSlabs(t *testing.T) {
-	a := New(NewPool(2))
+	a := New(new(atomic.Int64))
 	// Regions never straddle a slab boundary: a request that does not
 	// fit the tail opens a fresh slab.
 	big := SlabSize - 10
@@ -60,8 +60,8 @@ func TestAllocCrossesSlabs(t *testing.T) {
 }
 
 func TestOversizeAlloc(t *testing.T) {
-	p := NewPool(4)
-	a := New(p)
+	var made atomic.Int64
+	a := New(&made)
 	n := SlabSize + 12345
 	off, dst := a.Alloc(n)
 	if len(dst) != n {
@@ -78,72 +78,22 @@ func TestOversizeAlloc(t *testing.T) {
 	if a.String(off2, 8) != "12345678" {
 		t.Fatal("small alloc after oversize failed")
 	}
-	// Oversize slabs are not pooled on release.
-	a.Release()
-	if st := p.Stats(); st.SlabsPooled != 1 {
-		// only the standard slab (from the small alloc) parks
-		t.Fatalf("pooled = %d, want 1 (oversize slab must not pool)", st.SlabsPooled)
+	// The oversize document got a slab of its own and the small one a
+	// standard slab after it: two slabs made, both counted.
+	if a.Slabs() != 2 || made.Load() != 2 {
+		t.Fatalf("slabs = %d, made = %d, want 2 and 2", a.Slabs(), made.Load())
 	}
 }
 
 func TestZeroAlloc(t *testing.T) {
-	a := New(NewPool(1))
+	a := New(new(atomic.Int64))
 	if off, b := a.Alloc(0); off != 0 || b != nil {
 		t.Fatalf("Alloc(0) = (%d, %v), want (0, nil)", off, b)
 	}
 }
 
-func TestRefcountRecycling(t *testing.T) {
-	p := NewPool(8)
-	a := New(p)
-	for i := 0; i < 3; i++ {
-		_, b := a.Alloc(SlabSize / 2)
-		copy(b, "x")
-	}
-	if st := p.Stats(); st.SlabsLive != 2 || st.ArenasLive != 1 || st.LiveBytes != 3*SlabSize/2 {
-		t.Fatalf("live stats: %+v", st)
-	}
-	a.DropBytes(SlabSize / 2)
-	if st := p.Stats(); st.LiveBytes != SlabSize || a.LiveBytes() != SlabSize || a.PinnedBytes() != 2*SlabSize {
-		t.Fatalf("after drop: pool %+v, arena live %d pinned %d", st, a.LiveBytes(), a.PinnedBytes())
-	}
-	a.Retain() // a second snapshot carries docs from this arena
-	a.Release()
-	if st := p.Stats(); st.SlabsLive != 2 || st.SlabsPooled != 0 {
-		t.Fatalf("slabs recycled while still referenced: %+v", st)
-	}
-	a.Release() // last reference
-	st := p.Stats()
-	if st.SlabsLive != 0 || st.SlabsPooled != 2 || st.ArenasLive != 0 || st.LiveBytes != 0 {
-		t.Fatalf("after final release: %+v", st)
-	}
-
-	// The next arena draws from the pool instead of the heap.
-	b := New(p)
-	b.Alloc(100)
-	if st := p.Stats(); st.SlabsReused != 1 {
-		t.Fatalf("expected pooled slab reuse, got %+v", st)
-	}
-	b.Release()
-}
-
-func TestPoolRetentionCap(t *testing.T) {
-	p := NewPool(1)
-	a := New(p)
-	a.Alloc(SlabSize)
-	a.Alloc(SlabSize)
-	a.Alloc(SlabSize)
-	a.Release()
-	if st := p.Stats(); st.SlabsPooled != 1 {
-		t.Fatalf("pool should retain at most 1 slab, got %+v", st)
-	}
-	if st := p.Stats(); st.SlabsLive != 0 {
-		t.Fatalf("dropped slabs still counted live: %+v", st)
-	}
-}
-
 func TestDropBytesAccounting(t *testing.T) {
-	a := New(NewPool(1))
+	a := New(new(atomic.Int64))
 	a.Alloc(1000)
 	a.Alloc(500)
 	a.DropBytes(1000)
@@ -155,7 +105,7 @@ func TestDropBytesAccounting(t *testing.T) {
 func TestConcurrentAllocAndRead(t *testing.T) {
 	// Readers resolve offsets while a writer keeps appending slabs: the
 	// copy-on-append table must make that race-free (run with -race).
-	a := New(NewPool(4))
+	a := New(new(atomic.Int64))
 	off0, b := a.Alloc(16)
 	copy(b, "0123456789abcdef")
 	var wg sync.WaitGroup
@@ -183,5 +133,4 @@ func TestConcurrentAllocAndRead(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	a.Release()
 }

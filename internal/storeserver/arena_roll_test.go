@@ -2,8 +2,8 @@ package storeserver
 
 import (
 	"runtime"
+	"strings"
 	"testing"
-	"time"
 
 	"planetapps/internal/catalog"
 	"planetapps/internal/gcstats"
@@ -22,15 +22,15 @@ func forceFill(s *Server) {
 	}
 }
 
-// TestSlabRecyclingAcrossRolls proves the refcount lifecycle is leak-free:
-// across repeated day-rolls with fully warmed caches, retired arenas must
-// actually release — the live-arena count stays bounded and slabs flow back
-// through the pool instead of accumulating. At unit-test catalog sizes every
-// arena is a single partly filled 1MiB slab — the shape a small shard's day
-// arenas have in production — so this also holds the footprint rule to
-// compacting them; without compaction, carried never-changing documents
-// would pin every generation's arena by design.
-func TestSlabRecyclingAcrossRolls(t *testing.T) {
+// TestServingArenasBoundedAcrossRolls holds the serving snapshot's arena
+// table to a bound across repeated day-rolls with fully warmed caches. At
+// unit-test catalog sizes every arena is a single partly filled 1 MiB slab
+// — the shape a small shard's day arenas have in production — so this
+// holds the footprint rule to compacting them: without compaction, carried
+// never-changing documents would pin every generation's arena, one per
+// roll. The table is read straight off the serving snapshot; a retired
+// snapshot's arenas are the collector's and nothing waits for them.
+func TestServingArenasBoundedAcrossRolls(t *testing.T) {
 	mcfg := marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(0.3))
 	mcfg.Days = 16
 	m, err := marketsim.New(mcfg, 9)
@@ -46,45 +46,59 @@ func TestSlabRecyclingAcrossRolls(t *testing.T) {
 			t.Fatal(err)
 		}
 		forceFill(s)
-		runtime.GC() // let retired snapshots' finalizers release arenas
 	}
-
-	// Arena release rides snapshot finalizers; poll GC until the retired
-	// generations actually go. rolls+1 snapshots were created and only the
-	// latest survives: with compaction active, sparse old arenas evacuate
-	// and release, so liveness must settle well below one-per-roll.
-	deadline := time.Now().Add(15 * time.Second)
-	var st ArenaStats
-	for {
-		runtime.GC()
-		st = s.Arena()
-		if st.ArenasLive <= int64(rolls) && (st.SlabsPooled > 0 || st.SlabsReused > 0) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("arenas never recycled: %+v after %d rolls", st, rolls)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if st.SlabsMade == 0 {
-		t.Fatal("no slabs ever allocated — fill did not exercise arenas")
-	}
+	st := s.Arena()
+	t.Logf("after %d rolls: %+v", rolls, st)
 	if st.Compactions == 0 || st.MovedDocs == 0 {
 		t.Fatalf("compaction never ran: %+v", st)
 	}
-	// Leak bound: live slabs can cover at most the current snapshot's
-	// arenas plus in-flight carry; pooled + live must not exceed what was
-	// ever made (refcounts went negative nowhere, nothing double-counted).
-	if st.SlabsLive+st.SlabsPooled > st.SlabsMade {
-		t.Fatalf("slab accounting leak: %+v", st)
+	// A roll here re-encodes far less than a quarter of a slab, so every
+	// arena the plan judged was compacted away: what serves is the fresh
+	// arena and at most its predecessor's, not one per roll.
+	if st.ArenasLive > 2 {
+		t.Fatalf("%d arenas serve after %d rolls, want at most 2: %+v", st.ArenasLive, rolls, st)
+	}
+	if st.SlabsLive < st.ArenasLive || st.SlabsLive > st.SlabsMade {
+		t.Fatalf("slab accounting: %d live of %d made over %d arenas", st.SlabsLive, st.SlabsMade, st.ArenasLive)
+	}
+}
+
+// TestHeldViewOutlivesItsSnapshot: a response can hold a document's bytes
+// after the last reference to its snapshot is gone — net/http writes the
+// body and serializes the ETag and Content-Length header strings after
+// the handler has returned. Those views must read the same bytes however
+// many rolls, collections and fills follow. A slab handed back for reuse
+// when its snapshot was collected would put a later day's document under
+// a day-0 view.
+func TestHeldViewOutlivesItsSnapshot(t *testing.T) {
+	mcfg := marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(0.1))
+	mcfg.Days = 8
+	m, err := marketsim.New(mcfg, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(m, Config{PageSize: 25})
+	d := s.snap.Load().statsDoc()
+	body, etag := d.body, d.etag
+	wantBody, wantEtag := string(body), strings.Clone(etag)
+	for r := 1; r <= 4; r++ {
+		if err := s.AdvanceDay(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			runtime.GC()
+		}
+		s.snap.Load().statsDoc()
+		if string(body) != wantBody || etag != wantEtag {
+			t.Fatalf("after roll %d a day-0 view reads %s %s, want %s %s", r, etag, body, wantEtag, wantBody)
+		}
 	}
 }
 
 // liveObjects is the heap's object count once collection has nothing left
-// to do: finalizers (a dropped snapshot releases its arenas in one) and
-// emptied sync.Pools free their objects a cycle or two after the GC that
-// found them, so one reading after one GC is a reading of somebody else's
-// garbage.
+// to do: emptied sync.Pools free their objects a cycle or two after the GC
+// that found them, so one reading after one GC is a reading of somebody
+// else's garbage.
 func liveObjects() int64 {
 	prev := int64(-1)
 	for i := 0; i < 20; i++ {

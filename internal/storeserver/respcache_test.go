@@ -3,6 +3,7 @@ package storeserver
 import (
 	"bytes"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"planetapps/internal/arena"
@@ -12,9 +13,9 @@ import (
 // arena table with one fresh arena. It lets the carry boundary tests
 // drive carryCtx.cache directly with hand-picked sizes and masks instead
 // of hoping a simulated market hits the geometry.
-func shellSnapshot(pool *arena.Pool) *snapshot {
+func shellSnapshot() *snapshot {
 	sn := &snapshot{}
-	sn.fresh = arena.New(pool)
+	sn.fresh = arena.New(new(atomic.Int64))
 	sn.arenas = []*arena.Arena{sn.fresh}
 	sn.freshIdx = 0
 	return sn
@@ -32,24 +33,15 @@ func fillRange(sn *snapshot, c *respCache, k int) {
 }
 
 // successor builds the carry of prev's cache into a new shell snapshot.
-func successor(pool *arena.Pool, prev *snapshot, prevCache *respCache, n int, sameChunk func(int) bool, keepMask func(int) uint64) (*snapshot, respCache, int) {
-	sn := shellSnapshot(pool)
+func successor(prev *snapshot, prevCache *respCache, n int, sameChunk func(int) bool, keepMask func(int) uint64) (*snapshot, respCache, int) {
+	sn := shellSnapshot()
 	// Mirror planArenas for the shell: the successor sees prev's arenas
 	// plus its own fresh one in a new slot.
 	sn.arenas = append(append([]*arena.Arena(nil), prev.arenas...), sn.fresh)
 	sn.freshIdx = uint32(len(sn.arenas) - 1)
 	cc := &carryCtx{prev: prev, sn: sn}
 	out, carried := cc.cache(n, prevCache, sameChunk, keepMask)
-	for idx, a := range sn.arenas {
-		if a == nil || uint32(idx) == sn.freshIdx {
-			continue
-		}
-		if cc.used&(1<<uint(idx)) != 0 {
-			a.Retain()
-		} else {
-			sn.arenas[idx] = nil
-		}
-	}
+	sn.keepCited(cc.used)
 	return sn, out, carried
 }
 
@@ -57,14 +49,13 @@ func successor(pool *arena.Pool, prev *snapshot, prevCache *respCache, n int, sa
 // drop the out-of-range documents (and their arena bytes) while still
 // carrying the surviving prefix.
 func TestCarryShrink(t *testing.T) {
-	pool := arena.NewPool(4)
-	prev := shellSnapshot(pool)
+	prev := shellSnapshot()
 	pc := newRespCache(200) // 4 blocks: 64+64+64+8
 	prev.detail = pc
 	fillRange(prev, &pc, 200)
 	liveBefore := prev.fresh.LiveBytes()
 
-	sn, out, carried := successor(pool, prev, &pc, 100,
+	sn, out, carried := successor(prev, &pc, 100,
 		func(int) bool { return true }, func(int) uint64 { return keepAll })
 	if carried != 100 {
 		t.Fatalf("carried = %d, want 100", carried)
@@ -94,14 +85,13 @@ func TestCarryShrink(t *testing.T) {
 // block — the old tail block gains rows. The old tail entries must carry
 // (below prev coverage) and the grown tail must encode fresh.
 func TestCarryGrowthPartialTrailingBlock(t *testing.T) {
-	pool := arena.NewPool(4)
-	prev := shellSnapshot(pool)
+	prev := shellSnapshot()
 	pc := newRespCache(70) // blocks: 64 + 6-entry tail
 	prev.detail = pc
 	fillRange(prev, &pc, 70)
 
 	// Grow 70 -> 90: same block count, the tail block now spans 26 rows.
-	sn, out, carried := successor(pool, prev, &pc, 90,
+	sn, out, carried := successor(prev, &pc, 90,
 		func(int) bool { return true }, func(int) uint64 { return keepAll })
 	if carried != 70 {
 		t.Fatalf("carried = %d, want 70 (full prev coverage)", carried)
@@ -138,14 +128,13 @@ func TestCarryGrowthPartialTrailingBlock(t *testing.T) {
 // (kept <= 0) must ignore the caller's keep mask outright — keepAll over
 // a span with no predecessors carries nothing and crashes nothing.
 func TestCarryKeptNonPositive(t *testing.T) {
-	pool := arena.NewPool(4)
-	prev := shellSnapshot(pool)
+	prev := shellSnapshot()
 	pc := newRespCache(64) // exactly one full block
 	prev.detail = pc
 	fillRange(prev, &pc, 64)
 
 	// Grow to 200: blocks 1..3 lie wholly beyond prev (kept <= 0 there).
-	sn, out, carried := successor(pool, prev, &pc, 200,
+	sn, out, carried := successor(prev, &pc, 200,
 		func(int) bool { return false }, func(int) uint64 { return keepAll })
 	if carried != 64 {
 		t.Fatalf("carried = %d, want 64", carried)
@@ -169,8 +158,7 @@ func TestCarryKeptNonPositive(t *testing.T) {
 // both re-encode them and subtract their bytes from the arena's live
 // accounting (the signal compaction keys off).
 func TestCarryChangedEntriesDropBytes(t *testing.T) {
-	pool := arena.NewPool(4)
-	prev := shellSnapshot(pool)
+	prev := shellSnapshot()
 	pc := newRespCache(64)
 	prev.detail = pc
 	fillRange(prev, &pc, 64)
@@ -181,7 +169,7 @@ func TestCarryChangedEntriesDropBytes(t *testing.T) {
 	for j := 0; j < 64; j += 2 {
 		evens |= 1 << uint(j)
 	}
-	_, out, carried := successor(pool, prev, &pc, 64,
+	_, out, carried := successor(prev, &pc, 64,
 		func(int) bool { return false }, func(int) uint64 { return evens })
 	if carried != 32 {
 		t.Fatalf("carried = %d, want 32", carried)
@@ -204,13 +192,12 @@ func TestCarryChangedEntriesDropBytes(t *testing.T) {
 // must carry as nil — no handle blocks materialize during a roll for
 // documents that were never served.
 func TestCarryUnmaterializedBlocksStayLazy(t *testing.T) {
-	pool := arena.NewPool(4)
-	prev := shellSnapshot(pool)
+	prev := shellSnapshot()
 	pc := newRespCache(256)
 	prev.detail = pc
 	fillRange(prev, &pc, 10) // only block 0 materializes
 
-	_, out, carried := successor(pool, prev, &pc, 256,
+	_, out, carried := successor(prev, &pc, 256,
 		func(int) bool { return true }, func(int) uint64 { return keepAll })
 	if carried != 256 {
 		t.Fatalf("carried = %d, want 256 (unchanged entries count filled or not)", carried)
@@ -236,13 +223,12 @@ func TestCarryUnmaterializedBlocksStayLazy(t *testing.T) {
 // TestCarrySharesFullyFilledBlocks: a fully filled unchanged block is
 // adopted by reference — same docBlock object, zero per-entry work.
 func TestCarrySharesFullyFilledBlocks(t *testing.T) {
-	pool := arena.NewPool(4)
-	prev := shellSnapshot(pool)
+	prev := shellSnapshot()
 	pc := newRespCache(128)
 	prev.detail = pc
 	fillRange(prev, &pc, 128)
 
-	_, out, _ := successor(pool, prev, &pc, 128,
+	_, out, _ := successor(prev, &pc, 128,
 		func(int) bool { return true }, func(int) uint64 { return keepAll })
 	for ci := 0; ci < 2; ci++ {
 		if out.blocks[ci].Load() != pc.blocks[ci].Load() {

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 	"unsafe"
 
 	"planetapps/internal/arena"
@@ -49,22 +48,6 @@ func lowChurnMarket(t *testing.T, apps int, newAppsPerDay float64) *marketsim.Ma
 	return m
 }
 
-// settledArena polls the collector until retired snapshots' finalizers
-// have released their arenas and the pool's counts stop moving.
-func settledArena(s *Server) ArenaStats {
-	var st ArenaStats
-	for stable := 0; stable < 3; {
-		runtime.GC()
-		time.Sleep(5 * time.Millisecond)
-		if now := s.Arena(); now == st {
-			stable++
-		} else {
-			st, stable = now, 0
-		}
-	}
-	return st
-}
-
 // TestArenaFootprintAcrossRolls holds compaction to its footprint rule on
 // the shape that used to defeat it: a store whose day-roll re-encodes a
 // few hundred KiB, far less than a slab. Every day's arena then pins one
@@ -93,7 +76,7 @@ func TestArenaFootprintAcrossRolls(t *testing.T) {
 		}
 		warm()
 	}
-	st := settledArena(s)
+	st := s.Arena()
 	t.Logf("after %d rolls: %+v", rolls, st)
 	if st.Compactions == 0 || st.MovedDocs == 0 {
 		t.Fatalf("no arena was ever evacuated: %+v", st)

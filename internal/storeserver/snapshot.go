@@ -3,7 +3,6 @@ package storeserver
 import (
 	"bytes"
 	"math/bits"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -35,11 +34,11 @@ import (
 // the arena that docHandle.arenaIdx == i resolves against. Slot 0..63 —
 // the table is capped at 64 so per-block arena-reference masks fit a
 // uint64. freshIdx/fresh name the arena this snapshot's own fills
-// allocate from; the other non-nil slots are predecessors' arenas kept
-// alive (Retain'd) because carried documents still point into them. The
-// snapshot's finalizer releases every reference once no reader can reach
-// the snapshot — slabs are ordinary GC memory, so the refcounts gate
-// reuse, never safety.
+// allocate from; the other non-nil slots are predecessors' arenas that
+// carried documents still point into. A slot no carried handle cites is
+// nil, so an arena lives as long as some snapshot cites it or some
+// response still holds a view into its slabs, and the collector frees it
+// after that: nothing is released by hand.
 type snapshot struct {
 	day    int
 	dayStr string
@@ -105,7 +104,7 @@ const maxArenas = 64
 // for the first snapshot). Fresh documents are not encoded here — that
 // would put O(catalog) JSON work on the AdvanceDay path; each is built on
 // first request (see respCache).
-func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID][]CommentJSON, gen int64, tab comTable, pageSize int, pool *arena.Pool) *snapshot {
+func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID][]CommentJSON, gen int64, tab comTable, pageSize int, slabsMade *atomic.Int64) *snapshot {
 	n := e.NumApps()
 	sn := &snapshot{
 		day:         e.Day(),
@@ -126,17 +125,16 @@ func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID
 	sn.stats = newRespCache(1)
 
 	if prev == nil {
-		sn.fresh = arena.New(pool)
+		sn.fresh = arena.New(slabsMade)
 		sn.arenas = []*arena.Arena{sn.fresh}
 		sn.freshIdx = 0
 		sn.detail = newRespCache(n)
 		sn.comDocs = newRespCache(n)
 		sn.reencoded = 2*int64(n) + 1
-		runtime.SetFinalizer(sn, (*snapshot).releaseArenas)
 		return sn
 	}
 
-	cc := sn.planArenas(prev, pool)
+	cc := sn.planArenas(prev, slabsMade)
 	prevEx := prev.ex
 	var carried int
 
@@ -175,23 +173,21 @@ func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID
 	sn.reencoded++ // the always-fresh stats document
 	cc.dropAll(&prev.stats)
 
-	// Retain every predecessor arena the carried documents still
-	// reference; unpin the rest (the predecessor snapshot's own
-	// references die with its finalizer). The fresh arena's reference is
-	// the one arena.New minted.
 	sn.moved = cc.moved
-	for idx, a := range sn.arenas {
-		if a == nil || uint32(idx) == sn.freshIdx {
-			continue
-		}
-		if cc.used&(1<<uint(idx)) != 0 {
-			a.Retain()
-		} else {
+	sn.keepCited(cc.used)
+	return sn
+}
+
+// keepCited keeps the fresh arena and every predecessor arena a carried
+// handle cites (bit i of used for slot i) and nils the rest: the collector
+// frees an arena once no snapshot cites it and no response holds a view
+// into it.
+func (sn *snapshot) keepCited(used uint64) {
+	for idx := range sn.arenas {
+		if uint32(idx) != sn.freshIdx && used&(1<<uint(idx)) == 0 {
 			sn.arenas[idx] = nil
 		}
 	}
-	runtime.SetFinalizer(sn, (*snapshot).releaseArenas)
-	return sn
 }
 
 // planArenas builds the successor's arena table from prev's: pick the
@@ -204,15 +200,15 @@ func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID
 // slot by construction), a newly appended slot, or a compaction victim's
 // slot (every surviving document is evacuated out of a victim, so after
 // the carry no handle references it under its old meaning).
-func (sn *snapshot) planArenas(prev *snapshot, pool *arena.Pool) *carryCtx {
+func (sn *snapshot) planArenas(prev *snapshot, slabsMade *atomic.Int64) *carryCtx {
 	tab := append([]*arena.Arena(nil), prev.arenas...)
 
 	// Compaction targets: arenas whose surviving bytes are under a quarter
 	// of the slab memory they pin. The measure is the footprint, not the
 	// bytes ever allocated: a day's arena on a small shard never fills its
-	// one slab, and a few long-lived documents in it must not keep that
-	// slab off the pool for months. A victim gives the fresh arena less
-	// than a quarter of its own slabs to copy.
+	// one slab, and a few long-lived documents in it must not pin that
+	// slab for months. A victim gives the fresh arena less than a quarter
+	// of its own slabs to copy.
 	var compact uint64
 	for idx, a := range tab {
 		if a != nil && a.LiveBytes()*4 < a.PinnedBytes() {
@@ -248,24 +244,12 @@ func (sn *snapshot) planArenas(prev *snapshot, pool *arena.Pool) *carryCtx {
 		}
 	}
 
-	sn.fresh = arena.New(pool)
+	sn.fresh = arena.New(slabsMade)
 	sn.freshIdx = uint32(freshIdx)
 	tab[freshIdx] = sn.fresh
 	sn.arenas = tab
 	sn.compacted = int64(bits.OnesCount64(compact))
 	return &carryCtx{prev: prev, sn: sn, compact: compact}
-}
-
-// releaseArenas drops the snapshot's arena references. Registered as the
-// snapshot's finalizer: it runs only when no goroutine can reach the
-// snapshot anymore, i.e. when no in-flight request can still be reading
-// document bytes out of these arenas.
-func (sn *snapshot) releaseArenas() {
-	for _, a := range sn.arenas {
-		if a != nil {
-			a.Release()
-		}
-	}
 }
 
 // appendAppName appends "<store>-app-<id zero-padded to 5>" without fmt:

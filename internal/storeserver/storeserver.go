@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"planetapps/internal/apiwire"
-	"planetapps/internal/arena"
 	"planetapps/internal/catalog"
 	"planetapps/internal/comments"
 	"planetapps/internal/faultinject"
@@ -184,10 +183,11 @@ type Server struct {
 	reencoded    *metrics.Counter
 	buildSeconds *metrics.Histogram
 
-	// pool recycles document-cache slabs between snapshot arenas;
-	// movedDocs/compactions count documents evacuated (byte-copied, never
-	// re-encoded) out of mostly-dead arenas and the arenas so retired.
-	pool        *arena.Pool
+	// slabsMade counts the document-cache slabs every snapshot arena has
+	// taken from the heap; movedDocs/compactions count documents evacuated
+	// (byte-copied, never re-encoded) out of mostly-dead arenas and the
+	// arenas so retired.
+	slabsMade   atomic.Int64
 	movedDocs   *metrics.Counter
 	compactions *metrics.Counter
 }
@@ -201,7 +201,6 @@ func New(m *marketsim.Market, cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		market: m,
-		pool:   arena.NewPool(0),
 	}
 	var maxAge int64
 	switch {
@@ -251,7 +250,7 @@ func (s *Server) publish() {
 func (s *Server) build() *snapshot {
 	start := time.Now()
 	prev := s.snap.Load()
-	sn := newSnapshot(s.export(), prev, s.comments, s.commentsGen, s.comTab, s.cfg.PageSize, s.pool)
+	sn := newSnapshot(s.export(), prev, s.comments, s.commentsGen, s.comTab, s.cfg.PageSize, &s.slabsMade)
 	s.buildSeconds.ObserveSince(start)
 	return sn
 }
@@ -517,7 +516,7 @@ func (s *Server) Handler() http.Handler {
 				http.Error(w, "Method Not Allowed", http.StatusMethodNotAllowed)
 				return
 			}
-			// Refresh the collector and slab-pool gauges per scrape: GC
+			// Refresh the collector and arena gauges per scrape: GC
 			// cost and arena occupancy are exactly the time-varying state
 			// a scraper is here to observe.
 			s.publishArenaStats()

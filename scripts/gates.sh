@@ -141,9 +141,17 @@ alloc() {
 # histories to what the users have downloaded so far (slot count and heap
 # growth at day 40, slot count at drain); a budget carved whole at first
 # touch fails it twelve times over.
+# Then the served bytes outliving their snapshot, repeated at three widths
+# (~15 s): a view held across rolls, collections and fills must read the
+# bytes it was handed, and responses racing day-rolls must each come from
+# one day. Slabs recycled when a snapshot was collected failed the first
+# 60 times in 60 and the second a few times in 180, under ordinary
+# scheduling luck that one tier-1 run does not reliably draw.
 retention() {
-	go test -run 'TestHeapObjectsGate|TestSlabRecyclingAcrossRolls|TestArenaFootprintAcrossRolls|TestMergeCommentsCopiesOnlyTheDelta|TestCommentCarrySharesUntouchedBlocks|TestShardsHoldOneGenesisAndNoDenseExport' \
+	go test -run 'TestHeapObjectsGate|TestServingArenasBoundedAcrossRolls|TestArenaFootprintAcrossRolls|TestMergeCommentsCopiesOnlyTheDelta|TestCommentCarrySharesUntouchedBlocks|TestShardsHoldOneGenesisAndNoDenseExport' \
 		-count=1 -timeout 10m ./internal/storeserver
+	go test -run 'TestHeldViewOutlivesItsSnapshot|TestSnapshotConsistencyUnderAdvanceDay' \
+		-count=20 -cpu 1,2,4 -timeout 10m ./internal/storeserver
 	go test -run 'TestExportRetentionPerRound|TestMarketFootprint|TestSecondMarketFootprint|TestHistoryFootprintFollowsDownloads' -count=1 -v ./internal/marketsim
 }
 
