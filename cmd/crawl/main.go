@@ -10,8 +10,8 @@
 //
 // A fault-injection scenario (-chaos) can be armed against the in-process
 // store (or, for proxy-partition, against individual fleet nodes) to
-// demonstrate the resilient client crawling through failures; -naive
-// strips the recovery machinery for A/B comparison.
+// demonstrate the resilient client crawling through failures; -hedge-after 0
+// switches hedging off.
 //
 // Usage:
 //
@@ -59,7 +59,6 @@ func main() {
 		chaos      = flag.String("chaos", "", "inject faults into the in-process store (scenario: "+strings.Join(faultinject.Names(), ", ")+"); proxy-partition injects per proxy node instead")
 		chaosSeed  = flag.Uint64("chaos-seed", 1, "fault-injection seed")
 		chaosScale = flag.Float64("chaos-scale", 1, "scale injected delays and Retry-After hints")
-		naive      = flag.Bool("naive", false, "disable hedging, circuit breaking, adaptive concurrency, and proxy health scoring (A/B baseline)")
 		hedgeAfter = flag.Duration("hedge-after", 150*time.Millisecond, "launch a hedged duplicate of a request stuck this long (0 = off)")
 		retries    = flag.Int("retries", 10, "per-request retry budget for unhinted failures, >= 0 (0 = one attempt; server-directed Retry-After waits are bounded separately, by time)")
 
@@ -169,7 +168,6 @@ func main() {
 	cfg.Workers = *workers
 	cfg.FetchComments = *comments
 	cfg.FetchAPKs = *apks
-	cfg.Naive = *naive
 	cfg.HedgeAfter = *hedgeAfter
 	cfg.MaxRetries = *retries
 	var nodeInjs []*faultinject.Injector
@@ -220,8 +218,8 @@ func main() {
 		log.Fatalf("crawl: saving %s: %v", *out, err)
 	}
 	cs := last.Client
-	log.Printf("crawl: resilience: %d attempts, %d retries, %d hedges (%d wins), %d invalid bodies, %d breaker opens, %d proxy demotions, p50 %.1fms p99 %.1fms",
-		cs.Attempts, cs.Retries, cs.Hedges, cs.HedgeWins, cs.InvalidBodies, cs.BreakerOpens, cs.ProxyDemotions, cs.LatencyP50MS, cs.LatencyP99MS)
+	log.Printf("crawl: resilience: %d attempts, %d retries, %d hedges (%d wins), %d invalid bodies, %d proxy demotions, p50 %.1fms p99 %.1fms",
+		cs.Attempts, cs.Retries, cs.Hedges, cs.HedgeWins, cs.InvalidBodies, cs.ProxyDemotions, cs.LatencyP50MS, cs.LatencyP99MS)
 	if ip != nil {
 		if n := ip.FaultsInjected(); n > 0 {
 			log.Printf("crawl: chaos: %d faults injected by the store", n)

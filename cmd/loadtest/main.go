@@ -92,7 +92,7 @@ func main() {
 		chaos      = flag.String("chaos", "", "arm a fault-injection scenario on the in-process store: "+strings.Join(faultinject.Names(), ", "))
 		chaosSeed  = flag.Uint64("chaos-seed", 1, "fault-injection seed")
 		chaosScale = flag.Float64("chaos-scale", 1, "scale injected delays and Retry-After hints")
-		resil      = flag.Bool("resilient", false, "drive load through the resilient client (retries, hedged requests, circuit breaker) instead of a plain http.Client")
+		resil      = flag.Bool("resilient", false, "drive load through the resilient client (retries, hedged requests) instead of a plain http.Client")
 		hedgeAfter = flag.Duration("hedge-after", 100*time.Millisecond, "resilient client: hedge requests stuck this long (0 = off)")
 		maxHedges  = flag.Int("max-hedges", 1, "resilient client: extra copies a stuck request may launch, one per hedge-after interval")
 	)
@@ -200,9 +200,7 @@ func main() {
 
 	// The resilient client slots under loadgen as a plain http.Client: its
 	// RoundTripper adapter runs every GET through the full recovery stack
-	// (retries, hedging, per-host circuit breaking) and surfaces the final
-	// status. AIMD admission is deliberately off — an open-loop generator
-	// must not let the client self-throttle arrivals.
+	// (retries with Retry-After, hedging) and surfaces the final status.
 	var rc *resilient.Client
 	if *resil {
 		rc = resilient.New(resilient.Config{
@@ -214,7 +212,6 @@ func main() {
 			AttemptTimeout: *timeout,
 			HedgeAfter:     *hedgeAfter,
 			MaxHedges:      *maxHedges,
-			Breaker:        true,
 			Seed:           *seed,
 		})
 	}
@@ -381,8 +378,8 @@ func main() {
 	if rc != nil {
 		cs := rc.Stats()
 		combined["client"] = cs
-		log.Printf("loadtest: resilient client: %d attempts, %d retries, %d hedges (%d wins), %d breaker opens",
-			cs.Attempts, cs.Retries, cs.Hedges, cs.HedgeWins, cs.BreakerOpens)
+		log.Printf("loadtest: resilient client: %d attempts, %d retries, %d hedges (%d wins)",
+			cs.Attempts, cs.Retries, cs.Hedges, cs.HedgeWins)
 	}
 
 	w := os.Stdout

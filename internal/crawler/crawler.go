@@ -8,11 +8,10 @@
 // opaque cursor (stable across day-rolls, unlike page numbers) by one
 // sequential feeder, while per-app work — comments, APKs — fans out to
 // parallel workers. All HTTP goes through an internal/resilient client,
-// which supplies full-jitter backoff with Retry-After honoring, a
-// per-host circuit breaker, hedged requests, AIMD admission control,
-// response-body decode validation with re-fetch, and per-proxy health
-// rotation; cfg.Naive strips the hedging/breaker/AIMD extras for A/B
-// comparison under chaos.
+// which supplies full-jitter backoff with Retry-After honoring, hedged
+// requests (Config.HedgeAfter; 0 switches them off), response-body decode
+// validation with re-fetch, and health-scored rotation over the proxy
+// pool.
 package crawler
 
 import (
@@ -47,9 +46,9 @@ type Config struct {
 	// Backoff is the base of the full-jitter retry schedule (0 = the
 	// resilient client's default).
 	Backoff time.Duration
-	// Proxies optionally routes requests through a proxy pool. Unless
-	// Naive, selection is health-scored: nodes are demoted after repeated
-	// transport failures and probed back in after a cooldown.
+	// Proxies optionally routes requests through a proxy pool. Selection
+	// is health-scored (resilient.ProxyHealth): nodes are demoted after
+	// repeated transport failures and probed back in after a cooldown.
 	Proxies *proxy.Pool
 	// FetchComments enables per-app comment crawling.
 	FetchComments bool
@@ -60,12 +59,10 @@ type Config struct {
 	FetchAPKs bool
 	// HedgeAfter launches a duplicate of an attempt still in flight after
 	// this long, first completion winning (0 disables). Hedging converts
-	// injected tail-latency spikes into near-median fetches.
+	// injected tail-latency spikes into near-median fetches: a two-day
+	// crawl's p99 is 191 ms against 258 ms without it under corruption, and
+	// 166 against 229 ms under slow-loris (EXPERIMENTS.md, "RES").
 	HedgeAfter time.Duration
-	// Naive strips the resilience extras — no hedging, no circuit
-	// breaker, no AIMD admission, no proxy health scoring — leaving plain
-	// retry/backoff. The chaos benchmark's baseline.
-	Naive bool
 	// DisableGzip turns off compressed transfer. By default the crawler
 	// asks the store for gzip and inflates (and CRC-checks) responses in
 	// the resilient retry loop, cutting wire bytes on the dominant
@@ -79,9 +76,9 @@ type Config struct {
 	CondCacheSize int
 }
 
-// DefaultConfig returns a configuration suited to the in-process store:
-// hedging, breaker, and AIMD on (Naive turns them back off). Backoff and
-// the attempt timeout are the resilient client's defaults.
+// DefaultConfig returns a configuration suited to the in-process store,
+// hedging on. Backoff and the attempt timeout are the resilient client's
+// defaults.
 func DefaultConfig(baseURL string) Config {
 	return Config{
 		BaseURL:    baseURL,
@@ -121,8 +118,8 @@ type Stats struct {
 	// cap; each eviction turns a would-be 304 back into a full transfer.
 	CondEvictions int64
 	// Client snapshots the resilient client's recovery activity: hedges
-	// and hedge wins, breaker opens, Retry-After waits, invalid bodies
-	// re-fetched, AIMD decreases, proxy demotions, latency quantiles.
+	// and hedge wins, Retry-After waits, invalid bodies re-fetched, proxy
+	// demotions, latency quantiles.
 	Client resilient.Stats
 }
 
@@ -130,7 +127,6 @@ type Stats struct {
 type Crawler struct {
 	cfg    Config
 	client *resilient.Client
-	health *resilient.ProxyHealth
 	db     *db.DB
 
 	mu          sync.Mutex
@@ -215,23 +211,14 @@ func New(cfg Config, database *db.DB) (*Crawler, error) {
 		Transport:   transport,
 		MaxRetries:  cfg.MaxRetries,
 		BaseBackoff: cfg.Backoff,
+		HedgeAfter:  cfg.HedgeAfter,
 		AcceptGzip:  !cfg.DisableGzip,
 		PreAttempt:  c.waitRate,
 		UserAgent:   "planetapps-crawler/1.0",
 	}
-	if !cfg.Naive {
-		rcfg.HedgeAfter = cfg.HedgeAfter
-		rcfg.Breaker = true
-		rcfg.AIMD = 2 * cfg.Workers
-	}
 	if cfg.Proxies != nil {
-		if cfg.Naive {
-			transport.Proxy = cfg.Proxies.ProxyFunc()
-		} else {
-			c.health = resilient.NewProxyHealth(cfg.Proxies, nil)
-			transport.Proxy = c.health.ProxyFunc()
-			rcfg.ProxyHealth = c.health
-		}
+		rcfg.ProxyHealth = resilient.NewProxyHealth(cfg.Proxies, nil)
+		transport.Proxy = rcfg.ProxyHealth.ProxyFunc()
 	}
 	c.client = resilient.New(rcfg)
 	return c, nil

@@ -158,9 +158,7 @@ func TestCrawlConvergesUnderShardKill(t *testing.T) {
 	cfg := crawlCfg(gw.URL)
 	// The kill window is deterministic (p=1 for its span), so a single
 	// request may need to eat the whole span in retries before the window
-	// drains; Naive keeps the retry loop but strips hedging and the
-	// breaker, whose fail-fast would starve the drain.
-	cfg.Naive = true
+	// drains.
 	cfg.MaxRetries = 60
 	cfg.Backoff = time.Millisecond
 	d, st := crawlInto(t, cfg)

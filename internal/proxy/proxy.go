@@ -108,12 +108,12 @@ func copyHeader(dst, src http.Header) {
 	}
 }
 
-// Pool is a set of proxies the crawler rotates through, with round-robin
-// selection — the paper's crawlers "randomly select one of these proxies"
-// per request; round-robin gives the same spreading deterministically.
+// Pool is the set of proxies the crawler rotates through — the paper's
+// crawlers "randomly select one of these proxies" per request. The
+// rotation itself is resilient.ProxyHealth's: round-robin over healthy
+// nodes, which gives the same spreading deterministically.
 type Pool struct {
 	urls []*url.URL
-	next atomic.Uint64
 }
 
 // NewPool parses the given proxy base URLs (e.g. "http://127.0.0.1:9001").
@@ -139,18 +139,5 @@ func NewPool(rawURLs []string) (*Pool, error) {
 func (p *Pool) Size() int { return len(p.urls) }
 
 // At returns the i-th proxy URL (modulo the pool size) — index-addressed
-// access for health-scored selectors that manage their own rotation.
+// access for the health-scored selector, which manages the rotation.
 func (p *Pool) At(i int) *url.URL { return p.urls[i%len(p.urls)] }
-
-// Pick returns the next proxy URL in rotation.
-func (p *Pool) Pick() *url.URL {
-	i := p.next.Add(1) - 1
-	return p.urls[i%uint64(len(p.urls))]
-}
-
-// ProxyFunc adapts the pool to http.Transport.Proxy.
-func (p *Pool) ProxyFunc() func(*http.Request) (*url.URL, error) {
-	return func(*http.Request) (*url.URL, error) {
-		return p.Pick(), nil
-	}
-}

@@ -95,6 +95,9 @@ func TestProxyRejectsConnect(t *testing.T) {
 	}
 }
 
+// TestPoolRotation holds the pool to the nodes it was given, addressed by
+// index modulo its size; the rotation over them is resilient.ProxyHealth's
+// (TestProxyHealthPick).
 func TestPoolRotation(t *testing.T) {
 	pool, err := NewPool([]string{"http://a:1", "http://b:2", "http://c:3"})
 	if err != nil {
@@ -103,14 +106,8 @@ func TestPoolRotation(t *testing.T) {
 	if pool.Size() != 3 {
 		t.Fatalf("size = %d", pool.Size())
 	}
-	hosts := map[string]int{}
-	for i := 0; i < 9; i++ {
-		hosts[pool.Pick().Host]++
-	}
-	for _, h := range []string{"a:1", "b:2", "c:3"} {
-		if hosts[h] != 3 {
-			t.Fatalf("rotation uneven: %v", hosts)
-		}
+	if got := pool.At(4).Host; got != "b:2" {
+		t.Fatalf("At(4) = %s, want b:2", got)
 	}
 }
 
@@ -123,18 +120,5 @@ func TestPoolErrors(t *testing.T) {
 	}
 	if _, err := NewPool([]string{"://bad"}); err == nil {
 		t.Fatal("unparsable URL accepted")
-	}
-}
-
-func TestProxyFunc(t *testing.T) {
-	pool, _ := NewPool([]string{"http://a:1", "http://b:2"})
-	f := pool.ProxyFunc()
-	u1, err := f(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u2, _ := f(nil)
-	if u1.Host == u2.Host {
-		t.Fatal("ProxyFunc did not rotate")
 	}
 }

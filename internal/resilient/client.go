@@ -8,18 +8,16 @@
 //   - full-jitter exponential backoff that honors the server's
 //     Retry-After, in both its header form and the /api/v1 error
 //     envelope's millisecond-precision retry_after_ms;
-//   - a per-host circuit breaker with half-open probing, so a dead host
-//     is probed politely instead of hammered;
 //   - hedged requests on idempotent GETs: when the primary exceeds the
 //     hedge delay a second copy is launched and the first completion
 //     wins, converting tail-latency spikes into near-median responses;
-//   - AIMD adaptive concurrency: 429s and timeouts multiplicatively
-//     shrink the admission window, successes grow it back additively;
 //   - response-body validation with re-fetch: the caller's decode/
 //     checksum hook runs before a response is accepted, so corrupted or
 //     truncated payloads are retried instead of ingested;
 //   - per-proxy health scoring (ProxyHealth) that rotates requests
 //     around dead fleet nodes and re-probes them after a cooldown.
+//
+// Each of these is ahead somewhere in EXPERIMENTS.md's "RES" table.
 //
 // Every recovery action is counted, optionally into a metrics.Registry
 // for /metrics exposition, so a chaos run can assert not just that the
@@ -29,13 +27,10 @@ package resilient
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	neturl "net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"planetapps/internal/gzipx"
@@ -43,10 +38,9 @@ import (
 )
 
 // Config controls a Client. Transport, Clock, BaseBackoff and
-// AttemptTimeout default when zero; HedgeAfter, Breaker, AIMD and
-// ProxyHealth are opt-in, which is what the "naive client" baseline in the
-// chaos benchmark uses. The rest of the retry policy is fixed (maxBackoff,
-// maxRetryAfter, retryAfterBudget, the breaker's and AIMD's constants).
+// AttemptTimeout default when zero; HedgeAfter and ProxyHealth are
+// opt-in. The rest of the retry policy is fixed (maxBackoff,
+// maxRetryAfter, retryAfterBudget).
 type Config struct {
 	// Transport performs the physical exchanges (default: a fresh
 	// http.Transport).
@@ -67,16 +61,14 @@ type Config struct {
 
 	// HedgeAfter launches a second copy of an attempt that has been in
 	// flight this long (0 = hedging off). First completion wins; the
-	// loser is canceled.
+	// loser is canceled. It pays on the tail: a two-day chaos crawl's p99
+	// is 191 ms against 258 ms without it under corruption and 166 against
+	// 229 ms under slow-loris (EXPERIMENTS.md, "RES"), and cmd/loadtest's
+	// p99 falls 2.9x under the latency scenario (BENCH_chaos.json).
 	HedgeAfter time.Duration
 	// MaxHedges bounds extra copies per attempt (default 1).
 	MaxHedges int
 
-	// Breaker enables the per-host circuit breaker.
-	Breaker bool
-	// AIMD enables adaptive concurrency admission with this ceiling on
-	// concurrent attempts (0 = off).
-	AIMD int
 	// ProxyHealth enables per-proxy health attribution; install its
 	// ProxyFunc on the Transport.
 	ProxyHealth *ProxyHealth
@@ -142,11 +134,9 @@ func (e *PermanentError) Error() string {
 // Client is a hardened GET client. Create with New; safe for concurrent
 // use.
 type Client struct {
-	cfg      Config
-	clock    Clock
-	rng      *prng
-	breakers *breakerSet
-	adm      *aimd
+	cfg   Config
+	clock Clock
+	rng   *prng
 
 	attempts        *metrics.Counter
 	retries         *metrics.Counter
@@ -157,8 +147,6 @@ type Client struct {
 	gzipWireBytes   *metrics.Counter
 	gzipPlainBytes  *metrics.Counter
 	retryAfterWaits *metrics.Counter
-	breakerWaits    *metrics.Counter
-	breakerOpens    *metrics.Counter
 	notModified     *metrics.Counter
 	latency         *metrics.Histogram
 }
@@ -199,19 +187,11 @@ func New(cfg Config) *Client {
 	c.gzipWireBytes = counter("resilient_gzip_wire_bytes_total")
 	c.gzipPlainBytes = counter("resilient_gzip_inflated_bytes_total")
 	c.retryAfterWaits = counter("resilient_retry_after_waits_total")
-	c.breakerWaits = counter("resilient_breaker_waits_total")
-	c.breakerOpens = counter("resilient_breaker_opens_total")
 	c.notModified = counter("resilient_not_modified_total")
 	if cfg.Metrics != nil {
 		c.latency = cfg.Metrics.Histogram("resilient_request_seconds")
 	} else {
 		c.latency = metrics.NewHistogram()
-	}
-	if cfg.Breaker {
-		c.breakers = newBreakerSet(cfg.Clock, c.breakerOpens)
-	}
-	if cfg.AIMD > 0 {
-		c.adm = newAIMD(cfg.AIMD)
 	}
 	return c
 }
@@ -225,10 +205,6 @@ type Stats struct {
 	GzipWireBytes     int64
 	GzipInflatedBytes int64
 	RetryAfterWaits   int64
-	BreakerWaits      int64
-	BreakerOpens      int64
-	AIMDDecreases     int64
-	AIMDLimit         float64
 	ProxyDemotions    int64
 	LatencyP50MS      float64
 	LatencyP99MS      float64
@@ -246,14 +222,8 @@ func (c *Client) Stats() Stats {
 		GzipWireBytes:     c.gzipWireBytes.Value(),
 		GzipInflatedBytes: c.gzipPlainBytes.Value(),
 		RetryAfterWaits:   c.retryAfterWaits.Value(),
-		BreakerWaits:      c.breakerWaits.Value(),
-		BreakerOpens:      c.breakerOpens.Value(),
 		LatencyP50MS:      float64(c.latency.Quantile(0.50)) / 1e6,
 		LatencyP99MS:      float64(c.latency.Quantile(0.99)) / 1e6,
-	}
-	if c.adm != nil {
-		s.AIMDDecreases = c.adm.Decreases()
-		s.AIMDLimit = c.adm.Limit()
 	}
 	if c.cfg.ProxyHealth != nil {
 		s.ProxyDemotions = c.cfg.ProxyHealth.Demotions()
@@ -267,7 +237,6 @@ type attemptClass uint8
 const (
 	classOK attemptClass = iota
 	classRetry
-	classPressure // retryable AND an overload signal (429/timeout)
 	classPermanent
 	classAbort // context ended
 )
@@ -295,7 +264,6 @@ func (c *Client) do(ctx context.Context, method, url string, hdr http.Header, bo
 	start := c.clock.Now()
 	defer func() { c.latency.Observe(int64(c.clock.Now().Sub(start))) }()
 
-	host := hostKey(url)
 	var lastErr error
 	var lastRes *Result
 	var hint, hintWaited time.Duration
@@ -319,7 +287,7 @@ func (c *Client) do(ctx context.Context, method, url string, hdr http.Header, bo
 				return nil, err
 			}
 		}
-		res, class, err := c.attempt(ctx, host, method, url, hdr, body, validate)
+		res, class, err := c.attempt(ctx, method, url, hdr, body, validate)
 		switch class {
 		case classOK:
 			return res, nil
@@ -352,76 +320,12 @@ func (c *Client) do(ctx context.Context, method, url string, hdr http.Header, bo
 	}
 }
 
-// hostKey derives the circuit-breaker / health key for a URL: host AND
-// port. A fleet of shards co-located on one address ("127.0.0.1:9001",
-// "127.0.0.1:9002", ...) must hold independent breakers — one sick shard
-// tripping the whole fleet's breaker would turn a single-node failure
-// into a full-fleet outage from the client's point of view. Elided
-// default ports are normalized (http → :80, https → :443) so
-// "http://host" and "http://host:80" share one breaker, as they share one
-// listener. Unparseable URLs key on the raw string.
-func hostKey(url string) string {
-	u, err := neturl.Parse(url)
-	if err != nil || u.Host == "" {
-		return url
-	}
-	host := u.Host
-	if strings.LastIndexByte(host, ':') <= strings.LastIndexByte(host, ']') {
-		// No explicit port (the ']' guard keeps bracketed IPv6 literals,
-		// whose colons are address bytes, out of the port check).
-		switch u.Scheme {
-		case "https":
-			host += ":443"
-		default:
-			host += ":80"
-		}
-	}
-	return host
-}
-
-// attempt runs one admission-gated, breaker-guarded, possibly hedged
-// exchange and classifies the outcome.
-func (c *Client) attempt(ctx context.Context, host, method, url string, hdr http.Header, body []byte, validate Validator) (*Result, attemptClass, error) {
-	if c.adm != nil {
-		if err := c.adm.acquire(ctx); err != nil {
-			return nil, classAbort, err
-		}
-	}
-	success, pressure := false, false
-	defer func() {
-		if c.adm != nil {
-			c.adm.release(success, pressure)
-		}
-	}()
-
-	var tk *Token
-	if c.breakers != nil {
-		b := c.breakers.forHost(host)
-		for {
-			t, retryIn, ok := b.Try()
-			if ok {
-				tk = t
-				break
-			}
-			// Open circuit: wait out the cooldown rather than failing the
-			// crawl — convergence beats fast failure here.
-			c.breakerWaits.Inc()
-			if err := c.clock.Sleep(ctx, retryIn); err != nil {
-				return nil, classAbort, err
-			}
-		}
-	}
-
+// attempt runs one possibly hedged exchange and classifies the outcome.
+func (c *Client) attempt(ctx context.Context, method, url string, hdr http.Header, body []byte, validate Validator) (*Result, attemptClass, error) {
 	ex := c.exchange(ctx, method, url, hdr, body)
 	if ex.err != nil {
 		if ctx.Err() != nil {
-			tk.Cancel()
 			return nil, classAbort, ctx.Err()
-		}
-		tk.Failure()
-		if ex.timeout {
-			pressure = true
-			return nil, classPressure, ex.err
 		}
 		return nil, classRetry, ex.err
 	}
@@ -438,7 +342,6 @@ func (c *Client) attempt(ctx context.Context, host, method, url string, hdr http
 				// Same treatment as damaged JSON: a corrupted compressed
 				// stream is an invalid body and the attempt retries.
 				c.invalidBodies.Inc()
-				tk.Failure()
 				return res, classRetry, fmt.Errorf("resilient: %s compressed body damaged: %w", url, derr)
 			}
 			c.gzipResponses.Inc()
@@ -453,35 +356,22 @@ func (c *Client) attempt(ctx context.Context, host, method, url string, hdr http
 		if validate != nil {
 			if verr := validate(res); verr != nil {
 				c.invalidBodies.Inc()
-				tk.Failure()
 				return res, classRetry, fmt.Errorf("resilient: %s body invalid: %w", url, verr)
 			}
 		}
-		tk.Success()
-		success = true
 		return res, classOK, nil
-	case res.Status == http.StatusTooManyRequests:
-		// Being throttled is the origin working as designed, not host
-		// sickness: neutral for the breaker, pressure for AIMD.
-		tk.Cancel()
-		pressure = true
-		return res, classPressure, fmt.Errorf("resilient: %s returned 429", url)
-	case res.Status >= 500:
-		tk.Failure()
+	case res.Status == http.StatusTooManyRequests, res.Status >= 500:
 		return res, classRetry, fmt.Errorf("resilient: %s returned %d", url, res.Status)
 	default:
-		tk.Success()
-		success = true
 		return res, classPermanent, &PermanentError{Status: res.Status, URL: url}
 	}
 }
 
 // exchangeResult is one physical attempt's outcome.
 type exchangeResult struct {
-	res     *Result
-	err     error
-	timeout bool
-	hedge   bool
+	res   *Result
+	err   error
+	hedge bool
 }
 
 // exchange performs the physical attempt, hedging when configured: if the
@@ -591,7 +481,7 @@ func (c *Client) roundTrip(ctx context.Context, method, url string, hdr http.Hea
 		if pc != nil && ctx.Err() == nil {
 			c.cfg.ProxyHealth.Report(pc.get(), false)
 		}
-		return exchangeResult{err: err, timeout: errors.Is(err, context.DeadlineExceeded) || actx.Err() != nil && ctx.Err() == nil, hedge: hedge}
+		return exchangeResult{err: err, hedge: hedge}
 	}
 	if pc != nil {
 		c.cfg.ProxyHealth.Report(pc.get(), true)
@@ -601,7 +491,7 @@ func (c *Client) roundTrip(ctx context.Context, method, url string, hdr http.Hea
 	if rerr != nil && ctx.Err() == nil {
 		// Mid-body failure: truncation, reset, or a loris running into
 		// the attempt timeout.
-		return exchangeResult{err: fmt.Errorf("resilient: reading %s: %w", url, rerr), timeout: actx.Err() != nil, hedge: hedge}
+		return exchangeResult{err: fmt.Errorf("resilient: reading %s: %w", url, rerr), hedge: hedge}
 	}
 	if ctx.Err() != nil && rerr != nil {
 		return exchangeResult{err: ctx.Err(), hedge: hedge}

@@ -239,59 +239,6 @@ func TestClientHedgesSlowPrimary(t *testing.T) {
 	}
 }
 
-func TestClientAIMDDecreasesOn429(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0")
-			http.Error(w, "rate limited", http.StatusTooManyRequests)
-			return
-		}
-		fmt.Fprint(w, `ok`)
-	}))
-	defer srv.Close()
-
-	c := newTestClient(t, Config{MaxRetries: 4, AIMD: 8})
-	if _, err := c.Get(context.Background(), srv.URL, nil, nil); err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	s := c.Stats()
-	if s.AIMDDecreases != 2 {
-		t.Fatalf("AIMDDecreases = %d, want 2", s.AIMDDecreases)
-	}
-	if s.AIMDLimit >= 4 {
-		t.Fatalf("AIMDLimit = %v, want shrunk below the start of 8/2", s.AIMDLimit)
-	}
-}
-
-func TestClientBreakerWaitsOutOpenCircuit(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) <= breakerFailures {
-			http.Error(w, "down", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprint(w, `up`)
-	}))
-	defer srv.Close()
-
-	c := newTestClient(t, Config{MaxRetries: breakerFailures + 3, Breaker: true, Clock: newFakeClock()})
-	res, err := c.Get(context.Background(), srv.URL, nil, nil)
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if string(res.Body) != "up" {
-		t.Fatalf("body = %q", res.Body)
-	}
-	s := c.Stats()
-	if s.BreakerOpens != 1 {
-		t.Fatalf("BreakerOpens = %d, want 1", s.BreakerOpens)
-	}
-	if s.BreakerWaits == 0 {
-		t.Fatalf("BreakerWaits = 0, want > 0 (retry should have waited out the open circuit)")
-	}
-}
-
 func TestClientTransportAdapterSurfacesFinalStatus(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)

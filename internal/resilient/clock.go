@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Clock abstracts time for the client and circuit breaker so the
-// state machines are testable with a fake clock (no real sleeping in
+// Clock abstracts time for the client's retry waits and the proxy health
+// cooldowns, so both are testable with a fake clock (no real sleeping in
 // unit tests) while production uses the wall clock.
 type Clock interface {
 	Now() time.Time

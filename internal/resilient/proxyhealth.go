@@ -23,7 +23,10 @@ const (
 // selector round-robins across healthy nodes, demotes a node after
 // proxyFailThreshold consecutive transport failures, and re-probes demoted
 // nodes after proxyCooldown — the fail-over the paper's crawlers needed
-// when individual PlanetLab nodes died or were blacklisted mid-crawl.
+// when individual PlanetLab nodes died or were blacklisted mid-crawl. It is
+// the only way the crawler uses a pool, and it wins proxy-partition: with
+// one of four nodes dead and one dropping half, a two-day crawl takes
+// 3.8 s against 5.5–5.6 s rotating blindly (EXPERIMENTS.md, "RES").
 type ProxyHealth struct {
 	pool  *proxy.Pool
 	clock Clock

@@ -285,7 +285,7 @@ smoke-crawl() {
 	# Daily crawls against a partitioned in-process fleet behind the
 	# gateway, with shard 0 periodically killed.
 	go run ./cmd/crawl -days 2 -scale 0.05 -proxies 0 \
-		-shards 3 -chaos shard-kill -retries 60 -naive -out "$out/fleet-crawl.jsonl"
+		-shards 3 -chaos shard-kill -retries 60 -out "$out/fleet-crawl.jsonl"
 
 	local db
 	for db in "$out/edge-crawl.jsonl" "$out/fleet-crawl.jsonl"; do
