@@ -6,6 +6,13 @@
 // slices and strings: slabs contain no pointers, and Go's collector
 // never scans the interior of a noscan object.
 //
+// An arena's standard slabs ramp up: the first is FirstSlabSize (16 KiB)
+// and each later one twice the one before, up to SlabSize (1 MiB), where
+// they stay. A day-roll's arena that re-encodes a few dozen documents thus
+// pins a few KiB instead of a whole 1 MiB slab. The ramp's six slabs hold
+// 1008 KiB, so an arena whose documents need between that and 1 MiB pins
+// 2032 KiB: the one size at which the ramp costs more than a single slab.
+//
 // Slabs come from the heap and are never recycled. A day-roll carries
 // unchanged documents forward by copying their integer handles — the
 // successor snapshot keeps the predecessor's arena in its table instead
@@ -23,13 +30,17 @@ import (
 )
 
 const (
-	// SlabSize is the standard slab: 1 MiB. Offsets within an arena are
-	// packed as slabIndex<<SlabShift | byteOffset in a uint32, capping an
-	// arena at 4096 slabs (4 GiB) — far beyond one snapshot's documents.
+	// SlabSize is the largest standard slab: 1 MiB. Offsets within an
+	// arena are packed as slabIndex<<SlabShift | byteOffset in a uint32,
+	// capping an arena at 4096 slabs (under 4 GiB) — far beyond one
+	// snapshot's documents.
 	SlabShift = 20
 	SlabSize  = 1 << SlabShift
 	slabMask  = SlabSize - 1
 	maxSlabs  = 1 << (32 - SlabShift)
+	// FirstSlabSize is an arena's first standard slab; the ramp from it
+	// to SlabSize is six slabs holding 1008 KiB.
+	FirstSlabSize = 16 << 10
 )
 
 // Arena is one bump allocator over heap slabs. Allocation takes the
@@ -40,20 +51,21 @@ const (
 type Arena struct {
 	made *atomic.Int64 // the owner's count of slabs made, shared by its arenas
 
-	mu      sync.Mutex
-	slabs   atomic.Pointer[[][]byte]
-	tailIdx int
-	tailOff int
+	mu       sync.Mutex
+	slabs    atomic.Pointer[[][]byte]
+	tailIdx  int
+	tailOff  int
+	nextSlab int // the next standard slab's size
 
-	live atomic.Int64
+	live   atomic.Int64
+	pinned atomic.Int64 // the sum of the slabs' lengths
 }
 
 // New returns an empty arena that adds every slab it makes to *made.
 func New(made *atomic.Int64) *Arena {
-	a := &Arena{made: made}
+	a := &Arena{made: made, tailIdx: -1, nextSlab: FirstSlabSize}
 	empty := make([][]byte, 0, 8)
 	a.slabs.Store(&empty)
-	a.tailIdx = -1
 	return a
 }
 
@@ -69,12 +81,15 @@ func (a *Arena) appendSlab(n int) int {
 	next[len(cur)] = make([]byte, n)
 	a.slabs.Store(&next)
 	a.made.Add(1)
+	a.pinned.Add(int64(n))
 	return len(cur)
 }
 
 // Alloc reserves n bytes and returns the packed offset plus the region
 // to write into. The region must be fully written before the offset is
-// shared with readers. n > SlabSize gets a dedicated oversize slab.
+// shared with readers. A region that does not fit the tail slab opens the
+// next standard slab, or the smallest power of two past it that holds the
+// region; n > SlabSize gets a dedicated oversize slab.
 func (a *Arena) Alloc(n int) (uint32, []byte) {
 	if n <= 0 {
 		return 0, nil
@@ -86,9 +101,14 @@ func (a *Arena) Alloc(n int) (uint32, []byte) {
 		a.live.Add(int64(n))
 		return uint32(idx << SlabShift), (*a.slabs.Load())[idx]
 	}
-	if a.tailIdx < 0 || a.tailOff+n > SlabSize {
-		a.tailIdx = a.appendSlab(SlabSize)
+	if a.tailIdx < 0 || a.tailOff+n > len((*a.slabs.Load())[a.tailIdx]) {
+		size := a.nextSlab
+		for size < n {
+			size *= 2
+		}
+		a.tailIdx = a.appendSlab(size)
 		a.tailOff = 0
+		a.nextSlab = min(2*size, SlabSize)
 	}
 	off := uint32(a.tailIdx<<SlabShift | a.tailOff)
 	b := (*a.slabs.Load())[a.tailIdx][a.tailOff : a.tailOff+n : a.tailOff+n]
@@ -127,9 +147,9 @@ func AsString(b []byte) string {
 // documents. Set against PinnedBytes it decides when compaction pays.
 func (a *Arena) LiveBytes() int64 { return a.live.Load() }
 
-// PinnedBytes is the heap the arena holds while a snapshot cites it: its
-// slab count at the standard slab size.
-func (a *Arena) PinnedBytes() int64 { return int64(a.Slabs()) * SlabSize }
+// PinnedBytes is the heap the arena holds while a snapshot cites it: the
+// sum of its slabs' lengths.
+func (a *Arena) PinnedBytes() int64 { return a.pinned.Load() }
 
 // DropBytes records that n previously allocated bytes are no longer
 // referenced by any snapshot (their document changed or was discarded

@@ -49,12 +49,13 @@ type App struct {
 	Dev      DevID
 	Category CategoryID
 	Pricing  Pricing
-	// Price is the list price in dollars; zero for free apps.
-	Price float64
 	// HasAds reports whether the binary embeds at least one of the popular
 	// advertising libraries (the paper detected these with Androguard; we
-	// assign the flag at generation time).
+	// assign the flag at generation time). It sits beside Pricing so the
+	// two one-byte fields share a word: a row is 64 bytes, not 72.
 	HasAds bool
+	// Price is the list price in dollars; zero for free apps.
+	Price float64
 	// SizeMB is the APK size in megabytes (the paper's average is 3.5 MB).
 	SizeMB float64
 	// AddedDay is the simulated day the app appeared in the store (day 0 is

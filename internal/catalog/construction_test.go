@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 // benchProfile is cmd/bench's catalog (and marketsim's retentionConfig): the
@@ -148,5 +149,16 @@ func TestBuiltAtFinalSize(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppRowIsUnpadded: a row is 64 bytes, its two one-byte fields packed
+// into the word the ids and the category share. Five markets' catalogs, a
+// reference export and a fleet's shard partitions all hold rows, so the 8
+// bytes of padding a one-byte field between two float64s costs is paid on
+// every app several times over.
+func TestAppRowIsUnpadded(t *testing.T) {
+	if size := unsafe.Sizeof(App{}); size > 64 {
+		t.Fatalf("catalog.App is %d bytes, want <= 64: a field reorder reopened padding", size)
 	}
 }

@@ -22,9 +22,9 @@
 package faultinject
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"planetapps/internal/apiwire"
 	"planetapps/internal/metrics"
 	"planetapps/internal/rng"
 )
@@ -134,8 +135,19 @@ type Scenario struct {
 
 // ErrorWriter renders an injected error response. The default writes
 // plain-text http.Error bodies; servers with structured error surfaces
-// (the storeserver's /api/v1 envelope) install their own.
+// (the storeserver's /api/v1 envelope) install their own, WriteEnvelope.
 type ErrorWriter func(w http.ResponseWriter, r *http.Request, status int, retryAfter time.Duration)
+
+// WriteEnvelope is the ErrorWriter for servers that speak the /api/v1
+// error envelope (apiwire.WriteError), retry_after_ms included. Responses
+// RoundTripper synthesizes are rendered by it too.
+func WriteEnvelope(w http.ResponseWriter, _ *http.Request, status int, retryAfter time.Duration) {
+	code := "unavailable"
+	if status == http.StatusTooManyRequests {
+		code = "rate_limited"
+	}
+	apiwire.WriteError(w, status, code, "injected fault", retryAfter)
+}
 
 func defaultErrorWriter(w http.ResponseWriter, r *http.Request, status int, retryAfter time.Duration) {
 	if retryAfter > 0 {
@@ -484,37 +496,36 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
+// syntheticResponse answers req with status without touching the network,
+// rendered by WriteEnvelope as a store renders its own injected faults: the
+// envelope's retry_after_ms states a sub-second hint that the Retry-After
+// header, in whole seconds, would round up to one.
 func syntheticResponse(req *http.Request, status int, retryAfter time.Duration) *http.Response {
-	h := http.Header{}
-	if retryAfter > 0 {
-		secs := int(retryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		h.Set("Retry-After", strconv.Itoa(secs))
-	}
-	body := "fault injected: " + http.StatusText(status) + "\n"
+	rec := &envelopeRecorder{header: http.Header{}}
+	WriteEnvelope(rec, req, status, retryAfter)
 	return &http.Response{
 		StatusCode:    status,
 		Status:        fmt.Sprintf("%d %s", status, http.StatusText(status)),
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
-		Header:        h,
-		Body:          newStringBody(body),
-		ContentLength: int64(len(body)),
+		Header:        rec.header,
+		Body:          io.NopCloser(&rec.body),
+		ContentLength: int64(rec.body.Len()),
 		Request:       req,
 	}
 }
 
-type stringBody struct{ r *bufio.Reader }
-
-func newStringBody(s string) *stringBody {
-	return &stringBody{r: bufio.NewReader(bytes.NewReader([]byte(s)))}
+// envelopeRecorder is the http.ResponseWriter syntheticResponse renders
+// into; the status is syntheticResponse's own.
+type envelopeRecorder struct {
+	header http.Header
+	body   bytes.Buffer
 }
 
-func (b *stringBody) Read(p []byte) (int, error) { return b.r.Read(p) }
-func (b *stringBody) Close() error               { return nil }
+func (e *envelopeRecorder) Header() http.Header         { return e.header }
+func (e *envelopeRecorder) WriteHeader(int)             {}
+func (e *envelopeRecorder) Write(p []byte) (int, error) { return e.body.Write(p) }
 
 // truncatedBody yields budget bytes then an abrupt unexpected EOF.
 type truncatedBody struct {

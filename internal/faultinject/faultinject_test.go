@@ -207,17 +207,27 @@ func TestNodeScoping(t *testing.T) {
 func TestRoundTripperInjection(t *testing.T) {
 	origin := httptest.NewServer(okHandler())
 	defer origin.Close()
-	sc := Scenario{Rules: []Rule{{Kind: KindError, Prob: 1, Status: 503, Node: -1}}}
+	sc := Scenario{Rules: []Rule{{Kind: KindError, Prob: 1, Status: 503, RetryAfter: 8 * time.Millisecond, Node: -1}}}
 	in := New(sc, 1, nil)
 	client := &http.Client{Transport: in.RoundTripper(nil)}
 	resp, err := client.Get(origin.URL + "/x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != 503 {
 		t.Fatalf("status = %d, want synthesized 503", resp.StatusCode)
+	}
+	// The store's envelope, byte for byte: the header in ceiling seconds,
+	// the body carrying the hint in milliseconds.
+	want := httptest.NewRecorder()
+	WriteEnvelope(want, nil, 503, 8*time.Millisecond)
+	if string(body) != want.Body.String() || resp.Header.Get("Retry-After") != "1" || !strings.Contains(string(body), `"retry_after_ms":8`) {
+		t.Fatalf("synthesized 503: Retry-After %q, body %q; want the envelope %q", resp.Header.Get("Retry-After"), body, want.Body)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"planetapps/internal/faultinject"
 )
 
 func newTestClient(t *testing.T, cfg Config) *Client {
@@ -302,5 +304,34 @@ func TestRetryAfterHint(t *testing.T) {
 				t.Fatalf("retryAfterHint = %v, want %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestBackoffReadsSynthesizedMillisecondHint: a 503 a fault injector
+// synthesizes on the client's own transport (the edge->origin leg) states
+// its hint as the store's envelope does, so an 8 ms hint is waited as 8 ms,
+// not as the one-second floor of the Retry-After header beside it.
+func TestBackoffReadsSynthesizedMillisecondHint(t *testing.T) {
+	const hint = 8 * time.Millisecond
+	inj := faultinject.New(faultinject.Scenario{Rules: []faultinject.Rule{
+		{Kind: faultinject.KindError, Prob: 1, To: 1, Status: http.StatusServiceUnavailable, RetryAfter: hint, Node: -1},
+	}}, 1, nil)
+	origin := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		rec := httptest.NewRecorder()
+		fmt.Fprint(rec, `ok`)
+		return rec.Result(), nil
+	})
+	clk := newFakeClock()
+	start := clk.Now()
+	c := newTestClient(t, Config{Transport: inj.RoundTripper(origin), Clock: clk})
+	res, err := c.Get(context.Background(), "http://origin.test/api/v1/apps/3", nil, nil)
+	if err != nil || res.Status != http.StatusOK {
+		t.Fatalf("Get: %v, %+v", err, res)
+	}
+	if waited := clk.Now().Sub(start); waited != hint {
+		t.Fatalf("backoff waited %v on a synthesized %v hint", waited, hint)
+	}
+	if s := c.Stats(); s.RetryAfterWaits != 1 || inj.InjectedTotal() != 1 {
+		t.Fatalf("RetryAfterWaits = %d, injected %d; want 1 and 1", s.RetryAfterWaits, inj.InjectedTotal())
 	}
 }

@@ -24,9 +24,10 @@ func forceFill(s *Server) {
 
 // TestServingArenasBoundedAcrossRolls holds the serving snapshot's arena
 // table to a bound across repeated day-rolls with fully warmed caches. At
-// unit-test catalog sizes every arena is a single partly filled 1 MiB slab
-// — the shape a small shard's day arenas have in production — so this
-// holds the footprint rule to compacting them: without compaction, carried
+// unit-test catalog sizes every arena stays on its slab ramp, under one
+// 1 MiB standard slab in all — the shape a small shard's day arenas have in
+// production, judged as if they pinned that slab — so this holds the
+// footprint rule to compacting them: without compaction, carried
 // never-changing documents would pin every generation's arena, one per
 // roll. The table is read straight off the serving snapshot; a retired
 // snapshot's arenas are the collector's and nothing waits for them.

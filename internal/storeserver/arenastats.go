@@ -1,7 +1,5 @@
 package storeserver
 
-import "planetapps/internal/arena"
-
 // ArenaStats describes the serving snapshot's arena table for ops surfaces
 // (cmd/bench's arena.* rows, the appstored final stats line).
 type ArenaStats struct {
@@ -11,8 +9,9 @@ type ArenaStats struct {
 	Compactions int64 `json:"compactions"`
 	MovedDocs   int64 `json:"moved_docs"`
 	// LiveBytes is what reachable documents occupy; PinnedBytes is the slab
-	// memory the table's arenas hold for them (SlabsLive x arena.SlabSize).
-	// Their ratio is the slab utilisation compaction keeps above a quarter.
+	// memory the table's arenas hold for them (the sum of their slabs'
+	// lengths). Their ratio is the slab utilisation compaction keeps above
+	// a quarter.
 	LiveBytes   int64 `json:"live_bytes"`
 	PinnedBytes int64 `json:"pinned_bytes"`
 }
@@ -31,9 +30,9 @@ func (s *Server) Arena() ArenaStats {
 			st.ArenasLive++
 			st.SlabsLive += int64(a.Slabs())
 			st.LiveBytes += a.LiveBytes()
+			st.PinnedBytes += a.PinnedBytes()
 		}
 	}
-	st.PinnedBytes = st.SlabsLive * arena.SlabSize
 	return st
 }
 

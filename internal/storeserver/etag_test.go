@@ -107,7 +107,8 @@ func beforeETag(t *testing.T, sn *snapshot, i int) string {
 // TestCarriedDocsShareEncoding verifies the cross-snapshot reuse itself:
 // a document the predecessor already encoded is carried — the new snapshot
 // serves the predecessor's bytes without re-encoding. A small catalog's
-// day-0 arena holds far less than a quarter of its slab, so the roll
+// day-0 arena holds far less than a quarter of a 1 MiB standard slab (what
+// an arena still on its slab ramp is judged against), so the roll
 // evacuates it and a carried document is a verbatim copy; on a catalog
 // that fills its slabs no evacuation is due and a carried document is the
 // predecessor's own region, pointer for pointer.

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"planetapps/internal/arena"
 )
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -47,7 +49,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"store_respcache_reencoded_total ",
 		"store_snapshot_build_seconds_count 1",
 		"store_arena_live_bytes ",
-		"store_arena_pinned_bytes 1048576", // one slab holds the document
+		fmt.Sprintf("store_arena_pinned_bytes %d", arena.FirstSlabSize), // one first slab holds the document
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, out)

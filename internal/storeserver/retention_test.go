@@ -88,8 +88,48 @@ func TestArenaFootprintAcrossRolls(t *testing.T) {
 	if bound := 4*st.LiveBytes + 2*arena.SlabSize; st.PinnedBytes > bound {
 		t.Fatalf("arenas pin %d bytes for %d live (bound %d): %+v", st.PinnedBytes, st.LiveBytes, bound, st)
 	}
-	if st.PinnedBytes != st.SlabsLive*arena.SlabSize {
-		t.Fatalf("PinnedBytes %d is not SlabsLive x SlabSize: %+v", st.PinnedBytes, st)
+	// Every document here is far smaller than a first slab, so no region
+	// jumps the ramp and each arena's slabs are its first k steps.
+	var slabBytes int64
+	for _, a := range s.snap.Load().arenas {
+		if a != nil {
+			slabBytes += rampBytes(a.Slabs())
+		}
+	}
+	if st.PinnedBytes != slabBytes {
+		t.Fatalf("PinnedBytes %d is not the sum of the slabs' lengths, %d: %+v", st.PinnedBytes, slabBytes, st)
+	}
+}
+
+// rampBytes is what k standard slabs add up to when they follow the ramp:
+// arena.FirstSlabSize, doubling up to arena.SlabSize.
+func rampBytes(k int) int64 {
+	var sum, size int64 = 0, arena.FirstSlabSize
+	for ; k > 0; k-- {
+		sum += size
+		size = min(2*size, arena.SlabSize)
+	}
+	return sum
+}
+
+// TestDayArenaPinsWhatItHolds: the arena a day-roll fills holds that day's
+// delta — a few dozen re-encoded documents on a crawl-sized store — and pins
+// about that much, not the 1 MiB slab every arena's first allocation used to
+// take. Twenty such stores pinned 40 MiB for 19 MiB of live documents.
+func TestDayArenaPinsWhatItHolds(t *testing.T) {
+	s := commentedServer(t, 3750, Config{PageSize: 100})
+	if err := s.AdvanceDay(); err != nil {
+		t.Fatal(err)
+	}
+	forceFill(s)
+	sn := s.snap.Load()
+	fresh := sn.fresh
+	t.Logf("day arena: %d live bytes in %d slabs pinning %d; table %+v", fresh.LiveBytes(), fresh.Slabs(), fresh.PinnedBytes(), s.Arena())
+	if fresh.LiveBytes() == 0 || sn.compacted != 0 {
+		t.Fatalf("want a roll that re-encodes a few documents and evacuates nothing: %d live bytes, %d arenas compacted", fresh.LiveBytes(), sn.compacted)
+	}
+	if bound := 2*fresh.LiveBytes() + arena.FirstSlabSize; fresh.PinnedBytes() > bound {
+		t.Fatalf("the day arena pins %d bytes for %d live (bound %d)", fresh.PinnedBytes(), fresh.LiveBytes(), bound)
 	}
 }
 

@@ -205,13 +205,16 @@ func (sn *snapshot) planArenas(prev *snapshot, slabsMade *atomic.Int64) *carryCt
 
 	// Compaction targets: arenas whose surviving bytes are under a quarter
 	// of the slab memory they pin. The measure is the footprint, not the
-	// bytes ever allocated: a day's arena on a small shard never fills its
-	// one slab, and a few long-lived documents in it must not pin that
-	// slab for months. A victim gives the fresh arena less than a quarter
-	// of its own slabs to copy.
+	// bytes ever allocated: a day's arena on a small shard never leaves its
+	// slab ramp, and a few long-lived documents in it must not pin those
+	// slabs for months. An arena smaller than one standard slab is judged
+	// as if it pinned one: a small, well-filled day arena is still folded
+	// into the next day's, or the table would keep one per roll. An arena
+	// that never allocated pins nothing and is left to keepCited. A victim
+	// gives the fresh arena less than a quarter of its footprint to copy.
 	var compact uint64
 	for idx, a := range tab {
-		if a != nil && a.LiveBytes()*4 < a.PinnedBytes() {
+		if a != nil && a.PinnedBytes() > 0 && a.LiveBytes()*4 < max(a.PinnedBytes(), arena.SlabSize) {
 			compact |= 1 << uint(idx)
 		}
 	}

@@ -533,13 +533,7 @@ func (s *Server) Handler() http.Handler {
 // Injected error responses are rendered as the error envelope, with
 // retry_after_ms. Must be called before Handler().
 func (s *Server) SetChaos(inj *faultinject.Injector) {
-	inj.SetErrorWriter(func(w http.ResponseWriter, r *http.Request, status int, retryAfter time.Duration) {
-		code := "unavailable"
-		if status == http.StatusTooManyRequests {
-			code = "rate_limited"
-		}
-		apiwire.WriteError(w, status, code, "injected fault", retryAfter)
-	})
+	inj.SetErrorWriter(faultinject.WriteEnvelope)
 	s.chaos = inj
 }
 

@@ -129,8 +129,10 @@ alloc() {
 # via runtime/metrics and the race allocator's bookkeeping would distort
 # the census. The day-roll retention bounds ride along for the same reason
 # — heap bytes an export round leaves behind, slab footprint against live
-# document bytes after 40 rolls, allocations of a comment merge: under
-# -race those tests keep only their correctness assertions.
+# document bytes after 40 rolls, the slabs a day-roll's arena takes for
+# the few dozen documents a crawl-sized store re-encodes (one 1 MiB slab
+# each before arenas ramped up from 16 KiB), allocations of a comment
+# merge: under -race those tests keep only their correctness assertions.
 # TestMarketFootprint is the gate on what a store holds per scheduled
 # download: ⌈log2 users⌉ bits and a quarter byte, which an int32 schedule
 # fails twice over; TestSecondMarketFootprint holds the second market of a
@@ -148,7 +150,7 @@ alloc() {
 # 60 times in 60 and the second a few times in 180, under ordinary
 # scheduling luck that one tier-1 run does not reliably draw.
 retention() {
-	go test -run 'TestHeapObjectsGate|TestServingArenasBoundedAcrossRolls|TestArenaFootprintAcrossRolls|TestMergeCommentsCopiesOnlyTheDelta|TestCommentCarrySharesUntouchedBlocks|TestShardsHoldOneGenesisAndNoDenseExport' \
+	go test -run 'TestHeapObjectsGate|TestServingArenasBoundedAcrossRolls|TestArenaFootprintAcrossRolls|TestDayArenaPinsWhatItHolds|TestMergeCommentsCopiesOnlyTheDelta|TestCommentCarrySharesUntouchedBlocks|TestShardsHoldOneGenesisAndNoDenseExport' \
 		-count=1 -timeout 10m ./internal/storeserver
 	go test -run 'TestHeldViewOutlivesItsSnapshot|TestSnapshotConsistencyUnderAdvanceDay' \
 		-count=20 -cpu 1,2,4 -timeout 10m ./internal/storeserver
