@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"planetapps/internal/apiwire"
 	"planetapps/internal/metrics"
@@ -33,8 +34,12 @@ type Config struct {
 
 // maxEpochRetries bounds how many times a scatter request is retried when
 // the shards' X-Store-Day headers disagree (a day-roll commit fanning out
-// mid-request) before giving up with 503 epoch_skew.
-const maxEpochRetries = 3
+// mid-request) before giving up with 503 epoch_skew. Each retry waits
+// first, epochBackoff doubling from one retry to the next (700 µs in all).
+const (
+	maxEpochRetries = 3
+	epochBackoff    = 100 * time.Microsecond
+)
 
 // Gateway is the fleet's front door: one HTTP surface, N shards behind
 // it. Single-app routes are proxied to their ring owner untouched; the
@@ -331,6 +336,13 @@ func writeJSON(w http.ResponseWriter, body []byte) {
 // hard error. Exhausting retries yields 503 epoch_skew — the fleet was
 // mid-commit the whole time, which a two-phase roll makes vanishingly
 // brief, so a client retry will land in the new epoch.
+//
+// The wait is what lets the commit finish. Its fan-out's goroutines can
+// sit in a run queue behind scatter goroutines that requests keep waking
+// into the processors' next-to-run slots, which inherit the waker's time
+// slice (up to 10 ms): a retry fired at once re-reads a fleet whose commit
+// has not run, while a request that sleeps hands its processor to the
+// queue.
 func (g *Gateway) retryEpoch(attempt func() (string, *apiwire.Error)) *apiwire.Error {
 	for try := 0; ; try++ {
 		day, err := attempt()
@@ -347,6 +359,7 @@ func (g *Gateway) retryEpoch(attempt func() (string, *apiwire.Error)) *apiwire.E
 				Message: "fleet day-roll in progress; retry"}
 		}
 		g.epochRetries.Inc()
+		time.Sleep(epochBackoff << try)
 	}
 }
 

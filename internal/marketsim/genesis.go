@@ -36,44 +36,93 @@ func genesisKeyOf(seed uint64, p catalog.Profile) genesisKey {
 	return genesisKey{seed, p.Apps, p.Users, math.Float64bits(p.ZipfGlobal), math.Float64bits(p.DownloadsPerUser)}
 }
 
-// genesisMemo remembers the last genesis built. The repository runs a
-// market as N identical copies in one process (a fleet's shards, the
-// benchmark's reference node, a test's twin), built one after another, so
-// one entry is the whole working set; it has no size or switch. It keeps at
-// most one genesis alive past its markets — ⌈log2 users⌉ bits per scheduled
-// event plus 8 B an app and 4 B a user, 18.6 MB at the bench profile.
-var genesisMemo struct {
+// catalogKey names a pristine catalog: catalog.Generate's seed and the whole
+// profile, so a field Generate comes to read can never go stale here.
+// Profile's floats compare by value: a NaN field never hits, and -0 hits 0,
+// which Generate only adds, multiplies and compares, drawing one catalog
+// for both.
+type catalogKey struct {
+	seed uint64
+	p    catalog.Profile
+}
+
+// The repository runs a market as N identical copies in one process (a
+// fleet's shards, the benchmark's reference node, a test's twin), built one
+// after another, so each memo keeps one entry; it has no size or switch.
+//
+// genesisMemo keeps at most one genesis alive past its markets: ⌈log2
+// users⌉ bits per scheduled event plus 8 B an app and 4 B a user, 18.6 MB
+// at the bench profile. catalogMemo holds the last pristine catalog (9.0 MB
+// there) only until a market reading it takes a copy of its own at its
+// first Step, which retires the entry: a seed's markets are all built
+// before any rolls, and a later New of the key regenerates.
+var (
+	genesisMemo memo[genesisKey, genesis]
+	catalogMemo memo[catalogKey, catalog.Catalog]
+)
+
+// memo remembers the last value built and the key it was built for.
+type memo[K comparable, V any] struct {
 	mu  sync.Mutex // guards key and ent, never a build
-	key genesisKey
-	ent *genesisEntry
+	key K
+	ent *memoEntry[V]
 }
 
-type genesisEntry struct {
+type memoEntry[V any] struct {
 	once sync.Once
-	g    *genesis // nil until the build returns
+	v    *V // nil until the build returns
 }
 
-// genesisFor returns the genesis of (seed, p), building it unless the memo
-// holds it. Same-key callers coalesce on the entry's Once; a different key
-// replaces the entry without waiting for anyone, so concurrent builders of
-// differently seeded markets each draw their own, as before the memo.
+// get returns key's value and the entry holding it, calling build unless
+// the memo holds it. Same-key callers coalesce on the entry's Once; a
+// different key replaces the entry without waiting for anyone, so
+// concurrent builders of different keys each build their own. A build that
+// returns nil is not served: the next caller builds privately.
+func (m *memo[K, V]) get(key K, build func() *V) (*V, *memoEntry[V]) {
+	m.mu.Lock()
+	e := m.ent
+	if e == nil || m.key != key {
+		e = &memoEntry[V]{}
+		m.key, m.ent = key, e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	if e.v == nil {
+		// The entry's build panicked or failed, maybe under another caller,
+		// and spent the Once. Nothing half-built is served: build privately.
+		return build(), e
+	}
+	return e.v, e
+}
+
+// retire empties the memo if e is still its entry.
+func (m *memo[K, V]) retire(e *memoEntry[V]) {
+	m.mu.Lock()
+	if m.ent == e {
+		m.ent = nil
+	}
+	m.mu.Unlock()
+}
+
+// genesisFor returns the genesis of (seed, p), drawing it unless the memo
+// holds it.
 func genesisFor(seed uint64, p catalog.Profile) *genesis {
 	key := genesisKeyOf(seed, p)
-	memo := &genesisMemo
-	memo.mu.Lock()
-	e := memo.ent
-	if e == nil || memo.key != key {
-		e = &genesisEntry{}
-		memo.key, memo.ent = key, e
-	}
-	memo.mu.Unlock()
-	e.once.Do(func() { e.g = buildGenesis(key) })
-	if e.g == nil {
-		// The entry's build panicked under another caller, which spent the
-		// Once. Nothing half-drawn is served: draw privately.
-		return buildGenesis(key)
-	}
-	return e.g
+	g, _ := genesisMemo.get(key, func() *genesis { return buildGenesis(key) })
+	return g
+}
+
+// catalogFor returns the pristine catalog of (seed, p), generating it unless
+// the memo holds it, and the entry to retire when the caller's market takes
+// a copy of its own. Nobody writes the pristine catalog.
+func catalogFor(seed uint64, p catalog.Profile) (*catalog.Catalog, *memoEntry[catalog.Catalog], error) {
+	var err error
+	c, e := catalogMemo.get(catalogKey{seed, p}, func() *catalog.Catalog {
+		var c *catalog.Catalog
+		c, err = catalog.Generate(p, seed)
+		return c
+	})
+	return c, e, err
 }
 
 // buildGenesis draws a genesis from the seed's market stream. The order —

@@ -1,15 +1,23 @@
 package marketsim
 
 import (
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
+
+	"planetapps/internal/catalog"
 )
 
 // sharesGenesis reports whether two markets read one schedule in place.
 func sharesGenesis(a, b *Market) bool {
 	return len(a.schedule.words) > 0 && len(b.schedule.words) > 0 &&
 		&a.schedule.words[0] == &b.schedule.words[0]
+}
+
+// sharesCatalog reports whether two markets read one array of catalog rows.
+func sharesCatalog(a, b *Market) bool {
+	return len(a.cat.Apps) > 0 && len(b.cat.Apps) > 0 && &a.cat.Apps[0] == &b.cat.Apps[0]
 }
 
 // dayZeroAndFive is what a market is compared by: its day-0 export and the
@@ -110,12 +118,110 @@ func TestGenesisHitIsIndistinguishable(t *testing.T) {
 	}
 }
 
+// TestCatalogHitIsIndistinguishable: a market that read its catalog from the
+// memo is the market an emptied memo builds, for every Config field outside
+// the profile; the seed and each Profile field, varied alone, miss.
+func TestCatalogHitIsIndistinguishable(t *testing.T) {
+	const seed = 42
+	type variant struct {
+		field string
+		seed  uint64
+		set   func(*Config)
+	}
+	hits := []variant{
+		{"nothing", seed, func(c *Config) {}},
+		{"Days", seed, func(c *Config) { c.Days = 33 }},
+		{"WarmupDays", seed, func(c *Config) { c.WarmupDays = 7 }},
+		{"DisableSeries", seed, func(c *Config) { c.DisableSeries = true }},
+		{"FullExport", seed, func(c *Config) { c.FullExport = true }},
+	}
+	misses := []variant{{"seed", seed + 1, func(c *Config) {}}}
+	profile := reflect.TypeOf(catalog.Profile{})
+	for i := 0; i < profile.NumField(); i++ {
+		misses = append(misses, variant{profile.Field(i).Name, seed, func(c *Config) {
+			// Moved off its value, still a profile New accepts.
+			switch f := reflect.ValueOf(&c.Profile).Elem().Field(i); f.Kind() {
+			case reflect.String:
+				f.SetString(f.String() + "'")
+			case reflect.Int:
+				f.SetInt(f.Int() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float()/2 + 0.01)
+			default:
+				t.Fatalf("Profile.%s: no way to vary a %s", profile.Field(i).Name, f.Kind())
+			}
+		}})
+	}
+	for i, tc := range append(hits, misses...) {
+		cfg := smallConfig()
+		tc.set(&cfg)
+		first := soloBuild(t, smallConfig(), seed)
+		m, err := New(cfg, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit := i < len(hits); sharesCatalog(first, m) != hit {
+			t.Fatalf("%s: shares the last market's catalog = %v, want %v", tc.field, !hit, hit)
+		}
+		cold := soloBuild(t, cfg, tc.seed)
+		if sharesCatalog(first, cold) {
+			t.Fatalf("%s: the emptied memo served the catalog it had forgotten", tc.field)
+		}
+		day0, hash := dayZeroAndFive(t, m)
+		coldDay0, coldHash := dayZeroAndFive(t, cold)
+		exportEqual(t, day0, coldDay0)
+		if hash != coldHash {
+			t.Fatalf("%s: downloads after 5 steps hash to %#x, %#x built cold", tc.field, hash, coldHash)
+		}
+	}
+}
+
+// TestSharedCatalogLifecycle: same-key markets read one catalog until one of
+// them steps, which copies its own and retires the memo entry, so the next
+// New of the key generates again and gets what a cold build gets.
+func TestSharedCatalogLifecycle(t *testing.T) {
+	const seed = 42
+	cfg := smallConfig()
+	a := soloBuild(t, cfg, seed)
+	b, err := New(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sharesCatalog(a, b) {
+		t.Fatal("two same-key markets built back to back generated a catalog each")
+	}
+	if err := a.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if sharesCatalog(a, b) || &a.cat.Categories[0] == &b.cat.Categories[0] || &a.cat.Developers[0] == &b.cat.Developers[0] {
+		t.Fatal("a market that has stepped still reads the pristine rows or headers")
+	}
+	c, err := New(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sharesCatalog(b, c) {
+		t.Fatal("a New after a roll was served the retired catalog")
+	}
+	cold := soloBuild(t, cfg, seed)
+	if !reflect.DeepEqual(c.Catalog(), cold.Catalog()) || !reflect.DeepEqual(b.Catalog(), cold.Catalog()) {
+		t.Fatal("catalogs regenerated after a roll, or still shared, differ from a cold build's")
+	}
+	day0, hash := dayZeroAndFive(t, c)
+	coldDay0, coldHash := dayZeroAndFive(t, cold)
+	exportEqual(t, day0, coldDay0)
+	if hash != coldHash {
+		t.Fatalf("downloads after 5 steps hash to %#x, %#x built cold", hash, coldHash)
+	}
+}
+
 // TestSameKeyMarketsShareNothingMutable steps two markets of one genesis on
 // two goroutines, one of them also merging ingested downloads, beside a
 // third that never steps. Run under -race -cpu 1,4 -count=10: the detector
 // checks that what they share is only read. The market left alone is the
-// market a solo run produces, and the arrivals the steppers append to their
-// appeal never reach the one that stood still.
+// market a solo run produces, and neither the arrivals the steppers append
+// to their appeal nor their arrivals, version bumps and price drift in the
+// catalog reach the one that stood still or the memo's pristine catalog.
 func TestSameKeyMarketsShareNothingMutable(t *testing.T) {
 	const (
 		seed = 42
@@ -123,7 +229,8 @@ func TestSameKeyMarketsShareNothingMutable(t *testing.T) {
 	)
 	cfg := smallConfig()
 	cfg.Days = days + 1
-	cfg.Profile.NewAppsPerDay = 3 // outside the key; makes every run see arrivals
+	cfg.Profile.NewAppsPerDay = 3  // outside the genesis key; makes every run see arrivals
+	cfg.Profile.PaidFraction = 0.3 // and price drift
 	run := func(m *Market, written bool) {
 		for d := 0; d < days; d++ {
 			if err := m.Step(); err != nil {
@@ -150,6 +257,12 @@ func TestSameKeyMarketsShareNothingMutable(t *testing.T) {
 	if !sharesGenesis(untouched, written) || !sharesGenesis(untouched, still) {
 		t.Fatal("same-key markets built back to back do not share a genesis")
 	}
+	if !sharesCatalog(untouched, written) || !sharesCatalog(untouched, still) {
+		t.Fatal("same-key markets built back to back do not share a catalog")
+	}
+	catalogMemo.mu.Lock()
+	pristine := catalogMemo.ent.v
+	catalogMemo.mu.Unlock()
 	if cap(still.appeal) != len(still.appeal) {
 		t.Fatalf("New handed out the shared appeal with room for %d appends in place", cap(still.appeal)-len(still.appeal))
 	}
@@ -179,6 +292,22 @@ func TestSameKeyMarketsShareNothingMutable(t *testing.T) {
 	}
 	if !slices.Equal(untouched.appeal, solo.appeal) {
 		t.Fatal("appeals after arrivals differ from a solo run's")
+	}
+
+	fresh, err := catalog.Generate(cfg.Profile, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bumped, drifted bool
+	for i := range fresh.Apps {
+		bumped = bumped || untouched.cat.Apps[i].Versions != fresh.Apps[i].Versions
+		drifted = drifted || untouched.cat.Apps[i].Price != fresh.Apps[i].Price
+	}
+	if !bumped || !drifted {
+		t.Fatalf("in %d days no version shipped (%v) or no price moved (%v): the catalog check below would be vacuous", days, !bumped, !drifted)
+	}
+	if !reflect.DeepEqual(still.Catalog(), fresh) || !reflect.DeepEqual(pristine, fresh) {
+		t.Fatal("markets stepping beside it wrote into the catalog of a market that stood still")
 	}
 }
 
@@ -235,7 +364,7 @@ func TestPanickedGenesisIsNotServed(t *testing.T) {
 	cfg := smallConfig()
 	wantDay0, wantHash := dayZeroAndFive(t, soloBuild(t, cfg, seed))
 
-	e := &genesisEntry{}
+	e := &memoEntry[genesis]{}
 	genesisMemo.mu.Lock()
 	genesisMemo.key, genesisMemo.ent = genesisKeyOf(seed, cfg.Profile), e
 	genesisMemo.mu.Unlock()
@@ -262,8 +391,10 @@ func TestPanickedGenesisIsNotServed(t *testing.T) {
 // apps and users: 8.2 M scheduled events). cold is the first market of a
 // seed: B/op shows an int32 schedule kept (+33 MB) and ns/op a closure
 // shuffle or a serial catalog build; run at -cpu 1,2, the second CPU is what
-// the catalog goroutine uses. second-of-a-seed is every later one, which
-// takes its genesis from the memo and waits only for catalog.Generate.
+// the catalog goroutine uses; forgetGenesis empties both memos.
+// second-of-a-seed is every later one built before any of them steps: it
+// takes its genesis and its catalog from the memos and builds only its own
+// tables and day-0 downloads.
 func BenchmarkMarketNew(b *testing.B) {
 	cfg := retentionConfig(100_000)
 	b.Run("cold", func(b *testing.B) {
@@ -287,8 +418,8 @@ func BenchmarkMarketNew(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !sharesGenesis(first, m) {
-				b.Fatal("the second market of a seed drew its own genesis")
+			if !sharesGenesis(first, m) || !sharesCatalog(first, m) {
+				b.Fatal("the second market of a seed drew its own genesis or catalog")
 			}
 		}
 	})

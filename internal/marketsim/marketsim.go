@@ -40,12 +40,17 @@
 // Everything drawn before that join is the seed's genesis (genesis.go):
 // immutable once built, and read in place by every further market of the
 // same seed and population in the process — the repository runs a market as
-// N identical copies, and the schedule is the largest thing each holds.
+// N identical copies, and the schedule is the largest thing each holds. The
+// generated catalog is shared the same way, keyed by the seed and the whole
+// Profile, until a market first steps: Step is the only code that writes a
+// catalog, so it copies its own first and retires the shared one from the
+// memo, and markets that never roll hold one catalog between them.
 package marketsim
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"planetapps/internal/catalog"
 	"planetapps/internal/dist"
@@ -114,8 +119,13 @@ const (
 // Run.
 type Market struct {
 	cfg Config
-	cat *catalog.Catalog
-	r   *rng.RNG
+	// cat is this market's own Catalog struct. Until the first Step its
+	// slices are the seed's pristine catalog, which nobody writes, and
+	// pristine is the memo entry holding it; ownCatalog copies what Step
+	// writes and clears pristine.
+	cat      *catalog.Catalog
+	pristine *memoEntry[catalog.Catalog]
+	r        *rng.RNG
 
 	day       int
 	downloads []int64 // per-app cumulative
@@ -215,10 +225,10 @@ type Market struct {
 	totalPeriods int
 }
 
-// New builds a market over a freshly generated catalog. Deterministic in
+// New builds a market over its seed's generated catalog. Deterministic in
 // (cfg, seed), whatever GOMAXPROCS is and whatever was built before it: the
 // catalog is generated from its own rng.New(seed) stream on a second
-// goroutine while this one takes the seed's genesis — drawn here, or
+// goroutine while this one takes the seed's genesis — each drawn here, or
 // already drawn for an earlier market of the same key (genesis.go) — and
 // neither reads what the other writes until the join.
 func New(cfg Config, seed uint64) (*Market, error) {
@@ -235,11 +245,14 @@ func New(cfg Config, seed uint64) (*Market, error) {
 	}
 	// Nothing between the go statement and the receive returns, so the
 	// goroutine is always waited for.
-	var catErr error
+	var (
+		shared *catalog.Catalog
+		catErr error
+	)
 	generated := make(chan struct{})
 	go func() {
 		defer close(generated)
-		m.cat, catErr = catalog.Generate(cfg.Profile, seed)
+		shared, m.pristine, catErr = catalogFor(seed, cfg.Profile)
 	}()
 	// The market continues the stream where genesis left it. appeal grows by
 	// append when apps arrive, so it is handed out with no spare capacity:
@@ -257,6 +270,8 @@ func New(cfg Config, seed uint64) (*Market, error) {
 	if catErr != nil {
 		return nil, catErr
 	}
+	cat := *shared
+	m.cat = &cat
 	m.downloads = make([]int64, m.cat.NumApps())
 	m.initTracking()
 	m.catBias = 1
@@ -419,7 +434,9 @@ func drawAppeal(r *rng.RNG, apps int, zipfGlobal float64) float64 {
 	return w
 }
 
-// Catalog exposes the market's evolving catalog.
+// Catalog exposes the market's evolving catalog, read-only to callers.
+// Until the market's first Step its slices alias the pristine catalog that
+// every same-key market built before then reads.
 func (m *Market) Catalog() *catalog.Catalog { return m.cat }
 
 // Day returns the current day index (number of completed days - 1).
@@ -481,6 +498,7 @@ func (m *Market) Step() error {
 	if m.day >= m.cfg.Days-1 {
 		return fmt.Errorf("marketsim: period of %d days already complete", m.cfg.Days)
 	}
+	m.ownCatalog()
 	m.day++
 	m.arrivals()
 	m.updatesAndPrices()
@@ -490,6 +508,30 @@ func (m *Market) Step() error {
 		m.record()
 	}
 	return nil
+}
+
+// ownCatalog gives a market still reading the pristine catalog a copy of
+// what Step writes — the rows and the category and developer headers —
+// and retires the memo entry, if still current: construction is over once
+// one of a seed's markets rolls. Member lists and developer names stay
+// shared, each list clipped to cap == len, so the first insert into one
+// moves it, the rule rebuildIndexes already sets.
+func (m *Market) ownCatalog() {
+	if m.pristine == nil {
+		return
+	}
+	catalogMemo.retire(m.pristine)
+	m.pristine = nil
+	c := m.cat
+	c.Apps = slices.Clone(c.Apps)
+	c.Categories = slices.Clone(c.Categories)
+	for i := range c.Categories {
+		c.Categories[i].Apps = slices.Clip(c.Categories[i].Apps)
+	}
+	c.Developers = slices.Clone(c.Developers)
+	for i := range c.Developers {
+		c.Developers[i].Apps = slices.Clip(c.Developers[i].Apps)
+	}
 }
 
 // arrivals publishes the day's new apps. Most arrivals come from new

@@ -141,17 +141,25 @@ func TestMarketFootprint(t *testing.T) {
 }
 
 // TestSecondMarketFootprint is the same figure for the second market of a
-// seed: it holds the first one's genesis, so all a scheduled event may cost
-// it is the quarter byte of everything else.
+// seed: it reads the first one's genesis and pristine catalog, so all a
+// scheduled event may cost it is the quarter byte of everything else. Its
+// idle twin is a second market too, so that neither side holds a genesis
+// or a catalog the other does not.
 func TestSecondMarketFootprint(t *testing.T) {
 	const users = 20_000
-	first, err := New(retentionConfig(users), 1)
-	if err != nil {
-		t.Fatal(err)
+	heldBySecond := func(downloadsPerUser float64) (heap int64, events int) {
+		cfg := retentionConfig(users)
+		cfg.Profile.DownloadsPerUser = downloadsPerUser
+		first, err := New(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap, events = heldByNew(t, users, downloadsPerUser, false)
+		runtime.KeepAlive(first)
+		return heap, events
 	}
-	second, events := heldByNew(t, users, 82, false)
-	runtime.KeepAlive(first)
-	idle, _ := heldByNew(t, users, 0, true)
+	second, events := heldBySecond(82)
+	idle, _ := heldBySecond(0)
 	if raceEnabled {
 		return
 	}
@@ -257,9 +265,15 @@ func heldByNew(t *testing.T, users int, downloadsPerUser float64, emptyMemo bool
 	return heap, m.schedule.len()
 }
 
-// forgetGenesis empties the genesis memo, so the next New of any key draws.
+// forgetGenesis empties both memos, so the next New of any key draws its
+// genesis and generates its catalog.
 func forgetGenesis() {
-	genesisMemo.mu.Lock()
-	genesisMemo.ent = nil
-	genesisMemo.mu.Unlock()
+	genesisMemo.forget()
+	catalogMemo.forget()
+}
+
+func (m *memo[K, V]) forget() {
+	m.mu.Lock()
+	m.ent = nil
+	m.mu.Unlock()
 }

@@ -326,29 +326,34 @@ func heldBy(build func() any) int64 {
 // TestShardsHoldOneGenesisAndNoDenseExport bounds what the three further
 // members of a four-shard in-process fleet cost over a single store. They
 // run the same market, so they read the first one's genesis (its packed
-// download schedule above all) in place, and each exports its quarter
-// straight out of its market, so none builds or keeps the dense export an
-// unsharded store serves from. Before either, four shards held four
-// schedules and four dense exports: more than four single stores.
+// download schedule above all) and, until they roll, its catalog in place,
+// and each exports its quarter straight out of its market, so none builds
+// or keeps the dense export an unsharded store serves from. Before any of
+// that, four shards held four schedules, four catalogs and four dense
+// exports: more than four single stores.
 func TestShardsHoldOneGenesisAndNoDenseExport(t *testing.T) {
 	const (
 		apps   = 20_000
 		shards = 4
 		events = 82 * apps
 	)
-	// A market of another key takes the memo's one entry, so that each
-	// measurement below starts from a genesis it has to draw and hold itself.
+	// A market of another key takes each memo's one entry, so that each
+	// measurement below starts from a genesis and a catalog it has to build
+	// and hold itself.
 	displaceGenesis := func() { lowChurnMarket(t, 10, 0) }
 
 	displaceGenesis()
 	single := heldBy(func() any { return New(retentionMarket(t, apps), Config{PageSize: 100}) })
 	displaceGenesis()
+	var devs int
 	fleet := heldBy(func() any {
 		var members [shards]*Server
 		for k := range members {
 			k := int32(k)
 			part := marketsim.NewPartitioner(func(id int32) bool { return id%shards == k })
-			members[k] = New(retentionMarket(t, apps), Config{PageSize: 100, Partition: part})
+			m := retentionMarket(t, apps)
+			devs = len(m.Catalog().Developers)
+			members[k] = New(m, Config{PageSize: 100, Partition: part})
 		}
 		return &members
 	})
@@ -356,19 +361,22 @@ func TestShardsHoldOneGenesisAndNoDenseExport(t *testing.T) {
 		return // the race allocator's shadow memory swamps a byte bound
 	}
 	// ⌈log2 20000⌉ = 15 bits an event, 8 B an app's appeal, 4 B a user's
-	// budget; a 64 B row, an 8 B count and a 4 B version per exported app.
-	// A further shard is allowed a single store less the genesis and the
-	// dense export, plus its own share of the rows; that it also encodes
-	// documents for a quarter of the catalog only is the headroom (7 %).
+	// budget; a 64 B row and its category and developer memberships (4 B
+	// each) per app and a 48 B header per developer in the catalog; a 64 B
+	// row, an 8 B count and a 4 B version per exported app. A further shard
+	// is allowed a single store less the genesis, the catalog and the dense
+	// export, plus its own share of the rows; that it also encodes documents
+	// for a quarter of the catalog only is the headroom (9 %).
 	const (
 		genesis = events*15/8 + 8*apps + 4*apps
 		dense   = (64 + 8 + 4) * apps
 	)
-	bound := single + (shards-1)*(single-genesis-dense+dense/shards)
-	t.Logf("%d apps: a single store holds %d bytes (genesis %d, dense export %d), %d shards %d: bound %d",
-		apps, single, genesis, dense, shards, fleet, bound)
+	cat := int64((64+8)*apps + 48*devs)
+	bound := single + (shards-1)*(single-genesis-cat-dense+dense/shards)
+	t.Logf("%d apps: a single store holds %d bytes (genesis %d, catalog %d, dense export %d), %d shards %d: bound %d",
+		apps, single, genesis, cat, dense, shards, fleet, bound)
 	if fleet > bound {
-		t.Fatalf("%d shards hold %d bytes, want <= %d: one store plus %d markets without a schedule or a dense export",
+		t.Fatalf("%d shards hold %d bytes, want <= %d: one store plus %d markets without a schedule, a catalog or a dense export",
 			shards, fleet, bound, shards-1)
 	}
 }
