@@ -62,11 +62,10 @@ func main() {
 		hedgeAfter = flag.Duration("hedge-after", 150*time.Millisecond, "launch a hedged duplicate of a request stuck this long (0 = off)")
 		retries    = flag.Int("retries", 10, "per-request retry budget for unhinted failures, >= 0 (0 = one attempt; server-directed Retry-After waits are bounded separately, by time)")
 
-		viaEdge      = flag.Bool("via-edge", false, "route the crawl through an in-process edge-cache tier")
-		edgePolicy   = flag.String("edge-policy", "lru", "edge replacement policy: lru, 2q, category")
-		edgeMB       = flag.Int("edge-mb", 64, "edge cache budget in MiB")
-		edgePrefetch = flag.Int("edge-prefetch", 0, "edge prefetch-warming budget per detail request (0 = off)")
-		edgeChaos    = flag.String("edge-chaos", "", "inject faults on the edge->origin leg (scenario name; empty = off)")
+		viaEdge    = flag.Bool("via-edge", false, "route the crawl through an in-process edge-cache tier")
+		edgePolicy = flag.String("edge-policy", "lru", "edge replacement policy: lru, 2q, category")
+		edgeMB     = flag.Int("edge-mb", 64, "edge cache budget in MiB")
+		edgeChaos  = flag.String("edge-chaos", "", "inject faults on the edge->origin leg (scenario name; empty = off)")
 	)
 	flag.Parse()
 
@@ -137,10 +136,9 @@ func main() {
 	var edgeInj *faultinject.Injector
 	if *viaEdge {
 		ecfg := edgecache.Config{
-			Origin:         base,
-			CapacityBytes:  int64(*edgeMB) << 20,
-			Policy:         *edgePolicy,
-			PrefetchBudget: *edgePrefetch,
+			Origin:        base,
+			CapacityBytes: int64(*edgeMB) << 20,
+			Policy:        *edgePolicy,
 		}
 		if *edgeChaos != "" {
 			sc, err := faultinject.Lookup(*edgeChaos)
@@ -157,7 +155,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("crawl: %v", err)
 		}
-		defer edge.Close()
 		es := httptest.NewServer(edge.Handler())
 		defer es.Close()
 		base = es.URL

@@ -1,9 +1,8 @@
 // Command edgecached runs the edge-cache tier: a caching proxy that sits
 // between clients (crawlers, load generators) and an appstored origin,
 // serving the /api/v1 surface from a byte-budgeted in-memory cache with a
-// pluggable replacement policy and optional prefetch warming. Its own
-// telemetry — hits, misses, revalidations, stale serves, coalesced
-// fetches — is exposed at /metrics.
+// pluggable replacement policy. Its own telemetry — hits, misses,
+// revalidations, stale serves, coalesced fetches — is exposed at /metrics.
 //
 // A faultinject scenario can be armed on the edge->origin leg to rehearse
 // origin outages: the edge then demonstrates stale-while-unreachable
@@ -36,8 +35,6 @@ func main() {
 		capacityMB = flag.Int("capacity-mb", 64, "cache budget in MiB of body bytes")
 		maxTTL     = flag.Duration("max-ttl", 0, "cap on origin-declared freshness (0 = no cap)")
 		defaultTTL = flag.Duration("default-ttl", 0, "freshness when the origin sends no Cache-Control (0 = always revalidate)")
-		prefetch   = flag.Int("prefetch", 0, "warm up to this many likely-next detail pages per detail request (0 = off)")
-		workers    = flag.Int("prefetch-workers", 2, "prefetch warming concurrency")
 		retries    = flag.Int("origin-retries", 5, "origin retry budget before serving stale (>= 1: a zero edgecache.Config.OriginRetries means its default of 5)")
 		hedge      = flag.Duration("hedge-after", 0, "hedge origin fetches still in flight after this long (0 = off)")
 		seed       = flag.Uint64("seed", 1, "retry-jitter seed")
@@ -53,26 +50,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "edgecached: -capacity-mb must be positive, got %d\n", *capacityMB)
 		os.Exit(2)
 	}
-	if *prefetch < 0 {
-		fmt.Fprintf(os.Stderr, "edgecached: -prefetch must be >= 0, got %d\n", *prefetch)
-		os.Exit(2)
-	}
 	if *retries < 1 {
 		fmt.Fprintf(os.Stderr, "edgecached: -origin-retries must be >= 1, got %d\n", *retries)
 		os.Exit(2)
 	}
 
 	cfg := edgecache.Config{
-		Origin:          *origin,
-		CapacityBytes:   int64(*capacityMB) << 20,
-		Policy:          *policy,
-		MaxTTL:          *maxTTL,
-		DefaultTTL:      *defaultTTL,
-		PrefetchBudget:  *prefetch,
-		PrefetchWorkers: *workers,
-		OriginRetries:   *retries,
-		HedgeAfter:      *hedge,
-		Seed:            *seed,
+		Origin:        *origin,
+		CapacityBytes: int64(*capacityMB) << 20,
+		Policy:        *policy,
+		MaxTTL:        *maxTTL,
+		DefaultTTL:    *defaultTTL,
+		OriginRetries: *retries,
+		HedgeAfter:    *hedge,
+		Seed:          *seed,
 	}
 	var inj *faultinject.Injector
 	if *chaos != "" {
@@ -90,8 +81,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("edgecached: %v", err)
 	}
-	defer s.Close()
-
 	ctx, stop := daemon.SignalContext()
 	defer stop()
 
@@ -100,9 +89,9 @@ func main() {
 		log.Fatalf("edgecached: %v", err)
 	}
 	st := s.Stats()
-	log.Printf("edgecached: %d requests: %.1f%% hit, %.1f%% served from edge, %.1f%% origin offload, %.1f%% byte offload (%d revalidated, %d stale, %d coalesced, %d prefetch fills/%d useful)",
+	log.Printf("edgecached: %d requests: %.1f%% hit, %.1f%% served from edge, %.1f%% origin offload, %.1f%% byte offload (%d revalidated, %d stale, %d coalesced)",
 		st.Requests, st.HitRate(), st.CacheServeRate(), st.OriginOffload(), st.ByteOffload(),
-		st.Revalidated, st.StaleServed, st.Coalesced, st.PrefetchFills, st.PrefetchHits)
+		st.Revalidated, st.StaleServed, st.Coalesced)
 	if inj != nil {
 		log.Printf("edgecached: %d faults injected on the origin leg", inj.InjectedTotal())
 	}

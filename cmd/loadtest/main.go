@@ -83,11 +83,10 @@ func main() {
 
 		dayRoll = flag.Duration("day-roll", 0, "day-roll scenario: advance the in-process store one day this long into the measured window and report pre/post-swap latency separately (0 = off)")
 
-		edge         = flag.Bool("edge", false, "front the target with an in-process edge-cache tier and drive load through it")
-		edgePolicy   = flag.String("edge-policy", "lru", "edge replacement policy: lru, 2q, category")
-		edgeMB       = flag.Float64("edge-mb", 64, "edge cache budget in MiB")
-		edgePrefetch = flag.Int("edge-prefetch", 0, "edge prefetch-warming budget per detail request (0 = off)")
-		originFresh  = flag.Duration("origin-fresh", 0, "in-process store: declare /api/v1 responses fresh for this long (0 = always revalidate)")
+		edge        = flag.Bool("edge", false, "front the target with an in-process edge-cache tier and drive load through it")
+		edgePolicy  = flag.String("edge-policy", "lru", "edge replacement policy: lru, 2q, category")
+		edgeMB      = flag.Float64("edge-mb", 64, "edge cache budget in MiB")
+		originFresh = flag.Duration("origin-fresh", 0, "in-process store: declare /api/v1 responses fresh for this long (0 = always revalidate)")
 
 		chaos      = flag.String("chaos", "", "arm a fault-injection scenario on the in-process store: "+strings.Join(faultinject.Names(), ", "))
 		chaosSeed  = flag.Uint64("chaos-seed", 1, "fault-injection seed")
@@ -159,22 +158,20 @@ func main() {
 	}
 
 	// The edge tier fronts whatever target was resolved above; the load
-	// generator then drives the edge, and the origin only sees misses,
-	// revalidations, and prefetch warming.
+	// generator then drives the edge, and the origin only sees misses and
+	// revalidations.
 	var edgeSrv *edgecache.Server
 	if *edge {
 		es, err := edgecache.New(edgecache.Config{
-			Origin:         baseURL,
-			CapacityBytes:  int64(*edgeMB * (1 << 20)),
-			Policy:         *edgePolicy,
-			PrefetchBudget: *edgePrefetch,
-			Seed:           *seed,
+			Origin:        baseURL,
+			CapacityBytes: int64(*edgeMB * (1 << 20)),
+			Policy:        *edgePolicy,
+			Seed:          *seed,
 		})
 		if err != nil {
 			log.Fatalf("loadtest: edge: %v", err)
 		}
 		edgeSrv = es
-		defer es.Close()
 		ets := httptest.NewServer(es.Handler())
 		defer ets.Close()
 		baseURL = ets.URL
@@ -311,9 +308,9 @@ func main() {
 			"origin_offload":   est.OriginOffload(),
 			"byte_offload":     est.ByteOffload(),
 		}
-		log.Printf("loadtest: edge: %d requests, %.1f%% hit, %.1f%% served from edge, %.1f%% origin offload, %.1f%% byte offload (%d evictions, %d prefetch fills/%d useful)",
+		log.Printf("loadtest: edge: %d requests, %.1f%% hit, %.1f%% served from edge, %.1f%% origin offload, %.1f%% byte offload (%d evictions)",
 			est.Requests, est.HitRate(), est.CacheServeRate(), est.OriginOffload(), est.ByteOffload(),
-			est.Evictions, est.PrefetchFills, est.PrefetchHits)
+			est.Evictions)
 	}
 	if ip != nil {
 		var served, limited int64

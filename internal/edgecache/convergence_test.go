@@ -53,7 +53,6 @@ func edgeFor(t *testing.T, originURL string, cfg Config) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts.URL
@@ -205,7 +204,7 @@ func TestEdgeCrawlConvergesUnderChaos(t *testing.T) {
 // with rolls and revalidations.
 func TestEdgeConcurrentReadersAcrossDayRolls(t *testing.T) {
 	origin, originTS := originStore(t)
-	_, edgeURL := edgeFor(t, originTS.URL, Config{PrefetchBudget: 4})
+	_, edgeURL := edgeFor(t, originTS.URL, Config{})
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)

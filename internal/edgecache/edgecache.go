@@ -3,10 +3,11 @@
 // origin, serving the /api/v1 surface from a byte-budgeted in-memory cache.
 // It makes the paper's §7 implication study live: the same replacement
 // policies internal/cache evaluates offline (LRU, 2Q, CategoryAware) here
-// govern a real HTTP cache under real traffic, and internal/prefetch's
-// category-top strategy warms likely-next detail pages the way the paper
-// proposes ("the most popular apps from this category ... can be
-// prefetched to a local place").
+// govern a real HTTP cache under real traffic. The edge fetches only what
+// a client asked for: the paper's category-top prefetch ("the most popular
+// apps from this category ... can be prefetched to a local place") is a
+// device-side cache's strategy, priced offline by internal/prefetch; run
+// live in a shared edge it lowered origin offload (EXPERIMENTS.md "PF").
 //
 // The proxy is HTTP-correct under day-rolls:
 //
@@ -64,13 +65,6 @@ type Config struct {
 	// DefaultTTL is the freshness assumed when the origin sends no
 	// Cache-Control (0 = always revalidate, the conservative default).
 	DefaultTTL time.Duration
-	// PrefetchBudget enables prefetch warming: after each detail-page
-	// request, up to this many likely-next detail pages (category-top
-	// selection over learned popularity) are fetched into the cache in
-	// the background (0 = off).
-	PrefetchBudget int
-	// PrefetchWorkers bounds warming concurrency (default 2).
-	PrefetchWorkers int
 	// OriginTransport performs the physical origin exchanges; a
 	// faultinject RoundTripper plugs in here to hit the edge->origin leg
 	// with chaos (default: a fresh http.Transport).
@@ -113,18 +107,13 @@ type entry struct {
 	storedAt  time.Time
 	expires   time.Time
 
-	// appID is the catalog id when this is a detail page (-1 otherwise);
-	// it feeds the prefetch learner.
-	appID int32
-	// cat is the dense category id the category-aware policy partitions on.
+	// cat is the dense category id the category-aware policy partitions
+	// on (0 under the other policies, which never read it).
 	cat int32
-	// prefetched marks entries filled by the warmer and not yet used, so
-	// prefetch usefulness is measurable.
-	prefetched bool
 }
 
 // Server is the edge cache. Create with New; the HTTP surface comes from
-// Handler. Close stops the background warmer.
+// Handler.
 type Server struct {
 	cfg    Config
 	client *resilient.Client
@@ -138,10 +127,8 @@ type Server struct {
 	mu      sync.Mutex
 	entries map[reqKey]*entry
 	pol     cache.Policy[reqKey]
-	cats    map[string]int32 // category name -> dense id
+	cats    map[string]int32 // category name -> dense id; filled under "category" only
 	flights map[reqKey]*flight
-
-	warm *warmer // nil when prefetch is off
 
 	st instruments
 }
@@ -157,9 +144,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.OriginRetries <= 0 {
 		cfg.OriginRetries = 5
-	}
-	if cfg.PrefetchWorkers <= 0 {
-		cfg.PrefetchWorkers = 2
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -200,20 +184,13 @@ func New(cfg Config) (*Server, error) {
 		Seed:       cfg.Seed,
 		Metrics:    s.reg,
 	})
-	if cfg.PrefetchBudget > 0 {
-		s.warm = newWarmer(s)
-	}
 	return s, nil
 }
 
-// Close stops the background prefetch workers. The server must not be
-// serving when Close returns is not required — in-flight requests finish
-// normally; only warming stops.
-func (s *Server) Close() {
-	if s.warm != nil {
-		s.warm.stop()
-	}
-}
+// Close does nothing: the edge runs no background work of its own. It
+// stays only because cmd/bench, a frozen module, still calls it; ROADMAP
+// item 2(d) removes it together with those calls.
+func (s *Server) Close() {}
 
 // Handler returns the edge's HTTP surface: every path proxies to the
 // origin through the cache, except /metrics, which serves the edge's own
@@ -274,15 +251,10 @@ func (s *Server) proxy(w http.ResponseWriter, r *http.Request) {
 		// Fresh hit: touch the policy (at the resident cost, so nothing is
 		// evicted) and serve without origin I/O.
 		s.pol.AccessCost(e.key, int64(len(e.body)))
-		if e.prefetched {
-			e.prefetched = false
-			s.st.prefetchHits.Inc()
-		}
 		snap := *e
 		s.mu.Unlock()
 		s.st.hits.Inc()
 		s.serveEntry(w, r, &snap, now, "hit")
-		s.noteClient(r, snap.appID)
 		return
 	}
 	s.mu.Unlock()
@@ -291,7 +263,6 @@ func (s *Server) proxy(w http.ResponseWriter, r *http.Request) {
 	switch out.kind {
 	case kindMiss, kindReval, kindStale:
 		s.serveEntry(w, r, out.entry, time.Now(), out.kind.label())
-		s.noteClient(r, out.entry.appID)
 	case kindPass:
 		s.servePass(w, r, out)
 	default: // kindError

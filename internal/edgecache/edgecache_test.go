@@ -101,7 +101,6 @@ func newTestEdge(t *testing.T, origin http.Handler, cfg Config) (*Server, string
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	ets := httptest.NewServer(s.Handler())
 	t.Cleanup(ets.Close)
 	return s, ets.URL
@@ -311,82 +310,5 @@ func TestAPKPassthrough(t *testing.T) {
 	}
 	if st := s.Stats(); st.Passthrough != 3 {
 		t.Fatalf("Passthrough = %d, want 3", st.Passthrough)
-	}
-}
-
-// TestPrefetchWarming exercises the category-top warmer end to end: one
-// client pages through a category, early pages fall out of a small cache,
-// and a later request makes the warmer pull the category's most popular
-// pages back in — which the next client then hits.
-func TestPrefetchWarming(t *testing.T) {
-	origin := newCountingOrigin(300)
-	s, base := newTestEdge(t, origin, Config{
-		CapacityBytes:   1200, // ~26 detail docs
-		PrefetchBudget:  3,
-		PrefetchWorkers: 1,
-	})
-
-	// One client walks 70 even-numbered apps (all category c0, most
-	// popular first by construction): the learner accumulates past the
-	// rebuild threshold while the small cache sheds the early pages.
-	hdr := map[string]string{"X-Forwarded-For": "10.0.0.1"}
-	for i := 0; i < 70; i++ {
-		code, _, _ := edgeGet(t, fmt.Sprintf("%s/api/v1/apps/%d", base, 2*i), hdr)
-		if code != http.StatusOK {
-			t.Fatalf("walk %d: status %d", i, code)
-		}
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().PrefetchFills == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no prefetch fills after the walk; stats %+v", s.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// The category's most popular page (app 0, long since evicted from the
-	// walk) should now be warm for the next client.
-	deadline = time.Now().Add(2 * time.Second)
-	for s.Stats().PrefetchHits == 0 {
-		code, _, h := edgeGet(t, base+"/api/v1/apps/0", map[string]string{"X-Forwarded-For": "10.0.0.2"})
-		if code != http.StatusOK {
-			t.Fatalf("warmed fetch status %d", code)
-		}
-		if h.Get("X-Edge-Cache") == "hit" && s.Stats().PrefetchHits > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Skipf("warm fill for app 0 raced with eviction (fills=%d); prefetch-hit accounting not provable here", s.Stats().PrefetchFills)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if st := s.Stats(); st.PrefetchFills == 0 {
-		t.Fatalf("PrefetchFills = 0; stats %+v", st)
-	}
-}
-
-// TestWarmerHistoryKeepsActiveClients bounds the per-client history table
-// the way everything else here is bounded: the least recently seen clients
-// go, a client that keeps coming back keeps its history.
-func TestWarmerHistoryKeepsActiveClients(t *testing.T) {
-	s, _ := newTestEdge(t, newCountingOrigin(60), Config{PrefetchBudget: 1})
-	w := s.warm
-	for i := 0; i < historyDepth; i++ {
-		w.note("regular", int32(i))
-	}
-	for i := 0; i < maxClients+100; i++ {
-		w.note(fmt.Sprintf("passerby-%d", i), 1)
-		if i%1000 == 0 {
-			w.note("regular", 1)
-		}
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.hist) > maxClients {
-		t.Fatalf("history table holds %d clients, bound is %d", len(w.hist), maxClients)
-	}
-	if got := len(w.hist["regular"]); got != historyDepth {
-		t.Fatalf("a returning client kept %d of its %d history entries", got, historyDepth)
 	}
 }

@@ -233,20 +233,22 @@ func (s *Server) fetch(ctx context.Context, key reqKey, staleEtag, xff string) *
 			// Vary means not caching what we cannot tell apart.
 			return &fetchOut{kind: kindPass, status: res.Status, header: res.Header, body: res.Body}
 		}
-		plain := res.Body
-		if cenc == "gzip" {
-			var derr error
-			if plain, derr = gzipx.Decompress(res.Body); derr != nil {
-				// Unreachable after validateDoc, but stay honest: relay
-				// rather than cache bytes we cannot verify.
-				return &fetchOut{kind: kindPass, status: res.Status, header: res.Header, body: res.Body}
+		// Only the category-aware policy reads a document's category, so
+		// only it pays for decoding a detail body to find it.
+		var cat string
+		if s.cfg.Policy == "category" {
+			plain := res.Body
+			if cenc == "gzip" {
+				var derr error
+				if plain, derr = gzipx.Decompress(res.Body); derr != nil {
+					// Unreachable after validateDoc, but stay honest: relay
+					// rather than cache bytes we cannot verify.
+					return &fetchOut{kind: kindPass, status: res.Status, header: res.Header, body: res.Body}
+				}
 			}
+			cat = classify(key.uri, plain)
 		}
 		ttl, age := s.freshnessOf(res.Header)
-		info := classify(key.uri, plain)
-		if s.warm != nil && info.appID >= 0 && !strings.HasPrefix(info.cat, "\x00") {
-			s.warm.learn(info.appID, info.cat, info.downloads)
-		}
 		s.mu.Lock()
 		// A response that does not vary on Accept-Encoding is shared under
 		// the bare URI — unless this variant already has an entry of its
@@ -269,8 +271,9 @@ func (s *Server) fetch(ctx context.Context, key reqKey, staleEtag, xff string) *
 			originAge: age,
 			storedAt:  now,
 			expires:   now.Add(ttl),
-			appID:     info.appID,
-			cat:       s.internCat(info.cat),
+		}
+		if cat != "" {
+			e.cat = s.internCat(cat)
 		}
 		s.entries[key] = e
 		s.pol.AccessCost(key, int64(len(e.body)))

@@ -22,9 +22,6 @@ type instruments struct {
 	originBytes *metrics.Counter
 	servedBytes *metrics.Counter
 
-	prefetchFills *metrics.Counter
-	prefetchHits  *metrics.Counter
-
 	entriesG *metrics.Gauge
 	bytesG   *metrics.Gauge
 }
@@ -32,23 +29,21 @@ type instruments struct {
 func (s *Server) initInstruments() {
 	r := s.reg
 	s.st = instruments{
-		requests:      r.Counter("edge_requests_total"),
-		hits:          r.Counter("edge_hits_total"),
-		misses:        r.Counter("edge_misses_total"),
-		revalidated:   r.Counter("edge_revalidated_total"),
-		staleServed:   r.Counter("edge_stale_served_total"),
-		coalesced:     r.Counter("edge_coalesced_total"),
-		client304:     r.Counter("edge_client_304_total"),
-		passthrough:   r.Counter("edge_passthrough_total"),
-		evictions:     r.Counter("edge_evictions_total"),
-		errors:        r.Counter("edge_errors_total"),
-		originReqs:    r.Counter("edge_origin_requests_total"),
-		originBytes:   r.Counter("edge_origin_bytes_total"),
-		servedBytes:   r.Counter("edge_served_bytes_total"),
-		prefetchFills: r.Counter("edge_prefetch_fills_total"),
-		prefetchHits:  r.Counter("edge_prefetch_hits_total"),
-		entriesG:      r.Gauge("edge_cache_entries"),
-		bytesG:        r.Gauge("edge_cache_bytes"),
+		requests:    r.Counter("edge_requests_total"),
+		hits:        r.Counter("edge_hits_total"),
+		misses:      r.Counter("edge_misses_total"),
+		revalidated: r.Counter("edge_revalidated_total"),
+		staleServed: r.Counter("edge_stale_served_total"),
+		coalesced:   r.Counter("edge_coalesced_total"),
+		client304:   r.Counter("edge_client_304_total"),
+		passthrough: r.Counter("edge_passthrough_total"),
+		evictions:   r.Counter("edge_evictions_total"),
+		errors:      r.Counter("edge_errors_total"),
+		originReqs:  r.Counter("edge_origin_requests_total"),
+		originBytes: r.Counter("edge_origin_bytes_total"),
+		servedBytes: r.Counter("edge_served_bytes_total"),
+		entriesG:    r.Gauge("edge_cache_entries"),
+		bytesG:      r.Gauge("edge_cache_bytes"),
 	}
 }
 
@@ -68,9 +63,6 @@ type Stats struct {
 	OriginRequests int64 // logical origin fetches (retries not counted)
 	OriginBytes    int64 // body bytes fetched from the origin (200s)
 	ServedBytes    int64 // body bytes written to clients
-
-	PrefetchFills int64 // entries filled by the warmer
-	PrefetchHits  int64 // warm-filled entries later hit by a client
 
 	Entries int   // resident documents
 	Bytes   int64 // resident body bytes
@@ -99,8 +91,6 @@ func (s *Server) Stats() Stats {
 		OriginRequests: s.st.originReqs.Value(),
 		OriginBytes:    s.st.originBytes.Value(),
 		ServedBytes:    s.st.servedBytes.Value(),
-		PrefetchFills:  s.st.prefetchFills.Value(),
-		PrefetchHits:   s.st.prefetchHits.Value(),
 		Entries:        entries,
 		Bytes:          bytes,
 		Policy:         s.pol.Name(),

@@ -490,32 +490,6 @@ func TestRecommendX4(t *testing.T) {
 	}
 }
 
-// TestAllRegisteredRunnersRender runs every registered experiment through
-// the registry. It repeats every Monte Carlo fit the per-figure tests above
-// just ran — half this package's wall time — so -short leaves it to them;
-// tier-1 and CI's plain `go test -race ./...` run it.
-func TestAllRegisteredRunnersRender(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-runs every experiment the per-figure tests cover")
-	}
-	s := suite(t)
-	for _, id := range IDs() {
-		res, err := Run(s, id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		tables := res.Tables()
-		if len(tables) == 0 {
-			t.Fatalf("%s: no tables", id)
-		}
-		for _, tb := range tables {
-			if len(tb.String()) == 0 {
-				t.Fatalf("%s: empty render", id)
-			}
-		}
-	}
-}
-
 func TestSensitivityX5(t *testing.T) {
 	r, err := SensitivityX5(suite(t))
 	if err != nil {

@@ -34,7 +34,6 @@ func TestEdgeCacheOverGateway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer edge.Close()
 
 	_, statsBody := get(t, single.Handler(), "/api/v1/stats", nil)
 	var paths []string

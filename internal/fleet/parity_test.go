@@ -175,7 +175,6 @@ func TestBareListingIsTheFirstCursorSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer edge.Close()
 	for _, tier := range []struct {
 		name string
 		h    http.Handler

@@ -259,7 +259,6 @@ func TestOneClientOneBucketThroughEveryTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer edge.Close()
 
 	for _, tier := range []struct {
 		name string

@@ -117,7 +117,6 @@ func crawl(t *testing.T, shards int, viaEdge bool) *db.DB {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer edge.Close()
 		es := httptest.NewServer(edge.Handler())
 		defer es.Close()
 		base = es.URL

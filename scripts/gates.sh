@@ -314,7 +314,7 @@ bench-module() {
 # program, test or other package sets (TestEveryConfigFieldIsSet logs the
 # count). Informational: never fails.
 loc() {
-	scripts/loc.sh cmd internal/metrics internal/experiments internal/cache internal/edgecache \
+	scripts/loc.sh cmd internal/metrics internal/experiments internal/cache internal/edgecache internal/prefetch \
 		internal/fleet internal/storeserver internal/apiwire internal/marketsim \
 		internal/resilient internal/crawler internal/comments internal/model internal/rng \
 		internal/dist internal/stats internal/report internal/snapshot internal/db internal/pricing || true
