@@ -33,8 +33,6 @@ func main() {
 		addr       = flag.String("addr", ":8081", "listen address")
 		policy     = flag.String("policy", "lru", "replacement policy: lru, 2q, category")
 		capacityMB = flag.Int("capacity-mb", 64, "cache budget in MiB of body bytes")
-		maxTTL     = flag.Duration("max-ttl", 0, "cap on origin-declared freshness (0 = no cap)")
-		defaultTTL = flag.Duration("default-ttl", 0, "freshness when the origin sends no Cache-Control (0 = always revalidate)")
 		retries    = flag.Int("origin-retries", 5, "origin retry budget before serving stale (>= 1: a zero edgecache.Config.OriginRetries means its default of 5)")
 		hedge      = flag.Duration("hedge-after", 0, "hedge origin fetches still in flight after this long (0 = off)")
 		seed       = flag.Uint64("seed", 1, "retry-jitter seed")
@@ -59,8 +57,6 @@ func main() {
 		Origin:        *origin,
 		CapacityBytes: int64(*capacityMB) << 20,
 		Policy:        *policy,
-		MaxTTL:        *maxTTL,
-		DefaultTTL:    *defaultTTL,
 		OriginRetries: *retries,
 		HedgeAfter:    *hedge,
 		Seed:          *seed,

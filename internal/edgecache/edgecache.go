@@ -28,14 +28,16 @@
 //   - Client If-None-Match is answered by the edge itself: a conditional
 //     crawler gets its 304s from the edge without origin traffic.
 //
-// Non-JSON payloads (APK streams) and error responses pass through
-// uncached — the cache holds only origin-ETagged JSON documents, which are
-// the payloads whose integrity the edge can verify before storing.
+// Non-JSON payloads (APK streams), error responses and every method but
+// GET and HEAD (writes) pass through uncached — the cache holds only
+// origin-ETagged JSON documents, which are the payloads whose integrity
+// the edge can verify before storing.
 package edgecache
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -59,15 +61,10 @@ type Config struct {
 	// Policy selects the replacement policy: "lru" (default), "2q", or
 	// "category" (the paper-motivated category-aware partitioned LFU).
 	Policy string
-	// MaxTTL caps the freshness lifetime accepted from origin headers
-	// (0 = no cap).
-	MaxTTL time.Duration
-	// DefaultTTL is the freshness assumed when the origin sends no
-	// Cache-Control (0 = always revalidate, the conservative default).
-	DefaultTTL time.Duration
-	// OriginTransport performs the physical origin exchanges; a
-	// faultinject RoundTripper plugs in here to hit the edge->origin leg
-	// with chaos (default: a fresh http.Transport).
+	// OriginTransport performs the physical origin exchanges, reads and
+	// relayed writes alike; a faultinject RoundTripper plugs in here to
+	// hit the edge->origin leg with chaos (default: a fresh
+	// http.Transport).
 	OriginTransport http.RoundTripper
 	// OriginRetries is the resilient client's retry budget per origin
 	// fetch (default 5). When the budget is exhausted the edge serves
@@ -144,6 +141,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.OriginRetries <= 0 {
 		cfg.OriginRetries = 5
+	}
+	if cfg.OriginTransport == nil {
+		cfg.OriginTransport = &http.Transport{MaxIdleConnsPerHost: 16}
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -238,12 +238,12 @@ func (s *Server) lookupLocked(k reqKey) *entry {
 
 // proxy serves one client request through the cache.
 func (s *Server) proxy(w http.ResponseWriter, r *http.Request) {
+	s.st.requests.Inc()
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		http.Error(w, "edge: method not allowed", http.StatusMethodNotAllowed)
+		s.relay(w, r)
 		return
 	}
 	key := reqKey{r.URL.RequestURI(), variantOf(r)}
-	s.st.requests.Inc()
 	now := time.Now()
 
 	s.mu.Lock()
@@ -266,10 +266,52 @@ func (s *Server) proxy(w http.ResponseWriter, r *http.Request) {
 	case kindPass:
 		s.servePass(w, r, out)
 	default: // kindError
-		s.st.errors.Inc()
-		w.Header().Set("X-Edge-Cache", "error")
-		http.Error(w, "edge: origin unreachable: "+out.err.Error(), http.StatusBadGateway)
+		s.serveError(w, out.err)
 	}
+}
+
+// serveError answers a request the origin could not be reached for.
+func (s *Server) serveError(w http.ResponseWriter, err error) {
+	s.st.errors.Inc()
+	w.Header().Set("X-Edge-Cache", "error")
+	http.Error(w, "edge: origin unreachable: "+err.Error(), http.StatusBadGateway)
+}
+
+// relayHeaders are the request headers a relayed request carries to the
+// origin besides X-Forwarded-For: a write's body type and its idempotency
+// key, so a replay through the edge is deduped as at the origin.
+var relayHeaders = []string{"Content-Type", "Idempotency-Key"}
+
+// relay forwards a request with any method but GET and HEAD — a write, or
+// a wrong method the origin answers with its 405 and Allow — to the
+// origin in one attempt, as a gateway forwards it to a shard, and passes
+// the answer back uncached.
+func (s *Server) relay(w http.ResponseWriter, r *http.Request) {
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, s.cfg.Origin+r.URL.RequestURI(), r.Body)
+	if err != nil {
+		s.serveError(w, err)
+		return
+	}
+	req.ContentLength = r.ContentLength
+	for _, k := range relayHeaders {
+		if v := r.Header.Get(k); v != "" {
+			req.Header.Set(k, v)
+		}
+	}
+	req.Header.Set("X-Forwarded-For", apiwire.ForwardedFor(r))
+	s.st.originReqs.Inc()
+	resp, err := s.cfg.OriginTransport.RoundTrip(req)
+	if err != nil {
+		s.serveError(w, err)
+		return
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		s.serveError(w, err)
+		return
+	}
+	s.servePass(w, r, &fetchOut{kind: kindPass, status: resp.StatusCode, header: resp.Header, body: body})
 }
 
 // serveEntry writes one cached representation, answering the client's own
@@ -316,13 +358,13 @@ func (s *Server) serveEntry(w http.ResponseWriter, r *http.Request, e *entry, no
 // passHeaders are the origin headers a passthrough response relays.
 var passHeaders = []string{
 	"ETag", "Content-Type", "Content-Encoding", "Vary", "X-Store-Day",
-	"X-API-Version", "Cache-Control", "Age", "Retry-After",
+	"X-API-Version", "Cache-Control", "Age", "Retry-After", "Allow",
 }
 
 // servePass relays an origin response the edge does not cache (APK
-// streams, 4xx answers). A conditional client whose ETag matches a 200
-// still gets its 304 — the version-aware crawler must see the same
-// not-modified behavior through the edge as against the origin.
+// streams, 4xx answers, relayed writes). A conditional client whose ETag
+// matches a 200 still gets its 304 — the version-aware crawler must see
+// the same not-modified behavior through the edge as against the origin.
 func (s *Server) servePass(w http.ResponseWriter, r *http.Request, out *fetchOut) {
 	s.st.passthrough.Inc()
 	h := w.Header()

@@ -193,7 +193,7 @@ func (s *Server) fetch(ctx context.Context, key reqKey, staleEtag, xff string) *
 	switch {
 	case res.Status == http.StatusNotModified && staleEtag != "":
 		// Our copy is still current: refresh its freshness clock.
-		ttl, age := s.freshnessOf(res.Header)
+		ttl, age := freshnessOf(res.Header)
 		s.mu.Lock()
 		if e := s.lookupLocked(key); e != nil && e.etag == staleEtag {
 			e.originAge = age
@@ -248,7 +248,7 @@ func (s *Server) fetch(ctx context.Context, key reqKey, staleEtag, xff string) *
 			}
 			cat = classify(key.uri, plain)
 		}
-		ttl, age := s.freshnessOf(res.Header)
+		ttl, age := freshnessOf(res.Header)
 		s.mu.Lock()
 		// A response that does not vary on Accept-Encoding is shared under
 		// the bare URI — unless this variant already has an entry of its
@@ -294,53 +294,35 @@ func (s *Server) fetch(ctx context.Context, key reqKey, staleEtag, xff string) *
 }
 
 // freshnessOf derives the remaining freshness lifetime and the reported
-// age from origin headers: remaining = max-age - Age, clamped to
-// [0, MaxTTL]. Without Cache-Control, DefaultTTL applies; no-store and
-// no-cache mean zero.
-func (s *Server) freshnessOf(h http.Header) (time.Duration, int64) {
+// age from origin headers: remaining = max-age - Age, at least 0. Without
+// a max-age (no Cache-Control, no-store, no-cache) it is 0: every request
+// revalidates.
+func freshnessOf(h http.Header) (time.Duration, int64) {
 	var age int64
 	if v := h.Get("Age"); v != "" {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n > 0 {
 			age = n
 		}
 	}
-	maxAge, ok := parseMaxAge(h.Get("Cache-Control"))
-	if !ok {
-		ttl := s.cfg.DefaultTTL
-		if s.cfg.MaxTTL > 0 && ttl > s.cfg.MaxTTL {
-			ttl = s.cfg.MaxTTL
-		}
-		return ttl, age
-	}
-	rem := maxAge - time.Duration(age)*time.Second
-	if rem < 0 {
-		rem = 0
-	}
-	if s.cfg.MaxTTL > 0 && rem > s.cfg.MaxTTL {
-		rem = s.cfg.MaxTTL
-	}
-	return rem, age
+	rem := parseMaxAge(h.Get("Cache-Control")) - time.Duration(age)*time.Second
+	return max(rem, 0), age
 }
 
-// parseMaxAge extracts max-age from a Cache-Control value. no-store and
-// no-cache report zero; ok is false when the header carries no usable
-// freshness directive at all.
-func parseMaxAge(cc string) (time.Duration, bool) {
-	if cc == "" {
-		return 0, false
-	}
+// parseMaxAge extracts max-age from a Cache-Control value: 0 when there
+// is none or it is malformed, and under no-store or no-cache.
+func parseMaxAge(cc string) time.Duration {
 	for _, part := range strings.Split(cc, ",") {
 		part = strings.TrimSpace(strings.ToLower(part))
 		switch {
 		case part == "no-store" || part == "no-cache":
-			return 0, true
+			return 0
 		case strings.HasPrefix(part, "max-age="):
 			secs, err := strconv.ParseInt(part[len("max-age="):], 10, 64)
 			if err != nil || secs < 0 {
-				return 0, true // malformed max-age: treat as stale
+				return 0
 			}
-			return time.Duration(secs) * time.Second, true
+			return time.Duration(secs) * time.Second
 		}
 	}
-	return 0, false
+	return 0
 }

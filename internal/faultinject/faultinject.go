@@ -8,12 +8,17 @@
 // responses, and rate-limit storms, driven by a declarative Scenario and
 // reproducible from a seed.
 //
-// An Injector wraps either side of the wire: Wrap produces an
-// http.Handler middleware (the storeserver and each proxy node install
-// one), RoundTripper produces a client-side middleware for transport-level
-// faults. Every injection decision is a pure function of (seed, rule
-// index, arrival index): request n under rule r faults iff the rule's
-// phase window admits n and a splitmix64-derived uniform draw on
+// An Injector wraps either side of the wire with one implementation of
+// each fault. RoundTripper injects in front of a client's transport (the
+// edge's origin leg); Wrap, which the storeserver and each proxy node
+// install, is an adapter that has the handler serve a faulted arrival into
+// memory and relays what the same client-side fault makes of it. One
+// scenario and seed therefore inject the same bytes from either side, and
+// every injected 503 or 429 is the /api/v1 error envelope (WriteEnvelope).
+//
+// Every injection decision is a pure function of (seed, rule index,
+// arrival index): request n under rule r faults iff the rule's phase
+// window admits n and a splitmix64-derived uniform draw on
 // (seed, r, n) clears the rule's probability. Two runs with the same seed
 // see the same fault pattern as a function of arrival order; concurrent
 // clients may interleave arrivals differently, but the marginal fault
@@ -23,11 +28,11 @@ package faultinject
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -43,11 +48,11 @@ type Kind uint8
 const (
 	// KindLatency delays the response by Delay plus uniform [0,Jitter).
 	KindLatency Kind = iota
-	// KindError short-circuits with Status (default 503) before the
-	// wrapped handler runs.
+	// KindError short-circuits with Status (default 503), rendered by
+	// WriteEnvelope, before the request is served.
 	KindError
-	// KindReset hijacks the connection and closes it mid-request, the
-	// TCP RST / abrupt-EOF failure a blacklisting store produces.
+	// KindReset fails the request as a reset connection, the TCP RST /
+	// abrupt-EOF failure a blacklisting store produces.
 	KindReset
 	// KindTruncate serves the real response but cuts the body short after
 	// TruncateAt bytes, leaving the declared Content-Length unsatisfied.
@@ -56,10 +61,10 @@ const (
 	// zeroed. NUL is never valid JSON, so decode validation always
 	// catches it on metadata documents.
 	KindCorrupt
-	// KindSlowLoris dribbles the response body out in tiny flushed
-	// chunks with Delay between them.
+	// KindSlowLoris dribbles the response body out in 64-byte chunks,
+	// the first 25 of them Delay apart.
 	KindSlowLoris
-	// KindRateLimit short-circuits with 429 and a Retry-After.
+	// KindRateLimit short-circuits with a 429 envelope and a Retry-After.
 	KindRateLimit
 	numKinds
 )
@@ -133,31 +138,17 @@ type Scenario struct {
 	Rules []Rule
 }
 
-// ErrorWriter renders an injected error response. The default writes
-// plain-text http.Error bodies; servers with structured error surfaces
-// (the storeserver's /api/v1 envelope) install their own, WriteEnvelope.
-type ErrorWriter func(w http.ResponseWriter, r *http.Request, status int, retryAfter time.Duration)
-
-// WriteEnvelope is the ErrorWriter for servers that speak the /api/v1
-// error envelope (apiwire.WriteError), retry_after_ms included. Responses
-// RoundTripper synthesizes are rendered by it too.
-func WriteEnvelope(w http.ResponseWriter, _ *http.Request, status int, retryAfter time.Duration) {
+// WriteEnvelope renders every injected 503 and 429, on either side of the
+// wire, as the /api/v1 error envelope (apiwire.WriteError): the hint goes
+// out as retry_after_ms and as a Retry-After header in ceiling seconds,
+// so a hint under a second reaches a client as milliseconds, not as a
+// whole second.
+func WriteEnvelope(w http.ResponseWriter, status int, retryAfter time.Duration) {
 	code := "unavailable"
 	if status == http.StatusTooManyRequests {
 		code = "rate_limited"
 	}
 	apiwire.WriteError(w, status, code, "injected fault", retryAfter)
-}
-
-func defaultErrorWriter(w http.ResponseWriter, r *http.Request, status int, retryAfter time.Duration) {
-	if retryAfter > 0 {
-		secs := int(retryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	http.Error(w, "fault injected: "+http.StatusText(status), status)
 }
 
 // Injector applies one Scenario's fault streams. Create with New (or
@@ -167,7 +158,6 @@ type Injector struct {
 	sc       Scenario
 	seed     uint64
 	node     int
-	errW     ErrorWriter
 	counters []atomic.Int64 // per-rule arrival counters
 
 	injected [numKinds]*metrics.Counter
@@ -186,31 +176,21 @@ func New(sc Scenario, seed uint64, reg *metrics.Registry) *Injector {
 // The node index also perturbs the decision stream, so two nodes running
 // the same rule fault different arrival indices.
 func NewForNode(sc Scenario, seed uint64, node int, reg *metrics.Registry) *Injector {
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
 	in := &Injector{
 		sc:       sc,
 		seed:     seed,
 		node:     node,
-		errW:     defaultErrorWriter,
 		counters: make([]atomic.Int64, len(sc.Rules)),
+		passed:   reg.Counter("faultinject_passed_total"),
 	}
 	for k := Kind(0); k < numKinds; k++ {
-		if reg != nil {
-			in.injected[k] = reg.Counter(fmt.Sprintf("faultinject_injected_total{kind=%q}", k.String()))
-		} else {
-			in.injected[k] = &metrics.Counter{}
-		}
-	}
-	if reg != nil {
-		in.passed = reg.Counter("faultinject_passed_total")
-	} else {
-		in.passed = &metrics.Counter{}
+		in.injected[k] = reg.Counter(fmt.Sprintf("faultinject_injected_total{kind=%q}", k.String()))
 	}
 	return in
 }
-
-// SetErrorWriter installs a custom renderer for injected error responses
-// (KindError, KindRateLimit). Must be called before the injector serves.
-func (in *Injector) SetErrorWriter(w ErrorWriter) { in.errW = w }
 
 // InjectedTotal returns the total faults fired across kinds.
 func (in *Injector) InjectedTotal() int64 {
@@ -267,9 +247,20 @@ func (in *Injector) decide(path string) (ri int, n int64) {
 
 func containsPath(path, sub string) bool { return strings.Contains(path, sub) }
 
-// Wrap returns next with sc's faults injected in front of (and, for the
-// body-mangling kinds, around) it.
+// Wrap returns next with sc's faults injected in front of it, through the
+// same inject RoundTripper runs: Wrap is only the adapter between a
+// handler and a transport. An arrival no rule fires on goes straight to
+// next. A faulted one has next serve into memory, passes that exchange
+// through inject, and relays what comes out — status, headers, then the
+// body as it reads, flushed read by read, so a slow-loris body dribbles
+// onto the wire. A reset, or a body read that fails mid-stream, closes
+// the connection under whatever Content-Length the handler declared.
 func (in *Injector) Wrap(next http.Handler) http.Handler {
+	serve := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		rec := &recorder{header: http.Header{}}
+		next.ServeHTTP(rec, req)
+		return rec.response(req), nil
+	})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ri, n := in.decide(r.URL.Path)
 		if ri < 0 {
@@ -277,42 +268,39 @@ func (in *Injector) Wrap(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		rl := &in.sc.Rules[ri]
-		in.injected[rl.Kind].Inc()
-		switch rl.Kind {
-		case KindLatency:
-			d := rl.Delay + time.Duration(in.jitterDraw(ri, n)*float64(rl.Jitter))
-			select {
-			case <-r.Context().Done():
-			case <-time.After(d):
-			}
-			next.ServeHTTP(w, r)
-		case KindError:
-			status := rl.Status
-			if status == 0 {
-				status = http.StatusServiceUnavailable
-			}
-			in.errW(w, r, status, rl.RetryAfter)
-		case KindRateLimit:
-			in.errW(w, r, http.StatusTooManyRequests, rl.RetryAfter)
-		case KindReset:
+		resp, err := in.inject(ri, n, r, serve)
+		if err != nil {
 			resetConn(w)
-		case KindTruncate:
-			at := rl.TruncateAt
-			if at <= 0 {
-				at = 12
+			return
+		}
+		defer resp.Body.Close()
+		h := w.Header()
+		for k, vs := range resp.Header {
+			h[k] = vs
+		}
+		w.WriteHeader(resp.StatusCode)
+		fl, _ := w.(http.Flusher)
+		buf := make([]byte, 32<<10)
+		for {
+			k, err := resp.Body.Read(buf)
+			if k > 0 {
+				if _, werr := w.Write(buf[:k]); werr != nil {
+					return // client gone
+				}
+				if fl != nil {
+					fl.Flush()
+				}
 			}
-			next.ServeHTTP(&truncateWriter{ResponseWriter: w, budget: at}, r)
-			// Closing the connection under the handler's declared
-			// Content-Length is what makes the client see an unexpected
-			// EOF rather than a clean short document.
-			resetConn(w)
-		case KindCorrupt:
-			next.ServeHTTP(&corruptWriter{ResponseWriter: w}, r)
-		case KindSlowLoris:
-			lw := &lorisWriter{w: w, delay: rl.Delay, chunk: 64}
-			next.ServeHTTP(lw, r)
-			lw.flushTail()
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				// Closing the connection short of the declared length is
+				// what makes the client see an unexpected EOF rather than
+				// a clean short document.
+				resetConn(w)
+				return
+			}
 		}
 	})
 }
@@ -333,104 +321,8 @@ func resetConn(w http.ResponseWriter) {
 	}
 }
 
-// truncateWriter forwards at most budget body bytes and swallows the rest.
-type truncateWriter struct {
-	http.ResponseWriter
-	budget int
-}
-
-func (t *truncateWriter) Write(p []byte) (int, error) {
-	if t.budget <= 0 {
-		return len(p), nil // pretend success so the handler completes
-	}
-	n := len(p)
-	if n > t.budget {
-		n = t.budget
-	}
-	if _, err := t.ResponseWriter.Write(p[:n]); err != nil {
-		return 0, err
-	}
-	t.budget -= n
-	return len(p), nil
-}
-
-// corruptWriter zeroes a short span early in the body. NUL bytes are
-// illegal anywhere in JSON — inside or outside string literals — so a
-// decode-validating client detects the damage deterministically.
-type corruptWriter struct {
-	http.ResponseWriter
-	written int
-}
-
-func (c *corruptWriter) Write(p []byte) (int, error) {
-	const corruptAt, corruptLen = 2, 4
-	end := c.written + len(p)
-	if c.written <= corruptAt+corruptLen && end > corruptAt {
-		q := append([]byte(nil), p...)
-		for i := range q {
-			if pos := c.written + i; pos >= corruptAt && pos < corruptAt+corruptLen {
-				q[i] = 0
-			}
-		}
-		p = q
-	}
-	n, err := c.ResponseWriter.Write(p)
-	c.written += n
-	return n, err
-}
-
-// lorisWriter buffers the response and dribbles it out in small flushed
-// chunks with a delay between each — the slow-loris read experience.
-type lorisWriter struct {
-	w     http.ResponseWriter
-	buf   bytes.Buffer
-	code  int
-	delay time.Duration
-	chunk int
-}
-
-func (l *lorisWriter) Header() http.Header { return l.w.Header() }
-
-func (l *lorisWriter) WriteHeader(code int) { l.code = code }
-
-func (l *lorisWriter) Write(p []byte) (int, error) { return l.buf.Write(p) }
-
-// flushTail replays the buffered response slowly. The chunk pacing is
-// bounded to ~24 sleeps so a single injection cannot stall a worker for
-// longer than 24*Delay.
-func (l *lorisWriter) flushTail() {
-	if l.code != 0 {
-		l.w.WriteHeader(l.code)
-	}
-	body := l.buf.Bytes()
-	chunk := l.chunk
-	if maxSleeps := 24; len(body) > maxSleeps*chunk {
-		chunk = (len(body) + maxSleeps - 1) / maxSleeps
-	}
-	fl, _ := l.w.(http.Flusher)
-	for len(body) > 0 {
-		n := chunk
-		if n > len(body) {
-			n = len(body)
-		}
-		if _, err := l.w.Write(body[:n]); err != nil {
-			return
-		}
-		if fl != nil {
-			fl.Flush()
-		}
-		body = body[n:]
-		if len(body) > 0 && l.delay > 0 {
-			time.Sleep(l.delay)
-		}
-	}
-}
-
-// RoundTripper returns a client-side middleware injecting transport-level
-// faults: KindLatency stalls before dispatch, KindError/KindRateLimit
-// synthesize responses without touching the network, KindReset returns a
-// connection-reset error, and the body-mangling kinds rewrite the real
-// response's body.
+// RoundTripper returns a client-side middleware injecting sc's faults in
+// front of next (http.DefaultTransport when nil).
 func (in *Injector) RoundTripper(next http.RoundTripper) http.RoundTripper {
 	if next == nil {
 		next = http.DefaultTransport
@@ -441,71 +333,97 @@ func (in *Injector) RoundTripper(next http.RoundTripper) http.RoundTripper {
 			in.passed.Inc()
 			return next.RoundTrip(req)
 		}
-		rl := &in.sc.Rules[ri]
-		in.injected[rl.Kind].Inc()
-		switch rl.Kind {
-		case KindLatency:
-			d := rl.Delay + time.Duration(in.jitterDraw(ri, n)*float64(rl.Jitter))
-			select {
-			case <-req.Context().Done():
-				return nil, req.Context().Err()
-			case <-time.After(d):
-			}
-			return next.RoundTrip(req)
-		case KindError:
-			status := rl.Status
-			if status == 0 {
-				status = http.StatusServiceUnavailable
-			}
-			return syntheticResponse(req, status, rl.RetryAfter), nil
-		case KindRateLimit:
-			return syntheticResponse(req, http.StatusTooManyRequests, rl.RetryAfter), nil
-		case KindReset:
-			return nil, &net.OpError{Op: "read", Net: "tcp", Err: fmt.Errorf("faultinject: connection reset by peer")}
-		case KindTruncate:
-			resp, err := next.RoundTrip(req)
-			if err != nil {
-				return nil, err
-			}
-			at := rl.TruncateAt
-			if at <= 0 {
-				at = 12
-			}
-			resp.Body = &truncatedBody{rc: resp.Body, budget: at}
-			return resp, nil
-		case KindCorrupt:
-			resp, err := next.RoundTrip(req)
-			if err != nil {
-				return nil, err
-			}
-			resp.Body = &corruptedBody{rc: resp.Body}
-			return resp, nil
-		case KindSlowLoris:
-			resp, err := next.RoundTrip(req)
-			if err != nil {
-				return nil, err
-			}
-			resp.Body = &slowBody{rc: resp.Body, delay: rl.Delay}
-			return resp, nil
-		}
-		return next.RoundTrip(req)
+		return in.inject(ri, n, req, next)
 	})
+}
+
+// inject runs req, arrival n under rule ri, through the rule's fault: the
+// one implementation of every Kind, whichever side of the wire armed it.
+// KindLatency stalls before dispatch; KindError and KindRateLimit answer
+// with WriteEnvelope's bytes without dispatching; KindReset fails as a
+// reset connection; the body kinds rewrite the real response's body as it
+// is read.
+func (in *Injector) inject(ri int, n int64, req *http.Request, next http.RoundTripper) (*http.Response, error) {
+	rl := &in.sc.Rules[ri]
+	in.injected[rl.Kind].Inc()
+	switch rl.Kind {
+	case KindLatency:
+		d := rl.Delay + time.Duration(in.jitterDraw(ri, n)*float64(rl.Jitter))
+		select {
+		case <-req.Context().Done():
+			return nil, req.Context().Err()
+		case <-time.After(d):
+		}
+	case KindError:
+		status := rl.Status
+		if status == 0 {
+			status = http.StatusServiceUnavailable
+		}
+		return syntheticResponse(req, status, rl.RetryAfter), nil
+	case KindRateLimit:
+		return syntheticResponse(req, http.StatusTooManyRequests, rl.RetryAfter), nil
+	case KindReset:
+		return nil, &net.OpError{Op: "read", Net: "tcp", Err: errors.New("faultinject: connection reset by peer")}
+	}
+	resp, err := next.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	switch rl.Kind {
+	case KindTruncate:
+		at := rl.TruncateAt
+		if at <= 0 {
+			at = 12
+		}
+		resp.Body = &truncatedBody{ReadCloser: resp.Body, budget: at}
+	case KindCorrupt:
+		resp.Body = &corruptedBody{ReadCloser: resp.Body}
+	case KindSlowLoris:
+		resp.Body = &slowBody{ReadCloser: resp.Body, delay: rl.Delay}
+	}
+	return resp, nil
 }
 
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
-// syntheticResponse answers req with status without touching the network,
-// rendered by WriteEnvelope as a store renders its own injected faults: the
-// envelope's retry_after_ms states a sub-second hint that the Retry-After
-// header, in whole seconds, would round up to one.
+// syntheticResponse answers req with status without dispatching it,
+// rendered by WriteEnvelope.
 func syntheticResponse(req *http.Request, status int, retryAfter time.Duration) *http.Response {
-	rec := &envelopeRecorder{header: http.Header{}}
-	WriteEnvelope(rec, req, status, retryAfter)
+	rec := &recorder{header: http.Header{}}
+	WriteEnvelope(rec, status, retryAfter)
+	return rec.response(req)
+}
+
+// recorder is the http.ResponseWriter a response is rendered into in
+// memory: a synthesized error, or the handler a faulted arrival at Wrap
+// runs.
+type recorder struct {
+	status int
+	header http.Header
+	body   bytes.Buffer
+}
+
+func (rec *recorder) Header() http.Header { return rec.header }
+
+func (rec *recorder) WriteHeader(status int) {
+	if rec.status == 0 {
+		rec.status = status
+	}
+}
+
+func (rec *recorder) Write(p []byte) (int, error) {
+	rec.WriteHeader(http.StatusOK)
+	return rec.body.Write(p)
+}
+
+// response is what rec holds, as the answer to req.
+func (rec *recorder) response(req *http.Request) *http.Response {
+	rec.WriteHeader(http.StatusOK)
 	return &http.Response{
-		StatusCode:    status,
-		Status:        fmt.Sprintf("%d %s", status, http.StatusText(status)),
+		StatusCode:    rec.status,
+		Status:        fmt.Sprintf("%d %s", rec.status, http.StatusText(rec.status)),
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
@@ -516,71 +434,49 @@ func syntheticResponse(req *http.Request, status int, retryAfter time.Duration) 
 	}
 }
 
-// envelopeRecorder is the http.ResponseWriter syntheticResponse renders
-// into; the status is syntheticResponse's own.
-type envelopeRecorder struct {
-	header http.Header
-	body   bytes.Buffer
-}
-
-func (e *envelopeRecorder) Header() http.Header         { return e.header }
-func (e *envelopeRecorder) WriteHeader(int)             {}
-func (e *envelopeRecorder) Write(p []byte) (int, error) { return e.body.Write(p) }
-
-// truncatedBody yields budget bytes then an abrupt unexpected EOF.
+// truncatedBody yields budget bytes, then fails as a connection cut short.
 type truncatedBody struct {
-	rc     interface{ Read([]byte) (int, error) }
-	closer interface{ Close() error }
+	io.ReadCloser
 	budget int
 }
 
 func (t *truncatedBody) Read(p []byte) (int, error) {
 	if t.budget <= 0 {
-		return 0, &net.OpError{Op: "read", Net: "tcp", Err: fmt.Errorf("faultinject: truncated body")}
+		return 0, &net.OpError{Op: "read", Net: "tcp", Err: errors.New("faultinject: truncated body")}
 	}
 	if len(p) > t.budget {
 		p = p[:t.budget]
 	}
-	n, err := t.rc.Read(p)
+	n, err := t.ReadCloser.Read(p)
 	t.budget -= n
 	return n, err
 }
 
-func (t *truncatedBody) Close() error {
-	if c, ok := t.rc.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// corruptedBody zeroes a span early in the stream, mirroring corruptWriter.
+// corruptedBody zeroes a short span early in the stream. NUL bytes are
+// illegal anywhere in JSON — inside or outside string literals — so a
+// decode-validating client detects the damage deterministically.
 type corruptedBody struct {
-	rc      interface{ Read([]byte) (int, error) }
-	written int
+	io.ReadCloser
+	read int
 }
 
 func (c *corruptedBody) Read(p []byte) (int, error) {
 	const corruptAt, corruptLen = 2, 4
-	n, err := c.rc.Read(p)
+	n, err := c.ReadCloser.Read(p)
 	for i := 0; i < n; i++ {
-		if pos := c.written + i; pos >= corruptAt && pos < corruptAt+corruptLen {
+		if pos := c.read + i; pos >= corruptAt && pos < corruptAt+corruptLen {
 			p[i] = 0
 		}
 	}
-	c.written += n
+	c.read += n
 	return n, err
 }
 
-func (c *corruptedBody) Close() error {
-	if cl, ok := c.rc.(interface{ Close() error }); ok {
-		return cl.Close()
-	}
-	return nil
-}
-
-// slowBody inserts delay between reads.
+// slowBody hands the body out 64 bytes a read, sleeping delay before each
+// of the first 24 reads after the first, so one injection stalls a reader
+// by at most 24 delays.
 type slowBody struct {
-	rc    interface{ Read([]byte) (int, error) }
+	io.ReadCloser
 	delay time.Duration
 	reads int
 }
@@ -593,12 +489,5 @@ func (s *slowBody) Read(p []byte) (int, error) {
 	if len(p) > 64 {
 		p = p[:64]
 	}
-	return s.rc.Read(p)
-}
-
-func (s *slowBody) Close() error {
-	if c, ok := s.rc.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
+	return s.ReadCloser.Read(p)
 }

@@ -14,14 +14,16 @@ import (
 	"time"
 )
 
+// okBody is the document okHandler serves.
+const okBody = `{"apps":[1,2,3],"total":3,"note":"abcdefghijklmnopqrstuvwxyz"}`
+
 // okHandler serves a small JSON document with a declared length, the shape
 // the storeserver's pre-encoded documents have.
 func okHandler() http.Handler {
-	body := []byte(`{"apps":[1,2,3],"total":3,"note":"abcdefghijklmnopqrstuvwxyz"}`)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", itoa(len(body)))
-		w.Write(body) //nolint:errcheck
+		w.Header().Set("Content-Length", itoa(len(okBody)))
+		io.WriteString(w, okBody) //nolint:errcheck
 	})
 }
 
@@ -93,7 +95,8 @@ func TestErrorAndRateLimitInjection(t *testing.T) {
 	if resp.StatusCode != 503 {
 		t.Fatalf("status = %d, want 503", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") != "1" {
+	// The envelope's header: 1.5 s in ceiling seconds.
+	if resp.Header.Get("Retry-After") != "2" {
 		t.Fatalf("Retry-After = %q", resp.Header.Get("Retry-After"))
 	}
 
@@ -225,9 +228,99 @@ func TestRoundTripperInjection(t *testing.T) {
 	// The store's envelope, byte for byte: the header in ceiling seconds,
 	// the body carrying the hint in milliseconds.
 	want := httptest.NewRecorder()
-	WriteEnvelope(want, nil, 503, 8*time.Millisecond)
+	WriteEnvelope(want, 503, 8*time.Millisecond)
 	if string(body) != want.Body.String() || resp.Header.Get("Retry-After") != "1" || !strings.Contains(string(body), `"retry_after_ms":8`) {
 		t.Fatalf("synthesized 503: Retry-After %q, body %q; want the envelope %q", resp.Header.Get("Retry-After"), body, want.Body)
+	}
+}
+
+// TestBothSidesInjectTheSameFault runs one scenario and seed per Kind
+// through Wrap, behind a server, and through RoundTripper, in front of a
+// server of the same handler, and holds the two sides to the same
+// outcome arrival by arrival: the same status, Retry-After and body
+// bytes, and a transport error on the same arrivals.
+func TestBothSidesInjectTheSameFault(t *testing.T) {
+	type outcome struct {
+		status     int
+		retryAfter string
+		body       string
+		failed     bool
+	}
+	// A fresh connection per request: a transport retrying a GET on a
+	// reused connection that was reset would advance the arrival counter.
+	client := func(rt http.RoundTripper) *http.Client {
+		if rt == nil {
+			rt = &http.Transport{DisableKeepAlives: true}
+		}
+		return &http.Client{Transport: rt}
+	}
+	fetch := func(c *http.Client, url string) outcome {
+		resp, err := c.Get(url)
+		if err != nil {
+			return outcome{failed: true}
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return outcome{resp.StatusCode, resp.Header.Get("Retry-After"), string(body), err != nil}
+	}
+	envelope := func(status int) string {
+		rec := httptest.NewRecorder()
+		WriteEnvelope(rec, status, 1500*time.Millisecond)
+		return rec.Body.String()
+	}
+	for k := Kind(0); k < numKinds; k++ {
+		t.Run(k.String(), func(t *testing.T) {
+			sc := Scenario{Rules: []Rule{{Kind: k, Prob: 0.5, Status: 503, RetryAfter: 1500 * time.Millisecond,
+				Delay: time.Millisecond, TruncateAt: 8, Node: -1}}}
+			server, side := New(sc, 3, nil), New(sc, 3, nil)
+			wrapped := httptest.NewServer(server.Wrap(okHandler()))
+			defer wrapped.Close()
+			origin := httptest.NewServer(okHandler())
+			defer origin.Close()
+			viaWrap := client(nil)
+			viaRT := client(side.RoundTripper(&http.Transport{DisableKeepAlives: true}))
+			var faults, passes int
+			for i := 0; i < 16; i++ {
+				before := server.InjectedTotal()
+				got, want := fetch(viaWrap, wrapped.URL+"/x"), fetch(viaRT, origin.URL+"/x")
+				if got != want {
+					t.Fatalf("arrival %d: Wrap gave %+v, RoundTripper %+v", i, got, want)
+				}
+				if server.InjectedTotal() != side.InjectedTotal() {
+					t.Fatalf("arrival %d: %d faults injected by Wrap, %d by RoundTripper", i, server.InjectedTotal(), side.InjectedTotal())
+				}
+				intact := outcome{status: 200, body: okBody}
+				if server.InjectedTotal() == before {
+					passes++
+					if got != intact {
+						t.Fatalf("arrival %d passed but arrived as %+v", i, got)
+					}
+					continue
+				}
+				faults++
+				var ok bool
+				switch k {
+				case KindLatency, KindSlowLoris:
+					ok = got == intact
+				case KindError:
+					ok = got == outcome{503, "2", envelope(503), false}
+				case KindRateLimit:
+					ok = got == outcome{429, "2", envelope(429), false}
+				case KindReset:
+					ok = got.failed
+				case KindTruncate:
+					ok = got.failed && got.body == okBody[:8]
+				case KindCorrupt:
+					ok = got.status == 200 && got.body == okBody[:2]+"\x00\x00\x00\x00"+okBody[6:]
+				}
+				if !ok {
+					t.Fatalf("arrival %d: %s fault arrived as %+v", i, k, got)
+				}
+			}
+			if faults == 0 || passes == 0 {
+				t.Fatalf("%d faults and %d passes in 16 arrivals: the seed exercises one side of the rule only", faults, passes)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"planetapps/internal/edgecache"
+	"planetapps/internal/storeserver"
 )
 
 func mustUnmarshal(t *testing.T, b []byte, v any) {
@@ -100,6 +101,68 @@ func TestEdgeCacheOverGateway(t *testing.T) {
 		_, gotBody := get(t, edge.Handler(), p, hdr)
 		if !bytes.Equal(gotBody, wantBody) {
 			t.Fatalf("after day-roll %s: edge served stale or diverged bytes", p)
+		}
+	}
+}
+
+// TestEdgeRelaysWrites: the edge relays every method but GET and HEAD to
+// its origin uncached. A write posted through edge -> gateway is acked,
+// its replay under the same Idempotency-Key is deduped — through the edge
+// and at the gateway alike — and it is visible through the edge after a
+// roll. A wrong method gets the gateway's own 405 and Allow.
+func TestEdgeRelaysWrites(t *testing.T) {
+	ip := newFleet(t, 4, 20)
+	gateway := ip.Handler()
+	edge, err := edgecache.New(edgecache.Config{
+		Origin:          "http://gateway",
+		OriginTransport: HandlerTransport{Handler: gateway},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := edge.Handler()
+	downloads := func() int64 {
+		var app storeserver.AppJSON
+		_, body := get(t, h, "/api/v1/apps/3", nil)
+		mustUnmarshal(t, body, &app)
+		return app.Downloads
+	}
+	before := downloads()
+
+	hdr := http.Header{"Content-Type": {"application/json"}, "Idempotency-Key": {"edge-write-1"}}
+	const path, body = "/api/v1/apps/3/download", `{"user":77}`
+	fetched := edge.Stats().OriginRequests
+	for i, tier := range []http.Handler{h, h, gateway} {
+		r := exchange(t, tier, "POST", path, hdr, body)
+		var ack storeserver.WriteAckJSON
+		mustUnmarshal(t, r.body, &ack)
+		if r.status != http.StatusOK || !ack.Accepted || ack.Deduped != (i > 0) {
+			t.Fatalf("POST %d: %d %s, want an ack (deduped: %v)", i, r.status, r.body, i > 0)
+		}
+	}
+	// Each relayed write is an origin request: no origin offload from writes.
+	if n := edge.Stats().OriginRequests - fetched; n != 2 {
+		t.Fatalf("two writes relayed, %d origin requests counted", n)
+	}
+	if got := downloads(); got != before {
+		t.Fatalf("write visible before the roll: downloads %d -> %d", before, got)
+	}
+	if err := ip.AdvanceDay(); err != nil {
+		t.Fatal(err)
+	}
+	// The simulation adds organic downloads of its own: at least ours.
+	if got := downloads(); got < before+1 {
+		t.Fatalf("write not visible after the roll: downloads %d -> %d", before, got)
+	}
+
+	for _, rq := range []struct{ method, path string }{
+		{"DELETE", "/api/v1/apps/3"}, {"PUT", path}, {"POST", "/api/v1/stats"},
+	} {
+		got, want := exchange(t, h, rq.method, rq.path, nil, ""), exchange(t, gateway, rq.method, rq.path, nil, "")
+		if got.status != http.StatusMethodNotAllowed || got.status != want.status ||
+			got.header.Get("Allow") != want.header.Get("Allow") || !bytes.Equal(got.body, want.body) {
+			t.Fatalf("%s %s through the edge: %d Allow %q %s; the gateway answers %d Allow %q %s", rq.method, rq.path,
+				got.status, got.header.Get("Allow"), got.body, want.status, want.header.Get("Allow"), want.body)
 		}
 	}
 }

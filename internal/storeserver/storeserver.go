@@ -530,12 +530,8 @@ func (s *Server) Handler() http.Handler {
 
 // SetChaos installs a fault injector in front of the API routes (the
 // /metrics endpoint stays fault-free so observation survives the storm).
-// Injected error responses are rendered as the error envelope, with
-// retry_after_ms. Must be called before Handler().
-func (s *Server) SetChaos(inj *faultinject.Injector) {
-	inj.SetErrorWriter(faultinject.WriteEnvelope)
-	s.chaos = inj
-}
+// Must be called before Handler().
+func (s *Server) SetChaos(inj *faultinject.Injector) { s.chaos = inj }
 
 // limit applies per-client token-bucket rate limiting. A rejected request
 // gets the error envelope carrying the limiter's actual time-to-next-token,

@@ -246,20 +246,22 @@ smoke-loadtest() {
 	# No lost acks: an open-loop run over /api/v1 with 20% of events
 	# driving the write funnel (POST download/rate/comments) and a
 	# two-phase day-roll mid-run, so acknowledged writes straddle the
-	# epoch swap — once against a single node (-shards 0: a fleet of one,
-	# driven directly) and once against a 2-shard fleet, where the gateway
-	# forwards each write to the owning shard. Fails if any post-roll
-	# response mixed epochs, if any write was rejected or errored, if an
-	# endpoint's outcomes do not add up to its posts, or if the drained
-	# WAL shows an acknowledged write that never merged (accepted !=
-	# merged or records left pending after the drain rolls); the single
-	# node must not have crossed the gateway. The read-path alloc budget
-	# is the alloc gate's — this run proves the write path rides along
-	# without disturbing it.
-	local shards w
-	for shards in 0 2; do
-		w="$out/write-$shards.json"
-		go run ./cmd/loadtest -shards "$shards" \
+	# epoch swap — against a single node (-shards 0: a fleet of one,
+	# driven directly), against a 2-shard fleet, where the gateway
+	# forwards each write to the owning shard, and through an edge in
+	# front of a single node, which relays each write uncached. Fails if
+	# any post-roll response mixed epochs, if any write was rejected or
+	# errored, if an endpoint's outcomes do not add up to its posts, or if
+	# the drained WAL shows an acknowledged write that never merged
+	# (accepted != merged or records left pending after the drain rolls);
+	# the single node must not have crossed the gateway. The read-path
+	# alloc budget is the alloc gate's — this run proves the write path
+	# rides along without disturbing it.
+	local target w
+	for target in '-shards 0' '-shards 2' '-edge'; do
+		w="$out/write${target// /}.json"
+		# shellcheck disable=SC2086 # the flags are split on purpose
+		go run ./cmd/loadtest $target \
 			-mode open -events 20000 -stages 500x6s \
 			-write-mix 0.2 -warmup 500ms -day-roll 2s -out "$w"
 		jq -e '.open.day_roll.rolled and .open.day_roll.mixed_epoch_responses == 0' "$w"
@@ -268,7 +270,7 @@ smoke-loadtest() {
 		jq -e '.open.writes | length == 3 and all(.posts == .accepted + .deduped + .duplicate + .backpressure_429 + .rejected + .errors)' "$w"
 		jq -e '.wal.accepted > 0 and .wal.accepted == .wal.merged and .wal.pending == 0' "$w"
 	done
-	jq -e '.fleet.shards == 1 and .fleet.gateway.proxied == 0' "$out/write-0.json"
+	jq -e '.fleet.shards == 1 and .fleet.gateway.proxied == 0' "$out/write-shards0.json"
 
 	# Chaos: a short open-loop run over /api/v1 with the latency scenario
 	# armed and the resilient client driving: exercises fault injection,
@@ -309,15 +311,14 @@ bench-module() {
 }
 
 # The figures simplicity PRs quote in CHANGES.md: non-test Go lines outside
-# the frozen cmd/bench, and the settings census — the exported fields of
-# internal/'s *Config, *Options and *Spec structs, every one of which some
-# program, test or other package sets (TestEveryConfigFieldIsSet logs the
-# count). Informational: never fails.
+# the frozen cmd/bench, in cmd and in every internal/ package, and the
+# settings census — the exported fields of internal/'s *Config, *Options
+# and *Spec structs, every one of which some program, test or other
+# package sets (TestEveryConfigFieldIsSet logs the count). Informational:
+# never fails.
 loc() {
-	scripts/loc.sh cmd internal/metrics internal/experiments internal/cache internal/edgecache internal/prefetch \
-		internal/fleet internal/storeserver internal/apiwire internal/marketsim \
-		internal/resilient internal/crawler internal/comments internal/model internal/rng \
-		internal/dist internal/stats internal/report internal/snapshot internal/db internal/pricing || true
+	local pkgs=(internal/*/)
+	scripts/loc.sh cmd "${pkgs[@]%/}" || true
 	go test -count=1 -run TestEveryConfigFieldIsSet -v . | grep 'config fields' || true
 }
 
