@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"planetapps/internal/dist"
 	"planetapps/internal/model"
 	"planetapps/internal/report"
+	"planetapps/internal/snapshot"
 )
 
 func init() {
@@ -21,6 +24,46 @@ func fitSpec(s *Suite) model.FitSpec {
 	spec := model.DefaultFitSpec()
 	spec.Workers = s.cfg.Workers
 	return spec
+}
+
+// fitKey names the fits a suite keeps: every model kind fitted to one day
+// of one store's series. The curve, spec and seed follow from it.
+type fitKey struct {
+	store string
+	day   int
+}
+
+// fitEntry is the single-flight slot for one fitKey, as storeEntry is for
+// a store.
+type fitEntry struct {
+	once sync.Once
+	fits []model.FitResult
+	err  error
+}
+
+// fitAll returns every model kind's Monte Carlo fit to the curve of day in
+// store's series, best first (model.FitAllMC), fitting them on first use.
+// Figure 9's last-day rows are Figure 8's fits: whichever runs first fits,
+// concurrent callers of one key wait for it, and the other reads the
+// result. Callers must not modify it.
+func (s *Suite) fitAll(store string, day *snapshot.Day) ([]model.FitResult, error) {
+	k := fitKey{store, day.Index}
+	s.mu.Lock()
+	e, ok := s.fits[k]
+	if !ok {
+		e = &fitEntry{}
+		s.fits[k] = e
+	}
+	s.mu.Unlock()
+	e.once.Do(func() {
+		curve := day.Curve().TrimZeroTail()
+		if len(curve.Downloads) == 0 {
+			e.err = fmt.Errorf("experiments: store %s day %d curve empty", store, day.Index)
+			return
+		}
+		e.fits, e.err = model.FitAllMC(curve, fitSpec(s), s.cfg.Seed)
+	})
+	return e.fits, e.err
 }
 
 // Figure8Result compares the three models' best fits per store (Figure 8).
@@ -64,11 +107,11 @@ func Figure8(s *Suite) (*Figure8Result, error) {
 		if err != nil {
 			return err
 		}
-		fits, err := model.FitAllMC(ds.Series.Last().Curve().TrimZeroTail(), fitSpec(s), s.cfg.Seed)
+		fits, err := s.fitAll(store, ds.Series.Last())
 		if err != nil {
 			return err
 		}
-		out.Stores[i] = Figure8Store{Store: store, Fits: fits}
+		out.Stores[i] = Figure8Store{Store: store, Fits: slices.Clone(fits)}
 		return nil
 	})
 	if err != nil {
@@ -122,17 +165,13 @@ func Figure9(s *Suite) (*Figure9Result, error) {
 		if edge == "last" {
 			day = ds.Series.Last()
 		}
-		curve := day.Curve().TrimZeroTail()
-		if len(curve.Downloads) == 0 {
-			return fmt.Errorf("experiments: store %s %s-day curve empty", store, edge)
+		fits, err := s.fitAll(store, day)
+		if err != nil {
+			return err
 		}
 		row := Figure9Row{Store: store, Edge: edge, Distances: map[string]float64{}}
-		for _, k := range model.Kinds {
-			fit, err := model.FitMC(k, curve, fitSpec(s), s.cfg.Seed)
-			if err != nil {
-				return err
-			}
-			row.Distances[k.String()] = fit.Distance
+		for _, fit := range fits {
+			row.Distances[fit.Kind.String()] = fit.Distance
 		}
 		out.Rows[i] = row
 		return nil

@@ -71,7 +71,8 @@ type Dataset struct {
 
 // Suite carries lazily computed shared state. A Suite is safe for
 // concurrent use: independent stores simulate concurrently, and each
-// store's dataset is computed exactly once (per-store single-flight).
+// store's dataset, and each model fit Figures 8 and 9 read, is computed
+// exactly once (per-key single-flight).
 type Suite struct {
 	cfg Config
 	// given is the one store of a NewDatasetSuite; nil when the suite
@@ -80,6 +81,7 @@ type Suite struct {
 
 	mu     sync.Mutex
 	stores map[string]*storeEntry
+	fits   map[fitKey]*fitEntry
 }
 
 // storeEntry is the single-flight slot for one simulated store: the first
@@ -119,7 +121,7 @@ func newSuite(cfg Config, given *Dataset) (*Suite, error) {
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Suite{cfg: cfg, given: given, stores: map[string]*storeEntry{}}, nil
+	return &Suite{cfg: cfg, given: given, stores: map[string]*storeEntry{}, fits: map[fitKey]*fitEntry{}}, nil
 }
 
 // StoreNames returns the store names in presentation order: the simulated

@@ -12,7 +12,7 @@
 package fleet
 
 import (
-	"hash/fnv"
+	"math/bits"
 	"sort"
 
 	"planetapps/internal/rng"
@@ -36,12 +36,22 @@ const DefaultVnodes = 64
 type Ring struct {
 	shards int
 	points []ringPoint
+	// first[b] is the index of the first point whose hash's top bucketBits
+	// bits are b or more, and first[len(first)-1] is len(points): the points
+	// of bucket b are points[first[b]:first[b+1]]. Below the cap there are
+	// more than twice as many buckets as points, so Owner compares against
+	// half a point on average.
+	first      []int32
+	bucketBits uint
 }
 
 type ringPoint struct {
 	hash  uint64
 	shard int32
 }
+
+// maxBucketBits caps the bucket table at 256 KiB.
+const maxBucketBits = 16
 
 // NewRing builds the ring for a fleet of shards nodes with vnodes virtual
 // points per shard (<=0 uses DefaultVnodes). shards must be >= 1.
@@ -50,12 +60,10 @@ func NewRing(shards, vnodes int) *Ring {
 		vnodes = DefaultVnodes
 	}
 	r := &Ring{shards: shards, points: make([]ringPoint, 0, shards*vnodes)}
-	var buf [16]byte
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodes; v++ {
-			putUint64(buf[0:8], uint64(s)+0x9E3779B97F4A7C15)
-			putUint64(buf[8:16], uint64(v))
-			r.points = append(r.points, ringPoint{hash: fnvHash(buf[:]), shard: int32(s)})
+			h := fnv1a(fnv1a(fnvOffset, uint64(s)+0x9E3779B97F4A7C15), uint64(v))
+			r.points = append(r.points, ringPoint{hash: rng.Mix64(h), shard: int32(s)})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -66,6 +74,15 @@ func NewRing(shards, vnodes int) *Ring {
 		// sorts identically.
 		return r.points[i].shard < r.points[j].shard
 	})
+	r.bucketBits = min(uint(bits.Len(uint(len(r.points))))+1, maxBucketBits)
+	r.first = make([]int32, 1<<r.bucketBits+1)
+	p := 0
+	for b := range r.first {
+		for p < len(r.points) && r.points[p].hash>>(64-r.bucketBits) < uint64(b) {
+			p++
+		}
+		r.first[b] = int32(p)
+	}
 	return r
 }
 
@@ -73,12 +90,17 @@ func NewRing(shards, vnodes int) *Ring {
 func (r *Ring) Shards() int { return r.shards }
 
 // Owner returns the shard index owning global app ID id: the successor
-// point of the ID's hash, wrapping at the top of the ring.
+// point of the ID's hash, wrapping at the top of the ring. Every point of
+// an earlier bucket hashes below the ID and every point of a later one
+// above it, so the successor is in the ID's bucket or is the first point
+// after it.
 func (r *Ring) Owner(id int32) int {
-	var buf [8]byte
-	putUint64(buf[:], uint64(uint32(id))|0xA5A5<<48)
-	h := fnvHash(buf[:])
-	i := sort.Search(len(r.points), func(j int) bool { return r.points[j].hash >= h })
+	h := rng.Mix64(fnv1a(fnvOffset, uint64(uint32(id))|0xA5A5<<48))
+	b := h >> (64 - r.bucketBits)
+	i, end := int(r.first[b]), int(r.first[b+1])
+	for i < end && r.points[i].hash < h {
+		i++
+	}
 	if i == len(r.points) {
 		i = 0
 	}
@@ -91,22 +113,28 @@ func (r *Ring) OwnsFunc(shard int) func(int32) bool {
 	return func(id int32) bool { return r.Owner(id) == shard }
 }
 
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
+// FNV-1a's 64-bit offset basis and prime.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
-func fnvHash(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b) //nolint:errcheck
-	// Raw FNV-64a hashes of near-identical short inputs — consecutive app
-	// IDs, vnode indices — form low-rank lattices (each differing byte
-	// contributes a fixed multiple of a power of the FNV prime), and two such
-	// lattices interleave on the ring with systematic bias: at 2 shards x 512
-	// vnodes the raw hashes parked 80% of a uniform catalog on one shard. The
-	// splitmix64 finalizer's shift-xor-multiply cascade breaks the lattice
-	// structure so ownership tracks arc length.
-	return rng.Mix64(h.Sum64())
+// fnv1a folds v's eight bytes, least significant first, into the FNV-1a
+// hash h.
+//
+// Raw FNV-64a hashes of near-identical short inputs — consecutive app IDs,
+// vnode indices — form low-rank lattices (each differing byte contributes a
+// fixed multiple of a power of the FNV prime), and two such lattices
+// interleave on the ring with systematic bias: at 2 shards x 512 vnodes the
+// raw hashes parked 80% of a uniform catalog on one shard. So every ring
+// hash goes through the splitmix64 finalizer (rng.Mix64), whose
+// shift-xor-multiply cascade breaks the lattice structure so ownership
+// tracks arc length.
+func fnv1a(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime
+		v >>= 8
+	}
+	return h
 }

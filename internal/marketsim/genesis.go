@@ -36,14 +36,16 @@ func genesisKeyOf(seed uint64, p catalog.Profile) genesisKey {
 	return genesisKey{seed, p.Apps, p.Users, math.Float64bits(p.ZipfGlobal), math.Float64bits(p.DownloadsPerUser)}
 }
 
-// catalogKey names a pristine catalog: catalog.Generate's seed and the whole
-// profile, so a field Generate comes to read can never go stale here.
-// Profile's floats compare by value: a NaN field never hits, and -0 hits 0,
-// which Generate only adds, multiplies and compares, drawing one catalog
-// for both.
-type catalogKey struct {
-	seed uint64
-	p    catalog.Profile
+// dayZeroKey names a day-0 market: its genesis key, whose two floats are
+// keyed by their bits, and the whole Config, so a field New comes to read
+// can never go stale here. Config's floats compare by value: a NaN field
+// never hits, and outside the genesis -0 hits 0, which a day-0 build only
+// adds, multiplies and compares (catalog.Generate, rng.RNG.Bool and the
+// catBias guard), building one market for both. The hit keeps its own
+// Config, so what Step reads is the caller's.
+type dayZeroKey struct {
+	g   genesisKey
+	cfg Config
 }
 
 // The repository runs a market as N identical copies in one process (a
@@ -52,13 +54,16 @@ type catalogKey struct {
 //
 // genesisMemo keeps at most one genesis alive past its markets: ⌈log2
 // users⌉ bits per scheduled event plus 8 B an app and 4 B a user, 18.6 MB
-// at the bench profile. catalogMemo holds the last pristine catalog (9.0 MB
-// there) only until a market reading it takes a copy of its own at its
-// first Step, which retires the entry: a seed's markets are all built
-// before any rolls, and a later New of the key regenerates.
+// at the bench profile. dayZeroMemo holds the last day-0 market built —
+// its catalog (9.0 MB there) and its sampling tables, user states,
+// tracking arrays and downloads (9.35 MiB more) — only until a market
+// reading it takes a copy of its own at its first Step or
+// ApplyDownloadDelta, which retires the entry:
+// a key's markets are all built before any rolls, and a later New of the
+// key builds again.
 var (
 	genesisMemo memo[genesisKey, genesis]
-	catalogMemo memo[catalogKey, catalog.Catalog]
+	dayZeroMemo memo[dayZeroKey, Market]
 )
 
 // memo remembers the last value built and the key it was built for.
@@ -110,19 +115,6 @@ func genesisFor(seed uint64, p catalog.Profile) *genesis {
 	key := genesisKeyOf(seed, p)
 	g, _ := genesisMemo.get(key, func() *genesis { return buildGenesis(key) })
 	return g
-}
-
-// catalogFor returns the pristine catalog of (seed, p), generating it unless
-// the memo holds it, and the entry to retire when the caller's market takes
-// a copy of its own. Nobody writes the pristine catalog.
-func catalogFor(seed uint64, p catalog.Profile) (*catalog.Catalog, *memoEntry[catalog.Catalog], error) {
-	var err error
-	c, e := catalogMemo.get(catalogKey{seed, p}, func() *catalog.Catalog {
-		var c *catalog.Catalog
-		c, err = catalog.Generate(p, seed)
-		return c
-	})
-	return c, e, err
 }
 
 // buildGenesis draws a genesis from the seed's market stream. The order —

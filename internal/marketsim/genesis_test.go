@@ -1,10 +1,13 @@
 package marketsim
 
 import (
+	"cmp"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"planetapps/internal/catalog"
 )
@@ -13,6 +16,11 @@ import (
 func sharesGenesis(a, b *Market) bool {
 	return len(a.schedule.words) > 0 && len(b.schedule.words) > 0 &&
 		&a.schedule.words[0] == &b.schedule.words[0]
+}
+
+// sharesDayZero reports whether two markets read one day-0 download vector.
+func sharesDayZero(a, b *Market) bool {
+	return len(a.downloads) > 0 && len(b.downloads) > 0 && &a.downloads[0] == &b.downloads[0]
 }
 
 // sharesCatalog reports whether two markets read one array of catalog rows.
@@ -118,54 +126,58 @@ func TestGenesisHitIsIndistinguishable(t *testing.T) {
 	}
 }
 
-// TestCatalogHitIsIndistinguishable: a market that read its catalog from the
-// memo is the market an emptied memo builds, for every Config field outside
-// the profile; the seed and each Profile field, varied alone, miss.
-func TestCatalogHitIsIndistinguishable(t *testing.T) {
+// TestDayZeroHitIsIndistinguishable: a market that New handed out over the
+// memo's day-0 market is the market an emptied memo builds; the seed and
+// each field of Config and of its Profile, varied alone, miss.
+func TestDayZeroHitIsIndistinguishable(t *testing.T) {
 	const seed = 42
 	type variant struct {
 		field string
 		seed  uint64
-		set   func(*Config)
+		cfg   Config
 	}
-	hits := []variant{
-		{"nothing", seed, func(c *Config) {}},
-		{"Days", seed, func(c *Config) { c.Days = 33 }},
-		{"WarmupDays", seed, func(c *Config) { c.WarmupDays = 7 }},
-		{"DisableSeries", seed, func(c *Config) { c.DisableSeries = true }},
-		{"FullExport", seed, func(c *Config) { c.FullExport = true }},
-	}
-	misses := []variant{{"seed", seed + 1, func(c *Config) {}}}
-	profile := reflect.TypeOf(catalog.Profile{})
-	for i := 0; i < profile.NumField(); i++ {
-		misses = append(misses, variant{profile.Field(i).Name, seed, func(c *Config) {
-			// Moved off its value, still a profile New accepts.
-			switch f := reflect.ValueOf(&c.Profile).Elem().Field(i); f.Kind() {
-			case reflect.String:
-				f.SetString(f.String() + "'")
-			case reflect.Int:
-				f.SetInt(f.Int() + 1)
-			case reflect.Float64:
-				f.SetFloat(f.Float()/2 + 0.01)
-			default:
-				t.Fatalf("Profile.%s: no way to vary a %s", profile.Field(i).Name, f.Kind())
+	hit := variant{"nothing", seed, smallConfig()}
+	misses := []variant{{"seed", seed + 1, smallConfig()}}
+	var paths [][]int
+	config := reflect.TypeOf(Config{})
+	for i := 0; i < config.NumField(); i++ {
+		if f := config.Field(i); f.Type.Kind() == reflect.Struct {
+			for j := 0; j < f.Type.NumField(); j++ {
+				paths = append(paths, []int{i, j})
 			}
-		}})
+		} else {
+			paths = append(paths, []int{i})
+		}
 	}
-	for i, tc := range append(hits, misses...) {
+	for _, path := range paths {
+		// Moved off its value, still a Config New accepts.
 		cfg := smallConfig()
-		tc.set(&cfg)
+		switch f := reflect.ValueOf(&cfg).Elem().FieldByIndex(path); f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "'")
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float()/2 + 0.01)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		default:
+			t.Fatalf("Config.%s: no way to vary a %s", config.FieldByIndex(path).Name, f.Kind())
+		}
+		misses = append(misses, variant{config.FieldByIndex(path).Name, seed, cfg})
+	}
+	for i, tc := range append([]variant{hit}, misses...) {
 		first := soloBuild(t, smallConfig(), seed)
-		m, err := New(cfg, tc.seed)
+		m, err := New(tc.cfg, tc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hit := i < len(hits); sharesCatalog(first, m) != hit {
-			t.Fatalf("%s: shares the last market's catalog = %v, want %v", tc.field, !hit, hit)
+		if sharesDayZero(first, m) != (i == 0) {
+			t.Fatalf("%s: shares the last market's day 0 = %v, want %v", tc.field, i != 0, i == 0)
 		}
-		cold := soloBuild(t, cfg, tc.seed)
-		if sharesCatalog(first, cold) {
-			t.Fatalf("%s: the emptied memo served the catalog it had forgotten", tc.field)
+		cold := soloBuild(t, tc.cfg, tc.seed)
+		if sharesDayZero(first, cold) {
+			t.Fatalf("%s: the emptied memo served the day 0 it had forgotten", tc.field)
 		}
 		day0, hash := dayZeroAndFive(t, m)
 		coldDay0, coldHash := dayZeroAndFive(t, cold)
@@ -176,9 +188,9 @@ func TestCatalogHitIsIndistinguishable(t *testing.T) {
 	}
 }
 
-// TestSharedCatalogLifecycle: same-key markets read one catalog until one of
-// them steps, which copies its own and retires the memo entry, so the next
-// New of the key generates again and gets what a cold build gets.
+// TestSharedCatalogLifecycle: same-key markets read one day-0 market until
+// one of them steps, which copies its own and retires the memo entry, so the
+// next New of the key builds again and gets what a cold build gets.
 func TestSharedCatalogLifecycle(t *testing.T) {
 	const seed = 42
 	cfg := smallConfig()
@@ -187,25 +199,25 @@ func TestSharedCatalogLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sharesCatalog(a, b) {
-		t.Fatal("two same-key markets built back to back generated a catalog each")
+	if !sharesCatalog(a, b) || !sharesDayZero(a, b) {
+		t.Fatal("two same-key markets built back to back built a day 0 each")
 	}
 	if err := a.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if sharesCatalog(a, b) || &a.cat.Categories[0] == &b.cat.Categories[0] || &a.cat.Developers[0] == &b.cat.Developers[0] {
-		t.Fatal("a market that has stepped still reads the pristine rows or headers")
+	if sharesCatalog(a, b) || sharesDayZero(a, b) || &a.cat.Categories[0] == &b.cat.Categories[0] || &a.cat.Developers[0] == &b.cat.Developers[0] {
+		t.Fatal("a market that has stepped still reads the day-0 rows, headers or downloads")
 	}
 	c, err := New(cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sharesCatalog(b, c) {
-		t.Fatal("a New after a roll was served the retired catalog")
+	if sharesCatalog(b, c) || sharesDayZero(b, c) {
+		t.Fatal("a New after a roll was served the retired day 0")
 	}
 	cold := soloBuild(t, cfg, seed)
 	if !reflect.DeepEqual(c.Catalog(), cold.Catalog()) || !reflect.DeepEqual(b.Catalog(), cold.Catalog()) {
-		t.Fatal("catalogs regenerated after a roll, or still shared, differ from a cold build's")
+		t.Fatal("catalogs built again after a roll, or still shared, differ from a cold build's")
 	}
 	day0, hash := dayZeroAndFive(t, c)
 	coldDay0, coldHash := dayZeroAndFive(t, cold)
@@ -215,13 +227,15 @@ func TestSharedCatalogLifecycle(t *testing.T) {
 	}
 }
 
-// TestSameKeyMarketsShareNothingMutable steps two markets of one genesis on
+// TestSameKeyMarketsShareNothingMutable steps two markets of one day 0 on
 // two goroutines, one of them also merging ingested downloads, beside a
-// third that never steps. Run under -race -cpu 1,4 -count=10: the detector
-// checks that what they share is only read. The market left alone is the
-// market a solo run produces, and neither the arrivals the steppers append
-// to their appeal nor their arrivals, version bumps and price drift in the
-// catalog reach the one that stood still or the memo's pristine catalog.
+// third that only exports and partitions. Run under -race -cpu 1,4
+// -count=10: the detector checks that what they share is only read. The
+// market left alone and the day-0 market they were all handed are, field
+// for field, what a cold build gives, and the stepper beside the written
+// one is what a solo run gives: neither the steppers' arrivals, version
+// bumps, price drift and download draws nor the merged downloads reach
+// anyone else.
 func TestSameKeyMarketsShareNothingMutable(t *testing.T) {
 	const (
 		seed = 42
@@ -246,6 +260,7 @@ func TestSameKeyMarketsShareNothingMutable(t *testing.T) {
 	run(solo, false)
 
 	untouched := soloBuild(t, cfg, seed)
+	proto := dayZero()
 	written, err := New(cfg, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -254,15 +269,9 @@ func TestSameKeyMarketsShareNothingMutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sharesGenesis(untouched, written) || !sharesGenesis(untouched, still) {
-		t.Fatal("same-key markets built back to back do not share a genesis")
+	if !sharesDayZero(untouched, written) || !sharesDayZero(untouched, still) || !sharesCatalog(untouched, still) {
+		t.Fatal("same-key markets built back to back do not share a day 0")
 	}
-	if !sharesCatalog(untouched, written) || !sharesCatalog(untouched, still) {
-		t.Fatal("same-key markets built back to back do not share a catalog")
-	}
-	catalogMemo.mu.Lock()
-	pristine := catalogMemo.ent.v
-	catalogMemo.mu.Unlock()
 	if cap(still.appeal) != len(still.appeal) {
 		t.Fatalf("New handed out the shared appeal with room for %d appends in place", cap(still.appeal)-len(still.appeal))
 	}
@@ -276,6 +285,15 @@ func TestSameKeyMarketsShareNothingMutable(t *testing.T) {
 			run(m, m == written)
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		p := NewPartitioner(ownsMod(1, 3))
+		for d := 0; d < days; d++ {
+			still.Export()
+			p.PartitionMarket(still)
+		}
+	}()
 	wg.Wait()
 
 	if got, want := hashDownloads(untouched), hashDownloads(solo); got != want {
@@ -304,11 +322,260 @@ func TestSameKeyMarketsShareNothingMutable(t *testing.T) {
 		drifted = drifted || untouched.cat.Apps[i].Price != fresh.Apps[i].Price
 	}
 	if !bumped || !drifted {
-		t.Fatalf("in %d days no version shipped (%v) or no price moved (%v): the catalog check below would be vacuous", days, !bumped, !drifted)
+		t.Fatalf("in %d days no version shipped (%v) or no price moved (%v): the checks below would be vacuous", days, !bumped, !drifted)
 	}
-	if !reflect.DeepEqual(still.Catalog(), fresh) || !reflect.DeepEqual(pristine, fresh) {
-		t.Fatal("markets stepping beside it wrote into the catalog of a market that stood still")
+	cold := soloBuild(t, cfg, seed)
+	if !reflect.DeepEqual(proto, dayZero()) {
+		t.Fatal("markets stepping beside it wrote into the day-0 market they were handed")
 	}
+	if !reflect.DeepEqual(viewState(still), viewState(cold)) {
+		t.Fatal("markets stepping beside it wrote into a market that stood still")
+	}
+}
+
+// TestSteppedViewAliasesNothing: once a market has stepped or merged
+// downloads, no memory it reaches — no slice's backing array, map or
+// pointed-at value, found by reflection over every field of Market — is
+// reachable from the day-0 market it was handed or from a same-key market
+// that has not rolled, except what allowShared names. A field added to
+// Market that own does not copy fails here. Days without arrivals are the
+// strict case: an arrival moves every per-app array by appending to it
+// before anything writes in place.
+func TestSteppedViewAliasesNothing(t *testing.T) {
+	const seed = 42
+	step := func(m *Market) error { return m.Step() }
+	merge := func(m *Market) error {
+		m.ApplyDownloadDelta([]int32{0, 1}, func(int32) int64 { return 5 })
+		return nil
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		roll func(*Market) error
+	}{
+		// Enough free apps that the free table keeps a cumIndex.
+		{"step without arrivals", func(c *Config) { c.Profile.NewAppsPerDay, c.Profile.Apps = 0, 2000 }, step},
+		{"step with arrivals", func(c *Config) { c.Profile.NewAppsPerDay = 3 }, step},
+		{"merge downloads", func(c *Config) {}, merge},
+		// One user who has downloaded past ownedThreshold.
+		{"owned sets", func(c *Config) {
+			c.Profile.NewAppsPerDay, c.Profile.Users, c.Profile.DownloadsPerUser = 0, 1, 1000
+		}, step},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Profile.PaidFraction = 0.5
+			tc.set(&cfg)
+			rolled := soloBuild(t, cfg, seed)
+			proto := dayZero()
+			other, err := New(cfg, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "owned sets" {
+				if proto.freeUsers[0].owned == nil || len(proto.usersPaid) == 0 {
+					t.Fatal("the user has no owned set or no paid downloads: the check would not reach them")
+				}
+				// The paid stream's selective draws saturate well below
+				// ownedThreshold: give its states the set they would have past
+				// it, which answers as their histories do.
+				for _, u := range proto.usersPaid {
+					u.owned = proto.hist.set(u)
+				}
+			}
+			theirs := spansSorted(proto, other)
+			if n, _ := overlaps(rolled, theirs); n < 20 {
+				t.Fatalf("before it rolls a market shares %d blocks with its day 0: the check below would be vacuous", n)
+			}
+			if err := tc.roll(rolled); err != nil {
+				t.Fatal(err)
+			}
+			if n, first := overlaps(rolled, theirs); n > 0 {
+				t.Fatalf("a market that has rolled shares %d blocks with the day 0 it was handed or a market that has not, first %s", n, first)
+			}
+			runtime.KeepAlive(other)
+		})
+	}
+}
+
+// spanIndex is the blocks some markets reach, sorted by start, with
+// reachHi[i] the highest end of spans[:i+1].
+type spanIndex struct {
+	spans   []span
+	reachHi []uintptr
+}
+
+func spansSorted(ms ...*Market) spanIndex {
+	var x spanIndex
+	for _, m := range ms {
+		reach(reflect.ValueOf(m), "", &x.spans)
+	}
+	slices.SortFunc(x.spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	x.reachHi = make([]uintptr, len(x.spans))
+	for i, s := range x.spans {
+		x.reachHi[i] = s.hi
+		if i > 0 {
+			x.reachHi[i] = max(s.hi, x.reachHi[i-1])
+		}
+	}
+	return x
+}
+
+// overlaps counts the blocks m reaches that overlap one in x, and names the
+// first pair. A block overlaps one in x iff reachHi is past its start at
+// the last span of x that starts before its end.
+func overlaps(m *Market, x spanIndex) (n int, first string) {
+	var mine []span
+	reach(reflect.ValueOf(m), "", &mine)
+	for _, s := range mine {
+		i, _ := slices.BinarySearchFunc(x.spans, s.hi, func(a span, hi uintptr) int { return cmp.Compare(a.lo, hi) })
+		if i == 0 || x.reachHi[i-1] <= s.lo {
+			continue
+		}
+		if n++; first == "" {
+			for j := i - 1; j >= 0; j-- {
+				if x.spans[j].hi > s.lo {
+					first = s.path + " and " + x.spans[j].path
+					break
+				}
+			}
+		}
+	}
+	return n, first
+}
+
+// allowShared lists what a market that has stepped may still share, each
+// only read or appended to at cap == len, so that the first append moves it.
+var allowShared = map[string]bool{
+	// The genesis (genesis.go).
+	"appeal": true, "freeBudget": true, "schedule.words": true,
+	// The catalog's member lists: an insert moves the list it extends.
+	"cat.Categories[].Apps": true, "cat.Developers[].Apps": true,
+}
+
+// span is a block of memory a market reaches: a slice's backing array, a
+// map, or a pointed-at value.
+type span struct {
+	lo, hi uintptr
+	path   string
+}
+
+// reach appends every block v reaches, through every field, element and
+// map entry, to out. Strings are immutable and skipped.
+func reach(v reflect.Value, path string, out *[]span) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || allowShared[path] {
+			return
+		}
+		*out = append(*out, span{v.Pointer(), v.Pointer() + max(v.Type().Elem().Size(), 1), path})
+		reach(v.Elem(), path, out)
+	case reflect.Slice:
+		if v.Cap() == 0 || allowShared[path] {
+			return
+		}
+		*out = append(*out, span{v.Pointer(), v.Pointer() + uintptr(v.Cap())*max(v.Type().Elem().Size(), 1), path})
+		if hasPointers(v.Type().Elem()) {
+			for i := 0; i < v.Len(); i++ {
+				reach(v.Index(i), path+"[]", out)
+			}
+		}
+	case reflect.Map:
+		if v.IsNil() || allowShared[path] {
+			return
+		}
+		*out = append(*out, span{v.Pointer(), v.Pointer() + 1, path})
+		for it := v.MapRange(); it.Next(); {
+			reach(it.Value(), path+"[]", out)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			name := v.Type().Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			reach(v.Field(i), name, out)
+		}
+	case reflect.Array:
+		if hasPointers(v.Type().Elem()) {
+			for i := 0; i < v.Len(); i++ {
+				reach(v.Index(i), path+"[]", out)
+			}
+		}
+	case reflect.Interface, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		panic(path + ": reach does not walk a " + v.Kind().String())
+	}
+}
+
+// hasPointers reports whether a value of type t can reach memory reach
+// would record.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return true
+	case reflect.Array:
+		return hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestDayZeroIsCollectedOnceEveryMarketRolls: the memo lets go of a key's
+// day-0 market at the first roll, and every market copies what it needs at
+// its own, so a process whose markets have all rolled keeps no day 0 beside
+// their state.
+func TestDayZeroIsCollectedOnceEveryMarketRolls(t *testing.T) {
+	const seed = 42
+	cfg := smallConfig()
+	a := soloBuild(t, cfg, seed)
+	b, err := New(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(dayZero(), func(*Market) { close(collected) })
+	wasCollected := func() bool {
+		for i := 0; i < 20; i++ {
+			runtime.GC()
+			select {
+			case <-collected:
+				return true
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+		return false
+	}
+	if err := a.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if wasCollected() {
+		t.Fatal("the day-0 market was collected while a market that has not stepped reads it")
+	}
+	if _, _ = b.ApplyDownloadDelta([]int32{0}, func(int32) int64 { return 1 }); !wasCollected() {
+		t.Fatal("the day-0 market outlived the roll of every market handed it")
+	}
+	runtime.KeepAlive(a)
+	runtime.KeepAlive(b)
+}
+
+// dayZero returns the day-0 market the memo holds.
+func dayZero() *Market {
+	dayZeroMemo.mu.Lock()
+	defer dayZeroMemo.mu.Unlock()
+	return dayZeroMemo.ent.v
+}
+
+// viewState is m without what tells one view of a day-0 market from
+// another: the memo entry it reads and the exports it took.
+func viewState(m *Market) Market {
+	v := *m
+	v.proto, v.lastExport, v.lastExportDay = nil, nil, -1
+	return v
 }
 
 // TestConcurrentNewOverDistinctKeys: sixteen goroutines build markets over
@@ -392,9 +659,8 @@ func TestPanickedGenesisIsNotServed(t *testing.T) {
 // seed: B/op shows an int32 schedule kept (+33 MB) and ns/op a closure
 // shuffle or a serial catalog build; run at -cpu 1,2, the second CPU is what
 // the catalog goroutine uses; forgetGenesis empties both memos.
-// second-of-a-seed is every later one built before any of them steps: it
-// takes its genesis and its catalog from the memos and builds only its own
-// tables and day-0 downloads.
+// second-of-a-seed is every later one built before any of them steps: a
+// view of the first one's day 0, four small structs of its own.
 func BenchmarkMarketNew(b *testing.B) {
 	cfg := retentionConfig(100_000)
 	b.Run("cold", func(b *testing.B) {
@@ -418,8 +684,8 @@ func BenchmarkMarketNew(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !sharesGenesis(first, m) || !sharesCatalog(first, m) {
-				b.Fatal("the second market of a seed drew its own genesis or catalog")
+			if !sharesGenesis(first, m) || !sharesDayZero(first, m) {
+				b.Fatal("the second market of a seed drew its own genesis or built its own day 0")
 			}
 		}
 	})

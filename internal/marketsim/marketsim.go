@@ -41,14 +41,17 @@
 // immutable once built, and read in place by every further market of the
 // same seed and population in the process — the repository runs a market as
 // N identical copies, and the schedule is the largest thing each holds. The
-// generated catalog is shared the same way, keyed by the seed and the whole
-// Profile, until a market first steps: Step is the only code that writes a
-// catalog, so it copies its own first and retires the shared one from the
-// memo, and markets that never roll hold one catalog between them.
+// whole day-0 market is shared the same way, keyed by the seed and the whole
+// Config, until a market first steps or merges downloads: those are the
+// only code that writes a market, so each copies what it writes first and
+// retires the shared day 0 from the memo, and markets that never roll hold
+// one catalog, one set of sampling tables and user states, and one day-0
+// download vector between them.
 package marketsim
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -119,13 +122,13 @@ const (
 // Run.
 type Market struct {
 	cfg Config
-	// cat is this market's own Catalog struct. Until the first Step its
-	// slices are the seed's pristine catalog, which nobody writes, and
-	// pristine is the memo entry holding it; ownCatalog copies what Step
-	// writes and clears pristine.
-	cat      *catalog.Catalog
-	pristine *memoEntry[catalog.Catalog]
-	r        *rng.RNG
+	// proto is the dayZeroMemo entry holding the day-0 market whose slices
+	// and maps this one reads, nil once own has copied what it writes or for
+	// that day-0 market itself. cat, r and series point at structs of this
+	// market's own from New on.
+	proto *memoEntry[Market]
+	cat   *catalog.Catalog
+	r     *rng.RNG
 
 	day       int
 	downloads []int64 // per-app cumulative
@@ -225,16 +228,34 @@ type Market struct {
 	totalPeriods int
 }
 
-// New builds a market over its seed's generated catalog. Deterministic in
-// (cfg, seed), whatever GOMAXPROCS is and whatever was built before it: the
-// catalog is generated from its own rng.New(seed) stream on a second
-// goroutine while this one takes the seed's genesis — each drawn here, or
-// already drawn for an earlier market of the same key (genesis.go) — and
-// neither reads what the other writes until the join.
+// New returns a market over its seed's generated catalog at day 0.
+// Deterministic in (cfg, seed), whatever GOMAXPROCS is and whatever was built
+// before it. The day-0 market of a key is built once and read in place by
+// every market New hands out for that key until one of them rolls
+// (dayZeroMemo): each gets its own struct, catalog header, generator and
+// series, and copies the rest at its first Step or ApplyDownloadDelta (own).
 func New(cfg Config, seed uint64) (*Market, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	var err error
+	proto, e := dayZeroMemo.get(dayZeroKey{genesisKeyOf(seed, cfg.Profile), cfg}, func() *Market {
+		var p *Market
+		p, err = build(cfg, seed)
+		return p
+	})
+	if proto == nil {
+		return nil, err
+	}
+	return proto.view(cfg, e), nil
+}
+
+// build builds the day-0 market of (cfg, seed). The catalog is generated
+// from its own rng.New(seed) stream on a second goroutine while this one
+// takes the seed's genesis — drawn here, or already drawn for an earlier
+// market of the same genesis key (genesis.go) — and neither reads what the
+// other writes until the join.
+func build(cfg Config, seed uint64) (*Market, error) {
 	m := &Market{
 		cfg:           cfg,
 		usersPaid:     map[int32]*userState{},
@@ -245,14 +266,11 @@ func New(cfg Config, seed uint64) (*Market, error) {
 	}
 	// Nothing between the go statement and the receive returns, so the
 	// goroutine is always waited for.
-	var (
-		shared *catalog.Catalog
-		catErr error
-	)
+	var catErr error
 	generated := make(chan struct{})
 	go func() {
 		defer close(generated)
-		shared, m.pristine, catErr = catalogFor(seed, cfg.Profile)
+		m.cat, catErr = catalog.Generate(cfg.Profile, seed)
 	}()
 	// The market continues the stream where genesis left it. appeal grows by
 	// append when apps arrive, so it is handed out with no spare capacity:
@@ -270,8 +288,6 @@ func New(cfg Config, seed uint64) (*Market, error) {
 	if catErr != nil {
 		return nil, catErr
 	}
-	cat := *shared
-	m.cat = &cat
 	m.downloads = make([]int64, m.cat.NumApps())
 	m.initTracking()
 	m.catBias = 1
@@ -292,6 +308,43 @@ func New(cfg Config, seed uint64) (*Market, error) {
 		m.record()
 	}
 	return m, nil
+}
+
+// view returns a market that reads the day-0 market p, the value of memo
+// entry e, in place. It has its own struct, catalog header, generator and
+// series header — what a caller may hold a pointer to — and p's slices and
+// maps, every slice it could append to clipped to cap == len. Nothing
+// writes those before own, which Step and ApplyDownloadDelta call first;
+// Export and PartitionMarket write only the view's own fields.
+func (p *Market) view(cfg Config, e *memoEntry[Market]) *Market {
+	m := *p
+	m.cfg = cfg
+	m.proto = e
+	cat := *p.cat
+	cat.Apps = slices.Clip(cat.Apps)
+	cat.Categories = slices.Clip(cat.Categories)
+	cat.Developers = slices.Clip(cat.Developers)
+	m.cat = &cat
+	r := *p.r
+	m.r = &r
+	series := *p.series
+	series.Days = slices.Clip(series.Days)
+	m.series = &series
+	m.downloads = slices.Clip(m.downloads)
+	m.updateRate = slices.Clip(m.updateRate)
+	m.isPaid = slices.Clip(m.isPaid)
+	m.paidIdx = slices.Clip(m.paidIdx)
+	m.rowVer = slices.Clip(m.rowVer)
+	m.dirtyDay = slices.Clip(m.dirtyDay)
+	m.freeCum = slices.Clip(m.freeCum)
+	m.freeApps = slices.Clip(m.freeApps)
+	m.paidCum = slices.Clip(m.paidCum)
+	m.paidApps = slices.Clip(m.paidApps)
+	m.paidW = slices.Clip(m.paidW)
+	m.paidDirty = slices.Clip(m.paidDirty)
+	m.devNames = slices.Clip(m.devNames)
+	m.paidSlab = slices.Clip(m.paidSlab)
+	return &m
 }
 
 // validate refuses a configuration New cannot build a market over, naming
@@ -351,9 +404,13 @@ func (m *Market) initTracking() {
 	for i := range m.cat.Categories {
 		m.catNames[i] = m.cat.Categories[i].Name
 	}
-	m.devNames = make([]string, 0, len(m.cat.Developers)+len(m.cat.Developers)/8+16)
+	m.devNames = make([]string, 0, devNamesRoom(len(m.cat.Developers)))
 	m.syncDevNames()
 }
+
+// devNamesRoom is the capacity a developer name table of n names is given:
+// room for a period's new accounts.
+func devNamesRoom(n int) int { return n + n/8 + 16 }
 
 // syncDevNames extends the developer name table to cover arrivals. The
 // backing array is shared with prior exports: entries below their length
@@ -435,8 +492,8 @@ func drawAppeal(r *rng.RNG, apps int, zipfGlobal float64) float64 {
 }
 
 // Catalog exposes the market's evolving catalog, read-only to callers.
-// Until the market's first Step its slices alias the pristine catalog that
-// every same-key market built before then reads.
+// Until the market's first Step or ApplyDownloadDelta its slices alias the
+// day-0 catalog that every same-key market built before then reads.
 func (m *Market) Catalog() *catalog.Catalog { return m.cat }
 
 // Day returns the current day index (number of completed days - 1).
@@ -447,7 +504,9 @@ func (m *Market) Day() int { return m.day }
 func (m *Market) Series() *snapshot.Series { return m.series }
 
 // Downloads returns the live per-app cumulative download counts (shared
-// slice; callers must not modify).
+// slice; callers must not modify). Until the market's first Step or
+// ApplyDownloadDelta it is the day-0 vector every same-key market built
+// before then reads.
 func (m *Market) Downloads() []int64 { return m.downloads }
 
 // ApplyDownloadDelta merges externally ingested download counts (the
@@ -463,6 +522,7 @@ func (m *Market) Downloads() []int64 { return m.downloads }
 // deterministic order for reproducible builds; the merged state itself is
 // order-independent (commutative adds).
 func (m *Market) ApplyDownloadDelta(apps []int32, count func(int32) int64) (applied, skipped int) {
+	m.own(0)
 	for _, id := range apps {
 		i := int(id)
 		if i < 0 || i >= len(m.downloads) {
@@ -498,9 +558,11 @@ func (m *Market) Step() error {
 	if m.day >= m.cfg.Days-1 {
 		return fmt.Errorf("marketsim: period of %d days already complete", m.cfg.Days)
 	}
-	m.ownCatalog()
 	m.day++
-	m.arrivals()
+	// The day's first draw is its arrival count, which sizes what own copies.
+	arrivals := m.r.Poisson(m.cfg.Profile.NewAppsPerDay)
+	m.own(arrivals)
+	m.arrivals(arrivals)
 	m.updatesAndPrices()
 	m.syncTables()
 	m.simulateDownloads()
@@ -510,35 +572,106 @@ func (m *Market) Step() error {
 	return nil
 }
 
-// ownCatalog gives a market still reading the pristine catalog a copy of
-// what Step writes — the rows and the category and developer headers —
-// and retires the memo entry, if still current: construction is over once
-// one of a seed's markets rolls. Member lists and developer names stay
-// shared, each list clipped to cap == len, so the first insert into one
-// moves it, the rule rebuildIndexes already sets.
-func (m *Market) ownCatalog() {
-	if m.pristine == nil {
+// own gives a market still reading its key's day-0 market a copy of
+// everything Step and ApplyDownloadDelta write, and retires the memo entry,
+// if still current: construction is over once one of a key's markets
+// rolls. Each array an arrival extends is copied once, with room for the
+// number of apps the calling Step is about to add, so that Step does not
+// copy it again; a later day's arrival grows it by append. What stays
+// shared is only read or only appended to at cap == len, so the first
+// append moves it: the genesis (schedule, freeBudget, appeal), the
+// catalog's member lists (cut cap == len, the rule rebuildIndexes sets)
+// and every name string.
+func (m *Market) own(arrivals int) {
+	if m.proto == nil {
 		return
 	}
-	catalogMemo.retire(m.pristine)
-	m.pristine = nil
+	dayZeroMemo.retire(m.proto)
+	m.proto = nil
+
 	c := m.cat
-	c.Apps = slices.Clone(c.Apps)
+	c.Apps = withRoom(c.Apps, arrivals)
 	c.Categories = slices.Clone(c.Categories)
-	for i := range c.Categories {
-		c.Categories[i].Apps = slices.Clip(c.Categories[i].Apps)
-	}
 	c.Developers = slices.Clone(c.Developers)
-	for i := range c.Developers {
-		c.Developers[i].Apps = slices.Clip(c.Developers[i].Apps)
+	m.downloads = withRoom(m.downloads, arrivals)
+	m.updateRate = withRoom(m.updateRate, arrivals)
+	m.isPaid = withRoom(m.isPaid, arrivals)
+	m.paidIdx = withRoom(m.paidIdx, arrivals)
+	m.rowVer = withRoom(m.rowVer, arrivals)
+	m.dirtyDay = withRoom(m.dirtyDay, arrivals)
+	m.chunkVer = slices.Clone(m.chunkVer)
+	m.chunkVerDay = slices.Clone(m.chunkVerDay)
+	m.rowChunkDay = slices.Clone(m.rowChunkDay)
+	m.dlChunkDay = slices.Clone(m.dlChunkDay)
+	m.catNames = slices.Clone(m.catNames)
+	m.devNames = append(make([]string, 0, devNamesRoom(len(m.devNames))), m.devNames...)
+
+	m.freeCum = withRoom(m.freeCum, arrivals)
+	m.freeApps = withRoom(m.freeApps, arrivals)
+	m.catCum = cloneEach(m.catCum)
+	m.catApps = cloneEach(m.catApps)
+	m.paidCum = withRoom(m.paidCum, arrivals)
+	m.paidApps = withRoom(m.paidApps, arrivals)
+	m.paidW = withRoom(m.paidW, arrivals)
+	m.paidDirty = make([]int32, 0, len(m.paidApps))
+	m.paidPortfolio = maps.Clone(m.paidPortfolio)
+	m.devPaid = maps.Clone(m.devPaid)
+	for dev, js := range m.devPaid {
+		m.devPaid[dev] = slices.Clone(js)
+	}
+	m.freeCumIdx.buckets = slices.Clone(m.freeCumIdx.buckets)
+	m.catCumIdx = slices.Clone(m.catCumIdx)
+	for i := range m.catCumIdx {
+		m.catCumIdx[i].buckets = slices.Clone(m.catCumIdx[i].buckets)
+	}
+
+	m.freeUsers = slices.Clone(m.freeUsers)
+	for i := range m.freeUsers {
+		m.freeUsers[i].owned = maps.Clone(m.freeUsers[i].owned)
+	}
+	m.hist.blocks = slices.Clone(m.hist.blocks)
+	for i, b := range m.hist.blocks {
+		m.hist.blocks[i] = append(make([]catalog.AppID, 0, cap(b)), b...)
+	}
+	// Paid users' states move into one slab of their own; the next new paid
+	// user opens another.
+	slab := make([]userState, 0, len(m.usersPaid))
+	users := make(map[int32]*userState, len(m.usersPaid))
+	for uid, u := range m.usersPaid {
+		slab = append(slab, *u)
+		v := &slab[len(slab)-1]
+		v.owned = maps.Clone(v.owned)
+		users[uid] = v
+	}
+	m.paidSlab, m.usersPaid = slab, users
+
+	m.series.Days = slices.Clone(m.series.Days)
+	for i, d := range m.series.Days {
+		m.series.Days[i] = &snapshot.Day{
+			Index:               d.Index,
+			CumulativeDownloads: slices.Clone(d.CumulativeDownloads),
+			Versions:            slices.Clone(d.Versions),
+			Price:               slices.Clone(d.Price),
+		}
 	}
 }
 
-// arrivals publishes the day's new apps. Most arrivals come from new
+// withRoom copies s into an array with room for n more elements.
+func withRoom[S ~[]E, E any](s S, n int) S { return append(make(S, 0, len(s)+n), s...) }
+
+// cloneEach copies lists and each list in it.
+func cloneEach[E any](lists [][]E) [][]E {
+	out := make([][]E, len(lists))
+	for i, l := range lists {
+		out[i] = slices.Clone(l)
+	}
+	return out
+}
+
+// arrivals publishes the day's n new apps. Most arrivals come from new
 // developer accounts joining the store (keeping the single-app developer
 // share high, per Figure 16a); the rest extend existing portfolios.
-func (m *Market) arrivals() {
-	n := m.r.Poisson(m.cfg.Profile.NewAppsPerDay)
+func (m *Market) arrivals(n int) {
 	for k := 0; k < n; k++ {
 		dev := catalog.DevID(len(m.cat.Developers)) // a brand-new account
 		if m.r.Bool(0.3) {

@@ -429,10 +429,7 @@ func TestNewIsGOMAXPROCSInvariant(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		cfg := smallConfig()
 		cfg.FullExport = true
-		m, err := New(cfg, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := soloBuild(t, cfg, 42) // built here, not a view of an earlier test's
 		day0 := m.Export()
 		for i := 0; i < 5; i++ {
 			if err := m.Step(); err != nil {

@@ -140,34 +140,26 @@ func TestMarketFootprint(t *testing.T) {
 	}
 }
 
-// TestSecondMarketFootprint is the same figure for the second market of a
-// seed: it reads the first one's genesis and pristine catalog, so all a
-// scheduled event may cost it is the quarter byte of everything else. Its
-// idle twin is a second market too, so that neither side holds a genesis
-// or a catalog the other does not.
+// TestSecondMarketFootprint bounds what the second market of a key holds,
+// built before any market of the key rolls. It reads the first one's day 0
+// in place — genesis, catalog, sampling tables, user states, tracking
+// arrays and downloads — so it holds its own struct and the catalog,
+// generator and series headers callers may point at, and nothing that
+// grows with apps, users or events: 4 KiB is a few times that. A second
+// market that built its own day 0 held 2.0 MB here.
 func TestSecondMarketFootprint(t *testing.T) {
 	const users = 20_000
-	heldBySecond := func(downloadsPerUser float64) (heap int64, events int) {
-		cfg := retentionConfig(users)
-		cfg.Profile.DownloadsPerUser = downloadsPerUser
-		first, err := New(cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heap, events = heldByNew(t, users, downloadsPerUser, false)
-		runtime.KeepAlive(first)
-		return heap, events
+	first, firstHeld := held(t, retentionConfig(users), true)
+	second, secondHeld := held(t, retentionConfig(users), false)
+	if !sharesDayZero(first, second) {
+		t.Fatal("the second market of a key built a day 0 of its own")
 	}
-	second, events := heldBySecond(82)
-	idle, _ := heldBySecond(0)
 	if raceEnabled {
 		return
 	}
-	perEvent := float64(second-idle) / float64(events)
-	t.Logf("%d users: a second same-key market holds %d bytes, an idle one %d: %.3f bytes per scheduled event",
-		users, second, idle, perEvent)
-	if perEvent > 0.25 {
-		t.Fatalf("a second same-key market retains %.3f bytes per scheduled event, want <= 0.25", perEvent)
+	t.Logf("%d users: the first market of a key holds %d bytes, the second %d", users, firstHeld, secondHeld)
+	if secondHeld > 4<<10 {
+		t.Fatalf("a second same-key market holds %d bytes, want <= %d", secondHeld, 4<<10)
 	}
 }
 
@@ -252,6 +244,13 @@ func heldByNew(t *testing.T, users int, downloadsPerUser float64, emptyMemo bool
 	t.Helper()
 	cfg := retentionConfig(users)
 	cfg.Profile.DownloadsPerUser = downloadsPerUser
+	m, heap := held(t, cfg, emptyMemo)
+	return heap, m.schedule.len()
+}
+
+// held returns a New(cfg, 1) and the heap it adds and keeps.
+func held(t *testing.T, cfg Config, emptyMemo bool) (*Market, int64) {
+	t.Helper()
 	if emptyMemo {
 		forgetGenesis()
 	}
@@ -260,16 +259,16 @@ func heldByNew(t *testing.T, users int, downloadsPerUser float64, emptyMemo bool
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap = int64(heapAfterGC()) - int64(before)
+	heap := int64(heapAfterGC()) - int64(before)
 	runtime.KeepAlive(m)
-	return heap, m.schedule.len()
+	return m, heap
 }
 
 // forgetGenesis empties both memos, so the next New of any key draws its
-// genesis and generates its catalog.
+// genesis and builds its day 0.
 func forgetGenesis() {
 	genesisMemo.forget()
-	catalogMemo.forget()
+	dayZeroMemo.forget()
 }
 
 func (m *memo[K, V]) forget() {

@@ -49,13 +49,15 @@ race() {
 # makes the same promise one tier down — one event list and seed leave a
 # byte-identical next-day snapshot at 1 VU, 8 VUs and open-loop, and a
 # replay dedups every write — so its two contract tests run here too.
-# marketsim's two memos, the genesis and the pristine catalog, are state
-# every same-seed market in the process reads: their tests (a hit is the
-# cold build and any other key or Profile field a miss, same-key markets
-# stepping side by side — arrivals, version bumps, price drift — share
-# nothing they write, a market that steps copies its catalog and retires
-# the entry so the next New regenerates, sixteen concurrent builders over
-# four keys) run ten times at both widths. Construction is pinned here too: the
+# marketsim's two memos, the genesis and the day-0 market, are state every
+# same-key market in the process reads: their tests (a hit is the cold
+# build and any other key, Config or Profile field a miss, same-key markets
+# stepping and merging downloads side by side — arrivals, version bumps,
+# price drift — beside one that only exports share nothing they write, a
+# market that rolls reaches no memory of the day 0 or of a market that has
+# not, copies what it writes and retires the entry so the next New builds
+# again, the day 0 is collected once every market has rolled, sixteen
+# concurrent builders over four keys) run ten times at both widths. Construction is pinned here too: the
 # catalog and comment digests taken before anything was built by counting,
 # the two sorts held to the reflective sorts they replaced (forced ties,
 # one element, none), and cap == len on every list, table and stream a
@@ -65,7 +67,7 @@ cpu14() {
 		-run 'Parallel|Invariance|Deterministic|TestSuite|TestWriteReplayDedups' \
 		./internal/model ./internal/experiments ./internal/loadgen
 	go test -race -cpu 1,4 -count=10 \
-		-run 'TestGenesisHitIsIndistinguishable|TestCatalogHitIsIndistinguishable|TestSharedCatalogLifecycle|TestSameKeyMarketsShareNothingMutable|TestConcurrentNewOverDistinctKeys|TestPanickedGenesisIsNotServed' \
+		-run 'TestGenesisHitIsIndistinguishable|TestDayZeroHitIsIndistinguishable|TestSharedCatalogLifecycle|TestSameKeyMarketsShareNothingMutable|TestSteppedViewAliasesNothing|TestDayZeroIsCollectedOnceEveryMarketRolls|TestConcurrentNewOverDistinctKeys|TestPanickedGenesisIsNotServed' \
 		./internal/marketsim
 	go test -race -cpu 1,4 \
 		-run 'TestGenerateDigests|TestBuiltAtFinalSize|ReflectiveSortsOrder' \
@@ -139,10 +141,9 @@ alloc() {
 # TestMarketFootprint is the gate on what a store holds per scheduled
 # download: ⌈log2 users⌉ bits and a quarter byte, which an int32 schedule
 # fails twice over; TestSecondMarketFootprint holds the second market of a
-# seed, against a second-market twin, to the quarter byte alone, and
-# TestShardsHoldOneGenesisAndNoDenseExport four shards to one store plus
-# three markets with neither a schedule, a catalog nor a dense export (a
-# shard reads the first one's catalog until it rolls).
+# key to 4 KiB (it reads the first one's day 0 in place until it rolls),
+# and TestShardsHoldOneGenesisAndNoDenseExport four shards to one store
+# plus three that hold neither a market of their own nor a dense export.
 # TestHistoryFootprintFollowsDownloads holds a stepping market's user
 # histories to what the users have downloaded so far (slot count and heap
 # growth at day 40, slot count at drain); a budget carved whole at first
