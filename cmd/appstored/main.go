@@ -73,14 +73,13 @@ func main() {
 			FreshFor:    *freshFor,
 		},
 	}
-	if *chaos != "" {
-		sc, err := faultinject.Lookup(*chaos)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		sc = sc.Scale(*chaosScale)
-		opts.Chaos, opts.ChaosSeed = &sc, *chaosSeed
+	sc, err := faultinject.Parse(*chaos, *chaosScale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	opts.Chaos, opts.ChaosSeed = sc, *chaosSeed
+	if sc != nil {
 		log.Printf("appstored: chaos scenario %q armed (seed %d, scale %g)", *chaos, *chaosSeed, *chaosScale)
 	}
 	// The market is created without running the whole period: the server

@@ -61,14 +61,14 @@ func main() {
 		HedgeAfter:    *hedge,
 		Seed:          *seed,
 	}
+	sc, err := faultinject.Parse(*chaos, *chaosScale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	var inj *faultinject.Injector
-	if *chaos != "" {
-		sc, err := faultinject.Lookup(*chaos)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		inj = faultinject.New(sc.Scale(*chaosScale), *chaosSeed, nil)
+	if sc != nil {
+		inj = faultinject.New(*sc, *chaosSeed, nil)
 		cfg.OriginTransport = inj.RoundTripper(&http.Transport{MaxIdleConnsPerHost: 16})
 		log.Printf("edgecached: chaos scenario %q armed on the origin leg (seed %d, scale %g)",
 			*chaos, *chaosSeed, *chaosScale)

@@ -6,8 +6,9 @@
 // `simulate -trace`; format in internal/trace) or is synthesized live from
 // the paper's workload models. The target is an external store (-target)
 // or an in-process fleet spun up for the run (a single node is a fleet of
-// one), in which case the report also echoes the server-side request
-// counters so client and server accounting can be cross-checked.
+// one), built by fleet.NewStack like cmd/crawl's, in which case the report
+// also echoes the server-side request counters so client and server
+// accounting can be cross-checked.
 //
 // Usage:
 //
@@ -19,17 +20,16 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http/httptest"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
-
-	"net/http"
 
 	"planetapps/internal/edgecache"
 	"planetapps/internal/faultinject"
@@ -88,7 +88,7 @@ func main() {
 		edgeMB      = flag.Float64("edge-mb", 64, "edge cache budget in MiB")
 		originFresh = flag.Duration("origin-fresh", 0, "in-process store: declare /api/v1 responses fresh for this long (0 = always revalidate)")
 
-		chaos      = flag.String("chaos", "", "arm a fault-injection scenario on the in-process store: "+strings.Join(faultinject.Names(), ", "))
+		chaos      = flag.String("chaos", "", "arm a fault-injection scenario on the in-process store: "+strings.Join(faultinject.Names(), ", ")+" (proxy-partition is refused: its rules name proxy nodes, and loadtest runs none)")
 		chaosSeed  = flag.Uint64("chaos-seed", 1, "fault-injection seed")
 		chaosScale = flag.Float64("chaos-scale", 1, "scale injected delays and Retry-After hints")
 		resil      = flag.Bool("resilient", false, "drive load through the resilient client (retries, hedged requests) instead of a plain http.Client")
@@ -97,86 +97,56 @@ func main() {
 	)
 	flag.Parse()
 
-	if *chaos != "" && *target != "" {
-		log.Fatal("loadtest: -chaos needs the in-process store (drop -target)")
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Resolve the target: an external URL, or an in-process fleet — of one
-	// node unless -shards asks for more.
-	baseURL := *target
-	var ip *fleet.Inproc
-	if baseURL != "" {
-		if *shards > 0 {
-			log.Fatal("loadtest: -shards needs the in-process store (drop -target)")
-		}
-		if *dayRoll > 0 {
-			log.Fatal("loadtest: -day-roll requires the in-process store (drop -target)")
-		}
-	} else {
-		opts := fleet.Options{
-			Shards: max(*shards, 1),
-			Store:  *store,
-			Scale:  *serverScale,
-			Seed:   *seed,
-			Vnodes: *vnodes,
-			Server: storeserver.Config{
-				RatePerSec: *serverRate,
-				Burst:      *serverBurst,
-				FreshFor:   *originFresh,
-				Latency:    *serverLat,
-				Capacity:   *serverCap,
-			},
-		}
-		if *chaos != "" {
-			sc, err := faultinject.Lookup(*chaos)
-			if err != nil {
-				log.Fatalf("loadtest: %v", err)
-			}
-			sc = sc.Scale(*chaosScale)
-			opts.Chaos, opts.ChaosSeed = &sc, *chaosSeed
-			log.Printf("loadtest: chaos scenario %q armed (seed %d, scale %g)", *chaos, *chaosSeed, *chaosScale)
-		}
-		var err error
-		ip, err = fleet.NewInproc(opts)
-		if err != nil {
-			log.Fatalf("loadtest: %v", err)
-		}
-		ts := httptest.NewServer(ip.Front())
-		defer ts.Close()
-		baseURL = ts.URL
-		log.Printf("loadtest: in-process %d-shard %s fleet (%d apps) at %s",
-			opts.Shards, *store, ip.NumApps(), baseURL)
-		if *apps == 0 {
-			*apps = ip.NumApps()
-		}
-	}
-	if *apps == 0 {
-		*apps = 5000
-	}
-
-	// The edge tier fronts whatever target was resolved above; the load
-	// generator then drives the edge, and the origin only sees misses and
+	// The target is an external URL or an in-process fleet — of one node
+	// unless -shards asks for more — optionally fronted by an edge that the
+	// load generator then drives, so the origin only sees misses and
 	// revalidations.
-	var edgeSrv *edgecache.Server
+	chaosSc, err := faultinject.Parse(*chaos, *chaosScale)
+	if err == nil && *dayRoll > 0 && *target != "" {
+		err = errors.New("-day-roll requires the in-process store (drop -target)")
+	}
+	opts := fleet.Options{
+		Shards: *shards,
+		Store:  *store,
+		Scale:  *serverScale,
+		Seed:   *seed,
+		Vnodes: *vnodes,
+		Server: storeserver.Config{
+			RatePerSec: *serverRate,
+			Burst:      *serverBurst,
+			FreshFor:   *originFresh,
+			Latency:    *serverLat,
+			Capacity:   *serverCap,
+		},
+		Chaos:     chaosSc,
+		ChaosSeed: *chaosSeed,
+	}
+	so := fleet.StackOptions{Origin: *target}
 	if *edge {
-		es, err := edgecache.New(edgecache.Config{
-			Origin:        baseURL,
+		so.Edge = &edgecache.Config{
 			CapacityBytes: int64(*edgeMB * (1 << 20)),
 			Policy:        *edgePolicy,
 			Seed:          *seed,
-		})
-		if err != nil {
-			log.Fatalf("loadtest: edge: %v", err)
 		}
-		edgeSrv = es
-		ets := httptest.NewServer(es.Handler())
-		defer ets.Close()
-		baseURL = ets.URL
-		log.Printf("loadtest: driving through an in-process %s edge cache (%.1f MiB) at %s",
-			*edgePolicy, *edgeMB, baseURL)
+	}
+	var st *fleet.Stack
+	if err == nil {
+		st, err = fleet.NewStack(opts, so)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "loadtest:", err)
+		os.Exit(2)
+	}
+	defer st.Close()
+	log.Printf("loadtest: driving %s (in-process fleet %t, edge %t, chaos %q)", st.URL, st.Inproc != nil, st.Edge != nil, *chaos)
+	ip := st.Inproc
+	if *apps == 0 && ip != nil {
+		*apps = ip.NumApps()
+	} else if *apps == 0 {
+		*apps = 5000
 	}
 
 	// Build the workload source factory: each run gets a fresh source over
@@ -214,7 +184,7 @@ func main() {
 	}
 
 	base := loadgen.Config{
-		BaseURL:     baseURL,
+		BaseURL:     st.URL,
 		Stages:      stageList,
 		Users:       *vus,
 		Think:       *think,
@@ -227,14 +197,13 @@ func main() {
 		WriteMix:    *writeMix,
 		AcceptGzip:  *gz,
 		Seed:        *seed,
+		// The two-phase prepare/commit epoch swap across every shard,
+		// driven mid-load.
+		DayRollAfter: *dayRoll,
+		DayRollFn:    st.AdvanceDay,
 	}
 	if rc != nil {
 		base.Client = &http.Client{Transport: rc.Transport()}
-	}
-	if *dayRoll > 0 {
-		// The two-phase prepare/commit epoch swap across every shard,
-		// driven mid-load.
-		base.DayRollAfter, base.DayRollFn = *dayRoll, ip.AdvanceDay
 	}
 
 	var modes []loadgen.Mode
@@ -299,8 +268,8 @@ func main() {
 			}
 		}
 	}
-	if edgeSrv != nil {
-		est := edgeSrv.Stats()
+	if st.Edge != nil {
+		est := st.Edge.Stats()
 		combined["edge"] = map[string]any{
 			"stats":            est,
 			"hit_rate":         est.HitRate(),
@@ -348,21 +317,21 @@ func main() {
 			// buffer is empty. After that, accepted == merged is the no-lost-
 			// acknowledged-writes invariant the CI smoke gate checks.
 			for i := 0; i < 2; i++ {
-				if err := ip.AdvanceDay(); err != nil {
+				if err := st.AdvanceDay(); err != nil {
 					log.Fatalf("loadtest: drain roll: %v", err)
 				}
 			}
 			var agg wal.Stats
 			perShard := make([]wal.Stats, 0, len(ip.Servers))
 			for _, s := range ip.Servers {
-				st := s.WALStats()
-				perShard = append(perShard, st)
-				agg.Accepted += st.Accepted
-				agg.Merged += st.Merged
-				agg.Deduped += st.Deduped
-				agg.Duplicates += st.Duplicates
-				agg.Backpressure += st.Backpressure
-				agg.Pending += st.Pending
+				ws := s.WALStats()
+				perShard = append(perShard, ws)
+				agg.Accepted += ws.Accepted
+				agg.Merged += ws.Merged
+				agg.Deduped += ws.Deduped
+				agg.Duplicates += ws.Duplicates
+				agg.Backpressure += ws.Backpressure
+				agg.Pending += ws.Pending
 			}
 			combined["wal"] = struct {
 				wal.Stats

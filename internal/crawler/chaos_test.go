@@ -164,7 +164,7 @@ func TestCrawlConvergesThroughPartitionedProxies(t *testing.T) {
 	}
 	var urls []string
 	for i := 0; i < 3; i++ {
-		p := proxy.New("node", "cn")
+		p := proxy.New("node")
 		// Each fleet node gets its own injector: rules scoped by Node
 		// fire only on the matching node, so node 2 stays healthy.
 		inj := faultinject.NewForNode(sc, 0xF1EE7, i, nil)
@@ -172,15 +172,11 @@ func TestCrawlConvergesThroughPartitionedProxies(t *testing.T) {
 		t.Cleanup(psrv.Close)
 		urls = append(urls, psrv.URL)
 	}
-	pool, err := proxy.NewPool(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	cfg := DefaultConfig(ts.URL)
 	cfg.RatePerSec = 0
 	cfg.FetchComments = true
-	cfg.Proxies = pool
+	cfg.Proxies = urls
 	cfg.MaxRetries = 12
 	d, st := crawlOnce(t, cfg)
 

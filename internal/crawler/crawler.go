@@ -46,10 +46,11 @@ type Config struct {
 	// Backoff is the base of the full-jitter retry schedule (0 = the
 	// resilient client's default).
 	Backoff time.Duration
-	// Proxies optionally routes requests through a proxy pool. Selection
-	// is health-scored (resilient.ProxyHealth): nodes are demoted after
-	// repeated transport failures and probed back in after a cooldown.
-	Proxies *proxy.Pool
+	// Proxies optionally routes requests through forward proxies at these
+	// base URLs. Selection is health-scored (resilient.ProxyHealth): nodes
+	// are demoted after repeated transport failures and probed back in
+	// after a cooldown.
+	Proxies []string
 	// FetchComments enables per-app comment crawling.
 	FetchComments bool
 	// FetchAPKs enables package downloads. Each (app, version) pair is
@@ -216,8 +217,12 @@ func New(cfg Config, database *db.DB) (*Crawler, error) {
 		PreAttempt:  c.waitRate,
 		UserAgent:   "planetapps-crawler/1.0",
 	}
-	if cfg.Proxies != nil {
-		rcfg.ProxyHealth = resilient.NewProxyHealth(cfg.Proxies, nil)
+	if len(cfg.Proxies) > 0 {
+		urls, err := proxy.ParseURLs(cfg.Proxies)
+		if err != nil {
+			return nil, err
+		}
+		rcfg.ProxyHealth = resilient.NewProxyHealth(urls, nil)
 		transport.Proxy = rcfg.ProxyHealth.ProxyFunc()
 	}
 	c.client = resilient.New(rcfg)

@@ -204,18 +204,14 @@ func TestCrawlThroughProxyPool(t *testing.T) {
 	var proxies []*proxy.Proxy
 	var urls []string
 	for i := 0; i < 3; i++ {
-		p := proxy.New("node", "cn")
+		p := proxy.New("node")
 		psrv := httptest.NewServer(p.Handler())
 		t.Cleanup(psrv.Close)
 		proxies = append(proxies, p)
 		urls = append(urls, psrv.URL)
 	}
-	pool, err := proxy.NewPool(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := DefaultConfig(ts.URL)
-	cfg.Proxies = pool
+	cfg.Proxies = urls
 	c, err := New(cfg, db.New())
 	if err != nil {
 		t.Fatal(err)

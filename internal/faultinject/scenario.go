@@ -90,6 +90,20 @@ func Lookup(name string) (Scenario, error) {
 	return Scenario{}, fmt.Errorf("faultinject: unknown scenario %q (have %v)", name, Names())
 }
 
+// Parse reads a -chaos flag: the named built-in scenario with its
+// durations scaled by f, or nil for the empty name.
+func Parse(name string, f float64) (*Scenario, error) {
+	if name == "" {
+		return nil, nil
+	}
+	sc, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	sc = sc.Scale(f)
+	return &sc, nil
+}
+
 // Names lists the built-in scenario names, sorted.
 func Names() []string {
 	out := make([]string, len(builtins))

@@ -101,7 +101,7 @@ func TestCrawlThroughGatewayByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gw := httptest.NewServer(ip.Handler())
+		gw := httptest.NewServer(ip.Gateway)
 		fd, _ := crawlInto(t, crawlCfg(gw.URL))
 		if got := canonicalDB(t, fd); !bytes.Equal(got, wantDay0) {
 			t.Fatalf("%d-shard gateway crawl diverged from single-node crawl on day 0 (%d vs %d canonical bytes)",
@@ -152,7 +152,7 @@ func TestCrawlConvergesUnderShardKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := httptest.NewServer(ip.Handler())
+	gw := httptest.NewServer(ip.Gateway)
 	defer gw.Close()
 
 	cfg := crawlCfg(gw.URL)

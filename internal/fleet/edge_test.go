@@ -30,7 +30,7 @@ func TestEdgeCacheOverGateway(t *testing.T) {
 
 	edge, err := edgecache.New(edgecache.Config{
 		Origin:          "http://gateway",
-		OriginTransport: HandlerTransport{Handler: ip.Handler()},
+		OriginTransport: HandlerTransport{Handler: ip.Gateway},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestEdgeCacheOverGateway(t *testing.T) {
 // roll. A wrong method gets the gateway's own 405 and Allow.
 func TestEdgeRelaysWrites(t *testing.T) {
 	ip := newFleet(t, 4, 20)
-	gateway := ip.Handler()
+	gateway := ip.Gateway
 	edge, err := edgecache.New(edgecache.Config{
 		Origin:          "http://gateway",
 		OriginTransport: HandlerTransport{Handler: gateway},

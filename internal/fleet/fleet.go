@@ -113,8 +113,8 @@ func newShard(opts Options, k int, population *[]comments.Comment) (*storeserver
 func shardName(k int) string { return "shard-" + strconv.Itoa(k) }
 
 // Inproc is a whole fleet in one process: N store servers behind a
-// gateway, wired with in-memory transports. It serves tests, loadtest and
-// crawl without opening a socket.
+// gateway, wired with in-memory transports, so that it opens no socket of
+// its own; NewStack puts its front door on a listener.
 type Inproc struct {
 	Servers []*storeserver.Server
 	Gateway *Gateway
@@ -152,9 +152,6 @@ func NewInproc(opts Options) (*Inproc, error) {
 	return ip, nil
 }
 
-// Handler returns the gateway's HTTP handler.
-func (ip *Inproc) Handler() http.Handler { return ip.Gateway }
-
 // Front returns the handler clients should be pointed at: the gateway —
 // or, in a fleet of one, the node itself: one shard leaves nothing to
 // route or merge, so the hop is skipped and the client talks to what is
@@ -165,9 +162,6 @@ func (ip *Inproc) Front() http.Handler {
 	}
 	return ip.Gateway
 }
-
-// Shards returns the fleet's shard clients (admin and scrape access).
-func (ip *Inproc) Shards() []ShardClient { return ip.shards }
 
 // AdvanceDay rolls the whole fleet one day via the two-phase epoch swap.
 func (ip *Inproc) AdvanceDay() error {

@@ -228,7 +228,7 @@ func TestGatewayListingMatchesSingleNode(t *testing.T) {
 		ip := newFleet(t, shards, 7)
 		srv := singleNode(t, 7)
 		single := walkCursor(t, srv.Handler())
-		merged := walkCursor(t, ip.Handler())
+		merged := walkCursor(t, ip.Gateway)
 		samePages(t, single, merged, "day0")
 
 		// Roll both one day — the fleet through the two-phase swap — and
@@ -240,7 +240,7 @@ func TestGatewayListingMatchesSingleNode(t *testing.T) {
 		if err := srv.AdvanceDay(); err != nil {
 			t.Fatalf("single roll: %v", err)
 		}
-		samePages(t, walkCursor(t, srv.Handler()), walkCursor(t, ip.Handler()),
+		samePages(t, walkCursor(t, srv.Handler()), walkCursor(t, ip.Gateway),
 			"day1")
 	}
 }
@@ -250,7 +250,7 @@ func TestGatewayStatsMatchesSingleNode(t *testing.T) {
 	srv := singleNode(t, 7)
 	for day := 0; day < 3; day++ {
 		respS, bodyS := get(t, srv.Handler(), "/api/v1/stats", nil)
-		respG, bodyG := get(t, ip.Handler(), "/api/v1/stats", nil)
+		respG, bodyG := get(t, ip.Gateway, "/api/v1/stats", nil)
 		if string(bodyS) != string(bodyG) {
 			t.Fatalf("day %d: stats body differs:\n  single  %s\n  gateway %s", day, bodyS, bodyG)
 		}
@@ -258,7 +258,7 @@ func TestGatewayStatsMatchesSingleNode(t *testing.T) {
 			t.Fatalf("day %d: stats etag %q != %q", day, eG, eS)
 		}
 		// Conditional revalidation against the aggregated document.
-		resp304, _ := get(t, ip.Handler(), "/api/v1/stats",
+		resp304, _ := get(t, ip.Gateway, "/api/v1/stats",
 			http.Header{"If-None-Match": []string{respG.Header.Get("Etag")}})
 		if resp304.StatusCode != http.StatusNotModified {
 			t.Fatalf("day %d: expected 304 from gateway stats, got %d", day, resp304.StatusCode)
@@ -284,7 +284,7 @@ func TestGatewayProxiesAppRoutesByteIdentical(t *testing.T) {
 		for _, route := range []string{"", "/comments", "/apk"} {
 			path := "/api/v1/apps/" + itoa(id) + route
 			respS, bodyS := get(t, srv.Handler(), path, nil)
-			respG, bodyG := get(t, ip.Handler(), path, nil)
+			respG, bodyG := get(t, ip.Gateway, path, nil)
 			if respS.StatusCode != respG.StatusCode {
 				t.Fatalf("%s: status %d != %d", path, respG.StatusCode, respS.StatusCode)
 			}
@@ -297,11 +297,11 @@ func TestGatewayProxiesAppRoutesByteIdentical(t *testing.T) {
 		}
 	}
 	// Beyond-catalog and malformed IDs answer like a single node.
-	resp, body := get(t, ip.Handler(), "/api/v1/apps/999999", nil)
+	resp, body := get(t, ip.Gateway, "/api/v1/apps/999999", nil)
 	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), "app_not_found") {
 		t.Fatalf("unknown app: got %d %s", resp.StatusCode, body)
 	}
-	resp, _ = get(t, ip.Handler(), "/api/v1/apps/xyz", nil)
+	resp, _ = get(t, ip.Gateway, "/api/v1/apps/xyz", nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad app id: got %d", resp.StatusCode)
 	}
@@ -364,7 +364,7 @@ func TestEmptyShardServes(t *testing.T) {
 	ip := newFleet(t, shards, 7)
 	empty := -1
 	// Determine ownership from the ring against the actual catalog size.
-	_, statsBody := get(t, ip.Handler(), "/api/v1/stats", nil)
+	_, statsBody := get(t, ip.Gateway, "/api/v1/stats", nil)
 	var stats storeserver.StatsJSON
 	if err := json.Unmarshal(statsBody, &stats); err != nil {
 		t.Fatal(err)
@@ -383,7 +383,7 @@ func TestEmptyShardServes(t *testing.T) {
 		t.Fatalf("no empty shard at %d apps / %d shards — pick a topology that exercises the edge", stats.Apps, shards)
 	}
 	single := walkCursor(t, singleNode(t, 7).Handler())
-	samePages(t, single, walkCursor(t, ip.Handler()), "empty-shard walk")
+	samePages(t, single, walkCursor(t, ip.Gateway), "empty-shard walk")
 }
 
 // TestPageBoundaryAtShardBoundary sweeps page sizes so that page breaks
@@ -393,7 +393,7 @@ func TestPageBoundaryAtShardBoundary(t *testing.T) {
 	for _, pageSize := range []int{1, 2, 3, 7, 100} {
 		ip := newFleet(t, 4, pageSize)
 		srv := singleNode(t, pageSize)
-		samePages(t, walkCursor(t, srv.Handler()), walkCursor(t, ip.Handler()),
+		samePages(t, walkCursor(t, srv.Handler()), walkCursor(t, ip.Gateway),
 			"pageSize="+itoa(pageSize))
 	}
 }
@@ -403,7 +403,7 @@ func TestPageBoundaryAtShardBoundary(t *testing.T) {
 // with the v1 bad_cursor envelope, never silently misresumed.
 func TestCursorTopologyChange(t *testing.T) {
 	ip4 := newFleet(t, 4, 7)
-	resp, body := get(t, ip4.Handler(), "/api/v1/apps?cursor=", nil)
+	resp, body := get(t, ip4.Gateway, "/api/v1/apps?cursor=", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first page: %d", resp.StatusCode)
 	}
@@ -416,7 +416,7 @@ func TestCursorTopologyChange(t *testing.T) {
 	}
 
 	ip2 := newFleet(t, 2, 7)
-	resp, body = get(t, ip2.Handler(), "/api/v1/apps?cursor="+page.NextCursor, nil)
+	resp, body = get(t, ip2.Gateway, "/api/v1/apps?cursor="+page.NextCursor, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("cross-topology cursor: want 400, got %d: %s", resp.StatusCode, body)
 	}
@@ -428,7 +428,7 @@ func TestCursorTopologyChange(t *testing.T) {
 		t.Fatalf("cross-topology cursor: code %q, want bad_cursor", envelope.Error.Code)
 	}
 	// A single-node cursor fed to the gateway is equally foreign.
-	resp, _ = get(t, ip2.Handler(), "/api/v1/apps?cursor="+storeserver.EncodeCursor(3), nil)
+	resp, _ = get(t, ip2.Gateway, "/api/v1/apps?cursor="+storeserver.EncodeCursor(3), nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("single-node cursor at gateway: want 400, got %d", resp.StatusCode)
 	}
@@ -471,7 +471,7 @@ func TestCursorStableAcrossFleetRoll(t *testing.T) {
 	}
 
 	single := walkHalfThenRoll(srv.Handler(), srv.AdvanceDay)
-	merged := walkHalfThenRoll(ip.Handler(), ip.AdvanceDay)
+	merged := walkHalfThenRoll(ip.Gateway, ip.AdvanceDay)
 	samePages(t, single, merged, "mid-walk roll")
 	if ip.Day() != srv.Day() {
 		t.Fatalf("fleet day %d != single-node day %d", ip.Day(), srv.Day())
@@ -555,7 +555,7 @@ func TestAdvanceFleetConvergesDivergedFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	samePages(t, walkCursor(t, srv.Handler()), walkCursor(t, ip.Handler()), "post-converge walk")
+	samePages(t, walkCursor(t, srv.Handler()), walkCursor(t, ip.Gateway), "post-converge walk")
 }
 
 // TestNoMixedEpochUnderRoll hammers the gateway's scatter routes while
@@ -641,9 +641,9 @@ func TestNoMixedEpochUnderRoll(t *testing.T) {
 func TestGatewayMergedMetrics(t *testing.T) {
 	ip := newFleet(t, 2, 7)
 	// Generate some traffic so shard counters exist.
-	get(t, ip.Handler(), "/api/v1/stats", nil)
-	get(t, ip.Handler(), "/api/v1/apps?cursor=", nil)
-	resp, body := get(t, ip.Handler(), "/metrics", nil)
+	get(t, ip.Gateway, "/api/v1/stats", nil)
+	get(t, ip.Gateway, "/api/v1/apps?cursor=", nil)
+	resp, body := get(t, ip.Gateway, "/metrics", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics: %d", resp.StatusCode)
 	}

@@ -104,7 +104,7 @@ func TestMergeTopsUpUnderDeliveringShards(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 4} {
 		ip := fleetAt(t, shards, 0, 40, midScale)
-		gw := NewGateway(Config{Shards: ip.Shards(), PageSize: 100})
+		gw := NewGateway(Config{Shards: ip.shards, PageSize: 100})
 		samePages(t, single, walkCursor(t, gw), strconv.Itoa(shards)+" clamping shards")
 		if shards <= 2 && gw.Stats().TopUps == 0 {
 			t.Fatalf("%d shards clamping at 40 under 100-row pages: no top-up fetch happened", shards)
@@ -139,7 +139,7 @@ func TestForgedCursorUnequalAnchors(t *testing.T) {
 		// Over full-page shards and over clamping ones.
 		for _, shardPage := range []int{100, 40} {
 			ip := fleetAt(t, shards, 0, shardPage, midScale)
-			gw := NewGateway(Config{Shards: ip.Shards(), PageSize: 100})
+			gw := NewGateway(Config{Shards: ip.shards, PageSize: 100})
 			var got []json.RawMessage
 			for _, page := range walkWith(t, gw, packCursor(anchors), "", -1, nil) {
 				if len(page.Apps) > 100 {
@@ -187,7 +187,7 @@ func TestQuotasShipOnePageOfRows(t *testing.T) {
 	const shards, pageSize = 4, 100
 	ip := fleetAt(t, shards, 0, pageSize, midScale)
 	rec := &limitRecorder{}
-	clients := append([]ShardClient(nil), ip.Shards()...)
+	clients := append([]ShardClient(nil), ip.shards...)
 	for i := range clients {
 		clients[i].HTTP = &http.Client{Transport: rec.wrap(clients[i].HTTP.Transport)}
 	}
@@ -236,7 +236,7 @@ func TestGatewayHonoursLimit(t *testing.T) {
 	const pageSize = 20
 	ip := fleetAt(t, 4, 0, pageSize, midScale)
 	srv := singleAt(t, pageSize, midScale)
-	defResp, defBody := get(t, ip.Handler(), "/api/v1/apps?cursor=", nil)
+	defResp, defBody := get(t, ip.Gateway, "/api/v1/apps?cursor=", nil)
 	defTag := defResp.Header.Get("Etag")
 	for _, tc := range []struct {
 		limit string
@@ -247,7 +247,7 @@ func TestGatewayHonoursLimit(t *testing.T) {
 	} {
 		suffix := "&limit=" + tc.limit
 		respS, bodyS := get(t, srv.Handler(), "/api/v1/apps?cursor="+suffix, nil)
-		respG, bodyG := get(t, ip.Handler(), "/api/v1/apps?cursor="+suffix, nil)
+		respG, bodyG := get(t, ip.Gateway, "/api/v1/apps?cursor="+suffix, nil)
 		if respG.StatusCode != respS.StatusCode {
 			t.Fatalf("limit=%q: gateway answered %d, single node %d", tc.limit, respG.StatusCode, respS.StatusCode)
 		}
@@ -260,7 +260,7 @@ func TestGatewayHonoursLimit(t *testing.T) {
 			continue
 		}
 		single := walkWith(t, srv.Handler(), "", suffix, -1, nil)
-		merged := walkWith(t, ip.Handler(), "", suffix, -1, nil)
+		merged := walkWith(t, ip.Gateway, "", suffix, -1, nil)
 		samePages(t, single, merged, "limit="+tc.limit)
 		if got := len(merged[0].Apps); got != tc.rows {
 			t.Fatalf("limit=%q: first page has %d rows, want %d", tc.limit, got, tc.rows)
@@ -276,13 +276,13 @@ func TestGatewayHonoursLimit(t *testing.T) {
 		if tc.rows == pageSize && !bytes.Equal(bodyG, defBody) {
 			t.Fatalf("limit=%q: body differs from the default page", tc.limit)
 		}
-		if resp304, _ := get(t, ip.Handler(), "/api/v1/apps?cursor="+suffix,
+		if resp304, _ := get(t, ip.Gateway, "/api/v1/apps?cursor="+suffix,
 			http.Header{"If-None-Match": []string{tag}}); resp304.StatusCode != http.StatusNotModified {
 			t.Fatalf("limit=%q: revalidation answered %d, want 304", tc.limit, resp304.StatusCode)
 		}
 	}
 	// A bad cursor outranks a bad limit, as on the store.
-	resp, body := get(t, ip.Handler(), "/api/v1/apps?cursor=zzz&limit=0", nil)
+	resp, body := get(t, ip.Gateway, "/api/v1/apps?cursor=zzz&limit=0", nil)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "bad_cursor") {
 		t.Fatalf("bad cursor and bad limit: %d %s", resp.StatusCode, body)
 	}
@@ -425,13 +425,13 @@ func TestRandomTopologiesMatchSingleNode(t *testing.T) {
 		rollAfter := rng.Intn(pages)
 		label := "shards=" + itoa(tc.shards) + " vnodes=" + itoa(tc.vnodes) + " page=" + itoa(tc.pageSize) + " roll after page " + itoa(rollAfter)
 		single := walkWith(t, srv.Handler(), "", "", rollAfter, srv.AdvanceDay)
-		merged := walkWith(t, ip.Handler(), "", "", rollAfter, ip.AdvanceDay)
+		merged := walkWith(t, ip.Gateway, "", "", rollAfter, ip.AdvanceDay)
 		samePages(t, single, merged, label)
 		if ip.Day() != srv.Day() {
 			t.Fatalf("%s: fleet day %d, single node day %d", label, ip.Day(), srv.Day())
 		}
 		// And once more from the top, wholly inside the new day.
-		samePages(t, walkCursor(t, srv.Handler()), walkCursor(t, ip.Handler()), label+", next day")
+		samePages(t, walkCursor(t, srv.Handler()), walkCursor(t, ip.Gateway), label+", next day")
 	}
 	if !sawEmpty {
 		t.Fatal("no topology left a shard empty; the sweep must cover that edge")
@@ -449,7 +449,7 @@ func TestRandomTopologiesMatchSingleNode(t *testing.T) {
 func TestGatewayListAllocBudget(t *testing.T) {
 	const budget = 600
 	ip := fleetAt(t, 4, 0, 100, midScale)
-	_, first := get(t, ip.Handler(), "/api/v1/apps?cursor=", nil)
+	_, first := get(t, ip.Gateway, "/api/v1/apps?cursor=", nil)
 	var page cursorPage
 	if err := json.Unmarshal(first, &page); err != nil || len(page.Apps) != 100 || page.NextCursor == "" {
 		t.Fatalf("first page: %d rows, next %q, err %v", len(page.Apps), page.NextCursor, err)

@@ -92,7 +92,7 @@ func oddRequests(statsTag string) []oddRequest {
 func TestGatewayAnswersOddRequestsLikeASingleNode(t *testing.T) {
 	const pageSize = 20
 	single := singleNode(t, pageSize).Handler()
-	gateway := newFleet(t, 4, pageSize).Handler()
+	gateway := newFleet(t, 4, pageSize).Gateway
 
 	statsResp, _ := get(t, single, "/api/v1/stats", nil)
 	statsTag := statsResp.Header.Get("Etag")
@@ -167,7 +167,7 @@ func TestGatewayAnswersOddRequestsLikeASingleNode(t *testing.T) {
 // and through an edge in front of that gateway, cold and cached.
 func TestBareListingIsTheFirstCursorSlice(t *testing.T) {
 	const pageSize = 20
-	gateway := newFleet(t, 4, pageSize).Handler()
+	gateway := newFleet(t, 4, pageSize).Gateway
 	edge, err := edgecache.New(edgecache.Config{
 		Origin:          "http://gateway",
 		OriginTransport: HandlerTransport{Handler: gateway},
@@ -180,7 +180,7 @@ func TestBareListingIsTheFirstCursorSlice(t *testing.T) {
 		h    http.Handler
 	}{
 		{"node", singleNode(t, pageSize).Handler()},
-		{"gateway/1", newFleet(t, 1, pageSize).Handler()},
+		{"gateway/1", newFleet(t, 1, pageSize).Gateway},
 		{"gateway/4", gateway},
 		{"edge, cold", edge.Handler()},
 		{"edge, cached", edge.Handler()},

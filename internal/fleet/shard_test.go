@@ -266,7 +266,7 @@ func TestOneClientOneBucketThroughEveryTier(t *testing.T) {
 		path string
 	}{
 		{"direct", srv.Handler(), "/api/v1/apps/1"},
-		{"gateway", ip.Handler(), "/api/v1/apps/2"},
+		{"gateway", ip.Gateway, "/api/v1/apps/2"},
 		{"edge", edge.Handler(), "/api/v1/apps/3"},
 	} {
 		req := httptest.NewRequest(http.MethodGet, tier.path, nil)
@@ -291,7 +291,7 @@ func TestOneClientOneBucketThroughEveryTier(t *testing.T) {
 // shard's page through the shard's own /metrics handler.
 func TestMergedMetricsCarryShardGauges(t *testing.T) {
 	ip := fleetAt(t, 2, 0, 10, testScale)
-	_, body := get(t, ip.Handler(), "/metrics", nil)
+	_, body := get(t, ip.Gateway, "/metrics", nil)
 	for _, want := range []string{
 		`store_arena_slabs_live{node="shard-0"}`,
 		`store_arena_slabs_live{node="shard-1"}`,

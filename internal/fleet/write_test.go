@@ -43,7 +43,7 @@ func post(t *testing.T, h http.Handler, path, body, idemKey string) (*http.Respo
 // and the summed stats document.
 func TestGatewayRoutesWrites(t *testing.T) {
 	ip := newFleet(t, 2, 50)
-	gw := ip.Handler()
+	gw := ip.Gateway
 
 	var statsBefore storeserver.StatsJSON
 	if resp, body := get(t, gw, "/api/v1/stats", nil); resp.StatusCode != 200 {
@@ -154,7 +154,7 @@ func TestGatewayRoutesWrites(t *testing.T) {
 // — including POST-only for a GET on a write-only tail.
 func TestGatewayWriteMethodSurface(t *testing.T) {
 	ip := newFleet(t, 2, 50)
-	gw := ip.Handler()
+	gw := ip.Gateway
 
 	resp, body := post(t, gw, "/api/v1/stats", "{}", "")
 	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, HEAD" {

@@ -169,31 +169,28 @@ func TestSecondMarketFootprint(t *testing.T) {
 // nobody more than a handful of apps: the store's own slot count must be
 // within the histories invariant (nothing up to what the user's state
 // holds, pieceGrowth times the downloads from there), and the heap the
-// forty days added — over a twin whose users download nothing, so arrivals
-// and updates cancel — within that many slots plus one block and the paid
-// stream's user records. A budget carved whole at a user's first download
-// (328 B here) added 3.5 MB, twelve times the bound. Run on to the end of
+// histories gained from day 1 to day 40 within that many slots plus one
+// block and the paid stream's user records. The heap is the histories'
+// own, what a collection frees once they are dropped: a market's whole
+// heap also holds the copies its first Step makes and the arrays that
+// arrivals regrow, and the difference from a twin whose users download
+// nothing read negative. A budget carved whole at a user's first download
+// (328 B here) adds 3.5 MB, twelve times the bound. Run on to the end of
 // the period, nobody holds more than their budget and their pieces'
 // headers (slotBound).
 func TestHistoryFootprintFollowsDownloads(t *testing.T) {
 	const users, days = 20_000, 40
-	build := func(downloadsPerUser float64) *Market {
-		cfg := retentionConfig(users)
-		cfg.Profile.DownloadsPerUser = downloadsPerUser
-		m, err := New(cfg, 1)
+	build := func(day int) *Market {
+		m, err := New(retentionConfig(users), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
-	}
-	stepTo := func(m *Market, day int) (grown int64) {
-		before := heapAfterGC()
 		for m.Day() < day {
 			if err := m.Step(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return int64(heapAfterGC()) - int64(before)
+		return m
 	}
 	// ledger sums what m's users have downloaded and what the invariant
 	// lets them hold for it.
@@ -209,28 +206,44 @@ func TestHistoryFootprintFollowsDownloads(t *testing.T) {
 		}
 		return downloads, allowed
 	}
-
-	m, idle := build(82), build(0)
-	downloads0, _ := ledger(m)
-	slots0 := m.hist.slots
-	grown := stepTo(m, days) - stepTo(idle, days)
-	runtime.KeepAlive(idle)
-	downloads, allowed := ledger(m)
-	if m.hist.slots > allowed {
-		t.Fatalf("day %d: %d slots carved for %d downloads, the invariant allows %d", days, m.hist.slots, downloads, allowed)
+	// historyHeap is the heap m's histories alone hold, free stream and
+	// paid: what a collection frees once they are dropped. m is unusable
+	// afterwards.
+	historyHeap := func(m *Market) int64 {
+		before := heapAfterGC()
+		m.freeUsers, m.hist, m.usersPaid, m.paidSlab = nil, histories{}, nil, nil
+		after := heapAfterGC()
+		runtime.KeepAlive(m)
+		return int64(before) - int64(after)
 	}
-	budget := int64(4*(allowed-slots0) + 4*maxBlock + 64*len(m.usersPaid))
-	t.Logf("day %d: %d downloads in %d slots (allowed %d); days 1-%d recorded %d and added %d bytes of heap, %.1f a download (bound %d bytes)",
-		days, downloads, m.hist.slots, allowed, days, downloads-downloads0, grown, float64(grown)/float64(downloads-downloads0), budget)
+
+	start := build(1)
+	downloads0, _ := ledger(start)
+	slots0 := start.hist.slots
+	held0 := historyHeap(start)
+	m := build(days)
+	downloads, allowed := ledger(m)
+	slots, paid := m.hist.slots, len(m.usersPaid)
+	held := historyHeap(m)
+	grown := held - held0
+	budget := int64(4*(allowed-slots0) + 4*maxBlock + 64*paid)
+	t.Logf("day %d: %d downloads in %d slots (allowed %d); days 2-%d recorded %d and added %d bytes of history (%d held at day 1), %.1f a download (bound %d bytes)",
+		days, downloads, slots, allowed, days, downloads-downloads0, grown, held0, float64(grown)/float64(downloads-downloads0), budget)
+	if slots > allowed {
+		t.Fatalf("day %d: %d slots carved for %d downloads, the invariant allows %d", days, slots, downloads, allowed)
+	}
+	if grown <= 0 {
+		t.Fatalf("days 2-%d recorded %d downloads and the histories gained %d bytes: the measurement does not see them", days, downloads-downloads0, grown)
+	}
 	if raceEnabled {
 		return // shadow memory swamps a byte bound, and the whole period takes a minute
 	}
 	if grown > budget {
-		t.Fatalf("%d days of downloads added %d bytes of heap, want <= %d", days, grown, budget)
+		t.Fatalf("%d days of downloads added %d bytes of history, want <= %d", days, grown, budget)
 	}
 
 	// At drain a user's allowance is their budget and their pieces' headers.
-	stepTo(m, m.cfg.Days-1)
+	m = build(retentionConfig(users).Days - 1)
 	downloads, allowed = ledger(m)
 	t.Logf("drain: %d downloads in %d slots (allowed %d)", downloads, m.hist.slots, allowed)
 	if m.hist.slots > allowed {

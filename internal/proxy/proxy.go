@@ -22,25 +22,18 @@ import (
 type Proxy struct {
 	// Name labels the node (e.g. "planetlab-cn-03").
 	Name string
-	// Region is a free-form location tag; the paper needed China-located
-	// proxies for the Chinese stores.
-	Region string
 
 	transport http.RoundTripper
 	requests  atomic.Int64
-	errors    atomic.Int64
 }
 
 // New creates a named proxy using the default HTTP transport.
-func New(name, region string) *Proxy {
-	return &Proxy{Name: name, Region: region, transport: http.DefaultTransport}
+func New(name string) *Proxy {
+	return &Proxy{Name: name, transport: http.DefaultTransport}
 }
 
 // Requests returns the number of requests relayed so far.
 func (p *Proxy) Requests() int64 { return p.requests.Load() }
-
-// Errors returns the number of upstream failures.
-func (p *Proxy) Errors() int64 { return p.errors.Load() }
 
 // Handler returns the proxy's HTTP handler.
 func (p *Proxy) Handler() http.Handler {
@@ -67,7 +60,6 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request) {
 
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, r.URL.String(), r.Body)
 	if err != nil {
-		p.errors.Add(1)
 		http.Error(w, fmt.Sprintf("proxy: %v", err), http.StatusBadGateway)
 		return
 	}
@@ -87,7 +79,6 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request) {
 
 	resp, err := p.transport.RoundTrip(out)
 	if err != nil {
-		p.errors.Add(1)
 		http.Error(w, fmt.Sprintf("proxy upstream: %v", err), http.StatusBadGateway)
 		return
 	}
@@ -108,20 +99,16 @@ func copyHeader(dst, src http.Header) {
 	}
 }
 
-// Pool is the set of proxies the crawler rotates through — the paper's
-// crawlers "randomly select one of these proxies" per request. The
-// rotation itself is resilient.ProxyHealth's: round-robin over healthy
-// nodes, which gives the same spreading deterministically.
-type Pool struct {
-	urls []*url.URL
-}
-
-// NewPool parses the given proxy base URLs (e.g. "http://127.0.0.1:9001").
-func NewPool(rawURLs []string) (*Pool, error) {
+// ParseURLs parses the base URLs (e.g. "http://127.0.0.1:9001") of the
+// proxies the crawler rotates through — the paper's crawlers "randomly
+// select one of these proxies" per request. The rotation itself is
+// resilient.ProxyHealth's: round-robin over healthy nodes, which gives the
+// same spreading deterministically.
+func ParseURLs(rawURLs []string) ([]*url.URL, error) {
 	if len(rawURLs) == 0 {
 		return nil, fmt.Errorf("proxy: empty pool")
 	}
-	p := &Pool{}
+	var urls []*url.URL
 	for _, raw := range rawURLs {
 		u, err := url.Parse(raw)
 		if err != nil {
@@ -130,14 +117,7 @@ func NewPool(rawURLs []string) (*Pool, error) {
 		if u.Scheme != "http" {
 			return nil, fmt.Errorf("proxy: unsupported scheme %q in %q", u.Scheme, raw)
 		}
-		p.urls = append(p.urls, u)
+		urls = append(urls, u)
 	}
-	return p, nil
+	return urls, nil
 }
-
-// Size returns the number of proxies in the pool.
-func (p *Pool) Size() int { return len(p.urls) }
-
-// At returns the i-th proxy URL (modulo the pool size) — index-addressed
-// access for the health-scored selector, which manages the rotation.
-func (p *Pool) At(i int) *url.URL { return p.urls[i%len(p.urls)] }

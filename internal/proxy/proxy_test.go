@@ -21,7 +21,7 @@ func originAndProxy(t *testing.T) (client *http.Client, originURL string, p *Pro
 	}))
 	t.Cleanup(origin.Close)
 
-	p = New("planetlab-cn-03", "cn")
+	p = New("planetlab-cn-03")
 	proxySrv := httptest.NewServer(p.Handler())
 	t.Cleanup(proxySrv.Close)
 
@@ -56,7 +56,7 @@ func TestProxyForwards(t *testing.T) {
 }
 
 func TestProxyUpstreamError(t *testing.T) {
-	p := New("node", "eu")
+	p := New("node")
 	proxySrv := httptest.NewServer(p.Handler())
 	defer proxySrv.Close()
 	proxyURL, _ := url.Parse(proxySrv.URL)
@@ -70,13 +70,10 @@ func TestProxyUpstreamError(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("status %d, want 502", resp.StatusCode)
 	}
-	if p.Errors() != 1 {
-		t.Fatalf("errors = %d", p.Errors())
-	}
 }
 
 func TestProxyRejectsRelativeTarget(t *testing.T) {
-	p := New("node", "eu")
+	p := New("node")
 	req := httptest.NewRequest(http.MethodGet, "/relative", nil)
 	rec := httptest.NewRecorder()
 	p.Handler().ServeHTTP(rec, req)
@@ -86,7 +83,7 @@ func TestProxyRejectsRelativeTarget(t *testing.T) {
 }
 
 func TestProxyRejectsConnect(t *testing.T) {
-	p := New("node", "eu")
+	p := New("node")
 	req := httptest.NewRequest(http.MethodConnect, "example.com:443", nil)
 	rec := httptest.NewRecorder()
 	p.Handler().ServeHTTP(rec, req)
@@ -95,30 +92,27 @@ func TestProxyRejectsConnect(t *testing.T) {
 	}
 }
 
-// TestPoolRotation holds the pool to the nodes it was given, addressed by
-// index modulo its size; the rotation over them is resilient.ProxyHealth's
+// TestPoolRotation holds the parsed pool to the nodes it was given, in
+// order; the rotation over them is resilient.ProxyHealth's
 // (TestProxyHealthPick).
 func TestPoolRotation(t *testing.T) {
-	pool, err := NewPool([]string{"http://a:1", "http://b:2", "http://c:3"})
+	urls, err := ParseURLs([]string{"http://a:1", "http://b:2", "http://c:3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.Size() != 3 {
-		t.Fatalf("size = %d", pool.Size())
-	}
-	if got := pool.At(4).Host; got != "b:2" {
-		t.Fatalf("At(4) = %s, want b:2", got)
+	if len(urls) != 3 || urls[0].Host != "a:1" || urls[1].Host != "b:2" || urls[2].Host != "c:3" {
+		t.Fatalf("parsed %v", urls)
 	}
 }
 
 func TestPoolErrors(t *testing.T) {
-	if _, err := NewPool(nil); err == nil {
+	if _, err := ParseURLs(nil); err == nil {
 		t.Fatal("empty pool accepted")
 	}
-	if _, err := NewPool([]string{"https://secure:443"}); err == nil {
+	if _, err := ParseURLs([]string{"https://secure:443"}); err == nil {
 		t.Fatal("https proxy accepted")
 	}
-	if _, err := NewPool([]string{"://bad"}); err == nil {
+	if _, err := ParseURLs([]string{"://bad"}); err == nil {
 		t.Fatal("unparsable URL accepted")
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"net/url"
 	"sync"
 	"time"
-
-	"planetapps/internal/proxy"
 )
 
 // Per-node health scoring's fixed tuning.
@@ -19,16 +17,16 @@ const (
 	proxyCooldown = 2 * time.Second
 )
 
-// ProxyHealth wraps a proxy.Pool with per-node health scoring: the
-// selector round-robins across healthy nodes, demotes a node after
+// ProxyHealth scores the health of a pool of proxy nodes: the selector
+// round-robins across healthy nodes, demotes a node after
 // proxyFailThreshold consecutive transport failures, and re-probes demoted
 // nodes after proxyCooldown — the fail-over the paper's crawlers needed
 // when individual PlanetLab nodes died or were blacklisted mid-crawl. It is
-// the only way the crawler uses a pool, and it wins proxy-partition: with
-// one of four nodes dead and one dropping half, a two-day crawl takes
+// the only way the crawler uses its proxies, and it wins proxy-partition:
+// with one of four nodes dead and one dropping half, a two-day crawl takes
 // 3.8 s against 5.5–5.6 s rotating blindly (EXPERIMENTS.md, "RES").
 type ProxyHealth struct {
-	pool  *proxy.Pool
+	urls  []*url.URL
 	clock Clock
 
 	mu        sync.Mutex
@@ -42,13 +40,13 @@ type nodeHealth struct {
 	demotedTill time.Time
 }
 
-// NewProxyHealth builds a health-scored selector over pool. A nil clock
-// uses the wall clock.
-func NewProxyHealth(pool *proxy.Pool, clock Clock) *ProxyHealth {
+// NewProxyHealth builds a health-scored selector over the proxies at urls
+// (proxy.ParseURLs). A nil clock uses the wall clock.
+func NewProxyHealth(urls []*url.URL, clock Clock) *ProxyHealth {
 	if clock == nil {
 		clock = realClock{}
 	}
-	return &ProxyHealth{pool: pool, clock: clock, nodes: make([]nodeHealth, pool.Size())}
+	return &ProxyHealth{urls: urls, clock: clock, nodes: make([]nodeHealth, len(urls))}
 }
 
 // Demotions returns how many times nodes have been demoted.
@@ -138,6 +136,6 @@ func (ph *ProxyHealth) ProxyFunc() func(*http.Request) (*url.URL, error) {
 			pc.idx = i
 			pc.mu.Unlock()
 		}
-		return ph.pool.At(i), nil
+		return ph.urls[i], nil
 	}
 }

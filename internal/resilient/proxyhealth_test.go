@@ -12,12 +12,12 @@ import (
 // transports in a row is skipped, and it is picked again once
 // proxyCooldown has passed.
 func TestProxyHealthPick(t *testing.T) {
-	pool, err := proxy.NewPool([]string{"http://a:1", "http://b:2", "http://c:3"})
+	urls, err := proxy.ParseURLs([]string{"http://a:1", "http://b:2", "http://c:3"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock := newFakeClock()
-	ph := NewProxyHealth(pool, clock)
+	ph := NewProxyHealth(urls, clock)
 	pickHost := ph.ProxyFunc()
 	picks := func(n int) map[string]int {
 		t.Helper()

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"io"
-	"net/http/httptest"
+	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"planetapps/internal/catalog"
@@ -19,18 +22,18 @@ import (
 	"planetapps/internal/edgecache"
 	"planetapps/internal/experiments"
 	"planetapps/internal/fleet"
+	"planetapps/internal/loadgen"
 	"planetapps/internal/marketsim"
-	"planetapps/internal/storeserver"
+	"planetapps/internal/model"
 )
 
 // crawlOptions is the store cmd/crawl -days 2 -scale 0.05 -proxies 0
-// crawls: anzhi at seed 1, its default 60-day period, 5,000 commenting
-// users. The stores here run without a rate limit; what they serve is the
-// same.
-var crawlOptions = fleet.Options{
-	Store: "anzhi", Scale: 0.05, Seed: 1, Days: 60, CommentUsers: 5000,
-	Server: storeserver.Config{},
-}
+// crawls (anzhi at seed 1), with its rate limit off.
+var crawlOptions = func() fleet.Options {
+	opts := fleet.CrawlOptions("anzhi", 0.05, 1, 2)
+	opts.Server.RatePerSec = 0
+	return opts
+}()
 
 // TestEndToEndPipeline is Figure 1 held to identity: an anzhi store crawled
 // for two days through a single node, a 3-shard fleet behind the gateway
@@ -105,23 +108,16 @@ func crawl(t *testing.T, shards int, viaEdge bool) *db.DB {
 	t.Helper()
 	opts := crawlOptions
 	opts.Shards = shards
-	ip, err := fleet.NewInproc(opts)
+	var so fleet.StackOptions
+	if viaEdge {
+		so.Edge = &edgecache.Config{}
+	}
+	st, err := fleet.NewStack(opts, so)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(ip.Front())
-	defer ts.Close()
-	base := ts.URL
-	if viaEdge {
-		edge, err := edgecache.New(edgecache.Config{Origin: base})
-		if err != nil {
-			t.Fatal(err)
-		}
-		es := httptest.NewServer(edge.Handler())
-		defer es.Close()
-		base = es.URL
-	}
-	cfg := crawler.DefaultConfig(base)
+	defer st.Close()
+	cfg := crawler.DefaultConfig(st.URL)
 	cfg.RatePerSec = 0
 	cfg.FetchComments = true
 	c, err := crawler.New(cfg, db.New())
@@ -130,7 +126,7 @@ func crawl(t *testing.T, shards int, viaEdge bool) *db.DB {
 	}
 	for day := 0; day < 2; day++ {
 		if day > 0 {
-			if err := ip.AdvanceDay(); err != nil {
+			if err := st.AdvanceDay(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -167,3 +163,207 @@ func printed(t *testing.T, ds *experiments.Dataset, id string) string {
 	}
 	return out.String()
 }
+
+// TestOneStackCarriesBothDrivers puts a write workload and a crawl on one
+// stack on the same day: cmd/loadtest's engine posts downloads, ratings
+// and comments through the gateway of a 2-shard fleet while the crawler
+// walks it. After the day-roll, the next crawl shows every write the store
+// acknowledged, against a twin stack that saw the same crawls and no
+// writes: each app's downloads are the twin's plus exactly its accepted
+// download writes (Market.ApplyDownloadDelta adds the ingested counts to a
+// trajectory the writes do not move), and the comments the twin lacks are
+// exactly one per (app, user) that had a rating or comment accepted (the
+// crawl database keeps one comment per app, user and time).
+func TestOneStackCarriesBothDrivers(t *testing.T) {
+	opts := crawlOptions
+	opts.Shards = 2
+	type stack struct {
+		*fleet.Stack
+		crawler *crawler.Crawler
+	}
+	stacks := make([]stack, 2) // the written one, then its twin
+	for i := range stacks {
+		st, err := fleet.NewStack(opts, fleet.StackOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		cfg := crawler.DefaultConfig(st.URL)
+		cfg.RatePerSec = 0
+		cfg.FetchComments = true
+		c, err := crawler.New(cfg, db.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stacks[i] = stack{st, c}
+	}
+	written, twin := stacks[0], stacks[1]
+	ctx := context.Background()
+
+	acks := &ackLog{downloads: map[int32]int64{}, commented: map[[2]int32]bool{}}
+	g, err := loadgen.New(loadgen.Config{
+		BaseURL:   written.URL,
+		Client:    &http.Client{Transport: acks.recorder(http.DefaultTransport)},
+		Mode:      loadgen.ClosedLoop,
+		Users:     8,
+		MaxEvents: 1500,
+		WriteMix:  0.3,
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crawled := make(chan error, 1)
+	go func() {
+		_, err := written.crawler.CrawlDay(ctx)
+		crawled <- err
+	}()
+	rep, err := g.Run(ctx, &eventList{apps: int32(written.Inproc.NumApps()), n: 1500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-crawled; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.crawler.CrawlDay(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stacks {
+		if err := st.AdvanceDay(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.crawler.CrawlDay(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var accepted int64
+	for _, n := range acks.downloads {
+		accepted += n
+	}
+	if accepted == 0 || len(acks.commented) == 0 {
+		t.Fatalf("%d downloads and %d (app, user) comment pairs accepted: nothing to find", accepted, len(acks.commented))
+	}
+	if acks.accepted != rep.WriteAccepted {
+		t.Fatalf("the store acknowledged %d writes, loadgen reports %d", acks.accepted, rep.WriteAccepted)
+	}
+	t.Logf("%d writes accepted: %d downloads, ratings or comments on %d (app, user) pairs", rep.WriteAccepted, accepted, len(acks.commented))
+
+	twinApps := twin.crawler.DB().Apps()
+	apps := written.crawler.DB().Apps()
+	if len(apps) != len(twinApps) {
+		t.Fatalf("%d apps crawled, the twin's crawl has %d", len(apps), len(twinApps))
+	}
+	for i, a := range apps {
+		b := twinApps[i]
+		if a.ID != b.ID || len(a.Daily) != 2 || len(b.Daily) != 2 {
+			t.Fatalf("app %d: %d days crawled, twin's app %d %d", a.ID, len(a.Daily), b.ID, len(b.Daily))
+		}
+		if a.Daily[0].Downloads != b.Daily[0].Downloads {
+			t.Fatalf("app %d on the day of the writes: %d downloads, the twin %d", a.ID, a.Daily[0].Downloads, b.Daily[0].Downloads)
+		}
+		if got, want := a.Daily[1].Downloads, b.Daily[1].Downloads+acks.downloads[a.ID]; got != want {
+			t.Errorf("app %d the next day: %d downloads, want the twin's %d + %d written", a.ID, got, b.Daily[1].Downloads, acks.downloads[a.ID])
+		}
+	}
+
+	seen := map[db.CommentRecord]bool{}
+	for _, c := range twin.crawler.DB().Comments() {
+		seen[c] = true
+	}
+	added := map[[2]int32]bool{}
+	for _, c := range written.crawler.DB().Comments() {
+		if !seen[c] {
+			added[[2]int32{c.App, c.User}] = true
+		}
+	}
+	for k := range acks.commented {
+		if !added[k] {
+			t.Errorf("app %d: the accepted comment of user %d is not in the crawl", k[0], k[1])
+		}
+	}
+	for k := range added {
+		if !acks.commented[k] {
+			t.Errorf("app %d: the crawl has a comment of user %d that no accepted write posted", k[0], k[1])
+		}
+	}
+}
+
+// eventList is n workload events over apps, each user on a spread of
+// apps, in a fixed order.
+type eventList struct {
+	apps, i, n int32
+}
+
+func (l *eventList) Next() (model.Event, error) {
+	if l.i == l.n {
+		return model.Event{}, io.EOF
+	}
+	l.i++
+	return model.Event{User: l.i % 400, App: l.i * 7919 % l.apps}, nil
+}
+
+// ackLog is what a store acknowledged of a workload's writes, as seen on
+// the wire: accepted (not deduplicated) downloads per app, and the
+// (app, user) pairs with an accepted rating or comment.
+type ackLog struct {
+	mu        sync.Mutex
+	accepted  int64
+	downloads map[int32]int64
+	commented map[[2]int32]bool
+}
+
+// recorder wraps next so that every POST the store acknowledges is logged.
+func (l *ackLog) recorder(next http.RoundTripper) http.RoundTripper {
+	return roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if req.Method != http.MethodPost {
+			return next.RoundTrip(req)
+		}
+		body, err := io.ReadAll(req.Body)
+		if err != nil {
+			return nil, err
+		}
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		resp, err := next.RoundTrip(req)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			return resp, err
+		}
+		ackBody, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(ackBody))
+		var ack struct {
+			Deduped bool `json:"deduped"`
+		}
+		var post struct {
+			User int32 `json:"user"`
+		}
+		if err := json.Unmarshal(ackBody, &ack); err != nil || ack.Deduped {
+			return resp, err
+		}
+		if err := json.Unmarshal(body, &post); err != nil {
+			return nil, err
+		}
+		// /api/v1/apps/{id}/{download,rate,comments}
+		parts := strings.Split(req.URL.Path, "/")
+		id, err := strconv.Atoi(parts[4])
+		if err != nil {
+			return nil, err
+		}
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		l.accepted++
+		if parts[5] == "download" {
+			l.downloads[int32(id)]++
+		} else {
+			l.commented[[2]int32{int32(id), post.User}] = true
+		}
+		return resp, nil
+	})
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }

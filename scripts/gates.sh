@@ -296,8 +296,14 @@ smoke-crawl() {
 	go run ./cmd/crawl -days 2 -scale 0.05 -proxies 0 \
 		-shards 3 -chaos shard-kill -retries 60 -out "$out/fleet-crawl.jsonl"
 
+	# Daily crawls through three in-process forward proxies with the
+	# proxy-partition scenario armed on them (node 0 resets everything,
+	# node 1 half): proxy health must route around both.
+	go run ./cmd/crawl -days 2 -scale 0.05 -proxies 3 \
+		-chaos proxy-partition -out "$out/proxy-crawl.jsonl"
+
 	local db
-	for db in "$out/edge-crawl.jsonl" "$out/fleet-crawl.jsonl"; do
+	for db in "$out/edge-crawl.jsonl" "$out/fleet-crawl.jsonl" "$out/proxy-crawl.jsonl"; do
 		echo "sorted-db-sha256 $(LC_ALL=C sort "$db" | sha256sum | cut -d' ' -f1)" >"$out/got"
 		go run ./cmd/experiments -db "$db" T1 F2 F3 F4 F5 F6 F7 >>"$out/got"
 		diff -u testdata/crawl.golden "$out/got"
