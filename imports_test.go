@@ -283,6 +283,11 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // test, and from the field's own package only when the value is a
 // parameter of the enclosing function (DefaultConfig(baseURL) filling
 // BaseURL). There is no allow-list.
+//
+// The count is a ratchet: it may not rise above configFieldCeiling, so a
+// new setting is a visible edit of the ceiling. Such a struct may not embed
+// a field either: an embedded struct would carry settings the count, which
+// walks named fields, never sees.
 func TestEveryConfigFieldIsSet(t *testing.T) {
 	tr := typeCheckTree(t)
 	// Every write, by the position of the field it writes.
@@ -358,6 +363,10 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 						continue
 					}
 					for _, fl := range st.Fields.List {
+						if len(fl.Names) == 0 {
+							t.Errorf("%s: %s.%s embeds %s: name the field, so that the census counts the settings it carries",
+								tr.fset.Position(fl.Pos()), filepath.Base(dir), name, types.ExprString(fl.Type))
+						}
 						for _, fn := range fl.Names {
 							if !fn.IsExported() {
 								continue
@@ -377,7 +386,15 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 		t.Fatal("found no config fields under internal/: run from the repository root")
 	}
 	t.Logf("%d exported config fields under internal/", fields)
+	if fields > configFieldCeiling {
+		t.Errorf("%d exported config fields under internal/, above the ceiling of %d: make the new setting a constant where it is read, or raise configFieldCeiling in the same change",
+			fields, configFieldCeiling)
+	}
 }
+
+// configFieldCeiling is the most exported config fields
+// TestEveryConfigFieldIsSet lets internal/ hold.
+const configFieldCeiling = 100
 
 // TestModuleMapIsCurrent holds DESIGN.md §2 to the tree: every package
 // directory under internal/ and cmd/ (cmd/bench included) has a row in the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"planetapps/internal/cache"
 	"planetapps/internal/db"
 	"planetapps/internal/storeserver"
 )
@@ -13,12 +14,13 @@ import (
 // never exceeds the cap, and evictions are counted.
 func TestCondCacheEviction(t *testing.T) {
 	_, ts := testStore(t, storeserver.Config{PageSize: 25})
-	cfg := DefaultConfig(ts.URL)
-	cfg.CondCacheSize = 8
-	c, err := New(cfg, db.New())
+	c, err := New(DefaultConfig(ts.URL), db.New())
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Swap in an 8-entry cache before the first request.
+	c.condLRU = cache.NewLRU[string](8)
+	c.condLRU.OnEvict(c.condEvicted)
 	ctx := context.Background()
 	s1, err := c.CrawlDay(ctx)
 	if err != nil {

@@ -10,8 +10,9 @@
 // parallel workers. All HTTP goes through an internal/resilient client,
 // which supplies full-jitter backoff with Retry-After honoring, hedged
 // requests (Config.HedgeAfter; 0 switches them off), response-body decode
-// validation with re-fetch, and health-scored rotation over the proxy
-// pool.
+// validation with re-fetch, gzip transfer (always asked for; inflated and
+// CRC-checked inside the retry loop, so the ingested documents are the
+// identity ones) and health-scored rotation over the proxy pool.
 package crawler
 
 import (
@@ -64,18 +65,13 @@ type Config struct {
 	// crawl's p99 is 191 ms against 258 ms without it under corruption, and
 	// 166 against 229 ms under slow-loris (EXPERIMENTS.md, "RES").
 	HedgeAfter time.Duration
-	// DisableGzip turns off compressed transfer. By default the crawler
-	// asks the store for gzip and inflates (and CRC-checks) responses in
-	// the resilient retry loop, cutting wire bytes on the dominant
-	// JSON-transfer cost; disabling it restores identity transfer for
-	// A/B comparison. Either way the ingested documents are identical.
-	DisableGzip bool
-	// CondCacheSize bounds the per-URL conditional-GET cache (entries);
-	// least-recently-used entries are evicted past the cap. <= 0 uses a
-	// default of 65536 — comfortably above one crawl pass of the test
-	// stores, so eviction only kicks in on long multi-store sessions.
-	CondCacheSize int
 }
+
+// condCacheSize bounds the per-URL conditional-GET cache (entries);
+// least-recently-used entries are evicted past the cap. It is comfortably
+// above one crawl pass of the test stores, so eviction only kicks in on
+// long multi-store sessions.
+const condCacheSize = 65536
 
 // DefaultConfig returns a configuration suited to the in-process store,
 // hedging on. Backoff and the attempt timeout are the resilient client's
@@ -136,7 +132,7 @@ type Crawler struct {
 	// cond caches the last validated (ETag, body) per JSON URL so repeat
 	// crawls can revalidate with If-None-Match and decode the cached bytes
 	// on 304 — the same skip-unchanged-payloads discipline the APK path
-	// gets from HasAPK. The cache is LRU-bounded at cfg.CondCacheSize
+	// gets from HasAPK. The cache is LRU-bounded at condCacheSize
 	// entries (a long-lived crawler visiting many stores would otherwise
 	// grow it without bound): condLRU decides which URLs stay and its
 	// eviction hook drops the rest from cond.
@@ -193,14 +189,11 @@ func New(cfg Config, database *db.DB) (*Crawler, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	if cfg.CondCacheSize <= 0 {
-		cfg.CondCacheSize = 65536
-	}
 	c := &Crawler{
 		cfg:     cfg,
 		db:      database,
 		cond:    map[string]condEntry{},
-		condLRU: cache.NewLRU[string](cfg.CondCacheSize),
+		condLRU: cache.NewLRU[string](condCacheSize),
 		tokens:  cfg.RatePerSec,
 		last:    time.Now(),
 	}
@@ -213,7 +206,7 @@ func New(cfg Config, database *db.DB) (*Crawler, error) {
 		MaxRetries:  cfg.MaxRetries,
 		BaseBackoff: cfg.Backoff,
 		HedgeAfter:  cfg.HedgeAfter,
-		AcceptGzip:  !cfg.DisableGzip,
+		AcceptGzip:  true,
 		PreAttempt:  c.waitRate,
 		UserAgent:   "planetapps-crawler/1.0",
 	}
@@ -431,14 +424,14 @@ func (c *Crawler) crawlApp(ctx context.Context, day int, a storeserver.AppJSON, 
 		if err := c.getJSON(ctx, url, &cs); err != nil {
 			return err
 		}
-		for _, cm := range cs {
-			if c.db.AddComment(db.CommentRecord{
-				App: a.ID, User: cm.User, Rating: cm.Rating, UnixTime: cm.UnixTime,
-			}) {
-				countMu.Lock()
-				*commentCount++
-				countMu.Unlock()
-			}
+		stream := make([]db.CommentRecord, len(cs))
+		for i, cm := range cs {
+			stream[i] = db.CommentRecord{App: a.ID, User: cm.User, Rating: cm.Rating, UnixTime: cm.UnixTime}
+		}
+		if n := c.db.AddComments(stream); n > 0 {
+			countMu.Lock()
+			*commentCount += int64(n)
+			countMu.Unlock()
 		}
 	}
 	if c.cfg.FetchAPKs && !c.db.HasAPK(a.ID, a.Version) {

@@ -2,8 +2,10 @@ package crawler
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -87,6 +89,57 @@ func TestCrawlWithComments(t *testing.T) {
 	}
 	if stats2.Comments != 0 {
 		t.Fatalf("re-crawl added %d duplicate comments", stats2.Comments)
+	}
+}
+
+// TestCrawlKeepsEveryServedComment: a user who rates an app and comments on
+// it with the same stars on one day gets two identical records in the
+// app's stream (both merged at the day boundary), and the crawl database
+// holds both — no more after a same-day re-crawl or the next day's crawl.
+func TestCrawlKeepsEveryServedComment(t *testing.T) {
+	srv, ts := testStore(t, storeserver.Config{PageSize: 50})
+	const app, user = 3, 50_000
+	for _, kind := range []string{"rate", "comments"} {
+		resp, err := http.Post(fmt.Sprintf("%s/api/v1/apps/%d/%s", ts.URL, app, kind), "application/json",
+			strings.NewReader(fmt.Sprintf(`{"user":%d,"rating":4}`, user)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %s", kind, resp.Status)
+		}
+	}
+	if err := srv.AdvanceDay(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(ts.URL)
+	cfg.RatePerSec = 0
+	cfg.FetchComments = true
+	c, err := New(cfg, db.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	posted := func() (n int) {
+		for _, cm := range c.DB().Comments() {
+			if cm.App == app && cm.User == user {
+				n++
+			}
+		}
+		return n
+	}
+	for day := 0; day < 2; day++ {
+		for crawl := 0; crawl < 2; crawl++ {
+			if _, err := c.CrawlDay(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if n := posted(); n != 2 {
+				t.Fatalf("day %d crawl %d: the database holds %d of the user's 2 identical records", day, crawl, n)
+			}
+		}
+		if err := srv.AdvanceDay(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package crawler
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -16,8 +17,10 @@ import (
 )
 
 // gzipStore is chaosStore with the storeserver handle exposed, so tests
-// can roll the day under the crawler.
-func gzipStore(t *testing.T, inj *faultinject.Injector) (*storeserver.Server, *httptest.Server) {
+// can roll the day under the crawler. An identity store strips
+// Accept-Encoding from every request before the store sees it, so the
+// crawler, which always asks for gzip, is answered in identity.
+func gzipStore(t *testing.T, inj *faultinject.Injector, identity bool) (*storeserver.Server, *httptest.Server) {
 	t.Helper()
 	mcfg := marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(0.05))
 	mcfg.Days = 10
@@ -34,7 +37,15 @@ func gzipStore(t *testing.T, inj *faultinject.Injector) (*storeserver.Server, *h
 	if inj != nil {
 		srv.SetChaos(inj)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	h := srv.Handler()
+	if identity {
+		next := h
+		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			r.Header.Del("Accept-Encoding")
+			next.ServeHTTP(w, r)
+		})
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return srv, ts
 }
@@ -45,13 +56,12 @@ func gzipStore(t *testing.T, inj *faultinject.Injector) (*storeserver.Server, *h
 // carried documents revalidate against their gzip-variant ETags and
 // changed documents re-transfer compressed.
 func TestGzipCrawlByteIdentical(t *testing.T) {
-	idStore, idTS := gzipStore(t, nil)
-	gzStore, gzTS := gzipStore(t, nil)
+	idStore, idTS := gzipStore(t, nil, true)
+	gzStore, gzTS := gzipStore(t, nil, false)
 
 	idCfg := DefaultConfig(idTS.URL)
 	idCfg.RatePerSec = 0
 	idCfg.FetchComments = true
-	idCfg.DisableGzip = true
 	idCrawler, err := New(idCfg, db.New())
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +69,7 @@ func TestGzipCrawlByteIdentical(t *testing.T) {
 
 	gzCfg := DefaultConfig(gzTS.URL)
 	gzCfg.RatePerSec = 0
-	gzCfg.FetchComments = true // DisableGzip false: compressed transfer on
+	gzCfg.FetchComments = true
 	gzCrawler, err := New(gzCfg, db.New())
 	if err != nil {
 		t.Fatal(err)
@@ -129,11 +139,10 @@ func TestGzipCrawlByteIdentical(t *testing.T) {
 // json.Valid) catches them, and the invalid-body re-fetch path must still
 // converge to a database byte-identical to a fault-free identity crawl.
 func TestGzipCrawlConvergesUnderCorruption(t *testing.T) {
-	_, cleanTS := gzipStore(t, nil)
+	_, cleanTS := gzipStore(t, nil, true)
 	cleanCfg := DefaultConfig(cleanTS.URL)
 	cleanCfg.RatePerSec = 0
 	cleanCfg.FetchComments = true
-	cleanCfg.DisableGzip = true
 	cleanDB, _ := crawlOnce(t, cleanCfg)
 	want := canonical(t, cleanDB)
 
@@ -142,7 +151,7 @@ func TestGzipCrawlConvergesUnderCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := faultinject.New(sc.Scale(0.2), 0x6219, nil)
-	_, chaosTS := gzipStore(t, inj)
+	_, chaosTS := gzipStore(t, inj, false)
 	cfg := DefaultConfig(chaosTS.URL)
 	cfg.RatePerSec = 0
 	cfg.FetchComments = true

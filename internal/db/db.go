@@ -69,20 +69,17 @@ type DB struct {
 	store    string
 	apps     map[int32]*AppRecord
 	comments []CommentRecord
-	// commentSeen deduplicates comments across daily re-crawls.
-	commentSeen map[commentKey]struct{}
-}
-
-type commentKey struct {
-	app, user int32
-	t         int64
+	// commentSeen counts the stored copies of each distinct record: the
+	// most any one served stream held, so daily re-crawls of a stream add
+	// only what is new in it.
+	commentSeen map[CommentRecord]int
 }
 
 // New creates an empty database.
 func New() *DB {
 	return &DB{
 		apps:        map[int32]*AppRecord{},
-		commentSeen: map[commentKey]struct{}{},
+		commentSeen: map[CommentRecord]int{},
 	}
 }
 
@@ -161,18 +158,26 @@ func (d *DB) RecordAPK(id int32, version int, bytes int64) bool {
 	return true
 }
 
-// AddComment stores a comment unless an identical (app, user, time) triple
-// was already recorded. It reports whether the comment was new.
-func (d *DB) AddComment(c CommentRecord) bool {
-	k := commentKey{c.App, c.User, c.UnixTime}
+// AddComments merges one served comment stream: every record in it is
+// stored exactly once, identical records included — a user's rating and
+// comment on one app, merged at one timestamp, are two records. A record
+// the database already holds as many times as the stream does adds
+// nothing, so a re-crawl of a stream adds only what is new in it. It
+// returns the number of records stored.
+func (d *DB) AddComments(stream []CommentRecord) int {
+	inStream := make(map[CommentRecord]int, len(stream))
+	added := 0
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, dup := d.commentSeen[k]; dup {
-		return false
+	for _, c := range stream {
+		inStream[c]++
+		if inStream[c] > d.commentSeen[c] {
+			d.commentSeen[c] = inStream[c]
+			d.comments = append(d.comments, c)
+			added++
+		}
 	}
-	d.commentSeen[k] = struct{}{}
-	d.comments = append(d.comments, c)
-	return true
+	return added
 }
 
 // NumApps returns the number of known apps.
@@ -262,11 +267,14 @@ func (d *DB) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadFrom loads JSONL lines produced by WriteTo into the database,
-// merging with existing content.
+// merging with existing content. The comments read are merged as one
+// stream (AddComments): loading a database into itself adds nothing.
 func (d *DB) ReadFrom(r io.Reader) (int64, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	var n int64
+	var comments []CommentRecord
+	defer func() { d.AddComments(comments) }()
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -288,7 +296,7 @@ func (d *DB) ReadFrom(r io.Reader) (int64, error) {
 			d.apps[cp.ID] = &cp
 			d.mu.Unlock()
 		case l.Comment != nil:
-			d.AddComment(*l.Comment)
+			comments = append(comments, *l.Comment)
 		}
 		n++
 	}

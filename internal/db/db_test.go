@@ -3,6 +3,7 @@ package db
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -51,21 +52,52 @@ func TestAppCopyIsolation(t *testing.T) {
 	}
 }
 
+// TestCommentsDedup: a served stream's records are stored once each,
+// identical ones included, and a re-crawl adds only what is new in it.
 func TestCommentsDedup(t *testing.T) {
 	d := New()
 	c := CommentRecord{App: 1, User: 2, Rating: 5, UnixTime: 1000}
-	if !d.AddComment(c) {
-		t.Fatal("first insert rejected")
+	if n := d.AddComments([]CommentRecord{c}); n != 1 {
+		t.Fatalf("first insert stored %d records", n)
 	}
-	if d.AddComment(c) {
-		t.Fatal("duplicate accepted")
+	if n := d.AddComments([]CommentRecord{c}); n != 0 {
+		t.Fatalf("re-crawl of the same stream stored %d records", n)
 	}
-	c.UnixTime = 1001
-	if !d.AddComment(c) {
-		t.Fatal("distinct timestamp rejected")
+	// The next day's stream: the same record, a rating and a comment the
+	// user posted that day, identical as served, and another user's.
+	later := CommentRecord{App: 1, User: 2, Rating: 4, UnixTime: 86400}
+	other := CommentRecord{App: 1, User: 3, Rating: 4, UnixTime: 86400}
+	next := []CommentRecord{c, later, later, other}
+	if n := d.AddComments(next); n != 3 {
+		t.Fatalf("next day's stream stored %d new records, want 3", n)
 	}
-	if d.NumComments() != 2 {
-		t.Fatalf("NumComments = %d", d.NumComments())
+	if n := d.AddComments(next); n != 0 {
+		t.Fatalf("re-crawl of the next day's stream stored %d records", n)
+	}
+	want := []CommentRecord{c, later, later, other}
+	if got := d.Comments(); !slices.Equal(got, want) {
+		t.Fatalf("stored %v, want %v", got, want)
+	}
+
+	// A database read into itself adds nothing; read into an empty one it is
+	// the same multiset.
+	var buf bytes.Buffer
+	if _, err := d.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	if _, err := d.ReadFrom(bytes.NewReader(saved)); err != nil {
+		t.Fatal(err)
+	}
+	if d.NumComments() != len(want) {
+		t.Fatalf("reading a database into itself left %d comments, want %d", d.NumComments(), len(want))
+	}
+	d2 := New()
+	if _, err := d2.ReadFrom(bytes.NewReader(saved)); err != nil {
+		t.Fatal(err)
+	}
+	if got := d2.Comments(); !slices.Equal(got, want) {
+		t.Fatalf("loaded %v, want %v", got, want)
 	}
 }
 
@@ -76,7 +108,7 @@ func TestRoundTrip(t *testing.T) {
 		d.UpsertApp(rec, stat)
 		d.UpsertApp(rec, DailyStat{Day: 1, Downloads: int64(100 + i)})
 	}
-	d.AddComment(CommentRecord{App: 1, User: 7, Rating: 4, UnixTime: 99})
+	d.AddComments([]CommentRecord{{App: 1, User: 7, Rating: 4, UnixTime: 99}})
 	d.SetStore("slideme")
 	var buf bytes.Buffer
 	n, err := d.WriteTo(&buf)
@@ -138,7 +170,7 @@ func TestConcurrentWriters(t *testing.T) {
 				id := int32(w*1000 + i)
 				rec, stat := sampleApp(id)
 				d.UpsertApp(rec, stat)
-				d.AddComment(CommentRecord{App: id, User: int32(w), UnixTime: int64(i), Rating: 3})
+				d.AddComments([]CommentRecord{{App: id, User: int32(w), UnixTime: int64(i), Rating: 3}})
 			}
 		}(w)
 	}

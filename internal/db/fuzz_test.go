@@ -14,7 +14,7 @@ func FuzzReadFrom(f *testing.F) {
 	rec, stat := sampleApp(1)
 	d.UpsertApp(rec, stat)
 	d.RecordAPK(1, 1, 77)
-	d.AddComment(CommentRecord{App: 1, User: 2, Rating: 5, UnixTime: 9})
+	d.AddComments([]CommentRecord{{App: 1, User: 2, Rating: 5, UnixTime: 9}})
 	if _, err := d.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
@@ -38,8 +38,9 @@ func FuzzReadFrom(f *testing.F) {
 		if _, err := again.ReadFrom(&out); err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
-		if again.NumApps() != loaded.NumApps() {
-			t.Fatalf("round trip changed app count: %d -> %d", loaded.NumApps(), again.NumApps())
+		if again.NumApps() != loaded.NumApps() || again.NumComments() != loaded.NumComments() {
+			t.Fatalf("round trip changed app or comment count: %d -> %d apps, %d -> %d comments",
+				loaded.NumApps(), again.NumApps(), loaded.NumComments(), again.NumComments())
 		}
 	})
 }

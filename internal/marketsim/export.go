@@ -38,18 +38,18 @@ func numAppChunks(n int) int { return (n + appExportChunk - 1) >> appChunkShift 
 // may read it indefinitely while the market steps.
 //
 // Internally the row, download, and version vectors are chunked: each
-// chunk is either a fresh copy of the live state or — when nothing in it
-// changed since the previous Export — the previous Export's chunk,
-// shared. Chunks are write-once after construction, so sharing is
-// invisible to readers; it is what makes a daily export O(changed)
-// instead of O(catalog).
+// chunk is either a fresh copy of the live state or — when no row in it
+// changed since the previous export of the same Partitioner — the previous
+// export's chunk, shared. Chunks are write-once after construction, so
+// sharing is invisible to readers; it is what makes a daily export
+// O(changed) instead of O(catalog).
 //
 // Version semantics: RowVer(i) advances (at most once per simulated day)
 // whenever app i's catalog row or download count changes, so two Exports
 // of one market agree on RowVer(i) iff app i's servable content is
-// identical in both. chunkVer[c] is the chunk-granular analogue and is
-// monotone non-decreasing day over day — equal sums of chunk versions
-// over a range therefore imply equal versions chunk by chunk.
+// identical in both. chunkVer[c] is the sum of RowVer+1 over chunk c's
+// rows and is monotone non-decreasing day over day — equal sums of chunk
+// versions over a range therefore imply equal versions chunk by chunk.
 type Export struct {
 	store string
 	day   int
@@ -66,10 +66,10 @@ type Export struct {
 
 	// ids, when non-nil, marks a sparse (partitioned) export: row i holds
 	// the app whose global ID is ids[i], sorted ascending. A nil ids means
-	// the export is dense — row i is app i — which is the invariant every
-	// pre-fleet consumer was built on; sparse exports are produced only by
-	// Partitioner.Partition. The slice is append-only across a
-	// partitioner's successive exports, so row i's identity never changes.
+	// the export is dense — row i is app i — as every export of a
+	// whole-catalog Partitioner (Market.Export) is. The slice is
+	// append-only across a partitioner's successive exports, so row i's
+	// identity never changes.
 	ids []int32
 }
 
@@ -232,71 +232,10 @@ func appChunkSpan(c, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// Export snapshots the serving-relevant state. Consecutive exports share
-// chunks that did not change since the previous call (per the dirty
-// stamps maintained by the simulation), so the copy cost is proportional
-// to the day's churn, not the catalog. Every fresh chunk is its own
-// allocation: a chunk shared forward for months must not pin the rest of
-// the export that first copied it (see DESIGN.md §8). With
-// Config.FullExport set, every chunk is copied fresh. Export must not run
-// concurrently with Step or with another Export; the returned value is
-// then safe to share across goroutines.
-func (m *Market) Export() *Export {
-	n := m.cat.NumApps()
-	nc := numChunks(n)
-	nca := numAppChunks(n)
-	e := &Export{
-		store:    m.cat.Name,
-		day:      m.day,
-		n:        n,
-		total:    m.total,
-		catNames: m.catNames,
-		devNames: m.syncDevNames(),
-		apps:     make([][]catalog.App, nca),
-		dls:      make([][]int64, nc),
-		vers:     make([][]uint32, nc),
-		chunkVer: append([]uint64(nil), m.chunkVer[:nc]...),
-	}
-	prev := m.lastExport
-	if m.cfg.FullExport {
-		prev = nil
-	}
-	led := int32(m.lastExportDay)
-	// A chunk is adopted from the previous export when its family saw no
-	// writes since then and its length is unchanged (arrivals extend the
-	// tail chunk; they stamp rowChunkDay but extend the download vector
-	// silently, hence the explicit length checks); otherwise it is copied
-	// out of the live state.
-	for c := 0; c < nca; c++ {
-		lo, hi := appChunkSpan(c, n)
-		if prev != nil && c < len(prev.apps) &&
-			m.rowChunkDay[c] <= led && len(prev.apps[c]) == hi-lo {
-			e.apps[c] = prev.apps[c]
-			continue
-		}
-		e.apps[c] = append(make([]catalog.App, 0, hi-lo), m.cat.Apps[lo:hi]...)
-	}
-	for c := 0; c < nc; c++ {
-		lo, hi := chunkSpan(c, n)
-		clen := hi - lo
-		if prev != nil && c < len(prev.dls) {
-			if m.dlChunkDay[c] <= led && len(prev.dls[c]) == clen {
-				e.dls[c] = prev.dls[c]
-			}
-			if m.chunkVerDay[c] <= led && len(prev.vers[c]) == clen {
-				e.vers[c] = prev.vers[c]
-			}
-		}
-		if e.dls[c] == nil {
-			e.dls[c] = append(make([]int64, 0, clen), m.downloads[lo:hi]...)
-		}
-		if e.vers[c] == nil {
-			e.vers[c] = append(make([]uint32, 0, clen), m.rowVer[lo:hi]...)
-		}
-	}
-	if !m.cfg.FullExport {
-		m.lastExport = e
-		m.lastExportDay = m.day
-	}
-	return e
-}
+// Export snapshots the serving-relevant state: the partition that owns the
+// whole catalog (a dense export, ID(i) == i), cut by the market's own
+// Partitioner. Consecutive exports share every chunk in which no row
+// changed, so the copy cost is proportional to the day's churn, not the
+// catalog. Export must not run concurrently with Step or with another
+// Export; the returned value is then safe to share across goroutines.
+func (m *Market) Export() *Export { return m.whole.PartitionMarket(m) }

@@ -1,6 +1,7 @@
 package marketsim
 
 import (
+	"slices"
 	"testing"
 
 	"planetapps/internal/catalog"
@@ -20,6 +21,9 @@ func exportEqual(t *testing.T, a, b *Export) {
 			a.Day(), b.Day(), a.NumApps(), b.NumApps(), a.TotalDownloads(), b.TotalDownloads())
 	}
 	for i := 0; i < a.NumApps(); i++ {
+		if a.ID(i) != b.ID(i) || a.RowVer(i) != b.RowVer(i) {
+			t.Fatalf("day %d row %d: app %d v%d vs app %d v%d", a.Day(), i, a.ID(i), a.RowVer(i), b.ID(i), b.RowVer(i))
+		}
 		if a.App(i) != b.App(i) {
 			t.Fatalf("day %d app %d: rows differ: %+v vs %+v", a.Day(), i, a.App(i), b.App(i))
 		}
@@ -29,33 +33,48 @@ func exportEqual(t *testing.T, a, b *Export) {
 	}
 }
 
-// TestDeltaExportMatchesFullExport is the tentpole's safety net: the
-// chunk-sharing export must be byte-for-byte the export a full copy would
-// have produced, every day, through arrivals, updates, price changes, and
-// downloads.
+// fullExport is the full-copy reference export of m: a whole-catalog
+// partitioner with no previous export to share chunks with copies every
+// row out of the market.
+func fullExport(m *Market) *Export { return NewPartitioner(nil).PartitionMarket(m) }
+
+// TestDeltaExportMatchesFullExport is the day-roll's safety net: the
+// chunk-sharing export must be the export a full copy produces — rows,
+// downloads, row and chunk versions — every day, through arrivals,
+// updates, price changes, downloads and ingested download deltas.
 func TestDeltaExportMatchesFullExport(t *testing.T) {
 	const days = 12
-	cfgDelta := exportTestConfig(0.10, days)
-	cfgFull := cfgDelta
-	cfgFull.FullExport = true
-
-	md, err := New(cfgDelta, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf, err := New(cfgFull, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exportEqual(t, md.Export(), mf.Export())
-	for d := 1; d < days; d++ {
-		if err := md.Step(); err != nil {
+	lowChurn := retentionConfig(4000) // most chunks sit out any one day
+	lowChurn.Profile.NewAppsPerDay = 4
+	shared := 0
+	for _, cfg := range []Config{exportTestConfig(0.10, days), lowChurn} {
+		m, err := New(cfg, 42)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mf.Step(); err != nil {
-			t.Fatal(err)
+		var prev *Export
+		for d := 0; d < days; d++ {
+			if d > 0 {
+				if err := m.Step(); err != nil {
+					t.Fatal(err)
+				}
+				m.ApplyDownloadDelta([]int32{int32(d), int32(7 * d)}, func(id int32) int64 { return int64(id%3) + 1 })
+			}
+			delta, full := m.Export(), fullExport(m)
+			exportEqual(t, delta, full)
+			if delta.ids != nil || !slices.Equal(delta.chunkVer, full.chunkVer) {
+				t.Fatalf("%s day %d: the delta export is sparse or its chunk versions differ from a full copy's", cfg.Profile.Name, d)
+			}
+			for c := range delta.vers {
+				if prev != nil && c < len(prev.vers) && &delta.vers[c][0] == &prev.vers[c][0] {
+					shared++
+				}
+			}
+			prev = delta
 		}
-		exportEqual(t, md.Export(), mf.Export())
+	}
+	if shared == 0 {
+		t.Fatal("no chunk was shared over either period: the comparison never saw a delta export")
 	}
 }
 
@@ -206,27 +225,28 @@ func TestExportIdempotentWithoutStep(t *testing.T) {
 	}
 }
 
-// TestSeedDeterminismAcrossModes proves the dirty tracking and the
-// DisableSeries/FullExport knobs are observation-only: the simulated
-// market is identical for a fixed seed regardless of their settings.
+// TestSeedDeterminismAcrossModes proves the dirty tracking, daily
+// exports and the DisableSeries knob are observation-only: the simulated
+// market is identical for a fixed seed whether or not it exported every
+// day and whatever the knob's setting.
 func TestSeedDeterminismAcrossModes(t *testing.T) {
 	const days = 8
 	base := exportTestConfig(0.10, days)
-	variants := []func(*Config){
-		func(c *Config) {},
-		func(c *Config) { c.FullExport = true },
-		func(c *Config) { c.DisableSeries = true },
-		func(c *Config) { c.FullExport = true; c.DisableSeries = true },
+	variants := []struct{ disableSeries, daily bool }{
+		{false, false}, {false, true}, {true, false}, {true, true},
 	}
 	var ref *Export
-	for vi, mod := range variants {
+	for vi, v := range variants {
 		cfg := base
-		mod(&cfg)
+		cfg.DisableSeries = v.disableSeries
 		m, err := New(cfg, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for d := 1; d < days; d++ {
+			if v.daily {
+				m.Export()
+			}
 			if err := m.Step(); err != nil {
 				t.Fatal(err)
 			}

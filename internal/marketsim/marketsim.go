@@ -18,10 +18,10 @@
 // Day-over-day the catalog barely changes relative to its size (the same
 // observation Potharaju et al. make about production stores), so the
 // market additionally maintains an observation-only dirty set: per-app
-// row versions and per-chunk version stamps that let Export share
-// unchanged state between consecutive days (see export.go). The dirty
-// tracking never feeds back into the simulation — output for a fixed
-// seed is byte-identical with tracking observed or ignored.
+// row versions that let an export share unchanged chunks between
+// consecutive days (see partition.go). The dirty tracking never feeds back
+// into the simulation — output for a fixed seed is byte-identical with
+// tracking observed or ignored.
 //
 // The random stream is the contract. A seed names one market: the market
 // generator (rng.New(seed).Split("market")) draws every app's appeal, then
@@ -78,11 +78,6 @@ type Config struct {
 	// The simulation itself is unaffected: downloads, catalog state, and
 	// RNG consumption are identical either way.
 	DisableSeries bool
-	// FullExport disables cross-export chunk sharing: every Export is a
-	// fully materialized deep copy, as before the incremental day-roll.
-	// Used by determinism tests and as an escape hatch; the default
-	// (false) shares unchanged chunks between consecutive exports.
-	FullExport bool
 }
 
 // DefaultConfig returns the default period for the profile.
@@ -177,22 +172,16 @@ type Market struct {
 
 	// Observation-only dirty tracking (see package comment). rowVer bumps
 	// at most once per day on an app's first serving-visible change (row
-	// fields or download count); chunkVer is the chunk-granular
-	// counterpart. rowChunkDay / dlChunkDay stamp which chunks had
-	// catalog-row / download-vector writes, steering Export's chunk
-	// sharing.
-	rowVer      []uint32
-	dirtyDay    []int32
-	chunkVer    []uint64
-	chunkVerDay []int32
-	rowChunkDay []int32
-	dlChunkDay  []int32
+	// fields or download count); dirtyDay is the day it last bumped.
+	rowVer   []uint32
+	dirtyDay []int32
 
-	// Export sharing state (export.go).
-	lastExport    *Export
-	lastExportDay int
-	catNames      []string
-	devNames      []string
+	// whole is the whole-catalog partitioner Export cuts with (the zero
+	// Partitioner owns every app); it holds the previous export. catNames
+	// and devNames are the name tables every export shares.
+	whole    Partitioner
+	catNames []string
+	devNames []string
 
 	// Free users are dense (ids 0..Users-1), so a flat slice replaces the
 	// map: 32 B a user from New on, whether they ever download or not,
@@ -262,7 +251,6 @@ func build(cfg Config, seed uint64) (*Market, error) {
 		paidPortfolio: map[catalog.DevID]int{},
 		devPaid:       map[catalog.DevID][]int32{},
 		series:        &snapshot.Series{Store: cfg.Profile.Name},
-		lastExportDay: -1,
 	}
 	// Nothing between the go statement and the receive returns, so the
 	// goroutine is always waited for.
@@ -388,18 +376,6 @@ func (m *Market) initTracking() {
 	for i := range m.dirtyDay {
 		m.dirtyDay[i] = -1
 	}
-	nc := numChunks(n)
-	m.chunkVer = make([]uint64, nc)
-	m.chunkVerDay = make([]int32, nc)
-	m.dlChunkDay = make([]int32, nc)
-	for c := 0; c < nc; c++ {
-		m.chunkVerDay[c] = -1
-		m.dlChunkDay[c] = -1
-	}
-	m.rowChunkDay = make([]int32, numAppChunks(n))
-	for c := range m.rowChunkDay {
-		m.rowChunkDay[c] = -1
-	}
 	m.catNames = make([]string, len(m.cat.Categories))
 	for i := range m.cat.Categories {
 		m.catNames[i] = m.cat.Categories[i].Name
@@ -423,54 +399,23 @@ func (m *Market) syncDevNames() []string {
 	return m.devNames
 }
 
-// touchRow registers a serving-visible change to app i today: its row
-// version and its chunk's version each bump at most once per day.
+// touchRow registers a serving-visible change to app i today (its catalog
+// row or its download count): its row version bumps at most once per day.
 func (m *Market) touchRow(i int) {
-	d := int32(m.day)
-	if m.dirtyDay[i] != d {
+	if d := int32(m.day); m.dirtyDay[i] != d {
 		m.dirtyDay[i] = d
 		m.rowVer[i]++
 	}
-	c := i >> chunkShift
-	if m.chunkVerDay[c] != d {
-		m.chunkVerDay[c] = d
-		m.chunkVer[c]++
-	}
 }
 
-// markRow records a catalog-row mutation (new app, update, price change).
-// Row writes stamp the finer apps-family chunk (see appChunkShift).
-func (m *Market) markRow(i int) {
-	m.touchRow(i)
-	if c := i >> appChunkShift; m.rowChunkDay[c] != int32(m.day) {
-		m.rowChunkDay[c] = int32(m.day)
-	}
-}
-
-// markDL records a download-count mutation.
-func (m *Market) markDL(i int) {
-	m.touchRow(i)
-	if c := i >> chunkShift; m.dlChunkDay[c] != int32(m.day) {
-		m.dlChunkDay[c] = int32(m.day)
-	}
-}
-
-// growTracking extends per-app and per-chunk tracking state to cover a
-// newly added app (id == len-1 after the catalog append).
+// growTracking extends per-app tracking state to cover a newly added app
+// (id == len-1 after the catalog append).
 func (m *Market) growTracking(a *catalog.App) {
 	m.updateRate = append(m.updateRate, a.UpdateRate)
 	m.isPaid = append(m.isPaid, a.Pricing == catalog.Paid)
 	m.paidIdx = append(m.paidIdx, -1)
 	m.rowVer = append(m.rowVer, 0)
 	m.dirtyDay = append(m.dirtyDay, -1)
-	for nc := numChunks(m.cat.NumApps()); len(m.chunkVer) < nc; {
-		m.chunkVer = append(m.chunkVer, 0)
-		m.chunkVerDay = append(m.chunkVerDay, -1)
-		m.dlChunkDay = append(m.dlChunkDay, -1)
-	}
-	for nca := numAppChunks(m.cat.NumApps()); len(m.rowChunkDay) < nca; {
-		m.rowChunkDay = append(m.rowChunkDay, -1)
-	}
 }
 
 // drawAppeal draws one appeal weight for a store that opened with apps apps.
@@ -535,7 +480,7 @@ func (m *Market) ApplyDownloadDelta(apps []int32, count func(int32) int64) (appl
 		}
 		m.downloads[i] += n
 		m.total += n
-		m.markDL(i)
+		m.touchRow(i)
 		applied++
 	}
 	return applied, skipped
@@ -599,10 +544,6 @@ func (m *Market) own(arrivals int) {
 	m.paidIdx = withRoom(m.paidIdx, arrivals)
 	m.rowVer = withRoom(m.rowVer, arrivals)
 	m.dirtyDay = withRoom(m.dirtyDay, arrivals)
-	m.chunkVer = slices.Clone(m.chunkVer)
-	m.chunkVerDay = slices.Clone(m.chunkVerDay)
-	m.rowChunkDay = slices.Clone(m.rowChunkDay)
-	m.dlChunkDay = slices.Clone(m.dlChunkDay)
 	m.catNames = slices.Clone(m.catNames)
 	m.devNames = append(make([]string, 0, devNamesRoom(len(m.devNames))), m.devNames...)
 
@@ -707,7 +648,7 @@ func (m *Market) arrivals(n int) {
 		m.appeal = append(m.appeal, drawAppeal(m.r, m.cfg.Profile.Apps, m.cfg.Profile.ZipfGlobal)*0.25)
 		m.downloads = append(m.downloads, 0)
 		m.growTracking(&m.cat.Apps[int(id)])
-		m.markRow(int(id))
+		m.touchRow(int(id))
 	}
 }
 
@@ -716,7 +657,7 @@ func (m *Market) updatesAndPrices() {
 	for i := range m.updateRate {
 		if m.r.Bool(m.updateRate[i]) {
 			m.cat.Apps[i].Versions++
-			m.markRow(i)
+			m.touchRow(i)
 		}
 		if m.isPaid[i] && m.r.Bool(priceChangeP) {
 			a := &m.cat.Apps[i]
@@ -729,7 +670,7 @@ func (m *Market) updatesAndPrices() {
 				p = 50
 			}
 			a.Price = float64(int(p*100+0.5)) / 100
-			m.markRow(i)
+			m.touchRow(i)
 			if j := m.paidIdx[i]; j >= 0 {
 				m.paidDirty = append(m.paidDirty, j)
 			}
@@ -971,7 +912,7 @@ func (m *Market) simulateDownloads() {
 			m.hist.record(u, app, m.freeBudget[uid])
 			m.downloads[int(app)]++
 			m.total++
-			m.markDL(int(app))
+			m.touchRow(int(app))
 		}
 	}
 	if !m.paidVolume {
@@ -991,7 +932,7 @@ func (m *Market) simulateDownloads() {
 			m.hist.record(u, app, 0)
 			m.downloads[int(app)]++
 			m.total++
-			m.markDL(int(app))
+			m.touchRow(int(app))
 		}
 	}
 }

@@ -427,9 +427,7 @@ func TestNewIsGOMAXPROCSInvariant(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	build := func(procs int) (*Export, uint64) {
 		runtime.GOMAXPROCS(procs)
-		cfg := smallConfig()
-		cfg.FullExport = true
-		m := soloBuild(t, cfg, 42) // built here, not a view of an earlier test's
+		m := soloBuild(t, smallConfig(), 42) // built here, not a view of an earlier test's
 		day0 := m.Export()
 		for i := 0; i < 5; i++ {
 			if err := m.Step(); err != nil {

@@ -1,19 +1,20 @@
 package marketsim
 
-import "planetapps/internal/catalog"
+import (
+	"slices"
 
-// Partitioner carves a shard's slice out of one market day after day,
-// preserving the chunked copy-on-write structure that makes day-rolls
-// incremental. A fleet of N store nodes each runs the same deterministic
-// market (same config, same seed — Exports are byte-identical across
-// processes) and partitions it with its own ownership predicate; the union
-// of the fleet's partitions is exactly the full catalog, row for row.
-//
-// The rows come from either of two sources, read by the one loop below: the
-// live market (PartitionMarket — what a shard does, so it never builds,
-// keeps or refreshes a dense export it would use a 1/N of) or a dense
-// Export already taken (Partition). Same market state, same partition,
-// same chunks shared.
+	"planetapps/internal/catalog"
+)
+
+// Partitioner carves a slice of one market day after day, preserving the
+// chunked copy-on-write structure that makes day-rolls incremental. It is
+// the one export engine: a single store's Export is the partition of a
+// partitioner that owns the whole catalog, and a fleet of N store nodes
+// each runs the same deterministic market (same config, same seed) and
+// partitions it with its own ownership predicate; the union of the fleet's
+// partitions is exactly the whole catalog's, row for row. The rows are
+// copied straight out of the live market, so a shard never builds or keeps
+// a dense export it would use a 1/N of.
 //
 // The partition is itself an Export, chunked in partition row space:
 // chunk c of the partition covers the shard's rows [c*ExportChunk,
@@ -24,117 +25,103 @@ import "planetapps/internal/catalog"
 // snapshot layer's chunk-granular document carry depends on.
 //
 // Sharing: a partition chunk whose every row has an unchanged RowVer since
-// the previous Partition call is shared with the previous partitioned
-// export (both the download and version vectors at ExportChunk grain and
-// the catalog rows at appExportChunk grain), so per-shard day-roll cost is
-// proportional to the shard's churn, exactly as the dense export's is.
-// The scan to decide sharing is O(shard size) integer compares — a few
+// the previous call is shared with the previous export (both the download
+// and version vectors at ExportChunk grain and the catalog rows at
+// appExportChunk grain), so a day-roll costs the day's churn. The scan to
+// decide sharing is O(partition size) integer compares — a few
 // microseconds per hundred thousand rows, noise next to the market step.
 type Partitioner struct {
-	owns func(id int32) bool
+	owns func(id int32) bool // nil: the whole catalog, exported dense
 
 	// scanned is how many global rows have been classified so far; ids is
 	// the append-only owned-ID list (ascending, because global IDs are
-	// scanned in order and arrivals only append).
+	// scanned in order and arrivals only append). Both stay zero for the
+	// whole catalog.
 	scanned int
 	ids     []int32
 
-	prev *Export // previous partitioned export, for chunk sharing
+	prev *Export // previous export, for chunk sharing
 }
 
 // NewPartitioner returns a partitioner owning the apps for which owns
 // returns true. owns must be deterministic and stable for the life of the
-// fleet topology (a consistent-hash ring lookup, a modulus, ...).
+// fleet topology (a consistent-hash ring lookup, a modulus, ...). A nil
+// owns owns the whole catalog, and its exports are dense (ID(i) == i).
 func NewPartitioner(owns func(id int32) bool) *Partitioner {
 	return &Partitioner{owns: owns}
 }
 
 // Owns reports whether the partition owns app id, whether or not the app
 // has arrived in the catalog yet.
-func (p *Partitioner) Owns(id int32) bool { return p.owns(id) }
+func (p *Partitioner) Owns(id int32) bool { return p.owns == nil || p.owns(id) }
 
-// rowSource is one day of one market, row g being app g: what a partition
-// is cut from. *Export (dense) and marketRows satisfy it.
-type rowSource interface {
-	Store() string
-	Day() int
-	NumApps() int
-	CategoryNames() []string
-	DeveloperNames() []string
-	App(g int) catalog.App
-	Downloads(g int) int64
-	RowVer(g int) uint32
+// global returns the market row of partition row j.
+func (p *Partitioner) global(j int) int {
+	if p.owns == nil {
+		return j
+	}
+	return int(p.ids[j])
 }
 
-// marketRows reads a market's live state as a rowSource. Valid while the
-// market does not step.
-type marketRows struct{ m *Market }
-
-func (s marketRows) Store() string            { return s.m.cat.Name }
-func (s marketRows) Day() int                 { return s.m.day }
-func (s marketRows) NumApps() int             { return s.m.cat.NumApps() }
-func (s marketRows) CategoryNames() []string  { return s.m.catNames }
-func (s marketRows) DeveloperNames() []string { return s.m.syncDevNames() }
-func (s marketRows) App(g int) catalog.App    { return s.m.cat.Apps[g] }
-func (s marketRows) Downloads(g int) int64    { return s.m.downloads[g] }
-func (s marketRows) RowVer(g int) uint32      { return s.m.rowVer[g] }
-
-// Partition projects a dense export onto the shard. full must come from
-// the same market on every call (monotone days, append-only catalog).
-// Like Market.Export, Partition must not run concurrently with itself;
-// the returned Export is immutable and safe to share.
-func (p *Partitioner) Partition(full *Export) *Export { return p.partition(full) }
-
-// PartitionMarket is Partition(m.Export()) without the dense export: the
-// owned rows are copied straight out of the market, which neither builds
-// nor retains an export on the partition's account. Like Market.Export it
-// must not run concurrently with Step.
-func (p *Partitioner) PartitionMarket(m *Market) *Export { return p.partition(marketRows{m}) }
-
-func (p *Partitioner) partition(full rowSource) *Export {
-	// Extend the owned-ID list over any newly arrived apps.
-	for g := p.scanned; g < full.NumApps(); g++ {
-		if id := int32(g); p.owns(id) {
-			p.ids = append(p.ids, id)
+// PartitionMarket exports the partition's rows of m's current day, sharing
+// every chunk with no changed row with the previous call's export. m must
+// be the same market on every call (monotone days, append-only catalog).
+// It must not run concurrently with Step or with itself; the returned
+// Export is immutable and safe to share.
+func (p *Partitioner) PartitionMarket(m *Market) *Export {
+	n := m.cat.NumApps()
+	if p.owns != nil {
+		// Extend the owned-ID list over any newly arrived apps.
+		for g := p.scanned; g < n; g++ {
+			if id := int32(g); p.owns(id) {
+				p.ids = append(p.ids, id)
+			}
 		}
+		p.scanned = n
+		n = len(p.ids)
 	}
-	p.scanned = full.NumApps()
-
-	n := len(p.ids)
 	nc := numChunks(n)
 	nca := numAppChunks(n)
 	e := &Export{
-		store:    full.Store(),
-		day:      full.Day(),
+		store:    m.cat.Name,
+		day:      m.day,
 		n:        n,
-		catNames: full.CategoryNames(),
-		devNames: full.DeveloperNames(),
+		catNames: m.catNames,
+		devNames: m.syncDevNames(),
 		apps:     make([][]catalog.App, nca),
 		dls:      make([][]int64, nc),
 		vers:     make([][]uint32, nc),
 		chunkVer: make([]uint64, nc),
-		ids:      p.ids[:n:n],
+	}
+	if p.owns != nil {
+		e.ids = p.ids[:n:n]
 	}
 	prev := p.prev
+	// The download total is carried: a shared chunk's downloads are the
+	// previous export's, so only copied chunks move it. It sums owned rows
+	// only, so the fleet's totals add up to the whole catalog's.
+	if prev != nil {
+		e.total = prev.total
+	}
 
-	// A chunk is shared iff the previous partition has it at the same
-	// length (the tail chunk grows with arrivals) and every row's RowVer is
+	// A chunk is shared iff the previous export has it at the same length
+	// (the tail chunk grows with arrivals) and every row's RowVer is
 	// unchanged — RowVer covers both the catalog row and the download
 	// count, so one test clears the row and download vectors together.
-	// Otherwise it is copied out of the source into allocations of its
-	// own (the retention argument of Market.Export applies here too). The
-	// fresh chunk version is the sum of (RowVer+1) over the chunk's rows:
-	// every term is per-row monotone and the row set only grows at the
-	// tail, so the sum is monotone across the partitioner's exports and
-	// equal sums imply row-by-row equality — the same contract a dense
-	// export's chunkVer gives.
+	// Otherwise it is copied out of the market into allocations of its own:
+	// a chunk shared forward for months must pin only itself, not the rest
+	// of the export that first copied it (DESIGN.md §8). The fresh chunk
+	// version is the sum of (RowVer+1) over the chunk's rows: every term is
+	// per-row monotone and the row set only grows at the tail, so the sum
+	// is monotone across the partitioner's exports and equal sums imply
+	// row-by-row equality.
 	for c := 0; c < nc; c++ {
 		lo, hi := chunkSpan(c, n)
 		if prev != nil && c < len(prev.vers) && len(prev.vers[c]) == hi-lo {
 			pv := prev.vers[c]
 			same := true
 			for j := lo; j < hi; j++ {
-				if full.RowVer(int(e.ids[j])) != pv[j-lo] {
+				if m.rowVer[p.global(j)] != pv[j-lo] {
 					same = false
 					break
 				}
@@ -146,49 +133,42 @@ func (p *Partitioner) partition(full rowSource) *Export {
 				continue
 			}
 		}
+		if prev != nil && c < len(prev.dls) {
+			for _, d := range prev.dls[c] {
+				e.total -= d
+			}
+		}
 		dls := make([]int64, hi-lo)
 		vers := make([]uint32, hi-lo)
 		var cv uint64
 		for j := lo; j < hi; j++ {
-			g := int(e.ids[j])
-			rv := full.RowVer(g)
-			dls[j-lo] = full.Downloads(g)
-			vers[j-lo] = rv
+			g := p.global(j)
+			d, rv := m.downloads[g], m.rowVer[g]
+			dls[j-lo], vers[j-lo] = d, rv
 			cv += uint64(rv) + 1
+			e.total += d
 		}
 		e.dls[c], e.vers[c], e.chunkVer[c] = dls, vers, cv
 	}
+	// A row chunk lies inside one version chunk, and e.vers already holds
+	// its rows' versions: it is shared iff they equal prev's, as they do
+	// when the version chunk itself is shared.
 	for c := 0; c < nca; c++ {
 		lo, hi := appChunkSpan(c, n)
 		if prev != nil && c < len(prev.apps) && len(prev.apps[c]) == hi-lo {
-			same := true
-			for j := lo; j < hi; j++ {
-				if full.RowVer(int(e.ids[j])) != prev.RowVer(j) {
-					same = false
-					break
-				}
-			}
-			if same {
+			vc, off := lo>>chunkShift, lo&chunkMask
+			if &e.vers[vc][0] == &prev.vers[vc][0] ||
+				slices.Equal(e.vers[vc][off:off+hi-lo], prev.vers[vc][off:off+hi-lo]) {
 				e.apps[c] = prev.apps[c]
 				continue
 			}
 		}
 		apps := make([]catalog.App, hi-lo)
 		for j := lo; j < hi; j++ {
-			apps[j-lo] = full.App(int(e.ids[j]))
+			apps[j-lo] = m.cat.Apps[p.global(j)]
 		}
 		e.apps[c] = apps
 	}
-
-	// The shard's download total: summed over owned rows only, so the
-	// fleet's totals add up to the dense export's.
-	var total int64
-	for c := 0; c < nc; c++ {
-		for _, d := range e.dls[c] {
-			total += d
-		}
-	}
-	e.total = total
 
 	p.prev = e
 	return e

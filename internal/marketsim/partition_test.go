@@ -22,9 +22,9 @@ func ownsMod(k, n int32) func(int32) bool {
 	return func(id int32) bool { return id%n == k }
 }
 
-// TestPartitionUnionMatchesFull checks that N partitions of one export
-// cover the catalog exactly once with identical per-app content, and that
-// their totals sum to the dense total.
+// TestPartitionUnionMatchesFull checks that N partitions of one market day
+// cover the catalog exactly once with the whole-catalog export's per-app
+// content, and that their totals sum to the dense total.
 func TestPartitionUnionMatchesFull(t *testing.T) {
 	m := testMarket(t, 0.02, 7)
 	const shards = 3
@@ -42,7 +42,7 @@ func TestPartitionUnionMatchesFull(t *testing.T) {
 		seen := make([]bool, full.NumApps())
 		var total int64
 		for k, p := range parts {
-			pe := p.Partition(full)
+			pe := p.PartitionMarket(m)
 			if pe.ids == nil {
 				t.Fatalf("day %d shard %d: partition not sparse", day, k)
 			}
@@ -109,11 +109,11 @@ func TestPartitionChunkSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPartitioner(ownsMod(0, 2))
-	e0 := p.Partition(m.Export())
+	e0 := p.PartitionMarket(m)
 	if err := m.Step(); err != nil {
 		t.Fatalf("Step: %v", err)
 	}
-	e1 := p.Partition(m.Export())
+	e1 := p.PartitionMarket(m)
 
 	shared, fresh := 0, 0
 	for c := 0; c < len(e1.chunkVer) && c < len(e0.chunkVer); c++ {
@@ -166,14 +166,16 @@ func TestPartitionChunkSharing(t *testing.T) {
 	}
 }
 
-// TestPartitionMarketIsThePartition holds the live-market source to the
-// dense-export one: four owners over thirty days of arrivals, updates and
-// ingested downloads (on apps the owner holds and on apps it does not), one
-// market partitioned in place and its twin through Export. Each day every
-// owner's two exports agree row for row and header for header, and share
-// exactly the same chunks with their own predecessors — the copy-on-write
-// outcome, not only the content, is the same. The market partitioned in
-// place never took a dense export.
+// TestPartitionMarketIsThePartition holds the incremental partition to a
+// full copy: four owners over thirty days of arrivals, updates and ingested
+// downloads (on apps the owner holds and on apps it does not), one market
+// partitioned day after day and its twin partitioned afresh each day by a
+// partitioner with no previous export, and read whole. Each day every
+// owner's two exports agree row for row, header for header and chunk
+// version for chunk version, and each row is the twin's whole-catalog row;
+// a chunk is shared with its predecessor exactly when none of its rows
+// changed — the copy-on-write outcome, not only the content, is pinned. The
+// market partitioned in place never took a whole-catalog export.
 func TestPartitionMarketIsThePartition(t *testing.T) {
 	const (
 		owners = 4
@@ -189,12 +191,11 @@ func TestPartitionMarketIsThePartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fromLive, fromDense [owners]*Partitioner
-	for k := range fromLive {
-		fromLive[k] = NewPartitioner(ownsMod(int32(k), owners))
-		fromDense[k] = NewPartitioner(ownsMod(int32(k), owners))
+	var parts [owners]*Partitioner
+	for k := range parts {
+		parts[k] = NewPartitioner(ownsMod(int32(k), owners))
 	}
-	var prevLive, prevDense [owners]*Export
+	var prev [owners]*Export
 	sharedChunks, freshChunks := 0, 0
 	for day := 0; day <= days; day++ {
 		if day > 0 {
@@ -207,11 +208,11 @@ func TestPartitionMarketIsThePartition(t *testing.T) {
 				m.ApplyDownloadDelta(written, func(id int32) int64 { return int64(id%5) + 1 })
 			}
 		}
-		full := twin.Export()
+		whole := fullExport(twin)
 		for k := 0; k < owners; k++ {
-			a, b := fromLive[k].PartitionMarket(live), fromDense[k].Partition(full)
+			a, b := parts[k].PartitionMarket(live), NewPartitioner(ownsMod(int32(k), owners)).PartitionMarket(twin)
 			if a.Store() != b.Store() || a.Day() != b.Day() || a.NumApps() != b.NumApps() ||
-				a.TotalDownloads() != b.TotalDownloads() || len(a.chunkVer) != len(b.chunkVer) || a.ids == nil {
+				a.TotalDownloads() != b.TotalDownloads() || !slices.Equal(a.chunkVer, b.chunkVer) || a.ids == nil {
 				t.Fatalf("day %d owner %d: headers differ: %s/%s day %d/%d apps %d/%d total %d/%d chunks %d/%d",
 					day, k, a.Store(), b.Store(), a.Day(), b.Day(), a.NumApps(), b.NumApps(),
 					a.TotalDownloads(), b.TotalDownloads(), len(a.chunkVer), len(b.chunkVer))
@@ -219,50 +220,59 @@ func TestPartitionMarketIsThePartition(t *testing.T) {
 			if !slices.Equal(a.CategoryNames(), b.CategoryNames()) || !slices.Equal(a.DeveloperNames(), b.DeveloperNames()) {
 				t.Fatalf("day %d owner %d: name tables differ", day, k)
 			}
+			exportEqual(t, a, b)
 			for i := 0; i < a.NumApps(); i++ {
-				if a.ID(i) != b.ID(i) || a.App(i) != b.App(i) || a.Downloads(i) != b.Downloads(i) || a.RowVer(i) != b.RowVer(i) {
-					t.Fatalf("day %d owner %d row %d: live (%d %+v %d v%d), dense (%d %+v %d v%d)", day, k, i,
-						a.ID(i), a.App(i), a.Downloads(i), a.RowVer(i), b.ID(i), b.App(i), b.Downloads(i), b.RowVer(i))
+				g := int(a.ID(i))
+				if a.App(i) != whole.App(g) || a.Downloads(i) != whole.Downloads(g) || a.RowVer(i) != whole.RowVer(g) {
+					t.Fatalf("day %d owner %d row %d: app %d is not the whole-catalog export's", day, k, i, g)
 				}
 			}
-			for c := 0; c < len(a.chunkVer); c++ {
-				if a.chunkVer[c] != b.chunkVer[c] {
-					t.Fatalf("day %d owner %d chunk %d: version %d live, %d dense", day, k, c, a.chunkVer[c], b.chunkVer[c])
-				}
-			}
-			if pa, pb := prevLive[k], prevDense[k]; pa != nil {
+			if p := prev[k]; p != nil {
 				for c := range a.vers {
-					sa := c < len(pa.vers) && &a.vers[c][0] == &pa.vers[c][0]
-					sb := c < len(pb.vers) && &b.vers[c][0] == &pb.vers[c][0]
-					da := c < len(pa.dls) && &a.dls[c][0] == &pa.dls[c][0]
-					db := c < len(pb.dls) && &b.dls[c][0] == &pb.dls[c][0]
-					if sa != sb || da != db || sa != da {
-						t.Fatalf("day %d owner %d chunk %d: shared with its predecessor live vers=%v dls=%v, dense vers=%v dls=%v",
-							day, k, c, sa, da, sb, db)
+					lo, hi := chunkSpan(c, a.NumApps())
+					sv := c < len(p.vers) && &a.vers[c][0] == &p.vers[c][0]
+					sd := c < len(p.dls) && &a.dls[c][0] == &p.dls[c][0]
+					if want := unchangedSince(p, a, lo, hi); sv != want || sd != want {
+						t.Fatalf("day %d owner %d chunk %d: shared with its predecessor vers=%v dls=%v, rows unchanged=%v",
+							day, k, c, sv, sd, want)
 					}
-					if sa {
+					if sv {
 						sharedChunks++
 					} else {
 						freshChunks++
 					}
 				}
 				for c := range a.apps {
-					sa := c < len(pa.apps) && &a.apps[c][0] == &pa.apps[c][0]
-					sb := c < len(pb.apps) && &b.apps[c][0] == &pb.apps[c][0]
-					if sa != sb {
-						t.Fatalf("day %d owner %d row chunk %d: shared with its predecessor live=%v dense=%v", day, k, c, sa, sb)
+					lo, hi := appChunkSpan(c, a.NumApps())
+					sa := c < len(p.apps) && &a.apps[c][0] == &p.apps[c][0]
+					if want := unchangedSince(p, a, lo, hi); sa != want {
+						t.Fatalf("day %d owner %d row chunk %d: shared with its predecessor %v, rows unchanged=%v", day, k, c, sa, want)
 					}
 				}
 			}
-			prevLive[k], prevDense[k] = a, b
+			prev[k] = a
 		}
 	}
 	if sharedChunks == 0 || freshChunks == 0 {
 		t.Fatalf("%d chunks shared and %d copied over %d days: the sharing comparison saw only one outcome", sharedChunks, freshChunks, days)
 	}
-	if live.lastExport != nil {
-		t.Fatal("partitioning a market in place left it holding a dense export")
+	if live.whole.prev != nil {
+		t.Fatal("partitioning a market in place left it holding a whole-catalog export")
 	}
+}
+
+// unchangedSince reports whether rows [lo, hi) of e all exist in prev with
+// their row versions unchanged.
+func unchangedSince(prev, e *Export, lo, hi int) bool {
+	if hi > prev.NumApps() {
+		return false
+	}
+	for i := lo; i < hi; i++ {
+		if e.RowVer(i) != prev.RowVer(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestSparseIndexing pins the sparse/dense accessor contract used by the

@@ -71,15 +71,13 @@ func TestExportRetentionPerRound(t *testing.T) {
 			t.Fatal(err)
 		}
 		full = m.Export()
-		part = p.Partition(full)
+		part = p.PartitionMarket(m)
 	})
 	// A server holds its market and partitioner for as long as it runs.
 	runtime.KeepAlive(m)
 	runtime.KeepAlive(p)
 
-	refCfg := retentionConfig(apps)
-	refCfg.FullExport = true // and so holds no export of its own
-	ref, err := New(refCfg, 1)
+	ref, err := New(retentionConfig(apps), 1) // steps only, so holds no export
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,10 +105,6 @@ type Config struct {
 	// max throughput Capacity/Latency — which is what the fleet scaling
 	// benchmark measures against on a host with fewer cores than shards.
 	Capacity int
-	// Writes sizes the in-memory ingest buffer behind the /api/v1 POST
-	// endpoints (see internal/wal). Nil uses wal's defaults; the write
-	// path is always on — it costs nothing until the first POST arrives.
-	Writes *wal.Config
 }
 
 // DefaultPageSize is the listing slice a node serves, and a gateway
@@ -211,11 +207,7 @@ func New(m *marketsim.Market, cfg Config) *Server {
 	}
 	s.ccValue = "max-age=" + strconv.FormatInt(maxAge, 10)
 	s.initMetrics()
-	var wcfg wal.Config
-	if cfg.Writes != nil {
-		wcfg = *cfg.Writes
-	}
-	s.wlog = wal.New(wcfg, s.reg)
+	s.wlog = wal.New(wal.Config{}, s.reg)
 	s.publish()
 	if cfg.RatePerSec > 0 {
 		s.lim = newLimiter(cfg.RatePerSec, cfg.Burst, idleTTL)

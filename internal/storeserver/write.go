@@ -121,7 +121,7 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, sn *snapsho
 	case err != nil: // wal.ErrBackpressure
 		res["backpressure"].Inc()
 		apiwire.WriteError(w, http.StatusTooManyRequests, "wal_backpressure",
-			"write buffer full; retry after backoff", s.wlog.RetryAfter())
+			"write buffer full; retry after backoff", wal.RetryAfter)
 		return
 	}
 	if ack.Duplicate {

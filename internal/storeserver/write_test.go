@@ -142,8 +142,10 @@ func TestIdempotencyKeyReusedForAnotherWrite(t *testing.T) {
 }
 
 func TestWriteBackpressure(t *testing.T) {
-	s, ts := testServer(t, Config{PageSize: 50,
-		Writes: &wal.Config{MaxPending: 2, MaxBatch: 1}})
+	s, ts := testServer(t, Config{PageSize: 50})
+	// A two-record buffer, swapped in before the first request: wal.New
+	// starts no goroutine, and its metrics are the server's (get-or-create).
+	s.wlog = wal.New(wal.Config{MaxPending: 2, MaxBatch: 1}, s.reg)
 	for i := 0; i < 2; i++ {
 		resp, body := postJSON(t, ts.URL+"/api/v1/apps/1/download",
 			`{"user":`+strconv.Itoa(i)+`}`, "")
@@ -499,8 +501,8 @@ func TestWriteMetricsPublished(t *testing.T) {
 // TestWriteConcurrencyNoLostAcks hammers the write path concurrently
 // across a day-roll and checks every acknowledged write is merged.
 func TestWriteConcurrencyNoLostAcks(t *testing.T) {
-	s, ts := testServer(t, Config{PageSize: 50, Writes: &wal.Config{
-		MaxBatch: 8, FlushInterval: 200 * time.Microsecond}})
+	s, ts := testServer(t, Config{PageSize: 50})
+	s.wlog = wal.New(wal.Config{MaxBatch: 8, FlushInterval: 200 * time.Microsecond}, s.reg)
 	done := make(chan int64)
 	const users = 60
 	for w := 0; w < 4; w++ {
@@ -557,7 +559,8 @@ func FuzzWriteBody(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	// Batches of one seal at once, so a valid body costs no flush wait.
-	s, _ := testServer(f, Config{PageSize: 50, Writes: &wal.Config{MaxBatch: 1}})
+	s, _ := testServer(f, Config{PageSize: 50})
+	s.wlog = wal.New(wal.Config{MaxBatch: 1}, s.reg)
 	h := s.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// What a valid body holds, read with types wide enough that

@@ -82,7 +82,7 @@ type Ack struct {
 }
 
 // ErrBackpressure is returned when the log's bounded memory is full; the
-// caller should answer 429 with Config.RetryAfter.
+// caller should answer 429 with RetryAfter.
 var ErrBackpressure = errors.New("wal: ingest buffer full")
 
 // ErrKeyReused is returned when an Idempotency-Key already named a
@@ -105,10 +105,10 @@ type Config struct {
 	// appends past the bound fail with ErrBackpressure (the server's
 	// 429). <= 0 uses 1<<20.
 	MaxPending int64
-	// RetryAfter is the backoff hint attached to backpressure rejections.
-	// <= 0 uses 500ms.
-	RetryAfter time.Duration
 }
+
+// RetryAfter is the backoff hint attached to backpressure rejections.
+const RetryAfter = 500 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
@@ -119,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 1 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 500 * time.Millisecond
 	}
 	return c
 }
@@ -243,9 +240,6 @@ func New(cfg Config, reg *metrics.Registry) *Log {
 		flushSeconds: reg.Histogram("wal_flush_seconds"),
 	}
 }
-
-// RetryAfter is the backoff hint for backpressure rejections.
-func (l *Log) RetryAfter() time.Duration { return l.cfg.RetryAfter }
 
 // Stats snapshots the log's counters.
 func (l *Log) Stats() Stats {

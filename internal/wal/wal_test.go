@@ -180,7 +180,7 @@ func TestIdempotencyKeyReuse(t *testing.T) {
 }
 
 func TestBackpressure(t *testing.T) {
-	l := New(Config{MaxBatch: 1, MaxPending: 2, RetryAfter: 250 * time.Millisecond}, nil)
+	l := New(Config{MaxBatch: 1, MaxPending: 2}, nil)
 	for i := 0; i < 2; i++ {
 		if _, err := l.Append(Rec{Kind: Download, App: 1, User: int32(i)}, ""); err != nil {
 			t.Fatal(err)
@@ -189,9 +189,6 @@ func TestBackpressure(t *testing.T) {
 	_, err := l.Append(Rec{Kind: Download, App: 1, User: 99}, "")
 	if !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("want ErrBackpressure, got %v", err)
-	}
-	if l.RetryAfter() != 250*time.Millisecond {
-		t.Fatalf("RetryAfter = %v", l.RetryAfter())
 	}
 	// Rotation drains the buffer and re-opens the gate.
 	l.Rotate()

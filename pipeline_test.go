@@ -171,9 +171,9 @@ func printed(t *testing.T, ds *experiments.Dataset, id string) string {
 // acknowledged, against a twin stack that saw the same crawls and no
 // writes: each app's downloads are the twin's plus exactly its accepted
 // download writes (Market.ApplyDownloadDelta adds the ingested counts to a
-// trajectory the writes do not move), and the comments the twin lacks are
-// exactly one per (app, user) that had a rating or comment accepted (the
-// crawl database keeps one comment per app, user and time).
+// trajectory the writes do not move), and the comment records the twin
+// lacks are exactly the accepted ratings and comments, one record each,
+// stamped at the boundary of the day they were merged into.
 func TestOneStackCarriesBothDrivers(t *testing.T) {
 	opts := crawlOptions
 	opts.Shards = 2
@@ -200,7 +200,7 @@ func TestOneStackCarriesBothDrivers(t *testing.T) {
 	written, twin := stacks[0], stacks[1]
 	ctx := context.Background()
 
-	acks := &ackLog{downloads: map[int32]int64{}, commented: map[[2]int32]bool{}}
+	acks := &ackLog{downloads: map[int32]int64{}, commented: map[db.CommentRecord]int{}}
 	g, err := loadgen.New(loadgen.Config{
 		BaseURL:   written.URL,
 		Client:    &http.Client{Transport: acks.recorder(http.DefaultTransport)},
@@ -242,12 +242,12 @@ func TestOneStackCarriesBothDrivers(t *testing.T) {
 		accepted += n
 	}
 	if accepted == 0 || len(acks.commented) == 0 {
-		t.Fatalf("%d downloads and %d (app, user) comment pairs accepted: nothing to find", accepted, len(acks.commented))
+		t.Fatalf("%d downloads and %d distinct ratings or comments accepted: nothing to find", accepted, len(acks.commented))
 	}
 	if acks.accepted != rep.WriteAccepted {
 		t.Fatalf("the store acknowledged %d writes, loadgen reports %d", acks.accepted, rep.WriteAccepted)
 	}
-	t.Logf("%d writes accepted: %d downloads, ratings or comments on %d (app, user) pairs", rep.WriteAccepted, accepted, len(acks.commented))
+	t.Logf("%d writes accepted: %d downloads, and ratings or comments of %d distinct records", rep.WriteAccepted, accepted, len(acks.commented))
 
 	twinApps := twin.crawler.DB().Apps()
 	apps := written.crawler.DB().Apps()
@@ -267,24 +267,27 @@ func TestOneStackCarriesBothDrivers(t *testing.T) {
 		}
 	}
 
-	seen := map[db.CommentRecord]bool{}
-	for _, c := range twin.crawler.DB().Comments() {
-		seen[c] = true
-	}
-	added := map[[2]int32]bool{}
+	// The writes were merged into day 1, whose boundary stamps them.
+	added := map[db.CommentRecord]int{}
 	for _, c := range written.crawler.DB().Comments() {
-		if !seen[c] {
-			added[[2]int32{c.App, c.User}] = true
+		added[c]++
+	}
+	for _, c := range twin.crawler.DB().Comments() {
+		added[c]--
+	}
+	want := map[db.CommentRecord]int{}
+	for c, n := range acks.commented {
+		c.UnixTime = int64(written.Inproc.Day()) * 86400
+		want[c] += n
+	}
+	for c, n := range want {
+		if added[c] != n {
+			t.Errorf("app %d: %d accepted copies of user %d's rating %d, the crawl added %d", c.App, n, c.User, c.Rating, added[c])
 		}
 	}
-	for k := range acks.commented {
-		if !added[k] {
-			t.Errorf("app %d: the accepted comment of user %d is not in the crawl", k[0], k[1])
-		}
-	}
-	for k := range added {
-		if !acks.commented[k] {
-			t.Errorf("app %d: the crawl has a comment of user %d that no accepted write posted", k[0], k[1])
+	for c, n := range added {
+		if n != 0 && want[c] == 0 {
+			t.Errorf("app %d: the crawl added %d records %+v that no accepted write posted", c.App, n, c)
 		}
 	}
 }
@@ -304,13 +307,14 @@ func (l *eventList) Next() (model.Event, error) {
 }
 
 // ackLog is what a store acknowledged of a workload's writes, as seen on
-// the wire: accepted (not deduplicated) downloads per app, and the
-// (app, user) pairs with an accepted rating or comment.
+// the wire: accepted (not deduplicated) downloads per app, and the accepted
+// ratings and comments, counted per (app, user, rating) record with no
+// timestamp.
 type ackLog struct {
 	mu        sync.Mutex
 	accepted  int64
 	downloads map[int32]int64
-	commented map[[2]int32]bool
+	commented map[db.CommentRecord]int
 }
 
 // recorder wraps next so that every POST the store acknowledges is logged.
@@ -338,7 +342,8 @@ func (l *ackLog) recorder(next http.RoundTripper) http.RoundTripper {
 			Deduped bool `json:"deduped"`
 		}
 		var post struct {
-			User int32 `json:"user"`
+			User   int32 `json:"user"`
+			Rating int8  `json:"rating"`
 		}
 		if err := json.Unmarshal(ackBody, &ack); err != nil || ack.Deduped {
 			return resp, err
@@ -358,7 +363,7 @@ func (l *ackLog) recorder(next http.RoundTripper) http.RoundTripper {
 		if parts[5] == "download" {
 			l.downloads[int32(id)]++
 		} else {
-			l.commented[[2]int32{int32(id), post.User}] = true
+			l.commented[db.CommentRecord{App: int32(id), User: post.User, Rating: post.Rating}]++
 		}
 		return resp, nil
 	})
