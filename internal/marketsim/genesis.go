@@ -54,13 +54,12 @@ type dayZeroKey struct {
 //
 // genesisMemo keeps at most one genesis alive past its markets: ⌈log2
 // users⌉ bits per scheduled event plus 8 B an app and 4 B a user, 18.6 MB
-// at the bench profile. dayZeroMemo holds the last day-0 market built —
-// its catalog (9.0 MB there) and its sampling tables, user states,
-// tracking arrays and downloads (9.35 MiB more) — only until a market
-// reading it takes a copy of its own at its first Step or
-// ApplyDownloadDelta, which retires the entry:
-// a key's markets are all built before any rolls, and a later New of the
-// key builds again.
+// at the bench profile. dayZeroMemo holds the last day-0 market built — its
+// day entry (the catalog, 9.0 MB there, and the sampling tables, user states
+// and tracking arrays) and its counts and row versions — until a market
+// handed it first steps, which retires the entry: a key's markets are all
+// built before any rolls, and a later New of the key builds again. The day
+// entry itself lives on for as long as a market is on it (day.go).
 var (
 	genesisMemo memo[genesisKey, genesis]
 	dayZeroMemo memo[dayZeroKey, Market]

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"planetapps/internal/catalog"
+	"planetapps/internal/snapshot"
 )
 
 // sharesGenesis reports whether two markets read one schedule in place.
@@ -188,8 +189,9 @@ func TestDayZeroHitIsIndistinguishable(t *testing.T) {
 }
 
 // TestSharedCatalogLifecycle: same-key markets read one day-0 market until
-// one of them steps, which copies its own and retires the memo entry, so the
-// next New of the key builds again and gets what a cold build gets.
+// one of them steps, which retires the memo entry and, beside a market
+// still on day 0, steps a copy of its own, so the next New of the key builds
+// again and gets what a cold build gets.
 func TestSharedCatalogLifecycle(t *testing.T) {
 	const seed = 42
 	cfg := smallConfig()
@@ -324,22 +326,25 @@ func TestSameKeyMarketsShareNothingMutable(t *testing.T) {
 		t.Fatalf("in %d days no version shipped (%v) or no price moved (%v): the checks below would be vacuous", days, !bumped, !drifted)
 	}
 	cold := soloBuild(t, cfg, seed)
-	if !reflect.DeepEqual(proto, dayZero()) {
+	if !reflect.DeepEqual(stateOf(proto), stateOf(dayZero())) {
 		t.Fatal("markets stepping beside it wrote into the day-0 market they were handed")
 	}
-	if !reflect.DeepEqual(viewState(still), viewState(cold)) {
+	if !reflect.DeepEqual(stateOf(still), stateOf(cold)) {
 		t.Fatal("markets stepping beside it wrote into a market that stood still")
 	}
 }
 
 // TestSteppedViewAliasesNothing: once a market has stepped or merged
-// downloads, no memory it reaches — no slice's backing array, map or
-// pointed-at value, found by reflection over every field of Market — is
-// reachable from the day-0 market it was handed or from a same-key market
-// that has not rolled, except what allowShared names. A field added to
-// Market that own does not copy fails here. Days without arrivals are the
-// strict case: an arrival moves every per-app array by appending to it
-// before anything writes in place.
+// downloads, its observation arrays — counts, row versions, dirty days,
+// series, partitioner and catalog header, found by reflection over every
+// field — alias nothing a same-key market that has not rolled or the day-0
+// market it was handed reaches, except what allowShared names; and once it
+// has stepped beside such a market, its simulation state aliases nothing of
+// the day-0 entry they were handed, except what allowShared names: the step
+// ran on a copy. A field added to Market or sim that Market.ownCounts or
+// sim.clone does not copy fails here. Days without arrivals are the strict
+// case: an arrival moves every per-app array by appending to it before
+// anything writes in place.
 func TestSteppedViewAliasesNothing(t *testing.T) {
 	const seed = 42
 	step := func(m *Market) error { return m.Step() }
@@ -382,19 +387,49 @@ func TestSteppedViewAliasesNothing(t *testing.T) {
 					u.owned = proto.hist.set(u)
 				}
 			}
-			theirs := spansSorted(proto, other)
-			if n, _ := overlaps(rolled, theirs); n < 20 {
-				t.Fatalf("before it rolls a market shares %d blocks with its day 0: the check below would be vacuous", n)
+			theirObs := spansSorted(observations, proto, other)
+			theirSim := spansSorted(simulation, proto)
+			if n, _ := overlaps(observations(rolled), theirObs); n < 3 {
+				t.Fatalf("before it rolls a market shares %d observation blocks with its day 0: the check below would be vacuous", n)
+			}
+			if n, _ := overlaps(simulation(rolled), theirSim); n < 20 {
+				t.Fatalf("before it rolls a market shares %d simulation blocks with its day 0: the check below would be vacuous", n)
 			}
 			if err := tc.roll(rolled); err != nil {
 				t.Fatal(err)
 			}
-			if n, first := overlaps(rolled, theirs); n > 0 {
-				t.Fatalf("a market that has rolled shares %d blocks with the day 0 it was handed or a market that has not, first %s", n, first)
+			if n, first := overlaps(observations(rolled), theirObs); n > 0 {
+				t.Fatalf("a market that has rolled shares %d observation blocks with the day 0 it was handed or a market that has not, first %s", n, first)
+			}
+			if rolled.Day() > 0 {
+				if n, first := overlaps(simulation(rolled), theirSim); n > 0 {
+					t.Fatalf("a market that stepped beside a same-key market shares %d simulation blocks with their day-0 entry, first %s", n, first)
+				}
+			} else if rolled.dayEntry != other.dayEntry {
+				t.Fatal("merging downloads moved a market off its day's entry")
 			}
 			runtime.KeepAlive(other)
 		})
 	}
+}
+
+// observations and simulation are the two layers of a market for reach: the
+// blocks of its own struct's fields less its day entry, the catalog
+// header's own struct but not the rows and lists it points at; and the
+// blocks of its day entry's simulation state.
+func observations(m *Market) []span {
+	v := *m
+	v.proto, v.dayEntry, v.cat = nil, nil, nil
+	var out []span
+	reach(reflect.ValueOf(&v).Elem(), "", &out)
+	h := reflect.ValueOf(m.cat).Pointer()
+	return append(out, span{h, h + reflect.TypeOf(*m.cat).Size(), "cat"})
+}
+
+func simulation(m *Market) []span {
+	var out []span
+	reach(reflect.ValueOf(&m.dayEntry.sim).Elem(), "", &out)
+	return out
 }
 
 // spanIndex is the blocks some markets reach, sorted by start, with
@@ -404,10 +439,10 @@ type spanIndex struct {
 	reachHi []uintptr
 }
 
-func spansSorted(ms ...*Market) spanIndex {
+func spansSorted(layer func(*Market) []span, ms ...*Market) spanIndex {
 	var x spanIndex
 	for _, m := range ms {
-		reach(reflect.ValueOf(m), "", &x.spans)
+		x.spans = append(x.spans, layer(m)...)
 	}
 	slices.SortFunc(x.spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 	x.reachHi = make([]uintptr, len(x.spans))
@@ -420,12 +455,10 @@ func spansSorted(ms ...*Market) spanIndex {
 	return x
 }
 
-// overlaps counts the blocks m reaches that overlap one in x, and names the
+// overlaps counts the blocks of mine that overlap one in x, and names the
 // first pair. A block overlaps one in x iff reachHi is past its start at
 // the last span of x that starts before its end.
-func overlaps(m *Market, x spanIndex) (n int, first string) {
-	var mine []span
-	reach(reflect.ValueOf(m), "", &mine)
+func overlaps(mine []span, x spanIndex) (n int, first string) {
 	for _, s := range mine {
 		i, _ := slices.BinarySearchFunc(x.spans, s.hi, func(a span, hi uintptr) int { return cmp.Compare(a.lo, hi) })
 		if i == 0 || x.reachHi[i-1] <= s.lo {
@@ -443,13 +476,16 @@ func overlaps(m *Market, x spanIndex) (n int, first string) {
 	return n, first
 }
 
-// allowShared lists what a market that has stepped may still share, each
+// allowShared lists what a market that has rolled may still share, each
 // only read or appended to at cap == len, so that the first append moves it.
 var allowShared = map[string]bool{
-	// The genesis (genesis.go).
-	"appeal": true, "freeBudget": true, "schedule.words": true,
+	// The genesis (genesis.go) and the category names.
+	"freeBudget": true, "schedule.words": true, "catNames": true,
 	// The catalog's member lists: an insert moves the list it extends.
 	"cat.Categories[].Apps": true, "cat.Developers[].Apps": true,
+	// The days a series has recorded, never written again, in a list
+	// appended to at cap == len.
+	"series.Days": true,
 }
 
 // span is a block of memory a market reaches: a slice's backing array, a
@@ -529,9 +565,10 @@ func hasPointers(t reflect.Type) bool {
 }
 
 // TestDayZeroIsCollectedOnceEveryMarketRolls: the memo lets go of a key's
-// day-0 market at the first roll, and every market copies what it needs at
-// its own, so a process whose markets have all rolled keeps no day 0 beside
-// their state.
+// day-0 market at the first roll, and the day-0 entry links forward only,
+// so a process whose markets have all stepped past day 0 keeps no day-0
+// simulation state beside theirs. Merging downloads is not a roll: it
+// writes only the market's own counts.
 func TestDayZeroIsCollectedOnceEveryMarketRolls(t *testing.T) {
 	const seed = 42
 	cfg := smallConfig()
@@ -541,7 +578,7 @@ func TestDayZeroIsCollectedOnceEveryMarketRolls(t *testing.T) {
 		t.Fatal(err)
 	}
 	collected := make(chan struct{})
-	runtime.SetFinalizer(dayZero(), func(*Market) { close(collected) })
+	runtime.SetFinalizer(dayZero().dayEntry, func(*dayEntry) { close(collected) })
 	wasCollected := func() bool {
 		for i := 0; i < 20; i++ {
 			runtime.GC()
@@ -556,11 +593,17 @@ func TestDayZeroIsCollectedOnceEveryMarketRolls(t *testing.T) {
 	if err := a.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if wasCollected() {
-		t.Fatal("the day-0 market was collected while a market that has not stepped reads it")
+	if _, _ = b.ApplyDownloadDelta([]int32{0}, func(int32) int64 { return 1 }); wasCollected() {
+		t.Fatal("the day-0 entry was collected while a market that has not stepped reads it")
 	}
-	if _, _ = b.ApplyDownloadDelta([]int32{0}, func(int32) int64 { return 1 }); !wasCollected() {
-		t.Fatal("the day-0 market outlived the roll of every market handed it")
+	if err := b.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if !wasCollected() {
+		t.Fatal("the day-0 entry outlived the step of every market handed it")
+	}
+	if a.dayEntry != b.dayEntry {
+		t.Fatal("two markets stepped from one day 0 to one day each hold an entry of their own")
 	}
 	runtime.KeepAlive(a)
 	runtime.KeepAlive(b)
@@ -573,12 +616,21 @@ func dayZero() *Market {
 	return dayZeroMemo.ent.v
 }
 
-// viewState is m without what tells one view of a day-0 market from
-// another: the memo entry it reads and the exports it took.
-func viewState(m *Market) Market {
-	v := *m
-	v.proto, v.whole = nil, Partitioner{}
-	return v
+// marketState is a market without what tells two markets with one history
+// apart: the memo entry it came from, the exports it took, and its day
+// entry's links and reader count.
+type marketState struct {
+	sim       sim
+	cat       catalog.Catalog
+	day       int
+	downloads []int64
+	rowVer    []uint32
+	dirtyDay  []int32
+	series    snapshot.Series
+}
+
+func stateOf(m *Market) marketState {
+	return marketState{m.dayEntry.sim, *m.cat, m.day, m.downloads, m.rowVer, m.dirtyDay, *m.series}
 }
 
 // TestConcurrentNewOverDistinctKeys: sixteen goroutines build markets over

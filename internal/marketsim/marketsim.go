@@ -41,17 +41,21 @@
 // immutable once built, and read in place by every further market of the
 // same seed and population in the process — the repository runs a market as
 // N identical copies, and the schedule is the largest thing each holds. The
-// whole day-0 market is shared the same way, keyed by the seed and the whole
-// Config, until a market first steps or merges downloads: those are the
-// only code that writes a market, so each copies what it writes first and
-// retires the shared day 0 from the memo, and markets that never roll hold
-// one catalog, one set of sampling tables and user states, and one day-0
-// download vector between them.
+// rest of the simulation is shared the same way, one day at a time
+// (day.go): downloads are observation-only, so same-key markets on the same
+// day hold the same simulation state and differ only in their counts and row
+// versions. Each day of a key is a day entry, the day-0 market's the first,
+// kept by a memo keyed by the seed and the whole Config until a market first
+// steps. The first market to step past a day simulates the next once, in
+// place when nobody else reads or can reach the entry, else on a copy it
+// links forward; the others adopt it and apply its day log, one row per
+// change and one app per download, to their own counts. So markets that
+// step together hold one simulation between them, whether they never roll
+// or roll every day.
 package marketsim
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
@@ -115,20 +119,58 @@ const (
 
 // Market is a running simulation. Create with New, advance with Step or
 // Run.
+//
+// A market is two layers. Its simulation state — the catalog, the
+// generator, the sampling tables, the users and their histories — is a
+// day entry (day.go) that every same-key market on the same day reads in
+// place: downloads are observation-only, so that state cannot differ
+// between them. What a market observes of it is its own: the download
+// counts (the simulated ones and those it ingested), the row versions and
+// dirty days derived from them, its export partitioner, its series and the
+// catalog header callers hold, 16 B an app beside a few headers.
 type Market struct {
 	cfg Config
-	// proto is the dayZeroMemo entry holding the day-0 market whose slices
-	// and maps this one reads, nil once own has copied what it writes or for
-	// that day-0 market itself. cat, r and series point at structs of this
-	// market's own from New on.
+	// proto is the dayZeroMemo entry this market was handed out of, until its
+	// first Step retires it.
 	proto *memoEntry[Market]
-	cat   *catalog.Catalog
-	r     *rng.RNG
+	// The entry of this market's day. Its fields are the simulation's and are
+	// only read here; Step moves the market to the next day's entry.
+	*dayEntry
 
-	day       int
-	downloads []int64 // per-app cumulative
-	total     int64   // sum of downloads, maintained incrementally
-	appeal    []float64
+	// cat is the header Catalog returns: the market's own struct over the
+	// entry's rows and member lists, moved to each day's entry as the market
+	// steps.
+	cat *catalog.Catalog
+	day int
+
+	// Per-app observations: cumulative downloads, and the observation-only
+	// dirty tracking (see package comment). rowVer bumps at most once per day
+	// on an app's first serving-visible change (row fields or download
+	// count); dirtyDay is the day it last bumped. Until the first Step or
+	// ApplyDownloadDelta they are the day-0 market's arrays (borrowed).
+	downloads []int64
+	rowVer    []uint32
+	dirtyDay  []int32
+	borrowed  bool
+
+	// whole is the whole-catalog partitioner Export cuts with (the zero
+	// Partitioner owns every app); it holds the previous export.
+	whole  Partitioner
+	series *snapshot.Series
+}
+
+// sim is the simulation state of one day: everything a simulated day reads
+// or writes. It never reads a download count, so markets that ingested
+// different writes step it alike.
+type sim struct {
+	// cfg is the Config of the market that built the state; same-key
+	// Configs simulate alike (dayZeroKey).
+	cfg Config
+	cat *catalog.Catalog
+	r   *rng.RNG
+	day int
+
+	appeal []float64
 	// catBias reshapes within-category concentration: category tables use
 	// appeal^catBias, so the within-category rank distribution follows the
 	// profile's ZipfCluster exponent rather than ZipfGlobal. This is what
@@ -170,16 +212,9 @@ type Market struct {
 	freeCumIdx cumIndex
 	catCumIdx  []cumIndex
 
-	// Observation-only dirty tracking (see package comment). rowVer bumps
-	// at most once per day on an app's first serving-visible change (row
-	// fields or download count); dirtyDay is the day it last bumped.
-	rowVer   []uint32
-	dirtyDay []int32
-
-	// whole is the whole-catalog partitioner Export cuts with (the zero
-	// Partitioner owns every app); it holds the previous export. catNames
-	// and devNames are the name tables every export shares.
-	whole    Partitioner
+	// catNames and devNames are the name tables every export shares. Entries
+	// below a table's length are never rewritten, so appending (even in
+	// place) cannot be observed by a holder of an older, shorter header.
 	catNames []string
 	devNames []string
 
@@ -187,7 +222,7 @@ type Market struct {
 	// map: 32 B a user from New on, whether they ever download or not,
 	// holding the user's first few downloads. The rest, theirs and the paid
 	// stream's users', is in hist (histories.go), committed as it fills, so
-	// a market that has run d days holds d days of history and a Step
+	// a state that has run d days holds d days of history and a step
 	// allocates a block now and then.
 	freeUsers  []userState
 	freeBudget []int32
@@ -195,7 +230,6 @@ type Market struct {
 	usersPaid  map[int32]*userState
 	paidSlab   []userState
 
-	series     *snapshot.Series
 	dailyPaid  float64
 	paidVolume bool
 	// schedule is the shuffled sequence of free-stream download events
@@ -210,19 +244,32 @@ type Market struct {
 	// permutation would be smaller still and would re-roll every recorded
 	// experiment and crawl. It, freeBudget and the opening prefix of appeal
 	// belong to the seed's genesis and are shared, read-only, with every
-	// same-key market in the process. nextEvent tracks this market's
-	// consumption; totalPeriods is Days+WarmupDays.
+	// same-key market in the process. nextEvent tracks the consumption;
+	// totalPeriods is Days+WarmupDays.
 	schedule     packedSeq
 	nextEvent    int
 	totalPeriods int
+
+	// log is what the step that produced this state changed.
+	log dayLog
+}
+
+// dayLog is what one simulated day changed that a market observes: the
+// rows whose catalog entry changed (arrivals, version updates, price moves)
+// and one app per simulated download. A market applies it to its own
+// counts and row versions (Market.observe).
+type dayLog struct {
+	rows  []int32
+	draws []catalog.AppID
 }
 
 // New returns a market over its seed's generated catalog at day 0.
 // Deterministic in (cfg, seed), whatever GOMAXPROCS is and whatever was built
 // before it. The day-0 market of a key is built once and read in place by
 // every market New hands out for that key until one of them rolls
-// (dayZeroMemo): each gets its own struct, catalog header, generator and
-// series, and copies the rest at its first Step or ApplyDownloadDelta (own).
+// (dayZeroMemo): each gets its own struct, catalog header and series, and
+// the day-0 counts and row versions until its first Step or
+// ApplyDownloadDelta copies them.
 func New(cfg Config, seed uint64) (*Market, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -236,7 +283,15 @@ func New(cfg Config, seed uint64) (*Market, error) {
 	if proto == nil {
 		return nil, err
 	}
-	return proto.view(cfg, e), nil
+	if m := proto.view(cfg, e); m != nil {
+		return m, nil
+	}
+	// A market handed the same entry before us has begun to step it in
+	// place: this one builds a day 0 of its own.
+	if proto, err = build(cfg, seed); err != nil {
+		return nil, err
+	}
+	return proto.view(cfg, nil), nil
 }
 
 // build builds the day-0 market of (cfg, seed). The catalog is generated
@@ -245,94 +300,99 @@ func New(cfg Config, seed uint64) (*Market, error) {
 // market of the same genesis key (genesis.go) — and neither reads what the
 // other writes until the join.
 func build(cfg Config, seed uint64) (*Market, error) {
-	m := &Market{
-		cfg:           cfg,
-		usersPaid:     map[int32]*userState{},
-		paidPortfolio: map[catalog.DevID]int{},
-		devPaid:       map[catalog.DevID][]int32{},
-		series:        &snapshot.Series{Store: cfg.Profile.Name},
-	}
+	e := &dayEntry{}
+	s := &e.sim
+	s.cfg = cfg
+	s.usersPaid = map[int32]*userState{}
+	s.paidPortfolio = map[catalog.DevID]int{}
+	s.devPaid = map[catalog.DevID][]int32{}
 	// Nothing between the go statement and the receive returns, so the
 	// goroutine is always waited for.
 	var catErr error
 	generated := make(chan struct{})
 	go func() {
 		defer close(generated)
-		m.cat, catErr = catalog.Generate(cfg.Profile, seed)
+		s.cat, catErr = catalog.Generate(cfg.Profile, seed)
 	}()
 	// The market continues the stream where genesis left it. appeal grows by
 	// append when apps arrive, so it is handed out with no spare capacity:
-	// the first arrival moves this market onto an array of its own.
+	// the first arrival moves this state onto an array of its own.
 	g := genesisFor(seed, cfg.Profile)
 	r := g.r
-	m.r = &r
-	m.appeal = g.appeal[:len(g.appeal):len(g.appeal)]
-	m.freeBudget = g.freeBudget
-	m.schedule = g.schedule
-	m.freeUsers = make([]userState, cfg.Profile.Users)
-	m.totalPeriods = cfg.Days + cfg.WarmupDays
+	s.r = &r
+	s.appeal = g.appeal[:len(g.appeal):len(g.appeal)]
+	s.freeBudget = g.freeBudget
+	s.schedule = g.schedule
+	s.freeUsers = make([]userState, cfg.Profile.Users)
+	s.totalPeriods = cfg.Days + cfg.WarmupDays
 
 	<-generated
 	if catErr != nil {
 		return nil, catErr
 	}
-	m.downloads = make([]int64, m.cat.NumApps())
-	m.initTracking()
-	m.catBias = 1
+	s.initTracking()
+	s.catBias = 1
 	if cfg.Profile.ZipfGlobal > 0 && cfg.Profile.ZipfCluster > 0 {
-		m.catBias = cfg.Profile.ZipfCluster / cfg.Profile.ZipfGlobal
+		s.catBias = cfg.Profile.ZipfCluster / cfg.Profile.ZipfGlobal
 	}
 	// Warm up: accumulate pre-period history so the day-0 snapshot looks
 	// like a mature store, then record day 0. simulateDownloads consumes
 	// the schedule up through the current day, which at this point covers
 	// all warmup days plus day 0 — so first-day curves are never all-zero.
-	m.syncTables()
-	m.paidVolume = len(m.paidApps) > 0
-	if m.paidVolume {
-		m.dailyPaid = float64(m.schedule.len()) / float64(m.totalPeriods) * paidDownloadShare
+	s.syncTables()
+	s.paidVolume = len(s.paidApps) > 0
+	if s.paidVolume {
+		s.dailyPaid = float64(s.schedule.len()) / float64(s.totalPeriods) * paidDownloadShare
 	}
-	m.simulateDownloads()
-	if !m.cfg.DisableSeries {
+	s.simulateDownloads()
+
+	n := s.cat.NumApps()
+	m := &Market{
+		cfg:       cfg,
+		dayEntry:  e,
+		cat:       &catalog.Catalog{},
+		downloads: make([]int64, n),
+		rowVer:    make([]uint32, n),
+		dirtyDay:  make([]int32, n),
+		series:    &snapshot.Series{Store: cfg.Profile.Name},
+	}
+	for i := range m.dirtyDay {
+		m.dirtyDay[i] = -1
+	}
+	m.observe()
+	// Nobody adopts day 0: its log, the whole warmup's draws, goes now.
+	s.log = dayLog{}
+	if !cfg.DisableSeries {
 		m.record()
 	}
 	return m, nil
 }
 
-// view returns a market that reads the day-0 market p, the value of memo
-// entry e, in place. It has its own struct, catalog header, generator and
-// series header — what a caller may hold a pointer to — and p's slices and
-// maps, every slice it could append to clipped to cap == len. Nothing
-// writes those before own, which Step and ApplyDownloadDelta call first;
-// Export and PartitionMarket write only the view's own fields.
-func (p *Market) view(cfg Config, e *memoEntry[Market]) *Market {
-	m := *p
-	m.cfg = cfg
-	m.proto = e
-	cat := *p.cat
-	cat.Apps = slices.Clip(cat.Apps)
-	cat.Categories = slices.Clip(cat.Categories)
-	cat.Developers = slices.Clip(cat.Developers)
-	m.cat = &cat
-	r := *p.r
-	m.r = &r
+// view returns a market on the day-0 market p, the value of memo entry me
+// (nil for a build of its own): its own struct, catalog header and series
+// header — what a caller may hold a pointer to — reading p's day entry and,
+// clipped, p's counts and row versions, which it copies before its first
+// write. It returns nil if p's entry can no longer be joined: a market
+// handed it earlier steps it in place, or every market on it has moved on.
+func (p *Market) view(cfg Config, me *memoEntry[Market]) *Market {
+	if !p.dayEntry.join() {
+		return nil
+	}
+	m := &Market{
+		cfg:       cfg,
+		proto:     me,
+		dayEntry:  p.dayEntry,
+		cat:       &catalog.Catalog{},
+		downloads: slices.Clip(p.downloads),
+		rowVer:    slices.Clip(p.rowVer),
+		dirtyDay:  slices.Clip(p.dirtyDay),
+		borrowed:  true,
+	}
+	m.syncCatalog()
 	series := *p.series
 	series.Days = slices.Clip(series.Days)
 	m.series = &series
-	m.downloads = slices.Clip(m.downloads)
-	m.updateRate = slices.Clip(m.updateRate)
-	m.isPaid = slices.Clip(m.isPaid)
-	m.paidIdx = slices.Clip(m.paidIdx)
-	m.rowVer = slices.Clip(m.rowVer)
-	m.dirtyDay = slices.Clip(m.dirtyDay)
-	m.freeCum = slices.Clip(m.freeCum)
-	m.freeApps = slices.Clip(m.freeApps)
-	m.paidCum = slices.Clip(m.paidCum)
-	m.paidApps = slices.Clip(m.paidApps)
-	m.paidW = slices.Clip(m.paidW)
-	m.paidDirty = slices.Clip(m.paidDirty)
-	m.devNames = slices.Clip(m.devNames)
-	m.paidSlab = slices.Clip(m.paidSlab)
-	return &m
+	return m
 }
 
 // validate refuses a configuration New cannot build a market over, naming
@@ -358,45 +418,36 @@ func (cfg *Config) validate() error {
 	return nil
 }
 
-// initTracking sizes the side arrays and dirty-tracking state for the
-// generated catalog. Draws no randomness.
-func (m *Market) initTracking() {
-	n := m.cat.NumApps()
-	m.updateRate = make([]float64, n)
-	m.isPaid = make([]bool, n)
-	m.paidIdx = make([]int32, n)
+// initTracking sizes the side arrays and name tables for the generated
+// catalog. Draws no randomness.
+func (s *sim) initTracking() {
+	n := s.cat.NumApps()
+	s.updateRate = make([]float64, n)
+	s.isPaid = make([]bool, n)
+	s.paidIdx = make([]int32, n)
 	for i := 0; i < n; i++ {
-		a := &m.cat.Apps[i]
-		m.updateRate[i] = a.UpdateRate
-		m.isPaid[i] = a.Pricing == catalog.Paid
-		m.paidIdx[i] = -1
+		a := &s.cat.Apps[i]
+		s.updateRate[i] = a.UpdateRate
+		s.isPaid[i] = a.Pricing == catalog.Paid
+		s.paidIdx[i] = -1
 	}
-	m.rowVer = make([]uint32, n)
-	m.dirtyDay = make([]int32, n)
-	for i := range m.dirtyDay {
-		m.dirtyDay[i] = -1
+	s.catNames = make([]string, len(s.cat.Categories))
+	for i := range s.cat.Categories {
+		s.catNames[i] = s.cat.Categories[i].Name
 	}
-	m.catNames = make([]string, len(m.cat.Categories))
-	for i := range m.cat.Categories {
-		m.catNames[i] = m.cat.Categories[i].Name
-	}
-	m.devNames = make([]string, 0, devNamesRoom(len(m.cat.Developers)))
-	m.syncDevNames()
+	s.devNames = make([]string, 0, devNamesRoom(len(s.cat.Developers)))
+	s.syncDevNames()
 }
 
 // devNamesRoom is the capacity a developer name table of n names is given:
 // room for a period's new accounts.
 func devNamesRoom(n int) int { return n + n/8 + 16 }
 
-// syncDevNames extends the developer name table to cover arrivals. The
-// backing array is shared with prior exports: entries below their length
-// are never rewritten, so appending (even in place) cannot be observed by
-// a holder of an older, shorter header.
-func (m *Market) syncDevNames() []string {
-	for i := len(m.devNames); i < len(m.cat.Developers); i++ {
-		m.devNames = append(m.devNames, m.cat.Developers[i].Name)
+// syncDevNames extends the developer name table to cover arrivals.
+func (s *sim) syncDevNames() {
+	for i := len(s.devNames); i < len(s.cat.Developers); i++ {
+		s.devNames = append(s.devNames, s.cat.Developers[i].Name)
 	}
-	return m.devNames
 }
 
 // touchRow registers a serving-visible change to app i today (its catalog
@@ -408,14 +459,12 @@ func (m *Market) touchRow(i int) {
 	}
 }
 
-// growTracking extends per-app tracking state to cover a newly added app
+// growTracking extends the per-app side arrays to cover a newly added app
 // (id == len-1 after the catalog append).
-func (m *Market) growTracking(a *catalog.App) {
-	m.updateRate = append(m.updateRate, a.UpdateRate)
-	m.isPaid = append(m.isPaid, a.Pricing == catalog.Paid)
-	m.paidIdx = append(m.paidIdx, -1)
-	m.rowVer = append(m.rowVer, 0)
-	m.dirtyDay = append(m.dirtyDay, -1)
+func (s *sim) growTracking(a *catalog.App) {
+	s.updateRate = append(s.updateRate, a.UpdateRate)
+	s.isPaid = append(s.isPaid, a.Pricing == catalog.Paid)
+	s.paidIdx = append(s.paidIdx, -1)
 }
 
 // drawAppeal draws one appeal weight for a store that opened with apps apps.
@@ -436,9 +485,9 @@ func drawAppeal(r *rng.RNG, apps int, zipfGlobal float64) float64 {
 	return w
 }
 
-// Catalog exposes the market's evolving catalog, read-only to callers.
-// Until the market's first Step or ApplyDownloadDelta its slices alias the
-// day-0 catalog that every same-key market built before then reads.
+// Catalog exposes the market's evolving catalog, read-only to callers. The
+// header is the market's own; its slices are its day's simulation state,
+// which every same-key market on that day reads.
 func (m *Market) Catalog() *catalog.Catalog { return m.cat }
 
 // Day returns the current day index (number of completed days - 1).
@@ -449,25 +498,27 @@ func (m *Market) Day() int { return m.day }
 func (m *Market) Series() *snapshot.Series { return m.series }
 
 // Downloads returns the live per-app cumulative download counts (shared
-// slice; callers must not modify). Until the market's first Step or
-// ApplyDownloadDelta it is the day-0 vector every same-key market built
-// before then reads.
+// slice; callers must not modify). They are the market's own from its
+// first Step or ApplyDownloadDelta on; until then they are the day-0 vector
+// every same-key market built before then reads.
 func (m *Market) Downloads() []int64 { return m.downloads }
 
 // ApplyDownloadDelta merges externally ingested download counts (the
-// store's WAL day-delta) into the market's cumulative state: per-app
-// counts, the running total, and the dirty tracking that drives export
-// chunk sharing and content-version ETags. Unknown app IDs (a client
-// writing against a stale catalog view) are skipped and reported.
+// store's WAL day-delta) into the market's cumulative counts and the dirty
+// tracking that drives export chunk sharing and content-version ETags.
+// Unknown app IDs (a client writing against a stale catalog view) are
+// skipped and reported.
 //
 // Downloads are observation-only for the simulation — they are never
 // sampling inputs — so merging a delta perturbs no RNG stream: the
 // simulated trajectory with writes is the simulated trajectory without
-// them, plus exactly the ingested counts. Callers pass apps in a
-// deterministic order for reproducible builds; the merged state itself is
-// order-independent (commutative adds).
+// them, plus exactly the ingested counts. The merge writes only the
+// market's own counts and row versions, never the simulation state it
+// shares with same-key markets. Callers pass apps in a deterministic order
+// for reproducible builds; the merged state itself is order-independent
+// (commutative adds).
 func (m *Market) ApplyDownloadDelta(apps []int32, count func(int32) int64) (applied, skipped int) {
-	m.own(0)
+	m.ownCounts(0)
 	for _, id := range apps {
 		i := int(id)
 		if i < 0 || i >= len(m.downloads) {
@@ -479,7 +530,6 @@ func (m *Market) ApplyDownloadDelta(apps []int32, count func(int32) int64) (appl
 			continue
 		}
 		m.downloads[i] += n
-		m.total += n
 		m.touchRow(i)
 		applied++
 	}
@@ -498,103 +548,81 @@ func (m *Market) Run() (*snapshot.Series, error) {
 }
 
 // Step simulates one day: arrivals, updates, price drift, downloads, and a
-// snapshot.
+// snapshot. The simulation runs once per day for all same-key markets on
+// that day: the first to step simulates it, in place when no other market
+// reads or can reach its entry, else on a copy it publishes, and the rest
+// adopt what it published (dayEntry.advance). Either way the market then
+// applies the day's log to its own counts.
 func (m *Market) Step() error {
 	if m.day >= m.cfg.Days-1 {
 		return fmt.Errorf("marketsim: period of %d days already complete", m.cfg.Days)
 	}
+	if m.proto != nil {
+		// Construction is over once one of a key's markets rolls: a later New
+		// of the key builds again.
+		dayZeroMemo.retire(m.proto)
+		m.proto = nil
+	}
+	m.dayEntry = m.dayEntry.advance()
 	m.day++
-	// The day's first draw is its arrival count, which sizes what own copies.
-	arrivals := m.r.Poisson(m.cfg.Profile.NewAppsPerDay)
-	m.own(arrivals)
-	m.arrivals(arrivals)
-	m.updatesAndPrices()
-	m.syncTables()
-	m.simulateDownloads()
+	m.observe()
 	if !m.cfg.DisableSeries {
 		m.record()
 	}
 	return nil
 }
 
-// own gives a market still reading its key's day-0 market a copy of
-// everything Step and ApplyDownloadDelta write, and retires the memo entry,
-// if still current: construction is over once one of a key's markets
-// rolls. Each array an arrival extends is copied once, with room for the
-// number of apps the calling Step is about to add, so that Step does not
-// copy it again; a later day's arrival grows it by append. What stays
-// shared is only read or only appended to at cap == len, so the first
-// append moves it: the genesis (schedule, freeBudget, appeal), the
-// catalog's member lists (cut cap == len, the rule rebuildIndexes sets)
-// and every name string.
-func (m *Market) own(arrivals int) {
-	if m.proto == nil {
+// observe brings the market's own state to its entry's day: the catalog
+// header, the counts and row versions grown over the day's arrivals, and
+// the day's log applied by the touchRow rule.
+func (m *Market) observe() {
+	m.syncCatalog()
+	n := m.cat.NumApps()
+	m.ownCounts(n - len(m.downloads))
+	if n > cap(m.downloads) {
+		// Room for 1/64 more apps at a time: a few copies a period, never
+		// the quarter more append would hold.
+		room := n + n/64
+		m.downloads = append(make([]int64, 0, room), m.downloads...)
+		m.rowVer = append(make([]uint32, 0, room), m.rowVer...)
+		m.dirtyDay = append(make([]int32, 0, room), m.dirtyDay...)
+	}
+	for len(m.downloads) < n {
+		m.downloads = append(m.downloads, 0)
+		m.rowVer = append(m.rowVer, 0)
+		m.dirtyDay = append(m.dirtyDay, -1)
+	}
+	log := &m.dayEntry.log
+	for _, i := range log.rows {
+		m.touchRow(int(i))
+	}
+	for _, app := range log.draws {
+		m.downloads[int(app)]++
+		m.touchRow(int(app))
+	}
+}
+
+// syncCatalog points the market's catalog header at its entry's catalog.
+// The slices are clipped, so that an append through the header could not
+// write the simulation's arrays.
+func (m *Market) syncCatalog() {
+	c := m.dayEntry.cat
+	*m.cat = *c
+	m.cat.Apps = slices.Clip(c.Apps)
+	m.cat.Categories = slices.Clip(c.Categories)
+	m.cat.Developers = slices.Clip(c.Developers)
+}
+
+// ownCounts gives a market still reading the day-0 counts and row versions
+// copies of its own, with room for arrivals more apps.
+func (m *Market) ownCounts(arrivals int) {
+	if !m.borrowed {
 		return
 	}
-	dayZeroMemo.retire(m.proto)
-	m.proto = nil
-
-	c := m.cat
-	c.Apps = withRoom(c.Apps, arrivals)
-	c.Categories = slices.Clone(c.Categories)
-	c.Developers = slices.Clone(c.Developers)
+	m.borrowed = false
 	m.downloads = withRoom(m.downloads, arrivals)
-	m.updateRate = withRoom(m.updateRate, arrivals)
-	m.isPaid = withRoom(m.isPaid, arrivals)
-	m.paidIdx = withRoom(m.paidIdx, arrivals)
 	m.rowVer = withRoom(m.rowVer, arrivals)
 	m.dirtyDay = withRoom(m.dirtyDay, arrivals)
-	m.catNames = slices.Clone(m.catNames)
-	m.devNames = append(make([]string, 0, devNamesRoom(len(m.devNames))), m.devNames...)
-
-	m.freeCum = withRoom(m.freeCum, arrivals)
-	m.freeApps = withRoom(m.freeApps, arrivals)
-	m.catCum = cloneEach(m.catCum)
-	m.catApps = cloneEach(m.catApps)
-	m.paidCum = withRoom(m.paidCum, arrivals)
-	m.paidApps = withRoom(m.paidApps, arrivals)
-	m.paidW = withRoom(m.paidW, arrivals)
-	m.paidDirty = make([]int32, 0, len(m.paidApps))
-	m.paidPortfolio = maps.Clone(m.paidPortfolio)
-	m.devPaid = maps.Clone(m.devPaid)
-	for dev, js := range m.devPaid {
-		m.devPaid[dev] = slices.Clone(js)
-	}
-	m.freeCumIdx.buckets = slices.Clone(m.freeCumIdx.buckets)
-	m.catCumIdx = slices.Clone(m.catCumIdx)
-	for i := range m.catCumIdx {
-		m.catCumIdx[i].buckets = slices.Clone(m.catCumIdx[i].buckets)
-	}
-
-	m.freeUsers = slices.Clone(m.freeUsers)
-	for i := range m.freeUsers {
-		m.freeUsers[i].owned = maps.Clone(m.freeUsers[i].owned)
-	}
-	m.hist.blocks = slices.Clone(m.hist.blocks)
-	for i, b := range m.hist.blocks {
-		m.hist.blocks[i] = append(make([]catalog.AppID, 0, cap(b)), b...)
-	}
-	// Paid users' states move into one slab of their own; the next new paid
-	// user opens another.
-	slab := make([]userState, 0, len(m.usersPaid))
-	users := make(map[int32]*userState, len(m.usersPaid))
-	for uid, u := range m.usersPaid {
-		slab = append(slab, *u)
-		v := &slab[len(slab)-1]
-		v.owned = maps.Clone(v.owned)
-		users[uid] = v
-	}
-	m.paidSlab, m.usersPaid = slab, users
-
-	m.series.Days = slices.Clone(m.series.Days)
-	for i, d := range m.series.Days {
-		m.series.Days[i] = &snapshot.Day{
-			Index:               d.Index,
-			CumulativeDownloads: slices.Clone(d.CumulativeDownloads),
-			Versions:            slices.Clone(d.Versions),
-			Price:               slices.Clone(d.Price),
-		}
-	}
 }
 
 // withRoom copies s into an array with room for n more elements.
@@ -612,26 +640,26 @@ func cloneEach[E any](lists [][]E) [][]E {
 // arrivals publishes the day's n new apps. Most arrivals come from new
 // developer accounts joining the store (keeping the single-app developer
 // share high, per Figure 16a); the rest extend existing portfolios.
-func (m *Market) arrivals(n int) {
+func (s *sim) arrivals(n int) {
 	for k := 0; k < n; k++ {
-		dev := catalog.DevID(len(m.cat.Developers)) // a brand-new account
-		if m.r.Bool(0.3) {
-			dev = catalog.DevID(m.r.Intn(len(m.cat.Developers)))
+		dev := catalog.DevID(len(s.cat.Developers)) // a brand-new account
+		if s.r.Bool(0.3) {
+			dev = catalog.DevID(s.r.Intn(len(s.cat.Developers)))
 		}
 		a := catalog.App{
 			Dev:        dev,
-			Category:   catalog.CategoryID(m.r.Intn(len(m.cat.Categories))),
+			Category:   catalog.CategoryID(s.r.Intn(len(s.cat.Categories))),
 			SizeMB:     3.5,
-			AddedDay:   m.day,
+			AddedDay:   s.day,
 			UpdateRate: 0.003,
-			Quality:    m.r.Float64(),
+			Quality:    s.r.Float64(),
 		}
 		if a.Quality == 0 {
 			a.Quality = 1e-6
 		}
-		if m.r.Bool(m.cfg.Profile.PaidFraction) {
+		if s.r.Bool(s.cfg.Profile.PaidFraction) {
 			a.Pricing = catalog.Paid
-			price := dist.LogNormal{Mu: m.cfg.Profile.PriceLogMu, Sigma: m.cfg.Profile.PriceLogSigma}.Sample(m.r)
+			price := dist.LogNormal{Mu: s.cfg.Profile.PriceLogMu, Sigma: s.cfg.Profile.PriceLogSigma}.Sample(s.r)
 			if price < 0.5 {
 				price = 0.5
 			}
@@ -640,28 +668,27 @@ func (m *Market) arrivals(n int) {
 			}
 			a.Price = float64(int(price*100+0.5)) / 100
 		} else {
-			a.HasAds = m.r.Bool(m.cfg.Profile.AdFraction)
+			a.HasAds = s.r.Bool(s.cfg.Profile.AdFraction)
 		}
-		id := m.cat.AddApp(a)
+		id := s.cat.AddApp(a)
 		// New arrivals start with damped appeal: most newcomers are
 		// unpopular; breakout hits are possible but rare.
-		m.appeal = append(m.appeal, drawAppeal(m.r, m.cfg.Profile.Apps, m.cfg.Profile.ZipfGlobal)*0.25)
-		m.downloads = append(m.downloads, 0)
-		m.growTracking(&m.cat.Apps[int(id)])
-		m.touchRow(int(id))
+		s.appeal = append(s.appeal, drawAppeal(s.r, s.cfg.Profile.Apps, s.cfg.Profile.ZipfGlobal)*0.25)
+		s.growTracking(&s.cat.Apps[int(id)])
+		s.log.rows = append(s.log.rows, int32(id))
 	}
 }
 
 // updatesAndPrices ships version updates and drifts paid prices.
-func (m *Market) updatesAndPrices() {
-	for i := range m.updateRate {
-		if m.r.Bool(m.updateRate[i]) {
-			m.cat.Apps[i].Versions++
-			m.touchRow(i)
+func (s *sim) updatesAndPrices() {
+	for i := range s.updateRate {
+		if s.r.Bool(s.updateRate[i]) {
+			s.cat.Apps[i].Versions++
+			s.log.rows = append(s.log.rows, int32(i))
 		}
-		if m.isPaid[i] && m.r.Bool(priceChangeP) {
-			a := &m.cat.Apps[i]
-			factor := 0.8 + 0.4*m.r.Float64()
+		if s.isPaid[i] && s.r.Bool(priceChangeP) {
+			a := &s.cat.Apps[i]
+			factor := 0.8 + 0.4*s.r.Float64()
 			p := a.Price * factor
 			if p < 0.5 {
 				p = 0.5
@@ -670,9 +697,9 @@ func (m *Market) updatesAndPrices() {
 				p = 50
 			}
 			a.Price = float64(int(p*100+0.5)) / 100
-			m.touchRow(i)
-			if j := m.paidIdx[i]; j >= 0 {
-				m.paidDirty = append(m.paidDirty, j)
+			s.log.rows = append(s.log.rows, int32(i))
+			if j := s.paidIdx[i]; j >= 0 {
+				s.paidDirty = append(s.paidDirty, j)
 			}
 			// paidIdx < 0 means the app arrived today and is not yet in
 			// the paid table; syncTables computes its weight from the
@@ -684,15 +711,15 @@ func (m *Market) updatesAndPrices() {
 // paidWeight computes the effective sampling weight of paid-table entry
 // j from current state (price, developer portfolio). Pure: same inputs,
 // bit-identical output — the invariant the incremental table relies on.
-func (m *Market) paidWeight(j int32) float64 {
-	i := int(m.paidApps[j])
-	a := &m.cat.Apps[i]
-	w := m.appeal[i]
+func (s *sim) paidWeight(j int32) float64 {
+	i := int(s.paidApps[j])
+	a := &s.cat.Apps[i]
+	w := s.appeal[i]
 	// Paying users are more selective (steeper concentration) and
 	// price-sensitive.
 	w = math.Pow(w, paidSelectivity)
 	w /= math.Pow(1+a.Price, priceElasticity)
-	if n := m.paidPortfolio[a.Dev]; n > 1 {
+	if n := s.paidPortfolio[a.Dev]; n > 1 {
 		w /= math.Pow(float64(n), shovelwareDamping)
 	}
 	return w
@@ -703,93 +730,93 @@ func (m *Market) paidWeight(j int32) float64 {
 // the paid table from its lowest dirty index. Replaces the former full
 // per-day rebuild with work proportional to the day's changes while
 // producing bit-identical tables (see the field comments on Market).
-func (m *Market) syncTables() {
-	n := m.cat.NumApps()
-	if m.tableN == 0 {
-		m.sizeTables()
+func (s *sim) syncTables() {
+	n := s.cat.NumApps()
+	if s.tableN == 0 {
+		s.sizeTables()
 	}
 	// Paid entries from here up are this call's, each enqueued for its
 	// weight as it is added.
-	added := int32(len(m.paidApps))
-	for i := m.tableN; i < n; i++ {
-		a := &m.cat.Apps[i]
-		w := m.appeal[i]
+	added := int32(len(s.paidApps))
+	for i := s.tableN; i < n; i++ {
+		a := &s.cat.Apps[i]
+		w := s.appeal[i]
 		if a.Pricing == catalog.Paid {
-			m.paidPortfolio[a.Dev]++
-			j := int32(len(m.paidApps))
+			s.paidPortfolio[a.Dev]++
+			j := int32(len(s.paidApps))
 			// The portfolio grew: every paid app this developer already had
 			// in the table is damped harder now. This call's own entries are
 			// on the list once each already; weights are computed after the
 			// loop, from the final portfolios, and listing them again per
 			// sibling would weigh an opening catalog's paid apps five times
 			// over.
-			for _, k := range m.devPaid[a.Dev] {
+			for _, k := range s.devPaid[a.Dev] {
 				if k < added {
-					m.paidDirty = append(m.paidDirty, k)
+					s.paidDirty = append(s.paidDirty, k)
 				}
 			}
-			m.devPaid[a.Dev] = append(m.devPaid[a.Dev], j)
-			m.paidApps = append(m.paidApps, a.ID)
-			m.paidW = append(m.paidW, 0)
-			m.paidCum = append(m.paidCum, 0)
-			m.paidIdx[i] = j
-			m.paidDirty = append(m.paidDirty, j)
+			s.devPaid[a.Dev] = append(s.devPaid[a.Dev], j)
+			s.paidApps = append(s.paidApps, a.ID)
+			s.paidW = append(s.paidW, 0)
+			s.paidCum = append(s.paidCum, 0)
+			s.paidIdx[i] = j
+			s.paidDirty = append(s.paidDirty, j)
 			continue
 		}
 		var freeSum float64
-		if k := len(m.freeCum); k > 0 {
-			freeSum = m.freeCum[k-1]
+		if k := len(s.freeCum); k > 0 {
+			freeSum = s.freeCum[k-1]
 		}
-		m.freeCum = append(m.freeCum, freeSum+w)
-		m.freeApps = append(m.freeApps, a.ID)
+		s.freeCum = append(s.freeCum, freeSum+w)
+		s.freeApps = append(s.freeApps, a.ID)
 		c := int(a.Category)
 		cw := w
-		if m.catBias != 1 {
-			cw = math.Pow(w, m.catBias)
+		if s.catBias != 1 {
+			cw = math.Pow(w, s.catBias)
 		}
 		var catSum float64
-		if k := len(m.catCum[c]); k > 0 {
-			catSum = m.catCum[c][k-1]
+		if k := len(s.catCum[c]); k > 0 {
+			catSum = s.catCum[c][k-1]
 		}
-		m.catCum[c] = append(m.catCum[c], catSum+cw)
-		m.catApps[c] = append(m.catApps[c], a.ID)
+		s.catCum[c] = append(s.catCum[c], catSum+cw)
+		s.catApps[c] = append(s.catApps[c], a.ID)
 	}
-	m.tableN = n
+	s.tableN = n
 	// Refresh the stale draw-acceleration hints. Amortized: fresh()
 	// tolerates a bounded amount of appended growth, so most days skip
 	// the sweeps entirely.
-	if !m.freeCumIdx.fresh(m.freeCum) {
-		m.freeCumIdx.rebuild(m.freeCum)
+	if !s.freeCumIdx.fresh(s.freeCum) {
+		s.freeCumIdx.rebuild(s.freeCum)
 	}
-	for c := range m.catCumIdx {
-		if !m.catCumIdx[c].fresh(m.catCum[c]) {
-			m.catCumIdx[c].rebuild(m.catCum[c])
+	for c := range s.catCumIdx {
+		if !s.catCumIdx[c].fresh(s.catCum[c]) {
+			s.catCumIdx[c].rebuild(s.catCum[c])
 		}
 	}
-	if len(m.paidDirty) == 0 {
+	if len(s.paidDirty) == 0 {
 		return
 	}
-	lo := m.paidDirty[0]
-	for _, j := range m.paidDirty[1:] {
+	lo := s.paidDirty[0]
+	for _, j := range s.paidDirty[1:] {
 		if j < lo {
 			lo = j
 		}
 	}
-	for _, j := range m.paidDirty {
-		m.paidW[j] = m.paidWeight(j)
+	for _, j := range s.paidDirty {
+		s.paidW[j] = s.paidWeight(j)
 	}
 	// Re-accumulate the cumulative sums from the lowest patched entry.
 	// The stored prefix below lo is the same left-to-right fold a full
 	// rebuild would produce, so continuing from it is bit-identical.
 	var sum float64
 	if lo > 0 {
-		sum = m.paidCum[lo-1]
+		sum = s.paidCum[lo-1]
 	}
-	for j := int(lo); j < len(m.paidW); j++ {
-		sum += m.paidW[j]
-		m.paidCum[j] = sum
+	for j := int(lo); j < len(s.paidW); j++ {
+		sum += s.paidW[j]
+		s.paidCum[j] = sum
 	}
-	m.paidDirty = m.paidDirty[:0]
+	s.paidDirty = s.paidDirty[:0]
 }
 
 // sizeTables gives the sampling tables, before the first syncTables fills
@@ -800,32 +827,32 @@ func (m *Market) syncTables() {
 // changes; syncTables still accumulates them left to right in ID order.
 // An arrival then moves the table it extends onto an array of its own,
 // with append's usual room to grow.
-func (m *Market) sizeTables() {
-	perCat := make([]int, len(m.cat.Categories))
+func (s *sim) sizeTables() {
+	perCat := make([]int, len(s.cat.Categories))
 	paid := 0
-	for i := range m.cat.Apps {
-		if a := &m.cat.Apps[i]; a.Pricing == catalog.Paid {
+	for i := range s.cat.Apps {
+		if a := &s.cat.Apps[i]; a.Pricing == catalog.Paid {
 			paid++
 		} else {
 			perCat[a.Category]++
 		}
 	}
-	free := len(m.cat.Apps) - paid
-	m.freeCum = make([]float64, 0, free)
-	m.freeApps = make([]catalog.AppID, 0, free)
-	m.paidApps = make([]catalog.AppID, 0, paid)
-	m.paidW = make([]float64, 0, paid)
-	m.paidCum = make([]float64, 0, paid)
-	m.paidDirty = make([]int32, 0, paid)
-	m.catCum = make([][]float64, len(perCat))
-	m.catApps = make([][]catalog.AppID, len(perCat))
-	m.catCumIdx = make([]cumIndex, len(perCat))
+	free := len(s.cat.Apps) - paid
+	s.freeCum = make([]float64, 0, free)
+	s.freeApps = make([]catalog.AppID, 0, free)
+	s.paidApps = make([]catalog.AppID, 0, paid)
+	s.paidW = make([]float64, 0, paid)
+	s.paidCum = make([]float64, 0, paid)
+	s.paidDirty = make([]int32, 0, paid)
+	s.catCum = make([][]float64, len(perCat))
+	s.catApps = make([][]catalog.AppID, len(perCat))
+	s.catCumIdx = make([]cumIndex, len(perCat))
 	cum := make([]float64, free)
 	apps := make([]catalog.AppID, free)
 	off := 0
 	for c, k := range perCat {
-		m.catCum[c] = cum[off : off : off+k]
-		m.catApps[c] = apps[off : off : off+k]
+		s.catCum[c] = cum[off : off : off+k]
+		s.catApps[c] = apps[off : off : off+k]
 		off += k
 	}
 }
@@ -833,18 +860,18 @@ func (m *Market) sizeTables() {
 const maxRetries = 48
 
 // drawFree performs one clustering-model download for a free-stream user.
-func (m *Market) drawFree(u *userState) (catalog.AppID, bool) {
-	clustered := u.count() > 0 && m.r.Bool(m.cfg.Profile.ClusterP)
+func (s *sim) drawFree(u *userState) (catalog.AppID, bool) {
+	clustered := u.count() > 0 && s.r.Bool(s.cfg.Profile.ClusterP)
 	if clustered {
 		for try := 0; try < maxRetries; try++ {
-			prev := m.hist.at(u, m.r.Intn(u.count()))
-			c := int(m.cat.CategoryOf(prev))
-			idx := sampleCum(m.r, m.catCum[c], &m.catCumIdx[c])
+			prev := s.hist.at(u, s.r.Intn(u.count()))
+			c := int(s.cat.CategoryOf(prev))
+			idx := sampleCum(s.r, s.catCum[c], &s.catCumIdx[c])
 			if idx < 0 {
 				break
 			}
-			app := m.catApps[c][idx]
-			if !m.hist.has(u, app) {
+			app := s.catApps[c][idx]
+			if !s.hist.has(u, app) {
 				return app, true
 			}
 		}
@@ -852,12 +879,12 @@ func (m *Market) drawFree(u *userState) (catalog.AppID, bool) {
 		// saturated.
 	}
 	for try := 0; try < maxRetries; try++ {
-		idx := sampleCum(m.r, m.freeCum, &m.freeCumIdx)
+		idx := sampleCum(s.r, s.freeCum, &s.freeCumIdx)
 		if idx < 0 {
 			return 0, false
 		}
-		app := m.freeApps[idx]
-		if !m.hist.has(u, app) {
+		app := s.freeApps[idx]
+		if !s.hist.has(u, app) {
 			return app, true
 		}
 	}
@@ -865,14 +892,14 @@ func (m *Market) drawFree(u *userState) (catalog.AppID, bool) {
 }
 
 // drawPaid performs one selective paid-stream download.
-func (m *Market) drawPaid(u *userState) (catalog.AppID, bool) {
+func (s *sim) drawPaid(u *userState) (catalog.AppID, bool) {
 	for try := 0; try < maxRetries; try++ {
-		idx := sampleCum(m.r, m.paidCum, nil)
+		idx := sampleCum(s.r, s.paidCum, nil)
 		if idx < 0 {
 			return 0, false
 		}
-		app := m.paidApps[idx]
-		if !m.hist.has(u, app) {
+		app := s.paidApps[idx]
+		if !s.hist.has(u, app) {
 			return app, true
 		}
 	}
@@ -882,57 +909,53 @@ func (m *Market) drawPaid(u *userState) (catalog.AppID, bool) {
 // paidUser returns (creating on first use) the paid-stream state for a
 // user id. States are slab-allocated: paid users are few but arrive
 // steadily, and one allocation per slab beats one per user.
-func (m *Market) paidUser(uid int32) *userState {
-	u := m.usersPaid[uid]
+func (s *sim) paidUser(uid int32) *userState {
+	u := s.usersPaid[uid]
 	if u == nil {
-		if len(m.paidSlab) == cap(m.paidSlab) {
-			m.paidSlab = make([]userState, 0, 128)
+		if len(s.paidSlab) == cap(s.paidSlab) {
+			s.paidSlab = make([]userState, 0, 128)
 		}
-		m.paidSlab = append(m.paidSlab, userState{})
-		u = &m.paidSlab[len(m.paidSlab)-1]
-		m.usersPaid[uid] = u
+		s.paidSlab = append(s.paidSlab, userState{})
+		u = &s.paidSlab[len(s.paidSlab)-1]
+		s.usersPaid[uid] = u
 	}
 	return u
 }
 
 // simulateDownloads generates the day's download events by consuming the
 // next slice of the shuffled per-user schedule.
-func (m *Market) simulateDownloads() {
+func (s *sim) simulateDownloads() {
 	// Days consumed so far (including this one) determine the cut point so
 	// rounding never drops events: the final day drains the schedule.
-	consumedDays := m.day + m.cfg.WarmupDays + 1
-	hi := m.schedule.len() * consumedDays / m.totalPeriods
-	if hi > m.schedule.len() {
-		hi = m.schedule.len()
+	consumedDays := s.day + s.cfg.WarmupDays + 1
+	hi := s.schedule.len() * consumedDays / s.totalPeriods
+	if hi > s.schedule.len() {
+		hi = s.schedule.len()
 	}
-	for ; m.nextEvent < hi; m.nextEvent++ {
-		uid := m.schedule.at(m.nextEvent)
-		u := &m.freeUsers[uid]
-		if app, ok := m.drawFree(u); ok {
-			m.hist.record(u, app, m.freeBudget[uid])
-			m.downloads[int(app)]++
-			m.total++
-			m.touchRow(int(app))
+	for ; s.nextEvent < hi; s.nextEvent++ {
+		uid := s.schedule.at(s.nextEvent)
+		u := &s.freeUsers[uid]
+		if app, ok := s.drawFree(u); ok {
+			s.hist.record(u, app, s.freeBudget[uid])
+			s.log.draws = append(s.log.draws, app)
 		}
 	}
-	if !m.paidVolume {
+	if !s.paidVolume {
 		return
 	}
 	// The first call covers all warmup days plus day 0; scale the paid
 	// volume by the number of days this call spans.
 	daysCovered := 1
-	if m.day == 0 {
-		daysCovered = m.cfg.WarmupDays + 1
+	if s.day == 0 {
+		daysCovered = s.cfg.WarmupDays + 1
 	}
-	nPaid := m.r.Poisson(m.dailyPaid * float64(daysCovered))
+	nPaid := s.r.Poisson(s.dailyPaid * float64(daysCovered))
 	for k := 0; k < nPaid; k++ {
-		uid := int32(m.r.Intn(m.cfg.Profile.Users))
-		u := m.paidUser(uid)
-		if app, ok := m.drawPaid(u); ok {
-			m.hist.record(u, app, 0)
-			m.downloads[int(app)]++
-			m.total++
-			m.touchRow(int(app))
+		uid := int32(s.r.Intn(s.cfg.Profile.Users))
+		u := s.paidUser(uid)
+		if app, ok := s.drawPaid(u); ok {
+			s.hist.record(u, app, 0)
+			s.log.draws = append(s.log.draws, app)
 		}
 	}
 }

@@ -87,7 +87,7 @@ func (p *Partitioner) PartitionMarket(m *Market) *Export {
 		day:      m.day,
 		n:        n,
 		catNames: m.catNames,
-		devNames: m.syncDevNames(),
+		devNames: m.devNames,
 		apps:     make([][]catalog.App, nca),
 		dls:      make([][]int64, nc),
 		vers:     make([][]uint32, nc),

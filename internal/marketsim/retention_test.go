@@ -139,25 +139,50 @@ func TestMarketFootprint(t *testing.T) {
 }
 
 // TestSecondMarketFootprint bounds what the second market of a key holds,
-// built before any market of the key rolls. It reads the first one's day 0
-// in place — genesis, catalog, sampling tables, user states, tracking
-// arrays and downloads — so it holds its own struct and the catalog,
-// generator and series headers callers may point at, and nothing that
-// grows with apps, users or events: 4 KiB is a few times that. A second
-// market that built its own day 0 held 2.0 MB here.
+// built before any market of the key rolls and then stepped day by day
+// beside the first. Built, it reads the first one's day 0 in place —
+// genesis, catalog, sampling tables, user states, tracking arrays and
+// downloads — so it holds its own struct and the catalog and series
+// headers callers may point at, and nothing that grows with apps, users or
+// events: 4 KiB is a few times that. A second market that built its own day
+// 0 held 2.0 MB here. Stepped, the two share each day's simulation, so the
+// second holds its own counts and row versions (16 B an app, with the room
+// Market.observe leaves for arrivals), the same 4 KiB and at most the day
+// log; when each market stepped a copy of its own it held 4.5 MB.
 func TestSecondMarketFootprint(t *testing.T) {
-	const users = 20_000
+	const users, days = 20_000, 16
 	first, firstHeld := held(t, retentionConfig(users), true)
 	second, secondHeld := held(t, retentionConfig(users), false)
 	if !sharesDayZero(first, second) {
 		t.Fatal("the second market of a key built a day 0 of its own")
 	}
+	for d := 0; d < days; d++ {
+		if err := first.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := second.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if first.dayEntry != second.dayEntry {
+		t.Fatal("two same-key markets stepped alike do not share their day")
+	}
+	n := second.cat.NumApps()
+	dayLog := int64(4*cap(second.log.rows) + 4*cap(second.log.draws))
+	withSecond := heapAfterGC()
+	runtime.KeepAlive(second)
+	rolledHeld := int64(withSecond) - int64(heapAfterGC())
+	runtime.KeepAlive(first)
 	if raceEnabled {
 		return
 	}
-	t.Logf("%d users: the first market of a key holds %d bytes, the second %d", users, firstHeld, secondHeld)
+	t.Logf("%d users: the first market of a key holds %d bytes, the second %d built and %d after %d days (%d apps)",
+		users, firstHeld, secondHeld, rolledHeld, days, n)
 	if secondHeld > 4<<10 {
 		t.Fatalf("a second same-key market holds %d bytes, want <= %d", secondHeld, 4<<10)
+	}
+	if bound := int64(16*(n+n/64)) + 4<<10 + dayLog; rolledHeld > bound {
+		t.Fatalf("a second same-key market holds %d bytes after %d days, want <= %d", rolledHeld, days, bound)
 	}
 }
 
@@ -170,7 +195,7 @@ func TestSecondMarketFootprint(t *testing.T) {
 // histories gained from day 1 to day 40 within that many slots plus one
 // block and the paid stream's user records. The heap is the histories'
 // own, what a collection frees once they are dropped: a market's whole
-// heap also holds the copies its first Step makes and the arrays that
+// heap also holds the counts its first Step copies and the arrays that
 // arrivals regrow, and the difference from a twin whose users download
 // nothing read negative. A budget carved whole at a user's first download
 // (328 B here) adds 3.5 MB, twelve times the bound. Run on to the end of

@@ -331,23 +331,22 @@ func heldBy(build func() any) int64 {
 // its quarter straight out of its market, so none builds or keeps the dense
 // export an unsharded store serves from. Before any of that, four shards
 // held four schedules, four catalogs, four day-0 markets and four dense
-// exports: more than four single stores.
+// exports: more than four single stores. Once every member has rolled, two
+// of them absorbing written downloads, they still share each day's
+// simulation, and a further member holds its own counts and row versions
+// beside what it held before. When each member stepped a copy of its own,
+// the fleet held 24.0 MB here after eight days, against a bound of 12.7.
 func TestShardsHoldOneGenesisAndNoDenseExport(t *testing.T) {
 	const (
 		apps   = 20_000
 		shards = 4
+		days   = 8
 	)
 	// A market of another key takes each memo's one entry, so that each
 	// measurement below starts from a genesis and a day-0 market it has to
 	// build and hold itself.
 	displaceGenesis := func() { lowChurnMarket(t, 10, 0) }
-
-	displaceGenesis()
-	market := heldBy(func() any { return retentionMarket(t, apps) })
-	displaceGenesis()
-	single := heldBy(func() any { return New(retentionMarket(t, apps), Config{PageSize: 100}) })
-	displaceGenesis()
-	fleet := heldBy(func() any {
+	newFleet := func() *[shards]*Server {
 		var members [shards]*Server
 		for k := range members {
 			k := int32(k)
@@ -355,7 +354,61 @@ func TestShardsHoldOneGenesisAndNoDenseExport(t *testing.T) {
 			members[k] = New(retentionMarket(t, apps), Config{PageSize: 100, Partition: part})
 		}
 		return &members
+	}
+	// roll advances members days days, every member a day before any the
+	// next, the first written of them absorbing downloads of apps it owns.
+	roll := func(members []*Server, written int) {
+		for d := 0; d < days; d++ {
+			for k, s := range members {
+				for j := 0; k < written && j < 50; j++ {
+					rec := wal.Rec{Kind: wal.Download, App: int32(k + shards*j), User: int32(100*d + j)}
+					if _, err := s.wlog.Append(rec, ""); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.AdvanceDay(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	displaceGenesis()
+	market := heldBy(func() any { return retentionMarket(t, apps) })
+	displaceGenesis()
+	single := heldBy(func() any { return New(retentionMarket(t, apps), Config{PageSize: 100}) })
+	displaceGenesis()
+	fleet := heldBy(func() any { return newFleet() })
+
+	displaceGenesis()
+	marketRolled := heldBy(func() any {
+		m := retentionMarket(t, apps)
+		for d := 0; d < days; d++ {
+			if err := m.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
 	})
+	displaceGenesis()
+	singleRolled := heldBy(func() any {
+		s := New(retentionMarket(t, apps), Config{PageSize: 100})
+		roll([]*Server{s}, 0)
+		return s
+	})
+	displaceGenesis()
+	var merged int64
+	fleetRolled := heldBy(func() any {
+		members := newFleet()
+		roll(members[:], 2)
+		for _, s := range members {
+			merged += s.WALStats().Merged
+		}
+		return members
+	})
+	if merged != 2*days*50 {
+		t.Fatalf("the fleet merged %d written downloads, want %d", merged, 2*days*50)
+	}
 	if raceEnabled {
 		return // the race allocator's shadow memory swamps a byte bound
 	}
@@ -372,5 +425,16 @@ func TestShardsHoldOneGenesisAndNoDenseExport(t *testing.T) {
 	if fleet > bound {
 		t.Fatalf("%d shards hold %d bytes, want <= %d: one store plus %d without a market or a dense export",
 			shards, fleet, bound, shards-1)
+	}
+	// Rolled, a further shard is also allowed its own counts and row
+	// versions: 16 B an app, with room for 1/64 more apps and for the
+	// arrivals of the days rolled.
+	obs := int64(16 * (apps + apps/64 + days*apps/1000))
+	rolledBound := singleRolled + (shards-1)*(obs+singleRolled-marketRolled-dense+dense/shards)
+	t.Logf("after %d days: a market holds %d bytes, a single store %d, %d shards %d: bound %d",
+		days, marketRolled, singleRolled, shards, fleetRolled, rolledBound)
+	if fleetRolled > rolledBound {
+		t.Fatalf("after %d days %d shards hold %d bytes, want <= %d: one store plus %d with their own counts and no market",
+			days, shards, fleetRolled, rolledBound, shards-1)
 	}
 }

@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"planetapps/internal/catalog"
 	"planetapps/internal/marketsim"
@@ -92,7 +93,10 @@ func TestSnapshotConsistencyUnderAdvanceDay(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	// started counts each reader's iterations as they begin: two more than
+	// at a roll mean one began and ended after it.
+	var started [4]atomic.Int64
+	for g := range started {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -102,6 +106,7 @@ func TestSnapshotConsistencyUnderAdvanceDay(t *testing.T) {
 					return
 				default:
 				}
+				started[g].Add(1)
 
 				if rec, day := get("/api/v1/stats"); day >= 0 {
 					var st StatsJSON
@@ -156,7 +161,12 @@ func TestSnapshotConsistencyUnderAdvanceDay(t *testing.T) {
 		if got := s.Day(); got != day {
 			t.Fatalf("Day() = %d after advancing to %d", got, day)
 		}
-		time.Sleep(2 * time.Millisecond)
+		// Every reader reads the new day before the next roll.
+		for g := range started {
+			for at := started[g].Load(); started[g].Load() < at+2; {
+				runtime.Gosched()
+			}
+		}
 	}
 	close(stop)
 	wg.Wait()
