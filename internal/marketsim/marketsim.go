@@ -242,9 +242,9 @@ type sim struct {
 	// of a serving store's live heap) and read in place. Its order is part
 	// of the seed's contract (package comment): streaming it from a keyed
 	// permutation would be smaller still and would re-roll every recorded
-	// experiment and crawl. It, freeBudget and the opening prefix of appeal
-	// belong to the seed's genesis and are shared, read-only, with every
-	// same-key market in the process. nextEvent tracks the consumption;
+	// experiment and crawl. It and freeBudget belong to the seed's genesis
+	// and are shared, read-only, by every state of the key in the process,
+	// as the day-0 state's appeal is. nextEvent tracks the consumption;
 	// totalPeriods is Days+WarmupDays.
 	schedule     packedSeq
 	nextEvent    int
