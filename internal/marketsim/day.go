@@ -4,6 +4,7 @@ import (
 	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"planetapps/internal/catalog"
 )
@@ -18,7 +19,9 @@ import (
 // refs, next, building and inPlace change under chainMu only. The sim is
 // written only by a market stepping the entry in place, which it does only
 // when refs says nobody else reads it or can reach it and after setting
-// inPlace, so that no New joins it.
+// inPlace, so that no New joins it. An export may still hold the day's
+// catalog rows then: exported says so, and the step moves the rows onto a
+// copy before it writes one.
 type dayEntry struct {
 	sim
 	// refs counts the markets on the entry, plus one while a live entry
@@ -30,6 +33,10 @@ type dayEntry struct {
 	// inPlace is set when a market steps the entry in place: it is no
 	// longer the day it was, and nobody may join it.
 	inPlace bool
+	// exported is set by every export of the entry's day (same-key markets
+	// export it concurrently) and cleared by the in-place step that copies
+	// the rows those exports hold.
+	exported atomic.Bool
 }
 
 // chainMu guards every dayEntry's refs, next, building and inPlace.
@@ -79,7 +86,7 @@ func (e *dayEntry) advance() *dayEntry {
 	if e.refs == 1 {
 		e.inPlace = true
 		chainMu.Unlock()
-		e.sim.step(true)
+		e.sim.step(true, e.exported.Swap(false))
 		return e
 	}
 	done := make(chan struct{})
@@ -97,18 +104,22 @@ func (e *dayEntry) advance() *dayEntry {
 		chainMu.Unlock()
 		close(done)
 	}()
-	n = &dayEntry{sim: *e.sim.step(false)}
+	n = &dayEntry{sim: *e.sim.step(false, false)}
 	return n
 }
 
 // step simulates the day after s's, on s itself or on a copy of it, and
-// returns the state it stepped. The day's first draw is its arrival count,
-// which sizes the copy.
-func (s *sim) step(inPlace bool) *sim {
+// returns the state it stepped; in place, it first moves rows an export
+// holds onto a copy. The day's first draw is its arrival count, which
+// sizes either copy.
+func (s *sim) step(inPlace, rowsExported bool) *sim {
 	r := *s.r
 	arrivals := r.Poisson(s.cfg.Profile.NewAppsPerDay)
-	if !inPlace {
+	switch {
+	case !inPlace:
 		s = s.clone(arrivals)
+	case rowsExported:
+		s.cat.Apps = withRoom(s.cat.Apps, arrivals)
 	}
 	*s.r = r
 	s.day++

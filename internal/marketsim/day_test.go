@@ -2,10 +2,12 @@ package marketsim
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
+	"planetapps/internal/catalog"
 	"planetapps/internal/rng"
 )
 
@@ -173,5 +175,129 @@ func TestSameKeyMarketsMatchSoloTwins(t *testing.T) {
 	if !lagged || beside == 0 || ms[0].Day() < 5 {
 		t.Fatalf("the interleaving never had a laggard two days behind (%v), a sibling exporting beside a step (%d) or five days (%d): the checks were weak",
 			lagged, beside, ms[0].Day())
+	}
+}
+
+// TestExportOutlivesAnInPlaceStep: an export reads its day's row array, not a
+// copy, so a lone market — the only reader of its day entry, which it steps
+// in place — must move the next day onto a copy of the rows before writing
+// one. A whole-catalog export and a partition taken on one day are read on a
+// second goroutine while the market steps eight days in place, and every
+// row must read as it did when exported. Run under -race -cpu 1,4 -count=10
+// (cpu14), where a write to an exported row is also a reported race.
+func TestExportOutlivesAnInPlaceStep(t *testing.T) {
+	const days = 8
+	cfg := retentionConfig(4000)
+	cfg.Profile.PaidFraction = 0.3 // enough paid apps for price moves
+	m := soloBuild(t, cfg, 5)
+	for d := 0; d < 3; d++ {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry := m.dayEntry
+	whole := m.Export()
+	part := NewPartitioner(ownsMod(1, 3)).PartitionMarket(m)
+	want := make([]catalog.App, whole.NumApps())
+	for i := range want {
+		want[i] = whole.App(i)
+	}
+	// changed reports the first row of either export that no longer reads
+	// as exported, or -1.
+	changed := func() int {
+		for i := range want {
+			if whole.App(i) != want[i] {
+				return i
+			}
+		}
+		for i := 0; i < part.NumApps(); i++ {
+			if part.App(i) != want[part.ID(i)] {
+				return int(part.ID(i))
+			}
+		}
+		return -1
+	}
+
+	stop := make(chan struct{})
+	moved := make(chan int, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				moved <- changed()
+				return
+			default:
+				if i := changed(); i >= 0 {
+					moved <- i
+					return
+				}
+			}
+		}
+	}()
+	stepped := func() error {
+		for d := 0; d < days; d++ {
+			if err := m.Step(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}()
+	close(stop)
+	if i := <-moved; i >= 0 {
+		t.Fatalf("app %d: an exported row changed while the market stepped in place", i)
+	}
+	if stepped != nil {
+		t.Fatal(stepped)
+	}
+
+	if m.dayEntry != entry || !entry.inPlace {
+		t.Fatal("the lone market did not step its day entry in place")
+	}
+	var bumps, moves int
+	for i, a := range m.Catalog().Apps[:len(want)] {
+		if a.Versions != want[i].Versions {
+			bumps++
+		}
+		if a.Price != want[i].Price {
+			moves++
+		}
+	}
+	if bumps == 0 || moves == 0 {
+		t.Fatalf("%d days brought %d version bumps and %d price moves: the exported rows were never at risk", days, bumps, moves)
+	}
+}
+
+// TestUnexportedMarketStepsWithoutCopyingRows: the copy that keeps exported
+// rows unwritten is paid only by a market that exports. A lone market that
+// never does — the experiments' and simulate's markets — steps its rows in
+// place, so one Step allocates less than one copy of them. Arrivals are
+// switched off, since they grow the rows by append.
+func TestUnexportedMarketStepsWithoutCopyingRows(t *testing.T) {
+	const apps = 20_000
+	cfg := retentionConfig(apps)
+	cfg.Profile.NewAppsPerDay = 0
+	m := soloBuild(t, cfg, 3)
+	for d := 0; d < 3; d++ { // past the first Step, which copies the day-0 counts
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry := m.dayEntry
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := m.Step(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if m.dayEntry != entry || !entry.inPlace {
+		t.Fatal("the lone market did not step its day entry in place")
+	}
+	if raceEnabled {
+		return // the race allocator's shadow memory swamps a byte bound
+	}
+	step, rows := after.TotalAlloc-before.TotalAlloc, uint64(64*apps)
+	t.Logf("one in-place Step of a %d-app market allocated %d bytes; a copy of its rows is %d", apps, step, rows)
+	if step >= rows {
+		t.Fatalf("one in-place Step allocated %d bytes, want < %d (one copy of the rows)", step, rows)
 	}
 }

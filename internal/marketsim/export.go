@@ -6,43 +6,36 @@ import (
 	"planetapps/internal/catalog"
 )
 
-// Export chunk geometry. 64 apps per chunk keeps a chunk's catalog rows
-// (64 x 64 B = one page) cheap to copy when dirty while making the clean
+// Export chunk geometry for the download and version vectors. 64 apps per
+// chunk keeps a chunk cheap to copy when dirty while making the clean
 // majority shareable at fine grain.
 const (
 	chunkShift = 6
-	// ExportChunk is the number of app rows per copy-on-write export chunk.
+	// ExportChunk is the number of apps per copy-on-write export chunk.
 	ExportChunk = 1 << chunkShift
 	chunkMask   = ExportChunk - 1
-
-	// The catalog-row family uses finer chunks than the download/version
-	// vectors: a row is 64 B, so at ExportChunk granularity one updated
-	// app costs a 4 KB copy. Sixteen-row chunks cut the row-churn copy 4x
-	// while the 8- and 4-byte-per-entry vectors stay at the coarser
-	// grain, where their copy is already cheap and the per-chunk slice
-	// headers are not.
-	appChunkShift  = 4
-	appExportChunk = 1 << appChunkShift
-	appChunkMask   = appExportChunk - 1
 )
 
 // numChunks returns the chunk count covering n apps.
 func numChunks(n int) int { return (n + ExportChunk - 1) >> chunkShift }
-
-// numAppChunks returns the row-family chunk count covering n apps.
-func numAppChunks(n int) int { return (n + appExportChunk - 1) >> appChunkShift }
 
 // Export is an immutable view of the market state a serving layer needs:
 // the day index, per-app catalog rows, per-app cumulative downloads,
 // per-app row versions, and the category/developer name tables. Holders
 // may read it indefinitely while the market steps.
 //
-// Internally the row, download, and version vectors are chunked: each
-// chunk is either a fresh copy of the live state or — when no row in it
-// changed since the previous export of the same Partitioner — the previous
-// export's chunk, shared. Chunks are write-once after construction, so
-// sharing is invisible to readers; it is what makes a daily export
-// O(changed) instead of O(catalog).
+// The catalog rows are the simulated day's own row array, not a copy: every
+// export of one day, whole or partitioned, from any same-key market, reads
+// that one array, and holding an export pins it. A day's rows are never
+// written once exported (dayEntry.exported): a market stepping its entry in
+// place moves the next day onto a copy first.
+//
+// The download and version vectors are chunked: each chunk is either a
+// fresh copy of the market's counts or — when no row in it changed since
+// the previous export of the same Partitioner — the previous export's
+// chunk, shared. Chunks are write-once after construction, so sharing is
+// invisible to readers; it is what makes a daily export O(changed) instead
+// of O(catalog).
 //
 // Version semantics: RowVer(i) advances (at most once per simulated day)
 // whenever app i's catalog row or download count changes, so two Exports
@@ -59,7 +52,8 @@ type Export struct {
 	catNames []string
 	devNames []string
 
-	apps     [][]catalog.App
+	// rows is the day's whole catalog, cap == len; row i is rows[ID(i)].
+	rows     []catalog.App
 	dls      [][]int64
 	vers     [][]uint32
 	chunkVer []uint64
@@ -139,7 +133,7 @@ func (e *Export) CategoryNames() []string { return e.catNames }
 func (e *Export) DeveloperNames() []string { return e.devNames }
 
 // App returns app i's catalog row by value.
-func (e *Export) App(i int) catalog.App { return e.apps[i>>appChunkShift][i&appChunkMask] }
+func (e *Export) App(i int) catalog.App { return e.rows[e.ID(i)] }
 
 // Downloads returns app i's cumulative download count.
 func (e *Export) Downloads(i int) int64 { return e.dls[i>>chunkShift][i&chunkMask] }
@@ -222,20 +216,11 @@ func chunkSpan(c, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// appChunkSpan is chunkSpan at the row family's finer grain.
-func appChunkSpan(c, n int) (lo, hi int) {
-	lo = c << appChunkShift
-	hi = lo + appExportChunk
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
 // Export snapshots the serving-relevant state: the partition that owns the
 // whole catalog (a dense export, ID(i) == i), cut by the market's own
-// Partitioner. Consecutive exports share every chunk in which no row
-// changed, so the copy cost is proportional to the day's churn, not the
-// catalog. Export must not run concurrently with Step or with another
-// Export; the returned value is then safe to share across goroutines.
+// Partitioner. It copies no catalog row, and consecutive exports share
+// every count chunk in which no row changed, so the copy cost is
+// proportional to the day's churn, not the catalog. Export must not run
+// concurrently with Step or with another Export; the returned value is then
+// safe to share across goroutines.
 func (m *Market) Export() *Export { return m.whole.PartitionMarket(m) }

@@ -51,7 +51,7 @@
 // links forward; the others adopt it and apply its day log, one row per
 // change and one app per download, to their own counts. So markets that
 // step together hold one simulation between them, whether they never roll
-// or roll every day.
+// or roll every day, and their exports read its rows rather than copies.
 package marketsim
 
 import (
@@ -487,7 +487,10 @@ func drawAppeal(r *rng.RNG, apps int, zipfGlobal float64) float64 {
 
 // Catalog exposes the market's evolving catalog, read-only to callers. The
 // header is the market's own; its slices are its day's simulation state,
-// which every same-key market on that day reads.
+// which every same-key market on that day reads. Its rows are also the
+// rows every export of that day reads: a Step may write them in place only
+// while no export holds them, so rows read through an old header may move,
+// where an export's never do.
 func (m *Market) Catalog() *catalog.Catalog { return m.cat }
 
 // Day returns the current day index (number of completed days - 1).

@@ -1,20 +1,15 @@
 package marketsim
 
-import (
-	"slices"
-
-	"planetapps/internal/catalog"
-)
-
 // Partitioner carves a slice of one market day after day, preserving the
 // chunked copy-on-write structure that makes day-rolls incremental. It is
 // the one export engine: a single store's Export is the partition of a
 // partitioner that owns the whole catalog, and a fleet of N store nodes
 // each runs the same deterministic market (same config, same seed) and
 // partitions it with its own ownership predicate; the union of the fleet's
-// partitions is exactly the whole catalog's, row for row. The rows are
-// copied straight out of the live market, so a shard never builds or keeps
-// a dense export it would use a 1/N of.
+// partitions is exactly the whole catalog's, row for row. A partition reads
+// its rows in the day's own row array and copies only its counts out of the
+// live market, so a shard never builds or keeps a dense export it would use
+// a 1/N of, nor a copy of the catalog rows.
 //
 // The partition is itself an Export, chunked in partition row space:
 // chunk c of the partition covers the shard's rows [c*ExportChunk,
@@ -25,11 +20,10 @@ import (
 // snapshot layer's chunk-granular document carry depends on.
 //
 // Sharing: a partition chunk whose every row has an unchanged RowVer since
-// the previous call is shared with the previous export (both the download
-// and version vectors at ExportChunk grain and the catalog rows at
-// appExportChunk grain), so a day-roll costs the day's churn. The scan to
-// decide sharing is O(partition size) integer compares — a few
-// microseconds per hundred thousand rows, noise next to the market step.
+// the previous call shares the previous export's download and version
+// vectors, so a day-roll costs the day's churn. The scan to decide sharing
+// is O(partition size) integer compares — a few microseconds per hundred
+// thousand rows, noise next to the market step.
 type Partitioner struct {
 	owns func(id int32) bool // nil: the whole catalog, exported dense
 
@@ -64,7 +58,8 @@ func (p *Partitioner) global(j int) int {
 }
 
 // PartitionMarket exports the partition's rows of m's current day, sharing
-// every chunk with no changed row with the previous call's export. m must
+// every chunk with no changed row with the previous call's export. It marks
+// the day's rows exported, so that no step writes them again. m must
 // be the same market on every call (monotone days, append-only catalog).
 // It must not run concurrently with Step or with itself; the returned
 // Export is immutable and safe to share.
@@ -81,14 +76,14 @@ func (p *Partitioner) PartitionMarket(m *Market) *Export {
 		n = len(p.ids)
 	}
 	nc := numChunks(n)
-	nca := numAppChunks(n)
+	m.dayEntry.exported.Store(true)
 	e := &Export{
 		store:    m.cat.Name,
 		day:      m.day,
 		n:        n,
 		catNames: m.catNames,
 		devNames: m.devNames,
-		apps:     make([][]catalog.App, nca),
+		rows:     m.cat.Apps, // the entry's, clipped by syncCatalog
 		dls:      make([][]int64, nc),
 		vers:     make([][]uint32, nc),
 		chunkVer: make([]uint64, nc),
@@ -150,26 +145,6 @@ func (p *Partitioner) PartitionMarket(m *Market) *Export {
 		}
 		e.dls[c], e.vers[c], e.chunkVer[c] = dls, vers, cv
 	}
-	// A row chunk lies inside one version chunk, and e.vers already holds
-	// its rows' versions: it is shared iff they equal prev's, as they do
-	// when the version chunk itself is shared.
-	for c := 0; c < nca; c++ {
-		lo, hi := appChunkSpan(c, n)
-		if prev != nil && c < len(prev.apps) && len(prev.apps[c]) == hi-lo {
-			vc, off := lo>>chunkShift, lo&chunkMask
-			if &e.vers[vc][0] == &prev.vers[vc][0] ||
-				slices.Equal(e.vers[vc][off:off+hi-lo], prev.vers[vc][off:off+hi-lo]) {
-				e.apps[c] = prev.apps[c]
-				continue
-			}
-		}
-		apps := make([]catalog.App, hi-lo)
-		for j := lo; j < hi; j++ {
-			apps[j-lo] = m.cat.Apps[p.global(j)]
-		}
-		e.apps[c] = apps
-	}
-
 	p.prev = e
 	return e
 }

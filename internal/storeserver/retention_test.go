@@ -329,13 +329,15 @@ func heldBy(build func() any) int64 {
 // day-0 market in place — genesis (its packed download schedule above all),
 // catalog, sampling tables, user states and downloads — and each exports
 // its quarter straight out of its market, so none builds or keeps the dense
-// export an unsharded store serves from. Before any of that, four shards
-// held four schedules, four catalogs, four day-0 markets and four dense
-// exports: more than four single stores. Once every member has rolled, two
-// of them absorbing written downloads, they still share each day's
-// simulation, and a further member holds its own counts and row versions
-// beside what it held before. When each member stepped a copy of its own,
-// the fleet held 24.0 MB here after eight days, against a bound of 12.7.
+// export an unsharded store serves from, nor a copy of the catalog rows.
+// Before any of that, four shards held four schedules, four catalogs, four
+// day-0 markets and four dense exports: more than four single stores. Once
+// every member has rolled, two of them absorbing written downloads, they
+// still share each day's simulation, and a further member holds its own
+// counts and row versions beside what it held before. When each member
+// stepped a copy of its own, the fleet held 24.0 MB here after eight days;
+// when each export copied its rows, 9.44 MB at day 0 and 10.8 MB rolled,
+// against bounds now of 8.29 and 10.2.
 func TestShardsHoldOneGenesisAndNoDenseExport(t *testing.T) {
 	const (
 		apps   = 20_000
@@ -412,25 +414,28 @@ func TestShardsHoldOneGenesisAndNoDenseExport(t *testing.T) {
 	if raceEnabled {
 		return // the race allocator's shadow memory swamps a byte bound
 	}
-	// 76 B a row (a 64 B row, an 8 B count and a 4 B version) in the dense
-	// export. A further shard is allowed what a single store holds beside
-	// its market, less the dense export, plus its own share of the rows.
-	// That each such store's fixed state is counted whole is the headroom
-	// (13 %: a further shard held 0.21 MB here, its allowance is 0.62).
-	// When each shard built its own day 0 the fleet held 15.4 MB.
-	const dense = (64 + 8 + 4) * apps
-	bound := single + (shards-1)*(single-market-dense+dense/shards)
-	t.Logf("%d apps: a market holds %d bytes, a single store %d (dense export %d), %d shards %d: bound %d",
-		apps, market, single, dense, shards, fleet, bound)
+	// 12 B a row (an 8 B count and a 4 B version) in the dense export: its
+	// rows are the market's own. A further shard is allowed what a single
+	// store holds beside its market, less the dense export, plus its own
+	// share of the count vectors. That each such store's fixed state is
+	// counted whole is the headroom.
+	const dense = (8 + 4) * apps
+	fixed := single - market - dense
+	bound := single + (shards-1)*(fixed+dense/shards)
+	t.Logf("%d apps: a market holds %d bytes, a single store %d (dense export %d, fixed state %d), %d shards %d: bound %d",
+		apps, market, single, dense, fixed, shards, fleet, bound)
 	if fleet > bound {
 		t.Fatalf("%d shards hold %d bytes, want <= %d: one store plus %d without a market or a dense export",
 			shards, fleet, bound, shards-1)
 	}
-	// Rolled, a further shard is also allowed its own counts and row
-	// versions: 16 B an app, with room for 1/64 more apps and for the
-	// arrivals of the days rolled.
+	// Rolled, a further shard is allowed the same fixed state and share of
+	// the count vectors, and its own counts and row versions: 16 B an app,
+	// with room for 1/64 more apps and for the arrivals of the days rolled.
+	// The fixed state is the day-0 store's: a rolled lone market's rows grew
+	// by append, so its slack would make singleRolled - marketRolled no
+	// measure of what a store holds beside its market.
 	obs := int64(16 * (apps + apps/64 + days*apps/1000))
-	rolledBound := singleRolled + (shards-1)*(obs+singleRolled-marketRolled-dense+dense/shards)
+	rolledBound := singleRolled + (shards-1)*(obs+fixed+dense/shards)
 	t.Logf("after %d days: a market holds %d bytes, a single store %d, %d shards %d: bound %d",
 		days, marketRolled, singleRolled, shards, fleetRolled, rolledBound)
 	if fleetRolled > rolledBound {

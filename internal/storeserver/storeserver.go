@@ -219,8 +219,8 @@ func New(m *marketsim.Market, cfg Config) *Server {
 }
 
 // export freezes the market's serving state: all of it, or on a shard the
-// rows its partition owns, copied straight out of the market — a shard
-// never holds a dense export.
+// rows its partition owns, read in the market's day rows with their counts
+// copied out of it — a shard never holds a dense export.
 func (s *Server) export() *marketsim.Export {
 	if s.cfg.Partition != nil {
 		return s.cfg.Partition.PartitionMarket(s.market)

@@ -58,8 +58,9 @@ race() {
 # twins through a seeded interleaving of steps, deltas and exports with a
 # laggard and exports beside steps, a market that rolls keeps no
 # observation array of another and steps beside one on a copy, the day-0
-# entry is collected once every market has stepped, sixteen concurrent
-# builders over four keys) run ten times at both widths. Construction is pinned here too: the
+# entry is collected once every market has stepped, an export read on
+# another goroutine keeps its day's rows while a lone market steps in place,
+# sixteen concurrent builders over four keys) run ten times at both widths. Construction is pinned here too: the
 # catalog and comment digests taken before anything was built by counting,
 # the two sorts held to the reflective sorts they replaced (forced ties,
 # one element, none), and cap == len on every list, table and stream a
@@ -69,7 +70,7 @@ cpu14() {
 		-run 'Parallel|Invariance|Deterministic|TestSuite|TestWriteReplayDedups' \
 		./internal/model ./internal/experiments ./internal/loadgen
 	go test -race -cpu 1,4 -count=10 \
-		-run 'TestGenesisHitIsIndistinguishable|TestDayZeroHitIsIndistinguishable|TestSharedCatalogLifecycle|TestSameKeyMarketsShareNothingMutable|TestSameKeyMarketsMatchSoloTwins|TestSteppedViewAliasesNothing|TestDayZeroIsCollectedOnceEveryMarketRolls|TestConcurrentNewOverDistinctKeys|TestPanickedGenesisIsNotServed' \
+		-run 'TestGenesisHitIsIndistinguishable|TestDayZeroHitIsIndistinguishable|TestSharedCatalogLifecycle|TestSameKeyMarketsShareNothingMutable|TestSameKeyMarketsMatchSoloTwins|TestSteppedViewAliasesNothing|TestDayZeroIsCollectedOnceEveryMarketRolls|TestExportOutlivesAnInPlaceStep|TestConcurrentNewOverDistinctKeys|TestPanickedGenesisIsNotServed' \
 		./internal/marketsim
 	go test -race -cpu 1,4 \
 		-run 'TestGenerateDigests|TestBuiltAtFinalSize|ReflectiveSortsOrder' \
@@ -145,7 +146,8 @@ alloc() {
 # fails twice over; TestSecondMarketFootprint holds the second market of a
 # key to 4 KiB (it reads the first one's day 0 in place until it rolls),
 # and TestShardsHoldOneGenesisAndNoDenseExport four shards to one store
-# plus three that hold neither a market of their own nor a dense export.
+# plus three that hold neither a market of their own nor a dense export,
+# nor a copy of the catalog rows.
 # TestHistoryFootprintFollowsDownloads holds a stepping market's user
 # histories to what the users have downloaded so far (slot count and heap
 # growth at day 40, slot count at drain); a budget carved whole at first
