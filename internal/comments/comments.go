@@ -10,9 +10,7 @@
 package comments
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -93,31 +91,22 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 	r := rng.New(seed)
 
 	// Per-category Zipf samplers over the category's rank-ordered members,
-	// shared across categories of equal size.
-	bySize := map[int]*dist.Zipf{}
-	catZipf := make([]*dist.Zipf, len(c.Categories))
-	var nonEmpty []catalog.CategoryID
+	// shared across categories of equal size; a category is picked in
+	// proportion to its size.
+	sizes := make([]int, len(c.Categories))
 	weights := make([]float64, len(c.Categories))
+	populated := false
 	for i := range c.Categories {
-		n := len(c.Categories[i].Apps)
-		if n == 0 {
-			continue
-		}
-		z, ok := bySize[n]
-		if !ok {
-			var err error
-			z, err = dist.NewZipf(n, zipfApp)
-			if err != nil {
-				return nil, err
-			}
-			bySize[n] = z
-		}
-		catZipf[i] = z
-		nonEmpty = append(nonEmpty, catalog.CategoryID(i))
-		weights[i] = float64(n)
+		sizes[i] = len(c.Categories[i].Apps)
+		weights[i] = float64(sizes[i])
+		populated = populated || sizes[i] > 0
 	}
-	if len(nonEmpty) == 0 {
+	if !populated {
 		return nil, fmt.Errorf("comments: catalog has no populated categories")
+	}
+	catZipf, err := dist.NewZipfs(sizes, zipfApp)
+	if err != nil {
+		return nil, err
 	}
 	catPick := dist.MustCategorical(weights)
 
@@ -131,8 +120,11 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 
 	dayDur := 24 * time.Hour
 	// How many comments a user posts is drawn as the user is reached, so out
-	// grows by append; sortByTime returns the population at its final size.
-	var out []Comment
+	// grows by append, from room for the expected count (an ordinary user
+	// posts meanComments on average, a spam user 1+spamComments);
+	// sortByTime returns the population at its final size.
+	expected := (1-spamFraction)*meanComments + spamFraction*(1+spamComments)
+	out := make([]Comment, 0, int(float64(cfg.Users)*expected))
 	var history []catalog.AppID // the current user's, reused from user to user
 	for u := 0; u < cfg.Users; u++ {
 		uid := catalog.UserID(u)
@@ -177,34 +169,72 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 }
 
 // sortByTime returns cs ordered by timestamp, equal timestamps in the order
-// they came in, in a new slice of exactly that length. A stable sort has one
-// answer, so what is sorted is free: not the 40-byte comments through
-// time.Time.Compare, which was half of Generate, but one integer key a
-// comment — its instant and its position, a total order with no ties left —
-// and the comments are then moved once, each to its place.
+// they came in, in a new slice of exactly that length. It is a stable LSD
+// radix sort of one key a comment — its instant, whole seconds since the
+// population's earliest and then nanoseconds — a byte a pass from the
+// least significant up, and a byte that is the same in every key costs no
+// pass: Generate's instants are whole seconds within a few months, so
+// three passes order them. The comments are then moved once, each to its
+// place.
 func sortByTime(cs []Comment) []Comment {
-	type key struct {
-		sec      int64
-		nsec, at int32
-	}
-	keys := make([]key, len(cs))
-	for i := range cs {
-		keys[i] = key{cs[i].Time.Unix(), int32(cs[i].Time.Nanosecond()), int32(i)}
-	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if a.sec != b.sec {
-			return cmp.Compare(a.sec, b.sec)
-		}
-		if a.nsec != b.nsec {
-			return cmp.Compare(a.nsec, b.nsec)
-		}
-		return cmp.Compare(a.at, b.at)
-	})
 	out := make([]Comment, len(cs))
+	if len(cs) == 0 {
+		return out
+	}
+	first := cs[0].Time.Unix()
+	for i := range cs {
+		first = min(first, cs[i].Time.Unix())
+	}
+	keys := make([]timeKey, len(cs))
+	var differ timeKey // a bit where some key differs from the first
+	for i := range cs {
+		k := timeKey{uint64(cs[i].Time.Unix()) - uint64(first), uint32(cs[i].Time.Nanosecond()), int32(i)}
+		keys[i] = k
+		differ.sec |= k.sec ^ keys[0].sec
+		differ.nsec |= k.nsec ^ keys[0].nsec
+	}
+	into := make([]timeKey, len(cs))
+	for d := 0; d < timeKeyBytes; d++ {
+		if differ.byteAt(d) == 0 {
+			continue
+		}
+		var at [257]int // at[v+1] counts byte v, then at[v] is where the next key with byte v goes
+		for _, k := range keys {
+			at[int(k.byteAt(d))+1]++
+		}
+		for v := 1; v < len(at); v++ {
+			at[v] += at[v-1]
+		}
+		for _, k := range keys {
+			v := k.byteAt(d)
+			into[at[v]] = k
+			at[v]++
+		}
+		keys, into = into, keys
+	}
 	for i, k := range keys {
 		out[i] = cs[k.at]
 	}
 	return out
+}
+
+// timeKey is a comment's instant and its position in the unsorted stream.
+type timeKey struct {
+	sec  uint64 // whole seconds since the earliest comment
+	nsec uint32
+	at   int32
+}
+
+// timeKeyBytes is the number of radix digits in a timeKey's instant.
+const timeKeyBytes = 12
+
+// byteAt returns the instant's d-th byte, least significant first:
+// nanoseconds' four, then seconds' eight.
+func (k timeKey) byteAt(d int) byte {
+	if d < 4 {
+		return byte(k.nsec >> (8 * d))
+	}
+	return byte(k.sec >> (8 * (d - 4)))
 }
 
 // Filter applies the paper's cleaning rules to a raw comment stream:

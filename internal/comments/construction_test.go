@@ -74,3 +74,16 @@ func TestGenerateDigests(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGenerate times the population cmd/bench's comment-carrying rigs
+// build: the bench catalog, 20,000 commenting users.
+func BenchmarkGenerate(b *testing.B) {
+	c := benchCatalog(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(c, DefaultGenConfig(20000), 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -73,9 +73,11 @@ func Geometric(r *rng.RNG, p float64) int {
 }
 
 // Categorical samples indices 0..len(w)-1 with probability proportional to
-// the non-negative weights w. It precomputes a cumulative table.
+// the non-negative weights w. It precomputes a cumulative table and its
+// bucket guide, which a draw searches as Zipf's does.
 type Categorical struct {
-	cum []float64
+	cum   []float64
+	guide []int32 // newGuide(cum)
 }
 
 // NewCategorical builds a categorical distribution from weights. It returns
@@ -101,6 +103,7 @@ func NewCategorical(weights []float64) (*Categorical, error) {
 		c.cum[i] *= inv
 	}
 	c.cum[len(c.cum)-1] = 1
+	c.guide = newGuide(c.cum)
 	return c, nil
 }
 
@@ -115,17 +118,7 @@ func MustCategorical(weights []float64) *Categorical {
 
 // Sample draws an index.
 func (c *Categorical) Sample(r *rng.RNG) int {
-	u := r.Float64()
-	lo, hi := 0, len(c.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return search(c.cum, c.guide, r.Float64())
 }
 
 // P returns the probability of index i.

@@ -50,16 +50,26 @@ type Options struct {
 // over the ring partition k owns, comment streams, chaos. appstored calls
 // it once; NewInproc calls it for every k.
 func NewShard(opts Options, k int) (*storeserver.Server, error) {
-	return newShard(opts, k, new([]comments.Comment))
+	return newShard(opts, k, new(fleetShared))
 }
 
 // generateComments is comments.Generate, a variable so that a test can
 // count the populations a fleet generates.
 var generateComments = comments.Generate
 
-// newShard is NewShard given where the fleet's comment population is kept:
-// the first member to need it generates it there, the rest attach it.
-func newShard(opts Options, k int, population *[]comments.Comment) (*storeserver.Server, error) {
+// fleetShared is what the members of one fleet build once between them:
+// the first member to need either builds it, the rest use it.
+type fleetShared struct {
+	// ring partitions the catalog; every member's partitioner reads its
+	// ownership table, so the fleet hashes each app once.
+	ring *Ring
+	// population is the comment population every member keeps the streams
+	// of its own apps from.
+	population []comments.Comment
+}
+
+// newShard is NewShard given what the fleet's members share.
+func newShard(opts Options, k int, shared *fleetShared) (*storeserver.Server, error) {
 	if k < 0 || k >= opts.Shards {
 		return nil, fmt.Errorf("fleet: shard %d outside a fleet of %d", k, opts.Shards)
 	}
@@ -82,7 +92,10 @@ func newShard(opts Options, k int, population *[]comments.Comment) (*storeserver
 	scfg.Node = shardName(k)
 	node := -1
 	if opts.Shards > 1 {
-		scfg.Partition = marketsim.NewPartitioner(NewRing(opts.Shards, opts.Vnodes).OwnsFunc(k))
+		if shared.ring == nil {
+			shared.ring = NewRing(opts.Shards, opts.Vnodes)
+		}
+		scfg.Partition = marketsim.NewPartitioner(shared.ring.OwnsFunc(k))
 		node = k
 	}
 	srv := storeserver.New(m, scfg)
@@ -91,14 +104,14 @@ func newShard(opts Options, k int, population *[]comments.Comment) (*storeserver
 		// catalog every member shares and of the seed, so whichever member
 		// generated it, SetComments keeps the streams of the apps this shard
 		// owns and serves the documents a single node would for them.
-		if *population == nil {
+		if shared.population == nil {
 			cs, err := generateComments(m.Catalog(), comments.DefaultGenConfig(opts.CommentUsers), opts.Seed+1)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: shard %d comments: %w", k, err)
 			}
-			*population = cs
+			shared.population = cs
 		}
-		srv.SetComments(*population)
+		srv.SetComments(shared.population)
 	}
 	if opts.Chaos != nil {
 		// The injector shares the server's registry so injected-fault
@@ -128,9 +141,9 @@ func NewInproc(opts Options) (*Inproc, error) {
 		return nil, fmt.Errorf("fleet: need at least 1 shard, got %d", opts.Shards)
 	}
 	ip := &Inproc{}
-	var population []comments.Comment // generated once, by shard 0
+	shared := new(fleetShared)
 	for k := 0; k < opts.Shards; k++ {
-		srv, err := newShard(opts, k, &population)
+		srv, err := newShard(opts, k, shared)
 		if err != nil {
 			return nil, err
 		}

@@ -14,6 +14,8 @@ package fleet
 import (
 	"math/bits"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"planetapps/internal/rng"
 )
@@ -43,6 +45,14 @@ type Ring struct {
 	// half a point on average.
 	first      []int32
 	bucketBits uint
+
+	// owners[id] is Owner(id) for the ids [0, len(owners)): the ring's
+	// ownership table, one byte an app, which OwnsFunc reads and extends
+	// (ownerOf). A published table is never written again; a longer one is
+	// built under grow and swapped in whole. Rings of more than 256 shards
+	// keep none.
+	owners atomic.Pointer[[]uint8]
+	grow   sync.Mutex
 }
 
 type ringPoint struct {
@@ -52,6 +62,9 @@ type ringPoint struct {
 
 // maxBucketBits caps the bucket table at 256 KiB.
 const maxBucketBits = 16
+
+// minOwnerTable is the length an ownership table starts at.
+const minOwnerTable = 4096
 
 // NewRing builds the ring for a fleet of shards nodes with vnodes virtual
 // points per shard (<=0 uses DefaultVnodes). shards must be >= 1.
@@ -108,9 +121,47 @@ func (r *Ring) Owner(id int32) int {
 }
 
 // OwnsFunc returns the ownership predicate for one shard — the closure a
-// shard hands to marketsim.NewPartitioner.
+// shard hands to marketsim.NewPartitioner. Every shard built over one ring
+// reads its ownership table, so a fleet's partitioners hash each app once
+// between them.
 func (r *Ring) OwnsFunc(shard int) func(int32) bool {
-	return func(id int32) bool { return r.Owner(id) == shard }
+	return func(id int32) bool { return r.ownerOf(id) == shard }
+}
+
+// ownerOf is Owner(id), read from the ownership table. The id just past
+// the table's end doubles it (to minOwnerTable at first): partitioners scan
+// ids in order as apps arrive, so each is hashed once. Any other id outside
+// the table, a negative one or one beyond an id no scan has reached, is
+// hashed on its own and grows nothing.
+func (r *Ring) ownerOf(id int32) int {
+	if r.shards > 1<<8 {
+		return r.Owner(id)
+	}
+	var owners []uint8
+	if t := r.owners.Load(); t != nil {
+		owners = *t
+	}
+	if uint(id) < uint(len(owners)) {
+		return int(owners[id])
+	}
+	if int(id) != len(owners) {
+		return r.Owner(id)
+	}
+	r.grow.Lock()
+	defer r.grow.Unlock()
+	if t := r.owners.Load(); t != nil {
+		owners = *t
+	}
+	if int(id) >= len(owners) {
+		grown := make([]uint8, max(2*len(owners), minOwnerTable))
+		copy(grown, owners)
+		for i := len(owners); i < len(grown); i++ {
+			grown[i] = uint8(r.Owner(int32(i)))
+		}
+		r.owners.Store(&grown)
+		owners = grown
+	}
+	return int(owners[id])
 }
 
 // FNV-1a's 64-bit offset basis and prime.

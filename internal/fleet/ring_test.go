@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"sort"
+	"sync"
 	"testing"
 
 	"planetapps/internal/rng"
@@ -66,6 +67,51 @@ func TestOwnerMatchesSortedSearch(t *testing.T) {
 					t.Fatalf("%d shards x %d vnodes: id %d is owned by shard %d, want %d", shards, vnodes, id, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestOwnsFuncAgreesWithOwnerAsTheTableGrows holds the ownership table to
+// Owner: four goroutines, one a shard as a fleet's partitioners are, scan
+// ids upward through six doublings of one ring's table, each also reading
+// back an id below its own, a negative id and an id past every scan (both
+// hashed on their own), and OwnsFunc(k)(id) must be Owner(id) == k for
+// every one. The table then ends at the last id scanned, doubled to it
+// and no further, and is Owner's entry for entry.
+func TestOwnsFuncAgreesWithOwnerAsTheTableGrows(t *testing.T) {
+	const shards, ids = 4, 64 * minOwnerTable
+	ring := NewRing(shards, 0)
+	var wg sync.WaitGroup
+	for k := 0; k < shards; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			owns := ring.OwnsFunc(k)
+			r := rng.New(uint64(k))
+			check := func(id int32) bool {
+				if got, want := owns(id), ring.Owner(id) == k; got != want {
+					t.Errorf("shard %d: OwnsFunc(%d) = %v, Owner is %d", k, id, got, ring.Owner(id))
+					return false
+				}
+				return true
+			}
+			for id := int32(0); id < ids; id++ {
+				ok := check(id) && check(int32(r.Uint64n(uint64(id)+1))) &&
+					check(-1-id) && check(ids+int32(r.Uint64n(1<<30)))
+				if !ok {
+					return
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	owners := *ring.owners.Load()
+	if len(owners) != ids {
+		t.Fatalf("table holds %d ids after a scan of %d", len(owners), ids)
+	}
+	for id, o := range owners {
+		if int(o) != ring.Owner(int32(id)) {
+			t.Fatalf("table says id %d is shard %d's, Owner says %d", id, o, ring.Owner(int32(id)))
 		}
 	}
 }

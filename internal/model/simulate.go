@@ -38,22 +38,12 @@ func NewSimulator(kind Kind, cfg Config) (*Simulator, error) {
 		if s.cm == nil {
 			s.cm = RoundRobin(cfg.Apps, cfg.Clusters)
 		}
-		bySize := map[int]*dist.Zipf{}
-		s.clusterDist = make([]*dist.Zipf, s.cm.Clusters())
+		sizes := make([]int, s.cm.Clusters())
 		for c, members := range s.cm.Members {
-			n := len(members)
-			if n == 0 {
-				continue
-			}
-			z, ok := bySize[n]
-			if !ok {
-				z, err = dist.NewZipf(n, cfg.ZipfCluster)
-				if err != nil {
-					return nil, err
-				}
-				bySize[n] = z
-			}
-			s.clusterDist[c] = z
+			sizes[c] = len(members)
+		}
+		if s.clusterDist, err = dist.NewZipfs(sizes, cfg.ZipfCluster); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil

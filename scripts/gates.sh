@@ -65,6 +65,10 @@ race() {
 # the two sorts held to the reflective sorts they replaced (forced ties,
 # one element, none), and cap == len on every list, table and stream a
 # store builds — the catalog goroutine runs beside New at the second width.
+# So are the two set-up shortcuts those builds take: the bucket-guided Zipf
+# and categorical draws held to sort.SearchFloat64s's index, and a ring's
+# ownership table held to Owner while four shards' partitioners read and
+# grow it at once.
 cpu14() {
 	go test -race -timeout 20m -cpu 1,4 \
 		-run 'Parallel|Invariance|Deterministic|TestSuite|TestWriteReplayDedups' \
@@ -73,8 +77,8 @@ cpu14() {
 		-run 'TestGenesisHitIsIndistinguishable|TestDayZeroHitIsIndistinguishable|TestSharedCatalogLifecycle|TestSameKeyMarketsShareNothingMutable|TestSameKeyMarketsMatchSoloTwins|TestSteppedViewAliasesNothing|TestDayZeroIsCollectedOnceEveryMarketRolls|TestExportOutlivesAnInPlaceStep|TestConcurrentNewOverDistinctKeys|TestPanickedGenesisIsNotServed' \
 		./internal/marketsim
 	go test -race -cpu 1,4 \
-		-run 'TestGenerateDigests|TestBuiltAtFinalSize|ReflectiveSortsOrder' \
-		./internal/catalog ./internal/comments ./internal/marketsim ./internal/storeserver
+		-run 'TestGenerateDigests|TestBuiltAtFinalSize|ReflectiveSortsOrder|TestGuidedSearchIsSearchFloat64s|TestOwnsFuncAgreesWithOwnerAsTheTableGrows' \
+		./internal/catalog ./internal/comments ./internal/marketsim ./internal/storeserver ./internal/dist ./internal/fleet
 }
 
 # Compile-and-run the serving-path benchmarks a fixed 100 iterations: not a
