@@ -1,12 +1,13 @@
 #!/bin/sh
 # Prints the figures every simplicity PR quotes: non-test Go lines outside
-# the frozen benchmark harness, the same for each package directory given
+# the frozen benchmark harness and the build directory (scripts/pairs.sh
+# checks the parent out there), the same for each package directory given
 # as an argument (e.g. scripts/loc.sh internal/cache), and the line counts
 # of the four documents that describe the system.
 set -eu
 cd "$(dirname "$0")/.."
 count() {
-	find "$1" -name '*.go' ! -name '*_test.go' ! -path './cmd/bench/*' -print0 |
+	find "$1" -name '*.go' ! -name '*_test.go' ! -path './cmd/bench/*' ! -path './.bench_build/*' -print0 |
 		xargs -0 cat | wc -l
 }
 echo "non-test Go lines outside cmd/bench: $(count .)"

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Runs the benchmark in alternating pairs, a parent commit against the
 # working tree, and prints for every end-to-end metric of every workload
-# the pairs the change won, each side's median and quartiles, and then
-# `bench compare`'s verdict against BENCHMARK.json's bounds. It appends one
-# row to BENCH_history.json.
+# the pairs the change won and each side's median and quartiles, the same
+# for the extra metrics an untraced run reports beside them
+# (client.roll_p50_ms, ...), which have no bound, and then `bench
+# compare`'s verdict against BENCHMARK.json's bounds. It appends one row
+# to BENCH_history.json.
 #
 #   scripts/pairs.sh PARENT [workload…]
 #
@@ -14,7 +16,9 @@
 # runs the parent first when i is odd and the change first when it is even,
 # so neither side always runs on a box the other has just warmed. A pair
 # counts as won when the change reads better than the parent on it; a tie
-# counts for neither. "gain" marks a metric whose change won nine tenths of
+# counts for neither. BENCHMARK.json says which way is better for an
+# end-to-end metric; an extra one is better higher when its unit is 1/s
+# and lower otherwise. "gain" marks a metric whose change won nine tenths of
 # the pairs and whose medians are further apart than the parent's
 # interquartile range. Needs jq.
 set -euo pipefail
@@ -77,24 +81,29 @@ for s in parent change; do
 	fi
 done
 
-# values SIDE WORKLOAD METRIC prints one value a run, in run order.
+# values SIDE WORKLOAD GROUP METRIC prints one value a run, in run order;
+# GROUP is metrics (end to end) or extra.
 values() {
-	jq -r --arg w "$2" --arg m "$3" \
-		'select(.workload == $w and .trace == false) | .metrics[$m].value // "nan"' \
+	jq -r --arg w "$2" --arg g "$3" --arg m "$4" \
+		'select(.workload == $w and .trace == false) | .[$g][$m].value // "nan"' \
 		"$out/$1/results.jsonl"
 }
 
-# One tab-separated row a workload and metric: won, pairs, then the
-# parent's and the change's first quartile, median and third quartile.
-# Quartiles interpolate between order statistics, so the median is
-# bench's median.
+# One tab-separated row a workload and metric: group, workload, metric,
+# won, pairs, then the parent's and the change's first quartile, median
+# and third quartile. Quartiles interpolate between order statistics, so
+# the median is bench's median.
 summary="$out/summary.tsv"
 : >"$summary"
 for wl in "${workloads[@]}"; do
-	for entry in "${metrics[@]}"; do
-		read -r m better <<<"$entry"
-		paste <(values parent "$wl" "$m") <(values change "$wl" "$m") |
-			awk -v wl="$wl" -v m="$m" -v better="$better" '
+	mapfile -t extras < <(jq -r --arg w "$wl" \
+		'select(.workload == $w and .trace == false) | .extra | to_entries[] |
+		 "\(.key) \(if .value.unit == "1/s" then "higher" else "lower" end)"' \
+		"$out/change/results.jsonl" | sort -u)
+	for entry in "${metrics[@]/#/metrics }" "${extras[@]/#/extra }"; do
+		read -r group m better <<<"$entry"
+		paste <(values parent "$wl" "$group" "$m") <(values change "$wl" "$group" "$m") |
+			awk -v group="$group" -v wl="$wl" -v m="$m" -v better="$better" '
 			function q(a, n, p,   x, lo) {
 				x = p * (n - 1); lo = int(x)
 				return lo + 1 < n ? a[lo] + (x - lo) * (a[lo + 1] - a[lo]) : a[lo]
@@ -110,20 +119,23 @@ for wl in "${workloads[@]}"; do
 			}
 			END {
 				isort(p, n); isort(c, n)
-				printf "%s\t%s\t%d\t%d\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\n", wl, m, won, n,
+				printf "%s\t%s\t%s\t%d\t%d\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\n", group, wl, m, won, n,
 					q(p, n, 0.25), q(p, n, 0.5), q(p, n, 0.75), q(c, n, 0.25), q(c, n, 0.5), q(c, n, 0.75)
 			}' >>"$summary"
 	done
 done
 
 echo "parent $parent, change $change, $pairs alternating pairs"
-printf '%-14s %-14s %5s %12s %25s %12s %25s %9s\n' workload metric won \
-	parent "[q1 q3]" change "[q1 q3]" chg/par
-awk -F '\t' '{
-	gain = $3 >= 0.9 * $4 && ($9 - $6 > $7 - $5 || $6 - $9 > $7 - $5) ? "  gain" : ""
-	printf "%-14s %-14s %2d/%-2d %12.6g %25s %12.6g %25s %9.4f%s\n", $1, $2, $3, $4,
-		$6, "[" $5 " " $7 "]", $9, "[" $8 " " $10 "]", $6 ? $9 / $6 : 0, gain
-}' "$summary"
+for group in metrics extra; do
+	[ "$group" = metrics ] && echo "end-to-end metrics" || echo "extra metrics (no bound)"
+	printf '%-14s %-26s %5s %12s %25s %12s %25s %9s\n' workload metric won \
+		parent "[q1 q3]" change "[q1 q3]" chg/par
+	awk -F '\t' -v group="$group" '$1 == group {
+		gain = $4 >= 0.9 * $5 && ($10 - $7 > $8 - $6 || $7 - $10 > $8 - $6) ? "  gain" : ""
+		printf "%-14s %-26s %2d/%-2d %12.6g %25s %12.6g %25s %9.4f%s\n", $2, $3, $4, $5,
+			$7, "[" $6 " " $8 "]", $10, "[" $9 " " $11 "]", $7 ? $10 / $7 : 0, gain
+	}' "$summary"
+done
 
 rc=0
 (
@@ -145,10 +157,10 @@ jq -R -s --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" --arg parent "$parent" \
 	split("\n") | map(select(length > 0) | split("\t")) |
 	{date: $date, parent: $parent, change: $change, pairs: $pairs, host: $host[0],
 	 compare: $verdict,
-	 workloads: (reduce .[] as $r ({}; .[$r[0]][$r[1]] = {
-		won: ($r[2] | tonumber), runs: ($r[3] | tonumber),
-		parent: {q1: ($r[4] | tonumber), median: ($r[5] | tonumber), q3: ($r[6] | tonumber)},
-		change: {q1: ($r[7] | tonumber), median: ($r[8] | tonumber), q3: ($r[9] | tonumber)}}))}
+	 workloads: (reduce .[] as $r ({}; .[$r[1]][$r[2]] = {
+		won: ($r[3] | tonumber), runs: ($r[4] | tonumber),
+		parent: {q1: ($r[5] | tonumber), median: ($r[6] | tonumber), q3: ($r[7] | tonumber)},
+		change: {q1: ($r[8] | tonumber), median: ($r[9] | tonumber), q3: ($r[10] | tonumber)}}))}
 ' "$summary" >"$out/row.json"
 history="$root/BENCH_history.json"
 [ -f "$history" ] || echo '[]' >"$history"
