@@ -4,7 +4,7 @@ import "testing"
 
 // tablesAreExact reports the first sampling table of m holding fewer entries
 // than it has room for.
-func tablesAreExact(t *testing.T, m *Market) {
+func tablesAreExact(t *testing.T, s *sim) {
 	t.Helper()
 	check := func(name string, length, room int) {
 		t.Helper()
@@ -12,14 +12,14 @@ func tablesAreExact(t *testing.T, m *Market) {
 			t.Fatalf("%s: %d entries in room for %d", name, length, room)
 		}
 	}
-	check("freeCum", len(m.freeCum), cap(m.freeCum))
-	check("freeApps", len(m.freeApps), cap(m.freeApps))
-	check("paidApps", len(m.paidApps), cap(m.paidApps))
-	check("paidW", len(m.paidW), cap(m.paidW))
-	check("paidCum", len(m.paidCum), cap(m.paidCum))
-	for c := range m.catCum {
-		check("catCum", len(m.catCum[c]), cap(m.catCum[c]))
-		check("catApps", len(m.catApps[c]), cap(m.catApps[c]))
+	check("freeCum", len(s.freeCum), cap(s.freeCum))
+	check("freeApps", len(s.freeApps), cap(s.freeApps))
+	check("paidApps", len(s.paidApps), cap(s.paidApps))
+	check("paidW", len(s.paidW), cap(s.paidW))
+	check("paidCum", len(s.paidCum), cap(s.paidCum))
+	for c := range s.catCum {
+		check("catCum", len(s.catCum[c]), cap(s.catCum[c]))
+		check("catApps", len(s.catApps[c]), cap(s.catApps[c]))
 	}
 }
 
@@ -27,37 +27,37 @@ func tablesAreExact(t *testing.T, m *Market) {
 // over the current catalog would hold: every cumulative table the
 // left-to-right sum of its weights in ID order, every paid weight what
 // paidWeight computes now.
-func tablesAreAFold(t *testing.T, m *Market) {
+func tablesAreAFold(t *testing.T, s *sim) {
 	t.Helper()
 	var free float64
-	cat := make([]float64, len(m.catCum))
-	nFree, nCat := 0, make([]int, len(m.catCum))
-	for i := range m.cat.Apps {
-		a := &m.cat.Apps[i]
-		if m.isPaid[i] {
+	cat := make([]float64, len(s.catCum))
+	nFree, nCat := 0, make([]int, len(s.catCum))
+	for i := range s.cat.Apps {
+		a := &s.cat.Apps[i]
+		if s.isPaid[i] {
 			continue
 		}
-		free += m.appeal[i]
-		if m.freeApps[nFree] != a.ID || m.freeCum[nFree] != free {
-			t.Fatalf("day %d: free table entry %d is app %d at %v, want app %d at %v", m.day, nFree, m.freeApps[nFree], m.freeCum[nFree], a.ID, free)
+		free += s.appeal[i]
+		if s.freeApps[nFree] != a.ID || s.freeCum[nFree] != free {
+			t.Fatalf("day %d: free table entry %d is app %d at %v, want app %d at %v", s.day, nFree, s.freeApps[nFree], s.freeCum[nFree], a.ID, free)
 		}
 		nFree++
 		c := a.Category
-		cat[c] += m.appeal[i] // catBias is 1 on the profile under test
-		if k := nCat[c]; m.catApps[c][k] != a.ID || m.catCum[c][k] != cat[c] {
-			t.Fatalf("day %d: category %d entry %d is app %d at %v, want app %d at %v", m.day, c, k, m.catApps[c][k], m.catCum[c][k], a.ID, cat[c])
+		cat[c] += s.appeal[i] // catBias is 1 on the profile under test
+		if k := nCat[c]; s.catApps[c][k] != a.ID || s.catCum[c][k] != cat[c] {
+			t.Fatalf("day %d: category %d entry %d is app %d at %v, want app %d at %v", s.day, c, k, s.catApps[c][k], s.catCum[c][k], a.ID, cat[c])
 		}
 		nCat[c]++
 	}
-	if nFree != len(m.freeCum) {
-		t.Fatalf("day %d: free table holds %d entries for %d free apps", m.day, len(m.freeCum), nFree)
+	if nFree != len(s.freeCum) {
+		t.Fatalf("day %d: free table holds %d entries for %d free apps", s.day, len(s.freeCum), nFree)
 	}
 	var paid float64
-	for j := range m.paidApps {
-		w := m.paidWeight(int32(j))
+	for j := range s.paidApps {
+		w := s.paidWeight(int32(j))
 		paid += w
-		if m.paidW[j] != w || m.paidCum[j] != paid {
-			t.Fatalf("day %d: paid entry %d weighs %v cumulating to %v, want %v and %v", m.day, j, m.paidW[j], m.paidCum[j], w, paid)
+		if s.paidW[j] != w || s.paidCum[j] != paid {
+			t.Fatalf("day %d: paid entry %d weighs %v cumulating to %v, want %v and %v", s.day, j, s.paidW[j], s.paidCum[j], w, paid)
 		}
 	}
 }
@@ -77,23 +77,21 @@ func TestBuiltAtFinalSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.catBias != 1 || len(m.paidApps) < 1000 {
-		t.Fatalf("profile under test: catBias %v, %d paid apps", m.catBias, len(m.paidApps))
+	s := simOf(m)
+	if s.catBias != 1 || len(s.paidApps) < 1000 {
+		t.Fatalf("profile under test: catBias %v, %d paid apps", s.catBias, len(s.paidApps))
 	}
-	// The market New built, not the view of it New handed out: a view has
-	// every table clipped.
-	d := dayZero()
-	tablesAreExact(t, d)
-	if cap(d.paidDirty) != len(d.paidApps) {
-		t.Fatalf("%d paid apps were enqueued for their weight in room for %d", len(d.paidApps), cap(d.paidDirty))
+	tablesAreExact(t, s)
+	if cap(s.paidDirty) != len(s.paidApps) {
+		t.Fatalf("%d paid apps were enqueued for their weight in room for %d", len(s.paidApps), cap(s.paidDirty))
 	}
-	tablesAreAFold(t, m)
+	tablesAreAFold(t, s)
 	before := m.cat.NumApps()
 	for day := 0; day < 10; day++ {
 		if err := m.Step(); err != nil {
 			t.Fatal(err)
 		}
-		tablesAreAFold(t, m)
+		tablesAreAFold(t, s)
 	}
 	if grown := m.cat.NumApps() - before; grown < 100 {
 		t.Fatalf("only %d arrivals in ten days: the tables were not extended", grown)
@@ -113,3 +111,6 @@ func TestBuiltAtFinalSize(t *testing.T) {
 		t.Fatalf("New: %.0f allocations for %d apps", allocs, cfg.Profile.Apps)
 	}
 }
+
+// simOf returns the simulation of m's key, which m's view belongs to.
+func simOf(m *Market) *sim { return &m.v.ch.sim }

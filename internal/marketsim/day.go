@@ -1,7 +1,6 @@
 package marketsim
 
 import (
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -9,197 +8,188 @@ import (
 	"planetapps/internal/catalog"
 )
 
-// dayEntry is one day of a key's simulation, read in place by every
-// same-key market on that day. The first market to step past it simulates
-// the next day once and links it as next; the others adopt that entry and
-// apply its log to their own counts, at the cost of the day's changes. Links
-// point forward only, so an entry lives as long as a market is on it or on
-// an entry before it, and a day every market has left is garbage.
-//
-// refs, next, building and inPlace change under chainMu only. The sim is
-// written only by a market stepping the entry in place, which it does only
-// when refs says nobody else reads it or can reach it and after setting
-// inPlace, so that no New joins it. An export may still hold the day's
-// catalog rows then: exported says so, and the step moves the rows onto a
-// copy before it writes one.
-type dayEntry struct {
-	sim
-	// refs counts the markets on the entry, plus one while a live entry
-	// links to it as its next: a market behind can still adopt it.
-	refs int
-	next *dayEntry
-	// building is closed when the market simulating next has linked it.
-	building chan struct{}
-	// inPlace is set when a market steps the entry in place: it is no
-	// longer the day it was, and nobody may join it.
-	inPlace bool
-	// exported is set by every export of the entry's day (same-key markets
-	// export it concurrently) and cleared by the in-place step that copies
-	// the rows those exports hold.
-	exported atomic.Bool
+// chain is a key's one simulation. It is only ever stepped forward, in
+// place, one day at a time, under mu, by the market that first steps past
+// the frontier day; every other market of the key reads the day views the
+// steps link.
+type chain struct {
+	mu  sync.Mutex
+	sim sim
 }
 
-// chainMu guards every dayEntry's refs, next, building and inPlace.
-var chainMu sync.Mutex
+// dayView is one day of a key's simulation as its markets read it: the
+// catalog header and rows, the name tables and the day's log. A view is
+// linked forward to the next day's by the step past it, so a day nobody
+// holds is garbage.
+//
+// A step writes the simulation in place, so before it writes it moves what
+// a view has handed out onto copies: the rows, if a second market is on the
+// day or an export or Catalog holds them (joined, lent), and the categories
+// and developers if Catalog took them (headerKept), which a view holds only
+// from then on. Rows that nobody held are written in place, and the view
+// lets go of them (moved); a market that later adopts the day from an
+// earlier one puts them back from its own day's rows and the values the
+// day's log kept for it (behind).
+type dayView struct {
+	ch       *chain
+	day      int
+	cat      catalog.Catalog
+	catNames []string
+	devNames []string
+	log      dayLog
+	lent     atomic.Bool
 
-// join puts a new market on e, unless a market steps it in place or every
-// market on it has moved on (its next may then have been stepped in place).
-func (e *dayEntry) join() bool {
-	chainMu.Lock()
-	defer chainMu.Unlock()
-	if e.inPlace || e.refs == 0 && e.next != nil {
+	// The rest changes under ch.mu.
+	next       *dayView
+	taken      bool // a market is on the day
+	joined     bool // a second market is on it
+	behind     bool // a market may adopt it from an earlier day
+	moved      bool // the step past it wrote its rows in place
+	headerKept bool // cat's categories and developers are the day's for good
+}
+
+// view returns the simulation's day as a view, its rows clipped so that an
+// append through them could not write the simulation's array.
+func (c *chain) view() *dayView {
+	s := &c.sim
+	v := &dayView{ch: c, day: s.day, cat: *s.cat, catNames: s.catNames, devNames: slices.Clip(s.devNames), log: s.log}
+	v.cat.Apps = slices.Clip(v.cat.Apps)
+	v.cat.Categories, v.cat.Developers = nil, nil
+	return v
+}
+
+// take puts another market on v, unless the step past it has written its
+// rows or its log: only a day a second market was on keeps both, and so
+// does every day after it.
+func (v *dayView) take(cat *catalog.Catalog) bool {
+	v.ch.mu.Lock()
+	defer v.ch.mu.Unlock()
+	if v.next != nil && !v.joined {
 		return false
 	}
-	e.refs++
+	v.joined = v.joined || v.taken
+	v.taken = true
+	*cat = v.cat
 	return true
 }
 
-// leave takes a market off e; an entry nobody is on and nobody can reach
-// any more releases its hold on the next.
-func (e *dayEntry) leave() {
-	for ; e != nil; e = e.next {
-		if e.refs--; e.refs > 0 {
-			return
+// advance moves a market on v, whose header is cat, to the next day and
+// returns that day's view: the linked one if a market has stepped past v,
+// its rows put back if the step past it wrote them in place, else the day
+// the market simulates from v, the frontier.
+func (v *dayView) advance(cat *catalog.Catalog) *dayView {
+	c := v.ch
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := v.next
+	switch {
+	case n == nil:
+		n = c.step(v)
+	case n.next == nil:
+		n.joined = true
+	case n.moved:
+		// The log lists the day's arrivals first, in order.
+		rows := slices.Clone(v.cat.Apps)
+		for i, id := range n.log.rows {
+			if int(id) == len(rows) {
+				rows = append(rows, n.log.vals[i])
+			} else {
+				rows[id] = n.log.vals[i]
+			}
 		}
+		n.cat.Apps, n.moved = slices.Clip(rows), false
 	}
-}
-
-// advance moves a market on e to the next day's entry and returns it: the
-// next entry if a market has linked one, else e itself stepped in place if
-// no other market reads e or can reach it, else a stepped copy of e, linked
-// as e's next for the others. A market that finds a sibling simulating the
-// copy waits for it rather than simulating the day twice.
-func (e *dayEntry) advance() *dayEntry {
-	chainMu.Lock()
-	for e.building != nil {
-		done := e.building
-		chainMu.Unlock()
-		<-done
-		chainMu.Lock()
-	}
-	if n := e.next; n != nil {
-		n.refs++
-		e.leave()
-		chainMu.Unlock()
-		return n
-	}
-	if e.refs == 1 {
-		e.inPlace = true
-		chainMu.Unlock()
-		e.sim.step(true, e.exported.Swap(false))
-		return e
-	}
-	done := make(chan struct{})
-	e.building = done
-	chainMu.Unlock()
-	var n *dayEntry
-	defer func() {
-		chainMu.Lock()
-		e.building = nil
-		if n != nil {
-			e.next = n
-			n.refs = 2 // e's link, and this market
-			e.leave()
-		}
-		chainMu.Unlock()
-		close(done)
-	}()
-	n = &dayEntry{sim: *e.sim.step(false, false)}
+	*cat = n.cat
 	return n
 }
 
-// step simulates the day after s's, on s itself or on a copy of it, and
-// returns the state it stepped; in place, it first moves rows an export
-// holds onto a copy. The day's first draw is its arrival count, which
-// sizes either copy.
-func (s *sim) step(inPlace, rowsExported bool) *sim {
-	r := *s.r
-	arrivals := r.Poisson(s.cfg.Profile.NewAppsPerDay)
-	switch {
-	case !inPlace:
-		s = s.clone(arrivals)
-	case rowsExported:
+// step simulates the day after the frontier v's in place and links its view
+// as v's next. The day's first draw is its arrival count, which sizes the
+// copies.
+func (c *chain) step(v *dayView) *dayView {
+	s := &c.sim
+	arrivals := s.r.Poisson(s.cfg.Profile.NewAppsPerDay)
+	if v.joined || v.lent.Load() {
 		s.cat.Apps = withRoom(s.cat.Apps, arrivals)
+	} else {
+		v.cat.Apps, v.moved = nil, true
 	}
-	*s.r = r
+	if v.headerKept {
+		// Catalog handed the header out. Every member list is clipped: an
+		// insert shifts a list in place when it has room.
+		s.cat.Categories = slices.Clone(s.cat.Categories)
+		s.cat.Developers = withRoom(s.cat.Developers, arrivals)
+		for i := range s.cat.Categories {
+			s.cat.Categories[i].Apps = slices.Clip(s.cat.Categories[i].Apps)
+		}
+		for i := range s.cat.Developers {
+			s.cat.Developers[i].Apps = slices.Clip(s.cat.Developers[i].Apps)
+		}
+	}
+	// A market on v, or one behind it, still reads v's log.
+	behind := v.joined || v.behind
+	if behind {
+		s.log = dayLog{}
+	} else {
+		s.log = dayLog{rows: s.log.rows[:0], draws: s.log.draws[:0]}
+	}
 	s.day++
-	s.log.rows, s.log.draws = s.log.rows[:0], s.log.draws[:0]
 	s.arrivals(arrivals)
 	s.updatesAndPrices()
 	s.syncTables()
 	s.simulateDownloads()
 	s.syncDevNames()
-	return s
+	if behind {
+		s.log.vals = make([]catalog.App, len(s.log.rows))
+		for i, id := range s.log.rows {
+			s.log.vals[i] = s.cat.Apps[id]
+		}
+	}
+	n := c.view()
+	n.taken, n.behind = true, behind
+	v.next = n
+	return n
 }
 
-// clone copies everything a simulated day writes, each array an arrival
-// extends with room for the arrivals the calling step is about to add, so
-// that step does not copy it again; a later day's arrival grows it by
-// append. What stays shared is only read, or appended to at cap == len, so
-// that the first append moves it: the genesis (schedule, freeBudget), the
-// category names, every name string, and the catalog's member lists, which
-// are clipped here because an insert shifts a list in place when it has
-// room.
-func (s *sim) clone(arrivals int) *sim {
-	c := *s
-	cat := *s.cat
-	cat.Apps = withRoom(cat.Apps, arrivals)
-	cat.Categories = slices.Clone(cat.Categories)
-	for i := range cat.Categories {
-		cat.Categories[i].Apps = slices.Clip(cat.Categories[i].Apps)
+// header returns v's day's catalog header, taking its categories and
+// developers from the simulation: on the frontier day its own, which the
+// step past the day then moves off; on an earlier day cut from them. A day
+// only adds apps, each at its developer's end and inside its category by
+// quality, so a day's member lists are a later day's less the apps that came
+// after; they are cut cap == len from one array.
+func (v *dayView) header() catalog.Catalog {
+	v.ch.mu.Lock()
+	defer v.ch.mu.Unlock()
+	later := v.ch.sim.cat
+	switch {
+	case v.headerKept:
+	case v.next == nil:
+		v.cat.Categories, v.cat.Developers = slices.Clip(later.Categories), slices.Clip(later.Developers)
+	default:
+		n := len(v.cat.Apps)
+		v.cat.Categories = slices.Clone(later.Categories)
+		v.cat.Developers = slices.Clone(later.Developers[:len(v.devNames)])
+		ids := make([]catalog.AppID, 0, 2*n)
+		for i := range v.cat.Categories {
+			v.cat.Categories[i].Apps, ids = appsBefore(ids, v.cat.Categories[i].Apps, n)
+		}
+		for i := range v.cat.Developers {
+			v.cat.Developers[i].Apps, ids = appsBefore(ids, v.cat.Developers[i].Apps, n)
+		}
 	}
-	cat.Developers = slices.Clone(cat.Developers)
-	for i := range cat.Developers {
-		cat.Developers[i].Apps = slices.Clip(cat.Developers[i].Apps)
-	}
-	c.cat = &cat
-	r := *s.r
-	c.r = &r
-	c.log = dayLog{}
+	v.headerKept = true
+	v.lent.Store(true)
+	return v.cat
+}
 
-	c.appeal = withRoom(s.appeal, arrivals)
-	c.updateRate = withRoom(s.updateRate, arrivals)
-	c.isPaid = withRoom(s.isPaid, arrivals)
-	c.paidIdx = withRoom(s.paidIdx, arrivals)
-	c.devNames = append(make([]string, 0, devNamesRoom(len(s.devNames))), s.devNames...)
-
-	c.freeCum = withRoom(s.freeCum, arrivals)
-	c.freeApps = withRoom(s.freeApps, arrivals)
-	c.catCum = cloneEach(s.catCum)
-	c.catApps = cloneEach(s.catApps)
-	c.paidCum = withRoom(s.paidCum, arrivals)
-	c.paidApps = withRoom(s.paidApps, arrivals)
-	c.paidW = withRoom(s.paidW, arrivals)
-	c.paidDirty = make([]int32, 0, len(s.paidApps))
-	c.paidPortfolio = maps.Clone(s.paidPortfolio)
-	c.devPaid = maps.Clone(s.devPaid)
-	for dev, js := range c.devPaid {
-		c.devPaid[dev] = slices.Clone(js)
+// appsBefore appends the apps of list below n to ids and returns them,
+// clipped, and ids.
+func appsBefore(ids, list []catalog.AppID, n int) ([]catalog.AppID, []catalog.AppID) {
+	lo := len(ids)
+	for _, id := range list {
+		if int(id) < n {
+			ids = append(ids, id)
+		}
 	}
-	c.freeCumIdx.buckets = slices.Clone(s.freeCumIdx.buckets)
-	c.catCumIdx = slices.Clone(s.catCumIdx)
-	for i := range c.catCumIdx {
-		c.catCumIdx[i].buckets = slices.Clone(c.catCumIdx[i].buckets)
-	}
-
-	c.freeUsers = slices.Clone(s.freeUsers)
-	for i := range c.freeUsers {
-		c.freeUsers[i].owned = maps.Clone(c.freeUsers[i].owned)
-	}
-	c.hist.blocks = slices.Clone(s.hist.blocks)
-	for i, b := range c.hist.blocks {
-		c.hist.blocks[i] = append(make([]catalog.AppID, 0, cap(b)), b...)
-	}
-	// Paid users' states move into one slab of their own; the next new paid
-	// user opens another.
-	slab := make([]userState, 0, len(s.usersPaid))
-	users := make(map[int32]*userState, len(s.usersPaid))
-	for uid, u := range s.usersPaid {
-		slab = append(slab, *u)
-		v := &slab[len(slab)-1]
-		v.owned = maps.Clone(v.owned)
-		users[uid] = v
-	}
-	c.paidSlab, c.usersPaid = slab, users
-	return &c
+	return ids[lo:len(ids):len(ids)], ids
 }

@@ -27,8 +27,8 @@ func numChunks(n int) int { return (n + ExportChunk - 1) >> chunkShift }
 // The catalog rows are the simulated day's own row array, not a copy: every
 // export of one day, whole or partitioned, from any same-key market, reads
 // that one array, and holding an export pins it. A day's rows are never
-// written once exported (dayEntry.exported): a market stepping its entry in
-// place moves the next day onto a copy first.
+// written once exported (dayView.lent): the step past the day moves the
+// simulation onto a copy first.
 //
 // The download and version vectors are chunked: each chunk is either a
 // fresh copy of the market's counts or — when no row in it changed since

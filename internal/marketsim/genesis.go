@@ -55,11 +55,12 @@ type dayZeroKey struct {
 // genesisMemo keeps at most one genesis alive past its markets: ⌈log2
 // users⌉ bits per scheduled event plus 8 B an app and 4 B a user, 18.6 MB
 // at the bench profile. dayZeroMemo holds the last day-0 market built — its
-// day entry (the catalog, 9.0 MB there, and the sampling tables, user states
-// and tracking arrays) and its counts and row versions — until a market
-// handed it first steps, which retires the entry: a key's markets are all
-// built before any rolls, and a later New of the key builds again. The day
-// entry itself lives on for as long as a market is on it (day.go).
+// day-0 view, and through it the key's simulation (the catalog, 9.0 MB
+// there, and the sampling tables, user states and tracking arrays), and its
+// counts and row versions — until a market handed it first steps, which
+// retires the entry: a key's markets are all built before any rolls, and a
+// later New of the key builds again. The simulation lives on for as long as
+// a market holds a view of it (day.go).
 var (
 	genesisMemo memo[genesisKey, genesis]
 	dayZeroMemo memo[dayZeroKey, Market]

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"planetapps/internal/catalog"
 	"planetapps/internal/snapshot"
@@ -15,8 +14,8 @@ import (
 
 // sharesGenesis reports whether two markets read one schedule in place.
 func sharesGenesis(a, b *Market) bool {
-	return len(a.schedule.words) > 0 && len(b.schedule.words) > 0 &&
-		&a.schedule.words[0] == &b.schedule.words[0]
+	as, bs := simOf(a).schedule, simOf(b).schedule
+	return len(as.words) > 0 && len(bs.words) > 0 && &as.words[0] == &bs.words[0]
 }
 
 // sharesDayZero reports whether two markets read one day-0 download vector.
@@ -190,8 +189,8 @@ func TestDayZeroHitIsIndistinguishable(t *testing.T) {
 
 // TestSharedCatalogLifecycle: same-key markets read one day-0 market until
 // one of them steps, which retires the memo entry and, beside a market
-// still on day 0, steps a copy of its own, so the next New of the key builds
-// again and gets what a cold build gets.
+// still on day 0, moves the simulation off the day's rows, so the next New
+// of the key builds again and gets what a cold build gets.
 func TestSharedCatalogLifecycle(t *testing.T) {
 	const seed = 42
 	cfg := smallConfig()
@@ -206,7 +205,8 @@ func TestSharedCatalogLifecycle(t *testing.T) {
 	if err := a.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if sharesCatalog(a, b) || sharesDayZero(a, b) || &a.cat.Categories[0] == &b.cat.Categories[0] || &a.cat.Developers[0] == &b.cat.Developers[0] {
+	ac, bc := a.Catalog(), b.Catalog()
+	if sharesCatalog(a, b) || sharesDayZero(a, b) || &ac.Categories[0] == &bc.Categories[0] || &ac.Developers[0] == &bc.Developers[0] {
 		t.Fatal("a market that has stepped still reads the day-0 rows, headers or downloads")
 	}
 	c, err := New(cfg, seed)
@@ -273,10 +273,11 @@ func TestSameKeyMarketsShareNothingMutable(t *testing.T) {
 	if !sharesDayZero(untouched, written) || !sharesDayZero(untouched, still) || !sharesCatalog(untouched, still) {
 		t.Fatal("same-key markets built back to back do not share a day 0")
 	}
-	if cap(still.appeal) != len(still.appeal) {
-		t.Fatalf("New handed out the shared appeal with room for %d appends in place", cap(still.appeal)-len(still.appeal))
+	g := genesisFor(seed, cfg.Profile)
+	if a := simOf(still).appeal; cap(a) != len(a) || &a[0] != &g.appeal[0] {
+		t.Fatalf("New handed out the genesis appeal with room for %d appends in place", cap(a)-len(a))
 	}
-	appeal0 := slices.Clone(still.appeal)
+	appeal0 := slices.Clone(g.appeal)
 
 	var wg sync.WaitGroup
 	for _, m := range []*Market{untouched, written} {
@@ -303,13 +304,13 @@ func TestSameKeyMarketsShareNothingMutable(t *testing.T) {
 	if hashDownloads(written) == hashDownloads(solo) {
 		t.Fatal("the ingested downloads left no mark: the comparison above proves nothing")
 	}
-	if len(untouched.appeal) <= len(appeal0) {
+	if len(simOf(untouched).appeal) <= len(appeal0) {
 		t.Fatalf("no app arrived in %d days: the appeal check below would be vacuous", days)
 	}
-	if !slices.Equal(still.appeal, appeal0) {
-		t.Fatal("arrivals in one market changed the appeal of another")
+	if !slices.Equal(g.appeal, appeal0) {
+		t.Fatal("arrivals wrote into the genesis appeal other keys read")
 	}
-	if !slices.Equal(untouched.appeal, solo.appeal) {
+	if !slices.Equal(simOf(untouched).appeal, simOf(solo).appeal) {
 		t.Fatal("appeals after arrivals differ from a solo run's")
 	}
 
@@ -338,13 +339,14 @@ func TestSameKeyMarketsShareNothingMutable(t *testing.T) {
 // downloads, its observation arrays — counts, row versions, dirty days,
 // series, partitioner and catalog header, found by reflection over every
 // field — alias nothing a same-key market that has not rolled or the day-0
-// market it was handed reaches, except what allowShared names; and once it
-// has stepped beside such a market, its simulation state aliases nothing of
-// the day-0 entry they were handed, except what allowShared names: the step
-// ran on a copy. A field added to Market or sim that Market.ownCounts or
-// sim.clone does not copy fails here. Days without arrivals are the strict
-// case: an arrival moves every per-app array by appending to it before
-// anything writes in place.
+// market it was handed reaches, except what allowShared names; and once the
+// simulation has stepped past a day another market is on and has taken the
+// catalog of, it aliases nothing that day's view reaches, except what
+// allowShared names: the step moved onto copies first. A field added to
+// Market that Market.ownCounts does not copy, or to dayView that the step
+// does not move off, fails here. Days without arrivals are the strict case:
+// an arrival moves every per-app array by appending to it before anything
+// writes in place.
 func TestSteppedViewAliasesNothing(t *testing.T) {
 	const seed = 42
 	step := func(m *Market) error { return m.Step() }
@@ -377,23 +379,24 @@ func TestSteppedViewAliasesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.name == "owned sets" {
-				if proto.freeUsers[0].owned == nil || len(proto.usersPaid) == 0 {
+				s := simOf(proto)
+				if s.freeUsers[0].owned == nil || len(s.usersPaid) == 0 {
 					t.Fatal("the user has no owned set or no paid downloads: the check would not reach them")
 				}
 				// The paid stream's selective draws saturate well below
 				// ownedThreshold: give its states the set they would have past
 				// it, which answers as their histories do.
-				for _, u := range proto.usersPaid {
-					u.owned = proto.hist.set(u)
+				for _, u := range s.usersPaid {
+					u.owned = s.hist.set(u)
 				}
 			}
 			theirObs := spansSorted(observations, proto, other)
-			theirSim := spansSorted(simulation, proto)
+			theirDay := spansSorted(dayOf, other)
 			if n, _ := overlaps(observations(rolled), theirObs); n < 3 {
 				t.Fatalf("before it rolls a market shares %d observation blocks with its day 0: the check below would be vacuous", n)
 			}
-			if n, _ := overlaps(simulation(rolled), theirSim); n < 20 {
-				t.Fatalf("before it rolls a market shares %d simulation blocks with its day 0: the check below would be vacuous", n)
+			if n, _ := overlaps(simulation(rolled), theirDay); n < 3 {
+				t.Fatalf("before it steps the simulation shares %d blocks with its day-0 view: the check below would be vacuous", n)
 			}
 			if err := tc.roll(rolled); err != nil {
 				t.Fatal(err)
@@ -402,33 +405,45 @@ func TestSteppedViewAliasesNothing(t *testing.T) {
 				t.Fatalf("a market that has rolled shares %d observation blocks with the day 0 it was handed or a market that has not, first %s", n, first)
 			}
 			if rolled.Day() > 0 {
-				if n, first := overlaps(simulation(rolled), theirSim); n > 0 {
-					t.Fatalf("a market that stepped beside a same-key market shares %d simulation blocks with their day-0 entry, first %s", n, first)
+				if n, first := overlaps(simulation(rolled), theirDay); n > 0 {
+					t.Fatalf("a simulation stepped past a day another market holds shares %d blocks with that day's view, first %s", n, first)
 				}
-			} else if rolled.dayEntry != other.dayEntry {
-				t.Fatal("merging downloads moved a market off its day's entry")
+			} else if rolled.v != other.v {
+				t.Fatal("merging downloads moved a market off its day's view")
 			}
 			runtime.KeepAlive(other)
 		})
 	}
 }
 
-// observations and simulation are the two layers of a market for reach: the
-// blocks of its own struct's fields less its day entry, the catalog
-// header's own struct but not the rows and lists it points at; and the
-// blocks of its day entry's simulation state.
+// observations, dayOf and simulation are what reach walks of a market: the
+// blocks of its own struct's fields less its view, the catalog header's own
+// struct but not the rows and lists it points at; the blocks of its day's
+// view as it hands them out, header included (Catalog); and the blocks of
+// its key's simulation.
 func observations(m *Market) []span {
 	v := *m
-	v.proto, v.dayEntry, v.cat = nil, nil, nil
+	v.proto, v.v, v.cat = nil, nil, nil
 	var out []span
 	reach(reflect.ValueOf(&v).Elem(), "", &out)
 	h := reflect.ValueOf(m.cat).Pointer()
 	return append(out, span{h, h + reflect.TypeOf(*m.cat).Size(), "cat"})
 }
 
+func dayOf(m *Market) []span {
+	day := struct {
+		cat                catalog.Catalog
+		catNames, devNames []string
+		log                dayLog
+	}{*m.Catalog(), m.v.catNames, m.v.devNames, m.v.log}
+	var out []span
+	reach(reflect.ValueOf(&day).Elem(), "", &out)
+	return out
+}
+
 func simulation(m *Market) []span {
 	var out []span
-	reach(reflect.ValueOf(&m.dayEntry.sim).Elem(), "", &out)
+	reach(reflect.ValueOf(simOf(m)).Elem(), "", &out)
 	return out
 }
 
@@ -476,11 +491,13 @@ func overlaps(mine []span, x spanIndex) (n int, first string) {
 	return n, first
 }
 
-// allowShared lists what a market that has rolled may still share, each
-// only read or appended to at cap == len, so that the first append moves it.
+// allowShared lists what a market that has rolled, or the simulation past a
+// day, may still share with that day, each only read or appended to at cap
+// == len, so that the first append moves it, or beyond the day's length.
 var allowShared = map[string]bool{
-	// The genesis (genesis.go) and the category names.
-	"freeBudget": true, "schedule.words": true, "catNames": true,
+	// The genesis (genesis.go), the category names, and the developer names,
+	// whose entries below a day's length are never rewritten.
+	"freeBudget": true, "schedule.words": true, "catNames": true, "devNames": true,
 	// The catalog's member lists: an insert moves the list it extends.
 	"cat.Categories[].Apps": true, "cat.Developers[].Apps": true,
 	// The days a series has recorded, never written again, in a list
@@ -565,10 +582,10 @@ func hasPointers(t reflect.Type) bool {
 }
 
 // TestDayZeroIsCollectedOnceEveryMarketRolls: the memo lets go of a key's
-// day-0 market at the first roll, and the day-0 entry links forward only,
-// so a process whose markets have all stepped past day 0 keeps no day-0
-// simulation state beside theirs. Merging downloads is not a roll: it
-// writes only the market's own counts.
+// day-0 market at the first roll, and the day-0 view links forward only, so
+// a process whose markets have all stepped past day 0 keeps no day-0 rows
+// beside theirs. Merging downloads is not a roll: it writes only the
+// market's own counts.
 func TestDayZeroIsCollectedOnceEveryMarketRolls(t *testing.T) {
 	const seed = 42
 	cfg := smallConfig()
@@ -577,33 +594,23 @@ func TestDayZeroIsCollectedOnceEveryMarketRolls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collected := make(chan struct{})
-	runtime.SetFinalizer(dayZero().dayEntry, func(*dayEntry) { close(collected) })
-	wasCollected := func() bool {
-		for i := 0; i < 20; i++ {
-			runtime.GC()
-			select {
-			case <-collected:
-				return true
-			case <-time.After(5 * time.Millisecond):
-			}
-		}
-		return false
-	}
+	done := make(chan struct{})
+	runtime.SetFinalizer(dayZero().v, func(*dayView) { close(done) })
+	wasCollected := func() bool { return collected(done) }
 	if err := a.Step(); err != nil {
 		t.Fatal(err)
 	}
 	if _, _ = b.ApplyDownloadDelta([]int32{0}, func(int32) int64 { return 1 }); wasCollected() {
-		t.Fatal("the day-0 entry was collected while a market that has not stepped reads it")
+		t.Fatal("the day-0 view was collected while a market that has not stepped reads it")
 	}
 	if err := b.Step(); err != nil {
 		t.Fatal(err)
 	}
 	if !wasCollected() {
-		t.Fatal("the day-0 entry outlived the step of every market handed it")
+		t.Fatal("the day-0 view outlived the step of every market handed it")
 	}
-	if a.dayEntry != b.dayEntry {
-		t.Fatal("two markets stepped from one day 0 to one day each hold an entry of their own")
+	if a.v != b.v {
+		t.Fatal("two markets stepped from one day 0 to one day each hold a view of their own")
 	}
 	runtime.KeepAlive(a)
 	runtime.KeepAlive(b)
@@ -617,20 +624,21 @@ func dayZero() *Market {
 }
 
 // marketState is a market without what tells two markets with one history
-// apart: the memo entry it came from, the exports it took, and its day
-// entry's links and reader count.
+// apart: the memo entry it came from, the exports it took, and its view's
+// links and marks.
 type marketState struct {
-	sim       sim
-	cat       catalog.Catalog
-	day       int
-	downloads []int64
-	rowVer    []uint32
-	dirtyDay  []int32
-	series    snapshot.Series
+	cat                catalog.Catalog
+	catNames, devNames []string
+	log                dayLog
+	day                int
+	downloads          []int64
+	rowVer             []uint32
+	dirtyDay           []int32
+	series             snapshot.Series
 }
 
 func stateOf(m *Market) marketState {
-	return marketState{m.dayEntry.sim, *m.cat, m.day, m.downloads, m.rowVer, m.dirtyDay, *m.series}
+	return marketState{*m.Catalog(), m.v.catNames, m.v.devNames, m.v.log, m.Day(), m.downloads, m.rowVer, m.dirtyDay, *m.series}
 }
 
 // TestConcurrentNewOverDistinctKeys: sixteen goroutines build markets over
@@ -698,7 +706,7 @@ func TestPanickedGenesisIsNotServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.schedule.len() == 0 {
+	if simOf(m).schedule.len() == 0 {
 		t.Fatal("New was served the entry whose build panicked")
 	}
 	day0, hash := dayZeroAndFive(t, m)

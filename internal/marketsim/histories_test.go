@@ -151,8 +151,8 @@ func TestStockProfilesHoldOnePieceAUser(t *testing.T) {
 				t.Fatal(err)
 			}
 			allowed := 0
-			for uid := range m.freeUsers {
-				u, budget := &m.freeUsers[uid], m.freeBudget[uid]
+			for uid := range simOf(m).freeUsers {
+				u, budget := &simOf(m).freeUsers[uid], simOf(m).freeBudget[uid]
 				if u.size == 0 {
 					continue
 				}
@@ -161,11 +161,11 @@ func TestStockProfilesHoldOnePieceAUser(t *testing.T) {
 				}
 				allowed += int(budget)
 			}
-			for _, u := range m.usersPaid {
+			for _, u := range simOf(m).usersPaid {
 				allowed += slotBound(u.count(), 0)
 			}
-			if m.hist.slots > allowed {
-				t.Fatalf("%s x%v: %d slots carved, budgets and the paid stream's allowance come to %d", name, scale, m.hist.slots, allowed)
+			if simOf(m).hist.slots > allowed {
+				t.Fatalf("%s x%v: %d slots carved, budgets and the paid stream's allowance come to %d", name, scale, simOf(m).hist.slots, allowed)
 			}
 		}
 	}

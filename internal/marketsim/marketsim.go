@@ -41,17 +41,17 @@
 // immutable once built, and read in place by every further market of the
 // same seed and population in the process — the repository runs a market as
 // N identical copies, and the schedule is the largest thing each holds. The
-// rest of the simulation is shared the same way, one day at a time
-// (day.go): downloads are observation-only, so same-key markets on the same
-// day hold the same simulation state and differ only in their counts and row
-// versions. Each day of a key is a day entry, the day-0 market's the first,
-// kept by a memo keyed by the seed and the whole Config until a market first
-// steps. The first market to step past a day simulates the next once, in
-// place when nobody else reads or can reach the entry, else on a copy it
-// links forward; the others adopt it and apply its day log, one row per
-// change and one app per download, to their own counts. So markets that
-// step together hold one simulation between them, whether they never roll
-// or roll every day, and their exports read its rows rather than copies.
+// rest of the simulation has one copy per key too (day.go): downloads are
+// observation-only, so same-key markets on the same day hold the same
+// simulation state and differ only in their counts and row versions. The
+// simulation is stepped in place by the first market to step past the
+// frontier day, and each step leaves the day behind as a view; the day-0
+// view is kept by a memo keyed by the seed and the whole Config until a
+// market first steps. The others adopt the views and apply each day's log,
+// one row per change and one app per download, to their own counts. So
+// markets that step together hold one simulation between them, whether they
+// never roll or roll every day, and their exports read its rows rather than
+// copies.
 package marketsim
 
 import (
@@ -120,28 +120,22 @@ const (
 // Market is a running simulation. Create with New, advance with Step or
 // Run.
 //
-// A market is two layers. Its simulation state — the catalog, the
-// generator, the sampling tables, the users and their histories — is a
-// day entry (day.go) that every same-key market on the same day reads in
-// place: downloads are observation-only, so that state cannot differ
-// between them. What a market observes of it is its own: the download
-// counts (the simulated ones and those it ingested), the row versions and
-// dirty days derived from them, its export partitioner, its series and the
-// catalog header callers hold, 16 B an app beside a few headers.
+// A market holds a view of its day (day.go), never the simulation: the
+// catalog rows and header, the name tables and the day's log, which every
+// same-key market on that day reads. What a market observes of it is its
+// own: the download counts (the simulated ones and those it ingested), the
+// row versions and dirty days derived from them, its export partitioner, its
+// series and the catalog header callers hold, 16 B an app beside a few
+// headers.
 type Market struct {
 	cfg Config
 	// proto is the dayZeroMemo entry this market was handed out of, until its
 	// first Step retires it.
 	proto *memoEntry[Market]
-	// The entry of this market's day. Its fields are the simulation's and are
-	// only read here; Step moves the market to the next day's entry.
-	*dayEntry
-
-	// cat is the header Catalog returns: the market's own struct over the
-	// entry's rows and member lists, moved to each day's entry as the market
-	// steps.
+	v     *dayView
+	// cat is the header Catalog returns: the market's own struct over its
+	// day's rows, and its member lists once Catalog has cut them.
 	cat *catalog.Catalog
-	day int
 
 	// Per-app observations: cumulative downloads, and the observation-only
 	// dirty tracking (see package comment). rowVer bumps at most once per day
@@ -159,8 +153,8 @@ type Market struct {
 	series *snapshot.Series
 }
 
-// sim is the simulation state of one day: everything a simulated day reads
-// or writes. It never reads a download count, so markets that ingested
+// sim is a key's simulation state: everything a simulated day reads or
+// writes. It never reads a download count, so markets that ingested
 // different writes step it alike.
 type sim struct {
 	// cfg is the Config of the market that built the state; same-key
@@ -243,9 +237,9 @@ type sim struct {
 	// of the seed's contract (package comment): streaming it from a keyed
 	// permutation would be smaller still and would re-roll every recorded
 	// experiment and crawl. It and freeBudget belong to the seed's genesis
-	// and are shared, read-only, by every state of the key in the process,
-	// as the day-0 state's appeal is. nextEvent tracks the consumption;
-	// totalPeriods is Days+WarmupDays.
+	// and are shared, read-only, by every simulation of the genesis key in
+	// the process, as its appeal is until the first arrival. nextEvent
+	// tracks the consumption; totalPeriods is Days+WarmupDays.
 	schedule     packedSeq
 	nextEvent    int
 	totalPeriods int
@@ -257,10 +251,13 @@ type sim struct {
 // dayLog is what one simulated day changed that a market observes: the
 // rows whose catalog entry changed (arrivals, version updates, price moves)
 // and one app per simulated download. A market applies it to its own
-// counts and row versions (Market.observe).
+// counts and row versions (Market.observe). vals holds each changed row's
+// value at the end of the day, kept only for a market that may adopt the
+// day from an earlier one (dayView.behind).
 type dayLog struct {
 	rows  []int32
 	draws []catalog.AppID
+	vals  []catalog.App
 }
 
 // New returns a market over its seed's generated catalog at day 0.
@@ -286,8 +283,8 @@ func New(cfg Config, seed uint64) (*Market, error) {
 	if m := proto.view(cfg, e); m != nil {
 		return m, nil
 	}
-	// A market handed the same entry before us has begun to step it in
-	// place: this one builds a day 0 of its own.
+	// A market handed the same day 0 before us has stepped past it alone,
+	// writing it: this one builds a day 0 of its own.
 	if proto, err = build(cfg, seed); err != nil {
 		return nil, err
 	}
@@ -300,8 +297,8 @@ func New(cfg Config, seed uint64) (*Market, error) {
 // market of the same genesis key (genesis.go) — and neither reads what the
 // other writes until the join.
 func build(cfg Config, seed uint64) (*Market, error) {
-	e := &dayEntry{}
-	s := &e.sim
+	c := &chain{}
+	s := &c.sim
 	s.cfg = cfg
 	s.usersPaid = map[int32]*userState{}
 	s.paidPortfolio = map[catalog.DevID]int{}
@@ -349,19 +346,20 @@ func build(cfg Config, seed uint64) (*Market, error) {
 	n := s.cat.NumApps()
 	m := &Market{
 		cfg:       cfg,
-		dayEntry:  e,
+		v:         c.view(),
 		cat:       &catalog.Catalog{},
 		downloads: make([]int64, n),
 		rowVer:    make([]uint32, n),
 		dirtyDay:  make([]int32, n),
 		series:    &snapshot.Series{Store: cfg.Profile.Name},
 	}
+	*m.cat = m.v.cat
 	for i := range m.dirtyDay {
 		m.dirtyDay[i] = -1
 	}
 	m.observe()
 	// Nobody adopts day 0: its log, the whole warmup's draws, goes now.
-	s.log = dayLog{}
+	s.log, m.v.log = dayLog{}, dayLog{}
 	if !cfg.DisableSeries {
 		m.record()
 	}
@@ -370,25 +368,24 @@ func build(cfg Config, seed uint64) (*Market, error) {
 
 // view returns a market on the day-0 market p, the value of memo entry me
 // (nil for a build of its own): its own struct, catalog header and series
-// header — what a caller may hold a pointer to — reading p's day entry and,
+// header — what a caller may hold a pointer to — reading p's day view and,
 // clipped, p's counts and row versions, which it copies before its first
-// write. It returns nil if p's entry can no longer be joined: a market
-// handed it earlier steps it in place, or every market on it has moved on.
+// write. It returns nil if a market handed p's day earlier has stepped past
+// it alone (dayView.take).
 func (p *Market) view(cfg Config, me *memoEntry[Market]) *Market {
-	if !p.dayEntry.join() {
-		return nil
-	}
 	m := &Market{
 		cfg:       cfg,
 		proto:     me,
-		dayEntry:  p.dayEntry,
+		v:         p.v,
 		cat:       &catalog.Catalog{},
 		downloads: slices.Clip(p.downloads),
 		rowVer:    slices.Clip(p.rowVer),
 		dirtyDay:  slices.Clip(p.dirtyDay),
 		borrowed:  true,
 	}
-	m.syncCatalog()
+	if !p.v.take(m.cat) {
+		return nil
+	}
 	series := *p.series
 	series.Days = slices.Clip(series.Days)
 	m.series = &series
@@ -453,7 +450,7 @@ func (s *sim) syncDevNames() {
 // touchRow registers a serving-visible change to app i today (its catalog
 // row or its download count): its row version bumps at most once per day.
 func (m *Market) touchRow(i int) {
-	if d := int32(m.day); m.dirtyDay[i] != d {
+	if d := int32(m.v.day); m.dirtyDay[i] != d {
 		m.dirtyDay[i] = d
 		m.rowVer[i]++
 	}
@@ -486,15 +483,16 @@ func drawAppeal(r *rng.RNG, apps int, zipfGlobal float64) float64 {
 }
 
 // Catalog exposes the market's evolving catalog, read-only to callers. The
-// header is the market's own; its slices are its day's simulation state,
-// which every same-key market on that day reads. Its rows are also the
-// rows every export of that day reads: a Step may write them in place only
-// while no export holds them, so rows read through an old header may move,
-// where an export's never do.
-func (m *Market) Catalog() *catalog.Catalog { return m.cat }
+// header is the market's own and follows it from day to day; the rows and
+// member lists it points at are its day's, which every same-key market on
+// that day reads, and no later step writes them.
+func (m *Market) Catalog() *catalog.Catalog {
+	*m.cat = m.v.header()
+	return m.cat
+}
 
 // Day returns the current day index (number of completed days - 1).
-func (m *Market) Day() int { return m.day }
+func (m *Market) Day() int { return m.v.day }
 
 // Series returns the snapshot series accumulated so far (empty when the
 // market runs with DisableSeries).
@@ -542,7 +540,7 @@ func (m *Market) ApplyDownloadDelta(apps []int32, count func(int32) int64) (appl
 // Run advances the market to the configured number of days and returns the
 // snapshot series.
 func (m *Market) Run() (*snapshot.Series, error) {
-	for m.day < m.cfg.Days-1 {
+	for m.v.day < m.cfg.Days-1 {
 		if err := m.Step(); err != nil {
 			return nil, err
 		}
@@ -552,12 +550,11 @@ func (m *Market) Run() (*snapshot.Series, error) {
 
 // Step simulates one day: arrivals, updates, price drift, downloads, and a
 // snapshot. The simulation runs once per day for all same-key markets on
-// that day: the first to step simulates it, in place when no other market
-// reads or can reach its entry, else on a copy it publishes, and the rest
-// adopt what it published (dayEntry.advance). Either way the market then
-// applies the day's log to its own counts.
+// that day: the first to step simulates it, and the rest adopt the view it
+// left (dayView.advance). Either way the market then applies the day's log
+// to its own counts.
 func (m *Market) Step() error {
-	if m.day >= m.cfg.Days-1 {
+	if m.v.day >= m.cfg.Days-1 {
 		return fmt.Errorf("marketsim: period of %d days already complete", m.cfg.Days)
 	}
 	if m.proto != nil {
@@ -566,8 +563,7 @@ func (m *Market) Step() error {
 		dayZeroMemo.retire(m.proto)
 		m.proto = nil
 	}
-	m.dayEntry = m.dayEntry.advance()
-	m.day++
+	m.v = m.v.advance(m.cat)
 	m.observe()
 	if !m.cfg.DisableSeries {
 		m.record()
@@ -575,11 +571,10 @@ func (m *Market) Step() error {
 	return nil
 }
 
-// observe brings the market's own state to its entry's day: the catalog
-// header, the counts and row versions grown over the day's arrivals, and
-// the day's log applied by the touchRow rule.
+// observe brings the market's own state to its view's day: the counts and
+// row versions grown over the day's arrivals, and the day's log applied by
+// the touchRow rule.
 func (m *Market) observe() {
-	m.syncCatalog()
 	n := m.cat.NumApps()
 	m.ownCounts(n - len(m.downloads))
 	if n > cap(m.downloads) {
@@ -595,7 +590,7 @@ func (m *Market) observe() {
 		m.rowVer = append(m.rowVer, 0)
 		m.dirtyDay = append(m.dirtyDay, -1)
 	}
-	log := &m.dayEntry.log
+	log := &m.v.log
 	for _, i := range log.rows {
 		m.touchRow(int(i))
 	}
@@ -603,17 +598,6 @@ func (m *Market) observe() {
 		m.downloads[int(app)]++
 		m.touchRow(int(app))
 	}
-}
-
-// syncCatalog points the market's catalog header at its entry's catalog.
-// The slices are clipped, so that an append through the header could not
-// write the simulation's arrays.
-func (m *Market) syncCatalog() {
-	c := m.dayEntry.cat
-	*m.cat = *c
-	m.cat.Apps = slices.Clip(c.Apps)
-	m.cat.Categories = slices.Clip(c.Categories)
-	m.cat.Developers = slices.Clip(c.Developers)
 }
 
 // ownCounts gives a market still reading the day-0 counts and row versions
@@ -630,15 +614,6 @@ func (m *Market) ownCounts(arrivals int) {
 
 // withRoom copies s into an array with room for n more elements.
 func withRoom[S ~[]E, E any](s S, n int) S { return append(make(S, 0, len(s)+n), s...) }
-
-// cloneEach copies lists and each list in it.
-func cloneEach[E any](lists [][]E) [][]E {
-	out := make([][]E, len(lists))
-	for i, l := range lists {
-		out[i] = slices.Clone(l)
-	}
-	return out
-}
 
 // arrivals publishes the day's n new apps. Most arrivals come from new
 // developer accounts joining the store (keeping the single-app developer
@@ -967,7 +942,7 @@ func (s *sim) simulateDownloads() {
 func (m *Market) record() {
 	n := m.cat.NumApps()
 	d := &snapshot.Day{
-		Index:               m.day,
+		Index:               m.v.day,
 		CumulativeDownloads: append([]int64(nil), m.downloads[:n]...),
 		Versions:            make([]int, n),
 		Price:               make([]float64, n),

@@ -377,22 +377,22 @@ func TestScheduleSizedExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	var budget int
-	for _, k := range m.freeBudget {
+	for _, k := range simOf(m).freeBudget {
 		budget += int(k)
 	}
-	if m.schedule.len() != budget {
-		t.Fatalf("schedule holds %d events for %d budgeted", m.schedule.len(), budget)
+	if simOf(m).schedule.len() != budget {
+		t.Fatalf("schedule holds %d events for %d budgeted", simOf(m).schedule.len(), budget)
 	}
 	width := bits.Len(uint(cfg.Profile.Users - 1))
-	if words := (budget*width + 63) / 64; int(m.schedule.width) != width || len(m.schedule.words) != words || cap(m.schedule.words) != words {
+	if words := (budget*width + 63) / 64; int(simOf(m).schedule.width) != width || len(simOf(m).schedule.words) != words || cap(simOf(m).schedule.words) != words {
 		t.Fatalf("schedule is %d words (cap %d) of %d-bit events, want %d words of %d-bit events for %d users",
-			len(m.schedule.words), cap(m.schedule.words), m.schedule.width, words, width, cfg.Profile.Users)
+			len(simOf(m).schedule.words), cap(simOf(m).schedule.words), simOf(m).schedule.width, words, width, cfg.Profile.Users)
 	}
 	seen := make([]int32, cfg.Profile.Users)
-	for k := 0; k < m.schedule.len(); k++ {
-		seen[m.schedule.at(k)]++
+	for k := 0; k < simOf(m).schedule.len(); k++ {
+		seen[simOf(m).schedule.at(k)]++
 	}
-	for u, k := range m.freeBudget {
+	for u, k := range simOf(m).freeBudget {
 		if seen[u] != k {
 			t.Fatalf("user %d is scheduled %d times on a budget of %d", u, seen[u], k)
 		}

@@ -58,8 +58,8 @@ func (p *Partitioner) global(j int) int {
 }
 
 // PartitionMarket exports the partition's rows of m's current day, sharing
-// every chunk with no changed row with the previous call's export. It marks
-// the day's rows exported, so that no step writes them again. m must
+// every chunk with no changed row with the previous call's export. It lends
+// the day's rows out (dayView.lent), so that no step writes them again. m must
 // be the same market on every call (monotone days, append-only catalog).
 // It must not run concurrently with Step or with itself; the returned
 // Export is immutable and safe to share.
@@ -76,14 +76,14 @@ func (p *Partitioner) PartitionMarket(m *Market) *Export {
 		n = len(p.ids)
 	}
 	nc := numChunks(n)
-	m.dayEntry.exported.Store(true)
+	m.v.lent.Store(true)
 	e := &Export{
 		store:    m.cat.Name,
-		day:      m.day,
+		day:      m.v.day,
 		n:        n,
-		catNames: m.catNames,
-		devNames: m.devNames,
-		rows:     m.cat.Apps, // the entry's, clipped by syncCatalog
+		catNames: m.v.catNames,
+		devNames: m.v.devNames,
+		rows:     m.cat.Apps, // the view's, clipped
 		dls:      make([][]int64, nc),
 		vers:     make([][]uint32, nc),
 		chunkVer: make([]uint64, nc),

@@ -164,11 +164,12 @@ func TestSecondMarketFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if first.dayEntry != second.dayEntry {
+	if first.v != second.v {
 		t.Fatal("two same-key markets stepped alike do not share their day")
 	}
 	n := second.cat.NumApps()
-	dayLog := int64(4*cap(second.log.rows) + 4*cap(second.log.draws))
+	log := &second.v.log
+	dayLog := int64(4*cap(log.rows) + 4*cap(log.draws) + 64*cap(log.vals))
 	withSecond := heapAfterGC()
 	runtime.KeepAlive(second)
 	rolledHeld := int64(withSecond) - int64(heapAfterGC())
@@ -218,12 +219,12 @@ func TestHistoryFootprintFollowsDownloads(t *testing.T) {
 	// ledger sums what m's users have downloaded and what the invariant
 	// lets them hold for it.
 	ledger := func(m *Market) (downloads, allowed int) {
-		for uid := range m.freeUsers {
-			n := m.freeUsers[uid].count()
+		for uid := range simOf(m).freeUsers {
+			n := simOf(m).freeUsers[uid].count()
 			downloads += n
-			allowed += slotBound(n, int(m.freeBudget[uid]))
+			allowed += slotBound(n, int(simOf(m).freeBudget[uid]))
 		}
-		for _, u := range m.usersPaid {
+		for _, u := range simOf(m).usersPaid {
 			downloads += u.count()
 			allowed += slotBound(u.count(), 0)
 		}
@@ -234,7 +235,7 @@ func TestHistoryFootprintFollowsDownloads(t *testing.T) {
 	// afterwards.
 	historyHeap := func(m *Market) int64 {
 		before := heapAfterGC()
-		m.freeUsers, m.hist, m.usersPaid, m.paidSlab = nil, histories{}, nil, nil
+		simOf(m).freeUsers, simOf(m).hist, simOf(m).usersPaid, simOf(m).paidSlab = nil, histories{}, nil, nil
 		after := heapAfterGC()
 		runtime.KeepAlive(m)
 		return int64(before) - int64(after)
@@ -242,11 +243,11 @@ func TestHistoryFootprintFollowsDownloads(t *testing.T) {
 
 	start := build(1)
 	downloads0, _ := ledger(start)
-	slots0 := start.hist.slots
+	slots0 := simOf(start).hist.slots
 	held0 := historyHeap(start)
 	m := build(days)
 	downloads, allowed := ledger(m)
-	slots, paid := m.hist.slots, len(m.usersPaid)
+	slots, paid := simOf(m).hist.slots, len(simOf(m).usersPaid)
 	held := historyHeap(m)
 	grown := held - held0
 	budget := int64(4*(allowed-slots0) + 4*maxBlock + 64*paid)
@@ -268,9 +269,9 @@ func TestHistoryFootprintFollowsDownloads(t *testing.T) {
 	// At drain a user's allowance is their budget and their pieces' headers.
 	m = build(retentionConfig(users).Days - 1)
 	downloads, allowed = ledger(m)
-	t.Logf("drain: %d downloads in %d slots (allowed %d)", downloads, m.hist.slots, allowed)
-	if m.hist.slots > allowed {
-		t.Fatalf("drain: %d slots carved for %d downloads, the invariant allows %d", m.hist.slots, downloads, allowed)
+	t.Logf("drain: %d downloads in %d slots (allowed %d)", downloads, simOf(m).hist.slots, allowed)
+	if simOf(m).hist.slots > allowed {
+		t.Fatalf("drain: %d slots carved for %d downloads, the invariant allows %d", simOf(m).hist.slots, downloads, allowed)
 	}
 }
 
@@ -281,7 +282,7 @@ func heldByNew(t *testing.T, users int, downloadsPerUser float64, emptyMemo bool
 	cfg := retentionConfig(users)
 	cfg.Profile.DownloadsPerUser = downloadsPerUser
 	m, heap := held(t, cfg, emptyMemo)
-	return heap, m.schedule.len()
+	return heap, simOf(m).schedule.len()
 }
 
 // held returns a New(cfg, 1) and the heap it adds and keeps.

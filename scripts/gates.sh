@@ -49,18 +49,21 @@ race() {
 # makes the same promise one tier down — one event list and seed leave a
 # byte-identical next-day snapshot at 1 VU, 8 VUs and open-loop, and a
 # replay dedups every write — so its two contract tests run here too.
-# marketsim's two memos, the genesis and the day-0 market, and its day
-# entries are state every same-key market in the process reads: their
-# tests (a hit is the cold build and any other key, Config or Profile field
-# a miss, same-key markets stepping and merging downloads side by side —
-# arrivals, version bumps, price drift — beside one that only exports share
-# nothing they write, four same-key markets on shared days stay their solo
-# twins through a seeded interleaving of steps, deltas and exports with a
-# laggard and exports beside steps, a market that rolls keeps no
-# observation array of another and steps beside one on a copy, the day-0
-# entry is collected once every market has stepped, an export read on
-# another goroutine keeps its day's rows while a lone market steps in place,
-# sixteen concurrent builders over four keys) run ten times at both widths. Construction is pinned here too: the
+# marketsim's two memos, the genesis and the day-0 market, and a key's one
+# simulation and its day views are state every same-key market in the
+# process reads: their tests (a hit is the cold build and any other key,
+# Config or Profile field a miss, same-key markets stepping and merging
+# downloads side by side — arrivals, version bumps, price drift — beside one
+# that only exports share nothing they write, same-key markets stay their
+# solo twins through a seeded interleaving of steps, deltas and exports with
+# a laggard and exports beside steps, beside a dropped market, and as a
+# laggard catching up through days written in place, a market that rolls
+# keeps no observation array of another and a step nothing of a day another
+# market holds, the day-0 view is collected once every market has stepped,
+# an export read on another goroutine keeps its day's rows while a lone
+# market steps in place, a dropped market costs one row copy and a laggard
+# holds its day and logs, sixteen concurrent builders over four keys) run
+# ten times at both widths. Construction is pinned here too: the
 # catalog and comment digests taken before anything was built by counting,
 # the two sorts held to the reflective sorts they replaced (forced ties,
 # one element, none), and cap == len on every list, table and stream a
@@ -74,7 +77,7 @@ cpu14() {
 		-run 'Parallel|Invariance|Deterministic|TestSuite|TestWriteReplayDedups' \
 		./internal/model ./internal/experiments ./internal/loadgen
 	go test -race -cpu 1,4 -count=10 \
-		-run 'TestGenesisHitIsIndistinguishable|TestDayZeroHitIsIndistinguishable|TestSharedCatalogLifecycle|TestSameKeyMarketsShareNothingMutable|TestSameKeyMarketsMatchSoloTwins|TestSteppedViewAliasesNothing|TestDayZeroIsCollectedOnceEveryMarketRolls|TestExportOutlivesAnInPlaceStep|TestConcurrentNewOverDistinctKeys|TestPanickedGenesisIsNotServed' \
+		-run 'TestGenesisHitIsIndistinguishable|TestDayZeroHitIsIndistinguishable|TestSharedCatalogLifecycle|TestSameKeyMarketsShareNothingMutable|TestSameKeyMarketsMatchSoloTwins|TestSteppedViewAliasesNothing|TestDayZeroIsCollectedOnceEveryMarketRolls|TestExportOutlivesAnInPlaceStep|TestDroppedMarketCostsOneRowCopy|TestLaggardHoldsItsDayAndLogs|TestConcurrentNewOverDistinctKeys|TestPanickedGenesisIsNotServed' \
 		./internal/marketsim
 	go test -race -cpu 1,4 \
 		-run 'TestGenerateDigests|TestBuiltAtFinalSize|ReflectiveSortsOrder|TestGuidedSearchIsSearchFloat64s|TestOwnsFuncAgreesWithOwnerAsTheTableGrows' \

@@ -4,14 +4,14 @@
 # the pairs the change won and each side's median and quartiles, the same
 # for the extra metrics an untraced run reports beside them
 # (client.roll_p50_ms, ...), which have no bound, and then `bench
-# compare`'s verdict against BENCHMARK.json's bounds. It appends one row
-# to BENCH_history.json.
+# compare`'s verdict against BENCHMARK.json's bounds, and how many runs of
+# each side bench marked noisy. It appends one row to BENCH_history.json.
 #
 #   scripts/pairs.sh PARENT [workload…]
 #
 # PARENT is any commit git can name. With no workload given, every one
-# BENCHMARK.json declares is run. The parent is checked out in a git
-# worktree under .bench_build/, removed again at exit; both sides run their
+# BENCHMARK.json declares is run. The parent is exported (git archive) into
+# .bench_build/parent-tree, removed again at exit; both sides run their
 # own cmd/bench/run.sh with --trace 0 and the benchmark's own window. Pair i
 # runs the parent first when i is odd and the change first when it is even,
 # so neither side always runs on a box the other has just warmed. A pair
@@ -47,9 +47,10 @@ out="$root/.bench_build/pairs"
 tree="$root/.bench_build/parent-tree"
 rm -rf "$out"
 mkdir -p "$out/parent" "$out/change"
-git worktree remove --force "$tree" 2>/dev/null || true
-git worktree add --detach "$tree" "$parent" >/dev/null
-trap 'git worktree remove --force "$tree"' EXIT
+rm -rf "$tree"
+mkdir -p "$tree"
+git archive "$parent" | tar -x -C "$tree"
+trap 'rm -rf "$tree"' EXIT
 
 # side NAME DIR COMMIT WORKLOAD runs one benchmark run of one side. A run
 # that fails or reads correct:false is reported and kept: compare counts
@@ -135,6 +136,17 @@ for group in metrics extra; do
 		printf "%-14s %-26s %2d/%-2d %12.6g %25s %12.6g %25s %9.4f%s\n", $2, $3, $4, $5,
 			$7, "[" $6 " " $8 "]", $10, "[" $9 " " $11 "]", $7 ? $10 / $7 : 0, gain
 	}' "$summary"
+done
+
+# bench marks a run noisy when the load average was high at either end of
+# it; on a small box the benchmark's own clients can put it there.
+for wl in "${workloads[@]}"; do
+	for s in parent change; do
+		jq -s -r --arg w "$wl" --arg s "$s" \
+			'map(select(.workload == $w and .trace == false)) |
+			 "\($w): \(map(select(.noisy)) | length) of \(length) \($s) runs marked noisy"' \
+			"$out/$s/results.jsonl"
+	done
 done
 
 rc=0
