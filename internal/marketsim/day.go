@@ -29,7 +29,8 @@ type chain struct {
 // from then on. Rows that nobody held are written in place, and the view
 // lets go of them (moved); a market that later adopts the day from an
 // earlier one puts them back from its own day's rows and the values the
-// day's log kept for it (behind).
+// day's log kept for it (behind). Nothing counts the markets behind, so once
+// a day has had a second market every later day keeps its log whole.
 type dayView struct {
 	ch       *chain
 	day      int

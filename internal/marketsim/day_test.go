@@ -13,35 +13,35 @@ import (
 	"planetapps/internal/rng"
 )
 
-// matchesTwin fails unless m is its solo twin: day, catalog, counts, row
-// versions and dirty days, the series' newest day and a full export. And
-// since a twin counts downloads by the same day logs, a market on the
-// frontier day, where the key's simulation is, must also count what it
-// ingested plus the downloads the simulation's users have recorded.
+// matchesTwin fails unless m is its solo twin in all it can be read by
+// without lending its day out: day, rows, name tables, counts, row versions
+// and dirty days, and the series' newest day. And since a twin counts
+// downloads by the same day logs, m's counts must add up to what it
+// ingested plus the downloads its twin's users, on its twin's own
+// simulation, have recorded.
 func matchesTwin(t *testing.T, what string, m, twin *Market, ingested int64) {
 	t.Helper()
 	if m.Day() != twin.Day() {
 		t.Fatalf("%s is at day %d, its twin at %d", what, m.Day(), twin.Day())
 	}
-	if m.v.next == nil {
-		var sum, recorded int64
-		for _, d := range m.Downloads() {
-			sum += d
-		}
-		s := simOf(m)
-		for u := range s.freeUsers {
-			recorded += int64(s.freeUsers[u].count())
-		}
-		for _, u := range s.usersPaid {
-			recorded += int64(u.count())
-		}
-		if sum != recorded+ingested {
-			t.Fatalf("%s counts %d downloads on day %d, its users recorded %d and it ingested %d",
-				what, sum, m.Day(), recorded, ingested)
-		}
+	var sum, recorded int64
+	for _, d := range m.Downloads() {
+		sum += d
 	}
-	if !reflect.DeepEqual(m.Catalog(), twin.Catalog()) {
-		t.Fatalf("%s's catalog differs from its twin's on day %d", what, m.Day())
+	s := simOf(twin)
+	for u := range s.freeUsers {
+		recorded += int64(s.freeUsers[u].count())
+	}
+	for _, u := range s.usersPaid {
+		recorded += int64(u.count())
+	}
+	if sum != recorded+ingested {
+		t.Fatalf("%s counts %d downloads on day %d, its twin's users recorded %d and it ingested %d",
+			what, sum, m.Day(), recorded, ingested)
+	}
+	if m.cat.Name != twin.cat.Name || !slices.Equal(m.cat.Apps, twin.cat.Apps) ||
+		!slices.Equal(m.v.catNames, twin.v.catNames) || !slices.Equal(m.v.devNames, twin.v.devNames) {
+		t.Fatalf("%s's rows or name tables differ from its twin's on day %d", what, m.Day())
 	}
 	if !slices.Equal(m.Downloads(), twin.Downloads()) || !slices.Equal(m.rowVer, twin.rowVer) || !slices.Equal(m.dirtyDay, twin.dirtyDay) {
 		t.Fatalf("%s's counts or row versions differ from its twin's on day %d", what, m.Day())
@@ -49,6 +49,16 @@ func matchesTwin(t *testing.T, what string, m, twin *Market, ingested int64) {
 	ds, tw := m.Series().Days, twin.Series().Days
 	if len(ds) != len(tw) || !reflect.DeepEqual(ds[len(ds)-1], tw[len(tw)-1]) {
 		t.Fatalf("%s's series differs from its twin's on day %d", what, m.Day())
+	}
+}
+
+// matchesTwinFully is matchesTwin and also compares the whole catalog and a
+// full export, both of which lend m's day out.
+func matchesTwinFully(t *testing.T, what string, m, twin *Market, ingested int64) {
+	t.Helper()
+	matchesTwin(t, what, m, twin, ingested)
+	if !reflect.DeepEqual(m.Catalog(), twin.Catalog()) {
+		t.Fatalf("%s's catalog differs from its twin's on day %d", what, m.Day())
 	}
 	exportEqual(t, fullExport(m), fullExport(twin))
 }
@@ -85,8 +95,12 @@ func collected(done chan struct{}) bool {
 // ApplyDownloadDelta (a delta of each market's own), Export and
 // PartitionMarket, with one market lagging two days and more behind and,
 // beside half the steps, a sibling exporting on another goroutine. After
-// every operation every market must be its twin, and what each Export and
-// PartitionMarket returned its twin's, chunk versions included.
+// every operation every market must be its twin in all it can be read by
+// without lending its day out, so that days nobody exported are written in
+// place and put back for the markets behind them, some beside a sibling's
+// export; what each Export and PartitionMarket returned must be its twin's,
+// chunk versions included; and at the end each market's catalog and full
+// export must be its twin's.
 //
 // dropped drops a third market of the same day 0 unstepped and, once it is
 // collected, steps the other two, one exporting and the other ingesting.
@@ -99,6 +113,7 @@ func TestSameKeyMarketsMatchSoloTwins(t *testing.T) {
 	t.Run("interleaved", func(t *testing.T) {
 		const (
 			markets = 4
+			leader  = 0
 			laggard = markets - 1
 			ops     = 160
 		)
@@ -170,13 +185,17 @@ func TestSameKeyMarketsMatchSoloTwins(t *testing.T) {
 
 		r := rng.New(seed)
 		lagged, beside := false, 0
+		var written, writtenBeside, putBack int
 		for k := 0; k < ops; k++ {
 			i := r.Intn(markets)
 			o := op(r.Intn(int(numOps)))
+			if i == leader && o >= export && r.Bool(0.75) {
+				o = step // runs ahead, mostly on days nobody else took
+			}
 			if o == step && (ms[i].Day() == cfg.Days-1 || i == laggard && r.Bool(0.75)) {
 				o = export
 			}
-			n := int32(ms[i].Catalog().NumApps())
+			n := int32(ms[i].cat.NumApps())
 			apps := []int32{int32(r.Intn(int(n))), int32(r.Intn(int(n))), n + 7} // the last is unknown: skipped
 			slices.Sort(apps)
 			// Beside half the steps, a sibling exports on another goroutine.
@@ -184,6 +203,10 @@ func TestSameKeyMarketsMatchSoloTwins(t *testing.T) {
 			if o == step && r.Bool(0.5) {
 				sib = (i + 1 + r.Intn(markets-1)) % markets
 			}
+			// What the step does to the day it leaves, read before a sibling
+			// can put it back.
+			was := ms[i].v
+			adopts := o == step && was.next != nil && was.next.moved
 			var got, sibGot *Export
 			if sib >= 0 {
 				beside++
@@ -200,6 +223,15 @@ func TestSameKeyMarketsMatchSoloTwins(t *testing.T) {
 				got = do(&ms, &parts, i, o, apps)
 			}
 			sameExport(k, i, got, do(&twins, &twinParts, i, o, apps))
+			if o == step && was.moved && !adopts {
+				written++
+				if sib >= 0 {
+					writtenBeside++
+				}
+			}
+			if adopts {
+				putBack++
+			}
 			for j := range ms {
 				matchesTwin(t, fmt.Sprintf("op %d: market %d", k, j), ms[j], twins[j], ingested[j])
 			}
@@ -207,9 +239,13 @@ func TestSameKeyMarketsMatchSoloTwins(t *testing.T) {
 				lagged = true
 			}
 		}
-		if !lagged || beside == 0 || ms[0].Day() < 5 {
-			t.Fatalf("the interleaving never had a laggard two days behind (%v), a sibling exporting beside a step (%d) or five days (%d): the checks were weak",
-				lagged, beside, ms[0].Day())
+		for j := range ms {
+			matchesTwinFully(t, fmt.Sprintf("at the end: market %d", j), ms[j], twins[j], ingested[j])
+		}
+		t.Logf("%d steps wrote their day in place, %d of them beside a sibling's export; %d put a day's rows back", written, writtenBeside, putBack)
+		if !lagged || beside == 0 || ms[0].Day() < 5 || writtenBeside == 0 || putBack == 0 {
+			t.Fatalf("the interleaving never had a laggard two days behind (%v), a sibling exporting beside a step (%d), five days (%d), a day written in place beside a sibling's export (%d) or a day's rows put back (%d): the checks were weak",
+				lagged, beside, ms[0].Day(), writtenBeside, putBack)
 		}
 	})
 
@@ -250,8 +286,8 @@ func TestSameKeyMarketsMatchSoloTwins(t *testing.T) {
 				m.ApplyDownloadDelta([]int32{int32(d), 1}, func(int32) int64 { return 2 })
 			}
 			ingested += 4
-			matchesTwin(t, fmt.Sprintf("day %d: the exporting market", d), ms[0], twins[0], 0)
-			matchesTwin(t, fmt.Sprintf("day %d: the ingesting market", d), ms[1], twins[1], ingested)
+			matchesTwinFully(t, fmt.Sprintf("day %d: the exporting market", d), ms[0], twins[0], 0)
+			matchesTwinFully(t, fmt.Sprintf("day %d: the ingesting market", d), ms[1], twins[1], ingested)
 		}
 	})
 
@@ -299,9 +335,9 @@ func TestSameKeyMarketsMatchSoloTwins(t *testing.T) {
 				}
 				ingested += 6
 			}
-			matchesTwin(t, fmt.Sprintf("day %d: the laggard", lag.Day()), lag, lagTwin, ingested)
+			matchesTwinFully(t, fmt.Sprintf("day %d: the laggard", lag.Day()), lag, lagTwin, ingested)
 		}
-		matchesTwin(t, "the market ahead", ahead, aheadTwin, 0)
+		matchesTwinFully(t, "the market ahead", ahead, aheadTwin, 0)
 	})
 }
 
@@ -434,7 +470,8 @@ func TestUnexportedMarketStepsWithoutCopyingRows(t *testing.T) {
 // days together, one is dropped and collected, and the other's next Step
 // moves the simulation off the rows the dropped market was on — one copy
 // of the rows and the day's log — and the Step after that, with nobody
-// else on the day, writes in place. When a dropped market still counted
+// else on the day, writes in place, keeping only the day's log whole for a
+// market that might be behind. When a dropped market still counted
 // as a reader, every later Step copied the whole simulation (3.3 MB at
 // this size). Arrivals are switched off, since they grow the rows by
 // append.

@@ -125,16 +125,15 @@ const (
 // same-key market on that day reads. What a market observes of it is its
 // own: the download counts (the simulated ones and those it ingested), the
 // row versions and dirty days derived from them, its export partitioner, its
-// series and the catalog header callers hold, 16 B an app beside a few
-// headers.
+// series and its catalog header, 16 B an app beside a few headers.
 type Market struct {
 	cfg Config
 	// proto is the dayZeroMemo entry this market was handed out of, until its
 	// first Step retires it.
 	proto *memoEntry[Market]
 	v     *dayView
-	// cat is the header Catalog returns: the market's own struct over its
-	// day's rows, and its member lists once Catalog has cut them.
+	// cat is the market's own header over its day's rows, which Step moves
+	// from day to day; Catalog hands out copies, never cat itself.
 	cat *catalog.Catalog
 
 	// Per-app observations: cumulative downloads, and the observation-only
@@ -482,13 +481,17 @@ func drawAppeal(r *rng.RNG, apps int, zipfGlobal float64) float64 {
 	return w
 }
 
-// Catalog exposes the market's evolving catalog, read-only to callers. The
-// header is the market's own and follows it from day to day; the rows and
-// member lists it points at are its day's, which every same-key market on
-// that day reads, and no later step writes them.
+// Catalog returns the market's current day's catalog, read-only to callers:
+// a header of the caller's own over the day's rows and member lists, which
+// every same-key market on the day reads. It stays that day's: a later Step
+// neither writes what it points at nor moves it to the next day, so a caller
+// that wants a later day calls Catalog again. Taking it lends the day out,
+// so the step past the day copies its rows and member lists before writing.
+// It takes the key's lock, and may wait out a same-key market's step; it
+// must not run concurrently with this market's Step.
 func (m *Market) Catalog() *catalog.Catalog {
-	*m.cat = m.v.header()
-	return m.cat
+	cat := m.v.header()
+	return &cat
 }
 
 // Day returns the current day index (number of completed days - 1).

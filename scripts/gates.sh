@@ -56,7 +56,8 @@ race() {
 # downloads side by side — arrivals, version bumps, price drift — beside one
 # that only exports share nothing they write, same-key markets stay their
 # solo twins through a seeded interleaving of steps, deltas and exports with
-# a laggard and exports beside steps, beside a dropped market, and as a
+# a laggard and exports beside steps, days written in place among them,
+# beside a dropped market, and as a
 # laggard catching up through days written in place, a market that rolls
 # keeps no observation array of another and a step nothing of a day another
 # market holds, the day-0 view is collected once every market has stepped,

@@ -10,8 +10,8 @@
 #   scripts/pairs.sh PARENT [workload…]
 #
 # PARENT is any commit git can name. With no workload given, every one
-# BENCHMARK.json declares is run. The parent is exported (git archive) into
-# .bench_build/parent-tree, removed again at exit; both sides run their
+# BENCHMARK.json declares is run. The parent is checked out in a git
+# worktree under .bench_build/, removed again at exit; both sides run their
 # own cmd/bench/run.sh with --trace 0 and the benchmark's own window. Pair i
 # runs the parent first when i is odd and the change first when it is even,
 # so neither side always runs on a box the other has just warmed. A pair
@@ -47,10 +47,9 @@ out="$root/.bench_build/pairs"
 tree="$root/.bench_build/parent-tree"
 rm -rf "$out"
 mkdir -p "$out/parent" "$out/change"
-rm -rf "$tree"
-mkdir -p "$tree"
-git archive "$parent" | tar -x -C "$tree"
-trap 'rm -rf "$tree"' EXIT
+git worktree remove --force "$tree" 2>/dev/null || true
+git worktree add --detach "$tree" "$parent" >/dev/null
+trap 'git worktree remove --force "$tree"' EXIT
 
 # side NAME DIR COMMIT WORKLOAD runs one benchmark run of one side. A run
 # that fails or reads correct:false is reported and kept: compare counts
