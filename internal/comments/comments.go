@@ -11,7 +11,9 @@ package comments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"planetapps/internal/catalog"
@@ -81,6 +83,14 @@ func (g GenConfig) Validate() error {
 // on an app from the category of a previous comment with probability
 // clusterP. Spam users post rapid-fire comments on random apps, mimicking
 // the automated posters the paper detected and filtered.
+//
+// It runs in two passes. The first makes every draw in stream order, but
+// of each pick it keeps only the category and the uniform the category's
+// Zipf consumes: a user's history is the categories of its picks, which is
+// what clustering reads. The second, sortByTime's gather, turns each
+// uniform into its app on GOMAXPROCS goroutines over fixed ranges of the
+// output; an app is a pure function of its category and uniform, so the
+// population is the same at any worker count.
 func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -110,22 +120,22 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 	}
 	catPick := dist.MustCategorical(weights)
 
-	pickInCategory := func(cat catalog.CategoryID) catalog.AppID {
-		members := c.Categories[cat].Apps
-		return members[catZipf[cat].Sample(r)-1]
-	}
-	pickAnywhere := func() catalog.AppID {
-		return pickInCategory(catalog.CategoryID(catPick.Sample(r)))
-	}
-
 	dayDur := 24 * time.Hour
-	// How many comments a user posts is drawn as the user is reached, so out
-	// grows by append, from room for the expected count (an ordinary user
-	// posts meanComments on average, a spam user 1+spamComments);
-	// sortByTime returns the population at its final size.
+	// How many comments a user posts is drawn as the user is reached, so the
+	// draws grow by append, from room for the expected count (an ordinary
+	// user posts meanComments on average, a spam user 1+spamComments);
+	// sortByTime returns the population at its final size. Until then a
+	// drawn comment's App is its pick's category, and us[i] the uniform
+	// that picks the app in it.
 	expected := (1-spamFraction)*meanComments + spamFraction*(1+spamComments)
-	out := make([]Comment, 0, int(float64(cfg.Users)*expected))
-	var history []catalog.AppID // the current user's, reused from user to user
+	drawn := make([]Comment, 0, int(float64(cfg.Users)*expected))
+	us := make([]float64, 0, cap(drawn))
+	pick := func(cat catalog.CategoryID) catalog.CategoryID {
+		us = append(us, r.Float64())
+		return cat
+	}
+	pickAnywhere := func() catalog.CategoryID { return pick(catalog.CategoryID(catPick.Sample(r))) }
+	var history []catalog.CategoryID // the current user's, reused from user to user
 	for u := 0; u < cfg.Users; u++ {
 		uid := catalog.UserID(u)
 		if r.Bool(spamFraction) {
@@ -134,9 +144,9 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 			n := 1 + r.Poisson(spamComments)
 			start := c.Start.Add(time.Duration(r.Intn(cfg.Days)) * dayDur)
 			for k := 0; k < n; k++ {
-				out = append(out, Comment{
+				drawn = append(drawn, Comment{
 					User:   uid,
-					App:    pickAnywhere(),
+					App:    catalog.AppID(pickAnywhere()),
 					Rating: 5,
 					Time:   start.Add(time.Duration(k) * 30 * time.Second),
 				})
@@ -148,24 +158,26 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 		when := c.Start.Add(time.Duration(r.Intn(cfg.Days)) * dayDur).
 			Add(time.Duration(r.Intn(86400)) * time.Second)
 		for k := 0; k < n; k++ {
-			var app catalog.AppID
+			var cat catalog.CategoryID
 			if len(history) > 0 && r.Bool(clusterP) {
-				prev := history[r.Intn(len(history))]
-				app = pickInCategory(c.CategoryOf(prev))
+				cat = pick(history[r.Intn(len(history))])
 			} else {
-				app = pickAnywhere()
+				cat = pickAnywhere()
 			}
-			history = append(history, app)
+			history = append(history, cat)
 			rating := int8(1 + r.Intn(5))
 			if r.Bool(ratingOmitP) {
 				rating = 0
 			}
-			out = append(out, Comment{User: uid, App: app, Rating: rating, Time: when})
+			drawn = append(drawn, Comment{User: uid, App: catalog.AppID(cat), Rating: rating, Time: when})
 			// Inter-comment gaps of hours to days.
 			when = when.Add(time.Duration(1+r.Intn(72)) * time.Hour)
 		}
 	}
-	return sortByTime(out), nil
+	return sortByTime(drawn, func(at int, cm *Comment) {
+		cat := catalog.CategoryID(cm.App)
+		cm.App = c.Categories[cat].Apps[catZipf[cat].Rank(us[at])-1]
+	}), nil
 }
 
 // sortByTime returns cs ordered by timestamp, equal timestamps in the order
@@ -175,8 +187,10 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 // least significant up, and a byte that is the same in every key costs no
 // pass: Generate's instants are whole seconds within a few months, so
 // three passes order them. The comments are then moved once, each to its
-// place.
-func sortByTime(cs []Comment) []Comment {
+// place, and finish (if not nil) is given each one placed and its index in
+// cs. That gather runs on GOMAXPROCS goroutines over fixed ranges of the
+// output, so finish must be safe to run concurrently on distinct comments.
+func sortByTime(cs []Comment, finish func(at int, c *Comment)) []Comment {
 	out := make([]Comment, len(cs))
 	if len(cs) == 0 {
 		return out
@@ -212,10 +226,37 @@ func sortByTime(cs []Comment) []Comment {
 		}
 		keys, into = into, keys
 	}
-	for i, k := range keys {
-		out[i] = cs[k.at]
-	}
+	inRanges(len(out), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			at := int(keys[i].at)
+			out[i] = cs[at]
+			if finish != nil {
+				finish(at, &out[i])
+			}
+		}
+	})
 	return out
+}
+
+// gatherSpan is the fewest comments a gather goroutine is given: below it,
+// starting one costs more than the work it takes over.
+const gatherSpan = 4096
+
+// inRanges calls do over [0, n) cut into one contiguous range per worker,
+// GOMAXPROCS of them or fewer so that each has gatherSpan indices, and
+// returns once every call has.
+func inRanges(n int, do func(lo, hi int)) {
+	workers := max(1, min(runtime.GOMAXPROCS(0), n/gatherSpan))
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			do(lo, hi)
+		}(n*w/workers, n*(w+1)/workers)
+	}
+	do(0, n/workers)
+	wg.Wait()
 }
 
 // timeKey is a comment's instant and its position in the unsorted stream.

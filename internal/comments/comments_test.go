@@ -87,7 +87,7 @@ func TestTimeOrderIsTheReflectiveSortsOrder(t *testing.T) {
 		sort.SliceStable(want, func(i, j int) bool { return want[i].Time.Before(want[j].Time) })
 		return want
 	}
-	got, want := sortByTime(cs), reflective(cs)
+	got, want := sortByTime(cs, nil), reflective(cs)
 	if !slices.Equal(got, want) {
 		t.Fatalf("the key sort and sort.SliceStable order %d comments differently", len(cs))
 	}
@@ -97,10 +97,10 @@ func TestTimeOrderIsTheReflectiveSortsOrder(t *testing.T) {
 	if cap(got) != len(got) {
 		t.Fatalf("%d comments returned in room for %d", len(got), cap(got))
 	}
-	if one := sortByTime(cs[:1]); len(one) != 1 || one[0] != cs[0] {
+	if one := sortByTime(cs[:1], nil); len(one) != 1 || one[0] != cs[0] {
 		t.Fatalf("a population of one came back as %v", one)
 	}
-	if none := sortByTime(nil); len(none) != 0 {
+	if none := sortByTime(nil, nil); len(none) != 0 {
 		t.Fatalf("a population of none came back as %v", none)
 	}
 }

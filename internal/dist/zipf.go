@@ -98,7 +98,14 @@ func (z *Zipf) P(i int) float64 {
 
 // Sample draws a rank in [1, n].
 func (z *Zipf) Sample(r *rng.RNG) int {
-	return search(z.cum, z.guide, r.Float64()) + 1
+	return z.Rank(r.Float64())
+}
+
+// Rank returns the rank a uniform draw u in [0, 1) samples: Sample is
+// Rank(r.Float64()), so a caller may draw u in stream order and search for
+// its rank later, or on another goroutine.
+func (z *Zipf) Rank(u float64) int {
+	return search(z.cum, z.guide, u) + 1
 }
 
 // Harmonic returns the generalized harmonic number H_{n,s} =

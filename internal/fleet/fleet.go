@@ -63,8 +63,9 @@ type fleetShared struct {
 	// ring partitions the catalog; every member's partitioner reads its
 	// ownership table, so the fleet hashes each app once.
 	ring *Ring
-	// population is the comment population every member keeps the streams
-	// of its own apps from.
+	// population is the comment population every member serves the streams
+	// of its own apps from; handed one slice, the members read one index of
+	// it (storeserver.SetComments).
 	population []comments.Comment
 }
 
@@ -102,8 +103,8 @@ func newShard(opts Options, k int, shared *fleetShared) (*storeserver.Server, er
 	if opts.CommentUsers > 0 {
 		// The full comment population is a pure function of the day-0
 		// catalog every member shares and of the seed, so whichever member
-		// generated it, SetComments keeps the streams of the apps this shard
-		// owns and serves the documents a single node would for them.
+		// generated it, this shard serves the documents a single node would
+		// for the apps it owns, out of the index the first member built.
 		if shared.population == nil {
 			cs, err := generateComments(m.Catalog(), comments.DefaultGenConfig(opts.CommentUsers), opts.Seed+1)
 			if err != nil {

@@ -1,6 +1,9 @@
 package marketsim
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // tablesAreExact reports the first sampling table of m holding fewer entries
 // than it has room for.
@@ -114,3 +117,59 @@ func TestBuiltAtFinalSize(t *testing.T) {
 
 // simOf returns the simulation of m's key, which m's view belongs to.
 func simOf(m *Market) *sim { return &m.v.ch.sim }
+
+// TestPerAppArraysGrowByA64th: the simulation's per-app arrays — appeal, the
+// update, paid and paid-index tracking, and the free, category and paid
+// sampling tables — grow with every day's arrivals for as long as a key's
+// one simulation steps. Each must then hold no more than 1/64 over its
+// length plus the day's arrivals, as the market's own counts do, where
+// growing by append left them about a quarter over.
+func TestPerAppArraysGrowByA64th(t *testing.T) {
+	m, err := New(retentionConfig(100_000), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := simOf(m)
+	grown := map[string]bool{} // moved onto a larger array since day 0
+	caps := map[string]int{}
+	for day := 0; day <= 30; day++ {
+		before := m.cat.NumApps()
+		if day > 0 {
+			if err := m.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		arrivals := m.cat.NumApps() - before
+		check := func(name string, length, room int) {
+			t.Helper()
+			if room > length+length/64+arrivals {
+				t.Fatalf("day %d: %s holds %d entries in room for %d (%d arrivals)", day, name, length, room, arrivals)
+			}
+			if c, ok := caps[name]; !ok {
+				caps[name] = room
+			} else if c != room {
+				grown[name] = true
+			}
+		}
+		check("appeal", len(s.appeal), cap(s.appeal))
+		check("updateRate", len(s.updateRate), cap(s.updateRate))
+		check("isPaid", len(s.isPaid), cap(s.isPaid))
+		check("paidIdx", len(s.paidIdx), cap(s.paidIdx))
+		check("freeCum", len(s.freeCum), cap(s.freeCum))
+		check("freeApps", len(s.freeApps), cap(s.freeApps))
+		check("paidApps", len(s.paidApps), cap(s.paidApps))
+		check("paidW", len(s.paidW), cap(s.paidW))
+		check("paidCum", len(s.paidCum), cap(s.paidCum))
+		for c := range s.catCum {
+			check("catCum "+strconv.Itoa(c), len(s.catCum[c]), cap(s.catCum[c]))
+			check("catApps "+strconv.Itoa(c), len(s.catApps[c]), cap(s.catApps[c]))
+		}
+	}
+	// Every array moved onto a larger one, so the bound above was held on
+	// grown arrays, not only on New's exact ones.
+	for name := range caps {
+		if !grown[name] {
+			t.Fatalf("%s never grew in 30 days of arrivals", name)
+		}
+	}
+}

@@ -458,9 +458,9 @@ func (m *Market) touchRow(i int) {
 // growTracking extends the per-app side arrays to cover a newly added app
 // (id == len-1 after the catalog append).
 func (s *sim) growTracking(a *catalog.App) {
-	s.updateRate = append(s.updateRate, a.UpdateRate)
-	s.isPaid = append(s.isPaid, a.Pricing == catalog.Paid)
-	s.paidIdx = append(s.paidIdx, -1)
+	s.updateRate = push(s.updateRate, a.UpdateRate)
+	s.isPaid = push(s.isPaid, a.Pricing == catalog.Paid)
+	s.paidIdx = push(s.paidIdx, -1)
 }
 
 // drawAppeal draws one appeal weight for a store that opened with apps apps.
@@ -618,6 +618,18 @@ func (m *Market) ownCounts(arrivals int) {
 // withRoom copies s into an array with room for n more elements.
 func withRoom[S ~[]E, E any](s S, n int) S { return append(make(S, 0, len(s)+n), s...) }
 
+// push appends v to s. A full s is first copied into an array with room
+// for 1/64 more than its new length, as observe grows the counts: the
+// simulation's per-app arrays grow with every day's arrivals for as long as
+// it runs, and append's growth would leave them a quarter larger than they
+// are.
+func push[S ~[]E, E any](s S, v E) S {
+	if n := len(s) + 1; n > cap(s) {
+		s = append(make(S, 0, n+n/64), s...)
+	}
+	return append(s, v)
+}
+
 // arrivals publishes the day's n new apps. Most arrivals come from new
 // developer accounts joining the store (keeping the single-app developer
 // share high, per Figure 16a); the rest extend existing portfolios.
@@ -654,7 +666,7 @@ func (s *sim) arrivals(n int) {
 		id := s.cat.AddApp(a)
 		// New arrivals start with damped appeal: most newcomers are
 		// unpopular; breakout hits are possible but rare.
-		s.appeal = append(s.appeal, drawAppeal(s.r, s.cfg.Profile.Apps, s.cfg.Profile.ZipfGlobal)*0.25)
+		s.appeal = push(s.appeal, drawAppeal(s.r, s.cfg.Profile.Apps, s.cfg.Profile.ZipfGlobal)*0.25)
 		s.growTracking(&s.cat.Apps[int(id)])
 		s.log.rows = append(s.log.rows, int32(id))
 	}
@@ -737,9 +749,9 @@ func (s *sim) syncTables() {
 				}
 			}
 			s.devPaid[a.Dev] = append(s.devPaid[a.Dev], j)
-			s.paidApps = append(s.paidApps, a.ID)
-			s.paidW = append(s.paidW, 0)
-			s.paidCum = append(s.paidCum, 0)
+			s.paidApps = push(s.paidApps, a.ID)
+			s.paidW = push(s.paidW, 0)
+			s.paidCum = push(s.paidCum, 0)
 			s.paidIdx[i] = j
 			s.paidDirty = append(s.paidDirty, j)
 			continue
@@ -748,8 +760,8 @@ func (s *sim) syncTables() {
 		if k := len(s.freeCum); k > 0 {
 			freeSum = s.freeCum[k-1]
 		}
-		s.freeCum = append(s.freeCum, freeSum+w)
-		s.freeApps = append(s.freeApps, a.ID)
+		s.freeCum = push(s.freeCum, freeSum+w)
+		s.freeApps = push(s.freeApps, a.ID)
 		c := int(a.Category)
 		cw := w
 		if s.catBias != 1 {
@@ -759,8 +771,8 @@ func (s *sim) syncTables() {
 		if k := len(s.catCum[c]); k > 0 {
 			catSum = s.catCum[c][k-1]
 		}
-		s.catCum[c] = append(s.catCum[c], catSum+cw)
-		s.catApps[c] = append(s.catApps[c], a.ID)
+		s.catCum[c] = push(s.catCum[c], catSum+cw)
+		s.catApps[c] = push(s.catApps[c], a.ID)
 	}
 	s.tableN = n
 	// Refresh the stale draw-acceleration hints. Amortized: fresh()

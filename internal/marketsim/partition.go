@@ -45,10 +45,6 @@ func NewPartitioner(owns func(id int32) bool) *Partitioner {
 	return &Partitioner{owns: owns}
 }
 
-// Owns reports whether the partition owns app id, whether or not the app
-// has arrived in the catalog yet.
-func (p *Partitioner) Owns(id int32) bool { return p.owns == nil || p.owns(id) }
-
 // global returns the market row of partition row j.
 func (p *Partitioner) global(j int) int {
 	if p.owns == nil {

@@ -2,8 +2,8 @@ package storeserver
 
 // comChunk is the write-merged comment state of one docChunk-row run of
 // export rows. Row j has absorbed ver[j] write-merges; once ver[j] > 0,
-// streams[j] is its whole stream (the SetComments base plus every merged
-// write) and the base map is no longer consulted for it. A chunk is
+// streams[j] is its whole stream (the SetComments index's plus every merged
+// write) and the index is no longer consulted for it. A chunk is
 // immutable from the moment a snapshot can see it.
 type comChunk struct {
 	ver     [docChunk]uint32

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -157,16 +158,17 @@ func TestMergeCommentsCopiesOnlyTheDelta(t *testing.T) {
 	const n = 3200
 	s := commentedServer(t, n, Config{PageSize: 100})
 	base := s.comments
-	if len(base) < n/10 {
-		t.Fatalf("only %d of %d apps have an attached stream", len(base), n)
+	if streams := commentedApps(base); streams < n/10 {
+		t.Fatalf("only %d of %d apps have an attached stream", streams, n)
 	}
+	all := slices.Clone(base.all)
 	// Five apps in three chunks.
 	ids := []int32{3, 4, 70, 2000, 2001}
 	recs := map[int32][]wal.Rec{}
 	var streamBytes uintptr
 	for _, id := range ids {
 		recs[id] = []wal.Rec{{Kind: wal.Comment, App: id, User: 9, Rating: 4}}
-		streamBytes += uintptr(len(base[catalog.AppID(id)])+1) * unsafe.Sizeof(CommentJSON{})
+		streamBytes += uintptr(len(base.stream(id))+1) * unsafe.Sizeof(CommentJSON{})
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -176,12 +178,12 @@ func TestMergeCommentsCopiesOnlyTheDelta(t *testing.T) {
 	runtime.ReadMemStats(&ms1)
 	for _, id := range ids {
 		cs, ver := s.comTab.row(int(id))
-		if old := base[catalog.AppID(id)]; ver != 1 || len(cs) != len(old)+1 || cs[len(old)].User != 9 {
+		if old := base.stream(id); ver != 1 || len(cs) != len(old)+1 || cs[len(old)].User != 9 {
 			t.Fatalf("app %d: ver %d, %d comments over a base of %d", id, ver, len(cs), len(old))
 		}
 	}
-	if len(s.comments) != len(base) {
-		t.Fatal("the merge wrote to the SetComments base map")
+	if s.comments != base || !slices.Equal(base.all, all) {
+		t.Fatal("the merge wrote to the SetComments index")
 	}
 	if raceEnabled {
 		return // allocation counts and bytes mean nothing under the race allocator
@@ -260,50 +262,6 @@ func TestCommentCarrySharesUntouchedBlocks(t *testing.T) {
 				t.Fatalf("app %d: unwritten neighbour of a written row not carried", i)
 			}
 		}
-	}
-}
-
-// TestShardKeepsOnlyOwnedStreams: a partitioned server drops, at
-// SetComments, the streams of apps it can never serve; what it keeps adds
-// up across the fleet to the single node's population, and every comment
-// document it serves is the single node's, byte for byte. (The same
-// documents through the gateway are held to the single node's bytes by
-// fleet's TestGatewayProxiesAppRoutesByteIdentical.)
-func TestShardKeepsOnlyOwnedStreams(t *testing.T) {
-	const (
-		apps   = 2000
-		shards = 4
-	)
-	cs, err := comments.Generate(retentionMarket(t, apps).Catalog(), comments.DefaultGenConfig(apps/5), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := New(retentionMarket(t, apps), Config{PageSize: 100})
-	single.SetComments(cs)
-	ref := single.snap.Load()
-
-	sum := 0
-	for k := int32(0); k < shards; k++ {
-		k := k
-		part := marketsim.NewPartitioner(func(id int32) bool { return id%shards == k })
-		s := New(retentionMarket(t, apps), Config{PageSize: 100, Partition: part})
-		s.SetComments(cs)
-		sn := s.snap.Load()
-		for id := range sn.comments {
-			if int32(id)%shards != k {
-				t.Fatalf("shard %d holds app %d's stream", k, id)
-			}
-		}
-		sum += len(sn.comments)
-		for i := 0; i < sn.n; i++ {
-			got, want := sn.commentsDoc(i), ref.commentsDoc(int(sn.ex.ID(i)))
-			if got.etag != want.etag || !bytes.Equal(got.body, want.body) || !bytes.Equal(got.gzBody, want.gzBody) {
-				t.Fatalf("shard %d app %d: comment document differs from the single node's", k, sn.ex.ID(i))
-			}
-		}
-	}
-	if sum != len(ref.comments) || sum == 0 {
-		t.Fatalf("shards hold %d streams in all, the single node %d", sum, len(ref.comments))
 	}
 }
 

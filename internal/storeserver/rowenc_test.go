@@ -90,7 +90,7 @@ func TestRowEncoderMatchesEncodingJSON(t *testing.T) {
 
 			stream, ver := sn.comTab.row(i)
 			if ver == 0 {
-				stream = sn.comments[catalog.AppID(sn.ex.ID(i))]
+				stream = sn.comments.stream(sn.ex.ID(i))
 			}
 			if stream == nil {
 				stream = []CommentJSON{}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"planetapps/internal/arena"
-	"planetapps/internal/catalog"
 	"planetapps/internal/marketsim"
 )
 
@@ -58,13 +57,13 @@ type snapshot struct {
 
 	pageSize int
 
-	// comments maps app -> its attached comment stream. The map is built
-	// fresh by SetComments and never mutated afterwards (client writes merge
-	// into comTab, not here); commentsGen distinguishes
+	// comments is the attached population's per-app index, shared by every
+	// store the population was installed on and never written (client
+	// writes merge into comTab, not here); commentsGen distinguishes
 	// successive comment sets in ETags (comments do not change day to day,
 	// so their ETags deliberately omit the day and stay valid across
 	// snapshots until the next SetComments).
-	comments    map[catalog.AppID][]CommentJSON
+	comments    *comIndex
 	commentsGen int64
 
 	// comTab holds the streams client writes have been merged into, with a
@@ -104,7 +103,7 @@ const maxArenas = 64
 // for the first snapshot). Fresh documents are not encoded here — that
 // would put O(catalog) JSON work on the AdvanceDay path; each is built on
 // first request (see respCache).
-func newSnapshot(e *marketsim.Export, prev *snapshot, comments map[catalog.AppID][]CommentJSON, gen int64, tab comTable, pageSize int, slabsMade *atomic.Int64) *snapshot {
+func newSnapshot(e *marketsim.Export, prev *snapshot, comments *comIndex, gen int64, tab comTable, pageSize int, slabsMade *atomic.Int64) *snapshot {
 	n := e.NumApps()
 	sn := &snapshot{
 		day:         e.Day(),
@@ -329,7 +328,7 @@ func (sn *snapshot) commentsDoc(i int) docView {
 		id := sn.ex.ID(i)
 		cs, ver := sn.comTab.row(i)
 		if ver == 0 {
-			cs = sn.comments[catalog.AppID(id)]
+			cs = sn.comments.stream(id)
 		}
 		buf.Write(append(appendComments(buf.AvailableBuffer(), cs), '\n'))
 		etag := `"c` + strconv.FormatInt(sn.commentsGen, 10) + `-` + strconv.FormatInt(int64(id), 10)

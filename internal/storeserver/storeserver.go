@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"planetapps/internal/apiwire"
-	"planetapps/internal/catalog"
 	"planetapps/internal/comments"
 	"planetapps/internal/faultinject"
 	"planetapps/internal/gcstats"
@@ -125,7 +124,7 @@ type Server struct {
 	// market and publish a fresh snapshot. Readers never take it.
 	mu          sync.Mutex
 	market      *marketsim.Market
-	comments    map[catalog.AppID][]CommentJSON
+	comments    *comIndex
 	commentsGen int64
 
 	// wlog buffers client mutations between day-rolls; absorbWrites folds
@@ -296,14 +295,18 @@ func (s *Server) CommitDay() int {
 	return sn.day
 }
 
-// SetComments attaches a generated comment stream, grouped per app, served
-// at /api/v1/apps/{id}/comments. It publishes a fresh snapshot so in-flight
-// requests keep the old comment set and new requests see the new one.
+// SetComments attaches a generated comment population, served per app at
+// /api/v1/apps/{id}/comments. It publishes a fresh snapshot so in-flight
+// requests keep the old comment set and new requests see the new one. An
+// installed population is read-only: every store handed the same slice
+// reads one per-app index of it, built by the first (indexFor), so cs must
+// not be written while any store serves it. A shard serves the streams of
+// the apps it lists out of the index and never reads the rest.
 func (s *Server) SetComments(cs []comments.Comment) {
-	grouped := groupComments(cs, s.snap.Load().ex, s.cfg.Partition)
+	idx := indexFor(cs)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.comments = grouped
+	s.comments = idx
 	s.commentsGen++
 	// The attached stream replaces everything, including any write-merged
 	// streams; per-app write versions restart with it.
@@ -312,79 +315,6 @@ func (s *Server) SetComments(cs []comments.Comment) {
 	// set; discard it rather than commit stale state.
 	s.pending = nil
 	s.publish()
-}
-
-// groupComments cuts cs into per-app streams, each in cs's order. A shard
-// keeps only the streams it can ever serve: those of the apps ex, an export
-// of its partition, lists, and of the apps part owns among IDs past ex's
-// last row (not arrived yet). Count, then fill: one pass counts every kept
-// app's comments, the streams are cut at their final size (cap == len; the
-// write path copies a stream before it appends, see mergeComments) out of
-// one array, a second pass drops each comment into place. Ownership is read
-// off the export's ID list, not asked of the ring comment by comment.
-func groupComments(cs []comments.Comment, ex *marketsim.Export, part *marketsim.Partitioner) map[catalog.AppID][]CommentJSON {
-	span := 0 // commented IDs are below it
-	for i := range cs {
-		if id := int(cs[i].App); id >= span {
-			span = id + 1
-		}
-	}
-	// at[id] is -1 for an app that is not this store's; for the others a
-	// count, then the cursor its stream is filled at.
-	at := make([]int, span)
-	if part != nil {
-		for id := range at {
-			at[id] = -1
-		}
-		listed := 0 // IDs below it are owned iff ex lists them
-		for i := 0; i < ex.NumApps(); i++ {
-			id := int(ex.ID(i))
-			listed = id + 1
-			if id < span {
-				at[id] = 0
-			}
-		}
-		for id := listed; id < span; id++ {
-			if part.Owns(int32(id)) {
-				at[id] = 0
-			}
-		}
-	}
-	keeps := func(c *comments.Comment) bool { return c.App >= 0 && at[c.App] >= 0 }
-	kept, streams := 0, 0
-	for i := range cs {
-		if c := &cs[i]; keeps(c) {
-			if at[c.App] == 0 {
-				streams++
-			}
-			at[c.App]++
-			kept++
-		}
-	}
-	off := 0
-	for id, n := range at {
-		if n >= 0 {
-			at[id], off = off, off+n
-		}
-	}
-	all := make([]CommentJSON, kept)
-	for i := range cs {
-		if c := &cs[i]; keeps(c) {
-			all[at[c.App]] = CommentJSON{User: int32(c.User), Rating: c.Rating, UnixTime: c.Time.Unix()}
-			at[c.App]++
-		}
-	}
-	// Every cursor now stands at its stream's end, which is the next
-	// stream's start.
-	grouped := make(map[catalog.AppID][]CommentJSON, streams)
-	start := 0
-	for id, end := range at {
-		if end > start {
-			grouped[catalog.AppID(id)] = all[start:end:end]
-			start = end
-		}
-	}
-	return grouped
 }
 
 // AdvanceDay rolls a node on its own: both phases back to back, so a day
@@ -426,7 +356,8 @@ func (s *Server) absorbWrites() {
 // shared with published snapshots still serving readers, so the spine, the
 // chunks holding a written row, and every written stream are cloned before
 // the append — O(written apps + catalog/docChunk), never the catalog, and
-// the SetComments base map is only read. apps lists the delta's apps in
+// the SetComments index, which every store of the population shares, is
+// only read. apps lists the delta's apps in
 // ascending order, which is ascending row order on any export.
 func (s *Server) mergeComments(apps []int32, recs map[int32][]wal.Rec) {
 	// Rows are resolved against the serving export: handleWrite admitted
@@ -459,7 +390,7 @@ func (s *Server) mergeComments(apps []int32, recs map[int32][]wal.Rec) {
 		ch := tab[c]
 		old := ch.streams[j]
 		if ch.ver[j] == 0 {
-			old = s.comments[catalog.AppID(id)]
+			old = s.comments.stream(id)
 		}
 		merged := make([]CommentJSON, len(old), len(old)+len(rs))
 		copy(merged, old)

@@ -69,6 +69,13 @@ race() {
 # the two sorts held to the reflective sorts they replaced (forced ties,
 # one element, none), and cap == len on every list, table and stream a
 # store builds — the catalog goroutine runs beside New at the second width.
+# The comment population's second pass runs on GOMAXPROCS goroutines: it is
+# held byte for byte across one worker and four (an empty and a one-app
+# category, one user, fewer comments than workers); and the per-app index
+# stores share is built once for a fleet of one, four shards and twenty
+# stores installing it at once, serves a single node's bytes, and is never
+# written by a merged comment. A stepping simulation's per-app arrays are
+# held to 1/64 of room over their length plus the day's arrivals.
 # So are the two set-up shortcuts those builds take: the bucket-guided Zipf
 # and categorical draws held to sort.SearchFloat64s's index, and a ring's
 # ownership table held to Owner while four shards' partitioners read and
@@ -81,7 +88,7 @@ cpu14() {
 		-run 'TestGenesisHitIsIndistinguishable|TestDayZeroHitIsIndistinguishable|TestSharedCatalogLifecycle|TestSameKeyMarketsShareNothingMutable|TestSameKeyMarketsMatchSoloTwins|TestSteppedViewAliasesNothing|TestDayZeroIsCollectedOnceEveryMarketRolls|TestExportOutlivesAnInPlaceStep|TestDroppedMarketCostsOneRowCopy|TestLaggardHoldsItsDayAndLogs|TestConcurrentNewOverDistinctKeys|TestPanickedGenesisIsNotServed' \
 		./internal/marketsim
 	go test -race -cpu 1,4 \
-		-run 'TestGenerateDigests|TestBuiltAtFinalSize|ReflectiveSortsOrder|TestGuidedSearchIsSearchFloat64s|TestOwnsFuncAgreesWithOwnerAsTheTableGrows' \
+		-run 'TestGenerateDigests|TestBuiltAtFinalSize|ReflectiveSortsOrder|TestGuidedSearchIsSearchFloat64s|TestOwnsFuncAgreesWithOwnerAsTheTableGrows|TestGenerateIsWorkerInvariant|TestStoresShareOneCommentIndex|TestMergeNeverWritesTheIndex|TestPerAppArraysGrowByA64th' \
 		./internal/catalog ./internal/comments ./internal/marketsim ./internal/storeserver ./internal/dist ./internal/fleet
 }
 
@@ -155,7 +162,9 @@ alloc() {
 # key to 4 KiB (it reads the first one's day 0 in place until it rolls),
 # and TestShardsHoldOneGenesisAndNoDenseExport four shards to one store
 # plus three that hold neither a market of their own nor a dense export,
-# nor a copy of the catalog rows.
+# nor a copy of the catalog rows. TestStoresOfOnePopulationHoldOneIndex
+# holds twenty stores handed one comment population to one index of it and
+# 8 KiB a store, where each store's grouped copy was about 66 KB.
 # TestHistoryFootprintFollowsDownloads holds a stepping market's user
 # histories to what the users have downloaded so far (slot count and heap
 # growth at day 40, slot count at drain); a budget carved whole at first
@@ -167,7 +176,7 @@ alloc() {
 # 60 times in 60 and the second a few times in 180, under ordinary
 # scheduling luck that one tier-1 run does not reliably draw.
 retention() {
-	go test -run 'TestHeapObjectsGate|TestServingArenasBoundedAcrossRolls|TestArenaFootprintAcrossRolls|TestDayArenaPinsWhatItHolds|TestMergeCommentsCopiesOnlyTheDelta|TestCommentCarrySharesUntouchedBlocks|TestShardsHoldOneGenesisAndNoDenseExport' \
+	go test -run 'TestHeapObjectsGate|TestServingArenasBoundedAcrossRolls|TestArenaFootprintAcrossRolls|TestDayArenaPinsWhatItHolds|TestMergeCommentsCopiesOnlyTheDelta|TestCommentCarrySharesUntouchedBlocks|TestShardsHoldOneGenesisAndNoDenseExport|TestStoresOfOnePopulationHoldOneIndex' \
 		-count=1 -timeout 10m ./internal/storeserver
 	go test -run 'TestHeldViewOutlivesItsSnapshot|TestSnapshotConsistencyUnderAdvanceDay' \
 		-count=20 -cpu 1,2,4 -timeout 10m ./internal/storeserver
