@@ -7,13 +7,16 @@
 // affinity), comment counts are heavy-tailed with 99% of users under ~30
 // comments, and a small population of spam users posts hundreds of
 // comments via automated scripts.
+//
+// A population Generate returns is read-only once it is installed on a
+// store: every store handed the same slice serves one per-app index of it,
+// built when the first store installs it, so an edit made in place after
+// that reaches none of them. Clone it to change it.
 package comments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"planetapps/internal/catalog"
@@ -88,9 +91,7 @@ func (g GenConfig) Validate() error {
 // of each pick it keeps only the category and the uniform the category's
 // Zipf consumes: a user's history is the categories of its picks, which is
 // what clustering reads. The second, sortByTime's gather, turns each
-// uniform into its app on GOMAXPROCS goroutines over fixed ranges of the
-// output; an app is a pure function of its category and uniform, so the
-// population is the same at any worker count.
+// uniform into its app as it places the comment.
 func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -188,8 +189,7 @@ func Generate(c *catalog.Catalog, cfg GenConfig, seed uint64) ([]Comment, error)
 // pass: Generate's instants are whole seconds within a few months, so
 // three passes order them. The comments are then moved once, each to its
 // place, and finish (if not nil) is given each one placed and its index in
-// cs. That gather runs on GOMAXPROCS goroutines over fixed ranges of the
-// output, so finish must be safe to run concurrently on distinct comments.
+// cs.
 func sortByTime(cs []Comment, finish func(at int, c *Comment)) []Comment {
 	out := make([]Comment, len(cs))
 	if len(cs) == 0 {
@@ -226,37 +226,13 @@ func sortByTime(cs []Comment, finish func(at int, c *Comment)) []Comment {
 		}
 		keys, into = into, keys
 	}
-	inRanges(len(out), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			at := int(keys[i].at)
-			out[i] = cs[at]
-			if finish != nil {
-				finish(at, &out[i])
-			}
+	for i, k := range keys {
+		out[i] = cs[k.at]
+		if finish != nil {
+			finish(int(k.at), &out[i])
 		}
-	})
-	return out
-}
-
-// gatherSpan is the fewest comments a gather goroutine is given: below it,
-// starting one costs more than the work it takes over.
-const gatherSpan = 4096
-
-// inRanges calls do over [0, n) cut into one contiguous range per worker,
-// GOMAXPROCS of them or fewer so that each has gatherSpan indices, and
-// returns once every call has.
-func inRanges(n int, do func(lo, hi int)) {
-	workers := max(1, min(runtime.GOMAXPROCS(0), n/gatherSpan))
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			do(lo, hi)
-		}(n*w/workers, n*(w+1)/workers)
 	}
-	do(0, n/workers)
-	wg.Wait()
+	return out
 }
 
 // timeKey is a comment's instant and its position in the unsorted stream.

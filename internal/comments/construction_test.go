@@ -3,9 +3,7 @@ package comments
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"runtime"
 	"testing"
-	"time"
 
 	"planetapps/internal/catalog"
 )
@@ -87,73 +85,5 @@ func BenchmarkGenerate(b *testing.B) {
 		if _, err := Generate(c, DefaultGenConfig(20000), 2); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// edgeCatalog is a catalog of three categories: one of many apps, one of
-// none and one of a single app.
-func edgeCatalog() *catalog.Catalog {
-	c := &catalog.Catalog{
-		Name:       "edges",
-		Categories: []catalog.Category{{ID: 0, Name: "many"}, {ID: 1, Name: "none"}, {ID: 2, Name: "one"}},
-		Start:      time.Date(2012, 11, 1, 0, 0, 0, 0, time.UTC),
-	}
-	for i := 0; i < 3000; i++ {
-		c.AddApp(catalog.App{Dev: catalog.DevID(i / 3), Category: 0, Quality: float64(1+i*7919%3000) / 3000})
-	}
-	c.AddApp(catalog.App{Dev: 0, Category: 2, Quality: 0.5})
-	return c
-}
-
-// TestGenerateIsWorkerInvariant: Generate's second pass turns uniforms into
-// apps on GOMAXPROCS goroutines over fixed ranges of the output, so the
-// population must be the same, comment for comment and field for field, at
-// one worker and at four — on populations large enough that four workers
-// split the gather, and at the edges: a catalog with an empty and a
-// one-app category, one user, and fewer comments than workers.
-func TestGenerateIsWorkerInvariant(t *testing.T) {
-	edges := edgeCatalog()
-	bench := benchCatalog(t)
-	for _, tc := range []struct {
-		name  string
-		c     *catalog.Catalog
-		users int
-		seed  uint64
-	}{
-		{"bench", bench, 20000, 2},
-		{"edges", edges, 6000, 5},
-		{"edges, one user", edges, 1, 3},
-		{"bench, one user", bench, 1, 2},
-		{"edges, fewer comments than workers", edges, 1, 8},
-	} {
-		var runs [2][]Comment
-		for k, procs := range []int{1, 4} {
-			prev := runtime.GOMAXPROCS(procs)
-			cs, err := Generate(tc.c, DefaultGenConfig(tc.users), tc.seed)
-			runtime.GOMAXPROCS(prev)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			runs[k] = cs
-		}
-		one, four := runs[0], runs[1]
-		if len(one) != len(four) || len(one) == 0 {
-			t.Fatalf("%s: %d comments at one worker, %d at four", tc.name, len(one), len(four))
-		}
-		for i := range one {
-			if one[i] != four[i] {
-				t.Fatalf("%s: comment %d is %+v at one worker, %+v at four", tc.name, i, one[i], four[i])
-			}
-		}
-		lone := 0 // comments on the one-app category's app
-		for _, c := range one {
-			if tc.c == edges && c.App == edges.Categories[2].Apps[0] {
-				lone++
-			}
-		}
-		if tc.name == "edges" && lone == 0 {
-			t.Fatalf("%s: no comment on the one-app category", tc.name)
-		}
-		t.Logf("%s: %d comments, %d on the one-app category", tc.name, len(one), lone)
 	}
 }

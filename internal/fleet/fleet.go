@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"planetapps/internal/catalog"
@@ -50,7 +51,7 @@ type Options struct {
 // over the ring partition k owns, comment streams, chaos. appstored calls
 // it once; NewInproc calls it for every k.
 func NewShard(opts Options, k int) (*storeserver.Server, error) {
-	return newShard(opts, k, new(fleetShared))
+	return newShard(opts, k, &fleetShared{alone: true})
 }
 
 // generateComments is comments.Generate, a variable so that a test can
@@ -67,6 +68,10 @@ type fleetShared struct {
 	// of its own apps from; handed one slice, the members read one index of
 	// it (storeserver.SetComments).
 	population []comments.Comment
+	// alone marks a member with no other in its process (NewShard): it
+	// shares its comment index with nobody, so it installs only the
+	// comments on the apps it owns.
+	alone bool
 }
 
 // newShard is NewShard given what the fleet's members share.
@@ -92,11 +97,13 @@ func newShard(opts Options, k int, shared *fleetShared) (*storeserver.Server, er
 	scfg := opts.Server
 	scfg.Node = shardName(k)
 	node := -1
+	var owns func(int32) bool
 	if opts.Shards > 1 {
 		if shared.ring == nil {
 			shared.ring = NewRing(opts.Shards, opts.Vnodes)
 		}
-		scfg.Partition = marketsim.NewPartitioner(shared.ring.OwnsFunc(k))
+		owns = shared.ring.OwnsFunc(k)
+		scfg.Partition = marketsim.NewPartitioner(owns)
 		node = k
 	}
 	srv := storeserver.New(m, scfg)
@@ -104,11 +111,15 @@ func newShard(opts Options, k int, shared *fleetShared) (*storeserver.Server, er
 		// The full comment population is a pure function of the day-0
 		// catalog every member shares and of the seed, so whichever member
 		// generated it, this shard serves the documents a single node would
-		// for the apps it owns, out of the index the first member built.
+		// for the apps it owns, out of the index the first member built; a
+		// lone shard indexes the comments on its own apps only.
 		if shared.population == nil {
 			cs, err := generateComments(m.Catalog(), comments.DefaultGenConfig(opts.CommentUsers), opts.Seed+1)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: shard %d comments: %w", k, err)
+			}
+			if shared.alone && owns != nil {
+				cs = slices.DeleteFunc(cs, func(c comments.Comment) bool { return !owns(int32(c.App)) })
 			}
 			shared.population = cs
 		}

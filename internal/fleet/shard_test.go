@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -140,7 +141,9 @@ func TestFleetOfOneIsTheSingleNode(t *testing.T) {
 
 // TestNewShardIsTheInprocMember pins that the one node appstored builds
 // (NewShard(opts, k)) serves the rows and documents member k of the
-// in-process fleet serves, ring partition and comment streams included.
+// in-process fleet serves, ring partition and comment streams included:
+// it installs only the comments on the apps it owns, and serves every one
+// of its apps' streams as the member does.
 func TestNewShardIsTheInprocMember(t *testing.T) {
 	opts := Options{
 		Shards: 3, Store: testStore, Scale: testScale, Seed: testSeed, Days: testDays,
@@ -164,12 +167,20 @@ func TestNewShardIsTheInprocMember(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("shard %d: NewShard's listing differs from the in-process member's", k)
 		}
-		for _, row := range a[0].Apps[:1] {
+		var rows []json.RawMessage
+		for _, page := range a {
+			rows = append(rows, page.Apps...)
+		}
+		for i, row := range rows {
 			var app struct {
 				ID int `json:"id"`
 			}
 			mustUnmarshal(t, row, &app)
-			for _, tail := range []string{"", "/comments"} {
+			tails := []string{"/comments"}
+			if i == 0 {
+				tails = append(tails, "")
+			}
+			for _, tail := range tails {
 				path := "/api/v1/apps/" + strconv.Itoa(app.ID) + tail
 				x := exchange(t, srv.Handler(), "GET", path, nil, "")
 				y := exchange(t, member.Handler(), "GET", path, nil, "")

@@ -3,6 +3,7 @@ package storeserver
 import (
 	"math"
 	"sync"
+	"weak"
 
 	"planetapps/internal/comments"
 )
@@ -72,15 +73,18 @@ func newComIndex(cs []comments.Comment) *comIndex {
 var buildIndex = newComIndex
 
 // indexMemo holds the index of the last population installed, keyed on the
-// population slice itself: its first element's address and its length. The
-// entry holds the slice, so the address cannot be reused by another
-// population while the entry lives. A process installs one population on
-// N stores (a fleet's shards, the benchmark's sites), one after another,
-// so one entry is enough; it has no size or switch.
+// population slice itself: its first element's address and its length. It
+// holds both weakly, so it keeps alive neither a population its caller has
+// dropped nor an index no store reads; once either is collected, the next
+// install builds afresh, and a collected population's address, reused by
+// another, reads nil rather than matching. A process installs one
+// population on N stores (a fleet's shards, the benchmark's sites), one
+// after another, so one entry is enough; it has no size or switch.
 var indexMemo struct {
 	mu  sync.Mutex // held across a build: a same-population caller waits for it
-	pop []comments.Comment
-	idx *comIndex
+	pop weak.Pointer[comments.Comment]
+	n   int
+	idx weak.Pointer[comIndex]
 }
 
 // indexFor returns cs's index, building it unless the memo holds it.
@@ -90,9 +94,12 @@ func indexFor(cs []comments.Comment) *comIndex {
 	}
 	indexMemo.mu.Lock()
 	defer indexMemo.mu.Unlock()
-	if m := indexMemo.pop; len(m) != len(cs) || &m[0] != &cs[0] {
-		idx := buildIndex(cs)
-		indexMemo.pop, indexMemo.idx = cs, idx
+	if indexMemo.pop.Value() == &cs[0] && indexMemo.n == len(cs) {
+		if idx := indexMemo.idx.Value(); idx != nil {
+			return idx
+		}
 	}
-	return indexMemo.idx
+	idx := buildIndex(cs)
+	indexMemo.pop, indexMemo.n, indexMemo.idx = weak.Make(&cs[0]), len(cs), weak.Make(idx)
+	return idx
 }

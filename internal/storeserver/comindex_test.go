@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"unsafe"
+	"weak"
 
 	"planetapps/internal/comments"
 	"planetapps/internal/marketsim"
@@ -29,7 +31,7 @@ func commentedApps(idx *comIndex) int {
 // forgetIndex empties the index memo, so that the next SetComments builds.
 func forgetIndex() {
 	indexMemo.mu.Lock()
-	indexMemo.pop, indexMemo.idx = nil, nil
+	indexMemo.pop, indexMemo.n, indexMemo.idx = weak.Pointer[comments.Comment]{}, 0, weak.Pointer[comIndex]{}
 	indexMemo.mu.Unlock()
 }
 
@@ -125,6 +127,58 @@ func TestStoresShareOneCommentIndex(t *testing.T) {
 		if served != want || served == 0 {
 			t.Fatalf("%s: %d streams served in all, want %d", rig.name, served, want)
 		}
+	}
+
+	// An installed population is read-only; a caller that wants another
+	// clones and edits it, and the clone gets an index of its own.
+	edited := slices.Clone(cs)
+	edited[0].Rating = edited[0].Rating%5 + 1
+	*built = 0
+	s := unsharded(1)[0]
+	s.SetComments(edited)
+	id := int32(edited[0].App)
+	if *built != 1 || s.comments == ref.comments || s.comments.stream(id)[0].Rating == ref.comments.stream(id)[0].Rating {
+		t.Fatalf("an edited clone of the population: %d indexes built, its own index %v", *built, s.comments != ref.comments)
+	}
+}
+
+// installed generates a population, installs it on a store and drops it,
+// returning the store and weak pointers to the population and its index.
+func installed(t *testing.T, apps int) (*Server, weak.Pointer[comments.Comment], weak.Pointer[comIndex]) {
+	cs, err := comments.Generate(retentionMarket(t, apps).Catalog(), comments.DefaultGenConfig(apps/5), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(retentionMarket(t, apps), Config{PageSize: 100})
+	s.SetComments(cs)
+	return s, weak.Make(&cs[0]), weak.Make(s.comments)
+}
+
+// TestIndexMemoPinsNothing: the memo keeps alive neither a population its
+// caller has dropped — a store serves from the index alone — nor an index
+// no store reads, and the next install of a collected population's slot
+// builds afresh.
+func TestIndexMemoPinsNothing(t *testing.T) {
+	const apps = 2000
+	forgetIndex()
+	s, pop, idx := installed(t, apps)
+	runtime.GC()
+	if pop.Value() != nil {
+		t.Fatal("a population nothing but the memo refers to is still alive")
+	}
+	if idx.Value() == nil || idx.Value() != s.comments || commentedApps(s.comments) == 0 {
+		t.Fatal("the store lost its index with the population")
+	}
+	runtime.KeepAlive(s)
+	s = nil
+	runtime.GC()
+	if idx.Value() != nil {
+		t.Fatal("an index no store reads is still alive")
+	}
+	built := countBuilds(t)
+	s, _, _ = installed(t, apps)
+	if *built != 1 || s.comments == nil {
+		t.Fatalf("installing a population after the last was collected built %d indexes, want 1", *built)
 	}
 }
 
@@ -236,7 +290,7 @@ func TestStoresOfOnePopulationHoldOneIndex(t *testing.T) {
 	if raceEnabled {
 		return // the race allocator's shadow memory swamps a byte bound
 	}
-	idx := indexFor(cs)
+	idx := newComIndex(cs)
 	index := int64(cap(idx.off))*int64(unsafe.Sizeof(int32(0))) + int64(cap(idx.all))*int64(unsafe.Sizeof(CommentJSON{}))
 	bound := index + stores*perStore
 	t.Logf("%d stores: %d bytes bare, %d with %d comments installed (an index is %d): %d over, bound %d",

@@ -69,13 +69,13 @@ race() {
 # the two sorts held to the reflective sorts they replaced (forced ties,
 # one element, none), and cap == len on every list, table and stream a
 # store builds — the catalog goroutine runs beside New at the second width.
-# The comment population's second pass runs on GOMAXPROCS goroutines: it is
-# held byte for byte across one worker and four (an empty and a one-app
-# category, one user, fewer comments than workers); and the per-app index
-# stores share is built once for a fleet of one, four shards and twenty
-# stores installing it at once, serves a single node's bytes, and is never
-# written by a merged comment. A stepping simulation's per-app arrays are
-# held to 1/64 of room over their length plus the day's arrivals.
+# The per-app comment index stores share is built once for a fleet of one,
+# four shards and twenty stores installing it at once (an edited clone of
+# the population gets its own), serves a single node's bytes, is never
+# written by a merged comment, and its memo pins neither a dropped
+# population nor an index no store reads. A stepping simulation's per-app
+# arrays are held to 1/64 of room over their length plus the day's
+# arrivals.
 # So are the two set-up shortcuts those builds take: the bucket-guided Zipf
 # and categorical draws held to sort.SearchFloat64s's index, and a ring's
 # ownership table held to Owner while four shards' partitioners read and
@@ -88,7 +88,7 @@ cpu14() {
 		-run 'TestGenesisHitIsIndistinguishable|TestDayZeroHitIsIndistinguishable|TestSharedCatalogLifecycle|TestSameKeyMarketsShareNothingMutable|TestSameKeyMarketsMatchSoloTwins|TestSteppedViewAliasesNothing|TestDayZeroIsCollectedOnceEveryMarketRolls|TestExportOutlivesAnInPlaceStep|TestDroppedMarketCostsOneRowCopy|TestLaggardHoldsItsDayAndLogs|TestConcurrentNewOverDistinctKeys|TestPanickedGenesisIsNotServed' \
 		./internal/marketsim
 	go test -race -cpu 1,4 \
-		-run 'TestGenerateDigests|TestBuiltAtFinalSize|ReflectiveSortsOrder|TestGuidedSearchIsSearchFloat64s|TestOwnsFuncAgreesWithOwnerAsTheTableGrows|TestGenerateIsWorkerInvariant|TestStoresShareOneCommentIndex|TestMergeNeverWritesTheIndex|TestPerAppArraysGrowByA64th' \
+		-run 'TestGenerateDigests|TestBuiltAtFinalSize|ReflectiveSortsOrder|TestGuidedSearchIsSearchFloat64s|TestOwnsFuncAgreesWithOwnerAsTheTableGrows|TestStoresShareOneCommentIndex|TestIndexMemoPinsNothing|TestMergeNeverWritesTheIndex|TestPerAppArraysGrowByA64th' \
 		./internal/catalog ./internal/comments ./internal/marketsim ./internal/storeserver ./internal/dist ./internal/fleet
 }
 
