@@ -11,14 +11,19 @@ import (
 // range is split into 2^subBits log-spaced buckets, bounding the relative
 // error of any recorded value (and hence any quantile estimate) at
 // 1/2^subBits ≈ 3.1%. This is the HdrHistogram bucketing scheme reduced to
-// a flat array of atomics.
+// blocks of atomic counters, one block per power-of-two range.
 const subBits = 5
 
 const subCount = 1 << subBits
 
-// numBuckets covers every non-negative int64 (nanosecond durations up to
-// ~292 years).
-var numBuckets = bucketIndex(math.MaxInt64) + 1
+// numBlocks is how many subCount-bucket blocks cover every non-negative
+// int64 (nanosecond durations up to ~292 years): block k holds buckets
+// [k*subCount, (k+1)*subCount), the values whose most significant bit sits
+// at position k+subBits-1 (block 0: the exact unit buckets below subCount).
+const numBlocks = 64 - subBits
+
+// bucketBlock is the bucket counts of one power-of-two range.
+type bucketBlock [subCount]atomic.Int64
 
 // bucketIndex maps a non-negative value to its bucket. Values below
 // subCount get exact unit buckets; above, the index is derived from the
@@ -48,22 +53,39 @@ func bucketMid(idx int) int64 {
 
 // Histogram is a lock-free log-bucketed histogram of non-negative int64
 // observations (by convention, latencies in nanoseconds). Observe is a
-// single atomic add into a fixed bucket array plus sum/count/extrema
-// updates; quantiles are extracted from a point-in-time snapshot. The zero
-// value is NOT ready to use — construct with NewHistogram.
+// single atomic add into a bucket plus sum/count/extrema updates;
+// quantiles are extracted from a point-in-time snapshot. Buckets live in
+// one block per power-of-two range, made on the first observation that
+// lands in it: a latency histogram sees a handful of magnitudes, so it
+// holds a few 256-byte blocks instead of all 1,888 buckets (15 KiB). The
+// zero value is NOT ready to use — construct with NewHistogram.
 type Histogram struct {
-	buckets []atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-	min     atomic.Int64
-	max     atomic.Int64
+	blocks [numBlocks]atomic.Pointer[bucketBlock]
+	count  atomic.Int64
+	sum    atomic.Int64
+	min    atomic.Int64
+	max    atomic.Int64
 }
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	h := &Histogram{buckets: make([]atomic.Int64, numBuckets)}
+	h := &Histogram{}
 	h.min.Store(math.MaxInt64)
 	return h
+}
+
+// block returns block k, making it if no observation has yet. Racing
+// first observations agree on one block through the CAS; a loser's
+// block is garbage before anything counted into it.
+func (h *Histogram) block(k int) *bucketBlock {
+	if b := h.blocks[k].Load(); b != nil {
+		return b
+	}
+	nb := new(bucketBlock)
+	if h.blocks[k].CompareAndSwap(nil, nb) {
+		return nb
+	}
+	return h.blocks[k].Load()
 }
 
 // Observe records one value. Negative values are clamped to zero.
@@ -71,7 +93,8 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[bucketIndex(v)].Add(1)
+	idx := bucketIndex(v)
+	h.block(idx >> subBits)[idx&(subCount-1)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 	for {
@@ -94,22 +117,30 @@ func (h *Histogram) ObserveSince(start time.Time) { h.Observe(int64(time.Since(s
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Snapshot captures a point-in-time view for quantile extraction. The
-// snapshot is internally consistent enough for reporting: buckets are read
-// individually, so counts racing with concurrent Observes may be off by the
-// in-flight handful, never corrupted.
+// Snapshot captures a point-in-time view for quantile extraction, copying
+// only the blocks that exist. The snapshot is internally consistent enough
+// for reporting: buckets are read individually, so counts racing with
+// concurrent Observes may be off by the in-flight handful, never
+// corrupted.
 func (h *Histogram) Snapshot() *HistogramSnapshot {
 	s := &HistogramSnapshot{
-		Sum:     h.sum.Load(),
-		Min:     h.min.Load(),
-		Max:     h.max.Load(),
-		buckets: make([]int64, len(h.buckets)),
+		Sum: h.sum.Load(),
+		Min: h.min.Load(),
+		Max: h.max.Load(),
 	}
 	var total int64
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
-		s.buckets[i] = c
-		total += c
+	for k := range h.blocks {
+		b := h.blocks[k].Load()
+		if b == nil {
+			continue
+		}
+		sb := snapBlock{k: k}
+		for j := range b {
+			c := b[j].Load()
+			sb.counts[j] = c
+			total += c
+		}
+		s.blocks = append(s.blocks, sb)
 	}
 	// Derive Count from the bucket sum so quantile ranks are consistent
 	// with the bucket contents even under concurrent writes.
@@ -131,7 +162,13 @@ type HistogramSnapshot struct {
 	Min   int64
 	Max   int64
 
-	buckets []int64
+	blocks []snapBlock // ascending k
+}
+
+// snapBlock is block k's counts as a snapshot read them.
+type snapBlock struct {
+	k      int
+	counts [subCount]int64
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) as a bucket-midpoint
@@ -152,17 +189,12 @@ func (s *HistogramSnapshot) Quantile(q float64) int64 {
 		target = 1
 	}
 	var cum int64
-	for i, c := range s.buckets {
-		cum += c
-		if cum >= target {
-			v := bucketMid(i)
-			if v < s.Min {
-				v = s.Min
+	for _, b := range s.blocks {
+		for j, c := range b.counts {
+			cum += c
+			if cum >= target {
+				return min(max(bucketMid(b.k<<subBits|j), s.Min), s.Max)
 			}
-			if v > s.Max {
-				v = s.Max
-			}
-			return v
 		}
 	}
 	return s.Max

@@ -192,3 +192,115 @@ func TestRegistryTypeMismatchPanics(t *testing.T) {
 	}()
 	reg.Gauge("x")
 }
+
+// denseHistogram is the reference Histogram is held to: every one of the
+// 1,888 buckets allocated up front, counted and walked in order.
+type denseHistogram struct {
+	buckets              []int64
+	count, sum, min, max int64
+}
+
+func newDenseHistogram() *denseHistogram {
+	return &denseHistogram{buckets: make([]int64, bucketIndex(math.MaxInt64)+1), min: math.MaxInt64}
+}
+
+func (d *denseHistogram) observe(v int64) {
+	v = max(v, 0)
+	d.buckets[bucketIndex(v)]++
+	d.count++
+	d.sum += v
+	d.min, d.max = min(d.min, v), max(d.max, v)
+}
+
+func (d *denseHistogram) quantile(q float64) int64 {
+	switch {
+	case d.count == 0:
+		return 0
+	case q <= 0:
+		return d.min
+	case q >= 1:
+		return d.max
+	}
+	target := max(int64(math.Ceil(q*float64(d.count))), 1)
+	var cum int64
+	for i, c := range d.buckets {
+		if cum += c; cum >= target {
+			return min(max(bucketMid(i), d.min), d.max)
+		}
+	}
+	return d.max
+}
+
+// TestHistogramMatchesDenseReference: blocks made on first observation
+// give the count, sum, extrema and every quantile the dense bucket array
+// gives, over seeded values from every corner — zero, the exact unit
+// buckets below 32, values near MaxInt64 (the last block), negatives
+// (clamped to zero) and a spread across every magnitude between.
+func TestHistogramMatchesDenseReference(t *testing.T) {
+	if got := bucketIndex(math.MaxInt64) >> subBits; got != numBlocks-1 {
+		t.Fatalf("MaxInt64 lands in block %d of %d", got, numBlocks)
+	}
+	r := rand.New(rand.NewSource(11))
+	sets := map[string][]int64{
+		"empty": nil,
+		"zero":  {0, 0, 0},
+		"units": {0, 1, 2, 3, 17, 30, 31, 31},
+		"top":   {math.MaxInt64, math.MaxInt64 - 1, math.MaxInt64 - 1<<40, 1 << 62, 1<<62 + 1},
+		"neg":   {-1, -5, math.MinInt64, 3, 40},
+	}
+	var spread []int64
+	for i := 0; i < 5000; i++ {
+		spread = append(spread, r.Int63()>>uint(r.Intn(63)))
+	}
+	sets["spread"] = spread
+	qs := []float64{-1, 0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1, 2}
+	for name, vals := range sets {
+		h, d := NewHistogram(), newDenseHistogram()
+		for _, v := range vals {
+			h.Observe(v)
+			d.observe(v)
+		}
+		s := h.Snapshot()
+		if d.count == 0 {
+			d.min = 0
+		}
+		if s.Count != d.count || s.Sum != d.sum || s.Min != d.min || s.Max != d.max {
+			t.Fatalf("%s: count/sum/min/max %d/%d/%d/%d, dense %d/%d/%d/%d",
+				name, s.Count, s.Sum, s.Min, s.Max, d.count, d.sum, d.min, d.max)
+		}
+		for _, q := range qs {
+			if got, want := s.Quantile(q), d.quantile(q); got != want {
+				t.Fatalf("%s: q=%g gives %d, dense %d", name, q, got, want)
+			}
+		}
+	}
+}
+
+// TestHistogramFirstObservationRace: eight goroutines released at once
+// make their first observations into one block of a fresh histogram. One
+// block must win, and it must hold every observation.
+func TestHistogramFirstObservationRace(t *testing.T) {
+	const goroutines, per = 8, 100
+	for round := 0; round < 50; round++ {
+		h := NewHistogram()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for j := 0; j < per; j++ {
+					h.Observe(1<<20 + int64(g*per+j)) // all in block 16
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		s := h.Snapshot()
+		if len(s.blocks) != 1 || s.Count != goroutines*per || h.Count() != goroutines*per {
+			t.Fatalf("round %d: %d blocks holding %d observations of %d counted, want 1 block holding %d",
+				round, len(s.blocks), s.Count, h.Count(), goroutines*per)
+		}
+	}
+}

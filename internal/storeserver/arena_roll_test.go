@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"planetapps/internal/arena"
 	"planetapps/internal/catalog"
 	"planetapps/internal/gcstats"
 	"planetapps/internal/marketsim"
@@ -15,10 +16,11 @@ import (
 // serving fleet looks like.
 func forceFill(s *Server) {
 	sn := s.snap.Load()
-	sn.statsDoc()
+	fill := func(d docView) { d.release() }
+	fill(sn.statsDoc())
 	for i := 0; i < sn.n; i++ {
-		sn.detailDoc(i)
-		sn.commentsDoc(i)
+		fill(sn.detailDoc(i))
+		fill(sn.commentsDoc(i))
 	}
 }
 
@@ -70,7 +72,8 @@ func TestServingArenasBoundedAcrossRolls(t *testing.T) {
 // the handler has returned. Those views must read the same bytes however
 // many rolls, collections and fills follow. A slab handed back for reuse
 // when its snapshot was collected would put a later day's document under
-// a day-0 view.
+// a day-0 view. The views held are the stats document's validators (all it
+// keeps) and a long comment stream's validators and both bodies.
 func TestHeldViewOutlivesItsSnapshot(t *testing.T) {
 	mcfg := marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(0.1))
 	mcfg.Days = 8
@@ -79,9 +82,17 @@ func TestHeldViewOutlivesItsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(m, Config{PageSize: 25})
-	d := s.snap.Load().statsDoc()
-	body, etag := d.body, d.etag
-	wantBody, wantEtag := string(body), strings.Clone(etag)
+	s.SetComments(commentRun(3, 40))
+	st, cd := s.snap.Load().statsDoc(), s.snap.Load().commentsDoc(3)
+	st.release()
+	if cd.gzBody == nil {
+		t.Fatal("the long comment stream kept no bytes")
+	}
+	held := []string{st.etag, st.clen, cd.etag, cd.clen, arena.AsString(cd.body), cd.gzEtag, cd.gzClen, arena.AsString(cd.gzBody)}
+	want := make([]string, len(held))
+	for i, v := range held {
+		want[i] = strings.Clone(v)
+	}
 	for r := 1; r <= 4; r++ {
 		if err := s.AdvanceDay(); err != nil {
 			t.Fatal(err)
@@ -89,9 +100,11 @@ func TestHeldViewOutlivesItsSnapshot(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			runtime.GC()
 		}
-		s.snap.Load().statsDoc()
-		if string(body) != wantBody || etag != wantEtag {
-			t.Fatalf("after roll %d a day-0 view reads %s %s, want %s %s", r, etag, body, wantEtag, wantBody)
+		forceFill(s)
+		for i := range held {
+			if held[i] != want[i] {
+				t.Fatalf("after roll %d a day-0 view reads %q, want %q", r, held[i], want[i])
+			}
 		}
 	}
 }

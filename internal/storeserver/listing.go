@@ -1,7 +1,6 @@
 package storeserver
 
 import (
-	"bytes"
 	"net/http"
 	"strconv"
 
@@ -92,8 +91,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request, sn *snapshot
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
+	buf := getBuf()
 	b := append(buf.AvailableBuffer(), `{"apps":`...)
 	b = sn.appendRows(b, lo, hi)
 	if hi < sn.n {

@@ -15,11 +15,17 @@ import (
 	"planetapps/internal/marketsim"
 )
 
-// bufPool recycles the scratch buffers responses are encoded into. Encoded
-// documents are copied out into arena slabs, so a pooled buffer only lives
-// for the duration of one cache fill and its capacity is reused across
-// fills instead of re-growing from zero each time.
+// bufPool recycles the scratch buffers responses are encoded into. What a
+// document keeps is copied out into arena slabs, so a pooled buffer only
+// lives for the duration of one fill or one response and its capacity is
+// reused instead of re-growing from zero each time.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBuf() *bytes.Buffer {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
 
 // maxPooledBufCap bounds what putBuf will park: one huge listing-slice
 // encode must not pin a multi-megabyte scratch buffer in the pool for the
@@ -44,11 +50,16 @@ func putBuf(buf *bytes.Buffer) {
 //	[etag][clen][gzEtag][gzClen][body][gzBody]
 //
 // — identity ETag and pre-rendered Content-Length first, then the gzip
-// pair (both empty unless gzipx.CompressIfPays kept a representation —
-// long comment streams do, detail rows never), then the
-// identity bytes and the gzip bytes. One region per document means
-// one bump allocation per fill and lets compaction move a document with a
-// single copy.
+// pair and the two bodies. A document keeps its bytes only beside a gzip
+// form: when gzipx.CompressIfPays keeps one (long comment streams) the
+// region holds all six parts; when it declines (every detail row, short
+// comment streams, stats) the region is the identity validators alone,
+// bodyLen still records the identity length, and the serve path
+// re-encodes the bytes from the snapshot's rows — a few hundred
+// nanoseconds for a document whose bytes would pin ~200 B of slab for the
+// life of its row version. One region per document means one bump
+// allocation per fill and lets compaction move a document with a single
+// copy.
 //
 // state is the single-flight fill protocol: 0 empty, 1 filling, 2 filled.
 // Every other field is written exactly once, before the release-store of
@@ -58,7 +69,7 @@ type docHandle struct {
 	state     uint32 // atomic: docEmpty -> docFilling -> docFilled
 	arenaIdx  uint32 // snapshot.arenas slot holding the region
 	base      uint32 // packed arena offset of the region
-	bodyLen   uint32
+	bodyLen   uint32 // identity length, kept in the region only when gzLen > 0
 	gzLen     uint32 // 0 when the document has no gzip representation
 	etagLen   uint16
 	clenLen   uint16
@@ -73,8 +84,11 @@ const (
 )
 
 func (h *docHandle) regionLen() uint32 {
-	return uint32(h.etagLen) + uint32(h.clenLen) + uint32(h.gzEtagLen) +
-		uint32(h.gzClenLen) + h.bodyLen + h.gzLen
+	n := uint32(h.etagLen) + uint32(h.clenLen) + uint32(h.gzEtagLen) + uint32(h.gzClenLen)
+	if h.gzLen > 0 {
+		n += h.bodyLen + h.gzLen
+	}
+	return n
 }
 
 // loadHandle snapshots e if (and only if) it is filled. The acquire-load
@@ -102,13 +116,18 @@ func loadHandle(e *docHandle) (docHandle, bool) {
 }
 
 // docView is the servable form of a filled document: byte slices and
-// strings aliasing the arena region (zero-copy views, valid as long as
-// the snapshot they came from is reachable). Field names mirror the old
-// cachedDoc so the serve path reads identically.
+// strings aliasing the arena region (zero-copy views that keep the slab
+// they point into alive).
 type docView struct {
-	body []byte
-	etag string
-	clen string // pre-rendered Content-Length
+	// body is the identity bytes: an arena view when the document kept
+	// them (beside a gzip form), the fill's own encoding on the call that
+	// filled it (buf holds it, for release), nil otherwise — the serve
+	// path then re-encodes them (render).
+	body    []byte
+	buf     *bytes.Buffer
+	bodyLen int    // the identity length the fill recorded
+	etag    string // identity ETag
+	clen    string // pre-rendered Content-Length of the identity bytes
 
 	// The gzip representation. gzBody is nil when gzipx.CompressIfPays
 	// declined one (stats, detail rows, short comment streams), in which
@@ -126,20 +145,41 @@ func viewDoc(tab []*arena.Arena, h *docHandle) docView {
 	reg := tab[h.arenaIdx].Bytes(h.base, h.regionLen())
 	p := uint32(h.etagLen)
 	q := p + uint32(h.clenLen)
-	r := q + uint32(h.gzEtagLen)
-	s := r + uint32(h.gzClenLen)
-	t := s + h.bodyLen
 	v := docView{
-		etag: arena.AsString(reg[:p]),
-		clen: arena.AsString(reg[p:q]),
-		body: reg[s:t:t],
+		bodyLen: int(h.bodyLen),
+		etag:    arena.AsString(reg[:p]),
+		clen:    arena.AsString(reg[p:q]),
 	}
 	if h.gzLen > 0 {
+		r := q + uint32(h.gzEtagLen)
+		s := r + uint32(h.gzClenLen)
+		t := s + h.bodyLen
+		v.body = reg[s:t:t]
 		v.gzEtag = arena.AsString(reg[q:r])
 		v.gzClen = arena.AsString(reg[r:s])
 		v.gzBody = reg[t:]
 	}
 	return v
+}
+
+// render gives d its identity bytes if it holds none, re-encoding
+// document k/i of sn into a pooled buffer that release hands back.
+func (sn *snapshot) render(d *docView, k docKind, i int) {
+	if d.body != nil {
+		return
+	}
+	d.buf = getBuf()
+	d.buf.Write(sn.appendDoc(d.buf.AvailableBuffer(), k, i))
+	d.body = d.buf.Bytes()
+}
+
+// release returns the pooled buffer d's bytes were encoded into, if any;
+// d's body must not be read after it.
+func (d *docView) release() {
+	if d.buf != nil {
+		putBuf(d.buf)
+		d.buf, d.body = nil, nil
+	}
 }
 
 // gzETag derives the gzip representation's ETag from the identity one:
@@ -238,26 +278,26 @@ func (c *respCache) docAt(i int) docHandle {
 	return h
 }
 
-// get returns document i, encoding it (and compressing it, if that pays) on
-// first use.
-// Callers must bounds-check i against the snapshot before calling.
-func (c *respCache) get(sn *snapshot, i int, encode func(buf *bytes.Buffer) (etag string)) docView {
+// get returns document i of kind k, encoding it (and compressing it, if
+// that pays) on first use. Callers must bounds-check i against the
+// snapshot before calling, and release the view once its body is written.
+func (c *respCache) get(sn *snapshot, k docKind, i int) docView {
 	blk := c.block(i / docChunk)
 	e := &blk.docs[i%docChunk]
 	if atomic.LoadUint32(&e.state) == docFilled {
 		return viewDoc(sn.arenas, e)
 	}
-	return c.fillDoc(sn, blk, e, encode)
+	return c.fillDoc(sn, blk, e, k, i)
 }
 
 // fillDoc encodes the document on first use, single-flight: the CAS
-// winner builds both representations and bump-allocates one arena region;
-// losers wait for the release-store of state. encode writes the JSON body
-// into buf and returns the document's ETag; the ETag must be a pure
-// function of the document's content (not of which snapshot is serving
-// it), because a carried-forward document keeps the ETag its first
-// snapshot computed.
-func (c *respCache) fillDoc(sn *snapshot, blk *docBlock, e *docHandle, encode func(buf *bytes.Buffer) (etag string)) docView {
+// winner encodes it, tries gzip, and bump-allocates one arena region for
+// what the document keeps; losers wait for the release-store of state.
+// The ETag must be a pure function of the document's content (not of
+// which snapshot is serving it), because a carried-forward document keeps
+// the ETag its first snapshot computed — and a document that keeps no
+// bytes is re-encoded by whichever snapshot serves it.
+func (c *respCache) fillDoc(sn *snapshot, blk *docBlock, e *docHandle, k docKind, i int) docView {
 	if !atomic.CompareAndSwapUint32(&e.state, docEmpty, docFilling) {
 		// Lost the single-flight race: spin-wait for the winner. Fills
 		// are short (one encode, at most one gzip) and happen at most once
@@ -271,32 +311,32 @@ func (c *respCache) fillDoc(sn *snapshot, blk *docBlock, e *docHandle, encode fu
 		}
 		return viewDoc(sn.arenas, e)
 	}
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	etag := encode(buf)
+	buf := getBuf()
+	buf.Write(sn.appendDoc(buf.AvailableBuffer(), k, i))
 	body := buf.Bytes()
+	etag := sn.docETag(k, i)
 	var clen [20]byte
 	clenB := strconv.AppendInt(clen[:0], int64(len(body)), 10)
 
-	var gz []byte
+	// Identity bytes are kept only beside a gzip form.
+	var kept, gz []byte
 	var gzEtag string
 	var gzClen [20]byte
 	var gzClenB []byte
 	if z := gzipx.CompressIfPays(body); z != nil {
-		gz = z
+		kept, gz = body, z
 		gzEtag = gzETag(etag)
 		gzClenB = strconv.AppendInt(gzClen[:0], int64(len(z)), 10)
 	}
 
-	total := len(etag) + len(clenB) + len(gzEtag) + len(gzClenB) + len(body) + len(gz)
+	total := len(etag) + len(clenB) + len(gzEtag) + len(gzClenB) + len(kept) + len(gz)
 	off, dst := sn.fresh.Alloc(total)
 	w := copy(dst, etag)
 	w += copy(dst[w:], clenB)
 	w += copy(dst[w:], gzEtag)
 	w += copy(dst[w:], gzClenB)
-	w += copy(dst[w:], body)
+	w += copy(dst[w:], kept)
 	copy(dst[w:], gz)
-	putBuf(buf)
 
 	e.arenaIdx = sn.freshIdx
 	e.base = off
@@ -309,7 +349,14 @@ func (c *respCache) fillDoc(sn *snapshot, blk *docBlock, e *docHandle, encode fu
 	orMask(&blk.amask, 1<<uint64(sn.freshIdx))
 	blk.filled.Add(1)
 	atomic.StoreUint32(&e.state, docFilled)
-	return viewDoc(sn.arenas, e)
+	v := viewDoc(sn.arenas, e)
+	if gz != nil {
+		putBuf(buf)
+	} else {
+		// The fill serves the bytes it just encoded.
+		v.body, v.buf = body, buf
+	}
+	return v
 }
 
 // carryCtx threads one snapshot build's carry bookkeeping: which arena
@@ -351,8 +398,9 @@ func (cc *carryCtx) dropAll(prev *respCache) {
 
 // move evacuates one document out of a compacting arena: a single byte
 // copy of the already-encoded region into the build's fresh arena. The
-// bytes — ETags, identity body, gzip body — are copied verbatim, never
-// re-encoded or re-compressed, so carry semantics are intact.
+// bytes — validators and whatever bodies the document kept — are copied
+// verbatim, never re-encoded or re-compressed, so carry semantics are
+// intact.
 func (cc *carryCtx) move(h docHandle) docHandle {
 	src := cc.prev.arenas[h.arenaIdx]
 	reg := src.Bytes(h.base, h.regionLen())

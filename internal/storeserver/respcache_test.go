@@ -2,39 +2,62 @@ package storeserver
 
 import (
 	"bytes"
-	"strconv"
 	"sync/atomic"
 	"testing"
 
 	"planetapps/internal/arena"
+	"planetapps/internal/marketsim"
 )
 
+// The three documents of a snapshot, filled on first use.
+func (sn *snapshot) statsDoc() docView         { return sn.doc(docStats, 0) }
+func (sn *snapshot) detailDoc(i int) docView   { return sn.doc(docDetail, i) }
+func (sn *snapshot) commentsDoc(i int) docView { return sn.doc(docComments, i) }
+
+// shellExport is the 256-app day-0 export shell snapshots render their
+// detail documents from.
+func shellExport(t *testing.T) *marketsim.Export {
+	t.Helper()
+	ex := lowChurnMarket(t, 256, 0).Export()
+	if ex.NumApps() < 200 {
+		t.Fatalf("shell export holds %d apps, the carry tests need 200", ex.NumApps())
+	}
+	return ex
+}
+
 // shellSnapshot fabricates the minimal snapshot a respCache needs: an
-// arena table with one fresh arena. It lets the carry boundary tests
-// drive carryCtx.cache directly with hand-picked sizes and masks instead
-// of hoping a simulated market hits the geometry.
-func shellSnapshot() *snapshot {
-	sn := &snapshot{}
+// export to render from and an arena table with one fresh arena. It lets
+// the carry boundary tests drive carryCtx.cache directly with hand-picked
+// sizes and masks instead of hoping a simulated market hits the geometry.
+func shellSnapshot(ex *marketsim.Export) *snapshot {
+	sn := &snapshot{ex: ex, n: ex.NumApps(), store: ex.Store(),
+		catNames: ex.CategoryNames(), devNames: ex.DeveloperNames()}
 	sn.fresh = arena.New(new(atomic.Int64))
 	sn.arenas = []*arena.Arena{sn.fresh}
 	sn.freshIdx = 0
 	return sn
 }
 
-// fillRange force-encodes entries [0, k) of c with deterministic bodies.
+// fillRange force-encodes detail entries [0, k) of c.
 func fillRange(sn *snapshot, c *respCache, k int) {
 	for i := 0; i < k; i++ {
-		i := i
-		c.get(sn, i, func(buf *bytes.Buffer) string {
-			buf.WriteString(`{"doc":` + strconv.Itoa(i) + `}`)
-			return `"e` + strconv.Itoa(i) + `"`
-		})
+		d := c.get(sn, docDetail, i)
+		d.release()
 	}
+}
+
+// fillingGet gets entry i of c and reports whether the get filled it: a fill
+// encodes the document and writes a new handle, a get of a filled entry
+// leaves the handle as it was.
+func fillingGet(sn *snapshot, c *respCache, i int) (v docView, filled bool) {
+	h := c.docAt(i)
+	v = c.get(sn, docDetail, i)
+	return v, c.docAt(i) != h
 }
 
 // successor builds the carry of prev's cache into a new shell snapshot.
 func successor(prev *snapshot, prevCache *respCache, n int, sameChunk func(int) bool, keepMask func(int) uint64) (*snapshot, respCache, int) {
-	sn := shellSnapshot()
+	sn := shellSnapshot(prev.ex)
 	// Mirror planArenas for the shell: the successor sees prev's arenas
 	// plus its own fresh one in a new slot.
 	sn.arenas = append(append([]*arena.Arena(nil), prev.arenas...), sn.fresh)
@@ -49,7 +72,7 @@ func successor(prev *snapshot, prevCache *respCache, n int, sameChunk func(int) 
 // drop the out-of-range documents (and their arena bytes) while still
 // carrying the surviving prefix.
 func TestCarryShrink(t *testing.T) {
-	prev := shellSnapshot()
+	prev := shellSnapshot(shellExport(t))
 	pc := newRespCache(200) // 4 blocks: 64+64+64+8
 	prev.detail = pc
 	fillRange(prev, &pc, 200)
@@ -68,9 +91,12 @@ func TestCarryShrink(t *testing.T) {
 		if out.docAt(i) != pc.docAt(i) {
 			t.Fatalf("entry %d not carried across shrink", i)
 		}
-		got := out.get(sn, i, func(*bytes.Buffer) string { t.Fatalf("entry %d re-encoded", i); return "" })
-		if want := `{"doc":` + strconv.Itoa(i) + `}`; string(got.body) != want {
-			t.Fatalf("entry %d: body %q, want %q", i, got.body, want)
+		got, filled := fillingGet(sn, &out, i)
+		if filled {
+			t.Fatalf("entry %d re-encoded", i)
+		}
+		if want := sn.docETag(docDetail, i); got.etag != want {
+			t.Fatalf("entry %d: etag %s, want %s", i, got.etag, want)
 		}
 	}
 	// The 100 dropped documents' bytes must be accounted dead in prev's
@@ -85,7 +111,7 @@ func TestCarryShrink(t *testing.T) {
 // block — the old tail block gains rows. The old tail entries must carry
 // (below prev coverage) and the grown tail must encode fresh.
 func TestCarryGrowthPartialTrailingBlock(t *testing.T) {
-	prev := shellSnapshot()
+	prev := shellSnapshot(shellExport(t))
 	pc := newRespCache(70) // blocks: 64 + 6-entry tail
 	prev.detail = pc
 	fillRange(prev, &pc, 70)
@@ -109,15 +135,14 @@ func TestCarryGrowthPartialTrailingBlock(t *testing.T) {
 	}
 	encoded := 0
 	for i := 70; i < 90; i++ {
-		i := i
-		v := out.get(sn, i, func(buf *bytes.Buffer) string {
+		v, filled := fillingGet(sn, &out, i)
+		if filled {
 			encoded++
-			buf.WriteString(`{"new":` + strconv.Itoa(i) + `}`)
-			return `"n` + strconv.Itoa(i) + `"`
-		})
-		if want := `{"new":` + strconv.Itoa(i) + `}`; string(v.body) != want {
-			t.Fatalf("grown entry %d: body %q", i, v.body)
 		}
+		if want := sn.appendDoc(nil, docDetail, i); !bytes.Equal(v.body, want) {
+			t.Fatalf("grown entry %d: the fill served %q, want %q", i, v.body, want)
+		}
+		v.release()
 	}
 	if encoded != 20 {
 		t.Fatalf("encoded %d grown entries, want 20", encoded)
@@ -128,7 +153,7 @@ func TestCarryGrowthPartialTrailingBlock(t *testing.T) {
 // (kept <= 0) must ignore the caller's keep mask outright — keepAll over
 // a span with no predecessors carries nothing and crashes nothing.
 func TestCarryKeptNonPositive(t *testing.T) {
-	prev := shellSnapshot()
+	prev := shellSnapshot(shellExport(t))
 	pc := newRespCache(64) // exactly one full block
 	prev.detail = pc
 	fillRange(prev, &pc, 64)
@@ -145,11 +170,9 @@ func TestCarryKeptNonPositive(t *testing.T) {
 		}
 	}
 	// And they fill independently.
-	v := out.get(sn, 199, func(buf *bytes.Buffer) string {
-		buf.WriteString(`{}`)
-		return `"x"`
-	})
-	if v.etag != `"x"` {
+	v := out.get(sn, docDetail, 199)
+	v.release()
+	if v.etag != sn.docETag(docDetail, 199) {
 		t.Fatalf("fresh tail entry etag %q", v.etag)
 	}
 }
@@ -158,7 +181,7 @@ func TestCarryKeptNonPositive(t *testing.T) {
 // both re-encode them and subtract their bytes from the arena's live
 // accounting (the signal compaction keys off).
 func TestCarryChangedEntriesDropBytes(t *testing.T) {
-	prev := shellSnapshot()
+	prev := shellSnapshot(shellExport(t))
 	pc := newRespCache(64)
 	prev.detail = pc
 	fillRange(prev, &pc, 64)
@@ -192,7 +215,7 @@ func TestCarryChangedEntriesDropBytes(t *testing.T) {
 // must carry as nil — no handle blocks materialize during a roll for
 // documents that were never served.
 func TestCarryUnmaterializedBlocksStayLazy(t *testing.T) {
-	prev := shellSnapshot()
+	prev := shellSnapshot(shellExport(t))
 	pc := newRespCache(256)
 	prev.detail = pc
 	fillRange(prev, &pc, 10) // only block 0 materializes
@@ -223,7 +246,7 @@ func TestCarryUnmaterializedBlocksStayLazy(t *testing.T) {
 // TestCarrySharesFullyFilledBlocks: a fully filled unchanged block is
 // adopted by reference — same docBlock object, zero per-entry work.
 func TestCarrySharesFullyFilledBlocks(t *testing.T) {
-	prev := shellSnapshot()
+	prev := shellSnapshot(shellExport(t))
 	pc := newRespCache(128)
 	prev.detail = pc
 	fillRange(prev, &pc, 128)

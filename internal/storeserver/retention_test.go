@@ -255,7 +255,8 @@ func TestCommentCarrySharesUntouchedBlocks(t *testing.T) {
 				if want := strings.TrimSuffix(d0.etag, `"`) + `-w1"`; d1.etag != want {
 					t.Fatalf("app %d: etag %s after one merge, want %s", i, d1.etag, want)
 				}
-				if !bytes.HasPrefix(d1.body, bytes.TrimSuffix(d0.body, []byte("]\n"))) || bytes.Equal(d0.body, d1.body) {
+				b0, b1 := servedBody(before, docComments, i), servedBody(after, docComments, i)
+				if !bytes.HasPrefix(b1, bytes.TrimSuffix(b0, []byte("]\n"))) || bytes.Equal(b0, b1) {
 					t.Fatalf("app %d: merged stream does not extend the old one", i)
 				}
 			} else if h1 != h0 {
@@ -399,5 +400,77 @@ func TestShardsHoldOneGenesisAndNoDenseExport(t *testing.T) {
 	if fleetRolled > rolledBound {
 		t.Fatalf("after %d days %d shards hold %d bytes, want <= %d: one store plus %d with their own counts and no market",
 			days, shards, fleetRolled, rolledBound, shards-1)
+	}
+}
+
+// TestServedStoreHoldsItsValidators bounds what a crawl-sized store — one
+// of the twenty sites of cmd/bench's crawl-direct, 3,750 apps and a
+// population of 1,000 commenting users — holds once a crawler has fetched
+// every document from it once: the comment index SetComments builds, the
+// handle blocks, and in the arena each document's validators plus the
+// bytes of the documents that kept a gzip form (long comment streams).
+// The arena's slabs ramp up by doubling, so they pin at most twice what
+// they hold plus the first slab; the stated slack, 64 KiB, is the rest of
+// what a publish leaves (the republished snapshot, the client's limiter
+// bucket). It holds about 610 KB against a bound of about 810 KB; when
+// every document kept its identity bytes — each detail row some 215 B of
+// JSON an append encoder rebuilds in a fraction of a microsecond — it held
+// 1.38 MB.
+func TestServedStoreHoldsItsValidators(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race allocator pads every allocation; the bound is on the production layout")
+	}
+	const apps, users, slack = 3750, 1000, 64 << 10
+	m := retentionMarket(t, apps)
+	cs, err := comments.Generate(m.Catalog(), comments.DefaultGenConfig(users), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(m, Config{PageSize: 100})
+	h := s.Handler()
+	fetch := func(path string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, rec.Code)
+		}
+	}
+	held := heldBy(func() any {
+		forgetIndex()
+		s.SetComments(cs)
+		fetch("/api/v1/stats")
+		for id := 0; id < s.NumApps(); id++ {
+			fetch(fmt.Sprintf("/api/v1/apps/%d", id))
+			fetch(fmt.Sprintf("/api/v1/apps/%d/comments", id))
+		}
+		return s
+	})
+	runtime.KeepAlive(cs) // the population is the caller's: its collection is no saving of the store's
+
+	sn := s.snap.Load()
+	var validators, kept, blocks int64
+	for _, c := range []*respCache{&sn.stats, &sn.detail, &sn.comDocs} {
+		for b := range c.blocks {
+			if c.blocks[b].Load() != nil {
+				blocks++
+			}
+		}
+		for i := 0; i < c.n; i++ {
+			d := c.docAt(i)
+			if d.state != docFilled {
+				t.Fatalf("document %d of %d not filled by the crawl", i, c.n)
+			}
+			validators += int64(d.etagLen) + int64(d.clenLen) + int64(d.gzEtagLen) + int64(d.gzClenLen)
+			if d.gzLen > 0 {
+				kept += int64(d.bodyLen) + int64(d.gzLen)
+			}
+		}
+	}
+	handles := blocks * int64(unsafe.Sizeof(docBlock{}))
+	index := int64(cap(sn.comments.all))*int64(unsafe.Sizeof(CommentJSON{})) + int64(cap(sn.comments.off))*4
+	bound := 2*(validators+kept) + arena.FirstSlabSize + handles + index + slack
+	t.Logf("held %d B: validators %d, kept bodies %d, handles %d, comment index %d; bound %d", held, validators, kept, handles, index, bound)
+	if held > bound {
+		t.Fatalf("a crawled store holds %d B, want at most %d", held, bound)
 	}
 }

@@ -99,7 +99,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind apiwire.K
 	}
 	switch kind {
 	case apiwire.Stats:
-		s.serveDoc(w, r, sn, sn.statsDoc())
+		s.serveDoc(w, r, sn, docStats, 0)
 	case apiwire.List:
 		s.handleList(w, r, sn)
 	default: // Detail, Comments, APK
@@ -119,9 +119,9 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind apiwire.K
 		}
 		switch kind {
 		case apiwire.Detail:
-			s.serveDoc(w, r, sn, sn.detailDoc(idx))
+			s.serveDoc(w, r, sn, docDetail, idx)
 		case apiwire.Comments:
-			s.serveDoc(w, r, sn, sn.commentsDoc(idx))
+			s.serveDoc(w, r, sn, docComments, idx)
 		case apiwire.APK:
 			s.stamp(w.Header(), sn)
 			s.handleAPK(w, r, sn, idx)

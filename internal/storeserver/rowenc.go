@@ -10,13 +10,15 @@ import (
 	"planetapps/internal/catalog"
 )
 
-// The row encoders below write AppJSON and []CommentJSON exactly as
+// The encoders below write AppJSON, []CommentJSON and StatsJSON exactly as
 // encoding/json would — same key order, same float and string rules — by
 // appending to a byte slice: no reflection, no slice of row structs, no
 // allocation beyond dst's growth. Rows are the unit every document path
-// renders (detail document, listing slice), so this is
-// the one place their bytes are decided; TestRowEncoderMatchesEncodingJSON
-// and the FuzzAppend* targets hold it to json.Marshal of the wire structs.
+// renders (detail document, listing slice), so this is the one place their
+// bytes are decided; a document that keeps no bytes in its arena region is
+// re-encoded through them on every 200 it serves.
+// TestRowEncoderMatchesEncodingJSON and the FuzzAppend* targets hold them
+// to json.Marshal of the wire structs.
 
 // appendRow appends row i's AppJSON object. The name is rendered into a
 // stack buffer and viewed as a string for the length of the call, so a row
@@ -94,6 +96,19 @@ func appendComments(dst []byte, cs []CommentJSON) []byte {
 		dst = append(dst, '}')
 	}
 	return append(dst, ']')
+}
+
+// appendStats appends the store's StatsJSON object.
+func (sn *snapshot) appendStats(dst []byte) []byte {
+	dst = append(dst, `{"store":`...)
+	dst = appendJSONString(dst, sn.store)
+	dst = append(dst, `,"day":`...)
+	dst = strconv.AppendInt(dst, int64(sn.day), 10)
+	dst = append(dst, `,"apps":`...)
+	dst = strconv.AppendInt(dst, int64(sn.n), 10)
+	dst = append(dst, `,"total_downloads":`...)
+	dst = strconv.AppendInt(dst, sn.ex.TotalDownloads(), 10)
+	return append(dst, '}')
 }
 
 // appendJSONString appends s as a JSON string. Printable ASCII that

@@ -49,12 +49,39 @@ func viaEncodingJSON(v any) []byte {
 	return buf.Bytes()
 }
 
+// servedBody is the identity bytes sn serves for document k/i: the bytes
+// the document kept, or what a 200 re-encodes.
+func servedBody(sn *snapshot, k docKind, i int) []byte {
+	d := sn.doc(k, i)
+	defer d.release()
+	sn.render(&d, k, i)
+	return bytes.Clone(d.body)
+}
+
+// identityGet GETs path's identity representation from h and returns the
+// body, failing unless the answer is a 200 whose Content-Length is the
+// body's length.
+func identityGet(t *testing.T, h http.Handler, path string) []byte {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	req.Header.Set("Accept-Encoding", "identity")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: status %d", path, rec.Code)
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+		t.Fatalf("GET %s: Content-Length %s on a %d-byte body", path, cl, rec.Body.Len())
+	}
+	return rec.Body.Bytes()
+}
+
 // TestRowEncoderMatchesEncodingJSON holds every document the store renders
 // from rows — each detail document, each fixed listing page, cursor slices
-// at every alignment and limit shape, each comment stream — to the bytes
-// encoding/json produces for the wire structs, on day 0 and after rolls
-// that moved downloads, versions, the catalog size and (through accepted
-// writes) the comment table.
+// at every alignment and limit shape, each comment stream, the stats
+// document — as served, to the bytes encoding/json produces for the wire
+// structs, on day 0 and after rolls that moved downloads, versions, the
+// catalog size and (through accepted writes) the comment table.
 func TestRowEncoderMatchesEncodingJSON(t *testing.T) {
 	s := etagTestServer(t, Config{PageSize: 30})
 	cs, err := comments.Generate(s.market.Catalog(), comments.DefaultGenConfig(300), 9)
@@ -74,6 +101,8 @@ func TestRowEncoderMatchesEncodingJSON(t *testing.T) {
 	sweep := func() {
 		sn := s.snap.Load()
 		day := "day " + sn.dayStr + " "
+		check(day+"stats", identityGet(t, h, "/api/v1/stats"), viaEncodingJSON(StatsJSON{
+			Store: sn.store, Day: sn.day, Apps: sn.n, TotalDownloads: sn.ex.TotalDownloads()}))
 		for i := 0; i < sn.n; i++ {
 			row := sn.wireRow(i)
 			if row.Paid {
@@ -86,7 +115,8 @@ func TestRowEncoderMatchesEncodingJSON(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(day+"row "+strconv.Itoa(i), sn.appendRow(nil, i), want)
-			check(day+"detail "+strconv.Itoa(i), sn.detailDoc(i).body, viaEncodingJSON(row))
+			path := "/api/v1/apps/" + strconv.Itoa(int(sn.ex.ID(i)))
+			check(day+"detail "+strconv.Itoa(i), identityGet(t, h, path), viaEncodingJSON(row))
 
 			stream, ver := sn.comTab.row(i)
 			if ver == 0 {
@@ -97,7 +127,7 @@ func TestRowEncoderMatchesEncodingJSON(t *testing.T) {
 			} else {
 				streams++
 			}
-			check(day+"comments "+strconv.Itoa(i), sn.commentsDoc(i).body, viaEncodingJSON(stream))
+			check(day+"comments "+strconv.Itoa(i), identityGet(t, h, path+"/comments"), viaEncodingJSON(stream))
 		}
 		// Cursor slices: every seventh anchor with the default size (the
 		// last one without next_cursor), short limits, and an anchor parked

@@ -1,7 +1,6 @@
 package storeserver
 
 import (
-	"bytes"
 	"math/bits"
 	"strconv"
 	"sync/atomic"
@@ -23,7 +22,7 @@ import (
 //
 // Successive snapshots are built as deltas: documents whose underlying
 // rows did not change since the predecessor are carried forward — handle
-// for handle, already-encoded arena bytes included — and every ETag is
+// for handle, validators and any kept arena bytes included — and every ETag is
 // derived from content versions (marketsim row/chunk versions, the
 // comments generation) rather than the day, so an unchanged document keeps
 // its ETag across days and a conditional crawler earns real cross-day
@@ -208,12 +207,25 @@ func (sn *snapshot) planArenas(prev *snapshot, slabsMade *atomic.Int64) *carryCt
 	// slab ramp, and a few long-lived documents in it must not pin those
 	// slabs for months. An arena smaller than one standard slab is judged
 	// as if it pinned one: a small, well-filled day arena is still folded
-	// into the next day's, or the table would keep one per roll. An arena
-	// that never allocated pins nothing and is left to keepCited. A victim
-	// gives the fresh arena less than a quarter of its footprint to copy.
+	// into the next day's, or the table would keep one per roll. The
+	// table's largest arena is judged against its own footprint: on a small
+	// store it is most of what the store holds, and folding it would copy
+	// the whole store into every day's arena. An arena that never allocated
+	// pins nothing and is left to keepCited. A victim gives the fresh arena
+	// less than a quarter of its footprint to copy.
+	largest := -1
+	for idx, a := range tab {
+		if a != nil && (largest < 0 || a.PinnedBytes() > tab[largest].PinnedBytes()) {
+			largest = idx
+		}
+	}
 	var compact uint64
 	for idx, a := range tab {
-		if a != nil && a.PinnedBytes() > 0 && a.LiveBytes()*4 < max(a.PinnedBytes(), arena.SlabSize) {
+		floor := int64(arena.SlabSize)
+		if idx == largest {
+			floor = 0
+		}
+		if a != nil && a.PinnedBytes() > 0 && a.LiveBytes()*4 < max(a.PinnedBytes(), floor) {
 			compact |= 1 << uint(idx)
 		}
 	}
@@ -290,51 +302,80 @@ func (sn *snapshot) ageString() string {
 	return v.str
 }
 
-// statsDoc returns the pre-summed store statistics document. The total was
-// accumulated incrementally by the market, so serving it is O(1).
-func (sn *snapshot) statsDoc() docView {
-	return sn.stats.get(sn, 0, func(buf *bytes.Buffer) string {
-		encodeJSON(buf, StatsJSON{
-			Store:          sn.store,
-			Day:            sn.day,
-			Apps:           sn.n,
-			TotalDownloads: sn.ex.TotalDownloads(),
-		})
-		return `"s` + sn.dayStr + `-t` + strconv.FormatInt(sn.ex.TotalDownloads(), 10) + `"`
-	})
+// docKind names which of a snapshot's cached documents a view is: the
+// serve path re-encodes a document that kept no bytes from its kind and
+// row.
+type docKind uint8
+
+const (
+	docStats docKind = iota
+	docDetail
+	docComments
+)
+
+// doc returns document i of kind k (i is 0 for stats). Callers release
+// the view once its body is written.
+func (sn *snapshot) doc(k docKind, i int) docView {
+	switch k {
+	case docStats:
+		return sn.stats.get(sn, k, 0)
+	case docDetail:
+		return sn.detail.get(sn, k, i)
+	default:
+		return sn.comDocs.get(sn, k, i)
+	}
 }
 
-// detailDoc returns row i's detail document. The ETag encodes the app's
-// global ID and row version — which advances only when the app's servable
-// content (row fields or download count) changes — so an unchanged app
-// keeps its ETag across day-rolls (a conditional crawler gets a true 304)
-// and across topologies (a shard mints the same ETag a single node
-// would: dense exports have ID(i) == i, so the wire bytes are unchanged).
-func (sn *snapshot) detailDoc(i int) docView {
-	return sn.detail.get(sn, i, func(buf *bytes.Buffer) string {
-		buf.Write(append(sn.appendRow(buf.AvailableBuffer(), i), '\n'))
+// appendDoc appends document i of kind k's identity bytes — the JSON
+// value and encoding/json's trailing newline — to dst. The stats document
+// is the pre-summed store statistics: the total was accumulated
+// incrementally by the market, so rendering it is O(1).
+func (sn *snapshot) appendDoc(dst []byte, k docKind, i int) []byte {
+	switch k {
+	case docStats:
+		dst = sn.appendStats(dst)
+	case docDetail:
+		dst = sn.appendRow(dst, i)
+	default:
+		dst = appendComments(dst, sn.commentStream(i))
+	}
+	return append(dst, '\n')
+}
+
+// commentStream is row i's comment stream: its write-merged stream when
+// client writes reached it, else the attached population's.
+func (sn *snapshot) commentStream(i int) []CommentJSON {
+	cs, ver := sn.comTab.row(i)
+	if ver == 0 {
+		cs = sn.comments.stream(sn.ex.ID(i))
+	}
+	return cs
+}
+
+// docETag is document i of kind k's identity ETag.
+//
+// The stats document embeds the day and the running download total. A
+// detail ETag encodes the app's global ID and row version — which
+// advances only when the app's servable content (row fields or download
+// count) changes — so an unchanged app keeps its ETag across day-rolls (a
+// conditional crawler gets a true 304) and across topologies (a shard
+// mints the same ETag a single node would: dense exports have ID(i) == i,
+// so the wire bytes are unchanged). A comment stream is ETagged by the
+// comment generation and the app's global ID; apps that absorbed client
+// writes grow a "-w<ver>" suffix so their documents revalidate, and
+// never-written apps keep the exact tags they have always minted.
+func (sn *snapshot) docETag(k docKind, i int) string {
+	switch k {
+	case docStats:
+		return `"s` + sn.dayStr + `-t` + strconv.FormatInt(sn.ex.TotalDownloads(), 10) + `"`
+	case docDetail:
 		return `"a` + strconv.FormatInt(int64(sn.ex.ID(i)), 10) +
 			`-r` + strconv.FormatUint(uint64(sn.ex.RowVer(i)), 10) + `"`
-	})
-}
-
-// commentsDoc returns row i's comment stream document, keyed and ETagged
-// by the app's global ID (identical to the row index on dense exports).
-// Apps that absorbed client writes grow a "-w<ver>" ETag suffix so their
-// documents revalidate; never-written apps keep the exact tags they have
-// always minted.
-func (sn *snapshot) commentsDoc(i int) docView {
-	return sn.comDocs.get(sn, i, func(buf *bytes.Buffer) string {
-		id := sn.ex.ID(i)
-		cs, ver := sn.comTab.row(i)
-		if ver == 0 {
-			cs = sn.comments.stream(id)
-		}
-		buf.Write(append(appendComments(buf.AvailableBuffer(), cs), '\n'))
-		etag := `"c` + strconv.FormatInt(sn.commentsGen, 10) + `-` + strconv.FormatInt(int64(id), 10)
-		if ver > 0 {
+	default:
+		etag := `"c` + strconv.FormatInt(sn.commentsGen, 10) + `-` + strconv.FormatInt(int64(sn.ex.ID(i)), 10)
+		if _, ver := sn.comTab.row(i); ver > 0 {
 			etag += `-w` + strconv.FormatUint(uint64(ver), 10)
 		}
 		return etag + `"`
-	})
+	}
 }

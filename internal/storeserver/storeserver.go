@@ -8,13 +8,14 @@
 // The server wraps a marketsim.Market but never serves from it directly:
 // on New and on each AdvanceDay it freezes the market into an immutable
 // snapshot (see snapshot.go) published through an atomic pointer, RCU
-// style. Handlers load the pointer once per request and serve pre-encoded,
-// cached response bytes with snapshot-derived ETags — the read path takes
-// no server-wide lock and, once a document is warm, does no JSON encoding.
-// The store changes once per simulated day, exactly the daily-snapshot
-// cadence the paper's crawls (and Potharaju et al.'s longitudinal Google
-// Play study) observe, so a day's worth of traffic amortizes each
-// document's single encode.
+// style. Handlers load the pointer once per request and serve cached
+// validators with snapshot-derived ETags — the read path takes no
+// server-wide lock, a warm document allocates nothing, and only the bytes
+// gzip shrinks are kept; the rest are re-encoded from the snapshot's rows
+// by an append encoder on each 200. The store changes once per simulated
+// day, exactly the daily-snapshot cadence the paper's crawls (and
+// Potharaju et al.'s longitudinal Google Play study) observe, so a day's
+// worth of traffic amortizes each document's single fill.
 package storeserver
 
 import (
@@ -500,7 +501,7 @@ func (s *Server) stamp(h http.Header, sn *snapshot) {
 	}
 }
 
-// serveDoc writes one pre-encoded JSON document, honouring If-None-Match
+// serveDoc writes document i of kind k, honouring If-None-Match
 // revalidation. X-Store-Day identifies the serving snapshot so a client
 // (or the consistency stress test) can correlate a response with exactly
 // one simulated day. The stamp precedes the conditional check so 304s
@@ -514,15 +515,23 @@ func (s *Server) stamp(h http.Header, sn *snapshot) {
 // the choice on 200s and 304s alike. A document with one representation is
 // served as it is and says nothing about Vary: claiming a choice that does
 // not exist makes a downstream cache keep the same bytes once per variant.
-func (s *Server) serveDoc(w http.ResponseWriter, r *http.Request, sn *snapshot, d docView) {
+//
+// Such a document kept only its validators, so a 200 re-encodes its
+// identity bytes into a pooled buffer (net/http's Write does not retain
+// its argument); a 304 or a HEAD never does. The wire never carries a
+// Content-Length the bytes disagree with: re-encoded bytes of another
+// length than the fill recorded are served with their own.
+func (s *Server) serveDoc(w http.ResponseWriter, r *http.Request, sn *snapshot, k docKind, i int) {
+	d := sn.doc(k, i)
+	defer d.release()
 	h := w.Header()
 	s.stamp(h, sn)
-	body, etag, clen := d.body, d.etag, d.clen
+	etag, clen := d.etag, d.clen
 	gz := false
 	if d.gzBody != nil {
 		hset(h, hdrVary, "Accept-Encoding")
 		if gzipx.AcceptsGzip(r.Header.Get("Accept-Encoding")) {
-			body, etag, clen, gz = d.gzBody, d.gzEtag, d.gzClen, true
+			etag, clen, gz = d.gzEtag, d.gzClen, true
 		}
 	}
 	hset(h, hdrETag, etag)
@@ -535,6 +544,18 @@ func (s *Server) serveDoc(w http.ResponseWriter, r *http.Request, sn *snapshot, 
 		hset(h, hdrContentEncoding, "gzip")
 	}
 	hset(h, hdrContentType, "application/json")
+	if r.Method == http.MethodHead {
+		hset(h, hdrContentLength, clen)
+		return
+	}
+	body := d.gzBody
+	if !gz {
+		sn.render(&d, k, i)
+		body = d.body
+		if len(body) != d.bodyLen {
+			clen = strconv.Itoa(len(body))
+		}
+	}
 	hset(h, hdrContentLength, clen)
 	w.Write(body) //nolint:errcheck // client gone; nothing useful to do
 }

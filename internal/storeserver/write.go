@@ -1,7 +1,6 @@
 package storeserver
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -140,8 +139,7 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, sn *snapsho
 	hset(h, hdrAPIVersion, apiwire.Version)
 	hset(h, hdrCacheControl, "no-store")
 	hset(h, hdrStoreDay, sn.dayStr)
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
+	buf := getBuf()
 	encodeJSON(buf, WriteAckJSON{Accepted: true, Day: sn.day, Deduped: ack.Deduped})
 	hset(h, hdrContentType, "application/json")
 	hset(h, hdrContentLength, strconv.Itoa(buf.Len()))

@@ -80,6 +80,15 @@ race() {
 # and categorical draws held to sort.SearchFloat64s's index, and a ring's
 # ownership table held to Owner while four shards' partitioners read and
 # grow it at once.
+# A document that keeps only its validators is re-encoded by whichever
+# snapshot serves it, so a node and four shards are walked through ten
+# rolls of absorbed writes with every document's served bytes held to
+# encoding/json, its Content-Length and every ETag seen on two days, while
+# 304s and HEADs write no body (a validator carried across a row-version
+# bump fails it). A histogram makes a bucket block on an observation's
+# first arrival in it: eight goroutines race their first observations
+# into one block, and seeded values from every corner are held to a dense
+# bucket array.
 cpu14() {
 	go test -race -timeout 20m -cpu 1,4 \
 		-run 'Parallel|Invariance|Deterministic|TestSuite|TestWriteReplayDedups' \
@@ -88,8 +97,8 @@ cpu14() {
 		-run 'TestGenesisHitIsIndistinguishable|TestDayZeroHitIsIndistinguishable|TestSharedCatalogLifecycle|TestSameKeyMarketsShareNothingMutable|TestSameKeyMarketsMatchSoloTwins|TestSteppedViewAliasesNothing|TestDayZeroIsCollectedOnceEveryMarketRolls|TestExportOutlivesAnInPlaceStep|TestDroppedMarketCostsOneRowCopy|TestLaggardHoldsItsDayAndLogs|TestConcurrentNewOverDistinctKeys|TestPanickedGenesisIsNotServed' \
 		./internal/marketsim
 	go test -race -cpu 1,4 \
-		-run 'TestGenerateDigests|TestBuiltAtFinalSize|ReflectiveSortsOrder|TestGuidedSearchIsSearchFloat64s|TestOwnsFuncAgreesWithOwnerAsTheTableGrows|TestStoresShareOneCommentIndex|TestIndexMemoPinsNothing|TestMergeNeverWritesTheIndex|TestPerAppArraysGrowByA64th' \
-		./internal/catalog ./internal/comments ./internal/marketsim ./internal/storeserver ./internal/dist ./internal/fleet
+		-run 'TestGenerateDigests|TestBuiltAtFinalSize|ReflectiveSortsOrder|TestGuidedSearchIsSearchFloat64s|TestOwnsFuncAgreesWithOwnerAsTheTableGrows|TestStoresShareOneCommentIndex|TestIndexMemoPinsNothing|TestMergeNeverWritesTheIndex|TestPerAppArraysGrowByA64th|TestServedBytesMatchTheirValidators|TestHistogramFirstObservationRace|TestHistogramMatchesDenseReference' \
+		./internal/catalog ./internal/comments ./internal/marketsim ./internal/storeserver ./internal/dist ./internal/fleet ./internal/metrics
 }
 
 # Compile-and-run the serving-path benchmarks a fixed 100 iterations: not a
@@ -154,7 +163,8 @@ alloc() {
 # — heap bytes an export round leaves behind, slab footprint against live
 # document bytes after 40 rolls, the slabs a day-roll's arena takes for
 # the few dozen documents a crawl-sized store re-encodes (one 1 MiB slab
-# each before arenas ramped up from 16 KiB), allocations of a comment
+# each before arenas ramped up from 16 KiB) with its day-0 arena left in
+# place as the table's largest, allocations of a comment
 # merge: under -race those tests keep only their correctness assertions.
 # TestMarketFootprint is the gate on what a store holds per scheduled
 # download: ⌈log2 users⌉ bits and a quarter byte, which an int32 schedule
@@ -165,6 +175,14 @@ alloc() {
 # nor a copy of the catalog rows. TestStoresOfOnePopulationHoldOneIndex
 # holds twenty stores handed one comment population to one index of it and
 # 8 KiB a store, where each store's grouped copy was about 66 KB.
+# TestServedStoreHoldsItsValidators holds a crawl-sized store (3,750 apps,
+# 1,000 commenting users) that served every document once to its
+# validators, handle blocks, comment index, the bytes of the documents
+# that kept a gzip form and a stated slack: when every document kept its
+# identity bytes it held 1.38 MB against a bound of 0.81 MB.
+# TestFreshRegistryHoldsLittle holds a store's metrics registry to 16 KiB
+# before anything is observed; when each histogram held all 1,888 buckets
+# up front it held about 170 KiB.
 # TestHistoryFootprintFollowsDownloads holds a stepping market's user
 # histories to what the users have downloaded so far (slot count and heap
 # growth at day 40, slot count at drain); a budget carved whole at first
@@ -176,7 +194,7 @@ alloc() {
 # 60 times in 60 and the second a few times in 180, under ordinary
 # scheduling luck that one tier-1 run does not reliably draw.
 retention() {
-	go test -run 'TestHeapObjectsGate|TestServingArenasBoundedAcrossRolls|TestArenaFootprintAcrossRolls|TestDayArenaPinsWhatItHolds|TestMergeCommentsCopiesOnlyTheDelta|TestCommentCarrySharesUntouchedBlocks|TestShardsHoldOneGenesisAndNoDenseExport|TestStoresOfOnePopulationHoldOneIndex' \
+	go test -run 'TestHeapObjectsGate|TestServingArenasBoundedAcrossRolls|TestArenaFootprintAcrossRolls|TestDayArenaPinsWhatItHolds|TestMergeCommentsCopiesOnlyTheDelta|TestCommentCarrySharesUntouchedBlocks|TestShardsHoldOneGenesisAndNoDenseExport|TestStoresOfOnePopulationHoldOneIndex|TestServedStoreHoldsItsValidators|TestFreshRegistryHoldsLittle' \
 		-count=1 -timeout 10m ./internal/storeserver
 	go test -run 'TestHeldViewOutlivesItsSnapshot|TestSnapshotConsistencyUnderAdvanceDay' \
 		-count=20 -cpu 1,2,4 -timeout 10m ./internal/storeserver
