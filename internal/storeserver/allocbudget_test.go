@@ -32,7 +32,7 @@ func (w *nullWriter) Write(p []byte) (int, error) {
 }
 func (w *nullWriter) WriteHeader(code int) { w.status = code }
 
-func allocServer(t *testing.T) *Server {
+func allocServer(t testing.TB) *Server {
 	t.Helper()
 	// Rate limiting on (the hot path includes the limiter), huge budget so
 	// nothing 429s; FreshFor so v1 freshness headers are the constant-Age
@@ -158,5 +158,23 @@ func TestHitPathServesBytes(t *testing.T) {
 	h.ServeHTTP(w, hitReq("/api/v1/apps", nil))
 	if w.bytes == 0 {
 		t.Fatal("listing slice wrote no body")
+	}
+}
+
+// BenchmarkLongStreamIdentity measures the warm identity 200 of a
+// 40-comment stream, the one kind of document that keeps a gzip body: its
+// identity bytes are re-encoded on every such response.
+func BenchmarkLongStreamIdentity(b *testing.B) {
+	h := allocServer(b).Handler()
+	req := hitReq("/api/v1/apps/3/comments", map[string]string{"Accept-Encoding": "identity"})
+	w := &nullWriter{h: http.Header{}}
+	h.ServeHTTP(w, req)
+	if w.status != 0 || w.bytes == 0 {
+		b.Fatalf("warm-up answered %d with %d bytes", w.status, w.bytes)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, req)
 	}
 }

@@ -73,7 +73,7 @@ func TestServingArenasBoundedAcrossRolls(t *testing.T) {
 // many rolls, collections and fills follow. A slab handed back for reuse
 // when its snapshot was collected would put a later day's document under
 // a day-0 view. The views held are the stats document's validators (all it
-// keeps) and a long comment stream's validators and both bodies.
+// keeps) and a long comment stream's validators and gzip body.
 func TestHeldViewOutlivesItsSnapshot(t *testing.T) {
 	mcfg := marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(0.1))
 	mcfg.Days = 8
@@ -88,7 +88,8 @@ func TestHeldViewOutlivesItsSnapshot(t *testing.T) {
 	if cd.gzBody == nil {
 		t.Fatal("the long comment stream kept no bytes")
 	}
-	held := []string{st.etag, st.clen, cd.etag, cd.clen, arena.AsString(cd.body), cd.gzEtag, cd.gzClen, arena.AsString(cd.gzBody)}
+	cd.release()
+	held := []string{st.etag, st.clen, cd.etag, cd.clen, cd.gzEtag, cd.gzClen, arena.AsString(cd.gzBody)}
 	want := make([]string, len(held))
 	for i, v := range held {
 		want[i] = strings.Clone(v)

@@ -14,12 +14,12 @@ import (
 	"planetapps/internal/marketsim"
 )
 
-func etagTestServer(t *testing.T, cfg Config) *Server {
+func etagTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	return etagTestServerScale(t, cfg, 0.2)
 }
 
-func etagTestServerScale(t *testing.T, cfg Config, scale float64) *Server {
+func etagTestServerScale(t testing.TB, cfg Config, scale float64) *Server {
 	t.Helper()
 	mcfg := marketsim.DefaultConfig(catalog.Profiles["slideme"].Scale(scale))
 	mcfg.Days = 8
@@ -152,7 +152,7 @@ func TestCarriedDocsShareEncoding(t *testing.T) {
 				h0, h1 := before.detail.docAt(i), after.detail.docAt(i)
 				if before.ex.RowVer(i) != after.ex.RowVer(i) {
 					fresh++
-					if h1.state == docFilled {
+					if h1.filled() {
 						t.Fatalf("changed app %d: stale document carried across the roll", i)
 					}
 					continue
@@ -160,7 +160,7 @@ func TestCarriedDocsShareEncoding(t *testing.T) {
 				carried++
 				// Nothing has asked the new snapshot for this document yet, so
 				// a filled handle can only be the day-0 fill carried over.
-				if h1.state != docFilled || h1.regionLen() != h0.regionLen() {
+				if !h1.filled() || h1.regionLen() != h0.regionLen() {
 					t.Fatalf("unchanged app %d: document not carried (%+v vs %+v)", i, h1, h0)
 				}
 				if !tc.evacuated && h1 != h0 {
@@ -194,7 +194,7 @@ func TestCarriedDocsShareEncoding(t *testing.T) {
 
 			// Comments (no comment set: generation unchanged) carry wholesale.
 			for i := 0; i < before.n && i < after.n; i++ {
-				if after.comDocs.docAt(i).state != before.comDocs.docAt(i).state {
+				if after.comDocs.docAt(i).filled() != before.comDocs.docAt(i).filled() {
 					t.Fatalf("comments doc %d not carried despite unchanged generation", i)
 				}
 			}

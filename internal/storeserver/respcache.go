@@ -42,39 +42,33 @@ func putBuf(buf *bytes.Buffer) {
 // docHandle addresses one write-once pre-encoded response document inside
 // a snapshot's arena set. It replaces the former pointer-per-document
 // cachedDoc (body/etag/gzip slices and strings, ~6 GC-traced objects per
-// document): the handle is 28 bytes of plain integers, so a block of them
+// document): the handle is 12 bytes of plain integers, so a block of them
 // is invisible to the collector's mark phase.
 //
 // The addressed region is laid out contiguously in the arena —
 //
-//	[etag][clen][gzEtag][gzClen][body][gzBody]
+//	[etag][clen][gzEtag][gzClen][gzBody]
 //
 // — identity ETag and pre-rendered Content-Length first, then the gzip
-// pair and the two bodies. A document keeps its bytes only beside a gzip
-// form: when gzipx.CompressIfPays keeps one (long comment streams) the
-// region holds all six parts; when it declines (every detail row, short
-// comment streams, stats) the region is the identity validators alone,
-// bodyLen still records the identity length, and the serve path
-// re-encodes the bytes from the snapshot's rows — a few hundred
-// nanoseconds for a document whose bytes would pin ~200 B of slab for the
-// life of its row version. One region per document means one bump
-// allocation per fill and lets compaction move a document with a single
-// copy.
+// pair and the gzip body. No document keeps its identity bytes: the serve
+// path re-encodes them from the snapshot's rows on every identity 200 (a
+// few hundred nanoseconds for a detail row, a few microseconds for a long
+// comment stream). Only a gzip body, the one representation that is costly
+// to rebuild, is kept: when gzipx.CompressIfPays declines one (every
+// detail row, short comment streams, stats) the region is the identity
+// validators alone. One region per document means one bump allocation per
+// fill and lets compaction move a document with a single copy.
 //
-// state is the single-flight fill protocol: 0 empty, 1 filling, 2 filled.
-// Every other field is written exactly once, before the release-store of
-// state=2, and never mutated after — readers acquire-load state and may
-// then read the rest without synchronization.
+// word is the single-flight fill protocol and the region's shape in one
+// atomic: the state (0 empty, 1 filling, 2 filled) and, once filled, the
+// arena slot and the validators' lengths (packWord). base and gzLen are
+// written exactly once, before the release-store of the filled word, and
+// never mutated after — readers acquire-load the word and may then read
+// them without synchronization.
 type docHandle struct {
-	state     uint32 // atomic: docEmpty -> docFilling -> docFilled
-	arenaIdx  uint32 // snapshot.arenas slot holding the region
-	base      uint32 // packed arena offset of the region
-	bodyLen   uint32 // identity length, kept in the region only when gzLen > 0
-	gzLen     uint32 // 0 when the document has no gzip representation
-	etagLen   uint16
-	clenLen   uint16
-	gzEtagLen uint16
-	gzClenLen uint16
+	word  uint32 // atomic
+	base  uint32 // packed arena offset of the region
+	gzLen uint32 // 0 when the document has no gzip representation
 }
 
 const (
@@ -83,51 +77,56 @@ const (
 	docFilled
 )
 
-func (h *docHandle) regionLen() uint32 {
-	n := uint32(h.etagLen) + uint32(h.clenLen) + uint32(h.gzEtagLen) + uint32(h.gzClenLen)
+var _ [0]struct{} = [64 - maxArenas]struct{}{} // an arena slot must fit in six bits
+
+// packWord is the filled word of a region in arena slot idx, low bits
+// first: state 2, slot 6, ETag length 8, and the digit counts of the
+// identity and gzip Content-Lengths, 4 each. Every ETag docETag mints is
+// under 64 bytes, and a length under 4 GiB has at most ten digits.
+func packWord(idx uint32, etagLen, clenLen, gzClenLen int) uint32 {
+	return docFilled | idx<<2 | uint32(etagLen)<<8 | uint32(clenLen)<<16 | uint32(gzClenLen)<<20
+}
+
+func (h docHandle) filled() bool      { return h.word&3 == docFilled }
+func (h docHandle) arenaIdx() uint32  { return h.word >> 2 & 63 }
+func (h docHandle) etagLen() uint32   { return h.word >> 8 & 255 }
+func (h docHandle) clenLen() uint32   { return h.word >> 16 & 15 }
+func (h docHandle) gzClenLen() uint32 { return h.word >> 20 & 15 }
+
+// regionLen is the length of h's region. The gzip ETag, there with a gzip
+// body, is the identity one plus "-gz": three bytes longer.
+func (h docHandle) regionLen() uint32 {
+	n := h.etagLen() + h.clenLen()
 	if h.gzLen > 0 {
-		n += h.bodyLen + h.gzLen
+		n += h.etagLen() + 3 + h.gzClenLen() + h.gzLen
 	}
 	return n
 }
 
 // loadHandle snapshots e if (and only if) it is filled. The acquire-load
-// of state orders the plain field reads after the filler's writes. The
-// copy is field-by-field rather than *e: a whole-struct copy would read
-// the state word plainly, which races with a concurrent filler's CAS on
-// the same handle (a loser's failed CAS carries no release edge) — the
-// non-state fields are only ever written before the docFilled store, so
-// they alone are safe to read after the acquire.
+// of the word orders the plain reads of base and gzLen after the filler's
+// writes; a whole-struct copy would read the word plainly, which races
+// with a concurrent filler's CAS on the same handle (a loser's failed CAS
+// carries no release edge).
 func loadHandle(e *docHandle) (docHandle, bool) {
-	if atomic.LoadUint32(&e.state) != docFilled {
+	w := atomic.LoadUint32(&e.word)
+	if w&3 != docFilled {
 		return docHandle{}, false
 	}
-	return docHandle{
-		state:     docFilled,
-		arenaIdx:  e.arenaIdx,
-		base:      e.base,
-		bodyLen:   e.bodyLen,
-		gzLen:     e.gzLen,
-		etagLen:   e.etagLen,
-		clenLen:   e.clenLen,
-		gzEtagLen: e.gzEtagLen,
-		gzClenLen: e.gzClenLen,
-	}, true
+	return docHandle{word: w, base: e.base, gzLen: e.gzLen}, true
 }
 
-// docView is the servable form of a filled document: byte slices and
-// strings aliasing the arena region (zero-copy views that keep the slab
-// they point into alive).
+// docView is the servable form of a filled document: strings and the gzip
+// body aliasing the arena region (zero-copy views that keep the slab they
+// point into alive), and the identity bytes once render gave it them.
 type docView struct {
-	// body is the identity bytes: an arena view when the document kept
-	// them (beside a gzip form), the fill's own encoding on the call that
-	// filled it (buf holds it, for release), nil otherwise — the serve
-	// path then re-encodes them (render).
-	body    []byte
-	buf     *bytes.Buffer
-	bodyLen int    // the identity length the fill recorded
-	etag    string // identity ETag
-	clen    string // pre-rendered Content-Length of the identity bytes
+	// body is the identity bytes, encoded into a pooled buffer (buf, for
+	// release) by the fill that filled the document or by render; nil
+	// until then.
+	body []byte
+	buf  *bytes.Buffer
+	etag string // identity ETag
+	clen string // pre-rendered Content-Length of the identity bytes
 
 	// The gzip representation. gzBody is nil when gzipx.CompressIfPays
 	// declined one (stats, detail rows, short comment streams), in which
@@ -141,23 +140,20 @@ type docView struct {
 }
 
 // viewDoc materializes the zero-copy view of a filled handle.
-func viewDoc(tab []*arena.Arena, h *docHandle) docView {
-	reg := tab[h.arenaIdx].Bytes(h.base, h.regionLen())
-	p := uint32(h.etagLen)
-	q := p + uint32(h.clenLen)
+func viewDoc(tab []*arena.Arena, h docHandle) docView {
+	reg := tab[h.arenaIdx()].Bytes(h.base, h.regionLen())
+	p := h.etagLen()
+	q := p + h.clenLen()
 	v := docView{
-		bodyLen: int(h.bodyLen),
-		etag:    arena.AsString(reg[:p]),
-		clen:    arena.AsString(reg[p:q]),
+		etag: arena.AsString(reg[:p]),
+		clen: arena.AsString(reg[p:q]),
 	}
 	if h.gzLen > 0 {
-		r := q + uint32(h.gzEtagLen)
-		s := r + uint32(h.gzClenLen)
-		t := s + h.bodyLen
-		v.body = reg[s:t:t]
+		r := q + h.etagLen() + 3
+		s := r + h.gzClenLen()
 		v.gzEtag = arena.AsString(reg[q:r])
 		v.gzClen = arena.AsString(reg[r:s])
-		v.gzBody = reg[t:]
+		v.gzBody = reg[s:]
 	}
 	return v
 }
@@ -211,9 +207,9 @@ func numDocChunks(n int) int { return (n + docChunk - 1) / docChunk }
 // filled counts filled entries and amask accumulates the arena slots
 // those entries reference; together they tell a successor whether the
 // block is immutable (filled == docChunk) and which arenas sharing it
-// would pin. Fill order is: write handle fields, OR amask, add filled,
-// release-store state — so any observer that sees filled == docChunk is
-// guaranteed a complete amask (load filled before amask).
+// would pin. Fill order is: write base and gzLen, OR amask, add filled,
+// release-store the packed word — so any observer that sees filled ==
+// docChunk is guaranteed a complete amask (load filled before amask).
 type docBlock struct {
 	filled atomic.Int32
 	amask  atomic.Uint64
@@ -284,32 +280,34 @@ func (c *respCache) docAt(i int) docHandle {
 func (c *respCache) get(sn *snapshot, k docKind, i int) docView {
 	blk := c.block(i / docChunk)
 	e := &blk.docs[i%docChunk]
-	if atomic.LoadUint32(&e.state) == docFilled {
-		return viewDoc(sn.arenas, e)
+	if h, ok := loadHandle(e); ok {
+		return viewDoc(sn.arenas, h)
 	}
 	return c.fillDoc(sn, blk, e, k, i)
 }
 
 // fillDoc encodes the document on first use, single-flight: the CAS
 // winner encodes it, tries gzip, and bump-allocates one arena region for
-// what the document keeps; losers wait for the release-store of state.
-// The ETag must be a pure function of the document's content (not of
-// which snapshot is serving it), because a carried-forward document keeps
-// the ETag its first snapshot computed — and a document that keeps no
-// bytes is re-encoded by whichever snapshot serves it.
+// what the document keeps; losers wait for the release-store of the
+// filled word. The ETag must be a pure function of the document's content
+// (not of which snapshot is serving it), because a carried-forward
+// document keeps the ETag its first snapshot computed — and its identity
+// bytes are re-encoded by whichever snapshot serves it.
 func (c *respCache) fillDoc(sn *snapshot, blk *docBlock, e *docHandle, k docKind, i int) docView {
-	if !atomic.CompareAndSwapUint32(&e.state, docEmpty, docFilling) {
+	if !atomic.CompareAndSwapUint32(&e.word, docEmpty, docFilling) {
 		// Lost the single-flight race: spin-wait for the winner. Fills
 		// are short (one encode, at most one gzip) and happen at most once
 		// per document content-version, so waiting beats parking machinery.
-		for spins := 0; atomic.LoadUint32(&e.state) != docFilled; spins++ {
+		for spins := 0; ; spins++ {
+			if h, ok := loadHandle(e); ok {
+				return viewDoc(sn.arenas, h)
+			}
 			if spins < 128 {
 				runtime.Gosched()
 			} else {
 				time.Sleep(20 * time.Microsecond)
 			}
 		}
-		return viewDoc(sn.arenas, e)
 	}
 	buf := getBuf()
 	buf.Write(sn.appendDoc(buf.AvailableBuffer(), k, i))
@@ -318,44 +316,33 @@ func (c *respCache) fillDoc(sn *snapshot, blk *docBlock, e *docHandle, k docKind
 	var clen [20]byte
 	clenB := strconv.AppendInt(clen[:0], int64(len(body)), 10)
 
-	// Identity bytes are kept only beside a gzip form.
-	var kept, gz []byte
+	var gz []byte
 	var gzEtag string
 	var gzClen [20]byte
 	var gzClenB []byte
 	if z := gzipx.CompressIfPays(body); z != nil {
-		kept, gz = body, z
+		gz = z
 		gzEtag = gzETag(etag)
 		gzClenB = strconv.AppendInt(gzClen[:0], int64(len(z)), 10)
 	}
 
-	total := len(etag) + len(clenB) + len(gzEtag) + len(gzClenB) + len(kept) + len(gz)
+	total := len(etag) + len(clenB) + len(gzEtag) + len(gzClenB) + len(gz)
 	off, dst := sn.fresh.Alloc(total)
 	w := copy(dst, etag)
 	w += copy(dst[w:], clenB)
 	w += copy(dst[w:], gzEtag)
 	w += copy(dst[w:], gzClenB)
-	w += copy(dst[w:], kept)
 	copy(dst[w:], gz)
 
-	e.arenaIdx = sn.freshIdx
 	e.base = off
-	e.bodyLen = uint32(len(body))
 	e.gzLen = uint32(len(gz))
-	e.etagLen = uint16(len(etag))
-	e.clenLen = uint16(len(clenB))
-	e.gzEtagLen = uint16(len(gzEtag))
-	e.gzClenLen = uint16(len(gzClenB))
+	word := packWord(sn.freshIdx, len(etag), len(clenB), len(gzClenB))
 	orMask(&blk.amask, 1<<uint64(sn.freshIdx))
 	blk.filled.Add(1)
-	atomic.StoreUint32(&e.state, docFilled)
-	v := viewDoc(sn.arenas, e)
-	if gz != nil {
-		putBuf(buf)
-	} else {
-		// The fill serves the bytes it just encoded.
-		v.body, v.buf = body, buf
-	}
+	atomic.StoreUint32(&e.word, word)
+	// The fill serves the bytes it just encoded.
+	v := viewDoc(sn.arenas, docHandle{word: word, base: off, gzLen: uint32(len(gz))})
+	v.body, v.buf = body, buf
 	return v
 }
 
@@ -374,7 +361,7 @@ type carryCtx struct {
 // drop records that prev document h does not survive into the new
 // snapshot: its region's bytes stop being live in their arena.
 func (cc *carryCtx) drop(h *docHandle) {
-	cc.prev.arenas[h.arenaIdx].DropBytes(int64(h.regionLen()))
+	cc.prev.arenas[h.arenaIdx()].DropBytes(int64(h.regionLen()))
 }
 
 // dropAll accounts an entire predecessor cache as not carried.
@@ -398,16 +385,16 @@ func (cc *carryCtx) dropAll(prev *respCache) {
 
 // move evacuates one document out of a compacting arena: a single byte
 // copy of the already-encoded region into the build's fresh arena. The
-// bytes — validators and whatever bodies the document kept — are copied
+// bytes — validators and the gzip body, if the document kept one — are copied
 // verbatim, never re-encoded or re-compressed, so carry semantics are
 // intact.
 func (cc *carryCtx) move(h docHandle) docHandle {
-	src := cc.prev.arenas[h.arenaIdx]
+	src := cc.prev.arenas[h.arenaIdx()]
 	reg := src.Bytes(h.base, h.regionLen())
 	off, dst := cc.sn.fresh.Alloc(len(reg))
 	copy(dst, reg)
 	src.DropBytes(int64(len(reg)))
-	h.arenaIdx = cc.sn.freshIdx
+	h.word = packWord(cc.sn.freshIdx, int(h.etagLen()), int(h.clenLen()), int(h.gzClenLen()))
 	h.base = off
 	cc.moved++
 	return h
@@ -506,7 +493,7 @@ func (cc *carryCtx) cache(n int, prevCache *respCache, sameChunk func(c int) boo
 				cc.drop(&h)
 				continue
 			}
-			if cc.compact&(1<<uint64(h.arenaIdx)) != 0 {
+			if cc.compact&(1<<uint64(h.arenaIdx())) != 0 {
 				h = cc.move(h)
 			}
 			if nb == nil {
@@ -514,7 +501,7 @@ func (cc *carryCtx) cache(n int, prevCache *respCache, sameChunk func(c int) boo
 			}
 			nb.docs[j] = h
 			count++
-			amask |= 1 << uint64(h.arenaIdx)
+			amask |= 1 << uint64(h.arenaIdx())
 		}
 		if nb != nil {
 			nb.filled.Store(count)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"planetapps/internal/arena"
 	"planetapps/internal/marketsim"
@@ -53,6 +54,31 @@ func fillingGet(sn *snapshot, c *respCache, i int) (v docView, filled bool) {
 	h := c.docAt(i)
 	v = c.get(sn, docDetail, i)
 	return v, c.docAt(i) != h
+}
+
+// blockSizeClass is the Go size class a docBlock is allocated in: the
+// bytes a block really costs the heap.
+const blockSizeClass = 896
+
+// TestHandleBlockFitsItsSizeClass: a handle is three words, so a block of
+// 64 is 784 B and the allocator hands out 896 for it — where a 28-byte
+// handle made a 1,808 B block that cost 2,048. A handle is aligned to four
+// bytes, so one byte more would make it 16 and the block 1,040 B, in the
+// 1,152 B class. The packed word must give back every field at its widest:
+// arena slot 63, a 255-byte ETag, fifteen-digit lengths.
+func TestHandleBlockFitsItsSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(docHandle{}); sz > 12 {
+		t.Fatalf("docHandle is %d B, want at most 12", sz)
+	}
+	if sz := unsafe.Sizeof(docBlock{}); sz > 784 {
+		t.Fatalf("docBlock is %d B, want at most 784 (the %d B size class)", sz, blockSizeClass)
+	}
+	for _, c := range [][4]int{{0, 1, 1, 0}, {maxArenas - 1, 255, 15, 15}, {37, 20, 4, 3}} {
+		h := docHandle{word: packWord(uint32(c[0]), c[1], c[2], c[3])}
+		if got := [4]int{int(h.arenaIdx()), int(h.etagLen()), int(h.clenLen()), int(h.gzClenLen())}; !h.filled() || got != c {
+			t.Fatalf("packWord%v reads back %v (filled %v)", c, got, h.filled())
+		}
+	}
 }
 
 // successor builds the carry of prev's cache into a new shell snapshot.

@@ -248,7 +248,7 @@ func TestCommentCarrySharesUntouchedBlocks(t *testing.T) {
 			i := c*docChunk + j
 			h0, h1 := before.comDocs.docAt(i), after.comDocs.docAt(i)
 			if written[i] {
-				if h1.state == docFilled {
+				if h1.filled() {
 					t.Fatalf("app %d: written stream's stale document carried", i)
 				}
 				d0, d1 := before.commentsDoc(i), after.commentsDoc(i)
@@ -412,10 +412,14 @@ func TestShardsHoldOneGenesisAndNoDenseExport(t *testing.T) {
 // The arena's slabs ramp up by doubling, so they pin at most twice what
 // they hold plus the first slab; the stated slack, 64 KiB, is the rest of
 // what a publish leaves (the republished snapshot, the client's limiter
-// bucket). It holds about 610 KB against a bound of about 810 KB; when
-// every document kept its identity bytes — each detail row some 215 B of
-// JSON an append encoder rebuilds in a fraction of a microsecond — it held
-// 1.38 MB.
+// bucket). A handle block costs its 896 B size class, and a document keeps
+// no identity bytes, so what the arena holds beyond validators is the gzip
+// bodies of long streams. It holds about 464 KB against a bound of 514,166;
+// with 28-byte handles (a block in the 2,048 B class) and long streams
+// keeping their identity bytes beside the gzip form it held 606,920 B,
+// and when every document kept its identity bytes — each detail row some
+// 215 B of JSON an append encoder rebuilds in a fraction of a microsecond
+// — 1.38 MB.
 func TestServedStoreHoldsItsValidators(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race allocator pads every allocation; the bound is on the production layout")
@@ -457,16 +461,14 @@ func TestServedStoreHoldsItsValidators(t *testing.T) {
 		}
 		for i := 0; i < c.n; i++ {
 			d := c.docAt(i)
-			if d.state != docFilled {
+			if !d.filled() {
 				t.Fatalf("document %d of %d not filled by the crawl", i, c.n)
 			}
-			validators += int64(d.etagLen) + int64(d.clenLen) + int64(d.gzEtagLen) + int64(d.gzClenLen)
-			if d.gzLen > 0 {
-				kept += int64(d.bodyLen) + int64(d.gzLen)
-			}
+			validators += int64(d.regionLen() - d.gzLen)
+			kept += int64(d.gzLen)
 		}
 	}
-	handles := blocks * int64(unsafe.Sizeof(docBlock{}))
+	handles := blocks * blockSizeClass
 	index := int64(cap(sn.comments.all))*int64(unsafe.Sizeof(CommentJSON{})) + int64(cap(sn.comments.off))*4
 	bound := 2*(validators+kept) + arena.FirstSlabSize + handles + index + slack
 	t.Logf("held %d B: validators %d, kept bodies %d, handles %d, comment index %d; bound %d", held, validators, kept, handles, index, bound)

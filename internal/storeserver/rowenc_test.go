@@ -49,8 +49,8 @@ func viaEncodingJSON(v any) []byte {
 	return buf.Bytes()
 }
 
-// servedBody is the identity bytes sn serves for document k/i: the bytes
-// the document kept, or what a 200 re-encodes.
+// servedBody is the identity bytes sn serves for document k/i: what an
+// identity 200 re-encodes.
 func servedBody(sn *snapshot, k docKind, i int) []byte {
 	d := sn.doc(k, i)
 	defer d.release()

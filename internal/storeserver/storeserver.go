@@ -10,12 +10,12 @@
 // snapshot (see snapshot.go) published through an atomic pointer, RCU
 // style. Handlers load the pointer once per request and serve cached
 // validators with snapshot-derived ETags — the read path takes no
-// server-wide lock, a warm document allocates nothing, and only the bytes
-// gzip shrinks are kept; the rest are re-encoded from the snapshot's rows
-// by an append encoder on each 200. The store changes once per simulated
-// day, exactly the daily-snapshot cadence the paper's crawls (and
-// Potharaju et al.'s longitudinal Google Play study) observe, so a day's
-// worth of traffic amortizes each document's single fill.
+// server-wide lock, a warm document allocates nothing, and only the gzip
+// bodies that pay are kept; identity bytes are re-encoded from the
+// snapshot's rows by an append encoder on each 200. The store changes
+// once per simulated day, exactly the daily-snapshot cadence the paper's
+// crawls (and Potharaju et al.'s longitudinal Google Play study) observe,
+// so a day's worth of traffic amortizes each document's single fill.
 package storeserver
 
 import (
@@ -516,9 +516,9 @@ func (s *Server) stamp(h http.Header, sn *snapshot) {
 // served as it is and says nothing about Vary: claiming a choice that does
 // not exist makes a downstream cache keep the same bytes once per variant.
 //
-// Such a document kept only its validators, so a 200 re-encodes its
-// identity bytes into a pooled buffer (net/http's Write does not retain
-// its argument); a 304 or a HEAD never does. The wire never carries a
+// No document keeps its identity bytes, so an identity 200 re-encodes them
+// into a pooled buffer (net/http's Write does not retain its argument); a
+// 304, a HEAD or a gzip 200 never does. The wire never carries a
 // Content-Length the bytes disagree with: re-encoded bytes of another
 // length than the fill recorded are served with their own.
 func (s *Server) serveDoc(w http.ResponseWriter, r *http.Request, sn *snapshot, k docKind, i int) {
@@ -552,12 +552,21 @@ func (s *Server) serveDoc(w http.ResponseWriter, r *http.Request, sn *snapshot, 
 	if !gz {
 		sn.render(&d, k, i)
 		body = d.body
-		if len(body) != d.bodyLen {
+		if !lenIs(clen, len(body)) {
 			clen = strconv.Itoa(len(body))
 		}
 	}
 	hset(h, hdrContentLength, clen)
 	w.Write(body) //nolint:errcheck // client gone; nothing useful to do
+}
+
+// lenIs reports whether clen, a Content-Length the fill rendered, is n.
+func lenIs(clen string, n int) bool {
+	v := 0
+	for i := 0; i < len(clen); i++ {
+		v = v*10 + int(clen[i]-'0')
+	}
+	return v == n
 }
 
 // apkScale converts an app's SizeMB into served bytes. Full-size APK

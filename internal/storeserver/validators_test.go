@@ -14,16 +14,17 @@ import (
 	"planetapps/internal/marketsim"
 )
 
-// TestServedBytesMatchTheirValidators: a document that kept only its
-// validators is re-encoded on every 200 it serves, so its bytes are decided
-// again by whichever snapshot serves it — a carried handle included. A
+// TestServedBytesMatchTheirValidators: no document keeps its identity
+// bytes, so they are re-encoded on every identity 200, and decided again by
+// whichever snapshot serves it — a carried handle included. A
 // single node and a four-shard fleet absorb downloads and comments through
 // ten rolls; at every roll, for stats and for every app's detail and
 // comment stream, the served identity body must be encoding/json's
 // rendering of the wire struct (the gzip body, where one was kept, must
 // inflate to it), the body's length must be its Content-Length, an ETag
 // seen on two days must name the same bytes on both, and neither a 304 nor
-// a HEAD may write a body, the one thing a filled document encodes for. A
+// a HEAD may write a body, the one thing a filled document encodes for,
+// whether the validator named the identity or the gzip representation. A
 // validator carried across a row-version bump fails the third check on the
 // first roll that moves a row.
 func TestServedBytesMatchTheirValidators(t *testing.T) {
@@ -136,6 +137,14 @@ func (c *validatorCheck) doc(path string, want []byte) {
 		c.reused++
 	}
 
+	// The document is filled by now, so this identity 200 re-encodes its
+	// bytes: for a long comment stream, the only path that renders them.
+	if again := c.get(http.MethodGet, path, "identity", ""); again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), want) ||
+		again.Header().Get("Etag") != etag || again.Header().Get("Content-Length") != strconv.Itoa(len(want)) {
+		t.Fatalf("day %s %s: a filled document's identity GET answered %d, ETag %s, Content-Length %s:\n %s",
+			c.day, path, again.Code, again.Header().Get("Etag"), again.Header().Get("Content-Length"), again.Body.Bytes())
+	}
+
 	if g := c.get(http.MethodGet, path, "gzip", ""); g.Header().Get("Content-Encoding") == "gzip" {
 		zr, err := gzip.NewReader(g.Body)
 		if err != nil {
@@ -143,6 +152,13 @@ func (c *validatorCheck) doc(path string, want []byte) {
 		}
 		if inflated, err := io.ReadAll(zr); err != nil || !bytes.Equal(inflated, want) {
 			t.Fatalf("day %s %s: gzip body inflates to %q (%v)", c.day, path, inflated, err)
+		}
+		gzEtag := g.Header().Get("Etag")
+		if gzEtag == etag {
+			t.Fatalf("day %s %s: the gzip representation carries the identity ETag %s", c.day, path, etag)
+		}
+		if rec := c.get(http.MethodGet, path, "gzip", gzEtag); rec.Code != http.StatusNotModified || rec.wrote {
+			t.Fatalf("day %s %s: gzip revalidation answered %d (body written: %v), want a 304 with none", c.day, path, rec.Code, rec.wrote)
 		}
 		c.gz++
 	}

@@ -80,12 +80,12 @@ race() {
 # and categorical draws held to sort.SearchFloat64s's index, and a ring's
 # ownership table held to Owner while four shards' partitioners read and
 # grow it at once.
-# A document that keeps only its validators is re-encoded by whichever
-# snapshot serves it, so a node and four shards are walked through ten
+# No document keeps its identity bytes: they are re-encoded by whichever
+# snapshot serves them, so a node and four shards are walked through ten
 # rolls of absorbed writes with every document's served bytes held to
 # encoding/json, its Content-Length and every ETag seen on two days, while
-# 304s and HEADs write no body (a validator carried across a row-version
-# bump fails it). A histogram makes a bucket block on an observation's
+# 304s (identity and gzip) and HEADs write no body (a validator carried
+# across a row-version bump fails it). A histogram makes a bucket block on an observation's
 # first arrival in it: eight goroutines race their first observations
 # into one block, and seeded values from every corner are held to a dense
 # bucket array.
@@ -177,9 +177,12 @@ alloc() {
 # 8 KiB a store, where each store's grouped copy was about 66 KB.
 # TestServedStoreHoldsItsValidators holds a crawl-sized store (3,750 apps,
 # 1,000 commenting users) that served every document once to its
-# validators, handle blocks, comment index, the bytes of the documents
-# that kept a gzip form and a stated slack: when every document kept its
-# identity bytes it held 1.38 MB against a bound of 0.81 MB.
+# validators, handle blocks at their 896 B size class, comment index, the
+# gzip bodies long streams keep and a stated slack: it holds about 464 KB
+# against 514 KB; with 28-byte handles and long streams keeping their
+# identity bytes too it held 607 KB, and when every document kept its
+# identity bytes 1.38 MB. TestHandleBlockFitsItsSizeClass holds a handle
+# to 12 B and a block of 64 to 784 B, the 896 B size class.
 # TestFreshRegistryHoldsLittle holds a store's metrics registry to 16 KiB
 # before anything is observed; when each histogram held all 1,888 buckets
 # up front it held about 170 KiB.
@@ -194,7 +197,7 @@ alloc() {
 # 60 times in 60 and the second a few times in 180, under ordinary
 # scheduling luck that one tier-1 run does not reliably draw.
 retention() {
-	go test -run 'TestHeapObjectsGate|TestServingArenasBoundedAcrossRolls|TestArenaFootprintAcrossRolls|TestDayArenaPinsWhatItHolds|TestMergeCommentsCopiesOnlyTheDelta|TestCommentCarrySharesUntouchedBlocks|TestShardsHoldOneGenesisAndNoDenseExport|TestStoresOfOnePopulationHoldOneIndex|TestServedStoreHoldsItsValidators|TestFreshRegistryHoldsLittle' \
+	go test -run 'TestHeapObjectsGate|TestServingArenasBoundedAcrossRolls|TestArenaFootprintAcrossRolls|TestDayArenaPinsWhatItHolds|TestMergeCommentsCopiesOnlyTheDelta|TestCommentCarrySharesUntouchedBlocks|TestShardsHoldOneGenesisAndNoDenseExport|TestStoresOfOnePopulationHoldOneIndex|TestServedStoreHoldsItsValidators|TestHandleBlockFitsItsSizeClass|TestFreshRegistryHoldsLittle' \
 		-count=1 -timeout 10m ./internal/storeserver
 	go test -run 'TestHeldViewOutlivesItsSnapshot|TestSnapshotConsistencyUnderAdvanceDay' \
 		-count=20 -cpu 1,2,4 -timeout 10m ./internal/storeserver

@@ -161,17 +161,22 @@ case $rc in
 *) verdict=error ;;
 esac
 
+# The change's host is the first untraced run's, picked inside jq so that
+# no pipe can end jq early. A metric no run reported has quartiles awk
+# prints as "nan"; they are null in the row.
+host=$(jq -n -c 'first(inputs | select(.trace == false) | .host |
+	{nproc, gomaxprocs, go_version, cpu_model}) // null' "$out/change/results.jsonl")
 jq -R -s --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" --arg parent "$parent" \
 	--arg change "$change" --arg verdict "$verdict" --argjson pairs "$pairs" \
-	--slurpfile host <(jq -c 'select(.trace == false) | .host | {nproc, gomaxprocs, go_version, cpu_model}' \
-		"$out/change/results.jsonl" | head -n 1) '
+	--argjson host "$host" '
+	def num: if test("nan"; "i") then null else tonumber end;
 	split("\n") | map(select(length > 0) | split("\t")) |
-	{date: $date, parent: $parent, change: $change, pairs: $pairs, host: $host[0],
+	{date: $date, parent: $parent, change: $change, pairs: $pairs, host: $host,
 	 compare: $verdict,
 	 workloads: (reduce .[] as $r ({}; .[$r[1]][$r[2]] = {
 		won: ($r[3] | tonumber), runs: ($r[4] | tonumber),
-		parent: {q1: ($r[5] | tonumber), median: ($r[6] | tonumber), q3: ($r[7] | tonumber)},
-		change: {q1: ($r[8] | tonumber), median: ($r[9] | tonumber), q3: ($r[10] | tonumber)}}))}
+		parent: {q1: ($r[5] | num), median: ($r[6] | num), q3: ($r[7] | num)},
+		change: {q1: ($r[8] | num), median: ($r[9] | num), q3: ($r[10] | num)}}))}
 ' "$summary" >"$out/row.json"
 history="$root/BENCH_history.json"
 [ -f "$history" ] || echo '[]' >"$history"
