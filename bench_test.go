@@ -230,56 +230,6 @@ func BenchmarkSensitivityX5(b *testing.B) {
 	b.ReportMetric(last.Advantage, "amo-over-cl-distance")
 }
 
-// BenchmarkWorkloadThroughput measures raw download-event generation speed
-// of the core APP-CLUSTERING simulator.
-func BenchmarkWorkloadThroughput(b *testing.B) {
-	cfg := model.Config{
-		Apps: 10000, Users: 20000, DownloadsPerUser: 10,
-		ZipfGlobal: 1.4, ZipfCluster: 1.4, ClusterP: 0.9, Clusters: 30,
-	}
-	w, err := model.NewSimulator(model.AppClustering, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var total int64
-	for i := 0; i < b.N; i++ {
-		res := w.Run(uint64(i))
-		total += res.Total
-	}
-	b.StopTimer()
-	if total > 0 {
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "downloads/sec")
-	}
-}
-
-// BenchmarkRunParallel records the worker-scaling curve of the split-stream
-// Monte Carlo engine. Results are byte-identical across worker counts (the
-// invariance tests prove it), so the sub-benchmarks measure pure scheduling:
-// on an N-core host throughput should rise until workers ≈ N.
-func BenchmarkRunParallel(b *testing.B) {
-	cfg := model.Config{
-		Apps: 10000, Users: 20000, DownloadsPerUser: 10,
-		ZipfGlobal: 1.4, ZipfCluster: 1.4, ClusterP: 0.9, Clusters: 30,
-	}
-	w, err := model.NewSimulator(model.AppClustering, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var total int64
-			for i := 0; i < b.N; i++ {
-				total += w.RunParallel(uint64(i), workers).Total
-			}
-			b.StopTimer()
-			if total > 0 {
-				b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "downloads/sec")
-			}
-		})
-	}
-}
-
 // BenchmarkFitMCParallel records the worker-scaling curve of the Monte
 // Carlo fit pipeline (candidate shortlist evaluated on FitSpec.Workers
 // goroutines, each candidate's runs concurrent). The observed curve is
@@ -531,9 +481,9 @@ func dayRollMarket(b *testing.B, n int) *marketsim.Market {
 	cfg := marketsim.DefaultConfig(dayRollProfile(n))
 	cfg.Days = 4096
 	cfg.WarmupDays = 0
-	// The serving path never reads the per-app daily series, so a store
-	// deployment runs with recording off (appstored -no-series). The knob
-	// is observation-only: TestSeedDeterminismAcrossModes proves the
+	// The serving path never reads the per-app daily series, so every
+	// serving store runs with recording off (fleet.NewShard sets it). The
+	// knob is observation-only: TestSeedDeterminismAcrossModes proves the
 	// simulated market is identical either way.
 	cfg.DisableSeries = true
 	m, err := marketsim.New(cfg, 1)
@@ -603,19 +553,4 @@ func BenchmarkDayRollWarmArena(b *testing.B) {
 	b.StopTimer()
 	ar := s.Arena()
 	b.ReportMetric(float64(ar.SlabsLive), "slabs_live")
-}
-
-// BenchmarkMarketDay measures one simulated market day on the anzhi
-// profile.
-func BenchmarkMarketDay(b *testing.B) {
-	cfg := marketsim.DefaultConfig(catalog.Profiles["anzhi"].Scale(0.25))
-	cfg.Days = b.N + 1
-	b.ResetTimer()
-	m, err := marketsim.New(cfg, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m.Run(); err != nil {
-		b.Fatal(err)
-	}
 }

@@ -1,6 +1,7 @@
 package planetapps_test
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -612,5 +613,81 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 	if citations == 0 {
 		t.Fatal("found no DESIGN.md section citations: run from the repository root")
+	}
+}
+
+// resultFileName is how a file names a benchmark result file at the root.
+var resultFileName = regexp.MustCompile(`BENCH_[a-z]+\.json`)
+
+// TestDocsCiteResultFilesThatExist holds what the tree says about
+// measurements to the result files it has: every BENCH_<name>.json that a
+// Go file, a script, a workflow, a test fixture or a document names must
+// be at the root, so no claim rests on a record that was deleted. At the
+// root only the four documents scripts/loc.sh counts describe the system;
+// the other Markdown files there are the change log, the roadmap and the
+// paper's reference shelf, which quote deleted records as history. So does
+// cmd/bench's README, whose mapping table says which metric replaced each
+// one (that module is frozen).
+func TestDocsCiteResultFilesThatExist(t *testing.T) {
+	describes := map[string]bool{"DESIGN.md": true, "EXPERIMENTS.md": true, "README.md": true, "API.md": true}
+	files := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		switch {
+		case d.IsDir():
+			if path == ".git" || path == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return nil
+		case !d.Type().IsRegular(), path == "cmd/bench/README.md",
+			filepath.Dir(path) == "." && strings.HasSuffix(path, ".md") && !describes[path]:
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		files++
+		for _, name := range resultFileName.FindAllString(string(b), -1) {
+			if _, err := os.Stat(name); err != nil {
+				t.Errorf("%s names %s, which is not at the root", path, name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < len(describes) {
+		t.Fatalf("read %d files: run from the repository root", files)
+	}
+}
+
+// TestBenchHistoryRowsAreRows holds BENCH_history.json, the record
+// scripts/pairs.sh appends a row to, to its shape: a list of objects, each
+// with parent, change, pairs and workloads, so that jq '.[].workloads'
+// reads every row.
+func TestBenchHistoryRowsAreRows(t *testing.T) {
+	b, err := os.ReadFile("BENCH_history.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []json.RawMessage
+	if err := json.Unmarshal(b, &rows); err != nil {
+		t.Fatalf("BENCH_history.json is no list: %v", err)
+	}
+	for i, raw := range rows {
+		var row map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &row); err != nil {
+			t.Errorf("element %d is no object: %v", i, err)
+			continue
+		}
+		for _, key := range []string{"parent", "change", "pairs", "workloads"} {
+			if _, ok := row[key]; !ok {
+				t.Errorf("element %d has no %q", i, key)
+			}
+		}
 	}
 }

@@ -39,6 +39,7 @@ package gzipx
 import (
 	"bytes"
 	"compress/gzip"
+	"strings"
 	"sync"
 )
 
@@ -120,91 +121,57 @@ func Decompress(src []byte) ([]byte, error) {
 }
 
 // AcceptsGzip reports whether an Accept-Encoding header value admits gzip:
-// a "gzip" token (case-insensitive, optional parameters) whose q-value is
-// not zero. A pure scan over the input — no splitting, no allocation —
-// because the server consults it on every hot-path request. The wildcard
-// "*" is deliberately not treated as gzip consent: every client we care
-// about (Go's transport, curl, browsers, the edge tier) names gzip
-// explicitly, and identity is always a correct answer.
+// a "gzip" coding (ASCII case-insensitive) whose weight is not zero. The
+// weight is the first parameter named q (RFC 9110 §12.4.2: any case,
+// optional whitespace around "="); other parameters are ignored, and a
+// weight that is not a zero qvalue ("0", "0." up to "0.000") counts as
+// non-zero — the safe default is "client accepts it". A pure scan over the
+// input — no allocation — because the server consults it on every hot-path
+// request. The wildcard "*" is deliberately not treated as gzip consent:
+// every client we care about (Go's transport, curl, browsers, the edge
+// tier) names gzip explicitly, and identity is always a correct answer.
 func AcceptsGzip(ae string) bool {
-	for i := 0; i < len(ae); {
-		// One comma-separated element: [start, end).
-		start := i
-		for i < len(ae) && ae[i] != ',' {
-			i++
+	for ae != "" {
+		var elem string
+		elem, ae, _ = strings.Cut(ae, ",")
+		coding, params, _ := strings.Cut(elem, ";")
+		if equalFoldASCII(trimOWS(coding), "gzip") && !zeroWeight(params) {
+			return true
 		}
-		end := i
-		i++ // skip the comma
-		// Trim surrounding spaces/tabs.
-		for start < end && (ae[start] == ' ' || ae[start] == '\t') {
-			start++
-		}
-		for end > start && (ae[end-1] == ' ' || ae[end-1] == '\t') {
-			end--
-		}
-		// Split off ";parameters".
-		tokEnd := start
-		for tokEnd < end && ae[tokEnd] != ';' {
-			tokEnd++
-		}
-		te := tokEnd
-		for te > start && (ae[te-1] == ' ' || ae[te-1] == '\t') {
-			te--
-		}
-		if !tokenIsGzip(ae[start:te]) {
-			continue
-		}
-		if qZero(ae[tokEnd:end]) {
-			continue
-		}
-		return true
 	}
 	return false
 }
 
-func tokenIsGzip(tok string) bool {
-	if len(tok) != 4 {
-		return false
-	}
-	return (tok[0]|0x20) == 'g' && (tok[1]|0x20) == 'z' &&
-		(tok[2]|0x20) == 'i' && (tok[3]|0x20) == 'p'
-}
-
-// qZero reports whether params (";q=0", ";q=0.000", possibly with spaces)
-// assigns a zero quality. Anything unparseable counts as non-zero — the
-// safe default is "client accepts it".
-func qZero(params string) bool {
-	for i := 0; i < len(params); i++ {
-		if params[i] != 'q' && params[i] != 'Q' {
-			continue
-		}
-		j := i + 1
-		for j < len(params) && (params[j] == ' ' || params[j] == '\t') {
-			j++
-		}
-		if j >= len(params) || params[j] != '=' {
-			continue
-		}
-		j++
-		for j < len(params) && (params[j] == ' ' || params[j] == '\t') {
-			j++
-		}
-		if j >= len(params) || params[j] != '0' {
+// zeroWeight reports whether params, a coding's ";"-separated parameters,
+// give it weight zero.
+func zeroWeight(params string) bool {
+	for params != "" {
+		var param string
+		param, params, _ = strings.Cut(params, ";")
+		if name, value, ok := strings.Cut(param, "="); ok && equalFoldASCII(trimOWS(name), "q") {
+			switch trimOWS(value) {
+			case "0", "0.", "0.0", "0.00", "0.000":
+				return true
+			}
 			return false
 		}
-		// "0", "0.", "0.0", "0.00", "0.000" are zero; any non-zero digit
-		// after the point means a tiny-but-positive q.
-		for j++; j < len(params); j++ {
-			c := params[j]
-			if c == '.' || c == '0' {
-				continue
-			}
-			if c >= '1' && c <= '9' {
-				return false
-			}
-			break // end of the q value (space, comma handled by caller, etc.)
-		}
-		return true
 	}
 	return false
+}
+
+// trimOWS strips HTTP's optional whitespace: spaces and tabs.
+func trimOWS(s string) string { return strings.Trim(s, " \t") }
+
+// equalFoldASCII reports whether s is lower, a lower-case ASCII word, in
+// any case.
+func equalFoldASCII(s, lower string) bool {
+	if len(s) != len(lower) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i]|0x20 != lower[i] {
+			return false
+		}
+	}
+	return true
 }

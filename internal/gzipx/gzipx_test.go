@@ -3,7 +3,9 @@ package gzipx
 import (
 	"bytes"
 	"encoding/json"
+	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"planetapps/internal/rng"
@@ -69,6 +71,19 @@ func TestAcceptsGzip(t *testing.T) {
 		{"x-gzip-ish", false},
 		{"notgzip", false},
 		{"deflate;q=1, gzip;q=0, br", false},
+		// Only the parameter named q is the weight.
+		{"gzip;xq=0", true},
+		{"gzip;seq=0", true},
+		{"gzip;level=1;q=0", false},
+		{"gzip; Q = 0", false},
+		{"gzip;q\t=\t0.", false},
+		{"gzip;q=0;q=1", false},
+		{"gzip;q=1;q=0", true},
+		// A weight that is no zero qvalue counts as non-zero.
+		{"gzip;q=0.0000", true},
+		{"gzip;q=0x", true},
+		{"gzip;q=", true},
+		{"gzip;q", true},
 	}
 	for _, c := range cases {
 		if got := AcceptsGzip(c.ae); got != c.want {
@@ -80,9 +95,48 @@ func TestAcceptsGzip(t *testing.T) {
 func TestAcceptsGzipZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		AcceptsGzip("br;q=1.0, gzip;q=0.5, deflate")
+		AcceptsGzip("gzip; level=1 ; Q = 0.000, identity")
 	}); n != 0 {
 		t.Fatalf("AcceptsGzip allocates %.1f/op", n)
 	}
+}
+
+// zeroQ is RFC 9110's qvalue of zero.
+var zeroQ = regexp.MustCompile(`^0(\.0{0,3})?$`)
+
+// refAcceptsGzip is AcceptsGzip written the obvious way, splitting the
+// header and its parameters with strings.Split.
+func refAcceptsGzip(ae string) bool {
+	for _, elem := range strings.Split(ae, ",") {
+		parts := strings.Split(elem, ";")
+		if !strings.EqualFold(strings.Trim(parts[0], " \t"), "gzip") {
+			continue
+		}
+		zero := false
+		for _, p := range parts[1:] {
+			if name, value, ok := strings.Cut(p, "="); ok && strings.EqualFold(strings.Trim(name, " \t"), "q") {
+				zero = zeroQ.MatchString(strings.Trim(value, " \t"))
+				break
+			}
+		}
+		if !zero {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzAcceptsGzip holds the allocation-free scan to refAcceptsGzip.
+func FuzzAcceptsGzip(f *testing.F) {
+	for _, s := range []string{"", "gzip", " GZIP ;q=0.5", "gzip;xq=0", "gzip; Q = 0",
+		"deflate;q=1, gzip;q=0, br", "gzip;q=0.0000", "gzip;level=1;q=0.", "*"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, ae string) {
+		if got, want := AcceptsGzip(ae), refAcceptsGzip(ae); got != want {
+			t.Fatalf("AcceptsGzip(%q) = %v, reference %v", ae, got, want)
+		}
+	})
 }
 
 // The documents TestPayTable measures are this API's, rebuilt here from

@@ -494,21 +494,6 @@ func TestParetoEffectInClusteringWorkload(t *testing.T) {
 	}
 }
 
-func BenchmarkRunClustering(b *testing.B) {
-	cfg := Config{
-		Apps: 10000, Users: 10000, DownloadsPerUser: 10,
-		ZipfGlobal: 1.4, ZipfCluster: 1.4, ClusterP: 0.9, Clusters: 30,
-	}
-	s, err := NewSimulator(AppClustering, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Run(uint64(i))
-	}
-}
-
 func BenchmarkStreamClustering(b *testing.B) {
 	cfg := Config{
 		Apps: 10000, Users: 10000, DownloadsPerUser: 10,

@@ -63,8 +63,8 @@ type Config struct {
 	// flight this long (0 = hedging off). First completion wins; the
 	// loser is canceled. It pays on the tail: a two-day chaos crawl's p99
 	// is 191 ms against 258 ms without it under corruption and 166 against
-	// 229 ms under slow-loris (EXPERIMENTS.md, "RES"), and cmd/loadtest's
-	// p99 falls 2.9x under the latency scenario (BENCH_chaos.json).
+	// 229 ms under slow-loris, and cmd/loadtest's detail p99 under the
+	// latency scenario 32-47 ms against 140 ms (EXPERIMENTS.md, "RES").
 	HedgeAfter time.Duration
 	// MaxHedges bounds extra copies per attempt (default 1).
 	MaxHedges int

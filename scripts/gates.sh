@@ -140,8 +140,9 @@ bench-smoke() {
 # The zero-allocation gate proper: every warm cache-hit route (identity and
 # gzip, 200 and 304) must stay within the build-tagged allocation budget —
 # 0 normally, a small slack under -race where the instrumented allocator
-# charges bookkeeping to the measured path — and a listing slice, rendered
-# per request, within its handful. Then the gateway's two budgets, without
+# charges bookkeeping to the measured path — a listing slice, rendered
+# per request, within its handful, and a hit served into the fresh header
+# map net/http gives each request within its pinned 9 to 14. Then the gateway's two budgets, without
 # -race for the exact count: one merged 100-row page over four in-process
 # shards under ~600 allocations (the decode/re-encode merge took ~3,500;
 # the scan/splice merge ~420, nearly all of it the shard round-trips), and
@@ -211,7 +212,9 @@ retention() {
 # download schedule's round trip; the wire
 # grammar (ParsePath against a strings.Split parser, QueryValue against
 # url.ParseQuery, the cursor codec's round trip and range, ETagMatch
-# against the strings.Split walk it replaced); and the store's append-based
+# against the strings.Split walk it replaced); the Accept-Encoding scan
+# against a strings.Split parser (only a parameter named q is the weight);
+# and the store's append-based
 # document encoder, string and float appenders against json.Marshal; the
 # POST body decoder (never panics, answers only documented statuses, acks
 # only a valid user and rating); the crawl database's JSONL reader (never panics, whatever loads round-trips)
@@ -227,6 +230,7 @@ fuzz() {
 		'^FuzzQueryValue$ ./internal/apiwire' \
 		'^FuzzCursorRoundTrip$ ./internal/apiwire' \
 		'^FuzzETagMatch$ ./internal/apiwire' \
+		'^FuzzAcceptsGzip$ ./internal/gzipx' \
 		'^FuzzAppendRow$ ./internal/storeserver' \
 		'^FuzzAppendJSONString$ ./internal/storeserver' \
 		'^FuzzAppendJSONFloat$ ./internal/storeserver' \
@@ -270,12 +274,12 @@ smoke-loadtest() {
 
 	# Scaling + epoch floor: a closed-loop run against a 2-shard fleet of
 	# fixed-capacity nodes (80 slots x 200ms service time each => 400
-	# req/s per node — the capacity model BENCH_fleet.json was captured
-	# under) with a mid-run two-phase fleet day-roll. Fails if the fleet
-	# throughput does not clear a single node's 400 req/s ceiling by a
-	# wide margin — the scatter-merge tax and ring imbalance must not eat
-	# the second shard (full bench: 1.85x at 2 shards, 2.96x at 4; see
-	# BENCH_fleet.json) — or if any response mixed epochs after the swap.
+	# req/s per node, whatever the host's CPU) with a mid-run two-phase
+	# fleet day-roll. Fails if the fleet throughput does not clear a
+	# single node's 400 req/s ceiling by a wide margin — the scatter-merge
+	# tax and ring imbalance must not eat the second shard (the gateway's
+	# own cost is cmd/bench's fleet.gateway_list_us) — or if any response
+	# mixed epochs after the swap.
 	go run ./cmd/loadtest -shards 2 -vnodes 2048 \
 		-scale 1 -model zipf -zipf 0 \
 		-mode closed -vus 320 -think 0 \

@@ -178,6 +178,13 @@ jq -R -s --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" --arg parent "$parent" \
 		parent: {q1: ($r[5] | num), median: ($r[6] | num), q3: ($r[7] | num)},
 		change: {q1: ($r[8] | num), median: ($r[9] | num), q3: ($r[10] | num)}}))}
 ' "$summary" >"$out/row.json"
+# Append only one well-formed row: BENCH_history.json is a list of objects.
+if ! jq -s -e 'length == 1 and (.[0] | type == "object" and
+	has("parent") and has("change") and has("pairs") and has("workloads"))' \
+	"$out/row.json" >/dev/null; then
+	echo "pairs: $out/row.json is not one history row; appended nothing" >&2
+	exit 1
+fi
 history="$root/BENCH_history.json"
 [ -f "$history" ] || echo '[]' >"$history"
 jq --slurpfile row "$out/row.json" '. + $row' "$history" >"$out/history.json"
