@@ -272,15 +272,6 @@ func TestTailDropDetectsTruncation(t *testing.T) {
 	}
 }
 
-func BenchmarkZipfSample(b *testing.B) {
-	z := mustZipf(100000, 1.5)
-	r := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		z.Sample(r)
-	}
-}
-
 func BenchmarkNewZipf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mustZipf(60000, 1.4)

@@ -82,10 +82,10 @@ type assembled struct {
 }
 
 // fetchShardPage pulls one shard's listing slice anchored at a global ID
-// and locates its rows in place. Beyond being well-formed JSON the slice
-// must be a slice of this listing — ids ascending from the anchor, a
-// next_cursor past the last row and only after at least one row — which
-// is what lets the merge trust it to make progress.
+// and locates its rows in place. Beyond being the page a shard writes
+// (scanPage) the slice must be a slice of this listing — ids ascending
+// from the anchor, a next_cursor past the last row and only after at
+// least one row — which is what lets the merge trust it to make progress.
 func (g *Gateway) fetchShardPage(ctx context.Context, i int, anchor int32, limit int) (*shardPage, *apiwire.Error) {
 	buf, hd, e := g.fetchShard(ctx, i, apiwire.CursorPath(apiwire.EncodeCursor(int(anchor)), limit), maxListBody)
 	if e != nil {
@@ -103,8 +103,8 @@ func (g *Gateway) fetchShardPage(ctx context.Context, i int, anchor int32, limit
 	page := &shardPage{head: hd, buf: buf, body: body, rows: scanned.rows, total: scanned.total, anchor: anchor, next: -1}
 	floor := anchor
 	for _, row := range page.rows {
-		if row.id < floor || body[row.off] != '{' {
-			return bad("rows are not listing rows ascending from the cursor")
+		if row.id < floor {
+			return bad("rows are not ascending from the cursor")
 		}
 		floor = row.id + 1
 	}

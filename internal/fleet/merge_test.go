@@ -364,10 +364,17 @@ func TestShardBodyCaps(t *testing.T) {
 }
 
 // TestMalformedShardPages feeds the gateway listing slices that are
-// valid JSON but not slices of this listing; each must be refused, not
-// merged.
+// valid JSON but not slices of this listing, or not the page a shard
+// writes; each must be refused, not merged.
 func TestMalformedShardPages(t *testing.T) {
 	for name, body := range map[string]string{
+		"envelope reordered":       `{"total":9,"apps":[{"id":5}]}`,
+		"unknown envelope member":  `{"apps":[{"id":5}],"day":0,"total":9}`,
+		"whitespace":               `{"apps": [{"id":5}],"total":9}`,
+		"escaped key":              `{"\u0061pps":[{"id":5}],"total":9}`,
+		"nested value":             `{"apps":[{"id":5,"tags":["a"]}],"total":9}`,
+		"repeated id":              `{"apps":[{"id":5,"id":6}],"total":9}`,
+		"upper-case ID":            `{"apps":[{"ID":5}],"total":9}`,
 		"descending rows":          `{"apps":[{"id":5},{"id":3}],"total":9}`,
 		"repeated row":             `{"apps":[{"id":5},{"id":5}],"total":9}`,
 		"negative id":              `{"apps":[{"id":-1}],"total":9}`,

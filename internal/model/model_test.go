@@ -494,21 +494,6 @@ func TestParetoEffectInClusteringWorkload(t *testing.T) {
 	}
 }
 
-func BenchmarkStreamClustering(b *testing.B) {
-	cfg := Config{
-		Apps: 10000, Users: 10000, DownloadsPerUser: 10,
-		ZipfGlobal: 1.4, ZipfCluster: 1.4, ClusterP: 0.9, Clusters: 30,
-	}
-	s, err := NewSimulator(AppClustering, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Stream(uint64(i), func(Event) bool { return true })
-	}
-}
-
 // paperExpectedDownloads evaluates the paper's closed-form expectation
 // (Eq. 5) for an app with overall rank i (1-based) and within-cluster rank
 // j (1-based), under the APP-CLUSTERING model with C equal-size clusters:

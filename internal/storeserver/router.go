@@ -17,16 +17,20 @@ import (
 // heap traffic: path matching is substring compares, the app ID is parsed
 // in place, query lookup scans RawQuery without building a map, and status
 // capture comes from a sync.Pool. Combined with the pre-rendered header
-// values elsewhere, a warm cache hit performs no allocations at all
-// (pinned by allocbudget_test.go).
+// values elsewhere, a warm cache hit allocates nothing into a header map
+// that already holds its slots. net/http hands each request a fresh map,
+// so served through it a hit pays for those slots: TestHitPathAllocBudget
+// pins 0 into a slotted map and 9, 14 and 9 into a fresh one.
 
 // hset sets a single-valued header without allocating when the header map
-// already holds a slot for the key — the case for every pooled writer and
-// every recycled connection — by writing into the existing one-element
-// slice instead of replacing it. key must already be in canonical MIME
-// form ("Etag", not "ETag"): textproto canonicalization is what
-// Header.Set does before the map write, and what Header.Get does on read,
-// so precanonicalized constants keep both sides allocation-free.
+// already holds a slot for the key, by writing into the existing
+// one-element slice instead of replacing it. net/http builds a fresh map
+// for every request, so there each key's first hset allocates its slot;
+// only a writer whose map outlives a request (the alloc tests') reuses
+// one. key must already be in canonical MIME form ("Etag", not "ETag"):
+// textproto canonicalization is what Header.Set does before the map
+// write, and what Header.Get does on read, so precanonicalized constants
+// keep both sides allocation-free.
 func hset(h http.Header, key, value string) {
 	if vs := h[key]; len(vs) == 1 {
 		vs[0] = value

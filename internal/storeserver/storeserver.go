@@ -10,7 +10,8 @@
 // snapshot (see snapshot.go) published through an atomic pointer, RCU
 // style. Handlers load the pointer once per request and serve cached
 // validators with snapshot-derived ETags — the read path takes no
-// server-wide lock, a warm document allocates nothing, and only the gzip
+// server-wide lock, a warm document allocates nothing but the header
+// slots net/http's fresh per-request map needs, and only the gzip
 // bodies that pay are kept; identity bytes are re-encoded from the
 // snapshot's rows by an append encoder on each 200. The store changes
 // once per simulated day, exactly the daily-snapshot cadence the paper's
@@ -490,7 +491,8 @@ func (s *Server) limit(next http.Handler) http.Handler {
 // manual rolls, Config.FreshFor is advertised with Age 0; with neither,
 // max-age=0 (always revalidate). Both values are served from caches — the
 // Cache-Control string is fixed at construction, the Age string re-renders
-// at most once per second — so stamping them is allocation-free.
+// at most once per second — so stamping renders nothing; it allocates only
+// the header slots a fresh map lacks (see hset).
 func (s *Server) stamp(h http.Header, sn *snapshot) {
 	hset(h, hdrAPIVersion, apiwire.Version)
 	hset(h, hdrCacheControl, s.ccValue)

@@ -206,8 +206,10 @@ retention() {
 }
 
 # A fixed 30 s budget per target on top of the seed corpora, which every
-# plain `go test` already replays: the shard-page walker against
-# encoding/json; the gateway's g1: multi-anchor cursor (never panics,
+# plain `go test` already replays: the shard-page scanner sound against
+# encoding/json (what it accepts, encoding/json reads alike) and complete
+# against a shard's pages (it accepts every page encoding/json writes for
+# fuzzed rows); the gateway's g1: multi-anchor cursor (never panics,
 # round-trips any anchor vector, re-packs what it accepts); the packed
 # download schedule's round trip; the wire
 # grammar (ParsePath against a strings.Split parser, QueryValue against
@@ -223,7 +225,8 @@ retention() {
 fuzz() {
 	local target
 	for target in \
-		'FuzzScanPage ./internal/fleet' \
+		'^FuzzScanPage$ ./internal/fleet' \
+		'^FuzzScanPageReadsShardPages$ ./internal/fleet' \
 		'^FuzzGatewayCursor$ ./internal/fleet' \
 		'^FuzzPackedSeq$ ./internal/marketsim' \
 		'^FuzzParsePath$ ./internal/apiwire' \
