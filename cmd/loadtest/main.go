@@ -51,8 +51,6 @@ func main() {
 		vus       = flag.Int("vus", 32, "closed-loop virtual users")
 		think     = flag.Duration("think", 2*time.Millisecond, "closed-loop mean think time")
 		warmup    = flag.Duration("warmup", 500*time.Millisecond, "initial window excluded from statistics")
-		timeout   = flag.Duration("timeout", 10*time.Second, "per-request deadline")
-		inflight  = flag.Int("max-inflight", 4096, "open-loop concurrent request cap")
 		apkEvery  = flag.Int("apk-every", 0, "download the APK for every Nth event (0 = metadata only)")
 		gz        = flag.Bool("gzip", false, "negotiate gzip transfer (Accept-Encoding: gzip) and report wire bytes by encoding")
 		events    = flag.Int64("events", 100000, "stop after replaying this many workload events (0 = source length)")
@@ -81,7 +79,7 @@ func main() {
 
 		writeMix = flag.Float64("write-mix", 0, "fraction of events that also drive the write funnel (POST download/rate/comments)")
 
-		dayRoll = flag.Duration("day-roll", 0, "day-roll scenario: advance the in-process store one day this long into the measured window and report pre/post-swap latency separately (0 = off)")
+		dayRoll = flag.Duration("day-roll", 0, "day-roll scenario: advance the in-process store one day this long into the measured window and count post-roll responses that disagree on the store day (0 = off)")
 
 		edge        = flag.Bool("edge", false, "front the target with an in-process edge-cache tier and drive load through it")
 		edgePolicy  = flag.String("edge-policy", "lru", "edge replacement policy: lru, 2q, category")
@@ -172,31 +170,28 @@ func main() {
 	if *resil {
 		rc = resilient.New(resilient.Config{
 			Transport: &http.Transport{
-				MaxIdleConns:        *inflight,
-				MaxIdleConnsPerHost: *inflight,
+				MaxIdleConns:        loadgen.MaxInFlight,
+				MaxIdleConnsPerHost: loadgen.MaxInFlight,
 			},
-			MaxRetries:     4,
-			AttemptTimeout: *timeout,
-			HedgeAfter:     *hedgeAfter,
-			MaxHedges:      *maxHedges,
-			Seed:           *seed,
+			MaxRetries: 4,
+			HedgeAfter: *hedgeAfter,
+			MaxHedges:  *maxHedges,
+			Seed:       *seed,
 		})
 	}
 
 	base := loadgen.Config{
-		BaseURL:     st.URL,
-		Stages:      stageList,
-		Users:       *vus,
-		Think:       *think,
-		MaxInFlight: *inflight,
-		Warmup:      *warmup,
-		Timeout:     *timeout,
-		MaxEvents:   *events,
-		APKEvery:    *apkEvery,
-		ListEvery:   *listEvery,
-		WriteMix:    *writeMix,
-		AcceptGzip:  *gz,
-		Seed:        *seed,
+		BaseURL:    st.URL,
+		Stages:     stageList,
+		Users:      *vus,
+		Think:      *think,
+		Warmup:     *warmup,
+		MaxEvents:  *events,
+		APKEvery:   *apkEvery,
+		ListEvery:  *listEvery,
+		WriteMix:   *writeMix,
+		AcceptGzip: *gz,
+		Seed:       *seed,
 		// The two-phase prepare/commit epoch swap across every shard,
 		// driven mid-load.
 		DayRollAfter: *dayRoll,
@@ -240,9 +235,9 @@ func main() {
 			log.Printf("loadtest: %s: run finished inside the %v warmup — all %d requests excluded; shorten -warmup or lengthen the run",
 				m, *warmup, rep.WarmupRequests)
 		}
+		lat := detailLatency(rep)
 		log.Printf("loadtest: %s: %d events, %d requests, %.0f rps, p50 %.2fms p99 %.2fms, %d limited, %d errors",
-			m, rep.Events, rep.Requests, rep.ThroughputRPS,
-			classLatency(rep).P50, classLatency(rep).P99, rep.RateLimited, rep.Errors)
+			m, rep.Events, rep.Requests, rep.ThroughputRPS, lat.P50, lat.P99, rep.RateLimited, rep.Errors)
 		if len(rep.Writes) > 0 {
 			var posts, dup, bp, rej, werr int64
 			for _, wr := range rep.Writes {
@@ -262,9 +257,9 @@ func main() {
 		if dr := rep.DayRoll; dr != nil {
 			if !dr.Rolled {
 				log.Printf("loadtest: %s: day roll never fired — run shorter than warmup+%v", m, *dayRoll)
-			} else if c := detailClass(rep); c != nil && c.PreRollMS != nil && c.PostRollMS != nil {
-				log.Printf("loadtest: %s: day roll at %.2fs took %.2fms; detail p99 pre %.2fms (%d reqs) -> post %.2fms (%d reqs); %d mixed-epoch responses",
-					m, dr.AtSec, dr.RollMS, c.PreRollMS.P99, c.PreRollCount, c.PostRollMS.P99, c.PostRollCount, dr.MixedEpochResponses)
+			} else {
+				log.Printf("loadtest: %s: day roll at %.2fs took %.2fms; %d mixed-epoch responses",
+					m, dr.AtSec, dr.RollMS, dr.MixedEpochResponses)
 			}
 		}
 	}
@@ -364,22 +359,14 @@ func main() {
 	}
 }
 
-// classLatency picks the detail-class latency summary for the log line.
-func classLatency(rep *loadgen.Report) loadgen.LatencySummary {
-	if c := detailClass(rep); c != nil {
-		return c.LatencyMS
-	}
-	return loadgen.LatencySummary{}
-}
-
-// detailClass finds the detail-class report, nil if absent.
-func detailClass(rep *loadgen.Report) *loadgen.ClassReport {
-	for i := range rep.Classes {
-		if rep.Classes[i].Class == loadgen.ClassDetail {
-			return &rep.Classes[i]
+// detailLatency picks the detail-class latency summary for the log line.
+func detailLatency(rep *loadgen.Report) loadgen.LatencySummary {
+	for _, c := range rep.Classes {
+		if c.Class == loadgen.ClassDetail {
+			return c.LatencyMS
 		}
 	}
-	return nil
+	return loadgen.LatencySummary{}
 }
 
 // traceFile is a trace replay that owns its file; Generator.Run closes it.

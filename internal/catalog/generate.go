@@ -128,13 +128,6 @@ func (p Profile) Scale(f float64) Profile {
 	return q
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Generate builds a synthetic catalog for the profile, deterministically
 // from the seed. The same (profile, seed) pair always yields the same
 // catalog.

@@ -7,8 +7,10 @@
 //   - Open loop: requests are launched on a fixed schedule (target RPS per
 //     ramp stage) regardless of how fast the server responds, the arrival
 //     pattern of independent internet users. Slow responses pile up as
-//     in-flight requests rather than slowing the arrival rate, so latency
-//     under overload is measured honestly (no coordinated omission).
+//     in-flight requests rather than slowing the arrival rate, and each
+//     event's detail request is timed from its scheduled arrival, so
+//     latency under overload, the pacer's own lag included, is measured
+//     honestly (no coordinated omission).
 //   - Closed loop: N virtual users issue a request, wait for the response,
 //     think, and repeat — the session behavior of a device checking an
 //     appstore. Throughput self-regulates with server speed.
@@ -34,7 +36,6 @@ import (
 	"time"
 
 	"planetapps/internal/apiwire"
-	"planetapps/internal/gcstats"
 	"planetapps/internal/metrics"
 	"planetapps/internal/model"
 	"planetapps/internal/rng"
@@ -98,15 +99,9 @@ type Config struct {
 	// requests, drawn from an exponential distribution (0 = none).
 	Think time.Duration
 
-	// MaxInFlight bounds concurrently outstanding open-loop requests;
-	// arrivals past the bound are dropped and counted (overload signal).
-	// <= 0 defaults to 4096.
-	MaxInFlight int
 	// Warmup excludes the run's initial window from recorded statistics;
 	// requests still fly, they are just tallied separately.
 	Warmup time.Duration
-	// Timeout is the per-request deadline; <= 0 defaults to 10s.
-	Timeout time.Duration
 	// MaxEvents stops the run after replaying this many workload events
 	// (0 = run the source dry or until Stages end).
 	MaxEvents int64
@@ -141,15 +136,23 @@ type Config struct {
 	Seed uint64
 
 	// DayRollAfter invokes DayRollFn once, this long into the measured
-	// (post-warmup) window, so the run straddles a snapshot swap; requests
-	// started before and after the roll completes are summarized
-	// separately in the Report, making the post-swap cold-cache spike
-	// (and a pre-warm's effect on it) directly visible (0 = no roll).
+	// (post-warmup) window, so the run straddles a snapshot swap; the
+	// responses to requests started after the roll completes must all
+	// carry one X-Store-Day, and the Report counts those that do not
+	// (0 = no roll).
 	DayRollAfter time.Duration
 	// DayRollFn performs the mid-load day roll — typically the store's
 	// AdvanceDay. Required when DayRollAfter > 0.
 	DayRollFn func() error
 }
+
+// MaxInFlight bounds concurrently outstanding open-loop events; arrivals
+// past the bound are dropped and counted (overload signal). The default
+// client keeps as many idle connections.
+const MaxInFlight = 4096
+
+// requestTimeout is the per-request deadline.
+const requestTimeout = 10 * time.Second
 
 // Request classes reported separately: metadata detail lookups, catalog
 // listing pages, and APK payload downloads.
@@ -197,16 +200,12 @@ type writeStats struct {
 	rejected     metrics.Counter
 }
 
-// classStats accumulates one request class. preRoll/postRoll split the
-// measured window at the day-roll instant (populated only when a roll is
-// configured; latency always carries the full window).
+// classStats accumulates one request class.
 type classStats struct {
 	sendStats
 	ok          metrics.Counter
 	rateLimited metrics.Counter
 	otherStatus metrics.Counter
-	preRoll     *metrics.Histogram
-	postRoll    *metrics.Histogram
 
 	// Response body bytes as they crossed the wire, split by the
 	// Content-Encoding the server chose: gzipBytes arrived compressed,
@@ -248,10 +247,6 @@ type Generator struct {
 	// let an old epoch leak past its commit.
 	postRollDay atomic.Int64
 	mixedEpoch  metrics.Counter
-
-	// gcStart is the runtime GC state sampled when Run begins; report()
-	// diffs against a second sample to attribute GC activity to the run.
-	gcStart gcstats.Stats
 }
 
 // New validates cfg and returns a Generator.
@@ -282,17 +277,11 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.WriteMix < 0 || cfg.WriteMix > 1 {
 		return nil, fmt.Errorf("loadgen: WriteMix %g out of [0, 1]", cfg.WriteMix)
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 4096
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        cfg.MaxInFlight,
-			MaxIdleConnsPerHost: cfg.MaxInFlight,
+			MaxIdleConns:        MaxInFlight,
+			MaxIdleConnsPerHost: MaxInFlight,
 		}}
 	}
 	g := &Generator{
@@ -302,11 +291,7 @@ func New(cfg Config) (*Generator, error) {
 		writes:  map[string]*writeStats{},
 	}
 	for _, class := range readClasses {
-		g.classes[class] = &classStats{
-			sendStats: sendStats{latency: metrics.NewHistogram()},
-			preRoll:   metrics.NewHistogram(),
-			postRoll:  metrics.NewHistogram(),
-		}
+		g.classes[class] = &classStats{sendStats: sendStats{latency: metrics.NewHistogram()}}
 	}
 	for _, ep := range writeEndpoints {
 		g.writes[ep] = &writeStats{sendStats: sendStats{latency: metrics.NewHistogram()}}
@@ -351,22 +336,24 @@ type outcome struct {
 	// ack is the head of a POST's response body (the store's write ack).
 	ack []byte
 	// wire is the body size as transferred.
-	wire    int64
-	elapsed time.Duration
-	// postRoll: the request started after the day roll completed.
-	postRoll bool
+	wire int64
 }
 
 // send performs one request as ev's user and keeps the books reads and
 // writes share: the warm-up gate, the send/error counters, full-window
 // latency and, once a day roll has completed, the epoch-coherence check
-// on X-Store-Day. hdr is header name/value pairs. ok is false when there
-// is nothing to classify: the request failed (counted) or started inside
-// the warm-up window.
-func (g *Generator) send(ctx context.Context, st *sendStats, ev model.Event, method, path, body string, hdr ...string) (out outcome, ok bool) {
-	rctx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
+// on X-Store-Day. Latency runs from due, the instant the request was
+// meant to start (zero: its launch); the warm-up gate and the epoch check
+// go by the launch. hdr is header name/value pairs. ok is false when
+// there is nothing to classify: the request failed (counted) or started
+// inside the warm-up window.
+func (g *Generator) send(ctx context.Context, st *sendStats, ev model.Event, due time.Time, method, path, body string, hdr ...string) (out outcome, ok bool) {
+	rctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	start := time.Now()
+	if due.IsZero() {
+		due = start
+	}
 	record := !start.Before(g.measureAt)
 	if record {
 		st.sent.Inc()
@@ -396,13 +383,12 @@ func (g *Generator) send(ctx context.Context, st *sendStats, ev model.Event, met
 	if !record {
 		return out, false
 	}
-	out.resp, out.wire, out.elapsed = resp, int64(len(out.ack))+rest, time.Since(start)
-	st.latency.Observe(int64(out.elapsed))
+	out.resp, out.wire = resp, int64(len(out.ack))+rest
+	st.latency.Observe(int64(time.Since(due)))
 	// A request launched after the swap finished faces the new snapshot;
 	// reads and write acks alike carry the serving epoch, and one that
 	// disagrees with the first post-roll answer is a coherence violation.
 	if mark := g.rollMark.Load(); mark > 0 && start.UnixNano() >= mark {
-		out.postRoll = true
 		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified {
 			if day, err := strconv.Atoi(resp.Header.Get("X-Store-Day")); err == nil {
 				if !g.postRollDay.CompareAndSwap(-1, int64(day)) && g.postRollDay.Load() != int64(day) {
@@ -414,8 +400,9 @@ func (g *Generator) send(ctx context.Context, st *sendStats, ev model.Event, met
 	return out, true
 }
 
-// issue performs one read request and records it under class.
-func (g *Generator) issue(ctx context.Context, class string, ev model.Event) {
+// issue performs one read request, timed from due (zero: from its
+// launch), and records it under class.
+func (g *Generator) issue(ctx context.Context, class string, ev model.Event, due time.Time) {
 	cs := g.classes[class]
 	path := apiwire.ListPath
 	switch class {
@@ -428,7 +415,7 @@ func (g *Generator) issue(ctx context.Context, class string, ev model.Event) {
 	if g.cfg.AcceptGzip {
 		enc = "gzip"
 	}
-	out, ok := g.send(ctx, &cs.sendStats, ev, http.MethodGet, path, "", "Accept-Encoding", enc)
+	out, ok := g.send(ctx, &cs.sendStats, ev, due, http.MethodGet, path, "", "Accept-Encoding", enc)
 	if !ok {
 		return
 	}
@@ -437,11 +424,6 @@ func (g *Generator) issue(ctx context.Context, class string, ev model.Event) {
 		cs.gzipBytes.Add(out.wire)
 	} else {
 		cs.identityBytes.Add(out.wire)
-	}
-	if out.postRoll {
-		cs.postRoll.Observe(int64(out.elapsed))
-	} else if g.cfg.DayRollAfter > 0 {
-		cs.preRoll.Observe(int64(out.elapsed))
 	}
 	switch out.resp.StatusCode {
 	case http.StatusOK, http.StatusNotModified:
@@ -462,7 +444,7 @@ func (g *Generator) issueWrite(ctx context.Context, endpoint string, kind apiwir
 	if stars > 0 {
 		body += `,"rating":` + strconv.Itoa(stars)
 	}
-	out, ok := g.send(ctx, &ws.sendStats, ev, http.MethodPost, apiwire.AppPath(kind, ev.App), body+"}",
+	out, ok := g.send(ctx, &ws.sendStats, ev, time.Time{}, http.MethodPost, apiwire.AppPath(kind, ev.App), body+"}",
 		"Content-Type", "application/json",
 		"Idempotency-Key", "lg-u"+user+"-a"+strconv.Itoa(int(ev.App))+"-"+endpoint)
 	if !ok {
@@ -517,16 +499,17 @@ func funnelFor(seed uint64, mix float64, ev model.Event) funnel {
 	}
 }
 
-// issueEvent replays one workload event: a metadata detail request, plus
-// a listing page for every ListEvery-th event, an APK download for every
-// APKEvery-th event, and whatever funnelFor adds.
-func (g *Generator) issueEvent(ctx context.Context, ev model.Event, n int64) {
-	g.issue(ctx, ClassDetail, ev)
+// issueEvent replays one workload event: a metadata detail request, timed
+// from due (the open loop's scheduled arrival; zero in the closed loop),
+// plus a listing page for every ListEvery-th event, an APK download for
+// every APKEvery-th event, and whatever funnelFor adds.
+func (g *Generator) issueEvent(ctx context.Context, ev model.Event, n int64, due time.Time) {
+	g.issue(ctx, ClassDetail, ev, due)
 	if g.cfg.ListEvery > 0 && n%int64(g.cfg.ListEvery) == 0 {
-		g.issue(ctx, ClassList, ev)
+		g.issue(ctx, ClassList, ev, time.Time{})
 	}
 	if g.cfg.APKEvery > 0 && n%int64(g.cfg.APKEvery) == 0 {
-		g.issue(ctx, ClassAPK, ev)
+		g.issue(ctx, ClassAPK, ev, time.Time{})
 	}
 	f := funnelFor(g.cfg.Seed, g.cfg.WriteMix, ev)
 	if f.download {
@@ -552,7 +535,6 @@ func (g *Generator) Run(ctx context.Context, src Source) (*Report, error) {
 	}
 	g.startedAt = time.Now()
 	g.measureAt = g.startedAt.Add(g.cfg.Warmup)
-	g.gcStart = gcstats.Read()
 	rctx, cancelRoll := context.WithCancel(ctx)
 	var rollWG sync.WaitGroup
 	if g.cfg.DayRollAfter > 0 {
@@ -573,7 +555,7 @@ func (g *Generator) Run(ctx context.Context, src Source) (*Report, error) {
 }
 
 // dayRoll fires DayRollFn once, DayRollAfter into the measured window,
-// and stamps the completion instant that issue() splits latencies on. If
+// and stamps the completion instant send's epoch check starts from. If
 // the run ends first the roll simply never happens (Report says so).
 func (g *Generator) dayRoll(ctx context.Context, wg *sync.WaitGroup) {
 	defer wg.Done()
@@ -598,9 +580,12 @@ func (g *Generator) dayRoll(ctx context.Context, wg *sync.WaitGroup) {
 // runOpen launches requests on the stage schedule. A timer goroutine per
 // request would drift under load, so the pacer computes each arrival's
 // absolute time and sleeps to it; launches that would exceed MaxInFlight
-// are dropped and counted instead of stalling the schedule.
+// are dropped and counted instead of stalling the schedule. A pacer that
+// falls behind (a slow source, a descheduled process) launches the
+// arrivals it owes at once, and each is timed from its scheduled instant,
+// so the lag counts against latency.
 func (g *Generator) runOpen(ctx context.Context) {
-	sem := make(chan struct{}, g.cfg.MaxInFlight)
+	sem := make(chan struct{}, MaxInFlight)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	var seq int64
@@ -624,7 +609,7 @@ func (g *Generator) runOpen(ctx context.Context) {
 			if !ok {
 				return
 			}
-			n := seq
+			n, due := seq, next
 			seq++
 			select {
 			case sem <- struct{}{}:
@@ -632,7 +617,7 @@ func (g *Generator) runOpen(ctx context.Context) {
 				go func() {
 					defer wg.Done()
 					defer func() { <-sem }()
-					g.issueEvent(ctx, ev, n)
+					g.issueEvent(ctx, ev, n, due)
 				}()
 			default:
 				g.dropped.Inc()
@@ -656,7 +641,7 @@ func (g *Generator) runClosed(ctx context.Context) {
 				if !ok {
 					return
 				}
-				g.issueEvent(ctx, ev, seq)
+				g.issueEvent(ctx, ev, seq, time.Time{})
 				seq++
 				if g.cfg.Think > 0 {
 					d := time.Duration(r.ExpFloat64() * float64(g.cfg.Think))

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"time"
 
-	"planetapps/internal/gcstats"
 	"planetapps/internal/metrics"
 )
 
@@ -31,22 +30,16 @@ func summarize(s *metrics.HistogramSnapshot) LatencySummary {
 	}
 }
 
-// ClassReport aggregates one request class (detail lookups, APK
-// downloads) over the measured (post-warmup) window. PreRoll/PostRoll
-// split the window at the day-roll instant when the run was configured
-// with one, exposing the post-swap cold-cache latency separately.
+// ClassReport aggregates one request class (detail lookups, listing
+// pages, APK downloads) over the measured (post-warmup) window.
 type ClassReport struct {
-	Class         string          `json:"class"`
-	Requests      int64           `json:"requests"`
-	OK            int64           `json:"ok"`
-	RateLimited   int64           `json:"rate_limited"`
-	Errors        int64           `json:"errors"`
-	OtherStatus   int64           `json:"other_status"`
-	LatencyMS     LatencySummary  `json:"latency_ms"`
-	PreRollMS     *LatencySummary `json:"pre_roll_latency_ms,omitempty"`
-	PostRollMS    *LatencySummary `json:"post_roll_latency_ms,omitempty"`
-	PreRollCount  int64           `json:"pre_roll_requests,omitempty"`
-	PostRollCount int64           `json:"post_roll_requests,omitempty"`
+	Class       string         `json:"class"`
+	Requests    int64          `json:"requests"`
+	OK          int64          `json:"ok"`
+	RateLimited int64          `json:"rate_limited"`
+	Errors      int64          `json:"errors"`
+	OtherStatus int64          `json:"other_status"`
+	LatencyMS   LatencySummary `json:"latency_ms"`
 
 	// Wire accounting: body bytes as transferred, split by the encoding
 	// the server actually sent. GzipResponses counts responses that
@@ -92,21 +85,6 @@ type DayRollReport struct {
 	MixedEpochResponses int64 `json:"mixed_epoch_responses"`
 }
 
-// GCReport summarizes the generator process's garbage-collection activity
-// over the run — the load generator usually shares a process with the
-// store under test (cmd/loadtest), so this is the GC cost of serving the
-// replayed traffic. Cycles/PauseTotalMS/CPUFraction are deltas over the
-// run; HeapObjects/HeapMB are end-of-run occupancy.
-type GCReport struct {
-	Cycles       uint64  `json:"cycles"`
-	PauseTotalMS float64 `json:"pause_total_ms"`
-	PauseP50US   float64 `json:"pause_p50_us"`
-	PauseP99US   float64 `json:"pause_p99_us"`
-	CPUFraction  float64 `json:"cpu_fraction"`
-	HeapObjects  uint64  `json:"heap_objects"`
-	HeapMB       float64 `json:"heap_mb"`
-}
-
 // Report is the JSON-serializable outcome of one Run. Counts cover the
 // measured window; WarmupRequests tallies what the warmup excluded.
 type Report struct {
@@ -135,7 +113,6 @@ type Report struct {
 	WriteAccepted int64          `json:"write_accepted,omitempty"`
 	WriteDeduped  int64          `json:"write_deduped,omitempty"`
 	DayRoll       *DayRollReport `json:"day_roll,omitempty"`
-	GC            *GCReport      `json:"gc,omitempty"`
 }
 
 func (g *Generator) report(elapsed time.Duration) *Report {
@@ -163,16 +140,6 @@ func (g *Generator) report(elapsed time.Duration) *Report {
 			GzipResponses: cs.gzipResponses.Value(),
 			GzipBytes:     cs.gzipBytes.Value(),
 			IdentityBytes: cs.identityBytes.Value(),
-		}
-		if g.cfg.DayRollAfter > 0 {
-			if pre := cs.preRoll.Snapshot(); pre.Count > 0 {
-				s := summarize(pre)
-				cr.PreRollMS, cr.PreRollCount = &s, pre.Count
-			}
-			if post := cs.postRoll.Snapshot(); post.Count > 0 {
-				s := summarize(post)
-				cr.PostRollMS, cr.PostRollCount = &s, post.Count
-			}
 		}
 		if cr.Requests == 0 && class != ClassDetail {
 			continue
@@ -223,16 +190,6 @@ func (g *Generator) report(elapsed time.Duration) *Report {
 			}
 		}
 		rep.DayRoll = dr
-	}
-	delta := gcstats.Read().Since(g.gcStart)
-	rep.GC = &GCReport{
-		Cycles:       delta.Cycles,
-		PauseTotalMS: float64(delta.PauseTotal()) / 1e6,
-		PauseP50US:   float64(delta.PauseQuantile(0.50)) / 1e3,
-		PauseP99US:   float64(delta.PauseQuantile(0.99)) / 1e3,
-		CPUFraction:  delta.CPUFraction(),
-		HeapObjects:  delta.HeapObjects,
-		HeapMB:       float64(delta.HeapBytes) / (1 << 20),
 	}
 	return rep
 }

@@ -37,10 +37,10 @@ import (
 	"planetapps/internal/metrics"
 )
 
-// Config controls a Client. Transport, Clock, BaseBackoff and
-// AttemptTimeout default when zero; HedgeAfter and ProxyHealth are
-// opt-in. The rest of the retry policy is fixed (maxBackoff,
-// maxRetryAfter, retryAfterBudget).
+// Config controls a Client. Transport, Clock and BaseBackoff default when
+// zero; HedgeAfter and ProxyHealth are opt-in. The rest of the retry
+// policy is fixed (attemptTimeout, maxBackoff, maxRetryAfter,
+// retryAfterBudget).
 type Config struct {
 	// Transport performs the physical exchanges (default: a fresh
 	// http.Transport).
@@ -56,8 +56,6 @@ type Config struct {
 	// BaseBackoff seeds the full-jitter exponential schedule
 	// (default 20ms).
 	BaseBackoff time.Duration
-	// AttemptTimeout bounds each physical attempt (default 10s).
-	AttemptTimeout time.Duration
 
 	// HedgeAfter launches a second copy of an attempt that has been in
 	// flight this long (0 = hedging off). First completion wins; the
@@ -92,6 +90,8 @@ type Config struct {
 
 // The retry policy's fixed bounds.
 const (
+	// attemptTimeout bounds each physical attempt.
+	attemptTimeout = 10 * time.Second
 	// maxBackoff caps a single backoff sleep.
 	maxBackoff = 2 * time.Second
 	// maxRetryAfter caps how long a server-supplied Retry-After is
@@ -164,9 +164,6 @@ func New(cfg Config) *Client {
 	}
 	if cfg.BaseBackoff <= 0 {
 		cfg.BaseBackoff = 20 * time.Millisecond
-	}
-	if cfg.AttemptTimeout <= 0 {
-		cfg.AttemptTimeout = 10 * time.Second
 	}
 	if cfg.HedgeAfter > 0 && cfg.MaxHedges <= 0 {
 		cfg.MaxHedges = 1
@@ -445,7 +442,7 @@ func (c *Client) roundTrip(ctx context.Context, method, url string, hdr http.Hea
 			return exchangeResult{err: err, hedge: hedge}
 		}
 	}
-	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
+	actx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	var pc *proxyChoice
 	if c.cfg.ProxyHealth != nil {

@@ -210,7 +210,9 @@ retention() {
 # encoding/json (what it accepts, encoding/json reads alike) and complete
 # against a shard's pages (it accepts every page encoding/json writes for
 # fuzzed rows); the gateway's g1: multi-anchor cursor (never panics,
-# round-trips any anchor vector, re-packs what it accepts); the packed
+# round-trips any anchor vector, re-packs what it accepts); the gateway's
+# /metrics merge (every series line out as often as in, one TYPE header a
+# family, whatever the shards send); the packed
 # download schedule's round trip; the wire
 # grammar (ParsePath against a strings.Split parser, QueryValue against
 # url.ParseQuery, the cursor codec's round trip and range, ETagMatch
@@ -228,6 +230,7 @@ fuzz() {
 		'^FuzzScanPage$ ./internal/fleet' \
 		'^FuzzScanPageReadsShardPages$ ./internal/fleet' \
 		'^FuzzGatewayCursor$ ./internal/fleet' \
+		'^FuzzMergeExpositionPages$ ./internal/fleet' \
 		'^FuzzPackedSeq$ ./internal/marketsim' \
 		'^FuzzParsePath$ ./internal/apiwire' \
 		'^FuzzQueryValue$ ./internal/apiwire' \
@@ -252,9 +255,9 @@ smoke-loadtest() {
 		-think 1ms -warmup 500ms -out "$out/loadgen.json"
 
 	# Open-loop run straddling a mid-load AdvanceDay: exercises delta
-	# export, snapshot carry-forward, and the pre/post-swap latency split
-	# end to end. Fails if the roll never happened or any response mixed
-	# two days.
+	# export, snapshot carry-forward, and the post-roll epoch check end to
+	# end. Fails if the roll never happened or any response mixed two
+	# days.
 	go run ./cmd/loadtest -mode open -events 20000 -stages 500x4s \
 		-warmup 500ms -day-roll 1500ms -out "$out/dayroll.json"
 	jq -e '.open.day_roll.rolled and .open.day_roll.mixed_epoch_responses == 0' "$out/dayroll.json"
